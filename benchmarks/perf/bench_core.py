@@ -9,6 +9,9 @@ Times the core kernels with ``time.perf_counter``:
   headline kernel for the event-driven core;
 * ``fig9_faults`` — the multi-rate event run under the standard fault
   load (fault firings truncate strides);
+* ``hwsim_tick_256`` — the scale point: 256 nodes at the multi-rate periods,
+  where a job arrives about every simulated second, strides never fire and
+  the per-tick fleet pass of ``EmulatedCluster.advance`` carries the run;
 * ``fig9_telemetry`` — the fig9 loop with ``repro.telemetry`` fully enabled
   (metrics + event bus + ring sink), documenting the observability overhead;
 * ``fig9_plan`` — the fig9 loop over a bursty stepped target at a 4 s
@@ -142,6 +145,49 @@ def bench_fig9_faults(*, duration: float, seed: int) -> dict:
     schedule = FaultSchedule.standard_load(duration)
     system = build_demand_response_system(
         duration=duration, seed=seed, config=cfg, fault_schedule=schedule
+    )
+    start = time.perf_counter()
+    result = system.run(duration)
+    wall = time.perf_counter() - start
+    ticks = result.power_trace.shape[0]
+    return {
+        "wall_s": wall,
+        "ticks": int(ticks),
+        "ticks_per_sec": ticks / wall,
+        "jobs_completed": len(result.completed),
+    }
+
+
+def bench_hwsim_tick_256(*, duration: float, seed: int) -> dict:
+    """Per-tick physics at scale: 256 nodes, 30/30/60 s control periods.
+
+    ~150 concurrent 1–2 node jobs with an arrival about every simulated
+    second leave no control-free window to stride over, so nearly every
+    tick is one ``EmulatedCluster.advance`` — the same deployment as the
+    ``dr256_multirate`` workload of ``benchmarks/e2e``, short enough for CI.
+    """
+    from repro.core.framework import AnorConfig
+    from repro.experiments.fig9 import (
+        DEFAULT_AVERAGE_POWER,
+        DEFAULT_RESERVE,
+        build_demand_response_system,
+    )
+
+    nodes = 256
+    cfg = AnorConfig(
+        num_nodes=nodes,
+        seed=seed,
+        agent_period=30.0,
+        endpoint_period=30.0,
+        manager_period=60.0,
+    )
+    system = build_demand_response_system(
+        duration=duration,
+        seed=seed,
+        config=cfg,
+        num_nodes=nodes,
+        average_power=DEFAULT_AVERAGE_POWER * nodes / 16,
+        reserve=DEFAULT_RESERVE * nodes / 16,
     )
     start = time.perf_counter()
     result = system.run(duration)
@@ -385,6 +431,7 @@ def run_suite(quick: bool, seed: int, repeats: int = 3) -> dict:
     kernels["fig9_faults"] = _best_of(
         repeats, bench_fig9_faults, duration=300.0 if quick else 900.0, seed=seed
     )
+    kernels["hwsim_tick_256"] = _best_of(repeats, bench_hwsim_tick_256, duration=300.0, seed=seed)
     kernels["fig9_telemetry"] = _best_of(
         repeats, bench_fig9_telemetry, duration=300.0 if quick else 900.0, seed=seed
     )
@@ -492,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
         speed = report["speedup_vs_seed"].get(name)
         extra = f"  ({speed:.2f}x vs seed)" if speed else ""
         print(
-            f"{name:10s} {result['wall_s']:8.3f}s  "
+            f"{name:14s} {result['wall_s']:8.3f}s  "
             f"{result['ticks_per_sec']:10.1f} ticks/s{extra}"
         )
     if "telemetry_overhead" in report:

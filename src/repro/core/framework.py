@@ -385,6 +385,11 @@ class _QueuedJob:
     request: JobRequest
     job_type: JobType
     claimed_type: str = ""  # what the submission metadata claims; "" = truthful
+    #: User-style time limit: the worst case (minimum cap), computed once.
+    est_runtime: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.est_runtime = self.job_type.total_time(self.job_type.p_min)
 
 
 class AnorSystem:
@@ -746,13 +751,23 @@ class AnorSystem:
             # ladder fresh work to shed right back.  Launches resume when
             # severity returns to normal.
             return
+        chosen = self.scheduler.select(*self._scheduler_view(now))
+        by_id = {q.request.job_id: q for q in self._queue}
+        for selection in chosen:
+            self._launch(by_id[selection.job_id])
+        started = {s.job_id for s in chosen}
+        self._queue = [q for q in self._queue if q.request.job_id not in started]
+
+    def _scheduler_view(
+        self, now: float
+    ) -> tuple[list[PendingJob], list[RunningView], int, float]:
+        """``Scheduler.select`` arguments for the current queue and cluster."""
         pending = [
             PendingJob(
                 job_id=q.request.job_id,
                 nodes=q.job_type.nodes,
                 submit_time=self._submit_times[q.request.job_id],
-                # User-style time limit: the worst case (minimum cap).
-                est_runtime=q.job_type.total_time(q.job_type.p_min),
+                est_runtime=q.est_runtime,
                 attempt=self._attempts.get(q.request.job_id, 1),
             )
             for q in self._queue
@@ -761,21 +776,10 @@ class AnorSystem:
         # puts them back at the head of the line (they already waited once).
         pending.sort(key=lambda p: p.submit_time)
         running = [
-            RunningView(
-                job_id=j.job_id,
-                nodes=len(j.nodes),
-                est_end=j.start_time + j.job_type.total_time(j.job_type.p_min),
-            )
+            RunningView(job_id=j.job_id, nodes=len(j.nodes), est_end=j.est_end)
             for j in self.cluster.running.values()
         ]
-        chosen = self.scheduler.select(
-            pending, running, len(self.cluster.idle_nodes()), now
-        )
-        by_id = {q.request.job_id: q for q in self._queue}
-        for selection in chosen:
-            self._launch(by_id[selection.job_id])
-        started = {s.job_id for s in chosen}
-        self._queue = [q for q in self._queue if q.request.job_id not in started]
+        return pending, running, len(self.cluster.idle_nodes()), now
 
     def _launch(self, head: _QueuedJob) -> None:
         job = self.cluster.start_job(
@@ -1473,30 +1477,7 @@ class AnorSystem:
             return False
         if not self.scheduler.time_invariant:
             return True
-        pending = [
-            PendingJob(
-                job_id=q.request.job_id,
-                nodes=q.job_type.nodes,
-                submit_time=self._submit_times[q.request.job_id],
-                est_runtime=q.job_type.total_time(q.job_type.p_min),
-                attempt=self._attempts.get(q.request.job_id, 1),
-            )
-            for q in self._queue
-        ]
-        pending.sort(key=lambda p: p.submit_time)
-        running = [
-            RunningView(
-                job_id=j.job_id,
-                nodes=len(j.nodes),
-                est_end=j.start_time + j.job_type.total_time(j.job_type.p_min),
-            )
-            for j in self.cluster.running.values()
-        ]
-        return bool(
-            self.scheduler.select(
-                pending, running, len(self.cluster.idle_nodes()), now
-            )
-        )
+        return bool(self.scheduler.select(*self._scheduler_view(now)))
 
     def _try_stride(
         self,

@@ -54,35 +54,44 @@ class MsrBank:
     as they would through ``/dev/cpu/*/msr_safe``.
     """
 
-    def __init__(self, *, tdp_watts: float = 140.0, min_power_watts: float = 70.0):
+    def __init__(
+        self,
+        *,
+        tdp_watts: float = 140.0,
+        min_power_watts: float = 70.0,
+        energy: np.ndarray | None = None,
+        limit: np.ndarray | None = None,
+    ):
         if min_power_watts <= 0 or tdp_watts <= min_power_watts:
             raise ValueError(
                 f"need 0 < min_power < tdp, got {min_power_watts}, {tdp_watts}"
             )
         self.tdp_watts = float(tdp_watts)
         self.min_power_watts = float(min_power_watts)
-        self._energy_raw = 0  # 32-bit accumulating counter
-        self._energy_joules_total = 0.0  # unwrapped ground truth (emulator only)
-        self._power_limit_raw = int(round(tdp_watts / POWER_UNIT_WATTS))
-        #: Bumped on every power-limit write; lets node-level cap sums be
-        #: cached and invalidated without re-deriving watts on each read.
-        self.cap_version = 0
+        # Both registers are one-element arrays so an emulated cluster can
+        # hand in views of its node-indexed columns and step every package in
+        # one array pass; a standalone bank allocates its own cells.
+        # ``energy``: unwrapped joules, the emulator's ground truth — the raw
+        # 32-bit counter is derived from it on read.  ``limit``: the raw RAPL
+        # limit register.
+        self._energy = np.zeros(1) if energy is None else energy
+        self._limit = np.zeros(1, dtype=np.int64) if limit is None else limit
+        self._limit[0] = int(round(tdp_watts / POWER_UNIT_WATTS))
 
     # ---------------------------------------------------------- register API
 
     def read(self, address: int) -> int:
         if address == MSR_PKG_ENERGY_STATUS:
-            return self._energy_raw
+            return int(round(float(self._energy[0]) / ENERGY_UNIT_JOULES)) & _ENERGY_MASK
         if address == MSR_PKG_POWER_LIMIT:
-            return self._power_limit_raw
+            return int(self._limit[0])
         raise KeyError(f"unsupported MSR address {address:#x}")
 
     def write(self, address: int, value: int) -> None:
         if address == MSR_PKG_POWER_LIMIT:
             if value < 0:
                 raise ValueError(f"power limit cannot be negative: {value}")
-            self._power_limit_raw = int(value)
-            self.cap_version += 1
+            self._limit[0] = int(value)
             return
         if address == MSR_PKG_ENERGY_STATUS:
             raise PermissionError("PKG_ENERGY_STATUS is read-only")
@@ -93,7 +102,7 @@ class MsrBank:
     @property
     def power_limit_watts(self) -> float:
         """The cap currently programmed, clamped into the actuatable range."""
-        requested = self._power_limit_raw * POWER_UNIT_WATTS
+        requested = int(self._limit[0]) * POWER_UNIT_WATTS
         return min(max(requested, self.min_power_watts), self.tdp_watts)
 
     def set_power_limit_watts(self, watts: float) -> float:
@@ -108,9 +117,7 @@ class MsrBank:
         """Deposit consumed energy (called by the hardware emulator only)."""
         if joules < 0:
             raise ValueError(f"cannot consume negative energy: {joules}")
-        self._energy_joules_total += joules
-        ticks = int(round(self._energy_joules_total / ENERGY_UNIT_JOULES))
-        self._energy_raw = ticks & _ENERGY_MASK
+        self._energy[0] += joules
 
     def accumulate_energy_series(self, joules: np.ndarray) -> None:
         """Deposit a run of per-tick energies in one call (stride commit).
@@ -118,10 +125,7 @@ class MsrBank:
         The unwrapped total is folded with ``np.cumsum`` over the chain
         ``[total, j₁, …, jₙ]`` — an ordered left-to-right accumulation, so
         the final total is bit-identical to n sequential
-        :meth:`accumulate_energy` calls.  The raw counter is a pure function
-        of that total; intermediate raw values are only ever observed at
-        agent samples, which bound strides, so deriving it once at the end
-        is exact.
+        :meth:`accumulate_energy` calls.
         """
         deposits = np.asarray(joules, dtype=float)
         if deposits.size == 0:
@@ -131,19 +135,17 @@ class MsrBank:
         if deposits.size < 64:
             # Short runs (typical stride length): a scalar loop of the same
             # left-to-right adds beats the ufunc setup cost.
-            total = self._energy_joules_total
+            total = float(self._energy[0])
             for j in deposits.tolist():
                 total += j
-            self._energy_joules_total = total
+            self._energy[0] = total
         else:
             chain = np.empty(deposits.size + 1)
-            chain[0] = self._energy_joules_total
+            chain[0] = self._energy[0]
             chain[1:] = deposits
-            self._energy_joules_total = float(np.cumsum(chain)[-1])
-        ticks = int(round(self._energy_joules_total / ENERGY_UNIT_JOULES))
-        self._energy_raw = ticks & _ENERGY_MASK
+            self._energy[0] = np.cumsum(chain)[-1]
 
     @property
     def total_energy_joules(self) -> float:
         """Unwrapped cumulative energy — ground truth for tests/metering."""
-        return self._energy_joules_total
+        return float(self._energy[0])

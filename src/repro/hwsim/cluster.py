@@ -7,10 +7,13 @@ band Fig. 9's demand-response targets move within.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
+from repro.geopm.msr import POWER_UNIT_WATTS
 from repro.geopm.report import ApplicationTotals
-from repro.hwsim.job import BATCH_MIN_NODES, RunningJob, plan_stride_batch
+from repro.hwsim.job import JobPhase, RunningJob, plan_stride_batch
 from repro.hwsim.node import Node
 from repro.util.clock import SimClock
 from repro.util.rng import ensure_rng, spawn_rng
@@ -20,7 +23,16 @@ __all__ = ["EmulatedCluster"]
 
 
 class EmulatedCluster:
-    """A pool of emulated nodes plus the jobs running on them."""
+    """A pool of emulated nodes plus the jobs running on them.
+
+    Physics state is struct-of-arrays: node-indexed columns owned here, of
+    which each :class:`Node` (and its MSR banks) holds one-row views.  One
+    rank runs per node, so the per-rank model constants and progress are
+    node-indexed too, written at :meth:`start_job`.  :meth:`advance` steps
+    every rank of every job, and every idle node, in one array pass.
+    """
+
+    PACKAGES = 2  # the testbed's dual-package nodes (§5.5)
 
     def __init__(
         self,
@@ -41,6 +53,17 @@ class EmulatedCluster:
         self._job_rng = rng
         self.agent_fanout = int(agent_fanout)
         self.run_noise = bool(run_noise)
+        pk = self.PACKAGES
+        self._energy = np.zeros((num_nodes, pk))  # unwrapped joules per package
+        self._limit = np.zeros((num_nodes, pk), dtype=np.int64)  # raw PKG_POWER_LIMIT
+        self._power = np.zeros(num_nodes)  # realised draw of the latest tick (W)
+        self._down = np.zeros(num_nodes, dtype=bool)  # crashed
+        self._vacant = np.ones(num_nodes, dtype=bool)  # no job allocated
+        self.idle_watts = np.full(num_nodes, float(idle_power))
+        # Rank constants, one row each: truth curve a, b, c; p_min; p_demand;
+        # jitter σ; run multiplier; epochs; node perf multiplier.
+        self._rank = np.zeros((9, num_nodes))
+        self.progress = np.zeros(num_nodes)  # fractional epochs done per rank
         self.nodes = []
         for i in range(num_nodes):
             mult = 1.0
@@ -52,10 +75,20 @@ class EmulatedCluster:
                 Node(
                     i,
                     clock_fn=lambda: self.clock.now,
+                    packages=pk,
                     idle_power=idle_power,
                     perf_multiplier=mult,
+                    cells=(
+                        self._energy[i],
+                        self._limit[i],
+                        self._power[i : i + 1],
+                        self._down[i : i + 1],
+                    ),
                 )
             )
+        banks = [node.banks for node in self.nodes]
+        self._limit_lo = np.array([[b.min_power_watts for b in row] for row in banks])
+        self._limit_hi = np.array([[b.tdp_watts for b in row] for row in banks])
         self._node_rngs = node_rngs
         self.running: dict[str, RunningJob] = {}
         self.completed: list[ApplicationTotals] = []
@@ -64,11 +97,15 @@ class EmulatedCluster:
 
     # ------------------------------------------------------------ node pool
 
+    def _idle_rows(self) -> np.ndarray:
+        return np.flatnonzero(self._vacant & ~self._down)
+
     def idle_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.is_idle]
+        """Schedulable nodes in ascending ``node_id`` (the allocation order)."""
+        return [self.nodes[i] for i in self._idle_rows().tolist()]
 
     def failed_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.failed]
+        return [self.nodes[i] for i in np.flatnonzero(self._down).tolist()]
 
     @property
     def num_nodes(self) -> int:
@@ -116,13 +153,39 @@ class EmulatedCluster:
             submit_time=now if submit_time is None else submit_time,
             start_time=now,
             rng=job_rng,
+            progress=self.progress,
             agent_fanout=self.agent_fanout,
             run_noise=self.run_noise,
         )
         for node in nodes:
             node.job_id = job_id
+        # Per-node constants are read now, not at construction: a caller may
+        # have tuned ``perf_multiplier`` / ``idle_power`` in between.
+        truth = job_type.truth
+        self._rank[:8, job.rows] = [
+            [truth.a], [truth.b], [truth.c], [job_type.p_min], [job_type.p_demand],
+            [job_type.noise], [job._run_multiplier], [job_type.epochs],
+        ]
+        self._rank[8, job.rows] = [node.perf_multiplier for node in nodes]
+        self.idle_watts[job.rows] = [node.idle_power for node in nodes]
+        self.progress[job.rows] = 0.0
+        self._vacant[job.rows] = False
         self.running[job_id] = job
         return job
+
+    def _release(self, job: RunningJob) -> None:
+        """Take ``job`` off the cluster and free its nodes."""
+        del self.running[job.job_id]
+        for node in job.nodes:
+            node.job_id = None
+            node.pio.detach_profiler()
+        self._vacant[job.rows] = True
+
+    def _retire_done(self, jobs) -> None:
+        """Release every finished job among ``jobs`` and book its totals."""
+        for job in [j for j in jobs if j.is_done]:
+            self._release(job)
+            self.completed.append(job.totals())
 
     def kill_job(self, job_id: str) -> RunningJob:
         """Terminate a running job mid-flight, releasing its nodes.
@@ -133,10 +196,8 @@ class EmulatedCluster:
         """
         if job_id not in self.running:
             raise KeyError(f"job {job_id!r} is not running")
-        job = self.running.pop(job_id)
-        for node in job.nodes:
-            node.job_id = None
-            node.pio.detach_profiler()
+        job = self.running[job_id]
+        self._release(job)
         job.kill(self.clock.now)
         self.killed.append((self.clock.now, job_id))
         return job
@@ -161,43 +222,110 @@ class EmulatedCluster:
         """Bring a crashed node back into the schedulable pool."""
         self.nodes[node_id].restore()
 
+    def caps(self) -> np.ndarray:
+        """Every node's CPU cap (W): ``Node.power_cap`` for the whole fleet.
+
+        Each package's programmed limit clamped into its actuatable range,
+        summed in package order — the scalar property's operations.
+        """
+        watts = np.clip(self._limit * POWER_UNIT_WATTS, self._limit_lo, self._limit_hi)
+        caps = watts[:, 0].copy()
+        for p in range(1, watts.shape[1]):
+            caps += watts[:, p]
+        return caps
+
+    def rank_model(self, rows: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Tick invariants of statically-profiled compute ranks on ``rows``.
+
+        Returns ``(demand, rate base, jitter σ, perf, epochs)``: ``cap``
+        clamped into ``[p_min, p_demand]`` is both the draw demand and the
+        truth curve's argument; ``rate base`` is τ(demand)·run multiplier.
+        """
+        a, b, c, p_min, p_demand, sigma, run_mult, epochs, perf = self._rank[:, rows]
+        demand = np.minimum(np.maximum(cap, p_min), p_demand)
+        tau = a * demand * demand + b * demand + c
+        return demand, tau * run_mult, sigma, perf, epochs
+
     def advance(self, dt: float) -> float:
         """Advance physics by ``dt`` (clock already moved by the caller).
 
         Jobs advance, idle nodes draw idle power, and completed jobs release
         their nodes.  Returns the realised cluster CPU power for the tick.
+
+        One array pass covers every rank of every job and every idle node.
+        Each step is the elementwise twin of :meth:`RunningJob.advance` /
+        :meth:`Node.consume` (same IEEE ops, same order), every RNG stream
+        is drawn exactly as the scalar path draws it (``standard_normal``·σ
+        ≡ ``normal(0, σ)``), and reductions are ordered, so the tick is
+        bit-identical to the scalar reference — which jobs the arrays cannot
+        describe (power-wave and phased types, a crashed node) still take.
         """
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
         now = self.clock.now
-        finished = []
+        healthy = not self._down.any()
+        compute: list[RunningJob] = []
+        quiet: list[RunningJob] = []  # setup/teardown: idle draw, job's stream
         for job in self.running.values():
-            job.advance(dt, now)
-            if job.is_done:
-                finished.append(job.job_id)
-        idle = self.idle_nodes()
-        if len(idle) >= BATCH_MIN_NODES:
-            # One draw per idle node from its own stream (order matches the
-            # per-node consume_idle loop); the cap/floor arithmetic and
-            # energy deposit batch across nodes.
-            eps = np.array(
-                [self._node_rngs[n.node_id].normal(0.0, 0.01) for n in idle]
+            if not (job.profile_static and (healthy or job.array_capable)):
+                job.advance(dt, now)
+            elif job.phase is JobPhase.COMPUTE:
+                compute.append(job)
+            else:
+                quiet.append(job)
+        free = self._idle_rows()
+        rows = np.concatenate([j.rows for j in compute] + [j.rows for j in quiet] + [free])
+        # Packed draws, stream by stream: [jitter, RAPL] per compute rank,
+        # one RAPL draw per quiet rank, one per idle node from its own stream.
+        bounds = list(
+            accumulate(
+                [2 * len(j.nodes) for j in compute] + [len(j.nodes) for j in quiet],
+                initial=0,
             )
-            idle_powers = np.array([n.idle_power for n in idle])
-            caps = np.array([n.power_cap for n in idle])
-            powers = np.minimum(caps, np.maximum(idle_powers * (1.0 + eps), idle_powers))
-            for node, power in zip(idle, powers):
-                node.deposit(float(power), dt)
-        else:
-            for node in idle:
-                node.consume_idle(dt, self._node_rngs[node.node_id])
-        for job_id in finished:
-            job = self.running.pop(job_id)
-            for node in job.nodes:
-                node.job_id = None
-                node.pio.detach_profiler()
-            self.completed.append(job.totals())
-        power = sum(n.last_power for n in self.nodes)
-        self._power_history.append((now, power))
-        return power
+        )
+        z = np.empty(bounds[-1] + free.size)
+        for job, lo, hi in zip(compute + quiet, bounds, bounds[1:]):
+            job.rng.standard_normal(out=z[lo:hi])
+        for k, row in enumerate(free.tolist(), bounds[-1]):
+            z[k] = self._node_rngs[row].standard_normal()
+        starts = [lo // 2 for lo in bounds[: len(compute)]]
+        nc = bounds[len(compute)] // 2  # compute ranks are rows[:nc]
+        ranks = rows[:nc]
+        cap = self.caps()[rows]
+        idle = self.idle_watts[rows]
+        demand = idle.copy()  # quiet ranks and idle nodes ask for idle power
+        demand[:nc], base, sigma, perf, epochs = self.rank_model(ranks, cap[:nc])
+        jitter = np.exp(z[0 : 2 * nc : 2] * sigma)
+        before = self.progress[ranks]
+        after = before + perf / (base * jitter) * dt
+        self.progress[ranks] = after
+        # A rank's profiler count is its floored progress, capped at epochs.
+        done = np.minimum(np.floor(after), epochs)
+        crossed = np.flatnonzero(done > np.minimum(np.floor(before), epochs))
+        owners = np.searchsorted(starts, crossed, side="right") - 1
+        for r, o, d in zip(crossed.tolist(), owners.tolist(), done[crossed].tolist()):
+            compute[o].profiler.set_rank_progress(r - starts[o], int(d), timestamp=now)
+        # Node.consume for all rows: RAPL noise, cap ceiling, idle floor.
+        eps = np.concatenate((z[1 : 2 * nc : 2], z[2 * nc :])) * 0.01
+        power = np.minimum(cap, np.maximum(demand * (1.0 + eps), idle))
+        joules = power * dt / self.PACKAGES
+        if (joules < 0).any():
+            raise ValueError(f"cannot consume negative energy: {joules.min()}")
+        self._power[rows] = power
+        self._energy[rows] += joules[:, None]
+        watts = power.tolist()
+        for job, lo in zip(compute, starts):
+            tick_power = 0.0  # left-to-right over the job's nodes
+            for w in watts[lo : lo + len(job.nodes)]:
+                tick_power += w
+            job.settle(dt, now, tick_power)
+        for job in quiet:
+            job.settle(dt, now, None)
+        self._retire_done(self.running.values())
+        # Ordered (cumsum) fold in node order; failed nodes hold 0 W.
+        total = float(np.cumsum(self._power)[-1])
+        self._power_history.append((now, total))
+        return total
 
     def stride_ready(self) -> bool:
         """True when every running job can be advanced analytically.
@@ -228,36 +356,26 @@ class EmulatedCluster:
         if total == 0:
             return 0, np.empty(0)
         jobs = list(self.running.values())
-        ticks, plans = plan_stride_batch(jobs, times, dt)
-        finished = []
+        ticks, plans = plan_stride_batch(self, jobs, times, dt)
         for job, plan in zip(jobs, plans):
             job.commit_stride(plan, times, dt)
-            if job.is_done:
-                finished.append(job.job_id)
         # Per-node power series for the whole fleet: job plans fill their
         # nodes' columns, idle nodes draw their own streams, failed nodes
         # hold their last (zero) draw.
         series = np.empty((ticks, len(self.nodes)))
-        for node in self.nodes:
-            series[:, node.node_id] = node.last_power
+        series[:] = self._power
         for job, plan in zip(jobs, plans):
-            for j, node in enumerate(job.nodes):
-                series[:, node.node_id] = plan.powers[:, j]
-        for node in self.idle_nodes():
-            rng = self._node_rngs[node.node_id]
+            series[:, job.rows] = plan.powers
+        caps = self.caps()
+        for i in self._idle_rows().tolist():
             # standard_normal·σ ≡ normal(0, σ) bit for bit, minus the
             # broadcasting slow path of the scale argument.
-            eps = rng.standard_normal(ticks) * 0.01
-            noisy = node.idle_power * (1.0 + eps)
-            powers = np.minimum(node.power_cap, np.maximum(noisy, node.idle_power))
-            node.deposit_series(powers, dt)
-            series[:, node.node_id] = powers
-        for job_id in finished:
-            job = self.running.pop(job_id)
-            for node in job.nodes:
-                node.job_id = None
-                node.pio.detach_profiler()
-            self.completed.append(job.totals())
+            eps = self._node_rngs[i].standard_normal(ticks) * 0.01
+            idle = self.idle_watts[i]
+            powers = np.minimum(caps[i], np.maximum(idle * (1.0 + eps), idle))
+            self.nodes[i].deposit_series(powers, dt)
+            series[:, i] = powers
+        self._retire_done(jobs)
         # Cluster power per tick: left-to-right accumulation in node order,
         # matching the scalar `sum(n.last_power for n in self.nodes)`
         # (seeding with node 0's column is exact: 0 + p ≡ p for the
@@ -275,7 +393,7 @@ class EmulatedCluster:
     def measured_power(self) -> float:
         """Facility-metered cluster CPU power of the latest tick (W)."""
         if not self._power_history:
-            return sum(n.last_power for n in self.nodes)
+            return float(np.cumsum(self._power)[-1])
         return self._power_history[-1][1]
 
     def power_history(self) -> np.ndarray:

@@ -25,13 +25,6 @@ from repro.workloads.nas import JobType
 
 __all__ = ["JobPhase", "RunningJob", "StridePlan", "plan_stride_batch"]
 
-#: Node count above which the batched numpy physics path beats the scalar
-#: per-node loop.  Both paths are bit-identical (the golden traces pin them
-#: to each other); below this width the ufunc call overhead on 1–2 element
-#: arrays costs more than it saves.
-BATCH_MIN_NODES = 8
-
-
 class JobPhase(enum.Enum):
     SETUP = "setup"
     COMPUTE = "compute"
@@ -79,6 +72,7 @@ class RunningJob:
         submit_time: float,
         start_time: float,
         rng: np.random.Generator,
+        progress: np.ndarray,
         agent_fanout: int = 8,
         run_noise: bool = True,
     ) -> None:
@@ -89,6 +83,9 @@ class RunningJob:
         self.nodes = nodes
         self.submit_time = float(submit_time)
         self.start_time = float(start_time)
+        #: User-style time limit: start plus the worst-case (minimum-cap)
+        #: occupancy — what the scheduler's backfill window sees.
+        self.est_end = self.start_time + job_type.total_time(job_type.p_min)
         self.rng = rng
         self.phase = JobPhase.SETUP
         self.phase_elapsed = 0.0
@@ -105,25 +102,11 @@ class RunningJob:
         self._run_multiplier = (
             float(np.exp(rng.normal(0.0, job_type.noise))) if run_noise else 1.0
         )
-        # Fractional epoch progress per rank (rank i ↔ node i).
-        self._rank_progress = np.zeros(len(nodes), dtype=float)
-        # Invariants hoisted for the batched physics path.
-        self._perf_multipliers = np.array([n.perf_multiplier for n in nodes])
-        self._idle_powers = np.array([n.idle_power for n in nodes])
-        # Compute ticks draw, per node in order: one progress-jitter sample
-        # (σ = type noise) then one RAPL-noise sample (σ = 0.01, consumed by
-        # Node.consume).  A single Generator.normal call with this alternating
-        # scale vector reproduces the sequential scalar draws bit for bit.
-        scales = np.empty(2 * len(nodes))
-        scales[0::2] = job_type.noise
-        scales[1::2] = 0.01
-        self._noise_scales = scales
-        # Stride-planner cache: (caps, taus·run_mult, clamped demand).  Both
-        # model vectors depend only on the caps for statically-profiled
-        # types, and caps are constant across a stride, so the cache
-        # survives until the agent actually changes a cap value.
-        self._stride_cache: tuple | None = None  # (caps key, caps, base, demand)
-        self._profile_static = job_type.profile_static
+        # Fractional epoch progress per rank (rank i ↔ node i) lives in the
+        # cluster's node-indexed ``progress`` column, at this job's ``rows``.
+        self.rows = np.array([n.node_id for n in nodes])
+        self._progress = progress
+        self.profile_static = job_type.profile_static
         self._compute_started: float | None = None
         self._compute_finished: float | None = None
         self.end_time: float | None = None
@@ -131,95 +114,64 @@ class RunningJob:
         self._compute_energy = 0.0
         self._compute_seconds = 0.0
 
+    @property
+    def _rank_progress(self) -> np.ndarray:
+        return self._progress[self.rows]
+
     # ------------------------------------------------------------- physics
 
     def advance(self, dt: float, now: float) -> None:
-        """Advance the job's physical state by ``dt`` seconds ending at ``now``."""
+        """Scalar reference tick: per-node physics, then :meth:`settle`.
+
+        The cluster's fleet pass does the same physics for every job at once
+        and is held bit-identical to this; it remains the only path for jobs
+        the pass cannot take (see :attr:`array_capable`).
+        """
+        tick_power = None
+        if self.phase is JobPhase.COMPUTE:
+            tick_power = self._advance_compute_nodewise(dt, now)
+        else:  # setup/teardown: every node draws idle power
+            for node in self.nodes:
+                node.consume_idle(dt, self.rng)
+        self.settle(dt, now, tick_power)
+
+    def settle(self, dt: float, now: float, tick_power: float | None) -> None:
+        """Phase bookkeeping for one tick whose physics is already deposited.
+
+        ``tick_power`` is the job's realised draw over a compute tick (the
+        left-to-right sum over its nodes), None in any other phase.
+        """
         if self.phase is JobPhase.DONE:
-            self._consume_idle_all(dt)
             return
         self.phase_elapsed += dt
         if self.phase is JobPhase.SETUP:
-            self._consume_idle_all(dt)
             if self.phase_elapsed >= self.job_type.setup_time:
                 self.phase = JobPhase.COMPUTE
                 self.phase_elapsed = 0.0
                 self._compute_started = now
-            return
-        if self.phase is JobPhase.COMPUTE:
-            tick_power = self._advance_compute(dt, now)
+        elif self.phase is JobPhase.COMPUTE:
             self._compute_energy += tick_power * dt
             self._compute_seconds += dt
             if self.profiler.epoch_count >= self.job_type.epochs:
                 self.phase = JobPhase.TEARDOWN
                 self.phase_elapsed = 0.0
                 self._compute_finished = now
-            return
-        if self.phase is JobPhase.TEARDOWN:
-            self._consume_idle_all(dt)
-            if self.phase_elapsed >= self.job_type.teardown_time:
-                self.phase = JobPhase.DONE
-                self.end_time = now
-
-    def _advance_compute(self, dt: float, now: float) -> float:
-        """One compute tick across all ranks, batched; returns the job power.
-
-        Every arithmetic step mirrors the per-node scalar loop operation for
-        operation (same elementwise IEEE ops, same RNG consumption order), so
-        the batched path is bit-identical to the original implementation —
-        ``tests/test_golden_traces.py`` holds it to that.
-        """
-        nodes = self.nodes
-        jt = self.job_type
-        if len(nodes) < BATCH_MIN_NODES or any(node.failed for node in nodes):
-            # Narrow jobs: ufunc overhead dominates, the scalar loop wins.
-            # Failed ranks (normally the job is killed before advancing
-            # again) also route here — that path consumes no RNG draws for
-            # the crashed node.
-            return self._advance_compute_nodewise(dt, now)
-        caps = np.array([node.power_cap for node in nodes])
-        fracs = self._rank_progress / jt.epochs
-        # Phase-aware lookup: phase-less types ignore the progress fraction;
-        # PhasedJobType switches curves mid-run (§8).
-        taus = jt.time_per_epoch_array(caps, fracs)
-        draws = self.rng.normal(0.0, self._noise_scales)
-        # Per-tick jitter on the progress rate plus the run-level and
-        # node-variation multipliers.
-        jitter = np.exp(draws[0::2])
-        rates = self._perf_multipliers / (taus * self._run_multiplier * jitter)
-        self._rank_progress += rates * dt
-        done = np.minimum(self._rank_progress.astype(np.int64), jt.epochs)
-        counts = np.asarray(self.profiler.rank_counts)
-        for i in np.flatnonzero(done > counts):
-            self.profiler.set_rank_progress(int(i), int(done[i]), timestamp=now)
-        demand = np.minimum(np.maximum(caps, jt.p_min), jt.power_demand_array(fracs))
-        if jt.power_wave > 0.0:
-            # Epoch-periodic draw signature (compute vs. exchange phases
-            # inside each iteration) — what §8's automatic epoch detection
-            # listens for.
-            demand = demand * (
-                1.0 + jt.power_wave * np.sin(2.0 * np.pi * (self._rank_progress % 1.0))
-            )
-        # Node.consume, batched: RAPL noise, cap ceiling, idle floor.
-        noisy = demand * (1.0 + draws[1::2])
-        powers = np.minimum(caps, np.maximum(noisy, self._idle_powers))
-        tick_power = 0.0
-        for node, power in zip(nodes, powers):
-            node.deposit(float(power), dt)
-            tick_power += float(power)
-        return tick_power
+        elif self.phase_elapsed >= self.job_type.teardown_time:
+            self.phase = JobPhase.DONE
+            self.end_time = now
 
     def _advance_compute_nodewise(self, dt: float, now: float) -> float:
-        """Reference per-node compute tick (kept for failed-node edge cases)."""
+        """Reference per-node compute tick; returns the job power."""
         tick_power = 0.0
         for i, node in enumerate(self.nodes):
+            row = node.node_id
             cap = node.power_cap
-            frac = self._rank_progress[i] / self.job_type.epochs
+            frac = self._progress[row] / self.job_type.epochs
             tau = self.job_type.time_per_epoch_at(cap, frac)
             jitter = float(np.exp(self.rng.normal(0.0, self.job_type.noise)))
             rate = node.perf_multiplier / (tau * self._run_multiplier * jitter)
-            self._rank_progress[i] += rate * dt
-            done_epochs = min(int(self._rank_progress[i]), self.job_type.epochs)
+            self._progress[row] += rate * dt
+            done_epochs = min(int(self._progress[row]), self.job_type.epochs)
             if done_epochs > self.profiler.rank_counts[i]:
                 self.profiler.set_rank_progress(i, done_epochs, timestamp=now)
             demand = min(
@@ -227,63 +179,37 @@ class RunningJob:
                 self.job_type.power_demand_at(frac),
             )
             if self.job_type.power_wave > 0.0:
-                epoch_phase = self._rank_progress[i] % 1.0
+                # Epoch-periodic draw signature (compute vs. exchange phases
+                # inside each iteration) — what §8's automatic epoch
+                # detection listens for.
+                epoch_phase = self._progress[row] % 1.0
                 demand *= 1.0 + self.job_type.power_wave * np.sin(
                     2.0 * np.pi * epoch_phase
                 )
             tick_power += node.consume(demand, dt, self.rng)
         return tick_power
 
-    def _consume_idle_all(self, dt: float) -> None:
-        """Idle-power tick for every node (setup/teardown/done), batched."""
-        nodes = self.nodes
-        if len(nodes) < BATCH_MIN_NODES or any(node.failed for node in nodes):
-            for node in nodes:
-                node.consume_idle(dt, self.rng)
-            return
-        eps = self.rng.normal(0.0, 0.01, size=len(nodes))
-        caps = np.array([node.power_cap for node in nodes])
-        noisy = self._idle_powers * (1.0 + eps)
-        powers = np.minimum(caps, np.maximum(noisy, self._idle_powers))
-        for node, power in zip(nodes, powers):
-            node.deposit(float(power), dt)
-
     # ------------------------------------------------------ stride stepping
 
     @property
-    def stride_capable(self) -> bool:
-        """True when this job can be advanced analytically across a stride.
+    def array_capable(self) -> bool:
+        """True when the array paths (fleet pass, stride planner) can take this job.
 
         Requires a statically-profiled job type (no power wave, phase-less
         curves — see :attr:`JobType.profile_static`) and no failed nodes:
         the per-node scalar path skips RNG draws for crashed ranks, which
-        the batched planner cannot reproduce (in practice a crash kills the
+        the array paths cannot reproduce (in practice a crash kills the
         job before it advances again; this guard is belt and braces).
         """
+        return self.profile_static and not any(node.failed for node in self.nodes)
+
+    @property
+    def stride_capable(self) -> bool:
+        """True when this job can be advanced analytically across a stride."""
         return (
             self.phase in (JobPhase.SETUP, JobPhase.COMPUTE, JobPhase.TEARDOWN)
-            and self._profile_static
-            and not any(node.failed for node in self.nodes)
+            and self.array_capable
         )
-
-    def _stride_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(caps, rate base, clamped demand) for the stride planners.
-
-        profile_static: the curve and demand ignore progress, so both model
-        vectors are pure functions of the caps (the fraction argument only
-        sets the output shape) — cached until the agent changes a cap value.
-        """
-        key = tuple(node.power_cap for node in self.nodes)
-        cached = self._stride_cache
-        if cached is not None and cached[0] == key:
-            return cached[1], cached[2], cached[3]
-        caps = np.array(key)
-        jt = self.job_type
-        fracs = self._rank_progress / jt.epochs
-        base = jt.time_per_epoch_array(caps, fracs) * self._run_multiplier
-        demand = np.minimum(np.maximum(caps, jt.p_min), jt.power_demand_array(fracs))
-        self._stride_cache = (key, caps, base, demand)
-        return caps, base, demand
 
     def commit_stride(self, plan: StridePlan, times: np.ndarray, dt: float) -> None:
         """Apply a :class:`StridePlan` (node energy, profiler, phase state)."""
@@ -291,7 +217,7 @@ class RunningJob:
             node.deposit_series(plan.powers[:, j], dt)
         for k, rank, count in plan.profiler_updates:
             self.profiler.set_rank_progress(rank, count, timestamp=float(times[k]))
-        self._rank_progress = plan.rank_progress
+        self._progress[self.rows] = plan.rank_progress
         self.phase = plan.phase
         self.phase_elapsed = plan.phase_elapsed
         if plan.compute_started_at is not None:
@@ -373,9 +299,12 @@ class RunningJob:
 
 
 def plan_stride_batch(
-    jobs: list[RunningJob], times: np.ndarray, dt: float
+    fleet, jobs: list[RunningJob], times: np.ndarray, dt: float
 ) -> tuple[int, list[StridePlan]]:
     """Plan one stride for every running job in one batched computation.
+
+    ``fleet`` is the :class:`~repro.hwsim.cluster.EmulatedCluster` whose
+    node-indexed columns hold the jobs' caps, model constants and progress.
 
     Bit-identical to running :meth:`RunningJob.advance` at each instant in
     ``times`` for the stride length it returns: per-job quantities are
@@ -394,13 +323,14 @@ def plan_stride_batch(
     or a setup/teardown timer expiry (deterministic: bounded up front).
     Each job therefore stays in one phase per stride; the next stride picks
     up from the new phase.  Caps are constant across a stride — the
-    framework only strides between control rounds — so the cached rate and
-    demand vectors are loop invariants.
+    framework only strides between control rounds — so the rate and demand
+    vectors gathered up front are loop invariants.
 
     Returns ``(ticks, plans)`` with plans in ``jobs`` order; only the job
     RNG streams move until :meth:`RunningJob.commit_stride` applies them.
     """
     total = len(times)
+    caps_all = fleet.caps()
     compute_jobs: list[RunningJob] = []
     idle_jobs: list[tuple[RunningJob, np.ndarray, float]] = []
     L = total
@@ -432,18 +362,19 @@ def plan_stride_batch(
         for w in widths:
             starts.append(acc)
             acc += w
-        vectors = [job._stride_vectors() for job in compute_jobs]
-        caps_cat = np.concatenate([v[0] for v in vectors])
-        base_cat = np.concatenate([v[1] for v in vectors])
-        demand_cat = np.concatenate([v[2] for v in vectors])
-        perf_cat = np.concatenate([j._perf_multipliers for j in compute_jobs])
-        idle_cat = np.concatenate([j._idle_powers for j in compute_jobs])
-        prog0 = np.concatenate([j._rank_progress for j in compute_jobs])
+        rows = np.concatenate([j.rows for j in compute_jobs])
+        caps_cat = caps_all[rows]
+        demand_cat, base_cat, sigma, perf_cat, epochs = fleet.rank_model(rows, caps_cat)
+        idle_cat = fleet.idle_watts[rows]
+        prog0 = fleet.progress[rows]
         counts_cat = np.concatenate(
             [np.asarray(j.profiler.rank_counts) for j in compute_jobs]
         )
-        epochs_job = np.array([j.job_type.epochs for j in compute_jobs])
-        epochs_cat = np.repeat(epochs_job, widths)
+        epochs_cat = epochs.astype(np.int64)
+        epochs_job = epochs_cat[starts]
+        scales = np.empty(2 * acc)
+        scales[0::2] = sigma
+        scales[1::2] = 0.01
         # One draw per job stream, interleaved [jitter, rapl] per node; the
         # snapshot allows an exact rewind if a completion truncates the
         # stride (the redrawn prefix is value-identical — same stream).
@@ -451,9 +382,10 @@ def plan_stride_batch(
         draws = np.empty((L, 2 * acc))
         for idx, job in enumerate(compute_jobs):
             w2 = 2 * widths[idx]
-            z = job.rng.standard_normal(L * w2).reshape(L, w2)
-            z *= job._noise_scales
-            draws[:, 2 * starts[idx] : 2 * starts[idx] + w2] = z
+            draws[:, 2 * starts[idx] : 2 * starts[idx] + w2] = (
+                job.rng.standard_normal(L * w2).reshape(L, w2)
+            )
+        draws *= scales
         jitter = np.exp(draws[:, 0::2])
         rates = perf_cat[None, :] / (base_cat[None, :] * jitter)
         # Rank progress: per-column ordered cumsum ≡ the per-tick += chain.
@@ -537,8 +469,8 @@ def plan_stride_batch(
         )
     for job, pe_chain, limit in idle_jobs:
         n = len(job.nodes)
-        caps = np.array([node.power_cap for node in job.nodes])
-        idle = job._idle_powers
+        caps = caps_all[job.rows]
+        idle = fleet.idle_watts[job.rows]
         eps = job.rng.standard_normal((M, n)) * 0.01
         powers = np.minimum(
             caps[None, :], np.maximum(idle[None, :] * (1.0 + eps), idle[None, :])
@@ -563,7 +495,7 @@ def plan_stride_batch(
             powers=powers,
             phase=phase,
             phase_elapsed=pe,
-            rank_progress=job._rank_progress.copy(),
+            rank_progress=job._rank_progress,
             profiler_updates=[],
             compute_started_at=started_at,
             compute_finished_at=None,

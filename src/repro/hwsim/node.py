@@ -33,6 +33,12 @@ class Node:
     perf_multiplier:
         Node-specific performance-variation coefficient: epoch progress rate
         is multiplied by this (1.0 = nominal; §6.4 draws these from N(1, σ)).
+    cells:
+        ``(energy, limit, power, down)`` views of one row of a cluster's
+        node-indexed columns — per-package joules, per-package raw RAPL
+        limit, last realised power, crashed flag.  The node's mutable physics
+        state lives there so the cluster can step the whole fleet in one
+        array pass; a standalone node allocates its own row.
     """
 
     def __init__(
@@ -45,42 +51,40 @@ class Node:
         package_min_power: float = 70.0,
         idle_power: float = 60.0,
         perf_multiplier: float = 1.0,
+        cells: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         if packages < 1:
             raise ValueError(f"node needs ≥ 1 package, got {packages}")
         if perf_multiplier <= 0:
             raise ValueError(f"perf_multiplier must be positive, got {perf_multiplier}")
         self.node_id = int(node_id)
+        energy, limit, self._power, self._down = cells if cells is not None else (
+            np.zeros(packages),
+            np.zeros(packages, dtype=np.int64),
+            np.zeros(1),
+            np.zeros(1, dtype=bool),
+        )
         self.banks = [
-            MsrBank(tdp_watts=package_tdp, min_power_watts=package_min_power)
-            for _ in range(packages)
+            MsrBank(
+                tdp_watts=package_tdp,
+                min_power_watts=package_min_power,
+                energy=energy[p : p + 1],
+                limit=limit[p : p + 1],
+            )
+            for p in range(packages)
         ]
         self.pio = PlatformIO(self.banks, clock_fn=clock_fn)
         self.idle_power = float(idle_power)
         self.perf_multiplier = float(perf_multiplier)
         self.job_id: str | None = None  # set by the cluster on allocation
-        self.failed = False  # crashed: draws nothing, unschedulable
-        self._last_power = self.idle_power
-        self._cap_cache = sum(b.power_limit_watts for b in self.banks)
-        self._cap_cache_version = sum(b.cap_version for b in self.banks)
+        self._power[0] = self.idle_power
 
     # ----------------------------------------------------------- cap queries
 
     @property
     def power_cap(self) -> float:
-        """Total node CPU cap currently programmed across packages (W).
-
-        The physics loop reads this every tick while caps change only a few
-        times per control period, so the package sum is cached against the
-        banks' write-version counters.
-        """
-        version = 0
-        for bank in self.banks:
-            version += bank.cap_version
-        if version != self._cap_cache_version:
-            self._cap_cache = sum(b.power_limit_watts for b in self.banks)
-            self._cap_cache_version = version
-        return self._cap_cache
+        """Total node CPU cap currently programmed across packages (W)."""
+        return sum(b.power_limit_watts for b in self.banks)
 
     @property
     def max_power_cap(self) -> float:
@@ -96,6 +100,11 @@ class Node:
 
     # ------------------------------------------------------------- failures
 
+    @property
+    def failed(self) -> bool:
+        """Crashed: draws nothing, unschedulable."""
+        return bool(self._down[0])
+
     def fail(self) -> None:
         """Crash the node: it stops drawing power and leaves the idle pool.
 
@@ -103,12 +112,12 @@ class Node:
         first; a failed node keeps its MSR state (energy counters survive a
         reboot on real hardware) but reports zero draw until restored.
         """
-        self.failed = True
-        self._last_power = 0.0
+        self._down[0] = True
+        self._power[0] = 0.0
 
     def restore(self) -> None:
         """Bring a failed node back into the idle pool."""
-        self.failed = False
+        self._down[0] = False
 
     # -------------------------------------------------------------- physics
 
@@ -123,25 +132,14 @@ class Node:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if self.failed:
-            self._last_power = 0.0
+            self._power[0] = 0.0
             return 0.0
         noisy_demand = demand_watts * (1.0 + rng.normal(0.0, 0.01))
         power = min(self.power_cap, max(noisy_demand, self.idle_power))
-        return self.deposit(power, dt)
-
-    def deposit(self, power: float, dt: float) -> float:
-        """Deposit an already-realised draw of ``power`` W for ``dt`` seconds.
-
-        The batched physics path (:meth:`RunningJob.advance`) computes the
-        realised power for all of a job's nodes in one vectorized step and
-        only needs the MSR energy bookkeeping done per node.
-        """
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
         per_package = power * dt / len(self.banks)
         for bank in self.banks:
             bank.accumulate_energy(per_package)
-        self._last_power = power
+        self._power[0] = power
         return power
 
     def deposit_series(self, powers: np.ndarray, dt: float) -> None:
@@ -149,9 +147,9 @@ class Node:
 
         ``powers[k]`` is the node's draw over tick ``k`` of a stride.  The
         per-package split is the same elementwise expression as
-        :meth:`deposit`, and each bank folds its deposits with an ordered
-        cumulative sum, so the result is bit-identical to calling
-        :meth:`deposit` once per tick.  The retained ``last_power`` is the
+        :meth:`consume`'s, and each bank folds its deposits with an ordered
+        cumulative sum, so the result is bit-identical to depositing once
+        per tick.  The retained ``last_power`` is the
         final tick's, exactly as the tick loop would leave it.
         """
         if dt <= 0:
@@ -161,7 +159,7 @@ class Node:
         per_package = powers * dt / len(self.banks)
         for bank in self.banks:
             bank.accumulate_energy_series(per_package)
-        self._last_power = float(powers[-1])
+        self._power[0] = powers[-1]
 
     def consume_idle(self, dt: float, rng: np.random.Generator) -> float:
         """Idle-power tick (no job, or a job in setup/teardown)."""
@@ -170,7 +168,7 @@ class Node:
     @property
     def last_power(self) -> float:
         """Realised power of the most recent tick (facility metering view)."""
-        return self._last_power
+        return float(self._power[0])
 
     @property
     def total_energy(self) -> float:

@@ -144,39 +144,23 @@ class JobType:
         """Unconstrained per-node draw at lifecycle ``progress`` (phase-less)."""
         return self.p_demand
 
-    def time_per_epoch_array(
-        self, p_caps: np.ndarray, progress: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`time_per_epoch_at` over per-rank caps.
-
-        The base type is phase-less so ``progress`` is ignored; the clamp
-        and quadratic evaluate elementwise with the exact operations of the
-        scalar path, keeping the emulator's batched physics bit-identical.
-        :class:`~repro.workloads.phased.PhasedJobType` overrides this with a
-        per-element phase lookup.
-        """
-        return np.asarray(self.time_per_epoch(np.asarray(p_caps, dtype=float)))
-
-    def power_demand_array(self, progress: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`power_demand_at` (constant for phase-less types)."""
-        return np.full(np.shape(progress), self.p_demand)
-
     @property
     def profile_static(self) -> bool:
         """True when the power/performance profile is constant over a job's life.
 
-        The event-driven stepper strides across control-free ticks only when
-        every per-tick input other than noise is constant: no epoch-periodic
-        power wave, and the phase-less ``time_per_epoch_array`` /
-        ``power_demand_array`` (which ignore ``progress``).  Subclasses that
+        The emulator's array paths (the per-tick fleet pass and the stride
+        planner) evaluate one truth curve per rank, so they take a job only
+        when every per-tick input other than noise is constant: no
+        epoch-periodic power wave, and the phase-less ``time_per_epoch_at`` /
+        ``power_demand_at`` (which ignore ``progress``).  Subclasses that
         override either method — :class:`~repro.workloads.phased.PhasedJobType`
-        looks up a per-element phase table — are detected by method identity
-        and automatically fall back to per-tick stepping.
+        looks up a phase table — are detected by method identity and
+        automatically fall back to the scalar per-node path.
         """
         return (
             self.power_wave == 0.0
-            and type(self).time_per_epoch_array is JobType.time_per_epoch_array
-            and type(self).power_demand_array is JobType.power_demand_array
+            and type(self).time_per_epoch_at is JobType.time_per_epoch_at
+            and type(self).power_demand_at is JobType.power_demand_at
         )
 
     def compute_time(self, p_cap: float) -> float:

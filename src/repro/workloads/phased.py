@@ -103,21 +103,6 @@ class PhasedJobType(JobType):
         """Per-node unconstrained draw during the current phase."""
         return self.phases[self.phase_index(progress)].p_demand
 
-    def time_per_epoch_array(
-        self, p_caps: np.ndarray, progress: np.ndarray
-    ) -> np.ndarray:
-        """Per-element phase lookup; ranks of one job may straddle a phase
-        boundary, so the batched path cannot assume a single curve."""
-        return np.array(
-            [
-                self.time_per_epoch_at(float(c), float(f))
-                for c, f in zip(p_caps, progress)
-            ]
-        )
-
-    def power_demand_array(self, progress: np.ndarray) -> np.ndarray:
-        return np.array([self.power_demand_at(float(f)) for f in progress])
-
     def phase_model(self, index: int) -> QuadraticPowerModel:
         return self._phase_models[index]
 

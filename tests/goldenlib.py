@@ -94,11 +94,13 @@ def hwsim_physics_scenario() -> dict[str, np.ndarray]:
 
 
 def hwsim_wide_scenario() -> dict[str, np.ndarray]:
-    """Wide-job physics: exercises the batched (numpy) emulator path.
+    """Wide-job physics: a 16-node power-wave job on a mostly-idle cluster.
 
-    Jobs narrower than ``BATCH_MIN_NODES`` take the scalar per-node loop;
-    this 16-node job plus a mostly-idle 24-node cluster drives the batched
-    compute, batched setup/teardown idle, and batched cluster-idle kernels.
+    Pinned when wide jobs took a batched numpy path of their own.  Today the
+    wave job runs the scalar per-node reference (``power_wave`` is not
+    ``profile_static``) while its setup/teardown ticks and the eight idle
+    nodes are rows of ``EmulatedCluster.advance``'s fleet pass — so this
+    golden holds the pass and the reference to the same bits in one trace.
     """
     from dataclasses import replace
 

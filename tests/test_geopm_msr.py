@@ -28,6 +28,28 @@ class TestEnergyCounter:
         raw = bank.read(MSR_PKG_ENERGY_STATUS)
         assert raw * ENERGY_UNIT_JOULES == pytest.approx(5.0, rel=1e-3)
 
+    def test_wraps_after_many_small_deposits(self):
+        """The raw counter is derived from the unwrapped total on read, so
+        tick-sized deposits carry it across the wrap exactly as one large
+        deposit would, and sparse readers still recover every joule."""
+        bank = MsrBank()
+        wrap_joules = (1 << ENERGY_COUNTER_BITS) * ENERGY_UNIT_JOULES
+        deposit = 70.3  # one package at ~140 W over a 0.5 s tick
+        last_raw = bank.read(MSR_PKG_ENERGY_STATUS)
+        total = recovered = 0.0
+        for k in range(1, 2001):
+            bank.accumulate_energy(deposit)
+            total += deposit
+            if k % 250 == 0:  # an agent sampling every 250 ticks
+                raw = bank.read(MSR_PKG_ENERGY_STATUS)
+                recovered += energy_counter_delta(last_raw, raw)
+                last_raw = raw
+        assert total > 2 * wrap_joules  # wrapped twice on the way
+        assert bank.total_energy_joules == total
+        mask = (1 << ENERGY_COUNTER_BITS) - 1
+        assert bank.read(MSR_PKG_ENERGY_STATUS) == int(round(total / ENERGY_UNIT_JOULES)) & mask
+        assert recovered == pytest.approx(total, abs=2 * ENERGY_UNIT_JOULES)
+
     def test_total_energy_unwrapped(self):
         bank = MsrBank()
         wrap_joules = (1 << ENERGY_COUNTER_BITS) * ENERGY_UNIT_JOULES

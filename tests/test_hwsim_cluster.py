@@ -1,10 +1,16 @@
 """Tests for the emulated cluster: allocation, metering, lifecycle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.geopm.msr import MSR_PKG_ENERGY_STATUS
+from repro.geopm.signals import ControlNames
 from repro.hwsim.cluster import EmulatedCluster
 from repro.workloads.nas import NAS_TYPES
+from repro.workloads.phased import make_two_phase_type
 
 
 class TestAllocation:
@@ -114,3 +120,204 @@ class TestAggregation:
     def test_invalid_size(self):
         with pytest.raises(ValueError, match="≥ 1"):
             EmulatedCluster(0)
+
+
+# ---------------------------------------------------------------------------
+# Fleet pass ≡ scalar reference.  ``EmulatedCluster.advance`` steps every rank
+# and idle node in one array pass; ``scalar_advance`` is the per-node loop it
+# replaced, built from the scalar primitives that remain (RunningJob.advance,
+# Node.consume_idle).  Two identically-seeded clusters, one stepped by each,
+# must agree on every observable bit for bit.
+
+
+def scalar_advance(cluster: EmulatedCluster, dt: float) -> float:
+    now = cluster.clock.now
+    idle = cluster.idle_nodes()
+    for job in cluster.running.values():
+        job.advance(dt, now)
+    for node in idle:
+        node.consume_idle(dt, cluster._node_rngs[node.node_id])
+    cluster._retire_done(cluster.running.values())
+    power = 0.0
+    for node in cluster.nodes:
+        power += node.last_power
+    cluster._power_history.append((now, power))
+    return power
+
+
+def observables(cluster: EmulatedCluster, jobs) -> dict:
+    return {
+        "energy": [[b.total_energy_joules for b in n.banks] for n in cluster.nodes],
+        "msr": [[b.read(MSR_PKG_ENERGY_STATUS) for b in n.banks] for n in cluster.nodes],
+        "last_power": [n.last_power for n in cluster.nodes],
+        "history": cluster.power_history().tolist(),
+        "jobs": [
+            (
+                j.job_id,
+                j.phase,
+                j.phase_elapsed,
+                j.profiler.rank_counts,
+                j.profiler.epoch_times,
+                j._compute_energy,
+                j._compute_seconds,
+            )
+            for j in jobs
+        ],
+        "progress": {j.job_id: j._rank_progress.tolist() for j in cluster.running.values()},
+        "running": list(cluster.running),
+        "idle": [n.node_id for n in cluster.idle_nodes()],
+        "completed": list(cluster.completed),
+        "killed": list(cluster.killed),
+    }
+
+
+class Pair:
+    """The same scenario on two clusters: fleet pass vs. scalar reference."""
+
+    def __init__(self, num_nodes: int, **kwargs) -> None:
+        self.fleet = EmulatedCluster(num_nodes, **kwargs)
+        self.scalar = EmulatedCluster(num_nodes, **kwargs)
+        self.jobs: tuple[list, list] = ([], [])
+
+    def both(self, action) -> None:
+        for cluster, jobs in zip((self.fleet, self.scalar), self.jobs):
+            action(cluster, jobs)
+
+    def start(self, job_id: str, job_type, cap: float | None = None) -> None:
+        def action(cluster, jobs):
+            job = cluster.start_job(job_id, job_type)
+            jobs.append(job)
+            if cap is not None:
+                for node in job.nodes:
+                    node.pio.write_control(ControlNames.CPU_POWER_LIMIT_CONTROL, cap)
+
+        self.both(action)
+
+    def tick(self, dt: float = 1.0) -> None:
+        self.fleet.clock.advance(dt)
+        self.scalar.clock.advance(dt)
+        assert self.fleet.advance(dt) == scalar_advance(self.scalar, dt)
+
+    def assert_equal(self) -> None:
+        assert observables(self.fleet, self.jobs[0]) == observables(self.scalar, self.jobs[1])
+
+
+def short_type(name: str, *, nodes: int, epochs: int, tau: float, **changes):
+    """A catalog type shrunk to ``epochs`` iterations of ``tau`` s uncapped."""
+    return replace(
+        NAS_TYPES[name], nodes=nodes, epochs=epochs, t_uncapped=epochs * tau,
+        setup_time=2.0, teardown_time=3.0, **changes,
+    )
+
+
+job_specs = st.tuples(
+    st.sampled_from(sorted(NAS_TYPES)),
+    st.integers(1, 16),  # width
+    st.integers(3, 12),  # epochs
+    st.floats(0.4, 2.5),  # uncapped seconds per epoch
+    st.sampled_from([140.0, 150.0, 200.0]),  # the type's p_min
+    st.one_of(st.none(), st.floats(100.0, 320.0)),  # cap; None leaves TDP
+    st.integers(0, 12),  # start tick
+)
+
+
+class TestFleetPassEqualsScalarReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        run_noise=st.booleans(),
+        specs=st.lists(job_specs, min_size=1, max_size=6),
+        slow=st.lists(st.tuples(st.integers(0, 39), st.floats(0.3, 1.5)), max_size=6),
+        recap=st.tuples(st.integers(1, 30), st.floats(100.0, 320.0)),
+        dt=st.sampled_from([1.0, 0.7]),  # 0.7: ``x * dt`` rounds, so its place matters
+    )
+    def test_random_mixes_step_to_completion(self, seed, run_noise, specs, slow, recap, dt):
+        pair = Pair(40, seed=seed, run_noise=run_noise, perf_variation_std=0.05)
+        for node_id, mult in slow:  # tuned after construction, before start_job
+            pair.both(lambda c, _: setattr(c.nodes[node_id], "perf_multiplier", mult))
+        pending = sorted(enumerate(specs), key=lambda s: s[1][-1])
+        for tick in range(600):
+            while pending and pending[0][1][-1] <= tick:
+                k, (name, width, epochs, tau, p_min, cap, _) = pending.pop(0)
+                if len(pair.fleet.idle_nodes()) >= width:
+                    jt = short_type(name, nodes=width, epochs=epochs, tau=tau, p_min=p_min)
+                    pair.start(f"j{k}", jt, cap)
+            if tick == recap[0]:  # a cluster-wide cap change mid-run
+                pair.both(
+                    lambda c, _: [
+                        n.pio.write_control(ControlNames.CPU_POWER_LIMIT_CONTROL, recap[1])
+                        for n in c.nodes
+                    ]
+                )
+            pair.tick(dt)
+            if tick % 7 == 0:
+                pair.assert_equal()
+            if not pending and not pair.fleet.running:
+                break
+        assert not pair.fleet.running and not pair.scalar.running
+        pair.assert_equal()
+
+    def test_static_wave_and_phased_jobs_share_a_tick(self):
+        pair = Pair(8, seed=5)
+        pair.start("static", short_type("bt", nodes=2, epochs=20, tau=1.3), cap=210.0)
+        pair.start("wave", short_type("ft", nodes=2, epochs=20, tau=1.1, power_wave=0.2))
+        phased = replace(
+            make_two_phase_type(nodes=2, epochs=20, t_uncapped=24.0),
+            setup_time=2.0, teardown_time=3.0,
+        )
+        pair.start("phased", phased, cap=180.0)
+        assert not pair.fleet.running["wave"].array_capable
+        assert not pair.fleet.running["phased"].array_capable
+        while pair.fleet.running:
+            pair.tick()
+            pair.assert_equal()
+        assert [t.epoch_count for t in pair.fleet.completed] == [20, 20, 20]
+
+    def test_fail_node_mid_compute(self):
+        pair = Pair(6, seed=11)
+        pair.start("victim", short_type("bt", nodes=3, epochs=30, tau=1.0))
+        pair.start("bystander", short_type("lu", nodes=2, epochs=30, tau=1.0))
+        for _ in range(8):
+            pair.tick()
+        pair.both(lambda c, _: c.fail_node(1))
+        assert pair.fleet.killed == [(8.0, "victim")]
+        for _ in range(5):
+            pair.tick()  # node 1 draws nothing; nodes 0 and 2 idle again
+        assert pair.fleet.nodes[1].last_power == 0.0
+        pair.both(lambda c, _: c.restore_node(1))
+        pair.start("again", short_type("mg", nodes=4, epochs=10, tau=1.0))
+        while pair.fleet.running:
+            pair.tick()
+        pair.assert_equal()
+
+    def test_crashed_node_under_a_live_job_takes_the_scalar_path(self):
+        # Node.fail() behind the cluster's back: the job is not killed, so the
+        # pass must see the crashed rank and hand the job to the reference.
+        pair = Pair(4, seed=2)
+        pair.start("j", short_type("sp", nodes=3, epochs=200, tau=1.0))
+        for _ in range(5):
+            pair.tick()
+        pair.both(lambda c, _: c.nodes[1].fail())
+        assert not pair.fleet.running["j"].array_capable
+        for _ in range(5):
+            pair.tick()
+        assert pair.fleet.nodes[1].last_power == 0.0
+        pair.assert_equal()
+
+    def test_last_epoch_and_teardown_expiry_on_the_same_tick(self):
+        # "a" finishes compute at t=6 and tears down for 3 s, so it is
+        # released at t=9 — the tick "b" crosses its last epoch.
+        pair = Pair(2, seed=3, run_noise=False)
+        pair.start("a", short_type("cg", nodes=1, epochs=4, tau=0.9))
+        pair.start("b", short_type("cg", nodes=1, epochs=6, tau=1.075))
+        for _ in range(9):
+            pair.tick()
+            pair.assert_equal()
+        job_b = pair.jobs[0][1]
+        assert [t.job_id for t in pair.fleet.completed] == ["a"]
+        assert pair.fleet.completed[0].sojourn == 9.0
+        assert job_b.phase.name == "TEARDOWN" and job_b._compute_finished == 9.0
+        assert [n.node_id for n in pair.fleet.idle_nodes()] == [0]
+        while pair.fleet.running:
+            pair.tick()
+        pair.assert_equal()
