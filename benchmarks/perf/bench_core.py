@@ -75,17 +75,35 @@ def bench_fig9(*, duration: float, seed: int) -> dict:
 
 
 def bench_fig9_telemetry(*, duration: float, seed: int) -> dict:
-    """The fig9 loop with full observability on — pins the enabled overhead."""
+    """The fig9 loop with full observability on — pins the enabled overhead.
+
+    Each sample times five interleaved (off, on) pairs and reports the median
+    pair ratio as ``telemetry_overhead``: the ``fig9`` kernel runs minutes
+    earlier in the suite, and on a shared box the drift between the two
+    exceeds the few percent being measured (same reasoning as ``fig9_plan``).
+    """
     from repro.core.framework import AnorConfig
     from repro.experiments.fig9 import run_fig9
 
-    cfg = AnorConfig(seed=seed, telemetry_enabled=True)
-    start = time.perf_counter()
-    fig9 = run_fig9(duration=duration, seed=seed, config=cfg)
-    wall = time.perf_counter() - start
+    def run_one(enabled: bool) -> tuple[float, object]:
+        cfg = AnorConfig(seed=seed, telemetry_enabled=enabled)
+        start = time.perf_counter()
+        fig9 = run_fig9(duration=duration, seed=seed, config=cfg)
+        return time.perf_counter() - start, fig9
+
+    plain_wall = wall = float("inf")
+    ratios = []
+    for _ in range(5):
+        off_wall, _unused = run_one(False)
+        on_wall, fig9 = run_one(True)
+        ratios.append(on_wall / off_wall)
+        plain_wall = min(plain_wall, off_wall)
+        wall = min(wall, on_wall)
     ticks = fig9.result.power_trace.shape[0]
     return {
         "wall_s": wall,
+        "plain_wall_s": plain_wall,
+        "telemetry_overhead": sorted(ratios)[len(ratios) // 2] - 1.0,
         "ticks": int(ticks),
         "ticks_per_sec": ticks / wall,
         "jobs_completed": len(fig9.result.completed),
@@ -411,11 +429,12 @@ def _best_of(repeats: int, fn, **kwargs) -> dict:
     """
     samples = [fn(**kwargs) for _ in range(max(1, repeats))]
     best = min(samples, key=lambda r: r["wall_s"])
-    if "plan_overhead" in best:
-        # Overhead is a ratio, not a time: the min-wall sample's value is
-        # no less noisy than any other's, so take the median across repeats.
-        ratios = sorted(r["plan_overhead"] for r in samples)
-        best["plan_overhead"] = ratios[len(ratios) // 2]
+    for key in ("plan_overhead", "telemetry_overhead"):
+        if key in best:
+            # Overhead is a ratio, not a time: the min-wall sample's value is
+            # no less noisy than any other's, so take the median across repeats.
+            ratios = sorted(r[key] for r in samples)
+            best[key] = ratios[len(ratios) // 2]
     best["repeats"] = max(1, repeats)
     return best
 
@@ -516,10 +535,8 @@ def main(argv: list[str] | None = None) -> int:
         "kernels": kernels,
         "speedup_vs_seed": compare(kernels, seed_baseline, config),
     }
-    if "fig9" in kernels and "fig9_telemetry" in kernels:
-        report["telemetry_overhead"] = (
-            kernels["fig9_telemetry"]["wall_s"] / kernels["fig9"]["wall_s"] - 1.0
-        )
+    if "fig9_telemetry" in kernels:
+        report["telemetry_overhead"] = kernels["fig9_telemetry"]["telemetry_overhead"]
     if "fig9_plan" in kernels:
         report["plan_overhead"] = kernels["fig9_plan"]["plan_overhead"]
         report["plan_solve_overhead"] = kernels["fig9_plan"]["plan_solve_overhead"]

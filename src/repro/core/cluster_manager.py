@@ -421,6 +421,7 @@ class ClusterPowerManager:
             record.online_r2 = stale.online_r2
             record.last_cap = stale.last_cap
             record.caps_sent = stale.caps_sent
+        model = None
         if self.use_feedback and msg.has_model:
             # Degraded-history handoff: the endpoint kept fitting while the
             # head was unreachable, so its HELLO-borne fit is *fresher* than
@@ -466,6 +467,9 @@ class ClusterPowerManager:
             nodes=msg.nodes,
             believed_p_max=record.believed_p_max,
         )
+        if model is not None:
+            # After the admit record: replay folds a fit into a job it knows.
+            self._record_fit(record, now)
 
     def _on_status(self, msg: StatusMessage, now: float) -> None:
         record = self.jobs.get(msg.job_id)
@@ -490,7 +494,18 @@ class ClusterPowerManager:
             )
             return
         record.last_status = msg
-        if self.use_feedback and msg.has_model:
+        # A status repeating the fit this record already holds is a heartbeat:
+        # nothing changed, so nothing is re-validated, journalled or announced.
+        held = record.online_model
+        repeat = (
+            held is not None
+            and held.a == msg.model_a
+            and held.b == msg.model_b
+            and held.c == msg.model_c
+            and held.p_max == record.believed_p_max
+            and record.online_r2 == msg.model_r2
+        )
+        if self.use_feedback and msg.has_model and not repeat:
             # NaN r2 must NOT satisfy the quality gate by comparing False —
             # let it through to validation, which rejects non-finite r2.
             if msg.model_r2 is None or not (msg.model_r2 < self.min_feedback_r2):
@@ -512,24 +527,21 @@ class ClusterPowerManager:
                 else:
                     record.online_model = model
                     record.online_r2 = msg.model_r2
-                    if self.telemetry.enabled:
-                        self._mx_models_accepted.inc()
-                        self.telemetry.bus.event(
-                            "model-accept",
-                            now,
-                            parent=self._round_span or None,
-                            job_id=msg.job_id,
-                            r2=msg.model_r2,
-                        )
-                    self._journal(
-                        "model-accept",
-                        now,
-                        job_id=msg.job_id,
-                        a=model.a,
-                        b=model.b,
-                        c=model.c,
-                        r2=msg.model_r2,
-                    )
+                    self._record_fit(record, now)
+
+    def _record_fit(self, record: JobRecord, now: float) -> None:
+        """Count, announce and journal the fit ``record`` just adopted."""
+        model, r2 = record.online_model, record.online_r2
+        if self.telemetry.enabled:
+            self._mx_models_accepted.inc()
+            self.telemetry.bus.event(
+                "model-accept", now, parent=self._round_span or None,
+                job_id=record.job_id, r2=r2,
+            )
+        self._journal(
+            "model-accept", now, job_id=record.job_id,
+            a=model.a, b=model.b, c=model.c, r2=r2,
+        )
 
     def _validated_model(
         self, msg: StatusMessage, record: JobRecord

@@ -30,7 +30,7 @@ from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.job_endpoint import JobTierEndpoint
 from repro.core.reliable import ReliableLink
 from repro.core.targets import ConstantTarget, PowerTargetSource
-from repro.core.transport import TcpLink
+from repro.core.transport import LinkLedger, TcpLink
 from repro.durable.checkpoint import CheckpointError
 from repro.durable.state import apply_journal, capture_state, empty_state
 from repro.durable.store import DurableStore
@@ -436,9 +436,9 @@ class AnorSystem:
             self.metrics_server = MetricsHTTPServer(
                 self.telemetry.registry, cfg.prometheus_port
             )
-        # Ledger of every TcpLink ever created: cluster-wide message/drop
-        # totals must survive links being replaced or garbage-collected.
-        self._all_links: list[TcpLink] = []
+        # Cluster-wide message/drop totals, posted to by every channel as it
+        # works: they must survive links being replaced or garbage-collected.
+        self._link_ledger = LinkLedger()
         # Every ReliableLink wrapper ever created (partition-event ledger)
         # and per-job backoff state for re-dialling closed links.
         self._reliable_links: list[ReliableLink] = []
@@ -642,30 +642,17 @@ class AnorSystem:
         self._mx_link_dropped: dict[str, object] = {}
 
     def _sample_link_counters(self) -> None:
-        """Fold the per-link ledgers into cluster-wide monotone counters.
-
-        Links come and go (replaced on reconnect, garbage-collected on
-        eviction) but the ledger in ``_all_links`` keeps every channel ever
-        created, so summing it is safe and ``set_total`` keeps Prometheus
-        counters monotone.
-        """
-        reg = self.telemetry.registry
-        sent = delivered = reordered = 0
-        dropped: dict[str, int] = {}
-        for link in self._all_links:
-            for ch in (link.down, link.up):
-                sent += ch.sent
-                delivered += ch.delivered
-                reordered += ch.reordered
-                for reason, n in ch.drop_reasons.items():
-                    dropped[reason] = dropped.get(reason, 0) + n
-        self._mx_link_sent.set_total(sent)
-        self._mx_link_delivered.set_total(delivered)
-        self._mx_link_reordered.set_total(reordered)
-        for reason, n in dropped.items():
+        """Publish the link ledger as cluster-wide monotone counters: links
+        come and go (replaced on reconnect, collected once their job is gone)
+        but all post to the one ledger, so ``set_total`` only ever grows."""
+        ledger = self._link_ledger
+        self._mx_link_sent.set_total(ledger.sent)
+        self._mx_link_delivered.set_total(ledger.delivered)
+        self._mx_link_reordered.set_total(ledger.reordered)
+        for reason, n in ledger.dropped.items():
             counter = self._mx_link_dropped.get(reason)
             if counter is None:
-                counter = reg.counter(
+                counter = self.telemetry.registry.counter(
                     "anor_link_messages_dropped_total",
                     "messages lost on any link, by reason",
                     reason=reason,
@@ -809,12 +796,12 @@ class AnorSystem:
             latency_up=cfg.link_latency_up,
             latency_down=cfg.link_latency_down,
             seed=self._rng,
+            ledger=self._link_ledger,
         )
         if cfg.link_partitioned:
             # Born mid-partition: the fault window covers new connections.
             link.down.partitioned = True
             link.up.partitioned = True
-        self._all_links.append(link)
         return link
 
     def _link_pair(self):
@@ -1561,7 +1548,9 @@ class AnorSystem:
                 self._mx_completed.set(
                     len(self.cluster.completed) if k == last else completed_before
                 )
-                self._sample_link_counters()
+        if tel:
+            # No message moves inside a stride: one sample covers its ticks.
+            self._sample_link_counters()
         self._finish_completed(float(times[last]))
         return True
 

@@ -73,6 +73,8 @@ class JobTierEndpoint:
             retrain_threshold=retrain_threshold,
             detect_drift=detect_drift,
         )
+        # (modeler revision, fields) of the last shareability verdict.
+        self._fields_memo: tuple[int, dict] = (-1, {})
         self._hello_sent = False
         self._goodbye_sent = False
         self._pending_cap = initial_cap  # applied on the first step
@@ -161,7 +163,6 @@ class JobTierEndpoint:
         # them to the modeler out of order would run its clock backwards
         # (§7.2's timestamped-sample mapping).
         status: StatusMessage | None = None
-        model_fields: dict | None = None
         sample = self.geopm.read_sample()
         if sample is not None:
             # Feed the modeler with the cap the agents report *enforcing*,
@@ -169,14 +170,13 @@ class JobTierEndpoint:
             self.modeler.observe(
                 sample.timestamp, sample.epoch_count, sample.applied_cap
             )
-            model_fields = self._model_fields()
             status = StatusMessage(
                 job_id=self.job_id,
                 timestamp=sample.timestamp,
                 epoch_count=sample.epoch_count,
                 measured_power=sample.power,
                 applied_cap=sample.applied_cap,
-                **model_fields,
+                **self._model_fields(),
             )
             self.link.send_up(status, now)
             self.statuses_sent += 1
@@ -229,7 +229,7 @@ class JobTierEndpoint:
                     self._mx_policies.inc()
             return status
 
-        applied_cap = self._cap_to_apply(model_fields)
+        applied_cap = self._cap_to_apply()
         cap_changed = new_cap is not None or applied_cap != self.current_cap
         if self._lease_ttl is not None:
             # Leased and in contact: rewrite the policy every period so the
@@ -257,7 +257,7 @@ class JobTierEndpoint:
                 self._mx_policies.inc()
         return status
 
-    def _cap_to_apply(self, model_fields: dict | None = None) -> float:
+    def _cap_to_apply(self) -> float:
         """The budgeted cap, dithered while still identifying the model.
 
         The sign is held for ``explore_hold_steps`` control periods so that
@@ -266,17 +266,11 @@ class JobTierEndpoint:
         Exploration stops once the modeler's fit is good enough to share
         (and resumes if the fit degrades), bounding the dither's cost to
         job performance and cluster power-tracking.
-
-        ``model_fields`` lets :meth:`step` reuse the shareability decision it
-        already computed for the status message (nothing mutates the modeler
-        in between).
         """
-        if model_fields is None:
-            model_fields = self._model_fields()
         if (
             not self.feedback_enabled
             or self.explore_amplitude <= 0.0
-            or model_fields
+            or self._model_fields()
         ):
             return self.current_cap
         self._explore_step += 1
@@ -286,7 +280,15 @@ class JobTierEndpoint:
         return float(min(max(dithered, self._p_min), self._p_max))
 
     def _model_fields(self) -> dict:
-        """Model coefficients for the status message, when shareable.
+        """Model coefficients for the status message, when shareable: a pure
+        function of the modeler's history and fit, memoised on its revision."""
+        revision = self.modeler.revision
+        if self._fields_memo[0] != revision:
+            self._fields_memo = (revision, self._evaluate_model_fields())
+        return self._fields_memo[1]
+
+    def _evaluate_model_fields(self) -> dict:
+        """The shareability verdict, from scratch.
 
         The gates below keep degenerate fits away from the budgeter: a
         two-sample fit has R² = 1 by construction, and a flat fit from a

@@ -18,7 +18,15 @@ import numpy as np
 
 from repro.util.rng import ensure_rng
 
-__all__ = ["LatencyChannel", "TcpLink"]
+__all__ = ["LinkLedger", "LatencyChannel", "TcpLink"]
+
+
+class LinkLedger:
+    """Running totals over every channel posting to it; outlives the links."""
+
+    def __init__(self) -> None:
+        self.sent = self.delivered = self.reordered = 0
+        self.dropped: dict[str, int] = {}
 
 
 class LatencyChannel:
@@ -38,6 +46,7 @@ class LatencyChannel:
         *,
         drop_probability: float = 0.0,
         seed: int | np.random.Generator | None = None,
+        ledger: LinkLedger | None = None,
     ) -> None:
         if latency < 0:
             raise ValueError(f"latency must be ≥ 0, got {latency}")
@@ -50,6 +59,7 @@ class LatencyChannel:
         # are never compared and ties resolve to send order.
         self._queue: list[tuple[float, int, Any]] = []
         self._seq = 0
+        self.ledger = ledger or LinkLedger()  # private when built alone
         self.sent = 0
         self.dropped = 0
         self.delivered = 0
@@ -72,6 +82,8 @@ class LatencyChannel:
     def _drop(self, reason: str) -> None:
         self.dropped += 1
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
+        shared = self.ledger.dropped
+        shared[reason] = shared.get(reason, 0) + 1
 
     def send(self, payload: Any, now: float) -> bool:
         """Enqueue a message at time ``now``; returns False if dropped.
@@ -81,6 +93,7 @@ class LatencyChannel:
         stay bit-identical whether or not anyone closes links.
         """
         self.sent += 1
+        self.ledger.sent += 1
         if self.drop_probability > 0 and self._rng.random() < self.drop_probability:
             self._drop("loss")
             return False
@@ -108,10 +121,12 @@ class LatencyChannel:
             _, seq, payload = heapq.heappop(self._queue)
             if seq < self._max_seq_delivered:
                 self.reordered += 1
+                self.ledger.reordered += 1
             else:
                 self._max_seq_delivered = seq
             out.append(payload)
         self.delivered += len(out)
+        self.ledger.delivered += len(out)
         return out
 
     def close(self, reason: str = "closed") -> int:
@@ -150,17 +165,21 @@ class TcpLink:
         latency_down: float | None = None,
         latency_up: float | None = None,
         seed: int | np.random.Generator | None = None,
+        ledger: LinkLedger | None = None,
     ) -> None:
         rng = ensure_rng(seed)
+        ledger = ledger or LinkLedger()  # one for both directions
         self.down = LatencyChannel(
             latency if latency_down is None else latency_down,
             drop_probability=drop_probability,
             seed=rng,
+            ledger=ledger,
         )
         self.up = LatencyChannel(
             latency if latency_up is None else latency_up,
             drop_probability=drop_probability,
             seed=rng,
+            ledger=ledger,
         )
 
     def close(self, reason: str = "closed") -> int:

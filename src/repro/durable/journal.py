@@ -48,6 +48,13 @@ def _canonical(obj: dict) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _encode_line(rec: dict) -> bytes:
+    """One on-disk line: ``rec`` serialised once, the crc wrapper spliced
+    around it — byte for byte ``_canonical({"crc": ..., "rec": rec})``."""
+    body = _canonical(rec)
+    return b'{"crc":%d,"rec":%s}\n' % (zlib.crc32(body), body)
+
+
 @dataclass(frozen=True)
 class JournalRecord:
     """One journalled state change."""
@@ -71,27 +78,25 @@ class Journal:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.seq = self._scan_last_seq()
-        self._fh = None
-
-    def _scan_last_seq(self) -> int:
-        if not self.path.exists():
-            return 0
         replay = self.replay(min_seq=0)
-        return replay.records[-1].seq if replay.records else 0
+        self.seq = replay.records[-1].seq if replay.records else 0
+        # What the file holds: trusted records, then maybe a damaged tail.
+        self._on_disk, self._torn = len(replay.records), replay.dropped_tail > 0
+        self._fh = None
 
     def append(self, rtype: str, time: float, data: dict) -> int:
         """Durably append one record; returns its sequence number."""
         if rtype not in RECORD_TYPES:
             raise ValueError(f"unknown journal record type {rtype!r}")
         self.seq += 1
-        rec = {"seq": self.seq, "t": float(time), "type": rtype, "data": data}
-        body = _canonical(rec)
-        line = _canonical({"crc": zlib.crc32(body), "rec": rec})
+        line = _encode_line(
+            {"seq": self.seq, "t": float(time), "type": rtype, "data": data}
+        )
         if self._fh is None:
             self._fh = open(self.path, "ab")
-        self._fh.write(line + b"\n")
+        self._fh.write(line)
         self._fh.flush()
+        self._on_disk += 1
         return self.seq
 
     def sync(self) -> None:
@@ -113,11 +118,16 @@ class Journal:
         leaves the old journal (its covered prefix is harmless — replay skips
         it via the watermark); a crash after leaves the compacted one.
         Sequence numbers never reset.  Returns the number of records dropped.
+        A rotation covering every record (the one each checkpoint asks for)
+        writes the empty replacement without reading the old file.
         """
-        full = self.replay(min_seq=0)
-        survivors = [r for r in full.records if r.seq > min_seq]
-        dropped = len(full.records) - len(survivors)
-        if dropped == 0 and full.dropped_tail == 0:
+        survivors: list[JournalRecord] = []
+        if min_seq < self.seq:
+            full = self.replay(min_seq=0)
+            survivors = [r for r in full.records if r.seq > min_seq]
+            self._on_disk, self._torn = len(full.records), full.dropped_tail > 0
+        dropped = self._on_disk - len(survivors)
+        if dropped == 0 and not self._torn:
             return 0
         self.close()
         tmp = self.path.with_name(self.path.name + ".tmp")
@@ -125,14 +135,12 @@ class Journal:
             for rec in survivors:
                 body = {"seq": rec.seq, "t": rec.time, "type": rec.type,
                         "data": rec.data}
-                fh.write(
-                    _canonical({"crc": zlib.crc32(_canonical(body)), "rec": body})
-                    + b"\n"
-                )
+                fh.write(_encode_line(body))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
         fsync_dir(self.path.parent)
+        self._on_disk, self._torn = len(survivors), False
         return dropped
 
     def replay(self, *, min_seq: int = 0) -> JournalReplay:

@@ -141,7 +141,8 @@ def _decision_summary(system: AnorSystem) -> dict[str, float]:
     names = {
         "budget rounds": "anor_budget_rounds_total",
         "caps sent": "anor_caps_sent_total",
-        "models accepted": "anor_models_accepted_total",
+        # Distinct fits: a status repeating the held fit is a heartbeat.
+        "model fits accepted": "anor_models_accepted_total",
         "models rejected": "anor_models_rejected_total",
         "statuses rejected": "anor_statuses_rejected_total",
         "jobs evicted": "anor_jobs_evicted_total",

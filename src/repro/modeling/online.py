@@ -11,6 +11,7 @@ that report no epochs, or that have not yet accumulated enough, use a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +33,13 @@ class EpochSample:
 
 @dataclass
 class EpochHistory:
-    """Append-only record of epoch-timing samples with array export."""
+    """Append-only record of epoch-timing samples with array export; grows
+    only through :meth:`append`, which keeps the running aggregates."""
 
-    samples: list[EpochSample] = field(default_factory=list)
+    samples: list[EpochSample] = field(default_factory=list, init=False)
+    total_epochs: int = field(default=0, init=False)
+    cap_min: float = field(default=math.inf, init=False)
+    cap_max: float = field(default=-math.inf, init=False)
 
     def append(self, sample: EpochSample) -> None:
         if sample.seconds_per_epoch <= 0:
@@ -42,13 +47,12 @@ class EpochHistory:
         if sample.epochs < 1:
             raise ValueError(f"sample must cover ≥ 1 epoch, got {sample.epochs}")
         self.samples.append(sample)
+        self.total_epochs += sample.epochs
+        self.cap_min = min(self.cap_min, sample.p_cap)
+        self.cap_max = max(self.cap_max, sample.p_cap)
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def total_epochs(self) -> int:
-        return sum(s.epochs for s in self.samples)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(caps, times-per-epoch, weights) as parallel arrays."""
@@ -106,6 +110,9 @@ class OnlineModeler:
         self.min_sample_epochs = int(min_sample_epochs)
         self.history = EpochHistory()
         self._fit: FitResult | None = None
+        # Moves whenever ``history`` or the fit moves and at no other time, so
+        # a consumer can memoise anything derived from them on its value.
+        self.revision = 0
         # True while the current fit came from seed_fit() rather than this
         # modeler's own history; cleared by the first genuine refit or drift
         # reset, so consumers can tell a carried-over model from a learned one.
@@ -208,6 +215,7 @@ class OnlineModeler:
         if self.detect_drift and self._check_drift(sample):
             return True
         self.history.append(sample)
+        self.revision += 1
         self._cap_time_integral = 0.0
         self._span_seconds = 0.0
         self._epochs_since_fit += batched
@@ -280,6 +288,7 @@ class OnlineModeler:
         # New phase: throw away the stale model and its training data.
         self.history = EpochHistory()
         self._fit = None
+        self.revision += 1
         self.seeded = False
         self._epochs_since_fit = 0
         self._recent_residuals.clear()
@@ -316,6 +325,7 @@ class OnlineModeler:
         lo, hi = cap_range if cap_range is not None else (model.p_min, model.p_max)
         self._fit_cap_range = (float(lo), float(hi))
         self.seeded = True
+        self.revision += 1
 
     def set_cap(self, timestamp: float, power_cap: float) -> None:
         """Note a cap change between status updates (keeps the average honest)."""
@@ -360,6 +370,7 @@ class OnlineModeler:
         ss_tot = float(np.sum(weights * (times - t_bar) ** 2))
         r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
         self._fit = FitResult(model=model, r2=r2, n_samples=len(self.history))
+        self.revision += 1
         self.seeded = False
         self._fit_cap_range = (float(caps.min()), float(caps.max()))
         self._epochs_since_fit = 0
@@ -392,6 +403,5 @@ class OnlineModeler:
         """
         if len(self.history) < 2:
             return 0.0
-        caps, _, _ = self.history.arrays()
         span = self.p_max - self.p_min
-        return float(caps.max() - caps.min()) / span if span > 0 else 0.0
+        return (self.history.cap_max - self.history.cap_min) / span if span > 0 else 0.0

@@ -66,37 +66,32 @@ class ForecastPoint:
 
 
 class ForecastErrorWindow:
-    """Sliding window of signed forecast errors (actual − predicted)."""
+    """Sliding window of signed forecast errors (actual − predicted);
+    ``mae`` and ``bias`` are worked out on :meth:`push`, read many times."""
 
     def __init__(self, window: int) -> None:
         if window < 1:
             raise ValueError(f"error window must be ≥ 1, got {window}")
         self.window = int(window)
         self._errors: deque[float] = deque(maxlen=self.window)
+        #: Mean absolute error (W) over the window; 0 when empty.
+        self.mae = 0.0
+        #: Mean signed error (W); positive means the forecast runs low.
+        self.bias = 0.0
 
     def push(self, error: float) -> None:
         self._errors.append(float(error))
+        errors = np.array(self._errors)
+        self.mae = float(np.mean(np.abs(errors)))
+        self.bias = float(np.mean(errors))
 
     @property
     def count(self) -> int:
         return len(self._errors)
 
-    @property
-    def mae(self) -> float:
-        """Mean absolute error (W) over the window; 0 when empty."""
-        if not self._errors:
-            return 0.0
-        return float(np.mean(np.abs(self._errors)))
-
-    @property
-    def bias(self) -> float:
-        """Mean signed error (W); positive means the forecast runs low."""
-        if not self._errors:
-            return 0.0
-        return float(np.mean(self._errors))
-
     def reset(self) -> None:
         self._errors.clear()
+        self.mae = self.bias = 0.0
 
 
 class TargetForecaster(ABC):

@@ -1,5 +1,7 @@
 """Tests for the cluster-tier power manager."""
 
+import math
+
 import pytest
 
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
@@ -7,8 +9,10 @@ from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.messages import BudgetMessage, GoodbyeMessage, HelloMessage, StatusMessage
 from repro.core.targets import ConstantTarget
 from repro.core.transport import TcpLink
+from repro.durable.journal import Journal
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
+from repro.telemetry import Telemetry
 
 
 def models():
@@ -151,6 +155,127 @@ class TestFeedback:
         )
         manager.step(0.0)
         assert manager.jobs["a"].online_model is None
+
+
+FIT = dict(model_a=0.0, model_b=-0.01, model_c=5.0, model_r2=0.9)
+
+
+def model_accepts(journal):
+    return [r for r in journal.replay().records if r.type == "model-accept"]
+
+
+class TestRepeatedModelIsHeartbeat:
+    """A status repeating the fit a record holds changes nothing but
+    ``last_heard``: ``model-accept`` is one record/event per distinct fit."""
+
+    def make(self, tmp_path, **kwargs):
+        telemetry = Telemetry()
+        journal = Journal(tmp_path / "journal.jsonl")
+        manager = make_manager(
+            use_feedback=True, journal=journal, telemetry=telemetry, **kwargs
+        )
+        return manager, journal, telemetry
+
+    def test_repeats_keep_the_model_object_and_write_nothing(self, tmp_path):
+        manager, journal, telemetry = self.make(tmp_path)
+        link = connect_job(manager, "a", "is", 2)
+        for t in range(40):
+            send_status(link, "a", t=float(t), **FIT)
+            manager.step(float(t))
+            if t == 0:
+                first = manager.jobs["a"].online_model
+                first.t_min, first.t_max  # the budgeter's memos, now warm
+        record = manager.jobs["a"]
+        assert record.online_model is first
+        assert {"_t_min", "_t_max"} <= set(first.__dict__)
+        assert record.last_heard == 39.0  # every repeat is still a heartbeat
+        assert record.last_status.timestamp == 39.0
+        assert len(model_accepts(journal)) == 1
+        events = [
+            e for e in telemetry.ring.records() if e["name"] == "model-accept"
+        ]
+        assert len(events) == 1
+        assert telemetry.registry.get_value("anor_models_accepted_total") == 1
+
+    def test_refit_and_new_r2_are_new_fits(self, tmp_path):
+        manager, journal, telemetry = self.make(tmp_path)
+        link = connect_job(manager, "a", "is", 2)
+        fits = [FIT, FIT, {**FIT, "model_r2": 0.7}, {**FIT, "model_c": 6.0}, FIT]
+        for t, fit in enumerate(fits):
+            send_status(link, "a", t=float(t), **fit)
+            manager.step(float(t))
+            record = manager.jobs["a"]
+            assert (record.online_model.c, record.online_r2) == (
+                fit["model_c"], fit["model_r2"]
+            )
+        assert [(r.data["c"], r.data["r2"]) for r in model_accepts(journal)] == [
+            (5.0, 0.9), (5.0, 0.7), (6.0, 0.9), (5.0, 0.9)
+        ]
+        assert telemetry.registry.get_value("anor_models_accepted_total") == 4
+
+    def test_bad_coefficients_are_validated_every_time(self, tmp_path):
+        manager, journal, _ = self.make(tmp_path)
+        link = connect_job(manager, "a", "is", 2)
+        send_status(link, "a", t=0.0, **FIT)
+        manager.step(0.0)
+        good = manager.jobs["a"].online_model
+        for t, bad in enumerate(
+            (
+                {**FIT, "model_a": math.nan},
+                {**FIT, "model_r2": math.nan},
+                {**FIT, "model_b": 0.02},
+                {**FIT, "model_b": 0.02},
+            ),
+            start=1,
+        ):
+            send_status(link, "a", t=float(t), **bad)
+            manager.step(float(t))
+        assert manager.rejected_models == 4  # a repeated bad fit is re-rejected
+        assert manager.jobs["a"].online_model is good
+        assert len(model_accepts(journal)) == 1
+
+    def test_gated_r2_is_skipped_even_when_coefficients_repeat(self, tmp_path):
+        manager, journal, _ = self.make(tmp_path, min_feedback_r2=0.5)
+        link = connect_job(manager, "a", "is", 2)
+        send_status(link, "a", t=0.0, **FIT)
+        send_status(link, "a", t=0.0, **{**FIT, "model_r2": 0.1})
+        manager.step(0.0)
+        assert manager.jobs["a"].online_r2 == 0.9
+        assert len(model_accepts(journal)) == 1
+
+    def test_reconnect_under_another_ceiling_revalidates(self, tmp_path):
+        manager, journal, _ = self.make(tmp_path)
+        link = connect_job(manager, "a", "bt", 2)
+        send_status(link, "a", t=0.0, **FIT)
+        manager.step(0.0)
+        assert manager.jobs["a"].online_model.p_max == 272.0
+        # Same job, fresh link, another claimed type: the carried-over fit was
+        # validated on [140, 272] and must be checked again on [140, 235].
+        link = connect_job(manager, "a", "is", 2, now=1.0)
+        send_status(link, "a", t=1.0, **FIT)
+        manager.step(1.0)
+        record = manager.jobs["a"]
+        assert record.believed_p_max == 235.0
+        assert record.online_model.p_max == 235.0
+        assert len(model_accepts(journal)) == 2
+
+    def test_hello_borne_fit_is_journalled_after_its_admit(self, tmp_path):
+        manager, journal, telemetry = self.make(tmp_path)
+        link = TcpLink(latency=0.0)
+        manager.register_link(link)
+        link.send_up(
+            HelloMessage("a", "is", 2, 0.0, degraded_seconds=40.0, **FIT), 0.0
+        )
+        for t in range(5):
+            send_status(link, "a", t=float(t), **FIT)
+            manager.step(float(t))
+        assert manager.hello_merges == 1
+        kinds = [
+            (r.type, r.data.get("kind")) for r in journal.replay().records
+            if r.type != "cap-decision" and r.type != "target-change"
+        ]
+        assert kinds == [("job-admit", "hello"), ("model-accept", None)]
+        assert telemetry.registry.get_value("anor_models_accepted_total") == 1
 
 
 class TestTrackingAndCorrection:

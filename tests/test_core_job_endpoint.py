@@ -1,6 +1,7 @@
 """Tests for the job-tier endpoint (modeler process, paper §4.2/Fig. 2)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.job_endpoint import JobTierEndpoint
 from repro.core.messages import BudgetMessage, GoodbyeMessage, HelloMessage, StatusMessage
@@ -150,3 +151,111 @@ class TestStatusReporting:
                 publish(geopm, t=t, epochs=epochs, cap=cap)
                 status = endpoint.step(t)
         assert status is not None and not status.has_model
+
+
+# --------------------------------------------------------- memoised verdict
+
+TRUTH = QuadraticPowerModel.from_anchors(1.0, 1.5, 140.0, 280.0)
+SEEDS = (
+    QuadraticPowerModel.from_anchors(2.0, 1.4, 140.0, 280.0),
+    QuadraticPowerModel(0.0, 0.02, 1.0, 140.0, 280.0),  # rising: never shareable
+)
+
+modeler_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("observe"),
+            st.sampled_from((1.0, 2.0, 5.0)),
+            st.sampled_from((145.0, 150.0, 180.0, 220.0, 275.0)),
+        ),
+        st.tuples(
+            st.just("set_cap"),
+            st.sampled_from((0.0, 0.5)),
+            st.sampled_from((150.0, 200.0, 270.0)),
+        ),
+        st.tuples(st.just("seed_fit"), st.integers(0, len(SEEDS) - 1), st.none()),
+        # A new power-sensitivity phase: what drift detection resets on.
+        st.tuples(st.just("phase"), st.sampled_from((1.0, 1.7, 0.6)), st.none()),
+    ),
+    max_size=120,
+)
+
+
+def coverage_from_list(modeler) -> float:
+    """``cap_coverage`` as it was derived before the running extremes."""
+    if len(modeler.history) < 2:
+        return 0.0
+    caps, _, _ = modeler.history.arrays()
+    return float(caps.max() - caps.min()) / (modeler.p_max - modeler.p_min)
+
+
+class ModelerDriver:
+    """Feeds an endpoint's modeler from a synthetic job obeying ``TRUTH``."""
+
+    def __init__(self, endpoint) -> None:
+        self.endpoint = endpoint
+        self.t = self.progress = 0.0
+        self.phase = 1.0
+
+    def apply(self, ops) -> list[dict]:
+        """Run ``ops``; after every call the memo must equal a fresh verdict."""
+        endpoint, modeler = self.endpoint, self.endpoint.modeler
+        verdicts = []
+        for kind, x, y in ops:
+            if kind == "observe":
+                self.t += x
+                self.progress += x / (TRUTH.time_at(y) * self.phase)
+                modeler.observe(self.t, int(self.progress), y)
+            elif kind == "set_cap":
+                self.t += x
+                modeler.set_cap(self.t, y)
+            elif kind == "seed_fit":
+                modeler.seed_fit(SEEDS[x], r2=0.5)
+            else:
+                self.phase = x
+            verdicts.append(endpoint._model_fields())
+            assert verdicts[-1] == endpoint._evaluate_model_fields()
+            assert modeler.epochs_observed == sum(
+                s.epochs for s in modeler.history.samples
+            )
+            assert modeler.cap_coverage == coverage_from_list(modeler)
+        return verdicts
+
+
+class TestModelFieldsMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=modeler_ops)
+    def test_memo_equals_fresh_evaluation_after_every_call(self, ops):
+        endpoint, _, _ = make_endpoint(detect_drift=True)
+        ModelerDriver(endpoint).apply(ops)
+
+    def test_memo_follows_a_fit_through_seed_and_drift_reset(self):
+        endpoint, _, _ = make_endpoint(detect_drift=True)
+        driver = ModelerDriver(endpoint)
+        sweep = [
+            ("observe", 2.0, cap) for cap in (150.0, 270.0) * 4 for _ in range(15)
+        ]
+        learned = driver.apply(sweep)
+        assert not learned[0] and learned[-1]  # withheld, then shared
+        assert endpoint._model_fields() is endpoint._model_fields()
+        seeded = driver.apply([("seed_fit", 0, None)])
+        assert seeded[-1]["model_a"] == SEEDS[0].a
+        relearned = driver.apply(sweep)
+        assert relearned[-1]["model_a"] != SEEDS[0].a  # live data took over
+        resets = endpoint.modeler.drift_resets
+        shifted = driver.apply([("phase", 1.7, None)] + sweep)
+        assert endpoint.modeler.drift_resets > resets
+        assert {} in shifted  # the reset withdrew the fit until it relearned
+
+    def test_revision_moves_only_with_history_or_fit(self):
+        endpoint, _, _ = make_endpoint()
+        modeler = endpoint.modeler
+        modeler.observe(0.0, 0, 200.0)
+        modeler.observe(1.0, 1, 200.0)  # first epoch: anchors, no sample yet
+        before = modeler.revision
+        modeler.observe(2.0, 1, 200.0)  # no progress
+        modeler.set_cap(2.5, 180.0)
+        modeler.observe(3.0, 2, 180.0)  # below min_sample_epochs
+        assert modeler.revision == before and len(modeler.history) == 0
+        modeler.observe(9.0, 8, 180.0)
+        assert len(modeler.history) == 1 and modeler.revision > before

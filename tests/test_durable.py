@@ -122,6 +122,37 @@ class TestJournal:
         assert [r.seq for r in replay.records] == [1]
         assert replay.dropped_tail == 2
 
+    def test_single_encode_line_is_the_double_encoded_line(self, tmp_path):
+        """The wrapper spliced around the canonical body is byte for byte
+        ``canonical({"crc": crc32(canonical(rec)), "rec": rec})``, the form
+        every journal on disk was written in, and replays under the crc."""
+        def canonical(obj):
+            return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+        path = tmp_path / "j.jsonl"
+        j = Journal(path)
+        payloads = [
+            ("cap-decision", 7.25, {"caps": {"j1": 187.5, "j\u00e9": 140.0},
+                                    "correction": -3.0e-7, "target": 2720.0,
+                                    "hold": {"last_good": None}}),
+            ("model-accept", 8.0, {"job_id": 'q"uote\\', "a": 1e-05, "b": -0.02,
+                                   "c": 7.0, "r2": None}),
+            ("job-admit", 9.0, {"kind": "hello", "nodes": 4, "z": [1, 2.5, "x"],
+                                "a": {"b": {"c": True}}}),
+            ("target-change", 1e22, {}),
+        ]
+        expected = b""
+        for seq, (rtype, t, data) in enumerate(payloads, start=1):
+            j.append(rtype, t, data)
+            rec = {"seq": seq, "t": float(t), "type": rtype, "data": data}
+            expected += canonical({"crc": zlib.crc32(canonical(rec)), "rec": rec})
+            expected += b"\n"
+        j.close()
+        assert path.read_bytes() == expected
+        replay = Journal(path).replay()
+        assert replay.dropped_tail == 0
+        assert [(r.type, r.time, r.data) for r in replay.records] == payloads
+
     def test_watermark_skips_covered_records(self, tmp_path):
         j = Journal(tmp_path / "j.jsonl")
         for t in (1.0, 2.0, 3.0):
@@ -351,6 +382,55 @@ class TestJournalRotation:
         j.close()
         replay = Journal(tmp_path / "j.jsonl").replay()
         assert [r.seq for r in replay.records] == [3, 4, 5, 6]
+
+    def test_full_rotation_does_not_read_the_journal(self, tmp_path, monkeypatch):
+        """What every checkpoint asks for — drop everything — is answered
+        from the running count: exact, atomic, and without a replay."""
+        path = tmp_path / "j.jsonl"
+        j = Journal(path)
+        for t in range(1, 8):
+            j.append("target-change", float(t), {"watts": float(t)})
+        monkeypatch.setattr(
+            Journal, "replay", lambda *a, **k: pytest.fail("rotate re-read the file")
+        )
+        assert j.rotate(j.seq) == 7
+        assert path.read_bytes() == b""
+        assert [p.name for p in tmp_path.iterdir()] == ["j.jsonl"]  # no temp left
+        assert j.rotate(j.seq) == 0  # nothing on disk: nothing dropped
+        j.append("target-change", 8.0, {"watts": 8.0})
+        j.append("target-change", 9.0, {"watts": 9.0})
+        assert j.rotate(j.seq + 5) == 2
+        monkeypatch.undo()
+        assert j.append("target-change", 10.0, {}) == 10
+        assert [r.seq for r in Journal(path).replay().records] == [10]
+
+    def test_full_rotation_counts_exactly_after_reopen_and_partial(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        j = Journal(path)
+        for t in range(1, 6):
+            j.append("target-change", float(t), {})
+        assert j.rotate(2) == 2  # partial: the replay path, 3 survive
+        j.append("target-change", 6.0, {})
+        j.close()
+        reopened = Journal(path)
+        reopened.append("target-change", 7.0, {})
+        assert reopened.rotate(reopened.seq) == 5
+        assert Journal(path).replay().records == []
+
+    def test_full_rotation_clears_a_torn_tail_and_counts_trusted_records(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        j = Journal(path)
+        for t in range(1, 4):
+            j.append("target-change", float(t), {})
+        j.close()
+        with open(path, "ab") as fh:
+            fh.write(b'{"crc": 0, "rec":')  # torn final write
+        damaged = Journal(path)
+        # Only the three trusted records count as dropped; the torn line goes.
+        assert damaged.rotate(damaged.seq) == 3
+        assert path.read_bytes() == b""
+        damaged.append("target-change", 4.0, {})
+        assert damaged.rotate(damaged.seq) == 1
 
     def test_store_checkpoint_rotates_journal(self, tmp_path):
         store = DurableStore(tmp_path)

@@ -125,6 +125,49 @@ class TestCrashRecoveryEndToEnd:
         assert system.manager.recovery_merges > 0
         assert any("model restored" in e for e in system.manager.events)
 
+    def test_recovery_is_exact_after_long_runs_of_repeated_statuses(self, tmp_path):
+        """A fit is journalled once, then repeated for tens of statuses that
+        write nothing; whether a checkpoint or only the journal tail covers
+        it, the restarted head gets the coefficients bit for bit."""
+        system = build_system(checkpoint_dir=str(tmp_path / "store"))
+        manager = system.manager
+        repeats: dict[str, int] = {}
+        on_status, record_fit = manager._on_status, manager._record_fit
+
+        def counting_status(msg, now):
+            if msg.has_model:
+                repeats[msg.job_id] = repeats.get(msg.job_id, 0) + 1
+            on_status(msg, now)
+
+        def counting_fit(record, now):
+            repeats[record.job_id] = 0
+            record_fit(record, now)
+
+        manager._on_status, manager._record_fit = counting_status, counting_fit
+        for _ in range(400):
+            system.step()
+            held = [j for j, r in manager.jobs.items() if r.online_model is not None]
+            if len(held) >= 2 and max(repeats[j] for j in held) >= 30:
+                break
+        # At the crash one fit has gone ≥ 30 statuses without a journal
+        # record, and the head has heard hundreds of repeats in all.
+        assert len(held) >= 2 and max(repeats[j] for j in held) >= 30, repeats
+        pre = {
+            jid: (r.online_model.a, r.online_model.b, r.online_model.c,
+                  r.online_r2, r.last_cap)
+            for jid, r in manager.jobs.items()
+            if jid in held
+        }
+        system.crash_head_node()
+        for _ in range(10):
+            system.step()
+        system.restart_head_node()
+        assert system.manager.in_recovery
+        for jid in held:
+            m = system.manager.recovered_job(jid)
+            assert (m.online_model.a, m.online_model.b, m.online_model.c,
+                    m.online_r2, m.last_cap) == pre[jid]
+
     def test_warm_endpoint_restart_seeds_modeler(self, tmp_path):
         system = build_system(
             checkpoint_dir=str(tmp_path / "store"), endpoint_restart_delay=10.0

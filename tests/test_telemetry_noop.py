@@ -7,14 +7,19 @@ without telemetry and comparing traces bitwise, and by checking the
 transport-layer accounting that feeds the link counters.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.core.framework import AnorConfig
+from repro.core.framework import AnorConfig, AnorSystem
 from repro.core.transport import LatencyChannel, TcpLink
 from repro.experiments.fig9 import build_demand_response_system
+from repro.faults.events import HeadNodeCrash, NetworkPartition
 from repro.faults.schedule import FaultSchedule
 from repro.telemetry import NULL_TELEMETRY
+from repro.workloads.trace import JobRequest, Schedule
 
 
 def run_traces(duration=120.0, *, telemetry_enabled, fault_schedule=None, seed=0):
@@ -130,19 +135,131 @@ class TestChannelAccounting:
         assert link.up.drop_reasons == {"evicted": 2}
 
 
+def collect_links(system, keep=lambda link: link):
+    """Record every link ``system`` creates (the test holds them, not it)."""
+    links = []
+    make = system._make_link
+
+    def recording():
+        link = make()
+        links.append(keep(link))
+        return link
+
+    system._make_link = recording
+    return links
+
+
+def channel_sums(links):
+    """Per-channel truth: the counters each channel keeps for itself."""
+    sent = delivered = reordered = 0
+    dropped = {}
+    for link in links:
+        for ch in (link.down, link.up):
+            sent += ch.sent
+            delivered += ch.delivered
+            reordered += ch.reordered
+            assert ch.dropped == sum(ch.drop_reasons.values())
+            for reason, n in ch.drop_reasons.items():
+                dropped[reason] = dropped.get(reason, 0) + n
+    return sent, delivered, reordered, dropped
+
+
+def published(reg, reasons):
+    """The same four totals as the registry currently exports them."""
+    return (
+        reg.get_value("anor_link_messages_sent_total"),
+        reg.get_value("anor_link_messages_delivered_total"),
+        reg.get_value("anor_link_messages_reordered_total"),
+        {
+            reason: reg.get_value("anor_link_messages_dropped_total", reason=reason)
+            for reason in reasons
+        },
+    )
+
+
 class TestLinkLedgerMetrics:
     def test_cluster_counters_aggregate_all_links(self):
         cfg = AnorConfig(seed=3, telemetry_enabled=True)
         system = build_demand_response_system(duration=60.0, seed=3, config=cfg)
+        links = collect_links(system)
         system.run(60.0)
         reg = system.telemetry.registry
         sent = reg.get_value("anor_link_messages_sent_total")
         delivered = reg.get_value("anor_link_messages_delivered_total")
         assert sent is not None and sent > 0
         assert delivered is not None and 0 < delivered <= sent
-        # Ledger truth: the gauges must match a direct sum over every link
+        # Ledger truth: the counters must match a direct sum over every link
         # ever created, including closed/replaced ones.
-        expect = sum(
-            ch.sent for link in system._all_links for ch in (link.down, link.up)
+        truth = channel_sums(links)
+        assert sent == truth[0]
+        assert published(reg, truth[3]) == truth
+
+    def test_ledger_equals_channel_sums_under_faults(self, tmp_path):
+        """Link replacement, partition drops and a head-node restart: every
+        send, delivery and drop a channel counted is in the ledger once."""
+        duration = 240.0
+        schedule = FaultSchedule.standard_load(duration).extended(
+            [
+                NetworkPartition(time=60.0, duration=20.0),
+                HeadNodeCrash(time=130.0, down_for=15.0),
+            ]
         )
-        assert sent == expect
+        cfg = AnorConfig(
+            seed=5,
+            telemetry_enabled=True,
+            lease_ttl=20.0,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_period=30.0,
+        )
+        system = build_demand_response_system(
+            duration=duration, seed=5, config=cfg, fault_schedule=schedule
+        )
+        links = collect_links(system)
+        reg = system.telemetry.registry
+        sample = system._sample_link_counters
+        samples = []
+
+        def checked_sample():
+            # Published truth, at the instant of publication: every counter
+            # the registry exports equals the sum over the channels.
+            sample()
+            truth = channel_sums(links)
+            assert published(reg, truth[3]) == truth
+            samples.append(truth[0])
+
+        system._sample_link_counters = checked_sample
+        last = 0.0
+        for _ in range(int(duration)):
+            system.step()
+            sent = reg.get_value("anor_link_messages_sent_total")
+            assert sent >= last  # monotone across replacement and restart
+            last = sent
+        assert len(samples) == int(duration) and samples[-1] == last
+        sent, delivered, reordered, dropped = channel_sums(links)
+        ledger = system._link_ledger
+        assert (ledger.sent, ledger.delivered, ledger.reordered) == (
+            sent, delivered, reordered
+        )
+        assert ledger.dropped == dropped
+        assert {"loss", "partition", "replaced", "head-crash"} <= set(dropped), dropped
+        assert system.head_crashes == 1
+        assert sent == delivered + sum(dropped.values()) + sum(
+            ch.in_flight for link in links for ch in (link.down, link.up)
+        )
+
+    def test_finished_jobs_link_is_collectable(self):
+        """Nothing in the system keeps a finished job's link alive."""
+        schedule = Schedule(
+            [JobRequest(submit_time=0.0, job_id="only", type_name="cg", nodes=2)]
+        )
+        system = AnorSystem(
+            schedule=schedule,
+            config=AnorConfig(num_nodes=4, seed=1, telemetry_enabled=True),
+        )
+        refs = collect_links(system, keep=weakref.ref)
+        result = system.run(until_idle=True, max_time=3600.0)
+        assert [t.job_id for t in result.completed] == ["only"]
+        system.run(5.0)  # the goodbye reaches the manager, which drops the link
+        assert refs and system._link_ledger.sent > 0
+        gc.collect()
+        assert all(ref() is None for ref in refs)
