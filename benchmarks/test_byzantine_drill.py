@@ -10,55 +10,56 @@ cocktails through the audited manager and requires every online invariant
 monitor to stay silent.
 """
 
-from repro.experiments import resilience
-from repro.experiments.scorecard import score_byzantine, score_soak
+from repro.experiments.resilience import format_drill, run_drill, score
 
 
 def test_byzantine_drill_scorecard(benchmark, report):
     result = benchmark.pedantic(
-        lambda: resilience.run_byzantine_drill(duration=900.0, seed=3),
+        lambda: run_drill("byzantine", duration=900.0, seed=3),
         rounds=1,
         iterations=1,
     )
-    card = score_byzantine(result)
+    card = score("byzantine", result)
+    m = result.metrics
 
-    assert len(result.victims_on) >= 3, "drill should field three rogues"
-    assert not result.missed_victims, result.missed_victims
-    assert not result.collateral_quarantines, result.collateral_quarantines
-    assert not result.false_quarantines_clean, result.false_quarantines_clean
+    assert len(m["victims"]) >= 3, "drill should field three rogues"
+    assert not m["missed_victims"], m["missed_victims"]
+    assert not m["collateral_quarantines"], m["collateral_quarantines"]
+    assert m["false_quarantines_clean"] == 0
     assert card.all_passed, card.render()
 
     report(
-        resilience.format_byzantine_table(result) + "\n\n" + card.render(),
-        victims=len(result.victims_on),
+        format_drill(result) + "\n\n" + card.render(),
+        victims=len(m["victims"]),
         detection_latencies={
-            k: round(v, 1) for k, v in result.detection_latencies.items()
+            k: round(v, 1) for k, v in m["detection_latencies"].items()
         },
-        on_settled_mean=round(result.on_settled_mean, 2),
-        off_detect_mean=round(result.off_detect_mean, 2),
+        on_settled_mean=round(m["on_settled_mean"], 2),
+        off_detect_mean=round(m["off_detect_mean"], 2),
         energy_ratio=round(
-            result.off_total_energy / max(result.on_total_energy, 1e-9), 3
+            m["off_total_energy"] / max(m["on_total_energy"], 1e-9), 3
         ),
     )
 
 
 def test_chaos_soak_invariants_hold(benchmark, report):
     result = benchmark.pedantic(
-        lambda: resilience.run_chaos_soak(seconds=45.0, base_seed=7),
+        lambda: run_drill("soak", seconds=45.0, seed=7),
         rounds=1,
         iterations=1,
     )
-    card = score_soak(result)
+    card = score("soak", result)
+    m = result.metrics
 
-    assert result.episodes, "soak should complete at least one episode"
-    assert result.total_faults > 0
-    assert result.all_clean, "\n".join(result.violations)
+    assert m["episodes"], "soak should complete at least one episode"
+    assert m["total_faults"] > 0
+    assert not m["violations"], "\n".join(m["violations"])
     assert card.all_passed, card.render()
 
     report(
-        resilience.format_soak_table(result) + "\n\n" + card.render(),
-        episodes=len(result.episodes),
-        total_faults=result.total_faults,
-        quarantines=sum(e.quarantines for e in result.episodes),
-        violations=len(result.violations),
+        format_drill(result) + "\n\n" + card.render(),
+        episodes=len(m["episodes"]),
+        total_faults=m["total_faults"],
+        quarantines=m["quarantines"],
+        violations=len(m["violations"]),
     )

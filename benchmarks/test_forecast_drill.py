@@ -7,52 +7,52 @@ fewer cap rewrites — anticipation, not churn.  The adversarial arm runs the
 same scenario with a forecaster rigged to predict the opposite of every
 trend; the safety envelope must keep its budgets inside the ceiling and
 trip to fallback within the configured error window.  Any scorecard claim
-failing is a hard test failure (and a nonzero ``anor plan --drill`` exit).
+failing is a hard test failure (and a nonzero
+``anor resilience --drill forecast`` exit).
 """
 
-from repro.experiments.resilience import format_forecast_table, run_forecast_drill
-from repro.experiments.scorecard import score_forecast
+from repro.experiments.resilience import format_drill, run_drill, score
 
 
 def test_forecast_drill_scorecard(benchmark, report):
-    duration = 600.0
     result = benchmark.pedantic(
-        lambda: run_forecast_drill(duration=duration, seed=0, warmup=120.0),
+        lambda: run_drill("forecast", duration=600.0, seed=0, warmup=120.0),
         rounds=1,
         iterations=1,
     )
-    card = score_forecast(result)
+    card = score("forecast", result)
+    m = result.metrics
 
     # Predictive must beat reactive on both axes, not trade one for the other.
-    assert result.tracking_ratio < 1.0, (
-        f"predictive err90 {result.predictive_error90:.3f} vs "
-        f"reactive {result.reactive_error90:.3f}"
+    assert m["tracking_ratio"] < 1.0, (
+        f"predictive err90 {m['predictive_error90']:.3f} vs "
+        f"reactive {m['reactive_error90']:.3f}"
     )
-    assert result.predictive_rewrites < result.reactive_rewrites
+    assert m["predictive_rewrites"] < m["reactive_rewrites"]
 
     # Safety: no arm's planned draw may breach the budget ceiling, even with
     # the inverted-ramp forecaster lying about every trend.
-    assert result.predictive_violations == 0
-    assert result.adversarial_violations == 0
+    assert m["predictive_violations"] == 0
+    assert m["adversarial_violations"] == 0
 
     # The envelope must notice the adversarial forecaster and fall back
     # within its detection window.
-    assert result.adversarial_fallbacks > 0
-    assert result.fallback_latency is not None
-    assert result.fallback_latency <= result.fallback_latency_bound
+    assert m["adversarial_fallbacks"] > 0
+    assert m["fallback_latency"] is not None
+    assert m["fallback_latency"] <= m["fallback_latency_bound"]
 
     # A well-matched forecaster must never trip the envelope.
-    assert result.predictive_fallbacks == 0
+    assert m["predictive_fallbacks"] == 0
 
     assert card.all_passed, card.render()
 
     report(
-        format_forecast_table(result) + "\n\n" + card.render(),
-        reactive_err90=round(result.reactive_error90, 4),
-        predictive_err90=round(result.predictive_error90, 4),
-        tracking_ratio=round(result.tracking_ratio, 4),
-        reactive_rewrites=result.reactive_rewrites,
-        predictive_rewrites=result.predictive_rewrites,
-        adversarial_fallbacks=result.adversarial_fallbacks,
-        fallback_latency=round(result.fallback_latency, 1),
+        format_drill(result) + "\n\n" + card.render(),
+        reactive_err90=round(m["reactive_error90"], 4),
+        predictive_err90=round(m["predictive_error90"], 4),
+        tracking_ratio=round(m["tracking_ratio"], 4),
+        reactive_rewrites=m["reactive_rewrites"],
+        predictive_rewrites=m["predictive_rewrites"],
+        adversarial_fallbacks=m["adversarial_fallbacks"],
+        fallback_latency=round(m["fallback_latency"], 1),
     )

@@ -9,32 +9,32 @@ ceiling, live jobs reconciled warm, and the power trace re-converging
 within the documented bound.
 """
 
-from repro.experiments import resilience
-from repro.experiments.scorecard import score_headnode_recovery
+from repro.experiments.resilience import format_drill, run_drill, score
 
 
 def test_headnode_crash_recovery(benchmark, report):
     result = benchmark.pedantic(
-        lambda: resilience.run_headnode_recovery(
-            duration=1200.0, seed=1, crash_time=400.0, down_for=60.0
+        lambda: run_drill(
+            "headnode", duration=1200.0, seed=1, crash_time=400.0, down_for=60.0
         ),
         rounds=1,
         iterations=1,
     )
-    card = score_headnode_recovery(result)
+    card = score("headnode", result)
+    m = result.metrics
 
-    assert result.budget_violations == 0
-    assert not result.lost_jobs
-    assert not result.double_admitted
-    assert result.recovery_merges > 0
-    assert result.convergence_time is not None
-    assert result.convergence_time <= 120.0
+    assert m["rounds_over_ceiling"] == 0
+    assert not m["lost_jobs"]
+    assert not m["double_admitted"]
+    assert m["recovery_merges"] > 0
+    assert m["convergence_time"] is not None
+    assert m["convergence_time"] <= 120.0
     assert card.all_passed, card.render()
 
     report(
-        resilience.format_headnode_table(result) + "\n\n" + card.render(),
-        recovery_merges=result.recovery_merges,
-        checkpoints_written=result.checkpoints_written,
-        convergence_time=result.convergence_time,
-        orphans=len(result.orphaned),
+        format_drill(result) + "\n\n" + card.render(),
+        recovery_merges=m["recovery_merges"],
+        checkpoints_written=m["checkpoints_written"],
+        convergence_time=m["convergence_time"],
+        orphans=len(m["orphaned"]),
     )

@@ -8,62 +8,55 @@ crash-requeued job must finish, and the 90th-percentile tracking error must
 stay within 1.5x of the fault-free run of the identical workload.
 """
 
-from repro.experiments import resilience
-from repro.experiments.scorecard import score_resilience
-from repro.faults.schedule import FaultSchedule
+from repro.experiments.resilience import format_drill, run_drill, score
 
 
 def test_resilience_standard_fault_load(benchmark, report):
-    duration = 2400.0
     result = benchmark.pedantic(
-        lambda: resilience.run_resilience(duration=duration, seed=0, warmup=300.0),
+        lambda: run_drill("faults", duration=2400.0, seed=0, warmup=300.0),
         rounds=1,
         iterations=1,
     )
-    card = score_resilience(result)
+    card = score("faults", result)
+    m = result.metrics
 
-    assert result.faulted.result.unstarted_jobs == 0
-    assert result.requeued, "standard load's node crash should kill a job"
-    assert result.requeued_completed
-    assert result.ghost_jobs == 0
-    assert result.injector_quiescent
-    assert result.degradation_ratio <= 1.5, (
-        f"faulted err90 {result.faulted_error90:.3f} vs "
-        f"healthy {result.healthy_error90:.3f}"
+    assert m["unstarted_faulted"] == 0
+    assert m["requeued"], "standard load's node crash should kill a job"
+    assert m["requeued_completed"]
+    assert m["ghost_jobs"] == 0
+    assert m["injector_quiescent"]
+    assert m["degradation_ratio"] <= 1.5, (
+        f"faulted err90 {m['faulted_error90']:.3f} vs "
+        f"healthy {m['healthy_error90']:.3f}"
     )
     assert card.all_passed, card.render()
 
     report(
-        resilience.format_table(result) + "\n\n" + card.render(),
-        healthy_err90=round(result.healthy_error90, 4),
-        faulted_err90=round(result.faulted_error90, 4),
-        degradation_ratio=round(result.degradation_ratio, 4),
-        requeued=len(result.requeued),
-        ghost_jobs=result.ghost_jobs,
+        format_drill(result) + "\n\n" + card.render(),
+        healthy_err90=round(m["healthy_error90"], 4),
+        faulted_err90=round(m["faulted_error90"], 4),
+        degradation_ratio=round(m["degradation_ratio"], 4),
+        requeued=len(m["requeued"]),
+        ghost_jobs=m["ghost_jobs"],
     )
 
 
 def test_fault_log_bit_identical_replay(benchmark, report):
     """Same seed + same schedule ⇒ the fault event log replays exactly."""
-    duration = 600.0
-    schedule = FaultSchedule.standard_load(duration)
 
     def both():
-        a = resilience.run_resilience(
-            duration=duration, seed=3, warmup=120.0, schedule=schedule
-        )
-        b = resilience.run_resilience(
-            duration=duration, seed=3, warmup=120.0, schedule=schedule
-        )
+        a = run_drill("faults", duration=600.0, seed=3, warmup=120.0)
+        b = run_drill("faults", duration=600.0, seed=3, warmup=120.0)
         return a, b
 
     a, b = benchmark.pedantic(both, rounds=1, iterations=1)
-    assert a.fault_log, "fault log should not be empty"
-    assert a.fault_log == b.fault_log
-    assert a.faulted.result.power_trace.tobytes() == (
-        b.faulted.result.power_trace.tobytes()
+    log = a.metrics["fault_log"]
+    assert log, "fault log should not be empty"
+    assert log == b.metrics["fault_log"]
+    assert a.arms["faulted"].result.power_trace.tobytes() == (
+        b.arms["faulted"].result.power_trace.tobytes()
     )
     report(
-        "\n".join(a.fault_log),
-        log_lines=len(a.fault_log),
+        "\n".join(log),
+        log_lines=len(log),
     )

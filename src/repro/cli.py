@@ -93,111 +93,41 @@ def _fig11(quick: bool, seed: int, csv_path: str | None = None) -> str:
     return fig11.format_table(result)
 
 
-def _resilience_checked(quick: bool, seed: int) -> tuple:
-    from repro.experiments import resilience, scorecard
-
-    result = resilience.run_resilience(
-        duration=600.0 if quick else 3600.0,
-        warmup=120.0 if quick else 300.0,
-        seed=seed,
-    )
-    table = resilience.format_table(result)
-    card = scorecard.score_resilience(result)
-    return f"{table}\n\n{card.render()}", card.all_passed
-
-
-def _resilience(quick: bool, seed: int) -> str:
-    return _resilience_checked(quick, seed)[0]
-
-
-def _partition(quick: bool, seed: int) -> tuple:
-    from repro.experiments import resilience, scorecard
-
-    result = resilience.run_partition_drill(
-        duration=600.0 if quick else 900.0,
-        partition_time=200.0 if quick else 300.0,
-        partition_duration=150.0 if quick else 240.0,
-        seed=seed,
-    )
-    table = resilience.format_partition_table(result)
-    card = scorecard.score_partition(result)
-    return f"{table}\n\n{card.render()}", card.all_passed
-
-
-def _headnode(
+def _drill(
+    name: str,
     quick: bool,
-    seed: int,
-    checkpoint_dir: str | None = None,
-    checkpoint_period: float = 30.0,
-) -> tuple:
-    from repro.experiments import resilience, scorecard
+    seed: int | None,
+    trace_out: str | None = None,
+    **params,
+) -> tuple[str, bool]:
+    """Run one resilience drill; returns its report and whether every claim
+    held.  ``seed=None`` keeps the drill's own calibrated default seed, and
+    ``params`` the drill does not take are ignored (the option belongs to
+    another drill)."""
+    from repro.experiments import resilience
 
-    result = resilience.run_headnode_recovery(
-        duration=600.0 if quick else 1800.0,
-        crash_time=200.0 if quick else 600.0,
-        down_for=45.0 if quick else 90.0,
+    known = resilience.SCENARIOS[name].params
+    result = resilience.run_drill(
+        name,
+        quick=quick,
         seed=seed,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_period=checkpoint_period,
+        **{k: v for k, v in params.items() if k in known and v is not None},
     )
-    table = resilience.format_headnode_table(result)
-    card = scorecard.score_headnode_recovery(result)
-    return f"{table}\n\n{card.render()}", card.all_passed
-
-
-def _byzantine(quick: bool, seed: int) -> tuple:
-    from repro.experiments import resilience, scorecard
-
-    result = resilience.run_byzantine_drill(
-        duration=600.0 if quick else 900.0,
-        seed=seed,
-    )
-    table = resilience.format_byzantine_table(result)
-    card = scorecard.score_byzantine(result)
-    return f"{table}\n\n{card.render()}", card.all_passed
-
-
-def _soak(seconds: float, seed: int, trace_out: str | None) -> tuple:
-    from repro.experiments import resilience, scorecard
-
-    result = resilience.run_chaos_soak(seconds=seconds, base_seed=seed)
-    table = resilience.format_soak_table(result)
-    card = scorecard.score_soak(result)
-    if trace_out is not None:
+    table = resilience.format_drill(result)
+    card = resilience.score(name, result)
+    if trace_out is not None and "violations" in result.metrics:
         from pathlib import Path
 
+        violations = result.metrics["violations"]
         path = Path(trace_out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            "\n".join(result.violations) + "\n" if result.violations else ""
-        )
+        path.write_text("\n".join(violations) + "\n" if violations else "")
         table += f"\n[violation trace written to {trace_out}]"
     return f"{table}\n\n{card.render()}", card.all_passed
 
 
-def _shed(quick: bool, seed: int) -> tuple:
-    # The drill is already short (fixed incident stagger over 900 simulated
-    # seconds); --quick changes nothing, the flag is accepted for symmetry.
-    del quick
-    from repro.experiments import resilience, scorecard
-
-    result = resilience.run_shed_drill(seed=seed)
-    table = resilience.format_shed_table(result)
-    card = scorecard.score_shed(result)
-    return f"{table}\n\n{card.render()}", card.all_passed
-
-
-def _plan_drill(quick: bool, seed: int) -> tuple:
-    from repro.experiments import resilience, scorecard
-
-    result = resilience.run_forecast_drill(
-        duration=600.0 if quick else 900.0,
-        warmup=120.0,
-        seed=seed,
-    )
-    table = resilience.format_forecast_table(result)
-    card = scorecard.score_forecast(result)
-    return f"{table}\n\n{card.render()}", card.all_passed
+def _resilience(quick: bool, seed: int) -> str:
+    return _drill("faults", quick, seed)[0]
 
 
 def _all_tasks(quick: bool, seed: int, out_dir: str | None) -> list:
@@ -344,19 +274,6 @@ def _add_observability_commands(sub) -> None:
     prof.add_argument(
         "--out", default=None, help="also write the report to this file"
     )
-    plan = sub.add_parser(
-        "plan",
-        help="predictive-planning drill: reactive vs forecast-driven "
-        "receding-horizon budgeting on the fig9 target",
-    )
-    plan.add_argument(
-        "--drill",
-        action="store_true",
-        help="run the forecast drill scorecard (reactive / predictive / "
-        "adversarial forecaster arms)",
-    )
-    plan.add_argument("--quick", action="store_true", help="scaled-down run")
-    plan.add_argument("--seed", type=int, default=0)
     trace = sub.add_parser(
         "trace", help="export or summarize structured JSONL traces"
     )
@@ -483,60 +400,39 @@ def main(argv: list[str] | None = None) -> int:
                 "--csv", default=None, help="also write the plotted series as CSV"
             )
         if name == "resilience":
+            from repro.experiments.resilience import SCENARIOS
+
             p.add_argument(
-                "--headnode-crash",
-                action="store_true",
-                help="run the head-node crash/recovery scenario instead of "
-                "the standard fault load",
-            )
-            p.add_argument(
-                "--partition",
-                action="store_true",
-                help="run the partition drill (cap leases + degraded "
-                "autonomy) instead of the standard fault load",
+                "--drill",
+                choices=list(SCENARIOS),
+                default="faults",
+                help="which drill to run and score (default: faults, the "
+                "fig9 workload under the standard fault load)",
             )
             p.add_argument(
                 "--checkpoint-dir",
                 default=None,
-                help="directory for the cluster-tier checkpoint/journal "
-                "(default: a fresh temp dir)",
+                help="headnode drill: directory for the cluster-tier "
+                "checkpoint/journal (default: a temp dir removed afterwards)",
             )
             p.add_argument(
                 "--checkpoint-period",
                 type=float,
-                default=30.0,
-                help="seconds between cluster-tier checkpoints (default 30)",
-            )
-            p.add_argument(
-                "--byzantine",
-                action="store_true",
-                help="run the byzantine drill: rogue job-tier endpoints "
-                "(stuck actuators, fabricated models) vs the cap-compliance "
-                "auditor",
-            )
-            p.add_argument(
-                "--soak",
-                action="store_true",
-                help="run a randomized chaos soak with online invariant "
-                "monitors for --seconds of wall-clock time",
+                default=None,
+                help="headnode drill: seconds between cluster-tier "
+                "checkpoints (default 30)",
             )
             p.add_argument(
                 "--seconds",
                 type=float,
-                default=60.0,
-                help="wall-clock budget for --soak (default 60)",
+                default=None,
+                help="soak drill: wall-clock budget (default 60)",
             )
             p.add_argument(
                 "--soak-trace",
                 default=None,
-                help="write the soak's invariant-violation trace to this file",
-            )
-            p.add_argument(
-                "--shed",
-                action="store_true",
-                help="run the graceful-degradation shed drill: staggered "
-                "facility incidents walk the severity ladder (brownouts to "
-                "blackstart) against priority-tiered shedding",
+                help="soak drill: write the invariant-violation trace to "
+                "this file",
             )
         if name == "all":
             p.add_argument("--seed", type=int, default=0)
@@ -550,9 +446,8 @@ def main(argv: list[str] | None = None) -> int:
                 "once per seed, sharing one worker pool across the sweep",
             )
         else:
-            # The byzantine drill and the soak have their own calibrated
-            # default seeds; None lets the dispatcher tell "no --seed given"
-            # from an explicit 0.
+            # Each drill has its own calibrated default seed; None lets
+            # the dispatcher tell "no --seed given" from an explicit 0.
             p.add_argument(
                 "--seed", type=int, default=None if name == "resilience" else 0
             )
@@ -579,13 +474,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
         return 0
-    if args.experiment == "plan":
-        start = time.perf_counter()
-        table, ok = _plan_drill(args.quick, args.seed)
-        print(table)
-        print(f"\n[plan completed in {time.perf_counter() - start:.1f}s]")
-        # Like the resilience scenarios: a failed claim fails the caller.
-        return 0 if ok else 1
     if args.experiment == "trace":
         if args.trace_command == "export":
             print(_run_trace_export(args.out, args.duration, args.seed))
@@ -605,41 +493,17 @@ def main(argv: list[str] | None = None) -> int:
             args.quick, args.seed, args.out, jobs=args.jobs, seeds=all_seeds
         )
     elif args.experiment == "resilience" and not args.seeds:
-        scenarios = [
-            flag
-            for flag in ("headnode_crash", "partition", "byzantine", "soak", "shed")
-            if getattr(args, flag)
-        ]
-        if len(scenarios) > 1:
-            parser.error(
-                "--headnode-crash, --partition, --byzantine, --soak and "
-                "--shed are exclusive"
-            )
-        scenario = scenarios[0] if scenarios else None
-        seed = args.seed
-        if scenario == "headnode_crash":
-            table, ok = _headnode(
-                args.quick,
-                seed if seed is not None else 0,
-                args.checkpoint_dir,
-                args.checkpoint_period,
-            )
-        elif scenario == "partition":
-            table, ok = _partition(args.quick, seed if seed is not None else 0)
-        elif scenario == "byzantine":
-            table, ok = _byzantine(args.quick, seed if seed is not None else 3)
-        elif scenario == "soak":
-            table, ok = _soak(
-                args.seconds, seed if seed is not None else 7, args.soak_trace
-            )
-        elif scenario == "shed":
-            table, ok = _shed(args.quick, seed if seed is not None else 11)
-        else:
-            table, ok = _resilience_checked(
-                args.quick, seed if seed is not None else 0
-            )
-        # A resilience scenario is a claim check, not just a report: a
-        # failed scorecard claim must fail the invoking script/CI job.
+        table, ok = _drill(
+            args.drill,
+            args.quick,
+            args.seed,
+            args.soak_trace,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_period=args.checkpoint_period,
+            seconds=args.seconds,
+        )
+        # A drill is a claim check, not just a report: a failed scorecard
+        # claim must fail the invoking script/CI job.
         exit_code = 0 if ok else 1
     elif getattr(args, "seeds", None):
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]

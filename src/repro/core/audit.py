@@ -169,8 +169,9 @@ class _JobAudit:
 class CapComplianceAuditor:
     """Audits job-tier compliance from out-of-band metering each round.
 
-    Parameters mirror the ``AnorConfig.audit_*`` knobs; see the module
-    docstring for the checks and the state machine they drive.
+    ``AnorConfig.audit_enabled`` builds one with these defaults; see the
+    module docstring for the checks and the state machine the parameters
+    drive.
     """
 
     def __init__(

@@ -761,7 +761,7 @@ class ClusterPowerManager:
                 caps[job_id] = self.p_node_min
                 if tel and action == "cap-to-floor":
                     self._mx_shed_actions["cap-to-floor"].inc()
-            if action in ("preempt", "kill") and shed.request_shed(job_id, action):
+            if action in ("preempt", "kill") and shed.request_shed(job_id, action, now):
                 self.events.append(
                     f"t={now:.1f} {job_id}: shed {action} "
                     f"(severity={shed.severity})"

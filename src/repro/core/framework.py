@@ -140,19 +140,16 @@ class AnorConfig:
     safe_floor: float | None = None
     # Ack/retry reliability for the cap-dispatch and model-report paths.
     reliable_messaging: bool = False
-    reliable_window: int = 8
     reliable_base_backoff: float = 2.0
     reliable_max_backoff: float = 30.0
     partition_attempts: int = 3
     # How long a leaseless endpoint waits between attempts to re-dial a
     # closed link (only used once leases or reliable messaging are on).
     reconnect_backoff: float = 10.0
-    # Facility breaker: trips after ``breaker_trip_rounds`` consecutive
-    # rounds of measured power above target × (1 + margin).  None disables.
+    # Facility breaker: trips after consecutive rounds of measured power
+    # above target × (1 + margin) (``PowerBreaker.trip_rounds``).  None
+    # disables.
     breaker_margin: float | None = None
-    breaker_trip_rounds: int = 3
-    breaker_reset_rounds: int = 5
-    breaker_confirm_rounds: int = 3
     # Event-calendar stepping (DESIGN.md §7): between control events the run
     # loop advances the hardware emulator analytically across whole runs of
     # control-free ticks instead of executing them one by one.  Observables
@@ -165,18 +162,8 @@ class AnorConfig:
     # plane is bit-identical to the pre-audit implementation.  The auditor
     # compares out-of-band metered node power against each job's dispatched
     # cap, self-reported meter, and shipped model, and quarantines endpoints
-    # that stay non-compliant.
+    # that stay non-compliant (thresholds: ``CapComplianceAuditor`` defaults).
     audit_enabled: bool = False
-    audit_window: float = 30.0  # seconds of evidence per check
-    audit_tolerance: float = 0.10  # relative cap-compliance slack
-    audit_guardband: float = 20.0  # absolute W/node slack + quarantine pad
-    audit_mismatch_tolerance: float = 0.25  # self-report vs metered, relative
-    audit_model_error: float = 0.35  # shipped-model plausibility, relative
-    audit_min_epochs: int = 3  # epochs needed for a model replay
-    audit_suspect_rounds: int = 3  # consecutive violations to quarantine
-    audit_quarantine_rounds: int = 5  # compliant rounds to rehabilitate
-    audit_clear_rounds: int = 5  # clean rounds back to trusted
-    audit_probe_margin: float = 0.15  # probe-cap shave while quarantined
     # Predictive planning (DESIGN.md §9).  Off by default: with
     # ``plan_enabled`` False no planner is constructed and the control plane
     # is bit-identical to the reactive implementation in both event_driven
@@ -207,8 +194,6 @@ class AnorConfig:
     shed_brownout1_deficit: float = 0.10
     shed_brownout2_deficit: float = 0.25
     shed_blackstart_deficit: float = 0.50
-    shed_escalate_rounds: int = 2
-    shed_clear_rounds: int = 5
     shed_classes: dict | None = None  # claimed job type -> shed class
     shed_default_class: str = "checkpointable"
     # Internal: held True by the fault injector while a cluster-wide
@@ -233,27 +218,14 @@ class AnorConfig:
             "stale_status_timeout": self.stale_status_timeout,
             "dead_job_timeout": self.dead_job_timeout,
             "telemetry_ring_size": self.telemetry_ring_size,
-            "reliable_window": self.reliable_window,
             "reliable_base_backoff": self.reliable_base_backoff,
             "reliable_max_backoff": self.reliable_max_backoff,
             "partition_attempts": self.partition_attempts,
             "reconnect_backoff": self.reconnect_backoff,
-            "breaker_trip_rounds": self.breaker_trip_rounds,
-            "breaker_reset_rounds": self.breaker_reset_rounds,
-            "breaker_confirm_rounds": self.breaker_confirm_rounds,
-            "audit_window": self.audit_window,
-            "audit_mismatch_tolerance": self.audit_mismatch_tolerance,
-            "audit_model_error": self.audit_model_error,
-            "audit_min_epochs": self.audit_min_epochs,
-            "audit_suspect_rounds": self.audit_suspect_rounds,
-            "audit_quarantine_rounds": self.audit_quarantine_rounds,
-            "audit_clear_rounds": self.audit_clear_rounds,
             "plan_horizon_rounds": self.plan_horizon_rounds,
             "plan_error_bound_watts": self.plan_error_bound_watts,
             "plan_error_window": self.plan_error_window,
             "shed_ramp_watts": self.shed_ramp_watts,
-            "shed_escalate_rounds": self.shed_escalate_rounds,
-            "shed_clear_rounds": self.shed_clear_rounds,
         }
         for name, value in positive.items():
             if value <= 0:
@@ -262,8 +234,6 @@ class AnorConfig:
             "idle_power": self.idle_power,
             "lease_ramp_seconds": self.lease_ramp_seconds,
             "max_requeues": self.max_requeues,
-            "audit_tolerance": self.audit_tolerance,
-            "audit_guardband": self.audit_guardband,
             "plan_hysteresis_watts": self.plan_hysteresis_watts,
             "plan_shadow_rounds": self.plan_shadow_rounds,
         }
@@ -285,11 +255,6 @@ class AnorConfig:
             raise ValueError(
                 "link_drop_probability must be in [0, 1), got "
                 f"{self.link_drop_probability}"
-            )
-        if not 0.0 < self.audit_probe_margin < 1.0:
-            raise ValueError(
-                "audit_probe_margin must be in (0, 1), got "
-                f"{self.audit_probe_margin}"
             )
         if self.plan_forecaster not in FORECASTER_KINDS:
             raise ValueError(
@@ -508,12 +473,7 @@ class AnorSystem:
         if cfg.breaker_margin is not None:
             # A fresh breaker per manager build: breaker state is head-local
             # and does not survive a head-node crash (it re-arms closed).
-            breaker = PowerBreaker(
-                margin=cfg.breaker_margin,
-                trip_rounds=cfg.breaker_trip_rounds,
-                reset_rounds=cfg.breaker_reset_rounds,
-                confirm_rounds=cfg.breaker_confirm_rounds,
-            )
+            breaker = PowerBreaker(margin=cfg.breaker_margin)
         auditor = None
         if cfg.audit_enabled:
             # Fresh auditor per manager build: trust state is deliberately
@@ -524,16 +484,6 @@ class AnorSystem:
                 p_node_min=P_NODE_MIN,
                 p_node_max=P_NODE_MAX,
                 idle_power=cfg.idle_power,
-                window=cfg.audit_window,
-                tolerance=cfg.audit_tolerance,
-                guardband=cfg.audit_guardband,
-                mismatch_tolerance=cfg.audit_mismatch_tolerance,
-                model_error=cfg.audit_model_error,
-                min_epochs=cfg.audit_min_epochs,
-                suspect_rounds=cfg.audit_suspect_rounds,
-                quarantine_rounds=cfg.audit_quarantine_rounds,
-                clear_rounds=cfg.audit_clear_rounds,
-                probe_margin=cfg.audit_probe_margin,
                 telemetry=self.telemetry,
             )
         planner = None
@@ -568,8 +518,6 @@ class AnorSystem:
                     brownout1_deficit=cfg.shed_brownout1_deficit,
                     brownout2_deficit=cfg.shed_brownout2_deficit,
                     blackstart_deficit=cfg.shed_blackstart_deficit,
-                    escalate_rounds=cfg.shed_escalate_rounds,
-                    clear_rounds=cfg.shed_clear_rounds,
                     ramp_watts_per_round=cfg.shed_ramp_watts,
                 ),
                 classes=dict(cfg.shed_classes or {}),
@@ -817,7 +765,6 @@ class AnorSystem:
             return raw, raw
         self._link_serial += 1
         common = dict(
-            window=cfg.reliable_window,
             base_backoff=cfg.reliable_base_backoff,
             max_backoff=cfg.reliable_max_backoff,
             partition_attempts=cfg.partition_attempts,
@@ -1495,8 +1442,7 @@ class AnorSystem:
         # the exact predicates are replayed below).  The duration cap is
         # suppressed only while ``until_idle`` still has work to drain; work
         # can only *vanish* at a completion, which ends the stride anyway.
-        has_work = bool(self._pending or self._queue or self.cluster.running)
-        duration_caps = duration is not None and not (until_idle and has_work)
+        duration_caps = duration is not None and not (until_idle and self.has_work)
         if duration_caps:
             quick = min(quick, int((start + duration - now) / tick) + 1)
         quick = min(quick, int((start + max_time - now) / tick) + 1)
@@ -1554,6 +1500,11 @@ class AnorSystem:
         self._finish_completed(float(times[last]))
         return True
 
+    @property
+    def has_work(self) -> bool:
+        """True while any job is yet to arrive, queued, or running."""
+        return bool(self._pending or self._queue or self.cluster.running)
+
     def run(
         self,
         duration: float | None = None,
@@ -1576,11 +1527,9 @@ class AnorSystem:
             if duration is not None and elapsed >= duration:
                 if not until_idle:
                     break
-                if not (self._pending or self._queue or self.cluster.running):
+                if not self.has_work:
                     break
-            if duration is None and not (
-                self._pending or self._queue or self.cluster.running
-            ):
+            if duration is None and not self.has_work:
                 break
             if elapsed >= max_time:
                 break

@@ -1,18 +1,26 @@
-"""Resilience scorecard: the Fig. 9 workload under the standard fault load.
+"""Resilience drills: seven scenarios as data, one kernel that runs them.
 
 The paper evaluates demand-response tracking on a healthy cluster; a
 deployable framework must keep tracking through the faults real clusters
-throw at it.  This experiment runs the *same* Fig. 9 workload (same seed,
-same arrival schedule, same target signal) twice — once healthy, once under
-:meth:`~repro.faults.FaultSchedule.standard_load` (one node crash, one
-endpoint crash, 5 % link loss across the run, one corrupt status, one 60 s
-meter outage) — and compares:
+throw at it.  Each *drill* scores one safety layer by running the same
+seeded workload through two or three **arms** that differ only in the
+faults they take or the layer being switched on, and comparing them.
 
-* tracking error (90th percentile, post-warmup) — faults must cost at most
-  a bounded factor, not blow up control;
-* completion — every submitted job drains, including the crash-requeued one;
-* hygiene — zero ghost ``JobRecord`` entries once the cluster drains, and
-  the fault event log is fully accounted for (every window closed).
+A drill is a :class:`Scenario` value: a workload, a target, common
+:class:`~repro.core.framework.AnorConfig` overrides, named arms, default and
+``--quick`` parameters, a ``metrics(arms, params) -> dict`` function, claims
+as predicates over that dict, and table rows as ``(label, render)`` pairs.
+:func:`run_drill` builds and drives every arm with one drive-to-drain loop,
+:func:`format_drill` prints any result and :func:`score` checks its claims.
+The measurements several drills share (:func:`lost_jobs`,
+:func:`double_admitted`, :func:`convergence_time`,
+:func:`rounds_over_ceiling`, :func:`longest_over_limit`,
+:func:`overshoot_stats`) are stated once, below the kernel.
+
+Adding a drill means adding one ``Scenario`` to :data:`SCENARIOS`: the CLI
+(``anor resilience --drill NAME``) and the golden test in
+``tests/test_drills.py`` take their names from it, and CI's ``drills`` job
+is a matrix over the same names.
 """
 
 from __future__ import annotations
@@ -20,15 +28,16 @@ from __future__ import annotations
 import math
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.analysis.tracking import tracking_error_series
 from repro.aqa.regulation import BoundedRandomWalkSignal
-from repro.budget.even_slowdown import EvenSlowdownBudgeter
-from repro.core.framework import AnorConfig, AnorResult, AnorSystem, precharacterized_models
+from repro.core.framework import AnorConfig, AnorResult, AnorSystem
 from repro.core.targets import (
     ConstantTarget,
     PowerTargetSource,
@@ -40,16 +49,14 @@ from repro.core.targets import (
 from repro.experiments.fig9 import (
     DEFAULT_AVERAGE_POWER,
     DEFAULT_RESERVE,
-    Fig9Result,
     build_demand_response_system,
 )
-from repro.facility.shed import SEVERITY_VALUES
+from repro.experiments.scorecard import Claim, Scorecard, evaluate
 from repro.faults.events import (
     ByzantineModel,
     DemandResponseEmergency,
     FeederLoss,
     HeadNodeCrash,
-    MeterDrift,
     NetworkPartition,
     PartitionEnd,
     PartitionStart,
@@ -57,77 +64,346 @@ from repro.faults.events import (
     ThermalDerate,
 )
 from repro.faults.schedule import FaultSchedule
-from repro.modeling.classifier import JobClassifier
 from repro.telemetry import summarize_incidents
-from repro.workloads.generator import PoissonScheduleGenerator
-from repro.workloads.nas import NAS_TYPES, P_NODE_MIN, long_running_mix
+from repro.workloads.nas import P_NODE_MIN
 
 __all__ = [
-    "ResilienceResult",
-    "run_resilience",
-    "format_table",
-    "HeadNodeRecoveryResult",
-    "run_headnode_recovery",
-    "format_headnode_table",
-    "PartitionDrillResult",
-    "run_partition_drill",
-    "format_partition_table",
-    "ByzantineDrillResult",
-    "run_byzantine_drill",
-    "format_byzantine_table",
-    "ChaosSoakResult",
-    "run_chaos_soak",
-    "format_soak_table",
-    "ForecastDrillResult",
-    "run_forecast_drill",
-    "format_forecast_table",
-    "ShedDrillResult",
-    "run_shed_drill",
-    "format_shed_table",
+    "Arm",
+    "ArmRun",
+    "DrillRun",
+    "Scenario",
+    "SCENARIOS",
+    "run_drill",
+    "format_drill",
+    "score",
+    "lost_jobs",
+    "double_admitted",
+    "convergence_time",
+    "rounds_over_ceiling",
+    "longest_over_limit",
+    "overshoot_stats",
 ]
 
 
+# ------------------------------------------------------------------ kernel
+
+
+@dataclass(frozen=True)
+class Arm:
+    """One run of a scenario.
+
+    ``config`` overrides the scenario's common ``AnorConfig`` keywords for
+    this arm only; ``faults`` builds the arm's fault schedule from the
+    drill parameters (``None``: the arm runs fault-free).
+    """
+
+    config: Mapping = field(default_factory=dict)
+    faults: Callable[[dict], FaultSchedule] | None = None
+
+
 @dataclass
-class ResilienceResult:
-    """Healthy-vs-faulted comparison of one demand-response run."""
+class ArmRun:
+    """What one arm left behind.
 
-    healthy: Fig9Result
-    faulted: Fig9Result
-    schedule: FaultSchedule
-    ghost_jobs: int  # manager JobRecords alive after the settle window
-    injector_quiescent: bool  # every event fired, every fault window closed
-    # Telemetry streams from the faulted run (DESIGN.md §8): incidents by
-    # category (event bus) and control-plane decision counters (registry).
-    incident_counts: dict[str, int] = field(default_factory=dict)
-    decision_counts: dict[str, float] = field(default_factory=dict)
+    ``rounds`` has one row per manager round: (time, budget ceiling =
+    max(target + correction, floor), planned draw = idle + reserved +
+    allocated) followed by whatever the scenario's ``sample`` adds.
+    ``system`` is the live system after the drain, so a metric reads
+    ``system.manager.auditor.transitions`` or ``system.telemetry
+    .incident_counts`` where it needs them instead of having them copied out.
+    """
 
-    @property
-    def healthy_error90(self) -> float:
-        return self.healthy.error_at_90th()
+    result: AnorResult
+    rounds: np.ndarray
+    system: AnorSystem
 
-    @property
-    def faulted_error90(self) -> float:
-        return self.faulted.error_at_90th()
 
-    @property
-    def degradation_ratio(self) -> float:
-        """Faulted / healthy 90th-percentile tracking error."""
-        base = self.healthy_error90
-        return self.faulted_error90 / base if base > 0 else float("inf")
+@dataclass(frozen=True)
+class Scenario:
+    """A drill, as data.  See the module docstring for the parts."""
 
-    @property
-    def requeued(self) -> list[str]:
-        return self.faulted.result.requeued
+    doc: str
+    workload: str  # key of _UTILIZATION
+    params: Mapping  # defaults, including ``seed`` and ``duration``
+    quick: Mapping  # overrides applied by ``--quick``
+    arms: Mapping[str, Arm] | Callable[[dict], Iterable[tuple[str, Arm]]]
+    metrics: Callable[[dict[str, ArmRun], dict], dict]
+    claims: tuple[tuple[str, Callable[[dict], bool]], ...]
+    rows: tuple[tuple[str, Callable[[dict, dict], object]], ...]
+    config: Callable[[dict], dict] = lambda p: {}
+    # None: the Fig. 9 regulation target the system builder makes itself.
+    target: Callable[[dict], PowerTargetSource | None] = lambda p: None
+    # Integral-trim gain forced onto every arm's manager (None: leave it).
+    correction_gain: float | None = None
+    # Keep stepping for dead_job_timeout + 10 s after the drain: goodbyes are
+    # still in flight then, and a silently-dead record needs the timeout to
+    # pass before it is evicted, so ghosts can only be counted afterwards.
+    settle: bool = False
+    # Extra per-round columns appended to ``ArmRun.rounds``.
+    sample: Callable[[AnorSystem], tuple] | None = None
+    # Applied to each arm as soon as it drains; ``metrics`` then sees what it
+    # returned instead of the ``ArmRun``.  For a scenario with an open-ended
+    # number of arms, so that their live systems are not all kept.
+    reduce: Callable[[ArmRun, dict], object] | None = None
 
-    @property
-    def requeued_completed(self) -> bool:
-        """Every job requeued by a crash eventually produced totals."""
-        done = {t.job_id for t in self.faulted.result.completed}
-        return all(job_id in done for job_id in self.requeued)
 
-    @property
-    def fault_log(self) -> list[str]:
-        return self.faulted.result.fault_log
+@dataclass
+class DrillRun:
+    name: str
+    params: dict
+    arms: dict  # arm name -> ArmRun (or what the scenario's ``reduce`` made of it)
+    metrics: dict
+
+
+#: The paper's emulated cluster.
+_NODES = 16
+
+#: Node utilization of the two workloads, both the six long-running NAS types
+#: of Figs. 9–10.  ``static`` leaves more headroom and is paired with a
+#: static (or once-stepped) target, which makes a golden-vs-faulted
+#: comparison exact: every divergence between two arms is attributable to
+#: the fault, not to target motion racing the recovery.
+_UTILIZATION = {"static": 0.9, "fig9": 0.95}
+
+#: Safety stop: an arm that has not drained this long after ``duration``
+#: is cut off (its unstarted jobs then fail the drain claims).
+_DRAIN_LIMIT = 7200.0
+
+#: Float slack on planned ≤ ceiling.  0.1 W on a multi-kilowatt ceiling
+#: absorbs the budgeter's bisection/fp slop (present in healthy runs too);
+#: anything beyond it is a real over-commitment.
+_PLAN_SLACK = 0.1
+
+
+def _drive(system: AnorSystem, scenario: Scenario, max_time: float) -> ArmRun:
+    """Step a system until it drains, sampling every manager round."""
+    sample = scenario.sample
+    rows: list[tuple] = []
+    last_time = None
+    while system.has_work and system.cluster.clock.now < max_time:
+        system.step()
+        mgr = system.manager  # None while the head node is down
+        rnd = mgr.last_round if mgr is not None else None
+        if rnd is not None and rnd.time != last_time:
+            last_time = rnd.time
+            ceiling = max(rnd.target + rnd.correction, rnd.floor)
+            planned = rnd.idle_power + rnd.reserved + rnd.allocated
+            extra = sample(system) if sample is not None else ()
+            rows.append((rnd.time, ceiling, planned, *extra))
+    result = system.run(0.0)
+    if scenario.settle:
+        for _ in range(int(system.config.dead_job_timeout) + 10):
+            system.step()
+    return ArmRun(result, np.asarray(rows) if rows else np.empty((0, 3)), system)
+
+
+def run_drill(
+    name: str, *, quick: bool = False, seed: int | None = None, **params
+) -> DrillRun:
+    """Run every arm of scenario ``name`` and compute its metrics.
+
+    ``params`` override the scenario's defaults (after the ``--quick``
+    overrides, when asked for); ``seed=None`` keeps the scenario's own
+    calibrated default seed.
+    """
+    scenario = SCENARIOS[name]
+    unknown = sorted(set(params) - set(scenario.params))
+    if unknown:
+        raise TypeError(f"drill {name!r} has no parameter(s) {unknown}")
+    p = {**scenario.params, **(scenario.quick if quick else {}), **params}
+    if seed is not None:
+        p["seed"] = seed
+    target = scenario.target(p)
+    common = {
+        "num_nodes": _NODES,
+        "seed": p["seed"],
+        # Incidents and decision counters feed the reports; bit-identity
+        # with telemetry off is pinned by tests/test_telemetry_noop.py.
+        "telemetry_enabled": True,
+        **scenario.config(p),
+    }
+    arms = scenario.arms(p) if callable(scenario.arms) else scenario.arms.items()
+    runs: dict = {}
+    with ExitStack() as stack:
+        for arm_name, arm in arms:
+            cfg = {**common, **arm.config}
+            if "checkpoint_dir" in cfg:
+                # A durable scenario: every arm checkpoints (so the cost of
+                # persistence is on both sides of the comparison), each into
+                # its own subdirectory — of a temporary directory that lives
+                # only as long as the drill when the caller named none.
+                base = cfg["checkpoint_dir"] or stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix=f"anor-{name}-")
+                )
+                cfg["checkpoint_dir"] = str(Path(base) / arm_name)
+            system = build_demand_response_system(
+                duration=p["duration"],
+                utilization=_UTILIZATION[scenario.workload],
+                num_nodes=_NODES,
+                seed=cfg["seed"],
+                target_source=target,
+                config=AnorConfig(**cfg),
+                fault_schedule=arm.faults(p) if arm.faults is not None else None,
+            )
+            if scenario.correction_gain is not None:
+                system.manager.correction_gain = scenario.correction_gain
+            run = _drive(system, scenario, p["duration"] + _DRAIN_LIMIT)
+            runs[arm_name] = scenario.reduce(run, p) if scenario.reduce else run
+        metrics = scenario.metrics(runs, p)
+    return DrillRun(name=name, params=p, arms=runs, metrics=metrics)
+
+
+def format_drill(res: DrillRun) -> str:
+    """Render a drill's table: one line per scalar row, a block per list."""
+    rows = [
+        (label, render(res.metrics, res.params))
+        for label, render in SCENARIOS[res.name].rows
+    ]
+    width = max(len(label) for label, value in rows if not isinstance(value, list))
+    lines: list[str] = []
+    for label, value in rows:
+        if not isinstance(value, list):
+            lines.append(f"{label:<{width}} : {value}")
+        elif value:
+            lines.append(f"{label}:")
+            lines.extend(f"  {item}" for item in value)
+    return "\n".join(lines)
+
+
+def score(name: str, res: DrillRun) -> Scorecard:
+    """Evaluate scenario ``name``'s claims over a result's metrics."""
+    claims = [Claim(name, text, check) for text, check in SCENARIOS[name].claims]
+    return evaluate(claims, res.metrics)
+
+
+# ----------------------------------------------------- shared measurements
+
+
+def _ids(result: AnorResult) -> set[str]:
+    return {t.job_id for t in result.completed}
+
+
+def lost_jobs(reference: AnorResult, run: AnorResult) -> list[str]:
+    """Jobs the reference run completed that ``run`` did not."""
+    return sorted(_ids(reference) - _ids(run))
+
+
+def double_admitted(run: AnorResult) -> list[str]:
+    """Jobs that produced completion totals more than once."""
+    seen: dict[str, int] = {}
+    for t in run.completed:
+        seen[t.job_id] = seen.get(t.job_id, 0) + 1
+    return sorted(j for j, n in seen.items() if n > 1)
+
+
+def convergence_time(
+    reference: AnorResult,
+    run: AnorResult,
+    *,
+    after: float,
+    tol_watts: float,
+    window: int = 30,
+) -> float | None:
+    """Seconds past ``after`` until ``run``'s power trace re-converges.
+
+    Convergence = measured power staying within ``tol_watts`` of the
+    reference run's for ``window`` consecutive samples.  ``None`` = never.
+    """
+    ref, got = reference.power_trace, run.power_trace
+    n = min(len(ref), len(got))
+    if n == 0:
+        return None
+    close = np.abs(got[:n, 2] - ref[:n, 2]) <= tol_watts
+    start = int(np.searchsorted(got[:n, 0], after))
+    for i in range(start, n - window + 1):
+        if close[i : i + window].all():
+            return float(got[i, 0] - after)
+    return None
+
+
+def rounds_over_ceiling(rounds: np.ndarray) -> np.ndarray:
+    """The budget rounds whose planned draw exceeded the enforceable ceiling
+    (by more than float slack) — the never-exceed-target invariant."""
+    return rounds[rounds[:, 2] > rounds[:, 1] + _PLAN_SLACK]
+
+
+def longest_over_limit(
+    trace: np.ndarray, *, floor: float, tol: float, after: float
+) -> float:
+    """Longest contiguous stretch past ``after`` with measured power above
+    ``max(target, floor)·(1+tol)``, in seconds."""
+    if not len(trace):
+        return 0.0
+    t, target, measured = trace[:, 0], trace[:, 1], trace[:, 2]
+    over = (measured > np.maximum(target, floor) * (1.0 + tol)) & (t >= after)
+    best, start = 0.0, None
+    for i in range(len(t)):
+        if over[i]:
+            if start is None:
+                start = t[i]
+            best = max(best, float(t[i] - start))
+        else:
+            start = None
+    return best
+
+
+def overshoot_stats(trace: np.ndarray, t0: float, t1: float) -> tuple[float, float]:
+    """(over-target energy in J, mean measured−target in W) on [t0, t1)."""
+    if not len(trace):
+        return 0.0, 0.0
+    mask = (trace[:, 0] >= t0) & (trace[:, 0] < t1)
+    t, target, measured = trace[mask, 0], trace[mask, 1], trace[mask, 2]
+    if len(t) < 2:
+        return 0.0, 0.0
+    dt = np.diff(t, append=t[-1])
+    over = np.maximum(measured - target, 0.0)
+    return float(np.sum(over * dt)), float(np.mean(measured - target))
+
+
+def _error90(result: AnorResult, p: dict) -> float:
+    """90th-percentile tracking error over the scheduled window only: past
+    ``duration`` the cluster is draining toward empty while the target stays
+    committed, and that tail would swamp any comparison between arms."""
+    trace = result.power_trace
+    errors = tracking_error_series(
+        trace[trace[:, 0] <= p["duration"]],
+        DEFAULT_RESERVE,
+        t_start=p["warmup"],
+        smooth_samples=4,
+    )
+    return float(np.percentile(errors, 90))
+
+
+def _quarantines(system: AnorSystem) -> dict[str, float]:
+    """job_id -> first quarantine time, from the auditor's transition log."""
+    out: dict[str, float] = {}
+    for t in system.manager.auditor.transitions:
+        if t.new == "quarantined":
+            out.setdefault(t.job_id, t.time)
+    return out
+
+
+# ---------------------------------------------------------- table helpers
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "NO"
+
+
+def _listed(items: list) -> str:
+    return f"{len(items)}" + (f"  {items}" if items else "")
+
+
+def _seconds(value: float | None, what: str) -> str:
+    return f"{value:.0f}s after {what}" if value is not None else "NEVER"
+
+
+def _incidents(m: dict, p: dict) -> list[str]:
+    counts = m["incident_counts"]
+    return [line.strip() for line in summarize_incidents(counts)] if counts else []
+
+
+# ------------------------------------------------------------------ faults
 
 
 def _decision_summary(system: AnorSystem) -> dict[str, float]:
@@ -147,954 +423,585 @@ def _decision_summary(system: AnorSystem) -> dict[str, float]:
         "statuses rejected": "anor_statuses_rejected_total",
         "jobs evicted": "anor_jobs_evicted_total",
         "meter faults": "anor_meter_faults_total",
-        "link msgs dropped": "anor_link_messages_dropped_total",
     }
-    out: dict[str, float] = {}
-    for label, metric in names.items():
-        if metric == "anor_link_messages_dropped_total":
-            # Labelled by reason; sum the family.
-            total = 0.0
-            for name, _, _, rows in reg.families():
-                if name == metric:
-                    total = sum(inst.value for _, inst in rows)
-            out[label] = total
-            continue
-        value = reg.get_value(metric)
-        if value is not None:
-            out[label] = value
+    out = {
+        label: value
+        for label, metric in names.items()
+        if (value := reg.get_value(metric)) is not None
+    }
+    # Labelled by reason; sum the family.
+    out["link msgs dropped"] = sum(
+        inst.value
+        for name, _, _, rows in reg.families()
+        if name == "anor_link_messages_dropped_total"
+        for _, inst in rows
+    )
     return out
 
 
-def _run_one(
-    *,
-    duration: float,
-    seed: int,
-    warmup: float,
-    average_power: float,
-    reserve: float,
-    fault_schedule: FaultSchedule | None,
-) -> tuple[Fig9Result, int, bool, AnorSystem]:
-    # Telemetry rides along on the faulted/healthy comparison: incidents and
-    # decision counters feed the resilience report, and bit-identity with
-    # telemetry off is separately pinned by tests/test_telemetry_noop.py.
-    system = build_demand_response_system(
-        duration=duration,
-        average_power=average_power,
-        reserve=reserve,
-        seed=seed,
-        fault_schedule=fault_schedule,
-        config=AnorConfig(seed=seed, telemetry_enabled=True),
-    )
-    result = system.run(duration, until_idle=True, max_time=duration + 3600.0)
-    # Settle: after the last job drains, goodbyes are still in flight and any
-    # silently-dead record needs dead_job_timeout to pass before eviction.
-    settle = int(system.config.dead_job_timeout + 10)
-    for _ in range(settle):
-        system.step()
-    # Score tracking only over the scheduled window: past `duration` the
-    # cluster is draining toward empty while the target stays committed, so
-    # the tail would swamp the healthy-vs-faulted comparison for both runs.
-    trace = result.power_trace
-    if len(trace):
-        result = replace(result, power_trace=trace[trace[:, 0] <= duration])
-    fig9 = Fig9Result(
-        result=result,
-        average_power=average_power,
-        reserve=reserve,
-        warmup=warmup,
-    )
-    quiescent = system.faults.quiescent if system.faults is not None else True
-    ghosts = len(system.manager.jobs) if system.manager is not None else 0
-    return fig9, ghosts, quiescent, system
+def _faults_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
+    healthy, faulted = arms["healthy"], arms["faulted"]
+    base, err = _error90(healthy.result, p), _error90(faulted.result, p)
+    done = _ids(faulted.result)
+    requeued = list(faulted.result.requeued)
+    return {
+        "healthy_error90": base,
+        "faulted_error90": err,
+        "degradation_ratio": err / base if base > 0 else math.inf,
+        "completed_healthy": len(healthy.result.completed),
+        "completed_faulted": len(faulted.result.completed),
+        "unstarted_faulted": faulted.result.unstarted_jobs,
+        "requeued": requeued,
+        "requeued_completed": all(job_id in done for job_id in requeued),
+        "ghost_jobs": len(faulted.system.manager.jobs),
+        "injector_quiescent": faulted.system.faults.quiescent,
+        "fault_log": list(faulted.result.fault_log),
+        "incident_counts": dict(faulted.system.telemetry.incident_counts),
+        "decision_counts": _decision_summary(faulted.system),
+    }
 
 
-def run_resilience(
-    *,
-    duration: float = 3600.0,
-    seed: int = 0,
-    warmup: float = 300.0,
-    average_power: float = DEFAULT_AVERAGE_POWER,
-    reserve: float = DEFAULT_RESERVE,
-    schedule: FaultSchedule | None = None,
-) -> ResilienceResult:
-    """Run the Fig. 9 workload healthy and under a fault load, and compare."""
-    if schedule is None:
-        schedule = FaultSchedule.standard_load(duration)
-    healthy, _, _, _ = _run_one(
-        duration=duration,
-        seed=seed,
-        warmup=warmup,
-        average_power=average_power,
-        reserve=reserve,
-        fault_schedule=None,
-    )
-    faulted, ghosts, quiescent, faulted_sys = _run_one(
-        duration=duration,
-        seed=seed,
-        warmup=warmup,
-        average_power=average_power,
-        reserve=reserve,
-        fault_schedule=schedule,
-    )
-    return ResilienceResult(
-        healthy=healthy,
-        faulted=faulted,
-        schedule=schedule,
-        ghost_jobs=ghosts,
-        injector_quiescent=quiescent,
-        incident_counts=faulted_sys.telemetry.incident_counts,
-        decision_counts=_decision_summary(faulted_sys),
-    )
+_FAULTS = Scenario(
+    doc="""The Fig. 9 workload under the standard fault load.
+
+    The *same* Fig. 9 workload (same seed, same arrival schedule, same target
+    signal) runs twice — once healthy, once under
+    :meth:`~repro.faults.FaultSchedule.standard_load` (one node crash, one
+    endpoint crash, 5 % link loss across the run, one corrupt status, one
+    60 s meter outage) — and the arms are compared on tracking error (90th
+    percentile, post-warmup: faults must cost at most a bounded factor, not
+    blow up control), completion (every submitted job drains, including the
+    crash-requeued one) and hygiene (zero ghost ``JobRecord`` entries once
+    the cluster drains, every fault window closed).
+    """,
+    workload="fig9",
+    params={"seed": 0, "duration": 3600.0, "warmup": 300.0},
+    quick={"duration": 600.0, "warmup": 120.0},
+    arms={
+        "healthy": Arm(),
+        "faulted": Arm(faults=lambda p: FaultSchedule.standard_load(p["duration"])),
+    },
+    settle=True,
+    metrics=_faults_metrics,
+    claims=(
+        ("faulted run drains every submitted job",
+         lambda m: m["unstarted_faulted"] == 0),
+        ("jobs requeued by the node crash all finish",
+         lambda m: m["requeued_completed"]),
+        ("no ghost job records survive the drain",
+         lambda m: m["ghost_jobs"] == 0),
+        ("every fault fired and every fault window closed",
+         lambda m: m["injector_quiescent"]),
+        ("tracking error stays within 1.5x of healthy (90th pct)",
+         lambda m: m["degradation_ratio"] <= 1.5),
+    ),
+    rows=(
+        ("healthy tracking error 90th pct",
+         lambda m, p: f"{100 * m['healthy_error90']:5.1f}%"),
+        ("faulted tracking error 90th pct",
+         lambda m, p: f"{100 * m['faulted_error90']:5.1f}%"
+         f"  ({m['degradation_ratio']:.2f}x healthy, bound 1.50x)"),
+        ("jobs completed healthy/faulted",
+         lambda m, p: f"{m['completed_healthy']}/{m['completed_faulted']}"),
+        ("jobs requeued by crashes",
+         lambda m, p: f"{len(m['requeued'])}"
+         f"  (all finished: {_yes(m['requeued_completed'])})"),
+        ("ghost job records at drain", lambda m, p: m["ghost_jobs"]),
+        ("fault windows all closed", lambda m, p: _yes(m["injector_quiescent"])),
+        ("fault event log", lambda m, p: m["fault_log"]),
+        ("incident summary", _incidents),
+        ("control-plane decisions (faulted run)",
+         lambda m, p: [
+             f"{label:<{max(map(len, m['decision_counts']))}} : {int(value)}"
+             for label, value in m["decision_counts"].items()
+         ]),
+    ),
+)
 
 
-def _build_static_system(
-    *,
-    duration: float,
-    seed: int,
-    target_power: float,
-    num_nodes: int,
-    checkpoint_dir: str | None,
-    checkpoint_period: float,
-    recovery_timeout: float,
-    fault_schedule: FaultSchedule | None,
-    target_source: PowerTargetSource | None = None,
-    lease_ttl: float | None = None,
-    lease_ramp_seconds: float = 30.0,
-    reliable_messaging: bool = False,
-    breaker_margin: float | None = None,
-    audit_enabled: bool = False,
-    correction_gain: float | None = None,
-    shed_enabled: bool = False,
-    shed_classes: dict | None = None,
-    shed_ramp_watts: float = 100.0,
-) -> AnorSystem:
-    """The head-node recovery workload: long jobs under a *static* target.
-
-    A static target makes the golden/recovered comparison exact — every
-    divergence between the two traces is attributable to the outage, not to
-    target motion racing the recovery window.  The partition drill reuses the
-    same workload with a stepped target and the lease/reliability knobs on.
-    """
-    types = {jt.name: jt for jt in long_running_mix()}
-    generator = PoissonScheduleGenerator(
-        list(types.values()), utilization=0.9, total_nodes=num_nodes,
-        seed=seed * 7919 + 13,
-    )
-    schedule = generator.generate(duration)
-    cfg = AnorConfig(
-        num_nodes=num_nodes,
-        seed=seed,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_period=checkpoint_period,
-        recovery_timeout=recovery_timeout,
-        telemetry_enabled=True,
-        lease_ttl=lease_ttl,
-        lease_ramp_seconds=lease_ramp_seconds,
-        reliable_messaging=reliable_messaging,
-        breaker_margin=breaker_margin,
-        audit_enabled=audit_enabled,
-        shed_enabled=shed_enabled,
-        shed_classes=shed_classes,
-        shed_ramp_watts=shed_ramp_watts,
-    )
-    system = AnorSystem(
-        budgeter=EvenSlowdownBudgeter(),
-        target_source=target_source or ConstantTarget(target_power),
-        classifier=JobClassifier(precharacterized_models(NAS_TYPES)),
-        schedule=schedule,
-        job_types=types,
-        config=cfg,
-        fault_schedule=fault_schedule,
-    )
-    if correction_gain is not None:
-        # Scenario override (e.g. the byzantine drill zeroes the integral
-        # trim so overshoot attribution is purely the audit layer's doing).
-        system.manager.correction_gain = correction_gain
-    return system
+# ---------------------------------------------------------------- headnode
 
 
-def _drive(system: AnorSystem, *, max_time: float) -> tuple[AnorResult, np.ndarray]:
-    """Run a system to drain, sampling the manager's planned draw per round.
-
-    Returns ``(result, rounds)`` where rounds columns are (time, budget
-    ceiling = max(target+correction, floor), planned draw = idle+reserved+
-    allocated) — the raw material for the never-exceed-target invariant.
-    """
-    rows: list[tuple[float, float, float]] = []
-    last_time = None
-    while (
-        system._pending or system._queue or system.cluster.running
-    ) and system.cluster.clock.now < max_time:
-        system.step()
-        mgr = system.manager
-        rnd = mgr.last_round if mgr is not None else None
-        if rnd is not None and rnd.time != last_time:
-            last_time = rnd.time
-            ceiling = max(rnd.target + rnd.correction, rnd.floor)
-            planned = rnd.idle_power + rnd.reserved + rnd.allocated
-            rows.append((rnd.time, ceiling, planned))
-    result = system.run(0.0)
-    rounds = np.asarray(rows) if rows else np.empty((0, 3))
-    return result, rounds
-
-
-@dataclass
-class HeadNodeRecoveryResult:
-    """Golden-vs-recovered comparison of one head-node outage."""
-
-    golden: AnorResult
-    recovered: AnorResult
-    target_power: float
-    crash_time: float
-    down_for: float
-    recovery_merges: int  # live jobs reconciled against checkpointed state
-    checkpoints_written: int
-    rounds: np.ndarray  # (time, ceiling, planned) for the recovered run
-    convergence_tol: float = 0.05
-    convergence_window: int = 30
-    orphaned: list[str] = field(default_factory=list)
-    # Incident stream from the recovered run's event bus (crash, journal
-    # tail drops, cold restarts, restart cancellations ... by category).
-    incident_counts: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def restart_time(self) -> float:
-        return self.crash_time + self.down_for
-
-    @property
-    def budget_violations(self) -> int:
-        """Budget rounds whose planned draw exceeded the enforceable ceiling.
-
-        0.1 W of slack on a multi-kilowatt ceiling absorbs the budgeter's
-        bisection/fp slop (present in healthy runs too); anything beyond it
-        is a real over-commitment.
-        """
-        if not len(self.rounds):
-            return 0
-        return int(np.sum(self.rounds[:, 2] > self.rounds[:, 1] + 0.1))
-
-    @property
-    def lost_jobs(self) -> list[str]:
-        """Jobs the golden run completed that the recovered run lost."""
-        gold = {t.job_id for t in self.golden.completed}
-        got = {t.job_id for t in self.recovered.completed}
-        return sorted(gold - got)
-
-    @property
-    def double_admitted(self) -> list[str]:
-        """Jobs that produced completion totals more than once."""
-        seen: dict[str, int] = {}
-        for t in self.recovered.completed:
-            seen[t.job_id] = seen.get(t.job_id, 0) + 1
-        return sorted(j for j, n in seen.items() if n > 1)
-
-    @property
-    def convergence_time(self) -> float | None:
-        """Seconds after restart until the recovered trace re-converges.
-
-        Convergence = the recovered run's measured power staying within
-        ``convergence_tol``·target of the golden run's for
-        ``convergence_window`` consecutive samples.  ``None`` = never.
-        """
-        gold, rec = self.golden.power_trace, self.recovered.power_trace
-        n = min(len(gold), len(rec))
-        if n == 0:
-            return None
-        mask = np.abs(rec[:n, 2] - gold[:n, 2]) <= self.convergence_tol * self.target_power
-        start = np.searchsorted(rec[:n, 0], self.restart_time)
-        window = self.convergence_window
-        for i in range(start, n - window + 1):
-            if mask[i : i + window].all():
-                return float(rec[i, 0] - self.restart_time)
-        return None
-
-
-def run_headnode_recovery(
-    *,
-    duration: float = 900.0,
-    seed: int = 1,
-    target_power: float = 16 * 170.0,
-    num_nodes: int = 16,
-    crash_time: float = 300.0,
-    down_for: float = 60.0,
-    checkpoint_dir: str | None = None,
-    checkpoint_period: float = 30.0,
-    recovery_timeout: float = 30.0,
-) -> HeadNodeRecoveryResult:
-    """Crash the head node mid-run and score the recovery against a golden run.
-
-    Both runs share the seed, schedule, and static target; only the crash
-    differs.  The golden run also checkpoints (into a sibling directory), so
-    any overhead of persistence is present on both sides of the comparison.
-    """
-    base = Path(checkpoint_dir) if checkpoint_dir is not None else Path(
-        tempfile.mkdtemp(prefix="anor-headnode-")
-    )
-    max_time = duration + 7200.0
-    golden_sys = _build_static_system(
-        duration=duration, seed=seed, target_power=target_power,
-        num_nodes=num_nodes, checkpoint_dir=str(base / "golden"),
-        checkpoint_period=checkpoint_period, recovery_timeout=recovery_timeout,
-        fault_schedule=None,
-    )
-    golden, _ = _drive(golden_sys, max_time=max_time)
-    recovered_sys = _build_static_system(
-        duration=duration, seed=seed, target_power=target_power,
-        num_nodes=num_nodes, checkpoint_dir=str(base / "recovered"),
-        checkpoint_period=checkpoint_period, recovery_timeout=recovery_timeout,
-        fault_schedule=FaultSchedule(
-            [HeadNodeCrash(time=crash_time, down_for=down_for)]
+def _headnode_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
+    golden, recovered = arms["golden"], arms["recovered"]
+    system = recovered.system
+    return {
+        # Live jobs reconciled against checkpointed state on re-HELLO.
+        "recovery_merges": system.manager.recovery_merges if system.manager else 0,
+        "checkpoints_written": (
+            system.durable.checkpoints_written if system.durable else 0
         ),
-    )
-    recovered, rounds = _drive(recovered_sys, max_time=max_time)
-    merges = (
-        recovered_sys.manager.recovery_merges
-        if recovered_sys.manager is not None
-        else 0
-    )
-    checkpoints = (
-        recovered_sys.durable.checkpoints_written
-        if recovered_sys.durable is not None
-        else 0
-    )
-    return HeadNodeRecoveryResult(
-        golden=golden,
-        recovered=recovered,
-        target_power=target_power,
-        crash_time=crash_time,
-        down_for=down_for,
-        recovery_merges=merges,
-        checkpoints_written=checkpoints,
-        rounds=rounds,
-        orphaned=list(recovered.orphaned),
-        incident_counts=dict(recovered_sys.telemetry.incident_counts),
-    )
+        "rounds_over_ceiling": len(rounds_over_ceiling(recovered.rounds)),
+        "completed_golden": len(golden.result.completed),
+        "completed_recovered": len(recovered.result.completed),
+        "lost_jobs": lost_jobs(golden.result, recovered.result),
+        "double_admitted": double_admitted(recovered.result),
+        "orphaned": list(recovered.result.orphaned),
+        "convergence_time": convergence_time(
+            golden.result,
+            recovered.result,
+            after=p["crash_time"] + p["down_for"],
+            tol_watts=0.05 * p["target_power"],
+        ),
+        "recovery_log": list(recovered.result.recovery_log),
+        # Crash, journal tail drops, cold restarts, restart cancellations ...
+        "incident_counts": dict(system.telemetry.incident_counts),
+    }
 
 
-def format_headnode_table(res: HeadNodeRecoveryResult) -> str:
-    conv = res.convergence_time
-    lines = [
-        f"head-node outage               : t={res.crash_time:.0f}s for {res.down_for:.0f}s",
-        f"checkpoints written            : {res.checkpoints_written}",
-        f"budget rounds over ceiling     : {res.budget_violations}",
-        f"jobs completed golden/recovered: "
-        f"{len(res.golden.completed)}/{len(res.recovered.completed)}",
-        f"jobs lost to the outage        : {len(res.lost_jobs)}"
-        + (f"  {res.lost_jobs}" if res.lost_jobs else ""),
-        f"double-admitted jobs           : {len(res.double_admitted)}",
-        f"live jobs reconciled (re-HELLO): {res.recovery_merges}",
-        f"orphans after recovery window  : {len(res.orphaned)}"
-        + (f"  {res.orphaned}" if res.orphaned else ""),
-        "trace re-convergence           : "
-        + (f"{conv:.0f}s after restart" if conv is not None else "NEVER"),
-        "recovery log:",
-    ]
-    lines.extend(f"  {line}" for line in res.recovered.recovery_log)
-    if res.incident_counts:
-        lines.append("incident summary:")
-        lines.extend(summarize_incidents(res.incident_counts))
-    return "\n".join(lines)
+_HEADNODE = Scenario(
+    doc="""Crash the head node mid-run; score the recovery against a golden run.
+
+    The head node dies (taking the queue, budget accounting and every
+    validated model with it) and a supervised restart recovers from the
+    checkpoint + journal.  Both arms share the seed, schedule and static
+    target; only the crash differs.  The golden arm checkpoints too, so any
+    overhead of persistence is present on both sides of the comparison.
+    ``checkpoint_dir=None`` keeps the checkpoints in a temporary directory
+    that is removed when the drill returns.
+    """,
+    workload="static",
+    params={
+        "seed": 1,
+        "duration": 1800.0,
+        "target_power": _NODES * 170.0,
+        "crash_time": 600.0,
+        "down_for": 90.0,
+        "checkpoint_dir": None,
+        "checkpoint_period": 30.0,
+    },
+    quick={"duration": 600.0, "crash_time": 200.0, "down_for": 45.0},
+    target=lambda p: ConstantTarget(p["target_power"]),
+    config=lambda p: {
+        "checkpoint_dir": p["checkpoint_dir"],
+        "checkpoint_period": p["checkpoint_period"],
+    },
+    arms={
+        "golden": Arm(),
+        "recovered": Arm(
+            faults=lambda p: FaultSchedule(
+                [HeadNodeCrash(time=p["crash_time"], down_for=p["down_for"])]
+            )
+        ),
+    },
+    metrics=_headnode_metrics,
+    claims=(
+        ("planned draw never exceeds the budget ceiling, during or after "
+         "recovery",
+         lambda m: m["rounds_over_ceiling"] == 0),
+        ("no job the golden run completed is lost to the outage",
+         lambda m: not m["lost_jobs"]),
+        ("no job is admitted twice across the restart",
+         lambda m: not m["double_admitted"]),
+        ("surviving jobs reconcile warm (re-HELLO merges checkpointed state)",
+         lambda m: m["recovery_merges"] > 0),
+        ("the power trace re-converges to the golden run within 120 s of "
+         "restart",
+         lambda m: m["convergence_time"] is not None
+         and m["convergence_time"] <= 120.0),
+    ),
+    rows=(
+        ("head-node outage",
+         lambda m, p: f"t={p['crash_time']:.0f}s for {p['down_for']:.0f}s"),
+        ("checkpoints written", lambda m, p: m["checkpoints_written"]),
+        ("budget rounds over ceiling", lambda m, p: m["rounds_over_ceiling"]),
+        ("jobs completed golden/recovered",
+         lambda m, p: f"{m['completed_golden']}/{m['completed_recovered']}"),
+        ("jobs lost to the outage", lambda m, p: _listed(m["lost_jobs"])),
+        ("double-admitted jobs", lambda m, p: len(m["double_admitted"])),
+        ("live jobs reconciled (re-HELLO)", lambda m, p: m["recovery_merges"]),
+        ("orphans after recovery window", lambda m, p: _listed(m["orphaned"])),
+        ("trace re-convergence",
+         lambda m, p: _seconds(m["convergence_time"], "restart")),
+        ("recovery log", lambda m, p: m["recovery_log"]),
+        ("incident summary", _incidents),
+    ),
+)
 
 
-def format_table(res: ResilienceResult) -> str:
-    lines = [
-        f"healthy tracking error 90th pct: {100 * res.healthy_error90:5.1f}%",
-        f"faulted tracking error 90th pct: {100 * res.faulted_error90:5.1f}%"
-        f"  ({res.degradation_ratio:.2f}x healthy, bound 1.50x)",
-        f"jobs completed healthy/faulted : "
-        f"{len(res.healthy.result.completed)}/{len(res.faulted.result.completed)}",
-        f"jobs requeued by crashes       : {len(res.requeued)}"
-        f"  (all finished: {'yes' if res.requeued_completed else 'NO'})",
-        f"ghost job records at drain     : {res.ghost_jobs}",
-        f"fault windows all closed       : "
-        f"{'yes' if res.injector_quiescent else 'NO'}",
-        "fault event log:",
-    ]
-    lines.extend(f"  {line}" for line in res.fault_log)
-    if res.incident_counts:
-        lines.append("incident summary:")
-        lines.extend(summarize_incidents(res.incident_counts))
-    if res.decision_counts:
-        lines.append("control-plane decisions (faulted run):")
-        width = max(len(k) for k in res.decision_counts)
-        lines.extend(
-            f"  {label:<{width}} : {int(value)}"
-            for label, value in res.decision_counts.items()
-        )
-    return "\n".join(lines)
+# --------------------------------------------------------------- partition
 
 
-# ------------------------------------------------------------ partition drill
-
-
-@dataclass
-class PartitionDrillResult:
-    """Golden-vs-partitioned comparison of one head↔endpoint partition.
-
-    Both runs share the seed, schedule, stepped target, and lease
-    configuration; only the :class:`~repro.faults.NetworkPartition` differs.
-    The target steps *down* shortly after the partition opens — the dangerous
-    direction: every endpoint holds a cap sized for the old, higher target
-    and the head cannot deliver the lower one.  The drill's headline claim is
-    the dead-man bound: the cluster may sit above the enforceable limit only
-    for a stretch bounded by ``lease_ttl + lease_ramp (+ slack)``.
-    """
-
-    golden: AnorResult
-    partitioned: AnorResult
-    high_power: float
-    low_power: float
-    step_time: float
-    partition_time: float
-    partition_duration: float
-    lease_ttl: float
-    lease_ramp: float
-    floor_power: float  # enforceable cluster floor (all nodes at p_min)
-    slack: float = 30.0  # control-period + epoch granularity allowance
-    tol: float = 0.10
-    injector_quiescent: bool = True
-    convergence_window: int = 30
-    incident_counts: dict[str, int] = field(default_factory=dict)
-    partition_events: list = field(default_factory=list)
-
-    @property
-    def heal_time(self) -> float:
-        return self.partition_time + self.partition_duration
-
-    @property
-    def overshoot_bound(self) -> float:
-        """The fail-safe guarantee: max tolerated over-limit stretch."""
-        return self.lease_ttl + self.lease_ramp + self.slack
-
-    def _longest_over_limit(self, trace: np.ndarray) -> float:
-        """Longest contiguous stretch past ``partition_time`` with measured
-        power above ``max(target, floor)·(1+tol)``, in seconds."""
-        if not len(trace):
-            return 0.0
-        t, target, measured = trace[:, 0], trace[:, 1], trace[:, 2]
-        limit = np.maximum(target, self.floor_power) * (1.0 + self.tol)
-        over = (measured > limit) & (t >= self.partition_time)
-        best, start = 0.0, None
-        for i in range(len(t)):
-            if over[i]:
-                if start is None:
-                    start = t[i]
-                best = max(best, float(t[i] - start))
-            else:
-                start = None
-        return best
-
-    @property
-    def overshoot_seconds(self) -> float:
-        return self._longest_over_limit(self.partitioned.power_trace)
-
-    @property
-    def golden_overshoot_seconds(self) -> float:
-        return self._longest_over_limit(self.golden.power_trace)
-
-    @property
-    def degraded_endpoints(self) -> int:
-        """Lease expiries observed (degraded-autonomy incidents)."""
-        return self.incident_counts.get("degraded-autonomy-start", 0)
-
-    @property
-    def partitions_detected(self) -> int:
-        return sum(1 for f in self.partition_events if isinstance(f, PartitionStart))
-
-    @property
-    def partitions_healed(self) -> int:
-        return sum(1 for f in self.partition_events if isinstance(f, PartitionEnd))
-
-    @property
-    def lost_jobs(self) -> list[str]:
-        """Jobs the golden run completed that the partitioned run lost."""
-        gold = {t.job_id for t in self.golden.completed}
-        got = {t.job_id for t in self.partitioned.completed}
-        return sorted(gold - got)
-
-    @property
-    def convergence_time(self) -> float | None:
-        """Seconds after the heal until the partitioned trace re-converges.
-
-        Convergence = measured power staying within ``tol``·low_power of the
-        golden run's for ``convergence_window`` consecutive samples.
-        """
-        gold, part = self.golden.power_trace, self.partitioned.power_trace
-        n = min(len(gold), len(part))
-        if n == 0:
-            return None
-        mask = np.abs(part[:n, 2] - gold[:n, 2]) <= self.tol * self.low_power
-        start = int(np.searchsorted(part[:n, 0], self.heal_time))
-        window = self.convergence_window
-        for i in range(start, n - window + 1):
-            if mask[i : i + window].all():
-                return float(part[i, 0] - self.heal_time)
-        return None
-
-
-def run_partition_drill(
-    *,
-    duration: float = 900.0,
-    seed: int = 7,
-    num_nodes: int = 16,
-    high_power: float | None = None,
-    low_power: float | None = None,
-    partition_time: float = 300.0,
-    partition_duration: float = 240.0,
-    step_into: float = 10.0,
-    lease_ttl: float = 30.0,
-    lease_ramp: float = 60.0,
-    slack: float = 30.0,
-    tol: float = 0.10,
-    breaker_margin: float | None = None,
-) -> PartitionDrillResult:
-    """Partition the head from every endpoint mid-run and score the fail-safe.
-
-    The target steps from ``high_power`` down to ``low_power`` at
-    ``partition_time + step_into`` — inside the partition window, while the
-    endpoints still hold valid leases sized for the high target.  Leases then
-    expire, caps decay to the floor, the partition heals, and tracking must
-    re-converge to the golden run.
-    """
-    if high_power is None:
-        high_power = num_nodes * 220.0
-    if low_power is None:
-        low_power = num_nodes * 175.0
-    step_time = partition_time + step_into
-    if not partition_time < step_time < partition_time + partition_duration:
+def _partition_target(p: dict) -> SteppedTarget:
+    step_time = p["partition_time"] + p["step_into"]
+    heal_time = p["partition_time"] + p["partition_duration"]
+    if not p["partition_time"] < step_time < heal_time:
         raise ValueError(
             f"target step at t={step_time} must fall inside the partition "
-            f"window [{partition_time}, {partition_time + partition_duration}]"
+            f"window [{p['partition_time']}, {heal_time}]"
         )
-    target = SteppedTarget([0.0, step_time], [high_power, low_power])
-    common = dict(
-        duration=duration,
-        seed=seed,
-        target_power=high_power,
-        num_nodes=num_nodes,
-        checkpoint_dir=None,
-        checkpoint_period=30.0,
-        recovery_timeout=30.0,
-        target_source=target,
-        lease_ttl=lease_ttl,
-        lease_ramp_seconds=lease_ramp,
-        reliable_messaging=True,
-        breaker_margin=breaker_margin,
+    return SteppedTarget([0.0, step_time], [p["high_power"], p["low_power"]])
+
+
+def _partition_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
+    golden, cut = arms["golden"], arms["partitioned"]
+    incidents = dict(cut.system.telemetry.incident_counts)
+    events = cut.result.partition_events
+    over = dict(
+        # The enforceable cluster floor: every node at p_min.
+        floor=_NODES * P_NODE_MIN, tol=p["tol"], after=p["partition_time"]
     )
-    max_time = duration + 7200.0
-    golden_sys = _build_static_system(fault_schedule=None, **common)
-    golden, _ = _drive(golden_sys, max_time=max_time)
-    part_sys = _build_static_system(
-        fault_schedule=FaultSchedule(
-            [NetworkPartition(time=partition_time, duration=partition_duration)]
+    return {
+        "overshoot_seconds": longest_over_limit(cut.result.power_trace, **over),
+        "golden_overshoot_seconds": longest_over_limit(
+            golden.result.power_trace, **over
         ),
-        **common,
-    )
-    partitioned, _ = _drive(part_sys, max_time=max_time)
-    quiescent = part_sys.faults.quiescent if part_sys.faults is not None else True
-    return PartitionDrillResult(
-        golden=golden,
-        partitioned=partitioned,
-        high_power=high_power,
-        low_power=low_power,
-        step_time=step_time,
-        partition_time=partition_time,
-        partition_duration=partition_duration,
-        lease_ttl=lease_ttl,
-        lease_ramp=lease_ramp,
-        floor_power=num_nodes * P_NODE_MIN,
-        slack=slack,
-        tol=tol,
-        injector_quiescent=quiescent,
-        incident_counts=dict(part_sys.telemetry.incident_counts),
-        partition_events=list(partitioned.partition_events),
-    )
+        # The fail-safe guarantee: max tolerated over-limit stretch.
+        "overshoot_bound": p["lease_ttl"] + p["lease_ramp"] + p["slack"],
+        # Lease expiries observed (degraded-autonomy incidents).
+        "degraded_endpoints": incidents.get("degraded-autonomy-start", 0),
+        "partitions_detected": sum(isinstance(f, PartitionStart) for f in events),
+        "partitions_healed": sum(isinstance(f, PartitionEnd) for f in events),
+        "completed_golden": len(golden.result.completed),
+        "completed_partitioned": len(cut.result.completed),
+        "lost_jobs": lost_jobs(golden.result, cut.result),
+        "injector_quiescent": cut.system.faults.quiescent,
+        "convergence_time": convergence_time(
+            golden.result,
+            cut.result,
+            after=p["partition_time"] + p["partition_duration"],
+            tol_watts=p["tol"] * p["low_power"],
+        ),
+        "incident_counts": incidents,
+    }
 
 
-def format_partition_table(res: PartitionDrillResult) -> str:
-    conv = res.convergence_time
-    lines = [
-        f"partition window               : t={res.partition_time:.0f}s "
-        f"for {res.partition_duration:.0f}s (all head↔endpoint links)",
-        f"target step (inside partition) : {res.high_power:.0f}W -> "
-        f"{res.low_power:.0f}W at t={res.step_time:.0f}s",
-        f"lease: ttl/ramp/slack          : {res.lease_ttl:.0f}s / "
-        f"{res.lease_ramp:.0f}s / {res.slack:.0f}s",
-        f"over-limit stretch (partition) : {res.overshoot_seconds:.0f}s "
-        f"(bound {res.overshoot_bound:.0f}s, golden "
-        f"{res.golden_overshoot_seconds:.0f}s)",
-        f"lease expiries (degraded mode) : {res.degraded_endpoints}",
-        f"partitions detected/healed     : {res.partitions_detected}/"
-        f"{res.partitions_healed}",
-        f"jobs completed golden/partition: "
-        f"{len(res.golden.completed)}/{len(res.partitioned.completed)}",
-        f"jobs lost to the partition     : {len(res.lost_jobs)}"
-        + (f"  {res.lost_jobs}" if res.lost_jobs else ""),
-        f"fault windows all closed       : "
-        f"{'yes' if res.injector_quiescent else 'NO'}",
-        "trace re-convergence           : "
-        + (f"{conv:.0f}s after heal" if conv is not None else "NEVER"),
-    ]
-    if res.incident_counts:
-        lines.append("incident summary:")
-        lines.extend(summarize_incidents(res.incident_counts))
-    return "\n".join(lines)
+_PARTITION = Scenario(
+    doc="""Partition the head from every endpoint mid-run; score the fail-safe.
+
+    Both arms share the seed, schedule, stepped target and lease
+    configuration; only the :class:`~repro.faults.NetworkPartition` differs.
+    The target steps from ``high_power`` *down* to ``low_power`` at
+    ``partition_time + step_into`` — inside the partition window, the
+    dangerous direction: every endpoint holds a valid lease and a cap sized
+    for the old, higher target and the head cannot deliver the lower one.
+    Leases then expire, caps decay to the floor, the partition heals, and
+    tracking must re-converge to the golden run.  The headline claim is the
+    dead-man bound: the cluster may sit above the enforceable limit only for
+    a stretch bounded by ``lease_ttl + lease_ramp`` plus ``slack`` (the
+    control-period + epoch granularity allowance).
+    """,
+    workload="static",
+    params={
+        "seed": 7,
+        "duration": 900.0,
+        "high_power": _NODES * 220.0,
+        "low_power": _NODES * 175.0,
+        "partition_time": 300.0,
+        "partition_duration": 240.0,
+        "step_into": 10.0,
+        "lease_ttl": 30.0,
+        "lease_ramp": 60.0,
+        "slack": 30.0,
+        "tol": 0.10,
+        "breaker_margin": None,
+    },
+    quick={"duration": 600.0, "partition_time": 200.0, "partition_duration": 150.0},
+    target=_partition_target,
+    config=lambda p: {
+        "lease_ttl": p["lease_ttl"],
+        "lease_ramp_seconds": p["lease_ramp"],
+        "reliable_messaging": True,
+        "breaker_margin": p["breaker_margin"],
+    },
+    arms={
+        "golden": Arm(),
+        "partitioned": Arm(
+            faults=lambda p: FaultSchedule(
+                [
+                    NetworkPartition(
+                        time=p["partition_time"], duration=p["partition_duration"]
+                    )
+                ]
+            )
+        ),
+    },
+    metrics=_partition_metrics,
+    claims=(
+        ("over-limit power is bounded by lease_ttl + ramp (+ slack) — the "
+         "dead-man switch fired",
+         lambda m: m["overshoot_seconds"] <= m["overshoot_bound"]),
+        ("endpoints entered degraded autonomy during the partition",
+         lambda m: m["degraded_endpoints"] > 0),
+        ("the reliable layer declared the partition and its heal",
+         lambda m: m["partitions_detected"] > 0 and m["partitions_healed"] > 0),
+        ("no job the golden run completed is lost to the partition",
+         lambda m: not m["lost_jobs"]),
+        ("every fault fired and every fault window closed",
+         lambda m: m["injector_quiescent"]),
+        ("tracking re-converges to the golden run after the heal",
+         lambda m: m["convergence_time"] is not None),
+    ),
+    rows=(
+        ("partition window",
+         lambda m, p: f"t={p['partition_time']:.0f}s for "
+         f"{p['partition_duration']:.0f}s (all head↔endpoint links)"),
+        ("target step (inside partition)",
+         lambda m, p: f"{p['high_power']:.0f}W -> {p['low_power']:.0f}W at "
+         f"t={p['partition_time'] + p['step_into']:.0f}s"),
+        ("lease: ttl/ramp/slack",
+         lambda m, p: f"{p['lease_ttl']:.0f}s / {p['lease_ramp']:.0f}s / "
+         f"{p['slack']:.0f}s"),
+        ("over-limit stretch (partition)",
+         lambda m, p: f"{m['overshoot_seconds']:.0f}s "
+         f"(bound {m['overshoot_bound']:.0f}s, golden "
+         f"{m['golden_overshoot_seconds']:.0f}s)"),
+        ("lease expiries (degraded mode)", lambda m, p: m["degraded_endpoints"]),
+        ("partitions detected/healed",
+         lambda m, p: f"{m['partitions_detected']}/{m['partitions_healed']}"),
+        ("jobs completed golden/partition",
+         lambda m, p: f"{m['completed_golden']}/{m['completed_partitioned']}"),
+        ("jobs lost to the partition", lambda m, p: _listed(m["lost_jobs"])),
+        ("fault windows all closed", lambda m, p: _yes(m["injector_quiescent"])),
+        ("trace re-convergence",
+         lambda m, p: _seconds(m["convergence_time"], "heal")),
+        ("incident summary", _incidents),
+    ),
+)
 
 
-# ------------------------------------------------------------ byzantine drill
+# --------------------------------------------------------------- byzantine
 
-
-def _overshoot_stats(
-    trace: np.ndarray, t0: float, t1: float
-) -> tuple[float, float]:
-    """(over-target energy in J, mean measured−target in W) on [t0, t1)."""
-    if not len(trace):
-        return 0.0, 0.0
-    mask = (trace[:, 0] >= t0) & (trace[:, 0] < t1)
-    t, target, measured = trace[mask, 0], trace[mask, 1], trace[mask, 2]
-    if len(t) < 2:
-        return 0.0, 0.0
-    dt = np.diff(t, append=t[-1])
-    over = np.maximum(measured - target, 0.0)
-    return float(np.sum(over * dt)), float(np.mean(measured - target))
-
-
+#: The three rogue-endpoint fault kinds (as :attr:`FaultInjector.victims`
+#: names them).
 _ROGUE_KINDS = ("stuck-actuator", "byzantine-model", "meter-drift")
 
-
-def _parse_rogue_victims(
-    fault_log: list[str], kinds: tuple = _ROGUE_KINDS
-) -> dict[str, tuple[str, float]]:
-    """``job_id -> (fault kind, fire time)`` from an injector log."""
-    victims: dict[str, tuple[str, float]] = {}
-    for line in fault_log:
-        fields = line.split()
-        if not fields or not fields[0].startswith("t="):
-            continue
-        # The timestamp is space-padded, so "t=" and the number may split.
-        rest = fields[1:] if fields[0] == "t=" else [fields[0][2:], *fields[1:]]
-        if len(rest) < 3:
-            continue
-        when, kind, target = float(rest[0]), rest[1], rest[2]
-        if kind in kinds and target.startswith("job="):
-            victims.setdefault(target[len("job="):], (kind, when))
-    return victims
+_BYZ_SETTLE = 45.0  # s after the last quarantine before power must be back
+_BYZ_DETECTION_BOUND = 60.0  # s from fault fire to quarantine
+_BYZ_REHAB_BOUND = 150.0  # s from actuator heal to trusted again
 
 
-@dataclass
-class ByzantineDrillResult:
-    """Golden-vs-attacked comparison of the job-tier trust boundary.
+def _byzantine_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
+    on, off = arms["attacked_on"], arms["attacked_off"]
+    victims = {
+        job_id: fired
+        for job_id, fired in on.system.faults.victims.items()
+        if fired[0] in _ROGUE_KINDS
+    }
+    quarantined = _quarantines(on.system)
+    transitions = on.system.manager.auditor.transitions
+    # The one rogue fault that heals mid-run (the second stuck actuator).
+    healed_victim, heal_time = None, None
+    for job_id, (_, _, heal) in victims.items():
+        if heal is not None:
+            healed_victim, heal_time = job_id, heal
 
-    Three runs share the seed, workload, and static target: a fault-free
-    run with auditing on (false-alarm control), the attack with auditing
-    on, and the same attack with auditing off (damage control group).  The
-    attack wedges two actuators open (one heals mid-run) and has a third
-    endpoint ship fabricated model coefficients.  The integral trim is
-    zeroed in all three runs so any overshoot containment is attributable
-    to the audit layer alone.
-    """
-
-    clean: AnorResult
-    attacked_on: AnorResult
-    attacked_off: AnorResult
-    target_power: float
-    heal_time: float
-    healed_victim: str | None
-    victims_on: dict  # job_id -> (fault kind, fire time), audit-on run
-    transitions_clean: list
-    transitions_on: list
-    settle: float = 45.0
-    detection_bound: float = 60.0  # s from fault fire to quarantine
-    rehab_bound: float = 150.0  # s from actuator heal to trusted again
-    attack_start: float = 240.0
-
-    @property
-    def false_quarantines_clean(self) -> list:
-        return [t for t in self.transitions_clean if t.new == "quarantined"]
-
-    @property
-    def quarantined_on(self) -> dict:
-        """job_id -> first quarantine time in the attacked audit-on run."""
-        out: dict[str, float] = {}
-        for t in self.transitions_on:
-            if t.new == "quarantined" and t.job_id not in out:
-                out[t.job_id] = t.time
-        return out
-
-    @property
-    def collateral_quarantines(self) -> list[str]:
-        return sorted(set(self.quarantined_on) - set(self.victims_on))
-
-    @property
-    def detection_latencies(self) -> dict:
-        """job_id -> seconds from fault fire to first quarantine."""
-        q = self.quarantined_on
-        return {
-            job_id: q[job_id] - fired
-            for job_id, (_, fired) in self.victims_on.items()
-            if job_id in q
-        }
-
-    @property
-    def missed_victims(self) -> list[str]:
-        return sorted(set(self.victims_on) - set(self.quarantined_on))
-
-    @property
-    def last_quarantine(self) -> float:
-        q = self.quarantined_on
-        return max(q.values()) if q else self.attack_start
-
-    def _segments(self, result: AnorResult) -> tuple[float, float, float, float]:
-        """(detect kJ, detect mean W, settled kJ, settled mean W)."""
-        split = self.last_quarantine + self.settle
-        end = float(result.power_trace[-1, 0]) if len(result.power_trace) else split
-        e0, m0 = _overshoot_stats(result.power_trace, self.attack_start, split)
-        e1, m1 = _overshoot_stats(result.power_trace, split, end)
+    def segments(result: AnorResult) -> tuple[float, float, float, float]:
+        """(detect kJ, detect mean W, settled kJ, settled mean W), split
+        ``_BYZ_SETTLE`` seconds after the audit-on run's last quarantine."""
+        trace = result.power_trace
+        last = max(quarantined.values()) if quarantined else p["attack_time"]
+        split = last + _BYZ_SETTLE
+        end = float(trace[-1, 0]) if len(trace) else split
+        e0, m0 = overshoot_stats(trace, p["attack_time"], split)
+        e1, m1 = overshoot_stats(trace, split, end)
         return e0 / 1000.0, m0, e1 / 1000.0, m1
 
-    @property
-    def on_detect_energy(self) -> float:
-        return self._segments(self.attacked_on)[0]
+    def still_held(job_id: str) -> bool:
+        # Checked from the transition log, not drain-time state: the auditor
+        # forgets a job once it completes, and a wedged-open victim runs at
+        # full speed, so it usually finishes long before the run drains.
+        mine = [t for t in transitions if t.job_id == job_id]
+        return bool(mine) and mine[-1].new == "quarantined"
 
-    @property
-    def on_settled_mean(self) -> float:
-        return self._segments(self.attacked_on)[3]
-
-    @property
-    def off_detect_mean(self) -> float:
-        return self._segments(self.attacked_off)[1]
-
-    @property
-    def on_total_energy(self) -> float:
-        seg = self._segments(self.attacked_on)
-        return seg[0] + seg[2]
-
-    @property
-    def off_total_energy(self) -> float:
-        seg = self._segments(self.attacked_off)
-        return seg[0] + seg[2]
-
-    @property
-    def rehabilitated(self) -> bool:
-        """The healed actuator's job re-earned trust within the bound."""
-        if self.healed_victim is None:
-            return False
-        for t in self.transitions_on:
-            if (
-                t.job_id == self.healed_victim
-                and t.new == "trusted"
-                and self.heal_time <= t.time <= self.heal_time + self.rehab_bound
-            ):
-                return True
-        return False
-
-    @property
-    def unhealed_still_quarantined(self) -> bool:
-        """Victims whose fault never heals must never leave quarantine.
-
-        Checked from the transition log, not drain-time state: the auditor
-        forgets a job once it completes, and a wedged-open victim runs at
-        full speed, so it usually finishes long before the run drains.
-        """
-        healed = {self.healed_victim}
-        for job_id in self.victims_on:
-            if job_id in healed:
-                continue
-            last = [t for t in self.transitions_on if t.job_id == job_id]
-            if not last or last[-1].new != "quarantined":
-                return False
-        return True
-
-
-def run_byzantine_drill(
-    *,
-    duration: float = 900.0,
-    seed: int = 3,
-    num_nodes: int = 16,
-    target_power: float | None = None,
-    attack_time: float = 240.0,
-    stuck_heal_after: float = 60.0,
-) -> ByzantineDrillResult:
-    """Score the cap-compliance auditor against rogue job-tier endpoints.
-
-    The attack: two :class:`~repro.faults.StuckActuator` events five seconds
-    apart (the first permanent, the second healing ``stuck_heal_after``
-    seconds later) and one flat-mode :class:`~repro.faults.ByzantineModel`
-    sixty seconds in.  Victims are injector-chosen (most remaining work),
-    so the same drill exercises multi-job quarantine, headroom
-    redistribution, and the rehabilitation path.
-    """
-    if target_power is None:
-        target_power = num_nodes * 175.0
-    common = dict(
-        duration=duration,
-        seed=seed,
-        target_power=target_power,
-        num_nodes=num_nodes,
-        checkpoint_dir=None,
-        checkpoint_period=30.0,
-        recovery_timeout=60.0,
-        correction_gain=0.0,
-    )
-    max_time = duration + 7200.0
-
-    def attack() -> FaultSchedule:
-        return FaultSchedule(
-            [
-                StuckActuator(time=attack_time),
-                StuckActuator(time=attack_time + 5.0, duration=stuck_heal_after),
-                ByzantineModel(time=attack_time + 60.0, mode="flat"),
-            ]
-        )
-
-    clean_sys = _build_static_system(
-        fault_schedule=None, audit_enabled=True, **common
-    )
-    clean, _ = _drive(clean_sys, max_time=max_time)
-    transitions_clean = list(clean_sys.manager.auditor.transitions)
-
-    on_sys = _build_static_system(
-        fault_schedule=attack(), audit_enabled=True, **common
-    )
-    attacked_on, _ = _drive(on_sys, max_time=max_time)
-    transitions_on = list(on_sys.manager.auditor.transitions)
-    victims_on = _parse_rogue_victims(attacked_on.fault_log)
-    healed_victim = None
-    for line in attacked_on.fault_log:
-        if "stuck-actuator" in line and f"duration={stuck_heal_after:.1f}" in line:
-            healed_victim = line.split("job=")[1].split()[0]
-
-    off_sys = _build_static_system(
-        fault_schedule=attack(), audit_enabled=False, **common
-    )
-    attacked_off, _ = _drive(off_sys, max_time=max_time)
-
-    return ByzantineDrillResult(
-        clean=clean,
-        attacked_on=attacked_on,
-        attacked_off=attacked_off,
-        target_power=target_power,
-        heal_time=attack_time + 5.0 + stuck_heal_after,
-        healed_victim=healed_victim,
-        victims_on=victims_on,
-        transitions_clean=transitions_clean,
-        transitions_on=transitions_on,
-        attack_start=attack_time,
-    )
-
-
-def format_byzantine_table(res: ByzantineDrillResult) -> str:
-    latencies = res.detection_latencies
-    lines = [
-        f"target (static, trim zeroed)   : {res.target_power:.0f}W",
-        f"victims (audit-on run)         : "
-        + ", ".join(
-            f"{jid} ({kind} @t={fired:.0f}s)"
-            for jid, (kind, fired) in sorted(res.victims_on.items())
+    seg_on, seg_off = segments(on.result), segments(off.result)
+    return {
+        "target_power": p["target_power"],
+        "victims": {j: [kind, fired] for j, (kind, fired, _) in victims.items()},
+        "healed_victim": healed_victim,
+        "heal_time": heal_time,
+        "false_quarantines_clean": len(_quarantines(arms["clean"].system)),
+        "missed_victims": sorted(set(victims) - set(quarantined)),
+        "collateral_quarantines": sorted(set(quarantined) - set(victims)),
+        # job_id -> seconds from fault fire to first quarantine.
+        "detection_latencies": {
+            job_id: quarantined[job_id] - fired
+            for job_id, (_, fired, _) in victims.items()
+            if job_id in quarantined
+        },
+        "on_total_energy": seg_on[0] + seg_on[2],
+        "off_total_energy": seg_off[0] + seg_off[2],
+        "off_detect_mean": seg_off[1],
+        "on_settled_mean": seg_on[3],
+        # The healed actuator's job re-earned trust within the bound.
+        "rehabilitated": any(
+            t.job_id == healed_victim
+            and t.new == "trusted"
+            and heal_time <= t.time <= heal_time + _BYZ_REHAB_BOUND
+            for t in transitions
         ),
-        f"false quarantines (clean run)  : {len(res.false_quarantines_clean)}",
-        f"victims quarantined            : "
-        f"{len(latencies)}/{len(res.victims_on)}"
-        + (f"  missed: {res.missed_victims}" if res.missed_victims else ""),
-        "detection latency              : "
-        + ", ".join(
-            f"{jid}: {lat:.0f}s" for jid, lat in sorted(latencies.items())
+        # Victims whose fault never heals must never leave quarantine.
+        "unhealed_still_quarantined": all(
+            still_held(j) for j in victims if j != healed_victim
         ),
-        f"collateral quarantines         : {len(res.collateral_quarantines)}"
-        + (f"  {res.collateral_quarantines}" if res.collateral_quarantines else ""),
-        f"over-target energy on/off      : {res.on_total_energy:.1f} / "
-        f"{res.off_total_energy:.1f} kJ after the attack",
-        f"audit-off mean excess (detect) : {res.off_detect_mean:+.0f}W",
-        f"audit-on mean excess (settled) : {res.on_settled_mean:+.0f}W",
-        f"healed actuator rehabilitated  : "
-        f"{'yes' if res.rehabilitated else 'NO'}"
-        + (
-            f"  ({res.healed_victim}, heal t={res.heal_time:.0f}s)"
-            if res.healed_victim
-            else ""
-        ),
-        f"unhealed victims still held    : "
-        f"{'yes' if res.unhealed_still_quarantined else 'NO'}",
-        "trust transitions (attacked, audit on):",
-    ]
-    lines.extend(
-        f"  t={t.time:7.1f} {t.job_id}: {t.old} -> {t.new} ({t.reason})"
-        for t in res.transitions_on
+        "transitions": [
+            f"t={t.time:7.1f} {t.job_id}: {t.old} -> {t.new} ({t.reason})"
+            for t in transitions
+        ],
+    }
+
+
+def _byzantine_attack(p: dict) -> FaultSchedule:
+    at = p["attack_time"]
+    return FaultSchedule(
+        [
+            StuckActuator(time=at),
+            StuckActuator(time=at + 5.0, duration=p["stuck_heal_after"]),
+            ByzantineModel(time=at + 60.0, mode="flat"),
+        ]
     )
-    return "\n".join(lines)
 
 
-# --------------------------------------------------------------- chaos soak
+_BYZANTINE = Scenario(
+    doc="""Score the cap-compliance auditor against rogue job-tier endpoints.
+
+    Three arms share the seed, workload and static target: a fault-free run
+    with auditing on (false-alarm control), the attack with auditing on, and
+    the same attack with auditing off (damage control group).  The attack is
+    two :class:`~repro.faults.StuckActuator` events five seconds apart (the
+    first permanent, the second healing ``stuck_heal_after`` seconds later)
+    and one flat-mode :class:`~repro.faults.ByzantineModel` sixty seconds in.
+    Victims are injector-chosen (most remaining work), so the same drill
+    exercises multi-job quarantine, headroom redistribution and the
+    rehabilitation path.  The integral trim is zeroed in all three arms so
+    any overshoot containment is attributable to the audit layer alone.
+    """,
+    workload="static",
+    params={
+        "seed": 3,
+        "duration": 900.0,
+        "target_power": _NODES * 175.0,
+        "attack_time": 240.0,
+        "stuck_heal_after": 60.0,
+    },
+    quick={"duration": 600.0},
+    target=lambda p: ConstantTarget(p["target_power"]),
+    correction_gain=0.0,
+    arms={
+        "clean": Arm(config={"audit_enabled": True}),
+        "attacked_on": Arm(config={"audit_enabled": True}, faults=_byzantine_attack),
+        "attacked_off": Arm(faults=_byzantine_attack),
+    },
+    metrics=_byzantine_metrics,
+    claims=(
+        ("a fault-free run with auditing on never quarantines anyone (zero "
+         "false positives)",
+         lambda m: m["false_quarantines_clean"] == 0),
+        ("every rogue endpoint is quarantined",
+         lambda m: not m["missed_victims"] and len(m["victims"]) >= 3),
+        ("detection latency stays under the bound for every victim",
+         lambda m: all(
+             lat <= _BYZ_DETECTION_BOUND
+             for lat in m["detection_latencies"].values()
+         )),
+        ("no honest job is quarantined during the attack",
+         lambda m: not m["collateral_quarantines"]),
+        ("with auditing on, facility power settles back under target after "
+         "the last quarantine",
+         lambda m: m["on_settled_mean"] <= 0.01 * m["target_power"]),
+        ("with auditing off, the attack sustains facility overshoot (the "
+         "contrast the auditor removes)",
+         lambda m: m["off_detect_mean"] >= 0.03 * m["target_power"]),
+        ("auditing cuts over-target energy by ≥ 1.5x",
+         lambda m: m["off_total_energy"] >= 1.5 * m["on_total_energy"]),
+        ("the healed actuator's job re-earns trust within the rehabilitation "
+         "bound",
+         lambda m: m["rehabilitated"]),
+        ("victims whose faults never heal stay quarantined",
+         lambda m: m["unhealed_still_quarantined"]),
+    ),
+    rows=(
+        ("target (static, trim zeroed)", lambda m, p: f"{m['target_power']:.0f}W"),
+        ("victims (audit-on run)",
+         lambda m, p: ", ".join(
+             f"{jid} ({kind} @t={fired:.0f}s)"
+             for jid, (kind, fired) in sorted(m["victims"].items())
+         )),
+        ("false quarantines (clean run)",
+         lambda m, p: m["false_quarantines_clean"]),
+        ("victims quarantined",
+         lambda m, p: f"{len(m['detection_latencies'])}/{len(m['victims'])}"
+         + (f"  missed: {m['missed_victims']}" if m["missed_victims"] else "")),
+        ("detection latency",
+         lambda m, p: ", ".join(
+             f"{jid}: {lat:.0f}s"
+             for jid, lat in sorted(m["detection_latencies"].items())
+         )),
+        ("collateral quarantines",
+         lambda m, p: _listed(m["collateral_quarantines"])),
+        ("over-target energy on/off",
+         lambda m, p: f"{m['on_total_energy']:.1f} / "
+         f"{m['off_total_energy']:.1f} kJ after the attack"),
+        ("audit-off mean excess (detect)",
+         lambda m, p: f"{m['off_detect_mean']:+.0f}W"),
+        ("audit-on mean excess (settled)",
+         lambda m, p: f"{m['on_settled_mean']:+.0f}W"),
+        ("healed actuator rehabilitated",
+         lambda m, p: _yes(m["rehabilitated"])
+         + (
+             f"  ({m['healed_victim']}, heal t={m['heal_time']:.0f}s)"
+             if m["healed_victim"]
+             else ""
+         )),
+        ("unhealed victims still held",
+         lambda m, p: _yes(m["unhealed_still_quarantined"])),
+        ("trust transitions (attacked, audit on)", lambda m, p: m["transitions"]),
+    ),
+)
 
 
-#: Calm-window invariant bounds (see :func:`run_chaos_soak`).  Single-sample
-#: overshoot spikes are normal even fault-free (a freshly dispatched job's
-#: setup phase draws demand power before its first cap lands), so the bound
-#: is on a rolling mean: fault-free runs stay under ~3 % of target on a 60 s
-#: mean, while a containment failure holds a victim's excess indefinitely.
+# -------------------------------------------------------------------- soak
+
+#: Calm-window invariant bounds.  Single-sample overshoot spikes are normal
+#: even fault-free (a freshly dispatched job's setup phase draws demand power
+#: before its first cap lands), so the bound is on a rolling mean: fault-free
+#: runs stay under ~3 % of target on a 60 s mean, while a containment failure
+#: holds a victim's excess indefinitely.
 _SOAK_SETTLE = 90.0
 _SOAK_ROLL = 60  # samples (≈ seconds) in the rolling overshoot mean
 _SOAK_SUSTAINED_EXCESS = 0.05  # fraction of target on the rolling mean
-_SOAK_PLAN_SLACK = 0.1  # W of float slack on planned ≤ ceiling
+_SOAK_MAX_EPISODES = 1000
 
-#: Fault kinds whose target job may legitimately end up quarantined during a
-#: soak.  Beyond the three rogue-endpoint faults, a crashed endpoint goes
-#: silent (its stale self-report diverges from metered truth — quarantining
-#: it at metered power is the designed response, not collateral damage) and
-#: a corrupt status can ship a fabricated model.
-_SOAK_VICTIM_KINDS = _ROGUE_KINDS + ("endpoint-crash", "corrupt-status")
-
-
-@dataclass
-class SoakEpisode:
-    """One seeded episode of a chaos soak."""
-
-    seed: int
-    duration: float
-    num_faults: int
-    completed: int
-    violations: list = field(default_factory=list)
-    quarantines: int = 0
-    transitions: int = 0
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
+#: Beyond the three rogue-endpoint faults, a job may legitimately end up
+#: quarantined during a soak after an endpoint crash (the endpoint goes
+#: silent, its stale self-report diverges from metered truth, and
+#: quarantining it at metered power is the designed response, not collateral
+#: damage) or a corrupt status (which can ship a fabricated model) — that is,
+#: after any job-targeted fault, which is what ``FaultInjector.victims``
+#: records.
 
 
-@dataclass
-class ChaosSoakResult:
-    """Outcome of a wall-clock-budgeted randomized fault soak.
+def _soak_arms(p: dict) -> Iterable[tuple[str, Arm]]:
+    """Fresh seeded episodes until ``seconds`` of wall clock are spent
+    (always at least one)."""
+    if p["seconds"] <= 0:
+        raise ValueError(f"seconds must be positive, got {p['seconds']}")
+    if p["duration"] <= 0:
+        raise ValueError(f"duration must be positive, got {p['duration']}")
+    start_wall = time.monotonic()
+    for i in range(_SOAK_MAX_EPISODES):
+        if i and time.monotonic() - start_wall >= p["seconds"]:
+            break
+        seed = p["seed"] + i
 
-    Each episode drives a fresh seeded system under a
-    :meth:`~repro.faults.FaultSchedule.random` mix (rogue endpoints, node
-    and endpoint crashes, corrupt statuses, meter outages — all finite
-    duration) with auditing on, and checks online invariants:
+        def cocktail(p: dict, seed: int = seed) -> FaultSchedule:
+            return FaultSchedule.random(
+                p["duration"],
+                seed=seed,
+                num_nodes=_NODES,
+                node_crash_rate=1.0 / 600.0,
+                endpoint_crash_rate=1.0 / 600.0,
+                link_burst_rate=1.0 / 600.0,
+                meter_outage_rate=1.0 / 600.0,
+                corrupt_status_rate=1.0 / 600.0,
+                byzantine_rate=1.0 / 300.0,
+                stuck_actuator_rate=1.0 / 300.0,
+                meter_drift_rate=1.0 / 300.0,
+                node_down_time=120.0,
+                rogue_duration=120.0,
+            )
 
-    * **budget conservation** — every budget round's planned power
-      (idle + reserved + allocated) stays within its ceiling;
-    * **bounded overshoot** — outside scheduled fault windows (plus a
-      settle margin), measured facility power stays near target;
-    * **drain** — every submitted job completes; no ghost records;
-    * **no collateral quarantine** — only injector-targeted jobs are ever
-      quarantined.
-    """
-
-    episodes: list
-    wall_seconds: float
-    budget_seconds: float
-
-    @property
-    def violations(self) -> list:
-        return [v for ep in self.episodes for v in ep.violations]
-
-    @property
-    def total_faults(self) -> int:
-        return sum(ep.num_faults for ep in self.episodes)
-
-    @property
-    def all_clean(self) -> bool:
-        return bool(self.episodes) and all(ep.clean for ep in self.episodes)
+        yield f"seed={seed}", Arm(config={"seed": seed}, faults=cocktail)
 
 
 def _fault_windows(schedule: FaultSchedule, end: float) -> list:
@@ -1109,40 +1016,30 @@ def _fault_windows(schedule: FaultSchedule, end: float) -> list:
     return windows
 
 
-def _check_episode_invariants(
-    *,
-    seed: int,
-    result: AnorResult,
-    rounds: np.ndarray,
-    schedule: FaultSchedule,
-    target_power: float,
-    ghosts: int,
-    quarantined: set,
-    victims: set,
-) -> list:
-    violations = []
-    for when, ceiling, planned in rounds:
-        if planned > ceiling + _SOAK_PLAN_SLACK:
-            violations.append(
-                f"seed={seed} t={when:.1f} budget-conservation: "
-                f"planned {planned:.1f}W > ceiling {ceiling:.1f}W"
-            )
+def _soak_violations(run: ArmRun, p: dict) -> list[str]:
+    """The online invariants one episode broke (see the scenario's doc)."""
+    system, result = run.system, run.result
+    seed = system.config.seed
+    violations = [
+        f"seed={seed} t={when:.1f} budget-conservation: "
+        f"planned {planned:.1f}W > ceiling {ceiling:.1f}W"
+        for when, ceiling, planned in rounds_over_ceiling(run.rounds)
+    ]
     if result.unstarted_jobs:
         violations.append(
             f"seed={seed} drain: {result.unstarted_jobs} jobs never started"
         )
+    ghosts = len(system.manager.jobs)
     if ghosts:
         violations.append(f"seed={seed} drain: {ghosts} ghost records")
-    collateral = quarantined - victims
+    collateral = set(_quarantines(system)) - set(system.faults.victims)
     if collateral:
-        violations.append(
-            f"seed={seed} collateral quarantine: {sorted(collateral)}"
-        )
+        violations.append(f"seed={seed} collateral quarantine: {sorted(collateral)}")
     trace = result.power_trace
     if len(trace) >= _SOAK_ROLL:
         end = float(trace[-1, 0])
         calm = np.isfinite(trace[:, 2])
-        for start, stop in _fault_windows(schedule, end):
+        for start, stop in _fault_windows(system.faults.schedule, end):
             calm &= ~((trace[:, 0] >= start) & (trace[:, 0] < stop))
         excess = np.where(calm, trace[:, 2] - trace[:, 1], 0.0)
         kernel = np.ones(_SOAK_ROLL)
@@ -1153,7 +1050,7 @@ def _check_episode_invariants(
         )
         if all_calm.any():
             worst = int(np.argmax(np.where(all_calm, rolled, -np.inf)))
-            if rolled[worst] > _SOAK_SUSTAINED_EXCESS * target_power:
+            if rolled[worst] > _SOAK_SUSTAINED_EXCESS * p["target_power"]:
                 violations.append(
                     f"seed={seed} t={trace[worst, 0]:.1f} sustained "
                     f"calm-window overshoot {rolled[worst]:.1f}W "
@@ -1162,342 +1059,260 @@ def _check_episode_invariants(
     return violations
 
 
-def run_chaos_soak(
-    *,
-    seconds: float = 60.0,
-    base_seed: int = 7,
-    episode_duration: float = 600.0,
-    num_nodes: int = 16,
-    target_power: float | None = None,
-    max_episodes: int = 1000,
-) -> ChaosSoakResult:
-    """Soak the trust boundary under randomized faults for ``seconds`` of
-    wall-clock time (always at least one episode)."""
-    if seconds <= 0:
-        raise ValueError(f"seconds must be positive, got {seconds}")
-    if episode_duration <= 0:
-        raise ValueError(
-            f"episode_duration must be positive, got {episode_duration}"
-        )
-    if target_power is None:
-        target_power = num_nodes * 180.0
-    start_wall = time.monotonic()
-    episodes: list[SoakEpisode] = []
-    for i in range(max_episodes):
-        if episodes and time.monotonic() - start_wall >= seconds:
-            break
-        seed = base_seed + i
-        schedule = FaultSchedule.random(
-            episode_duration,
-            seed=seed,
-            num_nodes=num_nodes,
-            node_crash_rate=1.0 / 600.0,
-            endpoint_crash_rate=1.0 / 600.0,
-            link_burst_rate=1.0 / 600.0,
-            meter_outage_rate=1.0 / 600.0,
-            corrupt_status_rate=1.0 / 600.0,
-            byzantine_rate=1.0 / 300.0,
-            stuck_actuator_rate=1.0 / 300.0,
-            meter_drift_rate=1.0 / 300.0,
-            node_down_time=120.0,
-            rogue_duration=120.0,
-        )
-        system = _build_static_system(
-            duration=episode_duration,
-            seed=seed,
-            target_power=target_power,
-            num_nodes=num_nodes,
-            checkpoint_dir=None,
-            checkpoint_period=30.0,
-            recovery_timeout=60.0,
-            fault_schedule=schedule,
-            audit_enabled=True,
-        )
-        result, rounds = _drive(system, max_time=episode_duration + 7200.0)
-        # Settle before counting ghosts: goodbyes are still in flight at
-        # drain and silently-dead records need dead_job_timeout to pass.
-        for _ in range(int(system.config.dead_job_timeout) + 10):
-            system.step()
-        auditor = system.manager.auditor
-        quarantined = {
-            t.job_id for t in auditor.transitions if t.new == "quarantined"
-        }
-        victims = set(
-            _parse_rogue_victims(result.fault_log, kinds=_SOAK_VICTIM_KINDS)
-        )
-        violations = _check_episode_invariants(
-            seed=seed,
-            result=result,
-            rounds=rounds,
-            schedule=schedule,
-            target_power=target_power,
-            ghosts=len(system.manager.jobs),
-            quarantined=quarantined,
-            victims=victims,
-        )
-        episodes.append(
-            SoakEpisode(
-                seed=seed,
-                duration=episode_duration,
-                num_faults=len(schedule),
-                completed=len(result.completed),
-                violations=violations,
-                quarantines=len(quarantined),
-                transitions=len(auditor.transitions),
-            )
-        )
-    return ChaosSoakResult(
-        episodes=episodes,
-        wall_seconds=time.monotonic() - start_wall,
-        budget_seconds=seconds,
-    )
+def _soak_episode(run: ArmRun, p: dict) -> dict:
+    return {
+        "seed": run.system.config.seed,
+        "num_faults": len(run.system.faults.schedule),
+        "completed": len(run.result.completed),
+        "quarantines": len(_quarantines(run.system)),
+        "transitions": len(run.system.manager.auditor.transitions),
+        "violations": _soak_violations(run, p),
+    }
 
 
-def format_soak_table(res: ChaosSoakResult) -> str:
-    lines = [
-        f"episodes                       : {len(res.episodes)} "
-        f"({res.wall_seconds:.0f}s wall, budget {res.budget_seconds:.0f}s)",
-        f"faults injected                : {res.total_faults}",
-        f"quarantines                    : "
-        f"{sum(ep.quarantines for ep in res.episodes)}",
-        f"invariant violations           : {len(res.violations)}",
-    ]
-    for ep in res.episodes:
-        lines.append(
-            f"  seed={ep.seed}: faults={ep.num_faults} "
-            f"completed={ep.completed} quarantines={ep.quarantines} "
-            f"{'clean' if ep.clean else 'VIOLATIONS=' + str(len(ep.violations))}"
-        )
-    lines.extend(f"  {v}" for v in res.violations)
-    return "\n".join(lines)
+def _soak_metrics(arms: dict[str, dict], p: dict) -> dict:
+    episodes = list(arms.values())
+    return {
+        "episodes": episodes,
+        "total_faults": sum(ep["num_faults"] for ep in episodes),
+        "quarantines": sum(ep["quarantines"] for ep in episodes),
+        "violations": [v for ep in episodes for v in ep["violations"]],
+    }
 
 
-# --------------------------------------------------------------- forecast
+_SOAK = Scenario(
+    doc="""A wall-clock-budgeted randomized fault soak of the trust boundary.
+
+    Each episode (one arm per seed, ``seed``, ``seed + 1`` ... for
+    ``seconds`` of wall clock, ``duration`` simulated seconds each) drives a
+    fresh seeded system under a :meth:`~repro.faults.FaultSchedule.random`
+    mix (rogue endpoints, node and endpoint crashes, corrupt statuses, meter
+    outages — all finite duration) with auditing on, and checks online
+    invariants:
+
+    * **budget conservation** — every budget round's planned power
+      (idle + reserved + allocated) stays within its ceiling;
+    * **bounded overshoot** — outside scheduled fault windows (plus a
+      settle margin), measured facility power stays near target;
+    * **drain** — every submitted job completes; no ghost records;
+    * **no collateral quarantine** — only injector-targeted jobs are ever
+      quarantined.
+    """,
+    workload="static",
+    params={
+        "seed": 7,
+        "duration": 600.0,
+        "seconds": 60.0,
+        "target_power": _NODES * 180.0,
+    },
+    quick={},
+    target=lambda p: ConstantTarget(p["target_power"]),
+    config=lambda p: {"audit_enabled": True},
+    arms=_soak_arms,
+    settle=True,
+    reduce=_soak_episode,
+    metrics=_soak_metrics,
+    claims=(
+        ("at least one randomized episode ran to drain",
+         lambda m: len(m["episodes"]) >= 1),
+        ("the fault mix actually exercised the trust boundary",
+         lambda m: m["quarantines"] > 0),
+        ("no online invariant was violated in any episode (budget "
+         "conservation, bounded overshoot, drain, no collateral quarantine)",
+         lambda m: bool(m["episodes"]) and not m["violations"]),
+    ),
+    rows=(
+        ("episodes",
+         lambda m, p: f"{len(m['episodes'])} (wall budget {p['seconds']:.0f}s)"),
+        ("faults injected", lambda m, p: m["total_faults"]),
+        ("quarantines", lambda m, p: m["quarantines"]),
+        ("invariant violations", lambda m, p: len(m["violations"])),
+        ("per episode",
+         lambda m, p: [
+             f"seed={ep['seed']}: faults={ep['num_faults']} "
+             f"completed={ep['completed']} quarantines={ep['quarantines']} "
+             + (
+                 f"VIOLATIONS={len(ep['violations'])}"
+                 if ep["violations"]
+                 else "clean"
+             )
+             for ep in m["episodes"]
+         ]),
+        ("violations", lambda m, p: m["violations"]),
+    ),
+)
 
 
-@dataclass
-class ForecastDrillResult:
-    """Reactive vs predictive vs adversarial planning on the Fig. 9 target.
-
-    Three runs of the same workload (seed, schedule, file-backed target):
-
-    * **reactive** — planning off: the seed control plane;
-    * **predictive** — schedule forecaster (exact breakpoints), envelope
-      active from round one;
-    * **adversarial** — inverted-ramp forecaster, deliberately wrong, to
-      prove the envelope keeps planned draw inside the reactive bound and
-      trips fallback within the configured error window.
-    """
-
-    reactive: AnorResult
-    predictive: AnorResult
-    adversarial: AnorResult
-    # per-round accounting rows: (time, ceiling, planned) from _drive
-    reactive_rounds: np.ndarray
-    predictive_rounds: np.ndarray
-    adversarial_rounds: np.ndarray
-    reactive_rewrites: int
-    predictive_rewrites: int
-    adversarial_rewrites: int
-    predictive_fallbacks: int
-    adversarial_fallbacks: int
-    predictive_mae: float
-    adversarial_mae: float
-    predictive_warm_hits: int
-    predictive_held_caps: int
-    adversarial_fallback_time: float | None
-    duration: float
-    warmup: float
-    reserve: float
-    manager_period: float
-    error_bound_watts: float
-    error_window: int
-
-    def _errors(self, result: AnorResult) -> np.ndarray:
-        # Compare tracking only over the scheduled window: past ``duration``
-        # the three runs are all draining a tail of long jobs and the target
-        # no longer exercises the planner.
-        trace = result.power_trace
-        trace = trace[trace[:, 0] <= self.duration]
-        return tracking_error_series(
-            trace, self.reserve, t_start=self.warmup, smooth_samples=4
-        )
-
-    @property
-    def reactive_error90(self) -> float:
-        return float(np.percentile(self._errors(self.reactive), 90))
-
-    @property
-    def predictive_error90(self) -> float:
-        return float(np.percentile(self._errors(self.predictive), 90))
-
-    @property
-    def adversarial_error90(self) -> float:
-        return float(np.percentile(self._errors(self.adversarial), 90))
-
-    @property
-    def tracking_ratio(self) -> float:
-        """Predictive / reactive 90th-pct tracking error; < 1 is a win."""
-        reactive = self.reactive_error90
-        return self.predictive_error90 / reactive if reactive > 0 else math.inf
-
-    @staticmethod
-    def _violations(rounds: np.ndarray) -> int:
-        if rounds.size == 0:
-            return 0
-        return int(np.sum(rounds[:, 2] > rounds[:, 1] + _SOAK_PLAN_SLACK))
-
-    @property
-    def predictive_violations(self) -> int:
-        """Rounds where the predictive plan out-spent the budget ceiling."""
-        return self._violations(self.predictive_rounds)
-
-    @property
-    def adversarial_violations(self) -> int:
-        """Rounds where the *wrong* forecast out-spent the budget ceiling."""
-        return self._violations(self.adversarial_rounds)
-
-    @property
-    def fallback_latency_bound(self) -> float:
-        """How quickly the envelope must trip on a persistently wrong
-        forecaster: enough rounds to arm the trip gate plus one full error
-        window, in seconds."""
-        return (self.error_window + 4) * self.manager_period
-
-    @property
-    def fallback_latency(self) -> float | None:
-        """Seconds from the first scored round to the adversarial trip."""
-        if self.adversarial_fallback_time is None:
-            return None
-        if self.adversarial_rounds.size == 0:
-            return None
-        return float(self.adversarial_fallback_time - self.adversarial_rounds[0, 0])
+# ---------------------------------------------------------------- forecast
 
 
-def run_forecast_drill(
-    *,
-    duration: float = 900.0,
-    seed: int = 0,
-    warmup: float = 120.0,
-    manager_period: float = 4.0,
-    horizon_rounds: int = 8,
-    hysteresis_watts: float = 6.0,
-    error_bound_watts: float = 100.0,
-    error_window: int = 16,
-) -> ForecastDrillResult:
-    """Scorecard the predictive planner against the reactive seed on Fig. 9.
-
-    The Fig. 9 regulation signal is materialised through
-    :func:`~repro.core.targets.save_target_file` into a genuine file-backed
-    :class:`~repro.core.targets.SteppedTarget`, so the schedule forecaster
-    consumes *exact* future breakpoints via ``window()`` — the deployment
-    shape the paper describes (the manager "periodically reads cluster power
-    targets from a file").  The manager runs at the target's own 4 s cadence;
-    the reactive gate anchors 1 s off the target grid (first poll fires at
-    t=1), so every target step is seen a second late — the lag the plan
-    instants eliminate.
-    """
-    signal = BoundedRandomWalkSignal(
-        duration * 2, step=manager_period, seed=seed * 104729 + 7
-    )
+def _forecast_target(p: dict) -> SteppedTarget:
+    """The Fig. 9 regulation signal as a genuine file-backed target, so the
+    schedule forecaster consumes *exact* future breakpoints via ``window()``
+    — the deployment shape the paper describes (the manager "periodically
+    reads cluster power targets from a file")."""
+    period, span = p["manager_period"], p["duration"] * 2
+    signal = BoundedRandomWalkSignal(span, step=period, seed=p["seed"] * 104729 + 7)
     regulation = RegulationTarget(
-        DEFAULT_AVERAGE_POWER, DEFAULT_RESERVE, signal,
-        update_period=manager_period,
+        DEFAULT_AVERAGE_POWER, DEFAULT_RESERVE, signal, update_period=period
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fig9_targets.csv"
-        save_target_file(regulation, path, duration=duration * 2, step=manager_period)
-        stepped = load_target_file(path)
-
-    def run_one(
-        plan_enabled: bool, forecaster: str
-    ) -> tuple[AnorResult, np.ndarray, AnorSystem]:
-        cfg = AnorConfig(
-            num_nodes=16,
-            seed=seed,
-            manager_period=manager_period,
-            telemetry_enabled=True,
-            plan_enabled=plan_enabled,
-            plan_forecaster=forecaster,
-            plan_horizon_rounds=horizon_rounds,
-            plan_hysteresis_watts=hysteresis_watts,
-            plan_error_bound_watts=error_bound_watts,
-            plan_error_window=error_window,
-            # Drills start active: shadow-mode promotion is covered by unit
-            # tests, and the adversarial arm must *reach* active to prove
-            # fallback engages.
-            plan_shadow_rounds=0,
-        )
-        system = build_demand_response_system(
-            duration=duration, seed=seed, target_source=stepped, config=cfg
-        )
-        result, rounds = _drive(system, max_time=duration * 4)
-        return result, rounds, system
-
-    reactive_res, reactive_rounds, reactive_sys = run_one(False, "auto")
-    predictive_res, predictive_rounds, predictive_sys = run_one(True, "auto")
-    adversarial_res, adversarial_rounds, adversarial_sys = run_one(True, "adversarial")
-    predictive_planner = predictive_sys.manager.planner
-    adversarial_planner = adversarial_sys.manager.planner
-    return ForecastDrillResult(
-        reactive=reactive_res,
-        predictive=predictive_res,
-        adversarial=adversarial_res,
-        reactive_rounds=reactive_rounds,
-        predictive_rounds=predictive_rounds,
-        adversarial_rounds=adversarial_rounds,
-        reactive_rewrites=reactive_sys.manager.cap_rewrites,
-        predictive_rewrites=predictive_sys.manager.cap_rewrites,
-        adversarial_rewrites=adversarial_sys.manager.cap_rewrites,
-        predictive_fallbacks=predictive_planner.envelope.fallbacks,
-        adversarial_fallbacks=adversarial_planner.envelope.fallbacks,
-        predictive_mae=predictive_planner.forecaster.mae,
-        adversarial_mae=adversarial_planner.forecaster.mae,
-        predictive_warm_hits=predictive_planner.warm_hits,
-        predictive_held_caps=predictive_planner.hysteresis_holds,
-        adversarial_fallback_time=adversarial_planner.envelope.first_fallback_time(),
-        duration=duration,
-        warmup=warmup,
-        reserve=DEFAULT_RESERVE,
-        manager_period=manager_period,
-        error_bound_watts=error_bound_watts,
-        error_window=error_window,
-    )
+        save_target_file(regulation, path, duration=span, step=period)
+        return load_target_file(path)
 
 
-def format_forecast_table(res: ForecastDrillResult) -> str:
-    latency = res.fallback_latency
-    lines = [
-        f"tracking error 90th pct : reactive {100 * res.reactive_error90:5.1f}%  "
-        f"predictive {100 * res.predictive_error90:5.1f}%  "
-        f"adversarial {100 * res.adversarial_error90:5.1f}%",
-        f"tracking ratio          : {res.tracking_ratio:.3f} (predictive/reactive, <1 is a win)",
-        f"cap rewrites            : reactive {res.reactive_rewrites}  "
-        f"predictive {res.predictive_rewrites}  "
-        f"adversarial {res.adversarial_rewrites}",
-        f"budget-ceiling breaches : predictive {res.predictive_violations}  "
-        f"adversarial {res.adversarial_violations}",
-        f"forecast MAE            : predictive {res.predictive_mae:.1f}W  "
-        f"adversarial {res.adversarial_mae:.1f}W (bound {res.error_bound_watts:.0f}W)",
-        f"plan warm hits          : {res.predictive_warm_hits}  "
-        f"(hysteresis held {res.predictive_held_caps} caps)",
-        f"fallbacks               : predictive {res.predictive_fallbacks}  "
-        f"adversarial {res.adversarial_fallbacks}"
-        + (
-            f" (first at t={res.adversarial_fallback_time:.0f}s, "
-            f"latency {latency:.0f}s ≤ bound {res.fallback_latency_bound:.0f}s)"
-            if res.adversarial_fallback_time is not None and latency is not None
-            else ""
+def _forecast_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
+    reactive, predictive, adversarial = (arms[name] for name in _FORECAST_ARMS)
+    good = predictive.system.manager.planner
+    bad = adversarial.system.manager.planner
+    base = _error90(reactive.result, p)
+    err = _error90(predictive.result, p)
+    tripped = bad.envelope.first_fallback_time()
+    scored = len(adversarial.rounds) > 0
+    return {
+        "reactive_error90": base,
+        "predictive_error90": err,
+        "adversarial_error90": _error90(adversarial.result, p),
+        # Predictive / reactive 90th-pct tracking error; < 1 is a win.
+        "tracking_ratio": err / base if base > 0 else math.inf,
+        "reactive_rewrites": reactive.system.manager.cap_rewrites,
+        "predictive_rewrites": predictive.system.manager.cap_rewrites,
+        "adversarial_rewrites": adversarial.system.manager.cap_rewrites,
+        # Rounds where the plan out-spent the budget ceiling.
+        "predictive_violations": len(rounds_over_ceiling(predictive.rounds)),
+        "adversarial_violations": len(rounds_over_ceiling(adversarial.rounds)),
+        "predictive_mae": good.forecaster.mae,
+        "adversarial_mae": bad.forecaster.mae,
+        "predictive_warm_hits": good.warm_hits,
+        "predictive_held_caps": good.hysteresis_holds,
+        "predictive_fallbacks": good.envelope.fallbacks,
+        "adversarial_fallbacks": bad.envelope.fallbacks,
+        "adversarial_fallback_time": tripped,
+        # Seconds from the first scored round to the adversarial trip.
+        "fallback_latency": (
+            float(tripped - adversarial.rounds[0, 0])
+            if tripped is not None and scored
+            else None
         ),
-        f"jobs completed          : reactive {len(res.reactive.completed)}  "
-        f"predictive {len(res.predictive.completed)}  "
-        f"adversarial {len(res.adversarial.completed)}",
-    ]
-    return "\n".join(lines)
+        # How quickly the envelope must trip on a persistently wrong
+        # forecaster: enough rounds to arm the trip gate plus one full error
+        # window, in seconds.
+        "fallback_latency_bound": (p["error_window"] + 4) * p["manager_period"],
+        "reactive_completed": len(reactive.result.completed),
+        "predictive_completed": len(predictive.result.completed),
+        "adversarial_completed": len(adversarial.result.completed),
+        "reactive_unstarted": reactive.result.unstarted_jobs,
+    }
 
 
-# ----------------------------------------------------------------- shed drill
+_FORECAST_ARMS = ("reactive", "predictive", "adversarial")
 
+
+def _by_arm(m: dict, key: str, spec: str = "", arms: tuple = _FORECAST_ARMS) -> str:
+    """``arm value`` for each arm's ``{arm}_{key}`` metric, on one line."""
+    return "  ".join(f"{arm} {format(m[f'{arm}_{key}'], spec)}" for arm in arms)
+
+
+_FORECAST = Scenario(
+    doc="""Reactive vs predictive vs adversarial planning on the Fig. 9 target.
+
+    Three arms of the same workload (seed, schedule, file-backed target):
+    **reactive** — planning off, the seed control plane; **predictive** —
+    schedule forecaster (exact breakpoints), envelope active from round one;
+    **adversarial** — inverted-ramp forecaster, deliberately wrong, to prove
+    the envelope keeps planned draw inside the reactive bound and trips
+    fallback within the configured error window.
+
+    The manager runs at the target's own 4 s cadence; the reactive gate
+    anchors 1 s off the target grid (first poll fires at t=1), so every
+    target step is seen a second late — the lag the plan instants eliminate.
+    """,
+    workload="fig9",
+    params={
+        "seed": 0,
+        "duration": 900.0,
+        "warmup": 120.0,
+        "manager_period": 4.0,
+        "horizon_rounds": 8,
+        "hysteresis_watts": 6.0,
+        "error_bound_watts": 100.0,
+        "error_window": 16,
+    },
+    quick={"duration": 600.0},
+    target=_forecast_target,
+    config=lambda p: {
+        "manager_period": p["manager_period"],
+        "plan_horizon_rounds": p["horizon_rounds"],
+        "plan_hysteresis_watts": p["hysteresis_watts"],
+        "plan_error_bound_watts": p["error_bound_watts"],
+        "plan_error_window": p["error_window"],
+        # Drills start active: shadow-mode promotion is covered by unit
+        # tests, and the adversarial arm must *reach* active to prove
+        # fallback engages.
+        "plan_shadow_rounds": 0,
+    },
+    arms={
+        "reactive": Arm(),
+        "predictive": Arm(config={"plan_enabled": True}),
+        "adversarial": Arm(
+            config={"plan_enabled": True, "plan_forecaster": "adversarial"}
+        ),
+    },
+    metrics=_forecast_metrics,
+    claims=(
+        ("predictive planning strictly improves tracking (90th pct error "
+         "ratio < 1)",
+         lambda m: m["tracking_ratio"] < 1.0),
+        ("hysteresis + plan warm starts reduce cap rewrites vs the reactive "
+         "seed",
+         lambda m: m["predictive_rewrites"] < m["reactive_rewrites"]),
+        ("predictive planned draw never exceeds the budget ceiling",
+         lambda m: m["predictive_violations"] == 0),
+        ("even a deliberately wrong forecast never pushes planned draw over "
+         "the ceiling (envelope clamp)",
+         lambda m: m["adversarial_violations"] == 0),
+        ("the adversarial forecaster trips fallback within the configured "
+         "error window",
+         lambda m: m["adversarial_fallbacks"] > 0
+         and m["fallback_latency"] is not None
+         and m["fallback_latency"] <= m["fallback_latency_bound"]),
+        ("the exact schedule forecaster never trips fallback",
+         lambda m: m["predictive_fallbacks"] == 0),
+        ("all three arms drain the same workload",
+         lambda m: m["reactive_completed"] == m["predictive_completed"]
+         == m["adversarial_completed"]
+         and m["reactive_unstarted"] == 0),
+    ),
+    rows=(
+        ("tracking error 90th pct", lambda m, p: _by_arm(m, "error90", "5.1%")),
+        ("tracking ratio",
+         lambda m, p: f"{m['tracking_ratio']:.3f} "
+         "(predictive/reactive, <1 is a win)"),
+        ("cap rewrites", lambda m, p: _by_arm(m, "rewrites")),
+        ("budget-ceiling breaches",
+         lambda m, p: _by_arm(m, "violations", arms=_FORECAST_ARMS[1:])),
+        ("forecast MAE",
+         lambda m, p: f"predictive {m['predictive_mae']:.1f}W  adversarial "
+         f"{m['adversarial_mae']:.1f}W (bound {p['error_bound_watts']:.0f}W)"),
+        ("plan warm hits",
+         lambda m, p: f"{m['predictive_warm_hits']}  "
+         f"(hysteresis held {m['predictive_held_caps']} caps)"),
+        ("fallbacks",
+         lambda m, p: _by_arm(m, "fallbacks", arms=_FORECAST_ARMS[1:])
+         + (
+             f" (first at t={m['adversarial_fallback_time']:.0f}s, latency "
+             f"{m['fallback_latency']:.0f}s ≤ bound "
+             f"{m['fallback_latency_bound']:.0f}s)"
+             if m["fallback_latency"] is not None
+             else ""
+         )),
+        ("jobs completed", lambda m, p: _by_arm(m, "completed")),
+    ),
+)
+
+
+# -------------------------------------------------------------------- shed
 
 #: Shed-class assignment for the long-running mix: one third of the types in
 #: each class, so every severity level has work to act on.
@@ -1510,205 +1325,110 @@ _SHED_CLASS_MAP = {
     "sp": "protected",
 }
 
+_SHED_INCIDENTS = (
+    ThermalDerate(time=180.0, magnitude=0.15, duration=120.0),
+    FeederLoss(time=420.0, magnitude=0.30, duration=150.0),
+    DemandResponseEmergency(time=660.0, magnitude=0.55, duration=120.0),
+)
 
-def _parse_shed_actions(events) -> list[tuple[float, str, str]]:
-    """``(time, job_id, action)`` rows from a manager's event log.
-
-    The manager records every queued preempt/kill as
-    ``t=<when> <job>: shed <action> (severity=<level>)``.
-    """
-    actions: list[tuple[float, str, str]] = []
-    for line in events:
-        fields = line.split()
-        if len(fields) < 4 or not fields[0].startswith("t="):
-            continue
-        if fields[2] != "shed" or fields[3] not in ("preempt", "kill"):
-            continue
-        when = float(fields[0][len("t="):])
-        actions.append((when, fields[1].rstrip(":"), fields[3]))
-    return actions
+_SHED_RAMP_SLACK = 1.0  # W of float slack on the recovery-ramp bound
 
 
-def _drive_shed(
-    system: AnorSystem, *, max_time: float
-) -> tuple[AnorResult, np.ndarray]:
-    """Run a shed-enabled system to drain, sampling the ladder per round.
-
-    Returns ``(result, shed_rows)`` where shed_rows columns are (time,
-    severity value, recovery ceiling in W) — the raw material for the
-    ramp-rate and no-flapping claims.  Rows with an infinite ceiling (ladder
-    not yet fed) are skipped.
-    """
-    rows: list[tuple[float, float, float]] = []
-    last_time = None
-    while (
-        system._pending or system._queue or system.cluster.running
-    ) and system.cluster.clock.now < max_time:
-        system.step()
-        mgr = system.manager
-        rnd = mgr.last_round if mgr is not None else None
-        if rnd is not None and rnd.time != last_time:
-            last_time = rnd.time
-            shed = mgr.shed
-            if shed is not None and math.isfinite(shed.ladder.ceiling):
-                rows.append(
-                    (rnd.time, float(SEVERITY_VALUES[shed.severity]),
-                     shed.ladder.ceiling)
-                )
-    result = system.run(0.0)
-    shed_rows = np.asarray(rows) if rows else np.empty((0, 3))
-    return result, shed_rows
+def _shed_sample(system: AnorSystem) -> tuple[float, float]:
+    """(severity value, recovery ceiling in W) — the raw material for the
+    ramp-rate and no-flapping claims.  The ceiling is infinite until the
+    ladder has been fed."""
+    ladder = system.manager.shed.ladder
+    return float(ladder.gauge_value), ladder.ceiling
 
 
-@dataclass
-class ShedDrillResult:
-    """Golden-vs-incident comparison of the graceful-degradation ladder.
+def _shed_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
+    golden, incident = arms["golden"], arms["incident"]
+    shed = incident.system.manager.shed
+    golden_shed = golden.system.manager.shed
+    period = incident.system.config.manager_period
+    classes = {
+        req.job_id: _SHED_CLASS_MAP[req.type_name]
+        for req in incident.system.schedule.requests
+    }
+    actions = list(shed.requests)
+    killed = sorted({j for _, j, a in actions if a == "kill"})
+    preempted = sorted({j for _, j, a in actions if a == "preempt"})
+    protected = {j for j, cls in classes.items() if cls == "protected"}
+    done = _ids(incident.result)
 
-    Both runs share the seed, workload, static target, and shed
+    # Jobs preempted/killed twice inside one episode (re-shedding a requeued
+    # job in a *later* episode is legitimate): the staggered incidents are
+    # more than 400 s apart, so two requests within half that are one episode.
+    double_shed, seen = set(), {}
+    for when, job_id, _ in sorted(actions):
+        if job_id in seen and when - seen[job_id] < 200.0:
+            double_shed.add(job_id)
+        seen[job_id] = when
+
+    # Largest per-round recovery-ceiling increase, normalised to one manager
+    # period (rounds the sampler missed widen the allowance).
+    fed = incident.rounds[np.isfinite(incident.rounds[:, 4])]
+    max_ramp_step = 0.0
+    for prev, row in zip(fed, fed[1:]):
+        gain = row[4] - prev[4]
+        if gain > 0:
+            periods = max(1.0, round((row[0] - prev[0]) / period))
+            max_ramp_step = max(max_ramp_step, float(gain / periods))
+
+    return {
+        "jobs_by_class": {
+            cls: sum(1 for c in classes.values() if c == cls)
+            for cls in sorted(set(classes.values()))
+        },
+        "escalations": shed.ladder.escalations,
+        "golden_escalations": golden_shed.ladder.escalations,
+        # Escalations beyond one per scheduled incident would be flapping.
+        "flap_bound": len(_SHED_INCIDENTS) + 1,
+        "preempts": shed.preempts,
+        "kills": shed.kills,
+        "restores": shed.restores,
+        # Must be empty — the plan table makes it structurally impossible.
+        "protected_shed": sorted({j for _, j, _ in actions} & protected),
+        "kill_order_violations": [
+            j for j in killed if classes[j] != "preemptible"
+        ],
+        "preempt_order_violations": [
+            j for j in preempted if classes[j] == "protected"
+        ],
+        "double_shed": sorted(double_shed),
+        "max_ramp_step": max_ramp_step,
+        "ramp_bound": p["ramp_watts"] + _SHED_RAMP_SLACK,
+        # The last severity sample is back at normal (full recovery).
+        "recovered_to_normal": bool(len(fed) and fed[-1, 3] == 0.0),
+        "completed_golden": len(golden.result.completed),
+        "completed_incident": len(incident.result.completed),
+        # Preempted jobs that neither completed nor were later killed.
+        "preempted_unaccounted": sorted(set(preempted) - done - set(killed)),
+        "protected_incomplete": sorted(protected - done),
+        # Same knobs, no incidents: the golden arm must never shed.
+        "golden_clean": (
+            not golden_shed.requests
+            and not golden_shed.ladder.transitions
+            and golden_shed.ladder.escalations == 0
+        ),
+        "injector_quiescent": incident.system.faults.quiescent,
+        "severity_log": list(shed.ladder.transitions),
+        "shed_actions": [
+            f"t={when:7.1f} {job_id}: {action} ({classes[job_id]})"
+            for when, job_id, action in actions
+        ],
+        "incident_counts": dict(incident.system.telemetry.incident_counts),
+    }
+
+
+_SHED = Scenario(
+    doc="""Walk the degradation ladder through all three severities and back.
+
+    Both arms share the seed, workload, static target and shed
     configuration; only the facility incidents differ.  The incident arm
-    takes three staggered feed events — a :class:`~repro.faults.ThermalDerate`
-    (brownout-1), a :class:`~repro.faults.FeederLoss` (brownout-2), and a
-    :class:`~repro.faults.DemandResponseEmergency` deep enough for blackstart
-    — so every rung of the ladder fires and recovers in one run.
-    """
-
-    golden: AnorResult
-    incident: AnorResult
-    target_power: float
-    ramp_watts: float
-    manager_period: float
-    num_incidents: int
-    job_classes: dict[str, str]  # job_id -> shed class, from the schedule
-    shed_actions: list  # (time, job_id, action) rows, incident arm
-    golden_actions: list
-    severity_log: list  # ladder transition lines, incident arm
-    golden_severity_log: list
-    escalations: int
-    golden_escalations: int
-    preempts: int
-    kills: int
-    restores: int
-    shed_rows: np.ndarray  # (time, severity, ceiling) per round, incident arm
-    injector_quiescent: bool
-    incident_counts: dict = field(default_factory=dict)
-    ramp_slack_watts: float = 1.0
-
-    @property
-    def killed_jobs(self) -> list[str]:
-        return sorted({j for _, j, a in self.shed_actions if a == "kill"})
-
-    @property
-    def preempted_jobs(self) -> list[str]:
-        return sorted({j for _, j, a in self.shed_actions if a == "preempt"})
-
-    @property
-    def protected_jobs(self) -> list[str]:
-        return sorted(
-            j for j, cls in self.job_classes.items() if cls == "protected"
-        )
-
-    @property
-    def protected_shed(self) -> list[str]:
-        """Protected-class jobs that were ever preempted or killed (must be
-        empty — the plan table makes this structurally impossible)."""
-        touched = {j for _, j, _ in self.shed_actions}
-        return sorted(touched & set(self.protected_jobs))
-
-    @property
-    def kill_order_violations(self) -> list[str]:
-        """Killed jobs outside the preemptible class."""
-        return [
-            j for j in self.killed_jobs
-            if self.job_classes.get(j) != "preemptible"
-        ]
-
-    @property
-    def preempt_order_violations(self) -> list[str]:
-        """Preempted jobs outside the preemptible/checkpointable classes."""
-        return [
-            j for j in self.preempted_jobs
-            if self.job_classes.get(j) not in ("preemptible", "checkpointable")
-        ]
-
-    @property
-    def max_ramp_step(self) -> float:
-        """Largest per-round recovery-ceiling increase, normalised to one
-        manager period (rounds the sampler missed widen the allowance)."""
-        rows = self.shed_rows
-        if len(rows) < 2:
-            return 0.0
-        worst = 0.0
-        for i in range(1, len(rows)):
-            gain = rows[i, 2] - rows[i - 1, 2]
-            if gain <= 0:
-                continue
-            periods = max(
-                1.0, round((rows[i, 0] - rows[i - 1, 0]) / self.manager_period)
-            )
-            worst = max(worst, float(gain / periods))
-        return worst
-
-    @property
-    def ramp_bound(self) -> float:
-        return self.ramp_watts + self.ramp_slack_watts
-
-    @property
-    def flap_bound(self) -> int:
-        """Escalations beyond one per scheduled incident would be flapping."""
-        return self.num_incidents + 1
-
-    @property
-    def double_shed(self) -> list[str]:
-        """Jobs preempted/killed twice inside one episode (must be empty;
-        re-shedding a requeued job in a *later* episode is legitimate)."""
-        out = []
-        seen: dict[str, float] = {}
-        episode_len = 400.0  # staggered incidents are > this far apart
-        for when, job_id, _ in sorted(self.shed_actions):
-            if job_id in seen and when - seen[job_id] < episode_len / 2:
-                out.append(job_id)
-            seen[job_id] = when
-        return sorted(set(out))
-
-    @property
-    def preempted_unaccounted(self) -> list[str]:
-        """Preempted jobs that neither completed nor were later killed."""
-        done = {t.job_id for t in self.incident.completed}
-        killed = set(self.killed_jobs)
-        return sorted(set(self.preempted_jobs) - done - killed)
-
-    @property
-    def protected_incomplete(self) -> list[str]:
-        """Protected jobs the incident arm failed to complete."""
-        done = {t.job_id for t in self.incident.completed}
-        return sorted(set(self.protected_jobs) - done)
-
-    @property
-    def golden_clean(self) -> bool:
-        """The golden arm must never shed: same knobs, no incidents."""
-        return (
-            not self.golden_actions
-            and not self.golden_severity_log
-            and self.golden_escalations == 0
-        )
-
-    @property
-    def recovered_to_normal(self) -> bool:
-        """The last severity sample is back at normal (full recovery)."""
-        return bool(len(self.shed_rows)) and self.shed_rows[-1, 1] == 0.0
-
-
-def run_shed_drill(
-    *,
-    duration: float = 900.0,
-    seed: int = 11,
-    num_nodes: int = 16,
-    target_power: float | None = None,
-    ramp_watts: float = 100.0,
-) -> ShedDrillResult:
-    """Walk the degradation ladder through all three severities and back.
-
-    Incident arm schedule (against a static target):
+    takes three staggered feed events, so every rung of the ladder fires
+    and recovers in one run:
 
     * t=180s: :class:`~repro.faults.ThermalDerate` at 15 % for 120 s —
       brownout-1, preemptible jobs capped to floor;
@@ -1720,115 +1440,99 @@ def run_shed_drill(
 
     After each window the feed returns and the budget ceiling ramps back at
     ``ramp_watts`` per manager round while severity steps down one rung per
-    clear window — the asymmetric hysteresis that prevents flapping.
-    """
-    if target_power is None:
-        target_power = num_nodes * 180.0
-    incidents = [
-        ThermalDerate(time=180.0, magnitude=0.15, duration=120.0),
-        FeederLoss(time=420.0, magnitude=0.30, duration=150.0),
-        DemandResponseEmergency(time=660.0, magnitude=0.55, duration=120.0),
-    ]
-    common = dict(
-        duration=duration,
-        seed=seed,
-        target_power=target_power,
-        num_nodes=num_nodes,
-        checkpoint_dir=None,
-        checkpoint_period=30.0,
-        recovery_timeout=30.0,
-        shed_enabled=True,
-        shed_classes=dict(_SHED_CLASS_MAP),
-        shed_ramp_watts=ramp_watts,
-    )
-    max_time = duration + 7200.0
-    golden_sys = _build_static_system(fault_schedule=None, **common)
-    golden, _ = _drive_shed(golden_sys, max_time=max_time)
-    golden_shed = golden_sys.manager.shed
-    golden_actions = _parse_shed_actions(golden_sys.manager.events)
-    golden_severity_log = list(golden_shed.ladder.transitions)
-    golden_escalations = golden_shed.ladder.escalations
+    clear window — the asymmetric hysteresis that prevents flapping.  The
+    incident stagger is fixed, so ``--quick`` changes nothing.
+    """,
+    workload="static",
+    params={
+        "seed": 11,
+        "duration": 900.0,
+        "target_power": _NODES * 180.0,
+        "ramp_watts": 100.0,
+    },
+    quick={},
+    target=lambda p: ConstantTarget(p["target_power"]),
+    config=lambda p: {
+        "shed_enabled": True,
+        "shed_classes": dict(_SHED_CLASS_MAP),
+        "shed_ramp_watts": p["ramp_watts"],
+    },
+    arms={
+        "golden": Arm(),
+        "incident": Arm(faults=lambda p: FaultSchedule(list(_SHED_INCIDENTS))),
+    },
+    sample=_shed_sample,
+    metrics=_shed_metrics,
+    claims=(
+        ("every rung of the ladder fired: preempts, kills, and ramped "
+         "restores all occurred under the staggered incidents",
+         lambda m: m["preempts"] > 0 and m["kills"] > 0 and m["restores"] > 0),
+        ("protected jobs are never preempted or killed",
+         lambda m: not m["protected_shed"]),
+        ("shed ordering is respected: kills hit only the preemptible class, "
+         "preempts never reach the protected class",
+         lambda m: not m["kill_order_violations"]
+         and not m["preempt_order_violations"]),
+        ("no job is shed twice within one incident episode",
+         lambda m: not m["double_shed"]),
+        ("the recovery ceiling ramps back at no more than the configured "
+         "watts per round",
+         lambda m: m["max_ramp_step"] <= m["ramp_bound"]),
+        ("severity does not flap: at most one escalation per scheduled "
+         "incident (plus slack), and the run ends at normal",
+         lambda m: m["escalations"] <= m["flap_bound"]
+         and m["recovered_to_normal"]),
+        ("every preempted job completes after recovery (or is legitimately "
+         "killed by a deeper rung)",
+         lambda m: not m["preempted_unaccounted"]),
+        ("every protected job runs to completion",
+         lambda m: not m["protected_incomplete"]),
+        ("the golden arm (same knobs, no incidents) never sheds",
+         lambda m: m["golden_clean"]),
+        ("every fault window closed (injector quiescent)",
+         lambda m: m["injector_quiescent"]),
+    ),
+    rows=(
+        ("target (static)",
+         lambda m, p: f"{p['target_power']:.0f}W, {len(_SHED_INCIDENTS)} "
+         "staggered facility incidents"),
+        ("jobs by shed class",
+         lambda m, p: "  ".join(f"{c}={n}" for c, n in m["jobs_by_class"].items())),
+        ("ladder escalations",
+         lambda m, p: f"{m['escalations']} (flap bound {m['flap_bound']}; "
+         f"golden {m['golden_escalations']})"),
+        ("shed actions (incident arm)",
+         lambda m, p: f"preempts={m['preempts']} kills={m['kills']} "
+         f"restores={m['restores']}"),
+        ("protected jobs shed", lambda m, p: _listed(m["protected_shed"])),
+        ("shed-order violations",
+         lambda m, p: f"kill={len(m['kill_order_violations'])} "
+         f"preempt={len(m['preempt_order_violations'])}"),
+        ("double-shed in one episode", lambda m, p: _listed(m["double_shed"])),
+        ("recovery ramp per round",
+         lambda m, p: f"{m['max_ramp_step']:.1f}W (bound {m['ramp_bound']:.1f}W)"),
+        ("recovered to normal", lambda m, p: _yes(m["recovered_to_normal"])),
+        ("jobs completed golden/incident",
+         lambda m, p: f"{m['completed_golden']}/{m['completed_incident']}"),
+        ("preempted unaccounted for",
+         lambda m, p: _listed(m["preempted_unaccounted"])),
+        ("protected jobs incomplete",
+         lambda m, p: _listed(m["protected_incomplete"])),
+        ("golden arm shed-free", lambda m, p: _yes(m["golden_clean"])),
+        ("fault windows all closed", lambda m, p: _yes(m["injector_quiescent"])),
+        ("severity transitions (incident arm)", lambda m, p: m["severity_log"]),
+        ("shed actions", lambda m, p: m["shed_actions"]),
+        ("incident summary", _incidents),
+    ),
+)
 
-    incident_sys = _build_static_system(
-        fault_schedule=FaultSchedule(incidents), **common
-    )
-    incident, shed_rows = _drive_shed(incident_sys, max_time=max_time)
-    shed = incident_sys.manager.shed
-    job_classes = {
-        req.job_id: _SHED_CLASS_MAP.get(req.type_name, "checkpointable")
-        for req in incident_sys.schedule.requests
-    }
-    quiescent = (
-        incident_sys.faults.quiescent if incident_sys.faults is not None else True
-    )
-    return ShedDrillResult(
-        golden=golden,
-        incident=incident,
-        target_power=target_power,
-        ramp_watts=ramp_watts,
-        manager_period=incident_sys.config.manager_period,
-        num_incidents=len(incidents),
-        job_classes=job_classes,
-        shed_actions=_parse_shed_actions(incident_sys.manager.events),
-        golden_actions=golden_actions,
-        severity_log=list(shed.ladder.transitions),
-        golden_severity_log=golden_severity_log,
-        escalations=shed.ladder.escalations,
-        golden_escalations=golden_escalations,
-        preempts=shed.preempts,
-        kills=shed.kills,
-        restores=shed.restores,
-        shed_rows=shed_rows,
-        injector_quiescent=quiescent,
-        incident_counts=dict(incident_sys.telemetry.incident_counts),
-    )
 
-
-def format_shed_table(res: ShedDrillResult) -> str:
-    by_class: dict[str, int] = {}
-    for cls in res.job_classes.values():
-        by_class[cls] = by_class.get(cls, 0) + 1
-    lines = [
-        f"target (static)                : {res.target_power:.0f}W, "
-        f"{res.num_incidents} staggered facility incidents",
-        f"jobs by shed class             : "
-        + "  ".join(f"{c}={n}" for c, n in sorted(by_class.items())),
-        f"ladder escalations             : {res.escalations} "
-        f"(flap bound {res.flap_bound}; golden {res.golden_escalations})",
-        f"shed actions (incident arm)    : preempts={res.preempts} "
-        f"kills={res.kills} restores={res.restores}",
-        f"protected jobs shed            : {len(res.protected_shed)}"
-        + (f"  {res.protected_shed}" if res.protected_shed else ""),
-        f"shed-order violations          : "
-        f"kill={len(res.kill_order_violations)} "
-        f"preempt={len(res.preempt_order_violations)}",
-        f"double-shed in one episode     : {len(res.double_shed)}"
-        + (f"  {res.double_shed}" if res.double_shed else ""),
-        f"recovery ramp per round        : {res.max_ramp_step:.1f}W "
-        f"(bound {res.ramp_bound:.1f}W)",
-        f"recovered to normal            : "
-        f"{'yes' if res.recovered_to_normal else 'NO'}",
-        f"jobs completed golden/incident : "
-        f"{len(res.golden.completed)}/{len(res.incident.completed)}",
-        f"preempted unaccounted for      : {len(res.preempted_unaccounted)}"
-        + (f"  {res.preempted_unaccounted}" if res.preempted_unaccounted else ""),
-        f"protected jobs incomplete      : {len(res.protected_incomplete)}"
-        + (f"  {res.protected_incomplete}" if res.protected_incomplete else ""),
-        f"golden arm shed-free           : "
-        f"{'yes' if res.golden_clean else 'NO'}",
-        f"fault windows all closed       : "
-        f"{'yes' if res.injector_quiescent else 'NO'}",
-        "severity transitions (incident arm):",
-    ]
-    lines.extend(f"  {line}" for line in res.severity_log)
-    if res.shed_actions:
-        lines.append("shed actions:")
-        lines.extend(
-            f"  t={when:7.1f} {job_id}: {action} "
-            f"({res.job_classes.get(job_id, '?')})"
-            for when, job_id, action in res.shed_actions
-        )
-    if res.incident_counts:
-        lines.append("incident summary:")
-        lines.extend(summarize_incidents(res.incident_counts))
-    return "\n".join(lines)
+SCENARIOS: dict[str, Scenario] = {
+    "faults": _FAULTS,
+    "headnode": _HEADNODE,
+    "partition": _PARTITION,
+    "byzantine": _BYZANTINE,
+    "soak": _SOAK,
+    "forecast": _FORECAST,
+    "shed": _SHED,
+}

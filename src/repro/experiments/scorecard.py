@@ -18,19 +18,13 @@ __all__ = [
     "Claim",
     "ClaimOutcome",
     "Scorecard",
+    "evaluate",
     "score_fig3",
     "score_fig4",
     "score_fig5",
     "score_fig6",
     "score_fig10",
     "score_fig11",
-    "score_resilience",
-    "score_headnode_recovery",
-    "score_partition",
-    "score_byzantine",
-    "score_soak",
-    "score_forecast",
-    "score_shed",
 ]
 
 
@@ -85,7 +79,7 @@ class Scorecard:
         return "\n".join(rows)
 
 
-def _evaluate(claims: Sequence[Claim], result: object) -> Scorecard:
+def evaluate(claims: Sequence[Claim], result: object) -> Scorecard:
     return Scorecard([c.evaluate(result) for c in claims])
 
 
@@ -110,7 +104,7 @@ FIG3_CLAIMS = (
 
 
 def score_fig3(result) -> Scorecard:
-    return _evaluate(FIG3_CLAIMS, result)
+    return evaluate(FIG3_CLAIMS, result)
 
 
 # --------------------------------------------------------------------- fig 4
@@ -134,7 +128,7 @@ FIG4_CLAIMS = (
 
 
 def score_fig4(result) -> Scorecard:
-    return _evaluate(FIG4_CLAIMS, result)
+    return evaluate(FIG4_CLAIMS, result)
 
 
 # --------------------------------------------------------------------- fig 5
@@ -159,7 +153,7 @@ FIG5_CLAIMS = (
 
 
 def score_fig5(result) -> Scorecard:
-    return _evaluate(FIG5_CLAIMS, result)
+    return evaluate(FIG5_CLAIMS, result)
 
 
 # --------------------------------------------------------------------- fig 6
@@ -185,7 +179,7 @@ FIG6_CLAIMS = (
 
 
 def score_fig6(result) -> Scorecard:
-    return _evaluate(FIG6_CLAIMS, result)
+    return evaluate(FIG6_CLAIMS, result)
 
 
 # -------------------------------------------------------------------- fig 10
@@ -209,7 +203,7 @@ FIG10_CLAIMS = (
 
 
 def score_fig10(result) -> Scorecard:
-    return _evaluate(FIG10_CLAIMS, result)
+    return evaluate(FIG10_CLAIMS, result)
 
 
 # -------------------------------------------------------------------- fig 11
@@ -226,196 +220,4 @@ FIG11_CLAIMS = (
 
 
 def score_fig11(result) -> Scorecard:
-    return _evaluate(FIG11_CLAIMS, result)
-
-
-# --------------------------------------------------------------- resilience
-
-RESILIENCE_CLAIMS = (
-    Claim("resilience", "faulted run drains every submitted job",
-          lambda r: r.faulted.result.unstarted_jobs == 0),
-    Claim("resilience", "jobs requeued by the node crash all finish",
-          lambda r: r.requeued_completed),
-    Claim("resilience", "no ghost job records survive the drain",
-          lambda r: r.ghost_jobs == 0),
-    Claim("resilience", "every fault fired and every fault window closed",
-          lambda r: r.injector_quiescent),
-    Claim("resilience", "tracking error stays within 1.5x of healthy "
-          "(90th pct)",
-          lambda r: r.degradation_ratio <= 1.5),
-)
-
-
-def score_resilience(result) -> Scorecard:
-    return _evaluate(RESILIENCE_CLAIMS, result)
-
-
-# -------------------------------------------------- head-node crash recovery
-
-HEADNODE_CLAIMS = (
-    Claim("headnode", "planned draw never exceeds the budget ceiling, "
-          "during or after recovery",
-          lambda r: r.budget_violations == 0),
-    Claim("headnode", "no job the golden run completed is lost to the outage",
-          lambda r: not r.lost_jobs),
-    Claim("headnode", "no job is admitted twice across the restart",
-          lambda r: not r.double_admitted),
-    Claim("headnode", "surviving jobs reconcile warm (re-HELLO merges "
-          "checkpointed state)",
-          lambda r: r.recovery_merges > 0),
-    Claim("headnode", "the power trace re-converges to the golden run "
-          "within 120 s of restart",
-          lambda r: r.convergence_time is not None and r.convergence_time <= 120.0),
-)
-
-
-def score_headnode_recovery(result) -> Scorecard:
-    return _evaluate(HEADNODE_CLAIMS, result)
-
-
-# ------------------------------------------------------- partition tolerance
-
-PARTITION_CLAIMS = (
-    Claim("partition", "over-limit power is bounded by lease_ttl + ramp "
-          "(+ slack) — the dead-man switch fired",
-          lambda r: r.overshoot_seconds <= r.overshoot_bound),
-    Claim("partition", "endpoints entered degraded autonomy during the "
-          "partition",
-          lambda r: r.degraded_endpoints > 0),
-    Claim("partition", "the reliable layer declared the partition and its "
-          "heal",
-          lambda r: r.partitions_detected > 0 and r.partitions_healed > 0),
-    Claim("partition", "no job the golden run completed is lost to the "
-          "partition",
-          lambda r: not r.lost_jobs),
-    Claim("partition", "every fault fired and every fault window closed",
-          lambda r: r.injector_quiescent),
-    Claim("partition", "tracking re-converges to the golden run after the "
-          "heal",
-          lambda r: r.convergence_time is not None),
-)
-
-
-def score_partition(result) -> Scorecard:
-    return _evaluate(PARTITION_CLAIMS, result)
-
-# --------------------------------------------------------- byzantine drill
-
-BYZANTINE_CLAIMS = (
-    Claim("byzantine", "a fault-free run with auditing on never quarantines "
-          "anyone (zero false positives)",
-          lambda r: not r.false_quarantines_clean),
-    Claim("byzantine", "every rogue endpoint is quarantined",
-          lambda r: not r.missed_victims and len(r.victims_on) >= 3),
-    Claim("byzantine", "detection latency stays under the bound for every "
-          "victim",
-          lambda r: all(
-              lat <= r.detection_bound for lat in r.detection_latencies.values()
-          )),
-    Claim("byzantine", "no honest job is quarantined during the attack",
-          lambda r: not r.collateral_quarantines),
-    Claim("byzantine", "with auditing on, facility power settles back under "
-          "target after the last quarantine",
-          lambda r: r.on_settled_mean <= 0.01 * r.target_power),
-    Claim("byzantine", "with auditing off, the attack sustains facility "
-          "overshoot (the contrast the auditor removes)",
-          lambda r: r.off_detect_mean >= 0.03 * r.target_power),
-    Claim("byzantine", "auditing cuts over-target energy by ≥ 1.5x",
-          lambda r: r.off_total_energy >= 1.5 * r.on_total_energy),
-    Claim("byzantine", "the healed actuator's job re-earns trust within the "
-          "rehabilitation bound",
-          lambda r: r.rehabilitated),
-    Claim("byzantine", "victims whose faults never heal stay quarantined",
-          lambda r: r.unhealed_still_quarantined),
-)
-
-
-def score_byzantine(result) -> Scorecard:
-    return _evaluate(BYZANTINE_CLAIMS, result)
-
-
-# --------------------------------------------------------------- chaos soak
-
-SOAK_CLAIMS = (
-    Claim("soak", "at least one randomized episode ran to drain",
-          lambda r: len(r.episodes) >= 1),
-    Claim("soak", "the fault mix actually exercised the trust boundary",
-          lambda r: sum(ep.quarantines for ep in r.episodes) > 0),
-    Claim("soak", "no online invariant was violated in any episode "
-          "(budget conservation, bounded overshoot, drain, no collateral "
-          "quarantine)",
-          lambda r: r.all_clean),
-)
-
-
-def score_soak(result) -> Scorecard:
-    return _evaluate(SOAK_CLAIMS, result)
-
-
-# ----------------------------------------------------------- forecast drill
-
-FORECAST_CLAIMS = (
-    Claim("forecast", "predictive planning strictly improves tracking "
-          "(90th pct error ratio < 1)",
-          lambda r: r.tracking_ratio < 1.0),
-    Claim("forecast", "hysteresis + plan warm starts reduce cap rewrites "
-          "vs the reactive seed",
-          lambda r: r.predictive_rewrites < r.reactive_rewrites),
-    Claim("forecast", "predictive planned draw never exceeds the budget "
-          "ceiling",
-          lambda r: r.predictive_violations == 0),
-    Claim("forecast", "even a deliberately wrong forecast never pushes "
-          "planned draw over the ceiling (envelope clamp)",
-          lambda r: r.adversarial_violations == 0),
-    Claim("forecast", "the adversarial forecaster trips fallback within the "
-          "configured error window",
-          lambda r: r.adversarial_fallbacks > 0
-          and r.fallback_latency is not None
-          and r.fallback_latency <= r.fallback_latency_bound),
-    Claim("forecast", "the exact schedule forecaster never trips fallback",
-          lambda r: r.predictive_fallbacks == 0),
-    Claim("forecast", "all three arms drain the same workload",
-          lambda r: len(r.reactive.completed) == len(r.predictive.completed)
-          == len(r.adversarial.completed)
-          and r.reactive.unstarted_jobs == 0),
-)
-
-
-def score_forecast(result) -> Scorecard:
-    return _evaluate(FORECAST_CLAIMS, result)
-
-
-# ---------------------------------------------------------------- shed drill
-
-SHED_CLAIMS = (
-    Claim("shed", "every rung of the ladder fired: preempts, kills, and "
-          "ramped restores all occurred under the staggered incidents",
-          lambda r: r.preempts > 0 and r.kills > 0 and r.restores > 0),
-    Claim("shed", "protected jobs are never preempted or killed",
-          lambda r: not r.protected_shed),
-    Claim("shed", "shed ordering is respected: kills hit only the "
-          "preemptible class, preempts never reach the protected class",
-          lambda r: not r.kill_order_violations
-          and not r.preempt_order_violations),
-    Claim("shed", "no job is shed twice within one incident episode",
-          lambda r: not r.double_shed),
-    Claim("shed", "the recovery ceiling ramps back at no more than the "
-          "configured watts per round",
-          lambda r: r.max_ramp_step <= r.ramp_bound),
-    Claim("shed", "severity does not flap: at most one escalation per "
-          "scheduled incident (plus slack), and the run ends at normal",
-          lambda r: r.escalations <= r.flap_bound and r.recovered_to_normal),
-    Claim("shed", "every preempted job completes after recovery (or is "
-          "legitimately killed by a deeper rung)",
-          lambda r: not r.preempted_unaccounted),
-    Claim("shed", "every protected job runs to completion",
-          lambda r: not r.protected_incomplete),
-    Claim("shed", "the golden arm (same knobs, no incidents) never sheds",
-          lambda r: r.golden_clean),
-    Claim("shed", "every fault window closed (injector quiescent)",
-          lambda r: r.injector_quiescent),
-)
-
-
-def score_shed(result) -> Scorecard:
-    return _evaluate(SHED_CLAIMS, result)
+    return evaluate(FIG11_CLAIMS, result)

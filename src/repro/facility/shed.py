@@ -257,6 +257,9 @@ class ShedController:
 
     #: (job_id, action) pairs awaiting execution by the framework.
     pending_actions: list = field(default_factory=list, init=False)
+    #: Every queued preempt/kill as ``(time, job_id, action)``, kept for the
+    #: life of the controller (``pending_actions`` is drained every round).
+    requests: list = field(default_factory=list, init=False)
     preempts: int = field(default=0, init=False)
     kills: int = field(default=0, init=False)
     floor_capped: int = field(default=0, init=False)
@@ -307,7 +310,7 @@ class ShedController:
         """The plan's action for a job of ``claimed_type`` right now."""
         return self.ladder.plan[self.class_of(claimed_type)]
 
-    def request_shed(self, job_id: str, action: str) -> bool:
+    def request_shed(self, job_id: str, action: str, now: float = 0.0) -> bool:
         """Queue a preempt/kill for the framework; idempotent per episode."""
         if action not in ("preempt", "kill"):
             raise ValueError(f"not a shedding action: {action!r}")
@@ -315,6 +318,7 @@ class ShedController:
             return False
         self._shed_jobs.add(job_id)
         self.pending_actions.append((job_id, action))
+        self.requests.append((now, job_id, action))
         if action == "kill":
             self.kills += 1
         else:

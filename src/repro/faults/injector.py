@@ -88,6 +88,10 @@ class FaultInjector:
         # stuck actuator, meter drift): auto-targeted rogue events skip
         # them so a storm spreads across distinct victims.
         self._rogued: set[str] = set()
+        # job_id -> (fault kind, fire time, heal time | None): the first
+        # job-targeted fault each job took, for drills and invariants that
+        # ask "was this job ever a victim?" without parsing ``log``.
+        self.victims: dict[str, tuple[str, float, float | None]] = {}
         # Open facility-incident windows: key -> feed factor.  Concurrent
         # incidents compose multiplicatively via _sync_feed_scale.
         self._feed_factors: dict[tuple[str, int], float] = {}
@@ -139,6 +143,12 @@ class FaultInjector:
             # *injected* causes; unprefixed categories are effects observed
             # by the framework (eviction, meter-fault, head-restart ...).
             telemetry.incident(f"fault:{line.split(None, 1)[0]}", now, detail=line)
+
+    def _record_victim(
+        self, now: float, kind: str, job_id: str, duration: float = math.inf
+    ) -> None:
+        heal = now + duration if math.isfinite(duration) else None
+        self.victims.setdefault(job_id, (kind, now, heal))
 
     def _defer(self, at: float, line: str, action: Callable[[], None]) -> None:
         self._resolutions.append((at, self._seq, line, action))
@@ -348,6 +358,7 @@ class FaultInjector:
             return
         self.system.crash_endpoint(job_id, now)
         self._record(now, f"endpoint-crash job={job_id}")
+        self._record_victim(now, "endpoint-crash", job_id)
 
     def _fire_link_degradation(self, event: LinkDegradation, now: float) -> None:
         system = self.system
@@ -493,6 +504,7 @@ class FaultInjector:
         )
         endpoint.link.send_up(msg, now)
         self._record(now, f"corrupt-status job={job_id} kind={event.kind}")
+        self._record_victim(now, "corrupt-status", job_id)
 
     # ----------------------------------------------- rogue-endpoint faults
 
@@ -533,6 +545,7 @@ class FaultInjector:
         endpoint._model_fields = lambda: dict(fields)
         self._rogued.add(job_id)
         self._record(now, f"byzantine-model job={job_id} mode={event.mode}")
+        self._record_victim(now, "byzantine-model", job_id, event.duration)
         if math.isfinite(event.duration):
             captured = endpoint
 
@@ -574,6 +587,7 @@ class FaultInjector:
             f"stuck-actuator job={job_id} release={event.release} "
             f"duration={event.duration:.1f}",
         )
+        self._record_victim(now, "stuck-actuator", job_id, event.duration)
         if math.isfinite(event.duration):
 
             def heal() -> None:
@@ -628,6 +642,7 @@ class FaultInjector:
             f"meter-drift job={job_id} factor_rate={event.factor_rate:+.4f} "
             f"offset_rate={event.offset_rate:+.3f} duration={event.duration:.1f}",
         )
+        self._record_victim(now, "meter-drift", job_id, event.duration)
         if math.isfinite(event.duration):
 
             def heal() -> None:

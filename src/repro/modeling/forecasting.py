@@ -9,6 +9,9 @@ name, node count, requested walltime bucket) that predicts the job type —
 i.e., produces the ``claimed_type`` the cluster tier's classifier consumes.
 Misprediction here is exactly the misclassification ANOR's feedback loop
 then repairs (Figs. 6–8, 10).
+
+Not to be confused with :mod:`repro.plan.forecast`, which forecasts the
+*power target*, not job types; the two modules share nothing but the word.
 """
 
 from __future__ import annotations

@@ -21,6 +21,9 @@ window) via :class:`ForecastErrorWindow`; the safety envelope reads that
 window to decide when predictions can be trusted.
 :class:`InvertedRampForecaster` deliberately extrapolates the wrong way —
 the adversarial probe the forecast drill uses to prove the envelope holds.
+
+Not to be confused with :mod:`repro.modeling.forecasting`, which predicts
+*job types* from submission metadata; the two modules share only the word.
 """
 
 from __future__ import annotations

@@ -41,6 +41,55 @@ class TestExecution:
         assert "ft(unknown)" in out
 
 
+def _stub_drill(monkeypatch, ok: bool) -> list[str]:
+    """Replace the drill runner with one that records the name it was given."""
+    from repro import cli
+
+    seen: list[str] = []
+
+    def fake(name, *args, **kwargs):
+        seen.append(name)
+        return "table", ok
+
+    monkeypatch.setattr(cli, "_drill", fake)
+    return seen
+
+
+class TestResilienceDrills:
+    def test_drill_runs_scores_and_uses_the_given_checkpoint_dir(
+        self, capsys, tmp_path
+    ):
+        argv = ["resilience", "--drill", "headnode", "--quick"]
+        assert main(argv + ["--checkpoint-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "head-node outage" in out
+        assert "5/5 claims hold" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["golden", "recovered"]
+
+    @pytest.mark.parametrize(
+        "drill",
+        ["faults", "headnode", "partition", "byzantine", "soak", "forecast", "shed"],
+    )
+    def test_failed_claim_fails_the_caller(self, drill, monkeypatch, capsys):
+        seen = _stub_drill(monkeypatch, ok=False)
+        assert main(["resilience", "--drill", drill, "--quick"]) == 1
+        assert seen == [drill]
+
+    def test_default_drill_is_the_standard_fault_load(self, monkeypatch, capsys):
+        seen = _stub_drill(monkeypatch, ok=True)
+        assert main(["resilience", "--quick"]) == 0
+        assert seen == ["faults"]
+
+    def test_one_drill_option_replaces_the_flags_and_the_plan_command(self):
+        for argv in (
+            ["resilience", "--drill", "nonesuch"],
+            ["resilience", "--shed"],
+            ["plan", "--drill"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
+
+
 def _fake_fig(quick: bool, seed: int) -> str:
     # Module-level so the pool can pickle it by qualified name.
     return f"fake(quick={quick}, seed={seed}, value={seed * 11})"

@@ -1,8 +1,33 @@
-"""AnorConfig range validation: bad knobs fail loudly, naming the field."""
+"""Range validation: bad knobs fail loudly, naming the knob.
+
+Most knobs are :class:`AnorConfig` fields.  The tuning parameters of the
+auditor, the facility breaker and the reliable link are constructor
+parameters of those classes only — ``AnorConfig`` switches the subsystems on
+and forwards none of their tuning, since no run ever set it — so their rows
+check the owning constructor, which is where a bad value would be caught.
+"""
+
+import dataclasses
 
 import pytest
 
+from repro.core.audit import CapComplianceAuditor
 from repro.core.framework import AnorConfig
+from repro.core.reliable import ReliableLink
+from repro.core.transport import TcpLink
+from repro.facility.breaker import PowerBreaker
+
+FIELDS = {f.name for f in dataclasses.fields(AnorConfig)}
+
+#: Row-id prefix -> constructor of the subsystem that owns the knob; the rest
+#: of the id is the constructor parameter.
+SUBSYSTEMS = {
+    "audit": lambda **kw: CapComplianceAuditor(
+        job_meter=None, p_node_min=140.0, p_node_max=280.0, **kw
+    ),
+    "breaker": PowerBreaker,
+    "reliable": lambda **kw: ReliableLink(TcpLink(latency=0.0), "cluster", **kw),
+}
 
 
 class TestConfigValidation:
@@ -53,8 +78,20 @@ class TestConfigValidation:
         ],
     )
     def test_bad_value_names_the_field(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            AnorConfig(**{field: value})
+        if field in FIELDS:
+            with pytest.raises(ValueError, match=field):
+                AnorConfig(**{field: value})
+        else:
+            subsystem, _, knob = field.partition("_")
+            with pytest.raises(ValueError, match=knob):
+                SUBSYSTEMS[subsystem](**{knob: value})
+
+    def test_config_forwards_no_subsystem_tuning(self):
+        """The knob count only falls: 58 fields, and the subsystem tuning
+        parameters are not among them."""
+        assert len(FIELDS) == 58
+        with pytest.raises(TypeError, match="audit_window"):
+            AnorConfig(audit_window=10.0)
 
     def test_optional_none_disables_without_error(self):
         AnorConfig(
