@@ -150,12 +150,13 @@ class AnorConfig:
     # above target × (1 + margin) (``PowerBreaker.trip_rounds``).  None
     # disables.
     breaker_margin: float | None = None
-    # Event-calendar stepping (DESIGN.md §7): between control events the run
-    # loop advances the hardware emulator analytically across whole runs of
-    # control-free ticks instead of executing them one by one.  Observables
-    # are bit-identical to per-tick stepping (the golden traces and the
-    # event-equivalence property tests pin it); set False to force the
-    # reference tick loop.
+    # Event-calendar stepping (DESIGN.md §7): after each control event the run
+    # loop advances the hardware emulator across the whole run of
+    # control-free ticks that follows in one physics call instead of
+    # executing them one by one.  Observables are bit-identical to per-tick
+    # stepping (the golden traces and the event-equivalence property tests
+    # pin it); set False to never ask the calendar — the same loop body, one
+    # tick per physics call, kept as the reference schedule.
     event_driven: bool = True
     # Trust boundary for the job tier (DESIGN.md §4f).  Off by default:
     # with ``audit_enabled`` False no auditor is constructed and the control
@@ -290,7 +291,7 @@ class AnorConfig:
                     f"shed_classes[{claimed!r}] must be one of {SHED_CLASSES}, "
                     f"got {cls!r}"
                 )
-        # Ordering inversions (the _MIN_STRIDE > _MAX_STRIDE class of bug).
+        # Ordering inversions: a ceiling configured below the value it caps.
         if self.reliable_max_backoff < self.reliable_base_backoff:
             raise ValueError(
                 "reliable_max_backoff must be ≥ reliable_base_backoff, got "
@@ -352,6 +353,11 @@ class _QueuedJob:
     claimed_type: str = ""  # what the submission metadata claims; "" = truthful
     #: User-style time limit: the worst case (minimum cap), computed once.
     est_runtime: float = field(init=False)
+    #: What the scheduler sees, built when it changes rather than per round:
+    #: ``pending`` at every (re)enqueue — only ``attempt`` ever moves —
+    #: ``running`` at launch, where ``est_end`` is fixed.
+    pending: PendingJob | None = field(init=False, default=None)
+    running: RunningView | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         self.est_runtime = self.job_type.total_time(self.job_type.p_min)
@@ -422,6 +428,10 @@ class AnorSystem:
         self.manager: ClusterPowerManager | None = self._build_manager()
         self.endpoints: dict[str, JobTierEndpoint] = {}
         self._queue: list[_QueuedJob] = []
+        self._queue_order: list[PendingJob] | None = None  # see _scheduler_view
+        #: Tick at which the scheduler saw the queue and cluster as they still
+        #: are and started nothing (None once either moved).
+        self._declined_at: float | None = None
         self._pending = sorted(
             self.schedule.requests, key=lambda r: (r.submit_time, r.job_id)
         )
@@ -661,8 +671,8 @@ class AnorSystem:
         queued = _QueuedJob(
             request=req, job_type=jt, claimed_type=claimed_type or type_name
         )
-        self._queue.append(queued)
         self._submit_times[job_id] = self.cluster.clock.now
+        self._enqueue(queued)
         self._journal(
             "job-admit", self.cluster.clock.now, kind="manual", spec=self._spec_dict(queued)
         )
@@ -672,9 +682,23 @@ class AnorSystem:
             req = self._pending.pop(0)
             jt = self.job_types[req.type_name].with_nodes(req.nodes)
             queued = _QueuedJob(request=req, job_type=jt, claimed_type=req.type_name)
-            self._queue.append(queued)
             self._submit_times[req.job_id] = req.submit_time
+            self._enqueue(queued)
             self._journal("job-admit", now, kind="queue", spec=self._spec_dict(queued))
+
+    def _enqueue(self, queued: _QueuedJob) -> None:
+        """Queue a job (first submission or requeue).  Its submit time and
+        attempt count must be on record: its scheduler view freezes them."""
+        job_id = queued.request.job_id
+        queued.pending = PendingJob(
+            job_id=job_id,
+            nodes=queued.job_type.nodes,
+            submit_time=self._submit_times[job_id],
+            est_runtime=queued.est_runtime,
+            attempt=self._attempts.get(job_id, 1),
+        )
+        self._queue.append(queued)
+        self._queue_order = self._declined_at = None
 
     def _start_ready(self, now: float) -> None:
         """Start queued jobs according to the configured scheduler."""
@@ -687,34 +711,29 @@ class AnorSystem:
             # severity returns to normal.
             return
         chosen = self.scheduler.select(*self._scheduler_view(now))
+        if not chosen:
+            self._declined_at = now
+            return
         by_id = {q.request.job_id: q for q in self._queue}
         for selection in chosen:
             self._launch(by_id[selection.job_id])
         started = {s.job_id for s in chosen}
         self._queue = [q for q in self._queue if q.request.job_id not in started]
+        self._queue_order = None
 
     def _scheduler_view(
         self, now: float
     ) -> tuple[list[PendingJob], list[RunningView], int, float]:
         """``Scheduler.select`` arguments for the current queue and cluster."""
-        pending = [
-            PendingJob(
-                job_id=q.request.job_id,
-                nodes=q.job_type.nodes,
-                submit_time=self._submit_times[q.request.job_id],
-                est_runtime=q.est_runtime,
-                attempt=self._attempts.get(q.request.job_id, 1),
+        if self._queue_order is None:
+            # Requeued jobs keep their original submit time, so a stable sort
+            # puts them back at the head of the line (they already waited
+            # once).  The order stands until the queue next changes.
+            self._queue_order = sorted(
+                (q.pending for q in self._queue), key=lambda p: p.submit_time
             )
-            for q in self._queue
-        ]
-        # Requeued jobs keep their original submit time, so a stable sort
-        # puts them back at the head of the line (they already waited once).
-        pending.sort(key=lambda p: p.submit_time)
-        running = [
-            RunningView(job_id=j.job_id, nodes=len(j.nodes), est_end=j.est_end)
-            for j in self.cluster.running.values()
-        ]
-        return pending, running, len(self.cluster.idle_nodes()), now
+        running = [self._job_specs[job_id].running for job_id in self.cluster.running]
+        return self._queue_order, running, len(self.cluster.idle_nodes()), now
 
     def _launch(self, head: _QueuedJob) -> None:
         job = self.cluster.start_job(
@@ -723,6 +742,9 @@ class AnorSystem:
             submit_time=self._submit_times[head.request.job_id],
         )
         self._job_specs[head.request.job_id] = head
+        head.running = RunningView(
+            job_id=job.job_id, nodes=len(job.nodes), est_end=job.est_end
+        )
         attempt = self._attempts.setdefault(head.request.job_id, 1)
         spec = self._spec_dict(head)
         self._running_view[head.request.job_id] = spec
@@ -857,7 +879,7 @@ class AnorSystem:
             and attempts <= self.config.max_requeues
         ):
             self._attempts[killed] = attempts + 1
-            self._queue.append(spec)
+            self._enqueue(spec)
             self.requeued.append(killed)
             if self.telemetry.enabled:
                 self.telemetry.event(
@@ -901,6 +923,7 @@ class AnorSystem:
             # Completed (or crashed) between the shed decision and now.
             return
         self.cluster.kill_job(job_id)
+        self._declined_at = None  # nodes came free after the scheduler looked
         self.endpoints.pop(job_id, None)
         self._endpoint_restarts = [
             r for r in self._endpoint_restarts if r[1] != job_id
@@ -917,7 +940,7 @@ class AnorSystem:
             and attempts <= self.config.max_requeues
         ):
             self._attempts[job_id] = attempts + 1
-            self._queue.append(spec)
+            self._enqueue(spec)
             self.requeued.append(job_id)
             if self.telemetry.enabled:
                 self.telemetry.event(
@@ -1091,7 +1114,6 @@ class AnorSystem:
             self.schedule.requests, key=lambda r: (r.submit_time, r.job_id)
         )
         self._pending = ordered[int(state["pending_index"]):]
-        self._queue = [self._spec_from_dict(s) for s in state["queue"]]
         self._running_view = {
             job_id: dict(spec) for job_id, spec in state["running"].items()
         }
@@ -1099,6 +1121,9 @@ class AnorSystem:
             self._submit_times[spec["job_id"]] = float(spec["submit_time"])
         self._attempts = {k: int(v) for k, v in state["attempts"].items()}
         self.requeued = list(state["requeued"])
+        self._queue = []
+        for spec in state["queue"]:
+            self._enqueue(self._spec_from_dict(spec))
 
     def _handle_orphans(self, now: float) -> None:
         """Reconcile jobs the recovery window closed on without a re-HELLO.
@@ -1136,8 +1161,8 @@ class AnorSystem:
             ):
                 queued = self._spec_from_dict(spec_state)
                 self._attempts[job_id] = attempts + 1
-                self._queue.append(queued)
                 self._submit_times.setdefault(job_id, queued.request.submit_time)
+                self._enqueue(queued)
                 self.requeued.append(job_id)
                 self.recovery_log.append(
                     f"t={now:.1f}: job {job_id} died during the head-node outage; requeued"
@@ -1244,6 +1269,18 @@ class AnorSystem:
         the compute side keeps going: physics, agents, endpoints (shouting
         into dead links), fault events, and job completions.
         """
+        self._advance(None)
+
+    def _advance(self, limits: tuple[float, float | None, bool, float] | None) -> None:
+        """One loop body: the control plane for the tick now due, then one
+        physics call covering that tick and every control-free tick after it.
+
+        ``limits`` is :meth:`run`'s ``(start, duration, until_idle, max_time)``;
+        None never asks the calendar, so the body covers the due tick alone.
+        Everything per-tick stepping would have produced — trace rows,
+        telemetry samples, RNG consumption, float accumulations — is
+        reproduced bit for bit; ticks are never skipped, only batched.
+        """
         cfg = self.config
         clock = self.cluster.clock
         clock.advance(cfg.tick)
@@ -1298,17 +1335,28 @@ class AnorSystem:
                 tracer = self._tracers.get(job.job_id)
                 if tracer is not None:
                     tracer.record(sample)
-        measured = self.cluster.advance(cfg.tick)
-        self._trace.append((now, self.target_source.target(now), measured))
+        free = self._free_ticks(now, limits) if limits is not None else ()
+        if len(free):
+            times = np.concatenate(([now], free))
+            ticks, totals = self.cluster.advance_stride(times, cfg.tick)
+            times, totals = times[:ticks].tolist(), totals.tolist()
+            clock.advance_to(times[-1])
+        else:
+            times, totals = [now], [self.cluster.advance(cfg.tick)]
+        for t, measured in zip(times, totals):
+            self._trace.append((t, self.target_source.target(t), measured))
         if self.telemetry.enabled:
-            self._mx_power.set(measured)
+            # A gauge holds its latest sample only — the window's final tick,
+            # the one completions land on — and no message moves on a
+            # control-free tick, so one sample of each covers the window.
+            self._mx_power.set(totals[-1])
             self._mx_target_now.set(self._trace[-1][1])
             self._mx_running.set(len(self.cluster.running))
             self._mx_queued.set(len(self._queue))
             self._mx_pending.set(len(self._pending))
             self._mx_completed.set(len(self.cluster.completed))
             self._sample_link_counters()
-        self._finish_completed(now)
+        self._finish_completed(times[-1])
 
     def _finish_completed(self, now: float) -> None:
         """Close the endpoints of jobs that left the cluster this tick."""
@@ -1344,27 +1392,23 @@ class AnorSystem:
 
     # ------------------------------------------------- event-calendar stepping
     #
-    # Stride safety (DESIGN.md §7): between two control events every per-tick
-    # input to the physics is constant, because *all* time-dependent control
-    # behaviour is quantized to the event sources the calendar registers —
-    # message delivery and retransmit pumping only execute inside endpoint /
-    # manager / agent steps (gates); cap writes only happen in agent steps;
-    # lease decay and ramps are evaluated inside endpoint/agent steps; fault
-    # firings and window resolutions are `time <= now` checks (instants);
-    # intake/restarts/reconnects are `time <= now` checks under a live head;
-    # and scheduler decisions can only change when cluster state changes,
-    # which itself only happens at events or job completions (which truncate
-    # the stride inside the hardware emulator).
+    # Stride safety (DESIGN.md §7): :meth:`_advance` runs the control plane
+    # for the due tick first, then hands physics that tick plus the free
+    # ticks after it.  Across those every per-tick input to the physics is
+    # constant, because *all* time-dependent control behaviour is quantized
+    # to the event sources the calendar registers — message delivery and
+    # retransmit pumping only execute inside endpoint / manager / agent steps
+    # (gates); cap writes only happen in agent steps; lease decay and ramps
+    # are evaluated inside endpoint/agent steps; fault firings and window
+    # resolutions are `time <= now` checks (instants); intake/restarts/
+    # reconnects are `time <= now` checks under a live head; and scheduler
+    # decisions can only change when cluster state changes, which itself only
+    # happens at events or job completions (which truncate the window inside
+    # the hardware emulator — at the due tick itself, if one lands there).
 
-    #: Upper bound on ticks per stride: keeps the per-stride numpy arrays
+    #: Upper bound on ticks per window: keeps the per-window numpy arrays
     #: small enough to stay cache-friendly without limiting throughput.
     _MAX_STRIDE = 1024
-
-    #: Smallest control-free window worth batching: below this the fixed
-    #: per-stride cost (planning, calendar, commit) exceeds what the plain
-    #: tick loop spends, so short windows take the per-tick path.  Purely a
-    #: performance knob — both paths are bit-identical.
-    _MIN_STRIDE = 8
 
     def _build_calendar(self) -> EventCalendar:
         """Register every source that could fire during upcoming ticks."""
@@ -1396,10 +1440,11 @@ class AnorSystem:
 
         With the head down ``_start_ready`` never runs, so the queue cannot
         act.  Otherwise a non-empty queue blocks striding unless the policy
-        declares itself time-invariant and one probe round (the exact view
-        ``_start_ready`` would build) comes back empty — in which case it
-        stays empty until cluster state changes, which only happens at an
-        event or a completion (both stride boundaries).
+        declares itself time-invariant and one round on the exact view
+        ``_start_ready`` would build comes back empty — this tick's own
+        ``_start_ready`` round if nothing has moved since, else a probe — in
+        which case it stays empty until cluster state changes, which only
+        happens at an event or a completion (both window boundaries).
         """
         if not self._queue or self._head_down:
             return False
@@ -1407,30 +1452,26 @@ class AnorSystem:
         if shed is not None and shed.active:
             # Admission hold: ``_start_ready`` is inert while shedding, and
             # severity only changes inside manager rounds — gate events, so
-            # stride boundaries.  The queue cannot act mid-stride.
+            # window boundaries.  The queue cannot act mid-window.
             return False
         if not self.scheduler.time_invariant:
             return True
+        if self._declined_at == now:
+            return False
         return bool(self.scheduler.select(*self._scheduler_view(now)))
 
-    def _try_stride(
-        self,
-        start: float,
-        duration: float | None,
-        until_idle: bool,
-        max_time: float,
-    ) -> bool:
-        """Advance across a run of control-free ticks; False → take a step().
+    def _free_ticks(
+        self, now: float, limits: tuple[float, float | None, bool, float]
+    ) -> np.ndarray | tuple:
+        """Instants of the control-free ticks after ``now``, the tick whose
+        control plane just ran, that one physics call may cover with it.
 
         Cheap scalar screening first (no arrays on the common next-event-is-
-        imminent path), then the exact elementwise truncation that decides
-        the stride length, then one batched physics call plus per-tick
-        observable replay.  Everything the tick loop would have produced —
-        trace rows, telemetry samples, RNG consumption, float accumulations
-        — is reproduced bit for bit; ticks are never skipped, only batched.
+        imminent path), then the exact elementwise truncation: every calendar
+        source declines each returned instant, the scheduler has nothing to
+        start, and :meth:`run` (``limits``) would not have stopped before it.
         """
-        clock = self.cluster.clock
-        now = clock.now
+        start, duration, until_idle, max_time = limits
         tick = self.config.tick
         cal = self._build_calendar()
         bound = cal.horizon()
@@ -1438,67 +1479,27 @@ class AnorSystem:
             quick = self._MAX_STRIDE if bound > 0 else 0
         else:
             quick = int((bound - now) / tick)
-        # Run-loop break conditions also bound the stride (scalar estimate;
+        # Run-loop break conditions also bound the window (scalar estimate;
         # the exact predicates are replayed below).  The duration cap is
         # suppressed only while ``until_idle`` still has work to drain; work
-        # can only *vanish* at a completion, which ends the stride anyway.
+        # can only *vanish* at a completion, which ends the window anyway.
         duration_caps = duration is not None and not (until_idle and self.has_work)
         if duration_caps:
             quick = min(quick, int((start + duration - now) / tick) + 1)
         quick = min(quick, int((start + max_time - now) / tick) + 1)
-        if quick < self._MIN_STRIDE:
-            return False
-        if not self.cluster.stride_ready():
-            return False
-        # The scheduler probe walks the whole queue, so it runs only after
-        # the cheap scalar screens above say a stride is even possible.
-        if self._queue_blocks_stride(now):
-            return False
-        count = min(quick + 1, self._MAX_STRIDE)
-        times = clock.tick_times(count, tick)
-        free = cal.free_ticks(times)
-        if free >= 2:
-            # Replay the run() break predicates at the instants the loop
-            # would check them: before tick k the clock reads times[k-1].
-            prev = np.empty(free)
-            prev[0] = now
-            prev[1:] = times[: free - 1]
-            elapsed = prev - start
-            ok = elapsed < max_time
-            if duration_caps:
-                ok &= elapsed < duration
-            free = int(np.count_nonzero(ok))
-        if free < 2:
-            return False
-        times = times[:free]
-        tel = self.telemetry.enabled
-        running_before = len(self.cluster.running)
-        completed_before = len(self.cluster.completed)
-        ticks, totals = self.cluster.advance_stride(times, tick)
-        clock.advance_to(float(times[ticks - 1]))
-        last = ticks - 1
-        for k in range(ticks):
-            t = float(times[k])
-            self._trace.append((t, self.target_source.target(t), float(totals[k])))
-            if tel:
-                self._mx_power.set(float(totals[k]))
-                self._mx_target_now.set(self._trace[-1][1])
-                # Completions land on the stride's final tick only (the
-                # stride truncates there), matching what the tick loop's
-                # post-physics sampling would have seen each tick.
-                self._mx_running.set(
-                    len(self.cluster.running) if k == last else running_before
-                )
-                self._mx_queued.set(len(self._queue))
-                self._mx_pending.set(len(self._pending))
-                self._mx_completed.set(
-                    len(self.cluster.completed) if k == last else completed_before
-                )
-        if tel:
-            # No message moves inside a stride: one sample covers its ticks.
-            self._sample_link_counters()
-        self._finish_completed(float(times[last]))
-        return True
+        # The scheduler probe may walk the whole queue, so it runs only after
+        # the cheap scalar screens say a free tick is even possible.
+        if quick < 1 or not self.cluster.stride_ready() or self._queue_blocks_stride(now):
+            return ()
+        times = self.cluster.clock.tick_times(min(quick + 1, self._MAX_STRIDE - 1), tick)
+        times = times[: cal.free_ticks(times)]
+        # Replay the run() break predicates at the instants the loop would
+        # check them: before each free tick the clock reads the tick before.
+        elapsed = np.concatenate(([now], times[:-1])) - start
+        ok = elapsed < max_time
+        if duration_caps:
+            ok &= elapsed < duration
+        return times[: np.count_nonzero(ok)]
 
     @property
     def has_work(self) -> bool:
@@ -1520,7 +1521,7 @@ class AnorSystem:
         if duration is None and not until_idle:
             raise ValueError("need a duration or until_idle=True")
         start = self.cluster.clock.now
-        event_driven = self.config.event_driven
+        limits = (start, duration, until_idle, max_time) if self.config.event_driven else None
         while True:
             now = self.cluster.clock.now
             elapsed = now - start
@@ -1533,9 +1534,7 @@ class AnorSystem:
                 break
             if elapsed >= max_time:
                 break
-            if event_driven and self._try_stride(start, duration, until_idle, max_time):
-                continue
-            self.step()
+            self._advance(limits)
         trace = (
             np.asarray(self._trace)
             if self._trace

@@ -119,32 +119,6 @@ class MsrBank:
             raise ValueError(f"cannot consume negative energy: {joules}")
         self._energy[0] += joules
 
-    def accumulate_energy_series(self, joules: np.ndarray) -> None:
-        """Deposit a run of per-tick energies in one call (stride commit).
-
-        The unwrapped total is folded with ``np.cumsum`` over the chain
-        ``[total, j₁, …, jₙ]`` — an ordered left-to-right accumulation, so
-        the final total is bit-identical to n sequential
-        :meth:`accumulate_energy` calls.
-        """
-        deposits = np.asarray(joules, dtype=float)
-        if deposits.size == 0:
-            return
-        if float(deposits.min()) < 0:
-            raise ValueError(f"cannot consume negative energy: {deposits.min()}")
-        if deposits.size < 64:
-            # Short runs (typical stride length): a scalar loop of the same
-            # left-to-right adds beats the ufunc setup cost.
-            total = float(self._energy[0])
-            for j in deposits.tolist():
-                total += j
-            self._energy[0] = total
-        else:
-            chain = np.empty(deposits.size + 1)
-            chain[0] = self._energy[0]
-            chain[1:] = deposits
-            self._energy[0] = np.cumsum(chain)[-1]
-
     @property
     def total_energy_joules(self) -> float:
         """Unwrapped cumulative energy — ground truth for tests/metering."""

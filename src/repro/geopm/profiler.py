@@ -21,6 +21,7 @@ class EpochProfiler:
             raise ValueError(f"num_ranks must be ≥ 1, got {num_ranks}")
         self.num_ranks = int(num_ranks)
         self._rank_counts = [0] * self.num_ranks
+        self._epoch_count = 0  # min(_rank_counts), kept as ranks are raised
         self._epoch_times: list[float] = []  # completion time of each epoch
 
     def prof_epoch(self, rank: int, *, timestamp: float = 0.0) -> int:
@@ -32,12 +33,7 @@ class EpochProfiler:
         """
         if not 0 <= rank < self.num_ranks:
             raise IndexError(f"rank {rank} out of range [0, {self.num_ranks})")
-        before = self.epoch_count
-        self._rank_counts[rank] += 1
-        after = self.epoch_count
-        for _ in range(after - before):
-            self._epoch_times.append(float(timestamp))
-        return after
+        return self._raise(rank, self._rank_counts[rank] + 1, timestamp)
 
     def set_rank_progress(self, rank: int, count: int, *, timestamp: float = 0.0) -> int:
         """Set a rank's cumulative epoch count directly (emulator fast path)."""
@@ -48,17 +44,23 @@ class EpochProfiler:
                 f"rank {rank} epoch count went backwards: "
                 f"{self._rank_counts[rank]} -> {count}"
             )
-        before = self.epoch_count
-        self._rank_counts[rank] = int(count)
-        after = self.epoch_count
-        for _ in range(after - before):
-            self._epoch_times.append(float(timestamp))
-        return after
+        return self._raise(rank, int(count), timestamp)
+
+    def _raise(self, rank: int, count: int, timestamp: float) -> int:
+        # The minimum can only move when the rank being raised sat at it.
+        at_floor = self._rank_counts[rank] == self._epoch_count
+        self._rank_counts[rank] = count
+        if at_floor:
+            after = min(self._rank_counts)
+            for _ in range(after - self._epoch_count):
+                self._epoch_times.append(float(timestamp))
+            self._epoch_count = after
+        return self._epoch_count
 
     @property
     def epoch_count(self) -> int:
         """Global epoch count: iterations completed by *every* rank."""
-        return min(self._rank_counts)
+        return self._epoch_count
 
     @property
     def rank_counts(self) -> tuple[int, ...]:

@@ -7,13 +7,16 @@ band Fig. 9's demand-response targets move within.
 
 from __future__ import annotations
 
+import math
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 import numpy as np
 
 from repro.geopm.msr import POWER_UNIT_WATTS
 from repro.geopm.report import ApplicationTotals
-from repro.hwsim.job import JobPhase, RunningJob, plan_stride_batch
+from repro.hwsim.job import JobPhase, RunningJob
 from repro.hwsim.node import Node
 from repro.util.clock import SimClock
 from repro.util.rng import ensure_rng, spawn_rng
@@ -28,8 +31,9 @@ class EmulatedCluster:
     Physics state is struct-of-arrays: node-indexed columns owned here, of
     which each :class:`Node` (and its MSR banks) holds one-row views.  One
     rank runs per node, so the per-rank model constants and progress are
-    node-indexed too, written at :meth:`start_job`.  :meth:`advance` steps
-    every rank of every job, and every idle node, in one array pass.
+    node-indexed too, written at :meth:`start_job`.  One window kernel steps
+    every rank of every job, and every idle node, across one tick
+    (:meth:`advance`) or a run of them (:meth:`advance_stride`).
     """
 
     PACKAGES = 2  # the testbed's dual-package nodes (§5.5)
@@ -247,145 +251,166 @@ class EmulatedCluster:
         return demand, tau * run_mult, sigma, perf, epochs
 
     def advance(self, dt: float) -> float:
-        """Advance physics by ``dt`` (clock already moved by the caller).
+        """Advance physics by one tick of ``dt`` (clock already moved by the caller).
 
         Jobs advance, idle nodes draw idle power, and completed jobs release
-        their nodes.  Returns the realised cluster CPU power for the tick.
-
-        One array pass covers every rank of every job and every idle node.
-        Each step is the elementwise twin of :meth:`RunningJob.advance` /
-        :meth:`Node.consume` (same IEEE ops, same order), every RNG stream
-        is drawn exactly as the scalar path draws it (``standard_normal``·σ
-        ≡ ``normal(0, σ)``), and reductions are ordered, so the tick is
-        bit-identical to the scalar reference — which jobs the arrays cannot
-        describe (power-wave and phased types, a crashed node) still take.
+        their nodes.  Returns the realised cluster CPU power for the tick: a
+        window of one at the clock's instant.
         """
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        now = self.clock.now
-        healthy = not self._down.any()
-        compute: list[RunningJob] = []
-        quiet: list[RunningJob] = []  # setup/teardown: idle draw, job's stream
-        for job in self.running.values():
-            if not (job.profile_static and (healthy or job.array_capable)):
-                job.advance(dt, now)
-            elif job.phase is JobPhase.COMPUTE:
-                compute.append(job)
-            else:
-                quiet.append(job)
-        free = self._idle_rows()
-        rows = np.concatenate([j.rows for j in compute] + [j.rows for j in quiet] + [free])
-        # Packed draws, stream by stream: [jitter, RAPL] per compute rank,
-        # one RAPL draw per quiet rank, one per idle node from its own stream.
-        bounds = list(
-            accumulate(
-                [2 * len(j.nodes) for j in compute] + [len(j.nodes) for j in quiet],
-                initial=0,
-            )
-        )
-        z = np.empty(bounds[-1] + free.size)
-        for job, lo, hi in zip(compute + quiet, bounds, bounds[1:]):
-            job.rng.standard_normal(out=z[lo:hi])
-        for k, row in enumerate(free.tolist(), bounds[-1]):
-            z[k] = self._node_rngs[row].standard_normal()
-        starts = [lo // 2 for lo in bounds[: len(compute)]]
-        nc = bounds[len(compute)] // 2  # compute ranks are rows[:nc]
-        ranks = rows[:nc]
-        cap = self.caps()[rows]
-        idle = self.idle_watts[rows]
-        demand = idle.copy()  # quiet ranks and idle nodes ask for idle power
-        demand[:nc], base, sigma, perf, epochs = self.rank_model(ranks, cap[:nc])
-        jitter = np.exp(z[0 : 2 * nc : 2] * sigma)
-        before = self.progress[ranks]
-        after = before + perf / (base * jitter) * dt
-        self.progress[ranks] = after
-        # A rank's profiler count is its floored progress, capped at epochs.
-        done = np.minimum(np.floor(after), epochs)
-        crossed = np.flatnonzero(done > np.minimum(np.floor(before), epochs))
-        owners = np.searchsorted(starts, crossed, side="right") - 1
-        for r, o, d in zip(crossed.tolist(), owners.tolist(), done[crossed].tolist()):
-            compute[o].profiler.set_rank_progress(r - starts[o], int(d), timestamp=now)
-        # Node.consume for all rows: RAPL noise, cap ceiling, idle floor.
-        eps = np.concatenate((z[1 : 2 * nc : 2], z[2 * nc :])) * 0.01
-        power = np.minimum(cap, np.maximum(demand * (1.0 + eps), idle))
-        joules = power * dt / self.PACKAGES
-        if (joules < 0).any():
-            raise ValueError(f"cannot consume negative energy: {joules.min()}")
-        self._power[rows] = power
-        self._energy[rows] += joules[:, None]
-        watts = power.tolist()
-        for job, lo in zip(compute, starts):
-            tick_power = 0.0  # left-to-right over the job's nodes
-            for w in watts[lo : lo + len(job.nodes)]:
-                tick_power += w
-            job.settle(dt, now, tick_power)
-        for job in quiet:
-            job.settle(dt, now, None)
-        self._retire_done(self.running.values())
-        # Ordered (cumsum) fold in node order; failed nodes hold 0 W.
-        total = float(np.cumsum(self._power)[-1])
-        self._power_history.append((now, total))
-        return total
+        return float(self._window(np.array([self.clock.now]), dt)[1][0])
 
     def stride_ready(self) -> bool:
-        """True when every running job can be advanced analytically.
+        """True when a window may span more than one tick.
 
         Jobs with epoch-periodic power waves, phased curves, or failed nodes
-        force the per-tick path (see :attr:`RunningJob.stride_capable`).
+        take the scalar reference, one tick at a time (see
+        :attr:`RunningJob.array_capable`).
         """
-        for job in self.running.values():
-            if not job.stride_capable:
-                return False
-        return True
+        healthy = not self._down.any()
+        return all(
+            job.profile_static and (healthy or job.array_capable)
+            for job in self.running.values()
+        )
 
     def advance_stride(self, times: np.ndarray, dt: float) -> tuple[int, np.ndarray]:
         """Advance physics across every instant in ``times`` in one call.
 
         Returns ``(M, totals)``: the number of ticks actually executed and
         the per-tick cluster power, bit-identical to ``M`` successive
-        :meth:`advance` calls at those instants.  ``M < len(times)`` exactly
-        when some job crosses a phase transition — the stride truncates at
-        the earliest one so completions release nodes (and the scheduler
-        sees them) on the very next tick, as under per-tick stepping.
+        :meth:`advance` calls at those instants.  The window never runs past
+        a tick on which some job changes phase — it truncates at the earliest
+        one so completions release nodes (and the scheduler sees them) on the
+        very next tick, as under per-tick stepping.  It may also stop short
+        of ``len(times)`` without one: it is sized to the nearest foreseeable
+        completion, which jitter can delay, and a job that needs the scalar
+        reference holds it to one tick.
 
         Callers must not change any per-tick input (caps, node allocation,
         fault state) between the instants covered; the framework guarantees
-        this by striding only across control-event-free ticks.
+        this by extending a window only across control-event-free ticks.
         """
-        total = len(times)
-        if total == 0:
-            return 0, np.empty(0)
-        jobs = list(self.running.values())
-        ticks, plans = plan_stride_batch(self, jobs, times, dt)
-        for job, plan in zip(jobs, plans):
-            job.commit_stride(plan, times, dt)
-        # Per-node power series for the whole fleet: job plans fill their
-        # nodes' columns, idle nodes draw their own streams, failed nodes
-        # hold their last (zero) draw.
-        series = np.empty((ticks, len(self.nodes)))
+        times = np.asarray(times, dtype=float)
+        if times.size == 0 or (times[1:] <= times[:-1]).any():
+            raise ValueError(f"times must be non-empty and increasing, got {times}")
+        return self._window(times, dt)
+
+    def _window(self, times: np.ndarray, dt: float) -> tuple[int, np.ndarray]:
+        """The physics kernel: one array pass over ``(times[0:T], dt)``.
+
+        Rows are every rank of every job and every idle node; the leading
+        axis is time.  Each step is the elementwise twin of
+        :meth:`RunningJob.advance` / :meth:`Node.consume` (same IEEE ops,
+        same order), every RNG stream is drawn exactly as the scalar path
+        draws it, tick after tick (``standard_normal``·σ ≡ ``normal(0, σ)``),
+        and every sequential accumulation is an ordered fold along its axis
+        (:func:`_fold`), so ``T`` ticks here are bit-identical to ``T``
+        scalar reference ticks — which jobs the arrays cannot describe
+        (power-wave and phased types, a crashed node) still take.
+
+        The window ends at the first tick on which any job changes phase.
+        Setup/teardown timers are deterministic and bound it up front; an
+        epoch completion is read off the drawn trajectory, and when it comes
+        before the last tick the compute streams are rewound to their
+        snapshots and only the retained prefix is redrawn (same stream, so
+        value-identical).  Each job therefore stays in one phase per window,
+        and nothing — no stream, no progress — moves before the inputs have
+        been validated.
+        """
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        healthy = not self._down.any()
+        compute: list[RunningJob] = []
+        quiet: list[RunningJob] = []  # setup/teardown: idle draw, job's stream
+        scalar: list[RunningJob] = []  # jobs only the scalar reference can step
+        for job in self.running.values():
+            if not (job.profile_static and (healthy or job.array_capable)):
+                scalar.append(job)
+            elif job.phase is JobPhase.COMPUTE:
+                compute.append(job)
+            else:
+                quiet.append(job)
+        span = 1 if scalar else times.size
+        for job in quiet:
+            span = job.ticks_to_timer(dt, span)
+        free = self._idle_rows()
+        rows = np.concatenate([j.rows for j in compute] + [j.rows for j in quiet] + [free])
+        widths = [len(j.nodes) for j in compute]
+        starts = list(accumulate(widths, initial=0))  # job i: rows[starts[i]:starts[i+1]]
+        nc = starts.pop()  # compute ranks are rows[:nc]
+        ranks = rows[:nc]
+        cap = self.caps()[rows]
+        idle = self.idle_watts[rows]
+        demand = idle.copy()  # quiet ranks and idle nodes ask for idle power
+        demand[:nc], base, sigma, perf, epochs = self.rank_model(ranks, cap[:nc])
+        # RAPL noise scales the demand by 1+ε > 0, so a draw is negative
+        # exactly when both the demand and the idle floor under it are.
+        if np.maximum(demand, idle).min(initial=0.0) < 0:
+            raise ValueError("cannot consume negative energy: a node would draw < 0 W")
+        for job in scalar:
+            job.advance(dt, float(times[0]))
+        if span > 1 and compute:
+            # Draws past a phase change are thrown away and every compute
+            # stream rewound, so ask for no more than the nearest foreseeable
+            # completion: the slowest rank of the job closest to done, at its
+            # jitter-free rate.  The rewind below covers what jitter brings
+            # forward; what it delays just ends this window a tick early.
+            left = (epochs - self.progress[ranks]) * base / (perf * dt)
+            span = min(span, max(1, math.ceil(np.maximum.reduceat(left, starts).min())))
+        # Compute streams, [jitter, RAPL] per rank per tick.
+        snapshots = [job.rng.bit_generator.state for job in compute] if span > 1 else []
+        z = _draw([job.rng for job in compute], [2 * w for w in widths], span)
+        jitter = np.exp(z[:, 0::2] * sigma)
+        grown = _fold(self.progress[ranks], perf / (base * jitter) * dt)
+        # A rank's profiler count is its floored progress, capped at epochs.
+        done = np.minimum(np.floor(grown), epochs)
+        if snapshots:
+            # A job completes on the first tick all its ranks reach epochs.
+            finished = np.logical_and.reduceat(done[1:] == epochs, starts, axis=1)
+            first = int(finished.any(axis=1).argmax()) + 1
+            if first < span and finished[first - 1].any():
+                span = first
+                for job, state, w in zip(compute, snapshots, widths):
+                    job.rng.bit_generator.state = state
+                    job.rng.standard_normal(span * 2 * w)
+                z, grown, done = z[:span], grown[: span + 1], done[: span + 1]
+        self.progress[ranks] = grown[-1]
+        ticks = times[:span].tolist()
+        # Tick-major, rank ascending: the order the scalar path makes the calls.
+        at, rank = (done[1:] > done[:-1]).nonzero()
+        owner = np.searchsorted(starts, rank, side="right") - 1
+        for k, r, o, d in zip(
+            at.tolist(), rank.tolist(), owner.tolist(), done[at + 1, rank].tolist()
+        ):
+            compute[o].profiler.set_rank_progress(r - starts[o], int(d), timestamp=ticks[k])
+        # One RAPL draw per tick per quiet rank from the job's stream, one per
+        # idle node from its own; then Node.consume for all rows: RAPL noise,
+        # cap ceiling, idle floor, energy split evenly over the packages.
+        zq = _draw(
+            [job.rng for job in quiet] + [self._node_rngs[i] for i in free.tolist()],
+            [len(job.nodes) for job in quiet] + [1] * free.size,
+            span,
+        )
+        eps = np.concatenate((z[:, 1::2], zq), axis=1) * 0.01
+        power = np.minimum(cap, np.maximum(demand * (1.0 + eps), idle))
+        joules = power * dt / self.PACKAGES
+        self._energy[rows] = _fold(self._energy[rows], joules[:, :, None])[-1]
+        # Cluster power per tick: ordered fold in node order; failed nodes
+        # hold 0 W, scalar-path nodes what their job just deposited.
+        series = np.empty((span, len(self.nodes)))
         series[:] = self._power
-        for job, plan in zip(jobs, plans):
-            series[:, job.rows] = plan.powers
-        caps = self.caps()
-        for i in self._idle_rows().tolist():
-            # standard_normal·σ ≡ normal(0, σ) bit for bit, minus the
-            # broadcasting slow path of the scale argument.
-            eps = self._node_rngs[i].standard_normal(ticks) * 0.01
-            idle = self.idle_watts[i]
-            powers = np.minimum(caps[i], np.maximum(idle * (1.0 + eps), idle))
-            self.nodes[i].deposit_series(powers, dt)
-            series[:, i] = powers
-        self._retire_done(jobs)
-        # Cluster power per tick: left-to-right accumulation in node order,
-        # matching the scalar `sum(n.last_power for n in self.nodes)`
-        # (seeding with node 0's column is exact: 0 + p ≡ p for the
-        # non-negative draws).
-        totals = series[:, self.nodes[0].node_id].copy()
-        for node in self.nodes[1:]:
-            np.add(totals, series[:, node.node_id], out=totals)
-        for k in range(ticks):
-            self._power_history.append((float(times[k]), float(totals[k])))
-        return ticks, totals
+        series[:, rows] = power
+        self._power[rows] = power[-1]
+        totals = series.cumsum(axis=1)[:, -1]
+        # Job power per tick: left to right over the job's nodes.
+        cuts = [slice(lo, lo + w) for lo, w in zip(starts, widths)]
+        drawn = zip(*([reduce(add, row[cut]) for cut in cuts] for row in power.tolist()))
+        for job, powers in zip(compute, drawn):
+            job.settle(dt, ticks[-1], powers)
+        for job in quiet:
+            job.settle(dt, ticks[-1], [None] * span)
+        self._retire_done(self.running.values())
+        self._power_history.extend(zip(ticks, totals.tolist()))
+        return span, totals
 
     # ------------------------------------------------------------- metering
 
@@ -407,3 +432,31 @@ class EmulatedCluster:
         for totals in self.completed:
             by_type.setdefault(totals.job_type, []).append(totals)
         return by_type
+
+
+def _fold(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Running sums of ``steps`` (broadcast against ``start``) down the
+    leading (time) axis, ``start`` as row 0.
+
+    ``np.cumsum`` accumulates strictly left to right, so row ``k`` is
+    bit-identical to ``start`` after ``k`` successive ``+=`` of the steps.
+    """
+    chain = np.empty((len(steps) + 1, *start.shape))
+    chain[0] = start
+    chain[1:] = steps
+    return chain.cumsum(axis=0)
+
+
+def _draw(streams: list[np.random.Generator], widths: list[int], ticks: int) -> np.ndarray:
+    """``(ticks, Σ widths)`` standard normals, stream ``i`` filling its
+    ``widths[i]`` columns tick-major — the order one tick at a time takes them."""
+    bounds = list(accumulate(widths, initial=0))
+    z = np.empty((ticks, bounds[-1]))
+    if ticks == 1:  # a column block of one row is contiguous: draw in place
+        row = z[0]
+        for rng, lo, hi in zip(streams, bounds, bounds[1:]):
+            rng.standard_normal(out=row[lo:hi])
+    else:
+        for rng, lo, hi in zip(streams, bounds, bounds[1:]):
+            z[:, lo:hi] = rng.standard_normal((ticks, hi - lo))
+    return z

@@ -12,7 +12,7 @@ finishes an iteration (GEOPM's all-processes barrier semantics).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from repro.geopm.report import ApplicationTotals
 from repro.hwsim.node import Node
 from repro.workloads.nas import JobType
 
-__all__ = ["JobPhase", "RunningJob", "StridePlan", "plan_stride_batch"]
+__all__ = ["JobPhase", "RunningJob"]
+
 
 class JobPhase(enum.Enum):
     SETUP = "setup"
@@ -31,33 +32,6 @@ class JobPhase(enum.Enum):
     TEARDOWN = "teardown"
     DONE = "done"
     KILLED = "killed"  # terminated by a node failure; produces no totals
-
-
-@dataclass
-class StridePlan:
-    """The fully realised effects of advancing one job across several ticks.
-
-    Produced by :func:`plan_stride_batch` without touching job state (only
-    the job's RNG stream moves), applied by :meth:`RunningJob.commit_stride`.
-    The plan/commit split lets the cluster truncate every job's stride to
-    the earliest phase transition before anything is applied — matching the
-    tick loop, which pops a finishing job before any later tick runs.
-    """
-
-    ticks: int  # ticks actually planned (≤ len(times) given)
-    finished: bool  # job reached DONE at tick ``ticks - 1``
-    powers: np.ndarray  # (ticks, nodes) realised per-node draw per tick
-    phase: "JobPhase"  # state after the final planned tick …
-    phase_elapsed: float
-    rank_progress: np.ndarray
-    # (tick_index, rank, cumulative_count) in exact per-tick call order.
-    profiler_updates: list
-    compute_started_at: float | None
-    compute_finished_at: float | None
-    end_at: float | None
-    # Per-tick job power over the plan's compute ticks (None without any);
-    # feeds the job's compute-energy/seconds accumulators on commit.
-    compute_tick_power: np.ndarray | None
 
 
 class RunningJob:
@@ -123,9 +97,9 @@ class RunningJob:
     def advance(self, dt: float, now: float) -> None:
         """Scalar reference tick: per-node physics, then :meth:`settle`.
 
-        The cluster's fleet pass does the same physics for every job at once
-        and is held bit-identical to this; it remains the only path for jobs
-        the pass cannot take (see :attr:`array_capable`).
+        The cluster's window kernel does the same physics for every job at
+        once and is held bit-identical to this; it remains the only path for
+        jobs the kernel cannot take (see :attr:`array_capable`).
         """
         tick_power = None
         if self.phase is JobPhase.COMPUTE:
@@ -133,25 +107,31 @@ class RunningJob:
         else:  # setup/teardown: every node draws idle power
             for node in self.nodes:
                 node.consume_idle(dt, self.rng)
-        self.settle(dt, now, tick_power)
+        self.settle(dt, now, [tick_power])
 
-    def settle(self, dt: float, now: float, tick_power: float | None) -> None:
-        """Phase bookkeeping for one tick whose physics is already deposited.
+    def settle(self, dt: float, now: float, powers: Sequence[float | None]) -> None:
+        """Phase bookkeeping for ticks whose physics is already deposited.
 
-        ``tick_power`` is the job's realised draw over a compute tick (the
-        left-to-right sum over its nodes), None in any other phase.
+        ``powers`` has one entry per tick, the last of them at ``now``: the
+        job's realised draw over a compute tick (the left-to-right sum over
+        its nodes), None in any other phase.  Only the last tick can change
+        the phase — the cluster ends its windows at the first tick that can
+        (see :meth:`ticks_to_timer` for the timers; epoch completion is read
+        off the drawn trajectory) — so the checks run once, after the folds.
         """
         if self.phase is JobPhase.DONE:
             return
-        self.phase_elapsed += dt
+        for power in powers:  # the per-tick += chains, verbatim
+            self.phase_elapsed += dt
+            if power is not None:
+                self._compute_energy += power * dt
+                self._compute_seconds += dt
         if self.phase is JobPhase.SETUP:
             if self.phase_elapsed >= self.job_type.setup_time:
                 self.phase = JobPhase.COMPUTE
                 self.phase_elapsed = 0.0
                 self._compute_started = now
         elif self.phase is JobPhase.COMPUTE:
-            self._compute_energy += tick_power * dt
-            self._compute_seconds += dt
             if self.profiler.epoch_count >= self.job_type.epochs:
                 self.phase = JobPhase.TEARDOWN
                 self.phase_elapsed = 0.0
@@ -159,6 +139,19 @@ class RunningJob:
         elif self.phase_elapsed >= self.job_type.teardown_time:
             self.phase = JobPhase.DONE
             self.end_time = now
+
+    def ticks_to_timer(self, dt: float, limit: int) -> int:
+        """Ticks (at most ``limit``) up to and including the one on which
+        this setup/teardown job's timer expires: :meth:`settle`'s own
+        ``phase_elapsed`` chain and comparison, run ahead."""
+        jt = self.job_type
+        expiry = jt.setup_time if self.phase is JobPhase.SETUP else jt.teardown_time
+        elapsed = self.phase_elapsed
+        for ticks in range(1, limit):
+            elapsed += dt
+            if elapsed >= expiry:
+                return ticks
+        return limit
 
     def _advance_compute_nodewise(self, dt: float, now: float) -> float:
         """Reference per-node compute tick; returns the job power."""
@@ -189,64 +182,17 @@ class RunningJob:
             tick_power += node.consume(demand, dt, self.rng)
         return tick_power
 
-    # ------------------------------------------------------ stride stepping
-
     @property
     def array_capable(self) -> bool:
-        """True when the array paths (fleet pass, stride planner) can take this job.
+        """True when the cluster's window kernel can take this job.
 
         Requires a statically-profiled job type (no power wave, phase-less
         curves — see :attr:`JobType.profile_static`) and no failed nodes:
         the per-node scalar path skips RNG draws for crashed ranks, which
-        the array paths cannot reproduce (in practice a crash kills the
+        the array pass cannot reproduce (in practice a crash kills the
         job before it advances again; this guard is belt and braces).
         """
         return self.profile_static and not any(node.failed for node in self.nodes)
-
-    @property
-    def stride_capable(self) -> bool:
-        """True when this job can be advanced analytically across a stride."""
-        return (
-            self.phase in (JobPhase.SETUP, JobPhase.COMPUTE, JobPhase.TEARDOWN)
-            and self.array_capable
-        )
-
-    def commit_stride(self, plan: StridePlan, times: np.ndarray, dt: float) -> None:
-        """Apply a :class:`StridePlan` (node energy, profiler, phase state)."""
-        for j, node in enumerate(self.nodes):
-            node.deposit_series(plan.powers[:, j], dt)
-        for k, rank, count in plan.profiler_updates:
-            self.profiler.set_rank_progress(rank, count, timestamp=float(times[k]))
-        self._progress[self.rows] = plan.rank_progress
-        self.phase = plan.phase
-        self.phase_elapsed = plan.phase_elapsed
-        if plan.compute_started_at is not None:
-            self._compute_started = plan.compute_started_at
-        if plan.compute_finished_at is not None:
-            self._compute_finished = plan.compute_finished_at
-        if plan.end_at is not None:
-            self.end_time = plan.end_at
-        if plan.compute_tick_power is not None:
-            deposits = plan.compute_tick_power * dt
-            if deposits.size < 64:
-                # Short strides: scalar left-to-right adds — the same IEEE
-                # chain as the cumsum fold — without the ufunc setup cost.
-                energy = self._compute_energy
-                seconds = self._compute_seconds
-                for j in deposits.tolist():
-                    energy += j
-                    seconds += dt
-                self._compute_energy = energy
-                self._compute_seconds = seconds
-            else:
-                chain = np.empty(deposits.size + 1)
-                chain[0] = self._compute_energy
-                chain[1:] = deposits
-                self._compute_energy = float(np.cumsum(chain)[-1])
-                chain = np.empty(deposits.size + 1)
-                chain[0] = self._compute_seconds
-                chain[1:] = dt
-                self._compute_seconds = float(np.cumsum(chain)[-1])
 
     def kill(self, now: float) -> None:
         """Terminate the job mid-run (node crash took a rank with it).
@@ -296,210 +242,3 @@ class RunningJob:
             epoch_count=self.profiler.epoch_count,
             average_power=avg_power,
         )
-
-
-def plan_stride_batch(
-    fleet, jobs: list[RunningJob], times: np.ndarray, dt: float
-) -> tuple[int, list[StridePlan]]:
-    """Plan one stride for every running job in one batched computation.
-
-    ``fleet`` is the :class:`~repro.hwsim.cluster.EmulatedCluster` whose
-    node-indexed columns hold the jobs' caps, model constants and progress.
-
-    Bit-identical to running :meth:`RunningJob.advance` at each instant in
-    ``times`` for the stride length it returns: per-job quantities are
-    column blocks of one concatenated matrix computation whose elementwise
-    expressions mirror the per-tick operations (same IEEE ops in the same
-    order), sequential accumulations (rank progress, ``phase_elapsed``,
-    energy) go through ordered ``np.cumsum`` chains ≡ the ``+=`` chains,
-    and each job's private RNG stream consumes exactly the per-tick draws
-    (``standard_normal``·σ is bit-identical to ``normal(0, σ)`` from the
-    same stream, minus the broadcasting slow path).  Job streams are
-    independent, so batching per job never reorders anything observable.
-
-    The stride truncates at the earliest phase transition of *any* job —
-    epoch completion (RNG-dependent: detected from the drawn trajectory,
-    longer draws rewound and the retained prefix redrawn, value-identical),
-    or a setup/teardown timer expiry (deterministic: bounded up front).
-    Each job therefore stays in one phase per stride; the next stride picks
-    up from the new phase.  Caps are constant across a stride — the
-    framework only strides between control rounds — so the rate and demand
-    vectors gathered up front are loop invariants.
-
-    Returns ``(ticks, plans)`` with plans in ``jobs`` order; only the job
-    RNG streams move until :meth:`RunningJob.commit_stride` applies them.
-    """
-    total = len(times)
-    caps_all = fleet.caps()
-    compute_jobs: list[RunningJob] = []
-    idle_jobs: list[tuple[RunningJob, np.ndarray, float]] = []
-    L = total
-    for job in jobs:
-        if not job.stride_capable:
-            raise RuntimeError(f"job {job.job_id} cannot be stride-planned")
-        if job.phase is JobPhase.COMPUTE:
-            compute_jobs.append(job)
-            continue
-        jt = job.job_type
-        limit = jt.setup_time if job.phase is JobPhase.SETUP else jt.teardown_time
-        # phase_elapsed over the window: ordered cumsum ≡ the += chain; the
-        # first tick at or past the limit is the phase transition, and the
-        # stride may include it but not run beyond it.
-        chain = np.empty(total + 1)
-        chain[0] = job.phase_elapsed
-        chain[1:] = dt
-        pe_chain = np.cumsum(chain)[1:]
-        hits = np.flatnonzero(pe_chain >= limit)
-        if hits.size:
-            L = min(L, int(hits[0]) + 1)
-        idle_jobs.append((job, pe_chain, limit))
-
-    completed_flags: np.ndarray | None = None
-    if compute_jobs:
-        widths = [len(job.nodes) for job in compute_jobs]
-        starts: list[int] = []
-        acc = 0
-        for w in widths:
-            starts.append(acc)
-            acc += w
-        rows = np.concatenate([j.rows for j in compute_jobs])
-        caps_cat = caps_all[rows]
-        demand_cat, base_cat, sigma, perf_cat, epochs = fleet.rank_model(rows, caps_cat)
-        idle_cat = fleet.idle_watts[rows]
-        prog0 = fleet.progress[rows]
-        counts_cat = np.concatenate(
-            [np.asarray(j.profiler.rank_counts) for j in compute_jobs]
-        )
-        epochs_cat = epochs.astype(np.int64)
-        epochs_job = epochs_cat[starts]
-        scales = np.empty(2 * acc)
-        scales[0::2] = sigma
-        scales[1::2] = 0.01
-        # One draw per job stream, interleaved [jitter, rapl] per node; the
-        # snapshot allows an exact rewind if a completion truncates the
-        # stride (the redrawn prefix is value-identical — same stream).
-        snapshots = [job.rng.bit_generator.state for job in compute_jobs]
-        draws = np.empty((L, 2 * acc))
-        for idx, job in enumerate(compute_jobs):
-            w2 = 2 * widths[idx]
-            draws[:, 2 * starts[idx] : 2 * starts[idx] + w2] = (
-                job.rng.standard_normal(L * w2).reshape(L, w2)
-            )
-        draws *= scales
-        jitter = np.exp(draws[:, 0::2])
-        rates = perf_cat[None, :] / (base_cat[None, :] * jitter)
-        # Rank progress: per-column ordered cumsum ≡ the per-tick += chain.
-        prog = np.cumsum(np.vstack((prog0, rates * dt)), axis=0)[1:]
-        done = np.minimum(prog.astype(np.int64), epochs_cat)
-        # Per-job barrier count after tick k is max(counts₀, done_k).min()
-        # over the job's ranks — monotone in k, so a completion inside the
-        # window shows at the final tick; screen there before materialising
-        # the full reduction.
-        fin = (
-            np.minimum.reduceat(np.maximum(done[-1], counts_cat), starts)
-            >= epochs_job
-        )
-        M = L
-        if fin.any():
-            bar = np.minimum.reduceat(
-                np.maximum(done, counts_cat[None, :]), starts, axis=1
-            )
-            bar_done = bar >= epochs_job[None, :]
-            M = int(np.argmax(bar_done.any(axis=1))) + 1
-            completed_flags = bar_done[M - 1]
-            if M < L:
-                for idx, job in enumerate(compute_jobs):
-                    job.rng.bit_generator.state = snapshots[idx]
-                    job.rng.standard_normal(M * 2 * widths[idx])
-                draws = draws[:M]
-                prog = prog[:M]
-                done = done[:M]
-        noisy = demand_cat[None, :] * (1.0 + draws[:, 1::2])
-        powers_mat = np.minimum(
-            caps_cat[None, :], np.maximum(noisy, idle_cat[None, :])
-        )
-    else:
-        M = L
-
-    plans: dict[str, StridePlan] = {}
-    if compute_jobs:
-        # Profiler crossings for every job in one pass.  done_k is monotone
-        # and never below counts₀ (counts₀ is the floored start progress),
-        # so the final tick screens for any crossing before the argwhere
-        # materialises.  argwhere's row-major order is tick-major, column
-        # ascending — the per-tick call order — and splitting the rows by
-        # owning job preserves it.
-        updates_by_job: list[list[tuple[int, int, int]]] = [[] for _ in compute_jobs]
-        if (done[-1] > counts_cat).any():
-            prev = np.vstack((counts_cat, done[:-1]))
-            rows = np.argwhere(done > prev)
-            owners = np.searchsorted(starts, rows[:, 1], side="right") - 1
-            for (k, c), jdx in zip(rows.tolist(), owners.tolist()):
-                updates_by_job[jdx].append((k, c - starts[jdx], int(done[k, c])))
-    for idx, job in enumerate(compute_jobs):
-        a = starts[idx]
-        b = a + widths[idx]
-        # Job tick power: left-to-right accumulation over nodes, matching
-        # the scalar `tick_power += power` loop (seeding with the first
-        # column is exact: 0.0 + p ≡ p for the strictly positive draws).
-        tick_power = powers_mat[:, a].copy()
-        for col in range(a + 1, b):
-            np.add(tick_power, powers_mat[:, col], out=tick_power)
-        completed = completed_flags is not None and bool(completed_flags[idx])
-        pe = job.phase_elapsed
-        finished_at: float | None = None
-        if completed:
-            finished_at = float(times[M - 1])
-            pe = 0.0
-        else:
-            for _ in range(M):  # the per-tick += chain, verbatim
-                pe += dt
-        plans[job.job_id] = StridePlan(
-            ticks=M,
-            finished=False,
-            powers=powers_mat[:, a:b],
-            phase=JobPhase.TEARDOWN if completed else JobPhase.COMPUTE,
-            phase_elapsed=pe,
-            rank_progress=prog[M - 1, a:b].copy(),
-            profiler_updates=updates_by_job[idx],
-            compute_started_at=None,
-            compute_finished_at=finished_at,
-            end_at=None,
-            compute_tick_power=tick_power,
-        )
-    for job, pe_chain, limit in idle_jobs:
-        n = len(job.nodes)
-        caps = caps_all[job.rows]
-        idle = fleet.idle_watts[job.rows]
-        eps = job.rng.standard_normal((M, n)) * 0.01
-        powers = np.minimum(
-            caps[None, :], np.maximum(idle[None, :] * (1.0 + eps), idle[None, :])
-        )
-        pe = float(pe_chain[M - 1])
-        phase = job.phase
-        started_at: float | None = None
-        end_at: float | None = None
-        finished = False
-        if pe >= limit:  # the timer expired on the stride's final tick
-            if phase is JobPhase.SETUP:
-                phase = JobPhase.COMPUTE
-                started_at = float(times[M - 1])
-            else:
-                phase = JobPhase.DONE
-                end_at = float(times[M - 1])
-                finished = True
-            pe = 0.0
-        plans[job.job_id] = StridePlan(
-            ticks=M,
-            finished=finished,
-            powers=powers,
-            phase=phase,
-            phase_elapsed=pe,
-            rank_progress=job._rank_progress,
-            profiler_updates=[],
-            compute_started_at=started_at,
-            compute_finished_at=None,
-            end_at=end_at,
-            compute_tick_power=None,
-        )
-    return M, [plans[job.job_id] for job in jobs]

@@ -142,25 +142,6 @@ class Node:
         self._power[0] = power
         return power
 
-    def deposit_series(self, powers: np.ndarray, dt: float) -> None:
-        """Deposit a run of already-realised per-tick draws (stride commit).
-
-        ``powers[k]`` is the node's draw over tick ``k`` of a stride.  The
-        per-package split is the same elementwise expression as
-        :meth:`consume`'s, and each bank folds its deposits with an ordered
-        cumulative sum, so the result is bit-identical to depositing once
-        per tick.  The retained ``last_power`` is the
-        final tick's, exactly as the tick loop would leave it.
-        """
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        if len(powers) == 0:
-            return
-        per_package = powers * dt / len(self.banks)
-        for bank in self.banks:
-            bank.accumulate_energy_series(per_package)
-        self._power[0] = powers[-1]
-
     def consume_idle(self, dt: float, rng: np.random.Generator) -> float:
         """Idle-power tick (no job, or a job in setup/teardown)."""
         return self.consume(self.idle_power, dt, rng)

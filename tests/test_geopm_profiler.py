@@ -46,6 +46,38 @@ class TestBarrierSemantics:
             p.prof_epoch(rank)
         assert p.epoch_count == min(p.rank_counts)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),  # prof_epoch, else set_rank_progress
+                st.integers(0, 3),  # rank
+                st.integers(0, 4),  # how far set_rank_progress raises the rank
+                st.floats(0.0, 100.0),  # timestamp
+            ),
+            max_size=80,
+        )
+    )
+    def test_property_running_minimum_tracks_the_ranks(self, calls):
+        """``epoch_count`` is kept as a field, recomputed only when the rank
+        being raised sat at the minimum: it must equal ``min(rank_counts)``
+        after every call, and ``epoch_times`` must record each global epoch
+        at the timestamp of the call that completed it."""
+        p = EpochProfiler(num_ranks=4)
+        counts = [0, 0, 0, 0]
+        times: list[float] = []
+        for use_prof, rank, jump, timestamp in calls:
+            before = min(counts)
+            if use_prof:
+                counts[rank] += 1
+                returned = p.prof_epoch(rank, timestamp=timestamp)
+            else:
+                counts[rank] += jump
+                returned = p.set_rank_progress(rank, counts[rank], timestamp=timestamp)
+            times += [timestamp] * (min(counts) - before)
+            assert returned == p.epoch_count == min(p.rank_counts) == min(counts)
+            assert p.rank_counts == tuple(counts)
+        assert p.epoch_times == tuple(times)
+
 
 class TestSetRankProgress:
     def test_direct_set(self):

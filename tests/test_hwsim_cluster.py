@@ -1,5 +1,6 @@
 """Tests for the emulated cluster: allocation, metering, lifecycle."""
 
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -123,11 +124,14 @@ class TestAggregation:
 
 
 # ---------------------------------------------------------------------------
-# Fleet pass ≡ scalar reference.  ``EmulatedCluster.advance`` steps every rank
-# and idle node in one array pass; ``scalar_advance`` is the per-node loop it
+# Window kernel ≡ scalar reference.  ``EmulatedCluster`` steps every rank and
+# idle node across one tick (``advance``) or a run of them (``advance_stride``)
+# in one array pass; ``scalar_advance`` is the per-node, per-tick loop it
 # replaced, built from the scalar primitives that remain (RunningJob.advance,
 # Node.consume_idle).  Two identically-seeded clusters, one stepped by each,
-# must agree on every observable bit for bit.
+# must agree on every observable bit for bit — including the next value every
+# RNG stream would draw, which is what a truncated window's rewind must leave
+# exactly where the reference ticks left it.
 
 
 def scalar_advance(cluster: EmulatedCluster, dt: float) -> float:
@@ -165,6 +169,8 @@ def observables(cluster: EmulatedCluster, jobs) -> dict:
         ],
         "progress": {j.job_id: j._rank_progress.tolist() for j in cluster.running.values()},
         "running": list(cluster.running),
+        "next_draw": [deepcopy(j.rng).standard_normal() for j in jobs]
+        + [deepcopy(rng).standard_normal() for rng in cluster._node_rngs],
         "idle": [n.node_id for n in cluster.idle_nodes()],
         "completed": list(cluster.completed),
         "killed": list(cluster.killed),
@@ -198,6 +204,30 @@ class Pair:
         self.scalar.clock.advance(dt)
         assert self.fleet.advance(dt) == scalar_advance(self.scalar, dt)
 
+    def window(self, ticks: int, dt: float = 1.0) -> int:
+        """One ``advance_stride`` over ``ticks`` instants against as many
+        reference ticks as it ran; returns that number.
+
+        A window may stop short of ``ticks`` (it is sized to the nearest
+        foreseeable completion) but never runs past a tick that changes any
+        job's phase: that tick, included, is its last.
+        """
+        times = self.fleet.clock.tick_times(ticks, dt)
+        ran, totals = self.fleet.advance_stride(times, dt)
+        self.fleet.clock.advance_to(float(times[ran - 1]))
+        assert 1 <= ran <= ticks
+        reference, turned = [], []
+        for _ in range(ran):
+            jobs = list(self.scalar.running.values())
+            phases = [j.phase for j in jobs]
+            self.scalar.clock.advance(dt)
+            reference.append(scalar_advance(self.scalar, dt))
+            turned.append(phases != [j.phase for j in jobs])
+        assert totals.tolist() == reference
+        assert self.fleet.clock.now == self.scalar.clock.now
+        assert not any(turned[:-1])
+        return ran
+
     def assert_equal(self) -> None:
         assert observables(self.fleet, self.jobs[0]) == observables(self.scalar, self.jobs[1])
 
@@ -230,13 +260,17 @@ class TestFleetPassEqualsScalarReference:
         slow=st.lists(st.tuples(st.integers(0, 39), st.floats(0.3, 1.5)), max_size=6),
         recap=st.tuples(st.integers(1, 30), st.floats(100.0, 320.0)),
         dt=st.sampled_from([1.0, 0.7]),  # 0.7: ``x * dt`` rounds, so its place matters
+        window=st.integers(1, 12),  # ticks asked of each kernel call
     )
-    def test_random_mixes_step_to_completion(self, seed, run_noise, specs, slow, recap, dt):
+    def test_random_mixes_step_to_completion(
+        self, seed, run_noise, specs, slow, recap, dt, window
+    ):
         pair = Pair(40, seed=seed, run_noise=run_noise, perf_variation_std=0.05)
         for node_id, mult in slow:  # tuned after construction, before start_job
             pair.both(lambda c, _: setattr(c.nodes[node_id], "perf_multiplier", mult))
         pending = sorted(enumerate(specs), key=lambda s: s[1][-1])
-        for tick in range(600):
+        tick = 0
+        while tick < 600:
             while pending and pending[0][1][-1] <= tick:
                 k, (name, width, epochs, tau, p_min, cap, _) = pending.pop(0)
                 if len(pair.fleet.idle_nodes()) >= width:
@@ -249,13 +283,19 @@ class TestFleetPassEqualsScalarReference:
                         for n in c.nodes
                     ]
                 )
-            pair.tick(dt)
-            if tick % 7 == 0:
-                pair.assert_equal()
+            # Inputs only change between kernel calls: a window stops short
+            # of the next job start and of the cap change.
+            due = [spec[-1] for _, spec in pending] + [recap[0]]
+            ask = min([window] + [t - tick for t in due if t > tick])
+            if ask == 1:
+                pair.tick(dt)  # the one-tick entry point
+                tick += 1
+            else:
+                tick += pair.window(ask, dt)
+            pair.assert_equal()
             if not pending and not pair.fleet.running:
                 break
         assert not pair.fleet.running and not pair.scalar.running
-        pair.assert_equal()
 
     def test_static_wave_and_phased_jobs_share_a_tick(self):
         pair = Pair(8, seed=5)
@@ -321,3 +361,115 @@ class TestFleetPassEqualsScalarReference:
         while pair.fleet.running:
             pair.tick()
         pair.assert_equal()
+
+
+class TestWindows:
+    """Cases the old tick/stride split hid: they only arise inside one call."""
+
+    def test_last_epoch_and_teardown_expiry_end_the_same_window(self):
+        # The scenario above, with t=7…14 asked for in one call: "a"'s
+        # teardown timer and "b"'s last epoch both land on t=9, so the window
+        # must stop there having made both transitions.
+        pair = Pair(2, seed=3, run_noise=False)
+        pair.start("a", short_type("cg", nodes=1, epochs=4, tau=0.9))
+        pair.start("b", short_type("cg", nodes=1, epochs=6, tau=1.075))
+        for _ in range(6):
+            pair.tick()
+        assert pair.window(8) == 3
+        job_b = pair.jobs[0][1]
+        assert [t.job_id for t in pair.fleet.completed] == ["a"]
+        assert pair.fleet.completed[0].sojourn == 9.0
+        assert job_b.phase.name == "TEARDOWN" and job_b._compute_finished == 9.0
+        pair.assert_equal()
+        while pair.fleet.running:
+            pair.window(8)
+        pair.assert_equal()
+
+    def test_a_power_wave_job_holds_every_window_to_one_tick(self):
+        pair = Pair(6, seed=7)
+        pair.start("static", short_type("bt", nodes=2, epochs=12, tau=1.2), cap=200.0)
+        pair.start("wave", short_type("ft", nodes=2, epochs=30, tau=1.1, power_wave=0.2))
+        assert not pair.fleet.stride_ready()
+        while "wave" in pair.fleet.running:
+            assert pair.window(5) == 1  # the scalar reference steps alone
+            pair.window(1)
+            pair.assert_equal()
+        assert [t.job_id for t in pair.fleet.completed] == ["static", "wave"]
+
+    def test_windows_at_a_tick_that_rounds(self):
+        # dt = 0.7: every ``x * dt`` and every running sum rounds, so a fold
+        # taken in another order would show.
+        pair = Pair(5, seed=13, perf_variation_std=0.05)
+        pair.start("a", short_type("lu", nodes=2, epochs=9, tau=1.3), cap=190.0)
+        pair.start("b", short_type("mg", nodes=2, epochs=14, tau=0.8))
+        while pair.fleet.running:
+            pair.window(6, dt=0.7)
+            pair.assert_equal()
+        assert len(pair.fleet.completed) == 2
+
+
+class TestValidationBeforeStateMoves:
+    """Bad input raises before any stream or column has moved."""
+
+    @staticmethod
+    def _running(**kwargs) -> EmulatedCluster:
+        cluster = EmulatedCluster(3, seed=4, **kwargs)
+        cluster.start_job("j", short_type("bt", nodes=2, epochs=50, tau=1.0))
+        return cluster
+
+    @staticmethod
+    def _state(cluster: EmulatedCluster) -> dict:
+        job = cluster.running["j"]
+        return {
+            "progress": cluster.progress.tolist(),
+            "energy": [n.total_energy for n in cluster.nodes],
+            "phase_elapsed": job.phase_elapsed,
+            "history": cluster.power_history().tolist(),
+            "streams": [
+                rng.bit_generator.state for rng in (job.rng, *cluster._node_rngs)
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "times, dt, match",
+        [
+            ([1.0, 2.0], 0.0, "dt must be positive"),
+            ([1.0, 2.0], -1.0, "dt must be positive"),
+            ([], 1.0, "non-empty and increasing"),
+            ([1.0, 3.0, 2.0], 1.0, "non-empty and increasing"),
+            ([1.0, 1.0], 1.0, "non-empty and increasing"),
+        ],
+    )
+    def test_bad_window_rejected(self, times, dt, match):
+        cluster = self._running()
+        for _ in range(4):  # into the compute phase: progress and streams moving
+            cluster.clock.advance(1.0)
+            cluster.advance(1.0)
+        before = self._state(cluster)
+        with pytest.raises(ValueError, match=match):
+            cluster.advance_stride(np.array(times), dt)
+        assert self._state(cluster) == before
+
+    def test_bad_dt_rejected_by_the_one_tick_entry_point(self):
+        cluster = self._running()
+        before = self._state(cluster)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            cluster.advance(0.0)
+        assert self._state(cluster) == before
+
+    def test_an_empty_cluster_checks_too(self):
+        cluster = EmulatedCluster(2, seed=0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            cluster.advance_stride(np.array([1.0, 2.0]), 0.0)
+        with pytest.raises(ValueError, match="non-empty and increasing"):
+            cluster.advance_stride(np.array([]), 1.0)
+        assert cluster.power_history().size == 0
+
+    @pytest.mark.parametrize("ticks", [1, 4])
+    def test_negative_energy_rejected(self, ticks):
+        # An idle node asked to draw negative watts: no tick may deposit it.
+        cluster = self._running(idle_power=-5.0)
+        before = self._state(cluster)
+        with pytest.raises(ValueError, match="negative energy"):
+            cluster.advance_stride(cluster.clock.tick_times(ticks, 1.0), 1.0)
+        assert self._state(cluster) == before

@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from repro.core.framework import AnorConfig  # noqa: E402
 from repro.experiments.fig9 import build_demand_response_system  # noqa: E402
 from repro.faults.schedule import FaultSchedule  # noqa: E402
+from repro.telemetry.metrics import Histogram  # noqa: E402
+from tests.test_event_calendar import count_multi_tick_windows  # noqa: E402
 
 DURATION = 180.0
 
@@ -27,6 +29,7 @@ PERIODS = st.sampled_from(
     [
         (1.0, 1.0, 1.0),
         (2.0, 2.0, 4.0),
+        (3.0, 7.0, 11.0),  # co-prime gates: windows of every length 1–3
         (5.0, 5.0, 10.0),
         (5.0, 10.0, 30.0),
         (30.0, 30.0, 60.0),
@@ -55,7 +58,7 @@ FAULTS = st.sampled_from(
 )
 
 
-def _run(event_driven, *, seed, periods, faults, lease, reliable):
+def _run(event_driven, *, seed, periods, faults, lease, reliable, telemetry):
     agent, endpoint, manager = periods
     config = AnorConfig(
         seed=seed,
@@ -66,6 +69,7 @@ def _run(event_driven, *, seed, periods, faults, lease, reliable):
         lease_ttl=20.0 if lease else None,
         reliable_messaging=reliable,
         endpoint_restart_delay=15.0,
+        telemetry_enabled=telemetry,
     )
     schedule = None
     if faults is not None:
@@ -73,7 +77,21 @@ def _run(event_driven, *, seed, periods, faults, lease, reliable):
     system = build_demand_response_system(
         duration=DURATION, seed=seed, config=config, fault_schedule=schedule
     )
-    return system.run(DURATION)
+    return system.run(DURATION), _registry_samples(system)
+
+
+def _registry_samples(system):
+    """Every metric's final sample (empty with telemetry off)."""
+    def sample(inst):
+        if isinstance(inst, Histogram):
+            return inst.counts, inst.count, inst.sum
+        return inst.value
+
+    return [
+        (name, labels, sample(inst))
+        for name, _, _, rows in system.telemetry.registry.families()
+        for labels, inst in rows
+    ]
 
 
 @settings(
@@ -87,13 +105,24 @@ def _run(event_driven, *, seed, periods, faults, lease, reliable):
     faults=FAULTS,
     lease=st.booleans(),
     reliable=st.booleans(),
+    telemetry=st.booleans(),
 )
-def test_event_mode_bit_identical_to_tick_mode(seed, periods, faults, lease, reliable):
+def test_event_mode_bit_identical_to_tick_mode(
+    seed, periods, faults, lease, reliable, telemetry
+):
     kwargs = dict(
-        seed=seed, periods=periods, faults=faults, lease=lease, reliable=reliable
+        seed=seed, periods=periods, faults=faults, lease=lease, reliable=reliable,
+        telemetry=telemetry,
     )
-    event = _run(True, **kwargs)
-    tick = _run(False, **kwargs)
+    with count_multi_tick_windows() as multi_tick_windows:
+        event, event_samples = _run(True, **kwargs)
+        strided = multi_tick_windows()
+        tick, tick_samples = _run(False, **kwargs)
+        assert multi_tick_windows() == strided  # the tick arm never batches
+    # The comparison is only worth something if the event arm really did:
+    # whenever every control period exceeds the tick, some window must have.
+    assert strided > 0 or min(periods) <= 1.0
+    assert event_samples == tick_samples
     assert np.array_equal(event.power_trace, tick.power_trace)
     assert event.warnings == tick.warnings
     assert event.fault_log == tick.fault_log
