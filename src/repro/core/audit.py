@@ -71,13 +71,13 @@ head re-earns evidence rather than trusting a stale verdict).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.telemetry import NULL_TELEMETRY
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.cluster_manager import JobRecord
+    from repro.core.round import BudgetRound, JobRecord
 
 __all__ = [
     "TRUSTED",
@@ -265,12 +265,50 @@ class CapComplianceAuditor:
 
     # ---------------------------------------------------------- round update
 
+    def audit_stage(self, rnd: "BudgetRound") -> None:
+        """Round stage, after triage and before anything is reserved, so
+        that this round's verdicts shape this round's budget."""
+        for text in self.audit_round(rnd.time, rnd.jobs):
+            rnd.report(rnd.time, text)
+        # After ``audit_round`` the auditor's table holds exactly the jobs
+        # of the manager's, so one pass over it finds everyone distrusted.
+        distrusted = {
+            job_id: audit.state == QUARANTINED
+            for job_id, audit in self._jobs.items()
+            if audit.state in _DISTRUSTED
+        }
+        if not distrusted:
+            return
+        # Quarantined jobs leave their triage class.  A rehabilitating job is
+        # budgeted again, but from the believed (facility-side) model — its
+        # self-reported fit stays distrusted until it re-earns trusted status.
+        held = {job_id for job_id, quarantined in distrusted.items() if quarantined}
+        rnd.quarantined = [rnd.jobs[j] for j in sorted(held)]
+        for group in (rnd.stale, rnd.dormant, rnd.active):
+            group[:] = [r for r in group if r.job_id not in held]
+        rnd.requests = [
+            replace(q, model=rnd.jobs[q.job_id].believed_model)
+            if q.job_id in distrusted else q
+            for q in rnd.requests
+            if q.job_id not in held
+        ]
+
+    def reserve_stage(self, rnd: "BudgetRound") -> None:
+        """Round stage, after the manager's own reservations."""
+        # Conservative envelope: reserve the job's *metered* draw plus the
+        # guardband (never its self-reported model) and dispatch the probe
+        # cap.  The headroom it was claiming flows back into the pool for
+        # trusted jobs.
+        for record in rnd.quarantined:
+            envelope, probe_cap = self.envelope(record)
+            rnd.reserved += envelope
+            rnd.caps[record.job_id] = probe_cap
+
     def audit_round(self, now: float, jobs: dict[str, "JobRecord"]) -> list[str]:
         """Ingest this round's evidence and advance every state machine.
 
-        Called once per control round from ``ClusterPowerManager.step``
-        with the manager's connected-job table.  Returns human-readable
-        transition lines for the manager's event log.
+        Takes the manager's connected-job table; returns one transition
+        description per edge taken, for the manager's event log.
         """
         lines: list[str] = []
         for job_id in list(self._jobs):
@@ -486,7 +524,7 @@ class CapComplianceAuditor:
                 f"trust-{new}", now, job_id=job_id, previous=old, reason=reason
             )
             self._gauge(job_id).set(TRUST_STATES[new])
-        return f"t={now:.1f} {job_id}: trust {old} -> {new} ({reason})"
+        return f"{job_id}: trust {old} -> {new} ({reason})"
 
     def force_state(
         self, job_id: str, new: str, now: float = 0.0, reason: str = "forced"

@@ -425,6 +425,13 @@ class AnorSystem:
             agent_fanout=self.config.agent_fanout,
             run_noise=self.config.run_noise,
         )
+        # The durable store exists before the manager: a manager's round is
+        # built once, around the journal it is constructed with.
+        self.durable: DurableStore | None = None
+        self._checkpoint_gate: PeriodicGate | None = None
+        if cfg.checkpoint_dir is not None:
+            self.durable = DurableStore(cfg.checkpoint_dir)
+            self._checkpoint_gate = PeriodicGate(cfg.checkpoint_period)
         self.manager: ClusterPowerManager | None = self._build_manager()
         self.endpoints: dict[str, JobTierEndpoint] = {}
         self._queue: list[_QueuedJob] = []
@@ -455,23 +462,13 @@ class AnorSystem:
         self.warnings: list[str] = []
         # Head-node crash-recovery state: the head's own view of which jobs
         # it launched and believes running (what a checkpoint must carry —
-        # distinct from the emulator's ground truth), the durable store, and
-        # run-level recovery observability.
+        # distinct from the emulator's ground truth) and run-level recovery
+        # observability.
         self._running_view: dict[str, dict] = {}
         self._head_down = False
         self.head_crashes = 0
         self.recovery_log: list[str] = []
         self.orphaned: list[str] = []
-        self.durable: DurableStore | None = None
-        self._checkpoint_gate: PeriodicGate | None = None
-        if self.config.checkpoint_dir is not None:
-            if self.config.checkpoint_period <= 0:
-                raise ValueError(
-                    f"checkpoint_period must be positive, got {self.config.checkpoint_period}"
-                )
-            self.durable = DurableStore(self.config.checkpoint_dir)
-            self._checkpoint_gate = PeriodicGate(self.config.checkpoint_period)
-            self.manager.journal = self.durable.journal
         self.faults = (
             FaultInjector(self, fault_schedule) if fault_schedule is not None else None
         )
@@ -483,7 +480,9 @@ class AnorSystem:
         if cfg.breaker_margin is not None:
             # A fresh breaker per manager build: breaker state is head-local
             # and does not survive a head-node crash (it re-arms closed).
-            breaker = PowerBreaker(margin=cfg.breaker_margin)
+            breaker = PowerBreaker(
+                margin=cfg.breaker_margin, telemetry=self.telemetry
+            )
         auditor = None
         if cfg.audit_enabled:
             # Fresh auditor per manager build: trust state is deliberately
@@ -516,6 +515,7 @@ class AnorSystem:
                 horizon_rounds=cfg.plan_horizon_rounds,
                 period=cfg.manager_period,
                 hysteresis_watts=cfg.plan_hysteresis_watts,
+                telemetry=self.telemetry,
             )
         shed = None
         if cfg.shed_enabled:
@@ -533,6 +533,7 @@ class AnorSystem:
                 classes=dict(cfg.shed_classes or {}),
                 default_class=cfg.shed_default_class,
                 nominal_watts=cfg.shed_nominal_watts,
+                telemetry=self.telemetry,
             )
         return ClusterPowerManager(
             budgeter=self.budgeter,
@@ -550,6 +551,7 @@ class AnorSystem:
             safe_floor=cfg.safe_floor,
             breaker=breaker,
             auditor=auditor,
+            journal=self.durable.journal if self.durable is not None else None,
             planner=planner,
             shed=shed,
             telemetry=self.telemetry,
@@ -704,11 +706,7 @@ class AnorSystem:
         """Start queued jobs according to the configured scheduler."""
         if not self._queue:
             return
-        shed = self.manager.shed if self.manager is not None else None
-        if shed is not None and shed.active:
-            # Admission hold: launching into a brownout would hand the
-            # ladder fresh work to shed right back.  Launches resume when
-            # severity returns to normal.
+        if self.manager.admission_held:
             return
         chosen = self.scheduler.select(*self._scheduler_view(now))
         if not chosen:
@@ -854,13 +852,7 @@ class AnorSystem:
             return None
         if self.telemetry.enabled:
             self.telemetry.incident("node-crash", now, node=node_id, job_id=killed)
-        self.endpoints.pop(killed, None)
-        self._endpoint_restarts = [
-            r for r in self._endpoint_restarts if r[1] != killed
-        ]
-        tracer = self._tracers.pop(killed, None)
-        if tracer is not None:
-            tracer.close()
+        self._detach_endpoint(killed)
         if self._head_down:
             # No head node to notice, requeue, or journal anything: the job
             # just dies.  Post-restart reconciliation finds it missing (no
@@ -871,59 +863,21 @@ class AnorSystem:
             )
             return killed
         self._running_view.pop(killed, None)
-        spec = self._job_specs.get(killed)
-        attempts = self._attempts.get(killed, 1)
-        if (
-            self.config.requeue_on_node_failure
-            and spec is not None
-            and attempts <= self.config.max_requeues
-        ):
-            self._attempts[killed] = attempts + 1
-            self._enqueue(spec)
-            self.requeued.append(killed)
-            if self.telemetry.enabled:
-                self.telemetry.event(
-                    "job-requeue", now, job_id=killed, attempt=attempts + 1
-                )
-            self.warnings.append(
-                f"t={now:.1f}: node {node_id} crashed, job {killed} killed and requeued"
-            )
-            self._journal(
-                "job-admit",
-                now,
-                kind="requeue",
-                spec=self._spec_dict(spec),
-                attempt=attempts + 1,
-            )
-        else:
-            self.warnings.append(
-                f"t={now:.1f}: node {node_id} crashed, job {killed} killed "
-                f"(not requeued)"
-            )
-            self._journal("job-evict", now, kind="killed", job_id=killed)
+        self._requeue_or_drop(
+            killed,
+            now,
+            self._job_specs.get(killed),
+            self.config.requeue_on_node_failure,
+            self.warnings,
+            f"node {node_id} crashed, job {killed} killed and requeued",
+            f"node {node_id} crashed, job {killed} killed (not requeued)",
+            drop_kind="killed",
+        )
         return killed
 
-    def _apply_shed_actions(self, now: float) -> None:
-        """Execute the manager's queued shed decisions (preempt / kill).
-
-        The manager only *queues* the actions — it has no handle on the
-        cluster emulator — so the framework is the enforcement arm, the
-        role the resource-manager plugin plays on a real head node.
-        Preempted jobs requeue from their checkpointed submission spec
-        (they restart once the ladder returns to normal); killed jobs are
-        evicted for good.
-        """
-        actions = list(self.manager.shed.pending_actions)
-        self.manager.shed.pending_actions.clear()
-        for job_id, action in actions:
-            self._shed_job(job_id, action, now)
-
-    def _shed_job(self, job_id: str, action: str, now: float) -> None:
-        if job_id not in self.cluster.running:
-            # Completed (or crashed) between the shed decision and now.
-            return
-        self.cluster.kill_job(job_id)
-        self._declined_at = None  # nodes came free after the scheduler looked
+    def _detach_endpoint(self, job_id: str) -> None:
+        """Forget the endpoint, pending restart and tracer of a job that was
+        just killed."""
         self.endpoints.pop(job_id, None)
         self._endpoint_restarts = [
             r for r in self._endpoint_restarts if r[1] != job_id
@@ -931,37 +885,78 @@ class AnorSystem:
         tracer = self._tracers.pop(job_id, None)
         if tracer is not None:
             tracer.close()
-        self._running_view.pop(job_id, None)
-        spec = self._job_specs.get(job_id)
+
+    def _requeue_or_drop(
+        self,
+        job_id: str,
+        now: float,
+        spec: _QueuedJob | None,
+        allowed: bool,
+        log: list[str],
+        requeued: str,
+        dropped: str,
+        *,
+        drop_kind: str | None,
+    ) -> None:
+        """A job the head believed running is gone (node crash, power shed,
+        died during a head outage): back in the queue from its submission
+        spec while it has attempts left and ``allowed``, else dropped.  One
+        line in ``log`` either way; a drop is journalled as ``drop_kind``."""
         attempts = self._attempts.get(job_id, 1)
-        if (
-            action == "preempt"
-            and spec is not None
-            and attempts <= self.config.max_requeues
-        ):
-            self._attempts[job_id] = attempts + 1
+        if allowed and spec is not None and attempts <= self.config.max_requeues:
+            self._attempts[job_id] = attempt = attempts + 1
             self._enqueue(spec)
             self.requeued.append(job_id)
             if self.telemetry.enabled:
-                self.telemetry.event(
-                    "job-requeue", now, job_id=job_id, attempt=attempts + 1
-                )
-            self.warnings.append(
-                f"t={now:.1f}: job {job_id} preempted by power shed "
-                f"(checkpointed and requeued)"
-            )
+                self.telemetry.event("job-requeue", now, job_id=job_id, attempt=attempt)
+            log.append(f"t={now:.1f}: {requeued}")
             self._journal(
                 "job-admit",
                 now,
                 kind="requeue",
                 spec=self._spec_dict(spec),
-                attempt=attempts + 1,
+                attempt=attempt,
             )
         else:
-            self.warnings.append(
-                f"t={now:.1f}: job {job_id} killed by power shed"
-            )
-            self._journal("job-evict", now, kind="shed", job_id=job_id)
+            log.append(f"t={now:.1f}: {dropped}")
+            if drop_kind is not None:
+                self._journal("job-evict", now, kind=drop_kind, job_id=job_id)
+
+    def _enforce(self, now: float) -> None:
+        """Carry out what the manager's rounds handed back.
+
+        The manager only *decides* — it has no handle on the cluster
+        emulator — so the framework is the enforcement arm, the role the
+        resource-manager plugin plays on a real head node.
+        """
+        actions, self.manager.enforcement = self.manager.enforcement, []
+        for action, job_id in actions:
+            if action == "orphan":
+                self._reconcile_orphan(job_id, now)
+            else:
+                self._shed_job(job_id, action, now)
+
+    def _shed_job(self, job_id: str, action: str, now: float) -> None:
+        """Preempted jobs requeue from their checkpointed submission spec
+        (they restart once the ladder returns to normal); killed jobs are
+        evicted for good."""
+        if job_id not in self.cluster.running:
+            # Completed (or crashed) between the shed decision and now.
+            return
+        self.cluster.kill_job(job_id)
+        self._declined_at = None  # nodes came free after the scheduler looked
+        self._detach_endpoint(job_id)
+        self._running_view.pop(job_id, None)
+        self._requeue_or_drop(
+            job_id,
+            now,
+            self._job_specs.get(job_id),
+            action == "preempt",
+            self.warnings,
+            f"job {job_id} preempted by power shed (checkpointed and requeued)",
+            f"job {job_id} killed by power shed",
+            drop_kind="shed",
+        )
 
     def crash_endpoint(self, job_id: str, now: float | None = None) -> bool:
         """Kill a job's endpoint process; the job itself keeps running.
@@ -1056,8 +1051,6 @@ class AnorSystem:
                 self.warnings.append(incident)
                 state = None
         self.manager = self._build_manager()
-        if self.durable is not None:
-            self.manager.journal = self.durable.journal
         if self.faults is not None:
             self.faults.reattach()
         if state is not None:
@@ -1125,57 +1118,47 @@ class AnorSystem:
         for spec in state["queue"]:
             self._enqueue(self._spec_from_dict(spec))
 
-    def _handle_orphans(self, now: float) -> None:
-        """Reconcile jobs the recovery window closed on without a re-HELLO.
+    def _reconcile_orphan(self, job_id: str, now: float) -> None:
+        """Reconcile a job the recovery window closed on without a re-HELLO.
 
         Three deterministic cases: the job is still running (endpoint died
         in the outage — leave it to the watchdog), it completed during the
         outage (nothing to do), or it died with its node (requeue it from
         the checkpointed spec, like any node-crash kill).
         """
-        for job_id in self.manager.orphaned:
-            self.orphaned.append(job_id)
-            if job_id in self.cluster.running:
-                self.recovery_log.append(
-                    f"t={now:.1f}: job {job_id} silent past the recovery window "
-                    f"but still running; awaiting endpoint watchdog"
-                )
-                if (
-                    job_id not in self.endpoints
-                    and self.config.endpoint_restart_delay is not None
-                    and all(r[1] != job_id for r in self._endpoint_restarts)
-                ):
-                    self._endpoint_restarts.append((now, job_id))
-                continue
-            spec_state = self._running_view.pop(job_id, None)
-            if any(t.job_id == job_id for t in self.cluster.completed):
-                self.recovery_log.append(
-                    f"t={now:.1f}: job {job_id} completed during the head-node outage"
-                )
-                continue
-            attempts = self._attempts.get(job_id, 1)
+        self.orphaned.append(job_id)
+        if job_id in self.cluster.running:
+            self.recovery_log.append(
+                f"t={now:.1f}: job {job_id} silent past the recovery window "
+                f"but still running; awaiting endpoint watchdog"
+            )
             if (
-                self.config.requeue_on_node_failure
-                and spec_state is not None
-                and attempts <= self.config.max_requeues
+                job_id not in self.endpoints
+                and self.config.endpoint_restart_delay is not None
+                and all(r[1] != job_id for r in self._endpoint_restarts)
             ):
-                queued = self._spec_from_dict(spec_state)
-                self._attempts[job_id] = attempts + 1
-                self._submit_times.setdefault(job_id, queued.request.submit_time)
-                self._enqueue(queued)
-                self.requeued.append(job_id)
-                self.recovery_log.append(
-                    f"t={now:.1f}: job {job_id} died during the head-node outage; requeued"
-                )
-                self._journal(
-                    "job-admit", now, kind="requeue", spec=spec_state, attempt=attempts + 1
-                )
-            else:
-                self.recovery_log.append(
-                    f"t={now:.1f}: job {job_id} died during the head-node outage "
-                    f"(not requeued)"
-                )
-        self.manager.orphaned.clear()
+                self._endpoint_restarts.append((now, job_id))
+            return
+        spec_state = self._running_view.pop(job_id, None)
+        if any(t.job_id == job_id for t in self.cluster.completed):
+            self.recovery_log.append(
+                f"t={now:.1f}: job {job_id} completed during the head-node outage"
+            )
+            return
+        spec = None
+        if spec_state is not None:
+            spec = self._spec_from_dict(spec_state)
+            self._submit_times.setdefault(job_id, spec.request.submit_time)
+        self._requeue_or_drop(
+            job_id,
+            now,
+            spec,
+            self.config.requeue_on_node_failure,
+            self.recovery_log,
+            f"job {job_id} died during the head-node outage; requeued",
+            f"job {job_id} died during the head-node outage (not requeued)",
+            drop_kind=None,
+        )
 
     def _reconnect_closed(self, now: float) -> None:
         """Re-dial links the manager closed on a still-alive endpoint.
@@ -1245,13 +1228,9 @@ class AnorSystem:
             # validated for this job (live record or checkpoint-recovered),
             # so the fresh endpoint does not re-fit from zero.
             warm_model = warm_r2 = None
-            record = self.manager.jobs.get(job_id) if self.manager is not None else None
-            if record is not None and record.online_model is not None:
-                warm_model, warm_r2 = record.online_model, record.online_r2
-            elif self.manager is not None:
-                recovered = self.manager.recovered_job(job_id)
-                if recovered is not None and recovered.online_model is not None:
-                    warm_model, warm_r2 = recovered.online_model, recovered.online_r2
+            known = self.manager.jobs.get(job_id) or self.manager.recovered_job(job_id)
+            if known is not None and known.online_model is not None:
+                warm_model, warm_r2 = known.online_model, known.online_r2
             self._attach_endpoint(job, claimed, warm_model=warm_model, warm_r2=warm_r2)
             if self.telemetry.enabled:
                 self.telemetry.event(
@@ -1310,13 +1289,7 @@ class AnorSystem:
                 manager_due = True
             if manager_due:
                 self.manager.step(now)
-                if self.manager.orphaned:
-                    self._handle_orphans(now)
-                if (
-                    self.manager.shed is not None
-                    and self.manager.shed.pending_actions
-                ):
-                    self._apply_shed_actions(now)
+                self._enforce(now)
         if (
             not self._head_down
             and self.durable is not None
@@ -1448,11 +1421,10 @@ class AnorSystem:
         """
         if not self._queue or self._head_down:
             return False
-        shed = self.manager.shed
-        if shed is not None and shed.active:
-            # Admission hold: ``_start_ready`` is inert while shedding, and
-            # severity only changes inside manager rounds — gate events, so
-            # window boundaries.  The queue cannot act mid-window.
+        if self.manager.admission_held:
+            # ``_start_ready`` is inert while the hold lasts, and it only
+            # changes inside manager rounds — gate events, so window
+            # boundaries.  The queue cannot act mid-window.
             return False
         if not self.scheduler.time_invariant:
             return True

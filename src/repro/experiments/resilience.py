@@ -187,9 +187,8 @@ def _drive(system: AnorSystem, scenario: Scenario, max_time: float) -> ArmRun:
         if rnd is not None and rnd.time != last_time:
             last_time = rnd.time
             ceiling = max(rnd.target + rnd.correction, rnd.floor)
-            planned = rnd.idle_power + rnd.reserved + rnd.allocated
             extra = sample(system) if sample is not None else ()
-            rows.append((rnd.time, ceiling, planned, *extra))
+            rows.append((rnd.time, ceiling, rnd.planned, *extra))
     result = system.run(0.0)
     if scenario.settle:
         for _ in range(int(system.config.dead_job_timeout) + 10):

@@ -23,8 +23,15 @@ nothing until its owner acts on ``tripped``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+from repro.telemetry import NULL_TELEMETRY, Telemetry
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.round import BudgetRound
 
 __all__ = ["PowerBreaker", "BREAKER_STATE_VALUES", "TRANSITION_LOG_LIMIT"]
 
@@ -57,6 +64,7 @@ class PowerBreaker:
     trip_rounds: int = 3
     reset_rounds: int = 5
     confirm_rounds: int = 3
+    telemetry: Telemetry = NULL_TELEMETRY
 
     state: str = field(default="closed", init=False)
     strikes: int = field(default=0, init=False)
@@ -75,6 +83,10 @@ class PowerBreaker:
         for name in ("trip_rounds", "reset_rounds", "confirm_rounds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be ≥ 1, got {getattr(self, name)}")
+        self._mx_state = self.telemetry.registry.gauge(
+            "anor_breaker_state",
+            "overshoot breaker state (0 closed, 1 half-open, 2 open)",
+        )
 
     @property
     def tripped(self) -> bool:
@@ -125,3 +137,35 @@ class PowerBreaker:
         self.state = new_state
         self.strikes = 0
         self.clean = 0
+
+    # ---------------------------------------------------------- round stages
+    #
+    # What a cluster manager that owns a breaker runs each round.
+
+    def observe_stage(self, rnd: "BudgetRound") -> None:
+        """Score this round's meter sample (a meter outage scores nothing)."""
+        measured, target = rnd.measured, rnd.target
+        if not math.isfinite(measured):
+            return
+        prev = self.state
+        state = self.observe(measured, target, now=rnd.time)
+        if state != prev:
+            rnd.report(
+                rnd.time,
+                f"breaker {prev} -> {state} "
+                f"(measured={measured:.0f}W target={target:.0f}W)",
+                "breaker-" + state,
+                measured=measured,
+                target=target,
+            )
+        self._mx_state.set(self.gauge_value)
+
+    def clamp_stage(self, rnd: "BudgetRound") -> None:
+        # Emergency uniform throttle while open: every cap down to the safe
+        # floor.  Never raises a cap, so the round's planned-draw ceiling
+        # remains an upper bound.
+        if self.tripped:
+            caps, safe = rnd.caps, rnd.safe_cap
+            for job_id, cap in caps.items():
+                if cap > safe:
+                    caps[job_id] = safe

@@ -44,7 +44,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
+
+from repro.telemetry import NULL_TELEMETRY, Telemetry
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.round import BudgetRound
 
 __all__ = [
     "ShedLadder",
@@ -237,11 +242,12 @@ class ShedLadder:
 class ShedController:
     """Binds a :class:`ShedLadder` to a job population.
 
-    The cluster manager owns one (when ``shed_enabled``): each control
-    round it feeds the assigned budget through :meth:`observe`, caps
-    ``cap-to-floor`` classes itself, and queues ``preempt``/``kill``
-    actions here for the framework to execute between rounds (mirroring
-    how orphaned jobs are drained).
+    The cluster manager owns one (when ``shed_enabled``) and runs its two
+    round stages: :meth:`observe_stage` grades the feed just read and
+    lowers the round's target to the ramped ceiling; :meth:`apply_stage`
+    floors the caps of shed classes and puts ``preempt``/``kill`` actions on
+    the round for the framework to enforce afterwards (as orphaned jobs
+    are).  Every intervention only *reduces* caps.
 
     ``classes`` maps a job's claimed type to its shed class; unmapped
     types fall back to ``default_class``.  ``nominal_watts`` is the demand
@@ -254,15 +260,13 @@ class ShedController:
     classes: Mapping[str, str] = field(default_factory=dict)
     default_class: str = "checkpointable"
     nominal_watts: float | None = None
+    telemetry: Telemetry = NULL_TELEMETRY
 
-    #: (job_id, action) pairs awaiting execution by the framework.
-    pending_actions: list = field(default_factory=list, init=False)
-    #: Every queued preempt/kill as ``(time, job_id, action)``, kept for the
-    #: life of the controller (``pending_actions`` is drained every round).
+    #: Every requested preempt/kill as ``(time, job_id, action)``, kept for
+    #: the life of the controller.
     requests: list = field(default_factory=list, init=False)
     preempts: int = field(default=0, init=False)
     kills: int = field(default=0, init=False)
-    floor_capped: int = field(default=0, init=False)
     #: Severity-cleared episodes (each ends one incident's shed set).
     restores: int = field(default=0, init=False)
     _high_water: float = field(default=0.0, init=False)
@@ -280,6 +284,30 @@ class ShedController:
                     f"shed class for {type_name!r} must be one of "
                     f"{SHED_CLASSES}, got {shed_class!r}"
                 )
+        reg = self.telemetry.registry
+        self._mx_severity = reg.gauge(
+            "anor_shed_severity",
+            "degradation-ladder severity (0 normal .. 3 blackstart)",
+        )
+        self._mx_ceiling = reg.gauge(
+            "anor_shed_ceiling_watts",
+            "effective budget ceiling after the recovery ramp",
+        )
+        self._mx_actions = {
+            action: reg.counter(
+                "anor_shed_actions_total",
+                "shed actions dispatched by the degradation ladder",
+                action=action,
+            )
+            for action in SHED_ACTIONS[1:]
+        }
+        self._mx_restores = reg.counter(
+            "anor_shed_restores_total",
+            "shed episodes cleared (severity back to normal)",
+        )
+        # One span per incident episode: opened on the first escalation,
+        # closed when severity returns to normal.
+        self._episode_span = 0
 
     @property
     def severity(self) -> str:
@@ -317,10 +345,72 @@ class ShedController:
         if job_id in self._shed_jobs:
             return False
         self._shed_jobs.add(job_id)
-        self.pending_actions.append((job_id, action))
         self.requests.append((now, job_id, action))
         if action == "kill":
             self.kills += 1
         else:
             self.preempts += 1
         return True
+
+    # ---------------------------------------------------------- round stages
+
+    def observe_stage(self, rnd: "BudgetRound") -> None:
+        """Grade the feed just read.  The ladder sees the raw feed;
+        everything downstream budgets to its ramped ceiling (identical to
+        the feed while normal)."""
+        now, feed, prev = rnd.time, rnd.target, self.severity
+        rnd.target = ceiling = self.observe(feed, now)
+        # Launching into a brownout would hand the ladder fresh work to shed
+        # right back; launches resume when severity returns to normal.
+        rnd.admission_held = self.active
+        severity = self.severity
+        if severity != prev:
+            rnd.report(
+                now,
+                f"shed {prev} -> {severity} "
+                f"(target={feed:.0f}W ceiling={ceiling:.0f}W)",
+                "shed-" + severity,
+                target=feed,
+                ceiling=ceiling,
+            )
+            bus = self.telemetry.bus
+            if prev == "normal" and not self._episode_span:
+                self._episode_span = bus.begin_span(
+                    "shed-episode", now, severity=severity
+                )
+            elif severity == "normal":
+                self._mx_restores.inc()
+                bus.end_span(
+                    self._episode_span, now,
+                    preempts=self.preempts, kills=self.kills,
+                )
+                self._episode_span = 0
+        self._mx_severity.set(self.ladder.gauge_value)
+        self._mx_ceiling.set(ceiling)
+
+    def apply_stage(self, rnd: "BudgetRound") -> None:
+        """Clamp shed-class caps and request preempt/kill in class order.
+        Protected jobs can at most be floored (the plan table has no harsher
+        entry for them)."""
+        if not self.active:
+            return
+        now, caps, plan = rnd.time, rnd.caps, self.ladder.plan
+        for job_id in sorted(caps):
+            action = plan[self.class_of(rnd.jobs[job_id].claimed_type)]
+            if action == "none":
+                continue
+            if caps[job_id] > rnd.p_min:
+                caps[job_id] = rnd.p_min
+                if action == "cap-to-floor":
+                    self._mx_actions[action].inc()
+            if action != "cap-to-floor" and self.request_shed(job_id, action, now):
+                rnd.actions.append((action, job_id))
+                self._mx_actions[action].inc()
+                rnd.report(
+                    now,
+                    f"{job_id}: shed {action} (severity={self.severity})",
+                    "shed-" + action,
+                    parent=self._episode_span or None,
+                    job_id=job_id,
+                    severity=self.severity,
+                )

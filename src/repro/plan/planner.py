@@ -34,11 +34,15 @@ reactive one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.budget.base import BudgetAllocation, JobBudgetRequest, PowerBudgeter
-from repro.plan.envelope import PLAN_ACTIVE, SafetyEnvelope
+from repro.plan.envelope import PLAN_ACTIVE, PLAN_FALLBACK, SafetyEnvelope
 from repro.plan.forecast import TargetForecaster
+from repro.telemetry import NULL_TELEMETRY
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.round import BudgetRound
 
 __all__ = ["PlannedRound", "Plan", "RecedingHorizonPlanner"]
 
@@ -98,6 +102,7 @@ class RecedingHorizonPlanner:
         period: float = 4.0,
         hysteresis_watts: float = 8.0,
         eager_rounds: int = 0,
+        telemetry=NULL_TELEMETRY,
     ) -> None:
         if horizon_rounds < 1:
             raise ValueError(f"horizon_rounds must be ≥ 1, got {horizon_rounds}")
@@ -140,6 +145,21 @@ class RecedingHorizonPlanner:
         self._model_tokens: dict[int, int] = {}
         self._model_index: dict[object, int] = {}
         self._model_refs: list[object] = []
+        self.telemetry = telemetry
+        reg = telemetry.registry
+        self._mx_state = reg.gauge(
+            "anor_plan_state",
+            "planner envelope state (0 shadow, 1 active, 2 fallback)",
+        )
+        self._mx_forecast_error = reg.gauge(
+            "anor_forecast_error_watts",
+            "windowed mean absolute forecast error",
+        )
+        self._mx_fallbacks = reg.counter(
+            "anor_plan_fallbacks_total",
+            "envelope trips from active planning back to reactive",
+        )
+        self._plan_span = 0
 
     # -- state ------------------------------------------------------------
     @property
@@ -412,3 +432,72 @@ class RecedingHorizonPlanner:
         if total_held > max(pool, total_new) + 1e-6:
             return caps, 0
         return held_caps, held
+
+    # -- round stages ------------------------------------------------------
+    #
+    # What a cluster manager that owns a planner runs each round.  The
+    # planned total must still fit the pool derived from the *actual* target
+    # read this round, and breaker, shed and quarantine act after the plan is
+    # consumed — a wrong forecast can never out-spend the reactive path.
+
+    def observe_stage(self, rnd: "BudgetRound") -> None:
+        # Score the previous round's forecast against the target just read
+        # and advance the shadow/active/fallback state machine — before
+        # budgeting, so a trip this round already budgets reactively.
+        prev = self.state
+        state = self.observe(rnd.time, rnd.target)
+        mae = self.forecaster.mae
+        if state != prev:
+            rnd.report(
+                rnd.time,
+                f"plan {prev} -> {state} (mae={mae:.1f}W)",
+                "plan-" + state,
+                mae=mae,
+                bound=self.envelope.error_bound_watts,
+            )
+            if state == PLAN_FALLBACK:
+                self._mx_fallbacks.inc()
+        self._mx_state.set(self.envelope.gauge)
+        self._mx_forecast_error.set(mae)
+        if not rnd.occupied:
+            self.clear()
+
+    def dispatch_stage(self, rnd: "BudgetRound") -> None:
+        """Offer the round a warm start (left None while not ``active``)."""
+        if not rnd.requests:
+            return
+        self._plan_span = self.telemetry.bus.begin_span(
+            "plan-round", rnd.time, parent=rnd.span or None, state=self.state
+        )
+        rnd.allocation = self.dispatch(
+            rnd.time,
+            rnd.requests,
+            rnd.pool,
+            {r.job_id: r.last_cap for r in rnd.active},
+        )
+
+    def rebuild_stage(self, rnd: "BudgetRound") -> None:
+        # Rebuild the cap trajectory for the next H rounds from this round's
+        # job set and the envelope-clamped forecast; future dispatches
+        # warm-start from it, and its breakpoints become plan instants for
+        # the event calendar.
+        if not rnd.requests:
+            return
+        plan = self.rebuild(
+            rnd.time,
+            rnd.requests,
+            observed_target=rnd.target,
+            idle_power=rnd.idle_power,
+            reserved=rnd.reserved,
+            correction=rnd.correction,
+        )
+        meta = rnd.allocation.meta
+        self.telemetry.bus.end_span(
+            self._plan_span,
+            rnd.time,
+            state=self.state,
+            warm=meta.get("plan_warm", 0.0),
+            held_caps=meta.get("plan_held_caps", 0.0),
+            horizon_points=len(plan.rounds),
+            forecast_mae=self.forecaster.mae,
+        )

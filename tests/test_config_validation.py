@@ -1,10 +1,11 @@
 """Range validation: bad knobs fail loudly, naming the knob.
 
 Most knobs are :class:`AnorConfig` fields.  The tuning parameters of the
-auditor, the facility breaker and the reliable link are constructor
-parameters of those classes only — ``AnorConfig`` switches the subsystems on
-and forwards none of their tuning, since no run ever set it — so their rows
-check the owning constructor, which is where a bad value would be caught.
+auditor are constructor parameters of that class only — ``AnorConfig``
+switches the subsystem on and forwards none of its tuning, since no run ever
+set it — so their rows check the owning constructor, which is where a bad
+value would be caught.  (The breaker's and the reliable link's are checked
+where those classes are tested: ``test_partition_safety.py``.)
 """
 
 import dataclasses
@@ -13,9 +14,6 @@ import pytest
 
 from repro.core.audit import CapComplianceAuditor
 from repro.core.framework import AnorConfig
-from repro.core.reliable import ReliableLink
-from repro.core.transport import TcpLink
-from repro.facility.breaker import PowerBreaker
 
 FIELDS = {f.name for f in dataclasses.fields(AnorConfig)}
 
@@ -25,8 +23,6 @@ SUBSYSTEMS = {
     "audit": lambda **kw: CapComplianceAuditor(
         job_meter=None, p_node_min=140.0, p_node_max=280.0, **kw
     ),
-    "breaker": PowerBreaker,
-    "reliable": lambda **kw: ReliableLink(TcpLink(latency=0.0), "cluster", **kw),
 }
 
 
@@ -47,14 +43,10 @@ class TestConfigValidation:
             ("stale_status_timeout", -3.0),
             ("dead_job_timeout", 0.0),
             ("telemetry_ring_size", 0),
-            ("reliable_window", 0),
             ("reliable_base_backoff", 0.0),
             ("reliable_max_backoff", -1.0),
             ("partition_attempts", 0),
             ("reconnect_backoff", 0.0),
-            ("breaker_trip_rounds", 0),
-            ("breaker_reset_rounds", 0),
-            ("breaker_confirm_rounds", 0),
             ("audit_window", 0.0),
             ("audit_mismatch_tolerance", -0.2),
             ("audit_model_error", 0.0),

@@ -166,7 +166,7 @@ class TestShedController:
         ctl = self.make()
         assert ctl.request_shed("j1", "preempt")
         assert not ctl.request_shed("j1", "kill")
-        assert ctl.pending_actions == [("j1", "preempt")]
+        assert ctl.requests == [(0.0, "j1", "preempt")]
         assert (ctl.preempts, ctl.kills) == (1, 0)
         with pytest.raises(ValueError, match="not a shedding action"):
             ctl.request_shed("j2", "cap-to-floor")
