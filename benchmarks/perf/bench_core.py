@@ -19,8 +19,6 @@ Times the core kernels with ``time.perf_counter``:
   ``plan_overhead`` (wall time) and ``plan_solve_overhead`` (deterministic
   extra budgeter solves) pin the receding-horizon planner's cost on the
   reactive path;
-* ``tabsim_event`` — the 1000-node tabular simulator stepped on the 4 s
-  target-hold boundaries instead of every simulated second;
 * ``tabsim`` — the 1000-node tabular simulator loop at 1 s steps;
 * ``budgeter`` — the even-slowdown and even-power solvers over repeated
   budget rounds (the bisection hot path of every manager period).
@@ -310,45 +308,6 @@ def bench_fig9_plan(*, duration: float, seed: int) -> dict:
     }
 
 
-def bench_tabsim_event(*, num_nodes: int, duration: float, seed: int) -> dict:
-    """1000-node tabsim advanced on target-hold boundaries (dt = 4 s).
-
-    The regulation signal holds each level for 4 s, so stepping the tabular
-    simulator at the hold period advances on exactly the instants where its
-    input can change — the event-calendar idea applied at tabsim scale.
-    ``sim_seconds_per_sec`` is the simulated-time throughput (ticks cover
-    4 s each); ``ticks_per_sec`` stays trace rows/s for the CI gate.
-    """
-    from repro.aqa.regulation import BoundedRandomWalkSignal
-    from repro.tabsim.simulator import SimConfig, TabularClusterSimulator
-    from repro.tabsim.tables import SimJobType
-    from repro.workloads.generator import PoissonScheduleGenerator
-    from repro.workloads.nas import long_running_mix
-
-    hold = 4.0
-    base_types = long_running_mix()
-    sim_types = [SimJobType.from_job_type(jt, node_scale=25) for jt in base_types]
-    scaled = [jt.scaled_nodes(25) for jt in base_types]
-    generator = PoissonScheduleGenerator(
-        scaled, utilization=0.75, total_nodes=num_nodes, seed=seed
-    )
-    schedule = generator.generate(duration)
-    signal = BoundedRandomWalkSignal(duration * 4, step=hold, seed=seed + 1)
-    config = SimConfig(num_nodes=num_nodes, seed=seed + 2, dt=hold)
-    sim = TabularClusterSimulator(sim_types, schedule, signal, config)
-    start = time.perf_counter()
-    result = sim.run(duration)
-    wall = time.perf_counter() - start
-    ticks = result.power_trace.shape[0]
-    return {
-        "wall_s": wall,
-        "ticks": int(ticks),
-        "ticks_per_sec": ticks / wall,
-        "sim_seconds_per_sec": ticks * hold / wall,
-        "jobs_completed": result.completed_jobs,
-    }
-
-
 def bench_tabsim(*, num_nodes: int, duration: float, seed: int) -> dict:
     """The 1000-node-scale tabular simulator loop (paper §5.6)."""
     from repro.aqa.regulation import BoundedRandomWalkSignal
@@ -456,13 +415,6 @@ def run_suite(quick: bool, seed: int, repeats: int = 3) -> dict:
     )
     kernels["fig9_plan"] = _best_of(
         repeats, bench_fig9_plan, duration=300.0 if quick else 900.0, seed=seed
-    )
-    kernels["tabsim_event"] = _best_of(
-        repeats,
-        bench_tabsim_event,
-        num_nodes=1000,
-        duration=600.0 if quick else 1800.0,
-        seed=seed + 3,
     )
     kernels["tabsim"] = _best_of(
         repeats,

@@ -90,14 +90,17 @@ class BoundedRandomWalkSignal(RegulationSignal):
             raise ValueError(f"rho must be in [0, 1], got {rho}")
         rng = ensure_rng(seed)
         n = int(math.ceil(duration / step)) + 1
-        values = np.empty(n)
+        # One array draw: the same n values, from the same stream position, as
+        # n scalar draws (the last is unused but still advances a shared rng).
+        noise = rng.normal(0.0, sigma, n).tolist()
         y = 0.0
-        for i in range(n):
-            values[i] = y
-            y = float(np.clip(rho * y + rng.normal(0.0, sigma), -1.0, 1.0))
+        values = [y]
+        for eps in noise[:-1]:
+            y = min(max(rho * y + eps, -1.0), 1.0)
+            values.append(y)
         self.step = float(step)
         self.duration = float(duration)
-        self._values = values
+        self._values = np.array(values)
 
     def value(self, t: float) -> float:
         if t < 0:

@@ -9,6 +9,12 @@ time step."
 The power manager applies caps uniformly across active nodes (the AQA rule,
 §4.4.2), with an optional QoS-aware variant that exempts at-risk jobs from
 capping (§6.4 investigates this feedback path).
+
+The loop advances in *windows* (:meth:`TabularClusterSimulator._advance`):
+the node update runs on every step, the three stages after it only on a step
+where a submit, a move of the target or a completion lets them act — on any
+other step they would find nothing to do.  A step is a window of one, and no
+output depends on how steps fall into windows.
 """
 
 from __future__ import annotations
@@ -20,13 +26,18 @@ import numpy as np
 
 from repro.aqa.queues import QueuedJob, QueueSet, WorkQueue
 from repro.aqa.scheduler import WeightedScheduler
-from repro.tabsim.tables import JobState, JobTable, NodeTable, SimJobType
+from repro.tabsim.tables import JobTable, NodeTable, SimJobType
 from repro.tabsim.variation import draw_node_multipliers
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util.rng import ensure_rng
 from repro.workloads.trace import Schedule
 
 __all__ = ["SimConfig", "SimResult", "TabularClusterSimulator"]
+
+#: Longest window, in steps.  A completion cuts its window short and the rows
+#: computed past it are thrown away; this bounds that waste (and the window's
+#: memory) under a signal that holds its level for minutes.
+_MAX_WINDOW = 16
 
 
 def _waterfill_cap(
@@ -85,10 +96,11 @@ def _waterfill_scan(
 class _BusyState:
     """Gathers over the busy node set, cached between assignment changes.
 
-    Every array is aligned with ``busy_idx``; the ``demand_*`` fields are
-    the waterfill's sorted-demand state.  The cache is invalidated by the
-    node table's ``version`` counter (bumped on assign/release), so per-tick
-    stages reuse these instead of re-gathering 1000-wide fancy indexes.
+    Every array but the ``slow_*`` pair is aligned with ``busy_idx``; the
+    ``demand_*`` fields are the waterfill's sorted-demand state.  The cache
+    is invalidated by the node table's ``version`` counter (bumped on
+    assign/release), so the stages reuse these instead of re-gathering
+    1000-wide fancy indexes.
     """
 
     version: int
@@ -108,6 +120,15 @@ class _BusyState:
     demand_denom: np.ndarray
     demand_lower_eps: np.ndarray
     demand_upper_eps: np.ndarray
+    #: One entry per running job: its index, and where its slowest node
+    #: (``NodeTable.slowest``) sits in the busy-aligned arrays.
+    slow_job: np.ndarray
+    slow_pos: np.ndarray
+
+    def job_min(self, progress: np.ndarray) -> np.ndarray:
+        """Each running job's minimum over its nodes of busy-aligned
+        ``progress``, aligned with ``slow_job``."""
+        return progress[self.slow_pos]
 
 
 @dataclass
@@ -239,7 +260,7 @@ class TabularClusterSimulator:
         self._queued_index: dict[str, int] = {}  # job_id -> job table index
         self.now = 0.0
         self._trace: list[tuple[float, float, float]] = []
-        # Optional per-tick table dump (§5.6: "we append the current state
+        # Optional per-step table dump (§5.6: "we append the current state
         # of all tables to a file").
         self.state_logger = state_logger
         # Cached per-type arrays for the vectorised node update.
@@ -264,15 +285,16 @@ class TabularClusterSimulator:
         self._sched_idle_memo = -1
         # When every busy node carries the same cap (the uniform rule without
         # QoS exemptions), the node update only needs per-*type* arithmetic;
-        # the derived per-node rate/power vectors are memoized on the
-        # (cap, assignment-version, dt) triple since the cap frequently sits
-        # clamped at p_min/p_max for stretches of ticks.
+        # the per-node progress increments, the power table and its sum are
+        # memoized on the (cap, assignment-version, dt) triple since the cap
+        # frequently sits clamped at p_min/p_max from one window to the next.
         self._uniform_cap: float | None = None
         self._uniform_cap_version = -1
         self._cap_target_memo = float("nan")  # nan != nan: first call always runs
         self._cap_version_memo = -1
-        self._rate_cache: tuple[float, int, float, np.ndarray, np.ndarray] | None = None
-        self._power_buf = np.full(cfg.num_nodes, cfg.idle_power)
+        self._rate_cache: tuple[tuple[float, int, float], np.ndarray, float] | None = None
+        #: Windows advanced so far; the trace has one row per *step*.
+        self.windows = 0
         # Observability (DESIGN.md §8): gauges on the tabular tier's state.
         self.telemetry = telemetry
         if telemetry.enabled:
@@ -310,6 +332,7 @@ class TabularClusterSimulator:
             prefix = np.concatenate([[0.0], np.cumsum(order)])
             n = busy_idx.size
             lower = np.concatenate([[0.0], order[:-1]]) if n else order
+            slow_pos = np.flatnonzero(nodes.slowest[busy_idx])
             st = _BusyState(
                 version=nodes.version,
                 busy_idx=busy_idx,
@@ -328,71 +351,62 @@ class TabularClusterSimulator:
                 demand_denom=n - np.arange(n),
                 demand_lower_eps=lower - 1e-12,
                 demand_upper_eps=order + 1e-12,
+                slow_job=job_of[slow_pos],
+                slow_pos=slow_pos,
             )
             self._busy_cache = st
         return st
 
     # --------------------------------------------------------- stage 1: nodes
 
-    def _update_nodes(self, dt: float) -> float:
-        """Advance busy-node progress and compute realised power; returns
-        the cluster's measured power for this tick."""
+    def _node_rates(self, st: _BusyState, dt: float) -> tuple[np.ndarray, float]:
+        """Per-step progress increment of each busy node, and the cluster's
+        power, under the caps in force; leaves ``nodes.power`` holding the
+        per-node draw.  Neither changes until a cap or an assignment does."""
         nodes = self.nodes
-        st = self._busy_cache
-        if st is None or st.version != nodes.version:
-            st = self._busy_state()
-        busy_idx = st.busy_idx
-        power = self._power_buf
+        uniform = (
+            self._uniform_cap is not None
+            and self._uniform_cap_version == nodes.version
+        )
+        if uniform:
+            # Every busy node carries the same scalar cap, so the clamp /
+            # interpolation collapses to one evaluation per *job type*
+            # followed by a gather — elementwise identical to the
+            # per-node arithmetic below (same IEEE ops on equal inputs).
+            c = self._uniform_cap
+            key = (c, nodes.version, dt)
+            memo = self._rate_cache
+            if memo is not None and memo[0] == key:
+                return memo[1], memo[2]
+            cap_t = np.minimum(np.maximum(c, self._tp_min), self._tp_max)
+            frac_t = (cap_t - self._tp_min) / self._tp_span
+            exec_t = self._t_slow + frac_t * self._t_span_by_type
+            step = (st.perf / exec_t[st.type_of]) * dt
+            busy_power = np.minimum(c, self._tp_max)[st.type_of]
+        else:
+            cap_raw = nodes.cap[st.busy_idx]
+            cap = np.minimum(np.maximum(cap_raw, st.p_lo), st.p_hi)
+            frac = (cap - st.p_lo) / st.p_span
+            exec_time = st.t_slow + frac * st.t_span
+            step = (st.perf / exec_time) * dt
+            busy_power = np.minimum(cap_raw, st.p_hi)
+        power = nodes.power
         power.fill(nodes.idle_power)
-        progress = None
-        if busy_idx.size:
-            if (
-                self._uniform_cap is not None
-                and self._uniform_cap_version == nodes.version
-            ):
-                # Every busy node carries the same scalar cap, so the clamp /
-                # interpolation collapses to one evaluation per *job type*
-                # followed by a gather — elementwise identical to the
-                # per-node arithmetic below (same IEEE ops on equal inputs).
-                c = self._uniform_cap
-                memo = self._rate_cache
-                if memo is not None and memo[:3] == (c, nodes.version, dt):
-                    step, busy_power = memo[3], memo[4]
-                else:
-                    cap_t = np.minimum(np.maximum(c, self._tp_min), self._tp_max)
-                    frac_t = (cap_t - self._tp_min) / self._tp_span
-                    exec_t = self._t_slow + frac_t * self._t_span_by_type
-                    step = (st.perf / exec_t[st.type_of]) * dt
-                    busy_power = np.minimum(c, self._tp_max)[st.type_of]
-                    self._rate_cache = (c, nodes.version, dt, step, busy_power)
-            else:
-                cap_raw = nodes.cap[busy_idx]
-                cap = np.minimum(np.maximum(cap_raw, st.p_lo), st.p_hi)
-                frac = (cap - st.p_lo) / st.p_span
-                exec_time = st.t_slow + frac * st.t_span
-                step = (st.perf / exec_time) * dt
-                busy_power = np.minimum(cap_raw, st.p_hi)
-            progress = nodes.progress[busy_idx] + step
-            nodes.progress[busy_idx] = progress
-            power[busy_idx] = busy_power
-        nodes.power = power
-        # Completion check: a multi-node job finishes when *all* of its nodes
-        # reach 100 % progress (§5.6).  A job's minimum can only reach 1.0
-        # when at least one node has, so most ticks skip the reduction.
-        if progress is not None and float(progress.max()) >= 1.0:
-            running = np.flatnonzero(self.jobs.state[: self.jobs.count] == JobState.RUNNING)
-            if running.size:
-                min_progress = np.full(self.jobs.count, np.inf)
-                np.minimum.at(min_progress, st.job_of, progress)
-                for j in running[min_progress[running] >= 1.0]:
-                    self.jobs.mark_done(int(j), self.now)
-                    sim_type = self.job_types[int(self.jobs.type_idx[j])]
-                    self.scheduler.job_finished(sim_type.name, int(self.jobs.nodes[j]))
-                    self.nodes.release(int(j))
-                    self._sched_dirty = True
-        # Release() above rewrites freed nodes' power to idle in-place, so
-        # the metered sum must come after the completion sweep.
-        return float(power.sum())
+        power[st.busy_idx] = busy_power
+        measured = float(power.sum())
+        # Per-node caps move without a version bump, so only the uniform
+        # result is keyed; anything else also overwrote the memo's power.
+        self._rate_cache = (key, step, measured) if uniform else None
+        return step, measured
+
+    def _complete(self, job_indices: np.ndarray) -> None:
+        """Retire jobs whose every node reached 100 % progress (§5.6)."""
+        for j in np.sort(job_indices).tolist():
+            self.jobs.mark_done(j, self.now)
+            sim_type = self.job_types[int(self.jobs.type_idx[j])]
+            self.scheduler.job_finished(sim_type.name, int(self.jobs.nodes[j]))
+            self.nodes.release(j)
+        self._sched_dirty = True
 
     # ----------------------------------------------------- stage 2: arrivals
 
@@ -471,7 +485,7 @@ class TabularClusterSimulator:
         """Would starting ``new_nodes`` more make even minimum caps exceed
         the target?  If so, the cluster loses its downward flexibility —
         AQA's scheduler holds the job back instead (§6.4)."""
-        busy_after = int(self.nodes.busy_mask.sum()) + new_nodes
+        busy_after = self.nodes.busy_count + new_nodes
         idle_after = self.nodes.num_nodes - busy_after
         floor_power = (
             busy_after * self.nodes.p_min + idle_after * self.nodes.idle_power
@@ -485,9 +499,11 @@ class TabularClusterSimulator:
         if not self.config.qos_aware_capping:
             # Without QoS exemptions the caps are a pure function of
             # (target, allocation): a zero-order-hold target repeats for
-            # several ticks, so the whole waterfill is skippable until the
-            # signal steps or the busy set changes.  (The QoS path also
-            # depends on per-tick progress, so it cannot take this exit.)
+            # several steps, so the whole waterfill is skippable until the
+            # signal steps or the busy set changes — which is what lets
+            # ``_advance`` run a window up to the first target that differs
+            # from the memo.  (The QoS path also depends on per-step
+            # progress, so it cannot take this exit.)
             if target == self._cap_target_memo and nodes.version == self._cap_version_memo:
                 return
             self._cap_target_memo = target
@@ -504,7 +520,7 @@ class TabularClusterSimulator:
             exempt = self._at_risk_mask(st)
             if np.any(exempt):
                 # At-risk jobs run uncapped; their demand comes off the
-                # budget.  The exempt subset varies tick to tick, so the
+                # budget.  The exempt subset varies step to step, so the
                 # waterfill re-sorts the remaining demands (and the caps are
                 # no longer one shared scalar).
                 self._uniform_cap = None
@@ -544,8 +560,8 @@ class TabularClusterSimulator:
     def _at_risk_mask(self, st: _BusyState) -> np.ndarray:
         """Nodes whose job's projected QoS is near its limit (§6.4 feedback)."""
         # Optimistic remaining time: finish the remaining fraction uncapped.
-        min_progress = np.full(self.jobs.count, np.inf)
-        np.minimum.at(min_progress, st.job_of, self.nodes.progress[st.busy_idx])
+        min_progress = np.empty(self.jobs.count)
+        min_progress[st.slow_job] = st.job_min(self.nodes.progress[st.busy_idx])
         remaining = (1.0 - np.minimum(min_progress[st.job_of], 1.0)) * st.t_fast
         projected_sojourn = (self.now - self.jobs.submit_time[st.job_of]) + remaining
         projected_q = projected_sojourn / st.t_fast - 1.0
@@ -554,27 +570,98 @@ class TabularClusterSimulator:
 
     # ---------------------------------------------------------------- loop
 
-    def step(self) -> None:
-        """One simulated second, in the paper's stage order."""
-        dt = self.config.dt
-        self.now += dt
-        measured = self._update_nodes(dt)
-        if self._next_submit <= self.now:
+    def _advance(self, until: float) -> None:
+        """One window: the steps up to and including the next one on which
+        stages 2–4 can act, in the paper's stage order.
+
+        Between a submit, a move of the target and a completion, intake,
+        scheduling and capping are memoised no-ops and every busy node adds
+        the same increment each step, so those steps need only their trace
+        rows.  Ending a window early is always safe — the stages run and find
+        nothing to do — so every bound below is the cheapest sufficient one.
+        """
+        cfg = self.config
+        dt = cfg.dt
+        nodes = self.nodes
+        signal = self.signal
+        # Three things act on a step that nothing announces: QoS-aware caps
+        # read per-step progress, a state logger counts steps, and a
+        # scheduler that just started or deferred jobs with more still queued
+        # may act again the very next step.
+        single = (
+            cfg.qos_aware_capping
+            or self.state_logger is not None
+            or (self._sched_dirty and self._queued_count > 0)
+        )
+        solved_for = self._cap_target_memo
+        next_submit = self._next_submit
+        t = self.now
+        steps: list[tuple[float, float]] = []
+        while True:
+            t += dt
+            target = cfg.target(float(signal(t)))
+            steps.append((t, target))
+            if (
+                single
+                or target != solved_for
+                or t >= next_submit
+                or t >= until
+                or len(steps) == _MAX_WINDOW
+            ):
+                break
+
+        # Stage 1, once per step: ordered ``progress + step`` additions, the
+        # per-step loop's own IEEE sequence.
+        st = self._busy_state()
+        step, measured = self._node_rates(st, dt)
+        row = nodes.progress[st.busy_idx]
+        rows = []
+        for _ in steps:
+            row = row + step
+            rows.append(row)
+        # Progress only rises, so a window whose last row completes nothing
+        # completed nothing earlier either; otherwise it ends on the first
+        # step that did.
+        done = st.job_min(row) >= 1.0
+        completing = bool(done.any())
+        if completing:
+            for k, row in enumerate(rows):
+                done = st.job_min(row) >= 1.0
+                if done.any():
+                    break
+            del steps[k + 1:]
+        nodes.progress[st.busy_idx] = row
+        self.now, target = steps[-1]
+        last_measured = measured
+        if completing:
+            self._complete(st.slow_job[done])
+            # release() rewrote the freed nodes' power to idle in place.
+            last_measured = float(nodes.power.sum())
+
+        if next_submit <= self.now:
             self._intake()
-        target = self.config.target(float(self.signal(self.now)))
         self._schedule_jobs(target)
         self._cap_power(target)
-        self._trace.append((self.now, target, measured))
+
+        trace = self._trace
+        for t, held_target in steps[:-1]:
+            trace.append((t, held_target, measured))
+        trace.append((self.now, target, last_measured))
+        self.windows += 1
         if self.telemetry.enabled:
-            self._mx_ticks.inc()
-            self._mx_power.set(measured)
+            self._mx_ticks.inc(len(steps))
+            self._mx_power.set(last_measured)
             self._mx_target.set(target)
-            self._mx_busy.set(self.nodes.busy_count)
+            self._mx_busy.set(nodes.busy_count)
             self._mx_queue.set(self._queued_count)
             if self._uniform_cap is not None:
                 self._mx_cap.set(self._uniform_cap)
         if self.state_logger is not None:
-            self.state_logger.log(self.now, self.nodes, self.jobs)
+            self.state_logger.log(self.now, nodes, self.jobs)
+
+    def step(self) -> None:
+        """One simulated step of ``dt`` seconds: a window of one."""
+        self._advance(self.now + self.config.dt)
 
     def run(self, duration: float, *, drain: bool = False, max_time: float | None = None) -> SimResult:
         """Simulate ``duration`` seconds; optionally keep going until all
@@ -583,14 +670,16 @@ class TabularClusterSimulator:
             raise ValueError(f"duration must be positive, got {duration}")
         limit = max_time if max_time is not None else duration * 4
         while self.now < duration:
-            self.step()
+            self._advance(duration)
         if drain:
+            # A drained cluster is only ever reached by a completion, which
+            # ends its window, so testing between windows misses no step.
             while (
                 self._pending_pos < len(self._pending)
                 or self._queued_count
                 or self.nodes.busy_count
             ) and self.now < limit:
-                self.step()
+                self._advance(limit)
         return SimResult(
             power_trace=np.asarray(self._trace),
             job_table=self.jobs,

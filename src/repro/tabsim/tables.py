@@ -102,6 +102,11 @@ class NodeTable:
         self.version = 0
         #: Running count of allocated nodes (== busy_mask.sum()).
         self.busy_count = 0
+        #: True at one node per running job, its lowest-``perf_mult`` node.  A
+        #: job's nodes start together and share one cap, and IEEE ``/``, ``*``
+        #: and ``+`` are monotone, so that node's progress *is* the job's
+        #: minimum on every step (ties are bitwise equal).
+        self.slowest = np.zeros(num_nodes, dtype=bool)
 
     @property
     def idle_mask(self) -> np.ndarray:
@@ -120,6 +125,7 @@ class NodeTable:
         self.job_idx[node_indices] = job_index
         self.progress[node_indices] = 0.0
         self.cap[node_indices] = self.p_max
+        self.slowest[node_indices[np.argmin(self.perf_mult[node_indices])]] = True
         self.version += 1
         self.busy_count += len(node_indices)
 
@@ -130,6 +136,7 @@ class NodeTable:
         self.progress[mask] = 0.0
         self.cap[mask] = self.p_max
         self.power[mask] = self.idle_power
+        self.slowest[mask] = False
         self.version += 1
 
 

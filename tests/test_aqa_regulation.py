@@ -56,6 +56,32 @@ class TestBoundedRandomWalk:
         ts = np.arange(0, 600, 4.0)
         assert (a.series(ts) == b.series(ts)).all()
 
+    @pytest.mark.parametrize(
+        "seed, first",
+        [
+            (0, [0.0, 0.018859533164008995, -0.0015219823246065585, 0.09458707471162395]),
+            (7, [0.0, 0.00018452300362238613, 0.0449908179397842, 0.002520415097258033]),
+            (123, [0.0, -0.1483682025521776, -0.19908515419579476, 7.618962346639391e-05]),
+        ],
+    )
+    def test_walk_pinned_to_the_scalar_draw_sequence(self, seed, first):
+        """Values recorded when the walk drew one scalar normal per grid
+        point; every golden trace downstream depends on them."""
+        sig = BoundedRandomWalkSignal(40.0, step=4.0, seed=seed)
+        assert [sig.value(4.0 * k) for k in range(4)] == first
+
+    def test_clamps_at_both_bounds(self):
+        sig = BoundedRandomWalkSignal(40.0, step=4.0, rho=1.0, sigma=0.9, seed=2)
+        values = [sig.value(4.0 * k) for k in range(11)]
+        assert values[3:7] == [-0.6720827427711971, -1.0, 0.6197366444488119, 1.0]
+
+    def test_shared_generator_advances_one_draw_per_grid_point(self):
+        shared, scalar = np.random.default_rng(5), np.random.default_rng(5)
+        BoundedRandomWalkSignal(40.0, step=4.0, seed=shared)
+        for _ in range(11):  # ceil(40 / 4) + 1 grid points
+            scalar.normal(0.0, 0.15)
+        assert shared.bit_generator.state == scalar.bit_generator.state
+
     def test_starts_at_zero(self):
         assert BoundedRandomWalkSignal(100.0, seed=0).value(0.0) == 0.0
 

@@ -47,13 +47,10 @@ class TestConfigValidation:
             ("reliable_max_backoff", -1.0),
             ("partition_attempts", 0),
             ("reconnect_backoff", 0.0),
-            ("audit_window", 0.0),
             ("audit_mismatch_tolerance", -0.2),
             ("audit_model_error", 0.0),
-            ("audit_min_epochs", 0),
             ("audit_suspect_rounds", 0),
             ("audit_quarantine_rounds", -1),
-            ("audit_clear_rounds", 0),
             ("idle_power", -1.0),
             ("lease_ramp_seconds", -5.0),
             ("max_requeues", -1),

@@ -1,13 +1,26 @@
 """Tests for the per-second tabular simulation loop (paper §5.6)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aqa.regulation import TabulatedSignal
-from repro.tabsim.simulator import SimConfig, TabularClusterSimulator, _waterfill_cap
+from repro.aqa.regulation import BoundedRandomWalkSignal, TabulatedSignal
+from repro.experiments.fig11 import DEFAULT_AVERAGE_POWER, DEFAULT_RESERVE
+from repro.tabsim.output import StateLogger
+from repro.tabsim.simulator import (
+    SimConfig,
+    TabularClusterSimulator,
+    _MAX_WINDOW,
+    _BusyState,
+    _waterfill_cap,
+)
 from repro.tabsim.tables import SimJobType
 from repro.tabsim.variation import draw_node_multipliers, variation_sigma_for_band
+from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.workloads.generator import PoissonScheduleGenerator
+from repro.workloads.nas import long_running_mix
 from repro.workloads.trace import JobRequest, Schedule
 
 FLAT = TabulatedSignal([0.0], [0.0])
@@ -212,6 +225,24 @@ class TestQosAwareCapping:
         # Exempted from capping ⇒ finishes at (nearly) full speed.
         assert result.job_table.end_time[0] == pytest.approx(50.0, abs=4.0)
 
+    def test_exemption_that_comes_and_goes_leaves_no_stale_power(self):
+        """A fast job under a floor cap falls behind its QoS projection,
+        is exempted, catches up uncapped and is capped again — with no
+        assignment change, at a uniform cap the rate memo has seen before."""
+        sim = make_sim(
+            average_power=2 * 140.0 + 8 * 60.0, reserve=10.0,
+            qos_aware_capping=True, qos_risk_fraction=0.02,
+        )
+        sim.nodes.perf_mult[:] = 1.5
+        table_sums = []
+        for _ in range(45):
+            sim.step()
+            table_sums.append(float(sim.nodes.power.sum()))
+        measured = sim.run(45.0).power_trace[:, 2].tolist()
+        assert table_sums == measured
+        capped, exempt = 2 * 140.0 + 8 * 60.0, 2 * 260.0 + 8 * 60.0
+        assert sorted(measured[-6:]) == [capped] * 4 + [exempt] * 2
+
 
 class TestPowerAwareAdmission:
     def _tight_sim(self, *, admission: bool):
@@ -277,3 +308,149 @@ class TestVariationHelpers:
     def test_floor_applied(self):
         mult = draw_node_multipliers(10000, 3.0, seed=0, floor=0.05)
         assert mult.min() >= 0.05
+
+
+# ------------------------------------------------------------------ windows
+
+
+def poisson_sim(
+    *, seed=0, nodes=60, node_scale=1, duration=240.0, hold=4.0,
+    watts_per_node=180.0, state_logger=None, telemetry=NULL_TELEMETRY,
+    **cfg_kwargs,
+):
+    """A busy cluster under a random-walk target: the Fig. 11 recipe, with
+    its size, seed and every ``SimConfig`` switch left to the caller."""
+    base = long_running_mix()
+    types = [SimJobType.from_job_type(jt, node_scale=node_scale) for jt in base]
+    scaled = [jt.scaled_nodes(node_scale) for jt in base]
+    schedule = PoissonScheduleGenerator(
+        scaled, utilization=0.8, total_nodes=nodes, seed=seed
+    ).generate(duration)
+    signal = BoundedRandomWalkSignal(duration * 4, step=hold, seed=seed + 1)
+    cfg = dict(
+        num_nodes=nodes,
+        average_power=nodes * watts_per_node,
+        reserve=nodes * 25.0,
+        seed=seed + 2,
+    )
+    cfg.update(cfg_kwargs)
+    config = SimConfig(**cfg)
+    return TabularClusterSimulator(
+        types, schedule, signal, config,
+        state_logger=state_logger, telemetry=telemetry,
+    )
+
+
+def run_by_steps(sim, duration, *, drain):
+    """``run()``'s two loops with every window forced to one step."""
+    while sim.now < duration:
+        sim.step()
+    if drain:
+        while sim.now < duration * 4 and (
+            sim.jobs.count < len(sim.schedule.requests)
+            or not sim.jobs.completed_mask().all()
+        ):
+            sim.step()
+    return sim.run(duration)  # already there: collects the result, steps nothing
+
+
+def final_state(sim, result):
+    out = dict(result.job_table.snapshot())
+    out["power_trace"] = result.power_trace
+    out["progress"] = sim.nodes.progress
+    out["cap"] = sim.nodes.cap
+    out["power"] = sim.nodes.power
+    return out
+
+
+SWITCHES = dict(
+    seed=st.integers(0, 10_000),
+    variation_band=st.sampled_from([0.0, 0.075, 0.3]),
+    qos_aware_capping=st.booleans(),
+    work_conserving=st.booleans(),
+    power_aware_admission=st.booleans(),
+    # At 110 W a node the floor of a full cluster sits inside the target's
+    # range, so admission defers starts; at 0.02 the QoS exemption comes and
+    # goes within a job's life instead of never applying.
+    watts_per_node=st.sampled_from([110.0, 180.0]),
+    qos_risk_fraction=st.sampled_from([0.02, 0.8]),
+    dt=st.sampled_from([0.5, 1.0, 2.0]),
+    # 64 s holds outlast the longest window the kernel will build.
+    hold=st.sampled_from([1.0, 4.0, 7.0, 64.0]),
+)
+
+
+class TestWindows:
+    @given(drain=st.booleans(), **SWITCHES)
+    @settings(max_examples=40, deadline=None)
+    def test_run_equals_stepping_one_at_a_time(self, drain, **switches):
+        """How steps fall into windows is invisible in every output."""
+        windowed = poisson_sim(**switches)
+        stepped = poisson_sim(**switches)
+        got = final_state(windowed, windowed.run(240.0, drain=drain))
+        want = final_state(stepped, run_by_steps(stepped, 240.0, drain=drain))
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name], equal_nan=True), name
+        rows = want["power_trace"].shape[0]
+        assert stepped.windows == rows
+        assert windowed.windows <= rows
+
+    @given(**SWITCHES)
+    @settings(max_examples=15, deadline=None)
+    def test_completion_test_reads_each_jobs_true_minimum(self, **switches):
+        """The slowest node recorded at assignment carries the minimum over
+        all of its job's nodes on every row the kernel (and the QoS
+        projection) asks about."""
+        real, calls = _BusyState.job_min, []
+
+        def checked(busy, progress):
+            got = real(busy, progress)
+            want = np.full(int(busy.job_of.max(initial=-1)) + 1, np.inf)
+            np.minimum.at(want, busy.job_of, progress)
+            assert sorted(busy.slow_job) == sorted(set(busy.job_of))
+            assert np.array_equal(got, want[busy.slow_job])
+            calls.append(got.size)
+            return got
+
+        with mock.patch.object(_BusyState, "job_min", checked):
+            poisson_sim(**switches).run(240.0, drain=True)
+        assert sum(calls) > 0
+
+    def test_windows_engage_on_the_fig11_configuration(self):
+        sim = poisson_sim(
+            seed=3, nodes=1000, node_scale=25, duration=1200.0,
+            average_power=DEFAULT_AVERAGE_POWER, reserve=DEFAULT_RESERVE,
+            variation_band=0.15,
+        )
+        rows = sim.run(1200.0, drain=True).power_trace.shape[0]
+        assert 0 < sim.windows < 0.5 * rows
+
+    def test_a_held_target_still_ends_windows(self):
+        """Under a flat signal nothing external ends a window; its length
+        is still bounded, so a completion never discards more than that."""
+        sim = make_sim()  # one 50 s job, FLAT target
+        rows = sim.run(10.0, drain=True, max_time=500.0).power_trace.shape[0]
+        assert rows / _MAX_WINDOW <= sim.windows < rows / 2
+
+    def test_state_logger_sees_every_step(self, tmp_path):
+        with StateLogger(tmp_path / "state.jsonl", every=1) as logger:
+            sim = poisson_sim(seed=5, state_logger=logger)
+            rows = sim.run(240.0, drain=True).power_trace.shape[0]
+        assert logger.records_written == rows
+        assert sim.windows == rows
+
+    def test_telemetry_counts_steps_and_changes_nothing(self):
+        telemetry = Telemetry()
+        observed = poisson_sim(seed=9, telemetry=telemetry)
+        plain = poisson_sim(seed=9)
+        got = final_state(observed, observed.run(240.0, drain=True))
+        want = final_state(plain, plain.run(240.0, drain=True))
+        for name in want:
+            assert np.array_equal(got[name], want[name], equal_nan=True), name
+        rows = want["power_trace"].shape[0]
+        assert telemetry.registry.get_value("tabsim_ticks_total") == rows
+        assert observed.windows == plain.windows < rows
+        assert telemetry.registry.get_value("tabsim_cluster_power_watts") == (
+            want["power_trace"][-1, 2]
+        )

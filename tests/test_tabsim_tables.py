@@ -74,6 +74,15 @@ class TestNodeTable:
         assert table.progress[0] == 0.0
         assert table.cap[0] == table.p_max
 
+    def test_assign_marks_the_jobs_slowest_node(self):
+        table = NodeTable(5)
+        table.perf_mult[:] = [1.0, 0.9, 1.2, 0.7, 0.8]
+        table.assign(np.array([0, 1, 2]), 0)
+        table.assign(np.array([3, 4]), 1)
+        assert table.slowest.tolist() == [False, True, False, True, False]
+        table.release(0)
+        assert table.slowest.tolist() == [False, False, False, True, False]
+
     def test_invalid_size(self):
         with pytest.raises(ValueError, match="≥ 1"):
             NodeTable(0)
