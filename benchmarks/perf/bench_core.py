@@ -126,7 +126,6 @@ def bench_fig9_event(*, duration: float, seed: int) -> dict:
         agent_period=30.0,
         endpoint_period=30.0,
         manager_period=60.0,
-        event_driven=True,
     )
     start = time.perf_counter()
     fig9 = run_fig9(duration=duration, seed=seed, config=cfg)
@@ -156,7 +155,6 @@ def bench_fig9_faults(*, duration: float, seed: int) -> dict:
         agent_period=30.0,
         endpoint_period=30.0,
         manager_period=60.0,
-        event_driven=True,
     )
     schedule = FaultSchedule.standard_load(duration)
     system = build_demand_response_system(

@@ -9,14 +9,19 @@ should grow with the period.
 
 import numpy as np
 
-from repro.experiments.fig9 import DEFAULT_RESERVE, build_demand_response_system
 from repro.analysis.tracking import tracking_error_series
+from repro.core.framework import AnorConfig
+from repro.experiments.fig9 import DEFAULT_RESERVE, build_demand_response_system
 
 
 def run_with_period(manager_period: float, *, duration=1200.0, seed=0) -> float:
-    system = build_demand_response_system(duration=duration, seed=seed)
-    system.config.manager_period = manager_period
-    system._next_manager = 0.0
+    # The period goes in at construction: the manager's gate is built from it
+    # there, so setting it on a live system's config changes nothing.
+    system = build_demand_response_system(
+        duration=duration,
+        seed=seed,
+        config=AnorConfig(num_nodes=16, seed=seed, manager_period=manager_period),
+    )
     result = system.run(duration)
     errors = tracking_error_series(
         result.power_trace, DEFAULT_RESERVE, t_start=300.0, smooth_samples=4

@@ -59,6 +59,14 @@ from repro.workloads.trace import JobRequest, Schedule
 
 __all__ = ["AnorConfig", "AnorResult", "AnorSystem", "precharacterized_models"]
 
+#: One-way latency of a healthy job link — stated, not left to ``TcpLink``,
+#: whose own default is 0.05 s.
+LINK_LATENCY = 0.0
+#: Times a job that lost its nodes goes back in the queue before it is dropped.
+MAX_REQUEUES = 3
+#: Seconds a leaseless endpoint waits between attempts to re-dial a closed link.
+RECONNECT_BACKOFF = 10.0
+
 
 def precharacterized_models(
     job_types: dict[str, JobType] | None = None,
@@ -82,35 +90,23 @@ class AnorConfig:
     agent_period: float = 1.0
     endpoint_period: float = 1.0
     manager_period: float = 1.0
-    link_latency: float = 0.0
-    # Link fault knobs: message-drop probability and optional per-direction
-    # latency overrides, applied to every job link at construction (no more
-    # mutating channels after the fact to make a link lossy).
+    # Message-drop probability of every job link on a healthy network (fault
+    # windows degrade ``AnorSystem.link_conditions``, never this).
     link_drop_probability: float = 0.0
-    link_latency_up: float | None = None
-    link_latency_down: float | None = None
     idle_power: float = 60.0
     feedback_enabled: bool = True
     retrain_threshold: int = 10
-    min_feedback_epochs: int = 10
     perf_variation_std: float = 0.0
     run_noise: bool = True
-    agent_fanout: int = 8
-    # §8 extension: job-tier phase-change (drift) detection — the online
-    # modeler discards its history when the job's power-performance profile
-    # shifts mid-run (see repro.workloads.phased).
-    detect_drift: bool = False
     # When set, write GEOPM-style artifacts per job into this directory:
     # a trace CSV (one row per agent control period) and an Application
     # Totals report on completion (§5.4).
     output_dir: str | None = None
-    # Fault tolerance: manager-side heartbeat timeouts, job requeue after a
-    # node crash, and automatic endpoint restart (the watchdog that brings a
-    # crashed job-tier process back; None disables it).
+    # Fault tolerance: manager-side heartbeat timeouts and automatic endpoint
+    # restart (the watchdog that brings a crashed job-tier process back;
+    # None disables it).
     stale_status_timeout: float = 15.0
     dead_job_timeout: float = 60.0
-    requeue_on_node_failure: bool = True
-    max_requeues: int = 3
     endpoint_restart_delay: float | None = 30.0
     # Head-node crash recovery (DESIGN.md §4d): when ``checkpoint_dir`` is
     # set, cluster-tier state is checkpointed there every
@@ -138,26 +134,13 @@ class AnorConfig:
     lease_ttl: float | None = None
     lease_ramp_seconds: float = 30.0
     safe_floor: float | None = None
-    # Ack/retry reliability for the cap-dispatch and model-report paths.
+    # Ack/retry reliability for the cap-dispatch and model-report paths
+    # (backoffs and the partition threshold: ``ReliableLink`` defaults).
     reliable_messaging: bool = False
-    reliable_base_backoff: float = 2.0
-    reliable_max_backoff: float = 30.0
-    partition_attempts: int = 3
-    # How long a leaseless endpoint waits between attempts to re-dial a
-    # closed link (only used once leases or reliable messaging are on).
-    reconnect_backoff: float = 10.0
     # Facility breaker: trips after consecutive rounds of measured power
     # above target × (1 + margin) (``PowerBreaker.trip_rounds``).  None
     # disables.
     breaker_margin: float | None = None
-    # Event-calendar stepping (DESIGN.md §7): after each control event the run
-    # loop advances the hardware emulator across the whole run of
-    # control-free ticks that follows in one physics call instead of
-    # executing them one by one.  Observables are bit-identical to per-tick
-    # stepping (the golden traces and the event-equivalence property tests
-    # pin it); set False to never ask the calendar — the same loop body, one
-    # tick per physics call, kept as the reference schedule.
-    event_driven: bool = True
     # Trust boundary for the job tier (DESIGN.md §4f).  Off by default:
     # with ``audit_enabled`` False no auditor is constructed and the control
     # plane is bit-identical to the pre-audit implementation.  The auditor
@@ -167,8 +150,8 @@ class AnorConfig:
     audit_enabled: bool = False
     # Predictive planning (DESIGN.md §9).  Off by default: with
     # ``plan_enabled`` False no planner is constructed and the control plane
-    # is bit-identical to the reactive implementation in both event_driven
-    # modes (golden traces pin it).  When on, a receding-horizon planner
+    # is bit-identical to the reactive implementation (golden traces pin
+    # it).  When on, a receding-horizon planner
     # pre-solves the budgeter over the next ``plan_horizon_rounds`` manager
     # periods against the chosen forecaster, clamped by the forecast safety
     # envelope; ``plan_shadow_rounds`` is the promotion threshold of the
@@ -182,25 +165,18 @@ class AnorConfig:
     plan_shadow_rounds: int = 4
     # Graceful-degradation ladder (DESIGN.md §10).  Off by default: with
     # ``shed_enabled`` False no controller is constructed and the control
-    # plane is bit-identical to the pre-shed implementation in both
-    # event_driven modes (golden traces pin it).  When on, feed deficits
-    # against nominal demand grade into severity states (normal →
-    # brownout-1 → brownout-2 → blackstart); each severity sheds power by
+    # plane is bit-identical to the pre-shed implementation (golden traces
+    # pin it).  When on, feed deficits against nominal demand grade into
+    # severity states (normal → brownout-1 → brownout-2 → blackstart, at
+    # ``ShedLadder``'s default deficits); each severity sheds power by
     # job class (preemptible / checkpointable / protected) along a fixed
     # escalation chain, and recovery ramps budgets back at
     # ``shed_ramp_watts`` per manager round with asymmetric hysteresis.
     shed_enabled: bool = False
     shed_nominal_watts: float | None = None  # None: high-water of observed targets
     shed_ramp_watts: float = 100.0
-    shed_brownout1_deficit: float = 0.10
-    shed_brownout2_deficit: float = 0.25
-    shed_blackstart_deficit: float = 0.50
-    shed_classes: dict | None = None  # claimed job type -> shed class
-    shed_default_class: str = "checkpointable"
-    # Internal: held True by the fault injector while a cluster-wide
-    # NetworkPartition window is open, so links created mid-window (e.g.
-    # reconnect attempts) are born partitioned too.
-    link_partitioned: bool = False
+    # claimed job type -> shed class (unlisted types: ``ShedController``'s default)
+    shed_classes: dict | None = None
 
     def __post_init__(self) -> None:
         """Range-check every knob, naming the offending field.
@@ -219,10 +195,6 @@ class AnorConfig:
             "stale_status_timeout": self.stale_status_timeout,
             "dead_job_timeout": self.dead_job_timeout,
             "telemetry_ring_size": self.telemetry_ring_size,
-            "reliable_base_backoff": self.reliable_base_backoff,
-            "reliable_max_backoff": self.reliable_max_backoff,
-            "partition_attempts": self.partition_attempts,
-            "reconnect_backoff": self.reconnect_backoff,
             "plan_horizon_rounds": self.plan_horizon_rounds,
             "plan_error_bound_watts": self.plan_error_bound_watts,
             "plan_error_window": self.plan_error_window,
@@ -234,7 +206,6 @@ class AnorConfig:
         non_negative = {
             "idle_power": self.idle_power,
             "lease_ramp_seconds": self.lease_ramp_seconds,
-            "max_requeues": self.max_requeues,
             "plan_hysteresis_watts": self.plan_hysteresis_watts,
             "plan_shadow_rounds": self.plan_shadow_rounds,
         }
@@ -262,46 +233,35 @@ class AnorConfig:
                 f"plan_forecaster must be one of {FORECASTER_KINDS}, got "
                 f"{self.plan_forecaster!r}"
             )
-        deficits = {
-            "shed_brownout1_deficit": self.shed_brownout1_deficit,
-            "shed_brownout2_deficit": self.shed_brownout2_deficit,
-            "shed_blackstart_deficit": self.shed_blackstart_deficit,
-        }
-        for name, value in deficits.items():
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {value}")
-        if not (
-            self.shed_brownout1_deficit
-            < self.shed_brownout2_deficit
-            < self.shed_blackstart_deficit
-        ):
-            raise ValueError(
-                "shed deficit thresholds must be strictly increasing, got "
-                f"{self.shed_brownout1_deficit} / {self.shed_brownout2_deficit} "
-                f"/ {self.shed_blackstart_deficit}"
-            )
-        if self.shed_default_class not in SHED_CLASSES:
-            raise ValueError(
-                f"shed_default_class must be one of {SHED_CLASSES}, got "
-                f"{self.shed_default_class!r}"
-            )
         for claimed, cls in (self.shed_classes or {}).items():
             if cls not in SHED_CLASSES:
                 raise ValueError(
                     f"shed_classes[{claimed!r}] must be one of {SHED_CLASSES}, "
                     f"got {cls!r}"
                 )
-        # Ordering inversions: a ceiling configured below the value it caps.
-        if self.reliable_max_backoff < self.reliable_base_backoff:
-            raise ValueError(
-                "reliable_max_backoff must be ≥ reliable_base_backoff, got "
-                f"{self.reliable_max_backoff} < {self.reliable_base_backoff}"
-            )
+        # Ordering inversion: a ceiling configured below the value it caps.
         if self.dead_job_timeout < self.stale_status_timeout:
             raise ValueError(
                 "dead_job_timeout must be ≥ stale_status_timeout, got "
                 f"{self.dead_job_timeout} < {self.stale_status_timeout}"
             )
+
+
+@dataclass
+class LinkConditions:
+    """What the network does to a job link dialled now.
+
+    ``AnorSystem.link_conditions`` starts as the configured drop probability
+    on an otherwise healthy network; the fault injector rewrites it for as
+    long as a cluster-wide ``LinkDegradation`` or ``NetworkPartition`` window
+    is open, so a link dialled inside the window (a launch, an endpoint
+    restart, a re-dial, a head restart) is born degraded or partitioned.
+    """
+
+    drop_probability: float
+    latency_up: float = LINK_LATENCY
+    latency_down: float = LINK_LATENCY
+    partitioned: bool = False
 
 
 @dataclass
@@ -410,6 +370,7 @@ class AnorSystem:
         # Cluster-wide message/drop totals, posted to by every channel as it
         # works: they must survive links being replaced or garbage-collected.
         self._link_ledger = LinkLedger()
+        self.link_conditions = LinkConditions(cfg.link_drop_probability)
         # Every ReliableLink wrapper ever created (partition-event ledger)
         # and per-job backoff state for re-dialling closed links.
         self._reliable_links: list[ReliableLink] = []
@@ -422,7 +383,6 @@ class AnorSystem:
             seed=self._rng,
             idle_power=self.config.idle_power,
             perf_variation_std=self.config.perf_variation_std,
-            agent_fanout=self.config.agent_fanout,
             run_noise=self.config.run_noise,
         )
         # The durable store exists before the manager: a manager's round is
@@ -524,14 +484,8 @@ class AnorSystem:
             # and does not survive a head-node crash — a restarted head
             # re-grades the feed from new observations.
             shed = ShedController(
-                ladder=ShedLadder(
-                    brownout1_deficit=cfg.shed_brownout1_deficit,
-                    brownout2_deficit=cfg.shed_brownout2_deficit,
-                    blackstart_deficit=cfg.shed_blackstart_deficit,
-                    ramp_watts_per_round=cfg.shed_ramp_watts,
-                ),
+                ladder=ShedLadder(ramp_watts_per_round=cfg.shed_ramp_watts),
                 classes=dict(cfg.shed_classes or {}),
-                default_class=cfg.shed_default_class,
                 nominal_watts=cfg.shed_nominal_watts,
                 telemetry=self.telemetry,
             )
@@ -623,6 +577,26 @@ class AnorSystem:
     def _journal(self, rtype: str, now: float, **data) -> None:
         if self.durable is not None:
             self.durable.journal.append(rtype, now, data)
+
+    def _report(
+        self,
+        category: str,
+        now: float,
+        log: list[str] | None = None,
+        text: str | None = None,
+        *,
+        incident: bool = True,
+        **attrs,
+    ) -> None:
+        """The one emission site for a ``warnings`` / ``recovery_log`` line
+        and its bus record — an incident, or a plain event where the system
+        is working as designed — so the two streams cannot disagree.  No
+        ``log`` where the routine handed over to words the line."""
+        if log is not None:
+            log.append(f"t={now:.1f}: {text}")
+        if self.telemetry.enabled:
+            emit = self.telemetry.incident if incident else self.telemetry.event
+            emit(category, now, **attrs)
 
     @staticmethod
     def _spec_dict(q: _QueuedJob) -> dict:
@@ -757,19 +731,15 @@ class AnorSystem:
             )
 
     def _make_link(self) -> TcpLink:
-        cfg = self.config
+        net = self.link_conditions
         link = TcpLink(
-            cfg.link_latency,
-            drop_probability=cfg.link_drop_probability,
-            latency_up=cfg.link_latency_up,
-            latency_down=cfg.link_latency_down,
+            drop_probability=net.drop_probability,
+            latency_up=net.latency_up,
+            latency_down=net.latency_down,
             seed=self._rng,
             ledger=self._link_ledger,
         )
-        if cfg.link_partitioned:
-            # Born mid-partition: the fault window covers new connections.
-            link.down.partitioned = True
-            link.up.partitioned = True
+        link.down.partitioned = link.up.partitioned = net.partitioned
         return link
 
     def _link_pair(self):
@@ -780,23 +750,16 @@ class AnorSystem:
         gets its own :class:`ReliableLink` side over the shared raw link.
         """
         raw = self._make_link()
-        cfg = self.config
-        if not cfg.reliable_messaging:
+        if not self.config.reliable_messaging:
             return raw, raw
         self._link_serial += 1
-        common = dict(
-            base_backoff=cfg.reliable_base_backoff,
-            max_backoff=cfg.reliable_max_backoff,
-            partition_attempts=cfg.partition_attempts,
-            telemetry=self.telemetry,
-        )
         manager_side = ReliableLink(
             raw, "cluster", seed=self._rng,
-            name=f"link{self._link_serial}:down", **common,
+            name=f"link{self._link_serial}:down", telemetry=self.telemetry,
         )
         endpoint_side = ReliableLink(
             raw, "job", seed=self._rng,
-            name=f"link{self._link_serial}:up", **common,
+            name=f"link{self._link_serial}:up", telemetry=self.telemetry,
         )
         self._reliable_links.extend((manager_side, endpoint_side))
         return manager_side, endpoint_side
@@ -826,8 +789,6 @@ class AnorSystem:
             ),
             feedback_enabled=cfg.feedback_enabled,
             retrain_threshold=cfg.retrain_threshold,
-            min_feedback_epochs=cfg.min_feedback_epochs,
-            detect_drift=cfg.detect_drift,
             warm_model=warm_model,
             warm_r2=warm_r2,
             lease_ttl=cfg.lease_ttl,
@@ -850,24 +811,26 @@ class AnorSystem:
         killed = self.cluster.fail_node(node_id)
         if killed is None:
             return None
-        if self.telemetry.enabled:
-            self.telemetry.incident("node-crash", now, node=node_id, job_id=killed)
         self._detach_endpoint(killed)
         if self._head_down:
             # No head node to notice, requeue, or journal anything: the job
             # just dies.  Post-restart reconciliation finds it missing (no
             # re-HELLO) and requeues it from the checkpointed spec.
-            self.warnings.append(
-                f"t={now:.1f}: node {node_id} crashed while head node down, "
-                f"job {killed} killed"
+            self._report(
+                "node-crash",
+                now,
+                self.warnings,
+                f"node {node_id} crashed while head node down, job {killed} killed",
+                node=node_id,
+                job_id=killed,
             )
             return killed
+        self._report("node-crash", now, node=node_id, job_id=killed)
         self._running_view.pop(killed, None)
         self._requeue_or_drop(
             killed,
             now,
             self._job_specs.get(killed),
-            self.config.requeue_on_node_failure,
             self.warnings,
             f"node {node_id} crashed, job {killed} killed and requeued",
             f"node {node_id} crashed, job {killed} killed (not requeued)",
@@ -891,25 +854,26 @@ class AnorSystem:
         job_id: str,
         now: float,
         spec: _QueuedJob | None,
-        allowed: bool,
         log: list[str],
         requeued: str,
         dropped: str,
         *,
         drop_kind: str | None,
+        allowed: bool = True,
     ) -> None:
         """A job the head believed running is gone (node crash, power shed,
         died during a head outage): back in the queue from its submission
         spec while it has attempts left and ``allowed``, else dropped.  One
         line in ``log`` either way; a drop is journalled as ``drop_kind``."""
         attempts = self._attempts.get(job_id, 1)
-        if allowed and spec is not None and attempts <= self.config.max_requeues:
+        if allowed and spec is not None and attempts <= MAX_REQUEUES:
             self._attempts[job_id] = attempt = attempts + 1
             self._enqueue(spec)
             self.requeued.append(job_id)
-            if self.telemetry.enabled:
-                self.telemetry.event("job-requeue", now, job_id=job_id, attempt=attempt)
-            log.append(f"t={now:.1f}: {requeued}")
+            self._report(
+                "job-requeue", now, log, requeued, incident=False,
+                job_id=job_id, attempt=attempt,
+            )
             self._journal(
                 "job-admit",
                 now,
@@ -951,11 +915,11 @@ class AnorSystem:
             job_id,
             now,
             self._job_specs.get(job_id),
-            action == "preempt",
             self.warnings,
             f"job {job_id} preempted by power shed (checkpointed and requeued)",
             f"job {job_id} killed by power shed",
             drop_kind="shed",
+            allowed=action == "preempt",
         )
 
     def crash_endpoint(self, job_id: str, now: float | None = None) -> bool:
@@ -970,9 +934,10 @@ class AnorSystem:
             now = self.cluster.clock.now
         if self.endpoints.pop(job_id, None) is None:
             return False
-        if self.telemetry.enabled:
-            self.telemetry.incident("endpoint-crash", now, job_id=job_id)
-        self.warnings.append(f"t={now:.1f}: endpoint for job {job_id} crashed")
+        self._report(
+            "endpoint-crash", now, self.warnings,
+            f"endpoint for job {job_id} crashed", job_id=job_id,
+        )
         if self.config.endpoint_restart_delay is not None:
             self._endpoint_restarts.append(
                 (now + self.config.endpoint_restart_delay, job_id)
@@ -1004,9 +969,7 @@ class AnorSystem:
         if self.durable is not None:
             self.durable.close()
             self.durable = None
-        if self.telemetry.enabled:
-            self.telemetry.incident("head-crash", now)
-        self.recovery_log.append(f"t={now:.1f}: head node crashed")
+        self._report("head-crash", now, self.recovery_log, "head node crashed")
         return True
 
     def restart_head_node(self, now: float | None = None) -> bool:
@@ -1033,22 +996,23 @@ class AnorSystem:
                 base = payload["state"] if payload is not None else empty_state()
                 state = apply_journal(base, replay.records)
                 if replay.dropped_tail:
-                    if self.telemetry.enabled:
-                        self.telemetry.incident(
-                            "journal-tail-dropped", now, records=replay.dropped_tail
-                        )
-                    self.recovery_log.append(
-                        f"t={now:.1f}: journal tail dropped "
-                        f"({replay.dropped_tail} corrupt/truncated record(s))"
+                    self._report(
+                        "journal-tail-dropped",
+                        now,
+                        self.recovery_log,
+                        f"journal tail dropped "
+                        f"({replay.dropped_tail} corrupt/truncated record(s))",
+                        records=replay.dropped_tail,
                     )
             except CheckpointError as exc:
-                incident = f"t={now:.1f}: checkpoint rejected ({exc}); cold start"
-                if self.telemetry.enabled:
-                    self.telemetry.incident(
-                        "checkpoint-rejected", now, error=str(exc)
-                    )
-                self.recovery_log.append(incident)
-                self.warnings.append(incident)
+                self._report(
+                    "checkpoint-rejected",
+                    now,
+                    self.recovery_log,
+                    f"checkpoint rejected ({exc}); cold start",
+                    error=str(exc),
+                )
+                self.warnings.append(self.recovery_log[-1])
                 state = None
         self.manager = self._build_manager()
         if self.faults is not None:
@@ -1066,16 +1030,16 @@ class AnorSystem:
             if self._checkpoint_gate is not None:
                 anchor, fires = state["gates"]["checkpoint"]
                 self._checkpoint_gate.restore(anchor, fires)
-            if self.telemetry.enabled:
-                self.telemetry.event(
-                    "head-restart",
-                    now,
-                    mode="warm",
-                    recovered_jobs=len(state["manager"]["jobs"]),
-                )
-            self.recovery_log.append(
-                f"t={now:.1f}: head node restarted warm "
-                f"({len(state['manager']['jobs'])} job(s) recovered from checkpoint+journal)"
+            recovered = len(state["manager"]["jobs"])
+            self._report(
+                "head-restart",
+                now,
+                self.recovery_log,
+                f"head node restarted warm "
+                f"({recovered} job(s) recovered from checkpoint+journal)",
+                incident=False,
+                mode="warm",
+                recovered_jobs=recovered,
             )
         else:
             # Cold start: the in-memory queue/running-view stand in for the
@@ -1087,10 +1051,11 @@ class AnorSystem:
             # control grid at the restart instant.
             self._manager_gate = PeriodicGate(cfg.manager_period)
             self.manager.begin_recovery(now, {}, cfg.recovery_timeout)
-            if self.telemetry.enabled:
-                self.telemetry.incident("head-restart-cold", now)
-            self.recovery_log.append(
-                f"t={now:.1f}: head node restarted cold (no usable checkpoint)"
+            self._report(
+                "head-restart-cold",
+                now,
+                self.recovery_log,
+                "head node restarted cold (no usable checkpoint)",
             )
         # Every surviving endpoint reconnects over a fresh link and re-HELLOs
         # on its next control period (deterministic order).
@@ -1153,7 +1118,6 @@ class AnorSystem:
             job_id,
             now,
             spec,
-            self.config.requeue_on_node_failure,
             self.recovery_log,
             f"job {job_id} died during the head-node outage; requeued",
             f"job {job_id} died during the head-node outage (not requeued)",
@@ -1179,15 +1143,14 @@ class AnorSystem:
                 continue
             if now < self._reconnect_at.get(job_id, 0.0):
                 continue
-            self._reconnect_at[job_id] = now + cfg.reconnect_backoff
+            self._reconnect_at[job_id] = now + RECONNECT_BACKOFF
             manager_side, endpoint_side = self._link_pair()
             self.manager.register_link(manager_side)
             endpoint.reconnect(endpoint_side)
-            self.warnings.append(
-                f"t={now:.1f}: job {job_id} re-dialled its closed link"
+            self._report(
+                "link-redial", now, self.warnings,
+                f"job {job_id} re-dialled its closed link", job_id=job_id,
             )
-            if self.telemetry.enabled:
-                self.telemetry.incident("link-redial", now, job_id=job_id)
 
     def _restart_endpoints(self, now: float) -> None:
         if self._head_down:
@@ -1210,12 +1173,13 @@ class AnorSystem:
                     if job is None
                     else "endpoint already attached"
                 )
-                if self.telemetry.enabled:
-                    self.telemetry.incident(
-                        "restart-cancelled", now, job_id=job_id, reason=reason
-                    )
-                self.warnings.append(
-                    f"t={now:.1f}: restart-cancelled for job {job_id} ({reason})"
+                self._report(
+                    "restart-cancelled",
+                    now,
+                    self.warnings,
+                    f"restart-cancelled for job {job_id} ({reason})",
+                    job_id=job_id,
+                    reason=reason,
                 )
                 continue
             spec = self._job_specs.get(job_id)
@@ -1232,11 +1196,15 @@ class AnorSystem:
             if known is not None and known.online_model is not None:
                 warm_model, warm_r2 = known.online_model, known.online_r2
             self._attach_endpoint(job, claimed, warm_model=warm_model, warm_r2=warm_r2)
-            if self.telemetry.enabled:
-                self.telemetry.event(
-                    "endpoint-restart", now, job_id=job_id, warm=warm_model is not None
-                )
-            self.warnings.append(f"t={now:.1f}: endpoint for job {job_id} restarted")
+            self._report(
+                "endpoint-restart",
+                now,
+                self.warnings,
+                f"endpoint for job {job_id} restarted",
+                incident=False,
+                job_id=job_id,
+                warm=warm_model is not None,
+            )
 
     # -------------------------------------------------------------- running
 
@@ -1489,11 +1457,14 @@ class AnorSystem:
 
         ``until_idle`` keeps running (past ``duration``) until the queue and
         the cluster are empty, bounded by ``max_time`` as a safety stop.
+        Each pass of the loop body asks the event calendar how many
+        control-free ticks its one physics call may cover (DESIGN.md §7);
+        :meth:`step` is the same body covering the due tick alone.
         """
         if duration is None and not until_idle:
             raise ValueError("need a duration or until_idle=True")
         start = self.cluster.clock.now
-        limits = (start, duration, until_idle, max_time) if self.config.event_driven else None
+        limits = (start, duration, until_idle, max_time)
         while True:
             now = self.cluster.clock.now
             elapsed = now - start

@@ -100,6 +100,12 @@ class ReliableLink:
             raise ValueError(f"window must be ≥ 1, got {window}")
         if base_backoff <= 0:
             raise ValueError(f"base_backoff must be positive, got {base_backoff}")
+        # A ceiling ≤ 0 would make every envelope due for retransmit on
+        # every pump; one below the base is an inverted range.
+        if max_backoff < base_backoff:
+            raise ValueError(
+                f"max_backoff must be ≥ base_backoff, got {max_backoff} < {base_backoff}"
+            )
         if not 0.0 <= jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {jitter}")
         if partition_attempts < 1:

@@ -362,22 +362,15 @@ class FaultInjector:
 
     def _fire_link_degradation(self, event: LinkDegradation, now: float) -> None:
         system = self.system
+        # What a link dialled now is born with — and what the window closing
+        # puts back, on the links it touched and (cluster-wide) on the record.
+        net = system.link_conditions
+        saved = (net.drop_probability, net.latency_up, net.latency_down)
         if event.job_id is None:
-            cfg = system.config
-            saved = (
-                cfg.link_drop_probability,
-                cfg.link_latency_up,
-                cfg.link_latency_down,
-            )
-            cfg.link_drop_probability = event.drop_probability
+            net.drop_probability = event.drop_probability
             if event.extra_latency > 0:
-                base = cfg.link_latency
-                cfg.link_latency_up = (
-                    saved[1] if saved[1] is not None else base
-                ) + event.extra_latency
-                cfg.link_latency_down = (
-                    saved[2] if saved[2] is not None else base
-                ) + event.extra_latency
+                net.latency_up += event.extra_latency
+                net.latency_down += event.extra_latency
             for endpoint in system.endpoints.values():
                 self._degrade_link(endpoint.link, event)
             self._record(
@@ -387,11 +380,7 @@ class FaultInjector:
             )
 
             def restore() -> None:
-                (
-                    cfg.link_drop_probability,
-                    cfg.link_latency_up,
-                    cfg.link_latency_down,
-                ) = saved
+                net.drop_probability, net.latency_up, net.latency_down = saved
                 for endpoint in system.endpoints.values():
                     self._restore_link(endpoint.link, saved)
 
@@ -403,8 +392,6 @@ class FaultInjector:
                 now, f"link-degrade job={event.job_id} skipped (no live endpoint)"
             )
             return
-        cfg = system.config
-        saved = (cfg.link_drop_probability, cfg.link_latency_up, cfg.link_latency_down)
         link = endpoint.link
         self._degrade_link(link, event)
         self._record(
@@ -423,9 +410,9 @@ class FaultInjector:
         system = self.system
         if event.job_id is None:
             # Cluster-wide cut: every live link blackholes, and links created
-            # while the window is open are born partitioned (the config flag
+            # while the window is open are born partitioned (the record
             # covers reconnect attempts during the outage).
-            system.config.link_partitioned = True
+            system.link_conditions.partitioned = True
             for endpoint in system.endpoints.values():
                 self._set_partitioned(endpoint.link, True)
             self._record(
@@ -433,7 +420,7 @@ class FaultInjector:
             )
 
             def heal() -> None:
-                system.config.link_partitioned = False
+                system.link_conditions.partitioned = False
                 for endpoint in system.endpoints.values():
                     self._set_partitioned(endpoint.link, False)
 
@@ -469,11 +456,10 @@ class FaultInjector:
 
     def _restore_link(self, link, saved: tuple) -> None:
         drop, lat_up, lat_down = saved
-        base = self.system.config.link_latency
         link.up.drop_probability = drop
         link.down.drop_probability = drop
-        link.up.latency = base if lat_up is None else lat_up
-        link.down.latency = base if lat_down is None else lat_down
+        link.up.latency = lat_up
+        link.down.latency = lat_down
 
     def _fire_corrupt_status(self, event: CorruptStatus, now: float) -> None:
         job_id = self._pick_job(event.job_id, now)

@@ -2,11 +2,13 @@
 
 The hardware-cluster emulator and the ANOR control plane advance a shared
 :class:`SimClock` in fixed ticks.  Components that run at their own cadence
-(the GEOPM agent every second, the cluster manager every few seconds) are
-registered as :class:`PeriodicTask` entries in a :class:`TaskScheduler`,
-which fires them in deterministic priority order at each tick.  This mirrors
-the paper's asynchronous tiers (§7.2) without threads: asynchrony comes from
-differing periods and message-transport latency, and remains reproducible.
+(the GEOPM agent every second, the cluster manager every few seconds) each
+poll a :class:`PeriodicGate` on the tick that is due, in the fixed order of
+``AnorSystem._advance``.  This mirrors the paper's asynchronous tiers (§7.2)
+without threads: asynchrony comes from differing periods and
+message-transport latency, and remains reproducible.
+(:class:`PeriodicTask` / :class:`TaskScheduler` are an earlier callback form
+of the same idea; nothing in ``src/`` uses them.)
 """
 
 from __future__ import annotations

@@ -14,15 +14,83 @@ re-record after an *intentional* behaviour change::
     PYTHONPATH=src:. python -m tests.goldenlib
 
 and commit the updated fixtures together with the change that explains them.
+
+The other oracle the bit-identity suites share lives here too:
+:func:`run_windowed_and_stepped` holds ``AnorSystem.run``'s multi-tick
+windows to a ``step()``-driven loop of the same system.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+# ------------------------------------------------- the run() ≡ step() oracle
+
+
+@contextmanager
+def count_multi_tick_windows():
+    """Counts the physics windows of more than one tick, as runs make them —
+    by wrapping the kernel's entry point here, not with a production counter.
+    A windowed ≡ per-tick comparison whose windowed arm never batched compares
+    the tick loop with itself."""
+    from repro.hwsim.cluster import EmulatedCluster
+
+    windows = []
+    kernel = EmulatedCluster.advance_stride
+
+    def counting(self, times, dt):
+        ticks, totals = kernel(self, times, dt)
+        windows.append(ticks)
+        return ticks, totals
+
+    with patch.object(EmulatedCluster, "advance_stride", counting):
+        yield lambda: sum(1 for ticks in windows if ticks > 1)
+
+
+def run_windowed_and_stepped(
+    build, duration=None, *, until_idle=False, max_time=86_400.0
+):
+    """Run ``build()``'s system two ways and hand back both for comparison.
+
+    The windowed arm is ``AnorSystem.run``: it asks the event calendar how
+    many control-free ticks one physics call may cover.  The stepped arm is
+    the per-tick reference: a second ``build()`` driven by ``step()`` (the
+    same loop body with zero free ticks) under ``run``'s stop rule, restated
+    here.  Asserts the arms really differ in how they advanced — the windowed
+    one batched whenever every control period exceeds the tick, the stepped
+    one never — and returns ``((system, result), (system, result))``,
+    windowed first; what must be equal is the caller's to assert.
+    """
+    with count_multi_tick_windows() as multi_tick_windows:
+        windowed = build()
+        windowed_result = windowed.run(duration, until_idle=until_idle, max_time=max_time)
+        batched = multi_tick_windows()
+        stepped = build()
+        clock = stepped.cluster.clock
+        start = clock.now
+        while True:
+            elapsed = clock.now - start
+            draining = until_idle and stepped.has_work
+            if elapsed >= max_time:
+                break
+            if (duration is None or elapsed >= duration) and not draining:
+                break
+            stepped.step()
+        # run(0.0) moves nothing: it flushes telemetry and collects the result.
+        stepped_result = replace(stepped.run(0.0), duration=clock.now - start)
+        assert multi_tick_windows() == batched, "the step() arm batched ticks"
+    cfg = windowed.config
+    if min(cfg.agent_period, cfg.endpoint_period, cfg.manager_period) > cfg.tick:
+        assert batched > 0, "the run() arm never made a multi-tick window"
+    return (windowed, windowed_result), (stepped, stepped_result)
 
 
 def ledger_arrays(completed) -> dict[str, np.ndarray]:

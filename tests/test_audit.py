@@ -22,6 +22,7 @@ from repro.core.audit import (
 )
 from repro.faults.events import ByzantineModel, MeterDrift, StuckActuator
 from repro.faults.schedule import FaultSchedule
+from tests.goldenlib import run_windowed_and_stepped
 
 P_MIN, P_MAX = 140.0, 280.0
 
@@ -452,7 +453,7 @@ class TestManagerIntegration:
 
 
 class TestBitIdentity:
-    def _trace(self, *, audit_enabled, event_driven, fault_schedule=None):
+    def _build(self, *, audit_enabled, fault_schedule=None, **periods):
         from repro.budget.even_slowdown import EvenSlowdownBudgeter
         from repro.core.framework import (
             AnorConfig, AnorSystem, precharacterized_models)
@@ -465,24 +466,30 @@ class TestBitIdentity:
             classifier=JobClassifier(precharacterized_models()),
             config=AnorConfig(
                 num_nodes=4, seed=7, feedback_enabled=True,
-                audit_enabled=audit_enabled, event_driven=event_driven,
+                audit_enabled=audit_enabled, **periods,
             ),
             fault_schedule=fault_schedule,
         )
         system.submit_now("bt-0", "bt")
         system.submit_now("cg-1", "cg")
-        return system.run(until_idle=True, max_time=7200.0).power_trace
+        return system
 
     def test_observing_auditor_leaves_clean_runs_bit_identical(self):
         """With nothing to quarantine the auditor must be a pure observer."""
-        off = self._trace(audit_enabled=False, event_driven=True)
-        on = self._trace(audit_enabled=True, event_driven=True)
-        assert np.array_equal(off, on)
+        off, on = (
+            self._build(audit_enabled=audit).run(until_idle=True, max_time=7200.0)
+            for audit in (False, True)
+        )
+        assert np.array_equal(off.power_trace, on.power_trace)
 
     def test_tick_and_event_modes_agree_with_audit_on_under_attack(self):
         schedule = FaultSchedule([StuckActuator(time=60.0)])
-        tick = self._trace(
-            audit_enabled=True, event_driven=False, fault_schedule=schedule)
-        event = self._trace(
-            audit_enabled=True, event_driven=True, fault_schedule=schedule)
-        assert np.array_equal(tick, event)
+        # Every period above the tick, so ``run()`` has windows to batch.
+        (_, event), (_, tick) = run_windowed_and_stepped(
+            lambda: self._build(
+                audit_enabled=True, fault_schedule=schedule,
+                agent_period=2.0, endpoint_period=2.0, manager_period=4.0,
+            ),
+            until_idle=True, max_time=7200.0,
+        )
+        assert np.array_equal(tick.power_trace, event.power_trace)

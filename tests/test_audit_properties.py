@@ -5,7 +5,7 @@ operator override) produces, every budget round's planned draw — idle +
 reserved (including quarantine envelopes) + allocated — must stay within
 the round's ceiling ``max(target + correction, floor)``.  Hypothesis drives
 the trust state machine through arbitrary forced sequences while a real
-system runs, in both the ticking and event-calendar modes.
+system runs, advanced tick by tick with ``step()`` and through ``run()``.
 """
 
 import pytest
@@ -31,14 +31,14 @@ churn = st.lists(
 )
 
 
-def build(event_driven: bool) -> AnorSystem:
+def build() -> AnorSystem:
     system = AnorSystem(
         budgeter=EvenSlowdownBudgeter(),
         target_source=ConstantTarget(5 * 170.0),
         classifier=JobClassifier(precharacterized_models()),
         config=AnorConfig(
             num_nodes=5, seed=2, feedback_enabled=True,
-            audit_enabled=True, event_driven=event_driven,
+            audit_enabled=True,
         ),
     )
     for job_id in JOB_IDS:
@@ -62,22 +62,28 @@ def assert_round_conserves(system, seen: set) -> None:
 
 
 class TestBudgetConservationUnderTrustChurn:
-    @pytest.mark.parametrize("event_driven", [False, True])
+    @pytest.mark.parametrize("through_run", [False, True])
     @given(script=churn)
     @settings(max_examples=12, deadline=None)
-    def test_planned_draw_never_exceeds_ceiling(self, event_driven, script):
-        system = build(event_driven)
+    def test_planned_draw_never_exceeds_ceiling(self, through_run, script):
+        system = build()
         seen: set = set()
-        # Warm up past job setup so caps and envelopes are in play.
-        for _ in range(40):
-            system.step()
-            assert_round_conserves(system, seen)
+
+        def advance(ticks: int) -> None:
+            # One tick at a time in either arm, so every round is inspected;
+            # ``run`` puts each of them through the event calendar.
+            for _ in range(ticks):
+                if through_run:
+                    system.run(system.config.tick)
+                else:
+                    system.step()
+                assert_round_conserves(system, seen)
+
+        advance(40)  # past job setup, so caps and envelopes are in play
         for settle, job_idx, state in script:
             system.manager.auditor.force_state(
                 JOB_IDS[job_idx], state, now=system.cluster.clock.now)
-            for _ in range(settle):
-                system.step()
-                assert_round_conserves(system, seen)
+            advance(settle)
         # Quarantine churn must also never wedge the run: release all
         # overrides and let the cluster drain.
         for job_id in JOB_IDS:

@@ -7,9 +7,6 @@ own comparison, and the batched cluster stride reproducing per-tick physics
 observable for observable.
 """
 
-from contextlib import contextmanager
-from unittest.mock import patch
-
 import numpy as np
 import pytest
 
@@ -19,6 +16,7 @@ from repro.hwsim.cluster import EmulatedCluster
 from repro.util.calendar import EventCalendar
 from repro.util.clock import PeriodicGate, SimClock
 from repro.workloads.nas import NAS_TYPES
+from tests.goldenlib import run_windowed_and_stepped
 
 
 class TestTickTimes:
@@ -162,50 +160,17 @@ class TestStrideParity:
         assert all(j.phase.name == "COMPUTE" for j in cluster.running.values())
 
 
-@contextmanager
-def count_multi_tick_windows():
-    """Counts the physics windows of more than one tick, as runs make them —
-    by wrapping the kernel's entry point here, not with a production counter.
-    A tick≡event comparison whose event arm never batched compares the tick
-    loop with itself."""
-    windows = []
-    kernel = EmulatedCluster.advance_stride
-
-    def counting(self, times, dt):
-        ticks, totals = kernel(self, times, dt)
-        windows.append(ticks)
-        return ticks, totals
-
-    with patch.object(EmulatedCluster, "advance_stride", counting):
-        yield lambda: sum(1 for ticks in windows if ticks > 1)
-
-
 class TestFrameworkEquivalence:
     def test_multirate_run_identical_between_modes(self):
-        results = {}
-        with count_multi_tick_windows() as multi_tick_windows:
-            for event_driven in (True, False):
-                config = AnorConfig(
-                    seed=3,
-                    agent_period=5.0,
-                    endpoint_period=10.0,
-                    manager_period=30.0,
-                    event_driven=event_driven,
-                )
-                system = build_demand_response_system(
-                    duration=240.0, seed=3, config=config
-                )
-                results[event_driven] = system.run(240.0)
-                if event_driven:
-                    assert multi_tick_windows() > 0
-                    batched = multi_tick_windows()
-            assert multi_tick_windows() == batched  # the tick arm never batches
-        event, tick = results[True], results[False]
-        assert np.array_equal(event.power_trace, tick.power_trace)
-        assert event.warnings == tick.warnings
-        assert [t.job_id for t in event.completed] == [
-            t.job_id for t in tick.completed
-        ]
+        def build():
+            config = AnorConfig(
+                seed=3, agent_period=5.0, endpoint_period=10.0, manager_period=30.0
+            )
+            return build_demand_response_system(duration=240.0, seed=3, config=config)
 
-    def test_event_driven_is_the_default(self):
-        assert AnorConfig().event_driven is True
+        (_, windowed), (_, stepped) = run_windowed_and_stepped(build, 240.0)
+        assert np.array_equal(windowed.power_trace, stepped.power_trace)
+        assert windowed.warnings == stepped.warnings
+        assert [t.job_id for t in windowed.completed] == [
+            t.job_id for t in stepped.completed
+        ]

@@ -1,11 +1,17 @@
 """Tests for the fault-injection subsystem (events, schedules, injector)."""
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
-from repro.core.framework import AnorConfig, AnorSystem, precharacterized_models
+from repro.core.framework import (
+    AnorConfig,
+    AnorSystem,
+    LinkConditions,
+    precharacterized_models,
+)
 from repro.core.targets import ConstantTarget
 from repro.faults import (
     CorruptStatus,
@@ -13,6 +19,7 @@ from repro.faults import (
     FaultSchedule,
     LinkDegradation,
     MeterOutage,
+    NetworkPartition,
     NodeCrash,
     TargetOutage,
 )
@@ -188,15 +195,58 @@ class TestInjectorLink:
         system.submit_now("bt-0", "bt")
         for _ in range(5):
             system.step()
-        # A job launched inside the window inherits the degraded config.
+        # A job launched inside the window inherits the degraded conditions.
         system.submit_now("sp-1", "sp")
         for _ in range(5):
             system.step()
         assert system.endpoints["sp-1"].link.up.drop_probability == pytest.approx(0.3)
         for _ in range(55):
             system.step()
-        # Window closed: config restored for any future link.
-        assert system.config.link_drop_probability == pytest.approx(0.0)
+        # Window closed: conditions restored for any future link.
+        assert system.link_conditions == LinkConditions(0.0)
+
+    def test_cluster_wide_windows_live_on_the_system_not_the_config(self):
+        """A link dialled inside a cluster-wide window is born degraded or
+        partitioned and one dialled after it is clean; the record outlives a
+        head-node restart mid-window; the user's config is never written."""
+        sched = FaultSchedule([
+            LinkDegradation(
+                time=5.0, duration=40.0, drop_probability=0.3, extra_latency=0.5
+            ),
+            NetworkPartition(time=60.0, duration=40.0),
+        ])
+        system = make_system(sched, num_nodes=6)
+        before = dataclasses.asdict(system.config)
+
+        def dial(at, job_id):
+            """Submit at ``at``, restart the head (every live endpoint
+            re-dials), and hand back both kinds of fresh link."""
+            while system.cluster.clock.now < at:
+                system.step()
+            system.submit_now(job_id, job_id.split("-")[0])
+            system.step()
+            old = system.endpoints["bt-0"].link
+            system.crash_head_node()
+            system.step()
+            system.restart_head_node()
+            assert system.endpoints["bt-0"].link is not old
+            return system.endpoints[job_id].link, system.endpoints["bt-0"].link
+
+        def conditions(link):
+            for channel in (link.up, link.down):
+                yield channel.drop_probability, channel.latency, channel.partitioned
+
+        system.submit_now("bt-0", "bt")
+        for link in dial(10.0, "lu-1"):  # inside the degradation window
+            assert set(conditions(link)) == {(0.3, 0.5, False)}
+        for link in dial(50.0, "cg-2"):  # between the windows
+            assert set(conditions(link)) == {(0.0, 0.0, False)}
+        for link in dial(65.0, "mg-3"):  # inside the partition window
+            assert set(conditions(link)) == {(0.0, 0.0, True)}
+        for link in dial(105.0, "is-4"):  # after both
+            assert set(conditions(link)) == {(0.0, 0.0, False)}
+        assert system.link_conditions == LinkConditions(0.0)
+        assert dataclasses.asdict(system.config) == before
 
 
 class TestInjectorCrashes:

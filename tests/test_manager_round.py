@@ -9,6 +9,7 @@ the framework enforces what rounds hand back at one seam.
 import re
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -145,6 +146,45 @@ class TestStageList:
         assert calls["EvenSlowdownBudgeter.allocate"] > 0
 
 
+#: A framework ``warnings`` / ``recovery_log`` line -> the bus record
+#: ``AnorSystem._report`` writes with it (one line can carry two: a node
+#: crash that requeues its job).
+FRAMEWORK_LINES = {
+    r"node \d+ crashed": "node-crash",
+    r"endpoint for job \S+ crashed": "endpoint-crash",
+    r"endpoint for job \S+ restarted": "endpoint-restart",
+    r"restart-cancelled for job": "restart-cancelled",
+    r"re-dialled its closed link": "link-redial",
+    r"(and|;) requeued": "job-requeue",
+    r"head node crashed": "head-crash",
+    r"head node restarted warm": "head-restart",
+    r"head node restarted cold": "head-restart-cold",
+    r"journal tail dropped": "journal-tail-dropped",
+    r"checkpoint rejected": "checkpoint-rejected",
+}
+
+
+def count_bus_records(system) -> Counter:
+    """Tally of everything the system's bus emits from here on, incidents
+    under their category (a sink of its own: the ring evicts)."""
+    counts = Counter()
+    system.telemetry.bus.add_sink(SimpleNamespace(
+        emit=lambda r: counts.update([r["attrs"].get("category", r["name"])])
+    ))
+    return counts
+
+
+def framework_streams(system, bus: Counter) -> tuple[Counter, Counter]:
+    """(log lines, bus records) per framework category."""
+    lines = Counter()
+    # A rejected checkpoint is mirrored into ``warnings``: one line, twice.
+    mirrored = set(system.recovery_log)
+    for line in system.recovery_log + [w for w in system.warnings if w not in mirrored]:
+        lines.update(c for pattern, c in FRAMEWORK_LINES.items() if re.search(pattern, line))
+    records = Counter({c: bus[c] for c in FRAMEWORK_LINES.values() if bus[c]})
+    return lines, records
+
+
 class TestOneEmissionSite:
     def test_every_transition_incident_has_its_text_line_and_vice_versa(self, tmp_path):
         duration = 1200.0
@@ -156,6 +196,7 @@ class TestOneEmissionSite:
         system = build_demand_response_system(
             duration=duration, seed=7, config=config, fault_schedule=faults
         )
+        bus = count_bus_records(system)
         system.run(duration)
         manager = system.manager
         assert system.head_crashes == 0  # one manager saw the whole run
@@ -174,6 +215,44 @@ class TestOneEmissionSite:
         assert lines == incidents
         assert any(c.startswith("shed-") for c in incidents)
         assert any(c.startswith("plan-") for c in incidents)
+        # The framework's own reporter, same contract: what the fault load
+        # provokes here, then every head-node category on a small system.
+        lines, records = framework_streams(system, bus)
+        assert lines == records
+        assert {"node-crash", "endpoint-crash", "endpoint-restart", "job-requeue"} <= set(lines)
+
+        store = tmp_path / "head"
+        system = small_system(store, checkpoint_period=20.0, endpoint_restart_delay=5.0)
+        bus = count_bus_records(system)
+
+        def steps(n):
+            for _ in range(n):
+                system.step()
+
+        def crash_a_node():
+            job = system.cluster.running[sorted(system.cluster.running)[0]]
+            system.crash_node(job.nodes[0].node_id)
+
+        steps(60)
+        crash_a_node()
+        system.crash_endpoint(sorted(system.endpoints)[0])
+        system._endpoint_restarts.append((system.cluster.clock.now, "ghost-job"))
+        steps(10)
+        system.crash_head_node()
+        crash_a_node()  # while the head is down: found orphaned, then requeued
+        with (store / "store" / "journal.jsonl").open("ab") as journal:
+            journal.write(b'{"torn')
+        steps(10)
+        system.restart_head_node()
+        steps(40)
+        system.crash_head_node()
+        checkpoint = store / "store" / "checkpoint.json"
+        checkpoint.write_bytes(checkpoint.read_bytes()[:-25])
+        system.restart_head_node()
+        system.run(until_idle=True, max_time=6000.0)
+        lines, records = framework_streams(system, bus)
+        assert lines == records
+        assert set(lines) == set(FRAMEWORK_LINES.values()) - {"link-redial"}
 
 
 def small_system(tmp_path=None, n_jobs=6, **cfg) -> AnorSystem:

@@ -9,10 +9,11 @@ Two contracts that must hold for *any* forecaster behaviour:
    construction; hypothesis hunts for a bias that breaks it.
 
 2. **Neutrality** — with planning off (the default), runs are bit-identical
-   whether the plan knobs are spelled out or absent, in tick and in
-   event-driven mode, healthy or faulted: the subsystem costs nothing when
-   unused.  With planning *on*, tick and event-driven stepping still agree
-   exactly — plan instants are calendar events, not wall-clock surprises.
+   whether the plan knobs are spelled out or absent, through ``run()``'s
+   windows and tick by tick, healthy or faulted: the subsystem costs nothing
+   when unused.  With planning *on*, ``run()`` and a ``step()``-driven loop
+   still agree exactly — plan instants are calendar events, not wall-clock
+   surprises.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.core.targets import SteppedTarget  # noqa: E402
 from repro.experiments.fig9 import build_demand_response_system  # noqa: E402
 from repro.faults.schedule import FaultSchedule  # noqa: E402
 from repro.plan.forecast import PersistenceForecaster  # noqa: E402
+from tests.goldenlib import run_windowed_and_stepped  # noqa: E402
 
 DURATION = 120.0
 
@@ -93,11 +95,14 @@ def test_planned_draw_never_exceeds_ceiling_for_any_forecast_bias(
     assert not overs, f"planned draw exceeded ceiling: {overs[:3]}"
 
 
-def _run(event_driven, *, seed, faults, plan, spell_out_knobs=True):
+def _run_both(*, seed, faults, plan, spell_out_knobs=True):
+    """``(windowed, stepped)`` results of the one scenario."""
     kwargs = dict(
         seed=seed,
+        # Every period above the tick, so ``run()`` has windows to batch.
+        agent_period=2.0,
+        endpoint_period=2.0,
         manager_period=4.0,
-        event_driven=event_driven,
         endpoint_restart_delay=15.0,
     )
     if plan or spell_out_knobs:
@@ -112,14 +117,18 @@ def _run(event_driven, *, seed, faults, plan, spell_out_knobs=True):
     schedule = None
     if faults is not None:
         schedule = FaultSchedule.random(DURATION, seed=seed * 31 + 7, **faults)
-    system = build_demand_response_system(
-        duration=DURATION,
-        seed=seed,
-        target_source=_stepped_target(0),
-        config=AnorConfig(**kwargs),
-        fault_schedule=schedule,
-    )
-    return system.run(DURATION)
+
+    def build():
+        return build_demand_response_system(
+            duration=DURATION,
+            seed=seed,
+            target_source=_stepped_target(0),
+            config=AnorConfig(**kwargs),
+            fault_schedule=schedule,
+        )
+
+    (_, windowed), (_, stepped) = run_windowed_and_stepped(build, DURATION)
+    return windowed, stepped
 
 
 FAULTS = st.sampled_from(
@@ -146,15 +155,11 @@ def _assert_identical(a, b):
 )
 @given(seed=st.integers(min_value=0, max_value=20), faults=FAULTS)
 def test_plan_off_is_bit_identical_to_seed_in_both_modes(seed, faults):
-    for event in (False, True):
-        with_knobs = _run(event, seed=seed, faults=faults, plan=False)
-        without = _run(
-            event, seed=seed, faults=faults, plan=False, spell_out_knobs=False
-        )
-        _assert_identical(with_knobs, without)
-    tick = _run(False, seed=seed, faults=faults, plan=False)
-    event = _run(True, seed=seed, faults=faults, plan=False)
-    _assert_identical(tick, event)
+    with_knobs = _run_both(seed=seed, faults=faults, plan=False)
+    without = _run_both(seed=seed, faults=faults, plan=False, spell_out_knobs=False)
+    for spelled, bare in zip(with_knobs, without):
+        _assert_identical(spelled, bare)
+    _assert_identical(*with_knobs)
 
 
 @settings(
@@ -162,6 +167,4 @@ def test_plan_off_is_bit_identical_to_seed_in_both_modes(seed, faults):
 )
 @given(seed=st.integers(min_value=0, max_value=20), faults=FAULTS)
 def test_plan_active_tick_and_event_modes_agree(seed, faults):
-    tick = _run(False, seed=seed, faults=faults, plan=True)
-    event = _run(True, seed=seed, faults=faults, plan=True)
-    _assert_identical(tick, event)
+    _assert_identical(*_run_both(seed=seed, faults=faults, plan=True))

@@ -1,13 +1,13 @@
-"""Property: event-driven stepping is observationally identical to ticking.
+"""Property: ``run()``'s windows are observationally identical to ticking.
 
 The event-calendar core (DESIGN.md §7) batches control-free ticks into
-analytic strides.  Its contract is not statistical similarity but bitwise
-equality: for *any* configuration — multi-rate control periods, random
-fault schedules (node/endpoint/head crashes, link bursts, meter outages,
-corrupt statuses), cap leases, reliable messaging — the power trace and
-every incident log must match the per-tick loop exactly.  Hypothesis
-explores that configuration space; one counterexample is a real bug, not
-noise.
+multi-tick physics windows.  Its contract is not statistical similarity but
+bitwise equality: for *any* configuration — multi-rate control periods,
+random fault schedules (node/endpoint/head crashes, link bursts, meter
+outages, corrupt statuses), cap leases, reliable messaging — the power trace
+and every incident log must match a ``step()``-driven loop exactly.
+Hypothesis explores that configuration space; one counterexample is a real
+bug, not noise.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.core.framework import AnorConfig  # noqa: E402
 from repro.experiments.fig9 import build_demand_response_system  # noqa: E402
 from repro.faults.schedule import FaultSchedule  # noqa: E402
 from repro.telemetry.metrics import Histogram  # noqa: E402
-from tests.test_event_calendar import count_multi_tick_windows  # noqa: E402
+from tests.goldenlib import run_windowed_and_stepped  # noqa: E402
 
 DURATION = 180.0
 
@@ -58,14 +58,13 @@ FAULTS = st.sampled_from(
 )
 
 
-def _run(event_driven, *, seed, periods, faults, lease, reliable, telemetry):
+def _build(*, seed, periods, faults, lease, reliable, telemetry):
     agent, endpoint, manager = periods
     config = AnorConfig(
         seed=seed,
         agent_period=agent,
         endpoint_period=endpoint,
         manager_period=manager,
-        event_driven=event_driven,
         lease_ttl=20.0 if lease else None,
         reliable_messaging=reliable,
         endpoint_restart_delay=15.0,
@@ -74,10 +73,9 @@ def _run(event_driven, *, seed, periods, faults, lease, reliable, telemetry):
     schedule = None
     if faults is not None:
         schedule = FaultSchedule.random(DURATION, seed=seed * 31 + 7, **faults)
-    system = build_demand_response_system(
+    return build_demand_response_system(
         duration=DURATION, seed=seed, config=config, fault_schedule=schedule
     )
-    return system.run(DURATION), _registry_samples(system)
 
 
 def _registry_samples(system):
@@ -114,15 +112,10 @@ def test_event_mode_bit_identical_to_tick_mode(
         seed=seed, periods=periods, faults=faults, lease=lease, reliable=reliable,
         telemetry=telemetry,
     )
-    with count_multi_tick_windows() as multi_tick_windows:
-        event, event_samples = _run(True, **kwargs)
-        strided = multi_tick_windows()
-        tick, tick_samples = _run(False, **kwargs)
-        assert multi_tick_windows() == strided  # the tick arm never batches
-    # The comparison is only worth something if the event arm really did:
-    # whenever every control period exceeds the tick, some window must have.
-    assert strided > 0 or min(periods) <= 1.0
-    assert event_samples == tick_samples
+    (event_system, event), (tick_system, tick) = run_windowed_and_stepped(
+        lambda: _build(**kwargs), DURATION
+    )
+    assert _registry_samples(event_system) == _registry_samples(tick_system)
     assert np.array_equal(event.power_trace, tick.power_trace)
     assert event.warnings == tick.warnings
     assert event.fault_log == tick.fault_log

@@ -203,15 +203,15 @@ class TestConfigValidation:
 
     def test_bad_threshold_order(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            AnorConfig(shed_brownout1_deficit=0.4, shed_brownout2_deficit=0.3)
+            ShedLadder(brownout1_deficit=0.4, brownout2_deficit=0.3)
 
     def test_threshold_range(self):
-        with pytest.raises(ValueError, match="shed_blackstart_deficit"):
-            AnorConfig(shed_blackstart_deficit=1.0)
+        with pytest.raises(ValueError, match="blackstart_deficit"):
+            ShedLadder(blackstart_deficit=1.0)
 
     def test_bad_default_class(self):
-        with pytest.raises(ValueError, match="shed_default_class"):
-            AnorConfig(shed_default_class="vip")
+        with pytest.raises(ValueError, match="default_class"):
+            ShedController(ladder=ShedLadder(), default_class="vip")
 
     def test_bad_class_map(self):
         with pytest.raises(ValueError, match="shed_classes"):
