@@ -89,10 +89,7 @@ class QueueSet:
             # Degenerate: all weights zero means equal shares.
             weights = np.ones_like(weights)
             total = weights.sum()
-        return {
-            name: total_nodes * w / total
-            for name, w in zip(self.queues.keys(), weights)
-        }
+        return dict(zip(self.queues, (total_nodes * weights / total).tolist()))
 
     def set_weights(self, weights: dict[str, float]) -> None:
         for name, w in weights.items():

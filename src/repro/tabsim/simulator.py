@@ -11,10 +11,10 @@ The power manager applies caps uniformly across active nodes (the AQA rule,
 capping (§6.4 investigates this feedback path).
 
 The loop advances in *windows* (:meth:`TabularClusterSimulator._advance`):
-the node update runs on every step, the three stages after it only on a step
-where a submit, a move of the target or a completion lets them act — on any
-other step they would find nothing to do.  A step is a window of one, and no
-output depends on how steps fall into windows.
+the node update runs on every step, intake and scheduling only on a step
+where a submit or a completion lets them act, and capping there and on a step
+where the target moved — on any other step they would find nothing to do.  A
+step is a window of one, and no output depends on how steps fall into windows.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = ["SimConfig", "SimResult", "TabularClusterSimulator"]
 
 #: Longest window, in steps.  A completion cuts its window short and the rows
 #: computed past it are thrown away; this bounds that waste (and the window's
-#: memory) under a signal that holds its level for minutes.
+#: memory) when submits and completions are minutes apart.
 _MAX_WINDOW = 16
 
 
@@ -278,9 +278,9 @@ class TabularClusterSimulator:
         )
         self._queued_count = 0  # jobs submitted but not yet started
         # schedule() is a pure function of (idle count, queue contents,
-        # running-node shares); when the last round returned an empty
-        # decision and none of those inputs changed since, the round can be
-        # skipped outright.  Submissions, starts, and completions set dirty.
+        # running-node shares) and leaves them at a fixed point; while none
+        # of them has changed since the last round, the round can be skipped
+        # outright.  Submissions, completions and deferred starts set dirty.
         self._sched_dirty = True
         self._sched_idle_memo = -1
         # When every busy node carries the same cap (the uniform rule without
@@ -450,13 +450,6 @@ class TabularClusterSimulator:
         if not self._sched_dirty and idle_count == self._sched_idle_memo:
             return
         decision = self.scheduler.schedule(idle_count)
-        if not decision.to_start:
-            # Empty decision with no mutations: memoizable until a submit,
-            # start, or completion changes the scheduler's inputs.
-            self._sched_dirty = False
-            self._sched_idle_memo = idle_count
-            return
-        self._sched_dirty = True
         deferred: list = []
         for queued in decision.to_start:
             if self.config.power_aware_admission and self._would_break_floor(
@@ -480,6 +473,12 @@ class TabularClusterSimulator:
             queue = self.scheduler.queues[queued.type_name]
             queue.pending.appendleft(queued)
             self.scheduler.job_finished(queued.type_name, queued.nodes)
+        # schedule() loops until no queue can start anything, so asked again
+        # with the nodes it left idle it starts nothing: the round is a fixed
+        # point until a submit or a completion — unless a deferral put jobs
+        # back, which a moved target may admit on the very next step.
+        self._sched_dirty = bool(deferred)
+        self._sched_idle_memo = decision.idle_nodes_after
 
     def _would_break_floor(self, new_nodes: int, target: float) -> bool:
         """Would starting ``new_nodes`` more make even minimum caps exceed
@@ -501,9 +500,9 @@ class TabularClusterSimulator:
             # (target, allocation): a zero-order-hold target repeats for
             # several steps, so the whole waterfill is skippable until the
             # signal steps or the busy set changes — which is what lets
-            # ``_advance`` run a window up to the first target that differs
-            # from the memo.  (The QoS path also depends on per-step
-            # progress, so it cannot take this exit.)
+            # ``_advance`` call it, inside a window, only on the steps whose
+            # target differs from the memo.  (The QoS path also depends on
+            # per-step progress, so it cannot take this exit.)
             if target == self._cap_target_memo and nodes.version == self._cap_version_memo:
                 return
             self._cap_target_memo = target
@@ -572,13 +571,14 @@ class TabularClusterSimulator:
 
     def _advance(self, until: float) -> None:
         """One window: the steps up to and including the next one on which
-        stages 2–4 can act, in the paper's stage order.
+        the busy set or the queues can change, in the paper's stage order.
 
-        Between a submit, a move of the target and a completion, intake,
-        scheduling and capping are memoised no-ops and every busy node adds
-        the same increment each step, so those steps need only their trace
-        rows.  Ending a window early is always safe — the stages run and find
-        nothing to do — so every bound below is the cheapest sufficient one.
+        Between a submit and a completion, intake and scheduling are memoised
+        no-ops and every busy node adds the same increment each step until
+        the caps move, so those steps need only their trace rows — and, on a
+        step where the target moved, stage 4 alone.  Ending a window early is
+        always safe — the stages run and find nothing to do — so every bound
+        below is the cheapest sufficient one.
         """
         cfg = self.config
         dt = cfg.dt
@@ -586,42 +586,42 @@ class TabularClusterSimulator:
         signal = self.signal
         # Three things act on a step that nothing announces: QoS-aware caps
         # read per-step progress, a state logger counts steps, and a
-        # scheduler that just started or deferred jobs with more still queued
-        # may act again the very next step.
+        # scheduler that deferred a start under power-aware admission asks
+        # again on the very next step.
         single = (
             cfg.qos_aware_capping
             or self.state_logger is not None
             or (self._sched_dirty and self._queued_count > 0)
         )
-        solved_for = self._cap_target_memo
         next_submit = self._next_submit
-        t = self.now
-        steps: list[tuple[float, float]] = []
-        while True:
-            t += dt
-            target = cfg.target(float(signal(t)))
-            steps.append((t, target))
-            if (
-                single
-                or target != solved_for
-                or t >= next_submit
-                or t >= until
-                or len(steps) == _MAX_WINDOW
-            ):
-                break
-
-        # Stage 1, once per step: ordered ``progress + step`` additions, the
-        # per-step loop's own IEEE sequence.
         st = self._busy_state()
         step, measured = self._node_rates(st, dt)
         row = nodes.progress[st.busy_idx]
-        rows = []
-        for _ in steps:
+        t = self.now
+        steps: list[tuple[float, float, float]] = []
+        rows, since = [], 0  # one row per step since the caps last moved
+        while True:
+            # Stage 1: one ordered ``progress + step`` addition per step, the
+            # per-step loop's own IEEE sequence, under the caps in force.
+            t += dt
+            target = cfg.target(float(signal(t)))
             row = row + step
+            steps.append((t, target, measured))
             rows.append(row)
-        # Progress only rises, so a window whose last row completes nothing
-        # completed nothing earlier either; otherwise it ends on the first
-        # step that did.
+            if single or t >= next_submit or t >= until or len(steps) == _MAX_WINDOW:
+                break
+            if target != self._cap_target_memo:
+                # The target moved and nothing else can act on this step
+                # unless a job completes: progress only rises, so this one
+                # row answers for every step since the caps last moved.
+                if (st.job_min(row) >= 1.0).any():
+                    break
+                self._cap_power(target)
+                step, measured = self._node_rates(st, dt)
+                rows, since = [], len(steps)
+        # A window whose last row completes nothing completed nothing
+        # earlier either; otherwise it ends on the first step that did, which
+        # no cap move has been solved past.
         done = st.job_min(row) >= 1.0
         completing = bool(done.any())
         if completing:
@@ -629,28 +629,25 @@ class TabularClusterSimulator:
                 done = st.job_min(row) >= 1.0
                 if done.any():
                     break
-            del steps[k + 1:]
+            del steps[since + k + 1:]
         nodes.progress[st.busy_idx] = row
-        self.now, target = steps[-1]
-        last_measured = measured
+        self.now, target, measured = steps[-1]
         if completing:
             self._complete(st.slow_job[done])
             # release() rewrote the freed nodes' power to idle in place.
-            last_measured = float(nodes.power.sum())
+            measured = float(nodes.power.sum())
+            steps[-1] = (self.now, target, measured)
 
         if next_submit <= self.now:
             self._intake()
         self._schedule_jobs(target)
         self._cap_power(target)
 
-        trace = self._trace
-        for t, held_target in steps[:-1]:
-            trace.append((t, held_target, measured))
-        trace.append((self.now, target, last_measured))
+        self._trace.extend(steps)
         self.windows += 1
         if self.telemetry.enabled:
             self._mx_ticks.inc(len(steps))
-            self._mx_power.set(last_measured)
+            self._mx_power.set(measured)
             self._mx_target.set(target)
             self._mx_busy.set(nodes.busy_count)
             self._mx_queue.set(self._queued_count)

@@ -81,6 +81,12 @@ class JobState(enum.IntEnum):
     DONE = 2
 
 
+# Plain ints for the per-job hot path: comparing a numpy scalar with an enum
+# member makes numpy probe the enum's class for array protocols (4.9 µs a
+# comparison against 0.1 µs).
+_QUEUED, _RUNNING, _DONE = (int(s) for s in JobState)
+
+
 class NodeTable:
     """Vectorised per-node state: assignment, cap, power, variation."""
 
@@ -154,7 +160,7 @@ class JobTable:
         self.submit_time = np.zeros(self._cap, dtype=float)
         self.start_time = np.full(self._cap, np.nan, dtype=float)
         self.end_time = np.full(self._cap, np.nan, dtype=float)
-        self.state = np.full(self._cap, JobState.QUEUED, dtype=np.int64)
+        self.state = np.full(self._cap, _QUEUED, dtype=np.int64)
 
     def _grow(self) -> None:
         new_cap = self._cap + self._GROW
@@ -179,23 +185,23 @@ class JobTable:
         self.type_idx[i] = type_idx
         self.nodes[i] = nodes
         self.submit_time[i] = submit_time
-        self.state[i] = JobState.QUEUED
+        self.state[i] = _QUEUED
         self.count += 1
         return i
 
     def mark_started(self, job_index: int, now: float) -> None:
         self._check(job_index)
-        if self.state[job_index] != JobState.QUEUED:
+        if self.state[job_index] != _QUEUED:
             raise RuntimeError(f"job {job_index} is not queued")
         self.start_time[job_index] = now
-        self.state[job_index] = JobState.RUNNING
+        self.state[job_index] = _RUNNING
 
     def mark_done(self, job_index: int, now: float) -> None:
         self._check(job_index)
-        if self.state[job_index] != JobState.RUNNING:
+        if self.state[job_index] != _RUNNING:
             raise RuntimeError(f"job {job_index} is not running")
         self.end_time[job_index] = now
-        self.state[job_index] = JobState.DONE
+        self.state[job_index] = _DONE
 
     def _check(self, job_index: int) -> None:
         if not 0 <= job_index < self.count:
@@ -209,7 +215,7 @@ class JobTable:
         return view
 
     def completed_mask(self) -> np.ndarray:
-        return self.state[: self.count] == JobState.DONE
+        return self.state[: self.count] == _DONE
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of the live columns (the per-tick state dump of §5.6)."""

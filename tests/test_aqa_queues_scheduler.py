@@ -117,6 +117,33 @@ class TestWeightedScheduler:
         assert starts.count("a") == 3
         assert starts.count("b") == 1
 
+    def test_set_weights_moves_shares_and_pick_order_on_the_next_call(self):
+        """Shares and pick order are kept between calls, but only while every
+        weight and the node total they were computed for stand."""
+        qs = QueueSet([WorkQueue("a", weight=3.0), WorkQueue("b", weight=1.0)])
+        for i in range(4):
+            qs.submit(qj(f"a{i}", "a", nodes=2))
+            qs.submit(qj(f"b{i}", "b", nodes=2))
+        sched = WeightedScheduler(qs)
+        # Shares 6 / 2 of 8 nodes, a picks first.
+        first = sched.schedule(idle_nodes=8)
+        assert [j.job_id for j in first.to_start] == ["a0", "b0", "a1", "a2"]
+        sched.job_finished("a", 6)
+        sched.job_finished("b", 2)
+        qs.set_weights({"a": 1.0, "b": 3.0})
+        # Same 8 nodes: shares 2 / 6 now, and b picks first.
+        second = sched.schedule(idle_nodes=8)
+        assert [j.job_id for j in second.to_start] == ["b1", "a3", "b2", "b3"]
+
+    def test_shares_follow_the_node_total(self):
+        qs = QueueSet([WorkQueue("a", weight=1.0), WorkQueue("b", weight=1.0)])
+        for i in range(3):
+            qs.submit(qj(f"a{i}", "a", nodes=4))
+        sched = WeightedScheduler(qs)
+        assert len(sched.schedule(idle_nodes=8).to_start) == 1  # share 4 of 8
+        # 4 running + 12 idle: a's share is 8 of 16, room for one more.
+        assert [j.job_id for j in sched.schedule(idle_nodes=12).to_start] == ["a1"]
+
     def test_job_larger_than_free_nodes_waits(self):
         qs = QueueSet([WorkQueue("a", weight=1.0)])
         qs.submit(qj("a1", "a", nodes=10))

@@ -84,14 +84,11 @@ class TestConfigValidation:
             ("reliable_base_backoff", 0.0),
             ("reliable_max_backoff", -1.0),
             ("partition_attempts", 0),
-            ("audit_mismatch_tolerance", -0.2),
             ("audit_model_error", 0.0),
             ("audit_suspect_rounds", 0),
             ("audit_quarantine_rounds", -1),
             ("idle_power", -1.0),
             ("lease_ramp_seconds", -5.0),
-            ("audit_tolerance", -0.1),
-            ("audit_guardband", -2.0),
             ("lease_ttl", 0.0),
             ("safe_floor", -140.0),
             ("breaker_margin", 0.0),

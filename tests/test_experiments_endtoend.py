@@ -4,6 +4,10 @@ These run the real harnesses at reduced scale so the suite stays fast while
 still pinning the paper's qualitative results.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -202,3 +206,28 @@ class TestFig11Smoke:
 
     def test_table_renders(self, result):
         assert "QoS limit" in fig11.format_table(result)
+
+
+class TestFig11ConfidenceBand:
+    def test_mean_and_band_values(self):
+        """Pinned from the tree that imported scipy.stats at module level."""
+        data = np.array([[0.5, 1.5, 1.0, 2.0], [3.0, 5.5, 4.25, 6.0]])
+        result = fig11.Fig11Result(
+            bands=(0.0, 0.15), qos90={"bt": data, "one": data[:, :1]},
+            tracking90=np.zeros((2, 4)), qos_limit=5.0,
+        )
+        mean, half = result.mean_and_band("bt")
+        assert mean.tolist() == [1.25, 4.6875]
+        assert half.tolist() == [0.7595447825467455, 1.5818785194066423]
+        mean, half = result.mean_and_band("one")
+        assert mean.tolist() == [0.5, 3.0] and half.tolist() == [0.0, 0.0]
+
+    def test_importing_the_sweep_does_not_import_scipy(self):
+        """Only the confidence band needs ``scipy.stats`` (0.6 s, 60 MiB);
+        ``run_fig11`` and its benchmark run without it."""
+        code = (
+            "import sys, repro.experiments.fig11; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.aqa.queues import QueuedJob, QueueSet, WorkQueue
 from repro.aqa.regulation import BoundedRandomWalkSignal, TabulatedSignal
+from repro.aqa.scheduler import WeightedScheduler
 from repro.experiments.fig11 import DEFAULT_AVERAGE_POWER, DEFAULT_RESERVE
 from repro.tabsim.output import StateLogger
 from repro.tabsim.simulator import (
@@ -360,6 +362,7 @@ def final_state(sim, result):
     out["progress"] = sim.nodes.progress
     out["cap"] = sim.nodes.cap
     out["power"] = sim.nodes.power
+    out["uniform_cap"] = np.array(sim._uniform_cap, dtype=float)  # None: nan
     return out
 
 
@@ -424,7 +427,82 @@ class TestWindows:
             variation_band=0.15,
         )
         rows = sim.run(1200.0, drain=True).power_trace.shape[0]
-        assert 0 < sim.windows < 0.5 * rows
+        assert 0 < sim.windows < 0.2 * rows
+
+    def test_a_target_that_moves_every_step_ends_no_window(self):
+        """A moved target needs stage 4 alone, and gets it inside the window:
+        each row still carries its own step's target."""
+        windowed = poisson_sim(seed=11, hold=1.0)
+        stepped = poisson_sim(seed=11, hold=1.0)
+        got = final_state(windowed, windowed.run(240.0, drain=True))
+        want = final_state(stepped, run_by_steps(stepped, 240.0, drain=True))
+        for name in want:
+            assert np.array_equal(got[name], want[name], equal_nan=True), name
+        times, targets = got["power_trace"][:, 0], got["power_trace"][:, 1]
+        assert np.count_nonzero(np.diff(targets)) > 0.9 * times.size
+        assert targets.tolist() == [
+            windowed.config.target(windowed.signal(t)) for t in times
+        ]
+        assert stepped.windows == times.size
+        assert windowed.windows < 0.5 * times.size
+
+    def test_a_deferred_start_is_asked_again_on_every_step(self):
+        """Power-aware admission that defers owes the scheduler a round per
+        step — a moved target alone may admit the job — so windows stay one
+        step long exactly until the start goes through."""
+        def tight():
+            # One 4-node job fits under the low target (floor 920 W), two do
+            # not (1240 W) until the target rises at t = 13 s.
+            reqs = [JobRequest(0.0, "a", "x", 4), JobRequest(0.0, "b", "x", 4)]
+            return make_sim(
+                types=[sim_type(nodes=4)],
+                schedule=Schedule(requests=reqs, duration=10.0),
+                signal=TabulatedSignal([0.0, 13.0], [-1.0, 1.0]),
+                average_power=1150.0, reserve=150.0,
+                work_conserving=True, power_aware_admission=True,
+            )
+
+        windowed, stepped = tight(), tight()
+        windowed.run(13.0)
+        assert windowed.windows == 13  # deferring from the first step on
+        got = final_state(windowed, windowed.run(40.0))
+        assert windowed.windows == 13 + 2  # 27 more steps, nothing owed
+        assert got["start_time"].tolist() == [1.0, 13.0]
+        want = final_state(stepped, run_by_steps(stepped, 40.0, drain=False))
+        for name in want:
+            assert np.array_equal(got[name], want[name], equal_nan=True), name
+
+    @given(
+        queues=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),  # weight
+                st.integers(0, 12),  # running_nodes
+                st.lists(  # pending: (nodes, submit_time)
+                    st.tuples(st.integers(1, 8), st.integers(0, 50)), max_size=6
+                ),
+            ),
+            min_size=1, max_size=5,
+        ),
+        idle=st.integers(0, 40),
+        work_conserving=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_scheduler_round_is_a_fixed_point(self, queues, idle, work_conserving):
+        """What lets ``_schedule_jobs`` skip the round after one that started
+        jobs: asked again with the nodes it left idle, ``schedule`` starts
+        nothing."""
+        qs = QueueSet(
+            WorkQueue(f"q{i}", weight=w, running_nodes=r)
+            for i, (w, r, _) in enumerate(queues)
+        )
+        for i, (_, _, pending) in enumerate(queues):
+            for k, (nodes, submit) in enumerate(pending):
+                qs.submit(QueuedJob(f"q{i}-{k}", f"q{i}", nodes, float(submit)))
+        scheduler = WeightedScheduler(qs, work_conserving=work_conserving)
+        first = scheduler.schedule(idle)
+        again = scheduler.schedule(first.idle_nodes_after)
+        assert again.to_start == []
+        assert again.idle_nodes_after == first.idle_nodes_after
 
     def test_a_held_target_still_ends_windows(self):
         """Under a flat signal nothing external ends a window; its length
