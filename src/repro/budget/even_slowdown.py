@@ -31,6 +31,7 @@ class EvenSlowdownBudgeter(PowerBudgeter):
         self.tol = float(tol)
 
     def _caps_at(self, jobs: Sequence[JobBudgetRequest], s: float) -> dict[str, float]:
+        """The rule per job, nothing hoisted: the reference ``allocate`` is tested against."""
         caps: dict[str, float] = {}
         for j in jobs:
             t_fast = j.model.time_per_epoch(j.p_max)

@@ -182,6 +182,8 @@ class ClusterPowerManager:
                 "dead_job_timeout must be ≥ stale_status_timeout, got "
                 f"{self.dead_job_timeout} < {self.stale_status_timeout}"
             )
+        if self.safe_floor is not None and self.safe_floor <= 0:
+            raise ValueError(f"safe_floor must be positive, got {self.safe_floor}")
         if not isinstance(self.target_source, HoldLastGoodTarget):
             self.target_source = HoldLastGoodTarget(
                 self.target_source,

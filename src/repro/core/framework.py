@@ -93,7 +93,6 @@ class AnorConfig:
     # Message-drop probability of every job link on a healthy network (fault
     # windows degrade ``AnorSystem.link_conditions``, never this).
     link_drop_probability: float = 0.0
-    idle_power: float = 60.0
     feedback_enabled: bool = True
     retrain_threshold: int = 10
     perf_variation_std: float = 0.0
@@ -102,11 +101,9 @@ class AnorConfig:
     # a trace CSV (one row per agent control period) and an Application
     # Totals report on completion (§5.4).
     output_dir: str | None = None
-    # Fault tolerance: manager-side heartbeat timeouts and automatic endpoint
-    # restart (the watchdog that brings a crashed job-tier process back;
-    # None disables it).
-    stale_status_timeout: float = 15.0
-    dead_job_timeout: float = 60.0
+    # Fault tolerance: automatic endpoint restart (the watchdog that brings a
+    # crashed job-tier process back; None disables it).  The manager-side
+    # heartbeat timeouts are ``ClusterPowerManager``'s own.
     endpoint_restart_delay: float | None = 30.0
     # Head-node crash recovery (DESIGN.md §4d): when ``checkpoint_dir`` is
     # set, cluster-tier state is checkpointed there every
@@ -129,11 +126,9 @@ class AnorConfig:
     # off by default: with every knob at its default the control plane is
     # bit-identical to the pre-lease implementation (golden traces pin it).
     # ``lease_ttl`` arms the cap-lease dead-man switch at both the endpoint
-    # and agent tiers; ``safe_floor`` is the emergency cap leaseless nodes
-    # decay toward (p_min when unset).
+    # and agent tiers; leaseless nodes decay toward p_min.
     lease_ttl: float | None = None
     lease_ramp_seconds: float = 30.0
-    safe_floor: float | None = None
     # Ack/retry reliability for the cap-dispatch and model-report paths
     # (backoffs and the partition threshold: ``ReliableLink`` defaults).
     reliable_messaging: bool = False
@@ -192,8 +187,6 @@ class AnorConfig:
             "manager_period": self.manager_period,
             "checkpoint_period": self.checkpoint_period,
             "recovery_timeout": self.recovery_timeout,
-            "stale_status_timeout": self.stale_status_timeout,
-            "dead_job_timeout": self.dead_job_timeout,
             "telemetry_ring_size": self.telemetry_ring_size,
             "plan_horizon_rounds": self.plan_horizon_rounds,
             "plan_error_bound_watts": self.plan_error_bound_watts,
@@ -204,7 +197,6 @@ class AnorConfig:
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         non_negative = {
-            "idle_power": self.idle_power,
             "lease_ramp_seconds": self.lease_ramp_seconds,
             "plan_hysteresis_watts": self.plan_hysteresis_watts,
             "plan_shadow_rounds": self.plan_shadow_rounds,
@@ -215,7 +207,6 @@ class AnorConfig:
         # Optional knobs: None disables, anything else must be meaningful.
         optional_positive = {
             "lease_ttl": self.lease_ttl,
-            "safe_floor": self.safe_floor,
             "breaker_margin": self.breaker_margin,
             "endpoint_restart_delay": self.endpoint_restart_delay,
             "shed_nominal_watts": self.shed_nominal_watts,
@@ -239,12 +230,6 @@ class AnorConfig:
                     f"shed_classes[{claimed!r}] must be one of {SHED_CLASSES}, "
                     f"got {cls!r}"
                 )
-        # Ordering inversion: a ceiling configured below the value it caps.
-        if self.dead_job_timeout < self.stale_status_timeout:
-            raise ValueError(
-                "dead_job_timeout must be ≥ stale_status_timeout, got "
-                f"{self.dead_job_timeout} < {self.stale_status_timeout}"
-            )
 
 
 @dataclass
@@ -381,7 +366,6 @@ class AnorSystem:
         self.cluster = EmulatedCluster(
             self.config.num_nodes,
             seed=self._rng,
-            idle_power=self.config.idle_power,
             perf_variation_std=self.config.perf_variation_std,
             run_noise=self.config.run_noise,
         )
@@ -402,7 +386,6 @@ class AnorSystem:
         self._pending = sorted(
             self.schedule.requests, key=lambda r: (r.submit_time, r.job_id)
         )
-        self._submit_times: dict[str, float] = {}
         self._trace: list[tuple[float, float, float]] = []
         self._tracers: dict[str, JobTracer] = {}
         if self.config.output_dir is not None:
@@ -452,7 +435,6 @@ class AnorSystem:
                 job_meter=self._job_meter,
                 p_node_min=P_NODE_MIN,
                 p_node_max=P_NODE_MAX,
-                idle_power=cfg.idle_power,
                 telemetry=self.telemetry,
             )
         planner = None
@@ -494,15 +476,11 @@ class AnorSystem:
             target_source=self.target_source,
             classifier=self.classifier,
             total_nodes=self.config.num_nodes,
-            idle_power_estimate=self.config.idle_power,
             meter=lambda: self.cluster.measured_power,
             use_feedback=self.config.feedback_enabled,
             p_node_min=P_NODE_MIN,
             p_node_max=P_NODE_MAX,
-            stale_status_timeout=self.config.stale_status_timeout,
-            dead_job_timeout=self.config.dead_job_timeout,
             lease_ttl=cfg.lease_ttl,
-            safe_floor=cfg.safe_floor,
             breaker=breaker,
             auditor=auditor,
             journal=self.durable.journal if self.durable is not None else None,
@@ -647,7 +625,6 @@ class AnorSystem:
         queued = _QueuedJob(
             request=req, job_type=jt, claimed_type=claimed_type or type_name
         )
-        self._submit_times[job_id] = self.cluster.clock.now
         self._enqueue(queued)
         self._journal(
             "job-admit", self.cluster.clock.now, kind="manual", spec=self._spec_dict(queued)
@@ -658,18 +635,17 @@ class AnorSystem:
             req = self._pending.pop(0)
             jt = self.job_types[req.type_name].with_nodes(req.nodes)
             queued = _QueuedJob(request=req, job_type=jt, claimed_type=req.type_name)
-            self._submit_times[req.job_id] = req.submit_time
             self._enqueue(queued)
             self._journal("job-admit", now, kind="queue", spec=self._spec_dict(queued))
 
     def _enqueue(self, queued: _QueuedJob) -> None:
-        """Queue a job (first submission or requeue).  Its submit time and
-        attempt count must be on record: its scheduler view freezes them."""
+        """Queue a job (first submission or requeue).  Its attempt count must
+        be on record: its scheduler view freezes it."""
         job_id = queued.request.job_id
         queued.pending = PendingJob(
             job_id=job_id,
             nodes=queued.job_type.nodes,
-            submit_time=self._submit_times[job_id],
+            submit_time=queued.request.submit_time,
             est_runtime=queued.est_runtime,
             attempt=self._attempts.get(job_id, 1),
         )
@@ -711,7 +687,7 @@ class AnorSystem:
         job = self.cluster.start_job(
             head.request.job_id,
             head.job_type,
-            submit_time=self._submit_times[head.request.job_id],
+            submit_time=head.request.submit_time,
         )
         self._job_specs[head.request.job_id] = head
         head.running = RunningView(
@@ -793,7 +769,6 @@ class AnorSystem:
             warm_r2=warm_r2,
             lease_ttl=cfg.lease_ttl,
             lease_ramp_seconds=cfg.lease_ramp_seconds,
-            safe_floor=cfg.safe_floor,
             telemetry=self.telemetry,
         )
 
@@ -1075,8 +1050,6 @@ class AnorSystem:
         self._running_view = {
             job_id: dict(spec) for job_id, spec in state["running"].items()
         }
-        for spec in (*state["queue"], *state["running"].values()):
-            self._submit_times[spec["job_id"]] = float(spec["submit_time"])
         self._attempts = {k: int(v) for k, v in state["attempts"].items()}
         self.requeued = list(state["requeued"])
         self._queue = []
@@ -1110,14 +1083,10 @@ class AnorSystem:
                 f"t={now:.1f}: job {job_id} completed during the head-node outage"
             )
             return
-        spec = None
-        if spec_state is not None:
-            spec = self._spec_from_dict(spec_state)
-            self._submit_times.setdefault(job_id, spec.request.submit_time)
         self._requeue_or_drop(
             job_id,
             now,
-            spec,
+            self._spec_from_dict(spec_state) if spec_state is not None else None,
             self.recovery_log,
             f"job {job_id} died during the head-node outage; requeued",
             f"job {job_id} died during the head-node outage (not requeued)",

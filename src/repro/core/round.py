@@ -60,9 +60,10 @@ class BudgetRound:
     :meth:`ClusterPowerManager.step` makes one, threads it through the
     manager's stage list (DESIGN.md §4h) and publishes it as ``last_round``.
     Afterwards it is the round's accounting (observability + invariant
-    tests): ``idle_power + reserved + allocated`` is the manager's planned
-    cluster draw; it never exceeds ``max(target + correction, floor)`` where
-    ``floor`` is the platform's enforceable minimum for the same occupancy.
+    tests): ``planned`` (idle + reserved + allocated) is the manager's planned
+    cluster draw; it never exceeds ``ceiling``, which is the corrected target,
+    or ``floor`` — the platform's enforceable minimum for the same occupancy —
+    where the target falls below it.
     """
 
     time: float
@@ -120,6 +121,11 @@ class BudgetRound:
     @property
     def planned(self) -> float:
         return self.idle_power + self.reserved + self.allocated
+
+    @property
+    def ceiling(self) -> float:
+        """What ``planned`` may not exceed."""
+        return max(self.target + self.correction, self.floor)
 
     stale_jobs = property(lambda self: len(self.stale))
     dormant_jobs = property(lambda self: len(self.dormant))

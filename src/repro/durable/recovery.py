@@ -32,22 +32,6 @@ class RecoveredJob:
     last_cap: float | None = None
     caps_sent: int = 0
 
-    def to_state(self) -> dict:
-        """JSON-serialisable form (inverse of :func:`recovered_jobs_from_state`)."""
-        return {
-            "claimed_type": self.claimed_type,
-            "nodes": self.nodes,
-            "believed_p_max": self.believed_p_max,
-            "online": (
-                None
-                if self.online_model is None
-                else [self.online_model.a, self.online_model.b, self.online_model.c]
-            ),
-            "online_r2": self.online_r2,
-            "last_cap": self.last_cap,
-            "caps_sent": self.caps_sent,
-        }
-
 
 def recovered_jobs_from_state(
     jobs_state: dict, *, p_node_min: float

@@ -28,7 +28,9 @@ __all__ = ["capture_state", "empty_state", "apply_journal"]
 
 
 def _job_entry(record) -> dict:
-    """JSON form of one manager :class:`JobRecord`."""
+    """JSON form of one manager :class:`JobRecord`, or of the
+    :class:`~repro.durable.recovery.RecoveredJob` that stands in for one
+    until it re-HELLOs (``recovered_jobs_from_state`` is the inverse)."""
     model = record.online_model
     return {
         "claimed_type": record.claimed_type,
@@ -51,7 +53,7 @@ def capture_state(system: "AnorSystem", now: float) -> dict:
     # still liabilities the budgeter reserves power for; a second crash must
     # not forget them.
     for job_id, rec in mgr.recovered_items():
-        jobs_state.setdefault(job_id, rec.to_state())
+        jobs_state.setdefault(job_id, _job_entry(rec))
     return {
         "now": float(now),
         "pending_index": len(system.schedule.requests) - len(system._pending),

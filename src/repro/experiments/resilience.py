@@ -186,12 +186,11 @@ def _drive(system: AnorSystem, scenario: Scenario, max_time: float) -> ArmRun:
         rnd = mgr.last_round if mgr is not None else None
         if rnd is not None and rnd.time != last_time:
             last_time = rnd.time
-            ceiling = max(rnd.target + rnd.correction, rnd.floor)
             extra = sample(system) if sample is not None else ()
-            rows.append((rnd.time, ceiling, rnd.planned, *extra))
+            rows.append((rnd.time, rnd.ceiling, rnd.planned, *extra))
     result = system.run(0.0)
     if scenario.settle:
-        for _ in range(int(system.config.dead_job_timeout) + 10):
+        for _ in range(int(system.manager.dead_job_timeout) + 10):
             system.step()
     return ArmRun(result, np.asarray(rows) if rows else np.empty((0, 3)), system)
 

@@ -46,9 +46,27 @@ from repro.geopm.agent import AgentPolicy
 from repro.modeling.quadratic import QuadraticPowerModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.framework import AnorSystem
+    from repro.core.framework import AnorSystem, LinkConditions
 
 __all__ = ["FaultInjector"]
+
+
+#: Facility incidents that scale the feed to ``1 - magnitude``.
+_FEED_INCIDENTS = (FeederLoss, ThermalDerate, DemandResponseEmergency)
+#: The faults that open a window: what the log calls each, and the parameters
+#: its start line carries ahead of the duration.
+_WINDOWS = {
+    MeterOutage: ("meter-outage", ""),
+    TargetOutage: ("target-outage", ""),
+    FeederLoss: ("feeder-loss", "magnitude={0.magnitude:.2f} "),
+    ThermalDerate: ("thermal-derate", "magnitude={0.magnitude:.2f} "),
+    DemandResponseEmergency: ("demand-response", "magnitude={0.magnitude:.2f} "),
+    LinkDegradation: (
+        "link-degrade",
+        "drop={0.drop_probability:.3f} extra_latency={0.extra_latency:.3f} ",
+    ),
+    NetworkPartition: ("partition", ""),
+}
 
 
 class _SwitchableTarget(PowerTargetSource):
@@ -83,7 +101,14 @@ class FaultInjector:
         # deterministic when two windows close on the same tick.
         self._resolutions: list[tuple[float, int, str, Callable[[], None]]] = []
         self._seq = 0
-        self._meter_down = False
+        # Every open window, in the order they opened: key -> (scope, event),
+        # scope the one link a job-scoped window holds (None: cluster-wide).
+        # The meter, the target feed, ``system.link_conditions`` and every
+        # live link are functions of this table alone (``_sync``), so windows
+        # that overlap compose and the last one to close leaves nothing behind.
+        self._open: dict[int, tuple[object, FaultEvent]] = {}
+        self._meter_dark = False
+        self._healthy_net = replace(system.link_conditions)
         # Jobs currently carrying a rogue-endpoint fault (byzantine model,
         # stuck actuator, meter drift): auto-targeted rogue events skip
         # them so a storm spreads across distinct victims.
@@ -92,10 +117,6 @@ class FaultInjector:
         # job-targeted fault each job took, for drills and invariants that
         # ask "was this job ever a victim?" without parsing ``log``.
         self.victims: dict[str, tuple[str, float, float | None]] = {}
-        # Open facility-incident windows: key -> feed factor.  Concurrent
-        # incidents compose multiplicatively via _sync_feed_scale.
-        self._feed_factors: dict[tuple[str, int], float] = {}
-        self._feed_seq = 0
         self._install_meter_hook()
         self._target_switch = self._install_target_hook()
 
@@ -107,7 +128,7 @@ class FaultInjector:
             return
 
         def metered() -> float:
-            return math.nan if self._meter_down else float(inner())
+            return math.nan if self._meter_dark else float(inner())
 
         self.system.manager.meter = metered
 
@@ -123,16 +144,13 @@ class FaultInjector:
         """Re-hook a freshly built manager (head-node restart path).
 
         The meter and target hooks wrap objects owned by the manager, so a
-        new manager needs new hooks; fault *state* (meter down, target down,
-        open windows) lives in the injector and carries across — an outage
-        window spanning the head-node restart keeps the restarted head
-        degraded until the window closes.
+        new manager needs new hooks; the open windows live in the injector
+        and carry across — an outage window spanning the head-node restart
+        keeps the restarted head degraded until the window closes.
         """
         self._install_meter_hook()
-        switch = self._install_target_hook()
-        switch.down = self._target_switch.down
-        switch.scale = self._target_switch.scale
-        self._target_switch = switch
+        self._target_switch = self._install_target_hook()
+        self._sync()
 
     def _record(self, now: float, line: str) -> None:
         self.log.append(f"t={now:10.1f} {line}")
@@ -153,6 +171,87 @@ class FaultInjector:
     def _defer(self, at: float, line: str, action: Callable[[], None]) -> None:
         self._resolutions.append((at, self._seq, line, action))
         self._seq += 1
+
+    # ------------------------------------------------------------- windows
+
+    def _fire_window(self, event: FaultEvent, now: float) -> None:
+        """Put ``event`` on the table of open windows for its duration.
+
+        A degradation or partition is cluster-wide — every live link and,
+        through ``system.link_conditions``, every link dialled while it is
+        open (reconnect attempts during the outage included) — or job-scoped,
+        holding the one link the job has now.
+        """
+        label, detail = _WINDOWS[type(event)]
+        scope, who = None, ""
+        if isinstance(event, (LinkDegradation, NetworkPartition)):
+            who = " scope=all"
+            if event.job_id is not None:
+                endpoint = self.system.endpoints.get(event.job_id)
+                if endpoint is None:
+                    self._record(
+                        now, f"{label} job={event.job_id} skipped (no live endpoint)"
+                    )
+                    return
+                scope, who = endpoint.link, f" job={event.job_id}"
+        key = self._seq
+        self._open[key] = (scope, event)
+        self._sync()
+        self._record(
+            now,
+            f"{label} start{who} {detail.format(event)}duration={event.duration:.1f}",
+        )
+
+        def close() -> None:
+            del self._open[key]
+            self._sync(scope)
+
+        self._defer(now + event.duration, f"{label} end{who}", close)
+
+    def _link_state(self, link: object = None) -> LinkConditions:
+        """What the open windows make of a healthy link: the cluster-wide
+        ones, and for ``link`` the job-scoped ones holding it too.  The latest
+        degradation sets the loss, extra latencies add, and any partition
+        blackholes."""
+        net = replace(self._healthy_net)
+        for scope, event in self._open.values():
+            if scope is not None and scope is not link:
+                continue
+            if isinstance(event, LinkDegradation):
+                net.drop_probability = event.drop_probability
+                net.latency_up += event.extra_latency
+                net.latency_down += event.extra_latency
+            elif isinstance(event, NetworkPartition):
+                net.partitioned = True
+        return net
+
+    def _sync(self, released: object = None) -> None:
+        """Re-derive everything a window can touch from the open windows:
+        dark while any outage is open, concurrent facility incidents
+        multiplying (two 30 % losses leave 49 % of the feed), what a link
+        dialled now is born with, and every live link — plus the link a
+        job-scoped window just ``released``, live or not (a link replaced
+        mid-window still draws from the shared RNG while it is lossy)."""
+        events = [event for _, event in self._open.values()]
+        self._meter_dark = any(isinstance(e, MeterOutage) for e in events)
+        self._target_switch.down = any(isinstance(e, TargetOutage) for e in events)
+        scale = 1.0
+        for event in events:
+            if isinstance(event, _FEED_INCIDENTS):
+                scale *= 1.0 - event.magnitude
+        self._target_switch.scale = scale
+        self.system.link_conditions = self._link_state()
+        links = [endpoint.link for endpoint in self.system.endpoints.values()]
+        if released is not None:
+            links.append(released)
+        for link in links:
+            net = self._link_state(link)
+            for channel, latency in (
+                (link.up, net.latency_up), (link.down, net.latency_down)
+            ):
+                channel.drop_probability = net.drop_probability
+                channel.latency = latency
+                channel.partitioned = net.partitioned
 
     # ------------------------------------------------------------- driving
 
@@ -208,18 +307,8 @@ class FaultInjector:
             self._fire_head_restart(now)
         elif isinstance(event, EndpointCrash):
             self._fire_endpoint_crash(event, now)
-        elif isinstance(event, LinkDegradation):
-            self._fire_link_degradation(event, now)
-        elif isinstance(event, MeterOutage):
-            self._meter_down = True
-            self._record(now, f"meter-outage start duration={event.duration:.1f}")
-            self._defer(now + event.duration, "meter-outage end", self._meter_up)
-        elif isinstance(event, TargetOutage):
-            self._target_switch.down = True
-            self._record(now, f"target-outage start duration={event.duration:.1f}")
-            self._defer(now + event.duration, "target-outage end", self._target_up)
-        elif isinstance(event, NetworkPartition):
-            self._fire_partition(event, now)
+        elif type(event) in _WINDOWS:
+            self._fire_window(event, now)
         elif isinstance(event, (PartitionStart, PartitionEnd)):
             # Observational records emitted by the reliable-messaging layer;
             # scheduling one is a category error, not a silent no-op.
@@ -235,52 +324,8 @@ class FaultInjector:
             self._fire_stuck_actuator(event, now)
         elif isinstance(event, MeterDrift):
             self._fire_meter_drift(event, now)
-        elif isinstance(event, FeederLoss):
-            self._fire_feed_reduction("feeder-loss", event.magnitude,
-                                      event.duration, now)
-        elif isinstance(event, ThermalDerate):
-            self._fire_feed_reduction("thermal-derate", event.magnitude,
-                                      event.duration, now)
-        elif isinstance(event, DemandResponseEmergency):
-            self._fire_feed_reduction("demand-response", event.magnitude,
-                                      event.duration, now)
         else:  # pragma: no cover - exhaustive over the vocabulary
             raise TypeError(f"unknown fault event {event!r}")
-
-    def _meter_up(self) -> None:
-        self._meter_down = False
-
-    def _target_up(self) -> None:
-        self._target_switch.down = False
-
-    # ----------------------------------------------- facility feed incidents
-
-    def _fire_feed_reduction(self, label: str, magnitude: float,
-                             duration: float, now: float) -> None:
-        """Open a facility-incident window scaling the feed to (1 - magnitude).
-
-        Concurrent windows compose multiplicatively (two 30 % losses leave
-        49 % of the feed); each closes independently after its duration.
-        """
-        key = (label, self._feed_seq)
-        self._feed_seq += 1
-        self._feed_factors[key] = 1.0 - magnitude
-        self._sync_feed_scale()
-        self._record(
-            now, f"{label} start magnitude={magnitude:.2f} duration={duration:.1f}"
-        )
-
-        def restore() -> None:
-            self._feed_factors.pop(key, None)
-            self._sync_feed_scale()
-
-        self._defer(now + duration, f"{label} end", restore)
-
-    def _sync_feed_scale(self) -> None:
-        scale = 1.0
-        for factor in self._feed_factors.values():
-            scale *= factor
-        self._target_switch.scale = scale
 
     def _fire_node_crash(self, event: NodeCrash, now: float) -> None:
         cluster = self.system.cluster
@@ -359,107 +404,6 @@ class FaultInjector:
         self.system.crash_endpoint(job_id, now)
         self._record(now, f"endpoint-crash job={job_id}")
         self._record_victim(now, "endpoint-crash", job_id)
-
-    def _fire_link_degradation(self, event: LinkDegradation, now: float) -> None:
-        system = self.system
-        # What a link dialled now is born with — and what the window closing
-        # puts back, on the links it touched and (cluster-wide) on the record.
-        net = system.link_conditions
-        saved = (net.drop_probability, net.latency_up, net.latency_down)
-        if event.job_id is None:
-            net.drop_probability = event.drop_probability
-            if event.extra_latency > 0:
-                net.latency_up += event.extra_latency
-                net.latency_down += event.extra_latency
-            for endpoint in system.endpoints.values():
-                self._degrade_link(endpoint.link, event)
-            self._record(
-                now,
-                f"link-degrade start scope=all drop={event.drop_probability:.3f} "
-                f"extra_latency={event.extra_latency:.3f} duration={event.duration:.1f}",
-            )
-
-            def restore() -> None:
-                net.drop_probability, net.latency_up, net.latency_down = saved
-                for endpoint in system.endpoints.values():
-                    self._restore_link(endpoint.link, saved)
-
-            self._defer(now + event.duration, "link-degrade end scope=all", restore)
-            return
-        endpoint = system.endpoints.get(event.job_id)
-        if endpoint is None:
-            self._record(
-                now, f"link-degrade job={event.job_id} skipped (no live endpoint)"
-            )
-            return
-        link = endpoint.link
-        self._degrade_link(link, event)
-        self._record(
-            now,
-            f"link-degrade start job={event.job_id} "
-            f"drop={event.drop_probability:.3f} "
-            f"extra_latency={event.extra_latency:.3f} duration={event.duration:.1f}",
-        )
-        self._defer(
-            now + event.duration,
-            f"link-degrade end job={event.job_id}",
-            lambda: self._restore_link(link, saved),
-        )
-
-    def _fire_partition(self, event: NetworkPartition, now: float) -> None:
-        system = self.system
-        if event.job_id is None:
-            # Cluster-wide cut: every live link blackholes, and links created
-            # while the window is open are born partitioned (the record
-            # covers reconnect attempts during the outage).
-            system.link_conditions.partitioned = True
-            for endpoint in system.endpoints.values():
-                self._set_partitioned(endpoint.link, True)
-            self._record(
-                now, f"partition start scope=all duration={event.duration:.1f}"
-            )
-
-            def heal() -> None:
-                system.link_conditions.partitioned = False
-                for endpoint in system.endpoints.values():
-                    self._set_partitioned(endpoint.link, False)
-
-            self._defer(now + event.duration, "partition end scope=all", heal)
-            return
-        endpoint = system.endpoints.get(event.job_id)
-        if endpoint is None:
-            self._record(
-                now, f"partition job={event.job_id} skipped (no live endpoint)"
-            )
-            return
-        link = endpoint.link
-        self._set_partitioned(link, True)
-        self._record(
-            now, f"partition start job={event.job_id} duration={event.duration:.1f}"
-        )
-        self._defer(
-            now + event.duration,
-            f"partition end job={event.job_id}",
-            lambda: self._set_partitioned(link, False),
-        )
-
-    def _set_partitioned(self, link, value: bool) -> None:
-        link.up.partitioned = value
-        link.down.partitioned = value
-
-    def _degrade_link(self, link, event: LinkDegradation) -> None:
-        link.up.drop_probability = event.drop_probability
-        link.down.drop_probability = event.drop_probability
-        if event.extra_latency > 0:
-            link.up.latency += event.extra_latency
-            link.down.latency += event.extra_latency
-
-    def _restore_link(self, link, saved: tuple) -> None:
-        drop, lat_up, lat_down = saved
-        link.up.drop_probability = drop
-        link.down.drop_probability = drop
-        link.up.latency = lat_up
-        link.down.latency = lat_down
 
     def _fire_corrupt_status(self, event: CorruptStatus, now: float) -> None:
         job_id = self._pick_job(event.job_id, now)

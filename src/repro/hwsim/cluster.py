@@ -51,6 +51,8 @@ class EmulatedCluster:
     ) -> None:
         if num_nodes < 1:
             raise ValueError(f"cluster needs ≥ 1 node, got {num_nodes}")
+        if idle_power < 0:
+            raise ValueError(f"idle_power must be ≥ 0, got {idle_power}")
         self.clock = clock if clock is not None else SimClock()
         rng = ensure_rng(seed)
         node_rngs = spawn_rng(rng, num_nodes)

@@ -51,8 +51,7 @@ def assert_round_conserves(system, seen: set) -> None:
     if round_ is None or round_.time in seen:
         return
     seen.add(round_.time)
-    planned = round_.idle_power + round_.reserved + round_.allocated
-    ceiling = max(round_.target + round_.correction, round_.floor)
+    planned, ceiling = round_.planned, round_.ceiling
     # 0.1 W slack: the even-slowdown water-fill solves caps numerically, so
     # sums carry sub-milliwatt float noise (same slack the soak monitor uses).
     assert planned <= ceiling + 0.1, (

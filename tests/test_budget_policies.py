@@ -168,6 +168,77 @@ class TestEvenSlowdown:
             assert a2.caps[j.job_id] >= a1.caps[j.job_id] - 1e-6
 
 
+@st.composite
+def job_mixes(draw):
+    """1–5 jobs on 1–8 nodes each, with NAS truth curves (one model object
+    per type, so two jobs of a type share it) and ``from_anchors`` models
+    (an object each) over two cap ranges, and a budget from below the floor
+    (every job at ``p_min``) to above the ceiling (every job at ``p_max``)."""
+    jobs = []
+    for i in range(draw(st.integers(1, 5))):
+        nodes = draw(st.integers(1, 8))
+        if draw(st.booleans()):
+            model, p_max = NAS_TYPES[draw(st.sampled_from(sorted(NAS_TYPES)))].truth, 280.0
+        else:
+            p_max = draw(st.sampled_from([240.0, 280.0]))
+            model = QuadraticPowerModel.from_anchors(
+                draw(st.floats(0.5, 4.0)), draw(st.floats(1.0, 2.5)), 140.0, p_max
+            )
+        jobs.append(
+            JobBudgetRequest(
+                job_id=f"j{i}", nodes=nodes, model=model, p_min=140.0, p_max=p_max
+            )
+        )
+    floor = sum(j.p_min * j.nodes for j in jobs)
+    ceiling = sum(j.p_max * j.nodes for j in jobs)
+    return jobs, floor + draw(st.floats(-0.2, 1.2)) * (ceiling - floor)
+
+
+class TestDifferential:
+    """``allocate`` against references that share none of its shortcuts:
+    ``EvenSlowdownBudgeter._caps_at``, the per-job form of the paper's
+    ``p_j = P_j(s · T_j(p_max))`` with nothing hoisted, grouped or memoised,
+    and even-power's closed form (paper §4.4.3: one ``s``, one ``γ``)."""
+
+    @given(job_mixes())
+    @settings(max_examples=25, deadline=None)
+    def test_even_slowdown_is_the_reference_at_its_own_s(self, mix):
+        jobs, budget = mix
+        budgeter = EvenSlowdownBudgeter()
+        alloc = budgeter.allocate(jobs, budget)
+        s = alloc.meta["slowdown"]
+
+        def total(at):
+            caps = budgeter._caps_at(jobs, at)
+            return sum(caps[j.job_id] * j.nodes for j in jobs)
+
+        assert alloc.caps == budgeter._caps_at(jobs, s)
+        if budget >= sum(j.p_min * j.nodes for j in jobs):
+            # The root lies within ``tol`` of ``s``, so the overshoot is at
+            # most what ``tol`` more slowdown would take back.
+            assert total(s) <= budget + (total(s) - total(s + budgeter.tol)) + 1e-9
+        # Brute force: no slowdown smaller by more than the bisection
+        # tolerance both fits the budget and hands out more power.
+        for at in np.linspace(1.0, s, 10_000):
+            if at < s - budgeter.tol:
+                assert not total(s) < total(at) <= budget, (at, s)
+
+    @given(job_mixes())
+    @settings(max_examples=50)
+    def test_even_power_is_its_closed_form(self, mix):
+        jobs, budget = mix
+        alloc = EvenPowerBudgeter().allocate(jobs, budget)
+        floor = sum(j.p_min * j.nodes for j in jobs)
+        span = sum((j.p_max - j.p_min) * j.nodes for j in jobs)
+        gamma = min(max((budget - floor) / span, 0.0), 1.0)
+        assert alloc.meta["gamma"] == pytest.approx(gamma)
+        for j in jobs:
+            used = (alloc.caps[j.job_id] - j.p_min) / (j.p_max - j.p_min)
+            assert used == pytest.approx(gamma, abs=1e-12)
+        if 0.0 < gamma < 1.0:
+            assert alloc.total_power(jobs) == pytest.approx(budget)
+
+
 class TestUniform:
     def test_same_cap_everywhere(self):
         alloc = UniformCapBudgeter().allocate(JOBS, 1000.0)

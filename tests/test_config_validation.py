@@ -1,31 +1,32 @@
 """Range validation: bad knobs fail loudly, naming the knob.
 
 Most knobs are :class:`AnorConfig` fields.  The tuning parameters of the
-auditor and the reliable link are constructor parameters of those classes
-only — ``AnorConfig`` switches the subsystem on and forwards none of its
-tuning, since no run ever set it — so their rows check the owning
-constructor, which is where a bad value would be caught.  (The breaker's are
-checked where that class is tested: ``test_partition_safety.py``.)
+auditor, the reliable link, the manager's heartbeat timeouts and safe floor
+and the plant's idle power are constructor parameters of those classes only —
+``AnorConfig`` switches a subsystem on and forwards none of its tuning, since
+no run ever set it — so their rows check the owning constructor, which is
+where a bad value would be caught.  (The breaker's are checked where that
+class is tested: ``test_partition_safety.py``.)
 """
 
 import ast
 import dataclasses
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from repro.budget.even_slowdown import EvenSlowdownBudgeter
 from repro.core.audit import CapComplianceAuditor
-from repro.core.framework import AnorConfig
+from repro.core.cluster_manager import ClusterPowerManager
+from repro.core.framework import AnorConfig, precharacterized_models
 from repro.core.reliable import ReliableLink
+from repro.core.targets import ConstantTarget
 from repro.core.transport import TcpLink
+from repro.hwsim.cluster import EmulatedCluster
+from repro.modeling.classifier import JobClassifier
 
 FIELDS = {f.name for f in dataclasses.fields(AnorConfig)}
-
-#: Fields ``test_every_field_is_set_by_some_run`` found unset beyond the 18 it
-#: was written to delete.  They stay for now only because their five
-#: validation ids in this file sit under the test floor (ROADMAP
-#: housekeeping); this set only shrinks.
-NEVER_SET = {"dead_job_timeout", "idle_power", "safe_floor", "stale_status_timeout"}
 
 
 def _config_keys_passed(tree: ast.Module):
@@ -52,6 +53,16 @@ def _reliable_link(**kw):
     return ReliableLink(TcpLink(), "cluster", **kw)
 
 
+def _manager(**kw):
+    return ClusterPowerManager(
+        budgeter=EvenSlowdownBudgeter(),
+        target_source=ConstantTarget(840.0),
+        classifier=JobClassifier(precharacterized_models()),
+        total_nodes=4,
+        **kw,
+    )
+
+
 #: Row-id prefix -> constructor of the subsystem that owns the knob; the rest
 #: of the id is the constructor parameter.
 SUBSYSTEMS = {
@@ -59,8 +70,12 @@ SUBSYSTEMS = {
         job_meter=None, p_node_min=140.0, p_node_max=280.0, **kw
     ),
     "reliable": _reliable_link,
-    # The one parameter that carries its prefix in its own name.
-    "partition": lambda attempts: _reliable_link(partition_attempts=attempts),
+    # Parameters with no subsystem prefix to strip: keyed by their whole name.
+    "partition_attempts": _reliable_link,
+    "stale_status_timeout": _manager,
+    "dead_job_timeout": _manager,
+    "safe_floor": _manager,
+    "idle_power": partial(EmulatedCluster, 4),
 }
 
 
@@ -84,9 +99,6 @@ class TestConfigValidation:
             ("reliable_base_backoff", 0.0),
             ("reliable_max_backoff", -1.0),
             ("partition_attempts", 0),
-            ("audit_model_error", 0.0),
-            ("audit_suspect_rounds", 0),
-            ("audit_quarantine_rounds", -1),
             ("idle_power", -1.0),
             ("lease_ramp_seconds", -5.0),
             ("lease_ttl", 0.0),
@@ -100,18 +112,20 @@ class TestConfigValidation:
         ],
     )
     def test_bad_value_names_the_field(self, field, value):
+        subsystem, _, knob = field.partition("_")
         if field in FIELDS:
-            with pytest.raises(ValueError, match=field):
-                AnorConfig(**{field: value})
+            construct, knob = AnorConfig, field
+        elif field in SUBSYSTEMS:
+            construct, knob = SUBSYSTEMS[field], field
         else:
-            subsystem, _, knob = field.partition("_")
-            with pytest.raises(ValueError, match=knob):
-                SUBSYSTEMS[subsystem](**{knob: value})
+            construct = SUBSYSTEMS[subsystem]
+        with pytest.raises(ValueError, match=knob):
+            construct(**{knob: value})
 
     def test_config_forwards_no_subsystem_tuning(self):
-        """The knob count only falls: 40 fields, and the subsystem tuning
+        """The knob count only falls: 36 fields, and the subsystem tuning
         parameters are not among them."""
-        assert len(FIELDS) == 40
+        assert len(FIELDS) == 36
         with pytest.raises(TypeError, match="audit_window"):
             AnorConfig(audit_window=10.0)
 
@@ -132,16 +146,10 @@ class TestConfigValidation:
                 ]
                 passed.update(_config_keys_passed(tree))
         unset = FIELDS - passed
-        assert unset == NEVER_SET, (
-            f"AnorConfig fields no run sets — delete them: {sorted(unset - NEVER_SET)}; "
-            f"set now — drop from NEVER_SET: {sorted(NEVER_SET - unset)}"
-        )
+        assert not unset, f"AnorConfig fields no run sets — delete them: {sorted(unset)}"
 
     def test_optional_none_disables_without_error(self):
-        AnorConfig(
-            lease_ttl=None, safe_floor=None, breaker_margin=None,
-            endpoint_restart_delay=None,
-        )
+        AnorConfig(lease_ttl=None, breaker_margin=None, endpoint_restart_delay=None)
 
     def test_backoff_ordering_inversion_rejected(self):
         with pytest.raises(ValueError, match="max_backoff"):
@@ -149,4 +157,4 @@ class TestConfigValidation:
 
     def test_timeout_ordering_inversion_rejected(self):
         with pytest.raises(ValueError, match="dead_job_timeout"):
-            AnorConfig(stale_status_timeout=60.0, dead_job_timeout=30.0)
+            _manager(stale_status_timeout=60.0, dead_job_timeout=30.0)

@@ -293,12 +293,11 @@ class TestBudgetSumProperty:
             manager.step(float(t))
             rnd = manager.last_round
             assert rnd is not None
-            planned = rnd.idle_power + rnd.reserved + rnd.allocated
             # 0.5 W of slack: the budgeter's bisection converges to a
             # tolerance, not to machine epsilon.
-            bound = max(rnd.target + rnd.correction, rnd.floor) + 0.5
-            assert planned <= bound, (
-                f"t={t}: planned {planned:.1f} exceeds bound {bound:.1f} "
+            bound = rnd.ceiling + 0.5
+            assert rnd.planned <= bound, (
+                f"t={t}: planned {rnd.planned:.1f} exceeds bound {bound:.1f} "
                 f"({rnd})"
             )
 

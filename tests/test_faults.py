@@ -36,6 +36,27 @@ def make_system(schedule=None, *, num_nodes=4, seed=0, target=840.0, **cfg):
     )
 
 
+def step_to(system, at):
+    while system.cluster.clock.now < at:
+        system.step()
+
+
+def restart_head(system):
+    """Crash and restart the head: a fresh manager for the injector to
+    re-hook, and every live endpoint re-dials."""
+    system.crash_head_node()
+    system.step()
+    system.restart_head_node()
+
+
+def conditions(link):
+    """The distinct ``(loss, latency, partitioned)`` of a link's two channels."""
+    return {
+        (channel.drop_probability, channel.latency, channel.partitioned)
+        for channel in (link.up, link.down)
+    }
+
+
 class TestEvents:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -221,32 +242,124 @@ class TestInjectorLink:
         def dial(at, job_id):
             """Submit at ``at``, restart the head (every live endpoint
             re-dials), and hand back both kinds of fresh link."""
-            while system.cluster.clock.now < at:
-                system.step()
+            step_to(system, at)
             system.submit_now(job_id, job_id.split("-")[0])
             system.step()
             old = system.endpoints["bt-0"].link
-            system.crash_head_node()
-            system.step()
-            system.restart_head_node()
+            restart_head(system)
             assert system.endpoints["bt-0"].link is not old
             return system.endpoints[job_id].link, system.endpoints["bt-0"].link
 
-        def conditions(link):
-            for channel in (link.up, link.down):
-                yield channel.drop_probability, channel.latency, channel.partitioned
-
         system.submit_now("bt-0", "bt")
         for link in dial(10.0, "lu-1"):  # inside the degradation window
-            assert set(conditions(link)) == {(0.3, 0.5, False)}
+            assert conditions(link) == {(0.3, 0.5, False)}
         for link in dial(50.0, "cg-2"):  # between the windows
-            assert set(conditions(link)) == {(0.0, 0.0, False)}
+            assert conditions(link) == {(0.0, 0.0, False)}
         for link in dial(65.0, "mg-3"):  # inside the partition window
-            assert set(conditions(link)) == {(0.0, 0.0, True)}
+            assert conditions(link) == {(0.0, 0.0, True)}
         for link in dial(105.0, "is-4"):  # after both
-            assert set(conditions(link)) == {(0.0, 0.0, False)}
+            assert conditions(link) == {(0.0, 0.0, False)}
         assert system.link_conditions == LinkConditions(0.0)
         assert dataclasses.asdict(system.config) == before
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_overlapping_cluster_wide_bursts_compose(self, restart):
+        """Degraded through the union of the two windows — the latest burst's
+        loss, the extra latencies added — and healthy after the second close,
+        with a head restart inside the overlap or without."""
+        sched = FaultSchedule([
+            LinkDegradation(
+                time=5.0, duration=20.0, drop_probability=0.2, extra_latency=0.25
+            ),
+            LinkDegradation(
+                time=15.0, duration=20.0, drop_probability=0.3, extra_latency=0.5
+            ),
+        ])
+        system = make_system(sched, num_nodes=6)
+        system.submit_now("bt-0", "bt")
+
+        def live():
+            return {c for e in system.endpoints.values() for c in conditions(e.link)}
+
+        step_to(system, 10.0)
+        assert live() == {(0.2, 0.25, False)}
+        step_to(system, 20.0)
+        if restart:
+            restart_head(system)
+        assert live() == {(0.3, 0.75, False)}
+        assert system.link_conditions == LinkConditions(0.3, 0.75, 0.75)
+        step_to(system, 28.0)  # the first window closed at 25: the second stands
+        system.submit_now("sp-1", "sp")
+        system.step()
+        assert conditions(system.endpoints["sp-1"].link) == {(0.3, 0.5, False)}
+        assert live() == {(0.3, 0.5, False)}
+        step_to(system, 40.0)
+        assert live() == {(0.0, 0.0, False)}
+        assert system.link_conditions == LinkConditions(0.0)
+        assert system.faults.quiescent
+
+    def test_job_scoped_window_outlives_the_cluster_wide_one_around_it(self):
+        """Opened on the link a head restart inside the cluster-wide window
+        dialled; the job's link stays degraded when that window closes and
+        ends healthy, the other links heal with the cluster."""
+        sched = FaultSchedule([
+            LinkDegradation(time=5.0, duration=15.0, drop_probability=0.3),
+            LinkDegradation(
+                time=12.0, duration=20.0, drop_probability=0.4, job_id="bt-0"
+            ),
+        ])
+        system = make_system(sched, num_nodes=6)
+        system.submit_now("bt-0", "bt")
+        system.submit_now("sp-1", "sp")
+        step_to(system, 8.0)
+        restart_head(system)
+        step_to(system, 15.0)
+        assert conditions(system.endpoints["bt-0"].link) == {(0.4, 0.0, False)}
+        assert conditions(system.endpoints["sp-1"].link) == {(0.3, 0.0, False)}
+        step_to(system, 25.0)  # cluster-wide window closed at 20
+        assert conditions(system.endpoints["bt-0"].link) == {(0.4, 0.0, False)}
+        assert conditions(system.endpoints["sp-1"].link) == {(0.0, 0.0, False)}
+        assert system.link_conditions == LinkConditions(0.0)
+        step_to(system, 35.0)
+        assert conditions(system.endpoints["bt-0"].link) == {(0.0, 0.0, False)}
+
+    @pytest.mark.parametrize(
+        "fault, dark",
+        [
+            (MeterOutage, lambda s: math.isnan(s.manager.meter())),
+            (
+                TargetOutage,
+                lambda s: math.isnan(
+                    s.manager.target_source.inner.target(s.cluster.clock.now)
+                ),
+            ),
+            (
+                NetworkPartition,
+                lambda s: s.link_conditions.partitioned
+                and all(p for e in s.endpoints.values() for *_, p in conditions(e.link)),
+            ),
+        ],
+        ids=["meter", "target", "partition"],
+    )
+    def test_overlapping_outages_stay_dark_until_the_last_closes(self, fault, dark):
+        sched = FaultSchedule([
+            fault(time=5.0, duration=20.0), fault(time=15.0, duration=20.0)
+        ])
+        system = make_system(sched)
+        system.submit_now("bt-0", "bt")
+        dark_at = []
+        while system.cluster.clock.now < 45.0:
+            crash = system.cluster.clock.now == 20.0  # inside the overlap
+            if crash:
+                system.crash_head_node()
+            system.step()
+            if crash:
+                system.restart_head_node()
+            if dark(system):
+                dark_at.append(system.cluster.clock.now)
+        # The union [5, 35), every tick of it, and nothing after.
+        assert dark_at == [float(t) for t in range(5, 35)]
+        assert system.faults.quiescent
 
 
 class TestInjectorCrashes:
@@ -275,9 +388,8 @@ class TestInjectorCrashes:
 
     def test_endpoint_crash_without_watchdog_leads_to_eviction(self):
         sched = FaultSchedule([EndpointCrash(time=30.0, job_id="bt-0")])
-        system = make_system(
-            sched, num_nodes=2, endpoint_restart_delay=None, dead_job_timeout=40.0
-        )
+        system = make_system(sched, num_nodes=2, endpoint_restart_delay=None)
+        system.manager.dead_job_timeout = 40.0
         system.submit_now("bt-0", "bt")
         for _ in range(90):
             system.step()

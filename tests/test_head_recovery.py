@@ -69,12 +69,7 @@ def drive_collecting_rounds(system, *, max_time=6000.0):
         rnd = mgr.last_round if mgr is not None else None
         if rnd is not None and rnd.time != last:
             last = rnd.time
-            rows.append(
-                (
-                    max(rnd.target + rnd.correction, rnd.floor),
-                    rnd.idle_power + rnd.reserved + rnd.allocated,
-                )
-            )
+            rows.append((rnd.ceiling, rnd.planned))
     return system.run(0.0), rows
 
 

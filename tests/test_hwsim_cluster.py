@@ -412,8 +412,8 @@ class TestValidationBeforeStateMoves:
     """Bad input raises before any stream or column has moved."""
 
     @staticmethod
-    def _running(**kwargs) -> EmulatedCluster:
-        cluster = EmulatedCluster(3, seed=4, **kwargs)
+    def _running() -> EmulatedCluster:
+        cluster = EmulatedCluster(3, seed=4)
         cluster.start_job("j", short_type("bt", nodes=2, epochs=50, tau=1.0))
         return cluster
 
@@ -468,7 +468,9 @@ class TestValidationBeforeStateMoves:
     @pytest.mark.parametrize("ticks", [1, 4])
     def test_negative_energy_rejected(self, ticks):
         # An idle node asked to draw negative watts: no tick may deposit it.
-        cluster = self._running(idle_power=-5.0)
+        # (The constructor refuses a negative idle power, so poke the array.)
+        cluster = self._running()
+        cluster.idle_watts[:] = -5.0
         before = self._state(cluster)
         with pytest.raises(ValueError, match="negative energy"):
             cluster.advance_stride(cluster.clock.tick_times(ticks, 1.0), 1.0)

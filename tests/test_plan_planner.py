@@ -286,10 +286,7 @@ class TestSystemIntegration:
             system.step()
             rnd = system.manager.last_round
             if rnd is not None and (not rows or rows[-1][0] != rnd.time):
-                ceiling = max(rnd.target + rnd.correction, rnd.floor)
-                rows.append(
-                    (rnd.time, ceiling, rnd.idle_power + rnd.reserved + rnd.allocated)
-                )
+                rows.append((rnd.time, rnd.ceiling, rnd.planned))
         assert rows, "no budget rounds sampled"
         overs = [r for r in rows if r[2] > r[1] + 0.1]
         assert not overs

@@ -86,10 +86,7 @@ def test_planned_draw_never_exceeds_ceiling_for_any_forecast_bias(
         system.step()
         rnd = system.manager.last_round
         if rnd is not None and (not rows or rows[-1][0] != rnd.time):
-            ceiling = max(rnd.target + rnd.correction, rnd.floor)
-            rows.append(
-                (rnd.time, ceiling, rnd.idle_power + rnd.reserved + rnd.allocated)
-            )
+            rows.append((rnd.time, rnd.ceiling, rnd.planned))
     assert rows, "no budget rounds sampled"
     overs = [(t, c, p) for t, c, p in rows if p > c + 0.1]
     assert not overs, f"planned draw exceeded ceiling: {overs[:3]}"
