@@ -256,13 +256,6 @@ class CapComplianceAuditor:
         audit = self._jobs.get(job_id)
         return audit.state if audit is not None else TRUSTED
 
-    def is_quarantined(self, job_id: str) -> bool:
-        return self.state(job_id) == QUARANTINED
-
-    def distrusts_model(self, job_id: str) -> bool:
-        """True when budgeting must ignore the job's self-reported model."""
-        return self.state(job_id) in _DISTRUSTED
-
     # ---------------------------------------------------------- round update
 
     def audit_stage(self, rnd: "BudgetRound") -> None:

@@ -37,7 +37,7 @@ from repro.core.round import BudgetRound, JobRecord
 from repro.core.targets import HoldLastGoodTarget, PowerTargetSource
 from repro.core.transport import TcpLink
 from repro.durable.journal import Journal
-from repro.durable.recovery import RecoveredJob, recovered_jobs_from_state
+from repro.durable.state import RecoveredJob
 from repro.facility.breaker import PowerBreaker
 from repro.facility.shed import ShedController
 from repro.modeling.classifier import JobClassifier
@@ -563,33 +563,6 @@ class ClusterPowerManager:
             f"recovery mode: {len(recovered)} job(s) to reconcile, "
             f"deadline t={self._recovery_deadline:.1f}",
         )
-
-    def restore_from_state(
-        self,
-        manager_state: dict,
-        target_hold: dict,
-        *,
-        now: float,
-        recovery_timeout: float,
-    ) -> None:
-        """Rebuild learned/accounting state from a checkpoint+journal baseline.
-
-        Called on a freshly constructed manager during a supervised head-node
-        restart: the integral correction, incident counters, hold-last-good
-        target state, and per-job records come back; the jobs themselves
-        enter recovery mode until they re-HELLO.
-        """
-        self._correction = float(manager_state.get("correction", 0.0))
-        counters = manager_state.get("counters", {})
-        self.evictions = int(counters.get("evictions", 0))
-        self.rejected_statuses = int(counters.get("rejected_statuses", 0))
-        self.rejected_models = int(counters.get("rejected_models", 0))
-        self.meter_faults = int(counters.get("meter_faults", 0))
-        self.target_source.restore_state(target_hold)
-        recovered = recovered_jobs_from_state(
-            manager_state.get("jobs", {}), p_node_min=self.p_node_min
-        )
-        self.begin_recovery(now, recovered, recovery_timeout)
 
     @property
     def in_recovery(self) -> bool:

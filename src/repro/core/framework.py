@@ -31,8 +31,8 @@ from repro.core.job_endpoint import JobTierEndpoint
 from repro.core.reliable import ReliableLink
 from repro.core.targets import ConstantTarget, PowerTargetSource
 from repro.core.transport import LinkLedger, TcpLink
-from repro.durable.checkpoint import CheckpointError
-from repro.durable.state import apply_journal, capture_state, empty_state
+from repro.durable.recovery import crash_head, reconcile_orphan, restart_head
+from repro.durable.state import capture_state
 from repro.durable.store import DurableStore
 from repro.facility.breaker import PowerBreaker
 from repro.facility.shed import SHED_CLASSES, ShedController, ShedLadder
@@ -371,11 +371,9 @@ class AnorSystem:
         )
         # The durable store exists before the manager: a manager's round is
         # built once, around the journal it is constructed with.
-        self.durable: DurableStore | None = None
-        self._checkpoint_gate: PeriodicGate | None = None
-        if cfg.checkpoint_dir is not None:
-            self.durable = DurableStore(cfg.checkpoint_dir)
-            self._checkpoint_gate = PeriodicGate(cfg.checkpoint_period)
+        self.durable: DurableStore | None = (
+            DurableStore(cfg.checkpoint_dir) if cfg.checkpoint_dir is not None else None
+        )
         self.manager: ClusterPowerManager | None = self._build_manager()
         self.endpoints: dict[str, JobTierEndpoint] = {}
         self._queue: list[_QueuedJob] = []
@@ -395,6 +393,7 @@ class AnorSystem:
         self._agent_gate = PeriodicGate(self.config.agent_period)
         self._endpoint_gate = PeriodicGate(self.config.endpoint_period)
         self._manager_gate = PeriodicGate(self.config.manager_period)
+        self._checkpoint_gate = PeriodicGate(cfg.checkpoint_period)
         # Fault-tolerance state: what each launched job looked like (for
         # requeue after a node crash), per-job attempt counts, endpoint
         # restarts pending, and run-level incident records.
@@ -408,13 +407,61 @@ class AnorSystem:
         # distinct from the emulator's ground truth) and run-level recovery
         # observability.
         self._running_view: dict[str, dict] = {}
-        self._head_down = False
         self.head_crashes = 0
         self.recovery_log: list[str] = []
         self.orphaned: list[str] = []
-        self.faults = (
-            FaultInjector(self, fault_schedule) if fault_schedule is not None else None
-        )
+        # The injector outlives every head crash, so its entry is not part of
+        # the list a crash or restart rebuilds.
+        self.faults: FaultInjector | None = None
+        self._fault_tick = []
+        if fault_schedule is not None:
+            self.faults = FaultInjector(self, fault_schedule)
+            self._fault_tick.append((self._inject_faults, lambda: (self.faults.next_due,)))
+        self._build_tick()
+
+    def _build_tick(self) -> None:
+        """(Re)build the control half of a tick (DESIGN.md §4i), at boot and
+        at every head crash and restart; nothing else decides what runs.
+
+        An entry is ``(stage, wakes)``: a bound method taking ``now``, beside
+        what says when it can next act — ``wakes()`` yields its gates and the
+        instants guarding its ``time <= now`` checks, which is all
+        :meth:`_build_calendar` registers.  A stage whose feature is off, or
+        whose owner (the head node) is down, is absent.  The manager budgets
+        first, then endpoints translate budgets into GEOPM policies, then
+        agents apply them — so a decision reaches the MSRs within one tick
+        plus link latency, as in a deployment where each hop is a few ms.
+        """
+        cfg = self.config
+        head = self.manager is not None
+        self._tick = [entry for entry in (
+            head and (self._intake, lambda: [r.submit_time for r in self._pending[:1]]),
+            # The watchdog is node-local, but a restarted endpoint's first act
+            # is registering with the head node: due restarts wait for it.
+            head and (
+                self._restart_endpoints,
+                lambda: [due for due, _ in self._endpoint_restarts],
+            ),
+            # Only with the resilience knobs: by default an evicted endpoint
+            # stays dark, as it always has (every golden trace pins it).
+            head and (cfg.lease_ttl is not None or cfg.reliable_messaging) and (
+                self._reconnect_closed,
+                lambda: [
+                    self._reconnect_at.get(job_id, 0.0)
+                    for job_id, endpoint in self.endpoints.items()
+                    if endpoint.link.closed
+                ],
+            ),
+            # No instant of its own: a launch becomes possible only when the
+            # queue or the cluster changes (``_queue_blocks_stride``).
+            head and (self._start_ready, tuple),
+            head and (self._manager_round, self._manager_wakes),
+            head and self.durable is not None and (
+                self._checkpoint, lambda: (self._checkpoint_gate,)
+            ),
+            (self._step_endpoints, lambda: (self._endpoint_gate,)),
+            (self._step_agents, lambda: (self._agent_gate,)),
+        ) if entry]
 
     def _build_manager(self) -> ClusterPowerManager:
         """Construct a cluster-tier manager (initial boot and head restarts)."""
@@ -654,9 +701,7 @@ class AnorSystem:
 
     def _start_ready(self, now: float) -> None:
         """Start queued jobs according to the configured scheduler."""
-        if not self._queue:
-            return
-        if self.manager.admission_held:
+        if not self._queue or self.manager.admission_held:
             return
         chosen = self.scheduler.select(*self._scheduler_view(now))
         if not chosen:
@@ -718,8 +763,9 @@ class AnorSystem:
         link.down.partitioned = link.up.partitioned = net.partitioned
         return link
 
-    def _link_pair(self):
-        """One raw link, as the pair of handles the two tiers will hold.
+    def _dial(self):
+        """One fresh raw link, registered with the manager; returns the
+        handle the job tier holds.
 
         Without reliable messaging both tiers share the raw :class:`TcpLink`
         (the pre-existing code path, bit-identical).  With it, each tier
@@ -727,7 +773,8 @@ class AnorSystem:
         """
         raw = self._make_link()
         if not self.config.reliable_messaging:
-            return raw, raw
+            self.manager.register_link(raw)
+            return raw
         self._link_serial += 1
         manager_side = ReliableLink(
             raw, "cluster", seed=self._rng,
@@ -738,7 +785,8 @@ class AnorSystem:
             name=f"link{self._link_serial}:up", telemetry=self.telemetry,
         )
         self._reliable_links.extend((manager_side, endpoint_side))
-        return manager_side, endpoint_side
+        self.manager.register_link(manager_side)
+        return endpoint_side
 
     def _attach_endpoint(
         self,
@@ -750,14 +798,12 @@ class AnorSystem:
     ) -> None:
         """Connect a (possibly fresh) job-tier endpoint for a running job."""
         cfg = self.config
-        manager_side, endpoint_side = self._link_pair()
-        self.manager.register_link(manager_side)
         self.endpoints[job.job_id] = JobTierEndpoint(
             job_id=job.job_id,
             claimed_type=claimed_type,
             nodes=job.job_type.nodes,
             geopm_endpoint=job.endpoint,
-            link=endpoint_side,
+            link=self._dial(),
             p_min=P_NODE_MIN,
             p_max=P_NODE_MAX,
             default_model=QuadraticPowerModel.from_anchors(
@@ -787,7 +833,7 @@ class AnorSystem:
         if killed is None:
             return None
         self._detach_endpoint(killed)
-        if self._head_down:
+        if self.manager is None:
             # No head node to notice, requeue, or journal anything: the job
             # just dies.  Post-restart reconciliation finds it missing (no
             # re-HELLO) and requeues it from the checkpointed spec.
@@ -871,7 +917,7 @@ class AnorSystem:
         actions, self.manager.enforcement = self.manager.enforcement, []
         for action, job_id in actions:
             if action == "orphan":
-                self._reconcile_orphan(job_id, now)
+                reconcile_orphan(self, job_id, now)
             else:
                 self._shed_job(job_id, action, now)
 
@@ -928,23 +974,9 @@ class AnorSystem:
         :meth:`restart_head_node` reconnects them.  What comes back at
         restart depends entirely on the durable store.
         """
-        if self._head_down:
+        if self.manager is None:
             return False
-        if now is None:
-            now = self.cluster.clock.now
-        self._head_down = True
-        self.head_crashes += 1
-        # Every connection to the dead head is gone: close them so that
-        # endpoints shouting into the void show up as counted drops, not
-        # silently vanished mail.  (The loss RNG draw precedes the closed
-        # check in LatencyChannel.send, so seeded runs are unchanged.)
-        for link in self.manager._links:
-            link.close("head-crash")
-        self.manager = None
-        if self.durable is not None:
-            self.durable.close()
-            self.durable = None
-        self._report("head-crash", now, self.recovery_log, "head node crashed")
+        crash_head(self, self.cluster.clock.now if now is None else now)
         return True
 
     def restart_head_node(self, now: float | None = None) -> bool:
@@ -958,154 +990,18 @@ class AnorSystem:
         version, or a failed checksum all degrade to a *cold start* with an
         incident record — never a guess at partial state.
         """
-        if not self._head_down:
+        if self.manager is not None:
             return False
-        if now is None:
-            now = self.cluster.clock.now
-        cfg = self.config
-        state: dict | None = None
-        if cfg.checkpoint_dir is not None:
-            self.durable = DurableStore(cfg.checkpoint_dir)
-            try:
-                payload, replay = self.durable.load()
-                base = payload["state"] if payload is not None else empty_state()
-                state = apply_journal(base, replay.records)
-                if replay.dropped_tail:
-                    self._report(
-                        "journal-tail-dropped",
-                        now,
-                        self.recovery_log,
-                        f"journal tail dropped "
-                        f"({replay.dropped_tail} corrupt/truncated record(s))",
-                        records=replay.dropped_tail,
-                    )
-            except CheckpointError as exc:
-                self._report(
-                    "checkpoint-rejected",
-                    now,
-                    self.recovery_log,
-                    f"checkpoint rejected ({exc}); cold start",
-                    error=str(exc),
-                )
-                self.warnings.append(self.recovery_log[-1])
-                state = None
-        self.manager = self._build_manager()
-        if self.faults is not None:
-            self.faults.reattach()
-        if state is not None:
-            self._restore_system_state(state)
-            self.manager.restore_from_state(
-                state["manager"],
-                state["target_hold"],
-                now=now,
-                recovery_timeout=cfg.recovery_timeout,
-            )
-            anchor, fires = state["gates"]["manager"]
-            self._manager_gate.restore(anchor, fires)
-            if self._checkpoint_gate is not None:
-                anchor, fires = state["gates"]["checkpoint"]
-                self._checkpoint_gate.restore(anchor, fires)
-            recovered = len(state["manager"]["jobs"])
-            self._report(
-                "head-restart",
-                now,
-                self.recovery_log,
-                f"head node restarted warm "
-                f"({recovered} job(s) recovered from checkpoint+journal)",
-                incident=False,
-                mode="warm",
-                recovered_jobs=recovered,
-            )
-        else:
-            # Cold start: the in-memory queue/running-view stand in for the
-            # schedule and resource-manager state the head re-reads from
-            # files (§4.1); everything *learned* — models, correction,
-            # budget accounting — is gone.  The manager still runs a
-            # recovery window so reconnecting jobs are not mistaken for
-            # never-seen ones in the logs, and a fresh gate re-anchors the
-            # control grid at the restart instant.
-            self._manager_gate = PeriodicGate(cfg.manager_period)
-            self.manager.begin_recovery(now, {}, cfg.recovery_timeout)
-            self._report(
-                "head-restart-cold",
-                now,
-                self.recovery_log,
-                "head node restarted cold (no usable checkpoint)",
-            )
-        # Every surviving endpoint reconnects over a fresh link and re-HELLOs
-        # on its next control period (deterministic order).
-        for job_id in sorted(self.endpoints):
-            manager_side, endpoint_side = self._link_pair()
-            self.manager.register_link(manager_side)
-            self.endpoints[job_id].reconnect(endpoint_side)
-        self._head_down = False
+        restart_head(self, self.cluster.clock.now if now is None else now)
         return True
-
-    def _restore_system_state(self, state: dict) -> None:
-        """Re-install the scheduler-side slice of a recovered checkpoint."""
-        ordered = sorted(
-            self.schedule.requests, key=lambda r: (r.submit_time, r.job_id)
-        )
-        self._pending = ordered[int(state["pending_index"]):]
-        self._running_view = {
-            job_id: dict(spec) for job_id, spec in state["running"].items()
-        }
-        self._attempts = {k: int(v) for k, v in state["attempts"].items()}
-        self.requeued = list(state["requeued"])
-        self._queue = []
-        for spec in state["queue"]:
-            self._enqueue(self._spec_from_dict(spec))
-
-    def _reconcile_orphan(self, job_id: str, now: float) -> None:
-        """Reconcile a job the recovery window closed on without a re-HELLO.
-
-        Three deterministic cases: the job is still running (endpoint died
-        in the outage — leave it to the watchdog), it completed during the
-        outage (nothing to do), or it died with its node (requeue it from
-        the checkpointed spec, like any node-crash kill).
-        """
-        self.orphaned.append(job_id)
-        if job_id in self.cluster.running:
-            self.recovery_log.append(
-                f"t={now:.1f}: job {job_id} silent past the recovery window "
-                f"but still running; awaiting endpoint watchdog"
-            )
-            if (
-                job_id not in self.endpoints
-                and self.config.endpoint_restart_delay is not None
-                and all(r[1] != job_id for r in self._endpoint_restarts)
-            ):
-                self._endpoint_restarts.append((now, job_id))
-            return
-        spec_state = self._running_view.pop(job_id, None)
-        if any(t.job_id == job_id for t in self.cluster.completed):
-            self.recovery_log.append(
-                f"t={now:.1f}: job {job_id} completed during the head-node outage"
-            )
-            return
-        self._requeue_or_drop(
-            job_id,
-            now,
-            self._spec_from_dict(spec_state) if spec_state is not None else None,
-            self.recovery_log,
-            f"job {job_id} died during the head-node outage; requeued",
-            f"job {job_id} died during the head-node outage (not requeued)",
-            drop_kind=None,
-        )
 
     def _reconnect_closed(self, now: float) -> None:
         """Re-dial links the manager closed on a still-alive endpoint.
 
         A partition longer than ``dead_job_timeout`` gets the job evicted
         and its link closed; when the network heals, the endpoint must
-        re-HELLO over a fresh link or it stays degraded forever.  Gated on
-        the new resilience knobs so the long-standing behaviour (evicted
-        endpoints stay dark) — and with it every golden trace — is
-        untouched in default configurations.
+        re-HELLO over a fresh link or it stays degraded forever.
         """
-        cfg = self.config
-        if cfg.lease_ttl is None and not cfg.reliable_messaging:
-            return
         for job_id in sorted(self.endpoints):
             endpoint = self.endpoints[job_id]
             if not endpoint.link.closed:
@@ -1113,20 +1009,13 @@ class AnorSystem:
             if now < self._reconnect_at.get(job_id, 0.0):
                 continue
             self._reconnect_at[job_id] = now + RECONNECT_BACKOFF
-            manager_side, endpoint_side = self._link_pair()
-            self.manager.register_link(manager_side)
-            endpoint.reconnect(endpoint_side)
+            endpoint.reconnect(self._dial())
             self._report(
                 "link-redial", now, self.warnings,
                 f"job {job_id} re-dialled its closed link", job_id=job_id,
             )
 
     def _restart_endpoints(self, now: float) -> None:
-        if self._head_down:
-            # The watchdog is node-local, but a restarted endpoint's first
-            # act is registering with the head node — hold due restarts until
-            # the head is back (the watchdog just keeps retrying its connect).
-            return
         due = [r for r in self._endpoint_restarts if r[0] <= now]
         if not due:
             return
@@ -1151,12 +1040,7 @@ class AnorSystem:
                     reason=reason,
                 )
                 continue
-            spec = self._job_specs.get(job_id)
-            claimed = (
-                spec.claimed_type or spec.job_type.name
-                if spec is not None
-                else job.job_type.name
-            )
+            spec = self._job_specs[job_id]  # on record since its launch
             # Warm restart: hand back the last model the cluster tier
             # validated for this job (live record or checkpoint-recovered),
             # so the fresh endpoint does not re-fit from zero.
@@ -1164,7 +1048,10 @@ class AnorSystem:
             known = self.manager.jobs.get(job_id) or self.manager.recovered_job(job_id)
             if known is not None and known.online_model is not None:
                 warm_model, warm_r2 = known.online_model, known.online_r2
-            self._attach_endpoint(job, claimed, warm_model=warm_model, warm_r2=warm_r2)
+            self._attach_endpoint(
+                job, spec.claimed_type or spec.job_type.name,
+                warm_model=warm_model, warm_r2=warm_r2,
+            )
             self._report(
                 "endpoint-restart",
                 now,
@@ -1174,6 +1061,51 @@ class AnorSystem:
                 job_id=job_id,
                 warm=warm_model is not None,
             )
+
+    # ---------------------------------------------------------- tick stages
+
+    def _inject_faults(self, now: float) -> None:
+        self.faults.tick(now)
+
+    def _manager_round(self, now: float) -> None:
+        """Poll the gate first (grid bookkeeping), then consume any plan
+        instants due this tick: when an active plan knows the target steps
+        *between* gate firings, the manager budgets at the step instant
+        *instead of* the next grid round — the gate re-anchors onto the
+        breakpoint so rounds stay one-per-period rather than doubling.
+        Planner off ⇒ the extra check is a constant False and the cadence is
+        exactly the gate's."""
+        manager_due = self._manager_gate.due(now)
+        if self.manager.plan_instant_due(now) and not manager_due:
+            self._manager_gate.restore(now, 1)
+            manager_due = True
+        if manager_due:
+            self.manager.step(now)
+            self._enforce(now)
+
+    def _manager_wakes(self) -> tuple:
+        instant = self.manager.next_plan_instant()
+        return (self._manager_gate,) if instant is None else (self._manager_gate, instant)
+
+    def _checkpoint(self, now: float) -> None:
+        if self._checkpoint_gate.due(now):
+            self.durable.save_checkpoint({"state": capture_state(self, now)})
+            if self.telemetry.enabled:
+                self._mx_checkpoints.inc()
+                self.telemetry.event("checkpoint", now)
+
+    def _step_endpoints(self, now: float) -> None:
+        if self._endpoint_gate.due(now):
+            for endpoint in self.endpoints.values():
+                endpoint.step(now)
+
+    def _step_agents(self, now: float) -> None:
+        if self._agent_gate.due(now):
+            for job in self.cluster.running.values():
+                sample = job.agents.step(now)
+                tracer = self._tracers.get(job.job_id)
+                if tracer is not None:
+                    tracer.record(sample)
 
     # -------------------------------------------------------------- running
 
@@ -1199,52 +1131,13 @@ class AnorSystem:
         """
         cfg = self.config
         clock = self.cluster.clock
-        clock.advance(cfg.tick)
-        now = clock.now
-        if self.faults is not None:
-            self.faults.tick(now)
-        if not self._head_down:
-            self._intake(now)
-            self._restart_endpoints(now)
-            self._reconnect_closed(now)
-            self._start_ready(now)
-        # Control-plane order within a tick: the manager budgets first, then
-        # endpoints translate budgets into GEOPM policies, then agents apply
-        # them — so a decision reaches the MSRs within one tick plus link
-        # latency, matching a real deployment where each hop is a few ms.
-        if not self._head_down:
-            # Poll the gate first (grid bookkeeping), then consume any plan
-            # instants due this tick: when an active plan knows the target
-            # steps *between* gate firings, the manager budgets at the step
-            # instant *instead of* the next grid round — the gate re-anchors
-            # onto the breakpoint so rounds stay one-per-period rather than
-            # doubling.  Planner off ⇒ the extra check is a constant False
-            # and the cadence is exactly the gate's.
-            manager_due = self._manager_gate.due(now)
-            if self.manager.plan_instant_due(now) and not manager_due:
-                self._manager_gate.restore(now, 1)
-                manager_due = True
-            if manager_due:
-                self.manager.step(now)
-                self._enforce(now)
-        if (
-            not self._head_down
-            and self.durable is not None
-            and self._checkpoint_gate.due(now)
-        ):
-            self.durable.save_checkpoint({"state": capture_state(self, now)})
-            if self.telemetry.enabled:
-                self._mx_checkpoints.inc()
-                self.telemetry.event("checkpoint", now)
-        if self._endpoint_gate.due(now):
-            for endpoint in self.endpoints.values():
-                endpoint.step(now)
-        if self._agent_gate.due(now):
-            for job in self.cluster.running.values():
-                sample = job.agents.step(now)
-                tracer = self._tracers.get(job.job_id)
-                if tracer is not None:
-                    tracer.record(sample)
+        now = clock.advance(cfg.tick)
+        for stage, _ in self._fault_tick:
+            stage(now)
+        # Read only now: a head crash or restart the injector fired at this
+        # tick has already rebuilt the list.
+        for stage, _ in self._tick:
+            stage(now)
         free = self._free_ticks(now, limits) if limits is not None else ()
         if len(free):
             times = np.concatenate(([now], free))
@@ -1269,18 +1162,17 @@ class AnorSystem:
         self._finish_completed(times[-1])
 
     def _finish_completed(self, now: float) -> None:
-        """Close the endpoints of jobs that left the cluster this tick."""
-        # Completed jobs: close their endpoints so the manager forgets them.
+        """Close the endpoints of jobs that left the cluster this tick, so
+        the manager forgets them."""
         done_ids = [jid for jid in self.endpoints if jid not in self.cluster.running]
         for jid in done_ids:
             self.endpoints[jid].close(now)
             # Flush the goodbye promptly so budgets stop counting this job.
             self.endpoints.pop(jid)
-            if not self._head_down:
-                # Head-side bookkeeping; with the head down, post-restart
-                # reconciliation discovers the completion instead.
-                if self._running_view.pop(jid, None) is not None:
-                    self._journal("job-evict", now, kind="complete", job_id=jid)
+            # Head-side bookkeeping; with the head down, post-restart
+            # reconciliation discovers the completion instead.
+            if self.manager is not None and self._running_view.pop(jid, None) is not None:
+                self._journal("job-evict", now, kind="complete", job_id=jid)
             tracer = self._tracers.pop(jid, None)
             if tracer is not None:
                 tracer.close()
@@ -1302,61 +1194,40 @@ class AnorSystem:
 
     # ------------------------------------------------- event-calendar stepping
     #
-    # Stride safety (DESIGN.md §7): :meth:`_advance` runs the control plane
-    # for the due tick first, then hands physics that tick plus the free
-    # ticks after it.  Across those every per-tick input to the physics is
-    # constant, because *all* time-dependent control behaviour is quantized
-    # to the event sources the calendar registers — message delivery and
-    # retransmit pumping only execute inside endpoint / manager / agent steps
-    # (gates); cap writes only happen in agent steps; lease decay and ramps
-    # are evaluated inside endpoint/agent steps; fault firings and window
-    # resolutions are `time <= now` checks (instants); intake/restarts/
-    # reconnects are `time <= now` checks under a live head; and scheduler
-    # decisions can only change when cluster state changes, which itself only
-    # happens at events or job completions (which truncate the window inside
-    # the hardware emulator — at the due tick itself, if one lands there).
+    # Stride safety (DESIGN.md §7): every stage of the tick acts only when one
+    # of its own ``wakes`` fires, and the calendar registers exactly those, so
+    # across the free ticks after a due tick every input to the physics is
+    # constant.  A job completion, the one change no stage makes, truncates
+    # the window inside the hardware emulator (at the due tick itself, if it
+    # lands there), and it is the only thing that can change a scheduler
+    # decision mid-window.
 
     #: Upper bound on ticks per window: keeps the per-window numpy arrays
     #: small enough to stay cache-friendly without limiting throughput.
     _MAX_STRIDE = 1024
 
     def _build_calendar(self) -> EventCalendar:
-        """Register every source that could fire during upcoming ticks."""
+        """Register what every stage of the tick says could wake it."""
         cal = EventCalendar()
-        cal.add_gate(self._endpoint_gate)
-        cal.add_gate(self._agent_gate)
-        if not self._head_down:
-            cal.add_gate(self._manager_gate)
-            plan_instant = self.manager.next_plan_instant()
-            if plan_instant is not None:
-                cal.add_instant(plan_instant)
-            if self._checkpoint_gate is not None:
-                cal.add_gate(self._checkpoint_gate)
-            if self._pending:
-                cal.add_instant(self._pending[0].submit_time)
-            if self._endpoint_restarts:
-                cal.add_instant(min(r[0] for r in self._endpoint_restarts))
-            cfg = self.config
-            if cfg.lease_ttl is not None or cfg.reliable_messaging:
-                for job_id in self.endpoints:
-                    if self.endpoints[job_id].link.closed:
-                        cal.add_instant(self._reconnect_at.get(job_id, 0.0))
-        if self.faults is not None:
-            cal.add_instant(self.faults.next_due)
+        for _, wakes in self._fault_tick + self._tick:
+            for wake in wakes():
+                if isinstance(wake, PeriodicGate):
+                    cal.add_gate(wake)
+                else:
+                    cal.add_instant(wake)
         return cal
 
     def _queue_blocks_stride(self, now: float) -> bool:
         """Could the scheduler start a queued job on an upcoming free tick?
 
-        With the head down ``_start_ready`` never runs, so the queue cannot
-        act.  Otherwise a non-empty queue blocks striding unless the policy
-        declares itself time-invariant and one round on the exact view
-        ``_start_ready`` would build comes back empty — this tick's own
-        ``_start_ready`` round if nothing has moved since, else a probe — in
-        which case it stays empty until cluster state changes, which only
-        happens at an event or a completion (both window boundaries).
+        Not with the head down.  Otherwise a non-empty queue blocks striding
+        unless the policy declares itself time-invariant and one round on the
+        exact view ``_start_ready`` would build comes back empty — this
+        tick's own ``_start_ready`` round if nothing has moved since, else a
+        probe — in which case it stays empty until cluster state changes,
+        which only happens at an event or a completion (window boundaries).
         """
-        if not self._queue or self._head_down:
+        if not self._queue or self.manager is None:
             return False
         if self.manager.admission_held:
             # ``_start_ready`` is inert while the hold lasts, and it only

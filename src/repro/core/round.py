@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.budget.base import BudgetAllocation, JobBudgetRequest
     from repro.core.messages import StatusMessage
     from repro.core.transport import TcpLink
-    from repro.durable.recovery import RecoveredJob
+    from repro.durable.state import RecoveredJob
     from repro.modeling.quadratic import QuadraticPowerModel
 
 __all__ = ["JobRecord", "BudgetRound"]

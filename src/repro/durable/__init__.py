@@ -11,12 +11,14 @@ failure.  This package makes that state survive the process:
   sequence-numbered; replay tolerates a torn tail.
 * :mod:`repro.durable.store` — :class:`DurableStore`, the checkpoint+journal
   pair with the crash-consistency protocol between them.
-* :mod:`repro.durable.state` — what gets captured, and how a journal tail
-  folds into a baseline snapshot.
-* :mod:`repro.durable.recovery` — :class:`RecoveredJob`, the per-job state
-  handed to a restarted :class:`~repro.core.cluster_manager.ClusterPowerManager`
-  for its bounded recovery mode (conservative reservations until each job
-  re-HELLOs, orphan detection after the reconnect window).
+* :mod:`repro.durable.state` — the checkpoint schema, in one place: what
+  gets captured, how it is restored, how a journal tail folds into a baseline
+  snapshot, and :class:`RecoveredJob`, the per-job state handed to a
+  restarted :class:`~repro.core.cluster_manager.ClusterPowerManager` for its
+  bounded recovery mode (conservative reservations until each job re-HELLOs).
+* :mod:`repro.durable.recovery` — the head-node lifecycle over a system:
+  crash, supervised restart (load → replay → restore, or cold start with an
+  incident), and reconciliation of the orphans a recovery window closes on.
 """
 
 from repro.durable.checkpoint import (
@@ -26,8 +28,14 @@ from repro.durable.checkpoint import (
     write_checkpoint,
 )
 from repro.durable.journal import Journal, JournalRecord, JournalReplay
-from repro.durable.recovery import RecoveredJob, recovered_jobs_from_state
-from repro.durable.state import apply_journal, capture_state, empty_state
+from repro.durable.state import (
+    RecoveredJob,
+    apply_journal,
+    capture_state,
+    empty_state,
+    recovered_jobs_from_state,
+    restore_state,
+)
 from repro.durable.store import DurableStore
 
 __all__ = [
@@ -44,4 +52,5 @@ __all__ = [
     "apply_journal",
     "capture_state",
     "empty_state",
+    "restore_state",
 ]

@@ -1,62 +1,153 @@
-"""Recovered cluster-tier job state, parsed out of a checkpoint/journal.
+"""Head-node lifecycle: crash, supervised restart, orphan reconciliation.
 
-:class:`RecoveredJob` is the bridge between the persistence layer (plain
-JSON dicts) and the live :class:`~repro.core.cluster_manager.ClusterPowerManager`:
-everything the manager knew about a connected job that is worth carrying
-across a head-node restart.  Until the job re-HELLOs over a fresh link, its
-``RecoveredJob`` drives conservative budgeting (reserve ``nodes × last_cap``
-— the job may still be drawing it); once it reconnects, the validated online
-model and budget accounting merge into the fresh :class:`JobRecord` so the
-cluster tier resumes warm instead of relearning every curve.
+The functions take the :class:`~repro.core.framework.AnorSystem` they act on,
+as :func:`~repro.durable.state.capture_state` does;
+``AnorSystem.crash_head_node`` / ``restart_head_node`` are the public entry
+points and decide *whether* (the head is up, or down), these do it.  The
+checkpoint's schema stays in :mod:`repro.durable.state`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.modeling.quadratic import QuadraticPowerModel
+from repro.durable.checkpoint import CheckpointError
+from repro.durable.state import apply_journal, empty_state, restore_state
+from repro.durable.store import DurableStore
 
-__all__ = ["RecoveredJob", "recovered_jobs_from_state"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.framework import AnorSystem
 
-
-@dataclass
-class RecoveredJob:
-    """Per-job cluster-tier state restored from the durable store."""
-
-    job_id: str
-    claimed_type: str
-    nodes: int
-    believed_p_max: float
-    online_model: QuadraticPowerModel | None = None
-    online_r2: float | None = None
-    last_cap: float | None = None
-    caps_sent: int = 0
+__all__ = ["crash_head", "reconcile_orphan", "restart_head"]
 
 
-def recovered_jobs_from_state(
-    jobs_state: dict, *, p_node_min: float
-) -> dict[str, RecoveredJob]:
-    """Rebuild :class:`RecoveredJob` records from a checkpointed manager state."""
-    out: dict[str, RecoveredJob] = {}
-    for job_id, entry in jobs_state.items():
-        believed_p_max = float(entry["believed_p_max"])
-        online = entry.get("online")
-        model = None
-        if online is not None:
-            a, b, c = (float(v) for v in online)
-            model = QuadraticPowerModel(
-                a=a, b=b, c=c, p_min=float(p_node_min), p_max=believed_p_max
-            )
-        r2 = entry.get("online_r2")
-        last_cap = entry.get("last_cap")
-        out[job_id] = RecoveredJob(
-            job_id=job_id,
-            claimed_type=str(entry["claimed_type"]),
-            nodes=int(entry["nodes"]),
-            believed_p_max=believed_p_max,
-            online_model=model,
-            online_r2=None if r2 is None else float(r2),
-            last_cap=None if last_cap is None else float(last_cap),
-            caps_sent=int(entry.get("caps_sent", 0)),
+def crash_head(system: "AnorSystem", now: float) -> None:
+    """The cluster-tier process dies; what the compute nodes hold survives."""
+    system.head_crashes += 1
+    # Every connection to the dead head is gone: close them so that
+    # endpoints shouting into the void show up as counted drops, not
+    # silently vanished mail.  (The loss RNG draw precedes the closed
+    # check in LatencyChannel.send, so seeded runs are unchanged.)
+    for link in system.manager._links:
+        link.close("head-crash")
+    system.manager = None
+    if system.durable is not None:
+        system.durable.close()
+        system.durable = None
+    system._build_tick()
+    system._report("head-crash", now, system.recovery_log, "head node crashed")
+
+
+def _load_state(system: "AnorSystem", now: float) -> dict | None:
+    """Checkpoint (or the empty baseline) with the journal tail folded in;
+    None — a cold start — without a store or when the checkpoint cannot be
+    trusted."""
+    if system.config.checkpoint_dir is None:
+        return None
+    system.durable = DurableStore(system.config.checkpoint_dir)
+    try:
+        payload, replay = system.durable.load()
+    except CheckpointError as exc:
+        system._report(
+            "checkpoint-rejected",
+            now,
+            system.recovery_log,
+            f"checkpoint rejected ({exc}); cold start",
+            error=str(exc),
         )
-    return out
+        system.warnings.append(system.recovery_log[-1])
+        return None
+    state = apply_journal(
+        payload["state"] if payload is not None else empty_state(), replay.records
+    )
+    if replay.dropped_tail:
+        system._report(
+            "journal-tail-dropped",
+            now,
+            system.recovery_log,
+            f"journal tail dropped "
+            f"({replay.dropped_tail} corrupt/truncated record(s))",
+            records=replay.dropped_tail,
+        )
+    return state
+
+
+def restart_head(system: "AnorSystem", now: float) -> None:
+    """Bring the head back: load, rebuild the manager, restore or cold-start,
+    reconnect every surviving endpoint."""
+    state = _load_state(system, now)
+    system.manager = system._build_manager()
+    if system.faults is not None:
+        system.faults.reattach()
+    if state is not None:
+        restore_state(system, state, now)
+        recovered = len(system.manager.recovered_items())
+        system._report(
+            "head-restart",
+            now,
+            system.recovery_log,
+            f"head node restarted warm "
+            f"({recovered} job(s) recovered from checkpoint+journal)",
+            incident=False,
+            mode="warm",
+            recovered_jobs=recovered,
+        )
+    else:
+        # Cold start: the in-memory queue/running-view stand in for the
+        # schedule and resource-manager state the head re-reads from
+        # files (§4.1); everything *learned* — models, correction,
+        # budget accounting — is gone.  The manager still runs a
+        # recovery window so reconnecting jobs are not mistaken for
+        # never-seen ones in the logs, and the gate, reset in place,
+        # re-anchors the control grid at the restart instant.
+        system._manager_gate.restore(None, 0)
+        system.manager.begin_recovery(now, {}, system.config.recovery_timeout)
+        system._report(
+            "head-restart-cold",
+            now,
+            system.recovery_log,
+            "head node restarted cold (no usable checkpoint)",
+        )
+    # Every surviving endpoint reconnects over a fresh link and re-HELLOs
+    # on its next control period (deterministic order).
+    for job_id in sorted(system.endpoints):
+        system.endpoints[job_id].reconnect(system._dial())
+    system._build_tick()
+
+
+def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
+    """Reconcile a job the recovery window closed on without a re-HELLO.
+
+    Three deterministic cases: the job is still running (endpoint died
+    in the outage — leave it to the watchdog), it completed during the
+    outage (nothing to do), or it died with its node (requeue it from
+    the checkpointed spec, like any node-crash kill).
+    """
+    system.orphaned.append(job_id)
+    if job_id in system.cluster.running:
+        system.recovery_log.append(
+            f"t={now:.1f}: job {job_id} silent past the recovery window "
+            f"but still running; awaiting endpoint watchdog"
+        )
+        if (
+            job_id not in system.endpoints
+            and system.config.endpoint_restart_delay is not None
+            and all(r[1] != job_id for r in system._endpoint_restarts)
+        ):
+            system._endpoint_restarts.append((now, job_id))
+        return
+    spec_state = system._running_view.pop(job_id, None)
+    if any(t.job_id == job_id for t in system.cluster.completed):
+        system.recovery_log.append(
+            f"t={now:.1f}: job {job_id} completed during the head-node outage"
+        )
+        return
+    system._requeue_or_drop(
+        job_id,
+        now,
+        system._spec_from_dict(spec_state) if spec_state is not None else None,
+        system.recovery_log,
+        f"job {job_id} died during the head-node outage; requeued",
+        f"job {job_id} died during the head-node outage (not requeued)",
+        drop_kind=None,
+    )

@@ -1,4 +1,4 @@
-"""Capture, journal-replay, and baseline construction for cluster-tier state.
+"""The checkpoint schema: capture, restore, journal replay, empty baseline.
 
 The checkpoint payload is a plain JSON dict covering exactly the state the
 paper's head-node process owns (§4.1, §4.4): the scheduler queue and
@@ -10,6 +10,15 @@ type), the target-feed hold-last-good state, and the manager/checkpoint
 absent — it survives a head-node crash in the real deployment and in the
 emulation alike.
 
+:func:`restore_state` is :func:`capture_state`'s inverse, and
+:class:`RecoveredJob` what a per-job entry comes back as: everything the
+manager knew about a connected job that is worth carrying across a head-node
+restart.  Until the job re-HELLOs over a fresh link, its ``RecoveredJob``
+drives conservative budgeting (reserve ``nodes × last_cap`` — the job may
+still be drawing it); once it reconnects, the validated online model and
+budget accounting merge into the fresh :class:`JobRecord` so the cluster
+tier resumes warm instead of relearning every curve.
+
 :func:`apply_journal` folds a journal tail into a checkpointed (or empty)
 baseline, so recovery sees the cluster as of the last durable write, not the
 last checkpoint cadence.
@@ -17,20 +26,46 @@ last checkpoint cadence.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.durable.journal import JournalRecord
+from repro.modeling.quadratic import QuadraticPowerModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import AnorSystem
 
-__all__ = ["capture_state", "empty_state", "apply_journal"]
+__all__ = [
+    "RecoveredJob",
+    "apply_journal",
+    "capture_state",
+    "empty_state",
+    "recovered_jobs_from_state",
+    "restore_state",
+]
+
+#: Manager incident counters a checkpoint carries, by attribute name.
+_COUNTERS = ("evictions", "rejected_statuses", "rejected_models", "meter_faults")
+
+
+@dataclass
+class RecoveredJob:
+    """Per-job cluster-tier state restored from the durable store."""
+
+    job_id: str
+    claimed_type: str
+    nodes: int
+    believed_p_max: float
+    online_model: QuadraticPowerModel | None = None
+    online_r2: float | None = None
+    last_cap: float | None = None
+    caps_sent: int = 0
 
 
 def _job_entry(record) -> dict:
     """JSON form of one manager :class:`JobRecord`, or of the
-    :class:`~repro.durable.recovery.RecoveredJob` that stands in for one
-    until it re-HELLOs (``recovered_jobs_from_state`` is the inverse)."""
+    :class:`RecoveredJob` that stands in for one until it re-HELLOs
+    (:func:`recovered_jobs_from_state` is the inverse)."""
     model = record.online_model
     return {
         "claimed_type": record.claimed_type,
@@ -64,21 +99,70 @@ def capture_state(system: "AnorSystem", now: float) -> dict:
         "manager": {
             "correction": mgr._correction,
             "jobs": jobs_state,
-            "counters": {
-                "evictions": mgr.evictions,
-                "rejected_statuses": mgr.rejected_statuses,
-                "rejected_models": mgr.rejected_models,
-                "meter_faults": mgr.meter_faults,
-            },
+            "counters": {name: getattr(mgr, name) for name in _COUNTERS},
         },
         "target_hold": mgr.target_source.state_dict(),
         "gates": {
             "manager": list(system._manager_gate.phase),
-            "checkpoint": list(system._checkpoint_gate.phase)
-            if system._checkpoint_gate is not None
-            else [None, 0],
+            "checkpoint": list(system._checkpoint_gate.phase),
         },
     }
+
+
+def recovered_jobs_from_state(
+    jobs_state: dict, *, p_node_min: float
+) -> dict[str, RecoveredJob]:
+    """Rebuild :class:`RecoveredJob` records from a checkpointed manager state."""
+    out: dict[str, RecoveredJob] = {}
+    for job_id, entry in jobs_state.items():
+        believed_p_max = float(entry["believed_p_max"])
+        online = entry.get("online")
+        model = None
+        if online is not None:
+            a, b, c = (float(v) for v in online)
+            model = QuadraticPowerModel(
+                a=a, b=b, c=c, p_min=float(p_node_min), p_max=believed_p_max
+            )
+        r2 = entry.get("online_r2")
+        last_cap = entry.get("last_cap")
+        out[job_id] = RecoveredJob(
+            job_id=job_id,
+            claimed_type=str(entry["claimed_type"]),
+            nodes=int(entry["nodes"]),
+            believed_p_max=believed_p_max,
+            online_model=model,
+            online_r2=None if r2 is None else float(r2),
+            last_cap=None if last_cap is None else float(last_cap),
+            caps_sent=int(entry.get("caps_sent", 0)),
+        )
+    return out
+
+
+def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
+    """:func:`capture_state`'s inverse, onto a system whose manager was just
+    rebuilt: the scheduler side and gate phases come back as they were, the
+    manager's trim, counters and target hold too, and its per-job records
+    enter recovery mode until each job re-HELLOs."""
+    ordered = sorted(system.schedule.requests, key=lambda r: (r.submit_time, r.job_id))
+    system._pending = ordered[int(state["pending_index"]):]
+    system._running_view = {jid: dict(spec) for jid, spec in state["running"].items()}
+    system._attempts = {jid: int(n) for jid, n in state["attempts"].items()}
+    system.requeued = list(state["requeued"])
+    system._queue = []
+    for spec in state["queue"]:
+        system._enqueue(system._spec_from_dict(spec))
+    mgr, saved = system.manager, state["manager"]
+    mgr._correction = float(saved["correction"])
+    for name in _COUNTERS:
+        setattr(mgr, name, int(saved["counters"][name]))
+    mgr.target_source.restore_state(state["target_hold"])
+    mgr.begin_recovery(
+        now,
+        recovered_jobs_from_state(saved["jobs"], p_node_min=mgr.p_node_min),
+        system.config.recovery_timeout,
+    )
+    system._manager_gate.restore(*state["gates"]["manager"])
+    system._checkpoint_gate.restore(*state["gates"]["checkpoint"])
 
 
 def empty_state() -> dict:
@@ -97,12 +181,7 @@ def empty_state() -> dict:
         "manager": {
             "correction": 0.0,
             "jobs": {},
-            "counters": {
-                "evictions": 0,
-                "rejected_statuses": 0,
-                "rejected_models": 0,
-                "meter_faults": 0,
-            },
+            "counters": dict.fromkeys(_COUNTERS, 0),
         },
         "target_hold": {"last_good": None, "last_good_time": 0.0, "degraded_reads": 0},
         "gates": {"manager": [None, 0], "checkpoint": [None, 0]},

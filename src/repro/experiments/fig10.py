@@ -25,7 +25,6 @@ from repro.analysis.tracking import tracking_error_series
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
 from repro.budget.uniform import UniformCapBudgeter
 from repro.experiments.fig9 import DEFAULT_RESERVE, build_demand_response_system
-from repro.util.stats import confidence_interval_95
 from repro.workloads.nas import NAS_TYPES, long_running_mix
 
 __all__ = ["Fig10Result", "run_fig10", "format_table", "PAPER_SLOWEST"]
@@ -142,14 +141,3 @@ def format_table(result: Fig10Result) -> str:
         f"(paper 11.6%), characterized {slow_c[0]}={100 * slow_c[1]:.1f}% (paper 8.0%)"
     )
     return "\n".join(lines)
-
-
-def mean_slowdown_with_ci(
-    result: Fig10Result, policy: str
-) -> dict[str, tuple[float, float]]:
-    """(mean, 95 % CI half-width) per type — Fig. 10's bars and error bars."""
-    return {
-        name: confidence_interval_95(vals)
-        for name, vals in result.slowdowns[policy].items()
-        if vals
-    }

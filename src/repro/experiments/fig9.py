@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.tracking import TrackingConstraint, tracking_error_series
+from repro.analysis.tracking import tracking_error_series
 from repro.aqa.regulation import BoundedRandomWalkSignal
 from repro.budget.base import PowerBudgeter
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
@@ -48,9 +48,6 @@ class Fig9Result:
 
     def error_at_90th(self) -> float:
         return float(np.percentile(self.errors(), 90))
-
-    def within_constraint(self, constraint: TrackingConstraint | None = None) -> bool:
-        return (constraint or TrackingConstraint()).satisfied(self.errors())
 
 
 def build_demand_response_system(

@@ -110,9 +110,6 @@ class EmulatedCluster:
         """Schedulable nodes in ascending ``node_id`` (the allocation order)."""
         return [self.nodes[i] for i in self._idle_rows().tolist()]
 
-    def failed_nodes(self) -> list[Node]:
-        return [self.nodes[i] for i in np.flatnonzero(self._down).tolist()]
-
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)

@@ -211,10 +211,6 @@ class RunningJob:
         return self.phase is JobPhase.DONE
 
     @property
-    def was_killed(self) -> bool:
-        return self.phase is JobPhase.KILLED
-
-    @property
     def progress(self) -> float:
         """Job-global fraction of epochs completed, in [0, 1]."""
         return self.profiler.epoch_count / self.job_type.epochs

@@ -128,12 +128,6 @@ class TargetForecaster(ABC):
     def _observe(self, t: float, y: float) -> None:
         """Subclass hook: update internal fit state on a new sample."""
 
-    @property
-    def last_observation(self) -> tuple[float, float] | None:
-        if self._last_t is None or self._last_y is None:
-            return None
-        return (self._last_t, self._last_y)
-
     # -- prediction -------------------------------------------------------
     @abstractmethod
     def predict(self, now: float, t: float) -> float:

@@ -190,11 +190,6 @@ class JobType:
         """Fastest total time (uncapped), the QoS reference T_min (§5.2)."""
         return self.total_time(self.p_max)
 
-    @property
-    def t_at_min_cap(self) -> float:
-        """Total time at the minimum cap (maximum slowdown point)."""
-        return self.total_time(self.p_min)
-
     def scaled_nodes(self, factor: int) -> "JobType":
         """Same job type at ``factor``× the node count (Fig. 11 uses 25×)."""
         if factor < 1:

@@ -103,9 +103,6 @@ class PhasedJobType(JobType):
         """Per-node unconstrained draw during the current phase."""
         return self.phases[self.phase_index(progress)].p_demand
 
-    def phase_model(self, index: int) -> QuadraticPowerModel:
-        return self._phase_models[index]
-
 
 def make_two_phase_type(
     name: str = "px",
