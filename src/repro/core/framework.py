@@ -847,7 +847,6 @@ class AnorSystem:
             )
             return killed
         self._report("node-crash", now, node=node_id, job_id=killed)
-        self._running_view.pop(killed, None)
         self._requeue_or_drop(
             killed,
             now,
@@ -855,7 +854,7 @@ class AnorSystem:
             self.warnings,
             f"node {node_id} crashed, job {killed} killed and requeued",
             f"node {node_id} crashed, job {killed} killed (not requeued)",
-            drop_kind="killed",
+            kind="killed",
         )
         return killed
 
@@ -879,13 +878,16 @@ class AnorSystem:
         requeued: str,
         dropped: str,
         *,
-        drop_kind: str | None,
+        kind: str,
         allowed: bool = True,
     ) -> None:
-        """A job the head believed running is gone (node crash, power shed,
-        died during a head outage): back in the queue from its submission
-        spec while it has attempts left and ``allowed``, else dropped.  One
-        line in ``log`` either way; a drop is journalled as ``drop_kind``."""
+        """A job the head believed running is gone, ``kind`` says how (node
+        crash: ``killed``; ``shed``; died during a head outage: ``orphan``):
+        back in the queue from its submission spec while it has attempts left
+        and ``allowed``, else dropped.  One ``log`` line and one bus record
+        either way; a drop is journalled (an orphan's already was, by the
+        manager round that declared it)."""
+        self._running_view.pop(job_id, None)
         attempts = self._attempts.get(job_id, 1)
         if allowed and spec is not None and attempts <= MAX_REQUEUES:
             self._attempts[job_id] = attempt = attempts + 1
@@ -903,9 +905,12 @@ class AnorSystem:
                 attempt=attempt,
             )
         else:
-            log.append(f"t={now:.1f}: {dropped}")
-            if drop_kind is not None:
-                self._journal("job-evict", now, kind=drop_kind, job_id=job_id)
+            self._report(
+                "job-drop", now, log, dropped, incident=False,
+                job_id=job_id, kind=kind, attempts=attempts,
+            )
+            if kind != "orphan":
+                self._journal("job-evict", now, kind=kind, job_id=job_id)
 
     def _enforce(self, now: float) -> None:
         """Carry out what the manager's rounds handed back.
@@ -931,7 +936,6 @@ class AnorSystem:
         self.cluster.kill_job(job_id)
         self._declined_at = None  # nodes came free after the scheduler looked
         self._detach_endpoint(job_id)
-        self._running_view.pop(job_id, None)
         self._requeue_or_drop(
             job_id,
             now,
@@ -939,7 +943,7 @@ class AnorSystem:
             self.warnings,
             f"job {job_id} preempted by power shed (checkpointed and requeued)",
             f"job {job_id} killed by power shed",
-            drop_kind="shed",
+            kind="shed",
             allowed=action == "preempt",
         )
 
@@ -1184,9 +1188,10 @@ class AnorSystem:
                 if totals is None:
                     # Job left the cluster without completing (e.g. killed by
                     # a fault) — there is nothing to report on.
-                    self.warnings.append(
-                        f"t={now:.1f}: no completion totals for job {jid}; "
-                        f"report skipped"
+                    self._report(
+                        "report-skipped", now, self.warnings,
+                        f"no completion totals for job {jid}; report skipped",
+                        incident=False, job_id=jid,
                     )
                     continue
                 report_path = Path(self.config.output_dir) / f"{jid}.report"

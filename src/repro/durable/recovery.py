@@ -125,9 +125,14 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
     """
     system.orphaned.append(job_id)
     if job_id in system.cluster.running:
-        system.recovery_log.append(
-            f"t={now:.1f}: job {job_id} silent past the recovery window "
-            f"but still running; awaiting endpoint watchdog"
+        system._report(
+            "orphan-running",
+            now,
+            system.recovery_log,
+            f"job {job_id} silent past the recovery window "
+            f"but still running; awaiting endpoint watchdog",
+            incident=False,
+            job_id=job_id,
         )
         if (
             job_id not in system.endpoints
@@ -138,8 +143,13 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
         return
     spec_state = system._running_view.pop(job_id, None)
     if any(t.job_id == job_id for t in system.cluster.completed):
-        system.recovery_log.append(
-            f"t={now:.1f}: job {job_id} completed during the head-node outage"
+        system._report(
+            "orphan-completed",
+            now,
+            system.recovery_log,
+            f"job {job_id} completed during the head-node outage",
+            incident=False,
+            job_id=job_id,
         )
         return
     system._requeue_or_drop(
@@ -149,5 +159,5 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
         system.recovery_log,
         f"job {job_id} died during the head-node outage; requeued",
         f"job {job_id} died during the head-node outage (not requeued)",
-        drop_kind=None,
+        kind="orphan",
     )

@@ -1,12 +1,13 @@
 """Range validation: bad knobs fail loudly, naming the knob.
 
 Most knobs are :class:`AnorConfig` fields.  The tuning parameters of the
-auditor, the reliable link, the manager's heartbeat timeouts and safe floor
-and the plant's idle power are constructor parameters of those classes only —
+reliable link, the manager's heartbeat timeouts and safe floor and the
+plant's idle power are constructor parameters of those classes only —
 ``AnorConfig`` switches a subsystem on and forwards none of its tuning, since
 no run ever set it — so their rows check the owning constructor, which is
-where a bad value would be caught.  (The breaker's are checked where that
-class is tested: ``test_partition_safety.py``.)
+where a bad value would be caught.  (The breaker's and the auditor's are
+checked where those classes are tested: ``test_partition_safety.py``,
+``test_audit.py::TestKnobValidation``.)
 """
 
 import ast
@@ -17,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
-from repro.core.audit import CapComplianceAuditor
 from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.framework import AnorConfig, precharacterized_models
 from repro.core.reliable import ReliableLink
@@ -66,9 +66,6 @@ def _manager(**kw):
 #: Row-id prefix -> constructor of the subsystem that owns the knob; the rest
 #: of the id is the constructor parameter.
 SUBSYSTEMS = {
-    "audit": lambda **kw: CapComplianceAuditor(
-        job_meter=None, p_node_min=140.0, p_node_max=280.0, **kw
-    ),
     "reliable": _reliable_link,
     # Parameters with no subsystem prefix to strip: keyed by their whole name.
     "partition_attempts": _reliable_link,
@@ -107,8 +104,6 @@ class TestConfigValidation:
             ("endpoint_restart_delay", -10.0),
             ("link_drop_probability", 1.0),
             ("link_drop_probability", -0.1),
-            ("audit_probe_margin", 0.0),
-            ("audit_probe_margin", 1.5),
         ],
     )
     def test_bad_value_names_the_field(self, field, value):

@@ -348,6 +348,29 @@ class TestLiveStateRoundTrip:
         # The embedded watermark covers the whole journal: nothing replays.
         assert replay.records == []
 
+    @pytest.mark.parametrize("steps", [25, 41, 60, 90])
+    def test_restore_is_the_inverse_of_capture(self, tmp_path, steps):
+        """Through the store and a head restart, not only up to the store:
+        a queue, a running set, a requeue and a manager record whose job is
+        already dead all come back as they were captured."""
+        system = build_system(checkpoint_dir=str(tmp_path / "store"))
+        for _ in range(steps):
+            system.step()
+        victim = sorted(system.cluster.running)[0]
+        system.crash_node(system.cluster.running[victim].nodes[0].node_id)
+        for _ in range(3):
+            system.step()
+        now = system.cluster.clock.now
+        snap = capture_state(system, now)
+        assert snap["queue"] and snap["running"] and snap["requeued"] == [victim]
+        assert victim in snap["manager"]["jobs"] and victim not in snap["running"]
+        system.durable.save_checkpoint({"state": snap})
+        assert system.crash_head_node() and system.restart_head_node()
+        restored = capture_state(system, now)
+        assert restored.keys() == snap.keys()
+        for key in snap:
+            assert restored[key] == snap[key], key
+
     def test_checkpointing_off_means_no_store_touched(self, tmp_path):
         system = build_system(checkpoint_dir=None)
         for _ in range(50):

@@ -1,10 +1,14 @@
-"""The manager round as an ordered stage list (DESIGN.md §4h).
+"""The manager round and the framework's tick as ordered stage lists
+(DESIGN.md §4h, §4i).
 
 What the structure promises, checked on the structure: a feature that is off
-contributes no stage, the all-features round runs in the order DESIGN.md
-documents, every shed / plan / breaker transition has one emission site, and
-the framework enforces what rounds hand back at one seam.
+contributes no stage, the all-features round and tick run in the order
+DESIGN.md documents, a stage that is absent is absent from the calendar too,
+every shed / plan / breaker transition has one emission site, and the
+framework enforces what rounds hand back at one seam.
 """
+
+import functools
 
 import re
 from collections import Counter
@@ -15,14 +19,20 @@ import pytest
 
 from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.framework import AnorConfig, AnorSystem
+from repro.core.job_endpoint import JobTierEndpoint
 from repro.core.targets import ConstantTarget
+from repro.durable.store import DurableStore
 from repro.experiments.fig9 import (
     DEFAULT_AVERAGE_POWER,
     DEFAULT_RESERVE,
     build_demand_response_system,
 )
-from repro.faults.events import FeederLoss, ThermalDerate
+from repro.faults.events import FeederLoss, HeadNodeCrash, ThermalDerate
+from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
+from repro.geopm.agent import JobAgentGroup
+from repro.sched.fcfs import FcfsScheduler
+from repro.util.clock import PeriodicGate
 from repro.workloads.trace import JobRequest, Schedule
 
 #: The ``dr16_hardened`` configuration of ``benchmarks/e2e/workloads.py``.
@@ -54,10 +64,51 @@ TELEMETRY_STAGES = {
 }
 
 
-def build(tmp_path, **overrides) -> AnorSystem:
+#: The same for the tick: override -> the framework stage that must go
+#: (``faults`` drops the fault schedule, which is not a config field).
+TICK_FEATURES = {
+    "_inject_faults": dict(faults=None),
+    "_checkpoint": dict(checkpoint_dir=None),
+    "_reconnect_closed": dict(lease_ttl=None, reliable_messaging=False),
+}
+HEAD_STAGES = ["_intake", "_restart_endpoints", "_start_ready", "_manager_round"]
+COMPUTE_STAGES = ["_step_endpoints", "_step_agents"]
+
+
+def build(tmp_path, faults=(), **overrides) -> AnorSystem:
+    """The hardened system; ``faults=None`` builds it without an injector."""
     cfg = dict(HARDENED, checkpoint_dir=str(tmp_path / "store"))
     cfg.update(overrides)
-    return AnorSystem(config=AnorConfig(**cfg))
+    return AnorSystem(
+        config=AnorConfig(**cfg),
+        fault_schedule=None if faults is None else FaultSchedule(faults),
+    )
+
+
+def tick_names(system: AnorSystem) -> list[str]:
+    entries = system._fault_tick + system._tick
+    assert all(stage.__self__ is system for stage, _ in entries)
+    return [stage.__name__ for stage, _ in entries]
+
+
+def registered(system: AnorSystem) -> tuple[set[int], list[float]]:
+    """What ``_build_calendar`` registers: gate identities and instants."""
+    cal = system._build_calendar()
+    return {id(g) for g in cal._gates}, sorted(cal._instants)
+
+
+def with_a_closed_link(system: AnorSystem) -> AnorSystem:
+    """One running job whose link the manager closed, one restart pending and
+    one request still to arrive: every ``wakes`` has something to yield."""
+    system.submit_now("a", "bt", nodes=4)
+    for _ in range(3):
+        system.step()
+    for link in system.manager._links:
+        link.close("test")
+    assert system.endpoints["a"].link.closed
+    system._endpoint_restarts.append((1e6, "a"))
+    system._pending.append(JobRequest(submit_time=2e6, job_id="z", type_name="bt", nodes=4))
+    return system
 
 
 def stage_names(manager: ClusterPowerManager) -> list[str]:
@@ -88,11 +139,11 @@ def owner_of(name: str) -> str:
     return name.split(".")[0]
 
 
-def documented_order() -> list[str]:
-    """First column of DESIGN.md's manager-round table."""
+def documented_order(section: str = "4h", stage: str = r"[a-z]+\.[a-z_]+") -> list[str]:
+    """First column of DESIGN.md's manager-round (or, §4i, tick) table."""
     design = (Path(__file__).parent.parent / "DESIGN.md").read_text()
-    table = design.split("\n## 4h.", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^\| `([a-z]+\.[a-z_]+)` ", table, flags=re.M)
+    table = design.split(f"\n## {section}.", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"^\| `({stage})` ", table, flags=re.M)
 
 
 class TestStageList:
@@ -117,7 +168,9 @@ class TestStageList:
 
     def test_stages_are_looked_up_on_the_owner_at_call_time(self, tmp_path, monkeypatch):
         """``benchmarks/e2e/layers.py`` swaps timing wrappers onto the classes
-        after the system is built; a round must still go through them."""
+        after the system is built; a round, and a tick, must still go through
+        them (a tick that bound ``self.faults.tick`` when its list was built
+        would count ``faults.calls == 0``)."""
         system = build(tmp_path)
         calls = Counter()
         for owner, method in (
@@ -127,6 +180,11 @@ class TestStageList:
             (type(system.manager.auditor), "audit_round"),
             (type(system.budgeter), "allocate"),
             (type(system.manager), "step"),
+            (FaultInjector, "tick"),
+            (FcfsScheduler, "select"),
+            (JobTierEndpoint, "step"),
+            (JobAgentGroup, "step"),
+            (DurableStore, "save_checkpoint"),
         ):
             original = getattr(owner, method)
 
@@ -140,10 +198,103 @@ class TestStageList:
             system.step()
         assert calls["ClusterPowerManager.step"] == 40
         for name in ("ShedController.observe", "RecedingHorizonPlanner.observe",
-                     "PowerBreaker.observe"):
+                     "PowerBreaker.observe", "FaultInjector.tick"):
             assert calls[name] == 40, name
         assert calls["CapComplianceAuditor.audit_round"] > 0
         assert calls["EvenSlowdownBudgeter.allocate"] > 0
+        assert calls["FcfsScheduler.select"] == 1  # the one tick with a queue
+        assert calls["JobTierEndpoint.step"] == calls["JobAgentGroup.step"] == 40
+        assert calls["DurableStore.save_checkpoint"] == 2  # t = 1 and 31
+
+    # ------------------------------------------------ the framework's tick
+
+    def test_default_tick_holds_only_the_always_on_stages(self):
+        system = AnorSystem(config=AnorConfig())
+        assert tick_names(system) == HEAD_STAGES + COMPUTE_STAGES
+
+    def test_hardened_tick_runs_in_the_documented_order(self, tmp_path):
+        names = tick_names(build(tmp_path))
+        assert names == documented_order("4i", "_[a-z_]+")
+        assert set(names) == {*HEAD_STAGES, *COMPUTE_STAGES, *TICK_FEATURES}
+
+    @pytest.mark.parametrize("stage", sorted(TICK_FEATURES))
+    def test_dropping_a_feature_removes_its_stage_and_its_calendar_source(
+        self, tmp_path, stage
+    ):
+        full = with_a_closed_link(build(tmp_path))
+        less = with_a_closed_link(build(tmp_path, **TICK_FEATURES[stage]))
+        assert tick_names(less) == [n for n in tick_names(full) if n != stage]
+        (gates, instants), (fewer_gates, fewer_instants) = registered(full), registered(less)
+        gone = {
+            "_inject_faults": [full.faults.next_due],
+            "_checkpoint": [],
+            "_reconnect_closed": [full._reconnect_at.get("a", 0.0)],
+        }[stage]
+        assert sorted(fewer_instants + gone) == instants
+        assert len(gates) - len(fewer_gates) == (stage == "_checkpoint")
+        assert (id(less._checkpoint_gate) in fewer_gates) == (stage != "_checkpoint")
+
+    @pytest.mark.parametrize("checkpointing", [True, False], ids=["warm", "cold"])
+    def test_head_crash_leaves_the_compute_stages_and_restart_restores_the_list(
+        self, tmp_path, checkpointing
+    ):
+        overrides = {} if checkpointing else dict(checkpoint_dir=None)
+        system = with_a_closed_link(build(tmp_path, **overrides))
+        boot, boot_gates = tick_names(system), registered(system)[0]
+        system.crash_head_node()
+        assert tick_names(system) == ["_inject_faults"] + COMPUTE_STAGES
+        gates, instants = registered(system)
+        assert gates == {id(system._endpoint_gate), id(system._agent_gate)}
+        assert instants == [system.faults.next_due]
+        for _ in range(5):
+            system.step()
+        system.restart_head_node()
+        assert tick_names(system) == boot
+        # No source holds a replaced gate: a cold restart re-anchors in place.
+        assert registered(system)[0] == boot_gates
+        assert system.recovery_log[-1].split("restarted ")[1].startswith(
+            "warm" if checkpointing else "cold"
+        )
+
+    def test_injected_head_crash_and_restart_take_effect_within_their_tick(
+        self, tmp_path, monkeypatch
+    ):
+        """The injector runs before the list is read: a crash fired at tick t
+        runs no head stage at t, a restart fired at t runs them all at t."""
+        ran: dict[float, list[str]] = {}
+        for name in documented_order("4i", "_[a-z_]+"):
+            original = getattr(AnorSystem, name)
+
+            @functools.wraps(original)
+            def recording(self, now, _name=name, _orig=original):
+                ran.setdefault(now, []).append(_name)
+                return _orig(self, now)
+
+            monkeypatch.setattr(AnorSystem, name, recording)
+        system = build(tmp_path, faults=[HeadNodeCrash(time=5.0, down_for=4.0)])
+        boot = tick_names(system)
+        for _ in range(12):
+            system.step()
+        down = ["_inject_faults"] + COMPUTE_STAGES
+        assert [ran[float(t)] == boot for t in range(1, 13)] == [t < 5 or t >= 9 for t in range(1, 13)]
+        assert all(ran[float(t)] == down for t in range(5, 9))
+
+    @pytest.mark.parametrize("head_up", [True, False], ids=["head-up", "head-down"])
+    def test_calendar_registers_what_the_per_tick_checks_read(self, tmp_path, head_up):
+        """The oracle is the guarded registration ``_build_calendar`` held
+        before the tick was a list (a restart then registered only the
+        earliest one pending; all of them is the same minimum)."""
+        system = with_a_closed_link(build(tmp_path))
+        if not head_up:
+            system.crash_head_node()
+        gates = [system._endpoint_gate, system._agent_gate]
+        instants = [system.faults.next_due]
+        if head_up:
+            gates += [system._manager_gate, system._checkpoint_gate]
+            instants += [2e6, 1e6, system._reconnect_at.get("a", 0.0)]
+            assert system.manager.next_plan_instant() is None
+        assert all(isinstance(g, PeriodicGate) for g in gates)
+        assert registered(system) == ({id(g) for g in gates}, sorted(instants))
 
 
 #: A framework ``warnings`` / ``recovery_log`` line -> the bus record
@@ -156,6 +307,10 @@ FRAMEWORK_LINES = {
     r"restart-cancelled for job": "restart-cancelled",
     r"re-dialled its closed link": "link-redial",
     r"(and|;) requeued": "job-requeue",
+    r"\(not requeued\)|killed by power shed": "job-drop",
+    r"awaiting endpoint watchdog": "orphan-running",
+    r"completed during the head-node outage": "orphan-completed",
+    r"report skipped": "report-skipped",
     r"head node crashed": "head-crash",
     r"head node restarted warm": "head-restart",
     r"head node restarted cold": "head-restart-cold",
@@ -222,29 +377,44 @@ class TestOneEmissionSite:
         assert {"node-crash", "endpoint-crash", "endpoint-restart", "job-requeue"} <= set(lines)
 
         store = tmp_path / "head"
-        system = small_system(store, checkpoint_period=20.0, endpoint_restart_delay=5.0)
+        system = small_system(
+            store, checkpoint_period=20.0, endpoint_restart_delay=5.0,
+            recovery_timeout=4.0, output_dir=str(tmp_path / "reports"),
+        )
         bus = count_bus_records(system)
+        cluster = system.cluster
 
         def steps(n):
             for _ in range(n):
                 system.step()
 
-        def crash_a_node():
-            job = system.cluster.running[sorted(system.cluster.running)[0]]
-            system.crash_node(job.nodes[0].node_id)
+        def crash_node_of(job_id):
+            system.crash_node(cluster.running[job_id].nodes[0].node_id)
 
         steps(60)
-        crash_a_node()
+        crash_node_of(sorted(cluster.running)[0])
         system.crash_endpoint(sorted(system.endpoints)[0])
-        system._endpoint_restarts.append((system.cluster.clock.now, "ghost-job"))
+        system._endpoint_restarts.append((cluster.clock.now, "ghost-job"))
         steps(10)
         system.crash_head_node()
-        crash_a_node()  # while the head is down: found orphaned, then requeued
+        crash_node_of(sorted(cluster.running)[0])  # found orphaned, then requeued
         with (store / "store" / "journal.jsonl").open("ab") as journal:
             journal.write(b'{"torn')
-        steps(10)
+        done = len(cluster.completed)
+        while len(cluster.completed) == done:  # found completed, after the restart
+            steps(1)
+        # Its watchdog restart lands after the recovery window closes: found
+        # silent but still running.
+        system.crash_endpoint(sorted(system.endpoints)[0])
         system.restart_head_node()
         steps(40)
+        victim = sorted(cluster.running)[0]
+        while victim in cluster.running:  # crashed until it is out of attempts
+            crash_node_of(victim)
+            while any(q.request.job_id == victim for q in system._queue):
+                steps(1)
+        cluster.kill_job(sorted(cluster.running)[0])  # gone, with no totals to report
+        steps(1)
         system.crash_head_node()
         checkpoint = store / "store" / "checkpoint.json"
         checkpoint.write_bytes(checkpoint.read_bytes()[:-25])
