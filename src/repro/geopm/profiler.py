@@ -5,24 +5,56 @@ benchmark's main outer loop; the epoch count increments once **all**
 processes across all nodes running the benchmark have reached the call.
 :class:`EpochProfiler` reproduces that barrier semantics: each rank calls
 :meth:`prof_epoch`, and the global count is the minimum per-rank count.
-The hardware emulator drives ranks directly from job progress.
+The hardware emulator drives ranks directly from job progress: one rank at a
+time through :meth:`EpochProfiler.set_rank_progress` (the scalar reference),
+or every rank of every job across a window of ticks through
+:class:`EpochBatch` (the window kernel).
 """
 
 from __future__ import annotations
 
-__all__ = ["EpochProfiler"]
+from itertools import accumulate
+from typing import Sequence
+
+import numpy as np
+
+__all__ = ["EpochBatch", "EpochProfiler"]
 
 
 class EpochProfiler:
-    """Barrier-style epoch counter shared by all ranks of one job."""
+    """Barrier-style epoch counter shared by all ranks of one job.
 
-    def __init__(self, num_ranks: int) -> None:
+    ``cells`` is ``(counts, rows, barrier)``: a column of whole-epoch counts
+    of which rank ``i`` owns entry ``rows[i]``, and a one-element view of the
+    job-global count.  The emulated cluster passes its node-indexed columns
+    so one array pass can raise every job's ranks; a standalone profiler
+    allocates its own.
+    """
+
+    def __init__(
+        self,
+        num_ranks: int,
+        *,
+        cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> None:
         if num_ranks < 1:
             raise ValueError(f"num_ranks must be ≥ 1, got {num_ranks}")
         self.num_ranks = int(num_ranks)
-        self._rank_counts = [0] * self.num_ranks
-        self._epoch_count = 0  # min(_rank_counts), kept as ranks are raised
+        self._counts, self._rows, self._barrier = cells if cells is not None else (
+            np.zeros(self.num_ranks, dtype=np.int64),
+            np.arange(self.num_ranks),
+            np.zeros(1, dtype=np.int64),
+        )
+        self._counts[self._rows] = 0
+        self._barrier[0] = 0  # min over the ranks' counts, kept as they are raised
         self._epoch_times: list[float] = []  # completion time of each epoch
+
+    def detach(self) -> None:
+        """Copy the cells out of the shared columns (the job left the
+        cluster; its rows may be re-let while its counts are still read)."""
+        self._counts = self._counts[self._rows]
+        self._rows = np.arange(self.num_ranks)
+        self._barrier = self._barrier.copy()
 
     def prof_epoch(self, rank: int, *, timestamp: float = 0.0) -> int:
         """Rank ``rank`` finished one more main-loop iteration.
@@ -31,40 +63,41 @@ class EpochProfiler:
         when the slowest rank reaches the call, mirroring GEOPM's
         all-processes semantics.
         """
-        if not 0 <= rank < self.num_ranks:
-            raise IndexError(f"rank {rank} out of range [0, {self.num_ranks})")
-        return self._raise(rank, self._rank_counts[rank] + 1, timestamp)
+        return self._raise(rank, self.rank_count(rank) + 1, timestamp)
 
     def set_rank_progress(self, rank: int, count: int, *, timestamp: float = 0.0) -> int:
         """Set a rank's cumulative epoch count directly (emulator fast path)."""
-        if not 0 <= rank < self.num_ranks:
-            raise IndexError(f"rank {rank} out of range [0, {self.num_ranks})")
-        if count < self._rank_counts[rank]:
-            raise ValueError(
-                f"rank {rank} epoch count went backwards: "
-                f"{self._rank_counts[rank]} -> {count}"
-            )
+        before = self.rank_count(rank)
+        if count < before:
+            raise ValueError(f"rank {rank} epoch count went backwards: {before} -> {count}")
         return self._raise(rank, int(count), timestamp)
 
     def _raise(self, rank: int, count: int, timestamp: float) -> int:
         # The minimum can only move when the rank being raised sat at it.
-        at_floor = self._rank_counts[rank] == self._epoch_count
-        self._rank_counts[rank] = count
+        row = self._rows[rank]
+        floor = self.epoch_count
+        at_floor = self._counts[row] == floor
+        self._counts[row] = count
         if at_floor:
-            after = min(self._rank_counts)
-            for _ in range(after - self._epoch_count):
-                self._epoch_times.append(float(timestamp))
-            self._epoch_count = after
-        return self._epoch_count
+            after = int(self._counts[self._rows].min())
+            self._epoch_times.extend([float(timestamp)] * (after - floor))
+            self._barrier[0] = floor = after
+        return floor
 
     @property
     def epoch_count(self) -> int:
         """Global epoch count: iterations completed by *every* rank."""
-        return self._epoch_count
+        return int(self._barrier[0])
+
+    def rank_count(self, rank: int) -> int:
+        """Iterations completed by one rank."""
+        if not 0 <= rank < self.num_ranks:
+            raise IndexError(f"rank {rank} out of range [0, {self.num_ranks})")
+        return int(self._counts[self._rows[rank]])
 
     @property
     def rank_counts(self) -> tuple[int, ...]:
-        return tuple(self._rank_counts)
+        return tuple(self._counts[self._rows].tolist())
 
     @property
     def epoch_times(self) -> tuple[float, ...]:
@@ -77,3 +110,58 @@ class EpochProfiler:
         if len(times) < 2:
             raise ValueError("need at least two completed epochs")
         return (times[-1] - times[0]) / (len(times) - 1)
+
+
+class EpochBatch:
+    """Profilers that share one pair of columns, raised together.
+
+    The array twin of :meth:`EpochProfiler.set_rank_progress` for every rank
+    of every job across a window of ticks: the same counts, barriers and
+    epoch timestamps as the tick-major, rank-ascending calls, with Python
+    run only where a job's barrier rose.  It holds index arrays into the
+    columns, so it lives as long as the set of profilers does.
+    """
+
+    def __init__(
+        self, counts: np.ndarray, barrier: np.ndarray, profilers: Sequence[EpochProfiler]
+    ) -> None:
+        self._counts, self._barrier = counts, barrier
+        #: Column entry of every rank, job after job; job ``j``'s ranks are
+        #: ``rows[starts[j]:starts[j + 1]]`` and its barrier sits at ``roots[j]``.
+        self.rows = np.concatenate([_NO_ROWS] + [p._rows for p in profilers])
+        bounds = list(accumulate([p.num_ranks for p in profilers], initial=0))
+        self.starts = np.array(bounds[:-1], dtype=np.intp)
+        self.roots = self.rows[self.starts]
+        self._stamps = [p._epoch_times for p in profilers]
+
+    def preview(self, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(done, floor)`` for ``after``, the ranks' counts at the end of
+        each tick, shape ``(T, ranks)``: the counts with the present ones as
+        row 0, and each job's barrier under every row.  Nothing is written,
+        so a window may still be cut short before :meth:`record`."""
+        done = np.empty((len(after) + 1, self.rows.size))
+        done[0] = self._counts[self.rows]
+        done[1:] = after
+        return done, np.minimum.reduceat(done, self.starts, axis=1)
+
+    def record(self, done: np.ndarray, floor: np.ndarray, ticks: Sequence[float]) -> None:
+        """Commit a (possibly truncated) :meth:`preview`; tick ``k`` of it
+        ended at ``ticks[k]``.  A falling count raises before any cell or
+        timestamp list is written."""
+        fell = done[1:] < done[:-1]
+        if fell.any():
+            k, r = (int(i[0]) for i in fell.nonzero())
+            raise ValueError(
+                f"epoch count at row {self.rows[r]} went backwards: "
+                f"{int(done[k, r])} -> {int(done[k + 1, r])}"
+            )
+        self._counts[self.rows] = done[-1]
+        self._barrier[self.roots] = floor[-1]
+        rises = floor[1:] - floor[:-1]
+        at, job = rises.nonzero()  # tick-major: each job's stamps in time order
+        stamps = self._stamps
+        for k, j, n in zip(at.tolist(), job.tolist(), rises[at, job].tolist()):
+            stamps[j].extend([ticks[k]] * int(n))
+
+
+_NO_ROWS = np.empty(0, dtype=np.intp)

@@ -8,13 +8,13 @@ band Fig. 9's demand-response targets move within.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
 
 import numpy as np
 
 from repro.geopm.msr import POWER_UNIT_WATTS
+from repro.geopm.profiler import EpochBatch
 from repro.geopm.report import ApplicationTotals
 from repro.hwsim.job import JobPhase, RunningJob
 from repro.hwsim.node import Node
@@ -25,15 +25,43 @@ from repro.workloads.nas import JobType
 __all__ = ["EmulatedCluster"]
 
 
+@dataclass(frozen=True, slots=True)
+class _Layout:
+    """What a window needs that only membership decides.
+
+    Membership is which jobs run, on which nodes, in which phase, and which
+    nodes are down; it changes at :meth:`EmulatedCluster.start_job`, a
+    release, a phase turn and a node crash or restore, and the layout is
+    rebuilt at the first window after one.  Columns of a window's arrays are
+    ``rows``: the ranks of the compute jobs (``epochs.rows``), then those of
+    the setup/teardown jobs, then the idle nodes.
+    """
+
+    down: bytes  # the crashed flags this was built under
+    scalar: list[RunningJob]  # jobs only the scalar reference can step
+    jobs: list[RunningJob]  # the rest: ``epochs.starts.size`` compute jobs, then the quiet
+    epochs: EpochBatch  # the compute jobs' profilers
+    rows: np.ndarray
+    consts: np.ndarray  # (9, compute ranks) of the cluster's ``_rank``
+    idle: np.ndarray  # idle watts per column
+    roots: np.ndarray  # each of ``jobs``' first row: its ledger entry
+    job_epochs: np.ndarray  # per compute job
+    expiry: np.ndarray  # per quiet job: the phase timer it is running
+    wider: list[tuple[np.ndarray, np.ndarray]]  # entry p-1: (jobs wider than p, their p-th column)
+    compute_streams: tuple[list[np.random.Generator], list[int]]  # with column bounds
+    quiet_streams: tuple[list[np.random.Generator], list[int]]  # quiet jobs', then idle nodes'
+
+
 class EmulatedCluster:
     """A pool of emulated nodes plus the jobs running on them.
 
     Physics state is struct-of-arrays: node-indexed columns owned here, of
-    which each :class:`Node` (and its MSR banks) holds one-row views.  One
-    rank runs per node, so the per-rank model constants and progress are
-    node-indexed too, written at :meth:`start_job`.  One window kernel steps
-    every rank of every job, and every idle node, across one tick
-    (:meth:`advance`) or a run of them (:meth:`advance_stride`).
+    which each :class:`Node` (and its MSR banks), :class:`RunningJob` and
+    :class:`~repro.geopm.profiler.EpochProfiler` holds views.  One rank runs
+    per node, so the per-rank model constants, progress and epoch counts are
+    node-indexed too, and what is per job sits at the job's first row.  One
+    window kernel steps every rank of every job, and every idle node, across
+    one tick (:meth:`advance`) or a run of them (:meth:`advance_stride`).
     """
 
     PACKAGES = 2  # the testbed's dual-package nodes (§5.5)
@@ -70,6 +98,11 @@ class EmulatedCluster:
         # jitter σ; run multiplier; epochs; node perf multiplier.
         self._rank = np.zeros((9, num_nodes))
         self.progress = np.zeros(num_nodes)  # fractional epochs done per rank
+        self._counts = np.zeros(num_nodes, dtype=np.int64)  # whole epochs done per rank
+        self._barrier = np.zeros(num_nodes, dtype=np.int64)  # job-global epoch count
+        # Per job: phase_elapsed, _compute_energy, _compute_seconds.
+        self._ledger = np.zeros((3, num_nodes))
+        self._layout: _Layout | None = None
         self.nodes = []
         for i in range(num_nodes):
             mult = 1.0
@@ -156,7 +189,7 @@ class EmulatedCluster:
             submit_time=now if submit_time is None else submit_time,
             start_time=now,
             rng=job_rng,
-            progress=self.progress,
+            cells=(self.progress, self._counts, self._barrier, self._ledger),
             agent_fanout=self.agent_fanout,
             run_noise=self.run_noise,
         )
@@ -171,9 +204,9 @@ class EmulatedCluster:
         ]
         self._rank[8, job.rows] = [node.perf_multiplier for node in nodes]
         self.idle_watts[job.rows] = [node.idle_power for node in nodes]
-        self.progress[job.rows] = 0.0
         self._vacant[job.rows] = False
         self.running[job_id] = job
+        self._layout = None
         return job
 
     def _release(self, job: RunningJob) -> None:
@@ -183,6 +216,8 @@ class EmulatedCluster:
             node.job_id = None
             node.pio.detach_profiler()
         self._vacant[job.rows] = True
+        job.detach()  # its rows may be re-let while its ledger is still read
+        self._layout = None
 
     def _retire_done(self, jobs) -> None:
         """Release every finished job among ``jobs`` and book its totals."""
@@ -237,14 +272,16 @@ class EmulatedCluster:
             caps += watts[:, p]
         return caps
 
-    def rank_model(self, rows: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Tick invariants of statically-profiled compute ranks on ``rows``.
+    @staticmethod
+    def rank_model(consts: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Tick invariants of statically-profiled compute ranks under ``cap``.
 
-        Returns ``(demand, rate base, jitter σ, perf, epochs)``: ``cap``
-        clamped into ``[p_min, p_demand]`` is both the draw demand and the
-        truth curve's argument; ``rate base`` is τ(demand)·run multiplier.
+        ``consts`` is those ranks' columns of ``_rank``.  Returns ``(demand,
+        rate base, jitter σ, perf, epochs)``: ``cap`` clamped into ``[p_min,
+        p_demand]`` is both the draw demand and the truth curve's argument;
+        ``rate base`` is τ(demand)·run multiplier.
         """
-        a, b, c, p_min, p_demand, sigma, run_mult, epochs, perf = self._rank[:, rows]
+        a, b, c, p_min, p_demand, sigma, run_mult, epochs, perf = consts
         demand = np.minimum(np.maximum(cap, p_min), p_demand)
         tau = a * demand * demand + b * demand + c
         return demand, tau * run_mult, sigma, perf, epochs
@@ -265,10 +302,72 @@ class EmulatedCluster:
         take the scalar reference, one tick at a time (see
         :attr:`RunningJob.array_capable`).
         """
+        return not self._membership().scalar
+
+    def _membership(self) -> _Layout:
+        """The layout of the present membership, rebuilt if it has changed.
+
+        ``Node.fail`` / ``restore`` write the crashed flags without coming
+        through the cluster, so those are compared; every other change
+        clears ``_layout`` where it happens.
+        """
+        down = self._down.tobytes()
+        if self._layout is None or self._layout.down != down:
+            self._layout = self._build_layout(down)
+        return self._layout
+
+    def _build_layout(self, down: bytes) -> _Layout:
         healthy = not self._down.any()
-        return all(
-            job.profile_static and (healthy or job.array_capable)
-            for job in self.running.values()
+        compute: list[RunningJob] = []
+        quiet: list[RunningJob] = []  # setup/teardown: idle draw, job's stream
+        scalar: list[RunningJob] = []
+        for job in self.running.values():
+            if not (job.profile_static if healthy else job.array_capable):
+                scalar.append(job)
+            elif job.phase is JobPhase.COMPUTE:
+                compute.append(job)
+            else:
+                quiet.append(job)
+        epochs = EpochBatch(self._counts, self._barrier, [job.profiler for job in compute])
+        free = self._idle_rows()
+        rows = np.concatenate([epochs.rows] + [job.rows for job in quiet] + [free])
+        consts = self._rank[:, epochs.rows]
+        starts = epochs.starts
+        widths = np.diff(starts, append=epochs.rows.size)
+        wider = []
+        for p in range(1, int(widths.max(initial=1))):
+            wide = np.flatnonzero(widths > p)
+            wider.append((wide, starts[wide] + p))
+        quiet_widths = [len(job.nodes) for job in quiet] + [1] * free.size
+        return _Layout(
+            down=down,
+            scalar=scalar,
+            jobs=compute + quiet,
+            epochs=epochs,
+            rows=rows,
+            consts=consts,
+            idle=self.idle_watts[rows],
+            roots=np.array([job.root for job in compute + quiet], dtype=np.intp),
+            job_epochs=consts[7, starts],
+            expiry=np.array(
+                [
+                    job.job_type.setup_time
+                    if job.phase is JobPhase.SETUP
+                    else job.job_type.teardown_time
+                    for job in quiet
+                ]
+            ),
+            wider=wider,
+            # [jitter, RAPL] per compute rank per tick; one RAPL draw per
+            # quiet rank from the job's stream, one per idle node from its own.
+            compute_streams=(
+                [job.rng for job in compute],
+                [2 * lo for lo in (*starts.tolist(), epochs.rows.size)],
+            ),
+            quiet_streams=(
+                [job.rng for job in quiet] + [self._node_rngs[i] for i in free.tolist()],
+                list(accumulate(quiet_widths, initial=0)),
+            ),
         )
 
     def advance_stride(self, times: np.ndarray, dt: float) -> tuple[int, np.ndarray]:
@@ -296,15 +395,17 @@ class EmulatedCluster:
     def _window(self, times: np.ndarray, dt: float) -> tuple[int, np.ndarray]:
         """The physics kernel: one array pass over ``(times[0:T], dt)``.
 
-        Rows are every rank of every job and every idle node; the leading
-        axis is time.  Each step is the elementwise twin of
-        :meth:`RunningJob.advance` / :meth:`Node.consume` (same IEEE ops,
-        same order), every RNG stream is drawn exactly as the scalar path
-        draws it, tick after tick (``standard_normal``·σ ≡ ``normal(0, σ)``),
-        and every sequential accumulation is an ordered fold along its axis
-        (:func:`_fold`), so ``T`` ticks here are bit-identical to ``T``
-        scalar reference ticks — which jobs the arrays cannot describe
-        (power-wave and phased types, a crashed node) still take.
+        Columns are every rank of every job and every idle node (see
+        :class:`_Layout`); the leading axis is time.  Each step is the
+        elementwise twin of :meth:`RunningJob.advance` / :meth:`Node.consume`
+        (same IEEE ops, same order), every RNG stream is drawn exactly as the
+        scalar path draws it, tick after tick (``standard_normal``·σ ≡
+        ``normal(0, σ)``), and every sequential accumulation is an ordered
+        fold along its axis (:func:`_fold`), so ``T`` ticks here are
+        bit-identical to ``T`` scalar reference ticks — which jobs the arrays
+        cannot describe (power-wave and phased types, a crashed node) still
+        take.  Per-job state is columns too, so Python runs per stream (its
+        draw) and per job that changes phase, and for nothing else.
 
         The window ends at the first tick on which any job changes phase.
         Setup/teardown timers are deterministic and bound it up front; an
@@ -317,37 +418,29 @@ class EmulatedCluster:
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        healthy = not self._down.any()
-        compute: list[RunningJob] = []
-        quiet: list[RunningJob] = []  # setup/teardown: idle draw, job's stream
-        scalar: list[RunningJob] = []  # jobs only the scalar reference can step
-        for job in self.running.values():
-            if not (job.profile_static and (healthy or job.array_capable)):
-                scalar.append(job)
-            elif job.phase is JobPhase.COMPUTE:
-                compute.append(job)
-            else:
-                quiet.append(job)
-        span = 1 if scalar else times.size
-        for job in quiet:
-            span = job.ticks_to_timer(dt, span)
-        free = self._idle_rows()
-        rows = np.concatenate([j.rows for j in compute] + [j.rows for j in quiet] + [free])
-        widths = [len(j.nodes) for j in compute]
-        starts = list(accumulate(widths, initial=0))  # job i: rows[starts[i]:starts[i+1]]
-        nc = starts.pop()  # compute ranks are rows[:nc]
-        ranks = rows[:nc]
+        lay = self._membership()
+        epochs_of, rows = lay.epochs, lay.rows
+        ranks, starts = epochs_of.rows, epochs_of.starts
+        nc, ncj = ranks.size, starts.size  # compute ranks are rows[:nc]
+        span = 1 if lay.scalar else times.size
+        book = self._ledger[:, lay.roots]  # the jobs' ledger entries, compute jobs first
+        if span > 1 and lay.expiry.size:
+            # A timer's expiry is phase_elapsed's own chain of adds, run ahead.
+            ahead = _fold(book[0, ncj:], np.full((span - 1, 1), dt))[1:]
+            expired = (ahead >= lay.expiry).any(axis=1)
+            if expired.any():
+                span = int(expired.argmax()) + 1
         cap = self.caps()[rows]
-        idle = self.idle_watts[rows]
+        idle = lay.idle
         demand = idle.copy()  # quiet ranks and idle nodes ask for idle power
-        demand[:nc], base, sigma, perf, epochs = self.rank_model(ranks, cap[:nc])
+        demand[:nc], base, sigma, perf, epochs = self.rank_model(lay.consts, cap[:nc])
         # RAPL noise scales the demand by 1+ε > 0, so a draw is negative
         # exactly when both the demand and the idle floor under it are.
         if np.maximum(demand, idle).min(initial=0.0) < 0:
             raise ValueError("cannot consume negative energy: a node would draw < 0 W")
-        for job in scalar:
+        for job in lay.scalar:
             job.advance(dt, float(times[0]))
-        if span > 1 and compute:
+        if span > 1 and ncj:
             # Draws past a phase change are thrown away and every compute
             # stream rewound, so ask for no more than the nearest foreseeable
             # completion: the slowest rank of the job closest to done, at its
@@ -355,44 +448,34 @@ class EmulatedCluster:
             # forward; what it delays just ends this window a tick early.
             left = (epochs - self.progress[ranks]) * base / (perf * dt)
             span = min(span, max(1, math.ceil(np.maximum.reduceat(left, starts).min())))
-        # Compute streams, [jitter, RAPL] per rank per tick.
-        snapshots = [job.rng.bit_generator.state for job in compute] if span > 1 else []
-        z = _draw([job.rng for job in compute], [2 * w for w in widths], span)
+        streams, bounds = lay.compute_streams
+        snapshots = [rng.bit_generator.state for rng in streams] if span > 1 else []
+        z = _draw(streams, bounds, span)
         jitter = np.exp(z[:, 0::2] * sigma)
         grown = _fold(self.progress[ranks], perf / (base * jitter) * dt)
-        # A rank's profiler count is its floored progress, capped at epochs.
-        done = np.minimum(np.floor(grown), epochs)
+        # A rank's profiler count is its floored progress, capped at epochs;
+        # a job's barrier is the least of its ranks' counts.
+        done, floor = epochs_of.preview(np.minimum(np.floor(grown[1:]), epochs))
         if snapshots:
-            # A job completes on the first tick all its ranks reach epochs.
-            finished = np.logical_and.reduceat(done[1:] == epochs, starts, axis=1)
+            # A job completes on the first tick its barrier reaches epochs.
+            finished = floor[1:] == lay.job_epochs
             first = int(finished.any(axis=1).argmax()) + 1
             if first < span and finished[first - 1].any():
                 span = first
-                for job, state, w in zip(compute, snapshots, widths):
-                    job.rng.bit_generator.state = state
-                    job.rng.standard_normal(span * 2 * w)
-                z, grown, done = z[:span], grown[: span + 1], done[: span + 1]
-        self.progress[ranks] = grown[-1]
+                for rng, state, lo, hi in zip(streams, snapshots, bounds, bounds[1:]):
+                    rng.bit_generator.state = state
+                    rng.standard_normal(span * (hi - lo))
+                z, grown = z[:span], grown[: span + 1]
+                done, floor = done[: span + 1], floor[: span + 1]
         ticks = times[:span].tolist()
-        # Tick-major, rank ascending: the order the scalar path makes the calls.
-        at, rank = (done[1:] > done[:-1]).nonzero()
-        owner = np.searchsorted(starts, rank, side="right") - 1
-        for k, r, o, d in zip(
-            at.tolist(), rank.tolist(), owner.tolist(), done[at + 1, rank].tolist()
-        ):
-            compute[o].profiler.set_rank_progress(r - starts[o], int(d), timestamp=ticks[k])
-        # One RAPL draw per tick per quiet rank from the job's stream, one per
-        # idle node from its own; then Node.consume for all rows: RAPL noise,
-        # cap ceiling, idle floor, energy split evenly over the packages.
-        zq = _draw(
-            [job.rng for job in quiet] + [self._node_rngs[i] for i in free.tolist()],
-            [len(job.nodes) for job in quiet] + [1] * free.size,
-            span,
-        )
-        eps = np.concatenate((z[:, 1::2], zq), axis=1) * 0.01
+        epochs_of.record(done, floor, ticks)  # a falling count raises here: no cell written yet
+        self.progress[ranks] = grown[-1]
+        # Node.consume for all columns: RAPL noise, cap ceiling, idle floor,
+        # energy split evenly over the packages.
+        eps = np.concatenate((z[:, 1::2], _draw(*lay.quiet_streams, span)), axis=1) * 0.01
         power = np.minimum(cap, np.maximum(demand * (1.0 + eps), idle))
         joules = power * dt / self.PACKAGES
-        self._energy[rows] = _fold(self._energy[rows], joules[:, :, None])[-1]
+        self._energy[rows] = _after(self._energy[rows], joules[:, :, None])
         # Cluster power per tick: ordered fold in node order; failed nodes
         # hold 0 W, scalar-path nodes what their job just deposited.
         series = np.empty((span, len(self.nodes)))
@@ -400,14 +483,26 @@ class EmulatedCluster:
         series[:, rows] = power
         self._power[rows] = power[-1]
         totals = series.cumsum(axis=1)[:, -1]
-        # Job power per tick: left to right over the job's nodes.
-        cuts = [slice(lo, lo + w) for lo, w in zip(starts, widths)]
-        drawn = zip(*([reduce(add, row[cut]) for cut in cuts] for row in power.tolist()))
-        for job, powers in zip(compute, drawn):
-            job.settle(dt, ticks[-1], powers)
-        for job in quiet:
-            job.settle(dt, ticks[-1], [None] * span)
-        self._retire_done(self.running.values())
+        # Job power per tick: left to right over the job's nodes, one add per
+        # position (``np.add.reduceat`` and ``sum`` pair terms up otherwise).
+        drawn = power[:, starts]
+        for wide, column in lay.wider:
+            drawn[:, wide] += power[:, column]
+        # RunningJob.settle's += chains; a quiet job's compute rows get +0.0.
+        steps = np.zeros((span, *book.shape))
+        steps[:, 0] = dt
+        steps[:, 1, :ncj] = drawn * dt
+        steps[:, 2, :ncj] = dt
+        book = _after(book, steps)
+        self._ledger[:, lay.roots] = book
+        turned = np.concatenate((floor[-1] >= lay.job_epochs, book[0, ncj:] >= lay.expiry))
+        turning = [lay.jobs[j] for j in turned.nonzero()[0].tolist()]
+        for job in turning:
+            job.turn_phase(ticks[-1])
+            self._layout = None
+        # Completions are booked in start order, which ``turning`` keeps
+        # unless scalar-path jobs finish beside it.
+        self._retire_done(self.running.values() if lay.scalar else turning)
         self._power_history.extend(zip(ticks, totals.tolist()))
         return span, totals
 
@@ -446,10 +541,15 @@ def _fold(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return chain.cumsum(axis=0)
 
 
-def _draw(streams: list[np.random.Generator], widths: list[int], ticks: int) -> np.ndarray:
-    """``(ticks, Σ widths)`` standard normals, stream ``i`` filling its
-    ``widths[i]`` columns tick-major — the order one tick at a time takes them."""
-    bounds = list(accumulate(widths, initial=0))
+def _after(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``start`` after adding each of ``steps`` in turn: :func:`_fold`'s last row."""
+    return start + steps[0] if len(steps) == 1 else _fold(start, steps)[-1]
+
+
+def _draw(streams: list[np.random.Generator], bounds: list[int], ticks: int) -> np.ndarray:
+    """``(ticks, bounds[-1])`` standard normals, stream ``i`` filling columns
+    ``bounds[i]:bounds[i + 1]`` tick-major — the order one tick at a time
+    takes them."""
     z = np.empty((ticks, bounds[-1]))
     if ticks == 1:  # a column block of one row is contiguous: draw in place
         row = z[0]

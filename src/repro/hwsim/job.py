@@ -12,7 +12,6 @@ finishes an iteration (GEOPM's all-processes barrier semantics).
 from __future__ import annotations
 
 import enum
-from typing import Sequence
 
 import numpy as np
 
@@ -34,8 +33,34 @@ class JobPhase(enum.Enum):
     KILLED = "killed"  # terminated by a node failure; produces no totals
 
 
+class _LedgerCell:
+    """A float attribute of a job kept in entry ``index`` of its ``_ledger``."""
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def __get__(self, job: RunningJob, owner: type | None = None) -> float:
+        return float(job._ledger[self.index])
+
+    def __set__(self, job: RunningJob, value: float) -> None:
+        job._ledger[self.index] = value
+
+
 class RunningJob:
-    """One executing job: physics state plus its GEOPM plumbing."""
+    """One executing job: physics state plus its GEOPM plumbing.
+
+    ``cells`` is the cluster's node-indexed ``(progress, counts, barrier,
+    ledger)`` columns.  Rank ``i`` runs on node ``i`` of ``nodes`` and owns
+    that row of ``progress`` (fractional epochs) and ``counts`` (whole ones,
+    the profiler's); what is per job — the barrier count and the three
+    ledger rows ``phase_elapsed``, ``_compute_energy``, ``_compute_seconds``
+    — sits at the job's first row.  The scalar reference below and the
+    cluster's window kernel read and write the same cells.
+    """
+
+    phase_elapsed = _LedgerCell(0)
+    _compute_energy = _LedgerCell(1)
+    _compute_seconds = _LedgerCell(2)
 
     def __init__(
         self,
@@ -46,7 +71,7 @@ class RunningJob:
         submit_time: float,
         start_time: float,
         rng: np.random.Generator,
-        progress: np.ndarray,
+        cells: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         agent_fanout: int = 8,
         run_noise: bool = True,
     ) -> None:
@@ -62,8 +87,15 @@ class RunningJob:
         self.est_end = self.start_time + job_type.total_time(job_type.p_min)
         self.rng = rng
         self.phase = JobPhase.SETUP
-        self.phase_elapsed = 0.0
-        self.profiler = EpochProfiler(num_ranks=len(nodes))
+        self.rows = np.array([n.node_id for n in nodes])
+        self.root = root = int(self.rows[0])  # where the job's own cells sit
+        self._progress, counts, barrier, ledger = cells
+        self._progress[self.rows] = 0.0
+        self._ledger = ledger[:, root]
+        self._ledger[:] = 0.0
+        self.profiler = EpochProfiler(
+            len(nodes), cells=(counts, self.rows, barrier[root : root + 1])
+        )
         self.endpoint = Endpoint(job_id=job_id)
         self.agents = JobAgentGroup(
             [n.pio for n in nodes], self.profiler, self.endpoint, fanout=agent_fanout
@@ -76,17 +108,23 @@ class RunningJob:
         self._run_multiplier = (
             float(np.exp(rng.normal(0.0, job_type.noise))) if run_noise else 1.0
         )
-        # Fractional epoch progress per rank (rank i ↔ node i) lives in the
-        # cluster's node-indexed ``progress`` column, at this job's ``rows``.
-        self.rows = np.array([n.node_id for n in nodes])
-        self._progress = progress
         self.profile_static = job_type.profile_static
         self._compute_started: float | None = None
         self._compute_finished: float | None = None
         self.end_time: float | None = None
         self._energy_at_start = sum(n.total_energy for n in nodes)
-        self._compute_energy = 0.0
-        self._compute_seconds = 0.0
+        self._energy_at_release: float | None = None
+
+    def detach(self) -> None:
+        """Copy the job's cells out of the cluster's columns.
+
+        A job that left the cluster is still read (``totals()`` right after
+        release, a test's observables later) while its rows and nodes may
+        already belong to the next job.
+        """
+        self._ledger = self._ledger.copy()
+        self.profiler.detach()
+        self._energy_at_release = sum(n.total_energy for n in self.nodes)
 
     @property
     def _rank_progress(self) -> np.ndarray:
@@ -107,25 +145,26 @@ class RunningJob:
         else:  # setup/teardown: every node draws idle power
             for node in self.nodes:
                 node.consume_idle(dt, self.rng)
-        self.settle(dt, now, [tick_power])
+        self.settle(dt, now, tick_power)
 
-    def settle(self, dt: float, now: float, powers: Sequence[float | None]) -> None:
-        """Phase bookkeeping for ticks whose physics is already deposited.
+    def settle(self, dt: float, now: float, power: float | None) -> None:
+        """Phase bookkeeping for a tick whose physics is already deposited.
 
-        ``powers`` has one entry per tick, the last of them at ``now``: the
-        job's realised draw over a compute tick (the left-to-right sum over
-        its nodes), None in any other phase.  Only the last tick can change
-        the phase — the cluster ends its windows at the first tick that can
-        (see :meth:`ticks_to_timer` for the timers; epoch completion is read
-        off the drawn trajectory) — so the checks run once, after the folds.
+        ``power`` is the job's realised draw over a compute tick (the
+        left-to-right sum over its nodes), None in any other phase.  The
+        kernel folds the same ``+=`` chains for a whole window and ends it at
+        the first tick that can change a phase, so it too turns phases once.
         """
         if self.phase is JobPhase.DONE:
             return
-        for power in powers:  # the per-tick += chains, verbatim
-            self.phase_elapsed += dt
-            if power is not None:
-                self._compute_energy += power * dt
-                self._compute_seconds += dt
+        self.phase_elapsed += dt
+        if power is not None:
+            self._compute_energy += power * dt
+            self._compute_seconds += dt
+        self.turn_phase(now)
+
+    def turn_phase(self, now: float) -> None:
+        """Move to the next phase if the tick that ended at ``now`` earned it."""
         if self.phase is JobPhase.SETUP:
             if self.phase_elapsed >= self.job_type.setup_time:
                 self.phase = JobPhase.COMPUTE
@@ -136,22 +175,10 @@ class RunningJob:
                 self.phase = JobPhase.TEARDOWN
                 self.phase_elapsed = 0.0
                 self._compute_finished = now
-        elif self.phase_elapsed >= self.job_type.teardown_time:
-            self.phase = JobPhase.DONE
-            self.end_time = now
-
-    def ticks_to_timer(self, dt: float, limit: int) -> int:
-        """Ticks (at most ``limit``) up to and including the one on which
-        this setup/teardown job's timer expires: :meth:`settle`'s own
-        ``phase_elapsed`` chain and comparison, run ahead."""
-        jt = self.job_type
-        expiry = jt.setup_time if self.phase is JobPhase.SETUP else jt.teardown_time
-        elapsed = self.phase_elapsed
-        for ticks in range(1, limit):
-            elapsed += dt
-            if elapsed >= expiry:
-                return ticks
-        return limit
+        elif self.phase is JobPhase.TEARDOWN:
+            if self.phase_elapsed >= self.job_type.teardown_time:
+                self.phase = JobPhase.DONE
+                self.end_time = now
 
     def _advance_compute_nodewise(self, dt: float, now: float) -> float:
         """Reference per-node compute tick; returns the job power."""
@@ -165,7 +192,7 @@ class RunningJob:
             rate = node.perf_multiplier / (tau * self._run_multiplier * jitter)
             self._progress[row] += rate * dt
             done_epochs = min(int(self._progress[row]), self.job_type.epochs)
-            if done_epochs > self.profiler.rank_counts[i]:
+            if done_epochs > self.profiler.rank_count(i):
                 self.profiler.set_rank_progress(i, done_epochs, timestamp=now)
             demand = min(
                 max(cap, self.job_type.p_min),
@@ -227,6 +254,9 @@ class RunningJob:
         if not self.is_done or self.end_time is None:
             raise RuntimeError(f"job {self.job_id} has not completed")
         runtime = self.compute_runtime or 0.0
+        energy_now = self._energy_at_release
+        if energy_now is None:  # still on the cluster
+            energy_now = sum(n.total_energy for n in self.nodes)
         avg_power = self._compute_energy / self._compute_seconds if self._compute_seconds else 0.0
         return ApplicationTotals(
             job_id=self.job_id,
@@ -234,7 +264,7 @@ class RunningJob:
             nodes=len(self.nodes),
             runtime=runtime,
             sojourn=self.end_time - self.submit_time,
-            energy=sum(n.total_energy for n in self.nodes) - self._energy_at_start,
+            energy=energy_now - self._energy_at_start,
             epoch_count=self.profiler.epoch_count,
             average_power=avg_power,
         )

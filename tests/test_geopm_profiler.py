@@ -1,9 +1,10 @@
 """Tests for epoch profiling (geopm_prof_epoch semantics, paper §4.3)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geopm.profiler import EpochProfiler
+from repro.geopm.profiler import EpochBatch, EpochProfiler
 
 
 class TestBarrierSemantics:
@@ -128,3 +129,95 @@ class TestEpochTimes:
         p.prof_epoch(0, timestamp=0.0)
         with pytest.raises(ValueError, match="two"):
             p.seconds_per_epoch()
+
+
+class TestBatchEntryEqualsRankCalls:
+    """The window kernel raises every rank of every job at once
+    (``EpochBatch``); the scalar reference calls ``prof_epoch`` /
+    ``set_rank_progress`` rank by rank, tick-major.  Same counts, barriers
+    and epoch timestamps either way."""
+
+    @staticmethod
+    def _shared(widths):
+        """Profilers over one pair of columns, on interleaved rows, as the
+        cluster builds them; and the batch over all of them."""
+        total = sum(widths)
+        counts = np.full(total, 7, dtype=np.int64)  # stale cells: a profiler claims its own
+        barrier = np.full(total, 7, dtype=np.int64)
+        order = np.random.default_rng(total).permutation(total)
+        profilers, lo = [], 0
+        for w in widths:
+            rows = np.sort(order[lo : lo + w])
+            profilers.append(
+                EpochProfiler(w, cells=(counts, rows, barrier[rows[0] : rows[0] + 1]))
+            )
+            lo += w
+        return profilers, EpochBatch(counts, barrier, profilers)
+
+    @staticmethod
+    def _state(profilers):
+        return [(p.rank_counts, p.epoch_count, p.epoch_times) for p in profilers]
+
+    @given(
+        widths=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_property_same_counts_barriers_and_stamps(self, widths, data):
+        ranks = sum(widths)
+        rises = data.draw(  # per tick, per rank: whole epochs gained
+            st.lists(
+                st.lists(st.integers(0, 3), min_size=ranks, max_size=ranks), max_size=12
+            )
+        )
+        cuts = data.draw(st.lists(st.integers(1, 5), min_size=len(rises), max_size=len(rises)))
+        one_by_one = data.draw(st.booleans())  # prof_epoch, else set_rank_progress
+        alone = [EpochProfiler(w) for w in widths]
+        shared, batch = self._shared(widths)
+        owner = [(p, r) for p in alone for r in range(p.num_ranks)]
+        totals = np.zeros(ranks, dtype=np.int64)
+        tick = 0
+        while tick < len(rises):
+            window = rises[tick : tick + cuts[tick]]
+            times = [float(tick + k + 1) for k in range(len(window))]
+            for row, now in zip(window, times):  # tick-major, rank ascending
+                for (p, r), gain in zip(owner, row):
+                    if one_by_one:
+                        for _ in range(gain):
+                            p.prof_epoch(r, timestamp=now)
+                    elif gain:
+                        p.set_rank_progress(r, p.rank_count(r) + gain, timestamp=now)
+            after = totals + np.cumsum(window, axis=0)
+            batch.record(*batch.preview(after), times)
+            totals = after[-1]
+            tick += len(window)
+            assert self._state(shared) == self._state(alone)
+        assert [p.epoch_count for p in shared] == [min(p.rank_counts) for p in shared]
+
+    @given(
+        widths=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_property_a_falling_count_raises_before_anything_moves(self, widths, data):
+        ranks = sum(widths)
+        start = data.draw(st.lists(st.integers(1, 5), min_size=ranks, max_size=ranks))
+        victim = data.draw(st.integers(0, ranks - 1))
+        ticks = data.draw(st.integers(1, 4))
+        fall_at = data.draw(st.integers(0, ticks - 1))
+        alone = [EpochProfiler(w) for w in widths]
+        shared, batch = self._shared(widths)
+        owner = [(p, r) for p in alone for r in range(p.num_ranks)]
+        for (p, r), count in zip(owner, start):
+            p.set_rank_progress(r, count, timestamp=1.0)
+        batch.record(*batch.preview(np.array([start])), [1.0])
+        before = self._state(shared)
+        assert before == self._state(alone)
+        # Every rank gains an epoch a tick; the victim loses one on ``fall_at``.
+        after = np.array(start) + np.arange(1, ticks + 1)[:, None]
+        after[fall_at:, victim] = np.vstack([start, after])[fall_at, victim] - 1
+        with pytest.raises(ValueError, match="went backwards"):
+            batch.record(*batch.preview(after), [float(k + 2) for k in range(ticks)])
+        assert self._state(shared) == before
+        p, r = owner[victim]
+        with pytest.raises(ValueError, match="went backwards"):
+            p.set_rank_progress(r, start[victim] - 1, timestamp=2.0)
+        assert self._state(alone) == before

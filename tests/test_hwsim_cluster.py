@@ -1,5 +1,6 @@
 """Tests for the emulated cluster: allocation, metering, lifecycle."""
 
+import sys
 from copy import deepcopy
 from dataclasses import replace
 
@@ -361,6 +362,126 @@ class TestFleetPassEqualsScalarReference:
         while pair.fleet.running:
             pair.tick()
         pair.assert_equal()
+
+    def test_scale_point_wide_jobs_on_fragmented_rows(self):
+        # 256 nodes, as ``dr256_multirate``: many barriers rise on one tick,
+        # and jobs up to 16 wide sum their power over rows that single-node
+        # fillers of scattered lengths freed in no particular order.
+        draw = np.random.default_rng(22)
+        pair = Pair(256, seed=9, perf_variation_std=0.05)
+        for i in range(256):
+            filler = short_type("is", nodes=1, epochs=int(draw.integers(1, 9)), tau=1.0)
+            pair.start(f"filler{i}", filler)
+        names = sorted(NAS_TYPES)
+        waiting = [
+            (
+                f"wide{k}",
+                short_type(
+                    names[k % len(names)],
+                    nodes=int(draw.integers(1, 17)),
+                    epochs=int(draw.integers(3, 9)),
+                    tau=float(draw.uniform(0.4, 2.0)),
+                ),
+            )
+            for k in range(110)
+        ]
+        calls = 0
+        while waiting or pair.fleet.running:
+            while waiting and len(pair.fleet.idle_nodes()) >= waiting[0][1].nodes:
+                pair.start(*waiting.pop(0))
+            if calls % 3:
+                pair.window(4)
+            else:
+                pair.tick()
+            pair.assert_equal()
+            calls += 1
+        wide = pair.jobs[0][256:]
+        assert sum(len(j.nodes) > 8 for j in wide) > 20
+        assert sum(max(np.diff([n.node_id for n in j.nodes]), default=1) > 1 for j in wide) > 20
+        assert len(pair.fleet.completed) == 256 + 110
+
+
+class TestReleasedJobKeepsItsLedger:
+    """A job that left the cluster is still read — ``totals()`` right after
+    the release, these observables whenever — while its rows, where the
+    cluster's columns held its ledger, already serve the next job."""
+
+    @staticmethod
+    def _ledger(job) -> dict:
+        return {
+            "phase_elapsed": job.phase_elapsed,
+            "compute_energy": job._compute_energy,
+            "compute_seconds": job._compute_seconds,
+            "rank_counts": job.profiler.rank_counts,
+            "epoch_count": job.profiler.epoch_count,
+            "epoch_times": job.profiler.epoch_times,
+            "totals": job.totals() if job.is_done else None,
+        }
+
+    @pytest.mark.parametrize("exit_by", ["done", "kill_job", "fail_node"])
+    def test_rows_re_let_to_the_next_job(self, exit_by):
+        pair = Pair(2, seed=6)
+        pair.start("a", short_type("ft", nodes=2, epochs=5, tau=1.0))
+        if exit_by == "done":
+            while pair.fleet.running:
+                pair.tick()
+            assert [t.job_id for t in pair.fleet.completed] == ["a"]
+        else:
+            for _ in range(6):  # into compute: every cell has moved
+                pair.tick()
+            if exit_by == "kill_job":
+                pair.both(lambda c, _: c.kill_job("a"))
+            else:
+                pair.both(lambda c, _: (c.fail_node(1), c.restore_node(1)))
+            assert pair.fleet.killed == [(6.0, "a")]
+        at_release = [self._ledger(jobs[0]) for jobs in pair.jobs]
+        assert at_release[0] == at_release[1]
+        assert at_release[0]["compute_seconds"] > 0 and any(at_release[0]["rank_counts"])
+        pair.start("b", short_type("mg", nodes=2, epochs=40, tau=0.5))
+        for _ in range(8):  # through setup, several ticks into compute
+            pair.tick()
+        for jobs, before in zip(pair.jobs, at_release):
+            a, b = jobs
+            assert [n.node_id for n in b.nodes] == [n.node_id for n in a.nodes] == [0, 1]
+            assert b.phase.name == "COMPUTE" and b.profiler.epoch_count > 0
+            assert self._ledger(a) == before
+        pair.assert_equal()
+
+
+class TestWorkPerWindow:
+    """Counted, not timed: Python-level calls in a window do not grow with
+    the number of jobs (RNG draws and ``list.extend`` are C calls)."""
+
+    @staticmethod
+    def _python_calls_of_a_steady_tick(jobs: int) -> int:
+        cluster = EmulatedCluster(64, seed=1)
+        for k in range(jobs):
+            cluster.start_job(f"j{k}", short_type("lu", nodes=1, epochs=400, tau=1.0))
+        for _ in range(6):  # all into compute, the layout built
+            cluster.clock.advance(1.0)
+            cluster.advance(1.0)
+        phases = [job.phase for job in cluster.running.values()]
+        assert {p.name for p in phases} == {"COMPUTE"}
+        before = [job.profiler.epoch_count for job in cluster.running.values()]
+        cluster.clock.advance(1.0)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            cluster.advance(1.0)
+        finally:
+            sys.setprofile(None)
+        assert phases == [job.phase for job in cluster.running.values()]
+        # Not an empty tick: ranks crossed epochs and barriers rose in it.
+        assert before != [job.profiler.epoch_count for job in cluster.running.values()]
+        return calls
+
+    def test_python_calls_do_not_grow_with_jobs(self):
+        assert self._python_calls_of_a_steady_tick(8) == self._python_calls_of_a_steady_tick(64)
 
 
 class TestWindows:
