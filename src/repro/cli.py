@@ -296,7 +296,7 @@ def _run_profile(
     """Profile one figure run and render the top-N hot functions.
 
     The figure executes exactly as ``anor <figure>`` would (same seed, same
-    config, event-driven core included), so the report reflects the real
+    config, same windowed engine), so the report reflects the real
     simulation hot path rather than a synthetic kernel.
     """
     import cProfile

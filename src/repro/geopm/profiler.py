@@ -13,7 +13,6 @@ or every rank of every job across a window of ticks through
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -123,15 +122,18 @@ class EpochBatch:
     """
 
     def __init__(
-        self, counts: np.ndarray, barrier: np.ndarray, profilers: Sequence[EpochProfiler]
+        self,
+        counts: np.ndarray,
+        barrier: np.ndarray,
+        rows: np.ndarray,
+        starts: np.ndarray,
+        profilers: Sequence[EpochProfiler],
     ) -> None:
         self._counts, self._barrier = counts, barrier
-        #: Column entry of every rank, job after job; job ``j``'s ranks are
-        #: ``rows[starts[j]:starts[j + 1]]`` and its barrier sits at ``roots[j]``.
-        self.rows = np.concatenate([_NO_ROWS] + [p._rows for p in profilers])
-        bounds = list(accumulate([p.num_ranks for p in profilers], initial=0))
-        self.starts = np.array(bounds[:-1], dtype=np.intp)
-        self.roots = self.rows[self.starts]
+        #: Column entry of every rank, job after job: profiler ``j``'s ranks
+        #: are ``rows[starts[j]:starts[j + 1]]``, its barrier at ``roots[j]``.
+        self.rows, self.starts = rows, starts
+        self.roots = rows[starts]
         self._stamps = [p._epoch_times for p in profilers]
 
     def preview(self, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +164,3 @@ class EpochBatch:
         stamps = self._stamps
         for k, j, n in zip(at.tolist(), job.tolist(), rises[at, job].tolist()):
             stamps[j].extend([ticks[k]] * int(n))
-
-
-_NO_ROWS = np.empty(0, dtype=np.intp)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.geopm.msr import POWER_UNIT_WATTS
 from repro.geopm.profiler import EpochBatch
 from repro.geopm.report import ApplicationTotals
-from repro.hwsim.job import JobPhase, RunningJob
+from repro.hwsim.job import COMPUTING, FREE, QUIET, SCALAR, JobPhase, RunningJob
 from repro.hwsim.node import Node
 from repro.util.clock import SimClock
 from repro.util.rng import ensure_rng, spawn_rng
@@ -30,14 +30,13 @@ class _Layout:
     """What a window needs that only membership decides.
 
     Membership is which jobs run, on which nodes, in which phase, and which
-    nodes are down; it changes at :meth:`EmulatedCluster.start_job`, a
-    release, a phase turn and a node crash or restore, and the layout is
-    rebuilt at the first window after one.  Columns of a window's arrays are
-    ``rows``: the ranks of the compute jobs (``epochs.rows``), then those of
-    the setup/teardown jobs, then the idle nodes.
+    nodes are down; ``stamp`` is the cluster's record of it, and the layout
+    is rebuilt at the first window that finds another.  Columns of a window's
+    arrays are ``rows``: the ranks of the compute jobs (``epochs.rows``), then
+    those of the setup/teardown jobs, then the idle nodes.
     """
 
-    down: bytes  # the crashed flags this was built under
+    stamp: tuple[int, bytes, bytes]
     scalar: list[RunningJob]  # jobs only the scalar reference can step
     jobs: list[RunningJob]  # the rest: ``epochs.starts.size`` compute jobs, then the quiet
     epochs: EpochBatch  # the compute jobs' profilers
@@ -92,7 +91,13 @@ class EmulatedCluster:
         self._limit = np.zeros((num_nodes, pk), dtype=np.int64)  # raw PKG_POWER_LIMIT
         self._power = np.zeros(num_nodes)  # realised draw of the latest tick (W)
         self._down = np.zeros(num_nodes, dtype=bool)  # crashed
-        self._vacant = np.ones(num_nodes, dtype=bool)  # no job allocated
+        # What the kernel does with the node (FREE: no job allocated), written
+        # by the job there as it changes phase; and where the node sits among
+        # the kernel's columns: job after job in start order, ranks in order.
+        self._mode = np.full(num_nodes, FREE, dtype=np.int8)
+        self._seat = np.zeros(num_nodes, dtype=np.int64)
+        self._started = 0  # jobs ever started
+        self._tenant: list[RunningJob | None] = [None] * num_nodes  # at its first row
         self.idle_watts = np.full(num_nodes, float(idle_power))
         # Rank constants, one row each: truth curve a, b, c; p_min; p_demand;
         # jitter σ; run multiplier; epochs; node perf multiplier.
@@ -137,7 +142,7 @@ class EmulatedCluster:
     # ------------------------------------------------------------ node pool
 
     def _idle_rows(self) -> np.ndarray:
-        return np.flatnonzero(self._vacant & ~self._down)
+        return np.flatnonzero((self._mode == FREE) & ~self._down)
 
     def idle_nodes(self) -> list[Node]:
         """Schedulable nodes in ascending ``node_id`` (the allocation order)."""
@@ -189,7 +194,7 @@ class EmulatedCluster:
             submit_time=now if submit_time is None else submit_time,
             start_time=now,
             rng=job_rng,
-            cells=(self.progress, self._counts, self._barrier, self._ledger),
+            cells=(self.progress, self._counts, self._barrier, self._ledger, self._mode),
             agent_fanout=self.agent_fanout,
             run_noise=self.run_noise,
         )
@@ -204,9 +209,10 @@ class EmulatedCluster:
         ]
         self._rank[8, job.rows] = [node.perf_multiplier for node in nodes]
         self.idle_watts[job.rows] = [node.idle_power for node in nodes]
-        self._vacant[job.rows] = False
+        self._started += 1
+        self._seat[job.rows] = self._started * len(self.nodes) + np.arange(len(nodes))
+        self._tenant[job.root] = job
         self.running[job_id] = job
-        self._layout = None
         return job
 
     def _release(self, job: RunningJob) -> None:
@@ -215,9 +221,9 @@ class EmulatedCluster:
         for node in job.nodes:
             node.job_id = None
             node.pio.detach_profiler()
-        self._vacant[job.rows] = True
+        self._mode[job.rows] = FREE
+        self._tenant[job.root] = None
         job.detach()  # its rows may be re-let while its ledger is still read
-        self._layout = None
 
     def _retire_done(self, jobs) -> None:
         """Release every finished job among ``jobs`` and book its totals."""
@@ -305,49 +311,59 @@ class EmulatedCluster:
         return not self._membership().scalar
 
     def _membership(self) -> _Layout:
-        """The layout of the present membership, rebuilt if it has changed.
+        """The layout of the present membership, rebuilt if that has changed.
 
-        ``Node.fail`` / ``restore`` write the crashed flags without coming
-        through the cluster, so those are compared; every other change
-        clears ``_layout`` where it happens.
+        Jobs write ``_mode`` as they change phase and ``Node.fail`` /
+        ``restore`` the crashed flags, neither through the cluster, so the
+        columns themselves are compared; a start moves ``_started``.
         """
-        down = self._down.tobytes()
-        if self._layout is None or self._layout.down != down:
-            self._layout = self._build_layout(down)
+        stamp = (self._started, self._mode.tobytes(), self._down.tobytes())
+        if self._layout is None or self._layout.stamp != stamp:
+            self._layout = self._build_layout(stamp)
         return self._layout
 
-    def _build_layout(self, down: bytes) -> _Layout:
-        healthy = not self._down.any()
-        compute: list[RunningJob] = []
-        quiet: list[RunningJob] = []  # setup/teardown: idle draw, job's stream
-        scalar: list[RunningJob] = []
-        for job in self.running.values():
-            if not (job.profile_static if healthy else job.array_capable):
-                scalar.append(job)
-            elif job.phase is JobPhase.COMPUTE:
-                compute.append(job)
-            else:
-                quiet.append(job)
-        epochs = EpochBatch(self._counts, self._barrier, [job.profiler for job in compute])
+    def _build_layout(self, stamp: tuple[int, bytes, bytes]) -> _Layout:
+        # Array passes over the node columns, then one lookup per job for
+        # what only the job object holds (its stream, its timestamp list).
+        num_nodes = len(self.nodes)
+        busy = np.flatnonzero(self._mode)
+        seat = self._seat[busy]
+        order = np.argsort(seat)
+        busy, seat = busy[order], seat[order]
+        mode = self._mode[busy]
+        if self._down.any():
+            # The scalar path skips a crashed rank's draws, which the arrays
+            # cannot reproduce: its whole job goes to the reference.
+            struck = np.isin(seat // num_nodes, seat[self._down[busy]] // num_nodes)
+            mode = np.where(struck, SCALAR, mode)
+        first = seat % num_nodes == 0
+        computing, waiting = mode == COMPUTING, mode == QUIET
+        ranks, quiet_rows = busy[computing], busy[waiting]
+        starts, quiet_starts = np.flatnonzero(first[computing]), np.flatnonzero(first[waiting])
+        roots = np.concatenate((ranks[starts], quiet_rows[quiet_starts]))
         free = self._idle_rows()
-        rows = np.concatenate([epochs.rows] + [job.rows for job in quiet] + [free])
-        consts = self._rank[:, epochs.rows]
-        starts = epochs.starts
-        widths = np.diff(starts, append=epochs.rows.size)
+        tenant = self._tenant
+        jobs = [tenant[r] for r in roots.tolist()]
+        compute, quiet = jobs[: starts.size], jobs[starts.size :]
+        rows = np.concatenate((ranks, quiet_rows, free))
+        consts = self._rank[:, ranks]
+        bounds = np.append(starts, ranks.size)
+        widths = bounds[1:] - bounds[:-1]
         wider = []
         for p in range(1, int(widths.max(initial=1))):
             wide = np.flatnonzero(widths > p)
             wider.append((wide, starts[wide] + p))
-        quiet_widths = [len(job.nodes) for job in quiet] + [1] * free.size
         return _Layout(
-            down=down,
-            scalar=scalar,
-            jobs=compute + quiet,
-            epochs=epochs,
+            stamp=stamp,
+            scalar=[tenant[r] for r in busy[(mode == SCALAR) & first].tolist()],
+            jobs=jobs,
+            epochs=EpochBatch(
+                self._counts, self._barrier, ranks, starts, [job.profiler for job in compute]
+            ),
             rows=rows,
             consts=consts,
             idle=self.idle_watts[rows],
-            roots=np.array([job.root for job in compute + quiet], dtype=np.intp),
+            roots=roots,
             job_epochs=consts[7, starts],
             expiry=np.array(
                 [
@@ -360,13 +376,10 @@ class EmulatedCluster:
             wider=wider,
             # [jitter, RAPL] per compute rank per tick; one RAPL draw per
             # quiet rank from the job's stream, one per idle node from its own.
-            compute_streams=(
-                [job.rng for job in compute],
-                [2 * lo for lo in (*starts.tolist(), epochs.rows.size)],
-            ),
+            compute_streams=([job.rng for job in compute], (2 * bounds).tolist()),
             quiet_streams=(
                 [job.rng for job in quiet] + [self._node_rngs[i] for i in free.tolist()],
-                list(accumulate(quiet_widths, initial=0)),
+                [*quiet_starts.tolist(), *range(quiet_rows.size, quiet_rows.size + free.size + 1)],
             ),
         )
 
@@ -499,7 +512,6 @@ class EmulatedCluster:
         turning = [lay.jobs[j] for j in turned.nonzero()[0].tolist()]
         for job in turning:
             job.turn_phase(ticks[-1])
-            self._layout = None
         # Completions are booked in start order, which ``turning`` keeps
         # unless scalar-path jobs finish beside it.
         self._retire_done(self.running.values() if lay.scalar else turning)

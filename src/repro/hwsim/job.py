@@ -24,6 +24,11 @@ from repro.workloads.nas import JobType
 
 __all__ = ["JobPhase", "RunningJob"]
 
+# What the cluster's window kernel does with a node, one code per node in its
+# ``mode`` column: nothing (no job), idle draw from the job's stream (setup,
+# teardown), the compute pass, or leave it to the job's scalar reference.
+FREE, QUIET, COMPUTING, SCALAR = range(4)
+
 
 class JobPhase(enum.Enum):
     SETUP = "setup"
@@ -31,6 +36,15 @@ class JobPhase(enum.Enum):
     TEARDOWN = "teardown"
     DONE = "done"
     KILLED = "killed"  # terminated by a node failure; produces no totals
+
+
+_MODE = {
+    JobPhase.SETUP: QUIET,
+    JobPhase.COMPUTE: COMPUTING,
+    JobPhase.TEARDOWN: QUIET,
+    JobPhase.DONE: FREE,
+    JobPhase.KILLED: FREE,
+}
 
 
 class _LedgerCell:
@@ -50,12 +64,14 @@ class RunningJob:
     """One executing job: physics state plus its GEOPM plumbing.
 
     ``cells`` is the cluster's node-indexed ``(progress, counts, barrier,
-    ledger)`` columns.  Rank ``i`` runs on node ``i`` of ``nodes`` and owns
-    that row of ``progress`` (fractional epochs) and ``counts`` (whole ones,
-    the profiler's); what is per job — the barrier count and the three
-    ledger rows ``phase_elapsed``, ``_compute_energy``, ``_compute_seconds``
-    — sits at the job's first row.  The scalar reference below and the
-    cluster's window kernel read and write the same cells.
+    ledger, mode)`` columns.  Rank ``i`` runs on node ``i`` of ``nodes`` and
+    owns that row of ``progress`` (fractional epochs), ``counts`` (whole
+    ones, the profiler's) and ``mode`` (what the kernel does with the node,
+    written whenever :attr:`phase` is); what is per job — the barrier count
+    and the three ledger rows ``phase_elapsed``, ``_compute_energy``,
+    ``_compute_seconds`` — sits at the job's first row.  The scalar
+    reference below and the cluster's window kernel read and write the same
+    cells.
     """
 
     phase_elapsed = _LedgerCell(0)
@@ -71,7 +87,7 @@ class RunningJob:
         submit_time: float,
         start_time: float,
         rng: np.random.Generator,
-        cells: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        cells: tuple[np.ndarray, ...],
         agent_fanout: int = 8,
         run_noise: bool = True,
     ) -> None:
@@ -86,10 +102,11 @@ class RunningJob:
         #: occupancy — what the scheduler's backfill window sees.
         self.est_end = self.start_time + job_type.total_time(job_type.p_min)
         self.rng = rng
-        self.phase = JobPhase.SETUP
+        self.profile_static = job_type.profile_static
         self.rows = np.array([n.node_id for n in nodes])
         self.root = root = int(self.rows[0])  # where the job's own cells sit
-        self._progress, counts, barrier, ledger = cells
+        self._progress, counts, barrier, ledger, self._mode = cells
+        self.phase = JobPhase.SETUP
         self._progress[self.rows] = 0.0
         self._ledger = ledger[:, root]
         self._ledger[:] = 0.0
@@ -108,7 +125,6 @@ class RunningJob:
         self._run_multiplier = (
             float(np.exp(rng.normal(0.0, job_type.noise))) if run_noise else 1.0
         )
-        self.profile_static = job_type.profile_static
         self._compute_started: float | None = None
         self._compute_finished: float | None = None
         self.end_time: float | None = None
@@ -123,8 +139,20 @@ class RunningJob:
         already belong to the next job.
         """
         self._ledger = self._ledger.copy()
+        self._mode = None
         self.profiler.detach()
         self._energy_at_release = sum(n.total_energy for n in self.nodes)
+
+    @property
+    def phase(self) -> JobPhase:
+        return self._phase
+
+    @phase.setter
+    def phase(self, phase: JobPhase) -> None:
+        self._phase = phase
+        if self._mode is not None:
+            mode = _MODE[phase]
+            self._mode[self.rows] = mode if self.profile_static or mode == FREE else SCALAR
 
     @property
     def _rank_progress(self) -> np.ndarray:

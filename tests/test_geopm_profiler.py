@@ -152,7 +152,9 @@ class TestBatchEntryEqualsRankCalls:
                 EpochProfiler(w, cells=(counts, rows, barrier[rows[0] : rows[0] + 1]))
             )
             lo += w
-        return profilers, EpochBatch(counts, barrier, profilers)
+        rows = np.concatenate([p._rows for p in profilers])
+        starts = np.cumsum([0] + widths[:-1])
+        return profilers, EpochBatch(counts, barrier, rows, starts, profilers)
 
     @staticmethod
     def _state(profilers):
