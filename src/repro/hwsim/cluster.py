@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -98,7 +97,7 @@ class EmulatedCluster:
         self._seat = np.zeros(num_nodes, dtype=np.int64)
         self._started = 0  # jobs ever started
         self._tenant: list[RunningJob | None] = [None] * num_nodes  # at its first row
-        self.idle_watts = np.full(num_nodes, float(idle_power))
+        self.idle_watts = np.full(num_nodes, float(idle_power))  # read when the layout is built
         # Rank constants, one row each: truth curve a, b, c; p_min; p_demand;
         # jitter σ; run multiplier; epochs; node perf multiplier.
         self._rank = np.zeros((9, num_nodes))

@@ -53,8 +53,8 @@ class _LedgerCell:
     def __init__(self, index: int) -> None:
         self.index = index
 
-    def __get__(self, job: RunningJob, owner: type | None = None) -> float:
-        return float(job._ledger[self.index])
+    def __get__(self, job: RunningJob | None, owner: type | None = None):
+        return self if job is None else float(job._ledger[self.index])
 
     def __set__(self, job: RunningJob, value: float) -> None:
         job._ledger[self.index] = value
@@ -245,7 +245,9 @@ class RunningJob:
         curves — see :attr:`JobType.profile_static`) and no failed nodes:
         the per-node scalar path skips RNG draws for crashed ranks, which
         the array pass cannot reproduce (in practice a crash kills the
-        job before it advances again; this guard is belt and braces).
+        job before it advances again; this guard is belt and braces).  The
+        cluster reads the same two facts off its columns for every job at
+        once where it builds the kernel's layout.
         """
         return self.profile_static and not any(node.failed for node in self.nodes)
 
@@ -283,7 +285,7 @@ class RunningJob:
             raise RuntimeError(f"job {self.job_id} has not completed")
         runtime = self.compute_runtime or 0.0
         energy_now = self._energy_at_release
-        if energy_now is None:  # still on the cluster
+        if energy_now is None:  # done but not released: stepped outside a cluster
             energy_now = sum(n.total_energy for n in self.nodes)
         avg_power = self._compute_energy / self._compute_seconds if self._compute_seconds else 0.0
         return ApplicationTotals(
