@@ -146,7 +146,7 @@ class EpochBatch:
         done[1:] = after
         return done, np.minimum.reduceat(done, self.starts, axis=1)
 
-    def record(self, done: np.ndarray, floor: np.ndarray, ticks: Sequence[float]) -> None:
+    def record(self, done: np.ndarray, floor: np.ndarray, ticks: np.ndarray) -> None:
         """Commit a (possibly truncated) :meth:`preview`; tick ``k`` of it
         ended at ``ticks[k]``.  A falling count raises before any cell or
         timestamp list is written."""
@@ -159,8 +159,10 @@ class EpochBatch:
             )
         self._counts[self.rows] = done[-1]
         self._barrier[self.roots] = floor[-1]
-        rises = floor[1:] - floor[:-1]
-        at, job = rises.nonzero()  # tick-major: each job's stamps in time order
+        # One timestamp per epoch a barrier rose by, tick-major: each job's
+        # list stays in time order.
+        at, job = (floor[1:] > floor[:-1]).nonzero()
+        gained = (floor[at + 1, job] - floor[at, job]).astype(np.intp)
         stamps = self._stamps
-        for k, j, n in zip(at.tolist(), job.tolist(), rises[at, job].tolist()):
-            stamps[j].extend([ticks[k]] * int(n))
+        for j, t in zip(np.repeat(job, gained).tolist(), np.repeat(ticks[at], gained).tolist()):
+            stamps[j].append(t)

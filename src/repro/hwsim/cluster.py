@@ -8,6 +8,7 @@ band Fig. 9's demand-response targets move within.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,16 @@ import numpy as np
 from repro.geopm.msr import POWER_UNIT_WATTS
 from repro.geopm.profiler import EpochBatch
 from repro.geopm.report import ApplicationTotals
-from repro.hwsim.job import COMPUTING, FREE, QUIET, SCALAR, JobPhase, RunningJob
+from repro.hwsim.job import (
+    CLASS_SHIFT,
+    FREE,
+    ORDER_MASK,
+    QUIET,
+    RANK_BITS,
+    SCALAR,
+    JobPhase,
+    RunningJob,
+)
 from repro.hwsim.node import Node
 from repro.util.clock import SimClock
 from repro.util.rng import ensure_rng, spawn_rng
@@ -23,8 +33,12 @@ from repro.workloads.nas import JobType
 
 __all__ = ["EmulatedCluster"]
 
+# Where the quiet, the free and the scalar classes begin among sorted seats.
+_CLASS_FLOORS = np.array([QUIET, FREE, SCALAR], dtype=np.int64) << CLASS_SHIFT
+_RANK_MASK = (1 << RANK_BITS) - 1
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(slots=True)
 class _Layout:
     """What a window needs that only membership decides.
 
@@ -35,7 +49,7 @@ class _Layout:
     those of the setup/teardown jobs, then the idle nodes.
     """
 
-    stamp: tuple[int, bytes, bytes]
+    stamp: tuple[bytes, bytes]
     scalar: list[RunningJob]  # jobs only the scalar reference can step
     jobs: list[RunningJob]  # the rest: ``epochs.starts.size`` compute jobs, then the quiet
     epochs: EpochBatch  # the compute jobs' profilers
@@ -90,23 +104,26 @@ class EmulatedCluster:
         self._limit = np.zeros((num_nodes, pk), dtype=np.int64)  # raw PKG_POWER_LIMIT
         self._power = np.zeros(num_nodes)  # realised draw of the latest tick (W)
         self._down = np.zeros(num_nodes, dtype=bool)  # crashed
-        # What the kernel does with the node (FREE: no job allocated), written
-        # by the job there as it changes phase; and where the node sits among
-        # the kernel's columns: job after job in start order, ranks in order.
-        self._mode = np.full(num_nodes, FREE, dtype=np.int8)
-        self._seat = np.zeros(num_nodes, dtype=np.int64)
+        # Each node's place among the kernel's columns, a sort key (see
+        # ``repro.hwsim.job``): the class is written by the job there as it
+        # changes phase; a node with no job is FREE, in node order.
+        self._free_seat = (FREE << CLASS_SHIFT) + np.arange(num_nodes)
+        self._seat = self._free_seat.copy()
         self._started = 0  # jobs ever started
         self._tenant: list[RunningJob | None] = [None] * num_nodes  # at its first row
-        self.idle_watts = np.full(num_nodes, float(idle_power))  # read when the layout is built
         # Rank constants, one row each: truth curve a, b, c; p_min; p_demand;
-        # jitter σ; run multiplier; epochs; node perf multiplier.
-        self._rank = np.zeros((9, num_nodes))
+        # jitter σ; run multiplier; epochs; node perf multiplier; and the
+        # node's idle watts.  Read when the layout is built.
+        self._rank = np.zeros((10, num_nodes))
+        self.idle_watts = self._rank[9]
+        self.idle_watts[:] = idle_power
         self.progress = np.zeros(num_nodes)  # fractional epochs done per rank
         self._counts = np.zeros(num_nodes, dtype=np.int64)  # whole epochs done per rank
         self._barrier = np.zeros(num_nodes, dtype=np.int64)  # job-global epoch count
         # Per job: phase_elapsed, _compute_energy, _compute_seconds.
         self._ledger = np.zeros((3, num_nodes))
         self._layout: _Layout | None = None
+        self._caps: tuple[bytes, np.ndarray] | None = None  # (raw limits, caps under them)
         self.nodes = []
         for i in range(num_nodes):
             mult = 1.0
@@ -141,7 +158,7 @@ class EmulatedCluster:
     # ------------------------------------------------------------ node pool
 
     def _idle_rows(self) -> np.ndarray:
-        return np.flatnonzero((self._mode == FREE) & ~self._down)
+        return np.flatnonzero((self._seat >> CLASS_SHIFT == FREE) & ~self._down)
 
     def idle_nodes(self) -> list[Node]:
         """Schedulable nodes in ascending ``node_id`` (the allocation order)."""
@@ -193,7 +210,8 @@ class EmulatedCluster:
             submit_time=now if submit_time is None else submit_time,
             start_time=now,
             rng=job_rng,
-            cells=(self.progress, self._counts, self._barrier, self._ledger, self._mode),
+            cells=(self.progress, self._counts, self._barrier, self._ledger, self._seat),
+            serial=self._started + 1,
             agent_fanout=self.agent_fanout,
             run_noise=self.run_noise,
         )
@@ -209,7 +227,6 @@ class EmulatedCluster:
         self._rank[8, job.rows] = [node.perf_multiplier for node in nodes]
         self.idle_watts[job.rows] = [node.idle_power for node in nodes]
         self._started += 1
-        self._seat[job.rows] = self._started * len(self.nodes) + np.arange(len(nodes))
         self._tenant[job.root] = job
         self.running[job_id] = job
         return job
@@ -220,7 +237,7 @@ class EmulatedCluster:
         for node in job.nodes:
             node.job_id = None
             node.pio.detach_profiler()
-        self._mode[job.rows] = FREE
+        self._seat[job.rows] = self._free_seat[job.rows]
         self._tenant[job.root] = None
         job.detach()  # its rows may be re-let while its ledger is still read
 
@@ -269,13 +286,18 @@ class EmulatedCluster:
         """Every node's CPU cap (W): ``Node.power_cap`` for the whole fleet.
 
         Each package's programmed limit clamped into its actuatable range,
-        summed in package order — the scalar property's operations.
+        summed in package order — the scalar property's operations.  Kept
+        until a limit register is written: between control rounds every
+        window runs under the same caps.
         """
-        watts = np.clip(self._limit * POWER_UNIT_WATTS, self._limit_lo, self._limit_hi)
-        caps = watts[:, 0].copy()
-        for p in range(1, watts.shape[1]):
-            caps += watts[:, p]
-        return caps
+        raw = self._limit.tobytes()
+        if self._caps is None or self._caps[0] != raw:
+            watts = np.clip(self._limit * POWER_UNIT_WATTS, self._limit_lo, self._limit_hi)
+            caps = watts[:, 0].copy()
+            for p in range(1, watts.shape[1]):
+                caps += watts[:, p]
+            self._caps = (raw, caps)
+        return self._caps[1]
 
     @staticmethod
     def rank_model(consts: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -312,58 +334,59 @@ class EmulatedCluster:
     def _membership(self) -> _Layout:
         """The layout of the present membership, rebuilt if that has changed.
 
-        Jobs write ``_mode`` as they change phase and ``Node.fail`` /
-        ``restore`` the crashed flags, neither through the cluster, so the
-        columns themselves are compared; a start moves ``_started``.
+        Jobs write ``_seat`` as they start and change phase and ``Node.fail``
+        / ``restore`` the crashed flags, neither through the cluster, so the
+        columns themselves are compared.
         """
-        stamp = (self._started, self._mode.tobytes(), self._down.tobytes())
+        stamp = (self._seat.tobytes(), self._down.tobytes())
         if self._layout is None or self._layout.stamp != stamp:
             self._layout = self._build_layout(stamp)
         return self._layout
 
-    def _build_layout(self, stamp: tuple[int, bytes, bytes]) -> _Layout:
-        # Array passes over the node columns, then one lookup per job for
-        # what only the job object holds (its stream, its timestamp list).
-        num_nodes = len(self.nodes)
-        busy = np.flatnonzero(self._mode)
-        seat = self._seat[busy]
+    def _build_layout(self, stamp: tuple[bytes, bytes]) -> _Layout:
+        # A handful of array passes whatever the node count (what a numpy
+        # call costs is the cost here), then one lookup per job for what only
+        # the job object holds: its stream, its timestamp list.
+        seat = self._seat
+        if b"\x01" in stamp[1]:
+            # A crashed node leaves the columns, and the job over it goes to
+            # the scalar reference whole: that skips a crashed rank's draws,
+            # which the arrays cannot reproduce.
+            job = (seat & ORDER_MASK) >> RANK_BITS
+            struck = np.isin(job, job[self._down & (seat >> CLASS_SHIFT != FREE)])
+            seat = np.where(struck | self._down, seat | (SCALAR << CLASS_SHIFT), seat)
         order = np.argsort(seat)
-        busy, seat = busy[order], seat[order]
-        mode = self._mode[busy]
-        if self._down.any():
-            # The scalar path skips a crashed rank's draws, which the arrays
-            # cannot reproduce: its whole job goes to the reference.
-            struck = np.isin(seat // num_nodes, seat[self._down[busy]] // num_nodes)
-            mode = np.where(struck, SCALAR, mode)
-        first = seat % num_nodes == 0
-        computing, waiting = mode == COMPUTING, mode == QUIET
-        ranks, quiet_rows = busy[computing], busy[waiting]
-        starts, quiet_starts = np.flatnonzero(first[computing]), np.flatnonzero(first[waiting])
-        roots = np.concatenate((ranks[starts], quiet_rows[quiet_starts]))
-        free = self._idle_rows()
+        seat = seat[order]
+        nc, nq, nf = np.searchsorted(seat, _CLASS_FLOORS).tolist()
+        rows = order[:nf]  # compute ranks, quiet ranks, idle nodes
+        rank = seat[:nq] & _RANK_MASK
+        firsts = np.flatnonzero(rank == 0)  # where each job's columns begin
+        bounds = firsts.tolist()
+        ncj = bisect_left(bounds, nc)
+        starts = firsts[:ncj]
+        roots = rows[firsts]
         tenant = self._tenant
         jobs = [tenant[r] for r in roots.tolist()]
-        compute, quiet = jobs[: starts.size], jobs[starts.size :]
-        rows = np.concatenate((ranks, quiet_rows, free))
-        consts = self._rank[:, ranks]
-        bounds = np.append(starts, ranks.size)
-        widths = bounds[1:] - bounds[:-1]
+        compute, quiet = jobs[:ncj], jobs[ncj:]
+        table = self._rank[:, rows]
         wider = []
-        for p in range(1, int(widths.max(initial=1))):
-            wide = np.flatnonzero(widths > p)
-            wider.append((wide, starts[wide] + p))
+        if nc > ncj:  # some job is wider than one node
+            rank = rank[:nc]
+            for p in range(1, int(rank.max()) + 1):
+                column = np.flatnonzero(rank == p)
+                wider.append((np.searchsorted(starts, column - p), column))
         return _Layout(
             stamp=stamp,
-            scalar=[tenant[r] for r in busy[(mode == SCALAR) & first].tolist()],
+            scalar=[tenant[r] for r in order[nf:].tolist() if tenant[r] is not None],
             jobs=jobs,
             epochs=EpochBatch(
-                self._counts, self._barrier, ranks, starts, [job.profiler for job in compute]
+                self._counts, self._barrier, rows[:nc], starts, [job.profiler for job in compute]
             ),
             rows=rows,
-            consts=consts,
-            idle=self.idle_watts[rows],
+            consts=table[:9, :nc],
+            idle=table[9],
             roots=roots,
-            job_epochs=consts[7, starts],
+            job_epochs=table[7, starts],
             expiry=np.array(
                 [
                     job.job_type.setup_time
@@ -375,10 +398,13 @@ class EmulatedCluster:
             wider=wider,
             # [jitter, RAPL] per compute rank per tick; one RAPL draw per
             # quiet rank from the job's stream, one per idle node from its own.
-            compute_streams=([job.rng for job in compute], (2 * bounds).tolist()),
+            compute_streams=(
+                [job.rng for job in compute],
+                [2 * lo for lo in bounds[:ncj]] + [2 * nc],
+            ),
             quiet_streams=(
-                [job.rng for job in quiet] + [self._node_rngs[i] for i in free.tolist()],
-                [*quiet_starts.tolist(), *range(quiet_rows.size, quiet_rows.size + free.size + 1)],
+                [job.rng for job in quiet] + [self._node_rngs[i] for i in rows[nq:].tolist()],
+                [lo - nc for lo in bounds[ncj:]] + list(range(nq - nc, nf - nc + 1)),
             ),
         )
 
@@ -479,8 +505,7 @@ class EmulatedCluster:
                     rng.standard_normal(span * (hi - lo))
                 z, grown = z[:span], grown[: span + 1]
                 done, floor = done[: span + 1], floor[: span + 1]
-        ticks = times[:span].tolist()
-        epochs_of.record(done, floor, ticks)  # a falling count raises here: no cell written yet
+        epochs_of.record(done, floor, times)  # a falling count raises here: no cell written yet
         self.progress[ranks] = grown[-1]
         # Node.consume for all columns: RAPL noise, cap ceiling, idle floor,
         # energy split evenly over the packages.
@@ -509,6 +534,7 @@ class EmulatedCluster:
         self._ledger[:, lay.roots] = book
         turned = np.concatenate((floor[-1] >= lay.job_epochs, book[0, ncj:] >= lay.expiry))
         turning = [lay.jobs[j] for j in turned.nonzero()[0].tolist()]
+        ticks = times[:span].tolist()
         for job in turning:
             job.turn_phase(ticks[-1])
         # Completions are booked in start order, which ``turning`` keeps

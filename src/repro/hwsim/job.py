@@ -24,10 +24,15 @@ from repro.workloads.nas import JobType
 
 __all__ = ["JobPhase", "RunningJob"]
 
-# What the cluster's window kernel does with a node, one code per node in its
-# ``mode`` column: nothing (no job), idle draw from the job's stream (setup,
-# teardown), the compute pass, or leave it to the job's scalar reference.
-FREE, QUIET, COMPUTING, SCALAR = range(4)
+# A node's entry in the cluster's ``seat`` column is a sort key, class first:
+# what the window kernel does with the node — the compute pass, idle draw from
+# the job's stream (setup, teardown), idle draw from its own (no job), or
+# leave it to the job's scalar reference.  Below the class a busy node carries
+# its job's start number and its rank there; sorted, the column is the
+# kernel's columns: job after job in start order, each job's ranks in order.
+COMPUTING, QUIET, FREE, SCALAR = range(4)
+CLASS_SHIFT, RANK_BITS = 56, 16
+ORDER_MASK = (1 << CLASS_SHIFT) - 1
 
 
 class JobPhase(enum.Enum):
@@ -38,7 +43,7 @@ class JobPhase(enum.Enum):
     KILLED = "killed"  # terminated by a node failure; produces no totals
 
 
-_MODE = {
+_CLASS = {
     JobPhase.SETUP: QUIET,
     JobPhase.COMPUTE: COMPUTING,
     JobPhase.TEARDOWN: QUIET,
@@ -64,9 +69,10 @@ class RunningJob:
     """One executing job: physics state plus its GEOPM plumbing.
 
     ``cells`` is the cluster's node-indexed ``(progress, counts, barrier,
-    ledger, mode)`` columns.  Rank ``i`` runs on node ``i`` of ``nodes`` and
+    ledger, seat)`` columns.  Rank ``i`` runs on node ``i`` of ``nodes`` and
     owns that row of ``progress`` (fractional epochs), ``counts`` (whole
-    ones, the profiler's) and ``mode`` (what the kernel does with the node,
+    ones, the profiler's) and ``seat`` (the node's place among the kernel's
+    columns: the job's start number ``serial`` and the rank, under a class
     written whenever :attr:`phase` is); what is per job — the barrier count
     and the three ledger rows ``phase_elapsed``, ``_compute_energy``,
     ``_compute_seconds`` — sits at the job's first row.  The scalar
@@ -88,6 +94,7 @@ class RunningJob:
         start_time: float,
         rng: np.random.Generator,
         cells: tuple[np.ndarray, ...],
+        serial: int,
         agent_fanout: int = 8,
         run_noise: bool = True,
     ) -> None:
@@ -105,7 +112,8 @@ class RunningJob:
         self.profile_static = job_type.profile_static
         self.rows = np.array([n.node_id for n in nodes])
         self.root = root = int(self.rows[0])  # where the job's own cells sit
-        self._progress, counts, barrier, ledger, self._mode = cells
+        self._progress, counts, barrier, ledger, self._seat = cells
+        self._order = (serial << RANK_BITS) + np.arange(len(nodes))  # seats, less the class
         self.phase = JobPhase.SETUP
         self._progress[self.rows] = 0.0
         self._ledger = ledger[:, root]
@@ -139,7 +147,7 @@ class RunningJob:
         already belong to the next job.
         """
         self._ledger = self._ledger.copy()
-        self._mode = None
+        self._seat = None
         self.profiler.detach()
         self._energy_at_release = sum(n.total_energy for n in self.nodes)
 
@@ -150,9 +158,11 @@ class RunningJob:
     @phase.setter
     def phase(self, phase: JobPhase) -> None:
         self._phase = phase
-        if self._mode is not None:
-            mode = _MODE[phase]
-            self._mode[self.rows] = mode if self.profile_static or mode == FREE else SCALAR
+        if self._seat is not None:
+            klass = _CLASS[phase]
+            if klass != FREE and not self.profile_static:
+                klass = SCALAR
+            self._seat[self.rows] = self._order | (klass << CLASS_SHIFT)
 
     @property
     def _rank_progress(self) -> np.ndarray:

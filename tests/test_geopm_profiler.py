@@ -189,7 +189,7 @@ class TestBatchEntryEqualsRankCalls:
                     elif gain:
                         p.set_rank_progress(r, p.rank_count(r) + gain, timestamp=now)
             after = totals + np.cumsum(window, axis=0)
-            batch.record(*batch.preview(after), times)
+            batch.record(*batch.preview(after), np.array(times))
             totals = after[-1]
             tick += len(window)
             assert self._state(shared) == self._state(alone)
@@ -210,14 +210,14 @@ class TestBatchEntryEqualsRankCalls:
         owner = [(p, r) for p in alone for r in range(p.num_ranks)]
         for (p, r), count in zip(owner, start):
             p.set_rank_progress(r, count, timestamp=1.0)
-        batch.record(*batch.preview(np.array([start])), [1.0])
+        batch.record(*batch.preview(np.array([start])), np.array([1.0]))
         before = self._state(shared)
         assert before == self._state(alone)
         # Every rank gains an epoch a tick; the victim loses one on ``fall_at``.
         after = np.array(start) + np.arange(1, ticks + 1)[:, None]
         after[fall_at:, victim] = np.vstack([start, after])[fall_at, victim] - 1
         with pytest.raises(ValueError, match="went backwards"):
-            batch.record(*batch.preview(after), [float(k + 2) for k in range(ticks)])
+            batch.record(*batch.preview(after), np.arange(2.0, ticks + 2))
         assert self._state(shared) == before
         p, r = owner[victim]
         with pytest.raises(ValueError, match="went backwards"):
