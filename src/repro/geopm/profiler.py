@@ -160,9 +160,13 @@ class EpochBatch:
         self._counts[self.rows] = done[-1]
         self._barrier[self.roots] = floor[-1]
         # One timestamp per epoch a barrier rose by, tick-major: each job's
-        # list stays in time order.
-        at, job = (floor[1:] > floor[:-1]).nonzero()
-        gained = (floor[at + 1, job] - floor[at, job]).astype(np.intp)
-        stamps = self._stamps
-        for j, t in zip(np.repeat(job, gained).tolist(), np.repeat(ticks[at], gained).tolist()):
-            stamps[j].append(t)
+        # list stays in time order, and a tick's float is shared by them all.
+        rises = floor[1:] - floor[:-1]
+        at, job = rises.nonzero()
+        gained = rises[at, job]
+        if gained.size and gained.max() > 1:  # several epochs inside one tick
+            gained = gained.astype(np.intp)
+            at, job = at.repeat(gained), job.repeat(gained)
+        stamps, stamp = self._stamps, ticks.tolist()
+        for j, k in zip(job.tolist(), at.tolist()):
+            stamps[j].append(stamp[k])
