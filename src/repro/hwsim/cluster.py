@@ -19,7 +19,6 @@ from repro.geopm.report import ApplicationTotals
 from repro.hwsim.job import (
     CLASS_SHIFT,
     FREE,
-    ORDER_MASK,
     QUIET,
     RANK_BITS,
     SCALAR,
@@ -36,6 +35,7 @@ __all__ = ["EmulatedCluster"]
 # Where the quiet, the free and the scalar classes begin among sorted seats.
 _CLASS_FLOORS = np.array([QUIET, FREE, SCALAR], dtype=np.int64) << CLASS_SHIFT
 _RANK_MASK = (1 << RANK_BITS) - 1
+_ORDER_MASK = (1 << CLASS_SHIFT) - 1  # start number and rank
 
 
 @dataclass(slots=True)
@@ -352,8 +352,9 @@ class EmulatedCluster:
             # A crashed node leaves the columns, and the job over it goes to
             # the scalar reference whole: that skips a crashed rank's draws,
             # which the arrays cannot reproduce.
-            job = (seat & ORDER_MASK) >> RANK_BITS
-            struck = np.isin(job, job[self._down & (seat >> CLASS_SHIFT != FREE)])
+            busy = seat >> CLASS_SHIFT != FREE
+            job = (seat & _ORDER_MASK) >> RANK_BITS
+            struck = busy & np.isin(job, job[self._down & busy])
             seat = np.where(struck | self._down, seat | (SCALAR << CLASS_SHIFT), seat)
         order = np.argsort(seat)
         seat = seat[order]

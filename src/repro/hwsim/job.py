@@ -32,7 +32,6 @@ __all__ = ["JobPhase", "RunningJob"]
 # kernel's columns: job after job in start order, each job's ranks in order.
 COMPUTING, QUIET, FREE, SCALAR = range(4)
 CLASS_SHIFT, RANK_BITS = 56, 16
-ORDER_MASK = (1 << CLASS_SHIFT) - 1
 
 
 class JobPhase(enum.Enum):
@@ -98,8 +97,8 @@ class RunningJob:
         agent_fanout: int = 8,
         run_noise: bool = True,
     ) -> None:
-        if not nodes:
-            raise ValueError(f"job {job_id}: needs at least one node")
+        if not 0 < len(nodes) <= 1 << RANK_BITS:
+            raise ValueError(f"job {job_id}: needs 1 to {1 << RANK_BITS} nodes, got {len(nodes)}")
         self.job_id = job_id
         self.job_type = job_type
         self.nodes = nodes
