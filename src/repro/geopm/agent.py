@@ -187,6 +187,18 @@ class JobAgentGroup:
             )
             for i, pio in enumerate(platform_ios)
         ]
+        # The tree never changes, so what a period walks is built once, in
+        # breadth-first order: each agent that has children with them, and
+        # each agent but the root with its parent.
+        self._order = self.tree.breadth_first()
+        self._down = [
+            (self.agents[i], [self.agents[c] for c in self.tree.children(i)])
+            for i in self._order
+            if not self.tree.is_leaf(i)
+        ]
+        self._up = [
+            (i, self.agents[self.tree.parent(i)]) for i in self._order if i != 0
+        ]
 
     def step(self, now: float) -> AgentSample:
         """Run one control period for every agent; returns the root sample."""
@@ -197,20 +209,16 @@ class JobAgentGroup:
         # before anyone steps: propagation costs one control period per tree
         # level (the root's fresh policy is still in its inbox, so children
         # see it only next period).
-        for i in self.tree.breadth_first():
-            parent_policy = self.agents[i].policy
+        for agent, children in self._down:
+            parent_policy = agent.policy
             if parent_policy is not None:
-                for child in self.tree.children(i):
-                    self.agents[child].deliver_policy(parent_policy)
-        samples: dict[int, AgentSample] = {}
-        for i in self.tree.breadth_first():
-            samples[i] = self.agents[i].step(now)
+                for child in children:
+                    child.deliver_policy(parent_policy)
+        samples = {i: self.agents[i].step(now) for i in self._order}
         # Samples move one hop per period: deposit this period's subtree
         # samples into parents for aggregation next period.
-        for i in self.tree.breadth_first():
-            parent = self.tree.parent(i)
-            if parent is not None:
-                self.agents[parent].deliver_child_sample(i, samples[i])
+        for i, parent in self._up:
+            parent.deliver_child_sample(i, samples[i])
         root_sample = samples[0]
         # The root's epoch count is authoritative; re-stamp aggregate nodes
         # to the job's true width once child samples have propagated.

@@ -7,6 +7,12 @@ epoch progress.  Each completed batch of epochs becomes one training sample
 ``retrain_threshold`` (10 in the paper) new epochs have been recorded.  Jobs
 that report no epochs, or that have not yet accumulated enough, use a
 *default model* supplied by the caller.
+
+A refit falls *due* in :meth:`OnlineModeler.observe` and is computed when
+``model`` or ``fit_r2`` is first read (or the drift check needs it), over
+the samples that existed when it fell due: most fits are overwritten by the
+next one before anything looks at them (DESIGN §7, *Fits are computed when
+read*).
 """
 
 from __future__ import annotations
@@ -54,11 +60,13 @@ class EpochHistory:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(caps, times-per-epoch, weights) as parallel arrays."""
-        caps = np.array([s.p_cap for s in self.samples], dtype=float)
-        times = np.array([s.seconds_per_epoch for s in self.samples], dtype=float)
-        weights = np.array([s.epochs for s in self.samples], dtype=float)
+    def arrays(self, n: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(caps, times-per-epoch, weights) of the first ``n`` samples (all
+        by default) as parallel arrays."""
+        samples = self.samples[:n]
+        caps = np.array([s.p_cap for s in samples], dtype=float)
+        times = np.array([s.seconds_per_epoch for s in samples], dtype=float)
+        weights = np.array([s.epochs for s in samples], dtype=float)
         return caps, times, weights
 
 
@@ -109,7 +117,18 @@ class OnlineModeler:
         self.min_fit_epochs = int(min_fit_epochs)
         self.min_sample_epochs = int(min_sample_epochs)
         self.history = EpochHistory()
-        self._fit: FitResult | None = None
+        # The fit, or, while one is due and nothing has read it yet, the count
+        # of leading ``history.samples`` it is over (the history is
+        # append-only); only ``_resolve`` turns the count into the fit.  One
+        # attribute, not two: whatever replaces a fit (a later due fit,
+        # ``seed_fit``, a drift reset) drops a due one the same way, and a
+        # modeler with more than 29 attributes stops sharing its keys with
+        # its siblings (0.8 KiB each, 0.3 MiB at 256 nodes).
+        self._fit: FitResult | int | None = None
+        # Plain counts, for tests and reports: fits that fell due, and those
+        # of them something went on to read.
+        self.fits_due = 0
+        self.fits_computed = 0
         # Moves whenever ``history`` or the fit moves and at no other time, so
         # a consumer can memoise anything derived from them on its value.
         self.revision = 0
@@ -249,11 +268,12 @@ class OnlineModeler:
         margin = 0.05 * (self.p_max - self.p_min)
         if not (lo - margin <= sample.p_cap <= hi + margin):
             return False
+        live = self._resolve().model
         if self._drift_model is None:
-            self._drift_model = self._fit.model
+            self._drift_model = live
             self._drift_model_age = 0
         predicted = self._drift_model.time_at(sample.p_cap)
-        live_predicted = self._fit.model.time_at(sample.p_cap)
+        live_predicted = live.time_at(sample.p_cap)
         if predicted <= 0 or live_predicted <= 0:
             return False
         residual = (sample.seconds_per_epoch - predicted) / predicted
@@ -286,7 +306,7 @@ class OnlineModeler:
                 self._drift_model_age >= 3 * self.drift_window
                 and abs(residual) <= self.drift_threshold
             ):
-                self._drift_model = self._fit.model
+                self._drift_model = live
                 self._drift_model_age = 0
             return False
         # New phase: throw away the stale model and its training data.
@@ -348,7 +368,30 @@ class OnlineModeler:
     # -------------------------------------------------------------- fitting
 
     def _refit(self) -> None:
-        caps, times, weights = self.history.arrays()
+        """Record that a fit over the history so far is due; no numerics.
+
+        Everything a consumer can see without reading the fit itself moves
+        here, exactly as if the fit had been computed: ``revision``,
+        ``seeded``, the trained cap range, the retrain counter.
+        """
+        self._fit = len(self.history)
+        self.fits_due += 1
+        self.revision += 1
+        self.seeded = False
+        self._fit_cap_range = (self.history.cap_min, self.history.cap_max)
+        self._epochs_since_fit = 0
+
+    def _resolve(self) -> FitResult | None:
+        """The current fit, computing the due one first if there is one.
+
+        A due fit is over the first ``n`` samples, the history as it stood
+        when the fit fell due, never over what was appended since: that is
+        what makes reading late equal to fitting at once.
+        """
+        n = self._fit
+        if not isinstance(n, int):
+            return n
+        caps, times, weights = self.history.arrays(n)
         sqrt_w = np.sqrt(weights)
         # Model order is limited by how much of the cap range the samples
         # cover: a quadratic extrapolated from a narrow operating window is
@@ -373,26 +416,27 @@ class OnlineModeler:
         t_bar = float(np.average(times, weights=weights))
         ss_tot = float(np.sum(weights * (times - t_bar) ** 2))
         r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-        self._fit = FitResult(model=model, r2=r2, n_samples=len(self.history))
-        self.revision += 1
-        self.seeded = False
-        self._fit_cap_range = (float(caps.min()), float(caps.max()))
-        self._epochs_since_fit = 0
+        self._fit = FitResult(model=model, r2=r2, n_samples=n)
+        self.fits_computed += 1
+        return self._fit
 
     # ------------------------------------------------------------- querying
 
     @property
     def has_fit(self) -> bool:
+        """True once a fit exists or is due; asking computes nothing."""
         return self._fit is not None
 
     @property
     def model(self) -> QuadraticPowerModel:
         """The current best model: fitted if available, else the default."""
-        return self._fit.model if self._fit is not None else self.default_model
+        fit = self._resolve()
+        return fit.model if fit is not None else self.default_model
 
     @property
     def fit_r2(self) -> float | None:
-        return self._fit.r2 if self._fit is not None else None
+        fit = self._resolve()
+        return fit.r2 if fit is not None else None
 
     @property
     def epochs_observed(self) -> int:

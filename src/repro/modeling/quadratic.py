@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.maths import clamp
-
 __all__ = ["QuadraticPowerModel", "FitResult"]
 
 
@@ -110,24 +108,41 @@ class QuadraticPowerModel:
 
         This is the ``P_j(·)`` function of §4.4.3.  Targets faster than the
         model's fastest time return ``p_max``; targets slower than its
-        slowest return ``p_min`` (the cap cannot slow the job further).
+        slowest return ``p_min`` (the cap cannot slow the job further).  A
+        model with no root inside the cap range gets ``p_max``, the full cap
+        (between its end times a parabola always has one, so this takes
+        rounding at a vertex on a range end, or overflow).  That is the safe
+        side: a curve that cannot say where the target lies must not be the
+        reason a job is slowed, and a budgeter summing the caps counts the
+        full cap against the budget, so the watts come from jobs whose
+        models do resolve.
         """
-        if t_target <= self.t_min:
-            return self.p_max
-        if t_target >= self.t_max:
-            return self.p_min
-        a, b, p_min, p_max = self.a, self.b, self.p_min, self.p_max
+        # Sits inside the budgeters' bisection: the seven constants come
+        # from one tuple memoised on the frozen instance, the clamps are
+        # inline (``p_min < p_max`` holds by construction).
+        try:
+            t_min, t_max, a, b, c, p_min, p_max = self._inverse_constants
+        except AttributeError:
+            constants = (self.t_min, self.t_max, self.a, self.b, self.c,
+                         self.p_min, self.p_max)
+            object.__setattr__(self, "_inverse_constants", constants)
+            t_min, t_max, a, b, c, p_min, p_max = constants
+        if t_target <= t_min:
+            return p_max
+        if t_target >= t_max:
+            return p_min
         if abs(a) < 1e-18:
             if abs(b) < 1e-18:
                 return p_max  # constant model: any cap achieves it
-            p = (t_target - self.c) / b
-            return clamp(p, p_min, p_max)
+            p = (t_target - c) / b
+            return p_min if p < p_min else p_max if p > p_max else p
         # Solve a·P² + b·P + (c − t) = 0; take the root inside the cap range.
-        disc = b * b - 4.0 * a * (self.c - t_target)
+        disc = b * b - 4.0 * a * (c - t_target)
         if disc < 0:
             # Shouldn't happen for monotone models within [t_min, t_max];
             # fall back to the vertex.
-            return clamp(-b / (2.0 * a), p_min, p_max)
+            p = -b / (2.0 * a)
+            return p_min if p < p_min else p_max if p > p_max else p
         sqrt_disc = math.sqrt(disc)
         r1 = (-b - sqrt_disc) / (2.0 * a)
         r2 = (-b + sqrt_disc) / (2.0 * a)
@@ -136,15 +151,15 @@ class QuadraticPowerModel:
         if in1 and in2:
             # Both roots valid: keep the one whose predicted time is closer
             # to the target (ties resolve to r1, matching min() semantics).
-            if abs(self.time_at(r1) - t_target) <= abs(self.time_at(r2) - t_target):
-                return clamp(r1, p_min, p_max)
-            return clamp(r2, p_min, p_max)
-        if in1:
-            return clamp(r1, p_min, p_max)
-        if in2:
-            return clamp(r2, p_min, p_max)
-        # Both roots outside: choose the nearer bound.
-        return p_min if t_target > self.t_max else p_max
+            near1 = abs(self.time_at(r1) - t_target) <= abs(self.time_at(r2) - t_target)
+            p = r1 if near1 else r2
+        elif in1:
+            p = r1
+        elif in2:
+            p = r2
+        else:
+            return p_max  # no root in range: see the docstring
+        return p_min if p < p_min else p_max if p > p_max else p
 
     def power_for_slowdown(self, s: float) -> float:
         """Cap achieving slowdown factor ``s`` (s=1 → no slowdown)."""

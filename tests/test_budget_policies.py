@@ -238,6 +238,58 @@ class TestDifferential:
         if 0.0 < gamma < 1.0:
             assert alloc.total_power(jobs) == pytest.approx(budget)
 
+    @pytest.mark.parametrize("frac", [-0.1, 0.0, 0.13, 0.5, 0.87, 1.0, 1.1])
+    def test_grouping_keys_on_the_object_and_the_requests_own_range(self, frac):
+        """One representative per distinct ``(model object, p_min, p_max)``:
+        jobs sharing an object share a cap, equal coefficients in distinct
+        objects get equal caps from separate inverses, and one object asked
+        for over two ranges is clamped to each."""
+        shared = NAS_TYPES["bt"].truth
+        twin = QuadraticPowerModel(shared.a, shared.b, shared.c, shared.p_min, shared.p_max)
+        steep = QuadraticPowerModel.from_anchors(2.0, 1.9, 140.0, 280.0)
+        jobs = [
+            JobBudgetRequest("shared-0", 2, shared, p_min=140.0, p_max=280.0),
+            JobBudgetRequest("steep-wide", 1, steep, p_min=140.0, p_max=280.0),
+            JobBudgetRequest("shared-1", 4, shared, p_min=140.0, p_max=280.0),
+            JobBudgetRequest("twin", 3, twin, p_min=140.0, p_max=280.0),
+            JobBudgetRequest("steep-low-ceiling", 2, steep, p_min=140.0, p_max=230.0),
+            JobBudgetRequest("steep-high-floor", 1, steep, p_min=190.0, p_max=280.0),
+        ]
+        floor = sum(j.p_min * j.nodes for j in jobs)
+        ceiling = sum(j.p_max * j.nodes for j in jobs)
+        budgeter = EvenSlowdownBudgeter()
+        alloc = budgeter.allocate(jobs, floor + frac * (ceiling - floor))
+        assert alloc.caps == budgeter._caps_at(jobs, alloc.meta["slowdown"])
+        assert alloc.caps["shared-0"] == alloc.caps["shared-1"] == alloc.caps["twin"]
+        assert alloc.caps["steep-low-ceiling"] <= 230.0 and alloc.caps["steep-high-floor"] >= 190.0
+
+    @pytest.mark.parametrize("count", [1, 2, 150])
+    def test_the_solves_total_is_the_request_order_sum_to_the_bit(self, count):
+        rng = np.random.default_rng(count)
+        truths = [NAS_TYPES[name].truth for name in sorted(NAS_TYPES)]
+        jobs = []
+        for i in range(count):
+            if rng.random() < 0.7:
+                model = truths[rng.integers(len(truths))]
+            else:
+                model = QuadraticPowerModel.from_anchors(
+                    float(rng.uniform(0.5, 4.0)), float(rng.uniform(1.0, 2.5)), 140.0, 280.0
+                )
+            jobs.append(JobBudgetRequest(f"j{i}", int(rng.integers(1, 9)), model, 140.0, 280.0))
+        budgeter = EvenSlowdownBudgeter()
+        total_at, caps_at, s_hi = budgeter._hoisted(jobs)
+        solved = budgeter.allocate(jobs, 0.6 * sum(j.p_max * j.nodes for j in jobs))
+        for s in [1.0, s_hi, solved.meta["slowdown"], *rng.uniform(1.0, s_hi, 20).tolist()]:
+            caps = budgeter._caps_at(jobs, s)
+            # The parent's ``sum(caps[j.job_id] * j.nodes for j in jobs)``,
+            # spelled as the adds it made: from CPython 3.12 ``sum``
+            # compensates float adds, a loop never does.
+            total = 0
+            for j in jobs:
+                total += caps[j.job_id] * j.nodes
+            assert total_at(s) == total
+            assert caps_at(s) == caps
+
 
 class TestUniform:
     def test_same_cap_everywhere(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.modeling.online import EpochHistory, EpochSample, OnlineModeler
 from repro.modeling.quadratic import QuadraticPowerModel
@@ -179,3 +181,136 @@ class TestOutlierRejection:
         m.history.append(EpochSample(200.0, 1.0, 1, 0.0))
         m.history.append(EpochSample(200.0, 1.0, 1, 1.0))
         assert not m._is_outlier(EpochSample(200.0, 1e6, 1, 2.0))
+
+
+# ----------------------------------------------------------- fit when read
+
+
+@st.composite
+def feeds(draw):
+    """A modeler configuration, a call sequence and where the late reader reads.
+
+    Caps come from a 30 W band (inside the 0.3 coverage threshold of the
+    140 W range, so degree ≤ 1) or from the whole range (across it); epochs
+    arrive in batches of 0–40; one call is a long silent gap (an outlier
+    sample); from ``shift_at`` on every span runs 1.6× slower (a phase
+    change, what drift detection is for); a ``seed_fit`` lands mid-stream.
+    """
+    centre = draw(st.floats(155.0, 265.0))
+    calls = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["observe"] * 6 + ["set_cap"] * 2 + ["gap"]),
+                st.booleans(),  # cap from the whole range, not the band
+                st.floats(0.0, 1.0),
+                st.floats(0.5, 30.0),
+                st.integers(0, 40),
+                st.booleans(),  # the late reader reads after this call
+            ),
+            min_size=15,
+            max_size=70,
+        )
+    )
+    return {
+        "detect_drift": draw(st.booleans()),
+        "min_sample_epochs": draw(st.sampled_from([1, 6])),
+        "centre": centre,
+        "calls": calls,
+        "shift_at": draw(st.integers(0, 70)),
+        "seed_at": draw(st.integers(0, 70)),
+    }
+
+
+def _replay(feed, *, read_every_call: bool):
+    """Feed one modeler; yield what a reader sees at each of its reads."""
+    m = make_modeler(
+        detect_drift=feed["detect_drift"], min_sample_epochs=feed["min_sample_epochs"]
+    )
+    seed = QuadraticPowerModel.from_anchors(1.7, 1.2, 140.0, 280.0)
+    t, epochs = 0.0, 0
+    for i, (kind, wide, u, dt, batch, late_read) in enumerate(feed["calls"]):
+        cap = 140.0 + 140.0 * u if wide else feed["centre"] + 30.0 * (u - 0.5)
+        if i >= feed["shift_at"]:
+            dt *= 1.6
+        if i == feed["seed_at"]:
+            m.seed_fit(seed, r2=0.9)
+        if kind == "set_cap":
+            t += dt
+            m.set_cap(t, cap)
+        else:
+            t += 400.0 * dt if kind == "gap" else dt
+            epochs += 1 if kind == "gap" else batch
+            m.observe(t, epochs, cap)
+        if read_every_call:
+            m.model, m.fit_r2
+        if late_read:
+            fit = m.model
+            yield i, (
+                (fit.a, fit.b, fit.c), m.fit_r2, m.has_fit, m.seeded, m.revision,
+                m.cap_coverage, m.drift_resets, len(m.history), m.fits_due,
+            )
+
+
+class TestFitWhenRead:
+    """A fit that falls due is computed at its first read, over the samples
+    that existed when it fell due: reading late changes nothing a reader sees."""
+
+    @given(feeds())
+    @settings(max_examples=60, deadline=None)
+    def test_reading_late_equals_reading_every_call(self, feed):
+        at_once = list(_replay(feed, read_every_call=True))
+        when_read = list(_replay(feed, read_every_call=False))
+        assert when_read == at_once
+
+    def test_a_due_fit_is_over_the_samples_it_fell_due_on(self):
+        m = make_modeler(min_sample_epochs=3)  # retrain_threshold 10: due every 4th sample
+        rng = np.random.default_rng(5)
+        t, epochs, due_at = 0.0, 0, None
+        m.observe(t, epochs, 200.0)
+        while due_at is None or len(m.history) < due_at + 2:
+            cap = float(rng.uniform(140.0, 280.0))
+            m.set_cap(t, cap)
+            t += float(rng.uniform(3.0, 6.0))
+            epochs += 3
+            if m.observe(t, epochs, cap) and len(m.history) >= 8:
+                due_at = len(m.history)
+        n, k = due_at, len(m.history) - due_at
+        assert k == 2 and m.has_fit and m.fits_computed == 0
+        caps, times, weights = m.history.arrays()
+
+        def direct(upto):
+            a, b, c = np.polyfit(caps[:upto], times[:upto], deg=2, w=np.sqrt(weights[:upto]))
+            return float(a), float(b), float(c)
+
+        fit = m.model
+        assert (fit.a, fit.b, fit.c) == direct(n)
+        assert (fit.a, fit.b, fit.c) != direct(n + k)
+        assert m._fit.n_samples == n
+        assert (m.fits_due, m.fits_computed) == (n // 4, 1)
+        assert m.model is fit  # a second read computes nothing
+        assert m.fits_computed == 1
+
+    def test_observe_makes_no_numpy_call(self, monkeypatch):
+        m = make_modeler()
+        feed_epochs(m, cap=200.0, seconds_per_epoch=1.0, epochs=9)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("observe computed a fit")
+
+        monkeypatch.setattr(np, "polyfit", fail)
+        monkeypatch.setattr(np, "average", fail)
+        monkeypatch.setattr(np, "array", fail)
+        t = feed_epochs(m, t0=20.0, cap=260.0, seconds_per_epoch=1.0, epochs=30)
+        assert m.fits_due >= 2 and m.fits_computed == 0 and m.has_fit
+        monkeypatch.undo()
+        assert m.model is not m.default_model and m.fits_computed == 1
+        feed_epochs(m, t0=t + 1.0, cap=150.0, seconds_per_epoch=1.0, epochs=30)
+        assert m.fits_computed == 1  # later due fits replaced it unread
+
+    def test_seed_fit_drops_a_due_fit_uncomputed(self):
+        m = make_modeler()
+        feed_epochs(m, cap=200.0, seconds_per_epoch=1.0, epochs=12)
+        assert m.fits_due == 1
+        seed = QuadraticPowerModel.from_anchors(1.7, 1.2, 140.0, 280.0)
+        m.seed_fit(seed, r2=0.9)
+        assert m.model is seed and m.fit_r2 == 0.9 and m.fits_computed == 0
