@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.budget.base import JobBudgetRequest, PowerBudgeter
 from repro.core.audit import CapComplianceAuditor
@@ -143,6 +143,9 @@ class ClusterPowerManager:
     # Observability (DESIGN.md §8).  With the shared NULL instance the round
     # has no telemetry stage and the handlers' counters are no-op instruments.
     telemetry: Telemetry = field(default=NULL_TELEMETRY)
+    # Round observers (:mod:`repro.invariants`): each is called with the
+    # finished BudgetRound, after everything else; none, no stage.
+    monitors: Sequence[Callable[[BudgetRound], None]] = ()
 
     jobs: dict[str, JobRecord] = field(default_factory=dict)
     tracking: list[TrackingSample] = field(default_factory=list)
@@ -228,6 +231,7 @@ class ClusterPowerManager:
             self._budget,
             self._publish,
             tel and self._close_round,
+            bool(self.monitors) and self._observe,
         ) if stage]
         # Run by ``_budget`` when a job is connected or recovering.
         self._budget_stages = [stage for stage in (
@@ -685,6 +689,10 @@ class ClusterPowerManager:
         self.last_round = rnd if rnd.occupied else None
         self.enforcement += rnd.actions
         self.admission_held = rnd.admission_held
+
+    def _observe(self, rnd: BudgetRound) -> None:
+        for monitor in self.monitors:
+            monitor(rnd)
 
     # ------------------------------------------------- stages of a budgeting
 

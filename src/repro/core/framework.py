@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from repro.core.audit import CapComplianceAuditor
 from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.job_endpoint import JobTierEndpoint
 from repro.core.reliable import ReliableLink
+from repro.core.round import BudgetRound
 from repro.core.targets import ConstantTarget, PowerTargetSource
 from repro.core.transport import LinkLedger, TcpLink
 from repro.durable.recovery import crash_head, reconcile_orphan, restart_head
@@ -260,7 +262,6 @@ class AnorResult:
     requeued: list[str] = field(default_factory=list)  # jobs requeued by crashes
     warnings: list[str] = field(default_factory=list)
     fault_log: list[str] = field(default_factory=list)
-    ghost_jobs: int = 0  # manager records still alive when the run ended
     recovery_log: list[str] = field(default_factory=list)  # head-node crash/restart incidents
     head_crashes: int = 0
     orphaned: list[str] = field(default_factory=list)  # jobs found dead in recovery
@@ -322,8 +323,11 @@ class AnorSystem:
         config: AnorConfig | None = None,
         scheduler: Scheduler | None = None,
         fault_schedule: FaultSchedule | None = None,
+        monitors: Sequence[Callable[[BudgetRound], None]] = (),
     ) -> None:
         self.config = config or AnorConfig()
+        #: Round observers, handed to every manager this system builds.
+        self.monitors = tuple(monitors)
         self.job_types = dict(job_types) if job_types is not None else dict(NAS_TYPES)
         self.budgeter = budgeter or EvenSlowdownBudgeter()
         self.target_source = target_source or ConstantTarget(
@@ -534,6 +538,7 @@ class AnorSystem:
             planner=planner,
             shed=shed,
             telemetry=self.telemetry,
+            monitors=self.monitors,
         )
 
     def _job_meter(self, job_id: str) -> tuple[float, tuple[int, ...]] | None:
@@ -1339,7 +1344,6 @@ class AnorSystem:
             requeued=list(self.requeued),
             warnings=list(self.warnings),
             fault_log=self.faults.log_lines() if self.faults is not None else [],
-            ghost_jobs=len(self.manager.jobs) if self.manager is not None else 0,
             recovery_log=list(self.recovery_log),
             head_crashes=self.head_crashes,
             orphaned=list(self.orphaned),

@@ -12,8 +12,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.durable.checkpoint import CheckpointError
-from repro.durable.state import apply_journal, empty_state, restore_state
+from repro.durable.state import (
+    apply_journal,
+    empty_state,
+    restore_state,
+    unheard_jobs,
+)
 from repro.durable.store import DurableStore
+from repro.sched.base import RunningView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import AnorSystem
@@ -31,6 +37,9 @@ def crash_head(system: "AnorSystem", now: float) -> None:
     for link in system.manager._links:
         link.close("head-crash")
     system.manager = None
+    # What the head knew of the jobs it launched dies with it; restart_head
+    # rebuilds it from the running view, the one record that is persisted.
+    system._job_specs = {}
     if system.durable is not None:
         system.durable.close()
         system.durable = None
@@ -97,17 +106,27 @@ def restart_head(system: "AnorSystem", now: float) -> None:
         # schedule and resource-manager state the head re-reads from
         # files (§4.1); everything *learned* — models, correction,
         # budget accounting — is gone.  The manager still runs a
-        # recovery window so reconnecting jobs are not mistaken for
-        # never-seen ones in the logs, and the gate, reset in place,
-        # re-anchors the control grid at the restart instant.
+        # recovery window, over every job the head launched, so that one
+        # which died in the outage is found missing, and the gate, reset
+        # in place, re-anchors the control grid at the restart instant.
         system._manager_gate.restore(None, 0)
-        system.manager.begin_recovery(now, {}, system.config.recovery_timeout)
+        system.manager.begin_recovery(
+            now, unheard_jobs(system, {}), system.config.recovery_timeout
+        )
         system._report(
             "head-restart-cold",
             now,
             system.recovery_log,
             "head node restarted cold (no usable checkpoint)",
         )
+    # One head-side record per launched job, from the running view (restored
+    # from the store, or standing in for it on a cold start); when the job
+    # ends is compute-node knowledge, read off the live job.
+    for job_id, spec in system._running_view.items():
+        queued = system._job_specs[job_id] = system._spec_from_dict(spec)
+        job = system.cluster.running.get(job_id)
+        if job is not None:
+            queued.running = RunningView(job_id, len(job.nodes), job.est_end)
     # Every surviving endpoint reconnects over a fresh link and re-HELLOs
     # on its next control period (deterministic order).
     for job_id in sorted(system.endpoints):
@@ -121,7 +140,8 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
     Three deterministic cases: the job is still running (endpoint died
     in the outage — leave it to the watchdog), it completed during the
     outage (nothing to do), or it died with its node (requeue it from
-    the checkpointed spec, like any node-crash kill).
+    the checkpointed spec, like any node-crash kill) — unless the head has
+    already requeued or dropped it since the restart.
     """
     system.orphaned.append(job_id)
     if job_id in system.cluster.running:
@@ -141,7 +161,7 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
         ):
             system._endpoint_restarts.append((now, job_id))
         return
-    spec_state = system._running_view.pop(job_id, None)
+    believed_running = system._running_view.pop(job_id, None) is not None
     if any(t.job_id == job_id for t in system.cluster.completed):
         system._report(
             "orphan-completed",
@@ -152,10 +172,15 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
             job_id=job_id,
         )
         return
+    if not believed_running:
+        # The head settled this job itself inside the recovery window (its
+        # node crashed, or the ladder shed it, before it re-HELLOed):
+        # requeueing it again would admit it twice.
+        return
     system._requeue_or_drop(
         job_id,
         now,
-        system._spec_from_dict(spec_state) if spec_state is not None else None,
+        system._job_specs.get(job_id),
         system.recovery_log,
         f"job {job_id} died during the head-node outage; requeued",
         f"job {job_id} died during the head-node outage (not requeued)",

@@ -42,6 +42,7 @@ __all__ = [
     "empty_state",
     "recovered_jobs_from_state",
     "restore_state",
+    "unheard_jobs",
 ]
 
 #: Manager incident counters a checkpoint carries, by attribute name.
@@ -138,6 +139,25 @@ def recovered_jobs_from_state(
     return out
 
 
+def unheard_jobs(system: "AnorSystem", heard: dict) -> dict[str, RecoveredJob]:
+    """Recovery entries for the jobs the head launched (its running view) but
+    holds no record of in ``heard``: their HELLO was still in flight at the
+    crash, or their record had been evicted.  Nothing was learned about them,
+    so each is reserved at its believed ceiling, and, like any restored job,
+    orphaned when the reconnect window closes on its silence — a job that
+    died in the outage before it ever spoke is requeued instead of lost."""
+    mgr, out = system.manager, {}
+    for job_id, spec in system._running_view.items():
+        if job_id not in heard:
+            claimed = spec["claimed_type"] or spec["type_name"]
+            believed = system.classifier.model_for(claimed, job_name=job_id)
+            out[job_id] = RecoveredJob(
+                job_id, claimed, int(spec["nodes"]),
+                min(believed.p_max, mgr.p_node_max),
+            )
+    return out
+
+
 def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
     """:func:`capture_state`'s inverse, onto a system whose manager was just
     rebuilt: the scheduler side and gate phases come back as they were, the
@@ -156,11 +176,9 @@ def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
     for name in _COUNTERS:
         setattr(mgr, name, int(saved["counters"][name]))
     mgr.target_source.restore_state(state["target_hold"])
-    mgr.begin_recovery(
-        now,
-        recovered_jobs_from_state(saved["jobs"], p_node_min=mgr.p_node_min),
-        system.config.recovery_timeout,
-    )
+    recovered = recovered_jobs_from_state(saved["jobs"], p_node_min=mgr.p_node_min)
+    recovered.update(unheard_jobs(system, recovered))
+    mgr.begin_recovery(now, recovered, system.config.recovery_timeout)
     system._manager_gate.restore(*state["gates"]["manager"])
     system._checkpoint_gate.restore(*state["gates"]["checkpoint"])
 

@@ -64,6 +64,10 @@ class DurableStore:
         if self.checkpoint_path.exists():
             payload = read_checkpoint(self.checkpoint_path)
         min_seq = int(payload.get("journal_seq", 0)) if payload is not None else 0
+        # A journal reopened after a checkpoint rotated it empty has lost its
+        # place: numbering on from 0 would put every new record at or under
+        # the watermark, where the next replay skips it.
+        self.journal.seq = max(self.journal.seq, min_seq)
         return payload, self.journal.replay(min_seq=min_seq)
 
     def close(self) -> None:

@@ -10,6 +10,7 @@ ceiling); jobs arrive from 6 long-running types at 95 % node utilization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,6 +66,7 @@ def build_demand_response_system(
     fault_schedule: FaultSchedule | None = None,
     config: AnorConfig | None = None,
     target_source: PowerTargetSource | None = None,
+    monitors: Sequence[Callable] = (),
 ) -> AnorSystem:
     """Assemble the Figs. 9–10 system: 6 long job types, moving target.
 
@@ -73,7 +75,8 @@ def build_demand_response_system(
     signal with and without faults.  ``target_source`` replaces the default
     regulation target (the forecast drill materialises the same signal into
     a file-backed :class:`~repro.core.targets.SteppedTarget` so the planner
-    can consume exact breakpoints).
+    can consume exact breakpoints).  ``monitors`` are the system's round
+    observers (:mod:`repro.invariants`).
     """
     types = {jt.name: jt for jt in long_running_mix()}
     generator = PoissonScheduleGenerator(
@@ -104,6 +107,7 @@ def build_demand_response_system(
         config=config
         or AnorConfig(num_nodes=num_nodes, seed=seed, feedback_enabled=feedback),
         fault_schedule=fault_schedule,
+        monitors=monitors,
     )
 
 

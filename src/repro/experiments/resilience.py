@@ -10,12 +10,13 @@ A drill is a :class:`Scenario` value: a workload, a target, common
 :class:`~repro.core.framework.AnorConfig` overrides, named arms, default and
 ``--quick`` parameters, a ``metrics(arms, params) -> dict`` function, claims
 as predicates over that dict, and table rows as ``(label, render)`` pairs.
-:func:`run_drill` builds and drives every arm with one drive-to-drain loop,
+:func:`run_drill` builds every arm and drains it with ``AnorSystem.run``,
 :func:`format_drill` prints any result and :func:`score` checks its claims.
-The measurements several drills share (:func:`lost_jobs`,
-:func:`double_admitted`, :func:`convergence_time`,
-:func:`rounds_over_ceiling`, :func:`longest_over_limit`,
-:func:`overshoot_stats`) are stated once, below the kernel.
+What counts as a violation (:func:`lost_jobs`, :func:`double_admitted`,
+:func:`rounds_over_ceiling`, :func:`longest_over_limit`, the round monitor
+every arm carries) is :mod:`repro.invariants`'; the measurements several
+drills share (:func:`convergence_time`, :func:`overshoot_stats`) are below
+the kernel.
 
 Adding a drill means adding one ``Scenario`` to :data:`SCENARIOS`: the CLI
 (``anor resilience --drill NAME``) and the golden test in
@@ -64,6 +65,17 @@ from repro.faults.events import (
     ThermalDerate,
 )
 from repro.faults.schedule import FaultSchedule
+from repro.invariants import (
+    RAMP_SLACK,
+    RoundMonitor,
+    collateral_quarantines,
+    double_admitted,
+    ghost_records,
+    longest_over_limit,
+    lost_jobs,
+    quarantines,
+    rounds_over_ceiling,
+)
 from repro.telemetry import summarize_incidents
 from repro.workloads.nas import P_NODE_MIN
 
@@ -105,17 +117,22 @@ class Arm:
 class ArmRun:
     """What one arm left behind.
 
-    ``rounds`` has one row per manager round: (time, budget ceiling =
-    max(target + correction, floor), planned draw = idle + reserved +
-    allocated) followed by whatever the scenario's ``sample`` adds.
-    ``system`` is the live system after the drain, so a metric reads
-    ``system.manager.auditor.transitions`` or ``system.telemetry
-    .incident_counts`` where it needs them instead of having them copied out.
+    ``monitor`` is the arm's round monitor: it checked every round invariant
+    and ``rounds`` is its table, one row per manager round that budgeted a
+    job: (time, budget ceiling = max(target + correction, floor), planned
+    draw = idle + reserved + allocated).  ``system`` is the live system after
+    the drain, so a metric reads ``system.manager.auditor.transitions`` or
+    ``system.telemetry.incident_counts`` where it needs them instead of
+    having them copied out.
     """
 
     result: AnorResult
-    rounds: np.ndarray
     system: AnorSystem
+    monitor: RoundMonitor
+
+    @property
+    def rounds(self) -> np.ndarray:
+        return self.monitor.table()
 
 
 @dataclass(frozen=True)
@@ -135,12 +152,10 @@ class Scenario:
     target: Callable[[dict], PowerTargetSource | None] = lambda p: None
     # Integral-trim gain forced onto every arm's manager (None: leave it).
     correction_gain: float | None = None
-    # Keep stepping for dead_job_timeout + 10 s after the drain: goodbyes are
+    # Keep running for dead_job_timeout + 10 s after the drain: goodbyes are
     # still in flight then, and a silently-dead record needs the timeout to
     # pass before it is evicted, so ghosts can only be counted afterwards.
     settle: bool = False
-    # Extra per-round columns appended to ``ArmRun.rounds``.
-    sample: Callable[[AnorSystem], tuple] | None = None
     # Applied to each arm as soon as it drains; ``metrics`` then sees what it
     # returned instead of the ``ArmRun``.  For a scenario with an open-ended
     # number of arms, so that their live systems are not all kept.
@@ -168,31 +183,6 @@ _UTILIZATION = {"static": 0.9, "fig9": 0.95}
 #: Safety stop: an arm that has not drained this long after ``duration``
 #: is cut off (its unstarted jobs then fail the drain claims).
 _DRAIN_LIMIT = 7200.0
-
-#: Float slack on planned ≤ ceiling.  0.1 W on a multi-kilowatt ceiling
-#: absorbs the budgeter's bisection/fp slop (present in healthy runs too);
-#: anything beyond it is a real over-commitment.
-_PLAN_SLACK = 0.1
-
-
-def _drive(system: AnorSystem, scenario: Scenario, max_time: float) -> ArmRun:
-    """Step a system until it drains, sampling every manager round."""
-    sample = scenario.sample
-    rows: list[tuple] = []
-    last_time = None
-    while system.has_work and system.cluster.clock.now < max_time:
-        system.step()
-        mgr = system.manager  # None while the head node is down
-        rnd = mgr.last_round if mgr is not None else None
-        if rnd is not None and rnd.time != last_time:
-            last_time = rnd.time
-            extra = sample(system) if sample is not None else ()
-            rows.append((rnd.time, rnd.ceiling, rnd.planned, *extra))
-    result = system.run(0.0)
-    if scenario.settle:
-        for _ in range(int(system.manager.dead_job_timeout) + 10):
-            system.step()
-    return ArmRun(result, np.asarray(rows) if rows else np.empty((0, 3)), system)
 
 
 def run_drill(
@@ -234,18 +224,24 @@ def run_drill(
                     tempfile.TemporaryDirectory(prefix=f"anor-{name}-")
                 )
                 cfg["checkpoint_dir"] = str(Path(base) / arm_name)
+            config = AnorConfig(**cfg)
+            monitor = RoundMonitor(config)
             system = build_demand_response_system(
                 duration=p["duration"],
                 utilization=_UTILIZATION[scenario.workload],
                 num_nodes=_NODES,
                 seed=cfg["seed"],
                 target_source=target,
-                config=AnorConfig(**cfg),
+                config=config,
                 fault_schedule=arm.faults(p) if arm.faults is not None else None,
+                monitors=[monitor],
             )
             if scenario.correction_gain is not None:
                 system.manager.correction_gain = scenario.correction_gain
-            run = _drive(system, scenario, p["duration"] + _DRAIN_LIMIT)
+            result = system.run(until_idle=True, max_time=p["duration"] + _DRAIN_LIMIT)
+            if scenario.settle:
+                system.run(int(system.manager.dead_job_timeout) + 10.0)
+            run = ArmRun(result, system, monitor)
             runs[arm_name] = scenario.reduce(run, p) if scenario.reduce else run
         metrics = scenario.metrics(runs, p)
     return DrillRun(name=name, params=p, arms=runs, metrics=metrics)
@@ -281,19 +277,6 @@ def _ids(result: AnorResult) -> set[str]:
     return {t.job_id for t in result.completed}
 
 
-def lost_jobs(reference: AnorResult, run: AnorResult) -> list[str]:
-    """Jobs the reference run completed that ``run`` did not."""
-    return sorted(_ids(reference) - _ids(run))
-
-
-def double_admitted(run: AnorResult) -> list[str]:
-    """Jobs that produced completion totals more than once."""
-    seen: dict[str, int] = {}
-    for t in run.completed:
-        seen[t.job_id] = seen.get(t.job_id, 0) + 1
-    return sorted(j for j, n in seen.items() if n > 1)
-
-
 def convergence_time(
     reference: AnorResult,
     run: AnorResult,
@@ -317,32 +300,6 @@ def convergence_time(
         if close[i : i + window].all():
             return float(got[i, 0] - after)
     return None
-
-
-def rounds_over_ceiling(rounds: np.ndarray) -> np.ndarray:
-    """The budget rounds whose planned draw exceeded the enforceable ceiling
-    (by more than float slack) — the never-exceed-target invariant."""
-    return rounds[rounds[:, 2] > rounds[:, 1] + _PLAN_SLACK]
-
-
-def longest_over_limit(
-    trace: np.ndarray, *, floor: float, tol: float, after: float
-) -> float:
-    """Longest contiguous stretch past ``after`` with measured power above
-    ``max(target, floor)·(1+tol)``, in seconds."""
-    if not len(trace):
-        return 0.0
-    t, target, measured = trace[:, 0], trace[:, 1], trace[:, 2]
-    over = (measured > np.maximum(target, floor) * (1.0 + tol)) & (t >= after)
-    best, start = 0.0, None
-    for i in range(len(t)):
-        if over[i]:
-            if start is None:
-                start = t[i]
-            best = max(best, float(t[i] - start))
-        else:
-            start = None
-    return best
 
 
 def overshoot_stats(trace: np.ndarray, t0: float, t1: float) -> tuple[float, float]:
@@ -370,15 +327,6 @@ def _error90(result: AnorResult, p: dict) -> float:
         smooth_samples=4,
     )
     return float(np.percentile(errors, 90))
-
-
-def _quarantines(system: AnorSystem) -> dict[str, float]:
-    """job_id -> first quarantine time, from the auditor's transition log."""
-    out: dict[str, float] = {}
-    for t in system.manager.auditor.transitions:
-        if t.new == "quarantined":
-            out.setdefault(t.job_id, t.time)
-    return out
 
 
 # ---------------------------------------------------------- table helpers
@@ -451,7 +399,7 @@ def _faults_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
         "unstarted_faulted": faulted.result.unstarted_jobs,
         "requeued": requeued,
         "requeued_completed": all(job_id in done for job_id in requeued),
-        "ghost_jobs": len(faulted.system.manager.jobs),
+        "ghost_jobs": ghost_records(faulted.system),
         "injector_quiescent": faulted.system.faults.quiescent,
         "fault_log": list(faulted.result.fault_log),
         "incident_counts": dict(faulted.system.telemetry.incident_counts),
@@ -776,7 +724,7 @@ def _byzantine_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
         for job_id, fired in on.system.faults.victims.items()
         if fired[0] in _ROGUE_KINDS
     }
-    quarantined = _quarantines(on.system)
+    quarantined = quarantines(on.system)
     transitions = on.system.manager.auditor.transitions
     # The one rogue fault that heals mid-run (the second stuck actuator).
     healed_victim, heal_time = None, None
@@ -808,9 +756,9 @@ def _byzantine_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
         "victims": {j: [kind, fired] for j, (kind, fired, _) in victims.items()},
         "healed_victim": healed_victim,
         "heal_time": heal_time,
-        "false_quarantines_clean": len(_quarantines(arms["clean"].system)),
+        "false_quarantines_clean": len(quarantines(arms["clean"].system)),
         "missed_victims": sorted(set(victims) - set(quarantined)),
-        "collateral_quarantines": sorted(set(quarantined) - set(victims)),
+        "collateral_quarantines": collateral_quarantines(on.system),
         # job_id -> seconds from fault fire to first quarantine.
         "detection_latencies": {
             job_id: quarantined[job_id] - fired
@@ -1019,20 +967,19 @@ def _soak_violations(run: ArmRun, p: dict) -> list[str]:
     system, result = run.system, run.result
     seed = system.config.seed
     violations = [
-        f"seed={seed} t={when:.1f} budget-conservation: "
-        f"planned {planned:.1f}W > ceiling {ceiling:.1f}W"
-        for when, ceiling, planned in rounds_over_ceiling(run.rounds)
+        f"seed={seed} t={when:.1f} {name}: {what}"
+        for name, when, what in run.monitor.violations
     ]
     if result.unstarted_jobs:
         violations.append(
             f"seed={seed} drain: {result.unstarted_jobs} jobs never started"
         )
-    ghosts = len(system.manager.jobs)
+    ghosts = ghost_records(system)
     if ghosts:
         violations.append(f"seed={seed} drain: {ghosts} ghost records")
-    collateral = set(_quarantines(system)) - set(system.faults.victims)
+    collateral = collateral_quarantines(system)
     if collateral:
-        violations.append(f"seed={seed} collateral quarantine: {sorted(collateral)}")
+        violations.append(f"seed={seed} collateral quarantine: {collateral}")
     trace = result.power_trace
     if len(trace) >= _SOAK_ROLL:
         end = float(trace[-1, 0])
@@ -1062,7 +1009,7 @@ def _soak_episode(run: ArmRun, p: dict) -> dict:
         "seed": run.system.config.seed,
         "num_faults": len(run.system.faults.schedule),
         "completed": len(run.result.completed),
-        "quarantines": len(_quarantines(run.system)),
+        "quarantines": len(quarantines(run.system)),
         "transitions": len(run.system.manager.auditor.transitions),
         "violations": _soak_violations(run, p),
     }
@@ -1329,22 +1276,11 @@ _SHED_INCIDENTS = (
     DemandResponseEmergency(time=660.0, magnitude=0.55, duration=120.0),
 )
 
-_SHED_RAMP_SLACK = 1.0  # W of float slack on the recovery-ramp bound
-
-
-def _shed_sample(system: AnorSystem) -> tuple[float, float]:
-    """(severity value, recovery ceiling in W) — the raw material for the
-    ramp-rate and no-flapping claims.  The ceiling is infinite until the
-    ladder has been fed."""
-    ladder = system.manager.shed.ladder
-    return float(ladder.gauge_value), ladder.ceiling
-
 
 def _shed_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
     golden, incident = arms["golden"], arms["incident"]
     shed = incident.system.manager.shed
     golden_shed = golden.system.manager.shed
-    period = incident.system.config.manager_period
     classes = {
         req.job_id: _SHED_CLASS_MAP[req.type_name]
         for req in incident.system.schedule.requests
@@ -1364,16 +1300,6 @@ def _shed_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
             double_shed.add(job_id)
         seen[job_id] = when
 
-    # Largest per-round recovery-ceiling increase, normalised to one manager
-    # period (rounds the sampler missed widen the allowance).
-    fed = incident.rounds[np.isfinite(incident.rounds[:, 4])]
-    max_ramp_step = 0.0
-    for prev, row in zip(fed, fed[1:]):
-        gain = row[4] - prev[4]
-        if gain > 0:
-            periods = max(1.0, round((row[0] - prev[0]) / period))
-            max_ramp_step = max(max_ramp_step, float(gain / periods))
-
     return {
         "jobs_by_class": {
             cls: sum(1 for c in classes.values() if c == cls)
@@ -1387,7 +1313,9 @@ def _shed_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
         "kills": shed.kills,
         "restores": shed.restores,
         # Must be empty — the plan table makes it structurally impossible.
-        "protected_shed": sorted({j for _, j, _ in actions} & protected),
+        "protected_shed": [
+            v for v in incident.monitor.violations if v[0] == "protected_never_shed"
+        ],
         "kill_order_violations": [
             j for j in killed if classes[j] != "preemptible"
         ],
@@ -1395,10 +1323,11 @@ def _shed_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
             j for j in preempted if classes[j] == "protected"
         ],
         "double_shed": sorted(double_shed),
-        "max_ramp_step": max_ramp_step,
-        "ramp_bound": p["ramp_watts"] + _SHED_RAMP_SLACK,
-        # The last severity sample is back at normal (full recovery).
-        "recovered_to_normal": bool(len(fed) and fed[-1, 3] == 0.0),
+        # Largest rise of the recovery ceiling between consecutive rounds.
+        "max_ramp_step": incident.monitor.max_ramp_step,
+        "ramp_bound": p["ramp_watts"] + RAMP_SLACK,
+        # The ladder ends the run back at normal (full recovery).
+        "recovered_to_normal": shed.severity == "normal",
         "completed_golden": len(golden.result.completed),
         "completed_incident": len(incident.result.completed),
         # Preempted jobs that neither completed nor were later killed.
@@ -1459,7 +1388,6 @@ _SHED = Scenario(
         "golden": Arm(),
         "incident": Arm(faults=lambda p: FaultSchedule(list(_SHED_INCIDENTS))),
     },
-    sample=_shed_sample,
     metrics=_shed_metrics,
     claims=(
         ("every rung of the ladder fired: preempts, kills, and ramped "

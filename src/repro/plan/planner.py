@@ -33,7 +33,7 @@ reactive one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.budget.base import BudgetAllocation, JobBudgetRequest, PowerBudgeter
@@ -101,7 +101,6 @@ class RecedingHorizonPlanner:
         horizon_rounds: int = 8,
         period: float = 4.0,
         hysteresis_watts: float = 8.0,
-        eager_rounds: int = 0,
         telemetry=NULL_TELEMETRY,
     ) -> None:
         if horizon_rounds < 1:
@@ -117,13 +116,10 @@ class RecedingHorizonPlanner:
         self.period = float(period)
         self.hysteresis_watts = float(hysteresis_watts)
         self._eps = self.period * 1e-6
-        # Rounds solve lazily by default: bursty scenarios rebuild almost
-        # every control round (job churn invalidates the signature), so
-        # eager solves are mostly thrown away — dispatch materializes a
-        # round's caps only when its budget actually matches the live pool.
-        # eager_rounds > 0 pre-solves the first rounds at build time for
-        # callers that want to inspect the trajectory immediately.
-        self._eager_rounds = max(0, int(eager_rounds))
+        # Rounds solve lazily: bursty scenarios rebuild almost every control
+        # round (job churn invalidates the signature), so eager solves would
+        # mostly be thrown away — dispatch materializes a round's caps only
+        # when its budget actually matches the live pool.
         self.plan: Plan | None = None
         self._instants: list[float] = []
         # counters for drills/telemetry
@@ -239,9 +235,8 @@ class RecedingHorizonPlanner:
         existing plan is reused instead of re-solved — budgeter solves are
         the planner's whole cost on the reactive path, so rebuilds fix
         budgets and forecasts only, deferring every cap solve until a
-        dispatch warm-hits the round (``eager_rounds`` pre-solves the head
-        of the trajectory for callers that inspect it immediately).  Job
-        churn or an envelope trip forces a full rebuild.
+        dispatch warm-hits the round.  Job churn or an envelope trip forces
+        a full rebuild.
         """
         sig = self._signature(requests)
         if self._plan_reusable(now, sig):
@@ -259,15 +254,9 @@ class RecedingHorizonPlanner:
                 times.append(b)
         times.sort()
         rounds: list[PlannedRound] = []
-        for k, point in enumerate(self.forecaster.forecast(now, times)):
+        for point in self.forecaster.forecast(now, times):
             effective = self.envelope.bound(point.value, observed_target)
             budget = max(effective - idle_power + correction - reserved, 1.0)
-            caps: dict[str, float] | None = None
-            planned: float | None = None
-            if k < self._eager_rounds:
-                alloc = self.budgeter.allocate(requests, budget)
-                caps = dict(alloc.caps)
-                planned = sum(caps[j.job_id] * j.nodes for j in requests)
             rounds.append(
                 PlannedRound(
                     time=point.time,
@@ -275,8 +264,8 @@ class RecedingHorizonPlanner:
                     confidence=point.confidence,
                     effective_target=effective,
                     budget=budget,
-                    caps=caps,
-                    planned_watts=planned,
+                    caps=None,
+                    planned_watts=None,
                     signature=sig,
                 )
             )
@@ -380,15 +369,9 @@ class RecedingHorizonPlanner:
         """Solve a lazily planned round at its build-time budget, in place."""
         alloc = self.budgeter.allocate(requests, rnd.budget)
         caps = dict(alloc.caps)
-        full = PlannedRound(
-            time=rnd.time,
-            forecast=rnd.forecast,
-            confidence=rnd.confidence,
-            effective_target=rnd.effective_target,
-            budget=rnd.budget,
-            caps=caps,
+        full = replace(
+            rnd, caps=caps,
             planned_watts=sum(caps[j.job_id] * j.nodes for j in requests),
-            signature=rnd.signature,
         )
         assert self.plan is not None
         self.plan.rounds[self.plan.rounds.index(rnd)] = full

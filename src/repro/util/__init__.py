@@ -6,7 +6,7 @@ so that independent subsystems get independent, reproducible streams.
 """
 
 from repro.util.rng import derive_rng, ensure_rng, spawn_rng
-from repro.util.clock import SimClock, PeriodicTask, TaskScheduler
+from repro.util.clock import SimClock
 from repro.util.maths import (
     bisect_scalar,
     clamp,
@@ -20,8 +20,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rng",
     "SimClock",
-    "PeriodicTask",
-    "TaskScheduler",
     "bisect_scalar",
     "clamp",
     "monotone_decreasing",

@@ -1,4 +1,4 @@
-"""Simulation clock and periodic-task scheduling.
+"""Simulation clock and grid-anchored period gates.
 
 The hardware-cluster emulator and the ANOR control plane advance a shared
 :class:`SimClock` in fixed ticks.  Components that run at their own cadence
@@ -7,14 +7,9 @@ poll a :class:`PeriodicGate` on the tick that is due, in the fixed order of
 ``AnorSystem._advance``.  This mirrors the paper's asynchronous tiers (§7.2)
 without threads: asynchrony comes from differing periods and
 message-transport latency, and remains reproducible.
-(:class:`PeriodicTask` / :class:`TaskScheduler` are an earlier callback form
-of the same idea; nothing in ``src/`` uses them.)
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Callable, List
 
 import numpy as np
 
@@ -143,84 +138,3 @@ class PeriodicGate:
         skipped_past = int((now - self._anchor + self._eps) // self.period) + 1
         self._fires = max(self._fires + 1, skipped_past)
         return True
-
-
-@dataclass(order=True)
-class PeriodicTask:
-    """A callback fired every ``period`` seconds of simulated time.
-
-    Ordering is (next_fire, priority, name) so that concurrent firings are
-    deterministic; lower priority values run first.
-    """
-
-    next_fire: float
-    priority: int
-    name: str = field(compare=True)
-    period: float = field(compare=False, default=1.0)
-    callback: Callable[[float], None] = field(compare=False, default=lambda now: None)
-    enabled: bool = field(compare=False, default=True)
-
-    def fire(self, now: float) -> None:
-        self.callback(now)
-        self.next_fire += self.period
-
-
-class TaskScheduler:
-    """Deterministic periodic-task runner driven by an external clock."""
-
-    def __init__(self, clock: SimClock):
-        self.clock = clock
-        self._tasks: List[PeriodicTask] = []
-
-    def add(
-        self,
-        name: str,
-        period: float,
-        callback: Callable[[float], None],
-        *,
-        priority: int = 0,
-        phase: float | None = None,
-    ) -> PeriodicTask:
-        """Register ``callback`` to run every ``period`` seconds.
-
-        The first firing is ``phase`` seconds from now (default: one full
-        period).  If the clock jumps past several due instants, the task
-        catches up with one firing per missed instant.
-        """
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        task = PeriodicTask(
-            next_fire=self.clock.now + (period if phase is None else phase),
-            priority=priority,
-            name=name,
-            period=period,
-            callback=callback,
-        )
-        self._tasks.append(task)
-        return task
-
-    def remove(self, task: PeriodicTask) -> None:
-        self._tasks.remove(task)
-
-    def run_due(self) -> int:
-        """Fire every enabled task due at or before the current time.
-
-        Tasks are fired in (time, priority, name) order; a task firing may
-        enqueue messages consumed by later tasks in the same tick.  Returns
-        the number of callbacks fired.
-        """
-        now = self.clock.now
-        fired = 0
-        # A task may be due multiple times if the clock jumped several periods.
-        while True:
-            due = sorted(t for t in self._tasks if t.enabled and t.next_fire <= now)
-            if not due:
-                return fired
-            for task in due:
-                task.fire(now)
-                fired += 1
-
-    def step(self, dt: float | None = None) -> int:
-        """Advance the clock then run due tasks; returns callbacks fired."""
-        self.clock.advance(dt)
-        return self.run_due()

@@ -5,7 +5,8 @@ operator override) produces, every budget round's planned draw — idle +
 reserved (including quarantine envelopes) + allocated — must stay within
 the round's ceiling ``max(target + correction, floor)``.  Hypothesis drives
 the trust state machine through arbitrary forced sequences while a real
-system runs, advanced tick by tick with ``step()`` and through ``run()``.
+system runs under a :class:`~repro.invariants.RoundMonitor`, advanced tick
+by tick with ``step()`` and in ``run()``'s multi-tick windows.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.budget.even_slowdown import EvenSlowdownBudgeter
 from repro.core.audit import TRUST_STATES
 from repro.core.framework import AnorConfig, AnorSystem, precharacterized_models
 from repro.core.targets import ConstantTarget
+from repro.invariants import RoundMonitor
 from repro.modeling.classifier import JobClassifier
 
 JOB_IDS = ("bt-0", "sp-1", "cg-2")
@@ -31,7 +33,7 @@ churn = st.lists(
 )
 
 
-def build() -> AnorSystem:
+def build(monitor: RoundMonitor) -> AnorSystem:
     system = AnorSystem(
         budgeter=EvenSlowdownBudgeter(),
         target_source=ConstantTarget(5 * 170.0),
@@ -40,24 +42,11 @@ def build() -> AnorSystem:
             num_nodes=5, seed=2, feedback_enabled=True,
             audit_enabled=True,
         ),
+        monitors=[monitor],
     )
     for job_id in JOB_IDS:
         system.submit_now(job_id, job_id.split("-")[0])
     return system
-
-
-def assert_round_conserves(system, seen: set) -> None:
-    round_ = system.manager.last_round
-    if round_ is None or round_.time in seen:
-        return
-    seen.add(round_.time)
-    planned, ceiling = round_.planned, round_.ceiling
-    # 0.1 W slack: the even-slowdown water-fill solves caps numerically, so
-    # sums carry sub-milliwatt float noise (same slack the soak monitor uses).
-    assert planned <= ceiling + 0.1, (
-        f"t={round_.time}: planned {planned:.2f}W exceeds ceiling "
-        f"{ceiling:.2f}W (quarantined={round_.quarantined_jobs})"
-    )
 
 
 class TestBudgetConservationUnderTrustChurn:
@@ -65,18 +54,18 @@ class TestBudgetConservationUnderTrustChurn:
     @given(script=churn)
     @settings(max_examples=12, deadline=None)
     def test_planned_draw_never_exceeds_ceiling(self, through_run, script):
-        system = build()
-        seen: set = set()
+        monitor = RoundMonitor()
+        system = build(monitor)
 
         def advance(ticks: int) -> None:
-            # One tick at a time in either arm, so every round is inspected;
-            # ``run`` puts each of them through the event calendar.
-            for _ in range(ticks):
-                if through_run:
-                    system.run(system.config.tick)
-                else:
+            # The monitor sees every round either way: from inside ``run``'s
+            # windows, or one ``step`` at a time.
+            if through_run:
+                system.run(ticks * system.config.tick)
+            else:
+                for _ in range(ticks):
                     system.step()
-                assert_round_conserves(system, seen)
+            assert not monitor.violations, monitor.violations[:3]
 
         advance(40)  # past job setup, so caps and envelopes are in play
         for settle, job_idx, state in script:
@@ -89,6 +78,6 @@ class TestBudgetConservationUnderTrustChurn:
             system.manager.auditor.force_state(
                 job_id, "trusted", now=system.cluster.clock.now)
         result = system.run(until_idle=True, max_time=7200.0)
-        assert_round_conserves(system, seen)
+        assert monitor.rows and not monitor.violations, monitor.violations[:3]
         assert result.unstarted_jobs == 0
         assert len(result.completed) == len(JOB_IDS)

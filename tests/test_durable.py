@@ -176,6 +176,24 @@ class TestDurableStore:
         assert [r.type for r in replay.records] == ["job-evict"]
         reopened.close()
 
+    def test_journal_numbers_on_from_the_watermark_when_rotated_empty(self, tmp_path):
+        """Feature matrix (durable, seed 786): a head that restarted right
+        after a checkpoint reopened an empty journal and numbered from 1, so
+        everything it journalled sat under the watermark and the next restart
+        replayed none of it (a launched job vanished from the running set)."""
+        store = DurableStore(tmp_path)
+        for i in range(5):
+            store.journal.append("job-admit", float(i), {"kind": "queue", "spec": {}})
+        store.save_checkpoint({"state": empty_state()})  # watermark 5, journal empty
+        store.close()
+        restarted = DurableStore(tmp_path)
+        restarted.load()
+        assert restarted.journal.append(
+            "job-evict", 9.0, {"kind": "goodbye", "job_id": "x"}) == 6
+        restarted.close()
+        _, replay = DurableStore(tmp_path).load()
+        assert [(r.seq, r.type) for r in replay.records] == [(6, "job-evict")]
+
     def test_no_checkpoint_replays_everything(self, tmp_path):
         store = DurableStore(tmp_path)
         store.journal.append("target-change", 1.0, {})

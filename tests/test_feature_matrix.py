@@ -1,0 +1,281 @@
+"""The features, tested together (ROADMAP item 2).
+
+Hypothesis draws a subset of {lease, reliable, breaker, audit, plan, shed,
+durable + ``HeadNodeCrash``} and a seed for ``FaultSchedule.random``; the
+system is 16 nodes under the Fig. 9 arrival process at 30/30/60 s control
+periods, so ``run()`` really batches (the six job types run three times as
+long, so that a job lives through enough 60 s rounds for the auditor and the
+ladder to act on it), with every round invariant armed
+(``repro.invariants``).  It runs
+through ``run_windowed_and_stepped``: besides the results, the two arms'
+recorded round streams ``(time, ceiling, planned, caps)`` must be equal, so a
+window that skipped, doubled or reordered a manager round shows up as a
+difference even when the power trace happens not to.  The named cases are
+the pairs ROADMAP asks for by name; each also asserts that the interaction it
+is named for really happened in its run.
+
+Fixed profile: the draw is derandomized and bounded, so tier-1 always runs
+the same examples (CI prints the statistics).
+"""
+
+import tempfile
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
+
+from repro.core.framework import AnorConfig, AnorSystem, precharacterized_models  # noqa: E402
+from repro.core.targets import ConstantTarget  # noqa: E402
+from repro.faults.events import (  # noqa: E402
+    DemandResponseEmergency,
+    FeederLoss,
+    HeadNodeCrash,
+    LinkDegradation,
+    MeterDrift,
+    NetworkPartition,
+    PartitionStart,
+    StuckActuator,
+)
+from repro.faults.schedule import FaultSchedule  # noqa: E402
+from repro.invariants import (  # noqa: E402
+    RoundMonitor,
+    double_admitted,
+    ghost_records,
+    lost_jobs,
+    quarantines,
+)
+from repro.modeling.classifier import JobClassifier  # noqa: E402
+from repro.workloads.generator import PoissonScheduleGenerator  # noqa: E402
+from repro.workloads.nas import long_running_mix  # noqa: E402
+from tests.goldenlib import run_windowed_and_stepped  # noqa: E402
+
+DURATION = 1200.0
+NODES = 16
+TARGET = NODES * 160.0
+#: Past the last goodbye: a head outage (70 s) plus the dead-job timeout.
+SETTLE = 200.0
+TYPES = {
+    jt.name: replace(jt, epochs=3 * jt.epochs, t_uncapped=3 * jt.t_uncapped)
+    for jt in long_running_mix()
+}
+
+SHED_CLASSES = {
+    "cg": "preemptible", "mg": "preemptible", "bt": "checkpointable",
+    "lu": "checkpointable", "ft": "protected", "sp": "protected",
+}
+
+#: feature -> the ``AnorConfig`` fields that switch it on.
+FEATURES = {
+    "lease": dict(lease_ttl=150.0, lease_ramp_seconds=60.0),
+    "reliable": dict(reliable_messaging=True),
+    "breaker": dict(breaker_margin=0.05),
+    "audit": dict(audit_enabled=True),
+    "plan": dict(plan_enabled=True, plan_shadow_rounds=0, plan_horizon_rounds=4),
+    "shed": dict(shed_enabled=True, shed_classes=SHED_CLASSES, shed_nominal_watts=TARGET),
+    "durable": dict(checkpoint_period=120.0),  # checkpoint_dir: per system
+}
+
+#: What ``FaultSchedule.random`` draws for every example ...
+BASE_RATES = dict(
+    node_crash_rate=1 / 400.0, endpoint_crash_rate=1 / 300.0,
+    link_burst_rate=1 / 300.0, meter_outage_rate=1 / 400.0,
+    corrupt_status_rate=1 / 300.0, stuck_actuator_rate=1 / 400.0,
+    node_down_time=120.0, burst_duration=90.0, outage_duration=90.0,
+    rogue_duration=180.0,
+)
+#: ... and what a feature adds to it: the faults it exists to survive.
+FEATURE_RATES = {
+    "durable": dict(head_crash_rate=1 / 400.0, head_down_time=70.0),
+    "shed": dict(feeder_loss_rate=1 / 400.0, feeder_loss_duration=150.0),
+}
+
+
+def build_pair(features, seed, scripted, tmp):
+    """``build`` for ``run_windowed_and_stepped`` plus what each built system
+    was observed with, in build order: ``(monitor, stream, bus records)``."""
+    rates = dict(BASE_RATES)
+    for feature in sorted(features):
+        rates.update(FEATURE_RATES.get(feature, {}))
+    schedule = FaultSchedule.random(
+        DURATION, seed=seed * 31 + 7, num_nodes=NODES, **rates
+    ).extended(scripted)
+    arrivals = PoissonScheduleGenerator(
+        list(TYPES.values()), utilization=0.9, total_nodes=NODES, seed=seed
+    ).generate(DURATION)
+    observed = []
+
+    def build():
+        fields = dict(
+            num_nodes=NODES, seed=seed, agent_period=30.0, endpoint_period=30.0,
+            manager_period=60.0, endpoint_restart_delay=45.0,
+            recovery_timeout=150.0, telemetry_enabled=True,
+        )
+        for feature in sorted(features):
+            fields.update(FEATURES[feature])
+        if "durable" in features:
+            fields["checkpoint_dir"] = tempfile.mkdtemp(dir=tmp)
+        config = AnorConfig(**fields)
+        monitor, stream, seen = RoundMonitor(config), [], []
+        system = AnorSystem(
+            target_source=ConstantTarget(TARGET),
+            classifier=JobClassifier(precharacterized_models(TYPES)),
+            schedule=arrivals, job_types=TYPES, config=config,
+            fault_schedule=schedule,
+            monitors=[
+                monitor,
+                lambda rnd: rnd.occupied and stream.append(
+                    (rnd.time, rnd.ceiling, rnd.planned, dict(rnd.caps))),
+            ],
+        )
+        # Every bus record as (category or name, time, attrs): what the
+        # witnesses and the no-lost-job check read instead of log text.
+        system.telemetry.bus.add_sink(SimpleNamespace(emit=lambda r: seen.append(
+            (r["attrs"].get("category", r["name"]), r["t"], r["attrs"]))))
+        observed.append((monitor, stream, seen))
+        return system
+
+    return build, observed
+
+
+def check(features, seed, scripted=(), witness=None):
+    with tempfile.TemporaryDirectory(prefix="anor-matrix-") as tmp:
+        build, observed = build_pair(frozenset(features), seed, scripted, tmp)
+        (windowed, a), (stepped, b) = run_windowed_and_stepped(
+            build, DURATION, until_idle=True, max_time=DURATION + 3000.0
+        )
+        windowed.run(SETTLE)
+    (monitor, stream, seen), (stepped_monitor, stepped_stream, _) = observed
+    dropped = {attrs["job_id"] for what, _, attrs in seen if what == "job-drop"}
+    # The two engines agree, down to every round the manager made.
+    assert stream[: len(stepped_stream)] == stepped_stream
+    assert monitor.rows[: len(stepped_stream)] == stepped_monitor.rows
+    assert np.array_equal(a.power_trace, b.power_trace)
+    assert [(t.job_id, t.energy) for t in a.completed] == [
+        (t.job_id, t.energy) for t in b.completed]
+    assert (a.warnings, a.fault_log, a.recovery_log, a.requeued) == (
+        b.warnings, b.fault_log, b.recovery_log, b.requeued)
+    # Every invariant held, in every round of every manager the run built,
+    # the settle's included.
+    assert len(stepped_stream) >= 5
+    assert not monitor.violations, monitor.violations[:5]
+    assert not double_admitted(a)
+    assert a.unstarted_jobs == 0
+    submitted = SimpleNamespace(completed=windowed.schedule.requests)
+    assert set(lost_jobs(submitted, a)) <= dropped
+    if windowed.manager is not None:
+        assert ghost_records(windowed) == 0
+    # Not asserted here: quarantine ⊆ victims.  The auditor's 30 s window is
+    # sized for 1 s rounds (the soak holds it there); at 60 s rounds its
+    # meter cross-check compares a self-report one round old with this
+    # round's metering and quarantines honest jobs whose cap moved (4 of 30
+    # seeds with audit alone; ROADMAP item 2).
+    if witness is not None:
+        witness(windowed, a, seen)
+
+
+# ------------------------------------------------- what each named case shows
+#
+# Each witness asserts that the interaction the case is named for happened in
+# its run; the seed only fixes the arrivals and the background faults.
+
+
+def times(seen, what):
+    return [t for name, t, _ in seen if name == what]
+
+
+def crash_inside_a_shed_episode(system, result, seen):
+    # The feed loss is on from t=130 to t=530 and the ladder has escalated
+    # by the time the head dies (t=290, or a background crash before it).
+    assert times(seen, "shed-brownout-2")
+    assert any(190.0 <= t <= 530.0 for t in times(seen, "head-crash"))
+
+
+def quarantine_inside_a_partition(system, result, seen):
+    # The drifting meter's job is quarantined from t=601 on; the partition
+    # opens at t=650 and outlasts the dead-job timeout.
+    went = quarantines(system)
+    assert went and min(went.values()) < 650.0, went
+    assert any(isinstance(f, PartitionStart) and f.time >= 650.0
+               for f in result.partition_events)
+
+
+def planner_active_with_the_breaker_open(system, result, seen):
+    assert system.manager.planner.plans_built > 0
+    assert times(seen, "breaker-open") and not times(seen, "plan-fallback")
+
+
+def lease_expiry_inside_blackstart(system, result, seen):
+    assert times(seen, "shed-blackstart")
+    assert times(seen, "degraded-autonomy-start")
+
+
+def bursts_overlap_across_a_restart(system, result, seen):
+    # Both bursts are open from t=220 to t=450.  PR 20's bug left the
+    # network degraded for good after such a pair.
+    assert any(220.0 <= t <= 450.0 for t in times(seen, "head-crash"))
+    assert system.faults.quiescent
+    assert system.link_conditions.drop_probability == system.config.link_drop_probability
+
+
+#: name -> (features, seed, scripted events, witness).
+NAMED = {
+    "head crash during a shed episode": (
+        ("shed", "durable"), 101,
+        (FeederLoss(time=130.0, magnitude=0.3, duration=400.0),
+         HeadNodeCrash(time=290.0, down_for=70.0)),
+        crash_inside_a_shed_episode),
+    "quarantine during a partition": (
+        ("audit", "reliable", "lease"), 102,
+        (MeterDrift(time=250.0, factor_rate=-0.004),
+         NetworkPartition(time=650.0, duration=200.0)),
+        quarantine_inside_a_partition),
+    "planner active while the breaker is open": (
+        ("plan", "breaker"), 103,
+        (StuckActuator(time=100.0), StuckActuator(time=110.0)),
+        planner_active_with_the_breaker_open),
+    "lease expiry during blackstart": (
+        ("lease", "shed", "reliable"), 104,
+        (DemandResponseEmergency(time=130.0, magnitude=0.55, duration=600.0),
+         NetworkPartition(time=260.0, duration=400.0)),
+        lease_expiry_inside_blackstart),
+    "two overlapping link bursts across a head restart": (
+        ("durable", "reliable"), 105,
+        (LinkDegradation(time=150.0, duration=300.0, drop_probability=0.3),
+         LinkDegradation(time=220.0, duration=300.0, drop_probability=0.5),
+         HeadNodeCrash(time=290.0, down_for=70.0)),
+        bursts_overlap_across_a_restart),
+}
+
+
+def named_examples(test):
+    for name, (features, seed, _, _) in NAMED.items():
+        test = example(features=sorted(features), seed=seed, case=name)(test)
+    return test
+
+
+@settings(
+    max_examples=30, derandomize=True, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@named_examples
+@example(features=sorted(FEATURES), seed=7, case=None)
+@given(
+    features=st.sets(st.sampled_from(sorted(FEATURES))).map(sorted),
+    seed=st.integers(min_value=0, max_value=10_000),
+    case=st.none(),
+)
+def test_feature_subsets_hold_every_invariant_in_both_engines(features, seed, case):
+    hypothesis.event(case or f"drawn: {'+'.join(features) or 'no feature'}")
+    _, _, scripted, witness = NAMED[case] if case else (None, None, (), None)
+    check(features, seed, scripted, witness)
+
+
+def test_every_named_case_is_an_example():
+    """The named pairs are explicit examples of the matrix (hypothesis keeps
+    them on the test), so a profile that shrinks cannot drop one."""
+    explicit = test_feature_subsets_hold_every_invariant_in_both_engines.hypothesis_explicit_examples
+    assert {e.kwargs["case"] for e in explicit} == {None, *NAMED}

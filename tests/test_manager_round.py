@@ -53,6 +53,7 @@ FEATURES = {
     "auditor": dict(audit_enabled=False),
     "journal": dict(checkpoint_dir=None),
     "telemetry": dict(telemetry_enabled=False),
+    "monitors": dict(monitors=()),
 }
 
 JOURNAL_STAGES = {"manager._journal_target", "manager._journal_caps"}
@@ -73,13 +74,15 @@ HEAD_STAGES = ["_intake", "_restart_endpoints", "_start_ready", "_manager_round"
 COMPUTE_STAGES = ["_step_endpoints", "_step_agents"]
 
 
-def build(tmp_path, faults=(), **overrides) -> AnorSystem:
-    """The hardened system; ``faults=None`` builds it without an injector."""
+def build(tmp_path, faults=(), monitors=(lambda rnd: None,), **overrides) -> AnorSystem:
+    """The hardened system, observed; ``faults=None`` builds it without an
+    injector."""
     cfg = dict(HARDENED, checkpoint_dir=str(tmp_path / "store"))
     cfg.update(overrides)
     return AnorSystem(
         config=AnorConfig(**cfg),
         fault_schedule=None if faults is None else FaultSchedule(faults),
+        monitors=monitors,
     )
 
 
@@ -134,6 +137,8 @@ def owner_of(name: str) -> str:
         return "journal"
     if name in TELEMETRY_STAGES:
         return "telemetry"
+    if name == "manager._observe":
+        return "monitors"
     return name.split(".")[0]
 
 

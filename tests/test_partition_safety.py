@@ -23,6 +23,7 @@ from repro.faults.events import NetworkPartition, PartitionEnd, PartitionStart
 from repro.faults.schedule import FaultSchedule
 from repro.geopm.agent import AgentPolicy, AgentSample
 from repro.geopm.endpoint import Endpoint
+from repro.invariants import longest_over_limit
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.workloads.nas import P_NODE_MIN
 
@@ -590,21 +591,6 @@ def run_partitioned_system(*, partition, seed=11, lease=True):
     return system.run(until_idle=True, max_time=7200.0), target
 
 
-def longest_over_limit(trace, *, start, floor_power, tol=0.10):
-    """Longest contiguous over-limit stretch (seconds) at or after ``start``."""
-    time, target, measured = trace[:, 0], trace[:, 1], trace[:, 2]
-    if time.size < 2:
-        return 0.0
-    dt = float(np.median(np.diff(time)))
-    limit = np.maximum(target, floor_power) * (1.0 + tol)
-    over = (measured > limit) & (time >= start)
-    worst = run = 0
-    for flag in over:
-        run = run + 1 if flag else 0
-        worst = max(worst, run)
-    return worst * dt
-
-
 class TestPartitionSafetyBound:
     def test_overshoot_bounded_through_mid_ramp_partition(self):
         # Partition opens at t=160 — inside the 150→180 downward staircase —
@@ -613,7 +599,7 @@ class TestPartitionSafetyBound:
         result, _ = run_partitioned_system(partition=partition)
         floor_power = NUM_NODES * P_NODE_MIN
         overshoot = longest_over_limit(
-            result.power_trace, start=160.0, floor_power=floor_power
+            result.power_trace, floor=floor_power, tol=0.10, after=160.0
         )
         assert overshoot <= LEASE_TTL + LEASE_RAMP + SLACK
         # The drill actually exercised the machinery: the reliable layer

@@ -8,6 +8,7 @@ from repro.budget.even_slowdown import EvenSlowdownBudgeter
 from repro.core.framework import AnorConfig
 from repro.core.targets import SteppedTarget
 from repro.experiments.fig9 import build_demand_response_system
+from repro.invariants import RoundMonitor
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.plan.envelope import (
     PLAN_ACTIVE,
@@ -89,8 +90,6 @@ def make_planner(forecaster=None, **kwargs):
         horizon_rounds=4,
         period=4.0,
         hysteresis_watts=8.0,
-        # unit tests inspect the solved trajectory right after rebuild
-        eager_rounds=8,
     )
     defaults.update(kwargs)
     return RecedingHorizonPlanner(**defaults)
@@ -133,9 +132,9 @@ class TestPlannerRebuild:
             assert rnd.budget == pytest.approx(400.0)
 
     def test_lazy_default_defers_solves_until_warm_dispatch(self):
-        # Default eager_rounds=0: rebuild costs no budgeter solves; caps
-        # materialize only when a dispatch warm-hits the round's budget.
-        p = make_planner(eager_rounds=0)
+        # A rebuild costs no budgeter solves; caps materialize only when a
+        # dispatch warm-hits the round's budget.
+        p = make_planner()
         p.observe(0.0, 3000.0)
         plan = p.rebuild(
             0.0, JOBS, observed_target=3000.0, idle_power=100.0,
@@ -199,6 +198,8 @@ class TestPlannerDispatch:
             0.0, JOBS, observed_target=target, idle_power=100.0,
             reserved=0.0, correction=0.0,
         )
+        # These tests inspect the round they dispatch against: solve it.
+        p._materialize(p.plan.rounds[0], JOBS)
         return p
 
     def test_warm_hit_reuses_planned_caps(self):
@@ -261,7 +262,7 @@ class TestPlannerDispatch:
 class TestSystemIntegration:
     """Plan-enabled end-to-end runs: invariants, metrics, cadence."""
 
-    def _system(self, duration=120.0, **plan_kwargs):
+    def _system(self, duration=120.0, monitors=(), **plan_kwargs):
         times = [4.0 * k for k in range(int(duration) // 2)]
         watts = [3000.0 + 400.0 * ((k % 3) - 1) for k in range(len(times))]
         stepped = SteppedTarget(times, watts)
@@ -276,20 +277,15 @@ class TestSystemIntegration:
             **plan_kwargs,
         )
         return build_demand_response_system(
-            duration=duration, seed=0, target_source=stepped, config=cfg
+            duration=duration, seed=0, target_source=stepped, config=cfg,
+            monitors=monitors,
         )
 
     def test_budget_round_invariant_holds(self):
-        system = self._system()
-        rows = []
-        for _ in range(240):
-            system.step()
-            rnd = system.manager.last_round
-            if rnd is not None and (not rows or rows[-1][0] != rnd.time):
-                rows.append((rnd.time, rnd.ceiling, rnd.planned))
-        assert rows, "no budget rounds sampled"
-        overs = [r for r in rows if r[2] > r[1] + 0.1]
-        assert not overs
+        monitor = RoundMonitor()
+        self._system(monitors=[monitor]).run(240.0)
+        assert monitor.rows, "no budget rounds sampled"
+        assert not monitor.violations
 
     def test_plan_metrics_exported(self):
         system = self._system()
@@ -314,13 +310,9 @@ class TestSystemIntegration:
         assert times
 
     def test_plan_rounds_land_on_target_breakpoints(self):
-        system = self._system()
-        seen = []
-        for _ in range(120):
-            system.step()
-            rnd = system.manager.last_round
-            if rnd is not None and (not seen or seen[-1] != rnd.time):
-                seen.append(rnd.time)
+        monitor = RoundMonitor()
+        self._system(monitors=[monitor]).run(120.0)
+        seen = [row[0] for row in monitor.rows]
         # after the first instant consumed (t=12), active-plan rounds
         # re-anchor to the 4 s breakpoint grid
         later = [t for t in seen if t >= 12.0]

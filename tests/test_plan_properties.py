@@ -26,6 +26,7 @@ from repro.core.framework import AnorConfig  # noqa: E402
 from repro.core.targets import SteppedTarget  # noqa: E402
 from repro.experiments.fig9 import build_demand_response_system  # noqa: E402
 from repro.faults.schedule import FaultSchedule  # noqa: E402
+from repro.invariants import RoundMonitor  # noqa: E402
 from repro.plan.forecast import PersistenceForecaster  # noqa: E402
 from tests.goldenlib import run_windowed_and_stepped  # noqa: E402
 
@@ -76,20 +77,15 @@ def test_planned_draw_never_exceeds_ceiling_for_any_forecast_bias(
         plan_shadow_rounds=0,
         plan_error_bound_watts=150.0,
     )
+    monitor = RoundMonitor()
     system = build_demand_response_system(
         duration=DURATION, seed=seed, target_source=_stepped_target(target_kind),
-        config=cfg,
+        config=cfg, monitors=[monitor],
     )
     system.manager.planner.forecaster = BiasedForecaster(bias)
-    rows = []
-    for _ in range(int(DURATION) + 60):
-        system.step()
-        rnd = system.manager.last_round
-        if rnd is not None and (not rows or rows[-1][0] != rnd.time):
-            rows.append((rnd.time, rnd.ceiling, rnd.planned))
-    assert rows, "no budget rounds sampled"
-    overs = [(t, c, p) for t, c, p in rows if p > c + 0.1]
-    assert not overs, f"planned draw exceeded ceiling: {overs[:3]}"
+    system.run(DURATION + 60.0)
+    assert monitor.rows, "no budget rounds sampled"
+    assert not monitor.violations, monitor.violations[:3]
 
 
 def _run_both(*, seed, faults, plan, spell_out_knobs=True):

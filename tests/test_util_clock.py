@@ -1,8 +1,8 @@
-"""Tests for the simulation clock and periodic-task scheduler."""
+"""Tests for the simulation clock and the period gate."""
 
 import pytest
 
-from repro.util.clock import PeriodicGate, PeriodicTask, SimClock, TaskScheduler
+from repro.util.clock import PeriodicGate, SimClock
 
 
 class TestSimClock:
@@ -25,64 +25,6 @@ class TestSimClock:
     def test_tick_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             SimClock(tick=0.0)
-
-
-class TestTaskScheduler:
-    def test_fires_at_period(self):
-        clock = SimClock()
-        sched = TaskScheduler(clock)
-        fired = []
-        sched.add("t", 2.0, lambda now: fired.append(now))
-        sched.step(1.0)
-        assert fired == []  # first firing is one period after registration
-        sched.step(1.0)
-        assert fired == [2.0]
-        sched.step(2.0)
-        assert fired == [2.0, 4.0]
-
-    def test_priority_orders_same_tick_firings(self):
-        clock = SimClock()
-        sched = TaskScheduler(clock)
-        order = []
-        sched.add("late", 1.0, lambda now: order.append("late"), priority=5)
-        sched.add("early", 1.0, lambda now: order.append("early"), priority=1)
-        sched.step(1.0)
-        assert order == ["early", "late"]
-
-    def test_multiple_periods_catch_up(self):
-        clock = SimClock()
-        sched = TaskScheduler(clock)
-        fired = []
-        sched.add("t", 1.0, lambda now: fired.append(now), phase=1.0)
-        sched.step(3.5)  # jumped past several periods
-        assert len(fired) == 3  # due at 1, 2, 3
-
-    def test_disabled_task_does_not_fire(self):
-        clock = SimClock()
-        sched = TaskScheduler(clock)
-        fired = []
-        task = sched.add("t", 1.0, lambda now: fired.append(now))
-        task.enabled = False
-        sched.step(5.0)
-        assert fired == []
-
-    def test_remove(self):
-        clock = SimClock()
-        sched = TaskScheduler(clock)
-        task = sched.add("t", 1.0, lambda now: None)
-        sched.remove(task)
-        assert sched.step(2.0) == 0
-
-    def test_non_positive_period_rejected(self):
-        sched = TaskScheduler(SimClock())
-        with pytest.raises(ValueError, match="positive"):
-            sched.add("t", 0.0, lambda now: None)
-
-    def test_task_ordering_dataclass(self):
-        a = PeriodicTask(next_fire=1.0, priority=0, name="a")
-        b = PeriodicTask(next_fire=1.0, priority=1, name="b")
-        c = PeriodicTask(next_fire=0.5, priority=9, name="c")
-        assert sorted([b, a, c]) == [c, a, b]
 
 
 class TestPeriodicGate:
