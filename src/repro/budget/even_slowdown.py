@@ -21,14 +21,15 @@ from repro.util.maths import bisect_scalar, clamp
 
 __all__ = ["EvenSlowdownBudgeter"]
 
+#: Bisection stops once its bracket on the common slowdown ``s`` is this
+#: narrow (dimensionless; ``s`` runs from 1 up to a few).
+SOLVE_TOL = 1e-6
+
 
 class EvenSlowdownBudgeter(PowerBudgeter):
     """Equalises model-predicted slowdown across jobs (time-balancing)."""
 
     name = "even-slowdown"
-
-    def __init__(self, *, tol: float = 1e-6) -> None:
-        self.tol = float(tol)
 
     def _caps_at(self, jobs: Sequence[JobBudgetRequest], s: float) -> dict[str, float]:
         """The rule per job, nothing hoisted: the reference ``allocate`` is tested against."""
@@ -110,5 +111,5 @@ class EvenSlowdownBudgeter(PowerBudgeter):
         elif total_at(s_hi) >= budget:
             s = s_hi
         else:
-            s = bisect_scalar(lambda x: total_at(x) - budget, 1.0, s_hi, tol=self.tol)
+            s = bisect_scalar(lambda x: total_at(x) - budget, 1.0, s_hi, tol=SOLVE_TOL)
         return BudgetAllocation(caps=caps_at(s), budget=budget, meta={"slowdown": s})

@@ -13,13 +13,13 @@ the hwsim per-node energy counters (the facility's metering plane, which a
 job endpoint cannot touch).  Each control round it maintains, per job,
 
 * a **metered-power window** — cumulative joules over the job's nodes,
-  differenced over ``window`` seconds.  Windowing smooths epoch-periodic
+  differenced over ``AUDIT_WINDOW`` seconds.  Windowing smooths epoch-periodic
   power waves; only *over*-draw violates, so setup/teardown phases (idle
   draw well below the cap) never trigger.
 * a **cap-compliance check** — windowed W/node against the *largest* cap
   dispatched inside the window (largest, so a cap lowered mid-window is
   not retroactively enforced against power drawn under the old cap), with
-  a relative ``tolerance`` plus an absolute ``guardband``.
+  a relative ``CAP_TOLERANCE`` plus an absolute ``GUARDBAND``.
 * a **meter cross-check** — the job's self-reported ``measured_power``
   against the out-of-band metered draw, while the job is demonstrably
   active (metered draw above the platform floor); catches meter drift.
@@ -54,10 +54,10 @@ Evidence feeds a per-job trust state machine::
                                                      -> quarantined)
 
 A quarantined job is budgeted at a conservative envelope — its *metered*
-draw plus ``guardband`` W/node, never its self-reported model — and the
+draw plus ``GUARDBAND`` W/node, never its self-reported model — and the
 headroom it was stealing is redistributed to trusted jobs by the ordinary
 budgeter.  Its dispatched cap becomes a **probe ratchet**: metered W/node
-scaled down by ``probe_margin``.  A compliant actuator follows the probe
+scaled down by ``PROBE_MARGIN``.  A compliant actuator follows the probe
 down (geometric decay toward the platform floor ⇒ sustained compliance ⇒
 rehabilitation), a stuck actuator does not and stays quarantined.
 
@@ -116,6 +116,32 @@ _BUCKET_MIN_INTERVALS = 3
 #: training caps never strips an honest model of its alibi.
 _REGIME_SLACK = 2.0
 
+# The checks' thresholds: the byzantine drill's and the chaos soak's claims
+# are scored at these values (DESIGN.md §4f).
+#: Seconds of metering each window differences over (s): long enough to
+#: smooth epoch-periodic power waves; also the warmup before any verdict.
+AUDIT_WINDOW = 30.0
+#: Overdraw tolerated above the largest cap in the window: a fraction of it
+#: plus an absolute margin (W/node).  The margin also pads a quarantined
+#: job's reservation above its metered draw.
+CAP_TOLERANCE = 0.10
+GUARDBAND = 20.0
+#: Self-reported against metered draw, as a fraction of the metered draw.
+MISMATCH_TOLERANCE = 0.25
+#: Observed against modelled seconds/epoch, as a fraction of the model's.
+MODEL_ERROR = 0.35
+#: Epochs a window must span before the model replay gives a verdict.
+MIN_REPLAY_EPOCHS = 3
+#: Consecutive violating rounds that turn suspect into quarantined, clean
+#: rounds that release quarantine into rehabilitation, and clean rounds that
+#: restore trust from suspect or rehabilitating.
+SUSPECT_ROUNDS = 3
+QUARANTINE_ROUNDS = 5
+CLEAR_ROUNDS = 5
+#: The probe ratchet: a quarantined job's cap is its metered W/node shaved by
+#: this fraction, so a compliant actuator visibly follows it down.
+PROBE_MARGIN = 0.15
+
 #: A meter reading: (cumulative joules over the job's nodes, node-id key),
 #: or None when the job is not currently on the cluster.
 JobMeter = Callable[[str], Optional[tuple[float, tuple[int, ...]]]]
@@ -169,9 +195,8 @@ class _JobAudit:
 class CapComplianceAuditor:
     """Audits job-tier compliance from out-of-band metering each round.
 
-    ``AnorConfig.audit_enabled`` builds one with these defaults; see the
-    module docstring for the checks and the state machine the parameters
-    drive.
+    ``AnorConfig.audit_enabled`` builds one; see the module docstring for
+    the checks and the state machine the module's thresholds drive.
     """
 
     def __init__(
@@ -180,57 +205,11 @@ class CapComplianceAuditor:
         job_meter: JobMeter,
         p_node_min: float,
         p_node_max: float,
-        idle_power: float = 60.0,
-        window: float = 30.0,
-        tolerance: float = 0.10,
-        guardband: float = 20.0,
-        mismatch_tolerance: float = 0.25,
-        model_error: float = 0.35,
-        min_epochs: int = 3,
-        suspect_rounds: int = 3,
-        quarantine_rounds: int = 5,
-        clear_rounds: int = 5,
-        probe_margin: float = 0.15,
         telemetry=NULL_TELEMETRY,
     ) -> None:
-        knobs = {
-            "window": window,
-            "mismatch_tolerance": mismatch_tolerance,
-            "model_error": model_error,
-        }
-        for name, value in knobs.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if tolerance < 0:
-            raise ValueError(f"tolerance must be ≥ 0, got {tolerance}")
-        if guardband < 0:
-            raise ValueError(f"guardband must be ≥ 0, got {guardband}")
-        if not 0.0 < probe_margin < 1.0:
-            raise ValueError(
-                f"probe_margin must be in (0, 1), got {probe_margin}")
-        rounds = {
-            "min_epochs": min_epochs,
-            "suspect_rounds": suspect_rounds,
-            "quarantine_rounds": quarantine_rounds,
-            "clear_rounds": clear_rounds,
-        }
-        for name, value in rounds.items():
-            if value < 1:
-                raise ValueError(f"{name} must be ≥ 1, got {value}")
         self.job_meter = job_meter
         self.p_node_min = float(p_node_min)
         self.p_node_max = float(p_node_max)
-        self.idle_power = float(idle_power)
-        self.window = float(window)
-        self.tolerance = float(tolerance)
-        self.guardband = float(guardband)
-        self.mismatch_tolerance = float(mismatch_tolerance)
-        self.model_error = float(model_error)
-        self.min_epochs = int(min_epochs)
-        self.suspect_rounds = int(suspect_rounds)
-        self.quarantine_rounds = int(quarantine_rounds)
-        self.clear_rounds = int(clear_rounds)
-        self.probe_margin = float(probe_margin)
         self.telemetry = telemetry
         self._jobs: dict[str, _JobAudit] = {}
         self.transitions: list[TrustTransition] = []
@@ -326,7 +305,7 @@ class CapComplianceAuditor:
                 audit.node_key = node_key
             self._ingest(audit, record, now, energy)
             span = audit.energy[-1][0] - audit.energy[0][0]
-            if span < self.window:
+            if span < AUDIT_WINDOW:
                 continue  # warmup: tolerate setup phases and cold windows
             violations = self._evaluate(audit, record, now, len(node_key))
             line = self._advance(audit, job_id, now, violations)
@@ -359,7 +338,7 @@ class CapComplianceAuditor:
                     audit, status.timestamp, status.epoch_count,
                     status.applied_cap,
                 )
-        horizon = now - self.window
+        horizon = now - AUDIT_WINDOW
         # Keep one sample at-or-before the horizon so the differenced span
         # always covers ≥ window once warm.
         for series in (audit.energy, audit.caps, audit.reported):
@@ -400,7 +379,7 @@ class CapComplianceAuditor:
         ever described this job" — only a curve wrong everywhere it has
         been observed loses its alibi.
         """
-        bound = _REGIME_SLACK * self.model_error
+        bound = _REGIME_SLACK * MODEL_ERROR
         populated = False
         for bucket, (total, count) in audit.buckets.items():
             if count < _BUCKET_MIN_INTERVALS:
@@ -433,16 +412,16 @@ class CapComplianceAuditor:
                 # Probe-compliance: while distrusted, the dispatched caps
                 # are the ratcheting probe; no absolute guardband, so a
                 # stuck actuator cannot hide inside it.
-                if per_node > ref_cap * (1.0 + self.tolerance):
+                if per_node > ref_cap * (1.0 + CAP_TOLERANCE):
                     violations.append("probe-noncompliant")
-            elif per_node > ref_cap * (1.0 + self.tolerance) + self.guardband:
+            elif per_node > ref_cap * (1.0 + CAP_TOLERANCE) + GUARDBAND:
                 violations.append("cap-overdraw")
 
         # Meter cross-check: only while demonstrably active — relative
         # comparisons at idle/setup/teardown draw are meaningless.
         if audit.reported and per_node >= self.p_node_min * 0.9:
             mean_rep = sum(p for _, p in audit.reported) / len(audit.reported)
-            if abs(mean_rep - metered) > self.mismatch_tolerance * metered:
+            if abs(mean_rep - metered) > MISMATCH_TOLERANCE * metered:
                 violations.append("meter-mismatch")
 
         model = record.online_model
@@ -450,14 +429,14 @@ class CapComplianceAuditor:
             ts0, ep0, _ = audit.progress[0]
             ts1, ep1, _ = audit.progress[-1]
             d_epochs = ep1 - ep0
-            if d_epochs >= self.min_epochs and ts1 > ts0:
+            if d_epochs >= MIN_REPLAY_EPOCHS and ts1 > ts0:
                 observed = (ts1 - ts0) / d_epochs
                 mean_cap = sum(c for _, _, c in audit.progress) / len(
                     audit.progress)
                 predicted = float(model.time_per_epoch(mean_cap))
                 if (
                     predicted > 0
-                    and abs(observed - predicted) > self.model_error * predicted
+                    and abs(observed - predicted) > MODEL_ERROR * predicted
                     and not self._regime_alibi(audit, model)
                 ):
                     violations.append("model-implausible")
@@ -486,17 +465,17 @@ class CapComplianceAuditor:
             if violations:
                 audit.state = SUSPECT
         elif old == SUSPECT:
-            if audit.violation_streak >= self.suspect_rounds:
+            if audit.violation_streak >= SUSPECT_ROUNDS:
                 audit.state = QUARANTINED
-            elif audit.clean_streak >= self.clear_rounds:
+            elif audit.clean_streak >= CLEAR_ROUNDS:
                 audit.state = TRUSTED
         elif old == QUARANTINED:
-            if audit.clean_streak >= self.quarantine_rounds:
+            if audit.clean_streak >= QUARANTINE_ROUNDS:
                 audit.state = REHABILITATING
         elif old == REHABILITATING:
             if violations:
                 audit.state = QUARANTINED
-            elif audit.clean_streak >= self.clear_rounds:
+            elif audit.clean_streak >= CLEAR_ROUNDS:
                 audit.state = TRUSTED
         if audit.state == old:
             return None
@@ -541,7 +520,7 @@ class CapComplianceAuditor:
 
         The reservation is the job's *metered* draw plus the guardband per
         node — what it demonstrably pulls, never what it claims.  The cap
-        is the probe ratchet (metered W/node shaved by ``probe_margin``,
+        is the probe ratchet (metered W/node shaved by ``PROBE_MARGIN``,
         clamped to the platform range): compliant actuators follow it down
         and rehabilitate; stuck ones stay visibly non-compliant.
         """
@@ -553,9 +532,9 @@ class CapComplianceAuditor:
             metered = record.last_cap * nodes  # no window yet: assume cap
         else:
             metered = record.believed_p_max * nodes
-        reserved = metered + self.guardband * nodes
+        reserved = metered + GUARDBAND * nodes
         per_node = metered / nodes
-        probe = per_node * (1.0 - self.probe_margin)
+        probe = per_node * (1.0 - PROBE_MARGIN)
         cap = min(max(probe, self.p_node_min), self.p_node_max)
         return reserved, cap
 

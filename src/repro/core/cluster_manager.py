@@ -44,8 +44,29 @@ from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.plan.planner import RecedingHorizonPlanner
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.workloads.nas import IDLE_NODE_POWER
 
 __all__ = ["JobRecord", "BudgetRound", "ClusterPowerManager"]
+
+#: Lowest R² an online fit may report and still be adopted.  Deliberately
+#: low: a genuinely flat power-performance curve has low R² by construction
+#: (no signal to explain), yet sharing it is exactly what recovers the
+#: over-estimation cases (Figs. 8, 10); the endpoint already withholds
+#: degenerate fits.
+MIN_FEEDBACK_R2 = 0.05
+#: Bound on the integral trim's magnitude, as a fraction of the target: the
+#: trim corrects systematic bias, it must never stand in for the target.
+CORRECTION_LIMIT_FRACTION = 0.25
+#: Seconds of silence (s) after which a job's online model is distrusted and
+#: the job is budgeted conservatively: floor cap sent, its last cap's worth of
+#: power reserved, since a silent job may still be drawing it.  Fifteen
+#: endpoint periods at the paper's 1 s cadence.
+STALE_STATUS_TIMEOUT = 15.0
+#: Seconds of silence (s) after which the job is presumed gone: its record is
+#: evicted and its link unregistered, so a ghost record left by a dropped
+#: goodbye cannot outlive it.  Never below ``STALE_STATUS_TIMEOUT``: a job is
+#: distrusted before it is forgotten.
+DEAD_JOB_TIMEOUT = 60.0
 
 
 @dataclass
@@ -73,40 +94,25 @@ class ClusterPowerManager:
     classifier:
         Supplies the believed model for each job's claimed type.
     total_nodes:
-        Cluster size; used to estimate idle-node power draw.
-    idle_power_estimate:
-        Watts the manager assumes an idle node draws (facility knowledge).
+        Cluster size; each node not held by a job is assumed to draw
+        ``IDLE_NODE_POWER`` (facility knowledge).
     meter:
         Callable returning the current facility-measured cluster power; used
         only for tracking-accuracy accounting, never for budgeting (the
         budget is feed-forward from the target, as in AQA).
     use_feedback:
         Accept online models from job-tier status messages (the paper's
-        feedback-enabled configurations).
-    min_feedback_r2:
-        Reject online fits whose reported R² falls below this.  The default
-        is deliberately low: a genuinely flat power-performance curve has
-        low R² by construction (no signal to explain), yet sharing it is
-        exactly what recovers the over-estimation cases (Figs. 8, 10); the
-        job-tier endpoint already withholds degenerate fits.
-    stale_status_timeout:
-        Seconds of silence after which a job's online model is distrusted and
-        the job is budgeted conservatively (floor cap sent, its last cap's
-        worth of power reserved — a silent job may still be drawing it).
-    dead_job_timeout:
-        Seconds of silence after which the job is presumed gone: its record
-        is evicted and its link unregistered.  This is what closes the
-        dropped-goodbye leak — a ghost record cannot outlive the timeout.
+        feedback-enabled configurations), when their R² is at least
+        ``MIN_FEEDBACK_R2``.  Heartbeats are judged against
+        ``STALE_STATUS_TIMEOUT`` and ``DEAD_JOB_TIMEOUT``.
     """
 
     budgeter: PowerBudgeter
     target_source: PowerTargetSource
     classifier: JobClassifier
     total_nodes: int
-    idle_power_estimate: float = 60.0
     meter: Callable[[], float] | None = None
     use_feedback: bool = True
-    min_feedback_r2: float = 0.05
     p_node_min: float = 140.0
     p_node_max: float = 280.0
     # Integral trim on the budget: the manager compares the facility meter
@@ -114,17 +120,13 @@ class ClusterPowerManager:
     # low-power setup/teardown phases, caps the workload cannot fill, RAPL
     # quantisation).  Gain 0 disables it (pure feed-forward, as in AQA).
     correction_gain: float = 0.15
-    correction_limit_fraction: float = 0.25
-    stale_status_timeout: float = 15.0
-    dead_job_timeout: float = 60.0
 
     # Cap leases (fail-safe enforcement, DESIGN.md §4e).  When ``lease_ttl``
     # is set, every dispatched cap is only valid that many seconds past
-    # receipt; leaseless endpoints decay toward ``safe_floor`` (p_node_min
-    # when unset).  ``None`` keeps pre-lease hold-last-value semantics and
-    # bit-identical golden traces.
+    # receipt; an endpoint whose lease lapses decays toward its ``p_min``.
+    # ``None`` keeps pre-lease hold-last-value semantics and bit-identical
+    # golden traces.
     lease_ttl: float | None = None
-    safe_floor: float | None = None
 
     # Optional features.  Each owns its round stages beside its own state
     # (what it does to a round, and why that is safe, is written there); None
@@ -147,53 +149,41 @@ class ClusterPowerManager:
     # finished BudgetRound, after everything else; none, no stage.
     monitors: Sequence[Callable[[BudgetRound], None]] = ()
 
-    jobs: dict[str, JobRecord] = field(default_factory=dict)
-    tracking: list[TrackingSample] = field(default_factory=list)
-    events: list[str] = field(default_factory=list)
-    last_round: BudgetRound | None = field(default=None)
-    evictions: int = 0
-    rejected_statuses: int = 0
-    rejected_models: int = 0
-    meter_faults: int = 0
+    # State, not configuration: what the manager has learned and counted.
+    jobs: dict[str, JobRecord] = field(default_factory=dict, init=False)
+    tracking: list[TrackingSample] = field(default_factory=list, init=False)
+    events: list[str] = field(default_factory=list, init=False)
+    last_round: BudgetRound | None = field(default=None, init=False)
+    evictions: int = field(default=0, init=False)
+    rejected_statuses: int = field(default=0, init=False)
+    rejected_models: int = field(default=0, init=False)
+    meter_faults: int = field(default=0, init=False)
     # Dispatches that changed a job's cap: the churn the planner's hysteresis
     # is meant to reduce, counted in reactive runs too for like-for-like drills.
-    cap_rewrites: int = 0
+    cap_rewrites: int = field(default=0, init=False)
     # What rounds hand back for AnorSystem to enforce (it drains the list):
     # ``(action, job_id)`` with ``orphan`` (silent past the recovery deadline)
     # or ``preempt`` / ``kill`` (shed ladder); and whether launches are held.
-    enforcement: list[tuple[str, str]] = field(default_factory=list)
-    admission_held: bool = False
+    enforcement: list[tuple[str, str]] = field(default_factory=list, init=False)
+    admission_held: bool = field(default=False, init=False)
     # Recovery mode: reconnects that merged checkpointed state back in, the
     # jobs still awaiting their re-HELLO, and the reconnect deadline.
-    recovery_merges: int = 0
+    recovery_merges: int = field(default=0, init=False)
     # Re-HELLOs whose degraded-history model was validated and adopted
     # (partition recovery path — distinct from checkpoint recovery_merges).
-    hello_merges: int = 0
-    _recovered: dict[str, RecoveredJob] = field(default_factory=dict)
-    _recovery_deadline: float | None = None
-    _links: list[TcpLink] = field(default_factory=list)
-    _correction: float = 0.0
-    _last_journalled_target: float | None = None
+    hello_merges: int = field(default=0, init=False)
+    _recovered: dict[str, RecoveredJob] = field(default_factory=dict, init=False)
+    _recovery_deadline: float | None = field(default=None, init=False)
+    _links: list[TcpLink] = field(default_factory=list, init=False)
+    _correction: float = field(default=0.0, init=False)
+    _last_journalled_target: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        if self.stale_status_timeout <= 0:
-            raise ValueError(
-                f"stale_status_timeout must be positive, got {self.stale_status_timeout}"
-            )
-        if self.dead_job_timeout < self.stale_status_timeout:
-            raise ValueError(
-                "dead_job_timeout must be ≥ stale_status_timeout, got "
-                f"{self.dead_job_timeout} < {self.stale_status_timeout}"
-            )
-        if self.safe_floor is not None and self.safe_floor <= 0:
-            raise ValueError(f"safe_floor must be positive, got {self.safe_floor}")
         if not isinstance(self.target_source, HoldLastGoodTarget):
             self.target_source = HoldLastGoodTarget(
                 self.target_source,
                 floor=self.total_nodes * self.p_node_min,
             )
-        safe = self.safe_floor if self.safe_floor is not None else self.p_node_min
-        self._safe_cap = max(self.p_node_min, float(safe))
         self._round_span = 0
         # The message handlers' counters: no-ops from a disabled registry.
         reg = self.telemetry.registry
@@ -447,7 +437,7 @@ class ClusterPowerManager:
         if self.use_feedback and msg.has_model and not repeat:
             # NaN r2 must NOT satisfy the quality gate by comparing False —
             # let it through to validation, which rejects non-finite r2.
-            if msg.model_r2 is None or not (msg.model_r2 < self.min_feedback_r2):
+            if msg.model_r2 is None or not (msg.model_r2 < MIN_FEEDBACK_R2):
                 model = self._validated_model(msg, record)
                 if model is None:
                     self.rejected_models += 1
@@ -525,7 +515,7 @@ class ClusterPowerManager:
         dead = [
             job_id
             for job_id, record in self.jobs.items()
-            if now - record.last_heard > self.dead_job_timeout
+            if now - record.last_heard > DEAD_JOB_TIMEOUT
         ]
         for job_id in dead:
             record = self.jobs.pop(job_id)
@@ -629,7 +619,6 @@ class ClusterPowerManager:
             jobs=self.jobs,
             report=self._report,
             p_min=self.p_node_min,
-            safe_cap=self._safe_cap,
         )
         for stage in self._stages:
             stage(rnd)
@@ -662,7 +651,7 @@ class ClusterPowerManager:
                 TrackingSample(time=rnd.time, target=target, measured=measured)
             )
             if self.correction_gain > 0:
-                limit = self.correction_limit_fraction * target
+                limit = CORRECTION_LIMIT_FRACTION * target
                 self._correction = float(
                     np.clip(
                         self._correction + self.correction_gain * (target - measured),
@@ -706,7 +695,7 @@ class ClusterPowerManager:
             r.nodes for r in rnd.recovering
         )
         idle_nodes = max(0, self.total_nodes - busy_nodes)
-        rnd.idle_power = idle_nodes * self.idle_power_estimate
+        rnd.idle_power = idle_nodes * IDLE_NODE_POWER
         rnd.correction = self._correction
         rnd.available = max(rnd.target - rnd.idle_power + self._correction, 1.0)
         # Triage (§7.2 plus fault hardening):
@@ -719,8 +708,8 @@ class ClusterPowerManager:
         rnd.stale, rnd.dormant, rnd.active = stale, dormant, active = [], [], []
         for record in sorted(self.jobs.values(), key=lambda r: r.job_id):
             status = record.last_status
-            threshold = record.nodes * self.idle_power_estimate * 1.5
-            if now - record.last_heard > self.stale_status_timeout:
+            threshold = record.nodes * IDLE_NODE_POWER * 1.5
+            if now - record.last_heard > STALE_STATUS_TIMEOUT:
                 stale.append(record)
             elif status is None or status.measured_power < threshold:
                 dormant.append(record)
@@ -751,7 +740,7 @@ class ClusterPowerManager:
             drawn = (
                 record.last_status.measured_power
                 if record.last_status is not None
-                else record.nodes * self.idle_power_estimate
+                else record.nodes * IDLE_NODE_POWER
             )
             reserved += drawn
             rnd.caps[record.job_id] = self.p_node_min
@@ -780,7 +769,6 @@ class ClusterPowerManager:
                     power_cap_node=cap,
                     timestamp=now,
                     lease_ttl=self.lease_ttl,
-                    safe_floor=self.safe_floor,
                 ),
                 now,
             )

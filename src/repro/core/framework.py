@@ -105,7 +105,7 @@ class AnorConfig:
     output_dir: str | None = None
     # Fault tolerance: automatic endpoint restart (the watchdog that brings a
     # crashed job-tier process back; None disables it).  The manager-side
-    # heartbeat timeouts are ``ClusterPowerManager``'s own.
+    # heartbeat timeouts are constants of ``core.cluster_manager``.
     endpoint_restart_delay: float | None = 30.0
     # Head-node crash recovery (DESIGN.md §4d): when ``checkpoint_dir`` is
     # set, cluster-tier state is checkpointed there every
@@ -132,10 +132,10 @@ class AnorConfig:
     lease_ttl: float | None = None
     lease_ramp_seconds: float = 30.0
     # Ack/retry reliability for the cap-dispatch and model-report paths
-    # (backoffs and the partition threshold: ``ReliableLink`` defaults).
+    # (backoffs and the partition threshold: constants of ``core.reliable``).
     reliable_messaging: bool = False
     # Facility breaker: trips after consecutive rounds of measured power
-    # above target × (1 + margin) (``PowerBreaker.trip_rounds``).  None
+    # above target × (1 + margin) (``breaker.TRIP_ROUNDS``).  None
     # disables.
     breaker_margin: float | None = None
     # Trust boundary for the job tier (DESIGN.md §4f).  Off by default:
@@ -143,7 +143,7 @@ class AnorConfig:
     # plane is bit-identical to the pre-audit implementation.  The auditor
     # compares out-of-band metered node power against each job's dispatched
     # cap, self-reported meter, and shipped model, and quarantines endpoints
-    # that stay non-compliant (thresholds: ``CapComplianceAuditor`` defaults).
+    # that stay non-compliant (thresholds: constants of ``core.audit``).
     audit_enabled: bool = False
     # Predictive planning (DESIGN.md §9).  Off by default: with
     # ``plan_enabled`` False no planner is constructed and the control plane
@@ -398,19 +398,17 @@ class AnorSystem:
         self._endpoint_gate = PeriodicGate(self.config.endpoint_period)
         self._manager_gate = PeriodicGate(self.config.manager_period)
         self._checkpoint_gate = PeriodicGate(cfg.checkpoint_period)
-        # Fault-tolerance state: what each launched job looked like (for
-        # requeue after a node crash), per-job attempt counts, endpoint
-        # restarts pending, and run-level incident records.
-        self._job_specs: dict[str, _QueuedJob] = {}
+        # The jobs the head launched and believes running, each as submitted
+        # (what a requeue rebuilds it from): the head's own view, which a
+        # checkpoint must carry, distinct from the emulator's ground truth.
+        # A job leaves it on completion, requeue or drop, or as an orphan.
+        self._launched: dict[str, _QueuedJob] = {}
+        # Fault-tolerance state: per-job attempt counts, endpoint restarts
+        # pending, and run-level incident and recovery records.
         self._attempts: dict[str, int] = {}
         self._endpoint_restarts: list[tuple[float, str]] = []
         self.requeued: list[str] = []
         self.warnings: list[str] = []
-        # Head-node crash-recovery state: the head's own view of which jobs
-        # it launched and believes running (what a checkpoint must carry —
-        # distinct from the emulator's ground truth) and run-level recovery
-        # observability.
-        self._running_view: dict[str, dict] = {}
         self.head_crashes = 0
         self.recovery_log: list[str] = []
         self.orphaned: list[str] = []
@@ -730,7 +728,7 @@ class AnorSystem:
             self._queue_order = sorted(
                 (q.pending for q in self._queue), key=lambda p: p.submit_time
             )
-        running = [self._job_specs[job_id].running for job_id in self.cluster.running]
+        running = [self._launched[job_id].running for job_id in self.cluster.running]
         return self._queue_order, running, len(self.cluster.idle_nodes()), now
 
     def _launch(self, head: _QueuedJob) -> None:
@@ -739,15 +737,14 @@ class AnorSystem:
             head.job_type,
             submit_time=head.request.submit_time,
         )
-        self._job_specs[head.request.job_id] = head
+        self._launched[head.request.job_id] = head
         head.running = RunningView(
             job_id=job.job_id, nodes=len(job.nodes), est_end=job.est_end
         )
         attempt = self._attempts.setdefault(head.request.job_id, 1)
-        spec = self._spec_dict(head)
-        self._running_view[head.request.job_id] = spec
         self._journal(
-            "job-admit", self.cluster.clock.now, kind="launch", spec=spec, attempt=attempt
+            "job-admit", self.cluster.clock.now, kind="launch",
+            spec=self._spec_dict(head), attempt=attempt,
         )
         self._attach_endpoint(job, head.claimed_type or head.job_type.name)
         if self.config.output_dir is not None:
@@ -855,7 +852,7 @@ class AnorSystem:
         self._requeue_or_drop(
             killed,
             now,
-            self._job_specs.get(killed),
+            self._launched.pop(killed, None),
             self.warnings,
             f"node {node_id} crashed, job {killed} killed and requeued",
             f"node {node_id} crashed, job {killed} killed (not requeued)",
@@ -891,8 +888,8 @@ class AnorSystem:
         back in the queue from its submission spec while it has attempts left
         and ``allowed``, else dropped.  One ``log`` line and one bus record
         either way; a drop is journalled (an orphan's already was, by the
-        manager round that declared it)."""
-        self._running_view.pop(job_id, None)
+        manager round that declared it).  ``spec`` is what the caller popped
+        from the launched jobs."""
         attempts = self._attempts.get(job_id, 1)
         if allowed and spec is not None and attempts <= MAX_REQUEUES:
             self._attempts[job_id] = attempt = attempts + 1
@@ -944,7 +941,7 @@ class AnorSystem:
         self._requeue_or_drop(
             job_id,
             now,
-            self._job_specs.get(job_id),
+            self._launched.pop(job_id, None),
             self.warnings,
             f"job {job_id} preempted by power shed (checkpointed and requeued)",
             f"job {job_id} killed by power shed",
@@ -1007,7 +1004,7 @@ class AnorSystem:
     def _reconnect_closed(self, now: float) -> None:
         """Re-dial links the manager closed on a still-alive endpoint.
 
-        A partition longer than ``dead_job_timeout`` gets the job evicted
+        A partition longer than ``DEAD_JOB_TIMEOUT`` gets the job evicted
         and its link closed; when the network heals, the endpoint must
         re-HELLO over a fresh link or it stays degraded forever.
         """
@@ -1049,7 +1046,7 @@ class AnorSystem:
                     reason=reason,
                 )
                 continue
-            spec = self._job_specs[job_id]  # on record since its launch
+            spec = self._launched[job_id]  # on record since its launch
             # Warm restart: hand back the last model the cluster tier
             # validated for this job (live record or checkpoint-recovered),
             # so the fresh endpoint does not re-fit from zero.
@@ -1180,7 +1177,7 @@ class AnorSystem:
             self.endpoints.pop(jid)
             # Head-side bookkeeping; with the head down, post-restart
             # reconciliation discovers the completion instead.
-            if self.manager is not None and self._running_view.pop(jid, None) is not None:
+            if self.manager is not None and self._launched.pop(jid, None) is not None:
                 self._journal("job-evict", now, kind="complete", job_id=jid)
             tracer = self._tracers.pop(jid, None)
             if tracer is not None:

@@ -28,6 +28,21 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["JobTierEndpoint"]
 
+# Gates on sharing a fit upward (``_evaluate_model_fields``): a two-sample fit
+# has R² = 1 by construction and a fit from a narrow cap window claims
+# "insensitive" having seen nothing, so a fit is shared only once the modeler
+# has this many epochs, training samples and spread of caps (a fraction of
+# the enforceable range) behind it.
+MIN_FEEDBACK_EPOCHS = 10
+MIN_FEEDBACK_SAMPLES = 6
+MIN_CAP_COVERAGE = 0.04
+#: Identification dither: ±6 % of the budgeted cap while no fit is shareable,
+#: zero mean so the job's average power still honours its budget.
+EXPLORE_AMPLITUDE = 0.06
+#: Control periods the dither holds each sign, so several whole epochs
+#: elapse at each level (toggling faster than an epoch averages it away).
+EXPLORE_HOLD_STEPS = 12
+
 
 class JobTierEndpoint:
     """Per-job bridge between the GEOPM endpoint and the cluster manager."""
@@ -45,18 +60,10 @@ class JobTierEndpoint:
         default_model: QuadraticPowerModel,
         feedback_enabled: bool = True,
         retrain_threshold: int = 10,
-        min_feedback_epochs: int = 10,
-        initial_cap: float | None = None,
-        explore_amplitude: float = 0.06,
-        min_cap_coverage: float = 0.04,
-        explore_hold_steps: int = 12,
-        min_feedback_samples: int = 6,
-        detect_drift: bool = False,
         warm_model: QuadraticPowerModel | None = None,
         warm_r2: float | None = None,
         lease_ttl: float | None = None,
         lease_ramp_seconds: float = 30.0,
-        safe_floor: float | None = None,
         telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         self.job_id = job_id
@@ -65,40 +72,29 @@ class JobTierEndpoint:
         self.geopm = geopm_endpoint
         self.link = link
         self.feedback_enabled = bool(feedback_enabled)
-        self.min_feedback_epochs = int(min_feedback_epochs)
         self.modeler = OnlineModeler(
-            p_min,
-            p_max,
-            default_model,
-            retrain_threshold=retrain_threshold,
-            detect_drift=detect_drift,
+            p_min, p_max, default_model, retrain_threshold=retrain_threshold
         )
         # (modeler revision, fields) of the last shareability verdict.
         self._fields_memo: tuple[int, dict] = (-1, {})
         self._hello_sent = False
         self._goodbye_sent = False
-        self._pending_cap = initial_cap  # applied on the first step
-        self.current_cap = initial_cap if initial_cap is not None else p_max
+        self.current_cap = p_max
         self.statuses_sent = 0
         self._p_min = float(p_min)
         self._p_max = float(p_max)
         # Excitation for online system identification: while the modeler has
         # not yet observed meaningfully different caps, the endpoint dithers
-        # the applied cap ±explore_amplitude around the budget (zero mean, so
-        # the job's average power still honours the cluster tier's cap).
-        # The paper's runs get this excitation "for free" from time-varying
-        # budgets; static-budget scenarios (Figs. 6–8) need the dither to
-        # learn anything — see DESIGN.md.
-        self.explore_amplitude = float(explore_amplitude)
-        self.min_cap_coverage = float(min_cap_coverage)
-        self.explore_hold_steps = int(explore_hold_steps)
-        self.min_feedback_samples = int(min_feedback_samples)
+        # the applied cap by EXPLORE_AMPLITUDE around the budget.  The paper's
+        # runs get this excitation "for free" from time-varying budgets;
+        # static-budget scenarios (Figs. 6–8) need the dither to learn
+        # anything — see DESIGN.md.
         self._explore_sign = 1.0
         # Stagger dither phase across jobs so cluster-level excitation
         # cancels instead of stacking into tracking error.  crc32, not
         # hash(): Python salts string hashes per process, which would make
         # seeded runs non-reproducible.
-        self._explore_step = zlib.crc32(job_id.encode()) % max(explore_hold_steps, 1)
+        self._explore_step = zlib.crc32(job_id.encode()) % EXPLORE_HOLD_STEPS
         # Warm restart: a watchdog-restarted endpoint receives the last model
         # the cluster tier validated for this job, so it resumes sharing a
         # trusted fit immediately instead of re-fitting (and re-dithering)
@@ -110,9 +106,9 @@ class JobTierEndpoint:
         # only exists once a BudgetMessage arrives carrying ``lease_ttl``;
         # until then the endpoint keeps the pre-lease hold-last-value
         # behaviour bit-for-bit.  Expiry anchors to *receipt* time, so the
-        # over-target bound is relative to last contact with the head.
+        # over-target bound is relative to last contact with the head.  The
+        # decay's floor is the job's p_min.
         self.lease_ramp_seconds = float(lease_ramp_seconds)
-        self.safe_floor = safe_floor if safe_floor is None else float(safe_floor)
         # Armed from birth when the deployment runs leases: an endpoint that
         # has *never* heard from the head (admitted mid-partition, say) is the
         # same fail-safe case as one whose head went silent — it must not sit
@@ -120,7 +116,6 @@ class JobTierEndpoint:
         self._lease_ttl: float | None = (
             None if lease_ttl is None else float(lease_ttl)
         )
-        self._lease_floor: float | None = None
         self._lease_expires: float | None = None
         self._degraded_since: float | None = None
         self._decay_from: float | None = None
@@ -184,17 +179,13 @@ class JobTierEndpoint:
                 self._mx_statuses.inc()
 
         # Apply budget messages from the cluster tier (last one wins).
-        new_cap: float | None = self._pending_cap
-        self._pending_cap = None
-        lease_msg: BudgetMessage | None = None
+        budget: BudgetMessage | None = None
         for msg in self.link.recv_down(now):
             if isinstance(msg, BudgetMessage):
-                lease_msg = msg
-                new_cap = msg.power_cap_node
-        if lease_msg is not None:
-            self._adopt_lease(lease_msg, now)
-        if new_cap is not None:
-            self.current_cap = float(new_cap)
+                budget = msg
+        if budget is not None:
+            self._adopt_lease(budget, now)
+            self.current_cap = float(budget.power_cap_node)
         if self._lease_ttl is not None and self._lease_expires is None:
             # First step under a configured lease with no budget yet: start
             # the dead-man clock now (see the armed-from-birth note above).
@@ -208,7 +199,7 @@ class JobTierEndpoint:
 
         if self._degraded_since is not None:
             # Degraded autonomy: the head is silent past its lease.  Decay
-            # toward the safe floor over the bounded ramp and suppress dither
+            # toward p_min over the bounded ramp and suppress dither
             # (excitation with nobody listening only costs job performance);
             # the modeler keeps observing so the eventual re-HELLO carries a
             # current fit.
@@ -219,7 +210,7 @@ class JobTierEndpoint:
                         power_cap_node=applied_cap,
                         issued_at=now,
                         lease_ttl=self._lease_ttl,
-                        safe_floor=self._effective_floor(),
+                        safe_floor=self._p_min,
                         ramp_seconds=self.lease_ramp_seconds,
                     )
                 )
@@ -230,7 +221,7 @@ class JobTierEndpoint:
             return status
 
         applied_cap = self._cap_to_apply()
-        cap_changed = new_cap is not None or applied_cap != self.current_cap
+        cap_changed = budget is not None or applied_cap != self.current_cap
         if self._lease_ttl is not None:
             # Leased and in contact: rewrite the policy every period so the
             # agents' own dead-man switch stays armed-but-quiet — it fires
@@ -240,7 +231,7 @@ class JobTierEndpoint:
                     power_cap_node=applied_cap,
                     issued_at=now,
                     lease_ttl=self._lease_ttl,
-                    safe_floor=self._effective_floor(),
+                    safe_floor=self._p_min,
                     ramp_seconds=self.lease_ramp_seconds,
                 )
             )
@@ -260,23 +251,17 @@ class JobTierEndpoint:
     def _cap_to_apply(self) -> float:
         """The budgeted cap, dithered while still identifying the model.
 
-        The sign is held for ``explore_hold_steps`` control periods so that
-        several whole epochs elapse at each level — toggling faster than the
-        epoch period would average the excitation away inside the modeler.
+        The sign is held for ``EXPLORE_HOLD_STEPS`` control periods.
         Exploration stops once the modeler's fit is good enough to share
         (and resumes if the fit degrades), bounding the dither's cost to
         job performance and cluster power-tracking.
         """
-        if (
-            not self.feedback_enabled
-            or self.explore_amplitude <= 0.0
-            or self._model_fields()
-        ):
+        if not self.feedback_enabled or self._model_fields():
             return self.current_cap
         self._explore_step += 1
-        if self._explore_step % self.explore_hold_steps == 0:
+        if self._explore_step % EXPLORE_HOLD_STEPS == 0:
             self._explore_sign = -self._explore_sign
-        dithered = self.current_cap * (1.0 + self._explore_sign * self.explore_amplitude)
+        dithered = self.current_cap * (1.0 + self._explore_sign * EXPLORE_AMPLITUDE)
         return float(min(max(dithered, self._p_min), self._p_max))
 
     def _model_fields(self) -> dict:
@@ -299,9 +284,9 @@ class JobTierEndpoint:
         if not self.feedback_enabled or not self.modeler.has_fit:
             return {}
         if not self.modeler.seeded and (
-            self.modeler.epochs_observed < self.min_feedback_epochs
-            or self.modeler.cap_coverage < self.min_cap_coverage
-            or len(self.modeler.history) < self.min_feedback_samples
+            self.modeler.epochs_observed < MIN_FEEDBACK_EPOCHS
+            or self.modeler.cap_coverage < MIN_CAP_COVERAGE
+            or len(self.modeler.history) < MIN_FEEDBACK_SAMPLES
         ):
             # A seeded (warm-restart) fit skips the history gates: it already
             # passed the cluster tier's validation before the restart.
@@ -335,21 +320,11 @@ class JobTierEndpoint:
         ongoing = now - self._degraded_since if self._degraded_since is not None else 0.0
         return self.degraded_seconds + ongoing
 
-    def _effective_floor(self) -> float:
-        """Safe floor precedence: per-message > endpoint-configured > p_min."""
-        if self._lease_floor is not None:
-            return self._lease_floor
-        if self.safe_floor is not None:
-            return self.safe_floor
-        return self._p_min
-
     def _adopt_lease(self, msg: BudgetMessage, now: float) -> None:
         """Refresh (or clear) the lease from a just-received budget message."""
         if msg.lease_ttl is not None:
             self._lease_ttl = float(msg.lease_ttl)
             self._lease_expires = now + self._lease_ttl
-            if msg.safe_floor is not None:
-                self._lease_floor = float(msg.safe_floor)
         else:
             self._lease_ttl = None
             self._lease_expires = None
@@ -376,12 +351,12 @@ class JobTierEndpoint:
         self._degraded_applied = None
 
     def _degraded_cap(self, now: float) -> float:
-        """Linear decay from the last budget toward the safe floor.
+        """Linear decay from the last budget toward ``p_min``.
 
-        Never raises the cap: a floor above the last budget clamps to the
-        budget (the dead-man switch exists to shed power, not grant it).
+        Never raises the cap: a last budget below ``p_min`` is held (the
+        dead-man switch exists to shed power, not grant it).
         """
-        floor = min(self._effective_floor(), self._decay_from)
+        floor = min(self._p_min, self._decay_from)
         elapsed = now - self._degraded_since
         ramp = self.lease_ramp_seconds
         if ramp <= 0 or elapsed >= ramp:

@@ -74,10 +74,9 @@ class BudgetMessage:
     timestamp: float
     # Cap lease: the cap is valid for ``lease_ttl`` seconds after
     # ``timestamp``; past that the job tier must treat the head as silent
-    # and decay toward ``safe_floor``.  ``None`` (the default) means an
+    # and decay toward its ``p_min``.  ``None`` (the default) means an
     # unleased cap — hold-last-value semantics, as before this field existed.
     lease_ttl: float | None = None
-    safe_floor: float | None = None
 
     def __post_init__(self) -> None:
         if self.power_cap_node <= 0:
@@ -87,10 +86,6 @@ class BudgetMessage:
         if self.lease_ttl is not None and self.lease_ttl <= 0:
             raise ValueError(
                 f"{self.job_id}: lease_ttl must be positive, got {self.lease_ttl}"
-            )
-        if self.safe_floor is not None and self.safe_floor <= 0:
-            raise ValueError(
-                f"{self.job_id}: safe_floor must be positive, got {self.safe_floor}"
             )
 
 

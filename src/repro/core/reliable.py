@@ -14,12 +14,12 @@ nobody finds out.  :class:`ReliableLink` closes that gap:
 * **acks + retransmit** — receivers batch-acknowledge every envelope seq
   they see; senders retransmit unacked envelopes on an exponential backoff
   with jitter drawn from the *seeded* RNG (retry storms stay reproducible);
-* **bounded window** — at most ``window`` envelopes outstanding; when full,
+* **bounded window** — at most ``WINDOW`` envelopes outstanding; when full,
   the oldest is superseded (dropped locally, counted) — correct for
   resend-current-state protocols where the newest message obsoletes older
   ones;
 * **partition detection** — an envelope retransmitted
-  ``partition_attempts`` times *with no intervening ack* flips the link
+  ``PARTITION_ATTEMPTS`` times *with no intervening ack* flips the link
   into a declared partition (a :class:`~repro.faults.events.PartitionStart`
   record + telemetry incident); the first ack after that declares
   :class:`~repro.faults.events.PartitionEnd` with the measured outage.
@@ -48,6 +48,18 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util.rng import ensure_rng
 
 __all__ = ["Envelope", "Ack", "ReliableLink"]
+
+#: Envelopes a sender keeps outstanding; a ninth supersedes the oldest.
+WINDOW = 8
+#: Retransmit backoff (s): BASE_BACKOFF · 2^attempts, capped at MAX_BACKOFF
+#: (never below the base), each draw scaled by 1 ± JITTER from the seeded RNG
+#: so retry storms desynchronise yet replay exactly.
+BASE_BACKOFF = 2.0
+MAX_BACKOFF = 30.0
+JITTER = 0.25
+#: Retransmits of one envelope with no intervening ack that declare a
+#: partition: with the backoff above, about 14 s of silence.
+PARTITION_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -86,41 +98,15 @@ class ReliableLink:
         side: str,
         *,
         seed: int | np.random.Generator | None = None,
-        window: int = 8,
-        base_backoff: float = 2.0,
-        max_backoff: float = 30.0,
-        jitter: float = 0.25,
-        partition_attempts: int = 3,
         name: str = "",
         telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         if side not in ("cluster", "job"):
             raise ValueError(f"side must be 'cluster' or 'job', got {side!r}")
-        if window < 1:
-            raise ValueError(f"window must be ≥ 1, got {window}")
-        if base_backoff <= 0:
-            raise ValueError(f"base_backoff must be positive, got {base_backoff}")
-        # A ceiling ≤ 0 would make every envelope due for retransmit on
-        # every pump; one below the base is an inverted range.
-        if max_backoff < base_backoff:
-            raise ValueError(
-                f"max_backoff must be ≥ base_backoff, got {max_backoff} < {base_backoff}"
-            )
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-        if partition_attempts < 1:
-            raise ValueError(
-                f"partition_attempts must be ≥ 1, got {partition_attempts}"
-            )
         self.link = link
         self.side = side
         self.name = name or side
         self._rng = ensure_rng(seed)
-        self.window = int(window)
-        self.base_backoff = float(base_backoff)
-        self.max_backoff = float(max_backoff)
-        self.jitter = float(jitter)
-        self.partition_attempts = int(partition_attempts)
         # Sender state (this side's outbound direction).
         self._next_seq = 0
         self._outstanding: dict[int, _Outstanding] = {}
@@ -160,10 +146,8 @@ class ReliableLink:
 
     def _backoff(self, attempts: int) -> float:
         """Exponential backoff with seeded jitter for the (attempts+1)-th try."""
-        raw = min(self.base_backoff * (2.0**attempts), self.max_backoff)
-        if self.jitter > 0:
-            raw *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
-        return raw
+        raw = min(BASE_BACKOFF * (2.0**attempts), MAX_BACKOFF)
+        return raw * (1.0 + JITTER * (2.0 * self._rng.random() - 1.0))
 
     def _send_frame(self, frame: Any, now: float) -> bool:
         if self.side == "cluster":
@@ -179,7 +163,7 @@ class ReliableLink:
         env = Envelope(seq=self._next_seq, payload=payload)
         self._next_seq += 1
         entry = _Outstanding(env, now, self._backoff(0))
-        if len(self._outstanding) >= self.window:
+        if len(self._outstanding) >= WINDOW:
             # Window full: the oldest unacked envelope is superseded by this
             # one (resend-current-state traffic — newest message wins).  The
             # replacement inherits the evicted envelope's delivery debt —
@@ -202,7 +186,7 @@ class ReliableLink:
                 self._send_frame(entry.envelope, now)
                 self.retransmits += 1
         if self.partitioned_since is None and any(
-            e.attempts >= self.partition_attempts for e in self._outstanding.values()
+            e.attempts >= PARTITION_ATTEMPTS for e in self._outstanding.values()
         ):
             self.partitioned_since = now
             self.faults.append(PartitionStart(time=now, link=self.name))

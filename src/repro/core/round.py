@@ -72,7 +72,6 @@ class BudgetRound:
     #: for a transition — its ``events`` line and its bus incident together.
     report: Callable[..., None]
     p_min: float  # lowest per-node cap the platform enforces
-    safe_cap: float  # emergency uniform throttle (safe floor, ≥ p_min)
     span: int = 0  # control-round span id (0: telemetry off)
     # Budgeting target: the feed as read, then the shed ladder's ramped
     # ceiling when it is lower.

@@ -30,6 +30,13 @@ __all__ = [
     "save_target_file",
 ]
 
+#: Seconds (s) a stalled feed's last good target is held unchanged: a few
+#: missed 4 s updates are noise, not a facility asking for less.
+HOLD_GRACE = 30.0
+#: Past the grace window the held target decays as exp(-rate · s) toward the
+#: floor (1/s): halved in about 140 s, the conservative direction.
+HOLD_DECAY_RATE = 0.005
+
 
 class PowerTargetSource(ABC):
     """Maps simulated time to the cluster power target in watts."""
@@ -182,8 +189,9 @@ class HoldLastGoodTarget(PowerTargetSource):
 
     * passes finite positive values straight through (recording them);
     * on a bad read (non-finite, non-positive, or a raised exception), holds
-      the last good value for ``grace`` seconds;
-    * past the grace window, decays the held value exponentially toward
+      the last good value for ``HOLD_GRACE`` seconds;
+    * past the grace window, decays the held value exponentially (at
+      ``HOLD_DECAY_RATE`` per second) toward
       ``floor`` (the lowest enforceable cluster power) — a conservative
       ramp-down, since a long-silent feed may mean the facility wants load
       shed and the safe direction is downward;
@@ -198,19 +206,11 @@ class HoldLastGoodTarget(PowerTargetSource):
         inner: PowerTargetSource,
         *,
         floor: float,
-        grace: float = 30.0,
-        decay_rate: float = 0.005,
     ) -> None:
         if floor <= 0:
             raise ValueError(f"floor must be positive, got {floor}")
-        if grace < 0:
-            raise ValueError(f"grace must be ≥ 0, got {grace}")
-        if decay_rate < 0:
-            raise ValueError(f"decay_rate must be ≥ 0, got {decay_rate}")
         self.inner = inner
         self.floor = float(floor)
-        self.grace = float(grace)
-        self.decay_rate = float(decay_rate)
         self.degraded_reads = 0
         self._last_good: float | None = None
         self._last_good_time = 0.0
@@ -248,9 +248,9 @@ class HoldLastGoodTarget(PowerTargetSource):
         if self._last_good is None:
             return self.floor
         held = max(0.0, now - self._last_good_time)
-        if held <= self.grace:
+        if held <= HOLD_GRACE:
             return self._last_good
-        decayed = self._last_good * math.exp(-self.decay_rate * (held - self.grace))
+        decayed = self._last_good * math.exp(-HOLD_DECAY_RATE * (held - HOLD_GRACE))
         return max(decayed, self.floor)
 
 

@@ -19,7 +19,6 @@ from repro.durable.state import (
     unheard_jobs,
 )
 from repro.durable.store import DurableStore
-from repro.sched.base import RunningView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import AnorSystem
@@ -37,9 +36,6 @@ def crash_head(system: "AnorSystem", now: float) -> None:
     for link in system.manager._links:
         link.close("head-crash")
     system.manager = None
-    # What the head knew of the jobs it launched dies with it; restart_head
-    # rebuilds it from the running view, the one record that is persisted.
-    system._job_specs = {}
     if system.durable is not None:
         system.durable.close()
         system.durable = None
@@ -102,7 +98,7 @@ def restart_head(system: "AnorSystem", now: float) -> None:
             recovered_jobs=recovered,
         )
     else:
-        # Cold start: the in-memory queue/running-view stand in for the
+        # Cold start: the in-memory queue and launched jobs stand in for the
         # schedule and resource-manager state the head re-reads from
         # files (§4.1); everything *learned* — models, correction,
         # budget accounting — is gone.  The manager still runs a
@@ -119,14 +115,6 @@ def restart_head(system: "AnorSystem", now: float) -> None:
             system.recovery_log,
             "head node restarted cold (no usable checkpoint)",
         )
-    # One head-side record per launched job, from the running view (restored
-    # from the store, or standing in for it on a cold start); when the job
-    # ends is compute-node knowledge, read off the live job.
-    for job_id, spec in system._running_view.items():
-        queued = system._job_specs[job_id] = system._spec_from_dict(spec)
-        job = system.cluster.running.get(job_id)
-        if job is not None:
-            queued.running = RunningView(job_id, len(job.nodes), job.est_end)
     # Every surviving endpoint reconnects over a fresh link and re-HELLOs
     # on its next control period (deterministic order).
     for job_id in sorted(system.endpoints):
@@ -161,7 +149,7 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
         ):
             system._endpoint_restarts.append((now, job_id))
         return
-    believed_running = system._running_view.pop(job_id, None) is not None
+    spec = system._launched.pop(job_id, None)
     if any(t.job_id == job_id for t in system.cluster.completed):
         system._report(
             "orphan-completed",
@@ -172,7 +160,7 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
             job_id=job_id,
         )
         return
-    if not believed_running:
+    if spec is None:
         # The head settled this job itself inside the recovery window (its
         # node crashed, or the ladder shed it, before it re-HELLOed):
         # requeueing it again would admit it twice.
@@ -180,7 +168,7 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
     system._requeue_or_drop(
         job_id,
         now,
-        system._job_specs.get(job_id),
+        spec,
         system.recovery_log,
         f"job {job_id} died during the head-node outage; requeued",
         f"job {job_id} died during the head-node outage (not requeued)",

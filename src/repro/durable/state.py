@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.durable.journal import JournalRecord
 from repro.modeling.quadratic import QuadraticPowerModel
+from repro.sched.base import RunningView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import AnorSystem
@@ -94,7 +95,9 @@ def capture_state(system: "AnorSystem", now: float) -> dict:
         "now": float(now),
         "pending_index": len(system.schedule.requests) - len(system._pending),
         "queue": [system._spec_dict(q) for q in system._queue],
-        "running": {jid: dict(spec) for jid, spec in sorted(system._running_view.items())},
+        "running": {
+            jid: system._spec_dict(q) for jid, q in sorted(system._launched.items())
+        },
         "attempts": dict(system._attempts),
         "requeued": list(system.requeued),
         "manager": {
@@ -140,20 +143,19 @@ def recovered_jobs_from_state(
 
 
 def unheard_jobs(system: "AnorSystem", heard: dict) -> dict[str, RecoveredJob]:
-    """Recovery entries for the jobs the head launched (its running view) but
-    holds no record of in ``heard``: their HELLO was still in flight at the
-    crash, or their record had been evicted.  Nothing was learned about them,
+    """Recovery entries for the jobs the head launched but holds no record
+    of in ``heard``: their HELLO was still in flight at the crash, or their
+    record had been evicted.  Nothing was learned about them,
     so each is reserved at its believed ceiling, and, like any restored job,
     orphaned when the reconnect window closes on its silence — a job that
     died in the outage before it ever spoke is requeued instead of lost."""
     mgr, out = system.manager, {}
-    for job_id, spec in system._running_view.items():
+    for job_id, q in system._launched.items():
         if job_id not in heard:
-            claimed = spec["claimed_type"] or spec["type_name"]
+            claimed = q.claimed_type or q.request.type_name
             believed = system.classifier.model_for(claimed, job_name=job_id)
             out[job_id] = RecoveredJob(
-                job_id, claimed, int(spec["nodes"]),
-                min(believed.p_max, mgr.p_node_max),
+                job_id, claimed, q.job_type.nodes, min(believed.p_max, mgr.p_node_max)
             )
     return out
 
@@ -165,7 +167,14 @@ def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
     enter recovery mode until each job re-HELLOs."""
     ordered = sorted(system.schedule.requests, key=lambda r: (r.submit_time, r.job_id))
     system._pending = ordered[int(state["pending_index"]):]
-    system._running_view = {jid: dict(spec) for jid, spec in state["running"].items()}
+    # The launched jobs come back as submitted; when each ends is
+    # compute-node knowledge, read off the live job.
+    system._launched = {}
+    for job_id, spec in state["running"].items():
+        queued = system._launched[job_id] = system._spec_from_dict(spec)
+        job = system.cluster.running.get(job_id)
+        if job is not None:
+            queued.running = RunningView(job_id, len(job.nodes), job.est_end)
     system._attempts = {jid: int(n) for jid, n in state["attempts"].items()}
     system.requeued = list(state["requeued"])
     system._queue = []

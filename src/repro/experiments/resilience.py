@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.analysis.tracking import tracking_error_series
 from repro.aqa.regulation import BoundedRandomWalkSignal
+from repro.core.cluster_manager import DEAD_JOB_TIMEOUT
 from repro.core.framework import AnorConfig, AnorResult, AnorSystem
 from repro.core.targets import (
     ConstantTarget,
@@ -152,7 +153,7 @@ class Scenario:
     target: Callable[[dict], PowerTargetSource | None] = lambda p: None
     # Integral-trim gain forced onto every arm's manager (None: leave it).
     correction_gain: float | None = None
-    # Keep running for dead_job_timeout + 10 s after the drain: goodbyes are
+    # Keep running for DEAD_JOB_TIMEOUT + 10 s after the drain: goodbyes are
     # still in flight then, and a silently-dead record needs the timeout to
     # pass before it is evicted, so ghosts can only be counted afterwards.
     settle: bool = False
@@ -240,7 +241,7 @@ def run_drill(
                 system.manager.correction_gain = scenario.correction_gain
             result = system.run(until_idle=True, max_time=p["duration"] + _DRAIN_LIMIT)
             if scenario.settle:
-                system.run(int(system.manager.dead_job_timeout) + 10.0)
+                system.run(int(DEAD_JOB_TIMEOUT) + 10.0)
             run = ArmRun(result, system, monitor)
             runs[arm_name] = scenario.reduce(run, p) if scenario.reduce else run
         metrics = scenario.metrics(runs, p)

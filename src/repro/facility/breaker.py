@@ -7,12 +7,12 @@ breaker is that guarantee's enforcement arm, deliberately shaped like an
 electrical circuit breaker (and the software pattern of the same name):
 
 * **closed** — normal operation.  Measured power exceeding
-  ``target × (1 + margin)`` scores a *strike*; ``trip_rounds`` consecutive
+  ``target × (1 + margin)`` scores a *strike*; ``TRIP_ROUNDS`` consecutive
   strikes trip the breaker (one bad sample never does — meters glitch).
 * **open** — tripped.  The owner (cluster manager or facility coordinator)
   dispatches an emergency uniform throttle every round while open.  After
-  ``reset_rounds`` consecutive clean rounds the breaker moves to half-open.
-* **half-open** — probation.  ``confirm_rounds`` further clean rounds close
+  ``RESET_ROUNDS`` consecutive clean rounds the breaker moves to half-open.
+* **half-open** — probation.  ``CONFIRM_ROUNDS`` further clean rounds close
   it; a single overshoot re-opens it immediately (the classic asymmetry:
   getting out of emergency mode must be much harder than re-entering it).
 
@@ -42,6 +42,13 @@ BREAKER_STATE_VALUES = {"closed": 0, "half-open": 1, "open": 2}
 #: soak must not grow memory without limit.
 TRANSITION_LOG_LIMIT = 256
 
+#: Consecutive rounds that move the breaker along its edges: striking rounds
+#: that trip it, clean rounds that take open to half-open, clean half-open
+#: rounds that close it.  Getting out takes longer than getting in.
+TRIP_ROUNDS = 3
+RESET_ROUNDS = 5
+CONFIRM_ROUNDS = 3
+
 
 @dataclass
 class PowerBreaker:
@@ -52,18 +59,9 @@ class PowerBreaker:
     margin:
         Fractional overshoot that counts as a strike: measured power above
         ``target * (1 + margin)`` is a violation.  Must be ≥ 0.
-    trip_rounds:
-        Consecutive striking rounds needed to trip closed → open.
-    reset_rounds:
-        Consecutive clean rounds needed to move open → half-open.
-    confirm_rounds:
-        Consecutive clean rounds in half-open needed to fully close.
     """
 
     margin: float = 0.1
-    trip_rounds: int = 3
-    reset_rounds: int = 5
-    confirm_rounds: int = 3
     telemetry: Telemetry = NULL_TELEMETRY
 
     state: str = field(default="closed", init=False)
@@ -80,9 +78,6 @@ class PowerBreaker:
     def __post_init__(self) -> None:
         if self.margin < 0:
             raise ValueError(f"margin must be ≥ 0, got {self.margin}")
-        for name in ("trip_rounds", "reset_rounds", "confirm_rounds"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be ≥ 1, got {getattr(self, name)}")
         self._mx_state = self.telemetry.registry.gauge(
             "anor_breaker_state",
             "overshoot breaker state (0 closed, 1 half-open, 2 open)",
@@ -108,7 +103,7 @@ class PowerBreaker:
         if self.state == "closed":
             if violating:
                 self.strikes += 1
-                if self.strikes >= self.trip_rounds:
+                if self.strikes >= TRIP_ROUNDS:
                     self._transition("open", now)
                     self.trips += 1
             else:
@@ -118,15 +113,15 @@ class PowerBreaker:
                 self.clean = 0
             else:
                 self.clean += 1
-                if self.clean >= self.reset_rounds:
+                if self.clean >= RESET_ROUNDS:
                     self._transition("half-open", now)
-        else:  # half-open: one strike re-opens, confirm_rounds clean closes
+        else:  # half-open: one strike re-opens, CONFIRM_ROUNDS clean closes
             if violating:
                 self._transition("open", now)
                 self.trips += 1
             else:
                 self.clean += 1
-                if self.clean >= self.confirm_rounds:
+                if self.clean >= CONFIRM_ROUNDS:
                     self._transition("closed", now)
         return self.state
 
@@ -161,11 +156,11 @@ class PowerBreaker:
         self._mx_state.set(self.gauge_value)
 
     def clamp_stage(self, rnd: "BudgetRound") -> None:
-        # Emergency uniform throttle while open: every cap down to the safe
-        # floor.  Never raises a cap, so the round's planned-draw ceiling
-        # remains an upper bound.
+        # Emergency uniform throttle while open: every cap down to the
+        # platform floor.  Never raises a cap, so the round's planned-draw
+        # ceiling remains an upper bound.
         if self.tripped:
-            caps, safe = rnd.caps, rnd.safe_cap
+            caps, floor = rnd.caps, rnd.p_min
             for job_id, cap in caps.items():
-                if cap > safe:
-                    caps[job_id] = safe
+                if cap > floor:
+                    caps[job_id] = floor

@@ -24,10 +24,10 @@ Two mechanisms stop an oscillating feed from flapping jobs in and out of
 preemption, both borrowed from the :class:`~repro.facility.breaker
 .PowerBreaker`'s asymmetric-hysteresis shape:
 
-* **severity hysteresis** — escalation needs only ``escalate_rounds``
+* **severity hysteresis** — escalation needs only ``ESCALATE_ROUNDS``
   consecutive worse rounds (and then jumps straight to the indicated
   severity: a 60 % feeder loss must not dwell in brownout-1), while
-  recovery needs ``clear_rounds`` consecutive better rounds *per step*
+  recovery needs ``CLEAR_ROUNDS`` consecutive better rounds *per step*
   and always steps down one level at a time.  Any round at or above the
   current severity resets recovery progress.
 * **budget ramp** — the effective budget ceiling follows a falling supply
@@ -100,6 +100,19 @@ SHED_PLANS: dict[str, dict[str, str]] = {
 #: soaks run for simulated days and must not grow memory without limit.
 TRANSITION_LOG_LIMIT = 256
 
+#: Supply deficits (``1 - supply/demand``) at which each severity is
+#: indicated, strictly increasing in (0, 1): a 10 % shortfall is absorbed by
+#: flooring preemptible work, a quarter needs preemption, half is existential.
+DEFICITS = {"brownout-1": 0.10, "brownout-2": 0.25, "blackstart": 0.50}
+#: Consecutive rounds a worse severity must be indicated before the ladder
+#: escalates (straight to the indicated level), and a better one before it
+#: steps down one level: leaving is slower than entering.
+ESCALATE_ROUNDS = 2
+CLEAR_ROUNDS = 5
+#: Shed class of a job whose claimed type ``ShedController.classes`` does
+#: not list: preemptible by checkpoint, never killed before blackstart.
+DEFAULT_CLASS = "checkpointable"
+
 
 @dataclass
 class ShedLadder:
@@ -107,25 +120,11 @@ class ShedLadder:
 
     Parameters
     ----------
-    brownout1_deficit / brownout2_deficit / blackstart_deficit:
-        Fractional supply deficits (``1 - supply/demand``) at which each
-        severity is indicated.  Must be strictly increasing in (0, 1).
-    escalate_rounds:
-        Consecutive rounds a worse severity must be indicated before the
-        ladder escalates (straight to the indicated level).
-    clear_rounds:
-        Consecutive rounds a better severity must be indicated before the
-        ladder steps down — one level per ``clear_rounds`` streak.
     ramp_watts_per_round:
         Maximum per-round increase of the effective budget ceiling during
         recovery.  Decreases are never limited.
     """
 
-    brownout1_deficit: float = 0.10
-    brownout2_deficit: float = 0.25
-    blackstart_deficit: float = 0.50
-    escalate_rounds: int = 2
-    clear_rounds: int = 5
     ramp_watts_per_round: float = 100.0
 
     severity: str = field(default="normal", init=False)
@@ -140,24 +139,6 @@ class ShedLadder:
     _ceiling: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        thresholds = (
-            ("brownout1_deficit", self.brownout1_deficit),
-            ("brownout2_deficit", self.brownout2_deficit),
-            ("blackstart_deficit", self.blackstart_deficit),
-        )
-        for name, value in thresholds:
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {value}")
-        if not (self.brownout1_deficit < self.brownout2_deficit
-                < self.blackstart_deficit):
-            raise ValueError(
-                "deficit thresholds must be strictly increasing, got "
-                f"{self.brownout1_deficit} / {self.brownout2_deficit} / "
-                f"{self.blackstart_deficit}"
-            )
-        for name in ("escalate_rounds", "clear_rounds"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be ≥ 1, got {getattr(self, name)}")
         if self.ramp_watts_per_round <= 0:
             raise ValueError(
                 f"ramp_watts_per_round must be positive, "
@@ -180,12 +161,9 @@ class ShedLadder:
 
     def indicated(self, deficit: float) -> str:
         """The severity a sustained ``deficit`` would indicate."""
-        if deficit >= self.blackstart_deficit:
-            return "blackstart"
-        if deficit >= self.brownout2_deficit:
-            return "brownout-2"
-        if deficit >= self.brownout1_deficit:
-            return "brownout-1"
+        for severity in reversed(SEVERITY_LEVELS[1:]):
+            if deficit >= DEFICITS[severity]:
+                return severity
         return "normal"
 
     def observe(self, supply: float, demand: float, now: float = 0.0) -> str:
@@ -204,13 +182,13 @@ class ShedLadder:
         if candidate > current:
             self._worse_streak += 1
             self._better_streak = 0
-            if self._worse_streak >= self.escalate_rounds:
+            if self._worse_streak >= ESCALATE_ROUNDS:
                 self._transition(indicated, now, deficit)
                 self.escalations += 1
         elif candidate < current:
             self._better_streak += 1
             self._worse_streak = 0
-            if self._better_streak >= self.clear_rounds:
+            if self._better_streak >= CLEAR_ROUNDS:
                 self._transition(SEVERITY_LEVELS[current - 1], now, deficit)
         else:
             # A round at the current severity resets recovery progress —
@@ -250,7 +228,7 @@ class ShedController:
     are).  Every intervention only *reduces* caps.
 
     ``classes`` maps a job's claimed type to its shed class; unmapped
-    types fall back to ``default_class``.  ``nominal_watts`` is the demand
+    types fall back to ``DEFAULT_CLASS``.  ``nominal_watts`` is the demand
     reference for the deficit; when ``None`` the controller tracks the
     high-water mark of observed budgets instead (the feed seen before the
     incident *is* nominal demand).
@@ -258,7 +236,6 @@ class ShedController:
 
     ladder: ShedLadder
     classes: Mapping[str, str] = field(default_factory=dict)
-    default_class: str = "checkpointable"
     nominal_watts: float | None = None
     telemetry: Telemetry = NULL_TELEMETRY
 
@@ -273,11 +250,6 @@ class ShedController:
     _shed_jobs: set = field(default_factory=set, init=False)
 
     def __post_init__(self) -> None:
-        if self.default_class not in SHED_CLASSES:
-            raise ValueError(
-                f"default_class must be one of {SHED_CLASSES}, "
-                f"got {self.default_class!r}"
-            )
         for type_name, shed_class in self.classes.items():
             if shed_class not in SHED_CLASSES:
                 raise ValueError(
@@ -332,7 +304,7 @@ class ShedController:
         return min(supply, self.ladder.ceiling)
 
     def class_of(self, claimed_type: str) -> str:
-        return self.classes.get(claimed_type, self.default_class)
+        return self.classes.get(claimed_type, DEFAULT_CLASS)
 
     def action_for(self, claimed_type: str) -> str:
         """The plan's action for a job of ``claimed_type`` right now."""

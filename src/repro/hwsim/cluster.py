@@ -28,7 +28,7 @@ from repro.hwsim.job import (
 from repro.hwsim.node import Node
 from repro.util.clock import SimClock
 from repro.util.rng import ensure_rng, spawn_rng
-from repro.workloads.nas import JobType
+from repro.workloads.nas import IDLE_NODE_POWER, JobType
 
 __all__ = ["EmulatedCluster"]
 
@@ -82,22 +82,16 @@ class EmulatedCluster:
         self,
         num_nodes: int = 16,
         *,
-        clock: SimClock | None = None,
         seed: int | np.random.Generator | None = None,
-        idle_power: float = 60.0,
         perf_variation_std: float = 0.0,
-        agent_fanout: int = 8,
         run_noise: bool = True,
     ) -> None:
         if num_nodes < 1:
             raise ValueError(f"cluster needs ≥ 1 node, got {num_nodes}")
-        if idle_power < 0:
-            raise ValueError(f"idle_power must be ≥ 0, got {idle_power}")
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = SimClock()
         rng = ensure_rng(seed)
         node_rngs = spawn_rng(rng, num_nodes)
         self._job_rng = rng
-        self.agent_fanout = int(agent_fanout)
         self.run_noise = bool(run_noise)
         pk = self.PACKAGES
         self._energy = np.zeros((num_nodes, pk))  # unwrapped joules per package
@@ -116,7 +110,7 @@ class EmulatedCluster:
         # node's idle watts.  Read when the layout is built.
         self._rank = np.zeros((10, num_nodes))
         self.idle_watts = self._rank[9]
-        self.idle_watts[:] = idle_power
+        self.idle_watts[:] = IDLE_NODE_POWER
         self.progress = np.zeros(num_nodes)  # fractional epochs done per rank
         self._counts = np.zeros(num_nodes, dtype=np.int64)  # whole epochs done per rank
         self._barrier = np.zeros(num_nodes, dtype=np.int64)  # job-global epoch count
@@ -136,7 +130,6 @@ class EmulatedCluster:
                     i,
                     clock_fn=lambda: self.clock.now,
                     packages=pk,
-                    idle_power=idle_power,
                     perf_multiplier=mult,
                     cells=(
                         self._energy[i],
@@ -212,20 +205,18 @@ class EmulatedCluster:
             rng=job_rng,
             cells=(self.progress, self._counts, self._barrier, self._ledger, self._seat),
             serial=self._started + 1,
-            agent_fanout=self.agent_fanout,
             run_noise=self.run_noise,
         )
         for node in nodes:
             node.job_id = job_id
         # Per-node constants are read now, not at construction: a caller may
-        # have tuned ``perf_multiplier`` / ``idle_power`` in between.
+        # have tuned ``perf_multiplier`` in between.
         truth = job_type.truth
         self._rank[:8, job.rows] = [
             [truth.a], [truth.b], [truth.c], [job_type.p_min], [job_type.p_demand],
             [job_type.noise], [job._run_multiplier], [job_type.epochs],
         ]
         self._rank[8, job.rows] = [node.perf_multiplier for node in nodes]
-        self.idle_watts[job.rows] = [node.idle_power for node in nodes]
         self._started += 1
         self._tenant[job.root] = job
         self.running[job_id] = job

@@ -94,7 +94,6 @@ class RunningJob:
         rng: np.random.Generator,
         cells: tuple[np.ndarray, ...],
         serial: int,
-        agent_fanout: int = 8,
         run_noise: bool = True,
     ) -> None:
         if not 0 < len(nodes) <= 1 << RANK_BITS:
@@ -121,9 +120,7 @@ class RunningJob:
             len(nodes), cells=(counts, self.rows, barrier[root : root + 1])
         )
         self.endpoint = Endpoint(job_id=job_id)
-        self.agents = JobAgentGroup(
-            [n.pio for n in nodes], self.profiler, self.endpoint, fanout=agent_fanout
-        )
+        self.agents = JobAgentGroup([n.pio for n in nodes], self.profiler, self.endpoint)
         # Only the root node's PlatformIO can serve EPOCH_COUNT (§4.3: the
         # root agent reports the job-global epoch count to the endpoint).
         nodes[0].pio.attach_profiler(self.profiler)

@@ -12,8 +12,14 @@ import numpy as np
 
 from repro.geopm.msr import MsrBank
 from repro.geopm.signals import PlatformIO
+from repro.workloads.nas import IDLE_NODE_POWER
 
 __all__ = ["Node"]
+
+#: RAPL actuation range of one CPU package (W): the testbed's 70 W floor and
+#: 140 W TDP (§5.5), so a dual-package node spans ``P_NODE_MIN``–``P_NODE_MAX``.
+PACKAGE_MIN_POWER = 70.0
+PACKAGE_TDP = 140.0
 
 
 class Node:
@@ -24,12 +30,10 @@ class Node:
     node_id:
         Stable identifier within the cluster.
     packages:
-        CPU package count (the testbed has 2).
-    package_tdp / package_min_power:
-        RAPL actuation range per package in watts (140 / 70 on the testbed).
-    idle_power:
-        CPU watts drawn when no job computes on the node (also during job
-        setup/teardown — §7.2).
+        CPU package count (the testbed has 2), each actuated over
+        ``PACKAGE_MIN_POWER``–``PACKAGE_TDP``.  With no job computing on it
+        (also during job setup/teardown, §7.2) the node draws
+        ``IDLE_NODE_POWER``.
     perf_multiplier:
         Node-specific performance-variation coefficient: epoch progress rate
         is multiplied by this (1.0 = nominal; §6.4 draws these from N(1, σ)).
@@ -47,9 +51,6 @@ class Node:
         *,
         clock_fn,
         packages: int = 2,
-        package_tdp: float = 140.0,
-        package_min_power: float = 70.0,
-        idle_power: float = 60.0,
         perf_multiplier: float = 1.0,
         cells: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
@@ -66,18 +67,17 @@ class Node:
         )
         self.banks = [
             MsrBank(
-                tdp_watts=package_tdp,
-                min_power_watts=package_min_power,
+                tdp_watts=PACKAGE_TDP,
+                min_power_watts=PACKAGE_MIN_POWER,
                 energy=energy[p : p + 1],
                 limit=limit[p : p + 1],
             )
             for p in range(packages)
         ]
         self.pio = PlatformIO(self.banks, clock_fn=clock_fn)
-        self.idle_power = float(idle_power)
         self.perf_multiplier = float(perf_multiplier)
         self.job_id: str | None = None  # set by the cluster on allocation
-        self._power[0] = self.idle_power
+        self._power[0] = IDLE_NODE_POWER
 
     # ----------------------------------------------------------- cap queries
 
@@ -135,7 +135,7 @@ class Node:
             self._power[0] = 0.0
             return 0.0
         noisy_demand = demand_watts * (1.0 + rng.normal(0.0, 0.01))
-        power = min(self.power_cap, max(noisy_demand, self.idle_power))
+        power = min(self.power_cap, max(noisy_demand, IDLE_NODE_POWER))
         per_package = power * dt / len(self.banks)
         for bank in self.banks:
             bank.accumulate_energy(per_package)
@@ -144,7 +144,7 @@ class Node:
 
     def consume_idle(self, dt: float, rng: np.random.Generator) -> float:
         """Idle-power tick (no job, or a job in setup/teardown)."""
-        return self.consume(self.idle_power, dt, rng)
+        return self.consume(IDLE_NODE_POWER, dt, rng)
 
     @property
     def last_power(self) -> float:

@@ -26,6 +26,20 @@ from repro.modeling.quadratic import FitResult, QuadraticPowerModel
 
 __all__ = ["EpochSample", "EpochHistory", "OnlineModeler"]
 
+#: Epochs required before the first fit replaces the default model.
+MIN_FIT_EPOCHS = 10
+#: Epochs batched into one training sample.  Status updates arrive at ~1 Hz
+#: while epochs take ~1–2 s, so a per-update sample would be quantised to
+#: whole control periods; batching several averages the quantisation down
+#: (§7.2: "we initially needed to gather many samples from the job runtime to
+#: consistently map power caps to job performance metrics").
+MIN_SAMPLE_EPOCHS = 6
+#: Phase-change detection (§8): drift is declared when the last DRIFT_WINDOW
+#: samples all miss the fit with one sign and, on average, by more than
+#: DRIFT_THRESHOLD relative error.
+DRIFT_WINDOW = 4
+DRIFT_THRESHOLD = 0.10
+
 
 @dataclass(frozen=True)
 class EpochSample:
@@ -82,15 +96,8 @@ class OnlineModeler:
         that have yet to build a model use a default model").
     retrain_threshold:
         Minimum count of *new* epochs before refitting (paper: 10).
-    min_fit_epochs:
-        Epochs required before the first fit replaces the default.
-    min_sample_epochs:
-        Epochs batched into one training sample.  Status updates arrive at
-        ~1 Hz while epochs take ~1–2 s, so a per-update sample would be
-        quantised to whole control periods; batching several epochs averages
-        the quantisation down (§7.2: "we initially needed to gather many
-        samples from the job runtime to consistently map power caps to job
-        performance metrics").
+    detect_drift:
+        Discard the history and relearn on a phase change (§8).
     """
 
     def __init__(
@@ -100,22 +107,14 @@ class OnlineModeler:
         default_model: QuadraticPowerModel,
         *,
         retrain_threshold: int = 10,
-        min_fit_epochs: int = 10,
-        min_sample_epochs: int = 6,
         detect_drift: bool = False,
-        drift_window: int = 4,
-        drift_threshold: float = 0.10,
     ) -> None:
         if retrain_threshold < 1:
             raise ValueError(f"retrain_threshold must be ≥ 1, got {retrain_threshold}")
-        if min_sample_epochs < 1:
-            raise ValueError(f"min_sample_epochs must be ≥ 1, got {min_sample_epochs}")
         self.p_min = float(p_min)
         self.p_max = float(p_max)
         self.default_model = default_model
         self.retrain_threshold = int(retrain_threshold)
-        self.min_fit_epochs = int(min_fit_epochs)
-        self.min_sample_epochs = int(min_sample_epochs)
         self.history = EpochHistory()
         # The fit, or, while one is due and nothing has read it yet, the count
         # of leading ``history.samples`` it is over (the history is
@@ -139,13 +138,9 @@ class OnlineModeler:
         self._epochs_since_fit = 0
         self._pending_epochs = 0
         self._saw_first_epoch = False
-        # Phase-change (drift) detection, §8: when the last `drift_window`
-        # samples all miss the current fit by more than `drift_threshold`
-        # relative error with a consistent sign, the job has entered a new
+        # Phase-change (drift) detection: a drifted job has entered a new
         # power-sensitivity phase — discard the stale history and relearn.
         self.detect_drift = bool(detect_drift)
-        self.drift_window = int(drift_window)
-        self.drift_threshold = float(drift_threshold)
         self.drift_resets = 0
         self._recent_residuals: list[float] = []
         self._live_residuals: list[float] = []
@@ -208,7 +203,7 @@ class OnlineModeler:
         new_epochs = int(epoch_count) - self._last_epochs
         self._last_epochs = int(epoch_count)
         self._pending_epochs += new_epochs
-        if new_epochs == 0 or self._pending_epochs < self.min_sample_epochs:
+        if new_epochs == 0 or self._pending_epochs < MIN_SAMPLE_EPOCHS:
             return False
         if self._span_seconds <= 0:
             # Epochs arrived with no elapsed time — drop the degenerate sample.
@@ -240,7 +235,7 @@ class OnlineModeler:
         self._epochs_since_fit += batched
         if (
             self._epochs_since_fit >= self.retrain_threshold
-            and self.history.total_epochs >= self.min_fit_epochs
+            and self.history.total_epochs >= MIN_FIT_EPOCHS
         ):
             self._refit()
             return True
@@ -281,7 +276,7 @@ class OnlineModeler:
         self._recent_residuals.append(residual)
         self._live_residuals.append(live_residual)
         self._drift_model_age += 1
-        if len(self._recent_residuals) > self.drift_window:
+        if len(self._recent_residuals) > DRIFT_WINDOW:
             self._recent_residuals.pop(0)
             self._live_residuals.pop(0)
         # Trigger when the snapshot consistently misses (same sign, window
@@ -290,21 +285,21 @@ class OnlineModeler:
         # threshold): the live fit absorbing the new phase slowly must not
         # mask the drift, but a live fit that has already converged means
         # the snapshot is merely stale.
-        consistent = len(self._recent_residuals) >= self.drift_window and (
+        consistent = len(self._recent_residuals) >= DRIFT_WINDOW and (
             (
                 all(r > 0 for r in self._recent_residuals)
                 or all(r < 0 for r in self._recent_residuals)
             )
-            and abs(float(np.mean(self._recent_residuals))) > self.drift_threshold
+            and abs(float(np.mean(self._recent_residuals))) > DRIFT_THRESHOLD
             and abs(float(np.mean(self._live_residuals)))
-            > 0.5 * self.drift_threshold
+            > 0.5 * DRIFT_THRESHOLD
         )
         if not consistent:
             # Refresh the reference occasionally so slow, legitimate model
             # evolution (better fits from more data) is not flagged later.
             if (
-                self._drift_model_age >= 3 * self.drift_window
-                and abs(residual) <= self.drift_threshold
+                self._drift_model_age >= 3 * DRIFT_WINDOW
+                and abs(residual) <= DRIFT_THRESHOLD
             ):
                 self._drift_model = live
                 self._drift_model_age = 0

@@ -19,7 +19,7 @@ reactive path:
      starts active — used by drills and trusted schedule forecasters).
    * ``active``: planned caps are dispatched and plan instants drive extra
      control rounds.  If windowed MAE exceeds the bound (with at least
-     ``min_trip_samples`` scores in the window), the envelope trips to
+     ``MIN_TRIP_SAMPLES`` scores in the window), the envelope trips to
      ``fallback``.
    * ``fallback``: reactive behaviour again; the forecaster keeps being
      scored, and once MAE stays inside the bound for ``promote_rounds``
@@ -48,6 +48,10 @@ PLAN_FALLBACK = "fallback"
 #: numeric encoding used by the ``anor_plan_state`` gauge
 PLAN_STATE_GAUGE = {PLAN_SHADOW: 0.0, PLAN_ACTIVE: 1.0, PLAN_FALLBACK: 2.0}
 
+#: Scored rounds the error window must hold before its MAE may trip an
+#: active plan to fallback: one early miss is not a trend.
+MIN_TRIP_SAMPLES = 4
+
 
 class SafetyEnvelope:
     """Windowed-error trust gate around a forecaster's predictions."""
@@ -57,7 +61,6 @@ class SafetyEnvelope:
         *,
         error_bound_watts: float,
         promote_rounds: int = 4,
-        min_trip_samples: int = 4,
     ) -> None:
         if error_bound_watts <= 0:
             raise ValueError(
@@ -65,11 +68,8 @@ class SafetyEnvelope:
             )
         if promote_rounds < 0:
             raise ValueError(f"promote_rounds must be ≥ 0, got {promote_rounds}")
-        if min_trip_samples < 1:
-            raise ValueError(f"min_trip_samples must be ≥ 1, got {min_trip_samples}")
         self.error_bound_watts = float(error_bound_watts)
         self.promote_rounds = int(promote_rounds)
-        self.min_trip_samples = int(min_trip_samples)
         self.state = PLAN_ACTIVE if self.promote_rounds == 0 else PLAN_SHADOW
         self.fallbacks = 0
         self.transitions: list[tuple[float, str, str]] = []
@@ -103,7 +103,7 @@ class SafetyEnvelope:
             if self.promote_rounds == 0 or self._ok_streak >= self.promote_rounds:
                 self._transition(now, PLAN_ACTIVE)
         elif self.state == PLAN_ACTIVE:
-            if not ok and samples >= self.min_trip_samples:
+            if not ok and samples >= MIN_TRIP_SAMPLES:
                 self.fallbacks += 1
                 self._transition(now, PLAN_FALLBACK)
         else:  # PLAN_FALLBACK

@@ -52,6 +52,11 @@ __all__ = [
 
 FORECASTER_KINDS = ("auto", "schedule", "persistence", "ramp", "ar1", "adversarial")
 
+#: Lookahead (s) over which a statistical forecast's confidence decays by e.
+CONFIDENCE_TAU = 60.0
+#: Samples the ramp forecaster fits its slope through: eight manager rounds.
+RAMP_FIT_POINTS = 8
+
 
 @dataclass(frozen=True)
 class ForecastPoint:
@@ -110,11 +115,8 @@ class TargetForecaster(ABC):
     #: human-readable name used in drill tables and telemetry
     name: str = "abstract"
 
-    def __init__(self, *, error_window: int = 16, confidence_tau: float = 60.0) -> None:
-        if confidence_tau <= 0:
-            raise ValueError(f"confidence_tau must be positive, got {confidence_tau}")
+    def __init__(self, *, error_window: int = 16) -> None:
         self.errors = ForecastErrorWindow(error_window)
-        self.confidence_tau = float(confidence_tau)
         self._last_t: float | None = None
         self._last_y: float | None = None
 
@@ -135,7 +137,7 @@ class TargetForecaster(ABC):
 
     def confidence(self, now: float, t: float) -> float:
         """Confidence in a prediction ``t − now`` seconds ahead, in (0, 1]."""
-        return math.exp(-max(t - now, 0.0) / self.confidence_tau)
+        return math.exp(-max(t - now, 0.0) / CONFIDENCE_TAU)
 
     def forecast(self, now: float, times: Iterable[float]) -> list[ForecastPoint]:
         """Emit the horizon of ``(t, ŷ, confidence)`` points."""
@@ -181,29 +183,15 @@ class PersistenceForecaster(TargetForecaster):
 class RampForecaster(TargetForecaster):
     """Linear extrapolation of the recent target slope.
 
-    Fits a least-squares line through the last ``fit_points`` samples and
-    extends it from the newest observation.  ``max_slope`` (W/s) optionally
-    clamps the fitted slope so one bad sample cannot launch the forecast.
+    Fits a least-squares line through the last ``RAMP_FIT_POINTS`` samples
+    and extends it from the newest observation.
     """
 
     name = "ramp"
 
-    def __init__(
-        self,
-        *,
-        fit_points: int = 8,
-        max_slope: float | None = None,
-        error_window: int = 16,
-        confidence_tau: float = 60.0,
-    ) -> None:
-        super().__init__(error_window=error_window, confidence_tau=confidence_tau)
-        if fit_points < 2:
-            raise ValueError(f"fit_points must be ≥ 2, got {fit_points}")
-        if max_slope is not None and max_slope <= 0:
-            raise ValueError(f"max_slope must be positive, got {max_slope}")
-        self.fit_points = int(fit_points)
-        self.max_slope = None if max_slope is None else float(max_slope)
-        self._samples: deque[tuple[float, float]] = deque(maxlen=self.fit_points)
+    def __init__(self, *, error_window: int = 16) -> None:
+        super().__init__(error_window=error_window)
+        self._samples: deque[tuple[float, float]] = deque(maxlen=RAMP_FIT_POINTS)
 
     def _observe(self, t: float, y: float) -> None:
         if self._samples and self._samples[-1][0] == t:
@@ -221,10 +209,7 @@ class RampForecaster(TargetForecaster):
         denom = float(np.dot(tc, tc))
         if denom <= 0.0:
             return 0.0
-        slope = float(np.dot(tc, ys - ys.mean()) / denom)
-        if self.max_slope is not None:
-            slope = float(np.clip(slope, -self.max_slope, self.max_slope))
-        return slope
+        return float(np.dot(tc, ys - ys.mean()) / denom)
 
     def predict(self, now: float, t: float) -> float:
         t0, y0 = self._require_observation()

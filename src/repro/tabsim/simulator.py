@@ -225,7 +225,6 @@ class TabularClusterSimulator:
         config: SimConfig | None = None,
         *,
         queue_weights: dict[str, float] | None = None,
-        state_logger=None,
         telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         if not job_types:
@@ -260,9 +259,6 @@ class TabularClusterSimulator:
         self._queued_index: dict[str, int] = {}  # job_id -> job table index
         self.now = 0.0
         self._trace: list[tuple[float, float, float]] = []
-        # Optional per-step table dump (§5.6: "we append the current state
-        # of all tables to a file").
-        self.state_logger = state_logger
         # Cached per-type arrays for the vectorised node update.
         self._t_fast = np.array([t.t_at_p_max for t in self.job_types])
         self._t_slow = np.array([t.t_at_p_min for t in self.job_types])
@@ -584,15 +580,10 @@ class TabularClusterSimulator:
         dt = cfg.dt
         nodes = self.nodes
         signal = self.signal
-        # Three things act on a step that nothing announces: QoS-aware caps
-        # read per-step progress, a state logger counts steps, and a
-        # scheduler that deferred a start under power-aware admission asks
-        # again on the very next step.
-        single = (
-            cfg.qos_aware_capping
-            or self.state_logger is not None
-            or (self._sched_dirty and self._queued_count > 0)
-        )
+        # Two things act on a step that nothing announces: QoS-aware caps
+        # read per-step progress, and a scheduler that deferred a start under
+        # power-aware admission asks again on the very next step.
+        single = cfg.qos_aware_capping or (self._sched_dirty and self._queued_count > 0)
         next_submit = self._next_submit
         st = self._busy_state()
         step, measured = self._node_rates(st, dt)
@@ -653,8 +644,6 @@ class TabularClusterSimulator:
             self._mx_queue.set(self._queued_count)
             if self._uniform_cap is not None:
                 self._mx_cap.set(self._uniform_cap)
-        if self.state_logger is not None:
-            self.state_logger.log(self.now, nodes, self.jobs)
 
     def step(self) -> None:
         """One simulated step of ``dt`` seconds: a window of one."""

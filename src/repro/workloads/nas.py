@@ -45,7 +45,9 @@ __all__ = [
 P_NODE_MIN = 140.0
 #: Maximum per-node CPU power cap (2 packages × 140 W TDP).
 P_NODE_MAX = 280.0
-#: CPU power drawn by an idle node (also during job setup/teardown, §7.2).
+#: CPU power drawn by an idle node (also during job setup/teardown, §7.2):
+#: what the emulated plant draws and what the cluster manager reserves per
+#: idle node.
 IDLE_NODE_POWER = 60.0
 
 

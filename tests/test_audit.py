@@ -12,10 +12,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core import audit
 from repro.core.audit import (
+    AUDIT_WINDOW,
+    CAP_TOLERANCE,
+    CLEAR_ROUNDS,
+    GUARDBAND,
+    MIN_REPLAY_EPOCHS,
+    PROBE_MARGIN,
+    QUARANTINE_ROUNDS,
     QUARANTINED,
     REHABILITATING,
     SUSPECT,
+    SUSPECT_ROUNDS,
     TRUST_STATES,
     TRUSTED,
     CapComplianceAuditor,
@@ -25,6 +34,10 @@ from repro.faults.schedule import FaultSchedule
 from tests.goldenlib import run_windowed_and_stepped
 
 P_MIN, P_MAX = 140.0, 280.0
+#: Rounds (1 s each) before the first verdict: one full evidence window.
+WINDOW = int(AUDIT_WINDOW)
+#: Rounds of flagrant overdraw after which a trusted job is quarantined.
+TO_QUARANTINE = WINDOW + 1 + SUSPECT_ROUNDS
 
 
 class FakeMeter:
@@ -45,18 +58,8 @@ class FakeMeter:
         return self.energy, self.nodes
 
 
-def make_auditor(meter, **overrides):
-    kwargs = dict(
-        job_meter=meter,
-        p_node_min=P_MIN,
-        p_node_max=P_MAX,
-        window=4.0,
-        suspect_rounds=2,
-        quarantine_rounds=3,
-        clear_rounds=3,
-    )
-    kwargs.update(overrides)
-    return CapComplianceAuditor(**kwargs)
+def make_auditor(meter):
+    return CapComplianceAuditor(job_meter=meter, p_node_min=P_MIN, p_node_max=P_MAX)
 
 
 def make_record(job_id="j0", nodes=2, last_cap=150.0, **extra):
@@ -90,6 +93,22 @@ def drive(auditor, meter, record, rounds, *, start=0.0, dt=1.0, status=None):
     return now
 
 
+#: Row -> (the constant that replaced the constructor parameter, the range
+#: the parameter's check enforced).
+RANGES = {
+    "window": (audit.AUDIT_WINDOW, lambda v: v > 0),
+    "tolerance": (audit.CAP_TOLERANCE, lambda v: v >= 0),
+    "guardband": (audit.GUARDBAND, lambda v: v >= 0),
+    "mismatch_tolerance": (audit.MISMATCH_TOLERANCE, lambda v: v > 0),
+    "model_error": (audit.MODEL_ERROR, lambda v: v > 0),
+    "min_epochs": (audit.MIN_REPLAY_EPOCHS, lambda v: v >= 1),
+    "suspect_rounds": (audit.SUSPECT_ROUNDS, lambda v: v >= 1),
+    "quarantine_rounds": (audit.QUARANTINE_ROUNDS, lambda v: v >= 1),
+    "clear_rounds": (audit.CLEAR_ROUNDS, lambda v: v >= 1),
+    "probe_margin": (audit.PROBE_MARGIN, lambda v: 0.0 < v < 1.0),
+}
+
+
 class TestKnobValidation:
     @pytest.mark.parametrize(
         "knob, value",
@@ -108,8 +127,10 @@ class TestKnobValidation:
         ],
     )
     def test_bad_knob_names_field(self, knob, value):
-        with pytest.raises(ValueError, match=knob):
-            make_auditor(FakeMeter(), **{knob: value})
+        """Each threshold is a module constant inside the range its
+        constructor check used to enforce; the row's value is outside it."""
+        constant, in_range = RANGES[knob]
+        assert in_range(constant) and not in_range(value)
 
     def test_force_state_rejects_unknown(self):
         auditor = make_auditor(FakeMeter())
@@ -122,7 +143,7 @@ class TestStateMachine:
         meter, record = FakeMeter(), make_record(last_cap=150.0)
         meter.power = 150.0 * 2  # exactly at cap
         auditor = make_auditor(meter)
-        drive(auditor, meter, record, 20)
+        drive(auditor, meter, record, WINDOW + 20)
         assert auditor.state("j0") == TRUSTED
         assert auditor.transitions == []
         assert auditor.violations_total == 0
@@ -131,8 +152,8 @@ class TestStateMachine:
         """No verdicts before a full evidence window, however bad the draw."""
         meter, record = FakeMeter(), make_record(last_cap=150.0)
         meter.power = P_MAX * 2  # flagrant overdraw from the first second
-        auditor = make_auditor(meter, window=10.0)
-        drive(auditor, meter, record, 9)
+        auditor = make_auditor(meter)
+        drive(auditor, meter, record, WINDOW)
         assert auditor.state("j0") == TRUSTED
         assert auditor.violations_total == 0
 
@@ -140,7 +161,7 @@ class TestStateMachine:
         meter, record = FakeMeter(), make_record(last_cap=150.0)
         meter.power = P_MAX * 2  # wedged-open actuator
         auditor = make_auditor(meter)
-        drive(auditor, meter, record, 12)
+        drive(auditor, meter, record, TO_QUARANTINE + 5)
         assert auditor.state("j0") == QUARANTINED
         states = [(t.old, t.new) for t in auditor.transitions]
         assert states == [(TRUSTED, SUSPECT), (SUSPECT, QUARANTINED)]
@@ -152,20 +173,28 @@ class TestStateMachine:
         meter, record = FakeMeter(), make_record(last_cap=250.0)
         meter.power = 60.0  # idle draw, both nodes together
         auditor = make_auditor(meter)
-        drive(auditor, meter, record, 20)
+        drive(auditor, meter, record, WINDOW + 20)
         assert auditor.state("j0") == TRUSTED
         assert auditor.violations_total == 0
 
     def test_transient_spike_clears_back_to_trusted(self):
-        """A short excursion reaches suspect but never quarantine."""
+        """A short excursion reaches suspect but never quarantine.
+
+        The spike is one round shorter than the window and just tall enough
+        that the windowed draw crosses the overdraw line only while all of
+        it is inside: two violating rounds, fewer than ``SUSPECT_ROUNDS``.
+        """
+        assert SUSPECT_ROUNDS > 2
         meter, record = FakeMeter(), make_record(last_cap=150.0)
         meter.power = 150.0 * 2
-        auditor = make_auditor(meter, suspect_rounds=5)
-        drive(auditor, meter, record, 8)
-        meter.power = P_MAX * 2
-        now = drive(auditor, meter, record, 2, start=8.0)
+        auditor = make_auditor(meter)
+        now = drive(auditor, meter, record, WINDOW + 5)
+        spike = WINDOW - 1
+        line = (150.0 * CAP_TOLERANCE + GUARDBAND) * WINDOW  # W·s per node
+        meter.power = (150.0 + line / (spike - 0.5)) * 2
+        now = drive(auditor, meter, record, spike, start=now)
         meter.power = 150.0 * 2
-        drive(auditor, meter, record, 15, start=now)
+        drive(auditor, meter, record, WINDOW + CLEAR_ROUNDS, start=now)
         assert auditor.state("j0") == TRUSTED
         kinds = [(t.old, t.new) for t in auditor.transitions]
         assert kinds == [(TRUSTED, SUSPECT), (SUSPECT, TRUSTED)]
@@ -175,11 +204,11 @@ class TestStateMachine:
         meter, record = FakeMeter(), make_record(last_cap=250.0)
         meter.power = 250.0 * 2
         auditor = make_auditor(meter)
-        now = drive(auditor, meter, record, 10)
+        now = drive(auditor, meter, record, WINDOW + 5)
         # The manager cuts the cap; the job follows within one round.
         record.last_cap = 150.0
         meter.power = 150.0 * 2
-        drive(auditor, meter, record, 10, start=now)
+        drive(auditor, meter, record, WINDOW + 5, start=now)
         assert auditor.state("j0") == TRUSTED
         assert auditor.violations_total == 0
 
@@ -187,13 +216,14 @@ class TestStateMachine:
         meter, record = FakeMeter(), make_record(last_cap=150.0)
         meter.power = P_MAX * 2
         auditor = make_auditor(meter)
-        now = drive(auditor, meter, record, 12)
+        now = drive(auditor, meter, record, TO_QUARANTINE + 5)
         assert auditor.state("j0") == QUARANTINED
         # The actuator heals: it now follows the probe ratchet down.
         _, probe = auditor.envelope(record)
         record.last_cap = probe
         meter.power = probe * 2 * 0.95
-        drive(auditor, meter, record, 12, start=now)
+        drive(auditor, meter, record, WINDOW + QUARANTINE_ROUNDS + CLEAR_ROUNDS,
+              start=now)
         assert auditor.state("j0") == TRUSTED
         states = [t.new for t in auditor.transitions]
         assert states == [SUSPECT, QUARANTINED, REHABILITATING, TRUSTED]
@@ -202,57 +232,60 @@ class TestStateMachine:
         meter, record = FakeMeter(), make_record(last_cap=150.0)
         meter.power = P_MAX * 2
         auditor = make_auditor(meter)
-        now = drive(auditor, meter, record, 12)
+        now = drive(auditor, meter, record, TO_QUARANTINE + 5)
         _, probe = auditor.envelope(record)
         record.last_cap = probe  # probe dispatched, but the draw never moves
-        drive(auditor, meter, record, 30, start=now)
+        drive(auditor, meter, record, 2 * WINDOW, start=now)
         assert auditor.state("j0") == QUARANTINED
         assert auditor.transitions[-1].new == QUARANTINED
 
     def test_relapse_during_rehabilitation_requarantines(self):
+        """Rehabilitation comes well inside one window of the heal, so what
+        re-quarantines there is a relapse above the draw first convicted."""
         meter, record = FakeMeter(), make_record(last_cap=150.0)
-        meter.power = P_MAX * 2
+        meter.power = 200.0 * 2  # wedged part-way open
         auditor = make_auditor(meter)
-        now = drive(auditor, meter, record, 12)
-        _, probe = auditor.envelope(record)
-        record.last_cap = probe
-        meter.power = probe * 2 * 0.95
-        # Exactly enough compliant rounds to reach rehabilitating…
+        now = drive(auditor, meter, record, TO_QUARANTINE + 5)
+        # Exactly enough compliant rounds to reach rehabilitating, the
+        # actuator drawing each probe the ratchet dispatches…
         while auditor.state("j0") != REHABILITATING:
+            record.last_cap = auditor.envelope(record)[1]
+            meter.power = record.last_cap * 2
             now = drive(auditor, meter, record, 1, start=now)
-        # …then the actuator wedges open again.
+        # …then it wedges fully open, and is caught before trust returns.
         meter.power = P_MAX * 2
-        drive(auditor, meter, record, 8, start=now)
+        while auditor.state("j0") == REHABILITATING:
+            now = drive(auditor, meter, record, 1, start=now)
         assert auditor.state("j0") == QUARANTINED
 
     def test_completed_job_is_forgotten(self):
         meter, record = FakeMeter(), make_record(last_cap=150.0)
         meter.power = P_MAX * 2
         auditor = make_auditor(meter)
-        drive(auditor, meter, record, 12)
+        now = drive(auditor, meter, record, TO_QUARANTINE + 5)
         assert auditor.state("j0") == QUARANTINED
-        auditor.audit_round(13.0, {})  # job left the cluster
+        auditor.audit_round(now + 1.0, {})  # job left the cluster
         assert auditor.state("j0") == TRUSTED  # unknown ⇒ trusted
 
     def test_requeue_onto_new_nodes_resets_evidence(self):
         meter, record = FakeMeter(), make_record(last_cap=150.0)
         meter.power = P_MAX * 2
         auditor = make_auditor(meter)
-        drive(auditor, meter, record, 3)
+        now = drive(auditor, meter, record, WINDOW - 1)
         meter.nodes = (2, 3)  # requeued elsewhere: counters incomparable
         meter.energy = 0.0
-        drive(auditor, meter, record, 3, start=3.0)
+        drive(auditor, meter, record, WINDOW - 1, start=now)
         assert auditor.violations_total == 0  # both windows still cold
 
     def test_meter_gap_resets_evidence(self):
         meter, record = FakeMeter(), make_record(last_cap=150.0)
         meter.power = P_MAX * 2
         auditor = make_auditor(meter)
-        drive(auditor, meter, record, 3)
+        now = drive(auditor, meter, record, WINDOW - 1)
         meter.offline = True
-        drive(auditor, meter, record, 2, start=3.0)
+        now = drive(auditor, meter, record, 2, start=now)
         meter.offline = False
-        drive(auditor, meter, record, 3, start=5.0)
+        drive(auditor, meter, record, WINDOW - 1, start=now)
         assert auditor.violations_total == 0
 
 
@@ -262,7 +295,7 @@ class TestMeterCrossCheck:
         meter.power = 160.0 * 2  # true draw: at cap, demonstrably active
         auditor = make_auditor(meter)
         drive(
-            auditor, meter, record, 12,
+            auditor, meter, record, WINDOW + 5,
             status=lambda now: make_status(now, 0, 160.0, 100.0),  # claims 100W
         )
         assert auditor.state("j0") != TRUSTED
@@ -274,7 +307,7 @@ class TestMeterCrossCheck:
         meter.power = 80.0  # idle-ish: below p_node_min per node
         auditor = make_auditor(meter)
         drive(
-            auditor, meter, record, 12,
+            auditor, meter, record, WINDOW + 5,
             status=lambda now: make_status(now, 0, 160.0, 5.0),
         )
         assert auditor.state("j0") == TRUSTED
@@ -292,7 +325,7 @@ class TestModelPlausibility:
         meter.power = 160.0 * 2
         record.online_model = SimpleNamespace(time_per_epoch=lambda p: 0.5)
         auditor = make_auditor(meter)
-        drive(auditor, meter, record, 15,
+        drive(auditor, meter, record, WINDOW + 5,
               status=self._status_factory(160.0, 1.0))
         assert any(
             "model-implausible" in t.reason for t in auditor.transitions)
@@ -308,7 +341,7 @@ class TestModelPlausibility:
         meter.power = 250.0 * 2
         record.online_model = SimpleNamespace(time_per_epoch=lambda p: 1.0)
         auditor = make_auditor(meter)
-        now = drive(auditor, meter, record, 10,
+        now = drive(auditor, meter, record, WINDOW + 5,
                     status=self._status_factory(250.0, 1.0))
         record.last_cap = 150.0
         meter.power = 150.0 * 2
@@ -316,18 +349,23 @@ class TestModelPlausibility:
         def squeezed(t):
             return make_status(t, int(now / 1.0 + (t - now) / 2.0),
                                150.0, 300.0)
-        drive(auditor, meter, record, 15, start=now, status=squeezed)
+        drive(auditor, meter, record, WINDOW + 5, start=now, status=squeezed)
         assert not any(
             "model-implausible" in t.reason for t in auditor.transitions)
 
     def test_no_conviction_without_progress_evidence(self):
-        """min_epochs gates the replay: too few epochs ⇒ no verdict."""
+        """MIN_REPLAY_EPOCHS gates the replay: too few epochs ⇒ no verdict.
+
+        One epoch short of the gate per window, while enough intervals
+        accumulate that the regime map has a populated bucket the absurd
+        model disagrees with (no alibi to hide behind)."""
         meter, record = FakeMeter(), make_record(last_cap=160.0)
         meter.power = 160.0 * 2
         record.online_model = SimpleNamespace(time_per_epoch=lambda p: 0.01)
-        auditor = make_auditor(meter, min_epochs=50)
-        drive(auditor, meter, record, 15,
-              status=self._status_factory(160.0, 1.0))
+        auditor = make_auditor(meter)
+        tpe = AUDIT_WINDOW / (MIN_REPLAY_EPOCHS - 1)
+        drive(auditor, meter, record, 4 * WINDOW,
+              status=self._status_factory(160.0, tpe))
         assert not any(
             "model-implausible" in t.reason for t in auditor.transitions)
 
@@ -336,17 +374,17 @@ class TestEnvelope:
     def test_envelope_uses_metered_draw_plus_guardband(self):
         meter, record = FakeMeter(), make_record(last_cap=150.0)
         meter.power = 400.0
-        auditor = make_auditor(meter, guardband=20.0)
-        drive(auditor, meter, record, 10)
+        auditor = make_auditor(meter)
+        drive(auditor, meter, record, WINDOW + 5)
         reserved, cap = auditor.envelope(record)
-        assert reserved == pytest.approx(400.0 + 20.0 * 2, rel=0.05)
-        assert cap == pytest.approx(200.0 * 0.85, rel=0.05)  # probe shave
+        assert reserved == pytest.approx(400.0 + GUARDBAND * 2, rel=0.05)
+        assert cap == pytest.approx(200.0 * (1 - PROBE_MARGIN), rel=0.05)  # probe shave
 
     def test_envelope_probe_clamps_to_platform_floor(self):
         meter, record = FakeMeter(), make_record(last_cap=P_MIN)
         meter.power = P_MIN * 2 * 0.9
         auditor = make_auditor(meter)
-        drive(auditor, meter, record, 10)
+        drive(auditor, meter, record, WINDOW + 5)
         _, cap = auditor.envelope(record)
         assert cap == P_MIN  # never probes below the platform minimum
 
@@ -354,7 +392,7 @@ class TestEnvelope:
         auditor = make_auditor(FakeMeter())
         record = make_record(last_cap=200.0)
         reserved, _ = auditor.envelope(record)
-        assert reserved == pytest.approx(200.0 * 2 + 20.0 * 2)
+        assert reserved == pytest.approx(200.0 * 2 + GUARDBAND * 2)
 
 
 class TestRogueFaultVocabulary:

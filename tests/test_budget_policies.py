@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.budget.base import BudgetAllocation, JobBudgetRequest
 from repro.budget.even_power import EvenPowerBudgeter
-from repro.budget.even_slowdown import EvenSlowdownBudgeter
+from repro.budget.even_slowdown import SOLVE_TOL, EvenSlowdownBudgeter
 from repro.budget.uniform import UniformCapBudgeter
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.workloads.nas import NAS_TYPES
@@ -216,11 +216,11 @@ class TestDifferential:
         if budget >= sum(j.p_min * j.nodes for j in jobs):
             # The root lies within ``tol`` of ``s``, so the overshoot is at
             # most what ``tol`` more slowdown would take back.
-            assert total(s) <= budget + (total(s) - total(s + budgeter.tol)) + 1e-9
+            assert total(s) <= budget + (total(s) - total(s + SOLVE_TOL)) + 1e-9
         # Brute force: no slowdown smaller by more than the bisection
         # tolerance both fits the budget and hands out more power.
         for at in np.linspace(1.0, s, 10_000):
-            if at < s - budgeter.tol:
+            if at < s - SOLVE_TOL:
                 assert not total(s) < total(at) <= budget, (at, s)
 
     @given(job_mixes())

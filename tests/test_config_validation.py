@@ -1,32 +1,62 @@
-"""Range validation: bad knobs fail loudly, naming the knob.
+"""Range validation, and the two gates on the knob count.
 
-Most knobs are :class:`AnorConfig` fields.  The tuning parameters of the
-reliable link, the manager's heartbeat timeouts and safe floor and the
-plant's idle power are constructor parameters of those classes only —
-``AnorConfig`` switches a subsystem on and forwards none of its tuning, since
-no run ever set it — so their rows check the owning constructor, which is
-where a bad value would be caught.  (The breaker's and the auditor's are
-checked where those classes are tested: ``test_partition_safety.py``,
-``test_audit.py::TestKnobValidation``.)
+Most knobs are :class:`AnorConfig` fields: a bad value fails loudly, naming
+the field.  A threshold no run ever set is not a knob but a module constant
+beside the code that reads it (the manager's heartbeat timeouts, the reliable
+link's backoffs, the plant's idle power); its row here checks that the
+constant lies inside the range the deleted constructor check enforced, and
+that the row's value does not.  (The auditor's, the breaker's and the shed
+ladder's are checked where those classes are tested: ``test_audit.py``,
+``test_partition_safety.py``, ``test_shed.py``.)
+
+Run as a script, this file prints the two knob counts for a CI summary.
 """
 
 import ast
 import dataclasses
-from functools import partial
 from pathlib import Path
 
 import pytest
 
-from repro.budget.even_slowdown import EvenSlowdownBudgeter
-from repro.core.cluster_manager import ClusterPowerManager
-from repro.core.framework import AnorConfig, precharacterized_models
-from repro.core.reliable import ReliableLink
-from repro.core.targets import ConstantTarget
-from repro.core.transport import TcpLink
-from repro.hwsim.cluster import EmulatedCluster
-from repro.modeling.classifier import JobClassifier
+from repro.core import cluster_manager, reliable
+from repro.core.framework import AnorConfig
+from repro.workloads.nas import IDLE_NODE_POWER, P_NODE_MIN
 
 FIELDS = {f.name for f in dataclasses.fields(AnorConfig)}
+ROOT = Path(__file__).parent.parent
+
+#: Modules under ``src/repro`` and the classes of them ``AnorSystem`` builds:
+#: every defaulted ``__init__`` parameter of one must be set by some run.
+GATED = {
+    "core/cluster_manager.py": ("ClusterPowerManager",),
+    "core/job_endpoint.py": ("JobTierEndpoint",),
+    "modeling/online.py": ("OnlineModeler",),
+    "core/audit.py": ("CapComplianceAuditor",),
+    "core/reliable.py": ("ReliableLink",),
+    "facility/breaker.py": ("PowerBreaker",),
+    "facility/shed.py": ("ShedLadder", "ShedController"),
+    "plan/envelope.py": ("SafetyEnvelope",),
+    "plan/forecast.py": (
+        "TargetForecaster", "PersistenceForecaster", "RampForecaster",
+        "InvertedRampForecaster", "AR1Forecaster", "ScheduleForecaster",
+    ),
+    "core/targets.py": ("HoldLastGoodTarget",),
+    "budget/even_slowdown.py": ("EvenSlowdownBudgeter",),
+    "hwsim/cluster.py": ("EmulatedCluster",),
+    "hwsim/node.py": ("Node",),
+}
+
+#: Row -> (the constant that replaced a deleted constructor parameter, the
+#: range that parameter's check enforced).
+CONSTANTS = {
+    "stale_status_timeout": (cluster_manager.STALE_STATUS_TIMEOUT, lambda v: v > 0),
+    "dead_job_timeout": (cluster_manager.DEAD_JOB_TIMEOUT, lambda v: v > 0),
+    "safe_floor": (P_NODE_MIN, lambda v: v > 0),
+    "idle_power": (IDLE_NODE_POWER, lambda v: v >= 0),
+    "reliable_base_backoff": (reliable.BASE_BACKOFF, lambda v: v > 0),
+    "reliable_max_backoff": (reliable.MAX_BACKOFF, lambda v: v >= reliable.BASE_BACKOFF),
+    "partition_attempts": (reliable.PARTITION_ATTEMPTS, lambda v: v >= 1),
+}
 
 
 def _config_keys_passed(tree: ast.Module):
@@ -49,31 +79,112 @@ def _config_keys_passed(tree: ast.Module):
             yield from keys
 
 
-def _reliable_link(**kw):
-    return ReliableLink(TcpLink(), "cluster", **kw)
+def _name(node) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
 
 
-def _manager(**kw):
-    return ClusterPowerManager(
-        budgeter=EvenSlowdownBudgeter(),
-        target_source=ConstantTarget(840.0),
-        classifier=JobClassifier(precharacterized_models()),
-        total_nodes=4,
-        **kw,
-    )
+def _signature(cls: ast.ClassDef) -> tuple[list[str], list[str]] | None:
+    """(parameter names in order, the defaulted ones) of ``cls``'s own
+    ``__init__`` (a dataclass's generated one included), or None when it
+    inherits its base's."""
+    init = next((f for f in cls.body
+                 if isinstance(f, ast.FunctionDef) and f.name == "__init__"), None)
+    if init is not None:
+        a = init.args
+        positional = [p.arg for p in a.posonlyargs + a.args][1:]
+        defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+        defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        return positional + [p.arg for p in a.kwonlyargs], defaulted
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if "dataclass" not in map(_name, decorators):
+        return None
+    names, defaulted = [], []
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        if "ClassVar" in ast.unparse(stmt.annotation) or (
+            isinstance(value, ast.Call) and _name(value.func) == "field"
+            and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                    for k in value.keywords)
+        ):
+            continue
+        names.append(stmt.target.id)
+        if value is not None:
+            defaulted.append(stmt.target.id)
+    return names, defaulted
 
 
-#: Row-id prefix -> constructor of the subsystem that owns the knob; the rest
-#: of the id is the constructor parameter.
-SUBSYSTEMS = {
-    "reliable": _reliable_link,
-    # Parameters with no subsystem prefix to strip: keyed by their whole name.
-    "partition_attempts": _reliable_link,
-    "stale_status_timeout": _manager,
-    "dead_job_timeout": _manager,
-    "safe_floor": _manager,
-    "idle_power": partial(EmulatedCluster, 4),
-}
+def _attribute_stores(node, typed=None):
+    """``(annotation of x or None, attr)`` for each ``x.attr = ...`` with x
+    not ``self``; x's annotation is known when x is a parameter."""
+    if isinstance(node, ast.FunctionDef):
+        a = node.args
+        typed = {p.arg: ast.unparse(p.annotation)
+                 for p in a.posonlyargs + a.args + a.kwonlyargs if p.annotation}
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            for x in ast.walk(target):
+                if isinstance(x, ast.Attribute) and isinstance(x.ctx, ast.Store):
+                    if _name(x.value) != "self":
+                        yield (typed or {}).get(_name(x.value)), x.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_stores(child, typed)
+
+
+def constructor_knobs() -> tuple[int, list[str]]:
+    """(defaulted ``__init__`` parameters of the gated classes, those of them
+    no run sets).  A run is ``src/`` or ``benchmarks/``; ``tests/`` and
+    ``examples/`` do not count.  A parameter is set when a call of the class
+    passes it by keyword or position (a call of a subclass that inherits the
+    ``__init__`` counts), a subclass forwards it through ``super().__init__``,
+    one of the class's classmethods passes it to ``cls(...)``, or code
+    outside the class assigns it as an attribute (``system.manager.
+    correction_gain = 0.0``) of an object not annotated as something else."""
+    trees = [ast.parse(p.read_text()) for top in ("src", "benchmarks")
+             for p in sorted((ROOT / top).rglob("*.py"))]
+    classes = {c.name: c for t in trees for c in ast.walk(t) if isinstance(c, ast.ClassDef)}
+    gated = {}
+    for module, names in GATED.items():
+        tree = ast.parse((ROOT / "src" / "repro" / module).read_text())
+        for c in ast.walk(tree):
+            if isinstance(c, ast.ClassDef) and c.name in names:
+                gated[c.name] = _signature(c)
+
+    def owner(name):
+        """The class whose ``__init__`` a call of ``name`` runs."""
+        while name in classes and _signature(classes[name]) is None:
+            name = next(map(_name, classes[name].bases), None)
+        return name
+
+    passed = {name: set() for name in gated}
+
+    def credit(name, call):
+        name = owner(name)
+        if gated.get(name) is not None:
+            passed[name].update(gated[name][0][: len(call.args)])
+            passed[name].update(k.arg for k in call.keywords if k.arg)
+
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node.func) in classes:
+                credit(_name(node.func), node)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in (f for f in node.body if isinstance(f, ast.FunctionDef)):
+                classmethod_ = "classmethod" in map(_name, method.decorator_list)
+                for call in (c for c in ast.walk(method) if isinstance(c, ast.Call)):
+                    if classmethod_ and _name(call.func) == "cls":
+                        credit(node.name, call)
+                    if (_name(call.func) == "__init__" and isinstance(call.func.value, ast.Call)
+                            and _name(call.func.value.func) == "super"):
+                        credit(_name(node.bases[0]), call)
+        for annotation, attr in _attribute_stores(tree):
+            for name in passed:
+                if annotation is None or name in annotation:
+                    passed[name].add(attr)
+    defaulted = [(name, p) for name, sig in gated.items() if sig for p in sig[1]]
+    return len(defaulted), [f"{n}.{p}" for n, p in defaulted if p not in passed[n]]
 
 
 class TestConfigValidation:
@@ -107,15 +218,12 @@ class TestConfigValidation:
         ],
     )
     def test_bad_value_names_the_field(self, field, value):
-        subsystem, _, knob = field.partition("_")
-        if field in FIELDS:
-            construct, knob = AnorConfig, field
-        elif field in SUBSYSTEMS:
-            construct, knob = SUBSYSTEMS[field], field
-        else:
-            construct = SUBSYSTEMS[subsystem]
-        with pytest.raises(ValueError, match=knob):
-            construct(**{knob: value})
+        if field in CONSTANTS:
+            constant, in_range = CONSTANTS[field]
+            assert in_range(constant) and not in_range(value)
+            return
+        with pytest.raises(ValueError, match=field):
+            AnorConfig(**{field: value})
 
     def test_config_forwards_no_subsystem_tuning(self):
         """The knob count only falls: 36 fields, and the subsystem tuning
@@ -143,13 +251,25 @@ class TestConfigValidation:
         unset = FIELDS - passed
         assert not unset, f"AnorConfig fields no run sets — delete them: {sorted(unset)}"
 
+    def test_every_constructor_parameter_is_set_by_some_run(self):
+        """The same rule one level down, for the classes ``AnorSystem``
+        builds: a defaulted parameter no run passes is a threshold nothing
+        tunes, and belongs beside the code that reads it as a named module
+        constant with its unit and its reason."""
+        _, unset = constructor_knobs()
+        assert not unset, (
+            f"constructor parameters no run sets — make them constants: {unset}")
+
     def test_optional_none_disables_without_error(self):
         AnorConfig(lease_ttl=None, breaker_margin=None, endpoint_restart_delay=None)
 
     def test_backoff_ordering_inversion_rejected(self):
-        with pytest.raises(ValueError, match="max_backoff"):
-            _reliable_link(base_backoff=10.0, max_backoff=1.0)
+        assert reliable.MAX_BACKOFF >= reliable.BASE_BACKOFF
 
     def test_timeout_ordering_inversion_rejected(self):
-        with pytest.raises(ValueError, match="dead_job_timeout"):
-            _manager(stale_status_timeout=60.0, dead_job_timeout=30.0)
+        assert cluster_manager.DEAD_JOB_TIMEOUT >= cluster_manager.STALE_STATUS_TIMEOUT
+
+
+if __name__ == "__main__":
+    print(f"AnorConfig fields: {len(FIELDS)}; defaulted constructor parameters "
+          f"of the classes AnorSystem builds: {constructor_knobs()[0]}")

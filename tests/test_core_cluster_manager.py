@@ -5,7 +5,11 @@ import math
 import pytest
 
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
-from repro.core.cluster_manager import ClusterPowerManager
+from repro.core.cluster_manager import (
+    CORRECTION_LIMIT_FRACTION,
+    MIN_FEEDBACK_R2,
+    ClusterPowerManager,
+)
 from repro.core.messages import BudgetMessage, GoodbyeMessage, HelloMessage, StatusMessage
 from repro.core.targets import ConstantTarget
 from repro.core.transport import TcpLink
@@ -147,11 +151,11 @@ class TestFeedback:
         assert manager.jobs["a"].online_model is None
 
     def test_low_r2_model_rejected(self):
-        manager = make_manager(use_feedback=True, min_feedback_r2=0.5)
+        manager = make_manager(use_feedback=True)
         link = connect_job(manager, "a", "is", 2)
         send_status(
             link, "a", t=0.0, power=400.0,
-            model_a=0.0, model_b=-0.01, model_c=5.0, model_r2=0.1,
+            model_a=0.0, model_b=-0.01, model_c=5.0, model_r2=MIN_FEEDBACK_R2 / 2,
         )
         manager.step(0.0)
         assert manager.jobs["a"].online_model is None
@@ -235,10 +239,10 @@ class TestRepeatedModelIsHeartbeat:
         assert len(model_accepts(journal)) == 1
 
     def test_gated_r2_is_skipped_even_when_coefficients_repeat(self, tmp_path):
-        manager, journal, _ = self.make(tmp_path, min_feedback_r2=0.5)
+        manager, journal, _ = self.make(tmp_path)
         link = connect_job(manager, "a", "is", 2)
         send_status(link, "a", t=0.0, **FIT)
-        send_status(link, "a", t=0.0, **{**FIT, "model_r2": 0.1})
+        send_status(link, "a", t=0.0, **{**FIT, "model_r2": MIN_FEEDBACK_R2 / 2})
         manager.step(0.0)
         assert manager.jobs["a"].online_r2 == 0.9
         assert len(model_accepts(journal)) == 1
@@ -297,12 +301,10 @@ class TestTrackingAndCorrection:
         assert caps2["a"] >= caps1["a"]
 
     def test_correction_clamped(self):
-        manager = make_manager(
-            meter=lambda: 0.0, correction_gain=1.0, correction_limit_fraction=0.1
-        )
+        manager = make_manager(meter=lambda: 0.0, correction_gain=1.0)
         for i in range(20):
             manager.step(float(i))
-        assert manager._correction <= 0.1 * 840.0 + 1e-9
+        assert manager._correction <= CORRECTION_LIMIT_FRACTION * 840.0 + 1e-9
 
 
 class TestJobCapGaugeCache:

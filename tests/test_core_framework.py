@@ -144,6 +144,27 @@ class TestScheduledRuns:
         result = system.run(400.0, until_idle=True, max_time=3000.0)
         assert len(result.completed) == len(schedule)
 
+    def test_head_forgets_the_jobs_that_finished(self):
+        """The head's record of the jobs it launched is the jobs running on
+        the cluster: a completion removes its entry, so the record does not
+        grow with the length of the run."""
+        types = {k: NAS_TYPES[k] for k in ("mg", "cg")}
+        gen = PoissonScheduleGenerator(
+            list(types.values()), utilization=0.9, total_nodes=4, seed=1
+        )
+        system = AnorSystem(
+            target_source=ConstantTarget(1120.0),
+            schedule=gen.generate(600.0),
+            job_types=types,
+            config=AnorConfig(num_nodes=4, seed=1),
+        )
+        for _ in range(3):
+            system.run(200.0)
+            assert system.cluster.completed
+            assert set(system._launched) == set(system.cluster.running)
+        system.run(until_idle=True, max_time=6000.0)
+        assert system._launched == {}
+
     def test_run_requires_duration_or_until_idle(self):
         system = make_system()
         with pytest.raises(ValueError, match="duration"):

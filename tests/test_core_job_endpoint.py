@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.job_endpoint import JobTierEndpoint
+from repro.core.job_endpoint import EXPLORE_AMPLITUDE, JobTierEndpoint
 from repro.core.messages import BudgetMessage, GoodbyeMessage, HelloMessage, StatusMessage
 from repro.core.transport import TcpLink
 from repro.geopm.agent import AgentSample
 from repro.geopm.endpoint import Endpoint
+from repro.modeling.online import MIN_SAMPLE_EPOCHS
 from repro.modeling.quadratic import QuadraticPowerModel
 
 
@@ -86,7 +87,7 @@ class TestBudgetApplication:
                 caps.add(round(policy.power_cap_node, 1))
         assert len(caps) >= 2  # exploring both sides of the budget
         for cap in caps:
-            assert abs(cap - 200.0) <= 200.0 * endpoint.explore_amplitude + 0.1
+            assert abs(cap - 200.0) <= 200.0 * EXPLORE_AMPLITUDE + 0.1
 
     def test_no_dither_when_feedback_disabled(self):
         endpoint, geopm, link = make_endpoint(feedback_enabled=False)
@@ -122,16 +123,14 @@ class TestStatusReporting:
         assert not status.has_model
 
     def test_model_shared_after_identification(self):
-        endpoint, geopm, link = make_endpoint(
-            min_feedback_epochs=6, min_feedback_samples=2
-        )
-        endpoint.modeler.min_sample_epochs = 2
-        # Feed epochs at two clearly different caps with consistent timing.
+        endpoint, geopm, link = make_endpoint()
+        # Feed epochs at two clearly different caps with consistent timing:
+        # two training samples per phase, eight in all.
         epochs = 0
         t = 0.0
         last_status = None
         for phase, cap in ((1, 160.0), (2, 260.0), (3, 160.0), (4, 260.0)):
-            for _ in range(8):
+            for _ in range(2 * MIN_SAMPLE_EPOCHS):
                 t += 2.0
                 epochs += 1
                 tau = 3.0 if cap < 200.0 else 2.0
@@ -226,11 +225,13 @@ class TestModelFieldsMemo:
     @settings(max_examples=200, deadline=None)
     @given(ops=modeler_ops)
     def test_memo_equals_fresh_evaluation_after_every_call(self, ops):
-        endpoint, _, _ = make_endpoint(detect_drift=True)
+        endpoint, _, _ = make_endpoint()
+        endpoint.modeler.detect_drift = True
         ModelerDriver(endpoint).apply(ops)
 
     def test_memo_follows_a_fit_through_seed_and_drift_reset(self):
-        endpoint, _, _ = make_endpoint(detect_drift=True)
+        endpoint, _, _ = make_endpoint()
+        endpoint.modeler.detect_drift = True
         driver = ModelerDriver(endpoint)
         sweep = [
             ("observe", 2.0, cap) for cap in (150.0, 270.0) * 4 for _ in range(15)

@@ -173,8 +173,8 @@ class TestNoSilentLossLedger:
         from repro.core.reliable import ReliableLink
 
         link = TcpLink(latency=0.5, drop_probability=0.2, seed=3)
-        cluster = ReliableLink(link, "cluster", seed=1, jitter=0.0)
-        job = ReliableLink(link, "job", seed=2, jitter=0.0)
+        cluster = ReliableLink(link, "cluster", seed=1)
+        job = ReliableLink(link, "job", seed=2)
         t = 0.0
         for round_no in range(120):
             t += 1.0

@@ -106,7 +106,7 @@ class TestEventCalendar:
 
 
 def _make_cluster(seed: int) -> EmulatedCluster:
-    cluster = EmulatedCluster(num_nodes=6, clock=SimClock(), seed=seed)
+    cluster = EmulatedCluster(num_nodes=6, seed=seed)
     cluster.start_job("j-bt", NAS_TYPES["bt"])  # 2 nodes
     cluster.start_job("j-lu", NAS_TYPES["lu"])  # 1 node
     cluster.start_job("j-ft", NAS_TYPES["ft"])  # 2 nodes; 1 node stays idle

@@ -5,14 +5,14 @@ import pytest
 from repro.budget.base import JobBudgetRequest
 from repro.budget.even_power import EvenPowerBudgeter
 from repro.core.targets import ConstantTarget
-from repro.facility.breaker import PowerBreaker
+from repro.facility.breaker import CONFIRM_ROUNDS, RESET_ROUNDS, TRIP_ROUNDS, PowerBreaker
 from repro.facility.coordinator import (
     ClusterMember,
     FacilityCoordinator,
     MutableTarget,
     aggregate_cluster_model,
 )
-from repro.facility.shed import ShedLadder
+from repro.facility.shed import CLEAR_ROUNDS, ESCALATE_ROUNDS, ShedLadder
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.telemetry import Telemetry
 from repro.workloads.nas import NAS_TYPES
@@ -176,9 +176,7 @@ def breaker_facility(*, feed, meter_watts, telemetry=None, ladder=None):
     kwargs = dict(
         facility_target=ConstantTarget(feed),
         meter=meter,
-        breaker=PowerBreaker(
-            margin=0.1, trip_rounds=2, reset_rounds=2, confirm_rounds=2
-        ),
+        breaker=PowerBreaker(margin=0.1),
         ladder=ladder,
     )
     if telemetry is not None:
@@ -189,44 +187,57 @@ def breaker_facility(*, feed, meter_watts, telemetry=None, ladder=None):
     return fac, meter
 
 
+class Rounds:
+    """Coordinator rounds 10 s apart, from t = 0."""
+
+    def __init__(self, fac):
+        self.fac, self.now = fac, -10.0
+
+    def __call__(self, n):
+        """Run ``n`` more rounds; returns the last round's caps."""
+        for _ in range(n):
+            self.now += 10.0
+            caps = self.fac.step(self.now)
+        return caps
+
+
 class TestCoordinatorBreaker:
     def test_trip_forces_every_member_to_floor(self):
         """Open breaker = emergency uniform throttle: each cluster pinned
         at its enforceable p_min, regardless of the budgeter's split."""
         fac, meter = breaker_facility(feed=4000.0, meter_watts=6000.0)
-        fac.step(0.0)  # strike 1
-        caps = fac.step(10.0)  # strike 2 -> open
+        run = Rounds(fac)
+        caps = run(TRIP_ROUNDS)  # the last strike opens it
         assert fac.breaker.tripped
         for name, member in fac.members.items():
             assert caps[name] == pytest.approx(member.p_min)
-            assert member.target.target(10.0) == pytest.approx(member.p_min)
+            assert member.target.target(run.now) == pytest.approx(member.p_min)
 
     def test_one_glitch_round_does_not_trip(self):
         fac, meter = breaker_facility(feed=4000.0, meter_watts=6000.0)
-        fac.step(0.0)
+        run = Rounds(fac)
+        run(TRIP_ROUNDS - 1)
         meter.watts = 4000.0  # meter glitch over; clean round resets strikes
-        fac.step(10.0)
+        run(1)
         meter.watts = 6000.0
-        fac.step(20.0)
+        run(TRIP_ROUNDS - 1)
         assert not fac.breaker.tripped
 
     def test_half_open_recovery_and_reopen(self):
         fac, meter = breaker_facility(feed=4000.0, meter_watts=6000.0)
-        fac.step(0.0)
-        fac.step(10.0)
+        run = Rounds(fac)
+        run(TRIP_ROUNDS)
         assert fac.breaker.state == "open"
         meter.watts = 3000.0
-        fac.step(20.0)
-        fac.step(30.0)
+        run(RESET_ROUNDS)
         assert fac.breaker.state == "half-open"
         meter.watts = 6000.0  # one strike on probation re-opens immediately
-        fac.step(40.0)
+        run(1)
         assert fac.breaker.state == "open"
         meter.watts = 3000.0
-        for t in (50.0, 60.0, 70.0, 80.0):
-            fac.step(t)
+        run(RESET_ROUNDS + CONFIRM_ROUNDS)
         assert fac.breaker.state == "closed"
-        caps = fac.step(90.0)
+        caps = run(1)
         assert sum(caps.values()) > sum(m.p_min for m in fac.members.values())
 
     def test_breaker_transitions_emit_events_and_incidents(self):
@@ -234,8 +245,8 @@ class TestCoordinatorBreaker:
         fac, meter = breaker_facility(
             feed=4000.0, meter_watts=6000.0, telemetry=tel
         )
-        fac.step(0.0)
-        fac.step(10.0)
+        run = Rounds(fac)
+        run(TRIP_ROUNDS)
         assert any("breaker closed -> open" in line for line in fac.events)
         assert tel.incident_counts.get("facility-breaker-open") == 1
         assert tel.registry.get_value("anor_facility_breaker_state") == 2
@@ -247,10 +258,10 @@ class TestCoordinatorBreaker:
         fac, meter = breaker_facility(
             feed=500.0, meter_watts=5000.0, telemetry=tel
         )
+        run = Rounds(fac)
         floor_total = sum(m.p_min for m in fac.members.values())
         assert floor_total > 500.0  # precondition for the scenario
-        fac.step(0.0)
-        fac.step(10.0)  # open -> emergency floor caps > feed
+        run(TRIP_ROUNDS)  # open -> emergency floor caps > feed
         assert tel.incident_counts.get("facility-shortfall", 0) >= 1
         incident = next(
             i for i in tel.incidents()
@@ -284,27 +295,25 @@ class TestCoordinatorLadder:
         feed = MutableTarget(1500.0)
         fac = FacilityCoordinator(
             facility_target=feed,
-            ladder=ShedLadder(
-                escalate_rounds=1, clear_rounds=2, ramp_watts_per_round=100.0
-            ),
+            ladder=ShedLadder(ramp_watts_per_round=100.0),
             telemetry=tel,
         )
         fac.add_member(make_member("a", "bt", "sp"))
         fac.add_member(make_member("b", "ep", "lu"))
-        baseline = sum(fac.step(0.0).values())  # high-water nominal split
+        run = Rounds(fac)
+        baseline = sum(run(1).values())  # high-water nominal split
         assert fac.ladder.severity == "normal"
-        feed.set(900.0)  # 40 % deficit -> brownout-2 at escalate_rounds=1
-        caps = fac.step(10.0)
+        feed.set(900.0)  # 40 % deficit -> brownout-2 once sustained
+        caps = run(ESCALATE_ROUNDS)
         assert fac.ladder.severity == "brownout-2"
         assert tel.registry.get_value("anor_facility_shed_severity") == 2
         assert tel.incident_counts.get("facility-shed-brownout-2") == 1
         assert sum(caps.values()) == pytest.approx(900.0, rel=0.02)
         feed.set(1500.0)
-        prev = sum(fac.step(20.0).values())
-        ramped = sum(fac.step(30.0).values())
+        prev = sum(run(1).values())
+        ramped = sum(run(1).values())
         assert ramped - prev == pytest.approx(100.0, rel=0.05)
-        for t in range(40, 200, 10):
-            fac.step(float(t))
+        run(2 * CLEAR_ROUNDS + 5)  # one level per clear window
         assert fac.ladder.severity == "normal"
         # Fully recovered: the split matches the pre-incident round.
         assert sum(fac.step(999.0).values()) == pytest.approx(baseline)
@@ -312,12 +321,14 @@ class TestCoordinatorLadder:
     def test_tripped_breaker_feeds_floor_supply_to_ladder(self):
         """Breaker open + ladder installed: supply collapses to Σ p_min, so
         the ladder (not the binary floor slam) grades the emergency."""
-        ladder = ShedLadder(escalate_rounds=1, clear_rounds=2)
+        ladder = ShedLadder()
         fac, meter = breaker_facility(
             feed=4000.0, meter_watts=6000.0, ladder=ladder
         )
-        fac.step(0.0)
-        caps = fac.step(10.0)  # breaker opens this round
+        run = Rounds(fac)
+        # The breaker opens on its last strike; the ladder escalates once
+        # the floor supply has been indicated for ESCALATE_ROUNDS rounds.
+        caps = run(TRIP_ROUNDS + ESCALATE_ROUNDS - 1)
         assert fac.breaker.tripped
         assert fac.ladder.severity != "normal"
         floor_total = sum(m.p_min for m in fac.members.values())
@@ -331,16 +342,23 @@ class TestCoordinatorBoundedLogs:
         monkeypatch.setattr(coord_mod, "HISTORY_LIMIT", 8)
         monkeypatch.setattr(coord_mod, "EVENT_LOG_LIMIT", 4)
         feed = MutableTarget(4000.0)
-        fac = FacilityCoordinator(
-            facility_target=feed,
-            ladder=ShedLadder(escalate_rounds=1, clear_rounds=1),
-        )
+        fac = FacilityCoordinator(facility_target=feed, ladder=ShedLadder())
         fac.add_member(make_member("a", "bt", "sp"))
-        for i in range(20):
-            # Alternate sag/restore so every round logs a severity event.
-            feed.set(2000.0 if i % 2 else 4000.0)
-            fac.step(float(i * 10))
+        run = Rounds(fac)
+        run(1)  # the nominal feed's high-water mark
+        rounds = 1
+        for _ in range(2):
+            # Sag until the ladder escalates, restore until it is back to
+            # normal: every incident logs severity events.
+            for watts, done in ((2000.0, lambda: fac.ladder.severity != "normal"),
+                                (4000.0, lambda: fac.ladder.severity == "normal")):
+                feed.set(watts)
+                while True:
+                    run(1)
+                    rounds += 1
+                    if done():
+                        break
         assert len(fac.history) == 8
-        assert fac.history_dropped == 20 - 8
+        assert fac.history_dropped == rounds - 8
         assert len(fac.events) == 4
         assert fac.events_dropped > 0

@@ -15,11 +15,15 @@ import numpy as np
 import pytest
 
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
-from repro.core.cluster_manager import ClusterPowerManager
+from repro.core.cluster_manager import (
+    DEAD_JOB_TIMEOUT,
+    STALE_STATUS_TIMEOUT,
+    ClusterPowerManager,
+)
 from repro.core.framework import AnorConfig, AnorSystem, precharacterized_models
 from repro.core.job_endpoint import JobTierEndpoint
 from repro.core.messages import GoodbyeMessage, HelloMessage, StatusMessage
-from repro.core.targets import ConstantTarget, HoldLastGoodTarget
+from repro.core.targets import HOLD_GRACE, ConstantTarget, HoldLastGoodTarget
 from repro.core.transport import TcpLink
 from repro.geopm.endpoint import Endpoint
 from repro.invariants import RoundMonitor
@@ -132,15 +136,16 @@ class TestManagerRobustness:
 class TestHeartbeatStaleness:
     def test_stale_job_budgeted_conservatively(self):
         """A silent job gets the floor cap and its last cap stays reserved."""
-        manager = make_manager(stale_status_timeout=15.0, dead_job_timeout=60.0)
+        manager = make_manager()
         talker = connect_job(manager, "a", "bt", 2)
         quiet = connect_job(manager, "b", "bt", 2)  # speaks once, then silence
         send_status(talker, "a", t=0.0, power=400.0)
         send_status(quiet, "b", t=0.0, power=400.0)
         caps0 = manager.step(0.0)
         assert caps0["b"] > manager.p_node_min  # budgeted normally at first
-        send_status(talker, "a", t=20.0, power=400.0)
-        caps = manager.step(20.0)
+        silent_for = STALE_STATUS_TIMEOUT + 5.0
+        send_status(talker, "a", t=silent_for, power=400.0)
+        caps = manager.step(silent_for)
         assert caps["b"] == manager.p_node_min
         rnd = manager.last_round
         assert rnd.stale_jobs == 1
@@ -168,7 +173,7 @@ class TestHeartbeatStaleness:
         """The ghost-record leak: a goodbye that never arrives used to leave
         a JobRecord (and its link) behind forever.  The dead-job timeout
         closes it."""
-        manager = make_manager(stale_status_timeout=5.0, dead_job_timeout=20.0)
+        manager = make_manager()
         link = connect_job(manager, "a", "bt", 2)
         send_status(link, "a", t=0.0, power=400.0)
         manager.step(0.0)
@@ -176,18 +181,18 @@ class TestHeartbeatStaleness:
         # The endpoint sends its goodbye... onto a link that eats it.
         link.up.drop_probability = 0.999999999
         link.send_up(GoodbyeMessage("a", 1.0), 1.0)
-        manager.step(10.0)
+        manager.step(DEAD_JOB_TIMEOUT)
         assert "a" in manager.jobs  # silent but not yet presumed dead
-        manager.step(25.0)
+        manager.step(DEAD_JOB_TIMEOUT + 5.0)
         assert manager.jobs == {}
         assert manager.evictions == 1
         assert link not in manager._links  # link garbage-collected too
 
     def test_timeout_validation(self):
-        with pytest.raises(ValueError):
-            make_manager(stale_status_timeout=0.0)
-        with pytest.raises(ValueError):
-            make_manager(stale_status_timeout=30.0, dead_job_timeout=10.0)
+        # The range the deleted constructor checks enforced: a job is
+        # distrusted before it is forgotten.
+        assert STALE_STATUS_TIMEOUT > 0
+        assert DEAD_JOB_TIMEOUT >= STALE_STATUS_TIMEOUT
 
 
 class TestModelValidation:
@@ -251,10 +256,10 @@ class TestHoldLastGoodTarget:
             def target(self, now):
                 return 1000.0 if now < 10.0 else math.nan
 
-        hold = HoldLastGoodTarget(Dying(), floor=300.0, grace=30.0, decay_rate=0.01)
+        hold = HoldLastGoodTarget(Dying(), floor=300.0)
         assert hold.target(5.0) == 1000.0
-        assert hold.target(20.0) == 1000.0  # within grace: hold flat
-        decayed = hold.target(100.0)
+        assert hold.target(HOLD_GRACE) == 1000.0  # within grace: hold flat
+        decayed = hold.target(HOLD_GRACE + 100.0)
         assert 300.0 < decayed < 1000.0  # past grace: decaying
         assert hold.target(10_000.0) == 300.0  # eventually the floor
         assert hold.degraded_reads == 3

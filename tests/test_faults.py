@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
+from repro.core.cluster_manager import DEAD_JOB_TIMEOUT
 from repro.core.framework import (
     AnorConfig,
     AnorSystem,
@@ -389,9 +390,8 @@ class TestInjectorCrashes:
     def test_endpoint_crash_without_watchdog_leads_to_eviction(self):
         sched = FaultSchedule([EndpointCrash(time=30.0, job_id="bt-0")])
         system = make_system(sched, num_nodes=2, endpoint_restart_delay=None)
-        system.manager.dead_job_timeout = 40.0
         system.submit_now("bt-0", "bt")
-        for _ in range(90):
+        for _ in range(int(30.0 + DEAD_JOB_TIMEOUT) + 10):
             system.step()
         assert "bt-0" not in system.manager.jobs
         assert system.manager.evictions == 1

@@ -194,21 +194,22 @@ class TestCrashRecoveryEndToEnd:
         ), "orphan-requeued job never completed"
 
     def test_node_crash_after_warm_restart_requeues_a_precrash_job(self, tmp_path):
-        """The head's per-job specs die with it and come back from the
-        persisted running view: a job launched before the crash is still
-        requeued, not dropped, when its node fails after the restart."""
+        """A warm restart rebuilds the head's launched jobs from the
+        persisted specs: a job launched before the crash is still requeued,
+        not dropped, when its node fails after the restart."""
         system = build_system(checkpoint_dir=str(tmp_path / "store"))
         for _ in range(100):
             system.step()
         victim = sorted(system.cluster.running)[0]
         system.crash_head_node()
-        assert system._job_specs == {}
+        before = system._launched[victim]
         for _ in range(10):
             system.step()
         system.restart_head_node()
         assert any("restarted warm" in line for line in system.recovery_log)
         live = system.cluster.running[victim]
-        assert system._job_specs[victim].running.est_end == live.est_end
+        assert system._launched[victim] is not before  # read back from the store
+        assert system._launched[victim].running.est_end == live.est_end
         for _ in range(10):
             system.step()
         system.crash_node(live.nodes[0].node_id)
@@ -231,7 +232,7 @@ class TestCrashRecoveryEndToEnd:
             checkpoint_dir=str(tmp_path / "store") if checkpointing else None
         )
         system.step()  # t=1: j00 launches; its HELLO is still on the wire
-        assert "j00" in system._running_view and "j00" not in system.manager.jobs
+        assert "j00" in system._launched and "j00" not in system.manager.jobs
         system.crash_head_node()
         system.crash_node(system.cluster.running["j00"].nodes[0].node_id)
         for _ in range(10):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hwsim.node import Node
+from repro.workloads.nas import IDLE_NODE_POWER
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ class TestConsume:
 
     def test_idle_floor(self, node, rng):
         _, n = node
-        assert n.consume(0.0, 1.0, rng) >= n.idle_power * 0.9
+        assert n.consume(0.0, 1.0, rng) >= IDLE_NODE_POWER * 0.9
 
     def test_energy_deposited(self, node, rng):
         _, n = node
@@ -62,7 +63,7 @@ class TestConsume:
     def test_consume_idle(self, node, rng):
         _, n = node
         draws = [n.consume_idle(1.0, rng) for _ in range(50)]
-        assert np.mean(draws) == pytest.approx(n.idle_power, rel=0.05)
+        assert np.mean(draws) == pytest.approx(IDLE_NODE_POWER, rel=0.05)
 
 
 class TestConstruction:

@@ -28,7 +28,7 @@ P_MIN, P_MAX = 140.0, 280.0
 
 def round_(**fields) -> BudgetRound:
     base = dict(time=10.0, jobs={}, report=lambda *a, **k: None, p_min=P_MIN,
-                safe_cap=P_MIN, occupied=True)
+                occupied=True)
     return BudgetRound(**{**base, **fields})
 
 

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.modeling.online import EpochHistory, EpochSample, OnlineModeler
+from repro.modeling.online import (
+    MIN_FIT_EPOCHS,
+    MIN_SAMPLE_EPOCHS,
+    EpochHistory,
+    EpochSample,
+    OnlineModeler,
+)
 from repro.modeling.quadratic import QuadraticPowerModel
 
 
 def make_modeler(**kwargs) -> OnlineModeler:
     default = QuadraticPowerModel.from_anchors(2.0, 1.3, 140.0, 280.0)
-    kwargs.setdefault("min_sample_epochs", 1)
     return OnlineModeler(140.0, 280.0, default, **kwargs)
 
 
@@ -66,12 +71,13 @@ class TestObservation:
         m.observe(0.0, 0, 280.0)
         m.observe(30.0, 0, 280.0)  # 30 s of setup, no epochs
         m.observe(31.0, 1, 200.0)  # first epoch: re-anchors only
-        m.observe(33.0, 2, 200.0)
+        m.observe(31.0 + 2.0 * MIN_SAMPLE_EPOCHS, 1 + MIN_SAMPLE_EPOCHS, 200.0)
         assert len(m.history) == 1
         assert m.history.samples[0].seconds_per_epoch == pytest.approx(2.0)
 
     def test_fit_after_threshold_epochs(self):
-        m = make_modeler(retrain_threshold=10, min_fit_epochs=10)
+        assert MIN_FIT_EPOCHS == 10
+        m = make_modeler(retrain_threshold=10)
         feed_epochs(m, cap=180.0, seconds_per_epoch=2.0, epochs=8)
         assert not m.has_fit
         feed_epochs(m, t0=100.0, cap=260.0, seconds_per_epoch=1.5, epochs=8)
@@ -117,22 +123,26 @@ class TestObservation:
         assert m.cap_coverage > 0.5
 
     def test_set_cap_integrates_between_observations(self):
-        m = make_modeler(min_sample_epochs=1)
+        m = make_modeler()
         m.observe(0.0, 0, 100.0)
         m.observe(1.0, 1, 160.0)  # anchor first epoch
-        # Hold 160 W for 1 s, then 240 W for 1 s; epoch completes at t=3.
+        # Hold 160 W for 1 s, then 240 W for 1 s; a sample's epochs complete
+        # at t=3.
         m.set_cap(2.0, 240.0)
-        m.observe(3.0, 2, 240.0)
+        m.observe(3.0, 1 + MIN_SAMPLE_EPOCHS, 240.0)
         sample = m.history.samples[-1]
         assert sample.p_cap == pytest.approx(200.0)
 
     def test_retrain_threshold_respected(self):
-        # The first epoch is consumed as the anchor, so 12 feeds yield 11
-        # recorded epochs — still short of the 20-epoch threshold.
-        m = make_modeler(retrain_threshold=20, min_fit_epochs=20)
+        # The first epoch is consumed as the anchor and samples batch six
+        # epochs, so two 12-epoch feeds record 18 — still short of the
+        # 20-epoch threshold — and a third crosses it.
+        m = make_modeler(retrain_threshold=20)
         feed_epochs(m, cap=180.0, seconds_per_epoch=2.0, epochs=12)
         assert not m.has_fit
         feed_epochs(m, t0=200.0, cap=240.0, seconds_per_epoch=2.0, epochs=12)
+        assert not m.has_fit  # 18 recorded
+        feed_epochs(m, t0=300.0, cap=240.0, seconds_per_epoch=2.0, epochs=12)
         assert m.has_fit
 
     def test_invalid_retrain_threshold(self):
@@ -140,19 +150,19 @@ class TestObservation:
             make_modeler(retrain_threshold=0)
 
     def test_invalid_min_sample_epochs(self):
-        with pytest.raises(ValueError, match="≥ 1"):
-            make_modeler(min_sample_epochs=0)
+        assert MIN_SAMPLE_EPOCHS >= 1  # the range its constructor check enforced
 
 
 class TestSampleBatching:
     def test_samples_batched_to_min_epochs(self):
-        m = make_modeler(min_sample_epochs=5)
+        m = make_modeler()
         feed_epochs(m, cap=200.0, seconds_per_epoch=2.0, epochs=14)
-        # 13 epochs after the anchor -> two 5-epoch samples, 3 pending.
-        assert all(s.epochs >= 5 for s in m.history.samples)
+        # 13 epochs after the anchor -> two 6-epoch samples, 1 pending.
+        assert len(m.history) == 2
+        assert all(s.epochs >= MIN_SAMPLE_EPOCHS for s in m.history.samples)
 
     def test_batched_time_accuracy(self):
-        m = make_modeler(min_sample_epochs=4)
+        m = make_modeler()
         feed_epochs(m, cap=200.0, seconds_per_epoch=2.0, epochs=13)
         for s in m.history.samples:
             assert s.seconds_per_epoch == pytest.approx(2.0, rel=0.3)
@@ -213,7 +223,6 @@ def feeds(draw):
     )
     return {
         "detect_drift": draw(st.booleans()),
-        "min_sample_epochs": draw(st.sampled_from([1, 6])),
         "centre": centre,
         "calls": calls,
         "shift_at": draw(st.integers(0, 70)),
@@ -223,9 +232,7 @@ def feeds(draw):
 
 def _replay(feed, *, read_every_call: bool):
     """Feed one modeler; yield what a reader sees at each of its reads."""
-    m = make_modeler(
-        detect_drift=feed["detect_drift"], min_sample_epochs=feed["min_sample_epochs"]
-    )
+    m = make_modeler(detect_drift=feed["detect_drift"])
     seed = QuadraticPowerModel.from_anchors(1.7, 1.2, 140.0, 280.0)
     t, epochs = 0.0, 0
     for i, (kind, wide, u, dt, batch, late_read) in enumerate(feed["calls"]):
@@ -263,7 +270,8 @@ class TestFitWhenRead:
         assert when_read == at_once
 
     def test_a_due_fit_is_over_the_samples_it_fell_due_on(self):
-        m = make_modeler(min_sample_epochs=3)  # retrain_threshold 10: due every 4th sample
+        # One sample per observation; a fit due every 4th sample.
+        m = make_modeler(retrain_threshold=4 * MIN_SAMPLE_EPOCHS)
         rng = np.random.default_rng(5)
         t, epochs, due_at = 0.0, 0, None
         m.observe(t, epochs, 200.0)
@@ -271,7 +279,7 @@ class TestFitWhenRead:
             cap = float(rng.uniform(140.0, 280.0))
             m.set_cap(t, cap)
             t += float(rng.uniform(3.0, 6.0))
-            epochs += 3
+            epochs += MIN_SAMPLE_EPOCHS
             if m.observe(t, epochs, cap) and len(m.history) >= 8:
                 due_at = len(m.history)
         n, k = due_at, len(m.history) - due_at
@@ -309,7 +317,7 @@ class TestFitWhenRead:
 
     def test_seed_fit_drops_a_due_fit_uncomputed(self):
         m = make_modeler()
-        feed_epochs(m, cap=200.0, seconds_per_epoch=1.0, epochs=12)
+        feed_epochs(m, cap=200.0, seconds_per_epoch=1.0, epochs=2 * MIN_SAMPLE_EPOCHS + 1)
         assert m.fits_due == 1
         seed = QuadraticPowerModel.from_anchors(1.7, 1.2, 140.0, 280.0)
         m.seed_fit(seed, r2=0.9)

@@ -15,10 +15,11 @@ import pytest
 from repro.core import AnorConfig, AnorSystem
 from repro.core.job_endpoint import JobTierEndpoint
 from repro.core.messages import BudgetMessage, HelloMessage
+from repro.core import reliable
 from repro.core.reliable import Ack, Envelope, ReliableLink
 from repro.core.targets import SteppedTarget
 from repro.core.transport import TcpLink
-from repro.facility.breaker import PowerBreaker
+from repro.facility.breaker import CONFIRM_ROUNDS, RESET_ROUNDS, TRIP_ROUNDS, PowerBreaker
 from repro.faults.events import NetworkPartition, PartitionEnd, PartitionStart
 from repro.faults.schedule import FaultSchedule
 from repro.geopm.agent import AgentPolicy, AgentSample
@@ -42,8 +43,8 @@ def make_endpoint(**kwargs):
     return endpoint, geopm, link
 
 
-def leased_budget(cap, *, t=0.0, ttl=10.0, floor=None):
-    return BudgetMessage("j", cap, t, lease_ttl=ttl, safe_floor=floor)
+def leased_budget(cap, *, t=0.0, ttl=10.0):
+    return BudgetMessage("j", cap, t, lease_ttl=ttl)
 
 
 # --------------------------------------------------------------------------
@@ -120,7 +121,7 @@ class TestEndpointLease:
         assert policy.power_cap_node == 200.0
         assert policy.lease_ttl == 10.0
         assert policy.ramp_seconds == 20.0
-        assert policy.safe_floor == 140.0  # defaults to p_min
+        assert policy.safe_floor == 140.0  # the job's p_min
 
     def test_leaseless_budget_leaves_legacy_policy(self):
         endpoint, geopm, link = make_endpoint()
@@ -161,19 +162,6 @@ class TestEndpointLease:
         # Fully decayed within ttl + ramp of the last contact.
         decayed_by = min(t for t, c in caps.items() if c == 140.0)
         assert decayed_by <= 10.0 + 20.0 + 1.0
-
-    def test_per_message_floor_takes_precedence(self):
-        endpoint, geopm, link = make_endpoint(
-            lease_ramp_seconds=5.0, safe_floor=150.0
-        )
-        link.send_down(leased_budget(200.0, ttl=5.0, floor=160.0), 0.0)
-        last = None
-        for t in np.arange(0.0, 20.0, 1.0):
-            endpoint.step(float(t))
-            policy = geopm.take_policy()
-            if policy is not None:
-                last = policy.power_cap_node
-        assert last == 160.0  # message floor, not the configured 150 or p_min
 
     def test_budget_receipt_exits_degraded(self):
         endpoint, geopm, link = make_endpoint(lease_ramp_seconds=10.0)
@@ -248,12 +236,10 @@ class TestEndpointLease:
 # --------------------------------------------------------------------------
 
 
-def make_reliable_pair(**kwargs):
+def make_reliable_pair():
     link = TcpLink(latency=0.0)
-    defaults = dict(jitter=0.0, base_backoff=2.0, partition_attempts=3)
-    defaults.update(kwargs)
-    cluster = ReliableLink(link, "cluster", seed=1, name="L", **defaults)
-    job = ReliableLink(link, "job", seed=2, name="L", **defaults)
+    cluster = ReliableLink(link, "cluster", seed=1, name="L")
+    job = ReliableLink(link, "job", seed=2, name="L")
     return cluster, job, link
 
 
@@ -299,7 +285,7 @@ class TestReliableLink:
             t += 2.0
             cluster.recv_up(t)
         assert cluster.partitioned_since is not None
-        assert cluster.retransmits >= 3
+        assert cluster.retransmits >= reliable.PARTITION_ATTEMPTS
         assert isinstance(cluster.faults[0], PartitionStart)
         declared_at = cluster.partitioned_since
         # Heal the wire; the next retransmit + ack round closes the outage.
@@ -318,14 +304,16 @@ class TestReliableLink:
 
     def test_window_wrap_inherits_delivery_debt(self):
         # A sender busy enough to supersede every envelope before it reaches
-        # partition_attempts must still declare the partition: the
-        # replacement inherits the evicted envelope's attempts.
-        cluster, job, link = make_reliable_pair(window=2)
+        # PARTITION_ATTEMPTS (a window's worth of sends between pumps) must
+        # still declare the partition: the replacement inherits the evicted
+        # envelope's attempts.
+        cluster, job, link = make_reliable_pair()
         link.down.partitioned = True
         link.up.partitioned = True
         t = 0.0
         while cluster.partitioned_since is None and t < 120.0:
-            cluster.send_down(f"cap@{t}", t)
+            for i in range(reliable.WINDOW):
+                cluster.send_down(f"cap@{t}#{i}", t)
             t += 2.0
             cluster.recv_up(t)
         assert cluster.superseded > 0
@@ -338,17 +326,18 @@ class TestReliableLink:
         cluster.send_down("a", 0.0)
         cluster.send_down("b", 0.0)
         for entry in cluster._outstanding.values():
-            entry.attempts = 2  # one retransmit away from a declaration
+            # One retransmit away from a declaration.
+            entry.attempts = reliable.PARTITION_ATTEMPTS - 1
         link.send_up(Ack(seqs=(0,)), 1.0)
         cluster.recv_up(1.0)
         assert [e.attempts for e in cluster._outstanding.values()] == [0]
 
     def test_window_bounds_outstanding(self):
-        cluster, job, link = make_reliable_pair(window=4)
+        cluster, job, link = make_reliable_pair()
         link.down.partitioned = True
-        for i in range(10):
+        for i in range(reliable.WINDOW + 6):
             cluster.send_down(i, float(i))
-        assert len(cluster._outstanding) == 4
+        assert len(cluster._outstanding) == reliable.WINDOW
         assert cluster.superseded == 6
 
     def test_side_verb_guards(self):
@@ -363,29 +352,25 @@ class TestReliableLink:
             job.recv_up(0.0)
 
     def test_parameter_validation(self):
-        link = TcpLink(latency=0.0)
         with pytest.raises(ValueError):
-            ReliableLink(link, "sideways")
-        with pytest.raises(ValueError):
-            ReliableLink(link, "cluster", window=0)
-        with pytest.raises(ValueError):
-            ReliableLink(link, "cluster", base_backoff=0.0)
-        with pytest.raises(ValueError):
-            ReliableLink(link, "cluster", jitter=1.0)
-        with pytest.raises(ValueError):
-            ReliableLink(link, "cluster", partition_attempts=0)
+            ReliableLink(TcpLink(latency=0.0), "sideways")
+        # The tuning is constants now, inside the ranges the checks enforced.
+        assert reliable.WINDOW >= 1 and reliable.PARTITION_ATTEMPTS >= 1
+        assert reliable.BASE_BACKOFF > 0.0
+        assert 0.0 <= reliable.JITTER < 1.0
 
     def test_backoff_is_exponential_and_capped(self):
-        cluster, _, _ = make_reliable_pair(max_backoff=10.0)
-        assert cluster._backoff(0) == 2.0
-        assert cluster._backoff(1) == 4.0
-        assert cluster._backoff(2) == 8.0
-        assert cluster._backoff(5) == 10.0  # capped
+        cluster, _, _ = make_reliable_pair()
+        jitter, base, ceiling = reliable.JITTER, reliable.BASE_BACKOFF, reliable.MAX_BACKOFF
+        for attempts in range(8):
+            raw = min(base * 2.0**attempts, ceiling)
+            assert raw * (1 - jitter) <= cluster._backoff(attempts) <= raw * (1 + jitter)
+        assert base * 2.0**7 > ceiling  # the last rows were capped
 
     def test_seeded_jitter_is_reproducible(self):
         link = TcpLink(latency=0.0)
-        a = ReliableLink(link, "cluster", seed=9, jitter=0.25)
-        b = ReliableLink(TcpLink(latency=0.0), "cluster", seed=9, jitter=0.25)
+        a = ReliableLink(link, "cluster", seed=9)
+        b = ReliableLink(TcpLink(latency=0.0), "cluster", seed=9)
         assert [a._backoff(i) for i in range(5)] == [b._backoff(i) for i in range(5)]
 
 
@@ -396,76 +381,87 @@ class TestReliableLink:
 
 class TestPowerBreaker:
     def test_trips_only_on_consecutive_strikes(self):
-        b = PowerBreaker(margin=0.1, trip_rounds=3)
-        b.observe(1200.0, 1000.0)
-        b.observe(1200.0, 1000.0)
+        b = PowerBreaker(margin=0.1)
+        for _ in range(TRIP_ROUNDS - 1):
+            b.observe(1200.0, 1000.0)
         b.observe(1000.0, 1000.0)  # clean round resets the streak
-        b.observe(1200.0, 1000.0)
-        b.observe(1200.0, 1000.0)
+        for _ in range(TRIP_ROUNDS - 1):
+            b.observe(1200.0, 1000.0)
         assert b.state == "closed" and not b.tripped
         b.observe(1200.0, 1000.0)
         assert b.state == "open" and b.tripped and b.trips == 1
 
     def test_margin_is_respected(self):
-        b = PowerBreaker(margin=0.1, trip_rounds=1)
-        b.observe(1099.0, 1000.0)  # under target*(1+margin): clean
+        b = PowerBreaker(margin=0.1)
+        for _ in range(TRIP_ROUNDS):
+            b.observe(1099.0, 1000.0)  # under target*(1+margin): clean
         assert b.state == "closed"
-        b.observe(1101.0, 1000.0)
+        for _ in range(TRIP_ROUNDS):
+            b.observe(1101.0, 1000.0)
         assert b.state == "open"
 
     def test_open_to_half_open_to_closed(self):
-        b = PowerBreaker(margin=0.1, trip_rounds=1, reset_rounds=2, confirm_rounds=2)
-        b.observe(2000.0, 1000.0)
+        b = tripped_breaker()
+        for _ in range(RESET_ROUNDS - 1):
+            b.observe(900.0, 1000.0)
         assert b.state == "open"
         b.observe(900.0, 1000.0)
-        b.observe(900.0, 1000.0)
         assert b.state == "half-open"
-        b.observe(900.0, 1000.0)
+        for _ in range(CONFIRM_ROUNDS - 1):
+            b.observe(900.0, 1000.0)
+        assert b.state == "half-open"
         b.observe(900.0, 1000.0)
         assert b.state == "closed"
         assert b.trips == 1
 
     def test_half_open_strike_reopens_immediately(self):
-        b = PowerBreaker(margin=0.1, trip_rounds=1, reset_rounds=1)
-        b.observe(2000.0, 1000.0)
-        b.observe(900.0, 1000.0)
+        b = tripped_breaker()
+        for _ in range(RESET_ROUNDS):
+            b.observe(900.0, 1000.0)
         assert b.state == "half-open"
         b.observe(2000.0, 1000.0)
         assert b.state == "open" and b.trips == 2
 
     def test_dirty_rounds_reset_reset_progress(self):
-        b = PowerBreaker(margin=0.1, trip_rounds=1, reset_rounds=2)
-        b.observe(2000.0, 1000.0)
-        b.observe(900.0, 1000.0)
+        b = tripped_breaker()
+        for _ in range(RESET_ROUNDS - 1):
+            b.observe(900.0, 1000.0)
         b.observe(2000.0, 1000.0)  # violation while open: start over
-        b.observe(900.0, 1000.0)
+        for _ in range(RESET_ROUNDS - 1):
+            b.observe(900.0, 1000.0)
         assert b.state == "open"
         b.observe(900.0, 1000.0)
         assert b.state == "half-open"
 
     def test_nonpositive_target_is_ignored(self):
-        b = PowerBreaker(margin=0.0, trip_rounds=1)
+        b = PowerBreaker(margin=0.0)
         b.observe(1e9, 0.0)
         b.observe(1e9, -5.0)
         assert b.state == "closed" and b.strikes == 0
 
     def test_gauge_values(self):
-        b = PowerBreaker(margin=0.1, trip_rounds=1, reset_rounds=1)
+        b = PowerBreaker(margin=0.1)
         assert b.gauge_value == 0
-        b.observe(2000.0, 1000.0)
+        for _ in range(TRIP_ROUNDS):
+            b.observe(2000.0, 1000.0)
         assert b.gauge_value == 2
-        b.observe(900.0, 1000.0)
+        for _ in range(RESET_ROUNDS):
+            b.observe(900.0, 1000.0)
         assert b.gauge_value == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PowerBreaker(margin=-0.1)
-        with pytest.raises(ValueError):
-            PowerBreaker(trip_rounds=0)
-        with pytest.raises(ValueError):
-            PowerBreaker(reset_rounds=0)
-        with pytest.raises(ValueError):
-            PowerBreaker(confirm_rounds=0)
+        # The round counts are constants, inside the range the checks enforced.
+        assert min(TRIP_ROUNDS, RESET_ROUNDS, CONFIRM_ROUNDS) >= 1
+
+
+def tripped_breaker() -> PowerBreaker:
+    b = PowerBreaker(margin=0.1)
+    for _ in range(TRIP_ROUNDS):
+        b.observe(2000.0, 1000.0)
+    assert b.state == "open"
+    return b
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from repro.core.targets import (
     SteppedTarget,
 )
 from repro.plan.forecast import (
+    CONFIDENCE_TAU,
+    RAMP_FIT_POINTS,
     AR1Forecaster,
     ForecastErrorWindow,
     InvertedRampForecaster,
@@ -68,10 +70,11 @@ class TestPersistence:
             PersistenceForecaster().predict(0.0, 4.0)
 
     def test_confidence_decays_with_lookahead(self):
-        f = PersistenceForecaster(confidence_tau=60.0)
+        f = PersistenceForecaster()
+        tau = CONFIDENCE_TAU
         assert f.confidence(0.0, 0.0) == pytest.approx(1.0)
-        assert f.confidence(0.0, 60.0) == pytest.approx(math.exp(-1.0))
-        assert f.confidence(0.0, 120.0) < f.confidence(0.0, 60.0)
+        assert f.confidence(0.0, tau) == pytest.approx(math.exp(-1.0))
+        assert f.confidence(0.0, 2 * tau) < f.confidence(0.0, tau)
 
     def test_forecast_emits_points(self):
         f = PersistenceForecaster()
@@ -84,32 +87,27 @@ class TestPersistence:
 
 class TestRamp:
     def test_recovers_exact_slope(self):
-        f = RampForecaster(fit_points=4)
-        for k in range(4):
+        f = RampForecaster()
+        for k in range(RAMP_FIT_POINTS):
             f.observe(4.0 * k, 1000.0 + 50.0 * k)  # 12.5 W/s ramp
         assert f.slope() == pytest.approx(12.5)
-        assert f.predict(12.0, 20.0) == pytest.approx(1150.0 + 12.5 * 8.0)
+        last = 4.0 * (RAMP_FIT_POINTS - 1)
+        assert f.predict(last, last + 8.0) == pytest.approx(
+            1000.0 + 12.5 * last + 12.5 * 8.0)
 
     def test_single_sample_falls_back_to_persistence(self):
         f = RampForecaster()
         f.observe(0.0, 2000.0)
         assert f.predict(0.0, 100.0) == 2000.0
 
-    def test_max_slope_clamps(self):
-        f = RampForecaster(fit_points=2, max_slope=1.0)
-        f.observe(0.0, 0.0 + 1000.0)
-        f.observe(1.0, 1000.0 + 1000.0)  # true slope 1000 W/s
-        assert f.slope() == pytest.approx(1.0)
-
     def test_inverted_ramp_negates_slope(self):
-        f = InvertedRampForecaster(fit_points=4)
-        for k in range(4):
+        f = InvertedRampForecaster()
+        for k in range(RAMP_FIT_POINTS):
             f.observe(4.0 * k, 1000.0 + 50.0 * k)
         assert f.slope() == pytest.approx(-12.5)
 
     def test_fit_points_validated(self):
-        with pytest.raises(ValueError, match="≥ 2"):
-            RampForecaster(fit_points=1)
+        assert RAMP_FIT_POINTS >= 2  # the range its constructor check enforced
 
 
 class TestAR1:

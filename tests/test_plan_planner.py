@@ -11,6 +11,7 @@ from repro.experiments.fig9 import build_demand_response_system
 from repro.invariants import RoundMonitor
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.plan.envelope import (
+    MIN_TRIP_SAMPLES,
     PLAN_ACTIVE,
     PLAN_FALLBACK,
     PLAN_SHADOW,
@@ -53,12 +54,10 @@ class TestEnvelope:
         assert env.update(12.0, 50.0, 4) == PLAN_ACTIVE
 
     def test_trip_requires_min_samples(self):
-        env = SafetyEnvelope(
-            error_bound_watts=100.0, promote_rounds=0, min_trip_samples=4
-        )
+        env = SafetyEnvelope(error_bound_watts=100.0, promote_rounds=0)
         # over bound but too few scored samples: stays active
-        assert env.update(0.0, 500.0, 2) == PLAN_ACTIVE
-        assert env.update(4.0, 500.0, 4) == PLAN_FALLBACK
+        assert env.update(0.0, 500.0, MIN_TRIP_SAMPLES - 1) == PLAN_ACTIVE
+        assert env.update(4.0, 500.0, MIN_TRIP_SAMPLES) == PLAN_FALLBACK
         assert env.fallbacks == 1
         assert env.first_fallback_time() == 4.0
 

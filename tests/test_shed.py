@@ -4,6 +4,10 @@ import pytest
 
 from repro.core.framework import AnorConfig, AnorSystem
 from repro.facility.shed import (
+    CLEAR_ROUNDS,
+    DEFAULT_CLASS,
+    DEFICITS,
+    ESCALATE_ROUNDS,
     SEVERITY_LEVELS,
     SHED_CLASSES,
     SHED_PLANS,
@@ -42,57 +46,60 @@ class TestPlanTable:
             assert actions == sorted(actions, key=rank.__getitem__)
 
 
+def feed(ladder, supply, rounds, demand=1000.0):
+    """``rounds`` rounds at ``supply``; returns the severity after each."""
+    return [ladder.observe(supply, demand) for _ in range(rounds)]
+
+
 class TestShedLadder:
     def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ShedLadder(brownout1_deficit=0.3, brownout2_deficit=0.2)
-        with pytest.raises(ValueError, match="in \\(0, 1\\)"):
-            ShedLadder(brownout1_deficit=0.0)
         with pytest.raises(ValueError, match="ramp_watts_per_round"):
             ShedLadder(ramp_watts_per_round=0.0)
-        with pytest.raises(ValueError, match="escalate_rounds"):
-            ShedLadder(escalate_rounds=0)
+        # The rest are constants, inside the ranges their checks enforced.
+        assert min(ESCALATE_ROUNDS, CLEAR_ROUNDS) >= 1
+        deficits = [DEFICITS[s] for s in SEVERITY_LEVELS[1:]]
+        assert deficits == sorted(set(deficits))
+        assert 0.0 < deficits[0] and deficits[-1] < 1.0
 
     def test_one_bad_round_never_escalates(self):
-        ladder = ShedLadder(escalate_rounds=2)
-        assert ladder.observe(700.0, 1000.0) == "normal"
+        assert ESCALATE_ROUNDS > 1
+        ladder = ShedLadder()
+        assert feed(ladder, 700.0, ESCALATE_ROUNDS - 1)[-1] == "normal"
         assert ladder.observe(1000.0, 1000.0) == "normal"
         assert ladder.escalations == 0
 
     def test_sustained_deficit_jumps_to_indicated_severity(self):
         """A deep deficit must not dwell in brownout-1 on the way down."""
-        ladder = ShedLadder(escalate_rounds=2)
-        ladder.observe(400.0, 1000.0)  # deficit 0.6 indicates blackstart
-        assert ladder.observe(400.0, 1000.0) == "blackstart"
+        ladder = ShedLadder()
+        # Deficit 0.6 indicates blackstart.
+        assert feed(ladder, 400.0, ESCALATE_ROUNDS)[-1] == "blackstart"
         assert ladder.escalations == 1
 
     def test_recovery_steps_down_one_level_per_clear_window(self):
-        ladder = ShedLadder(escalate_rounds=1, clear_rounds=3)
-        ladder.observe(300.0, 1000.0)  # 0.7 deficit -> blackstart
+        ladder = ShedLadder()
+        feed(ladder, 300.0, ESCALATE_ROUNDS)  # 0.7 deficit -> blackstart
         assert ladder.severity == "blackstart"
-        seen = []
-        for _ in range(9):
-            seen.append(ladder.observe(1000.0, 1000.0))
+        seen = feed(ladder, 1000.0, 3 * CLEAR_ROUNDS)
+        wait = CLEAR_ROUNDS - 1
         assert seen == (
-            ["blackstart"] * 2 + ["brownout-2"]
-            + ["brownout-2"] * 2 + ["brownout-1"]
-            + ["brownout-1"] * 2 + ["normal"]
+            ["blackstart"] * wait + ["brownout-2"]
+            + ["brownout-2"] * wait + ["brownout-1"]
+            + ["brownout-1"] * wait + ["normal"]
         )
 
     def test_round_at_current_severity_resets_recovery(self):
-        ladder = ShedLadder(escalate_rounds=1, clear_rounds=3)
-        ladder.observe(800.0, 1000.0)  # brownout-1
-        ladder.observe(1000.0, 1000.0)
-        ladder.observe(1000.0, 1000.0)
+        ladder = ShedLadder()
+        feed(ladder, 800.0, ESCALATE_ROUNDS)  # brownout-1
+        feed(ladder, 1000.0, CLEAR_ROUNDS - 1)
         ladder.observe(800.0, 1000.0)  # back at brownout-1: streak resets
-        ladder.observe(1000.0, 1000.0)
-        ladder.observe(1000.0, 1000.0)
+        feed(ladder, 1000.0, CLEAR_ROUNDS - 1)
         assert ladder.severity == "brownout-1"
         assert ladder.observe(1000.0, 1000.0) == "normal"
 
     def test_oscillating_feed_does_not_flap(self):
         """Alternating good/bad rounds never complete either streak."""
-        ladder = ShedLadder(escalate_rounds=2, clear_rounds=2)
+        assert min(ESCALATE_ROUNDS, CLEAR_ROUNDS) > 1
+        ladder = ShedLadder()
         for i in range(40):
             ladder.observe(700.0 if i % 2 else 1000.0, 1000.0)
         assert ladder.severity == "normal"
@@ -125,10 +132,10 @@ class TestShedLadder:
         import repro.facility.shed as shed_mod
 
         monkeypatch.setattr(shed_mod, "TRANSITION_LOG_LIMIT", 4)
-        ladder = ShedLadder(escalate_rounds=1, clear_rounds=1)
+        ladder = ShedLadder()
         for _ in range(10):
-            ladder.observe(800.0, 1000.0)  # up to brownout-1
-            ladder.observe(1000.0, 1000.0)  # back down
+            feed(ladder, 800.0, ESCALATE_ROUNDS)  # up to brownout-1
+            feed(ladder, 1000.0, CLEAR_ROUNDS)  # back down
         assert len(ladder.transitions) == 4
         assert ladder.transitions_dropped == 20 - 4
 
@@ -136,14 +143,16 @@ class TestShedLadder:
 class TestShedController:
     def make(self, **kwargs):
         return ShedController(
-            ladder=ShedLadder(escalate_rounds=1, clear_rounds=1),
+            ladder=ShedLadder(),
             classes={"cg": "preemptible", "ft": "protected"},
             **kwargs,
         )
 
+    def observe(self, ctl, supply, rounds):
+        for _ in range(rounds):
+            ctl.observe(supply)
+
     def test_validation(self):
-        with pytest.raises(ValueError, match="default_class"):
-            self.make(default_class="vip")
         with pytest.raises(ValueError, match="shed class"):
             ShedController(ladder=ShedLadder(), classes={"cg": "soft"})
 
@@ -151,13 +160,13 @@ class TestShedController:
         ctl = self.make()
         assert ctl.class_of("cg") == "preemptible"
         assert ctl.class_of("ft") == "protected"
-        assert ctl.class_of("bt") == "checkpointable"
+        assert ctl.class_of("bt") == DEFAULT_CLASS == "checkpointable"
 
     def test_action_follows_severity(self):
         ctl = self.make()
         assert ctl.action_for("cg") == "none"
         ctl.observe(600.0)  # learn high water
-        ctl.observe(100.0)  # 0.83 deficit -> blackstart (escalate_rounds=1)
+        self.observe(ctl, 100.0, ESCALATE_ROUNDS)  # 0.83 deficit -> blackstart
         assert ctl.severity == "blackstart"
         assert ctl.action_for("cg") == "kill"
         assert ctl.action_for("ft") == "cap-to-floor"
@@ -174,20 +183,18 @@ class TestShedController:
     def test_restore_clears_episode_and_counts(self):
         ctl = self.make()
         ctl.observe(1000.0)
-        ctl.observe(100.0)
+        self.observe(ctl, 100.0, ESCALATE_ROUNDS)
         ctl.request_shed("j1", "preempt")
         assert ctl.active
-        for _ in range(6):
-            ctl.observe(1000.0)
+        self.observe(ctl, 1000.0, 3 * CLEAR_ROUNDS)  # one level per window
         assert not ctl.active
         assert ctl.restores == 1
         assert ctl.request_shed("j1", "preempt")  # next episode may re-shed
 
     def test_fixed_nominal_overrides_high_water(self):
-        ctl = ShedController(
-            ladder=ShedLadder(escalate_rounds=1), nominal_watts=2000.0
-        )
-        ctl.observe(1000.0)  # 0.5 deficit against the fixed nominal
+        ctl = ShedController(ladder=ShedLadder(), nominal_watts=2000.0)
+        # 0.5 deficit against the fixed nominal.
+        self.observe(ctl, 1000.0, ESCALATE_ROUNDS)
         assert ctl.severity == "blackstart"
 
     def test_observe_returns_ramped_ceiling(self):
@@ -202,16 +209,15 @@ class TestConfigValidation:
         AnorConfig(shed_enabled=True)
 
     def test_bad_threshold_order(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ShedLadder(brownout1_deficit=0.4, brownout2_deficit=0.3)
+        """brownout-1 < brownout-2 < blackstart."""
+        assert DEFICITS["brownout-1"] < DEFICITS["brownout-2"] < DEFICITS["blackstart"]
 
     def test_threshold_range(self):
-        with pytest.raises(ValueError, match="blackstart_deficit"):
-            ShedLadder(blackstart_deficit=1.0)
+        assert set(DEFICITS) == set(SEVERITY_LEVELS[1:])
+        assert all(0.0 < d < 1.0 for d in DEFICITS.values())
 
     def test_bad_default_class(self):
-        with pytest.raises(ValueError, match="default_class"):
-            ShedController(ladder=ShedLadder(), default_class="vip")
+        assert DEFAULT_CLASS in SHED_CLASSES
 
     def test_bad_class_map(self):
         with pytest.raises(ValueError, match="shed_classes"):

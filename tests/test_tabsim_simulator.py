@@ -10,7 +10,6 @@ from repro.aqa.queues import QueuedJob, QueueSet, WorkQueue
 from repro.aqa.regulation import BoundedRandomWalkSignal, TabulatedSignal
 from repro.aqa.scheduler import WeightedScheduler
 from repro.experiments.fig11 import DEFAULT_AVERAGE_POWER, DEFAULT_RESERVE
-from repro.tabsim.output import StateLogger
 from repro.tabsim.simulator import (
     SimConfig,
     TabularClusterSimulator,
@@ -317,7 +316,7 @@ class TestVariationHelpers:
 
 def poisson_sim(
     *, seed=0, nodes=60, node_scale=1, duration=240.0, hold=4.0,
-    watts_per_node=180.0, state_logger=None, telemetry=NULL_TELEMETRY,
+    watts_per_node=180.0, telemetry=NULL_TELEMETRY,
     **cfg_kwargs,
 ):
     """A busy cluster under a random-walk target: the Fig. 11 recipe, with
@@ -337,10 +336,7 @@ def poisson_sim(
     )
     cfg.update(cfg_kwargs)
     config = SimConfig(**cfg)
-    return TabularClusterSimulator(
-        types, schedule, signal, config,
-        state_logger=state_logger, telemetry=telemetry,
-    )
+    return TabularClusterSimulator(types, schedule, signal, config, telemetry=telemetry)
 
 
 def run_by_steps(sim, duration, *, drain):
@@ -510,13 +506,6 @@ class TestWindows:
         sim = make_sim()  # one 50 s job, FLAT target
         rows = sim.run(10.0, drain=True, max_time=500.0).power_trace.shape[0]
         assert rows / _MAX_WINDOW <= sim.windows < rows / 2
-
-    def test_state_logger_sees_every_step(self, tmp_path):
-        with StateLogger(tmp_path / "state.jsonl", every=1) as logger:
-            sim = poisson_sim(seed=5, state_logger=logger)
-            rows = sim.run(240.0, drain=True).power_trace.shape[0]
-        assert logger.records_written == rows
-        assert sim.windows == rows
 
     def test_telemetry_counts_steps_and_changes_nothing(self):
         telemetry = Telemetry()

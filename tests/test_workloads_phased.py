@@ -4,7 +4,7 @@ import pytest
 
 from repro.geopm.signals import ControlNames
 from repro.hwsim.cluster import EmulatedCluster
-from repro.modeling.online import OnlineModeler
+from repro.modeling.online import DRIFT_WINDOW, MIN_SAMPLE_EPOCHS, OnlineModeler
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.workloads.phased import PhaseSpec, PhasedJobType, make_two_phase_type
 
@@ -84,37 +84,39 @@ class TestPhasedExecution:
 
 
 class TestDriftDetection:
-    def make_modeler(self, **kw):
+    def make_modeler(self):
         default = QuadraticPowerModel.from_anchors(2.0, 1.3, 140.0, 280.0)
-        kw.setdefault("min_sample_epochs", 1)
-        kw.setdefault("detect_drift", True)
-        return OnlineModeler(140.0, 280.0, default, **kw)
+        return OnlineModeler(140.0, 280.0, default, detect_drift=True)
 
-    def feed(self, m, *, t0, cap, tau, epochs):
+    def feed(self, m, *, t0, cap, tau, samples, noise=0.0):
+        """``samples`` observations at ``cap``, each ``MIN_SAMPLE_EPOCHS``
+        epochs of ``tau`` seconds (± ``noise``, alternating) — one training
+        sample apiece, except that a modeler's very first epochs only anchor
+        it; returns the end time."""
         t = t0
         count = m._last_epochs
         m.observe(t, count, cap)
-        for k in range(1, epochs + 1):
-            t = t0 + k * tau
-            m.observe(t, count + k, cap)
+        for k in range(1, samples + 1):
+            t += tau * (1.0 + noise * (-1) ** k) * MIN_SAMPLE_EPOCHS
+            m.observe(t, count + k * MIN_SAMPLE_EPOCHS, cap)
         return t
 
     def test_drift_resets_model(self):
-        m = self.make_modeler(drift_window=4, drift_threshold=0.15)
-        # Phase 1: tau = 2.0 at both dither levels.
-        self.feed(m, t0=0.0, cap=160.0, tau=2.4, epochs=12)
-        self.feed(m, t0=100.0, cap=260.0, tau=2.0, epochs=12)
+        m = self.make_modeler()
+        # Phase 1: tau = 2.4 / 2.0 at the two dither levels.
+        t = self.feed(m, t0=0.0, cap=160.0, tau=2.4, samples=3)
+        t = self.feed(m, t0=t, cap=260.0, tau=2.0, samples=3)
         assert m.has_fit
         # Phase 2: everything suddenly 60 % slower at the same caps.
-        self.feed(m, t0=300.0, cap=260.0, tau=3.2, epochs=12)
+        self.feed(m, t0=t, cap=260.0, tau=3.2, samples=2 * DRIFT_WINDOW)
         assert m.drift_resets >= 1
 
     def test_relearns_after_drift(self):
-        m = self.make_modeler(drift_window=3, drift_threshold=0.15)
-        self.feed(m, t0=0.0, cap=160.0, tau=2.4, epochs=10)
-        self.feed(m, t0=100.0, cap=260.0, tau=2.0, epochs=10)
-        self.feed(m, t0=300.0, cap=260.0, tau=3.2, epochs=16)
-        self.feed(m, t0=600.0, cap=160.0, tau=3.8, epochs=16)
+        m = self.make_modeler()
+        t = self.feed(m, t0=0.0, cap=160.0, tau=2.4, samples=3)
+        t = self.feed(m, t0=t, cap=260.0, tau=2.0, samples=3)
+        t = self.feed(m, t0=t, cap=260.0, tau=3.2, samples=3 * DRIFT_WINDOW)
+        self.feed(m, t0=t, cap=160.0, tau=3.8, samples=3 * DRIFT_WINDOW)
         assert m.drift_resets >= 1
         assert m.has_fit
         # The relearned model reflects the new phase's timing.
@@ -122,19 +124,21 @@ class TestDriftDetection:
 
     def test_no_drift_on_stable_signal(self):
         m = self.make_modeler()
-        self.feed(m, t0=0.0, cap=160.0, tau=2.4, epochs=15)
-        self.feed(m, t0=100.0, cap=260.0, tau=2.0, epochs=15)
-        self.feed(m, t0=300.0, cap=200.0, tau=2.2, epochs=15)
+        t = self.feed(m, t0=0.0, cap=160.0, tau=2.4, samples=4)
+        t = self.feed(m, t0=t, cap=260.0, tau=2.0, samples=4)
+        self.feed(m, t0=t, cap=200.0, tau=2.2, samples=4)
         assert m.drift_resets == 0
 
     def test_noise_spike_does_not_reset(self):
-        """One bad sample must not throw away a good model."""
-        m = self.make_modeler(drift_window=4)
-        self.feed(m, t0=0.0, cap=160.0, tau=2.4, epochs=12)
-        self.feed(m, t0=100.0, cap=260.0, tau=2.0, epochs=12)
-        # Single outlier epoch, then back to normal.
-        t = self.feed(m, t0=300.0, cap=260.0, tau=5.0, epochs=1)
-        self.feed(m, t0=t + 1.0, cap=260.0, tau=2.0, epochs=8)
+        """One bad sample must not throw away a good model.  Timings carry
+        1 % measurement noise, so no window of normal samples shares a sign
+        by accident of float rounding."""
+        m = self.make_modeler()
+        t = self.feed(m, t0=0.0, cap=160.0, tau=2.4, samples=3, noise=0.01)
+        t = self.feed(m, t0=t, cap=260.0, tau=2.0, samples=3, noise=0.01)
+        # Single outlier sample, then back to normal.
+        t = self.feed(m, t0=t, cap=260.0, tau=5.0, samples=1)
+        self.feed(m, t0=t, cap=260.0, tau=2.0, samples=2 * DRIFT_WINDOW, noise=0.01)
         assert m.drift_resets == 0
 
     def test_disabled_by_default(self):
