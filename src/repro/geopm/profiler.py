@@ -134,7 +134,7 @@ class EpochBatch:
         #: are ``rows[starts[j]:starts[j + 1]]``, its barrier at ``roots[j]``.
         self.rows, self.starts = rows, starts
         self.roots = rows[starts]
-        self._stamps = [p._epoch_times for p in profilers]
+        self._profilers = profilers
 
     def preview(self, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(done, floor)`` for ``after``, the ranks' counts at the end of
@@ -167,6 +167,6 @@ class EpochBatch:
         if gained.size and gained.max() > 1:  # several epochs inside one tick
             gained = gained.astype(np.intp)
             at, job = at.repeat(gained), job.repeat(gained)
-        stamps, stamp = self._stamps, ticks.tolist()
+        profilers, stamp = self._profilers, ticks.tolist()
         for j, k in zip(job.tolist(), at.tolist()):
-            stamps[j].append(stamp[k])
+            profilers[j]._epoch_times.append(stamp[k])

@@ -7,7 +7,6 @@ band Fig. 9's demand-response targets move within.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -19,10 +18,10 @@ from repro.geopm.report import ApplicationTotals
 from repro.hwsim.job import (
     CLASS_SHIFT,
     FREE,
-    QUIET,
     RANK_BITS,
     SCALAR,
-    JobPhase,
+    SETUP,
+    TEARDOWN,
     RunningJob,
 )
 from repro.hwsim.node import Node
@@ -32,10 +31,13 @@ from repro.workloads.nas import IDLE_NODE_POWER, JobType
 
 __all__ = ["EmulatedCluster"]
 
-# Where the quiet, the free and the scalar classes begin among sorted seats.
-_CLASS_FLOORS = np.array([QUIET, FREE, SCALAR], dtype=np.int64) << CLASS_SHIFT
+# Where the setup, teardown, free and scalar classes begin among sorted seats.
+_CLASS_FLOORS = np.array([SETUP, TEARDOWN, FREE, SCALAR], dtype=np.int64) << CLASS_SHIFT
 _RANK_MASK = (1 << RANK_BITS) - 1
 _ORDER_MASK = (1 << CLASS_SHIFT) - 1  # start number and rank
+
+# A generator and the columns ``lo:hi`` it fills, per stream.
+Streams = list[tuple[np.random.Generator, int, int]]
 
 
 @dataclass(slots=True)
@@ -45,23 +47,29 @@ class _Layout:
     Membership is which jobs run, on which nodes, in which phase, and which
     nodes are down; ``stamp`` is the cluster's record of it, and the layout
     is rebuilt at the first window that finds another.  Columns of a window's
-    arrays are ``rows``: the ranks of the compute jobs (``epochs.rows``), then
-    those of the setup/teardown jobs, then the idle nodes.
+    arrays are ``rows``: the ranks of the compute jobs, of the setup jobs
+    (together the *active* ranks, ``active.rows``: the jobs that may compute
+    in a window), of the teardown jobs, then the idle nodes.
     """
 
     stamp: tuple[bytes, bytes]
     scalar: list[RunningJob]  # jobs only the scalar reference can step
-    jobs: list[RunningJob]  # the rest: ``epochs.starts.size`` compute jobs, then the quiet
-    epochs: EpochBatch  # the compute jobs' profilers
+    jobs: list[RunningJob]  # the rest: compute, setup, then teardown jobs
+    split: tuple[int, int, int]  # compute ranks; compute jobs, and with setup jobs
+    bounds: list[int]  # each of ``jobs``' first column, then the end of the last
+    computing: EpochBatch  # the compute jobs' profilers
+    active: EpochBatch  # the compute and the setup jobs' profilers
     rows: np.ndarray
-    consts: np.ndarray  # (9, compute ranks) of the cluster's ``_rank``
+    consts: np.ndarray  # (9, active ranks) of the cluster's ``_rank``
     idle: np.ndarray  # idle watts per column
     roots: np.ndarray  # each of ``jobs``' first row: its ledger entry
-    job_epochs: np.ndarray  # per compute job
-    expiry: np.ndarray  # per quiet job: the phase timer it is running
+    computes: np.ndarray  # (1, columns): a compute rank
+    job_epochs: np.ndarray  # per active job
+    teardown: np.ndarray  # per compute job: the teardown timer its turn starts
+    expiry: np.ndarray  # per quiet job (setup, then teardown): the phase timer it is running
     wider: list[tuple[np.ndarray, np.ndarray]]  # entry p-1: (jobs wider than p, their p-th column)
-    compute_streams: tuple[list[np.random.Generator], list[int]]  # with column bounds
-    quiet_streams: tuple[list[np.random.Generator], list[int]]  # quiet jobs', then idle nodes'
+    paired: Streams  # compute jobs': [jitter, RAPL] per rank and tick
+    quiet: Streams  # setup jobs', teardown jobs', idle nodes': one RAPL draw
 
 
 class EmulatedCluster:
@@ -106,9 +114,10 @@ class EmulatedCluster:
         self._started = 0  # jobs ever started
         self._tenant: list[RunningJob | None] = [None] * num_nodes  # at its first row
         # Rank constants, one row each: truth curve a, b, c; p_min; p_demand;
-        # jitter σ; run multiplier; epochs; node perf multiplier; and the
-        # node's idle watts.  Read when the layout is built.
-        self._rank = np.zeros((10, num_nodes))
+        # jitter σ; run multiplier; epochs; node perf multiplier; the node's
+        # idle watts; the job's setup and teardown seconds.  Read when the
+        # layout is built.
+        self._rank = np.zeros((12, num_nodes))
         self.idle_watts = self._rank[9]
         self.idle_watts[:] = IDLE_NODE_POWER
         self.progress = np.zeros(num_nodes)  # fractional epochs done per rank
@@ -217,6 +226,7 @@ class EmulatedCluster:
             [job_type.noise], [job._run_multiplier], [job_type.epochs],
         ]
         self._rank[8, job.rows] = [node.perf_multiplier for node in nodes]
+        self._rank[10:, job.rows] = [[job_type.setup_time], [job_type.teardown_time]]
         self._started += 1
         self._tenant[job.root] = job
         self.running[job_id] = job
@@ -233,8 +243,11 @@ class EmulatedCluster:
         job.detach()  # its rows may be re-let while its ledger is still read
 
     def _retire_done(self, jobs) -> None:
-        """Release every finished job among ``jobs`` and book its totals."""
-        for job in [j for j in jobs if j.is_done]:
+        """Release every finished job among ``jobs`` and book its totals, in
+        start order, as per-tick stepping books them."""
+        done = [j for j in jobs if j.is_done]
+        done.sort(key=lambda job: job._order[0])  # the start number, above the rank
+        for job in done:
             self._release(job)
             self.completed.append(job.totals())
 
@@ -349,21 +362,23 @@ class EmulatedCluster:
             seat = np.where(struck | self._down, seat | (SCALAR << CLASS_SHIFT), seat)
         order = np.argsort(seat)
         seat = seat[order]
-        nc, nq, nf = np.searchsorted(seat, _CLASS_FLOORS).tolist()
-        rows = order[:nf]  # compute ranks, quiet ranks, idle nodes
+        nc, ns, nq, nf = np.searchsorted(seat, _CLASS_FLOORS).tolist()
+        rows = order[:nf]  # compute, setup and teardown ranks, idle nodes
         rank = seat[:nq] & _RANK_MASK
         firsts = np.flatnonzero(rank == 0)  # where each job's columns begin
-        bounds = firsts.tolist()
-        ncj = bisect_left(bounds, nc)
-        starts = firsts[:ncj]
+        bounds = firsts.tolist() + [nq]
+        ncj, nsj = bisect_left(bounds, nc), bisect_left(bounds, ns)
+        starts = firsts[:nsj]
         roots = rows[firsts]
         tenant = self._tenant
         jobs = [tenant[r] for r in roots.tolist()]
-        compute, quiet = jobs[:ncj], jobs[ncj:]
+        profilers = [job.profiler for job in jobs[:nsj]]
+        columns = (self._counts, self._barrier)
         table = self._rank[:, rows]
+        timers = table[10:, firsts]  # each job's setup and teardown seconds
+        rank = rank[:ns]
         wider = []
-        if nc > ncj:  # some job is wider than one node
-            rank = rank[:nc]
+        if ns > nsj:  # some active job is wider than one node
             for p in range(1, int(rank.max()) + 1):
                 column = np.flatnonzero(rank == p)
                 wider.append((np.searchsorted(starts, column - p), column))
@@ -371,33 +386,24 @@ class EmulatedCluster:
             stamp=stamp,
             scalar=[tenant[r] for r in order[nf:].tolist() if tenant[r] is not None],
             jobs=jobs,
-            epochs=EpochBatch(
-                self._counts, self._barrier, rows[:nc], starts, [job.profiler for job in compute]
-            ),
+            split=(nc, ncj, nsj),
+            bounds=bounds,
+            computing=EpochBatch(*columns, rows[:nc], starts[:ncj], profilers[:ncj]),
+            active=EpochBatch(*columns, rows[:ns], starts, profilers),
             rows=rows,
-            consts=table[:9, :nc],
+            consts=table[:9, :ns],
             idle=table[9],
             roots=roots,
+            computes=np.arange(nf)[None] < nc,
             job_epochs=table[7, starts],
-            expiry=np.array(
-                [
-                    job.job_type.setup_time
-                    if job.phase is JobPhase.SETUP
-                    else job.job_type.teardown_time
-                    for job in quiet
-                ]
-            ),
+            teardown=timers[1, :ncj],
+            expiry=np.concatenate((timers[0, ncj:nsj], timers[1, nsj:])),
             wider=wider,
             # [jitter, RAPL] per compute rank per tick; one RAPL draw per
             # quiet rank from the job's stream, one per idle node from its own.
-            compute_streams=(
-                [job.rng for job in compute],
-                [2 * lo for lo in bounds[:ncj]] + [2 * nc],
-            ),
-            quiet_streams=(
-                [job.rng for job in quiet] + [self._node_rngs[i] for i in rows[nq:].tolist()],
-                [lo - nc for lo in bounds[ncj:]] + list(range(nq - nc, nf - nc + 1)),
-            ),
+            paired=[(job.rng, 2 * lo, 2 * hi) for job, lo, hi in zip(jobs, bounds, bounds[1 : ncj + 1])],
+            quiet=[(job.rng, lo, hi) for job, lo, hi in zip(jobs[ncj:], bounds[ncj:], bounds[ncj + 1 :])]
+            + [(self._node_rngs[i], c, c + 1) for c, i in enumerate(rows[nq:].tolist(), nq)],
         )
 
     def advance_stride(self, times: np.ndarray, dt: float) -> tuple[int, np.ndarray]:
@@ -405,13 +411,14 @@ class EmulatedCluster:
 
         Returns ``(M, totals)``: the number of ticks actually executed and
         the per-tick cluster power, bit-identical to ``M`` successive
-        :meth:`advance` calls at those instants.  The window never runs past
-        a tick on which some job changes phase — it truncates at the earliest
-        one so completions release nodes (and the scheduler sees them) on the
-        very next tick, as under per-tick stepping.  It may also stop short
-        of ``len(times)`` without one: it is sized to the nearest foreseeable
-        completion, which jitter can delay, and a job that needs the scalar
-        reference holds it to one tick.
+        :meth:`advance` calls at those instants.  Jobs turn setup→compute
+        and compute→teardown inside the window, but it never runs past a
+        release (a teardown timer expiring) — freed nodes reach the scheduler
+        on the very next tick, as under per-tick stepping — nor past a job's
+        second turn.  It may also stop short of ``len(times)`` without
+        either: it is sized to the nearest foreseeable release, which jitter
+        can delay, and a job that needs the scalar reference holds it to one
+        tick.
 
         Callers must not change any per-tick input (caps, node allocation,
         fault state) between the instants covered; the framework guarantees
@@ -437,72 +444,147 @@ class EmulatedCluster:
         take.  Per-job state is columns too, so Python runs per stream (its
         draw) and per job that changes phase, and for nothing else.
 
-        The window ends at the first tick on which any job changes phase.
-        Setup/teardown timers are deterministic and bound it up front; an
-        epoch completion is read off the drawn trajectory, and when it comes
-        before the last tick the compute streams are rewound to their
-        snapshots and only the retained prefix is redrawn (same stream, so
-        value-identical).  Each job therefore stays in one phase per window,
-        and nothing — no stream, no progress — moves before the inputs have
-        been validated.
+        A per-tick compute/quiet mask places each job by what it does in the
+        window: an active job computes from its first compute tick (a compute
+        job's first, a setup job's after its timer expires, its ``wake``) up
+        to its compute turn, and is quiet on the others: one RAPL draw per
+        rank, idle demand, no progress.  Timers are deterministic and read
+        before anything is drawn: a teardown expiry (a release) bounds the
+        window, a setup expiry sets ``wake``, and only a window in which some
+        setup job wakes takes the setup ranks into the compute pass (the
+        layout's ``active`` batch, not ``computing``).  An epoch completion
+        is read off the drawn trajectory; before the last tick it rewinds
+        only that job's stream, redrawn as compute blocks up to the turn and
+        quiet blocks after (same stream, so the values it keeps are
+        identical).  The release that turn starts, or a setup job's second
+        turn, ends the window there, and every stream drawn so far is rewound
+        and redrawn to that length.  Nothing — no stream, no progress — moves
+        before the inputs have been validated.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         lay = self._membership()
-        epochs_of, rows = lay.epochs, lay.rows
-        ranks, starts = epochs_of.rows, epochs_of.starts
-        nc, ncj = ranks.size, starts.size  # compute ranks are rows[:nc]
+        rows, jobs, bounds = lay.rows, lay.jobs, lay.bounds
+        nc, ncj, nsj = lay.split
         span = 1 if lay.scalar else times.size
-        book = self._ledger[:, lay.roots]  # the jobs' ledger entries, compute jobs first
-        if span > 1 and lay.expiry.size:
-            # A timer's expiry is phase_elapsed's own chain of adds, run ahead.
-            ahead = _fold(book[0, ncj:], np.full((span - 1, 1), dt))[1:]
-            expired = (ahead >= lay.expiry).any(axis=1)
-            if expired.any():
-                span = int(expired.argmax()) + 1
+        book = self._ledger[:, lay.roots]  # the jobs' ledger entries, in ``jobs`` order
+        wake = []  # per setup job, when one computes inside the window: its first compute tick
+        after = ends = stop = None  # per compute job; per computing job, twice
+        if span > 1:
+            # phase_elapsed's chain of adds run ahead: from the 0.0 a turn
+            # sets (``restart``) and from each quiet job's entry (``ahead``).
+            chains = _fold(np.concatenate(([0.0], book[0, ncj:])), np.full((span, 1), dt))
+            restart, ahead = chains[:, 0], chains[:, 1:]
+            timer = (ahead[1:] < lay.expiry).sum(axis=0) + 1  # the tick it expires
+            span = min(span, int(timer[nsj - ncj :].min(initial=span)))  # a release
+            if timer[: nsj - ncj].min(initial=span) < span:
+                wake = timer[: nsj - ncj]
+        # The jobs that may compute in the window: the compute jobs, and the
+        # setup jobs when one of them wakes inside it.
+        epochs_of = lay.active if len(wake) else lay.computing
+        ranks, starts = epochs_of.rows, epochs_of.starts
+        na = ranks.size
         cap = self.caps()[rows]
         idle = lay.idle
-        demand = idle.copy()  # quiet ranks and idle nodes ask for idle power
-        demand[:nc], base, sigma, perf, epochs = self.rank_model(lay.consts, cap[:nc])
+        demand, base, sigma, perf, epochs = self.rank_model(lay.consts[:, :na], cap[:na])
+        job_epochs = lay.job_epochs[: starts.size]
+        if span > 1 and starts.size:
+            # A compute job computes from the window's first tick, a setup job
+            # from the one after its timer expires (``wake``); a compute job's
+            # turn comes ``after`` ticks before its release.  Draws past the
+            # window's end are thrown away and every stream rewound, so ask
+            # for no more than the nearest foreseeable end: each job's slowest
+            # rank at its jitter-free rate, from its setup timer on, to its
+            # release (a setup job: its compute turn).  The rewind covers what
+            # jitter brings forward; what it delays just ends this window a
+            # tick early.
+            left = (epochs - self.progress[ranks]) * base / (perf * dt)
+            end = np.ceil(np.maximum.reduceat(left, starts))
+            after = np.maximum(np.searchsorted(restart, lay.teardown), 1)
+            end[:ncj] += after
+            end[ncj:] += wake
+            span = min(span, max(1, int(end.min())))
+            wake = np.minimum(wake, span).tolist()
+        early = [ncj + i for i, w in enumerate(wake) if w < span]  # setup jobs that wake
+        # On which ticks each column computes: the compute ranks throughout,
+        # a waking setup job's from its ``wake``, until a job turns inside
+        # the window.  What each asks for then: its demand; quiet ranks and
+        # idle nodes ask for idle power.
+        live = lay.computes.repeat(span, axis=0)
+        for j in early:
+            live[wake[j - ncj] :, bounds[j] : bounds[j + 1]] = True
+        pull = np.where(live, np.concatenate((demand, idle[na:])), idle)
+        tick = np.where(live, dt, 0.0)  # the seconds each column computes per tick
         # RAPL noise scales the demand by 1+ε > 0, so a draw is negative
         # exactly when both the demand and the idle floor under it are.
-        if np.maximum(demand, idle).min(initial=0.0) < 0:
+        if np.maximum(pull, idle).min(initial=0.0) < 0:
             raise ValueError("cannot consume negative energy: a node would draw < 0 W")
         for job in lay.scalar:
             job.advance(dt, float(times[0]))
-        if span > 1 and ncj:
-            # Draws past a phase change are thrown away and every compute
-            # stream rewound, so ask for no more than the nearest foreseeable
-            # completion: the slowest rank of the job closest to done, at its
-            # jitter-free rate.  The rewind below covers what jitter brings
-            # forward; what it delays just ends this window a tick early.
-            left = (epochs - self.progress[ranks]) * base / (perf * dt)
-            span = min(span, max(1, math.ceil(np.maximum.reduceat(left, starts).min())))
-        streams, bounds = lay.compute_streams
-        snapshots = [rng.bit_generator.state for rng in streams] if span > 1 else []
-        z = _draw(streams, bounds, span)
-        jitter = np.exp(z[:, 0::2] * sigma)
-        grown = _fold(self.progress[ranks], perf / (base * jitter) * dt)
+        # First what decides the window's length: the compute streams, and
+        # the setup jobs that start computing inside it, each snapshotted:
+        # [jitter, RAPL] per compute rank and tick, and a waking job's RAPL
+        # draws then [jitter, RAPL] (its jitter is 0 on its quiet ticks).
+        snapshots = [rng.bit_generator.state for rng, _, _ in lay.paired] if span > 1 else []
+        pairs = np.empty((span, 2 * nc))
+        _draw(pairs, lay.paired)
+        zj = pairs[:, 0::2]  # jitter normals of the computing ranks
+        ze = np.empty((span, rows.size))  # RAPL normals of every column
+        ze[:, :nc] = pairs[:, 1::2]
+        if na > nc:
+            zj = np.concatenate((zj, np.zeros((span, na - nc))), axis=1)
+        for j in early:
+            snapshots.append(jobs[j].rng.bit_generator.state)
+            _fill(jobs[j].rng, bounds[j], bounds[j + 1], wake[j - ncj], zj, ze)
+        rate = perf / (base * np.exp(zj * sigma)) * tick[:, :na]  # 0.0 on a quiet tick
+        grown = _fold(self.progress[ranks], rate)
         # A rank's profiler count is its floored progress, capped at epochs;
         # a job's barrier is the least of its ranks' counts.
         done, floor = epochs_of.preview(np.minimum(np.floor(grown[1:]), epochs))
-        if snapshots:
-            # A job completes on the first tick its barrier reaches epochs.
-            finished = floor[1:] == lay.job_epochs
-            first = int(finished.any(axis=1).argmax()) + 1
-            if first < span and finished[first - 1].any():
-                span = first
-                for rng, state, lo, hi in zip(streams, snapshots, bounds, bounds[1:]):
-                    rng.bit_generator.state = state
-                    rng.standard_normal(span * (hi - lo))
-                z, grown = z[:span], grown[: span + 1]
-                done, floor = done[: span + 1], floor[: span + 1]
+        # A job turns compute→teardown on the first tick its barrier reaches
+        # epochs (``ends``).  That job's release, or a setup job's second
+        # turn, is the window's last tick.
+        finished = floor[-1] >= job_epochs
+        if after is not None and finished.any():
+            ends = (floor[1:] < job_epochs).sum(axis=0) + 1
+            stop = ends.copy()
+            stop[:ncj] += after
+            last = min(span, int(stop.min()))
+            turned = (ends[:ncj] < last).nonzero()[0].tolist()
+            if last < span or turned:
+                # Each stream that drew ticks the window will not have, or
+                # compute ticks its job no longer has, goes back to its
+                # snapshot and re-consumes what is kept; a turned job's later
+                # ticks are quiet.
+                movers = list(range(ncj)) + early
+                redraw = range(len(movers)) if last < span else turned
+                span = last
+                ze, tick, pull = ze[:span], tick[:span], pull[:span]
+                grown, done, floor = grown[: span + 1], done[: span + 1], floor[: span + 1]
+                finished = ends <= span
+                wake = [min(w, span) for w in wake]
+                ons = [0] * ncj + wake
+                offs = np.minimum(ends, span).tolist()
+                for i in redraw:
+                    j = movers[i]
+                    rng, lo, hi = jobs[j].rng, bounds[j], bounds[j + 1]
+                    _rewind(rng, snapshots[i], lo, hi, ons[j], offs[j], ze)
+                for j in turned:
+                    k, lo, hi = offs[j], bounds[j], bounds[j + 1]
+                    tick[k:, lo:hi] = 0.0
+                    pull[k:, lo:hi] = idle[lo:hi]
+                    grown[k + 1 :, lo:hi] = grown[k, lo:hi]
+                    done[k + 1 :, lo:hi] = done[k, lo:hi]
+                    floor[k + 1 :, j] = floor[k, j]
         epochs_of.record(done, floor, times)  # a falling count raises here: no cell written yet
         self.progress[ranks] = grown[-1]
+        quiet = lay.quiet
+        if early:  # those drew already
+            quiet = [stream for j, stream in enumerate(quiet, ncj) if j not in early]
+        _draw(ze, quiet)
         # Node.consume for all columns: RAPL noise, cap ceiling, idle floor,
         # energy split evenly over the packages.
-        eps = np.concatenate((z[:, 1::2], _draw(*lay.quiet_streams, span)), axis=1) * 0.01
-        power = np.minimum(cap, np.maximum(demand * (1.0 + eps), idle))
+        power = np.minimum(cap, np.maximum(pull * (1.0 + ze * 0.01), idle))
         joules = power * dt / self.PACKAGES
         self._energy[rows] = _after(self._energy[rows], joules[:, :, None])
         # Cluster power per tick: ordered fold in node order; failed nodes
@@ -514,24 +596,44 @@ class EmulatedCluster:
         totals = series.cumsum(axis=1)[:, -1]
         # Job power per tick: left to right over the job's nodes, one add per
         # position (``np.add.reduceat`` and ``sum`` pair terms up otherwise).
-        drawn = power[:, starts]
+        heads = lay.active.starts  # each active job's first column
+        drawn = power[:, heads]
         for wide, column in lay.wider:
             drawn[:, wide] += power[:, column]
-        # RunningJob.settle's += chains; a quiet job's compute rows get +0.0.
+        # RunningJob.settle's += chains; a quiet tick's compute entries get +0.0.
         steps = np.zeros((span, *book.shape))
         steps[:, 0] = dt
-        steps[:, 1, :ncj] = drawn * dt
-        steps[:, 2, :ncj] = dt
+        steps[:, 2, :nsj] = tick[:, heads]
+        steps[:, 1, :nsj] = drawn * steps[:, 2, :nsj]
         book = _after(book, steps)
         self._ledger[:, lay.roots] = book
-        turned = np.concatenate((floor[-1] >= lay.job_epochs, book[0, ncj:] >= lay.expiry))
-        turning = [lay.jobs[j] for j in turned.nonzero()[0].tolist()]
+        # Each turn at its own tick, phase_elapsed as it stood there (the
+        # ledger's own value on the last tick); a turn restarts the chain,
+        # and a job turns twice only on the last tick.
         ticks = times[:span].tolist()
-        for job in turning:
-            job.turn_phase(ticks[-1])
-        # Completions are booked in start order, which ``turning`` keeps
-        # unless scalar-path jobs finish beside it.
-        self._retire_done(self.running.values() if lay.scalar else turning)
+        turns = np.concatenate((finished[:ncj], book[0, ncj:] >= lay.expiry))
+        turning = turns.nonzero()[0].tolist()
+        firsts = seconds = ()
+        if turning and after is not None:
+            # A compute job turns at its last epoch and again at its release,
+            # a setup job at its timer and again at its last epoch; past
+            # these lists (a teardown job, any job in a one-tick window) the
+            # one turn is on the last tick.
+            firsts = (ends[:ncj].tolist() if ends is not None else [span] * ncj) + wake
+            seconds = stop.tolist() if stop is not None else ()
+        for j in turning:
+            job = jobs[j]
+            t = firsts[j] if j < len(firsts) else span
+            if j >= ncj and t < span:  # a setup timer: its check reads phase_elapsed
+                job.phase_elapsed = ahead[t, j - ncj]
+            job.turn_phase(ticks[t - 1])
+            if j < len(seconds) and seconds[j] <= span:
+                job.phase_elapsed = restart[seconds[j] - t]
+                t = seconds[j]
+                job.turn_phase(ticks[t - 1])
+            if t < span and not job.is_done:
+                job.phase_elapsed = restart[span - t]
+        self._retire_done(self.running.values() if lay.scalar else [jobs[j] for j in turning])
         self._power_history.extend(zip(ticks, totals.tolist()))
         return span, totals
 
@@ -575,16 +677,41 @@ def _after(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return start + steps[0] if len(steps) == 1 else _fold(start, steps)[-1]
 
 
-def _draw(streams: list[np.random.Generator], bounds: list[int], ticks: int) -> np.ndarray:
-    """``(ticks, bounds[-1])`` standard normals, stream ``i`` filling columns
-    ``bounds[i]:bounds[i + 1]`` tick-major — the order one tick at a time
-    takes them."""
-    z = np.empty((ticks, bounds[-1]))
+def _draw(out: np.ndarray, streams: Streams) -> None:
+    """Fill each stream's columns of ``out`` with standard normals, tick-major
+    — the order one tick at a time takes them."""
+    ticks = len(out)
     if ticks == 1:  # a column block of one row is contiguous: draw in place
-        row = z[0]
-        for rng, lo, hi in zip(streams, bounds, bounds[1:]):
+        row = out[0]
+        for rng, lo, hi in streams:
             rng.standard_normal(out=row[lo:hi])
     else:
-        for rng, lo, hi in zip(streams, bounds, bounds[1:]):
-            z[:, lo:hi] = rng.standard_normal((ticks, hi - lo))
-    return z
+        for rng, lo, hi in streams:
+            out[:, lo:hi] = rng.standard_normal((ticks, hi - lo))
+
+
+def _fill(
+    rng: np.random.Generator, lo: int, hi: int, on: int, jitter: np.ndarray, rapl: np.ndarray
+) -> None:
+    """One job's draws into columns ``lo:hi`` for a window in which it is
+    quiet before tick ``on`` and computes from it: one RAPL normal per rank
+    on each quiet tick, then ``[jitter, RAPL]`` per rank on each compute tick."""
+    width = hi - lo
+    rapl[:on, lo:hi] = rng.standard_normal((on, width))
+    pair = rng.standard_normal((len(rapl) - on, 2 * width))
+    jitter[on:, lo:hi], rapl[on:, lo:hi] = pair[:, 0::2], pair[:, 1::2]
+
+
+def _rewind(
+    rng: np.random.Generator, state: dict, lo: int, hi: int, on: int, off: int,
+    rapl: np.ndarray,
+) -> None:
+    """Put a job's stream back to ``state``, re-consume the draws of its
+    quiet ticks before ``on`` and its compute ticks before ``off`` (their
+    values are in place already), and draw its quiet ticks from ``off`` on
+    into columns ``lo:hi`` of ``rapl``."""
+    width = hi - lo
+    rng.bit_generator.state = state
+    rng.standard_normal(width * (2 * off - on))
+    if off < len(rapl):
+        rapl[off:, lo:hi] = rng.standard_normal((len(rapl) - off, width))

@@ -25,12 +25,15 @@ from repro.workloads.nas import JobType
 __all__ = ["JobPhase", "RunningJob"]
 
 # A node's entry in the cluster's ``seat`` column is a sort key, class first:
-# what the window kernel does with the node — the compute pass, idle draw from
-# the job's stream (setup, teardown), idle draw from its own (no job), or
-# leave it to the job's scalar reference.  Below the class a busy node carries
-# its job's start number and its rank there; sorted, the column is the
-# kernel's columns: job after job in start order, each job's ranks in order.
-COMPUTING, QUIET, FREE, SCALAR = range(4)
+# what the window kernel does with the node — the compute pass, idle draws
+# from the job's stream until its setup timer expires and compute after,
+# idle draws from the job's stream (teardown), idle draw from its own (no
+# job), or leave it to the job's scalar reference.  Below the class a busy
+# node carries its job's start number and its rank there; sorted, the column
+# is the kernel's columns: job after job in start order, each job's ranks in
+# order, and the jobs that may compute in a window (the first two classes)
+# side by side.
+COMPUTING, SETUP, TEARDOWN, FREE, SCALAR = range(5)
 CLASS_SHIFT, RANK_BITS = 56, 16
 
 
@@ -43,9 +46,9 @@ class JobPhase(enum.Enum):
 
 
 _CLASS = {
-    JobPhase.SETUP: QUIET,
+    JobPhase.SETUP: SETUP,
     JobPhase.COMPUTE: COMPUTING,
-    JobPhase.TEARDOWN: QUIET,
+    JobPhase.TEARDOWN: TEARDOWN,
     JobPhase.DONE: FREE,
     JobPhase.KILLED: FREE,
 }
@@ -186,8 +189,10 @@ class RunningJob:
 
         ``power`` is the job's realised draw over a compute tick (the
         left-to-right sum over its nodes), None in any other phase.  The
-        kernel folds the same ``+=`` chains for a whole window and ends it at
-        the first tick that can change a phase, so it too turns phases once.
+        kernel folds the same ``+=`` chains for a whole window, the compute
+        ones masked to the ticks the job computed, and calls
+        :meth:`turn_phase` with each turn's own tick: ``phase_elapsed`` at
+        that tick before the call, its chain restarted from 0.0 after it.
         """
         if self.phase is JobPhase.DONE:
             return

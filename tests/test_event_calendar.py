@@ -7,6 +7,8 @@ own comparison, and the batched cluster stride reproducing per-tick physics
 observable for observable.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,13 +153,30 @@ class TestStrideParity:
         assert _observables(ticked) == _observables(strided)
 
     def test_stride_truncates_at_phase_transitions(self):
-        # Setup lasts 5 s: a 20-tick request must stop on the transition
-        # tick so the next stride starts in the new phase.
+        # Setup lasts 5 s: a 20-tick request runs every job through its
+        # setup→compute turn on tick 5 — only a release, or a job's second
+        # turn in one window, ends a window before the last tick asked for.
         cluster = _make_cluster(seed=1)
         times = cluster.clock.tick_times(20, 1.0)
         ticks, _ = cluster.advance_stride(times, 1.0)
-        assert ticks == 5
+        assert ticks == 20
         assert all(j.phase.name == "COMPUTE" for j in cluster.running.values())
+        assert {j._compute_started for j in cluster.running.values()} == {5.0}
+        cluster.clock.advance_to(float(times[-1]))
+        # A one-epoch job on the idle node turns twice in its first window:
+        # that window stops on its compute→teardown turn, the next on its
+        # release, the tick the scheduler must see the node free again.
+        brief = cluster.start_job("j-brief", replace(NAS_TYPES["is"], epochs=1, t_uncapped=1.5))
+        times = cluster.clock.tick_times(20, 1.0)
+        ticks, _ = cluster.advance_stride(times, 1.0)
+        assert 7 <= ticks < 20
+        assert brief.phase.name == "TEARDOWN" and brief._compute_finished == times[ticks - 1]
+        cluster.clock.advance_to(float(times[ticks - 1]))
+        times = cluster.clock.tick_times(20, 1.0)
+        ticks, _ = cluster.advance_stride(times, 1.0)
+        assert ticks == 3  # the 3 s teardown
+        assert "j-brief" not in cluster.running
+        assert [t.job_id for t in cluster.completed] == ["j-brief"]
 
 
 class TestFrameworkEquivalence:

@@ -1,12 +1,13 @@
 """Tests for the emulated cluster: allocation, metering, lifecycle."""
 
+import gc
 import sys
 from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geopm.msr import MSR_PKG_ENERGY_STATUS
 from repro.geopm.signals import ControlNames
@@ -210,35 +211,43 @@ class Pair:
         reference ticks as it ran; returns that number.
 
         A window may stop short of ``ticks`` (it is sized to the nearest
-        foreseeable completion) but never runs past a tick that changes any
-        job's phase: that tick, included, is its last.
+        foreseeable release) and runs jobs through setup→compute and
+        compute→teardown turns, but never past a release: the tick a job
+        leaves the cluster, included, is its last.
         """
         times = self.fleet.clock.tick_times(ticks, dt)
         ran, totals = self.fleet.advance_stride(times, dt)
         self.fleet.clock.advance_to(float(times[ran - 1]))
         assert 1 <= ran <= ticks
-        reference, turned = [], []
+        reference, released = [], []
         for _ in range(ran):
-            jobs = list(self.scalar.running.values())
-            phases = [j.phase for j in jobs]
+            running = list(self.scalar.running)
             self.scalar.clock.advance(dt)
             reference.append(scalar_advance(self.scalar, dt))
-            turned.append(phases != [j.phase for j in jobs])
+            released.append(running != list(self.scalar.running))
         assert totals.tolist() == reference
         assert self.fleet.clock.now == self.scalar.clock.now
-        assert not any(turned[:-1])
+        assert not any(released[:-1])
         return ran
 
     def assert_equal(self) -> None:
         assert observables(self.fleet, self.jobs[0]) == observables(self.scalar, self.jobs[1])
 
 
-def short_type(name: str, *, nodes: int, epochs: int, tau: float, **changes):
+def short_type(
+    name: str, *, nodes: int, epochs: int, tau: float, setup_time=2.0, teardown_time=3.0,
+    **changes,
+):
     """A catalog type shrunk to ``epochs`` iterations of ``tau`` s uncapped."""
     return replace(
         NAS_TYPES[name], nodes=nodes, epochs=epochs, t_uncapped=epochs * tau,
-        setup_time=2.0, teardown_time=3.0, **changes,
+        setup_time=setup_time, teardown_time=teardown_time, **changes,
     )
+
+
+# Phase timers: none, shorter than a tick, on a multiple of 0.7 (which the
+# chain of 0.7 adds misses by an ulp), and anything else.
+timers = st.one_of(st.sampled_from([0.0, 0.5, 1.4, 2.1, 3.0]), st.floats(0.0, 6.0))
 
 
 job_specs = st.tuples(
@@ -248,6 +257,8 @@ job_specs = st.tuples(
     st.floats(0.4, 2.5),  # uncapped seconds per epoch
     st.sampled_from([140.0, 150.0, 200.0]),  # the type's p_min
     st.one_of(st.none(), st.floats(100.0, 320.0)),  # cap; None leaves TDP
+    timers,  # setup seconds
+    timers,  # teardown seconds
     st.integers(0, 12),  # start tick
 )
 
@@ -261,7 +272,21 @@ class TestFleetPassEqualsScalarReference:
         slow=st.lists(st.tuples(st.integers(0, 39), st.floats(0.3, 1.5)), max_size=6),
         recap=st.tuples(st.integers(1, 30), st.floats(100.0, 320.0)),
         dt=st.sampled_from([1.0, 0.7]),  # 0.7: ``x * dt`` rounds, so its place matters
-        window=st.integers(1, 12),  # ticks asked of each kernel call
+        window=st.integers(1, 40),  # ticks asked of each kernel call
+    )
+    @example(  # long windows: jobs run through setup→compute and compute→teardown
+        seed=1, run_noise=True,
+        specs=[("cg", 1, 3, 0.9, 140.0, None, 2.0, 3.0, 0),
+               ("bt", 3, 12, 1.3, 150.0, 200.0, 2.0, 3.0, 0),
+               ("mg", 2, 5, 0.6, 140.0, 250.0, 2.0, 3.0, 4)],
+        slow=[], recap=(30, 220.0), dt=1.0, window=40,
+    )
+    @example(  # timers of none, under a tick and on the 0.7 grid, turned inside windows
+        seed=3, run_noise=True,
+        specs=[("cg", 1, 3, 0.9, 140.0, None, 0.0, 0.0, 0),
+               ("lu", 2, 4, 0.8, 140.0, 200.0, 0.5, 2.1, 0),
+               ("mg", 2, 6, 0.6, 150.0, None, 2.1, 1.4, 1)],
+        slow=[], recap=(30, 220.0), dt=0.7, window=40,
     )
     def test_random_mixes_step_to_completion(
         self, seed, run_noise, specs, slow, recap, dt, window
@@ -273,9 +298,12 @@ class TestFleetPassEqualsScalarReference:
         tick = 0
         while tick < 600:
             while pending and pending[0][1][-1] <= tick:
-                k, (name, width, epochs, tau, p_min, cap, _) = pending.pop(0)
+                k, (name, width, epochs, tau, p_min, cap, setup, teardown, _) = pending.pop(0)
                 if len(pair.fleet.idle_nodes()) >= width:
-                    jt = short_type(name, nodes=width, epochs=epochs, tau=tau, p_min=p_min)
+                    jt = short_type(
+                        name, nodes=width, epochs=epochs, tau=tau, p_min=p_min,
+                        setup_time=setup, teardown_time=teardown,
+                    )
                     pair.start(f"j{k}", jt, cap)
             if tick == recap[0]:  # a cluster-wide cap change mid-run
                 pair.both(
@@ -448,6 +476,25 @@ class TestReleasedJobKeepsItsLedger:
         pair.assert_equal()
 
 
+def python_calls(action) -> int:
+    """Python-level calls ``action()`` makes.  The collector is off: a
+    collection inside it could run an earlier test's finalizers."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
 class TestWorkPerWindow:
     """Counted, not timed: Python-level calls in a window do not grow with
     the number of jobs (RNG draws and ``list.extend`` are C calls)."""
@@ -464,17 +511,7 @@ class TestWorkPerWindow:
         assert {p.name for p in phases} == {"COMPUTE"}
         before = [job.profiler.epoch_count for job in cluster.running.values()]
         cluster.clock.advance(1.0)
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
-        sys.setprofile(count)
-        try:
-            cluster.advance(1.0)
-        finally:
-            sys.setprofile(None)
+        calls = python_calls(lambda: cluster.advance(1.0))
         assert phases == [job.phase for job in cluster.running.values()]
         # Not an empty tick: ranks crossed epochs and barriers rose in it.
         assert before != [job.profiler.epoch_count for job in cluster.running.values()]
@@ -482,6 +519,39 @@ class TestWorkPerWindow:
 
     def test_python_calls_do_not_grow_with_jobs(self):
         assert self._python_calls_of_a_steady_tick(8) == self._python_calls_of_a_steady_tick(64)
+
+    @staticmethod
+    def _python_calls_of_a_turning_window(beside: int) -> int:
+        cluster = EmulatedCluster(72, seed=2)
+        # Started first, so their streams do not depend on ``beside``: one
+        # job still in setup when the window opens, one near its last epoch.
+        waking = cluster.start_job("waking", replace(
+            short_type("mg", nodes=1, epochs=400, tau=1.0), setup_time=8.5,
+        ))
+        ending = cluster.start_job("ending", short_type("cg", nodes=1, epochs=6, tau=1.0))
+        for k in range(beside):
+            cluster.start_job(f"j{k}", short_type("lu", nodes=1, epochs=400, tau=1.0))
+        for _ in range(6):
+            cluster.clock.advance(1.0)
+            cluster.advance(1.0)
+        assert (waking.phase.name, ending.phase.name) == ("SETUP", "COMPUTE")
+        times = cluster.clock.tick_times(4, 1.0)
+        ran = 0
+
+        def window():
+            nonlocal ran
+            ran, _ = cluster.advance_stride(times, 1.0)
+
+        calls = python_calls(window)
+        # Both turned inside the window, on ticks before its last.
+        assert ran == 4
+        assert waking._compute_started < times[-1] and ending._compute_finished < times[-1]
+        assert (waking.phase.name, ending.phase.name) == ("COMPUTE", "TEARDOWN")
+        return calls
+
+    def test_a_turning_job_costs_python_and_a_steady_one_none(self):
+        turning = self._python_calls_of_a_turning_window
+        assert turning(8) == turning(64)
 
 
 class TestWindows:
@@ -516,6 +586,58 @@ class TestWindows:
             pair.window(1)
             pair.assert_equal()
         assert [t.job_id for t in pair.fleet.completed] == ["static", "wave"]
+
+    def test_setup_to_compute_inside_a_window(self):
+        pair = Pair(4, seed=17)
+        pair.start("a", short_type("bt", nodes=2, epochs=60, tau=1.2), cap=210.0)
+        assert pair.window(20) == 20  # through the turn at t=2
+        job = pair.jobs[0][0]
+        assert job.phase.name == "COMPUTE" and job._compute_started == 2.0
+        assert job.profiler.epoch_count > 0
+        pair.assert_equal()
+
+    def test_compute_to_teardown_inside_a_window(self):
+        # Run noise and per-tick jitter on: the turned job's stream is
+        # rewound and redrawn quiet after its last epoch, every other stream
+        # keeps its draws — ``assert_equal`` compares the next value of each.
+        pair = Pair(6, seed=23, run_noise=True, perf_variation_std=0.05)
+        pair.start("short", short_type("cg", nodes=2, epochs=4, tau=0.9))
+        pair.start("long", short_type("ft", nodes=2, epochs=80, tau=1.1), cap=190.0)
+        for _ in range(4):
+            pair.tick()
+        assert pair.window(4) == 4  # t=5…8: "short"'s turn inside, its release after
+        short = pair.jobs[0][0]
+        assert short.phase.name == "TEARDOWN"
+        assert 5.0 <= short._compute_finished < 8.0
+        pair.assert_equal()
+        while pair.fleet.running:
+            pair.window(40)
+        pair.assert_equal()
+
+    def test_a_compute_shorter_than_the_window_ends_it_at_the_second_turn(self):
+        pair = Pair(4, seed=29, run_noise=False)
+        pair.start("brief", short_type("is", nodes=1, epochs=2, tau=0.9))
+        pair.start("long", short_type("sp", nodes=2, epochs=90, tau=1.0))
+        ran = pair.window(30)
+        brief = pair.jobs[0][0]
+        assert brief._compute_started == 2.0  # first turn, inside
+        assert brief.phase.name == "TEARDOWN" and brief._compute_finished == float(ran)
+        assert ran < 30
+        pair.assert_equal()
+
+    def test_turns_inside_a_window_at_a_tick_that_rounds(self):
+        # dt = 0.7: the setup timer expires on the third tick (2.1 s), and
+        # phase_elapsed restarts from 0.0 there, a chain that rounds too.
+        pair = Pair(5, seed=31, perf_variation_std=0.05)
+        pair.start("a", short_type("lu", nodes=2, epochs=3, tau=0.8), cap=190.0)
+        pair.start("b", short_type("mg", nodes=2, epochs=40, tau=0.8))
+        assert pair.window(5, dt=0.7) == 5
+        assert {j.phase.name for j in pair.jobs[0]} == {"COMPUTE"}
+        pair.assert_equal()
+        while pair.fleet.running:
+            pair.window(12, dt=0.7)
+            pair.assert_equal()
+        assert len(pair.fleet.completed) == 2
 
     def test_windows_at_a_tick_that_rounds(self):
         # dt = 0.7: every ``x * dt`` and every running sum rounds, so a fold
