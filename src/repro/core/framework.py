@@ -382,6 +382,12 @@ class AnorSystem:
         self.endpoints: dict[str, JobTierEndpoint] = {}
         self._queue: list[_QueuedJob] = []
         self._queue_order: list[PendingJob] | None = None  # see _scheduler_view
+        # The running jobs as the scheduler sees them, in the cluster's order:
+        # a job joins as it launches and leaves when the scheduler next looks
+        # after its release (``_views_seen`` of the cluster's release log).
+        self._running_views: dict[str, RunningView] = {}
+        self._views_seen = 0
+        self._released_seen = 0  # the part of that log whose endpoints are closed
         #: Tick at which the scheduler saw the queue and cluster as they still
         #: are and started nothing (None once either moved).
         self._declined_at: float | None = None
@@ -728,8 +734,13 @@ class AnorSystem:
             self._queue_order = sorted(
                 (q.pending for q in self._queue), key=lambda p: p.submit_time
             )
-        running = [self._launched[job_id].running for job_id in self.cluster.running]
-        return self._queue_order, running, len(self.cluster.idle_nodes()), now
+        cluster = self.cluster
+        for job_id in cluster.released[self._views_seen :]:
+            if job_id not in cluster.running:
+                self._running_views.pop(job_id, None)
+        self._views_seen = len(cluster.released)
+        running = list(self._running_views.values())
+        return self._queue_order, running, cluster.idle_count(), now
 
     def _launch(self, head: _QueuedJob) -> None:
         job = self.cluster.start_job(
@@ -741,6 +752,8 @@ class AnorSystem:
         head.running = RunningView(
             job_id=job.job_id, nodes=len(job.nodes), est_end=job.est_end
         )
+        self._running_views.pop(job.job_id, None)  # a relaunch goes last, as in the cluster
+        self._running_views[job.job_id] = head.running
         attempt = self._attempts.setdefault(head.request.job_id, 1)
         self._journal(
             "job-admit", self.cluster.clock.now, kind="launch",
@@ -1168,9 +1181,15 @@ class AnorSystem:
         self._finish_completed(times[-1])
 
     def _finish_completed(self, now: float) -> None:
-        """Close the endpoints of jobs that left the cluster this tick, so
-        the manager forgets them."""
-        done_ids = [jid for jid in self.endpoints if jid not in self.cluster.running]
+        """Close the endpoints of jobs that left the cluster since the last
+        loop body, so the manager forgets them."""
+        released = self.cluster.released
+        fresh, self._released_seen = released[self._released_seen :], len(released)
+        running = self.cluster.running
+        done_ids = [jid for jid in fresh if jid in self.endpoints and jid not in running]
+        if len(done_ids) > 1:  # closed in the order the endpoints were attached
+            order = {jid: k for k, jid in enumerate(self.endpoints)}
+            done_ids = sorted(set(done_ids), key=order.__getitem__)
         for jid in done_ids:
             self.endpoints[jid].close(now)
             # Flush the goodbye promptly so budgets stop counting this job.

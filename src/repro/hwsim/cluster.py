@@ -26,7 +26,7 @@ from repro.hwsim.job import (
 )
 from repro.hwsim.node import Node
 from repro.util.clock import SimClock
-from repro.util.rng import ensure_rng, spawn_rng
+from repro.util.rng import NormalTape, TapeStream, ensure_rng, spawn_rng
 from repro.workloads.nas import IDLE_NODE_POWER, JobType
 
 __all__ = ["EmulatedCluster"]
@@ -35,9 +35,6 @@ __all__ = ["EmulatedCluster"]
 _CLASS_FLOORS = np.array([SETUP, TEARDOWN, FREE, SCALAR], dtype=np.int64) << CLASS_SHIFT
 _RANK_MASK = (1 << RANK_BITS) - 1
 _ORDER_MASK = (1 << CLASS_SHIFT) - 1  # start number and rank
-
-# A generator and the columns ``lo:hi`` it fills, per stream.
-Streams = list[tuple[np.random.Generator, int, int]]
 
 
 @dataclass(slots=True)
@@ -49,13 +46,16 @@ class _Layout:
     is rebuilt at the first window that finds another.  Columns of a window's
     arrays are ``rows``: the ranks of the compute jobs, of the setup jobs
     (together the *active* ranks, ``active.rows``: the jobs that may compute
-    in a window), of the teardown jobs, then the idle nodes.
+    in a window), of the teardown jobs, then the idle nodes.  A job's
+    columns, or an idle node's one, read one stream, a row of the cluster's
+    tape: on a compute tick ``[jitter, RAPL]`` per rank, on a quiet tick one
+    RAPL draw per rank (``takes`` and ``reads``).
     """
 
     stamp: tuple[bytes, bytes]
     scalar: list[RunningJob]  # jobs only the scalar reference can step
     jobs: list[RunningJob]  # the rest: compute, setup, then teardown jobs
-    split: tuple[int, int, int]  # compute ranks; compute jobs, and with setup jobs
+    split: tuple[int, int]  # compute jobs, and with the setup jobs
     bounds: list[int]  # each of ``jobs``' first column, then the end of the last
     computing: EpochBatch  # the compute jobs' profilers
     active: EpochBatch  # the compute and the setup jobs' profilers
@@ -68,8 +68,11 @@ class _Layout:
     teardown: np.ndarray  # per compute job: the teardown timer its turn starts
     expiry: np.ndarray  # per quiet job (setup, then teardown): the phase timer it is running
     wider: list[tuple[np.ndarray, np.ndarray]]  # entry p-1: (jobs wider than p, their p-th column)
-    paired: Streams  # compute jobs': [jitter, RAPL] per rank and tick
-    quiet: Streams  # setup jobs', teardown jobs', idle nodes': one RAPL draw
+    tape_of: np.ndarray  # per column: its stream's row of the tape
+    tape_rows: np.ndarray  # per stream: its row of the tape
+    stream_cols: np.ndarray  # per stream: its first column
+    takes: np.ndarray  # (2, columns): the stream's draws on a quiet, a compute tick
+    reads: np.ndarray  # (2, columns): the column's RAPL draw among those
 
 
 class EmulatedCluster:
@@ -99,6 +102,9 @@ class EmulatedCluster:
         self.clock = SimClock()
         rng = ensure_rng(seed)
         node_rngs = spawn_rng(rng, num_nodes)
+        # Every noise stream's draws, pre-drawn: a row per node, then a row
+        # per running job at its first node's.
+        self._tape = NormalTape(2 * num_nodes)
         self._job_rng = rng
         self.run_noise = bool(run_noise)
         pk = self.PACKAGES
@@ -111,6 +117,14 @@ class EmulatedCluster:
         # changes phase; a node with no job is FREE, in node order.
         self._free_seat = (FREE << CLASS_SHIFT) + np.arange(num_nodes)
         self._seat = self._free_seat.copy()
+        # How each node's column draws from the tape: its stream's row; the
+        # draws that stream takes on a quiet and on a compute tick (its job's
+        # width, twice that); where the node's RAPL draw sits among them on
+        # each (its rank, twice that plus one).  A node with no job draws
+        # from its own stream.  Read when the layout is built.
+        self._free_draws = np.repeat([[0], [1], [2], [0], [1]], num_nodes, axis=1)
+        self._free_draws[0] = np.arange(num_nodes)
+        self._draws = self._free_draws.copy()
         self._started = 0  # jobs ever started
         self._tenant: list[RunningJob | None] = [None] * num_nodes  # at its first row
         # Rank constants, one row each: truth curve a, b, c; p_min; p_demand;
@@ -151,10 +165,13 @@ class EmulatedCluster:
         banks = [node.banks for node in self.nodes]
         self._limit_lo = np.array([[b.min_power_watts for b in row] for row in banks])
         self._limit_hi = np.array([[b.tdp_watts for b in row] for row in banks])
-        self._node_rngs = node_rngs
+        for i, node_rng in enumerate(node_rngs):
+            self._tape.let(i, node_rng)
+        self._node_streams = [TapeStream(self._tape, i) for i in range(num_nodes)]
         self.running: dict[str, RunningJob] = {}
         self.completed: list[ApplicationTotals] = []
         self.killed: list[tuple[float, str]] = []  # (time, job_id) of kills
+        self.released: list[str] = []  # every job that left, completed or killed, in order
         self._power_history: list[tuple[float, float]] = []
 
     # ------------------------------------------------------------ node pool
@@ -165,6 +182,10 @@ class EmulatedCluster:
     def idle_nodes(self) -> list[Node]:
         """Schedulable nodes in ascending ``node_id`` (the allocation order)."""
         return [self.nodes[i] for i in self._idle_rows().tolist()]
+
+    def idle_count(self) -> int:
+        """``len(idle_nodes())``, without building the list."""
+        return self._idle_rows().size
 
     @property
     def num_nodes(self) -> int:
@@ -204,14 +225,15 @@ class EmulatedCluster:
         if busy:
             raise RuntimeError(f"nodes already allocated: {busy}")
         now = self.clock.now
-        job_rng = spawn_rng(self._job_rng, 1)[0]
+        row = len(self.nodes) + nodes[0].node_id  # the job's stream on the tape
+        self._tape.let(row, spawn_rng(self._job_rng, 1)[0])
         job = RunningJob(
             job_id,
             job_type,
             nodes,
             submit_time=now if submit_time is None else submit_time,
             start_time=now,
-            rng=job_rng,
+            rng=TapeStream(self._tape, row),
             cells=(self.progress, self._counts, self._barrier, self._ledger, self._seat),
             serial=self._started + 1,
             run_noise=self.run_noise,
@@ -227,6 +249,9 @@ class EmulatedCluster:
         ]
         self._rank[8, job.rows] = [node.perf_multiplier for node in nodes]
         self._rank[10:, job.rows] = [[job_type.setup_time], [job_type.teardown_time]]
+        width, rank = len(nodes), np.arange(len(nodes))
+        self._draws[:3, job.rows] = [[row], [width], [2 * width]]
+        self._draws[3:, job.rows] = [rank, 2 * rank + 1]
         self._started += 1
         self._tenant[job.root] = job
         self.running[job_id] = job
@@ -235,12 +260,14 @@ class EmulatedCluster:
     def _release(self, job: RunningJob) -> None:
         """Take ``job`` off the cluster and free its nodes."""
         del self.running[job.job_id]
+        self.released.append(job.job_id)
         for node in job.nodes:
             node.job_id = None
             node.pio.detach_profiler()
         self._seat[job.rows] = self._free_seat[job.rows]
+        self._draws[:, job.rows] = self._free_draws[:, job.rows]
         self._tenant[job.root] = None
-        job.detach()  # its rows may be re-let while its ledger is still read
+        job.detach()  # its rows may be re-let while its ledger and stream are still read
 
     def _retire_done(self, jobs) -> None:
         """Release every finished job among ``jobs`` and book its totals, in
@@ -350,7 +377,7 @@ class EmulatedCluster:
     def _build_layout(self, stamp: tuple[bytes, bytes]) -> _Layout:
         # A handful of array passes whatever the node count (what a numpy
         # call costs is the cost here), then one lookup per job for what only
-        # the job object holds: its stream, its timestamp list.
+        # the job object holds: its timestamp list.
         seat = self._seat
         if b"\x01" in stamp[1]:
             # A crashed node leaves the columns, and the job over it goes to
@@ -376,17 +403,18 @@ class EmulatedCluster:
         columns = (self._counts, self._barrier)
         table = self._rank[:, rows]
         timers = table[10:, firsts]  # each job's setup and teardown seconds
-        rank = rank[:ns]
+        draws = self._draws[:, rows]
+        stream_cols = np.flatnonzero(draws[3] == 0)  # each job's rank 0, each idle node
         wider = []
         if ns > nsj:  # some active job is wider than one node
-            for p in range(1, int(rank.max()) + 1):
-                column = np.flatnonzero(rank == p)
+            for p in range(1, int(rank[:ns].max()) + 1):
+                column = np.flatnonzero(rank[:ns] == p)
                 wider.append((np.searchsorted(starts, column - p), column))
         return _Layout(
             stamp=stamp,
             scalar=[tenant[r] for r in order[nf:].tolist() if tenant[r] is not None],
             jobs=jobs,
-            split=(nc, ncj, nsj),
+            split=(ncj, nsj),
             bounds=bounds,
             computing=EpochBatch(*columns, rows[:nc], starts[:ncj], profilers[:ncj]),
             active=EpochBatch(*columns, rows[:ns], starts, profilers),
@@ -399,11 +427,11 @@ class EmulatedCluster:
             teardown=timers[1, :ncj],
             expiry=np.concatenate((timers[0, ncj:nsj], timers[1, nsj:])),
             wider=wider,
-            # [jitter, RAPL] per compute rank per tick; one RAPL draw per
-            # quiet rank from the job's stream, one per idle node from its own.
-            paired=[(job.rng, 2 * lo, 2 * hi) for job, lo, hi in zip(jobs, bounds, bounds[1 : ncj + 1])],
-            quiet=[(job.rng, lo, hi) for job, lo, hi in zip(jobs[ncj:], bounds[ncj:], bounds[ncj + 1 :])]
-            + [(self._node_rngs[i], c, c + 1) for c, i in enumerate(rows[nq:].tolist(), nq)],
+            tape_of=draws[0],
+            tape_rows=draws[0, stream_cols],
+            stream_cols=stream_cols,
+            takes=draws[1:3],
+            reads=draws[3:],
         )
 
     def advance_stride(self, times: np.ndarray, dt: float) -> tuple[int, np.ndarray]:
@@ -435,14 +463,17 @@ class EmulatedCluster:
         Columns are every rank of every job and every idle node (see
         :class:`_Layout`); the leading axis is time.  Each step is the
         elementwise twin of :meth:`RunningJob.advance` / :meth:`Node.consume`
-        (same IEEE ops, same order), every RNG stream is drawn exactly as the
-        scalar path draws it, tick after tick (``standard_normal``·σ ≡
+        (same IEEE ops, same order), every RNG stream is read exactly as the
+        scalar path reads it, tick after tick (``standard_normal``·σ ≡
         ``normal(0, σ)``), and every sequential accumulation is an ordered
         fold along its axis (:func:`_fold`), so ``T`` ticks here are
         bit-identical to ``T`` scalar reference ticks — which jobs the arrays
         cannot describe (power-wave and phased types, a crashed node) still
-        take.  Per-job state is columns too, so Python runs per stream (its
-        draw) and per job that changes phase, and for nothing else.
+        take.  Every stream is a row of the cluster's tape
+        (:class:`~repro.util.rng.NormalTape`), so a window's draws are one
+        gather at positions the layout and the mask decide, and per-job state
+        is columns too: Python runs per tape row refilled and per job that
+        changes phase, and for nothing else.
 
         A per-tick compute/quiet mask places each job by what it does in the
         window: an active job computes from its first compute tick (a compute
@@ -453,19 +484,20 @@ class EmulatedCluster:
         window, a setup expiry sets ``wake``, and only a window in which some
         setup job wakes takes the setup ranks into the compute pass (the
         layout's ``active`` batch, not ``computing``).  An epoch completion
-        is read off the drawn trajectory; before the last tick it rewinds
-        only that job's stream, redrawn as compute blocks up to the turn and
-        quiet blocks after (same stream, so the values it keeps are
-        identical).  The release that turn starts, or a setup job's second
-        turn, ends the window there, and every stream drawn so far is rewound
-        and redrawn to that length.  Nothing — no stream, no progress — moves
-        before the inputs have been validated.
+        is read off the trajectory; before the last tick it makes that job's
+        later ticks quiet, so its stream reads one draw a rank there instead
+        of two (the values before the turn are where they were).  The release
+        that turn starts, or a setup job's second turn, ends the window
+        there.  Each stream's cursor then moves past exactly the draws the
+        window kept: what it read beyond them is that stream's next.
+        Nothing — no cursor, no progress — moves before the inputs have been
+        validated.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         lay = self._membership()
         rows, jobs, bounds = lay.rows, lay.jobs, lay.bounds
-        nc, ncj, nsj = lay.split
+        ncj, nsj = lay.split
         span = 1 if lay.scalar else times.size
         book = self._ledger[:, lay.roots]  # the jobs' ledger entries, in ``jobs`` order
         wake = []  # per setup job, when one computes inside the window: its first compute tick
@@ -491,13 +523,13 @@ class EmulatedCluster:
         if span > 1 and starts.size:
             # A compute job computes from the window's first tick, a setup job
             # from the one after its timer expires (``wake``); a compute job's
-            # turn comes ``after`` ticks before its release.  Draws past the
-            # window's end are thrown away and every stream rewound, so ask
-            # for no more than the nearest foreseeable end: each job's slowest
-            # rank at its jitter-free rate, from its setup timer on, to its
-            # release (a setup job: its compute turn).  The rewind covers what
-            # jitter brings forward; what it delays just ends this window a
-            # tick early.
+            # turn comes ``after`` ticks before its release.  Ticks past the
+            # window's end are computed and thrown away, so ask for no more
+            # than the nearest foreseeable end: each job's slowest rank at its
+            # jitter-free rate, from its setup timer on, to its release (a
+            # setup job: its compute turn).  Truncation covers what jitter
+            # brings forward; what it delays just ends this window a tick
+            # early.
             left = (epochs - self.progress[ranks]) * base / (perf * dt)
             end = np.ceil(np.maximum.reduceat(left, starts))
             after = np.maximum(np.searchsorted(restart, lay.teardown), 1)
@@ -521,21 +553,16 @@ class EmulatedCluster:
             raise ValueError("cannot consume negative energy: a node would draw < 0 W")
         for job in lay.scalar:
             job.advance(dt, float(times[0]))
-        # First what decides the window's length: the compute streams, and
-        # the setup jobs that start computing inside it, each snapshotted:
-        # [jitter, RAPL] per compute rank and tick, and a waking job's RAPL
-        # draws then [jitter, RAPL] (its jitter is 0 on its quiet ticks).
-        snapshots = [rng.bit_generator.state for rng, _, _ in lay.paired] if span > 1 else []
-        pairs = np.empty((span, 2 * nc))
-        _draw(pairs, lay.paired)
-        zj = pairs[:, 0::2]  # jitter normals of the computing ranks
-        ze = np.empty((span, rows.size))  # RAPL normals of every column
-        ze[:, :nc] = pairs[:, 1::2]
-        if na > nc:
-            zj = np.concatenate((zj, np.zeros((span, na - nc))), axis=1)
-        for j in early:
-            snapshots.append(jobs[j].rng.bit_generator.state)
-            _fill(jobs[j].rng, bounds[j], bounds[j + 1], wake[j - ncj], zj, ze)
+        # Every draw the window may take is on the tape before one is read,
+        # and none is consumed until the window's length is known.  A compute
+        # tick's jitter is the draw before its RAPL one; a quiet tick's is
+        # read at its RAPL draw, and multiplied by a 0.0 tick.
+        taken, at = _tape_reads(lay.takes, lay.reads, live)
+        tape = self._tape
+        tape.reserve(lay.tape_rows, taken[-1, lay.stream_cols])
+        origin = tape.head[lay.tape_of]
+        at = at + origin
+        zj = tape.values[at[:, :na] - live[:, :na]]
         rate = perf / (base * np.exp(zj * sigma)) * tick[:, :na]  # 0.0 on a quiet tick
         grown = _fold(self.progress[ranks], rate)
         # A rank's profiler count is its floored progress, capped at epochs;
@@ -552,36 +579,29 @@ class EmulatedCluster:
             last = min(span, int(stop.min()))
             turned = (ends[:ncj] < last).nonzero()[0].tolist()
             if last < span or turned:
-                # Each stream that drew ticks the window will not have, or
-                # compute ticks its job no longer has, goes back to its
-                # snapshot and re-consumes what is kept; a turned job's later
-                # ticks are quiet.
-                movers = list(range(ncj)) + early
-                redraw = range(len(movers)) if last < span else turned
+                # The window ends at ``last``, and a turned job is quiet after
+                # its turn: one draw a rank a tick, no progress.
                 span = last
-                ze, tick, pull = ze[:span], tick[:span], pull[:span]
+                live, tick, pull = live[:span], tick[:span], pull[:span]
                 grown, done, floor = grown[: span + 1], done[: span + 1], floor[: span + 1]
                 finished = ends <= span
                 wake = [min(w, span) for w in wake]
-                ons = [0] * ncj + wake
-                offs = np.minimum(ends, span).tolist()
-                for i in redraw:
-                    j = movers[i]
-                    rng, lo, hi = jobs[j].rng, bounds[j], bounds[j + 1]
-                    _rewind(rng, snapshots[i], lo, hi, ons[j], offs[j], ze)
                 for j in turned:
-                    k, lo, hi = offs[j], bounds[j], bounds[j + 1]
+                    k, lo, hi = int(ends[j]), bounds[j], bounds[j + 1]
+                    live[k:, lo:hi] = False
                     tick[k:, lo:hi] = 0.0
                     pull[k:, lo:hi] = idle[lo:hi]
                     grown[k + 1 :, lo:hi] = grown[k, lo:hi]
                     done[k + 1 :, lo:hi] = done[k, lo:hi]
                     floor[k + 1 :, j] = floor[k, j]
+                taken, at = _tape_reads(lay.takes, lay.reads, live)
+                at += origin
         epochs_of.record(done, floor, times)  # a falling count raises here: no cell written yet
         self.progress[ranks] = grown[-1]
-        quiet = lay.quiet
-        if early:  # those drew already
-            quiet = [stream for j, stream in enumerate(quiet, ncj) if j not in early]
-        _draw(ze, quiet)
+        # The RAPL draws of the ticks kept, and each stream's cursor past
+        # exactly those: a draw the window did not keep is the stream's next.
+        ze = tape.values[at]
+        tape.head[lay.tape_rows] = (origin + taken[-1])[lay.stream_cols]
         # Node.consume for all columns: RAPL noise, cap ceiling, idle floor,
         # energy split evenly over the packages.
         power = np.minimum(cap, np.maximum(pull * (1.0 + ze * 0.01), idle))
@@ -672,46 +692,21 @@ def _fold(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return chain.cumsum(axis=0)
 
 
+def _tape_reads(
+    takes: np.ndarray, reads: np.ndarray, live: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(taken, at)`` for a window whose columns compute on the ticks
+    ``live`` marks (a layout's ``takes`` and ``reads``): the draws each
+    column's stream has taken through each tick, and where on the tape, from
+    the stream's cursor, each column's RAPL draw of each tick is."""
+    take = np.where(live, takes[1], takes[0])
+    at = np.where(live, reads[1], reads[0])
+    if len(live) == 1:
+        return take, at
+    taken = take.cumsum(axis=0)
+    return taken, taken - take + at
+
+
 def _after(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """``start`` after adding each of ``steps`` in turn: :func:`_fold`'s last row."""
     return start + steps[0] if len(steps) == 1 else _fold(start, steps)[-1]
-
-
-def _draw(out: np.ndarray, streams: Streams) -> None:
-    """Fill each stream's columns of ``out`` with standard normals, tick-major
-    — the order one tick at a time takes them."""
-    ticks = len(out)
-    if ticks == 1:  # a column block of one row is contiguous: draw in place
-        row = out[0]
-        for rng, lo, hi in streams:
-            rng.standard_normal(out=row[lo:hi])
-    else:
-        for rng, lo, hi in streams:
-            out[:, lo:hi] = rng.standard_normal((ticks, hi - lo))
-
-
-def _fill(
-    rng: np.random.Generator, lo: int, hi: int, on: int, jitter: np.ndarray, rapl: np.ndarray
-) -> None:
-    """One job's draws into columns ``lo:hi`` for a window in which it is
-    quiet before tick ``on`` and computes from it: one RAPL normal per rank
-    on each quiet tick, then ``[jitter, RAPL]`` per rank on each compute tick."""
-    width = hi - lo
-    rapl[:on, lo:hi] = rng.standard_normal((on, width))
-    pair = rng.standard_normal((len(rapl) - on, 2 * width))
-    jitter[on:, lo:hi], rapl[on:, lo:hi] = pair[:, 0::2], pair[:, 1::2]
-
-
-def _rewind(
-    rng: np.random.Generator, state: dict, lo: int, hi: int, on: int, off: int,
-    rapl: np.ndarray,
-) -> None:
-    """Put a job's stream back to ``state``, re-consume the draws of its
-    quiet ticks before ``on`` and its compute ticks before ``off`` (their
-    values are in place already), and draw its quiet ticks from ``off`` on
-    into columns ``lo:hi`` of ``rapl``."""
-    width = hi - lo
-    rng.bit_generator.state = state
-    rng.standard_normal(width * (2 * off - on))
-    if off < len(rapl):
-        rapl[off:, lo:hi] = rng.standard_normal((len(rapl) - off, width))

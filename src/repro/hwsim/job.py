@@ -20,6 +20,7 @@ from repro.geopm.agent import JobAgentGroup
 from repro.geopm.profiler import EpochProfiler
 from repro.geopm.report import ApplicationTotals
 from repro.hwsim.node import Node
+from repro.util.rng import TapeStream
 from repro.workloads.nas import JobType
 
 __all__ = ["JobPhase", "RunningJob"]
@@ -70,14 +71,17 @@ class _LedgerCell:
 class RunningJob:
     """One executing job: physics state plus its GEOPM plumbing.
 
-    ``cells`` is the cluster's node-indexed ``(progress, counts, barrier,
-    ledger, seat)`` columns.  Rank ``i`` runs on node ``i`` of ``nodes`` and
-    owns that row of ``progress`` (fractional epochs), ``counts`` (whole
-    ones, the profiler's) and ``seat`` (the node's place among the kernel's
-    columns: the job's start number ``serial`` and the rank, under a class
-    written whenever :attr:`phase` is); what is per job — the barrier count
-    and the three ledger rows ``phase_elapsed``, ``_compute_energy``,
-    ``_compute_seconds`` — sits at the job's first row.  The scalar
+    ``rng`` is the job's noise stream, a row of the cluster's tape: the run
+    multiplier, then per tick a jitter and a RAPL draw per rank computing, or
+    a RAPL draw per rank otherwise.  ``cells`` is the cluster's node-indexed
+    ``(progress, counts, barrier, ledger, seat)`` columns.  Rank ``i`` runs
+    on node ``i`` of ``nodes`` and owns that row of ``progress`` (fractional
+    epochs), ``counts`` (whole ones, the profiler's) and ``seat`` (the
+    node's place among the kernel's columns: the job's start number
+    ``serial`` and the rank, under a class written whenever :attr:`phase`
+    is); what is per job — the barrier count and the three ledger rows
+    ``phase_elapsed``, ``_compute_energy``, ``_compute_seconds`` — sits at
+    the job's first row.  The scalar
     reference below and the cluster's window kernel read and write the same
     cells.
     """
@@ -94,7 +98,7 @@ class RunningJob:
         *,
         submit_time: float,
         start_time: float,
-        rng: np.random.Generator,
+        rng: TapeStream,
         cells: tuple[np.ndarray, ...],
         serial: int,
         run_noise: bool = True,
@@ -139,13 +143,15 @@ class RunningJob:
         self._energy_at_release: float | None = None
 
     def detach(self) -> None:
-        """Copy the job's cells out of the cluster's columns.
+        """Copy the job's cells and its stream out of the cluster's columns
+        and tape.
 
         A job that left the cluster is still read (``totals()`` right after
         release, a test's observables later) while its rows and nodes may
         already belong to the next job.
         """
         self._ledger = self._ledger.copy()
+        self.rng.detach()
         self._seat = None
         self.profiler.detach()
         self._energy_at_release = sum(n.total_energy for n in self.nodes)

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.geopm.msr import MsrBank
 from repro.geopm.signals import PlatformIO
+from repro.util.rng import TapeStream
 from repro.workloads.nas import IDLE_NODE_POWER
 
 __all__ = ["Node"]
@@ -121,13 +122,17 @@ class Node:
 
     # -------------------------------------------------------------- physics
 
-    def consume(self, demand_watts: float, dt: float, rng: np.random.Generator) -> float:
+    def consume(
+        self, demand_watts: float, dt: float, rng: TapeStream | np.random.Generator
+    ) -> float:
         """Draw power for ``dt`` seconds and deposit energy into the MSRs.
 
         ``demand_watts`` is what the workload would draw unconstrained; RAPL
         keeps the average at or below the programmed cap, so the realised
         draw is ``min(cap, demand·(1+ε))`` with a small measurement/actuation
-        noise ε, floored at idle power.  Returns the realised node power.
+        noise ε, floored at idle power.  ε is ``rng.normal(0, 0.01)``: in a
+        cluster, a draw of the node's stream or of its job's, a row of the
+        cluster's tape.  Returns the realised node power.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -142,7 +147,7 @@ class Node:
         self._power[0] = power
         return power
 
-    def consume_idle(self, dt: float, rng: np.random.Generator) -> float:
+    def consume_idle(self, dt: float, rng: TapeStream | np.random.Generator) -> float:
         """Idle-power tick (no job, or a job in setup/teardown)."""
         return self.consume(IDLE_NODE_POWER, dt, rng)
 

@@ -2,7 +2,6 @@
 
 import gc
 import sys
-from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -142,7 +141,7 @@ def scalar_advance(cluster: EmulatedCluster, dt: float) -> float:
     for job in cluster.running.values():
         job.advance(dt, now)
     for node in idle:
-        node.consume_idle(dt, cluster._node_rngs[node.node_id])
+        node.consume_idle(dt, cluster._node_streams[node.node_id])
     cluster._retire_done(cluster.running.values())
     power = 0.0
     for node in cluster.nodes:
@@ -171,8 +170,7 @@ def observables(cluster: EmulatedCluster, jobs) -> dict:
         ],
         "progress": {j.job_id: j._rank_progress.tolist() for j in cluster.running.values()},
         "running": list(cluster.running),
-        "next_draw": [deepcopy(j.rng).standard_normal() for j in jobs]
-        + [deepcopy(rng).standard_normal() for rng in cluster._node_rngs],
+        "next_draw": [j.rng.peek() for j in jobs] + [s.peek() for s in cluster._node_streams],
         "idle": [n.node_id for n in cluster.idle_nodes()],
         "completed": list(cluster.completed),
         "killed": list(cluster.killed),
@@ -444,6 +442,7 @@ class TestReleasedJobKeepsItsLedger:
             "epoch_count": job.profiler.epoch_count,
             "epoch_times": job.profiler.epoch_times,
             "totals": job.totals() if job.is_done else None,
+            "next_draw": job.rng.peek(),
         }
 
     @pytest.mark.parametrize("exit_by", ["done", "kill_job", "fail_node"])
@@ -468,22 +467,25 @@ class TestReleasedJobKeepsItsLedger:
         pair.start("b", short_type("mg", nodes=2, epochs=40, tau=0.5))
         for _ in range(8):  # through setup, several ticks into compute
             pair.tick()
-        for jobs, before in zip(pair.jobs, at_release):
+        for cluster, jobs, before in zip((pair.fleet, pair.scalar), pair.jobs, at_release):
             a, b = jobs
             assert [n.node_id for n in b.nodes] == [n.node_id for n in a.nodes] == [0, 1]
+            # b's stream has a's row of the tape; a's stream left with its draws.
+            assert b.rng.tape is cluster._tape and a.rng.tape is not cluster._tape
             assert b.phase.name == "COMPUTE" and b.profiler.epoch_count > 0
             assert self._ledger(a) == before
         pair.assert_equal()
 
 
-def python_calls(action) -> int:
-    """Python-level calls ``action()`` makes.  The collector is off: a
-    collection inside it could run an earlier test's finalizers."""
+def python_calls(action, event: str = "call") -> int:
+    """Python-level calls ``action()`` makes (``event="c_call"``: calls of C
+    functions).  The collector is off: a collection inside it could run an
+    earlier test's finalizers."""
     calls = 0
 
-    def count(frame, event, arg):
+    def count(frame, kind, arg):
         nonlocal calls
-        calls += event == "call"
+        calls += kind == event
 
     gc.disable()
     sys.setprofile(count)
@@ -497,13 +499,17 @@ def python_calls(action) -> int:
 
 class TestWorkPerWindow:
     """Counted, not timed: Python-level calls in a window do not grow with
-    the number of jobs (RNG draws and ``list.extend`` are C calls)."""
+    the number of jobs, and C calls do not either while no tape row is
+    refilled and no barrier rises (every stream's draws are one gather; a
+    risen barrier appends its job's timestamp)."""
 
     @staticmethod
-    def _python_calls_of_a_steady_tick(jobs: int) -> int:
-        cluster = EmulatedCluster(64, seed=1)
+    def _steady_tick(jobs: int, width: int, tau: float, event: str) -> tuple[int, bool]:
+        """``event`` calls in one tick with every job computing, and whether
+        a barrier rose in it."""
+        cluster = EmulatedCluster(64 * width, seed=1)
         for k in range(jobs):
-            cluster.start_job(f"j{k}", short_type("lu", nodes=1, epochs=400, tau=1.0))
+            cluster.start_job(f"j{k}", short_type("lu", nodes=width, epochs=400, tau=tau))
         for _ in range(6):  # all into compute, the layout built
             cluster.clock.advance(1.0)
             cluster.advance(1.0)
@@ -511,14 +517,25 @@ class TestWorkPerWindow:
         assert {p.name for p in phases} == {"COMPUTE"}
         before = [job.profiler.epoch_count for job in cluster.running.values()]
         cluster.clock.advance(1.0)
-        calls = python_calls(lambda: cluster.advance(1.0))
+        tape, refills = cluster._tape, []
+        refill = tape._refill
+        tape._refill = lambda rows, need: (refills.append(rows), refill(rows, need))
+        calls = python_calls(lambda: cluster.advance(1.0), event)
+        assert not refills  # every row held the window's draws: no generator ran
         assert phases == [job.phase for job in cluster.running.values()]
-        # Not an empty tick: ranks crossed epochs and barriers rose in it.
-        assert before != [job.profiler.epoch_count for job in cluster.running.values()]
-        return calls
+        return calls, before != [job.profiler.epoch_count for job in cluster.running.values()]
 
     def test_python_calls_do_not_grow_with_jobs(self):
-        assert self._python_calls_of_a_steady_tick(8) == self._python_calls_of_a_steady_tick(64)
+        few, many = self._steady_tick(8, 1, 1.0, "call"), self._steady_tick(64, 1, 1.0, "call")
+        assert few == many
+        assert few[1]  # not an empty tick: ranks crossed epochs and barriers rose in it
+
+    def test_c_calls_do_not_grow_with_jobs(self):
+        # Two nodes a job: 120 streams (8 jobs, 112 idle nodes) against 64.
+        few = self._steady_tick(8, 2, 100.0, "c_call")
+        many = self._steady_tick(64, 2, 100.0, "c_call")
+        assert few == many
+        assert not few[1]  # epochs of 100 s: no barrier rose
 
     @staticmethod
     def _python_calls_of_a_turning_window(beside: int) -> int:
@@ -668,9 +685,8 @@ class TestValidationBeforeStateMoves:
             "energy": [n.total_energy for n in cluster.nodes],
             "phase_elapsed": job.phase_elapsed,
             "history": cluster.power_history().tolist(),
-            "streams": [
-                rng.bit_generator.state for rng in (job.rng, *cluster._node_rngs)
-            ],
+            "streams": [s.peek() for s in (job.rng, *cluster._node_streams)],
+            "cursors": cluster._tape.head.tolist(),
         }
 
     @pytest.mark.parametrize(
