@@ -5,10 +5,10 @@ benchmark's main outer loop; the epoch count increments once **all**
 processes across all nodes running the benchmark have reached the call.
 :class:`EpochProfiler` reproduces that barrier semantics: each rank calls
 :meth:`prof_epoch`, and the global count is the minimum per-rank count.
-The hardware emulator drives ranks directly from job progress: one rank at a
-time through :meth:`EpochProfiler.set_rank_progress` (the scalar reference),
-or every rank of every job across a window of ticks through
-:class:`EpochBatch` (the window kernel).
+The hardware emulator drives every rank of every job across a window of
+ticks through :class:`EpochBatch` (its window kernel); the per-node test
+reference drives one rank at a time through
+:meth:`EpochProfiler.set_rank_progress`.
 """
 
 from __future__ import annotations

@@ -15,26 +15,18 @@ import numpy as np
 from repro.geopm.msr import POWER_UNIT_WATTS
 from repro.geopm.profiler import EpochBatch
 from repro.geopm.report import ApplicationTotals
-from repro.hwsim.job import (
-    CLASS_SHIFT,
-    FREE,
-    RANK_BITS,
-    SCALAR,
-    SETUP,
-    TEARDOWN,
-    RunningJob,
-)
+from repro.hwsim.job import CLASS_SHIFT, FREE, RANK_BITS, SETUP, TEARDOWN, RunningJob
 from repro.hwsim.node import Node
 from repro.util.clock import SimClock
 from repro.util.rng import NormalTape, TapeStream, ensure_rng, spawn_rng
 from repro.workloads.nas import IDLE_NODE_POWER, JobType
+from repro.workloads.phased import PhasedJobType
 
 __all__ = ["EmulatedCluster"]
 
-# Where the setup, teardown, free and scalar classes begin among sorted seats.
-_CLASS_FLOORS = np.array([SETUP, TEARDOWN, FREE, SCALAR], dtype=np.int64) << CLASS_SHIFT
+# Where the setup, teardown and free classes begin among sorted seats.
+_CLASS_FLOORS = np.array([SETUP, TEARDOWN, FREE], dtype=np.int64) << CLASS_SHIFT
 _RANK_MASK = (1 << RANK_BITS) - 1
-_ORDER_MASK = (1 << CLASS_SHIFT) - 1  # start number and rank
 
 
 @dataclass(slots=True)
@@ -53,8 +45,7 @@ class _Layout:
     """
 
     stamp: tuple[bytes, bytes]
-    scalar: list[RunningJob]  # jobs only the scalar reference can step
-    jobs: list[RunningJob]  # the rest: compute, setup, then teardown jobs
+    jobs: list[RunningJob]  # compute, setup, then teardown jobs
     split: tuple[int, int]  # compute jobs, and with the setup jobs
     bounds: list[int]  # each of ``jobs``' first column, then the end of the last
     computing: EpochBatch  # the compute jobs' profilers
@@ -73,6 +64,7 @@ class _Layout:
     stream_cols: np.ndarray  # per stream: its first column
     takes: np.ndarray  # (2, columns): the stream's draws on a quiet, a compute tick
     reads: np.ndarray  # (2, columns): the column's RAPL draw among those
+    varying: list[int]  # of ``jobs``, the compute jobs whose model moves with progress
 
 
 class EmulatedCluster:
@@ -127,6 +119,9 @@ class EmulatedCluster:
         self._draws = self._free_draws.copy()
         self._started = 0  # jobs ever started
         self._tenant: list[RunningJob | None] = [None] * num_nodes  # at its first row
+        # First rows of the running jobs whose model moves with their
+        # progress (a power wave, phases): each holds every window to a tick.
+        self._varying: set[int] = set()
         # Rank constants, one row each: truth curve a, b, c; p_min; p_demand;
         # jitter σ; run multiplier; epochs; node perf multiplier; the node's
         # idle watts; the job's setup and teardown seconds.  Read when the
@@ -167,7 +162,6 @@ class EmulatedCluster:
         self._limit_hi = np.array([[b.tdp_watts for b in row] for row in banks])
         for i, node_rng in enumerate(node_rngs):
             self._tape.let(i, node_rng)
-        self._node_streams = [TapeStream(self._tape, i) for i in range(num_nodes)]
         self.running: dict[str, RunningJob] = {}
         self.completed: list[ApplicationTotals] = []
         self.killed: list[tuple[float, str]] = []  # (time, job_id) of kills
@@ -254,6 +248,8 @@ class EmulatedCluster:
         self._draws[3:, job.rows] = [rank, 2 * rank + 1]
         self._started += 1
         self._tenant[job.root] = job
+        if job_type.power_wave or isinstance(job_type, PhasedJobType):
+            self._varying.add(job.root)
         self.running[job_id] = job
         return job
 
@@ -267,6 +263,7 @@ class EmulatedCluster:
         self._seat[job.rows] = self._free_seat[job.rows]
         self._draws[:, job.rows] = self._free_draws[:, job.rows]
         self._tenant[job.root] = None
+        self._varying.discard(job.root)
         job.detach()  # its rows may be re-let while its ledger and stream are still read
 
     def _retire_done(self, jobs) -> None:
@@ -354,13 +351,10 @@ class EmulatedCluster:
         return float(self._window(np.array([self.clock.now]), dt)[1][0])
 
     def stride_ready(self) -> bool:
-        """True when a window may span more than one tick.
-
-        Jobs with epoch-periodic power waves, phased curves, or failed nodes
-        take the scalar reference, one tick at a time (see
-        :attr:`RunningJob.array_capable`).
-        """
-        return not self._membership().scalar
+        """True when a window may span more than one tick: no running job
+        has an epoch-periodic power wave or phased curves, whose model the
+        kernel looks up anew each tick."""
+        return not self._varying
 
     def _membership(self) -> _Layout:
         """The layout of the present membership, rebuilt if that has changed.
@@ -378,18 +372,15 @@ class EmulatedCluster:
         # A handful of array passes whatever the node count (what a numpy
         # call costs is the cost here), then one lookup per job for what only
         # the job object holds: its timestamp list.
-        seat = self._seat
+        seat, nf = self._seat, len(self.nodes)
         if b"\x01" in stamp[1]:
-            # A crashed node leaves the columns, and the job over it goes to
-            # the scalar reference whole: that skips a crashed rank's draws,
-            # which the arrays cannot reproduce.
-            busy = seat >> CLASS_SHIFT != FREE
-            job = (seat & _ORDER_MASK) >> RANK_BITS
-            struck = busy & np.isin(job, job[self._down & busy])
-            seat = np.where(struck | self._down, seat | (SCALAR << CLASS_SHIFT), seat)
+            # A crashed node is free (``Node.fail`` refuses an allocated one)
+            # and leaves the columns: one more class after FREE, sorted last.
+            seat = np.where(self._down, seat + (1 << CLASS_SHIFT), seat)
+            nf -= int(np.count_nonzero(self._down))
         order = np.argsort(seat)
         seat = seat[order]
-        nc, ns, nq, nf = np.searchsorted(seat, _CLASS_FLOORS).tolist()
+        nc, ns, nq = np.searchsorted(seat, _CLASS_FLOORS).tolist()
         rows = order[:nf]  # compute, setup and teardown ranks, idle nodes
         rank = seat[:nq] & _RANK_MASK
         firsts = np.flatnonzero(rank == 0)  # where each job's columns begin
@@ -410,9 +401,11 @@ class EmulatedCluster:
             for p in range(1, int(rank[:ns].max()) + 1):
                 column = np.flatnonzero(rank[:ns] == p)
                 wider.append((np.searchsorted(starts, column - p), column))
+        varying = []
+        if self._varying:
+            varying = [j for j, job in enumerate(jobs[:ncj]) if job.root in self._varying]
         return _Layout(
             stamp=stamp,
-            scalar=[tenant[r] for r in order[nf:].tolist() if tenant[r] is not None],
             jobs=jobs,
             split=(ncj, nsj),
             bounds=bounds,
@@ -432,6 +425,7 @@ class EmulatedCluster:
             stream_cols=stream_cols,
             takes=draws[1:3],
             reads=draws[3:],
+            varying=varying,
         )
 
     def advance_stride(self, times: np.ndarray, dt: float) -> tuple[int, np.ndarray]:
@@ -445,8 +439,8 @@ class EmulatedCluster:
         on the very next tick, as under per-tick stepping — nor past a job's
         second turn.  It may also stop short of ``len(times)`` without
         either: it is sized to the nearest foreseeable release, which jitter
-        can delay, and a job that needs the scalar reference holds it to one
-        tick.
+        can delay, and a job with a power wave or phases holds it to one
+        tick (:meth:`stride_ready`).
 
         Callers must not change any per-tick input (caps, node allocation,
         fault state) between the instants covered; the framework guarantees
@@ -462,14 +456,16 @@ class EmulatedCluster:
 
         Columns are every rank of every job and every idle node (see
         :class:`_Layout`); the leading axis is time.  Each step is the
-        elementwise twin of :meth:`RunningJob.advance` / :meth:`Node.consume`
-        (same IEEE ops, same order), every RNG stream is read exactly as the
-        scalar path reads it, tick after tick (``standard_normal``·σ ≡
-        ``normal(0, σ)``), and every sequential accumulation is an ordered
-        fold along its axis (:func:`_fold`), so ``T`` ticks here are
-        bit-identical to ``T`` scalar reference ticks — which jobs the arrays
-        cannot describe (power-wave and phased types, a crashed node) still
-        take.  Every stream is a row of the cluster's tape
+        elementwise twin of a per-node, per-tick loop (same IEEE ops, same
+        order; ``tests/hwsim_reference.py`` keeps it as the oracle), every
+        RNG stream is read exactly as that loop reads it, tick after tick
+        (``standard_normal``·σ ≡ ``normal(0, σ)``), and every sequential
+        accumulation is an ordered fold along its axis (:func:`_fold`), so
+        ``T`` ticks here are bit-identical to ``T`` reference ticks.  A
+        window holding a job whose model moves with its progress is one
+        tick: a phased rank's curve and demand are its phase's at the tick's
+        start, and a power wave scales a rank's demand by its progress
+        after.  Every stream is a row of the cluster's tape
         (:class:`~repro.util.rng.NormalTape`), so a window's draws are one
         gather at positions the layout and the mask decide, and per-job state
         is columns too: Python runs per tape row refilled and per job that
@@ -498,7 +494,7 @@ class EmulatedCluster:
         lay = self._membership()
         rows, jobs, bounds = lay.rows, lay.jobs, lay.bounds
         ncj, nsj = lay.split
-        span = 1 if lay.scalar else times.size
+        span = 1 if self._varying else times.size
         book = self._ledger[:, lay.roots]  # the jobs' ledger entries, in ``jobs`` order
         wake = []  # per setup job, when one computes inside the window: its first compute tick
         after = ends = stop = None  # per compute job; per computing job, twice
@@ -518,7 +514,10 @@ class EmulatedCluster:
         na = ranks.size
         cap = self.caps()[rows]
         idle = lay.idle
-        demand, base, sigma, perf, epochs = self.rank_model(lay.consts[:, :na], cap[:na])
+        consts, wave = lay.consts[:, :na], None
+        if lay.varying:
+            consts, wave = self._vary(lay, consts)
+        demand, base, sigma, perf, epochs = self.rank_model(consts, cap[:na])
         job_epochs = lay.job_epochs[: starts.size]
         if span > 1 and starts.size:
             # A compute job computes from the window's first tick, a setup job
@@ -547,12 +546,11 @@ class EmulatedCluster:
             live[wake[j - ncj] :, bounds[j] : bounds[j + 1]] = True
         pull = np.where(live, np.concatenate((demand, idle[na:])), idle)
         tick = np.where(live, dt, 0.0)  # the seconds each column computes per tick
-        # RAPL noise scales the demand by 1+ε > 0, so a draw is negative
-        # exactly when both the demand and the idle floor under it are.
+        # RAPL noise scales the demand by 1+ε > 0, and a power wave (under 1)
+        # by a positive factor too, so a draw is negative exactly when both
+        # the demand and the idle floor under it are.
         if np.maximum(pull, idle).min(initial=0.0) < 0:
             raise ValueError("cannot consume negative energy: a node would draw < 0 W")
-        for job in lay.scalar:
-            job.advance(dt, float(times[0]))
         # Every draw the window may take is on the tape before one is read,
         # and none is consumed until the window's length is known.  A compute
         # tick's jitter is the draw before its RAPL one; a quiet tick's is
@@ -565,6 +563,11 @@ class EmulatedCluster:
         zj = tape.values[at[:, :na] - live[:, :na]]
         rate = perf / (base * np.exp(zj * sigma)) * tick[:, :na]  # 0.0 on a quiet tick
         grown = _fold(self.progress[ranks], rate)
+        if wave is not None:  # a one-tick window: every active rank computes
+            # Epoch-periodic draw signature (compute vs. exchange phases
+            # inside each iteration), what §8's automatic epoch detection
+            # listens for.
+            pull[:, :na] = demand * (1.0 + wave * np.sin(2.0 * np.pi * (grown[1:] % 1.0)))
         # A rank's profiler count is its floored progress, capped at epochs;
         # a job's barrier is the least of its ranks' counts.
         done, floor = epochs_of.preview(np.minimum(np.floor(grown[1:]), epochs))
@@ -602,13 +605,13 @@ class EmulatedCluster:
         # exactly those: a draw the window did not keep is the stream's next.
         ze = tape.values[at]
         tape.head[lay.tape_rows] = (origin + taken[-1])[lay.stream_cols]
-        # Node.consume for all columns: RAPL noise, cap ceiling, idle floor,
-        # energy split evenly over the packages.
+        # A node's draw, for all columns: RAPL noise, cap ceiling, idle
+        # floor, energy split evenly over the packages.
         power = np.minimum(cap, np.maximum(pull * (1.0 + ze * 0.01), idle))
         joules = power * dt / self.PACKAGES
         self._energy[rows] = _after(self._energy[rows], joules[:, :, None])
         # Cluster power per tick: ordered fold in node order; failed nodes
-        # hold 0 W, scalar-path nodes what their job just deposited.
+        # hold 0 W.
         series = np.empty((span, len(self.nodes)))
         series[:] = self._power
         series[:, rows] = power
@@ -653,9 +656,23 @@ class EmulatedCluster:
                 job.turn_phase(ticks[t - 1])
             if t < span and not job.is_done:
                 job.phase_elapsed = restart[span - t]
-        self._retire_done(self.running.values() if lay.scalar else [jobs[j] for j in turning])
+        self._retire_done([jobs[j] for j in turning])
         self._power_history.extend(zip(ticks, totals.tolist()))
         return span, totals
+
+    def _vary(self, lay: _Layout, consts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The compute ranks' constants and power-wave amplitudes, in a
+        layout with varying jobs: a phased rank's ``a, b, c, p_demand`` are
+        those of the phase its progress is in as the window opens."""
+        consts, wave = consts.copy(), np.zeros(consts.shape[1])
+        for j in lay.varying:
+            lo, hi = lay.bounds[j], lay.bounds[j + 1]
+            job_type = lay.jobs[j].job_type
+            wave[lo:hi] = job_type.power_wave
+            if isinstance(job_type, PhasedJobType):
+                frac = self.progress[lay.rows[lo:hi]] / consts[7, lo:hi]
+                consts[[0, 1, 2, 4], lo:hi] = job_type.phase_constants(frac)
+        return consts, wave
 
     # ------------------------------------------------------------- metering
 

@@ -28,13 +28,12 @@ __all__ = ["JobPhase", "RunningJob"]
 # A node's entry in the cluster's ``seat`` column is a sort key, class first:
 # what the window kernel does with the node — the compute pass, idle draws
 # from the job's stream until its setup timer expires and compute after,
-# idle draws from the job's stream (teardown), idle draw from its own (no
-# job), or leave it to the job's scalar reference.  Below the class a busy
-# node carries its job's start number and its rank there; sorted, the column
-# is the kernel's columns: job after job in start order, each job's ranks in
-# order, and the jobs that may compute in a window (the first two classes)
-# side by side.
-COMPUTING, SETUP, TEARDOWN, FREE, SCALAR = range(5)
+# idle draws from the job's stream (teardown), or idle draw from its own (no
+# job).  Below the class a busy node carries its job's start number and its
+# rank there; sorted, the column is the kernel's columns: job after job in
+# start order, each job's ranks in order, and the jobs that may compute in a
+# window (the first two classes) side by side.
+COMPUTING, SETUP, TEARDOWN, FREE = range(4)
 CLASS_SHIFT, RANK_BITS = 56, 16
 
 
@@ -81,9 +80,8 @@ class RunningJob:
     ``serial`` and the rank, under a class written whenever :attr:`phase`
     is); what is per job — the barrier count and the three ledger rows
     ``phase_elapsed``, ``_compute_energy``, ``_compute_seconds`` — sits at
-    the job's first row.  The scalar
-    reference below and the cluster's window kernel read and write the same
-    cells.
+    the job's first row.  The cluster's window kernel reads and writes
+    those cells.
     """
 
     phase_elapsed = _LedgerCell(0)
@@ -114,7 +112,6 @@ class RunningJob:
         #: occupancy — what the scheduler's backfill window sees.
         self.est_end = self.start_time + job_type.total_time(job_type.p_min)
         self.rng = rng
-        self.profile_static = job_type.profile_static
         self.rows = np.array([n.node_id for n in nodes])
         self.root = root = int(self.rows[0])  # where the job's own cells sit
         self._progress, counts, barrier, ledger, self._seat = cells
@@ -164,49 +161,13 @@ class RunningJob:
     def phase(self, phase: JobPhase) -> None:
         self._phase = phase
         if self._seat is not None:
-            klass = _CLASS[phase]
-            if klass != FREE and not self.profile_static:
-                klass = SCALAR
-            self._seat[self.rows] = self._order | (klass << CLASS_SHIFT)
+            self._seat[self.rows] = self._order | (_CLASS[phase] << CLASS_SHIFT)
 
     @property
     def _rank_progress(self) -> np.ndarray:
         return self._progress[self.rows]
 
-    # ------------------------------------------------------------- physics
-
-    def advance(self, dt: float, now: float) -> None:
-        """Scalar reference tick: per-node physics, then :meth:`settle`.
-
-        The cluster's window kernel does the same physics for every job at
-        once and is held bit-identical to this; it remains the only path for
-        jobs the kernel cannot take (see :attr:`array_capable`).
-        """
-        tick_power = None
-        if self.phase is JobPhase.COMPUTE:
-            tick_power = self._advance_compute_nodewise(dt, now)
-        else:  # setup/teardown: every node draws idle power
-            for node in self.nodes:
-                node.consume_idle(dt, self.rng)
-        self.settle(dt, now, tick_power)
-
-    def settle(self, dt: float, now: float, power: float | None) -> None:
-        """Phase bookkeeping for a tick whose physics is already deposited.
-
-        ``power`` is the job's realised draw over a compute tick (the
-        left-to-right sum over its nodes), None in any other phase.  The
-        kernel folds the same ``+=`` chains for a whole window, the compute
-        ones masked to the ticks the job computed, and calls
-        :meth:`turn_phase` with each turn's own tick: ``phase_elapsed`` at
-        that tick before the call, its chain restarted from 0.0 after it.
-        """
-        if self.phase is JobPhase.DONE:
-            return
-        self.phase_elapsed += dt
-        if power is not None:
-            self._compute_energy += power * dt
-            self._compute_seconds += dt
-        self.turn_phase(now)
+    # ----------------------------------------------------------- lifecycle
 
     def turn_phase(self, now: float) -> None:
         """Move to the next phase if the tick that ended at ``now`` earned it."""
@@ -224,49 +185,6 @@ class RunningJob:
             if self.phase_elapsed >= self.job_type.teardown_time:
                 self.phase = JobPhase.DONE
                 self.end_time = now
-
-    def _advance_compute_nodewise(self, dt: float, now: float) -> float:
-        """Reference per-node compute tick; returns the job power."""
-        tick_power = 0.0
-        for i, node in enumerate(self.nodes):
-            row = node.node_id
-            cap = node.power_cap
-            frac = self._progress[row] / self.job_type.epochs
-            tau = self.job_type.time_per_epoch_at(cap, frac)
-            jitter = float(np.exp(self.rng.normal(0.0, self.job_type.noise)))
-            rate = node.perf_multiplier / (tau * self._run_multiplier * jitter)
-            self._progress[row] += rate * dt
-            done_epochs = min(int(self._progress[row]), self.job_type.epochs)
-            if done_epochs > self.profiler.rank_count(i):
-                self.profiler.set_rank_progress(i, done_epochs, timestamp=now)
-            demand = min(
-                max(cap, self.job_type.p_min),
-                self.job_type.power_demand_at(frac),
-            )
-            if self.job_type.power_wave > 0.0:
-                # Epoch-periodic draw signature (compute vs. exchange phases
-                # inside each iteration) — what §8's automatic epoch
-                # detection listens for.
-                epoch_phase = self._progress[row] % 1.0
-                demand *= 1.0 + self.job_type.power_wave * np.sin(
-                    2.0 * np.pi * epoch_phase
-                )
-            tick_power += node.consume(demand, dt, self.rng)
-        return tick_power
-
-    @property
-    def array_capable(self) -> bool:
-        """True when the cluster's window kernel can take this job.
-
-        Requires a statically-profiled job type (no power wave, phase-less
-        curves — see :attr:`JobType.profile_static`) and no failed nodes:
-        the per-node scalar path skips RNG draws for crashed ranks, which
-        the array pass cannot reproduce (in practice a crash kills the
-        job before it advances again; this guard is belt and braces).  The
-        cluster reads the same two facts off its columns for every job at
-        once where it builds the kernel's layout.
-        """
-        return self.profile_static and not any(node.failed for node in self.nodes)
 
     def kill(self, now: float) -> None:
         """Terminate the job mid-run (node crash took a rank with it).

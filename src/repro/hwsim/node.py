@@ -1,9 +1,9 @@
 """One emulated compute node: two CPU packages behind RAPL-style MSRs.
 
 A node exposes the same interface the paper's GEOPM agents consume — a
-:class:`~repro.geopm.signals.PlatformIO` over per-package MSR banks — and a
-physics side used only by the emulator: :meth:`consume` deposits energy for
-one tick given the node's power draw.
+:class:`~repro.geopm.signals.PlatformIO` over per-package MSR banks.  Its
+physics state (energy, last draw, crashed flag) is a row of the cluster's
+columns, which the cluster's window kernel steps.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.geopm.msr import MsrBank
 from repro.geopm.signals import PlatformIO
-from repro.util.rng import TapeStream
 from repro.workloads.nas import IDLE_NODE_POWER
 
 __all__ = ["Node"]
@@ -109,10 +108,13 @@ class Node:
     def fail(self) -> None:
         """Crash the node: it stops drawing power and leaves the idle pool.
 
-        The cluster is responsible for killing whatever job was running here
-        first; a failed node keeps its MSR state (energy counters survive a
-        reboot on real hardware) but reports zero draw until restored.
+        The cluster kills whatever job was running here first
+        (:meth:`EmulatedCluster.fail_node`), so a failed node is always free;
+        it keeps its MSR state (energy counters survive a reboot on real
+        hardware) but reports zero draw until restored.
         """
+        if self.job_id is not None:
+            raise RuntimeError(f"node {self.node_id} runs job {self.job_id!r}: kill it first")
         self._down[0] = True
         self._power[0] = 0.0
 
@@ -120,36 +122,7 @@ class Node:
         """Bring a failed node back into the idle pool."""
         self._down[0] = False
 
-    # -------------------------------------------------------------- physics
-
-    def consume(
-        self, demand_watts: float, dt: float, rng: TapeStream | np.random.Generator
-    ) -> float:
-        """Draw power for ``dt`` seconds and deposit energy into the MSRs.
-
-        ``demand_watts`` is what the workload would draw unconstrained; RAPL
-        keeps the average at or below the programmed cap, so the realised
-        draw is ``min(cap, demand·(1+ε))`` with a small measurement/actuation
-        noise ε, floored at idle power.  ε is ``rng.normal(0, 0.01)``: in a
-        cluster, a draw of the node's stream or of its job's, a row of the
-        cluster's tape.  Returns the realised node power.
-        """
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        if self.failed:
-            self._power[0] = 0.0
-            return 0.0
-        noisy_demand = demand_watts * (1.0 + rng.normal(0.0, 0.01))
-        power = min(self.power_cap, max(noisy_demand, IDLE_NODE_POWER))
-        per_package = power * dt / len(self.banks)
-        for bank in self.banks:
-            bank.accumulate_energy(per_package)
-        self._power[0] = power
-        return power
-
-    def consume_idle(self, dt: float, rng: TapeStream | np.random.Generator) -> float:
-        """Idle-power tick (no job, or a job in setup/teardown)."""
-        return self.consume(IDLE_NODE_POWER, dt, rng)
+    # -------------------------------------------------------------- metering
 
     @property
     def last_power(self) -> float:

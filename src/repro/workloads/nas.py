@@ -91,10 +91,11 @@ class JobType:
     teardown_time: float = 3.0
     p_min: float = P_NODE_MIN
     p_max: float = P_NODE_MAX
-    #: Relative amplitude of the epoch-periodic power signature.  Real codes'
-    #: draw oscillates within each main-loop iteration (compute vs. exchange
-    #: phases); §8's automatic epoch detection exploits exactly that.  Zero
-    #: (the default) keeps the paper-reproduction workloads unmodulated.
+    #: Relative amplitude of the epoch-periodic power signature, in [0, 1).
+    #: Real codes' draw oscillates within each main-loop iteration (compute
+    #: vs. exchange phases); §8's automatic epoch detection exploits exactly
+    #: that.  Zero (the default) keeps the paper-reproduction workloads
+    #: unmodulated.
     power_wave: float = 0.0
     _truth: QuadraticPowerModel = field(init=False, repr=False, compare=False)
 
@@ -103,6 +104,8 @@ class JobType:
             raise ValueError(f"{self.name}: nodes must be ≥ 1")
         if self.epochs < 1:
             raise ValueError(f"{self.name}: epochs must be ≥ 1")
+        if not 0.0 <= self.power_wave < 1.0:  # from 1 on, the trough asks ≤ 0 W
+            raise ValueError(f"{self.name}: power_wave {self.power_wave} outside [0, 1)")
         if not self.p_min < self.p_demand <= self.p_max:
             raise ValueError(
                 f"{self.name}: p_demand {self.p_demand} outside ({self.p_min}, {self.p_max}]"
@@ -126,44 +129,13 @@ class JobType:
     def time_per_epoch(self, p_cap: float | np.ndarray) -> float | np.ndarray:
         """True seconds per epoch under per-node cap ``p_cap``."""
         if isinstance(p_cap, (int, float)):
-            # Scalar fast path: the emulator and tabular simulator call this
-            # per rank per tick, where np.clip's array machinery dominates.
+            # Scalar fast path: np.clip's array machinery costs far more
+            # than the algebra.
             p = self.p_min if p_cap < self.p_min else (
                 self.p_demand if p_cap > self.p_demand else p_cap
             )
             return self._truth.time_per_epoch(float(p))
         return self._truth.time_per_epoch(np.clip(p_cap, self.p_min, self.p_demand))
-
-    def time_per_epoch_at(self, p_cap: float, progress: float) -> float:
-        """Seconds/epoch at cap ``p_cap`` at lifecycle ``progress`` ∈ [0, 1].
-
-        The base type is phase-less, so progress is ignored;
-        :class:`~repro.workloads.phased.PhasedJobType` overrides this.
-        """
-        return float(self.time_per_epoch(float(p_cap)))
-
-    def power_demand_at(self, progress: float) -> float:
-        """Unconstrained per-node draw at lifecycle ``progress`` (phase-less)."""
-        return self.p_demand
-
-    @property
-    def profile_static(self) -> bool:
-        """True when the power/performance profile is constant over a job's life.
-
-        The emulator's array paths (the per-tick fleet pass and the stride
-        planner) evaluate one truth curve per rank, so they take a job only
-        when every per-tick input other than noise is constant: no
-        epoch-periodic power wave, and the phase-less ``time_per_epoch_at`` /
-        ``power_demand_at`` (which ignore ``progress``).  Subclasses that
-        override either method — :class:`~repro.workloads.phased.PhasedJobType`
-        looks up a phase table — are detected by method identity and
-        automatically fall back to the scalar per-node path.
-        """
-        return (
-            self.power_wave == 0.0
-            and type(self).time_per_epoch_at is JobType.time_per_epoch_at
-            and type(self).power_demand_at is JobType.power_demand_at
-        )
 
     def compute_time(self, p_cap: float) -> float:
         """True compute seconds (epochs × time/epoch) under cap ``p_cap``."""

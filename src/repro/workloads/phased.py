@@ -50,9 +50,12 @@ class PhasedJobType(JobType):
     _phase_models: tuple[QuadraticPowerModel, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
-    _phase_bounds: tuple[float, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    #: Where each phase ends, as an epoch-progress fraction, up to the first
+    #: bound equal to the last: the last phase runs from there on.
+    _phase_edges: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    #: ``(a, b, c, p_demand)`` rows, a column per phase: the emulator's
+    #: window kernel reads a phased rank's constants from here.
+    _phase_table: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -78,19 +81,23 @@ class PhasedJobType(JobType):
             )
             for p in self.phases
         )
-        bounds = tuple(np.cumsum([p.fraction for p in self.phases]))
+        bounds = np.cumsum([p.fraction for p in self.phases])
+        edges = bounds[: int(np.searchsorted(bounds, bounds[-1]))]
+        table = [[m.a, m.b, m.c, p.p_demand] for m, p in zip(models, self.phases)]
         object.__setattr__(self, "_phase_models", models)
-        object.__setattr__(self, "_phase_bounds", bounds)
+        object.__setattr__(self, "_phase_edges", edges)
+        object.__setattr__(self, "_phase_table", np.array(table).T)
 
     # ----------------------------------------------------------- phase logic
 
-    def phase_index(self, progress: float) -> int:
-        """Which phase a job is in at epoch-progress fraction ``progress``."""
-        progress = min(max(progress, 0.0), 1.0)
-        for i, bound in enumerate(self._phase_bounds):
-            if progress < bound or bound == self._phase_bounds[-1]:
-                return i
-        return len(self.phases) - 1  # pragma: no cover - loop always returns
+    def phase_index(self, progress):
+        """Which phase a job is in at epoch-progress fraction ``progress``
+        (a float, or an array of them)."""
+        return np.searchsorted(self._phase_edges, np.clip(progress, 0.0, 1.0), side="right")
+
+    def phase_constants(self, progress: np.ndarray) -> np.ndarray:
+        """``(a, b, c, p_demand)`` rows of the phase each of ``progress`` is in."""
+        return self._phase_table[:, self.phase_index(progress)]
 
     def time_per_epoch_at(self, p_cap: float, progress: float) -> float:
         """True seconds/epoch at cap ``p_cap`` while at ``progress`` ∈ [0, 1]."""

@@ -164,11 +164,12 @@ def hwsim_physics_scenario() -> dict[str, np.ndarray]:
 def hwsim_wide_scenario() -> dict[str, np.ndarray]:
     """Wide-job physics: a 16-node power-wave job on a mostly-idle cluster.
 
-    Pinned when wide jobs took a batched numpy path of their own.  Today the
-    wave job runs the scalar per-node reference (``power_wave`` is not
-    ``profile_static``) while its setup/teardown ticks and the eight idle
-    nodes are rows of ``EmulatedCluster.advance``'s fleet pass — so this
-    golden holds the pass and the reference to the same bits in one trace.
+    Pinned when wide jobs took a batched numpy path of their own; the
+    per-node reference (``tests/hwsim_reference.py``) stepped the wave job
+    to the same bits after that.  Now the wave job's 16 ranks and the eight
+    idle nodes are columns of one ``EmulatedCluster.advance`` pass (a
+    one-tick window, the wave read off each rank's progress), so this golden
+    holds the kernel's wave to those bits.
     """
     from dataclasses import replace
 

@@ -13,6 +13,7 @@ from repro.geopm.signals import ControlNames
 from repro.hwsim.cluster import EmulatedCluster
 from repro.workloads.nas import NAS_TYPES
 from repro.workloads.phased import make_two_phase_type
+from tests.hwsim_reference import node_streams, scalar_advance
 
 
 class TestAllocation:
@@ -127,27 +128,13 @@ class TestAggregation:
 # ---------------------------------------------------------------------------
 # Window kernel ≡ scalar reference.  ``EmulatedCluster`` steps every rank and
 # idle node across one tick (``advance``) or a run of them (``advance_stride``)
-# in one array pass; ``scalar_advance`` is the per-node, per-tick loop it
-# replaced, built from the scalar primitives that remain (RunningJob.advance,
-# Node.consume_idle).  Two identically-seeded clusters, one stepped by each,
-# must agree on every observable bit for bit — including the next value every
-# RNG stream would draw, which is what a truncated window's rewind must leave
-# exactly where the reference ticks left it.
-
-
-def scalar_advance(cluster: EmulatedCluster, dt: float) -> float:
-    now = cluster.clock.now
-    idle = cluster.idle_nodes()
-    for job in cluster.running.values():
-        job.advance(dt, now)
-    for node in idle:
-        node.consume_idle(dt, cluster._node_streams[node.node_id])
-    cluster._retire_done(cluster.running.values())
-    power = 0.0
-    for node in cluster.nodes:
-        power += node.last_power
-    cluster._power_history.append((now, power))
-    return power
+# in one array pass, static, power-wave and phased jobs alike;
+# ``tests/hwsim_reference.py`` keeps the per-node, per-tick loop it replaced
+# (``scalar_advance``: each job's tick and ``settle``, ``consume_idle``).  Two
+# identically-seeded clusters, one stepped by each, must agree on every
+# observable bit for bit — including the next value every RNG stream would
+# draw, which is what a truncated window's rewind must leave exactly where
+# the reference ticks left it.
 
 
 def observables(cluster: EmulatedCluster, jobs) -> dict:
@@ -170,7 +157,7 @@ def observables(cluster: EmulatedCluster, jobs) -> dict:
         ],
         "progress": {j.job_id: j._rank_progress.tolist() for j in cluster.running.values()},
         "running": list(cluster.running),
-        "next_draw": [j.rng.peek() for j in jobs] + [s.peek() for s in cluster._node_streams],
+        "next_draw": [j.rng.peek() for j in jobs] + [s.peek() for s in node_streams(cluster)],
         "idle": [n.node_id for n in cluster.idle_nodes()],
         "completed": list(cluster.completed),
         "killed": list(cluster.killed),
@@ -243,6 +230,16 @@ def short_type(
     )
 
 
+def phased_type(
+    *, nodes: int, epochs: int, tau: float, setup_time=2.0, teardown_time=3.0, **changes,
+):
+    """``make_two_phase_type`` shrunk as :func:`short_type` shrinks a catalog type."""
+    return replace(
+        make_two_phase_type(nodes=nodes, epochs=epochs, t_uncapped=epochs * tau),
+        setup_time=setup_time, teardown_time=teardown_time, **changes,
+    )
+
+
 # Phase timers: none, shorter than a tick, on a multiple of 0.7 (which the
 # chain of 0.7 adds misses by an ulp), and anything else.
 timers = st.one_of(st.sampled_from([0.0, 0.5, 1.4, 2.1, 3.0]), st.floats(0.0, 6.0))
@@ -257,6 +254,8 @@ job_specs = st.tuples(
     st.one_of(st.none(), st.floats(100.0, 320.0)),  # cap; None leaves TDP
     timers,  # setup seconds
     timers,  # teardown seconds
+    st.one_of(st.just(0.0), st.floats(0.05, 0.5)),  # power wave
+    st.booleans(),  # a two-phase type instead of the catalog one
     st.integers(0, 12),  # start tick
 )
 
@@ -274,17 +273,24 @@ class TestFleetPassEqualsScalarReference:
     )
     @example(  # long windows: jobs run through setup→compute and compute→teardown
         seed=1, run_noise=True,
-        specs=[("cg", 1, 3, 0.9, 140.0, None, 2.0, 3.0, 0),
-               ("bt", 3, 12, 1.3, 150.0, 200.0, 2.0, 3.0, 0),
-               ("mg", 2, 5, 0.6, 140.0, 250.0, 2.0, 3.0, 4)],
+        specs=[("cg", 1, 3, 0.9, 140.0, None, 2.0, 3.0, 0.0, False, 0),
+               ("bt", 3, 12, 1.3, 150.0, 200.0, 2.0, 3.0, 0.0, False, 0),
+               ("mg", 2, 5, 0.6, 140.0, 250.0, 2.0, 3.0, 0.0, False, 4)],
         slow=[], recap=(30, 220.0), dt=1.0, window=40,
     )
     @example(  # timers of none, under a tick and on the 0.7 grid, turned inside windows
         seed=3, run_noise=True,
-        specs=[("cg", 1, 3, 0.9, 140.0, None, 0.0, 0.0, 0),
-               ("lu", 2, 4, 0.8, 140.0, 200.0, 0.5, 2.1, 0),
-               ("mg", 2, 6, 0.6, 150.0, None, 2.1, 1.4, 1)],
+        specs=[("cg", 1, 3, 0.9, 140.0, None, 0.0, 0.0, 0.0, False, 0),
+               ("lu", 2, 4, 0.8, 140.0, 200.0, 0.5, 2.1, 0.0, False, 0),
+               ("mg", 2, 6, 0.6, 150.0, None, 2.1, 1.4, 0.0, False, 1)],
         slow=[], recap=(30, 220.0), dt=0.7, window=40,
+    )
+    @example(  # a slowed rank keeps one phased job's ranks in both phases for ticks
+        seed=5, run_noise=True,
+        specs=[("bt", 3, 12, 1.0, 140.0, None, 2.0, 3.0, 0.0, True, 0),
+               ("ft", 2, 8, 1.1, 150.0, 230.0, 1.0, 2.0, 0.3, False, 0),
+               ("lu", 2, 10, 0.9, 140.0, 200.0, 2.0, 3.0, 0.2, True, 3)],
+        slow=[(1, 0.4)], recap=(20, 220.0), dt=1.0, window=40,
     )
     def test_random_mixes_step_to_completion(
         self, seed, run_noise, specs, slow, recap, dt, window
@@ -296,12 +302,15 @@ class TestFleetPassEqualsScalarReference:
         tick = 0
         while tick < 600:
             while pending and pending[0][1][-1] <= tick:
-                k, (name, width, epochs, tau, p_min, cap, setup, teardown, _) = pending.pop(0)
+                k, (name, width, epochs, tau, p_min, cap, setup, teardown, wave, phased, _) = (
+                    pending.pop(0)
+                )
                 if len(pair.fleet.idle_nodes()) >= width:
-                    jt = short_type(
-                        name, nodes=width, epochs=epochs, tau=tau, p_min=p_min,
-                        setup_time=setup, teardown_time=teardown,
+                    shape = dict(
+                        nodes=width, epochs=epochs, tau=tau, p_min=p_min,
+                        setup_time=setup, teardown_time=teardown, power_wave=wave,
                     )
+                    jt = phased_type(**shape) if phased else short_type(name, **shape)
                     pair.start(f"j{k}", jt, cap)
             if tick == recap[0]:  # a cluster-wide cap change mid-run
                 pair.both(
@@ -328,13 +337,8 @@ class TestFleetPassEqualsScalarReference:
         pair = Pair(8, seed=5)
         pair.start("static", short_type("bt", nodes=2, epochs=20, tau=1.3), cap=210.0)
         pair.start("wave", short_type("ft", nodes=2, epochs=20, tau=1.1, power_wave=0.2))
-        phased = replace(
-            make_two_phase_type(nodes=2, epochs=20, t_uncapped=24.0),
-            setup_time=2.0, teardown_time=3.0,
-        )
-        pair.start("phased", phased, cap=180.0)
-        assert not pair.fleet.running["wave"].array_capable
-        assert not pair.fleet.running["phased"].array_capable
+        pair.start("phased", phased_type(nodes=2, epochs=20, tau=1.2), cap=180.0)
+        assert not pair.fleet.stride_ready()
         while pair.fleet.running:
             pair.tick()
             pair.assert_equal()
@@ -357,18 +361,18 @@ class TestFleetPassEqualsScalarReference:
             pair.tick()
         pair.assert_equal()
 
-    def test_crashed_node_under_a_live_job_takes_the_scalar_path(self):
-        # Node.fail() behind the cluster's back: the job is not killed, so the
-        # pass must see the crashed rank and hand the job to the reference.
+    def test_node_fail_under_a_live_job_raises(self):
+        # Node.fail() behind the cluster's back: the cluster kills the job
+        # first (fail_node), so a crashed node is always a free one.
         pair = Pair(4, seed=2)
         pair.start("j", short_type("sp", nodes=3, epochs=200, tau=1.0))
         for _ in range(5):
             pair.tick()
-        pair.both(lambda c, _: c.nodes[1].fail())
-        assert not pair.fleet.running["j"].array_capable
+        with pytest.raises(RuntimeError, match="runs job 'j'"):
+            pair.fleet.nodes[1].fail()
+        assert not pair.fleet.nodes[1].failed and "j" in pair.fleet.running
         for _ in range(5):
             pair.tick()
-        assert pair.fleet.nodes[1].last_power == 0.0
         pair.assert_equal()
 
     def test_last_epoch_and_teardown_expiry_on_the_same_tick(self):
@@ -599,10 +603,11 @@ class TestWindows:
         pair.start("wave", short_type("ft", nodes=2, epochs=30, tau=1.1, power_wave=0.2))
         assert not pair.fleet.stride_ready()
         while "wave" in pair.fleet.running:
-            assert pair.window(5) == 1  # the scalar reference steps alone
+            assert pair.window(5) == 1  # the wave is looked up tick by tick
             pair.window(1)
             pair.assert_equal()
         assert [t.job_id for t in pair.fleet.completed] == ["static", "wave"]
+        assert pair.fleet.stride_ready()  # its release lifted the rule
 
     def test_setup_to_compute_inside_a_window(self):
         pair = Pair(4, seed=17)
@@ -685,7 +690,7 @@ class TestValidationBeforeStateMoves:
             "energy": [n.total_energy for n in cluster.nodes],
             "phase_elapsed": job.phase_elapsed,
             "history": cluster.power_history().tolist(),
-            "streams": [s.peek() for s in (job.rng, *cluster._node_streams)],
+            "streams": [s.peek() for s in (job.rng, *node_streams(cluster))],
             "cursors": cluster._tape.head.tolist(),
         }
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.hwsim.node import Node
 from repro.workloads.nas import IDLE_NODE_POWER
+from tests.hwsim_reference import consume, consume_idle
 
 
 @pytest.fixture
@@ -31,38 +32,38 @@ class TestConsume:
     def test_draw_capped(self, node, rng):
         _, n = node
         n.pio.write_control("CPU_POWER_LIMIT_CONTROL", 160.0)
-        power = n.consume(250.0, 1.0, rng)
+        power = consume(n, 250.0, 1.0, rng)
         assert power <= 160.5  # cap plus quantisation
 
     def test_draw_limited_by_demand(self, node, rng):
         _, n = node
-        draws = [n.consume(200.0, 1.0, rng) for _ in range(50)]
+        draws = [consume(n, 200.0, 1.0, rng) for _ in range(50)]
         assert np.mean(draws) == pytest.approx(200.0, rel=0.02)
 
     def test_idle_floor(self, node, rng):
         _, n = node
-        assert n.consume(0.0, 1.0, rng) >= IDLE_NODE_POWER * 0.9
+        assert consume(n, 0.0, 1.0, rng) >= IDLE_NODE_POWER * 0.9
 
     def test_energy_deposited(self, node, rng):
         _, n = node
         before = n.total_energy
-        n.consume(200.0, 2.0, rng)
+        consume(n, 200.0, 2.0, rng)
         assert n.total_energy - before == pytest.approx(2.0 * n.last_power, rel=1e-6)
 
     def test_energy_split_across_packages(self, node, rng):
         _, n = node
-        n.consume(200.0, 1.0, rng)
+        consume(n, 200.0, 1.0, rng)
         energies = [b.total_energy_joules for b in n.banks]
         assert energies[0] == pytest.approx(energies[1])
 
     def test_non_positive_dt_rejected(self, node, rng):
         _, n = node
         with pytest.raises(ValueError, match="positive"):
-            n.consume(100.0, 0.0, rng)
+            consume(n, 100.0, 0.0, rng)
 
     def test_consume_idle(self, node, rng):
         _, n = node
-        draws = [n.consume_idle(1.0, rng) for _ in range(50)]
+        draws = [consume_idle(n, 1.0, rng) for _ in range(50)]
         assert np.mean(draws) == pytest.approx(IDLE_NODE_POWER, rel=0.05)
 
 

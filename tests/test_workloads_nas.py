@@ -1,5 +1,7 @@
 """Tests for the NAS job-type catalog (paper §5.1, Fig. 3)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,14 @@ class TestDerivedTypes:
     def test_scaled_rejects_zero(self):
         with pytest.raises(ValueError, match="≥ 1"):
             NAS_TYPES["bt"].scaled_nodes(0)
+
+    def test_power_wave_outside_unit_interval_rejected(self):
+        # From 1 on the wave's trough asks for ≤ 0 W, which the idle floor
+        # would hide.
+        assert replace(NAS_TYPES["lu"], power_wave=0.99).power_wave == 0.99
+        for wave in (-0.1, 1.0, 1.5):
+            with pytest.raises(ValueError, match="power_wave"):
+                replace(NAS_TYPES["lu"], power_wave=wave)
 
     def test_with_nodes(self):
         pinned = NAS_TYPES["ft"].with_nodes(8)
