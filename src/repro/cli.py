@@ -93,37 +93,14 @@ def _fig11(quick: bool, seed: int, csv_path: str | None = None) -> str:
     return fig11.format_table(result)
 
 
-def _drill(
-    name: str,
-    quick: bool,
-    seed: int | None,
-    trace_out: str | None = None,
-    **params,
-) -> tuple[str, bool]:
+def _drill(name: str, quick: bool, seed: int | None, **params) -> tuple[str, bool]:
     """Run one resilience drill; returns its report and whether every claim
-    held.  ``seed=None`` keeps the drill's own calibrated default seed, and
-    ``params`` the drill does not take are ignored (the option belongs to
-    another drill)."""
+    held.  ``seed=None`` keeps the drill's own calibrated default seed."""
     from repro.experiments import resilience
 
-    known = resilience.SCENARIOS[name].params
-    result = resilience.run_drill(
-        name,
-        quick=quick,
-        seed=seed,
-        **{k: v for k, v in params.items() if k in known and v is not None},
-    )
-    table = resilience.format_drill(result)
+    result = resilience.run_drill(name, quick=quick, seed=seed, **params)
     card = resilience.score(name, result)
-    if trace_out is not None and "violations" in result.metrics:
-        from pathlib import Path
-
-        violations = result.metrics["violations"]
-        path = Path(trace_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(violations) + "\n" if violations else "")
-        table += f"\n[violation trace written to {trace_out}]"
-    return f"{table}\n\n{card.render()}", card.all_passed
+    return f"{resilience.format_drill(result)}\n\n{card.render()}", card.all_passed
 
 
 def _resilience(quick: bool, seed: int) -> str:
@@ -402,6 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         if name == "resilience":
             from repro.experiments.resilience import SCENARIOS
 
+            drill_parser = p
             p.add_argument(
                 "--drill",
                 choices=list(SCENARIOS),
@@ -427,12 +405,6 @@ def main(argv: list[str] | None = None) -> int:
                 type=float,
                 default=None,
                 help="soak drill: wall-clock budget (default 60)",
-            )
-            p.add_argument(
-                "--soak-trace",
-                default=None,
-                help="soak drill: write the invariant-violation trace to "
-                "this file",
             )
         if name == "all":
             p.add_argument("--seed", type=int, default=0)
@@ -493,15 +465,16 @@ def main(argv: list[str] | None = None) -> int:
             args.quick, args.seed, args.out, jobs=args.jobs, seeds=all_seeds
         )
     elif args.experiment == "resilience" and not args.seeds:
-        table, ok = _drill(
-            args.drill,
-            args.quick,
-            args.seed,
-            args.soak_trace,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_period=args.checkpoint_period,
-            seconds=args.seconds,
-        )
+        given = {
+            k: v
+            for k in ("checkpoint_dir", "checkpoint_period", "seconds")
+            if (v := getattr(args, k)) is not None
+        }
+        stray = [k for k in given if k not in SCENARIOS[args.drill].params]
+        if stray:
+            flags = ", ".join("--" + k.replace("_", "-") for k in stray)
+            drill_parser.error(f"{flags}: not an option of --drill {args.drill}")
+        table, ok = _drill(args.drill, args.quick, args.seed, **given)
         # A drill is a claim check, not just a report: a failed scorecard
         # claim must fail the invoking script/CI job.
         exit_code = 0 if ok else 1

@@ -8,15 +8,13 @@ faults they take or the layer being switched on, and comparing them.
 
 A drill is a :class:`Scenario` value: a workload, a target, common
 :class:`~repro.core.framework.AnorConfig` overrides, named arms, default and
-``--quick`` parameters, a ``metrics(arms, params) -> dict`` function, claims
-as predicates over that dict, and table rows as ``(label, render)`` pairs.
-:func:`run_drill` builds every arm and drains it with ``AnorSystem.run``,
-:func:`format_drill` prints any result and :func:`score` checks its claims.
-What counts as a violation (:func:`lost_jobs`, :func:`double_admitted`,
-:func:`rounds_over_ceiling`, :func:`longest_over_limit`, the round monitor
-every arm carries) is :mod:`repro.invariants`'; the measurements several
-drills share (:func:`convergence_time`, :func:`overshoot_stats`) are below
-the kernel.
+``--quick`` parameters, a ``metrics(arms, params) -> dict`` function and
+claims as predicates over that dict.  :func:`run_drill` builds every arm and
+drains it with ``AnorSystem.run``, :func:`format_drill` prints any result's
+parameters and metrics and :func:`score` checks its claims.  Every
+measurement a metric takes of a run (tracking error, re-convergence,
+overshoot, lost jobs, the round monitor every arm carries) is
+:mod:`repro.invariants`'; a drill only picks the runs and the bounds.
 
 Adding a drill means adding one ``Scenario`` to :data:`SCENARIOS`: the CLI
 (``anor resilience --drill NAME``) and the golden test in
@@ -36,7 +34,6 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.analysis.tracking import tracking_error_series
 from repro.aqa.regulation import BoundedRandomWalkSignal
 from repro.core.cluster_manager import DEAD_JOB_TIMEOUT
 from repro.core.framework import AnorConfig, AnorResult, AnorSystem
@@ -67,17 +64,21 @@ from repro.faults.events import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.invariants import (
+    CALM_WINDOW,
     RAMP_SLACK,
     RoundMonitor,
+    calm_overshoot,
     collateral_quarantines,
+    convergence_time,
     double_admitted,
     ghost_records,
     longest_over_limit,
     lost_jobs,
+    overshoot_stats,
     quarantines,
     rounds_over_ceiling,
+    tracking_error_p90,
 )
-from repro.telemetry import summarize_incidents
 from repro.workloads.nas import P_NODE_MIN
 
 __all__ = [
@@ -89,12 +90,6 @@ __all__ = [
     "run_drill",
     "format_drill",
     "score",
-    "lost_jobs",
-    "double_admitted",
-    "convergence_time",
-    "rounds_over_ceiling",
-    "longest_over_limit",
-    "overshoot_stats",
 ]
 
 
@@ -147,7 +142,6 @@ class Scenario:
     arms: Mapping[str, Arm] | Callable[[dict], Iterable[tuple[str, Arm]]]
     metrics: Callable[[dict[str, ArmRun], dict], dict]
     claims: tuple[tuple[str, Callable[[dict], bool]], ...]
-    rows: tuple[tuple[str, Callable[[dict, dict], object]], ...]
     config: Callable[[dict], dict] = lambda p: {}
     # None: the Fig. 9 regulation target the system builder makes itself.
     target: Callable[[dict], PowerTargetSource | None] = lambda p: None
@@ -249,20 +243,39 @@ def run_drill(
 
 
 def format_drill(res: DrillRun) -> str:
-    """Render a drill's table: one line per scalar row, a block per list."""
-    rows = [
-        (label, render(res.metrics, res.params))
-        for label, render in SCENARIOS[res.name].rows
-    ]
-    width = max(len(label) for label, value in rows if not isinstance(value, list))
+    """A drill's report: its ``params``, then its ``metrics`` in dict order.
+
+    A scalar is one ``key : value`` line; a non-empty list or dict is its key
+    and then one indented line per item.  The metrics dict is what the claims
+    read and the golden files pin, so the report shows every scored value and
+    restates no bound.
+    """
     lines: list[str] = []
-    for label, value in rows:
-        if not isinstance(value, list):
-            lines.append(f"{label:<{width}} : {value}")
-        elif value:
-            lines.append(f"{label}:")
-            lines.extend(f"  {item}" for item in value)
+    for title, values in (("params", res.params), ("metrics", res.metrics)):
+        lines.append(f"{title}:")
+        width = max(map(len, values), default=0)
+        for key, value in values.items():
+            if isinstance(value, dict) and value:
+                inner = max(map(len, value))
+                lines.append(f"  {key}:")
+                lines += (f"    {k:<{inner}} : {_text(v)}" for k, v in value.items())
+            elif isinstance(value, (list, tuple)) and value:
+                lines.append(f"  {key}:")
+                lines += (f"    {_text(item)}" for item in value)
+            else:
+                lines.append(f"  {key:<{width}} : {_text(value)}")
     return "\n".join(lines)
+
+
+def _text(value) -> str:
+    """One value on one line, a float to six significant digits."""
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_text(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_text, value)) + "]"
+    return str(value)
 
 
 def score(name: str, res: DrillRun) -> Scorecard:
@@ -271,83 +284,15 @@ def score(name: str, res: DrillRun) -> Scorecard:
     return evaluate(claims, res.metrics)
 
 
-# ----------------------------------------------------- shared measurements
-
-
 def _ids(result: AnorResult) -> set[str]:
     return {t.job_id for t in result.completed}
 
 
-def convergence_time(
-    reference: AnorResult,
-    run: AnorResult,
-    *,
-    after: float,
-    tol_watts: float,
-    window: int = 30,
-) -> float | None:
-    """Seconds past ``after`` until ``run``'s power trace re-converges.
-
-    Convergence = measured power staying within ``tol_watts`` of the
-    reference run's for ``window`` consecutive samples.  ``None`` = never.
-    """
-    ref, got = reference.power_trace, run.power_trace
-    n = min(len(ref), len(got))
-    if n == 0:
-        return None
-    close = np.abs(got[:n, 2] - ref[:n, 2]) <= tol_watts
-    start = int(np.searchsorted(got[:n, 0], after))
-    for i in range(start, n - window + 1):
-        if close[i : i + window].all():
-            return float(got[i, 0] - after)
-    return None
-
-
-def overshoot_stats(trace: np.ndarray, t0: float, t1: float) -> tuple[float, float]:
-    """(over-target energy in J, mean measured−target in W) on [t0, t1)."""
-    if not len(trace):
-        return 0.0, 0.0
-    mask = (trace[:, 0] >= t0) & (trace[:, 0] < t1)
-    t, target, measured = trace[mask, 0], trace[mask, 1], trace[mask, 2]
-    if len(t) < 2:
-        return 0.0, 0.0
-    dt = np.diff(t, append=t[-1])
-    over = np.maximum(measured - target, 0.0)
-    return float(np.sum(over * dt)), float(np.mean(measured - target))
-
-
 def _error90(result: AnorResult, p: dict) -> float:
-    """90th-percentile tracking error over the scheduled window only: past
-    ``duration`` the cluster is draining toward empty while the target stays
-    committed, and that tail would swamp any comparison between arms."""
-    trace = result.power_trace
-    errors = tracking_error_series(
-        trace[trace[:, 0] <= p["duration"]],
-        DEFAULT_RESERVE,
-        t_start=p["warmup"],
-        smooth_samples=4,
+    """Tracking error over the drill's scheduled window, past its warmup."""
+    return tracking_error_p90(
+        result.power_trace, DEFAULT_RESERVE, warmup=p["warmup"], until=p["duration"]
     )
-    return float(np.percentile(errors, 90))
-
-
-# ---------------------------------------------------------- table helpers
-
-
-def _yes(flag: bool) -> str:
-    return "yes" if flag else "NO"
-
-
-def _listed(items: list) -> str:
-    return f"{len(items)}" + (f"  {items}" if items else "")
-
-
-def _seconds(value: float | None, what: str) -> str:
-    return f"{value:.0f}s after {what}" if value is not None else "NEVER"
-
-
-def _incidents(m: dict, p: dict) -> list[str]:
-    counts = m["incident_counts"]
-    return [line.strip() for line in summarize_incidents(counts)] if counts else []
 
 
 # ------------------------------------------------------------------ faults
@@ -442,27 +387,6 @@ _FAULTS = Scenario(
         ("tracking error stays within 1.5x of healthy (90th pct)",
          lambda m: m["degradation_ratio"] <= 1.5),
     ),
-    rows=(
-        ("healthy tracking error 90th pct",
-         lambda m, p: f"{100 * m['healthy_error90']:5.1f}%"),
-        ("faulted tracking error 90th pct",
-         lambda m, p: f"{100 * m['faulted_error90']:5.1f}%"
-         f"  ({m['degradation_ratio']:.2f}x healthy, bound 1.50x)"),
-        ("jobs completed healthy/faulted",
-         lambda m, p: f"{m['completed_healthy']}/{m['completed_faulted']}"),
-        ("jobs requeued by crashes",
-         lambda m, p: f"{len(m['requeued'])}"
-         f"  (all finished: {_yes(m['requeued_completed'])})"),
-        ("ghost job records at drain", lambda m, p: m["ghost_jobs"]),
-        ("fault windows all closed", lambda m, p: _yes(m["injector_quiescent"])),
-        ("fault event log", lambda m, p: m["fault_log"]),
-        ("incident summary", _incidents),
-        ("control-plane decisions (faulted run)",
-         lambda m, p: [
-             f"{label:<{max(map(len, m['decision_counts']))}} : {int(value)}"
-             for label, value in m["decision_counts"].items()
-         ]),
-    ),
 )
 
 
@@ -546,22 +470,6 @@ _HEADNODE = Scenario(
          "restart",
          lambda m: m["convergence_time"] is not None
          and m["convergence_time"] <= 120.0),
-    ),
-    rows=(
-        ("head-node outage",
-         lambda m, p: f"t={p['crash_time']:.0f}s for {p['down_for']:.0f}s"),
-        ("checkpoints written", lambda m, p: m["checkpoints_written"]),
-        ("budget rounds over ceiling", lambda m, p: m["rounds_over_ceiling"]),
-        ("jobs completed golden/recovered",
-         lambda m, p: f"{m['completed_golden']}/{m['completed_recovered']}"),
-        ("jobs lost to the outage", lambda m, p: _listed(m["lost_jobs"])),
-        ("double-admitted jobs", lambda m, p: len(m["double_admitted"])),
-        ("live jobs reconciled (re-HELLO)", lambda m, p: m["recovery_merges"]),
-        ("orphans after recovery window", lambda m, p: _listed(m["orphaned"])),
-        ("trace re-convergence",
-         lambda m, p: _seconds(m["convergence_time"], "restart")),
-        ("recovery log", lambda m, p: m["recovery_log"]),
-        ("incident summary", _incidents),
     ),
 )
 
@@ -678,31 +586,6 @@ _PARTITION = Scenario(
          lambda m: m["injector_quiescent"]),
         ("tracking re-converges to the golden run after the heal",
          lambda m: m["convergence_time"] is not None),
-    ),
-    rows=(
-        ("partition window",
-         lambda m, p: f"t={p['partition_time']:.0f}s for "
-         f"{p['partition_duration']:.0f}s (all head↔endpoint links)"),
-        ("target step (inside partition)",
-         lambda m, p: f"{p['high_power']:.0f}W -> {p['low_power']:.0f}W at "
-         f"t={p['partition_time'] + p['step_into']:.0f}s"),
-        ("lease: ttl/ramp/slack",
-         lambda m, p: f"{p['lease_ttl']:.0f}s / {p['lease_ramp']:.0f}s / "
-         f"{p['slack']:.0f}s"),
-        ("over-limit stretch (partition)",
-         lambda m, p: f"{m['overshoot_seconds']:.0f}s "
-         f"(bound {m['overshoot_bound']:.0f}s, golden "
-         f"{m['golden_overshoot_seconds']:.0f}s)"),
-        ("lease expiries (degraded mode)", lambda m, p: m["degraded_endpoints"]),
-        ("partitions detected/healed",
-         lambda m, p: f"{m['partitions_detected']}/{m['partitions_healed']}"),
-        ("jobs completed golden/partition",
-         lambda m, p: f"{m['completed_golden']}/{m['completed_partitioned']}"),
-        ("jobs lost to the partition", lambda m, p: _listed(m["lost_jobs"])),
-        ("fault windows all closed", lambda m, p: _yes(m["injector_quiescent"])),
-        ("trace re-convergence",
-         lambda m, p: _seconds(m["convergence_time"], "heal")),
-        ("incident summary", _incidents),
     ),
 )
 
@@ -857,56 +740,14 @@ _BYZANTINE = Scenario(
         ("victims whose faults never heal stay quarantined",
          lambda m: m["unhealed_still_quarantined"]),
     ),
-    rows=(
-        ("target (static, trim zeroed)", lambda m, p: f"{m['target_power']:.0f}W"),
-        ("victims (audit-on run)",
-         lambda m, p: ", ".join(
-             f"{jid} ({kind} @t={fired:.0f}s)"
-             for jid, (kind, fired) in sorted(m["victims"].items())
-         )),
-        ("false quarantines (clean run)",
-         lambda m, p: m["false_quarantines_clean"]),
-        ("victims quarantined",
-         lambda m, p: f"{len(m['detection_latencies'])}/{len(m['victims'])}"
-         + (f"  missed: {m['missed_victims']}" if m["missed_victims"] else "")),
-        ("detection latency",
-         lambda m, p: ", ".join(
-             f"{jid}: {lat:.0f}s"
-             for jid, lat in sorted(m["detection_latencies"].items())
-         )),
-        ("collateral quarantines",
-         lambda m, p: _listed(m["collateral_quarantines"])),
-        ("over-target energy on/off",
-         lambda m, p: f"{m['on_total_energy']:.1f} / "
-         f"{m['off_total_energy']:.1f} kJ after the attack"),
-        ("audit-off mean excess (detect)",
-         lambda m, p: f"{m['off_detect_mean']:+.0f}W"),
-        ("audit-on mean excess (settled)",
-         lambda m, p: f"{m['on_settled_mean']:+.0f}W"),
-        ("healed actuator rehabilitated",
-         lambda m, p: _yes(m["rehabilitated"])
-         + (
-             f"  ({m['healed_victim']}, heal t={m['heal_time']:.0f}s)"
-             if m["healed_victim"]
-             else ""
-         )),
-        ("unhealed victims still held",
-         lambda m, p: _yes(m["unhealed_still_quarantined"])),
-        ("trust transitions (attacked, audit on)", lambda m, p: m["transitions"]),
-    ),
 )
 
 
 # -------------------------------------------------------------------- soak
 
-#: Calm-window invariant bounds.  Single-sample overshoot spikes are normal
-#: even fault-free (a freshly dispatched job's setup phase draws demand power
-#: before its first cap lands), so the bound is on a rolling mean: fault-free
-#: runs stay under ~3 % of target on a 60 s mean, while a containment failure
-#: holds a victim's excess indefinitely.
-_SOAK_SETTLE = 90.0
-_SOAK_ROLL = 60  # samples (≈ seconds) in the rolling overshoot mean
-_SOAK_SUSTAINED_EXCESS = 0.05  # fraction of target on the rolling mean
+#: Bound on :func:`~repro.invariants.calm_overshoot`, as a fraction of
+#: target: fault-free runs stay under ~3 % of target on its 60 s mean.
+_SOAK_SUSTAINED_EXCESS = 0.05
 _SOAK_MAX_EPISODES = 1000
 
 #: Beyond the three rogue-endpoint faults, a job may legitimately end up
@@ -951,18 +792,6 @@ def _soak_arms(p: dict) -> Iterable[tuple[str, Arm]]:
         yield f"seed={seed}", Arm(config={"seed": seed}, faults=cocktail)
 
 
-def _fault_windows(schedule: FaultSchedule, end: float) -> list:
-    """(start, stop) spans during/after which the system may be off target."""
-    windows = []
-    for event in schedule:
-        span = getattr(event, "duration", None)
-        if span is None:
-            span = getattr(event, "down_for", 0.0)
-        stop = event.time + span if math.isfinite(span) else end
-        windows.append((event.time, min(stop + _SOAK_SETTLE, end)))
-    return windows
-
-
 def _soak_violations(run: ArmRun, p: dict) -> list[str]:
     """The online invariants one episode broke (see the scenario's doc)."""
     system, result = run.system, run.result
@@ -981,27 +810,12 @@ def _soak_violations(run: ArmRun, p: dict) -> list[str]:
     collateral = collateral_quarantines(system)
     if collateral:
         violations.append(f"seed={seed} collateral quarantine: {collateral}")
-    trace = result.power_trace
-    if len(trace) >= _SOAK_ROLL:
-        end = float(trace[-1, 0])
-        calm = np.isfinite(trace[:, 2])
-        for start, stop in _fault_windows(system.faults.schedule, end):
-            calm &= ~((trace[:, 0] >= start) & (trace[:, 0] < stop))
-        excess = np.where(calm, trace[:, 2] - trace[:, 1], 0.0)
-        kernel = np.ones(_SOAK_ROLL)
-        rolled = np.convolve(excess, kernel / _SOAK_ROLL, mode="valid")
-        # A rolling window counts only if every sample in it is calm.
-        all_calm = np.convolve(calm.astype(float), kernel, mode="valid") == (
-            _SOAK_ROLL
+    worst = calm_overshoot(result.power_trace, system.faults.schedule)
+    if worst is not None and worst[1] > _SOAK_SUSTAINED_EXCESS * p["target_power"]:
+        violations.append(
+            f"seed={seed} t={worst[0]:.1f} sustained calm-window overshoot "
+            f"{worst[1]:.1f}W ({CALM_WINDOW}s mean)"
         )
-        if all_calm.any():
-            worst = int(np.argmax(np.where(all_calm, rolled, -np.inf)))
-            if rolled[worst] > _SOAK_SUSTAINED_EXCESS * p["target_power"]:
-                violations.append(
-                    f"seed={seed} t={trace[worst, 0]:.1f} sustained "
-                    f"calm-window overshoot {rolled[worst]:.1f}W "
-                    f"({_SOAK_ROLL}s mean)"
-                )
     return violations
 
 
@@ -1067,25 +881,6 @@ _SOAK = Scenario(
          "conservation, bounded overshoot, drain, no collateral quarantine)",
          lambda m: bool(m["episodes"]) and not m["violations"]),
     ),
-    rows=(
-        ("episodes",
-         lambda m, p: f"{len(m['episodes'])} (wall budget {p['seconds']:.0f}s)"),
-        ("faults injected", lambda m, p: m["total_faults"]),
-        ("quarantines", lambda m, p: m["quarantines"]),
-        ("invariant violations", lambda m, p: len(m["violations"])),
-        ("per episode",
-         lambda m, p: [
-             f"seed={ep['seed']}: faults={ep['num_faults']} "
-             f"completed={ep['completed']} quarantines={ep['quarantines']} "
-             + (
-                 f"VIOLATIONS={len(ep['violations'])}"
-                 if ep["violations"]
-                 else "clean"
-             )
-             for ep in m["episodes"]
-         ]),
-        ("violations", lambda m, p: m["violations"]),
-    ),
 )
 
 
@@ -1109,7 +904,9 @@ def _forecast_target(p: dict) -> SteppedTarget:
 
 
 def _forecast_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
-    reactive, predictive, adversarial = (arms[name] for name in _FORECAST_ARMS)
+    reactive, predictive, adversarial = (
+        arms["reactive"], arms["predictive"], arms["adversarial"]
+    )
     good = predictive.system.manager.planner
     bad = adversarial.system.manager.planner
     base = _error90(reactive.result, p)
@@ -1150,14 +947,6 @@ def _forecast_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
         "adversarial_completed": len(adversarial.result.completed),
         "reactive_unstarted": reactive.result.unstarted_jobs,
     }
-
-
-_FORECAST_ARMS = ("reactive", "predictive", "adversarial")
-
-
-def _by_arm(m: dict, key: str, spec: str = "", arms: tuple = _FORECAST_ARMS) -> str:
-    """``arm value`` for each arm's ``{arm}_{key}`` metric, on one line."""
-    return "  ".join(f"{arm} {format(m[f'{arm}_{key}'], spec)}" for arm in arms)
 
 
 _FORECAST = Scenario(
@@ -1229,31 +1018,6 @@ _FORECAST = Scenario(
          lambda m: m["reactive_completed"] == m["predictive_completed"]
          == m["adversarial_completed"]
          and m["reactive_unstarted"] == 0),
-    ),
-    rows=(
-        ("tracking error 90th pct", lambda m, p: _by_arm(m, "error90", "5.1%")),
-        ("tracking ratio",
-         lambda m, p: f"{m['tracking_ratio']:.3f} "
-         "(predictive/reactive, <1 is a win)"),
-        ("cap rewrites", lambda m, p: _by_arm(m, "rewrites")),
-        ("budget-ceiling breaches",
-         lambda m, p: _by_arm(m, "violations", arms=_FORECAST_ARMS[1:])),
-        ("forecast MAE",
-         lambda m, p: f"predictive {m['predictive_mae']:.1f}W  adversarial "
-         f"{m['adversarial_mae']:.1f}W (bound {p['error_bound_watts']:.0f}W)"),
-        ("plan warm hits",
-         lambda m, p: f"{m['predictive_warm_hits']}  "
-         f"(hysteresis held {m['predictive_held_caps']} caps)"),
-        ("fallbacks",
-         lambda m, p: _by_arm(m, "fallbacks", arms=_FORECAST_ARMS[1:])
-         + (
-             f" (first at t={m['adversarial_fallback_time']:.0f}s, latency "
-             f"{m['fallback_latency']:.0f}s ≤ bound "
-             f"{m['fallback_latency_bound']:.0f}s)"
-             if m["fallback_latency"] is not None
-             else ""
-         )),
-        ("jobs completed", lambda m, p: _by_arm(m, "completed")),
     ),
 )
 
@@ -1418,38 +1182,6 @@ _SHED = Scenario(
          lambda m: m["golden_clean"]),
         ("every fault window closed (injector quiescent)",
          lambda m: m["injector_quiescent"]),
-    ),
-    rows=(
-        ("target (static)",
-         lambda m, p: f"{p['target_power']:.0f}W, {len(_SHED_INCIDENTS)} "
-         "staggered facility incidents"),
-        ("jobs by shed class",
-         lambda m, p: "  ".join(f"{c}={n}" for c, n in m["jobs_by_class"].items())),
-        ("ladder escalations",
-         lambda m, p: f"{m['escalations']} (flap bound {m['flap_bound']}; "
-         f"golden {m['golden_escalations']})"),
-        ("shed actions (incident arm)",
-         lambda m, p: f"preempts={m['preempts']} kills={m['kills']} "
-         f"restores={m['restores']}"),
-        ("protected jobs shed", lambda m, p: _listed(m["protected_shed"])),
-        ("shed-order violations",
-         lambda m, p: f"kill={len(m['kill_order_violations'])} "
-         f"preempt={len(m['preempt_order_violations'])}"),
-        ("double-shed in one episode", lambda m, p: _listed(m["double_shed"])),
-        ("recovery ramp per round",
-         lambda m, p: f"{m['max_ramp_step']:.1f}W (bound {m['ramp_bound']:.1f}W)"),
-        ("recovered to normal", lambda m, p: _yes(m["recovered_to_normal"])),
-        ("jobs completed golden/incident",
-         lambda m, p: f"{m['completed_golden']}/{m['completed_incident']}"),
-        ("preempted unaccounted for",
-         lambda m, p: _listed(m["preempted_unaccounted"])),
-        ("protected jobs incomplete",
-         lambda m, p: _listed(m["protected_incomplete"])),
-        ("golden arm shed-free", lambda m, p: _yes(m["golden_clean"])),
-        ("fault windows all closed", lambda m, p: _yes(m["injector_quiescent"])),
-        ("severity transitions (incident arm)", lambda m, p: m["severity_log"]),
-        ("shed actions", lambda m, p: m["shed_actions"]),
-        ("incident summary", _incidents),
     ),
 )
 

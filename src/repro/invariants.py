@@ -8,8 +8,8 @@ and returns what is wrong with it (``None``: it holds); :class:`RoundMonitor`
 checks them all from inside the round, as the last stage of
 ``ClusterPowerManager._stages`` (``AnorSystem(monitors=[RoundMonitor(cfg)])``;
 the system hands the same monitors to every manager a head restart builds).
-A *run* invariant is a measurement over an ``AnorResult`` or a drained
-system that a drill or test compares with its bound.
+A *run* invariant is a measurement over an ``AnorResult``, its power trace
+or a drained system that a drill or test compares with its bound.
 
 Drills, the soak, the property suites and the feature matrix import these;
 nothing else under ``src/`` or ``tests/`` says what a violation is.
@@ -17,11 +17,13 @@ nothing else under ``src/`` or ``tests/`` says what a violation is.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from typing import TYPE_CHECKING, Collection
+from typing import TYPE_CHECKING, Collection, Iterable
 
 import numpy as np
 
+from repro.analysis.tracking import tracking_error_series
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,22 +31,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.round import BudgetRound
 
 __all__ = [
+    "CALM_SETTLE",
+    "CALM_WINDOW",
     "PLAN_SLACK",
     "RAMP_SLACK",
     "RoundMonitor",
+    "calm_overshoot",
     "caps_in_range",
     "caps_within_pool",
     "collateral_quarantines",
+    "convergence_time",
     "double_admitted",
     "ghost_records",
     "longest_over_limit",
     "lost_jobs",
+    "overshoot_stats",
     "planned_within_ceiling",
     "protected_never_shed",
     "quarantines",
     "ramp_bounded",
     "rounds_over_ceiling",
     "single_slowdown",
+    "tracking_error_p90",
 ]
 
 #: Float slack on planned ≤ ceiling and Σ caps·nodes ≤ pool.  0.1 W on a
@@ -54,6 +62,15 @@ PLAN_SLACK = 0.1
 
 #: Float slack on the recovery ramp: ``min(feed, ceiling + ramp) − ceiling``.
 RAMP_SLACK = 1.0
+
+#: The calm-window overshoot's two spans.  A fault stays loud for
+#: ``CALM_SETTLE`` s after its window closes.  Single-sample spikes are normal
+#: even fault-free (a freshly dispatched job's setup phase draws demand power
+#: before its first cap lands), so the excess is a ``CALM_WINDOW``-sample
+#: (≈ seconds) rolling mean, over which a containment failure still shows:
+#: it holds a victim's excess indefinitely.
+CALM_SETTLE = 90.0
+CALM_WINDOW = 60
 
 _REFERENCE = EvenSlowdownBudgeter()
 
@@ -242,3 +259,82 @@ def longest_over_limit(
         else:
             start = None
     return best
+
+
+def tracking_error_p90(
+    trace: np.ndarray, reserve: float, *, warmup: float, until: float
+) -> float:
+    """90th-percentile tracking error ``|measured − target| / reserve`` on
+    ``[warmup, until]``, measured smoothed over the 4 s target period (paper
+    §6.3's 30 % / 90 % constraint; DESIGN §4c).  Past ``until`` a cluster
+    drains toward empty while the target stays committed, and that tail
+    would swamp any comparison between runs."""
+    errors = tracking_error_series(
+        trace[trace[:, 0] <= until], reserve, t_start=warmup, smooth_samples=4
+    )
+    return float(np.percentile(errors, 90))
+
+
+def convergence_time(
+    reference: "AnorResult",
+    run: "AnorResult",
+    *,
+    after: float,
+    tol_watts: float,
+    window: int = 30,
+) -> float | None:
+    """Seconds past ``after`` until ``run``'s measured power stays within
+    ``tol_watts`` of the reference run's for ``window`` consecutive samples
+    (None: never); a head restart and a healed partition must re-converge
+    (DESIGN §4d, §4e)."""
+    ref, got = reference.power_trace, run.power_trace
+    n = min(len(ref), len(got))
+    if n == 0:
+        return None
+    close = np.abs(got[:n, 2] - ref[:n, 2]) <= tol_watts
+    start = int(np.searchsorted(got[:n, 0], after))
+    for i in range(start, n - window + 1):
+        if close[i : i + window].all():
+            return float(got[i, 0] - after)
+    return None
+
+
+def overshoot_stats(trace: np.ndarray, t0: float, t1: float) -> tuple[float, float]:
+    """(over-target energy in J, mean measured − target in W) on ``[t0, t1)``:
+    what a rogue endpoint costs the facility with auditing on and off
+    (DESIGN §4f)."""
+    if not len(trace):
+        return 0.0, 0.0
+    mask = (trace[:, 0] >= t0) & (trace[:, 0] < t1)
+    t, target, measured = trace[mask, 0], trace[mask, 1], trace[mask, 2]
+    if len(t) < 2:
+        return 0.0, 0.0
+    dt = np.diff(t, append=t[-1])
+    over = np.maximum(measured - target, 0.0)
+    return float(np.sum(over * dt)), float(np.mean(measured - target))
+
+
+def calm_overshoot(trace: np.ndarray, faults: Iterable) -> tuple[float, float] | None:
+    """(time, W) of the largest ``CALM_WINDOW``-sample mean of measured −
+    target over the windows no fault touches, a fault's span running until
+    ``CALM_SETTLE`` s after it ends (None: no such window).  The chaos soak
+    bounds it: the trust boundary contains what it quarantines (DESIGN §4f)."""
+    if len(trace) < CALM_WINDOW:
+        return None
+    t, end = trace[:, 0], float(trace[-1, 0])
+    calm = np.isfinite(trace[:, 2])
+    for event in faults:
+        span = getattr(event, "duration", None)
+        if span is None:
+            span = getattr(event, "down_for", 0.0)
+        stop = event.time + span if math.isfinite(span) else end
+        calm &= ~((t >= event.time) & (t < min(stop + CALM_SETTLE, end)))
+    excess = np.where(calm, trace[:, 2] - trace[:, 1], 0.0)
+    kernel = np.ones(CALM_WINDOW)
+    rolled = np.convolve(excess, kernel / CALM_WINDOW, mode="valid")
+    # A window counts only if every sample in it is calm.
+    all_calm = np.convolve(calm.astype(float), kernel, mode="valid") == CALM_WINDOW
+    if not all_calm.any():
+        return None
+    worst = int(np.argmax(np.where(all_calm, rolled, -np.inf)))
+    return float(t[worst]), float(rolled[worst])

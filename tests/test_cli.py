@@ -62,7 +62,7 @@ class TestResilienceDrills:
         argv = ["resilience", "--drill", "headnode", "--quick"]
         assert main(argv + ["--checkpoint-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "head-node outage" in out
+        assert "recovery_merges" in out
         assert "5/5 claims hold" in out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["golden", "recovered"]
 
@@ -79,6 +79,21 @@ class TestResilienceDrills:
         seen = _stub_drill(monkeypatch, ok=True)
         assert main(["resilience", "--quick"]) == 0
         assert seen == ["faults"]
+
+    def test_an_option_of_another_drill_is_a_usage_error(self, monkeypatch, capsys):
+        seen = _stub_drill(monkeypatch, ok=True)
+        for argv in (
+            ["--drill", "partition", "--checkpoint-dir", "ckpt"],
+            ["--drill", "faults", "--seconds", "5"],
+            ["--seconds", "5"],
+        ):
+            with pytest.raises(SystemExit) as exit_:
+                main(["resilience", "--quick", *argv])
+            assert exit_.value.code == 2
+            assert "not an option of --drill" in capsys.readouterr().err
+        assert seen == []
+        assert main(["resilience", "--drill", "soak", "--seconds", "5"]) == 0
+        assert seen == ["soak"]
 
     def test_one_drill_option_replaces_the_flags_and_the_plan_command(self):
         for argv in (

@@ -14,13 +14,20 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.resilience import SCENARIOS, DrillRun, run_drill, score
+from repro.experiments.resilience import (
+    SCENARIOS,
+    DrillRun,
+    format_drill,
+    run_drill,
+    score,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "drills"
 
@@ -85,6 +92,13 @@ def test_every_quick_drill_passes_its_scorecard(drills):
     for name in SCENARIOS:
         card = score(name, drills(name))
         assert card.all_passed, card.render()
+
+
+def test_the_report_prints_every_metric(drills):
+    for name in SCENARIOS:
+        report = format_drill(drills(name))
+        for key in drills(name).metrics:
+            assert re.search(rf"^ *{re.escape(key)} *:", report, re.M), (name, key)
 
 
 def test_drill_scorecard_detects_breakage(drills):

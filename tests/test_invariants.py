@@ -85,6 +85,29 @@ def trace(over_from, over_to):
     return np.column_stack([t, np.full_like(t, 1000.0), measured])
 
 
+def tracked(excess, tail=0.0):
+    # reserve 100 W: an error of 0.3 is the paper's 30 % constraint.
+    t = np.arange(0.0, 100.0)
+    measured = 1000.0 + np.where(t <= 89.0, excess, tail)
+    return np.column_stack([t, np.full_like(t, 1000.0), measured])
+
+
+def converged(off):
+    t = np.arange(0.0, 100.0)
+    target = np.full_like(t, 1000.0)
+    return NS(power_trace=np.column_stack([t, target, target + off]))
+
+
+def calmed(loud_until):
+    t = np.arange(0.0, 300.0)
+    measured = np.where((t >= 40.0) & (t <= loud_until), 1100.0, 1000.0)
+    return np.column_stack([t, np.full_like(t, 1000.0), measured])
+
+
+#: One fault loud until t = 10 s + CALM_SETTLE = 100 s.
+FAULTS = [NS(time=0.0, duration=10.0)]
+
+
 #: name -> (what ``check`` returns when broken is truthy, when kept falsy).
 MUTATIONS = {
     "planned_within_ceiling": (
@@ -131,6 +154,26 @@ MUTATIONS = {
     "longest_over_limit": (
         lambda: inv.longest_over_limit(trace(20, 51), floor=900.0, tol=0.1, after=10.0) > 30.0,
         lambda: inv.longest_over_limit(trace(20, 50), floor=900.0, tol=0.1, after=10.0) > 30.0,
+    ),
+    "tracking_error_p90": (
+        lambda: inv.tracking_error_p90(tracked(31.0), 100.0, warmup=10.0, until=89.0) > 0.3,
+        # The drain tail past ``until`` does not count.
+        lambda: inv.tracking_error_p90(
+            tracked(30.0, tail=500.0), 100.0, warmup=10.0, until=89.0) > 0.3,
+    ),
+    "convergence_time": (
+        lambda: inv.convergence_time(
+            converged(0.0), converged(5.01), after=10.0, tol_watts=5.0) is None,
+        lambda: inv.convergence_time(
+            converged(0.0), converged(5.0), after=10.0, tol_watts=5.0) is None,
+    ),
+    "overshoot_stats": (
+        lambda: inv.overshoot_stats(trace(20, 31), 31.0, 60.0)[0],
+        lambda: inv.overshoot_stats(trace(20, 30), 31.0, 60.0)[0],
+    ),
+    "calm_overshoot": (
+        lambda: inv.calm_overshoot(calmed(100.0), FAULTS)[1] > 0.0,
+        lambda: inv.calm_overshoot(calmed(99.0), FAULTS)[1] > 0.0,
     ),
 }
 
