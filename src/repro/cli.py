@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import Callable
 
 
 def _fig3(quick: bool, seed: int) -> str:
@@ -103,6 +104,17 @@ def _drill(name: str, quick: bool, seed: int | None, **params) -> tuple[str, boo
     return f"{resilience.format_drill(result)}\n\n{card.render()}", card.all_passed
 
 
+def _sweep_drill(name: str, quick: bool, seed: int, **params) -> tuple[str, bool]:
+    """:func:`_drill` for one seed of a sweep: a named checkpoint directory
+    gets a ``seed-N`` subdirectory per seed, so no seed restarts from
+    another's checkpoint and journal."""
+    from pathlib import Path
+
+    if params.get("checkpoint_dir") is not None:
+        params["checkpoint_dir"] = str(Path(params["checkpoint_dir"]) / f"seed-{seed}")
+    return _drill(name, quick, seed, **params)
+
+
 def _resilience(quick: bool, seed: int) -> str:
     return _drill("faults", quick, seed)[0]
 
@@ -174,23 +186,36 @@ def _run_all(
     return "\n".join(lines)
 
 
-def _run_seed_sweep(name: str, quick: bool, seeds: list[int], jobs: int) -> str:
-    """Run one figure once per seed, fanned over ``jobs`` workers."""
+def _run_seed_sweep(
+    key: str, fn: Callable, seeds: list[int], jobs: int, **kwargs
+) -> tuple[str, bool]:
+    """Run ``fn(seed=s, **kwargs)`` once per seed, fanned over ``jobs``
+    workers; returns the labelled tables and whether every run passed.  A
+    run passes unless it raised, or returned a ``(table, ok)`` pair (a
+    drill's report and scorecard verdict) with ``ok`` false."""
     from repro.runner import ExperimentTask, run_tasks
 
-    runner, _ = _COMMANDS[name]
     tasks = [
-        ExperimentTask(
-            key=f"{name}[seed={s}]", fn=runner, kwargs={"quick": quick, "seed": s}
-        )
+        ExperimentTask(key=f"{key}[seed={s}]", fn=fn, kwargs={**kwargs, "seed": s})
         for s in seeds
     ]
-    lines = []
+    lines, passed = [], True
     for outcome in run_tasks(tasks, jobs=jobs):
-        lines.append(f"=== {outcome.key} ({outcome.elapsed:.1f}s) ===")
-        lines.append(outcome.table if outcome.ok else f"FAILED: {outcome.error}")
-        lines.append("")
-    return "\n".join(lines)
+        table, ok = outcome.table, outcome.ok
+        if not ok:
+            table = f"FAILED: {outcome.error}"
+        elif isinstance(table, tuple):
+            table, ok = table
+        passed = passed and ok
+        lines += [f"=== {outcome.key} ({outcome.elapsed:.1f}s) ===", table, ""]
+    return "\n".join(lines), passed
+
+
+def _seed_list(parser: argparse.ArgumentParser, text: str) -> list[int]:
+    seeds = [int(s) for s in text.split(",") if s.strip() != ""]
+    if not seeds:
+        parser.error("--seeds must name at least one seed")
+    return seeds
 
 
 _EXPORTABLE = {"fig4", "fig9", "fig11"}
@@ -426,8 +451,8 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument(
                 "--seeds",
                 default=None,
-                help="comma-separated seed list: run the figure once per seed "
-                "(fanned over --jobs workers)",
+                help="comma-separated seed list: run the figure (or drill, with "
+                "its options) once per seed, fanned over --jobs workers",
             )
     args = parser.parse_args(argv)
     if args.experiment == "top":
@@ -456,15 +481,11 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     exit_code = 0
     if args.experiment == "all":
-        all_seeds = None
-        if args.seeds:
-            all_seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-            if not all_seeds:
-                parser.error("--seeds must name at least one seed")
+        all_seeds = _seed_list(parser, args.seeds) if args.seeds else None
         table = _run_all(
             args.quick, args.seed, args.out, jobs=args.jobs, seeds=all_seeds
         )
-    elif args.experiment == "resilience" and not args.seeds:
+    elif args.experiment == "resilience":
         given = {
             k: v
             for k in ("checkpoint_dir", "checkpoint_period", "seconds")
@@ -474,15 +495,22 @@ def main(argv: list[str] | None = None) -> int:
         if stray:
             flags = ", ".join("--" + k.replace("_", "-") for k in stray)
             drill_parser.error(f"{flags}: not an option of --drill {args.drill}")
-        table, ok = _drill(args.drill, args.quick, args.seed, **given)
+        if args.seeds:
+            table, ok = _run_seed_sweep(
+                f"resilience --drill {args.drill}", _sweep_drill, _seed_list(parser, args.seeds),
+                args.jobs, name=args.drill, quick=args.quick, **given,
+            )
+        else:
+            table, ok = _drill(args.drill, args.quick, args.seed, **given)
         # A drill is a claim check, not just a report: a failed scorecard
-        # claim must fail the invoking script/CI job.
+        # claim, on any seed of a sweep, must fail the invoking script/CI job.
         exit_code = 0 if ok else 1
     elif getattr(args, "seeds", None):
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-        if not seeds:
-            parser.error("--seeds must name at least one seed")
-        table = _run_seed_sweep(args.experiment, args.quick, seeds, args.jobs)
+        runner, _ = _COMMANDS[args.experiment]
+        table, _ = _run_seed_sweep(
+            args.experiment, runner, _seed_list(parser, args.seeds), args.jobs,
+            quick=args.quick,
+        )
     elif args.experiment in _EXPORTABLE:
         runner, _ = _COMMANDS[args.experiment]
         table = runner(args.quick, args.seed, args.csv)

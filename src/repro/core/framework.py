@@ -18,6 +18,7 @@ re-budgets — the same multi-rate asynchrony §7.2 discusses.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -300,8 +301,9 @@ class _QueuedJob:
     #: User-style time limit: the worst case (minimum cap), computed once.
     est_runtime: float = field(init=False)
     #: What the scheduler sees, built when it changes rather than per round:
-    #: ``pending`` at every (re)enqueue — only ``attempt`` ever moves —
-    #: ``running`` at launch, where ``est_end`` is fixed.
+    #: ``pending`` when first asked for and again when ``attempt`` moves (a
+    #: requeue; nothing else in it ever does), ``running`` at launch, where
+    #: ``est_end`` is fixed.
     pending: PendingJob | None = field(init=False, default=None)
     running: RunningView | None = field(init=False, default=None)
 
@@ -391,6 +393,9 @@ class AnorSystem:
         #: Tick at which the scheduler saw the queue and cluster as they still
         #: are and started nothing (None once either moved).
         self._declined_at: float | None = None
+        #: The first pending request as intake will queue it, built once for
+        #: the arrival screen's probe and the intake both (``_next_arrival``).
+        self._arrival: _QueuedJob | None = None
         self._pending = sorted(
             self.schedule.requests, key=lambda r: (r.submit_time, r.job_id)
         )
@@ -688,23 +693,39 @@ class AnorSystem:
 
     def _intake(self, now: float) -> None:
         while self._pending and self._pending[0].submit_time <= now:
-            req = self._pending.pop(0)
-            jt = self.job_types[req.type_name].with_nodes(req.nodes)
-            queued = _QueuedJob(request=req, job_type=jt, claimed_type=req.type_name)
+            queued = self._next_arrival()
+            self._pending.pop(0)
+            self._arrival = None
             self._enqueue(queued)
             self._journal("job-admit", now, kind="queue", spec=self._spec_dict(queued))
+
+    def _next_arrival(self) -> _QueuedJob:
+        """The first pending request as intake will queue it, built once."""
+        req = self._pending[0]
+        if self._arrival is None or self._arrival.request is not req:
+            jt = self.job_types[req.type_name].with_nodes(req.nodes)
+            self._arrival = _QueuedJob(request=req, job_type=jt, claimed_type=req.type_name)
+        return self._arrival
+
+    def _pending_view(self, queued: _QueuedJob) -> PendingJob:
+        """``queued`` as the scheduler sees it, rebuilt only when its attempt
+        count moved since the view was built (a requeue)."""
+        job_id = queued.request.job_id
+        attempt = self._attempts.get(job_id, 1)
+        if queued.pending is None or queued.pending.attempt != attempt:
+            queued.pending = PendingJob(
+                job_id=job_id,
+                nodes=queued.job_type.nodes,
+                submit_time=queued.request.submit_time,
+                est_runtime=queued.est_runtime,
+                attempt=attempt,
+            )
+        return queued.pending
 
     def _enqueue(self, queued: _QueuedJob) -> None:
         """Queue a job (first submission or requeue).  Its attempt count must
         be on record: its scheduler view freezes it."""
-        job_id = queued.request.job_id
-        queued.pending = PendingJob(
-            job_id=job_id,
-            nodes=queued.job_type.nodes,
-            submit_time=queued.request.submit_time,
-            est_runtime=queued.est_runtime,
-            attempt=self._attempts.get(job_id, 1),
-        )
+        self._pending_view(queued)
         self._queue.append(queued)
         self._queue_order = self._declined_at = None
 
@@ -1163,6 +1184,12 @@ class AnorSystem:
             ticks, totals = self.cluster.advance_stride(times, cfg.tick)
             times, totals = times[:ticks].tolist(), totals.tolist()
             clock.advance_to(times[-1])
+            # Arrivals the screen let into the window (``_free_ticks``; only
+            # with the head up, as intake is its stage) are admitted at their
+            # own ticks, as per-tick intake would have.
+            pending = self._pending
+            while self.manager is not None and pending and pending[0].submit_time <= times[-1]:
+                self._intake(times[bisect_left(times, pending[0].submit_time)])
         else:
             times, totals = [now], [self.cluster.advance(cfg.tick)]
         for t, measured in zip(times, totals):
@@ -1226,16 +1253,20 @@ class AnorSystem:
     # constant.  A job completion, the one change no stage makes, truncates
     # the window inside the hardware emulator (at the due tick itself, if it
     # lands there), and it is the only thing that can change a scheduler
-    # decision mid-window.
+    # decision mid-window.  The one stage act a window may cover is intake of
+    # an arrival the scheduler would not start (``_arrivals_wait``), which
+    # ``_advance`` replays at the arrival's own tick after the physics call.
 
     #: Upper bound on ticks per window: keeps the per-window numpy arrays
     #: small enough to stay cache-friendly without limiting throughput.
     _MAX_STRIDE = 1024
 
-    def _build_calendar(self) -> EventCalendar:
-        """Register what every stage of the tick says could wake it."""
+    def _build_calendar(self, skip: Callable[[float], None] | None = None) -> EventCalendar:
+        """Register what every stage of the tick but ``skip`` says could wake it."""
         cal = EventCalendar()
-        for _, wakes in self._fault_tick + self._tick:
+        for stage, wakes in self._fault_tick + self._tick:
+            if stage == skip:
+                continue
             for wake in wakes():
                 if isinstance(wake, PeriodicGate):
                     cal.add_gate(wake)
@@ -1266,6 +1297,20 @@ class AnorSystem:
             return False
         return bool(self.scheduler.select(*self._scheduler_view(now)))
 
+    def _arrivals_wait(self, now: float) -> bool:
+        """Would the scheduler start none of the arrivals a window after
+        ``now`` may cover (DESIGN.md §7, stride safety 5)?  Asked once the
+        queue is known not to block the window, so a queue that is there was
+        declined or is held; with none, a round on the first arrival alone
+        decides for every arrival, as each sorts behind it."""
+        if not self.scheduler.time_invariant:
+            return False
+        if self._queue or self.manager.admission_held:
+            return True
+        _, running, idle, _ = self._scheduler_view(now)
+        view = self._pending_view(self._next_arrival())
+        return not self.scheduler.select([view], running, idle, now)
+
     def _free_ticks(
         self, now: float, limits: tuple[float, float | None, bool, float]
     ) -> np.ndarray | tuple:
@@ -1274,12 +1319,13 @@ class AnorSystem:
 
         Cheap scalar screening first (no arrays on the common next-event-is-
         imminent path), then the exact elementwise truncation: every calendar
-        source declines each returned instant, the scheduler has nothing to
-        start, and :meth:`run` (``limits``) would not have stopped before it.
+        source declines each returned instant (an arrival only if the
+        scheduler would start it), the scheduler has nothing to start, and
+        :meth:`run` (``limits``) would not have stopped before it.
         """
         start, duration, until_idle, max_time = limits
         tick = self.config.tick
-        cal = self._build_calendar()
+        cal = self._build_calendar(skip=self._intake)
         bound = cal.horizon()
         if math.isinf(bound):
             quick = self._MAX_STRIDE if bound > 0 else 0
@@ -1297,6 +1343,16 @@ class AnorSystem:
         # the cheap scalar screens say a free tick is even possible.
         if quick < 1 or not self.cluster.stride_ready() or self._queue_blocks_stride(now):
             return ()
+        # The next arrival ends the window unless the scheduler would start
+        # nothing there; only one due before every other wake is screened.
+        # The intake stage is in the tick exactly while the head is up.
+        if self.manager is not None and self._pending:
+            arrival = self._pending[0].submit_time
+            if arrival >= bound or not self._arrivals_wait(now):
+                if arrival <= now + tick:
+                    return ()
+                cal.add_instant(arrival)
+                quick = min(quick, int((arrival - now) / tick))
         times = self.cluster.clock.tick_times(min(quick + 1, self._MAX_STRIDE - 1), tick)
         times = times[: cal.free_ticks(times)]
         # Replay the run() break predicates at the instants the loop would

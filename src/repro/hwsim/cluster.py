@@ -170,16 +170,16 @@ class EmulatedCluster:
 
     # ------------------------------------------------------------ node pool
 
-    def _idle_rows(self) -> np.ndarray:
-        return np.flatnonzero((self._seat >> CLASS_SHIFT == FREE) & ~self._down)
+    def _idle(self) -> np.ndarray:
+        return (self._seat >> CLASS_SHIFT == FREE) & ~self._down
 
     def idle_nodes(self) -> list[Node]:
         """Schedulable nodes in ascending ``node_id`` (the allocation order)."""
-        return [self.nodes[i] for i in self._idle_rows().tolist()]
+        return [self.nodes[i] for i in np.flatnonzero(self._idle()).tolist()]
 
     def idle_count(self) -> int:
         """``len(idle_nodes())``, without building the list."""
-        return self._idle_rows().size
+        return int(np.count_nonzero(self._idle()))
 
     @property
     def num_nodes(self) -> int:

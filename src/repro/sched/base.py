@@ -51,6 +51,13 @@ class Scheduler(ABC):
     #: ticks instead of re-polling every simulated second.  Policies that
     #: age jobs, reserve windows, or otherwise depend on the clock must
     #: leave this False.
+    #:
+    #: A time-invariant policy also never starts a job that sorts behind one
+    #: it declined: if ``select(pending, ...)`` is empty, so is ``select(
+    #: pending + tail, ...)`` for any ``tail`` sorting after ``pending`` on
+    #: the same running jobs and idle nodes (FCFS: the head blocks
+    #: everything behind it).  The loop then lets arrivals behind a declined
+    #: queue join it inside a window instead of ending one.
     time_invariant: bool = False
 
     @abstractmethod

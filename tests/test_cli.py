@@ -1,5 +1,7 @@
 """Tests for the ``anor`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _COMMANDS, main
@@ -94,6 +96,28 @@ class TestResilienceDrills:
         assert seen == []
         assert main(["resilience", "--drill", "soak", "--seconds", "5"]) == 0
         assert seen == ["soak"]
+
+    def test_a_seed_sweep_runs_the_named_drill_and_fails_on_any_seed(
+        self, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        calls = []
+
+        def fake(name, quick, seed, **params):
+            calls.append((name, quick, seed, params))
+            return f"report of seed {seed}", seed != 2
+
+        monkeypatch.setattr(cli, "_drill", fake)
+        argv = ["resilience", "--drill", "headnode", "--checkpoint-dir", "ckpt", "--quick"]
+        assert main(argv + ["--seeds", "1,2"]) == 1
+        assert calls == [
+            ("headnode", True, s, {"checkpoint_dir": str(Path("ckpt") / f"seed-{s}")})
+            for s in (1, 2)
+        ]
+        out = capsys.readouterr().out
+        assert "resilience --drill headnode[seed=2]" in out
+        assert "report of seed 2" in out
 
     def test_one_drill_option_replaces_the_flags_and_the_plan_command(self):
         for argv in (

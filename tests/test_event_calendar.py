@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.framework import AnorConfig
+from repro.core.framework import AnorConfig, AnorSystem
+from repro.durable.journal import Journal
 from repro.experiments.fig9 import build_demand_response_system
 from repro.hwsim.cluster import EmulatedCluster
 from repro.util.calendar import EventCalendar
@@ -193,3 +194,41 @@ class TestFrameworkEquivalence:
         assert [t.job_id for t in windowed.completed] == [
             t.job_id for t in stepped.completed
         ]
+
+    def test_arrivals_inside_a_window_are_journalled_at_their_own_ticks(
+        self, tmp_path, monkeypatch
+    ):
+        """Durable on, 30/30/60 s periods: an arrival the scheduler would not
+        start joins the queue inside a window, stamped with its own tick."""
+        journals: dict = {}
+        append = Journal.append
+
+        def recording(self, rtype, time, data):
+            journals.setdefault(self.path, []).append((rtype, time, data))
+            return append(self, rtype, time, data)
+
+        bodies: list[float] = []  # the due tick of every run() loop body
+        free_ticks = AnorSystem._free_ticks
+
+        def body(self, now, limits):
+            bodies.append(now)
+            return free_ticks(self, now, limits)
+
+        monkeypatch.setattr(Journal, "append", recording)
+        monkeypatch.setattr(AnorSystem, "_free_ticks", body)
+        arms = iter(("windowed", "stepped"))
+
+        def build():
+            config = AnorConfig(
+                seed=3, agent_period=30.0, endpoint_period=30.0, manager_period=60.0,
+                checkpoint_dir=str(tmp_path / next(arms)),
+            )
+            return build_demand_response_system(duration=900.0, seed=3, config=config)
+
+        (windowed, _), (stepped, _) = run_windowed_and_stepped(build, 900.0)
+        records = [journals[s.durable.journal.path] for s in (windowed, stepped)]
+        assert records[0] == records[1]
+        queued = {
+            t for rtype, t, data in records[0] if rtype == "job-admit" and data["kind"] == "queue"
+        }
+        assert queued - set(bodies), "no arrival was admitted inside a window"

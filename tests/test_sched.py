@@ -1,5 +1,6 @@
 """Tests for the FCFS and EASY-backfill schedulers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +50,24 @@ class TestFcfs:
             [pj("a", 2), pj("b", 4), pj("c", 1)], [], 5, 0.0
         )
         assert [j.job_id for j in chosen] == ["a"]  # b blocks c
+
+    @given(
+        widths=st.lists(st.integers(1, 16), min_size=1, max_size=12),
+        gaps=st.lists(st.floats(0.0, 50.0), min_size=12, max_size=12),
+        cut=st.integers(1, 12),
+        idle=st.integers(0, 20),
+    )
+    @settings(max_examples=200)
+    def test_a_declined_queue_declines_any_tail(self, widths, gaps, cut, idle):
+        """The ``time_invariant`` rule the window's arrival screen rests on:
+        an empty decision on a queue stays empty whatever sorts in behind it."""
+        submits = np.cumsum(gaps[: len(widths)])
+        jobs = [pj(f"j{k}", w, submit=float(s)) for k, (w, s) in enumerate(zip(widths, submits))]
+        queue, tail = jobs[:cut], jobs[cut:]
+        scheduler = FcfsScheduler()
+        assert scheduler.time_invariant
+        if scheduler.select(queue, [], idle, 0.0) == []:
+            assert scheduler.select(queue + tail, [], idle, 0.0) == []
 
 
 class TestEasyBackfill:
