@@ -393,9 +393,6 @@ class AnorSystem:
         #: Tick at which the scheduler saw the queue and cluster as they still
         #: are and started nothing (None once either moved).
         self._declined_at: float | None = None
-        #: The first pending request as intake will queue it, built once for
-        #: the arrival screen's probe and the intake both (``_next_arrival``).
-        self._arrival: _QueuedJob | None = None
         self._pending = sorted(
             self.schedule.requests, key=lambda r: (r.submit_time, r.job_id)
         )
@@ -693,39 +690,23 @@ class AnorSystem:
 
     def _intake(self, now: float) -> None:
         while self._pending and self._pending[0].submit_time <= now:
-            queued = self._next_arrival()
-            self._pending.pop(0)
-            self._arrival = None
+            req = self._pending.pop(0)
+            jt = self.job_types[req.type_name].with_nodes(req.nodes)
+            queued = _QueuedJob(request=req, job_type=jt, claimed_type=req.type_name)
             self._enqueue(queued)
             self._journal("job-admit", now, kind="queue", spec=self._spec_dict(queued))
-
-    def _next_arrival(self) -> _QueuedJob:
-        """The first pending request as intake will queue it, built once."""
-        req = self._pending[0]
-        if self._arrival is None or self._arrival.request is not req:
-            jt = self.job_types[req.type_name].with_nodes(req.nodes)
-            self._arrival = _QueuedJob(request=req, job_type=jt, claimed_type=req.type_name)
-        return self._arrival
-
-    def _pending_view(self, queued: _QueuedJob) -> PendingJob:
-        """``queued`` as the scheduler sees it, rebuilt only when its attempt
-        count moved since the view was built (a requeue)."""
-        job_id = queued.request.job_id
-        attempt = self._attempts.get(job_id, 1)
-        if queued.pending is None or queued.pending.attempt != attempt:
-            queued.pending = PendingJob(
-                job_id=job_id,
-                nodes=queued.job_type.nodes,
-                submit_time=queued.request.submit_time,
-                est_runtime=queued.est_runtime,
-                attempt=attempt,
-            )
-        return queued.pending
 
     def _enqueue(self, queued: _QueuedJob) -> None:
         """Queue a job (first submission or requeue).  Its attempt count must
         be on record: its scheduler view freezes it."""
-        self._pending_view(queued)
+        job_id = queued.request.job_id
+        queued.pending = PendingJob(
+            job_id=job_id,
+            nodes=queued.job_type.nodes,
+            submit_time=queued.request.submit_time,
+            est_runtime=queued.est_runtime,
+            attempt=self._attempts.get(job_id, 1),
+        )
         self._queue.append(queued)
         self._queue_order = self._declined_at = None
 
@@ -1141,11 +1122,12 @@ class AnorSystem:
 
     def _step_agents(self, now: float) -> None:
         if self._agent_gate.due(now):
-            for job in self.cluster.running.values():
-                sample = job.agents.step(now)
-                tracer = self._tracers.get(job.job_id)
-                if tracer is not None:
-                    tracer.record(sample)
+            self.cluster.agents.step(now)
+            running = self.cluster.running
+            for job_id, tracer in self._tracers.items():
+                job = running.get(job_id)
+                if job is not None:
+                    tracer.record(self.cluster.agents.sample(job.root))
 
     # -------------------------------------------------------------- running
 
@@ -1297,19 +1279,14 @@ class AnorSystem:
             return False
         return bool(self.scheduler.select(*self._scheduler_view(now)))
 
-    def _arrivals_wait(self, now: float) -> bool:
-        """Would the scheduler start none of the arrivals a window after
-        ``now`` may cover (DESIGN.md §7, stride safety 5)?  Asked once the
-        queue is known not to block the window, so a queue that is there was
-        declined or is held; with none, a round on the first arrival alone
-        decides for every arrival, as each sorts behind it."""
-        if not self.scheduler.time_invariant:
-            return False
-        if self._queue or self.manager.admission_held:
-            return True
-        _, running, idle, _ = self._scheduler_view(now)
-        view = self._pending_view(self._next_arrival())
-        return not self.scheduler.select([view], running, idle, now)
+    def _arrivals_wait(self) -> bool:
+        """Will the scheduler start none of the arrivals a window may cover
+        (DESIGN.md §7, stride safety 5)?  Asked once the queue is known not
+        to block the window, so a queue that is there was declined or is
+        held, and every arrival sorts behind it."""
+        return self.scheduler.time_invariant and bool(
+            self._queue or self.manager.admission_held
+        )
 
     def _free_ticks(
         self, now: float, limits: tuple[float, float | None, bool, float]
@@ -1348,7 +1325,7 @@ class AnorSystem:
         # The intake stage is in the tick exactly while the head is up.
         if self.manager is not None and self._pending:
             arrival = self._pending[0].submit_time
-            if arrival >= bound or not self._arrivals_wait(now):
+            if arrival >= bound or not self._arrivals_wait():
                 if arrival <= now + tick:
                     return ()
                 cal.add_instant(arrival)

@@ -6,14 +6,14 @@ via ``geopm_prof_epoch()`` instrumentation, (b) read package energy from the
 the ``PKG_POWER_LIMIT`` MSR, and (d) move data between a per-job endpoint and
 one agent instance per node over a hierarchical communication tree.  This
 package provides those four pieces against the emulated hardware in
-:mod:`repro.hwsim`.
+:mod:`repro.hwsim`, whose node-indexed columns hold the agents' state.
 """
 
 from repro.geopm.msr import MSR_PKG_ENERGY_STATUS, MSR_PKG_POWER_LIMIT, MsrBank
 from repro.geopm.signals import PlatformIO, SignalNames, ControlNames
 from repro.geopm.profiler import EpochProfiler
 from repro.geopm.comm_tree import AgentTree
-from repro.geopm.agent import AgentPolicy, AgentSample, PowerGovernorAgent
+from repro.geopm.agent import AgentPolicy, AgentSample, JobAgentGroup
 from repro.geopm.endpoint import Endpoint
 from repro.geopm.report import ApplicationTotals, render_report
 
@@ -28,7 +28,7 @@ __all__ = [
     "AgentTree",
     "AgentPolicy",
     "AgentSample",
-    "PowerGovernorAgent",
+    "JobAgentGroup",
     "Endpoint",
     "ApplicationTotals",
     "render_report",

@@ -1,23 +1,32 @@
 """Power-governor agents: enforce caps, report epochs (paper §4.3).
 
-One :class:`PowerGovernorAgent` runs per node of a job.  The paper modified
+One power-governor agent runs per node of a job.  The paper modified
 GEOPM's ``power_governor`` agent to write the epoch count to the endpoint;
 agents on multi-node jobs relay policy down and samples up a balanced
-communication tree, one hop per control period.  :class:`JobAgentGroup`
-wires a job's agents, its tree, and its endpoint together and is what the
-hardware-experiment harness steps every agent control period.
+communication tree, one hop per control period.  Here every agent of every
+running job is a column of node-indexed cells on the emulated cluster, and
+:class:`JobAgentGroup` — one per cluster — steps them all in one array pass
+each agent control period.  ``tests/geopm_reference.py`` keeps the
+per-agent loop that pass replaced, as the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from repro.geopm.comm_tree import AgentTree
-from repro.geopm.endpoint import Endpoint
-from repro.geopm.profiler import EpochProfiler
-from repro.geopm.signals import ControlNames, PlatformIO
+from repro.geopm.msr import POWER_UNIT_WATTS
+from repro.geopm.signals import METER_START, read_meters
 
-__all__ = ["AgentPolicy", "AgentSample", "PowerGovernorAgent", "JobAgentGroup"]
+__all__ = ["AgentPolicy", "AgentSample", "JobAgentGroup", "FANOUT"]
+
+#: Fanout of every job's agent tree (:class:`AgentTree`).
+FANOUT = 8
+
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -51,18 +60,32 @@ class AgentPolicy:
         Inside the lease (or with no lease) this is the dispatched cap;
         past expiry it ramps linearly down to ``safe_floor`` over
         ``ramp_seconds`` and stays there.  Never *raises* the cap: a floor
-        above the dispatched cap clamps to the dispatched cap.
+        above the dispatched cap clamps to the dispatched cap.  The agents'
+        pass computes the same for every agent at once.
         """
-        if self.lease_ttl is None or self.safe_floor is None:
-            return self.power_cap_node
-        expired_for = now - (self.issued_at + self.lease_ttl)
-        if expired_for <= 0:
-            return self.power_cap_node
-        floor = min(self.safe_floor, self.power_cap_node)
-        if self.ramp_seconds <= 0 or expired_for >= self.ramp_seconds:
-            return floor
-        frac = expired_for / self.ramp_seconds
-        return self.power_cap_node - frac * (self.power_cap_node - floor)
+        return float(_effective(np.array(self.cells(), ndmin=2).T, now)[0])
+
+    def cells(self) -> tuple[float, ...]:
+        """The policy as five cells: cap, ``issued_at``, lease ttl, safe
+        floor, ramp seconds; an unset ttl or floor is NaN."""
+        ttl, floor = self.lease_ttl, self.safe_floor
+        return (
+            self.power_cap_node,
+            self.issued_at,
+            _NAN if ttl is None else ttl,
+            _NAN if floor is None else floor,
+            self.ramp_seconds,
+        )
+
+    @classmethod
+    def from_cells(cls, cells: np.ndarray) -> AgentPolicy | None:
+        """The policy five cells hold; None where the cap is NaN (none)."""
+        cap, issued, ttl, floor, ramp = cells.tolist()
+        if cap != cap:
+            return None
+        return cls(
+            cap, issued, None if ttl != ttl else ttl, None if floor != floor else floor, ramp
+        )
 
 
 @dataclass(frozen=True)
@@ -81,157 +104,228 @@ class AgentSample:
     nodes: int
     applied_cap: float
 
-
-class PowerGovernorAgent:
-    """One agent instance on one node of a job."""
-
-    def __init__(
-        self,
-        platform_io: PlatformIO,
-        *,
-        tree_index: int,
-        profiler: EpochProfiler | None = None,
-    ) -> None:
-        self.pio = platform_io
-        self.tree_index = int(tree_index)
-        self.profiler = profiler  # only the root agent reads epochs
-        self.policy: AgentPolicy | None = None
-        self._policy_inbox: AgentPolicy | None = None
-        self._child_samples: dict[int, AgentSample] = {}
-        self.last_sample: AgentSample | None = None
-
-    # ---------------------------------------------------------- message I/O
-
-    def deliver_policy(self, policy: AgentPolicy) -> None:
-        """Deposit a policy to be applied on this agent's next step."""
-        self._policy_inbox = policy
-
-    def deliver_child_sample(self, child_index: int, sample: AgentSample) -> None:
-        self._child_samples[child_index] = sample
-
-    # ---------------------------------------------------------------- control
-
-    def step(self, now: float) -> AgentSample:
-        """One control-loop iteration: apply policy, sample, aggregate.
-
-        Returns the aggregated sample for this agent's subtree (to be
-        forwarded to the parent by the group).
-        """
-        if self._policy_inbox is not None:
-            self.policy = self._policy_inbox
-            self._policy_inbox = None
-            self.pio.write_control(
-                ControlNames.CPU_POWER_LIMIT_CONTROL,
-                self.policy.effective_cap(now),
-            )
-        elif self.policy is not None and self.policy.lease_ttl is not None:
-            # Leased policy with no refresh this period: the dead-man switch
-            # re-evaluates every step so an expired lease keeps ramping the
-            # cap down even when the endpoint above has gone silent.
-            effective = self.policy.effective_cap(now)
-            if effective != self.pio.read_control(
-                ControlNames.CPU_POWER_LIMIT_CONTROL
-            ):
-                self.pio.write_control(
-                    ControlNames.CPU_POWER_LIMIT_CONTROL, effective
-                )
-        own_power, own_energy, applied = self.pio.sample()
-        if self._child_samples:
-            children = self._child_samples.values()
-            power = own_power + sum(s.power for s in children)
-            energy = own_energy + sum(s.energy for s in children)
-            nodes = 1 + sum(s.nodes for s in children)
-        else:
-            # Leaf agents (the vast majority) aggregate nothing.
-            power, energy, nodes = own_power, own_energy, 1
-        epoch = self.profiler.epoch_count if self.profiler is not None else 0
-        sample = AgentSample(
-            timestamp=now,
-            power=power,
-            energy=energy,
-            epoch_count=epoch,
-            nodes=nodes,
-            applied_cap=applied,
+    def cells(self) -> tuple[float, ...]:
+        """The sample as six cells, the subtree sums first: power, energy,
+        nodes, timestamp, epoch count, applied cap."""
+        return (
+            self.power, self.energy, self.nodes, self.timestamp, self.epoch_count,
+            self.applied_cap,
         )
-        self.last_sample = sample
+
+    @classmethod
+    def from_cells(cls, cells: np.ndarray) -> AgentSample | None:
+        """The sample six cells hold; None where the timestamp is NaN (none
+        published yet).
+
+        Every job endpoint reads one each period, so the fields go straight
+        into the new sample's ``__dict__``: the frozen ``__init__`` would
+        set each through ``object.__setattr__``, at more than the read
+        itself costs.  There is no ``__post_init__`` to skip.
+        """
+        power, energy, nodes, timestamp, epochs, applied = cells.tolist()
+        if timestamp != timestamp:
+            return None
+        sample = object.__new__(cls)
+        sample.__dict__.update(
+            timestamp=timestamp, power=power, energy=energy,
+            epoch_count=int(epochs), nodes=int(nodes), applied_cap=applied,
+        )
         return sample
 
 
-class JobAgentGroup:
-    """A job's agents plus the tree and endpoint gluing them together.
+#: A node's sample cells before its agent first steps: zero subtree sums (a
+#: parent's first period adds nothing for children not heard from yet), and
+#: no timestamp.
+SAMPLE_START = (0.0, 0.0, 0.0, _NAN, 0.0, 0.0)
 
-    Stepping the group once is one agent control period: the root pulls any
-    fresh policy from the endpoint, every agent applies the policy it
-    received *last* period (one hop of staleness per tree level), and
-    subtree-aggregated samples move one hop toward the root, where the final
-    sample is published to the endpoint.
+# Rows of the group's float cells, one column per node.
+_POLICY = slice(0, 5)  # the policy the agent enforces (AgentPolicy.cells)
+_INBOX = slice(5, 10)  # a policy for the agent's next step; a root's is its endpoint's slot
+_SAMPLE = slice(10, 16)  # the agent's subtree sample from last period (AgentSample.cells)
+_SUMS = slice(10, 13)  # of it, what a parent sums over its children
+_METER = 16  # from here, the node's meter (``repro.geopm.signals.METER_START``)
+
+# ``parent`` column entries that are not a node.
+_ROOT, _NONE = -1, -2
+
+
+def _effective(policy: np.ndarray, now: float) -> np.ndarray:
+    """:meth:`AgentPolicy.effective_cap` for policy columns ``(5, n)``."""
+    cap, issued, ttl, floor, ramp = policy
+    expired = now - (issued + ttl)  # NaN without a lease: never > 0
+    floor = np.fmin(floor, cap)  # an unset floor clamps nothing: the cap
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ramped = cap - expired / ramp * (cap - floor)
+    settled = (ramp <= 0) | (expired >= ramp)
+    return np.where(expired > 0, np.where(settled, floor, ramped), cap)
+
+
+@dataclass(slots=True)
+class _Layout:
+    """What a pass needs that only which jobs run, on which nodes, decides."""
+
+    active: np.ndarray | bool  # per node: it runs an agent (True: every node does)
+    children: np.ndarray  # every agent with a parent,
+    above: np.ndarray  # and its parent
+    kids: list[np.ndarray]  # entry k: per node, its k-th child or the sentinel column
+    roots: np.ndarray  # per node: 1.0 at a root, else 0.0
+    idle: bool  # no node runs an agent
+
+
+class JobAgentGroup:
+    """Every running job's agents on one cluster, stepped as one array pass.
+
+    The agents' state is node-indexed columns beside the cluster's energy
+    and ``PKG_POWER_LIMIT`` columns, in ``cells``: per node, its meter (the
+    power-read baseline, of which its
+    :class:`~repro.geopm.signals.PlatformIO` is a view); per agent, its
+    policy, its inbox and its subtree sample from last period; per job, its
+    tree, as the ``parent`` column (a root's own entry is ``_ROOT``, a node
+    with no agent's ``_NONE``) and each agent's child position ``slot``.  A
+    job's endpoint is a view of its root's inbox and sample (:meth:`start`).
+    ``cells`` has one sentinel column past the last node, whose subtree sums
+    stay zero.
+
+    Stepping the group once is one agent control period for every job
+    (:meth:`step`).  ``caps`` returns every node's programmed cap, the
+    cluster's ``Node.power_cap`` column, and ``limit_range`` is each
+    package's actuatable range, into which a cap is clamped as it is
+    written.
     """
 
     def __init__(
         self,
-        platform_ios: list[PlatformIO],
-        profiler: EpochProfiler,
-        endpoint: Endpoint,
-        *,
-        fanout: int = 8,
+        energy: np.ndarray,
+        limit: np.ndarray,
+        limit_range: tuple[float, float],
+        barrier: np.ndarray,
+        caps: Callable[[], np.ndarray],
     ) -> None:
-        if not platform_ios:
+        n, packages = limit.shape
+        self._energy, self._limit, self._barrier, self._caps = energy, limit, barrier, caps
+        self._lo, self._hi = limit_range  # each package's actuatable cap range (W)
+        self.cells = np.zeros((_METER + len(METER_START) + packages, n + 1))
+        self.cells[:10] = _NAN
+        self.cells[_SAMPLE] = np.array(SAMPLE_START)[:, None]
+        self.cells[_METER : _METER + len(METER_START)] = np.array(METER_START)[:, None]
+        self.parent = np.full(n, _NONE)
+        self.slot = np.zeros(n, dtype=np.int64)
+        self._layout: _Layout | None = None
+        # The pass's views of the node columns, and of last period's subtree
+        # sums with the sentinel's zero.
+        self._policy, self._inbox, self._sample = (
+            self.cells[rows, :n] for rows in (_POLICY, _INBOX, _SAMPLE)
+        )
+        self._meter, self._heard = self.cells[_METER:, :n], self.cells[_SUMS]
+
+    # ------------------------------------------------------------- views
+
+    def meter_cells(self, node: int) -> np.ndarray:
+        """``node``'s meter column, for its PlatformIO."""
+        return self.cells[_METER:, node : node + 1]
+
+    def sample(self, node: int) -> AgentSample | None:
+        """The subtree sample ``node``'s agent took last period (at a root:
+        what its endpoint last had published, whatever reads it through)."""
+        return AgentSample.from_cells(self.cells[_SAMPLE, node])
+
+    # ---------------------------------------------------------- membership
+
+    def start(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Give a job on nodes ``rows`` (rank order) an agent per node: its
+        tree, no policy, an empty inbox and a zero sample.  The meter stays
+        the node's.  Returns the root's ``(inbox, sample)`` cells, its
+        endpoint's."""
+        rows = np.asarray(rows)
+        if not rows.size:
             raise ValueError("a job needs at least one node")
-        self.tree = AgentTree(len(platform_ios), fanout=fanout)
-        self.endpoint = endpoint
-        self.agents = [
-            PowerGovernorAgent(
-                pio,
-                tree_index=i,
-                profiler=profiler if i == 0 else None,
-            )
-            for i, pio in enumerate(platform_ios)
-        ]
-        # The tree never changes, so what a period walks is built once, in
-        # breadth-first order: each agent that has children with them, and
-        # each agent but the root with its parent.
-        self._order = self.tree.breadth_first()
-        self._down = [
-            (self.agents[i], [self.agents[c] for c in self.tree.children(i)])
-            for i in self._order
-            if not self.tree.is_leaf(i)
-        ]
-        self._up = [
-            (i, self.agents[self.tree.parent(i)]) for i in self._order if i != 0
-        ]
+        above, position = AgentTree(rows.size, fanout=FANOUT).links()
+        self.parent[rows[0]] = _ROOT
+        self.parent[rows[1:]] = rows[above]
+        self.slot[rows[1:]] = position
+        self.cells[_SAMPLE, rows] = np.array(SAMPLE_START)[:, None]
+        self._layout = None
+        root = int(rows[0])
+        return self.cells[_INBOX, root], self.cells[_SAMPLE, root]
 
-    def step(self, now: float) -> AgentSample:
-        """Run one control period for every agent; returns the root sample."""
-        policy = self.endpoint.take_policy()
-        if policy is not None:
-            self.agents[0].deliver_policy(policy)
-        # Forward the policy each parent applied *last* period one hop down,
-        # before anyone steps: propagation costs one control period per tree
-        # level (the root's fresh policy is still in its inbox, so children
-        # see it only next period).
-        for agent, children in self._down:
-            parent_policy = agent.policy
-            if parent_policy is not None:
-                for child in children:
-                    child.deliver_policy(parent_policy)
-        samples = {i: self.agents[i].step(now) for i in self._order}
-        # Samples move one hop per period: deposit this period's subtree
-        # samples into parents for aggregation next period.
-        for i, parent in self._up:
-            parent.deliver_child_sample(i, samples[i])
-        root_sample = samples[0]
-        # The root's epoch count is authoritative; re-stamp aggregate nodes
-        # to the job's true width once child samples have propagated.
-        self.endpoint.publish_sample(root_sample)
-        return root_sample
+    def release(self, rows: np.ndarray) -> None:
+        """The job on ``rows`` left: its agents step no more, and its
+        policies and a policy still in its root's inbox are dropped."""
+        self.parent[rows] = _NONE
+        self.cells[:10, rows] = _NAN
+        self._layout = None
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.agents)
+    def _build(self) -> _Layout:
+        n = self.parent.size
+        children = np.flatnonzero(self.parent >= 0)
+        above = self.parent[children]
+        slot = self.slot[children]
+        kids = np.full((int(slot.max(initial=0)) + 1, n), n)
+        kids[slot, above] = children
+        active = self.parent != _NONE
+        return _Layout(
+            active=True if active.all() else active,
+            children=children,
+            above=above,
+            kids=list(kids),
+            roots=(self.parent == _ROOT).astype(float),
+            idle=not children.size and _ROOT not in self.parent,
+        )
 
-    def applied_caps(self) -> list[float]:
-        """Per-node caps currently programmed (for convergence tests)."""
-        return [
-            a.pio.read_control(ControlNames.CPU_POWER_LIMIT_CONTROL)
-            for a in self.agents
-        ]
+    # --------------------------------------------------------------- step
+
+    def step(self, now: float) -> None:
+        """One agent control period of every running job, as one array pass.
+
+        Per agent, the same IEEE operations in the same order as a loop of
+        per-node agents would run them (``tests/geopm_reference.py``):
+
+        1. A policy an endpoint wrote waits in its root's inbox.
+        2. Every parent's policy from last period moves one hop down into
+           its children's inboxes, so a policy takes one period per tree
+           level to reach the leaves.
+        3. An inbox replaces the agent's policy and is written to
+           ``PKG_POWER_LIMIT``; a lease with no refresh is re-evaluated and
+           written where it moved off the programmed cap, so an expired
+           lease keeps ramping down while the endpoint above is silent.
+        4. Every agent's node is read: energy, power, applied cap.  A node
+           with no agent is not read; its meter waits for the next tenant.
+        5. Each agent's subtree sample is its own reading plus its
+           children's subtree samples from last period, summed in child
+           order.  The sample's ``nodes`` counts the agents heard from: on a
+           job's first period, the root's counts the root alone.  The root's
+           epoch count is its profiler's barrier; every other agent's is 0.
+
+        The pass runs over every node's column; a node with no agent has no
+        policy and an empty inbox, so nothing is written for it, and what
+        its sample cells hold is rewritten when a job next starts there.
+        """
+        lay = self._layout or self._build()
+        self._layout = lay
+        if lay.idle:
+            return
+        policy, inbox, sample, meter = self._policy, self._inbox, self._sample, self._meter
+        inbox[:, lay.children] = policy[:, lay.above]
+        landed = inbox[0] == inbox[0]
+        np.copyto(policy, inbox, where=landed)
+        inbox[0] = _NAN
+        target, write = policy[0], landed
+        timed = policy[2] == policy[2]
+        if np.count_nonzero(timed):
+            target = _effective(policy, now)
+            write = landed | timed & (target != self._caps())
+        if np.count_nonzero(write):
+            # ``fmax`` turns a node with no policy (NaN) into the floor, so no
+            # NaN reaches the cast; ``write`` leaves its register alone.
+            per_package = target / self._limit.shape[1]
+            watts = np.minimum(np.fmax(per_package, self._lo), self._hi)
+            raw = np.rint(watts / POWER_UNIT_WATTS)[:, None]
+            np.copyto(self._limit, raw, where=write[:, None], casting="unsafe")
+        read_meters(self._energy, meter, now, lay.active)
+        sums = self._heard[:, lay.kids[0]]
+        for kid in lay.kids[1:]:
+            sums += self._heard[:, kid]
+        np.add(meter[:3], sums, out=sample[:3])
+        sample[3] = now
+        np.multiply(self._barrier, lay.roots, out=sample[4])
+        sample[5] = self._caps()

@@ -9,6 +9,8 @@ period, so deep trees see policy staleness — a scalability effect §8 flags.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["AgentTree"]
 
 
@@ -61,6 +63,13 @@ class AgentTree:
 
     def breadth_first(self) -> list[int]:
         return list(range(self.size))
+
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(parent, position)`` of every agent but the root, in index
+        order: agent ``i``'s parent and its place among that parent's
+        children (0 for the first)."""
+        above, position = np.divmod(np.arange(self.size - 1), self.fanout)
+        return above, position
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.size:

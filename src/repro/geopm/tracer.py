@@ -2,8 +2,8 @@
 
 Real GEOPM can emit a trace CSV per node with one row per agent control
 period.  The paper's debugging story (§7.2, timestamp alignment across
-tiers) is exactly the kind of analysis these traces enable.  The tracer
-hooks a job's agent group and appends one row per root-agent sample; traces
+tiers) is exactly the kind of analysis these traces enable.  The framework
+appends one row per agent period, the job's root-agent sample; traces
 round-trip through :func:`read_trace`.
 """
 

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.geopm.agent import JobAgentGroup
 from repro.geopm.msr import POWER_UNIT_WATTS
-from repro.geopm.profiler import EpochBatch
+from repro.geopm.profiler import EpochBatch, EpochLog
 from repro.geopm.report import ApplicationTotals
 from repro.hwsim.job import CLASS_SHIFT, FREE, RANK_BITS, SETUP, TEARDOWN, RunningJob
-from repro.hwsim.node import Node
+from repro.hwsim.node import PACKAGE_MIN_POWER, PACKAGE_TDP, Node
 from repro.util.clock import SimClock
 from repro.util.rng import NormalTape, TapeStream, ensure_rng, spawn_rng
 from repro.workloads.nas import IDLE_NODE_POWER, JobType
@@ -27,6 +28,7 @@ __all__ = ["EmulatedCluster"]
 # Where the setup, teardown and free classes begin among sorted seats.
 _CLASS_FLOORS = np.array([SETUP, TEARDOWN, FREE], dtype=np.int64) << CLASS_SHIFT
 _RANK_MASK = (1 << RANK_BITS) - 1
+_ORDER_MASK = (1 << CLASS_SHIFT) - 1  # a seat less its class: start number, rank
 
 
 @dataclass(slots=True)
@@ -77,6 +79,9 @@ class EmulatedCluster:
     node-indexed too, and what is per job sits at the job's first row.  One
     window kernel steps every rank of every job, and every idle node, across
     one tick (:meth:`advance`) or a run of them (:meth:`advance_stride`).
+    The agent tier's state is columns too, in :attr:`agents`, whose pass
+    steps every agent of every running job each agent period; each node's
+    ``PlatformIO`` and each job's ``Endpoint`` are views of its cells.
     """
 
     PACKAGES = 2  # the testbed's dual-package nodes (§5.5)
@@ -134,8 +139,15 @@ class EmulatedCluster:
         self._barrier = np.zeros(num_nodes, dtype=np.int64)  # job-global epoch count
         # Per job: phase_elapsed, _compute_energy, _compute_seconds.
         self._ledger = np.zeros((3, num_nodes))
+        # Every job's epoch times, room for 16 a node before the log first
+        # grows: a window never pays for a growth in a fresh cluster's first
+        # few ticks.
+        self._stamps = EpochLog(16 * num_nodes)
         self._layout: _Layout | None = None
         self._caps: tuple[bytes, np.ndarray] | None = None  # (raw limits, caps under them)
+        self.agents = JobAgentGroup(
+            self._energy, self._limit, (PACKAGE_MIN_POWER, PACKAGE_TDP), self._barrier, self.caps
+        )
         self.nodes = []
         for i in range(num_nodes):
             mult = 1.0
@@ -154,12 +166,10 @@ class EmulatedCluster:
                         self._limit[i],
                         self._power[i : i + 1],
                         self._down[i : i + 1],
+                        self.agents.meter_cells(i),
                     ),
                 )
             )
-        banks = [node.banks for node in self.nodes]
-        self._limit_lo = np.array([[b.min_power_watts for b in row] for row in banks])
-        self._limit_hi = np.array([[b.tdp_watts for b in row] for row in banks])
         for i, node_rng in enumerate(node_rngs):
             self._tape.let(i, node_rng)
         self.running: dict[str, RunningJob] = {}
@@ -228,7 +238,10 @@ class EmulatedCluster:
             submit_time=now if submit_time is None else submit_time,
             start_time=now,
             rng=TapeStream(self._tape, row),
-            cells=(self.progress, self._counts, self._barrier, self._ledger, self._seat),
+            cells=(
+                self.progress, self._counts, self._barrier, self._ledger, self._seat,
+                self._stamps, self.agents.start([n.node_id for n in nodes]),
+            ),
             serial=self._started + 1,
             run_noise=self.run_noise,
         )
@@ -264,6 +277,7 @@ class EmulatedCluster:
         self._draws[:, job.rows] = self._free_draws[:, job.rows]
         self._tenant[job.root] = None
         self._varying.discard(job.root)
+        self.agents.release(job.rows)
         job.detach()  # its rows may be re-let while its ledger and stream are still read
 
     def _retire_done(self, jobs) -> None:
@@ -320,7 +334,9 @@ class EmulatedCluster:
         """
         raw = self._limit.tobytes()
         if self._caps is None or self._caps[0] != raw:
-            watts = np.clip(self._limit * POWER_UNIT_WATTS, self._limit_lo, self._limit_hi)
+            watts = np.minimum(
+                np.maximum(self._limit * POWER_UNIT_WATTS, PACKAGE_MIN_POWER), PACKAGE_TDP
+            )
             caps = watts[:, 0].copy()
             for p in range(1, watts.shape[1]):
                 caps += watts[:, p]
@@ -370,8 +386,8 @@ class EmulatedCluster:
 
     def _build_layout(self, stamp: tuple[bytes, bytes]) -> _Layout:
         # A handful of array passes whatever the node count (what a numpy
-        # call costs is the cost here), then one lookup per job for what only
-        # the job object holds: its timestamp list.
+        # call costs is the cost here), then one lookup per job for the job
+        # objects a window turns.
         seat, nf = self._seat, len(self.nodes)
         if b"\x01" in stamp[1]:
             # A crashed node is free (``Node.fail`` refuses an allocated one)
@@ -390,8 +406,8 @@ class EmulatedCluster:
         roots = rows[firsts]
         tenant = self._tenant
         jobs = [tenant[r] for r in roots.tolist()]
-        profilers = [job.profiler for job in jobs[:nsj]]
         columns = (self._counts, self._barrier)
+        serials = (seat[starts] & _ORDER_MASK) >> RANK_BITS  # epoch log keys
         table = self._rank[:, rows]
         timers = table[10:, firsts]  # each job's setup and teardown seconds
         draws = self._draws[:, rows]
@@ -409,8 +425,8 @@ class EmulatedCluster:
             jobs=jobs,
             split=(ncj, nsj),
             bounds=bounds,
-            computing=EpochBatch(*columns, rows[:nc], starts[:ncj], profilers[:ncj]),
-            active=EpochBatch(*columns, rows[:ns], starts, profilers),
+            computing=EpochBatch(*columns, rows[:nc], starts[:ncj], self._stamps, serials[:ncj]),
+            active=EpochBatch(*columns, rows[:ns], starts, self._stamps, serials),
             rows=rows,
             consts=table[:9, :ns],
             idle=table[9],

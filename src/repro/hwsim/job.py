@@ -16,7 +16,6 @@ import enum
 import numpy as np
 
 from repro.geopm.endpoint import Endpoint
-from repro.geopm.agent import JobAgentGroup
 from repro.geopm.profiler import EpochProfiler
 from repro.geopm.report import ApplicationTotals
 from repro.hwsim.node import Node
@@ -73,7 +72,9 @@ class RunningJob:
     ``rng`` is the job's noise stream, a row of the cluster's tape: the run
     multiplier, then per tick a jitter and a RAPL draw per rank computing, or
     a RAPL draw per rank otherwise.  ``cells`` is the cluster's node-indexed
-    ``(progress, counts, barrier, ledger, seat)`` columns.  Rank ``i`` runs
+    ``(progress, counts, barrier, ledger, seat)`` columns, its epoch log (the
+    job's times are logged under ``serial``), and the job's endpoint cells
+    (its root agent's, ``JobAgentGroup.start``).  Rank ``i`` runs
     on node ``i`` of ``nodes`` and owns that row of ``progress`` (fractional
     epochs), ``counts`` (whole ones, the profiler's) and ``seat`` (the
     node's place among the kernel's columns: the job's start number
@@ -114,17 +115,16 @@ class RunningJob:
         self.rng = rng
         self.rows = np.array([n.node_id for n in nodes])
         self.root = root = int(self.rows[0])  # where the job's own cells sit
-        self._progress, counts, barrier, ledger, self._seat = cells
+        self._progress, counts, barrier, ledger, self._seat, stamps, mailbox = cells
         self._order = (serial << RANK_BITS) + np.arange(len(nodes))  # seats, less the class
         self.phase = JobPhase.SETUP
         self._progress[self.rows] = 0.0
         self._ledger = ledger[:, root]
         self._ledger[:] = 0.0
         self.profiler = EpochProfiler(
-            len(nodes), cells=(counts, self.rows, barrier[root : root + 1])
+            len(nodes), cells=(counts, self.rows, barrier[root : root + 1], stamps), key=serial
         )
-        self.endpoint = Endpoint(job_id=job_id)
-        self.agents = JobAgentGroup([n.pio for n in nodes], self.profiler, self.endpoint)
+        self.endpoint = Endpoint(job_id=job_id, cells=mailbox)
         # Only the root node's PlatformIO can serve EPOCH_COUNT (§4.3: the
         # root agent reports the job-global epoch count to the endpoint).
         nodes[0].pio.attach_profiler(self.profiler)
@@ -140,8 +140,8 @@ class RunningJob:
         self._energy_at_release: float | None = None
 
     def detach(self) -> None:
-        """Copy the job's cells and its stream out of the cluster's columns
-        and tape.
+        """Copy the job's cells, its stream and its epoch times out of the
+        cluster's columns, tape and log.
 
         A job that left the cluster is still read (``totals()`` right after
         release, a test's observables later) while its rows and nodes may
@@ -151,6 +151,7 @@ class RunningJob:
         self.rng.detach()
         self._seat = None
         self.profiler.detach()
+        self.endpoint.detach()
         self._energy_at_release = sum(n.total_energy for n in self.nodes)
 
     @property

@@ -38,11 +38,13 @@ class Node:
         Node-specific performance-variation coefficient: epoch progress rate
         is multiplied by this (1.0 = nominal; §6.4 draws these from N(1, σ)).
     cells:
-        ``(energy, limit, power, down)`` views of one row of a cluster's
-        node-indexed columns — per-package joules, per-package raw RAPL
-        limit, last realised power, crashed flag.  The node's mutable physics
-        state lives there so the cluster can step the whole fleet in one
-        array pass; a standalone node allocates its own row.
+        ``(energy, limit, power, down, meter)`` views of one row of a
+        cluster's node-indexed columns — per-package joules, per-package raw
+        RAPL limit, last realised power, crashed flag, and the meter column
+        its :class:`~repro.geopm.signals.PlatformIO` reads through (the
+        power-read baseline, the agent tier's cells).  The node's mutable state lives
+        there so the cluster can step the whole fleet, and every agent, in
+        one array pass; a standalone node allocates its own row.
     """
 
     def __init__(
@@ -52,18 +54,19 @@ class Node:
         clock_fn,
         packages: int = 2,
         perf_multiplier: float = 1.0,
-        cells: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+        cells: tuple | None = None,
     ) -> None:
         if packages < 1:
             raise ValueError(f"node needs ≥ 1 package, got {packages}")
         if perf_multiplier <= 0:
             raise ValueError(f"perf_multiplier must be positive, got {perf_multiplier}")
         self.node_id = int(node_id)
-        energy, limit, self._power, self._down = cells if cells is not None else (
+        energy, limit, self._power, self._down, meter = cells if cells is not None else (
             np.zeros(packages),
             np.zeros(packages, dtype=np.int64),
             np.zeros(1),
             np.zeros(1, dtype=bool),
+            None,
         )
         self.banks = [
             MsrBank(
@@ -74,7 +77,7 @@ class Node:
             )
             for p in range(packages)
         ]
-        self.pio = PlatformIO(self.banks, clock_fn=clock_fn)
+        self.pio = PlatformIO(self.banks, clock_fn=clock_fn, cells=meter)
         self.perf_multiplier = float(perf_multiplier)
         self.job_id: str | None = None  # set by the cluster on allocation
         self._power[0] = IDLE_NODE_POWER

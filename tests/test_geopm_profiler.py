@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geopm.profiler import EpochBatch, EpochProfiler
+from repro.geopm.profiler import EpochBatch, EpochLog, EpochProfiler
 
 
 class TestBarrierSemantics:
@@ -139,9 +139,11 @@ class TestBatchEntryEqualsRankCalls:
 
     @staticmethod
     def _shared(widths):
-        """Profilers over one pair of columns, on interleaved rows, as the
-        cluster builds them; and the batch over all of them."""
+        """Profilers over one pair of columns and one epoch log, on
+        interleaved rows, as the cluster builds them; and the batch over all
+        of them."""
         total = sum(widths)
+        log = EpochLog()
         counts = np.full(total, 7, dtype=np.int64)  # stale cells: a profiler claims its own
         barrier = np.full(total, 7, dtype=np.int64)
         order = np.random.default_rng(total).permutation(total)
@@ -149,12 +151,13 @@ class TestBatchEntryEqualsRankCalls:
         for w in widths:
             rows = np.sort(order[lo : lo + w])
             profilers.append(
-                EpochProfiler(w, cells=(counts, rows, barrier[rows[0] : rows[0] + 1]))
+                EpochProfiler(w, cells=(counts, rows, barrier[rows[0] : rows[0] + 1], log))
             )
             lo += w
         rows = np.concatenate([p._rows for p in profilers])
         starts = np.cumsum([0] + widths[:-1])
-        return profilers, EpochBatch(counts, barrier, rows, starts, profilers)
+        keys = np.array([p._key for p in profilers])
+        return profilers, EpochBatch(counts, barrier, rows, starts, log, keys)
 
     @staticmethod
     def _state(profilers):
@@ -223,3 +226,45 @@ class TestBatchEntryEqualsRankCalls:
         with pytest.raises(ValueError, match="went backwards"):
             p.set_rank_progress(r, start[victim] - 1, timestamp=2.0)
         assert self._state(alone) == before
+
+
+class TestEpochLog:
+    """Every job's epoch times in one log: a closed key's entries go once
+    they are half the log or the log is full, and an open key's stay, in
+    order."""
+
+    def test_closed_keys_are_dropped_and_open_ones_kept(self):
+        log = EpochLog(4)
+        keys = [log.open() for _ in range(3)]
+        expect = {k: [] for k in keys}
+        for t in range(40):
+            key = keys[t % 3]
+            log.append(np.array([key]), np.array([float(t)]))
+            expect[key].append(float(t))
+        own, mine = log.close(keys[1])  # a third of the log: kept for now
+        assert own.times(mine).tolist() == expect[keys[1]]
+        assert log._size == 40
+        own, mine = log.close(keys[0])  # two thirds closed: dropped
+        assert own.times(mine).tolist() == expect[keys[0]]
+        assert log._size == len(expect[keys[2]])
+        assert log.times(keys[2]).tolist() == expect[keys[2]]
+        fresh = log.open()
+        log.append(np.full(500, fresh), np.arange(500.0))  # grows past capacity
+        assert log.times(fresh).tolist() == list(np.arange(500.0))
+        assert log.times(keys[2]).tolist() == expect[keys[2]]
+
+    def test_detached_profiler_keeps_its_epoch_times(self):
+        log = EpochLog()
+        counts, barrier = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+        a = EpochProfiler(2, cells=(counts, np.array([0, 1]), barrier[0:1], log))
+        b = EpochProfiler(2, cells=(counts, np.array([2, 3]), barrier[2:3], log))
+        for t in range(1, 4):
+            for p in (a, b):
+                p.set_rank_progress(0, t, timestamp=float(t))
+                p.set_rank_progress(1, t, timestamp=float(t) + 0.5)
+        a.detach()
+        b.set_rank_progress(0, 4, timestamp=9.0)
+        b.set_rank_progress(1, 4, timestamp=9.5)
+        assert a.epoch_times == (1.5, 2.5, 3.5)
+        assert b.epoch_times == (1.5, 2.5, 3.5, 9.5)
+        assert a.seconds_per_epoch() == 1.0
