@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -73,8 +74,10 @@ class PowerBudgeter(ABC):
 
     @staticmethod
     def _validate(jobs: Sequence[JobBudgetRequest], budget: float) -> None:
-        if budget <= 0:
-            raise ValueError(f"budget must be positive, got {budget}")
+        # ``nan <= 0`` is false: a NaN or infinite budget is refused here,
+        # or it comes back as NaN caps or caps no finite total explains.
+        if not (math.isfinite(budget) and budget > 0):
+            raise ValueError(f"budget must be positive and finite, got {budget}")
         seen: set[str] = set()
         for job in jobs:
             if job.job_id in seen:

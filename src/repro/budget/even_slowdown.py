@@ -10,26 +10,140 @@ says they barely slow down under capping give up power first, steering watts
 toward power-sensitive jobs.  Low-sensitivity jobs "level off" at the
 platform's minimum cap as the budget shrinks (§6.1.1) — the clamping below
 reproduces that saturation.
+
+The answer is defined as what ``bisect_scalar`` on ``[1, s_hi]`` returns
+(``tests/budget_reference.py`` keeps that solve verbatim).  It is computed
+by *locate, then replay*: a few safeguarded Newton steps bracket the root
+between a point where the total is over the budget and one where it is
+under, then bisection's mids are replayed from ``[1, s_hi]``, and only those
+strictly inside that bracket are evaluated.  That is exact when the total
+cannot rise with ``s`` as floats, which every representative's certificate
+(``QuadraticPowerModel.solve_constants``) guarantees; without one the
+bracket stays ``[1, s_hi]`` and every mid is evaluated (DESIGN §7, *The
+even-slowdown solve*).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.budget.base import BudgetAllocation, JobBudgetRequest, PowerBudgeter
-from repro.util.maths import bisect_scalar, clamp
+from repro.util.maths import clamp
 
 __all__ = ["EvenSlowdownBudgeter"]
 
 #: Bisection stops once its bracket on the common slowdown ``s`` is this
 #: narrow (dimensionless; ``s`` runs from 1 up to a few).
 SOLVE_TOL = 1e-6
+#: The locate phase stops once its bracket is this narrow: the last one or
+#: two bisection mids then fall inside it and are all the replay evaluates.
+LOCATE_TOL = SOLVE_TOL / 4
+#: A Newton point is pushed this far past the root it predicts, so the next
+#: evaluation lands on the other side and closes the bracket.
+LOCATE_OVERSHOOT = SOLVE_TOL / 16
+#: Newton steps the locate phase may take; past them the replay evaluates
+#: whatever mids remain inside the bracket, as bisection would.
+LOCATE_STEPS = 8
+#: ``bisect_scalar``'s default halving cap, which the replay keeps.
+MAX_HALVINGS = 200
+
+
+class _Solve:
+    """One request, hoisted: everything invariant across trial slowdowns.
+
+    One ``(bound inverse, T(p_max), p_min, p_max)`` per distinct ``(model,
+    p_min, p_max)`` (jobs of one type share a model object, so their caps
+    at any ``s`` are equal and need computing once) and one
+    ``(representative, nodes)`` per job.  ``total_at(s)`` is one inverse
+    per representative and one left-to-right ``+=`` over the jobs in
+    request order, from ``0``: the adds of ``sum(caps[j.job_id] * j.nodes
+    for j in jobs)``, so the total, and with it every sign the search
+    reads, is that sum's float.  The inverse itself is written once, in
+    ``QuadraticPowerModel.power_for_time``.
+    """
+
+    __slots__ = ("jobs", "members", "reps", "plan", "slopes", "s_hi", "certified",
+                 "evaluations", "_s", "_caps")
+
+    def __init__(self, jobs: Sequence[JobBudgetRequest]) -> None:
+        groups: dict[tuple, list[int]] = {}
+        for i, j in enumerate(jobs):
+            groups.setdefault((id(j.model), j.p_min, j.p_max), []).append(i)
+        self.jobs = jobs
+        self.members = members = list(groups.values())
+        self.reps: list[tuple] = []
+        self.slopes: list[tuple] = []
+        self.plan: list[tuple[int, int]] = [(0, 0)] * len(jobs)
+        s_hi = 1.0  # s = 1 gives everyone max power; s_hi saturates everyone at p_min
+        certified = True
+        for r, idx in enumerate(members):
+            rep = jobs[idx[0]]
+            t_fast, ratio, ok, two_a, b, lo, hi = rep.model.solve_constants(rep.p_min, rep.p_max)
+            self.reps.append((rep.model.power_for_time, t_fast, rep.p_min, rep.p_max))
+            nodes = 0
+            for i in idx:
+                self.plan[i] = (r, jobs[i].nodes)
+                nodes += jobs[i].nodes
+            self.slopes.append((nodes * t_fast, two_a, b, lo, hi))
+            if ratio is not None:
+                s_hi = max(s_hi, ratio)
+            certified = certified and ok
+        self.s_hi = s_hi * 1.01  # ensure the bracket truly saturates every job
+        self.certified = certified
+        self.evaluations = 0
+        self._s: float | None = None
+        self._caps: list[float] = []
+
+    def rep_caps(self, s: float) -> list[float]:
+        """Each representative's clamped cap at ``s`` (the last ``s`` is kept:
+        the slope and the returned caps read the point just evaluated)."""
+        if s != self._s:
+            caps = []
+            for inverse, t_fast, lo, hi in self.reps:
+                p = inverse(s * t_fast)
+                caps.append(lo if p < lo else hi if p > hi else p)
+            self._s, self._caps = s, caps
+        return self._caps
+
+    def total_at(self, s: float) -> float:
+        caps = self.rep_caps(s)
+        self.evaluations += 1
+        total = 0
+        for r, nodes in self.plan:
+            total += caps[r] * nodes
+        return total
+
+    def slope_at(self, s: float) -> float:
+        """``d total / d s`` at ``s``: ``nodes · T(p_max) / T'(p)`` summed over
+        the representatives whose cap is strictly inside both ranges (a Newton
+        direction only; nothing the answer depends on)."""
+        slope = 0.0
+        for (weight, two_a, b, lo, hi), p in zip(self.slopes, self.rep_caps(s)):
+            if lo < p < hi:
+                slope += weight / (two_a * p + b)
+        return slope
+
+    def caps_at(self, s: float) -> dict[str, float]:
+        caps = self.rep_caps(s)
+        jobs = self.jobs
+        return {jobs[i].job_id: cap for cap, idx in zip(caps, self.members) for i in idx}
 
 
 class EvenSlowdownBudgeter(PowerBudgeter):
     """Equalises model-predicted slowdown across jobs (time-balancing)."""
 
     name = "even-slowdown"
+
+    def __init__(self) -> None:
+        # Where the locate phase starts: the last solve's ``s``.  A search
+        # hint only — the answer is bisection's whatever it holds.
+        self._hint = 1.0
+        # Plain work counts, for tests and reports: non-empty solves, their
+        # ``total_at`` evaluations, and those of them made without a
+        # certificate (every bisection mid evaluated).
+        self.solves = 0
+        self.evaluations = 0
+        self.uncertified_solves = 0
 
     def _caps_at(self, jobs: Sequence[JobBudgetRequest], s: float) -> dict[str, float]:
         """The rule per job, nothing hoisted: the reference ``allocate`` is tested against."""
@@ -40,76 +154,81 @@ class EvenSlowdownBudgeter(PowerBudgeter):
             caps[j.job_id] = clamp(p, j.p_min, j.p_max)
         return caps
 
-    def _hoisted(
-        self, jobs: Sequence[JobBudgetRequest]
-    ) -> tuple[Callable[[float], float], Callable[[float], dict[str, float]], float]:
-        """``(total_at, caps_at, s_hi)`` for one non-empty request.
-
-        Everything invariant across bisection steps is computed here: one
-        ``(bound inverse, T(p_max), p_min, p_max)`` per distinct ``(model,
-        p_min, p_max)`` (jobs of one type share a model object, so their
-        caps at any ``s`` are equal and need computing once) and one
-        ``(representative, nodes)`` per job.  A step is then one inverse per
-        representative and one left-to-right ``+=`` over the jobs in request
-        order, from ``0``: the adds of ``sum(caps[j.job_id] * j.nodes for j
-        in jobs)``, so the total, and with it the bisection's path, is that
-        sum's float.  The inverse itself is written once, in
-        ``QuadraticPowerModel.power_for_time``.
-        """
-        groups: dict[tuple, list[int]] = {}
-        for i, j in enumerate(jobs):
-            groups.setdefault((id(j.model), j.p_min, j.p_max), []).append(i)
-        reps: list[tuple[Callable[[float], float], float, float, float]] = []
-        plan: list[tuple[int, int]] = [(0, 0)] * len(jobs)
-        s_hi = 1.0  # s = 1 gives everyone max power; s_hi saturates everyone at p_min
-        members = list(groups.values())
-        for r, idx in enumerate(members):
-            rep = jobs[idx[0]]
-            t_fast = rep.model.time_per_epoch(rep.p_max)
-            reps.append((rep.model.power_for_time, t_fast, rep.p_min, rep.p_max))
-            for i in idx:
-                plan[i] = (r, jobs[i].nodes)
-            if t_fast > 0:
-                s_hi = max(s_hi, rep.model.time_per_epoch(rep.p_min) / t_fast)
-        s_hi *= 1.01  # ensure the bracket truly saturates every job
-        # Memoised by s: bisect_scalar re-evaluates both bracket ends, and the
-        # s it returns is always one it has evaluated.
-        memo: dict[float, list[float]] = {}
-
-        def rep_caps(s: float) -> list[float]:
-            caps = memo.get(s)
-            if caps is None:
-                caps = []
-                for inverse, t_fast, lo, hi in reps:
-                    p = inverse(s * t_fast)
-                    caps.append(lo if p < lo else hi if p > hi else p)
-                memo[s] = caps
-            return caps
-
-        def total_at(s: float) -> float:
-            caps = rep_caps(s)
-            total = 0
-            for r, nodes in plan:
-                total += caps[r] * nodes
-            return total
-
-        def caps_at(s: float) -> dict[str, float]:
-            caps = rep_caps(s)
-            return {jobs[i].job_id: cap for cap, idx in zip(caps, members) for i in idx}
-
-        return total_at, caps_at, s_hi
-
     def allocate(
         self, jobs: Sequence[JobBudgetRequest], budget: float
     ) -> BudgetAllocation:
         self._validate(jobs, budget)
         if not jobs:
             return BudgetAllocation(caps={}, budget=budget, meta={"slowdown": 1.0})
-        total_at, caps_at, s_hi = self._hoisted(jobs)
-        if total_at(1.0) <= budget:
+        solve = _Solve(jobs)
+        total_lo = solve.total_at(1.0)
+        if total_lo <= budget:
             s = 1.0
-        elif total_at(s_hi) >= budget:
-            s = s_hi
         else:
-            s = bisect_scalar(lambda x: total_at(x) - budget, 1.0, s_hi, tol=SOLVE_TOL)
-        return BudgetAllocation(caps=caps_at(s), budget=budget, meta={"slowdown": s})
+            total_hi = solve.total_at(solve.s_hi)
+            if total_hi >= budget:
+                s = solve.s_hi
+            else:
+                s = self._search(solve, budget, total_lo - budget, total_hi - budget)
+        self.solves += 1
+        self.evaluations += solve.evaluations
+        self.uncertified_solves += not solve.certified
+        self._hint = s
+        return BudgetAllocation(caps=solve.caps_at(s), budget=budget, meta={"slowdown": s})
+
+    def _search(self, solve: _Solve, budget: float, f_lo: float, f_hi: float) -> float:
+        """``bisect_scalar(lambda s: total_at(s) − budget, 1, s_hi, tol=SOLVE_TOL)``
+        for ``f_lo`` at 1 and ``f_hi`` at ``s_hi`` of opposite sign (or NaN)."""
+        # Locate: (pos, neg) always holds a point with f > 0 and one with
+        # f < 0; with a certificate f never rises with s, so f > 0 on all of
+        # [1, pos] and f < 0 on all of [neg, s_hi].
+        pos, neg = 1.0, solve.s_hi
+        if solve.certified:
+            x = self._hint
+            if not pos < x < neg:  # a fresh budgeter: the chord's root
+                x = pos + f_lo * (neg - pos) / (f_lo - f_hi)
+            for _ in range(LOCATE_STEPS):
+                if not pos < x < neg:
+                    x = 0.5 * (pos + neg)
+                f = solve.total_at(x) - budget
+                if f > 0:
+                    pos = x
+                elif f < 0:
+                    neg = x
+                else:
+                    break  # not a strict sign: neither end may move to it
+                if neg - pos <= LOCATE_TOL:
+                    break
+                slope = solve.slope_at(x)
+                if slope < 0:
+                    x -= f / slope
+                    x += LOCATE_OVERSHOOT if f > 0 else -LOCATE_OVERSHOOT
+                else:
+                    x = neg  # flat here: bisect the bracket next
+        # Replay bisect_scalar's halvings from [1, s_hi]: a mid at or beyond
+        # an end of the bracket has that end's sign, one inside is evaluated.
+        # Its return tests (f == 0, bracket under tol) both return the mid,
+        # so the last mid needs no evaluation.  ``up``: bisect_scalar moves
+        # ``lo`` only on a mid whose f has f(lo)'s sign; f(1) is > 0 or NaN.
+        up = f_lo > 0
+        lo, hi = 1.0, solve.s_hi
+        for _ in range(MAX_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            if hi - lo < SOLVE_TOL:
+                return mid
+            if mid <= pos:
+                lo = mid
+            elif mid >= neg:
+                hi = mid
+            else:
+                f = solve.total_at(mid) - budget
+                if f == 0.0:
+                    return mid
+                if up and f > 0:
+                    lo = mid
+                else:
+                    hi = mid
+        raise RuntimeError(
+            f"bisect_scalar did not converge within max_iter={MAX_HALVINGS}: "
+            f"bracket [{lo}, {hi}] still wider than tol={SOLVE_TOL}"
+        )

@@ -18,7 +18,8 @@ read*).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,37 +52,100 @@ class EpochSample:
     timestamp: float
 
 
-@dataclass
-class EpochHistory:
-    """Append-only record of epoch-timing samples with array export; grows
-    only through :meth:`append`, which keeps the running aggregates."""
+#: Rows a new history's column block holds; it doubles whenever it fills.
+HISTORY_ROWS = 16
+#: ``np.polyfit``'s default ``rcond`` is the sample count times this.
+_EPS = np.finfo(float).eps
 
-    samples: list[EpochSample] = field(default_factory=list, init=False)
-    total_epochs: int = field(default=0, init=False)
-    cap_min: float = field(default=math.inf, init=False)
-    cap_max: float = field(default=-math.inf, init=False)
+
+class EpochHistory:
+    """Append-only record of epoch-timing samples as float columns.
+
+    One ``(7, rows)`` block, a column per quantity and a row per sample:
+    cap, seconds per epoch, epochs, timestamp, and three running aggregates
+    of the samples up to and including that row — distinct 2 W cap buckets
+    (``round(cap / 2)``, counted up to 3: the degree rule reads no further),
+    the lowest cap and the highest.  A fit over the first ``n`` samples reads
+    its arrays as views and its aggregates from row ``n − 1``; it grows only
+    through :meth:`append`.
+    """
+
+    CAP, TIME, EPOCHS, STAMP, DISTINCT, LOW, HIGH = range(7)
+    __slots__ = ("_block", "_n", "_buckets", "total_epochs", "cap_min", "cap_max")
+
+    def __init__(self) -> None:
+        self._block = np.empty((7, HISTORY_ROWS))
+        self._n = 0
+        self._buckets: tuple = ()  # the first (up to three) distinct buckets
+        self.total_epochs = 0
+        self.cap_min = math.inf  # over every sample: the last row's aggregates
+        self.cap_max = -math.inf
 
     def append(self, sample: EpochSample) -> None:
         if sample.seconds_per_epoch <= 0:
             raise ValueError(f"non-positive time per epoch: {sample.seconds_per_epoch}")
         if sample.epochs < 1:
             raise ValueError(f"sample must cover ≥ 1 epoch, got {sample.epochs}")
-        self.samples.append(sample)
+        if not math.isfinite(sample.p_cap):
+            raise ValueError(f"non-finite cap: {sample.p_cap}")
+        n, block = self._n, self._block
+        if n == block.shape[1]:
+            self._block = np.empty((7, 2 * n))
+            self._block[:, :n] = block
+            block = self._block
+        cap = sample.p_cap
+        bucket = round(cap / 2.0)  # np.round's half-to-even, as an int
+        if len(self._buckets) < 3 and bucket not in self._buckets:
+            self._buckets += (bucket,)
+        self.cap_min = min(self.cap_min, cap)
+        self.cap_max = max(self.cap_max, cap)
+        block[:, n] = (cap, sample.seconds_per_epoch, sample.epochs, sample.timestamp,
+                       len(self._buckets), self.cap_min, self.cap_max)
+        self._n = n + 1
         self.total_epochs += sample.epochs
-        self.cap_min = min(self.cap_min, sample.p_cap)
-        self.cap_max = max(self.cap_max, sample.p_cap)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self._n
+
+    @property
+    def samples(self) -> list[EpochSample]:
+        """The samples as records, built on each read (for reports and tests)."""
+        columns = self._block[: self.STAMP + 1, : self._n].tolist()
+        return [EpochSample(c, t, int(e), s) for c, t, e, s in zip(*columns)]
 
     def arrays(self, n: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(caps, times-per-epoch, weights) of the first ``n`` samples (all
-        by default) as parallel arrays."""
-        samples = self.samples[:n]
-        caps = np.array([s.p_cap for s in samples], dtype=float)
-        times = np.array([s.seconds_per_epoch for s in samples], dtype=float)
-        weights = np.array([s.epochs for s in samples], dtype=float)
-        return caps, times, weights
+        by default) as parallel arrays: views of the block, not copies."""
+        block = self._block
+        n = self._n if n is None else min(n, self._n)
+        return block[self.CAP, :n], block[self.TIME, :n], block[self.EPOCHS, :n]
+
+    def last_times(self, k: int) -> list[float]:
+        """Seconds per epoch of the last ``k`` samples, oldest first."""
+        return self._block[self.TIME, max(self._n - k, 0) : self._n].tolist()
+
+    def prefix(self, n: int) -> tuple[int, float, float]:
+        """(distinct 2 W buckets up to 3, lowest cap, highest cap) of the
+        first ``n ≥ 1`` samples."""
+        distinct, low, high = self._block[self.DISTINCT:, n - 1].tolist()
+        return int(distinct), low, high
+
+
+def _weighted_polyfit(x: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int) -> np.ndarray:
+    """``np.polyfit(x, y, degree, w=w)`` for 1-D float arrays, without its
+    argument checks and copies: the same Vandermonde matrix, weighting,
+    column scaling, ``lstsq`` with ``rcond = len(x)·eps``, unscaling and
+    rank warning, so the same floats."""
+    order = degree + 1
+    lhs = np.vander(x, order)
+    lhs *= w[:, np.newaxis]
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    c, _, rank, _ = np.linalg.lstsq(lhs, y * w, len(x) * _EPS)
+    if rank != order:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
+                      stacklevel=2)
+    return c / scale
 
 
 class OnlineModeler:
@@ -243,12 +307,12 @@ class OnlineModeler:
 
     def _is_outlier(self, sample: EpochSample, *, factor: float = 6.0) -> bool:
         """True when the sample is impossibly slow vs. recent history."""
-        recent = self.history.samples[-10:]
-        if len(recent) < 3:
+        times = self.history.last_times(10)
+        if len(times) < 3:
             return False
         # np.median's value, written out: it costs 17 µs on ≤ 10 floats, and
         # importing ``statistics`` for its 0.4 µs one 0.6 MiB of resident set.
-        times = sorted(s.seconds_per_epoch for s in recent)
+        times.sort()
         mid = len(times) // 2
         med = times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) / 2
         return sample.seconds_per_epoch > factor * med
@@ -387,19 +451,20 @@ class OnlineModeler:
         if not isinstance(n, int):
             return n
         caps, times, weights = self.history.arrays(n)
-        sqrt_w = np.sqrt(weights)
+        distinct, low, high = self.history.prefix(n)
         # Model order is limited by how much of the cap range the samples
         # cover: a quadratic extrapolated from a narrow operating window is
         # wild, so we only allow degree 2 with wide coverage, degree 1 with
         # two meaningfully different caps (2 W buckets), else a constant.
-        distinct = np.unique(np.round(caps / 2.0)).size
         span = self.p_max - self.p_min
-        coverage = (caps.max() - caps.min()) / span if span > 0 else 0.0
+        coverage = (high - low) / span if span > 0 else 0.0
         degree = min(2 if coverage >= 0.3 else 1, distinct - 1)
+        # np.average(times, weights=weights)'s arithmetic.
+        t_bar = float(np.multiply(times, weights).sum() / weights.sum())
         if degree > 0:
-            coeffs = np.polyfit(caps, times, deg=degree, w=sqrt_w)
+            coeffs = _weighted_polyfit(caps, times, np.sqrt(weights), degree)
         else:
-            coeffs = np.array([float(np.average(times, weights=weights))])
+            coeffs = np.array([t_bar])
         padded = np.zeros(3)
         padded[3 - coeffs.size:] = coeffs
         model = QuadraticPowerModel(
@@ -407,9 +472,8 @@ class OnlineModeler:
             p_min=self.p_min, p_max=self.p_max,
         )
         pred = model.a * caps * caps + model.b * caps + model.c
-        ss_res = float(np.sum(weights * (times - pred) ** 2))
-        t_bar = float(np.average(times, weights=weights))
-        ss_tot = float(np.sum(weights * (times - t_bar) ** 2))
+        ss_res = float((weights * (times - pred) ** 2).sum())
+        ss_tot = float((weights * (times - t_bar) ** 2).sum())
         r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
         self._fit = FitResult(model=model, r2=r2, n_samples=n)
         self.fits_computed += 1

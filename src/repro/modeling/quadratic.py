@@ -14,10 +14,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["QuadraticPowerModel", "FitResult"]
+
+
+@lru_cache(maxsize=64)
+def _clipped_grid(p_min: float, p_max: float, samples: int) -> np.ndarray:
+    """``np.clip(np.linspace(p_min, p_max, samples), p_min, p_max)``, read-only
+    and shared: every model over one cap range is checked on the same grid."""
+    grid = np.clip(np.linspace(p_min, p_max, samples), p_min, p_max)
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -123,10 +133,7 @@ class QuadraticPowerModel:
         try:
             t_min, t_max, a, b, c, p_min, p_max = self._inverse_constants
         except AttributeError:
-            constants = (self.t_min, self.t_max, self.a, self.b, self.c,
-                         self.p_min, self.p_max)
-            object.__setattr__(self, "_inverse_constants", constants)
-            t_min, t_max, a, b, c, p_min, p_max = constants
+            t_min, t_max, a, b, c, p_min, p_max = self._memoise_inverse_constants()
         if t_target <= t_min:
             return p_max
         if t_target >= t_max:
@@ -161,20 +168,106 @@ class QuadraticPowerModel:
             return p_max  # no root in range: see the docstring
         return p_min if p < p_min else p_max if p > p_max else p
 
+    def _memoise_inverse_constants(self) -> tuple:
+        constants = (self.t_min, self.t_max, self.a, self.b, self.c, self.p_min, self.p_max)
+        object.__setattr__(self, "_inverse_constants", constants)
+        return constants
+
     def power_for_slowdown(self, s: float) -> float:
         """Cap achieving slowdown factor ``s`` (s=1 → no slowdown)."""
         if s < 1.0:
             raise ValueError(f"slowdown factor must be ≥ 1, got {s}")
         return self.power_for_time(s * self.t_min)
 
+    @property
+    def inverse_is_monotone(self) -> bool:
+        """True when ``power_for_time`` is provably non-increasing in its
+        target *as floats*, so a sum of its clamped outputs can be searched
+        without evaluating every bisection step (DESIGN §7, *The
+        even-slowdown solve*).
+
+        Targets at or below ``t_min`` give ``p_max`` and at or above
+        ``t_max`` give ``p_min``, so only the branch between them matters:
+        * ``t_min ≥ t_max`` (a flat fit's rounding, an increasing curve):
+          that branch is never reached;
+        * constant: ``p_max`` throughout;
+        * linear with ``b < 0``: ``(t − c)/b`` is a correctly rounded, hence
+          monotone, chain, then clamped;
+        * quadratic with its vertex more than 1 W outside the cap range
+          (so decreasing on it, as ``t_min < t_max``): ``r2`` is on the far
+          side of the rounded vertex, so never in range, and ``r1`` and the
+          discriminant are monotone in the target whatever the sign of
+          ``a``.  So the branch is ``clamp(r1)`` — or, for ``a > 0``, the
+          vertex fallback ``p_max`` at its low end — provided that at the
+          largest target below ``t_max`` the discriminant is ``≥ 0`` and
+          ``r1`` is not below the range, which is checked here with the
+          inverse's own arithmetic (``−b − √disc`` cancels when the vertex
+          is far away).
+        Anything else, non-finite coefficients included, is not certified.
+        """
+        ok = self.__dict__.get("_inverse_monotone")
+        if ok is None:
+            try:
+                t_min, t_max, a, b, c, p_min, p_max = self._inverse_constants
+            except AttributeError:
+                t_min, t_max, a, b, c, p_min, p_max = self._memoise_inverse_constants()
+            if not all(map(math.isfinite, (t_min, t_max, a, b, c))):
+                ok = False
+            elif t_min >= t_max:
+                ok = True
+            elif abs(a) < 1e-18:
+                ok = abs(b) < 1e-18 or b < 0
+            else:
+                vertex = -b / (2.0 * a)
+                top = math.nextafter(t_max, -math.inf)
+                disc = b * b - 4.0 * a * (c - top)
+                ok = (
+                    (vertex < p_min - 1.0 or vertex > p_max + 1.0)
+                    and (top <= t_min or (
+                        disc >= 0 and (-b - math.sqrt(disc)) / (2.0 * a) >= p_min - 1e-9))
+                )
+            object.__setattr__(self, "_inverse_monotone", ok)
+        return ok
+
+    def solve_constants(self, p_min: float, p_max: float) -> tuple:
+        """``(T(p_max), T(p_min)/T(p_max), certified, 2a, b, lo, hi)`` for a
+        budget request over ``[p_min, p_max]``, memoised per range on the
+        frozen instance.
+
+        ``certified``: the inverse is monotone (``inverse_is_monotone``) and
+        ``T(p_max)`` is finite and positive, so the request's cap at
+        slowdown ``s``, ``clamp(P(s·T(p_max)))``, never rises with ``s``.
+        ``1/(2a·p + b)`` is ``dP/dt`` at an unclamped cap ``p``, one strictly
+        inside ``(lo, hi)`` (the intersection of the two ranges; empty for a
+        constant model, whose cap does not move with the target).  The
+        ratio is ``None`` when ``T(p_max) ≤ 0``.
+        """
+        memo = self.__dict__.get("_solve_constants")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_solve_constants", memo)
+        constants = memo.get((p_min, p_max))
+        if constants is None:
+            t_fast = self.time_per_epoch(p_max)
+            ratio = self.time_per_epoch(p_min) / t_fast if t_fast > 0 else None
+            certified = self.inverse_is_monotone and math.isfinite(t_fast) and t_fast > 0
+            linear = abs(self.a) < 1e-18
+            lo, hi = max(p_min, self.p_min), min(p_max, self.p_max)
+            if linear and abs(self.b) < 1e-18:
+                lo = hi
+            constants = (t_fast, ratio, certified, 0.0 if linear else 2.0 * self.a,
+                         self.b, lo, hi)
+            memo[(p_min, p_max)] = constants
+        return constants
+
     def is_monotone_decreasing(self, samples: int = 64) -> bool:
         """Check T(P) decreases over the cap range (sanity for fitted models)."""
         key = f"_monotone_{samples}"
         cached = self.__dict__.get(key)
         if cached is None:
-            ps = np.linspace(self.p_min, self.p_max, samples)
-            ts = self.time_per_epoch(ps)
-            cached = bool(np.all(np.diff(ts) <= 1e-12))
+            p = _clipped_grid(self.p_min, self.p_max, samples)
+            ts = self.a * p * p + self.b * p + self.c
+            cached = bool((ts[1:] - ts[:-1] <= 1e-12).all())
             object.__setattr__(self, key, cached)
         return cached
 

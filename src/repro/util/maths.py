@@ -24,11 +24,13 @@ def bisect_scalar(
 ) -> float:
     """Find x in [lo, hi] with func(x) ≈ 0 for a monotone ``func``.
 
-    Used by the even-slowdown budgeter to solve for the common slowdown
-    factor.  If ``func`` has the same sign at both ends, the endpoint whose
-    value is closest to zero is returned — for budgeting this corresponds to
-    saturating every job at its minimum or maximum cap, which is exactly the
-    clipping behaviour the paper describes at extreme budgets (§6.1.1).
+    Its answer on the common slowdown factor is the even-slowdown
+    budgeter's, which replays these halvings from a located bracket instead
+    of evaluating each one.  If ``func`` has the same sign at both ends, the
+    endpoint whose value is closest to zero is returned — for budgeting this
+    corresponds to saturating every job at its minimum or maximum cap, which
+    is exactly the clipping behaviour the paper describes at extreme budgets
+    (§6.1.1).
 
     Raises :class:`RuntimeError` after ``max_iter`` halvings without meeting
     ``tol``.  Reaching the cap means the objective cannot be bisected to the

@@ -1,15 +1,19 @@
 """Tests for the three power budgeters (paper §4.4.3), incl. invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.budget.base import BudgetAllocation, JobBudgetRequest
 from repro.budget.even_power import EvenPowerBudgeter
-from repro.budget.even_slowdown import SOLVE_TOL, EvenSlowdownBudgeter
+from repro.budget.even_slowdown import SOLVE_TOL, EvenSlowdownBudgeter, _Solve
 from repro.budget.uniform import UniformCapBudgeter
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.workloads.nas import NAS_TYPES
+
+from tests import budget_reference
 
 
 def request(job_id, nodes, sensitivity, *, p_max=280.0):
@@ -42,6 +46,18 @@ class TestRequestValidation:
     def test_budget_positive(self):
         with pytest.raises(ValueError, match="positive"):
             EvenPowerBudgeter().allocate(JOBS, 0.0)
+
+    @pytest.mark.parametrize(
+        "budgeter", [EvenSlowdownBudgeter, EvenPowerBudgeter, UniformCapBudgeter],
+        ids=lambda cls: cls.name,
+    )
+    def test_non_finite_budget_rejected(self, budgeter):
+        """``nan <= 0`` is false, so a positivity check alone passes a NaN
+        budget: even-slowdown would answer caps near ``p_max``, even-power
+        and uniform NaN caps, and uniform an infinite ``node_cap``."""
+        for budget in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                budgeter().allocate(JOBS, budget)
 
 
 class TestEvenPower:
@@ -277,8 +293,9 @@ class TestDifferential:
                 )
             jobs.append(JobBudgetRequest(f"j{i}", int(rng.integers(1, 9)), model, 140.0, 280.0))
         budgeter = EvenSlowdownBudgeter()
-        total_at, caps_at, s_hi = budgeter._hoisted(jobs)
+        solve = _Solve(jobs)
         solved = budgeter.allocate(jobs, 0.6 * sum(j.p_max * j.nodes for j in jobs))
+        s_hi = solve.s_hi
         for s in [1.0, s_hi, solved.meta["slowdown"], *rng.uniform(1.0, s_hi, 20).tolist()]:
             caps = budgeter._caps_at(jobs, s)
             # The parent's ``sum(caps[j.job_id] * j.nodes for j in jobs)``,
@@ -287,8 +304,8 @@ class TestDifferential:
             total = 0
             for j in jobs:
                 total += caps[j.job_id] * j.nodes
-            assert total_at(s) == total
-            assert caps_at(s) == caps
+            assert solve.total_at(s) == total
+            assert solve.caps_at(s) == caps
 
 
 class TestUniform:
@@ -316,3 +333,186 @@ class TestBudgetAllocation:
         alloc = BudgetAllocation(caps={"a": 100.0}, budget=300.0)
         jobs = [request("a", 3, 1.5)]
         assert alloc.total_power(jobs) == 300.0
+
+
+def odd_model(kind, rng, p_max):
+    """A model of ``kind`` over [140, p_max]: the linear and constant shapes
+    fits degrade to, and shapes the solve's certificate refuses."""
+    lo, t = 140.0, float(rng.uniform(0.5, 3.0))
+    if kind == "linear":  # b < 0: certified
+        return QuadraticPowerModel(0.0, -t / float(rng.uniform(150.0, 600.0)), 2.0 * t, lo, p_max)
+    if kind == "constant":
+        return QuadraticPowerModel(0.0, 0.0, t, lo, p_max)
+    if kind == "rising":  # b > 0: the inverse's middle branch is never reached
+        return QuadraticPowerModel(0.0, t / 500.0, t, lo, p_max)
+    if kind == "vertex-convex":  # a > 0, vertex in range, T(p_min) > T(p_max)
+        v, a = float(rng.uniform(0.55, 0.95)) * (p_max - lo) + lo, t * 1e-4
+        return QuadraticPowerModel(a, -2.0 * a * v, a * v * v + t, lo, p_max)
+    if kind == "vertex-concave":  # a < 0, vertex in range, T(p_min) > T(p_max)
+        v, a = float(rng.uniform(0.05, 0.45)) * (p_max - lo) + lo, -t * 1e-4
+        return QuadraticPowerModel(a, -2.0 * a * v, a * v * v + t - a * (p_max - v) ** 2, lo, p_max)
+    if kind == "non-finite":
+        return QuadraticPowerModel(float(rng.choice([math.nan, math.inf])), -0.01, 3.0, lo, p_max)
+    if kind == "negative":  # T(p_max) < 0: the total rises with s
+        return QuadraticPowerModel(0.0, -0.05, 10.0, lo, p_max)
+    raise ValueError(kind)
+
+
+CERTIFIED_KINDS = ("linear", "constant", "rising")
+UNCERTIFIED_KINDS = ("vertex-convex", "vertex-concave", "non-finite", "negative")
+
+
+def build_mix(seed, count, odd):
+    """``count`` requests mixing NAS truths (shared objects), two shared and
+    many per-job ``from_anchors`` models over two cap ranges, and ``odd``
+    models of the kinds above; and the ids of the jobs whose model the
+    certificate must refuse."""
+    rng = np.random.default_rng(seed)
+    truths = [NAS_TYPES[name].truth for name in sorted(NAS_TYPES)]
+    shared = [QuadraticPowerModel.from_anchors(1.5, 1.6, 140.0, 280.0),
+              QuadraticPowerModel.from_anchors(2.5, 1.2, 140.0, 240.0)]
+    jobs, refused = [], set()
+    for i in range(count):
+        u, nodes = rng.random(), int(rng.integers(1, 9))
+        if i < len(odd):
+            p_max = float(rng.choice([240.0, 280.0]))
+            model = odd_model(odd[i], rng, p_max)
+            if odd[i] in UNCERTIFIED_KINDS:
+                refused.add(f"j{i}")
+        elif u < 0.4:
+            model = truths[rng.integers(len(truths))]
+            p_max = model.p_max
+        elif u < 0.6:
+            model = shared[rng.integers(2)]
+            p_max = model.p_max
+        else:
+            p_max = float(rng.choice([240.0, 280.0]))
+            model = QuadraticPowerModel.from_anchors(
+                float(rng.uniform(0.5, 4.0)), float(rng.uniform(1.0, 2.5)), 140.0, p_max)
+        jobs.append(JobBudgetRequest(f"j{i}", nodes, model, 140.0, p_max))
+    order = rng.permutation(count)
+    return [jobs[k] for k in order], refused
+
+
+class recorded_evaluations:
+    """Every ``s`` the solve's ``total_at`` is evaluated at, in order."""
+
+    def __enter__(self):
+        self.seen, original = [], _Solve.total_at
+
+        def total_at(solve, s):
+            self.seen.append(s)
+            return original(solve, s)
+
+        self._original, _Solve.total_at = original, total_at
+        return self.seen
+
+    def __exit__(self, *exc):
+        _Solve.total_at = self._original
+
+
+def assert_is_the_bisection(budgeter, jobs, budget, refused):
+    """``allocate`` equals the reference bisection to the bit; no ``s`` is
+    evaluated twice; the request is certified unless it holds a job in
+    ``refused``, and without a certificate the evaluations are bisection's."""
+    certified = not any(j.job_id in refused for j in jobs)
+    assert _Solve(jobs).certified is certified
+    ref, ref_evals = budget_reference.allocate(jobs, budget)
+    with recorded_evaluations() as seen:
+        alloc = budgeter.allocate(jobs, budget)
+    s = alloc.meta["slowdown"]
+    assert s == ref.meta["slowdown"]
+    assert list(alloc.caps.items()) == list(ref.caps.items())
+    assert len(set(seen)) == len(seen), "an s was evaluated twice"
+    if not certified:
+        total_at, _, s_hi, _ = budget_reference.hoisted(jobs)
+        # bisect_scalar evaluates the mid it returns on the tolerance test;
+        # the replay returns it unevaluated.
+        unevaluated = 1.0 < s < s_hi and total_at(s) != budget
+        assert len(seen) == ref_evals - unevaluated
+    return alloc
+
+
+@st.composite
+def solve_cases(draw):
+    """A request of 1–150 jobs (certified mixes and mixes with odd models)
+    and a budget: below the floor, at it, inside, at the ceiling, above it,
+    or equal to the total bisection evaluates at one of its mids (f == 0)."""
+    count = draw(st.integers(1, 150))
+    odd = draw(st.lists(st.sampled_from(CERTIFIED_KINDS + UNCERTIFIED_KINDS),
+                        max_size=min(count, 3)))
+    jobs, refused = build_mix(draw(st.integers(0, 2**32 - 1)), count, odd)
+    floor = sum(j.p_min * j.nodes for j in jobs)
+    ceiling = sum(j.p_max * j.nodes for j in jobs)
+    where = draw(st.sampled_from(
+        ["below", "floor", "ceiling", "above", "inside", "inside", "inside", "a mid", "a mid"]))
+    if where == "a mid":
+        total_at, _, s_hi, _ = budget_reference.hoisted(jobs)
+        lo, hi = 1.0, s_hi
+        for _ in range(draw(st.integers(0, 18))):
+            lo, hi = draw(st.sampled_from([(lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)]))
+        budget = total_at(0.5 * (lo + hi))
+    else:
+        frac = {"below": draw(st.floats(-0.3, -0.01)), "floor": 0.0, "ceiling": 1.0,
+                "inside": draw(st.floats(0.02, 0.98)), "above": draw(st.floats(1.01, 1.3))}[where]
+        budget = floor + frac * (ceiling - floor)
+    return jobs, max(budget, 1.0), refused
+
+
+class TestLocateAndReplay:
+    """``allocate`` (locate, then replay) against ``tests/budget_reference``,
+    the bisection it replaced: the same ``s`` and caps to the bit."""
+
+    @given(solve_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_a_fresh_solve_is_the_bisection(self, case):
+        assert_is_the_bisection(EvenSlowdownBudgeter(), *case)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.lists(st.sampled_from(CERTIFIED_KINDS + UNCERTIFIED_KINDS), max_size=2),
+        st.lists(st.floats(-0.08, 0.08), min_size=5, max_size=30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_warm_budgeter_is_the_bisection(self, seed, count, odd, steps):
+        """One budgeter across a random walk of budgets, with a job leaving
+        and one arriving along the way: its hint is the last solve's ``s``,
+        and every answer is the fresh budgeter's and the bisection's."""
+        jobs, refused = build_mix(seed, count + 1, odd)
+        floor = sum(j.p_min * j.nodes for j in jobs)
+        ceiling = sum(j.p_max * j.nodes for j in jobs)
+        warm, frac = EvenSlowdownBudgeter(), 0.5
+        for k, step in enumerate(steps):
+            frac = min(max(frac + step, -0.1), 1.1)
+            request = jobs[:-1] if k < len(steps) // 2 else jobs[1:]
+            budget = floor + frac * (ceiling - floor)
+            alloc = assert_is_the_bisection(warm, request, budget, refused)
+            fresh = EvenSlowdownBudgeter().allocate(request, budget)
+            assert alloc.meta == fresh.meta and alloc.caps == fresh.caps
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["over", "under"])
+    def test_a_bracket_end_on_a_mid_is_not_evaluated_again(self, side):
+        """A solve that ends on bisection's first mid (``f == 0`` there) leaves
+        it as the next solve's hint; a budget a µW away puts the root within
+        the locate tolerance of it, so the located bracket ends on that mid
+        and the replay decides it from the bracket: at or below the positive
+        end, at or above the negative end."""
+        jobs, _ = build_mix(5, 12, [])
+        total_at, _, s_hi, _ = budget_reference.hoisted(jobs)
+        first_mid = 0.5 * (1.0 + s_hi)
+        budgeter = EvenSlowdownBudgeter()
+        assert budgeter.allocate(jobs, total_at(first_mid)).meta["slowdown"] == first_mid
+        assert_is_the_bisection(budgeter, jobs, total_at(first_mid) + side * 1e-6, set())
+
+    @pytest.mark.parametrize("kind", CERTIFIED_KINDS + UNCERTIFIED_KINDS)
+    def test_the_certificate(self, kind):
+        """Each odd kind is certified or not as the solve's argument says;
+        the NAS truths and every ``from_anchors`` curve are."""
+        model = odd_model(kind, np.random.default_rng(0), 280.0)
+        assert model.solve_constants(140.0, 280.0)[2] is (kind in CERTIFIED_KINDS)
+        for jt in NAS_TYPES.values():
+            assert jt.truth.solve_constants(jt.truth.p_min, jt.truth.p_max)[2]
+        for sens in (1.0, 1.01, 1.5, 2.5):
+            model = QuadraticPowerModel.from_anchors(2.0, sens, 140.0, 280.0)
+            assert model.solve_constants(140.0, 280.0)[2]

@@ -1,8 +1,9 @@
-"""Fit-when-read and the hoisted solve, counted instead of timed.
+"""Fit-when-read and the even-slowdown solve, counted instead of timed.
 
 Wall time says nothing in a shared sandbox; what a seeded run counts repeats
 exactly.  ``OnlineModeler.fits_due`` / ``fits_computed`` say how many fits a
-run skipped, ``sys.setprofile`` how often a solve re-derives a model constant.
+run skipped, ``sys.setprofile`` how often a solve re-derives a model constant,
+``EvenSlowdownBudgeter.evaluations`` how many totals a run's solves evaluate.
 """
 
 import sys
@@ -109,3 +110,21 @@ class TestSolveCounted:
         assert calls.get("t_max", 0) <= len(models)
         assert "clamp" not in calls
         assert alloc.total_power(jobs) == pytest.approx(budget, abs=1e-3)
+
+    def test_a_tick_run_solves_in_few_evaluations_and_all_certified(self):
+        """The quick ``dr16_tick`` run (16 nodes, 1 s periods, 225 s, seed
+        7000): bisection evaluated the total 17.7 times a solve; locate and
+        replay may take at most 9 on average, and every request it sees —
+        NAS truths, ``is`` standing in for ``bt``, the job tier's fits — is
+        certified.  A model family that silently loses its certificate falls
+        back to every bisection mid and fails here instead of costing time."""
+        seed, duration = 7000, 225.0
+        system = build_demand_response_system(
+            duration=duration, num_nodes=16, seed=seed,
+            config=AnorConfig(num_nodes=16, seed=seed),
+        )
+        system.run(duration)
+        budgeter = system.budgeter
+        assert budgeter.solves > 150
+        assert budgeter.uncertified_solves == 0
+        assert budgeter.evaluations <= 9 * budgeter.solves

@@ -1,5 +1,7 @@
 """Tests for the online epoch-feedback modeler (paper §4.2)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,11 @@ class TestEpochHistory:
     def test_rejects_non_positive_time(self):
         with pytest.raises(ValueError, match="non-positive"):
             EpochHistory().append(EpochSample(200.0, 0.0, 1, 0.0))
+
+    def test_rejects_non_finite_cap(self):
+        for cap in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="non-finite"):
+                EpochHistory().append(EpochSample(cap, 1.0, 1, 0.0))
 
     def test_rejects_zero_epochs(self):
         with pytest.raises(ValueError, match="≥ 1"):
@@ -322,3 +329,166 @@ class TestFitWhenRead:
         seed = QuadraticPowerModel.from_anchors(1.7, 1.2, 140.0, 280.0)
         m.seed_fit(seed, r2=0.9)
         assert m.model is seed and m.fit_r2 == 0.9 and m.fits_computed == 0
+
+
+# ------------------------------------------------------------ fit oracle
+
+
+def parent_fit(history, n, p_min, p_max):
+    """The fit over the first ``n`` samples as ``_resolve`` computed it
+    through ``np.polyfit`` / ``np.unique`` / ``np.average`` over arrays
+    rebuilt from the samples, kept verbatim: ``((a, b, c), r2)``."""
+    samples = history.samples[:n]
+    caps = np.array([s.p_cap for s in samples], dtype=float)
+    times = np.array([s.seconds_per_epoch for s in samples], dtype=float)
+    weights = np.array([s.epochs for s in samples], dtype=float)
+    sqrt_w = np.sqrt(weights)
+    distinct = np.unique(np.round(caps / 2.0)).size
+    span = p_max - p_min
+    coverage = (caps.max() - caps.min()) / span if span > 0 else 0.0
+    degree = min(2 if coverage >= 0.3 else 1, distinct - 1)
+    if degree > 0:
+        coeffs = np.polyfit(caps, times, deg=degree, w=sqrt_w)
+    else:
+        coeffs = np.array([float(np.average(times, weights=weights))])
+    padded = np.zeros(3)
+    padded[3 - coeffs.size:] = coeffs
+    model = QuadraticPowerModel(
+        a=float(padded[0]), b=float(padded[1]), c=float(padded[2]),
+        p_min=p_min, p_max=p_max,
+    )
+    pred = model.a * caps * caps + model.b * caps + model.c
+    ss_res = float(np.sum(weights * (times - pred) ** 2))
+    t_bar = float(np.average(times, weights=weights))
+    ss_tot = float(np.sum(weights * (times - t_bar) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return (model.a, model.b, model.c), r2
+
+
+def resolved(m, n):
+    """``m``'s fit over its first ``n`` samples, as a due fit resolves."""
+    m._fit = n
+    fit = m._resolve()
+    return (fit.model.a, fit.model.b, fit.model.c), fit.r2
+
+
+def degree_of(coeffs):
+    a, b, _ = coeffs
+    return 2 if a != 0.0 else 1 if b != 0.0 else 0
+
+
+@st.composite
+def histories(draw):
+    """A cap range and 1–60 samples from one cap (degree 0), a band narrower
+    than the 0.3 coverage threshold (degree ≤ 1) or the whole range."""
+    p_min = draw(st.sampled_from([70.0, 140.0]))
+    p_max = p_min + draw(st.sampled_from([100.0, 140.0, 210.0]))
+    spread = draw(st.sampled_from(["one cap", "band", "range"]))
+    centre = draw(st.floats(p_min, p_max))
+    samples = []
+    for k in range(draw(st.integers(1, 60))):
+        u = draw(st.floats(0.0, 1.0))
+        cap = {"one cap": centre, "band": centre + 0.25 * (p_max - p_min) * (u - 0.5),
+               "range": p_min + (p_max - p_min) * u}[spread]
+        seconds = draw(st.floats(0.2, 5.0))
+        samples.append(EpochSample(cap, seconds, draw(st.integers(1, 40)), float(k)))
+    return p_min, p_max, samples, draw(st.integers(1, len(samples)))
+
+
+class TestFitOracle:
+    """``_resolve`` — column views, the prefix's bucket count and range,
+    ``np.polyfit``'s own operations, ``np.average``'s arithmetic — equals
+    the ``np.polyfit`` / ``np.unique`` / ``np.average`` body it replaced, to
+    the bit."""
+
+    @given(histories())
+    @settings(max_examples=150, deadline=None)
+    def test_every_degree_and_late_read_is_the_polyfit_fit(self, case):
+        p_min, p_max, samples, n = case
+        m = OnlineModeler(p_min, p_max, QuadraticPowerModel.from_anchors(2.0, 1.3, p_min, p_max))
+        for sample in samples:
+            m.history.append(sample)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.RankWarning)
+            assert resolved(m, n) == parent_fit(m.history, n, p_min, p_max)
+            assert resolved(m, len(samples)) == parent_fit(m.history, len(samples), p_min, p_max)
+
+    def test_each_degree_is_reached(self):
+        seen = set()
+        for caps in ([200.0] * 5, [200.0, 230.0] * 3, [140.0, 200.0, 280.0] * 2):
+            m = make_modeler()
+            for k, cap in enumerate(caps):
+                m.history.append(EpochSample(cap, 1.0 + (280.0 - cap) / 300.0 + 0.01 * k, 3, k))
+            coeffs, _ = resolved(m, len(caps))
+            assert (coeffs, _) == parent_fit(m.history, len(caps), 140.0, 280.0)
+            seen.add(degree_of(coeffs))
+        assert seen == {0, 1, 2}
+
+    def test_a_rank_deficient_fit_still_warns(self):
+        """Caps 50 W apart around 10 GW: the scaled Vandermonde columns are
+        parallel to within ``rcond``, and the warning ``np.polyfit`` raised
+        is still raised, from the same fit."""
+        p_min, p_max = 1e10, 1e10 + 200.0
+        m = OnlineModeler(p_min, p_max, QuadraticPowerModel(0.0, 0.0, 1.0, p_min, p_max))
+        for k in range(4):
+            m.history.append(EpochSample(p_min + 50.0 * k, 1.0 + 0.1 * k, 6, float(k)))
+        with pytest.warns(np.exceptions.RankWarning):
+            expected = parent_fit(m.history, 4, p_min, p_max)
+        with pytest.warns(np.exceptions.RankWarning, match="poorly conditioned"):
+            assert resolved(m, 4) == expected
+
+    def test_after_a_drift_reset_and_a_seed_fit(self):
+        """A 1.6× phase change resets the history; the fits due after it, and
+        the first one due after a ``seed_fit``, are the polyfit fits over
+        the new history."""
+        m = make_modeler(detect_drift=True)
+        rng = np.random.default_rng(1)
+        t, epochs, checked = 0.0, 0, 0
+        m.observe(t, epochs, 200.0)
+        for k in range(260):
+            if k == 200:
+                m.seed_fit(QuadraticPowerModel.from_anchors(1.7, 1.2, 140.0, 280.0))
+            cap = float(rng.uniform(140.0, 280.0))
+            m.set_cap(t, cap)
+            t += 6.0 * (1.6 if k >= 120 else 1.0) * (1.0 + 0.5 * (280.0 - cap) / 140.0)
+            epochs += 6
+            m.observe(t, epochs, cap)
+            if isinstance(m._fit, int):
+                n = m._fit
+                expected = parent_fit(m.history, n, 140.0, 280.0)
+                assert resolved(m, n) == expected
+                checked += 1
+        assert m.drift_resets == 1 and checked > 50
+
+
+def parent_is_monotone(model, samples=64):
+    """``is_monotone_decreasing`` over a fresh ``np.linspace``, verbatim."""
+    ps = np.linspace(model.p_min, model.p_max, samples)
+    ts = model.time_per_epoch(ps)
+    return bool(np.all(np.diff(ts) <= 1e-12))
+
+
+class TestMonotoneGrid:
+    """The verdict on a cached clipped grid equals the one on a fresh
+    ``linspace``."""
+
+    @pytest.mark.parametrize("end", ["p_min", "p_max"])
+    @pytest.mark.parametrize("curvature", [1e-4, -1e-4, 1e-12])
+    def test_a_vertex_half_a_watt_inside_a_range_end(self, end, curvature):
+        p_min, p_max = 140.0, 280.0
+        v = p_min + 0.5 if end == "p_min" else p_max - 0.5
+        model = QuadraticPowerModel(curvature, -2.0 * curvature * v, 2.0 + curvature * v * v,
+                                    p_min, p_max)
+        for samples in (2, 64, 1000):
+            assert model.is_monotone_decreasing(samples) == parent_is_monotone(model, samples)
+
+    @given(
+        st.floats(-1e-3, 1e-3), st.floats(-0.2, 0.2), st.floats(0.0, 50.0),
+        st.floats(50.0, 200.0), st.floats(1.0, 300.0), st.sampled_from([1, 2, 3, 64, 100]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_verdict_is_the_linspace_verdict(self, a, b, c, p_min, width, samples):
+        model = QuadraticPowerModel(a, b, c, p_min, p_min + width)
+        assert model.is_monotone_decreasing(samples) == parent_is_monotone(model, samples)
+        twin = QuadraticPowerModel(a, b, c, p_min, p_min + width)  # the grid is shared
+        assert twin.is_monotone_decreasing(samples) == parent_is_monotone(twin, samples)
