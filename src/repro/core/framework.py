@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -50,8 +50,7 @@ from repro.modeling.quadratic import QuadraticPowerModel
 from repro.plan.envelope import SafetyEnvelope
 from repro.plan.forecast import FORECASTER_KINDS, make_forecaster
 from repro.plan.planner import RecedingHorizonPlanner
-from repro.sched.base import PendingJob, RunningView, Scheduler
-from repro.sched.fcfs import FcfsScheduler
+from repro.sched.fcfs import FcfsScheduler, PendingJob
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.prometheus import MetricsHTTPServer
 from repro.util.calendar import EventCalendar
@@ -182,6 +181,12 @@ class AnorConfig:
         Mirrors ``FaultSchedule.random``'s validation style: bad values
         fail at construction with the field name, not deep inside a run.
         """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.retrain_threshold < 1:
+            raise ValueError(f"retrain_threshold must be ≥ 1, got {self.retrain_threshold}")
         positive = {
             "num_nodes": self.num_nodes,
             "tick": self.tick,
@@ -298,17 +303,13 @@ class _QueuedJob:
     request: JobRequest
     job_type: JobType
     claimed_type: str = ""  # what the submission metadata claims; "" = truthful
-    #: User-style time limit: the worst case (minimum cap), computed once.
-    est_runtime: float = field(init=False)
-    #: What the scheduler sees, built when it changes rather than per round:
-    #: ``pending`` when first asked for and again when ``attempt`` moves (a
-    #: requeue; nothing else in it ever does), ``running`` at launch, where
-    #: ``est_end`` is fixed.
-    pending: PendingJob | None = field(init=False, default=None)
-    running: RunningView | None = field(init=False, default=None)
+    #: What the scheduler sees, built once: nothing in it ever moves.
+    pending: PendingJob = field(init=False)
 
     def __post_init__(self) -> None:
-        self.est_runtime = self.job_type.total_time(self.job_type.p_min)
+        self.pending = PendingJob(
+            self.request.job_id, self.job_type.nodes, self.request.submit_time
+        )
 
 
 class AnorSystem:
@@ -323,7 +324,6 @@ class AnorSystem:
         schedule: Schedule | None = None,
         job_types: dict[str, JobType] | None = None,
         config: AnorConfig | None = None,
-        scheduler: Scheduler | None = None,
         fault_schedule: FaultSchedule | None = None,
         monitors: Sequence[Callable[[BudgetRound], None]] = (),
     ) -> None:
@@ -339,7 +339,9 @@ class AnorSystem:
             precharacterized_models(self.job_types)
         )
         self.schedule = schedule or Schedule()
-        self.scheduler = scheduler or FcfsScheduler()
+        for req in self.schedule.requests:
+            self._check_width(req.job_id, req.nodes)
+        self._scheduler = FcfsScheduler()
         self._rng = ensure_rng(self.config.seed)
         # Observability: one Telemetry handle threaded through every tier.
         # Disabled (the default) it is the shared null object — golden traces
@@ -383,12 +385,7 @@ class AnorSystem:
         self.manager: ClusterPowerManager | None = self._build_manager()
         self.endpoints: dict[str, JobTierEndpoint] = {}
         self._queue: list[_QueuedJob] = []
-        self._queue_order: list[PendingJob] | None = None  # see _scheduler_view
-        # The running jobs as the scheduler sees them, in the cluster's order:
-        # a job joins as it launches and leaves when the scheduler next looks
-        # after its release (``_views_seen`` of the cluster's release log).
-        self._running_views: dict[str, RunningView] = {}
-        self._views_seen = 0
+        self._queue_order: list[PendingJob] | None = None  # see _select
         self._released_seen = 0  # the part of that log whose endpoints are closed
         #: Tick at which the scheduler saw the queue and cluster as they still
         #: are and started nothing (None once either moved).
@@ -674,6 +671,7 @@ class AnorSystem:
         jt = self.job_types[type_name]
         if nodes is not None:
             jt = jt.with_nodes(nodes)
+        self._check_width(job_id, jt.nodes)
         req = JobRequest(
             submit_time=self.cluster.clock.now,
             job_id=job_id,
@@ -688,6 +686,14 @@ class AnorSystem:
             "job-admit", self.cluster.clock.now, kind="manual", spec=self._spec_dict(queued)
         )
 
+    def _check_width(self, job_id: str, nodes: int) -> None:
+        """Refuse a job wider than the cluster: under FCFS it would head the
+        queue forever.  Crashed nodes count, since they come back."""
+        if nodes > self.config.num_nodes:
+            raise ValueError(
+                f"job {job_id} needs {nodes} nodes; the cluster has {self.config.num_nodes}"
+            )
+
     def _intake(self, now: float) -> None:
         while self._pending and self._pending[0].submit_time <= now:
             req = self._pending.pop(0)
@@ -697,24 +703,15 @@ class AnorSystem:
             self._journal("job-admit", now, kind="queue", spec=self._spec_dict(queued))
 
     def _enqueue(self, queued: _QueuedJob) -> None:
-        """Queue a job (first submission or requeue).  Its attempt count must
-        be on record: its scheduler view freezes it."""
-        job_id = queued.request.job_id
-        queued.pending = PendingJob(
-            job_id=job_id,
-            nodes=queued.job_type.nodes,
-            submit_time=queued.request.submit_time,
-            est_runtime=queued.est_runtime,
-            attempt=self._attempts.get(job_id, 1),
-        )
+        """Queue a job (first submission or requeue)."""
         self._queue.append(queued)
         self._queue_order = self._declined_at = None
 
     def _start_ready(self, now: float) -> None:
-        """Start queued jobs according to the configured scheduler."""
+        """Start the queued jobs FCFS would start."""
         if not self._queue or self.manager.admission_held:
             return
-        chosen = self.scheduler.select(*self._scheduler_view(now))
+        chosen = self._select()
         if not chosen:
             self._declined_at = now
             return
@@ -725,10 +722,8 @@ class AnorSystem:
         self._queue = [q for q in self._queue if q.request.job_id not in started]
         self._queue_order = None
 
-    def _scheduler_view(
-        self, now: float
-    ) -> tuple[list[PendingJob], list[RunningView], int, float]:
-        """``Scheduler.select`` arguments for the current queue and cluster."""
+    def _select(self) -> list[PendingJob]:
+        """What the scheduler would start on the current queue and cluster."""
         if self._queue_order is None:
             # Requeued jobs keep their original submit time, so a stable sort
             # puts them back at the head of the line (they already waited
@@ -736,13 +731,7 @@ class AnorSystem:
             self._queue_order = sorted(
                 (q.pending for q in self._queue), key=lambda p: p.submit_time
             )
-        cluster = self.cluster
-        for job_id in cluster.released[self._views_seen :]:
-            if job_id not in cluster.running:
-                self._running_views.pop(job_id, None)
-        self._views_seen = len(cluster.released)
-        running = list(self._running_views.values())
-        return self._queue_order, running, cluster.idle_count(), now
+        return self._scheduler.select(self._queue_order, self.cluster.idle_count())
 
     def _launch(self, head: _QueuedJob) -> None:
         job = self.cluster.start_job(
@@ -751,11 +740,6 @@ class AnorSystem:
             submit_time=head.request.submit_time,
         )
         self._launched[head.request.job_id] = head
-        head.running = RunningView(
-            job_id=job.job_id, nodes=len(job.nodes), est_end=job.est_end
-        )
-        self._running_views.pop(job.job_id, None)  # a relaunch goes last, as in the cluster
-        self._running_views[job.job_id] = head.running
         attempt = self._attempts.setdefault(head.request.job_id, 1)
         self._journal(
             "job-admit", self.cluster.clock.now, kind="launch",
@@ -1260,11 +1244,11 @@ class AnorSystem:
         """Could the scheduler start a queued job on an upcoming free tick?
 
         Not with the head down.  Otherwise a non-empty queue blocks striding
-        unless the policy declares itself time-invariant and one round on the
-        exact view ``_start_ready`` would build comes back empty — this
-        tick's own ``_start_ready`` round if nothing has moved since, else a
-        probe — in which case it stays empty until cluster state changes,
-        which only happens at an event or a completion (window boundaries).
+        unless one round on the exact view ``_start_ready`` would build comes
+        back empty — this tick's own ``_start_ready`` round if nothing has
+        moved since, else a probe — in which case it stays empty until
+        cluster state changes, which only happens at an event or a
+        completion (window boundaries).
         """
         if not self._queue or self.manager is None:
             return False
@@ -1273,20 +1257,16 @@ class AnorSystem:
             # changes inside manager rounds — gate events, so window
             # boundaries.  The queue cannot act mid-window.
             return False
-        if not self.scheduler.time_invariant:
-            return True
         if self._declined_at == now:
             return False
-        return bool(self.scheduler.select(*self._scheduler_view(now)))
+        return bool(self._select())
 
     def _arrivals_wait(self) -> bool:
         """Will the scheduler start none of the arrivals a window may cover
         (DESIGN.md §7, stride safety 5)?  Asked once the queue is known not
         to block the window, so a queue that is there was declined or is
-        held, and every arrival sorts behind it."""
-        return self.scheduler.time_invariant and bool(
-            self._queue or self.manager.admission_held
-        )
+        held, and every arrival sorts behind it: the head blocks it."""
+        return bool(self._queue or self.manager.admission_held)
 
     def _free_ticks(
         self, now: float, limits: tuple[float, float | None, bool, float]

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.durable.journal import JournalRecord
 from repro.modeling.quadratic import QuadraticPowerModel
-from repro.sched.base import RunningView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import AnorSystem
@@ -167,14 +166,10 @@ def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
     enter recovery mode until each job re-HELLOs."""
     ordered = sorted(system.schedule.requests, key=lambda r: (r.submit_time, r.job_id))
     system._pending = ordered[int(state["pending_index"]):]
-    # The launched jobs come back as submitted; when each ends is
-    # compute-node knowledge, read off the live job.
-    system._launched = {}
-    for job_id, spec in state["running"].items():
-        queued = system._launched[job_id] = system._spec_from_dict(spec)
-        job = system.cluster.running.get(job_id)
-        if job is not None:
-            queued.running = RunningView(job_id, len(job.nodes), job.est_end)
+    # The launched jobs come back as submitted.
+    system._launched = {
+        job_id: system._spec_from_dict(spec) for job_id, spec in state["running"].items()
+    }
     system._attempts = {jid: int(n) for jid, n in state["attempts"].items()}
     system.requeued = list(state["requeued"])
     system._queue = []

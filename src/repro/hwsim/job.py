@@ -109,9 +109,6 @@ class RunningJob:
         self.nodes = nodes
         self.submit_time = float(submit_time)
         self.start_time = float(start_time)
-        #: User-style time limit: start plus the worst-case (minimum-cap)
-        #: occupancy — what the scheduler's backfill window sees.
-        self.est_end = self.start_time + job_type.total_time(job_type.p_min)
         self.rng = rng
         self.rows = np.array([n.node_id for n in nodes])
         self.root = root = int(self.rows[0])  # where the job's own cells sit

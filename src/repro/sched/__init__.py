@@ -1,28 +1,12 @@
-"""Cluster job schedulers for the end-to-end system.
+"""The emulated cluster's job scheduler.
 
-The paper's harness replays a submission schedule through a scheduler on the
-head node (§4.1, §5.3).  Two policies are provided for the emulated cluster:
-
-* :class:`FcfsScheduler` — strict first-come-first-served: the queue head
-  blocks everything behind it until its nodes free up.
-* :class:`EasyBackfillScheduler` — EASY backfill: the head job gets a
-  reservation at the earliest time enough nodes will be free, and shorter
-  jobs from further back may jump ahead *only if* they cannot delay that
-  reservation.  Backfilling is the mechanism overprovisioned-power work
-  (e.g. RMAP, the paper's ref. [18]) builds on.
-
-The AQA queue-weight scheduler used by the tabular simulator lives in
-:mod:`repro.aqa.scheduler`.
+The paper's harness replays a submission schedule through one queue on the
+head node (§4.1, §5.3): :class:`FcfsScheduler`, strict first-come-first-
+served, where the queue head blocks everything behind it until its nodes
+free up.  The AQA queue-weight scheduler used by the tabular simulator lives
+in :mod:`repro.aqa.scheduler`.
 """
 
-from repro.sched.base import PendingJob, RunningView, Scheduler
-from repro.sched.fcfs import FcfsScheduler
-from repro.sched.backfill import EasyBackfillScheduler
+from repro.sched.fcfs import FcfsScheduler, PendingJob
 
-__all__ = [
-    "PendingJob",
-    "RunningView",
-    "Scheduler",
-    "FcfsScheduler",
-    "EasyBackfillScheduler",
-]
+__all__ = ["FcfsScheduler", "PendingJob"]

@@ -216,6 +216,12 @@ class TestConfigValidation:
             ("endpoint_restart_delay", -10.0),
             ("link_drop_probability", 1.0),
             ("link_drop_probability", -0.1),
+            ("manager_period", float("nan")),
+            ("tick", float("inf")),
+            ("lease_ttl", float("nan")),
+            ("perf_variation_std", float("nan")),
+            ("shed_nominal_watts", float("inf")),
+            ("retrain_threshold", 0),
         ],
     )
     def test_bad_value_names_the_field(self, field, value):

@@ -140,6 +140,15 @@ def test_headnode_drill_leaves_no_checkpoints_behind():
     assert not [entry for entry in left if entry.startswith("anor-headnode-")]
 
 
+def test_ci_drills_matrix_names_every_scenario():
+    """CI's ``drills`` job is a hand-written matrix: it must list exactly
+    the drills :data:`SCENARIOS` defines, or a new drill never runs there."""
+    workflow = Path(__file__).parent.parent / ".github" / "workflows" / "ci.yml"
+    lines = re.findall(r"^\s*drill:\s*\[(.*)\]\s*$", workflow.read_text(), re.M)
+    assert len(lines) == 1, lines
+    assert {name.strip() for name in lines[0].split(",")} == set(SCENARIOS)
+
+
 if __name__ == "__main__":  # pragma: no cover - re-recording entry point
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for drill in sorted(SCENARIOS):

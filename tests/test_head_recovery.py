@@ -209,7 +209,6 @@ class TestCrashRecoveryEndToEnd:
         assert any("restarted warm" in line for line in system.recovery_log)
         live = system.cluster.running[victim]
         assert system._launched[victim] is not before  # read back from the store
-        assert system._launched[victim].running.est_end == live.est_end
         for _ in range(10):
             system.step()
         system.crash_node(live.nodes[0].node_id)
