@@ -67,6 +67,9 @@ STALE_STATUS_TIMEOUT = 15.0
 #: goodbye cannot outlive it.  Never below ``STALE_STATUS_TIMEOUT``: a job is
 #: distrusted before it is forgotten.
 DEAD_JOB_TIMEOUT = 60.0
+#: Seconds (s) a restarted head node waits for restored jobs to re-HELLO
+#: before declaring the silent ones orphans (``begin_recovery``).
+RECOVERY_TIMEOUT = 30.0
 
 
 @dataclass
@@ -536,9 +539,7 @@ class ClusterPowerManager:
 
     # ------------------------------------------------------------- recovery
 
-    def begin_recovery(
-        self, now: float, recovered: dict[str, RecoveredJob], timeout: float
-    ) -> None:
+    def begin_recovery(self, now: float, recovered: dict[str, RecoveredJob]) -> None:
         """Enter bounded recovery mode after a head-node restart.
 
         Every restored job stays a conservative liability — its last sent cap
@@ -548,10 +549,8 @@ class ClusterPowerManager:
         during the outage (or their endpoint did; the node-local watchdog
         brings those back later as ordinary new connections).
         """
-        if timeout <= 0:
-            raise ValueError(f"recovery timeout must be positive, got {timeout}")
         self._recovered = dict(recovered)
-        self._recovery_deadline = now + timeout
+        self._recovery_deadline = now + RECOVERY_TIMEOUT
         self._report(
             now,
             f"recovery mode: {len(recovered)} job(s) to reconcile, "

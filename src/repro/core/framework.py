@@ -18,6 +18,7 @@ re-budgets — the same multi-rate asynchrony §7.2 discusses.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -68,6 +69,8 @@ LINK_LATENCY = 0.0
 MAX_REQUEUES = 3
 #: Seconds a leaseless endpoint waits between attempts to re-dial a closed link.
 RECONNECT_BACKOFF = 10.0
+#: Seconds the node-local watchdog waits before restarting a crashed endpoint.
+ENDPOINT_RESTART_DELAY = 30.0
 
 
 def precharacterized_models(
@@ -92,9 +95,6 @@ class AnorConfig:
     agent_period: float = 1.0
     endpoint_period: float = 1.0
     manager_period: float = 1.0
-    # Message-drop probability of every job link on a healthy network (fault
-    # windows degrade ``AnorSystem.link_conditions``, never this).
-    link_drop_probability: float = 0.0
     feedback_enabled: bool = True
     retrain_threshold: int = 10
     perf_variation_std: float = 0.0
@@ -103,25 +103,19 @@ class AnorConfig:
     # a trace CSV (one row per agent control period) and an Application
     # Totals report on completion (§5.4).
     output_dir: str | None = None
-    # Fault tolerance: automatic endpoint restart (the watchdog that brings a
-    # crashed job-tier process back; None disables it).  The manager-side
-    # heartbeat timeouts are constants of ``core.cluster_manager``.
-    endpoint_restart_delay: float | None = 30.0
     # Head-node crash recovery (DESIGN.md §4d): when ``checkpoint_dir`` is
     # set, cluster-tier state is checkpointed there every
     # ``checkpoint_period`` seconds with a write-ahead journal in between;
     # a restarted head node replays both and runs a bounded recovery mode
-    # for ``recovery_timeout`` seconds while live jobs re-HELLO.  ``None``
-    # disables persistence entirely (zero overhead on every hot path).
+    # (``cluster_manager.RECOVERY_TIMEOUT``) while live jobs re-HELLO.
+    # ``None`` disables persistence entirely (zero overhead on every hot path).
     checkpoint_dir: str | None = None
     checkpoint_period: float = 30.0
-    recovery_timeout: float = 30.0
     # Observability (DESIGN.md §8).  Off by default: the disabled path is a
     # shared null object, so golden traces and the perf harness see zero
     # change.  ``trace_path`` streams the event bus to a JSONL file;
     # ``prometheus_port`` serves /metrics on 127.0.0.1 (0 = ephemeral).
     telemetry_enabled: bool = False
-    telemetry_ring_size: int = 4096
     trace_path: str | None = None
     prometheus_port: int | None = None
     # Partition tolerance and fail-safe enforcement (DESIGN.md §4e).  All
@@ -148,17 +142,15 @@ class AnorConfig:
     # Predictive planning (DESIGN.md §9).  Off by default: with
     # ``plan_enabled`` False no planner is constructed and the control plane
     # is bit-identical to the reactive implementation (golden traces pin
-    # it).  When on, a receding-horizon planner
-    # pre-solves the budgeter over the next ``plan_horizon_rounds`` manager
-    # periods against the chosen forecaster, clamped by the forecast safety
-    # envelope; ``plan_shadow_rounds`` is the promotion threshold of the
+    # it).  When on, a receding-horizon planner pre-solves the budgeter over
+    # the next ``planner.HORIZON_ROUNDS`` manager periods against the chosen
+    # forecaster, clamped by the forecast safety envelope;
+    # ``plan_shadow_rounds`` is the promotion threshold of the
     # shadow → active → fallback state machine (0 starts active).
     plan_enabled: bool = False
     plan_forecaster: str = "auto"  # auto|schedule|persistence|ramp|ar1|adversarial
-    plan_horizon_rounds: int = 8
     plan_hysteresis_watts: float = 8.0
     plan_error_bound_watts: float = 200.0
-    plan_error_window: int = 16
     plan_shadow_rounds: int = 4
     # Graceful-degradation ladder (DESIGN.md §10).  Off by default: with
     # ``shed_enabled`` False no controller is constructed and the control
@@ -168,10 +160,10 @@ class AnorConfig:
     # ``ShedLadder``'s default deficits); each severity sheds power by
     # job class (preemptible / checkpointable / protected) along a fixed
     # escalation chain, and recovery ramps budgets back at
-    # ``shed_ramp_watts`` per manager round with asymmetric hysteresis.
+    # ``shed.RAMP_WATTS_PER_ROUND`` per manager round with asymmetric
+    # hysteresis.
     shed_enabled: bool = False
     shed_nominal_watts: float | None = None  # None: high-water of observed targets
-    shed_ramp_watts: float = 100.0
     # claimed job type -> shed class (unlisted types: ``ShedController``'s default)
     shed_classes: dict | None = None
 
@@ -185,6 +177,16 @@ class AnorConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        # Counts: an int or a numpy integer, never a float that happens to
+        # be whole (``prometheus_port`` may also be None).
+        for name in ("num_nodes", "retrain_threshold", "plan_shadow_rounds",
+                     "prometheus_port"):
+            value = getattr(self, name)
+            try:
+                if value is not None:
+                    operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.retrain_threshold < 1:
             raise ValueError(f"retrain_threshold must be ≥ 1, got {self.retrain_threshold}")
         positive = {
@@ -194,12 +196,7 @@ class AnorConfig:
             "endpoint_period": self.endpoint_period,
             "manager_period": self.manager_period,
             "checkpoint_period": self.checkpoint_period,
-            "recovery_timeout": self.recovery_timeout,
-            "telemetry_ring_size": self.telemetry_ring_size,
-            "plan_horizon_rounds": self.plan_horizon_rounds,
             "plan_error_bound_watts": self.plan_error_bound_watts,
-            "plan_error_window": self.plan_error_window,
-            "shed_ramp_watts": self.shed_ramp_watts,
         }
         for name, value in positive.items():
             if value <= 0:
@@ -216,17 +213,11 @@ class AnorConfig:
         optional_positive = {
             "lease_ttl": self.lease_ttl,
             "breaker_margin": self.breaker_margin,
-            "endpoint_restart_delay": self.endpoint_restart_delay,
             "shed_nominal_watts": self.shed_nominal_watts,
         }
         for name, value in optional_positive.items():
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if not 0.0 <= self.link_drop_probability < 1.0:
-            raise ValueError(
-                "link_drop_probability must be in [0, 1), got "
-                f"{self.link_drop_probability}"
-            )
         if self.plan_forecaster not in FORECASTER_KINDS:
             raise ValueError(
                 f"plan_forecaster must be one of {FORECASTER_KINDS}, got "
@@ -244,14 +235,14 @@ class AnorConfig:
 class LinkConditions:
     """What the network does to a job link dialled now.
 
-    ``AnorSystem.link_conditions`` starts as the configured drop probability
-    on an otherwise healthy network; the fault injector rewrites it for as
+    ``AnorSystem.link_conditions`` starts as a healthy, lossless network;
+    the fault injector rewrites it for as
     long as a cluster-wide ``LinkDegradation`` or ``NetworkPartition`` window
     is open, so a link dialled inside the window (a launch, an endpoint
     restart, a re-dial, a head restart) is born degraded or partitioned.
     """
 
-    drop_probability: float
+    drop_probability: float = 0.0
     latency_up: float = LINK_LATENCY
     latency_down: float = LINK_LATENCY
     partitioned: bool = False
@@ -348,12 +339,7 @@ class AnorSystem:
         # and the perf harness see literally the same code path as before.
         cfg = self.config
         self.telemetry = (
-            Telemetry(
-                ring_size=cfg.telemetry_ring_size,
-                trace_path=cfg.trace_path,
-            )
-            if cfg.telemetry_enabled
-            else NULL_TELEMETRY
+            Telemetry(trace_path=cfg.trace_path) if cfg.telemetry_enabled else NULL_TELEMETRY
         )
         self.metrics_server: MetricsHTTPServer | None = None
         if self.telemetry.enabled and cfg.prometheus_port is not None:
@@ -363,7 +349,7 @@ class AnorSystem:
         # Cluster-wide message/drop totals, posted to by every channel as it
         # works: they must survive links being replaced or garbage-collected.
         self._link_ledger = LinkLedger()
-        self.link_conditions = LinkConditions(cfg.link_drop_probability)
+        self.link_conditions = LinkConditions()
         # Every ReliableLink wrapper ever created (partition-event ledger)
         # and per-job backoff state for re-dialling closed links.
         self._reliable_links: list[ReliableLink] = []
@@ -499,16 +485,11 @@ class AnorSystem:
             # and re-earns promotion from new forecast scores.
             planner = RecedingHorizonPlanner(
                 budgeter=self.budgeter,
-                forecaster=make_forecaster(
-                    cfg.plan_forecaster,
-                    self.target_source,
-                    error_window=cfg.plan_error_window,
-                ),
+                forecaster=make_forecaster(cfg.plan_forecaster, self.target_source),
                 envelope=SafetyEnvelope(
                     error_bound_watts=cfg.plan_error_bound_watts,
                     promote_rounds=cfg.plan_shadow_rounds,
                 ),
-                horizon_rounds=cfg.plan_horizon_rounds,
                 period=cfg.manager_period,
                 hysteresis_watts=cfg.plan_hysteresis_watts,
                 telemetry=self.telemetry,
@@ -520,7 +501,7 @@ class AnorSystem:
             # and does not survive a head-node crash — a restarted head
             # re-grades the feed from new observations.
             shed = ShedController(
-                ladder=ShedLadder(ramp_watts_per_round=cfg.shed_ramp_watts),
+                ladder=ShedLadder(),
                 classes=dict(cfg.shed_classes or {}),
                 nominal_watts=cfg.shed_nominal_watts,
                 telemetry=self.telemetry,
@@ -952,9 +933,9 @@ class AnorSystem:
         """Kill a job's endpoint process; the job itself keeps running.
 
         No goodbye is sent — the manager sees the job go silent, budgets it
-        conservatively, and eventually evicts it.  When
-        ``endpoint_restart_delay`` is set, a watchdog restart re-attaches a
-        fresh endpoint (new link, new hello) after the delay.
+        conservatively, and eventually evicts it.  The node-local watchdog
+        re-attaches a fresh endpoint (new link, new hello)
+        ``ENDPOINT_RESTART_DELAY`` seconds later.
         """
         if now is None:
             now = self.cluster.clock.now
@@ -964,10 +945,7 @@ class AnorSystem:
             "endpoint-crash", now, self.warnings,
             f"endpoint for job {job_id} crashed", job_id=job_id,
         )
-        if self.config.endpoint_restart_delay is not None:
-            self._endpoint_restarts.append(
-                (now + self.config.endpoint_restart_delay, job_id)
-            )
+        self._endpoint_restarts.append((now + ENDPOINT_RESTART_DELAY, job_id))
         return True
 
     def crash_head_node(self, now: float | None = None) -> bool:

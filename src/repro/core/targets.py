@@ -73,6 +73,9 @@ class SteppedTarget(PowerTargetSource):
         w = np.asarray(watts, dtype=float)
         if t.ndim != 1 or t.shape != w.shape or t.size == 0:
             raise ValueError(f"need matching non-empty 1-D arrays, got {t.shape}, {w.shape}")
+        # NaN compares false both ways: it would pass the two checks below.
+        if not (np.isfinite(t).all() and np.isfinite(w).all()):
+            raise ValueError("breakpoint times and targets must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("breakpoint times must be strictly increasing")
         if np.any(w <= 0):

@@ -106,9 +106,7 @@ def restart_head(system: "AnorSystem", now: float) -> None:
         # which died in the outage is found missing, and the gate, reset
         # in place, re-anchors the control grid at the restart instant.
         system._manager_gate.restore(None, 0)
-        system.manager.begin_recovery(
-            now, unheard_jobs(system, {}), system.config.recovery_timeout
-        )
+        system.manager.begin_recovery(now, unheard_jobs(system, {}))
         system._report(
             "head-restart-cold",
             now,
@@ -142,10 +140,8 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
             incident=False,
             job_id=job_id,
         )
-        if (
-            job_id not in system.endpoints
-            and system.config.endpoint_restart_delay is not None
-            and all(r[1] != job_id for r in system._endpoint_restarts)
+        if job_id not in system.endpoints and all(
+            r[1] != job_id for r in system._endpoint_restarts
         ):
             system._endpoint_restarts.append((now, job_id))
         return

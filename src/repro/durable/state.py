@@ -182,7 +182,7 @@ def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
     mgr.target_source.restore_state(state["target_hold"])
     recovered = recovered_jobs_from_state(saved["jobs"], p_node_min=mgr.p_node_min)
     recovered.update(unheard_jobs(system, recovered))
-    mgr.begin_recovery(now, recovered, system.config.recovery_timeout)
+    mgr.begin_recovery(now, recovered)
     system._manager_gate.restore(*state["gates"]["manager"])
     system._checkpoint_gate.restore(*state["gates"]["checkpoint"])
 

@@ -51,6 +51,7 @@ from repro.experiments.fig9 import (
     build_demand_response_system,
 )
 from repro.experiments.scorecard import Claim, Scorecard, evaluate
+from repro.facility.shed import RAMP_WATTS_PER_ROUND
 from repro.faults.events import (
     ByzantineModel,
     DemandResponseEmergency,
@@ -79,6 +80,7 @@ from repro.invariants import (
     rounds_over_ceiling,
     tracking_error_p90,
 )
+from repro.plan.forecast import ERROR_WINDOW
 from repro.workloads.nas import P_NODE_MIN
 
 __all__ = [
@@ -941,7 +943,7 @@ def _forecast_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
         # How quickly the envelope must trip on a persistently wrong
         # forecaster: enough rounds to arm the trip gate plus one full error
         # window, in seconds.
-        "fallback_latency_bound": (p["error_window"] + 4) * p["manager_period"],
+        "fallback_latency_bound": (ERROR_WINDOW + 4) * p["manager_period"],
         "reactive_completed": len(reactive.result.completed),
         "predictive_completed": len(predictive.result.completed),
         "adversarial_completed": len(adversarial.result.completed),
@@ -969,19 +971,15 @@ _FORECAST = Scenario(
         "duration": 900.0,
         "warmup": 120.0,
         "manager_period": 4.0,
-        "horizon_rounds": 8,
         "hysteresis_watts": 6.0,
         "error_bound_watts": 100.0,
-        "error_window": 16,
     },
     quick={"duration": 600.0},
     target=_forecast_target,
     config=lambda p: {
         "manager_period": p["manager_period"],
-        "plan_horizon_rounds": p["horizon_rounds"],
         "plan_hysteresis_watts": p["hysteresis_watts"],
         "plan_error_bound_watts": p["error_bound_watts"],
-        "plan_error_window": p["error_window"],
         # Drills start active: shadow-mode promotion is covered by unit
         # tests, and the adversarial arm must *reach* active to prove
         # fallback engages.
@@ -1090,7 +1088,7 @@ def _shed_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
         "double_shed": sorted(double_shed),
         # Largest rise of the recovery ceiling between consecutive rounds.
         "max_ramp_step": incident.monitor.max_ramp_step,
-        "ramp_bound": p["ramp_watts"] + RAMP_SLACK,
+        "ramp_bound": RAMP_WATTS_PER_ROUND + RAMP_SLACK,
         # The ladder ends the run back at normal (full recovery).
         "recovered_to_normal": shed.severity == "normal",
         "completed_golden": len(golden.result.completed),
@@ -1131,23 +1129,21 @@ _SHED = Scenario(
       protected floored (never preempted or killed).
 
     After each window the feed returns and the budget ceiling ramps back at
-    ``ramp_watts`` per manager round while severity steps down one rung per
-    clear window — the asymmetric hysteresis that prevents flapping.  The
-    incident stagger is fixed, so ``--quick`` changes nothing.
+    ``RAMP_WATTS_PER_ROUND`` per manager round while severity steps down one
+    rung per clear window — the asymmetric hysteresis that prevents
+    flapping.  The incident stagger is fixed, so ``--quick`` changes nothing.
     """,
     workload="static",
     params={
         "seed": 11,
         "duration": 900.0,
         "target_power": _NODES * 180.0,
-        "ramp_watts": 100.0,
     },
     quick={},
     target=lambda p: ConstantTarget(p["target_power"]),
     config=lambda p: {
         "shed_enabled": True,
         "shed_classes": dict(_SHED_CLASS_MAP),
-        "shed_ramp_watts": p["ramp_watts"],
     },
     arms={
         "golden": Arm(),

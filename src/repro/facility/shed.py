@@ -31,7 +31,7 @@ preemption, both borrowed from the :class:`~repro.facility.breaker
   and always steps down one level at a time.  Any round at or above the
   current severity resets recovery progress.
 * **budget ramp** — the effective budget ceiling follows a falling supply
-  immediately but recovers at most ``ramp_watts_per_round`` per control
+  immediately but recovers at most ``RAMP_WATTS_PER_ROUND`` per control
   round, so restored feed re-inflates caps on a bounded slope instead of
   a step.
 
@@ -109,6 +109,10 @@ DEFICITS = {"brownout-1": 0.10, "brownout-2": 0.25, "blackstart": 0.50}
 #: steps down one level: leaving is slower than entering.
 ESCALATE_ROUNDS = 2
 CLEAR_ROUNDS = 5
+#: Most the effective budget ceiling may rise in one control round during
+#: recovery (W), so restored feed re-inflates caps on a slope; decreases are
+#: never limited.
+RAMP_WATTS_PER_ROUND = 100.0
 #: Shed class of a job whose claimed type ``ShedController.classes`` does
 #: not list: preemptible by checkpoint, never killed before blackstart.
 DEFAULT_CLASS = "checkpointable"
@@ -116,16 +120,8 @@ DEFAULT_CLASS = "checkpointable"
 
 @dataclass
 class ShedLadder:
-    """Severity state machine + ramped budget ceiling.
-
-    Parameters
-    ----------
-    ramp_watts_per_round:
-        Maximum per-round increase of the effective budget ceiling during
-        recovery.  Decreases are never limited.
-    """
-
-    ramp_watts_per_round: float = 100.0
+    """Severity state machine + ramped budget ceiling
+    (``RAMP_WATTS_PER_ROUND``)."""
 
     severity: str = field(default="normal", init=False)
     escalations: int = field(default=0, init=False)
@@ -137,13 +133,6 @@ class ShedLadder:
     _worse_streak: int = field(default=0, init=False)
     _better_streak: int = field(default=0, init=False)
     _ceiling: float | None = field(default=None, init=False)
-
-    def __post_init__(self) -> None:
-        if self.ramp_watts_per_round <= 0:
-            raise ValueError(
-                f"ramp_watts_per_round must be positive, "
-                f"got {self.ramp_watts_per_round}"
-            )
 
     @property
     def gauge_value(self) -> int:
@@ -201,7 +190,7 @@ class ShedLadder:
         if self._ceiling is None or supply <= self._ceiling:
             self._ceiling = supply
         else:
-            self._ceiling = min(supply, self._ceiling + self.ramp_watts_per_round)
+            self._ceiling = min(supply, self._ceiling + RAMP_WATTS_PER_ROUND)
 
     def _transition(self, new_severity: str, now: float, deficit: float) -> None:
         if (self.transitions.maxlen is not None

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.analysis.tracking import tracking_error_series
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
+from repro.facility import shed as facility_shed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import AnorConfig, AnorResult, AnorSystem
@@ -139,7 +140,8 @@ def ramp_bounded(
     rnd: "BudgetRound", previous_target: float, ramp_watts: float
 ) -> str | None:
     """With the ladder on, one manager's budgeting target rises by at most
-    ``ramp_watts_per_round`` a round, to ``RAMP_SLACK`` (DESIGN §10)."""
+    ``ramp_watts`` (the ladder's ``RAMP_WATTS_PER_ROUND``) a round, to
+    ``RAMP_SLACK`` (DESIGN §10)."""
     step = rnd.target - previous_target
     if step > ramp_watts + RAMP_SLACK:
         return f"target rose {step:.1f}W in one round (ramp {ramp_watts:.1f}W)"
@@ -169,7 +171,7 @@ class RoundMonitor:
         self.violations: list[tuple[str, float, str]] = []
         self.max_ramp_step = 0.0
         shed = config is not None and config.shed_enabled
-        self._ramp_watts = config.shed_ramp_watts if shed else None
+        self._ramp_watts = facility_shed.RAMP_WATTS_PER_ROUND if shed else None
         self._protected = frozenset(
             claimed
             for claimed, cls in ((config.shed_classes or {}).items() if shed else ())

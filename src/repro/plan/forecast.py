@@ -56,6 +56,9 @@ FORECASTER_KINDS = ("auto", "schedule", "persistence", "ramp", "ar1", "adversari
 CONFIDENCE_TAU = 60.0
 #: Samples the ramp forecaster fits its slope through: eight manager rounds.
 RAMP_FIT_POINTS = 8
+#: Scored forecasts each forecaster's MAE and bias are taken over: the
+#: window the safety envelope judges a forecaster by.
+ERROR_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,8 @@ class TargetForecaster(ABC):
     #: human-readable name used in drill tables and telemetry
     name: str = "abstract"
 
-    def __init__(self, *, error_window: int = 16) -> None:
-        self.errors = ForecastErrorWindow(error_window)
+    def __init__(self) -> None:
+        self.errors = ForecastErrorWindow(ERROR_WINDOW)
         self._last_t: float | None = None
         self._last_y: float | None = None
 
@@ -189,8 +192,8 @@ class RampForecaster(TargetForecaster):
 
     name = "ramp"
 
-    def __init__(self, *, error_window: int = 16) -> None:
-        super().__init__(error_window=error_window)
+    def __init__(self) -> None:
+        super().__init__()
         self._samples: deque[tuple[float, float]] = deque(maxlen=RAMP_FIT_POINTS)
 
     def _observe(self, t: float, y: float) -> None:
@@ -248,9 +251,8 @@ class AR1Forecaster(TargetForecaster):
         mean_power: float,
         rho: float,
         step: float = 4.0,
-        error_window: int = 16,
     ) -> None:
-        super().__init__(error_window=error_window)
+        super().__init__()
         if mean_power <= 0:
             raise ValueError(f"mean_power must be positive, got {mean_power}")
         if not 0.0 <= rho < 1.0:
@@ -267,7 +269,6 @@ class AR1Forecaster(TargetForecaster):
         target: RegulationTarget,
         *,
         fit_duration: float = 1800.0,
-        error_window: int = 16,
     ) -> "AR1Forecaster":
         """Estimate μ and ρ from a regulation target's signal.
 
@@ -285,12 +286,7 @@ class AR1Forecaster(TargetForecaster):
         rho = float(np.dot(centred[1:], centred[:-1]) / denom) if denom > 0 else 0.0
         rho = float(np.clip(rho, 0.0, 0.999))
         mean_power = target.average_power + target.reserve * float(y.mean())
-        return cls(
-            mean_power=mean_power,
-            rho=rho,
-            step=target.update_period,
-            error_window=error_window,
-        )
+        return cls(mean_power=mean_power, rho=rho, step=target.update_period)
 
     def predict(self, now: float, t: float) -> float:
         _, y = self._require_observation()
@@ -314,8 +310,8 @@ class ScheduleForecaster(TargetForecaster):
 
     name = "schedule"
 
-    def __init__(self, source: PowerTargetSource, *, error_window: int = 16) -> None:
-        super().__init__(error_window=error_window)
+    def __init__(self, source: PowerTargetSource) -> None:
+        super().__init__()
         if not hasattr(source, "window"):
             raise ValueError(
                 f"{type(source).__name__} has no window(t, horizon) method; "
@@ -348,7 +344,6 @@ def make_forecaster(
     kind: str,
     source: PowerTargetSource,
     *,
-    error_window: int = 16,
     fit_duration: float = 1800.0,
 ) -> TargetForecaster:
     """Build the forecaster ``kind`` for ``source``.
@@ -370,18 +365,16 @@ def make_forecaster(
         else:
             kind = "persistence"
     if kind == "schedule":
-        return ScheduleForecaster(raw, error_window=error_window)
+        return ScheduleForecaster(raw)
     if kind == "persistence":
-        return PersistenceForecaster(error_window=error_window)
+        return PersistenceForecaster()
     if kind == "ramp":
-        return RampForecaster(error_window=error_window)
+        return RampForecaster()
     if kind == "adversarial":
-        return InvertedRampForecaster(error_window=error_window)
+        return InvertedRampForecaster()
     # kind == "ar1"
     if not isinstance(raw, RegulationTarget):
         raise ValueError(
             f"ar1 forecaster needs a RegulationTarget source, got {type(raw).__name__}"
         )
-    return AR1Forecaster.fit_regulation(
-        raw, fit_duration=fit_duration, error_window=error_window
-    )
+    return AR1Forecaster.fit_regulation(raw, fit_duration=fit_duration)

@@ -1,7 +1,7 @@
 """Receding-horizon planner: pre-solve the budgeter over the next H rounds.
 
 The planner (when enabled) maintains a short plan: it asks the forecaster
-for the target at each of the next ``horizon_rounds`` round instants (plus
+for the target at each of the next ``HORIZON_ROUNDS`` round instants (plus
 any *exact* breakpoints a schedule forecaster publishes), clamps each
 predicted target through the safety envelope's ``min(forecast,
 last-observed)`` bound, and solves the configured budgeter once per horizon
@@ -45,6 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.round import BudgetRound
 
 __all__ = ["PlannedRound", "Plan", "RecedingHorizonPlanner"]
+
+#: Manager rounds a plan looks ahead: long enough to pre-position caps for
+#: a target step, short enough that a rebuild stays a handful of solves.
+HORIZON_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -98,13 +102,10 @@ class RecedingHorizonPlanner:
         budgeter: PowerBudgeter,
         forecaster: TargetForecaster,
         envelope: SafetyEnvelope,
-        horizon_rounds: int = 8,
         period: float = 4.0,
         hysteresis_watts: float = 8.0,
         telemetry=NULL_TELEMETRY,
     ) -> None:
-        if horizon_rounds < 1:
-            raise ValueError(f"horizon_rounds must be ≥ 1, got {horizon_rounds}")
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         if hysteresis_watts < 0:
@@ -112,7 +113,6 @@ class RecedingHorizonPlanner:
         self.budgeter = budgeter
         self.forecaster = forecaster
         self.envelope = envelope
-        self.horizon_rounds = int(horizon_rounds)
         self.period = float(period)
         self.hysteresis_watts = float(hysteresis_watts)
         self._eps = self.period * 1e-6
@@ -221,7 +221,7 @@ class RecedingHorizonPlanner:
         reserved: float,
         correction: float,
     ) -> Plan:
-        """Solve the cap trajectory for the next ``horizon_rounds`` rounds.
+        """Solve the cap trajectory for the next ``HORIZON_ROUNDS`` rounds.
 
         ``observed_target`` is the actual target read this round — the
         envelope clamps every horizon point to ``min(ŷ, observed)``.  Idle
@@ -242,8 +242,8 @@ class RecedingHorizonPlanner:
         if self._plan_reusable(now, sig):
             self.plan_reuses += 1
             return self.plan
-        horizon = self.horizon_rounds * self.period
-        times = [now + k * self.period for k in range(self.horizon_rounds + 1)]
+        horizon = HORIZON_ROUNDS * self.period
+        times = [now + k * self.period for k in range(HORIZON_ROUNDS + 1)]
         breaks = [
             float(b)
             for b in self.forecaster.breakpoints(now, horizon)
@@ -292,7 +292,7 @@ class RecedingHorizonPlanner:
         if not rounds or rounds[0].signature != sig:
             return False
         runway = sum(1 for r in rounds if r.time > now + self._eps)
-        return runway >= min(2, self.horizon_rounds)
+        return runway >= min(2, HORIZON_ROUNDS)
 
     def clear(self) -> None:
         """Drop the current plan (no active jobs to plan for)."""

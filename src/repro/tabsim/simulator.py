@@ -19,7 +19,8 @@ step is a window of one, and no output depends on how steps fall into windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -156,6 +157,31 @@ class SimConfig:
     # would push the cluster's *minimum* enforceable power past the target.
     power_aware_admission: bool = False
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Range-check the inputs, naming the offending field (as
+        ``AnorConfig`` does): ``dt = 0`` would never advance the clock."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.num_nodes < 1:
+            raise ValueError(f"num_nodes must be ≥ 1, got {self.num_nodes}")
+        for name in ("dt", "p_node_min", "average_power"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.p_node_max <= self.p_node_min:
+            raise ValueError(
+                f"p_node_max {self.p_node_max} must exceed p_node_min {self.p_node_min}"
+            )
+        for name in ("idle_power", "reserve", "qos_risk_fraction"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be ≥ 0, got {getattr(self, name)}")
+        if self.reserve >= self.average_power:
+            raise ValueError(
+                f"reserve {self.reserve} must stay below average_power "
+                f"{self.average_power}: the target could reach zero"
+            )
 
     def target(self, y: float) -> float:
         return self.average_power + self.reserve * y

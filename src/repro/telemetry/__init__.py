@@ -32,6 +32,10 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.sinks import JsonlTraceSink, RingBufferSink
 
+#: Records the in-memory ring keeps (the oldest are evicted first); the
+#: JSONL trace, when set, keeps every record.
+RING_SIZE = 4096
+
 __all__ = [
     "Telemetry",
     "NULL_TELEMETRY",
@@ -55,7 +59,6 @@ class Telemetry:
         self,
         *,
         enabled: bool = True,
-        ring_size: int = 4096,
         trace_path: str | None = None,
     ) -> None:
         self.enabled = bool(enabled)
@@ -67,7 +70,7 @@ class Telemetry:
             return
         self.registry = MetricsRegistry()
         self.bus = EventBus()
-        self.ring = RingBufferSink(ring_size)
+        self.ring = RingBufferSink(RING_SIZE)
         self.bus.add_sink(self.ring)
         self.trace_sink = None
         if trace_path is not None:

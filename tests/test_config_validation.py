@@ -2,12 +2,17 @@
 
 Most knobs are :class:`AnorConfig` fields: a bad value fails loudly, naming
 the field.  A threshold no run ever set is not a knob but a module constant
-beside the code that reads it (the manager's heartbeat timeouts, the reliable
-link's backoffs, the plant's idle power); its row here checks that the
+beside the code that reads it (the manager's heartbeat and recovery
+timeouts, the endpoint watchdog's delay, the telemetry ring's size, the
+reliable link's backoffs, the plant's idle power); its row here checks that the
 constant lies inside the range the deleted constructor check enforced, and
-that the row's value does not.  (The auditor's, the breaker's and the shed
-ladder's are checked where those classes are tested: ``test_audit.py``,
-``test_partition_safety.py``, ``test_shed.py``.)
+that the row's value does not.  (The auditor's, the breaker's, the shed
+ladder's and the planner's are checked where those classes are tested:
+``test_audit.py``, ``test_partition_safety.py``, ``test_shed.py``,
+``test_plan_planner.py``, ``test_plan_forecast.py``.)
+
+The README, DESIGN and EXPERIMENTS snippets that build an ``AnorConfig`` may
+only spell fields that exist (``test_docs_spell_only_real_fields``).
 
 Run as a script, this file prints the two knob counts and the source sizes
 the ROADMAP north star quotes, for a CI summary.
@@ -15,11 +20,13 @@ the ROADMAP north star quotes, for a CI summary.
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.core import cluster_manager, reliable
+from repro import telemetry
+from repro.core import cluster_manager, framework, reliable
 from repro.core.framework import AnorConfig
 from repro.workloads.nas import IDLE_NODE_POWER, P_NODE_MIN
 
@@ -52,12 +59,44 @@ GATED = {
 CONSTANTS = {
     "stale_status_timeout": (cluster_manager.STALE_STATUS_TIMEOUT, lambda v: v > 0),
     "dead_job_timeout": (cluster_manager.DEAD_JOB_TIMEOUT, lambda v: v > 0),
+    "recovery_timeout": (cluster_manager.RECOVERY_TIMEOUT, lambda v: v > 0),
+    "endpoint_restart_delay": (framework.ENDPOINT_RESTART_DELAY, lambda v: v > 0),
+    "telemetry_ring_size": (telemetry.RING_SIZE, lambda v: v >= 1),
     "safe_floor": (P_NODE_MIN, lambda v: v > 0),
     "idle_power": (IDLE_NODE_POWER, lambda v: v >= 0),
     "reliable_base_backoff": (reliable.BASE_BACKOFF, lambda v: v > 0),
     "reliable_max_backoff": (reliable.MAX_BACKOFF, lambda v: v >= reliable.BASE_BACKOFF),
     "partition_attempts": (reliable.PARTITION_ATTEMPTS, lambda v: v >= 1),
 }
+
+
+#: The documents whose ``AnorConfig(...)`` snippets must spell real fields.
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+FENCE = re.compile(r"^```(\w*)\n(.*?)^```", re.M | re.S)
+
+
+def doc_config_calls():
+    """``(where, keywords)`` of every ``AnorConfig(...)`` call in a python
+    block or an inline code span of ``DOCS``; an ellipsis (``…``) may stand
+    for the arguments a snippet leaves out."""
+    for doc in DOCS:
+        text = (ROOT / doc).read_text()
+        pieces = [(m.start(2), m.group(2)) for m in FENCE.finditer(text)
+                  if m.group(1) == "python"]
+        # Inline spans live in the prose: blank every fenced block first.
+        prose = FENCE.sub(lambda m: re.sub(r"[^\n]", " ", m.group()), text)
+        pieces += [(m.start(1), m.group(1)) for m in re.finditer(r"`([^`]+)`", prose)]
+        for offset, source in pieces:
+            for m in re.finditer(r"\bAnorConfig\(", source):
+                depth, end = 0, len(source)
+                for i in range(m.end() - 1, len(source)):
+                    depth += {"(": 1, ")": -1}.get(source[i], 0)
+                    if depth == 0:
+                        end = i + 1
+                        break
+                call = ast.parse(source[m.start():end].replace("…", "..."), mode="eval")
+                line = text.count("\n", 0, offset + m.start()) + 1
+                yield f"{doc}:{line}", [k.arg for k in call.body.keywords]
 
 
 def _config_keys_passed(tree: ast.Module):
@@ -214,14 +253,16 @@ class TestConfigValidation:
             ("safe_floor", -140.0),
             ("breaker_margin", 0.0),
             ("endpoint_restart_delay", -10.0),
-            ("link_drop_probability", 1.0),
-            ("link_drop_probability", -0.1),
             ("manager_period", float("nan")),
             ("tick", float("inf")),
             ("lease_ttl", float("nan")),
             ("perf_variation_std", float("nan")),
             ("shed_nominal_watts", float("inf")),
             ("retrain_threshold", 0),
+            ("num_nodes", 2.5),
+            ("retrain_threshold", 2.5),
+            ("plan_shadow_rounds", 1.5),
+            ("prometheus_port", 9109.0),
         ],
     )
     def test_bad_value_names_the_field(self, field, value):
@@ -233,9 +274,9 @@ class TestConfigValidation:
             AnorConfig(**{field: value})
 
     def test_config_forwards_no_subsystem_tuning(self):
-        """The knob count only falls: 36 fields, and the subsystem tuning
+        """The knob count only falls: 29 fields, and the subsystem tuning
         parameters are not among them."""
-        assert len(FIELDS) == 36
+        assert len(FIELDS) == 29
         with pytest.raises(TypeError, match="audit_window"):
             AnorConfig(audit_window=10.0)
 
@@ -267,8 +308,16 @@ class TestConfigValidation:
         assert not unset, (
             f"constructor parameters no run sets — make them constants: {unset}")
 
+    def test_docs_spell_only_real_fields(self):
+        """A snippet a reader copies must construct: every keyword of an
+        ``AnorConfig(...)`` in the documents is a field."""
+        calls = list(doc_config_calls())
+        assert calls, "no AnorConfig(...) snippet found in the documents"
+        bad = [f"{where}: {k}" for where, keys in calls for k in keys if k not in FIELDS]
+        assert not bad, f"documented AnorConfig keywords that are not fields: {bad}"
+
     def test_optional_none_disables_without_error(self):
-        AnorConfig(lease_ttl=None, breaker_margin=None, endpoint_restart_delay=None)
+        AnorConfig(lease_ttl=None, breaker_margin=None, shed_nominal_watts=None)
 
     def test_backoff_ordering_inversion_rejected(self):
         assert reliable.MAX_BACKOFF >= reliable.BASE_BACKOFF

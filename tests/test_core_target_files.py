@@ -50,6 +50,17 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="no target rows"):
             load_target_file(path)
 
+    @pytest.mark.parametrize(
+        "rows", ["0,1000\nnan,2000\n20,3000\n", "0,1000\n10,nan\n"]
+    )
+    def test_non_finite_row_rejected(self, tmp_path, rows):
+        """A NaN time compares false both ways, so it once passed the order
+        check and made every later step unreachable."""
+        path = tmp_path / "nan.csv"
+        path.write_text("time_s,target_w\n" + rows)
+        with pytest.raises(ValueError, match="finite"):
+            load_target_file(path)
+
     def test_invalid_save_args(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):
             save_target_file(ConstantTarget(1.0), tmp_path / "x.csv", duration=0.0)

@@ -241,7 +241,7 @@ class TestCoordinatorBreaker:
         assert sum(caps.values()) > sum(m.p_min for m in fac.members.values())
 
     def test_breaker_transitions_emit_events_and_incidents(self):
-        tel = Telemetry(ring_size=64)
+        tel = Telemetry()
         fac, meter = breaker_facility(
             feed=4000.0, meter_watts=6000.0, telemetry=tel
         )
@@ -254,7 +254,7 @@ class TestCoordinatorBreaker:
     def test_tripped_floor_above_feed_names_shortfall(self):
         """When Σ p_min exceeds the physical feed there is no enforceable
         fix; the coordinator must say so rather than over-assign silently."""
-        tel = Telemetry(ring_size=64)
+        tel = Telemetry()
         fac, meter = breaker_facility(
             feed=500.0, meter_watts=5000.0, telemetry=tel
         )
@@ -273,7 +273,7 @@ class TestCoordinatorBreaker:
         assert any("shortfall" in line for line in fac.events)
 
     def test_assigned_gauge_tracks_round(self):
-        tel = Telemetry(ring_size=64)
+        tel = Telemetry()
         fac = FacilityCoordinator(
             facility_target=ConstantTarget(2500.0), telemetry=tel
         )
@@ -289,13 +289,13 @@ class TestCoordinatorLadder:
         """With a ladder installed, a feed sag walks severity up against
         the high-water nominal; restoring the feed ramps the pool back at
         the configured watts-per-round instead of snapping."""
-        tel = Telemetry(ring_size=64)
+        tel = Telemetry()
         # Members span p_min 840 W / p_max 1570 W in total; the feed must
         # sit inside that band for the sag to actually bind the split.
         feed = MutableTarget(1500.0)
         fac = FacilityCoordinator(
             facility_target=feed,
-            ladder=ShedLadder(ramp_watts_per_round=100.0),
+            ladder=ShedLadder(),
             telemetry=tel,
         )
         fac.add_member(make_member("a", "bt", "sp"))

@@ -2,8 +2,8 @@
 
 The ANOR tiers always resend *current state* (latest cap, latest status)
 rather than deltas, so a dropped message should only delay convergence, not
-corrupt it.  These tests run the system over links built lossy from
-:class:`AnorConfig` (no subclass surgery on channels), and pin the manager's
+corrupt it.  These tests run the system under a run-long cluster-wide
+:class:`LinkDegradation` window (no subclass surgery on channels), and pin the manager's
 hardening behaviors: heartbeat staleness fallback, dead-job eviction closing
 the dropped-goodbye leak, strict model validation, and the budget-sum
 invariant across seeds.
@@ -25,6 +25,8 @@ from repro.core.job_endpoint import JobTierEndpoint
 from repro.core.messages import GoodbyeMessage, HelloMessage, StatusMessage
 from repro.core.targets import HOLD_GRACE, ConstantTarget, HoldLastGoodTarget
 from repro.core.transport import TcpLink
+from repro.faults.events import LinkDegradation
+from repro.faults.schedule import FaultSchedule
 from repro.geopm.endpoint import Endpoint
 from repro.invariants import RoundMonitor
 from repro.modeling.classifier import JobClassifier
@@ -32,15 +34,21 @@ from repro.modeling.quadratic import QuadraticPowerModel
 from repro.workloads.nas import NAS_TYPES
 
 
+def lossy_network(drop: float, duration: float) -> FaultSchedule:
+    """Every link, including the ones dialled later, loses ``drop`` of its
+    messages for the whole run."""
+    return FaultSchedule(
+        [LinkDegradation(time=0.0, duration=duration, drop_probability=drop)]
+    )
+
+
 def run_lossy(drop: float, *, seed: int = 0):
     system = AnorSystem(
         budgeter=EvenSlowdownBudgeter(),
         target_source=ConstantTarget(840.0),
         classifier=JobClassifier(precharacterized_models()),
-        config=AnorConfig(
-            num_nodes=4, seed=seed, feedback_enabled=True,
-            link_drop_probability=drop,
-        ),
+        config=AnorConfig(num_nodes=4, seed=seed, feedback_enabled=True),
+        fault_schedule=lossy_network(drop, 7200.0),
     )
     system.submit_now("bt-0", "bt")
     system.submit_now("sp-1", "sp")
@@ -308,10 +316,9 @@ class TestHelloLossEdge:
         system = AnorSystem(
             budgeter=EvenSlowdownBudgeter(),
             target_source=ConstantTarget(560.0),
-            config=AnorConfig(
-                num_nodes=2, seed=0, feedback_enabled=False,
-                link_drop_probability=0.999999,  # effectively everything drops
-            ),
+            config=AnorConfig(num_nodes=2, seed=0, feedback_enabled=False),
+            # Effectively everything drops.
+            fault_schedule=lossy_network(0.999999, 600.0),
         )
         system.submit_now("mg-0", "mg", nodes=1)
         result = system.run(until_idle=True, max_time=600.0)

@@ -374,11 +374,10 @@ class TestInjectorCrashes:
         assert (30.0, "bt-0") in system.cluster.killed
         assert "node-crash node=0 killed=bt-0" in system.faults.render()
 
-    def test_endpoint_crash_restarts_and_manager_recovers(self):
+    def test_endpoint_crash_restarts_and_manager_recovers(self, monkeypatch):
+        monkeypatch.setattr("repro.core.framework.ENDPOINT_RESTART_DELAY", 10.0)
         sched = FaultSchedule([EndpointCrash(time=30.0, job_id="bt-0")])
-        system = make_system(
-            sched, num_nodes=2, endpoint_restart_delay=10.0
-        )
+        system = make_system(sched, num_nodes=2)
         system.submit_now("bt-0", "bt")
         result = system.run(until_idle=True, max_time=7200.0)
         assert [t.job_id for t in result.completed] == ["bt-0"]
@@ -387,9 +386,14 @@ class TestInjectorCrashes:
         assert any("reconnected" in e for e in system.manager.events)
         assert system.manager.evictions == 0
 
-    def test_endpoint_crash_without_watchdog_leads_to_eviction(self):
+    def test_endpoint_crash_without_watchdog_leads_to_eviction(self, monkeypatch):
+        """A watchdog slower than the dead-job timeout has not restarted the
+        endpoint by the time the manager gives up on the silent job."""
+        monkeypatch.setattr(
+            "repro.core.framework.ENDPOINT_RESTART_DELAY", DEAD_JOB_TIMEOUT + 20.0
+        )
         sched = FaultSchedule([EndpointCrash(time=30.0, job_id="bt-0")])
-        system = make_system(sched, num_nodes=2, endpoint_restart_delay=None)
+        system = make_system(sched, num_nodes=2)
         system.submit_now("bt-0", "bt")
         for _ in range(int(30.0 + DEAD_JOB_TIMEOUT) + 10):
             system.step()

@@ -21,6 +21,7 @@ the same examples (CI prints the statistics).
 import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
+from repro.core import cluster_manager, framework  # noqa: E402
 from repro.core.framework import AnorConfig, AnorSystem, precharacterized_models  # noqa: E402
 from repro.core.targets import ConstantTarget  # noqa: E402
 from repro.faults.events import (  # noqa: E402
@@ -49,6 +51,7 @@ from repro.invariants import (  # noqa: E402
     quarantines,
 )
 from repro.modeling.classifier import JobClassifier  # noqa: E402
+from repro.plan import planner  # noqa: E402
 from repro.workloads.generator import PoissonScheduleGenerator  # noqa: E402
 from repro.workloads.nas import long_running_mix  # noqa: E402
 from tests.goldenlib import run_windowed_and_stepped  # noqa: E402
@@ -74,7 +77,7 @@ FEATURES = {
     "reliable": dict(reliable_messaging=True),
     "breaker": dict(breaker_margin=0.05),
     "audit": dict(audit_enabled=True),
-    "plan": dict(plan_enabled=True, plan_shadow_rounds=0, plan_horizon_rounds=4),
+    "plan": dict(plan_enabled=True, plan_shadow_rounds=0),
     "shed": dict(shed_enabled=True, shed_classes=SHED_CLASSES, shed_nominal_watts=TARGET),
     "durable": dict(checkpoint_period=120.0),  # checkpoint_dir: per system
 }
@@ -111,8 +114,7 @@ def build_pair(features, seed, scripted, tmp):
     def build():
         fields = dict(
             num_nodes=NODES, seed=seed, agent_period=30.0, endpoint_period=30.0,
-            manager_period=60.0, endpoint_restart_delay=45.0,
-            recovery_timeout=150.0, telemetry_enabled=True,
+            manager_period=60.0, telemetry_enabled=True,
         )
         for feature in sorted(features):
             fields.update(FEATURES[feature])
@@ -142,7 +144,12 @@ def build_pair(features, seed, scripted, tmp):
 
 
 def check(features, seed, scripted=(), witness=None):
-    with tempfile.TemporaryDirectory(prefix="anor-matrix-") as tmp:
+    # At 60 s rounds: a 45 s watchdog, a 150 s recovery window, and a plan
+    # four rounds deep.
+    with tempfile.TemporaryDirectory(prefix="anor-matrix-") as tmp, \
+            mock.patch.object(framework, "ENDPOINT_RESTART_DELAY", 45.0), \
+            mock.patch.object(cluster_manager, "RECOVERY_TIMEOUT", 150.0), \
+            mock.patch.object(planner, "HORIZON_ROUNDS", 4):
         build, observed = build_pair(frozenset(features), seed, scripted, tmp)
         (windowed, a), (stepped, b) = run_windowed_and_stepped(
             build, DURATION, until_idle=True, max_time=DURATION + 3000.0
@@ -218,7 +225,7 @@ def bursts_overlap_across_a_restart(system, result, seen):
     # network degraded for good after such a pair.
     assert any(220.0 <= t <= 450.0 for t in times(seen, "head-crash"))
     assert system.faults.quiescent
-    assert system.link_conditions.drop_probability == system.config.link_drop_probability
+    assert system.link_conditions.drop_probability == 0.0
 
 
 #: name -> (features, seed, scripted events, witness).

@@ -21,6 +21,12 @@ from repro.workloads.trace import JobRequest, Schedule
 TYPES = ["bt", "cg", "ft", "lu", "mg", "sp"]
 
 
+@pytest.fixture(autouse=True)
+def recovery_window(monkeypatch):
+    """Every head restart here reconciles within 25 s, not the default 30."""
+    monkeypatch.setattr("repro.core.cluster_manager.RECOVERY_TIMEOUT", 25.0)
+
+
 def build_system(
     *,
     checkpoint_dir=None,
@@ -29,7 +35,6 @@ def build_system(
     n_jobs=6,
     target=16 * 170.0,
     checkpoint_period=20.0,
-    recovery_timeout=25.0,
     monitors=(),
     **cfg_kwargs,
 ):
@@ -48,7 +53,6 @@ def build_system(
         seed=seed,
         checkpoint_dir=checkpoint_dir,
         checkpoint_period=checkpoint_period,
-        recovery_timeout=recovery_timeout,
         **cfg_kwargs,
     )
     return AnorSystem(
@@ -153,10 +157,9 @@ class TestCrashRecoveryEndToEnd:
             assert (m.online_model.a, m.online_model.b, m.online_model.c,
                     m.online_r2, m.last_cap) == pre[jid]
 
-    def test_warm_endpoint_restart_seeds_modeler(self, tmp_path):
-        system = build_system(
-            checkpoint_dir=str(tmp_path / "store"), endpoint_restart_delay=10.0
-        )
+    def test_warm_endpoint_restart_seeds_modeler(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.core.framework.ENDPOINT_RESTART_DELAY", 10.0)
+        system = build_system(checkpoint_dir=str(tmp_path / "store"))
         for _ in range(200):
             system.step()
         candidates = [
@@ -317,7 +320,8 @@ class TestCrashRecoveryEndToEnd:
         assert len(result.completed) == 6
         assert any("restarted warm" in line for line in result.recovery_log)
 
-    def test_watchdog_restart_deferred_while_head_down(self, tmp_path):
+    def test_watchdog_restart_deferred_while_head_down(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.core.framework.ENDPOINT_RESTART_DELAY", 10.0)
         schedule = FaultSchedule(
             [
                 EndpointCrash(time=100.0),
@@ -327,7 +331,6 @@ class TestCrashRecoveryEndToEnd:
         system = build_system(
             checkpoint_dir=str(tmp_path / "store"),
             fault_schedule=schedule,
-            endpoint_restart_delay=10.0,
         )
         result = system.run(until_idle=True, max_time=6000.0)
         restart_lines = [

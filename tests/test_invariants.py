@@ -289,8 +289,7 @@ class TestTheSeam:
         assert {"single_slowdown", "caps_within_pool", "planned_within_ceiling"} <= caught
 
     def test_ladder_invariants_are_armed_by_a_shed_config(self):
-        cfg = AnorConfig(shed_enabled=True, shed_classes={"ft": "protected"},
-                         shed_ramp_watts=100.0)
+        cfg = AnorConfig(shed_enabled=True, shed_classes={"ft": "protected"})
         monitor = inv.RoundMonitor(cfg)
         jobs = {"a": NS(claimed_type="ft")}
         monitor(round_(jobs=jobs, target=1000.0, occupied=False))

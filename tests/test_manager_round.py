@@ -13,9 +13,11 @@ import re
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
+from repro import telemetry
 from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.framework import AnorConfig, AnorSystem
 from repro.core.job_endpoint import JobTierEndpoint
@@ -342,7 +344,9 @@ def framework_streams(system, bus: Counter) -> tuple[Counter, Counter]:
 
 
 class TestOneEmissionSite:
-    def test_every_transition_incident_has_its_text_line_and_vice_versa(self, tmp_path):
+    def test_every_transition_incident_has_its_text_line_and_vice_versa(
+        self, tmp_path, monkeypatch
+    ):
         duration = 1200.0
         faults = FaultSchedule.standard_load(duration, num_nodes=16).extended([
             FeederLoss(time=0.7 * duration, magnitude=0.40, duration=120.0),
@@ -378,9 +382,10 @@ class TestOneEmissionSite:
         assert {"node-crash", "endpoint-crash", "endpoint-restart", "job-requeue"} <= set(lines)
 
         store = tmp_path / "head"
+        monkeypatch.setattr("repro.core.framework.ENDPOINT_RESTART_DELAY", 5.0)
+        monkeypatch.setattr("repro.core.cluster_manager.RECOVERY_TIMEOUT", 4.0)
         system = small_system(
-            store, checkpoint_period=20.0, endpoint_restart_delay=5.0,
-            recovery_timeout=4.0, output_dir=str(tmp_path / "reports"),
+            store, checkpoint_period=20.0, output_dir=str(tmp_path / "reports"),
         )
         bus = count_bus_records(system)
         cluster = system.cluster
@@ -435,14 +440,13 @@ def small_system(tmp_path=None, n_jobs=6, **cfg) -> AnorSystem:
     ])
     if tmp_path is not None:
         cfg["checkpoint_dir"] = str(tmp_path / "store")
-    return AnorSystem(
-        target_source=ConstantTarget(16 * 170.0),
-        schedule=schedule,
-        # A ring big enough that no record of the run is evicted.
-        config=AnorConfig(
-            seed=3, telemetry_enabled=True, telemetry_ring_size=1 << 20, **cfg
-        ),
-    )
+    # A ring big enough that no record of the run is evicted.
+    with mock.patch.object(telemetry, "RING_SIZE", 1 << 20):
+        return AnorSystem(
+            target_source=ConstantTarget(16 * 170.0),
+            schedule=schedule,
+            config=AnorConfig(seed=3, telemetry_enabled=True, **cfg),
+        )
 
 
 class TestRegressions:
@@ -465,10 +469,11 @@ class TestRegressions:
             assert reg.get_value("anor_jobs", state=state) == 0.0, state
         assert reg.get_value("anor_planned_draw_watts") == 0.0
 
-    def test_every_requeue_path_emits_job_requeue(self, tmp_path):
+    def test_every_requeue_path_emits_job_requeue(self, tmp_path, monkeypatch):
         """Orphan requeues (a job that died with its node while the head was
         down) were the one requeue path without a ``job-requeue`` event."""
-        system = small_system(tmp_path, checkpoint_period=20.0, recovery_timeout=25.0)
+        monkeypatch.setattr("repro.core.cluster_manager.RECOVERY_TIMEOUT", 25.0)
+        system = small_system(tmp_path, checkpoint_period=20.0)
         for _ in range(100):
             system.step()
         crashed_live = sorted(system.cluster.running)[0]

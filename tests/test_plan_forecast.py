@@ -198,8 +198,9 @@ class TestMakeForecaster:
 
 
 class TestErrorTracking:
-    def test_record_error_feeds_mae(self):
-        f = PersistenceForecaster(error_window=4)
+    def test_record_error_feeds_mae(self, monkeypatch):
+        monkeypatch.setattr("repro.plan.forecast.ERROR_WINDOW", 4)
+        f = PersistenceForecaster()
         f.observe(0.0, 1000.0)
         f.record_error(50.0)
         f.record_error(-30.0)

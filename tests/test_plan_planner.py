@@ -80,13 +80,18 @@ class TestEnvelope:
         assert env.first_active_time() == 0.0
 
 
+@pytest.fixture
+def four_round_horizon(monkeypatch):
+    """The unit tests' planners look four rounds ahead."""
+    monkeypatch.setattr("repro.plan.planner.HORIZON_ROUNDS", 4)
+
+
 def make_planner(forecaster=None, **kwargs):
     f = forecaster or PersistenceForecaster()
     defaults = dict(
         budgeter=EvenSlowdownBudgeter(),
         forecaster=f,
         envelope=SafetyEnvelope(error_bound_watts=100.0, promote_rounds=0),
-        horizon_rounds=4,
         period=4.0,
         hysteresis_watts=8.0,
     )
@@ -94,6 +99,7 @@ def make_planner(forecaster=None, **kwargs):
     return RecedingHorizonPlanner(**defaults)
 
 
+@pytest.mark.usefixtures("four_round_horizon")
 class TestPlannerRebuild:
     def test_plan_covers_horizon(self):
         p = make_planner()
@@ -159,6 +165,7 @@ class TestPlannerRebuild:
         assert p.next_instant() is None
 
 
+@pytest.mark.usefixtures("four_round_horizon")
 class TestPlannerInstants:
     def test_instants_hidden_unless_active(self):
         stepped = SteppedTarget([0.0, 6.0], [3000.0, 2500.0])
@@ -188,6 +195,7 @@ class TestPlannerInstants:
         assert p.next_instant() == 10.0
 
 
+@pytest.mark.usefixtures("four_round_horizon")
 class TestPlannerDispatch:
     def _build(self, target=3000.0):
         stepped = SteppedTarget([0.0], [target])

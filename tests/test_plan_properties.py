@@ -16,18 +16,22 @@ Two contracts that must hold for *any* forecaster behaviour:
    surprises.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from repro.core import framework  # noqa: E402
 from repro.core.framework import AnorConfig  # noqa: E402
 from repro.core.targets import SteppedTarget  # noqa: E402
 from repro.experiments.fig9 import build_demand_response_system  # noqa: E402
 from repro.faults.schedule import FaultSchedule  # noqa: E402
 from repro.invariants import RoundMonitor  # noqa: E402
-from repro.plan.forecast import PersistenceForecaster  # noqa: E402
+from repro.plan import planner  # noqa: E402
+from repro.plan.forecast import ForecastErrorWindow, PersistenceForecaster  # noqa: E402
 from tests.goldenlib import run_windowed_and_stepped  # noqa: E402
 
 DURATION = 120.0
@@ -50,7 +54,8 @@ class BiasedForecaster(PersistenceForecaster):
     name = "biased"
 
     def __init__(self, offset: float) -> None:
-        super().__init__(error_window=8)
+        super().__init__()
+        self.errors = ForecastErrorWindow(8)
         self.offset = float(offset)
 
     def predict(self, now: float, t: float) -> float:
@@ -96,13 +101,13 @@ def _run_both(*, seed, faults, plan, spell_out_knobs=True):
         agent_period=2.0,
         endpoint_period=2.0,
         manager_period=4.0,
-        endpoint_restart_delay=15.0,
     )
+    horizon = planner.HORIZON_ROUNDS
     if plan or spell_out_knobs:
+        horizon = 6
         kwargs.update(
             plan_enabled=plan,
             plan_forecaster="auto",
-            plan_horizon_rounds=6,
             plan_hysteresis_watts=10.0,
             plan_error_bound_watts=150.0,
             plan_shadow_rounds=0,
@@ -120,7 +125,9 @@ def _run_both(*, seed, faults, plan, spell_out_knobs=True):
             fault_schedule=schedule,
         )
 
-    (_, windowed), (_, stepped) = run_windowed_and_stepped(build, DURATION)
+    with mock.patch.object(framework, "ENDPOINT_RESTART_DELAY", 15.0), \
+            mock.patch.object(planner, "HORIZON_ROUNDS", horizon):
+        (_, windowed), (_, stepped) = run_windowed_and_stepped(build, DURATION)
     return windowed, stepped
 
 

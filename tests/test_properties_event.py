@@ -10,12 +10,15 @@ Hypothesis explores that configuration space; one counterexample is a real
 bug, not noise.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from repro.core import framework  # noqa: E402
 from repro.core.framework import AnorConfig  # noqa: E402
 from repro.experiments.fig9 import build_demand_response_system  # noqa: E402
 from repro.faults.schedule import FaultSchedule  # noqa: E402
@@ -67,7 +70,6 @@ def _build(*, seed, periods, faults, lease, reliable, telemetry):
         manager_period=manager,
         lease_ttl=20.0 if lease else None,
         reliable_messaging=reliable,
-        endpoint_restart_delay=15.0,
         telemetry_enabled=telemetry,
     )
     schedule = None
@@ -112,9 +114,11 @@ def test_event_mode_bit_identical_to_tick_mode(
         seed=seed, periods=periods, faults=faults, lease=lease, reliable=reliable,
         telemetry=telemetry,
     )
-    (event_system, event), (tick_system, tick) = run_windowed_and_stepped(
-        lambda: _build(**kwargs), DURATION
-    )
+    # A watchdog quicker than the default, so restarts land inside the run.
+    with mock.patch.object(framework, "ENDPOINT_RESTART_DELAY", 15.0):
+        (event_system, event), (tick_system, tick) = run_windowed_and_stepped(
+            lambda: _build(**kwargs), DURATION
+        )
     assert _registry_samples(event_system) == _registry_samples(tick_system)
     assert np.array_equal(event.power_trace, tick.power_trace)
     assert event.warnings == tick.warnings

@@ -8,6 +8,7 @@ from repro.facility.shed import (
     DEFAULT_CLASS,
     DEFICITS,
     ESCALATE_ROUNDS,
+    RAMP_WATTS_PER_ROUND,
     SEVERITY_LEVELS,
     SHED_CLASSES,
     SHED_PLANS,
@@ -53,9 +54,8 @@ def feed(ladder, supply, rounds, demand=1000.0):
 
 class TestShedLadder:
     def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="ramp_watts_per_round"):
-            ShedLadder(ramp_watts_per_round=0.0)
-        # The rest are constants, inside the ranges their checks enforced.
+        # Constants, inside the ranges their checks enforced.
+        assert RAMP_WATTS_PER_ROUND > 0
         assert min(ESCALATE_ROUNDS, CLEAR_ROUNDS) >= 1
         deficits = [DEFICITS[s] for s in SEVERITY_LEVELS[1:]]
         assert deficits == sorted(set(deficits))
@@ -112,7 +112,8 @@ class TestShedLadder:
         assert ladder.ceiling == 400.0
 
     def test_ceiling_recovers_at_ramp_rate(self):
-        ladder = ShedLadder(ramp_watts_per_round=100.0)
+        assert RAMP_WATTS_PER_ROUND == 100.0
+        ladder = ShedLadder()
         ladder.observe(1000.0, 1000.0)
         ladder.observe(400.0, 1000.0)
         assert ladder.observe(1000.0, 1000.0) == ladder.severity
@@ -197,8 +198,9 @@ class TestShedController:
         self.observe(ctl, 1000.0, ESCALATE_ROUNDS)
         assert ctl.severity == "blackstart"
 
-    def test_observe_returns_ramped_ceiling(self):
-        ctl = ShedController(ladder=ShedLadder(ramp_watts_per_round=50.0))
+    def test_observe_returns_ramped_ceiling(self, monkeypatch):
+        monkeypatch.setattr("repro.facility.shed.RAMP_WATTS_PER_ROUND", 50.0)
+        ctl = ShedController(ladder=ShedLadder())
         assert ctl.observe(1000.0) == 1000.0
         assert ctl.observe(400.0) == 400.0
         assert ctl.observe(1000.0) == 450.0
@@ -224,8 +226,6 @@ class TestConfigValidation:
             AnorConfig(shed_classes={"cg": "soft"})
 
     def test_knob_ranges(self):
-        with pytest.raises(ValueError, match="shed_ramp_watts"):
-            AnorConfig(shed_ramp_watts=0.0)
         with pytest.raises(ValueError, match="shed_nominal_watts"):
             AnorConfig(shed_nominal_watts=-1.0)
 
@@ -296,12 +296,12 @@ class TestFacilityIncidents:
         assert any("feeder-loss end" in line for line in log)
         assert any("thermal-derate" in line for line in log)
 
-    def test_end_to_end_ladder_rides_a_feeder_loss(self):
+    def test_end_to_end_ladder_rides_a_feeder_loss(self, monkeypatch):
         """A 40 % feeder loss walks the ladder up and, after the window
         closes, recovery steps back to normal."""
+        monkeypatch.setattr("repro.facility.shed.RAMP_WATTS_PER_ROUND", 200.0)
         system = AnorSystem(
-            config=AnorConfig(num_nodes=4, shed_enabled=True,
-                              shed_ramp_watts=200.0),
+            config=AnorConfig(num_nodes=4, shed_enabled=True),
             fault_schedule=FaultSchedule(
                 [FeederLoss(time=10.0, magnitude=0.4, duration=20.0)]
             ),

@@ -288,6 +288,29 @@ class TestPowerAwareAdmission:
         assert all(q.running_nodes == 0 for q in sim.scheduler.queues)
 
 
+class TestSimConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dt", 0.0),  # the clock would never advance: run() loops forever
+            ("dt", -1.0),
+            ("dt", float("nan")),
+            ("num_nodes", 0),
+            ("p_node_min", 0.0),
+            ("p_node_max", 140.0),
+            ("idle_power", -1.0),
+            ("average_power", 0.0),
+            ("reserve", -1.0),
+            ("reserve", 180_000.0),
+            ("qos_risk_fraction", -0.1),
+            ("variation_band", float("inf")),
+        ],
+    )
+    def test_bad_value_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+
 class TestVariationHelpers:
     def test_sigma_for_band(self):
         assert variation_sigma_for_band(0.0) == 0.0

@@ -1,7 +1,10 @@
 """Span-tree tests: the event bus, trace validation, and a real control run."""
 
+from unittest import mock
+
 import pytest
 
+from repro import telemetry
 from repro.core.framework import AnorConfig
 from repro.experiments.fig9 import build_demand_response_system
 from repro.telemetry import NULL_BUS, EventBus, RingBufferSink
@@ -166,8 +169,9 @@ class TestRealRun:
 
     @pytest.fixture(scope="class")
     def records(self):
-        cfg = AnorConfig(seed=0, telemetry_enabled=True, telemetry_ring_size=1 << 16)
-        system = build_demand_response_system(duration=120.0, seed=0, config=cfg)
+        cfg = AnorConfig(seed=0, telemetry_enabled=True)
+        with mock.patch.object(telemetry, "RING_SIZE", 1 << 16):
+            system = build_demand_response_system(duration=120.0, seed=0, config=cfg)
         system.run(120.0)
         return system.telemetry.ring.records()
 
