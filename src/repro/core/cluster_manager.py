@@ -37,7 +37,6 @@ from repro.core.round import BudgetRound, JobRecord
 from repro.core.targets import HoldLastGoodTarget, PowerTargetSource
 from repro.core.transport import TcpLink
 from repro.durable.journal import Journal
-from repro.durable.state import RecoveredJob
 from repro.facility.breaker import PowerBreaker
 from repro.facility.shed import ShedController
 from repro.modeling.classifier import JobClassifier
@@ -175,7 +174,7 @@ class ClusterPowerManager:
     # Re-HELLOs whose degraded-history model was validated and adopted
     # (partition recovery path — distinct from checkpoint recovery_merges).
     hello_merges: int = field(default=0, init=False)
-    _recovered: dict[str, RecoveredJob] = field(default_factory=dict, init=False)
+    _recovered: dict[str, JobRecord] = field(default_factory=dict, init=False)
     _recovery_deadline: float | None = field(default=None, init=False)
     _links: list[TcpLink] = field(default_factory=list, init=False)
     _correction: float = field(default=0.0, init=False)
@@ -539,7 +538,7 @@ class ClusterPowerManager:
 
     # ------------------------------------------------------------- recovery
 
-    def begin_recovery(self, now: float, recovered: dict[str, RecoveredJob]) -> None:
+    def begin_recovery(self, now: float, recovered: dict[str, JobRecord]) -> None:
         """Enter bounded recovery mode after a head-node restart.
 
         Every restored job stays a conservative liability — its last sent cap
@@ -561,11 +560,7 @@ class ClusterPowerManager:
     def in_recovery(self) -> bool:
         return self._recovery_deadline is not None
 
-    def recovered_items(self) -> list[tuple[str, RecoveredJob]]:
-        """Restored-but-unreconciled jobs, in deterministic order."""
-        return sorted(self._recovered.items())
-
-    def recovered_job(self, job_id: str) -> RecoveredJob | None:
+    def recovered_job(self, job_id: str) -> JobRecord | None:
         return self._recovered.get(job_id)
 
     def _reconcile_recovery(self, rnd: BudgetRound) -> None:

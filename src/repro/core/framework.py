@@ -864,11 +864,10 @@ class AnorSystem:
         allowed: bool = True,
     ) -> None:
         """A job the head believed running is gone, ``kind`` says how (node
-        crash: ``killed``; ``shed``; died during a head outage: ``orphan``):
+        crash: ``killed``; ``shed``; died during a head outage: ``lost``):
         back in the queue from its submission spec while it has attempts left
-        and ``allowed``, else dropped.  One ``log`` line and one bus record
-        either way; a drop is journalled (an orphan's already was, by the
-        manager round that declared it).  ``spec`` is what the caller popped
+        and ``allowed``, else dropped.  One ``log`` line, one bus record and
+        one journal record either way.  ``spec`` is what the caller popped
         from the launched jobs."""
         attempts = self._attempts.get(job_id, 1)
         if allowed and spec is not None and attempts <= MAX_REQUEUES:
@@ -891,8 +890,7 @@ class AnorSystem:
                 "job-drop", now, log, dropped, incident=False,
                 job_id=job_id, kind=kind, attempts=attempts,
             )
-            if kind != "orphan":
-                self._journal("job-evict", now, kind=kind, job_id=job_id)
+            self._journal("job-evict", now, kind=kind, job_id=job_id)
 
     def _enforce(self, now: float) -> None:
         """Carry out what the manager's rounds handed back.

@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.budget.base import BudgetAllocation, JobBudgetRequest
     from repro.core.messages import StatusMessage
     from repro.core.transport import TcpLink
-    from repro.durable.state import RecoveredJob
     from repro.modeling.quadratic import QuadraticPowerModel
 
 __all__ = ["JobRecord", "BudgetRound"]
@@ -28,12 +27,13 @@ __all__ = ["JobRecord", "BudgetRound"]
 
 @dataclass
 class JobRecord:
-    """Everything the cluster tier tracks about one connected job."""
+    """Everything the cluster tier tracks about one job.  ``link`` is None
+    while the job is known only from before a head-node restart."""
 
     job_id: str
     claimed_type: str
     nodes: int
-    link: TcpLink
+    link: TcpLink | None
     believed_model: QuadraticPowerModel
     believed_p_max: float
     online_model: QuadraticPowerModel | None = None
@@ -85,7 +85,7 @@ class BudgetRound:
     # checkpoint, no re-HELLO yet (last cap stays reserved); ``quarantined``:
     # held by the cap-compliance auditor at their metered envelope
     # (DESIGN.md §4f).  Both are counted inside ``reserved``.
-    recovering: Sequence[RecoveredJob] = ()
+    recovering: Sequence[JobRecord] = ()
     stale: Sequence[JobRecord] = ()
     dormant: Sequence[JobRecord] = ()
     active: Sequence[JobRecord] = ()

@@ -12,10 +12,12 @@ failure.  This package makes that state survive the process:
 * :mod:`repro.durable.store` — :class:`DurableStore`, the checkpoint+journal
   pair with the crash-consistency protocol between them.
 * :mod:`repro.durable.state` — the checkpoint schema, in one place: what
-  gets captured, how it is restored, how a journal tail folds into a baseline
-  snapshot, and :class:`RecoveredJob`, the per-job state handed to a
-  restarted :class:`~repro.core.cluster_manager.ClusterPowerManager` for its
-  bounded recovery mode (conservative reservations until each job re-HELLOs).
+  gets captured, how it is restored, a job record's entry and its inverse,
+  and how a journal tail folds into a baseline snapshot (``JOB_EVICT`` is
+  what each ``job-evict`` kind removes).  Restored records, with no link
+  yet, put a restarted
+  :class:`~repro.core.cluster_manager.ClusterPowerManager` in its bounded
+  recovery mode (conservative reservations until each job re-HELLOs).
 * :mod:`repro.durable.recovery` — the head-node lifecycle over a system:
   crash, supervised restart (load → replay → restore, or cold start with an
   incident), and reconciliation of the orphans a recovery window closes on.
@@ -29,11 +31,10 @@ from repro.durable.checkpoint import (
 )
 from repro.durable.journal import Journal, JournalRecord, JournalReplay
 from repro.durable.state import (
-    RecoveredJob,
+    JOB_EVICT,
     apply_journal,
     capture_state,
     empty_state,
-    recovered_jobs_from_state,
     restore_state,
 )
 from repro.durable.store import DurableStore
@@ -47,8 +48,7 @@ __all__ = [
     "JournalRecord",
     "JournalReplay",
     "DurableStore",
-    "RecoveredJob",
-    "recovered_jobs_from_state",
+    "JOB_EVICT",
     "apply_journal",
     "capture_state",
     "empty_state",

@@ -37,7 +37,7 @@ __all__ = ["JournalRecord", "JournalReplay", "Journal"]
 #: Journal record vocabulary (see DESIGN.md §4d).
 RECORD_TYPES = (
     "job-admit",      # queue intake, launch, requeue, or hello
-    "job-evict",      # goodbye, dead-job timeout, or recovery orphan
+    "job-evict",      # a job leaves a table: its kinds are state.JOB_EVICT
     "model-accept",   # manager validated an online model for a job
     "cap-decision",   # one budgeting round's caps + correction + target
     "target-change",  # observed cluster power target changed value

@@ -86,7 +86,7 @@ def restart_head(system: "AnorSystem", now: float) -> None:
         system.faults.reattach()
     if state is not None:
         restore_state(system, state, now)
-        recovered = len(system.manager.recovered_items())
+        recovered = len(system.manager._recovered)
         system._report(
             "head-restart",
             now,
@@ -123,11 +123,13 @@ def restart_head(system: "AnorSystem", now: float) -> None:
 def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
     """Reconcile a job the recovery window closed on without a re-HELLO.
 
-    Three deterministic cases: the job is still running (endpoint died
-    in the outage — leave it to the watchdog), it completed during the
-    outage (nothing to do), or it died with its node (requeue it from
-    the checkpointed spec, like any node-crash kill) — unless the head has
-    already requeued or dropped it since the restart.
+    The manager's ``orphan`` record cleared only its own entry; what became
+    of the job is journalled here.  Three deterministic cases: the job is
+    still running (endpoint died in the outage — it stays launched, left to
+    the watchdog, and nothing is journalled), it completed during the outage
+    (``complete``), or it died with its node (requeued from the checkpointed
+    spec like any node-crash kill, else dropped as ``lost``) — unless the
+    head has already requeued or dropped it since the restart.
     """
     system.orphaned.append(job_id)
     if job_id in system.cluster.running:
@@ -155,6 +157,8 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
             incident=False,
             job_id=job_id,
         )
+        if spec is not None:
+            system._journal("job-evict", now, kind="complete", job_id=job_id)
         return
     if spec is None:
         # The head settled this job itself inside the recovery window (its
@@ -168,5 +172,5 @@ def reconcile_orphan(system: "AnorSystem", job_id: str, now: float) -> None:
         system.recovery_log,
         f"job {job_id} died during the head-node outage; requeued",
         f"job {job_id} died during the head-node outage (not requeued)",
-        kind="orphan",
+        kind="lost",
     )

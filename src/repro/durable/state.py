@@ -10,37 +10,39 @@ type), the target-feed hold-last-good state, and the manager/checkpoint
 absent — it survives a head-node crash in the real deployment and in the
 emulation alike.
 
-:func:`restore_state` is :func:`capture_state`'s inverse, and
-:class:`RecoveredJob` what a per-job entry comes back as: everything the
-manager knew about a connected job that is worth carrying across a head-node
-restart.  Until the job re-HELLOs over a fresh link, its ``RecoveredJob``
-drives conservative budgeting (reserve ``nodes × last_cap`` — the job may
-still be drawing it); once it reconnects, the validated online model and
-budget accounting merge into the fresh :class:`JobRecord` so the cluster
-tier resumes warm instead of relearning every curve.
+A job's entry is one manager :class:`~repro.core.round.JobRecord`, written by
+:func:`job_entry` and read back by :func:`job_record`.  :func:`restore_state`
+is :func:`capture_state`'s inverse: each restored record, with no link yet,
+drives conservative budgeting until its job re-HELLOs (reserve
+``nodes × last_cap`` — the job may still be drawing it); once it reconnects,
+the validated online model and budget accounting merge into the fresh record
+so the cluster tier resumes warm instead of relearning every curve.
 
 :func:`apply_journal` folds a journal tail into a checkpointed (or empty)
 baseline, so recovery sees the cluster as of the last durable write, not the
-last checkpoint cadence.
+last checkpoint cadence.  What a ``job-evict`` record removes is
+:data:`JOB_EVICT`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from repro.core.round import JobRecord
 from repro.durable.journal import JournalRecord
 from repro.modeling.quadratic import QuadraticPowerModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import AnorSystem
+    from repro.modeling.classifier import JobClassifier
 
 __all__ = [
-    "RecoveredJob",
+    "JOB_EVICT",
     "apply_journal",
     "capture_state",
     "empty_state",
-    "recovered_jobs_from_state",
+    "job_entry",
+    "job_record",
     "restore_state",
     "unheard_jobs",
 ]
@@ -48,25 +50,27 @@ __all__ = [
 #: Manager incident counters a checkpoint carries, by attribute name.
 _COUNTERS = ("evictions", "rejected_statuses", "rejected_models", "meter_faults")
 
+#: The ``job-evict`` vocabulary: each kind, and the table its replay removes
+#: the job from — the manager's record (``jobs``) or the head's running view
+#: (``running``).  A kind of one side leaves the other side's entry alone:
+#: that goes by a record of its own, or stays because the job does.
+JOB_EVICT = {
+    # Manager: the job's record goes; the job may still be running.
+    "goodbye": "jobs",  # its endpoint said goodbye
+    "timeout": "jobs",  # silent past the dead-job timeout
+    "orphan": "jobs",  # silent past a restarted head's recovery window
+    # Scheduler: the job left the cluster for good (a requeue is a
+    # ``job-admit`` instead).
+    "complete": "running",  # finished
+    "killed": "running",  # its node crashed
+    "shed": "running",  # the shed ladder killed it
+    "lost": "running",  # died unseen during a head-node outage
+}
 
-@dataclass
-class RecoveredJob:
-    """Per-job cluster-tier state restored from the durable store."""
 
-    job_id: str
-    claimed_type: str
-    nodes: int
-    believed_p_max: float
-    online_model: QuadraticPowerModel | None = None
-    online_r2: float | None = None
-    last_cap: float | None = None
-    caps_sent: int = 0
-
-
-def _job_entry(record) -> dict:
-    """JSON form of one manager :class:`JobRecord`, or of the
-    :class:`RecoveredJob` that stands in for one until it re-HELLOs
-    (:func:`recovered_jobs_from_state` is the inverse)."""
+def job_entry(record: JobRecord) -> dict:
+    """A job's checkpoint entry: what the manager learned about it
+    (:func:`job_record` is the inverse)."""
     model = record.online_model
     return {
         "claimed_type": record.claimed_type,
@@ -79,17 +83,32 @@ def _job_entry(record) -> dict:
     }
 
 
+def job_record(
+    job_id: str, entry: dict, classifier: "JobClassifier", p_node_min: float
+) -> JobRecord:
+    """:func:`job_entry`'s inverse: the record of a job the head knows but
+    has no link to, believed as ``classifier`` believes its claimed type."""
+    claimed, believed_p_max = str(entry["claimed_type"]), float(entry["believed_p_max"])
+    online, r2, last_cap = entry["online"], entry["online_r2"], entry["last_cap"]
+    return JobRecord(
+        job_id,
+        claimed,
+        int(entry["nodes"]),
+        link=None,
+        believed_model=classifier.model_for(claimed, job_name=job_id),
+        believed_p_max=believed_p_max,
+        online_model=None if online is None else QuadraticPowerModel(
+            *(float(v) for v in online), p_min=float(p_node_min), p_max=believed_p_max
+        ),
+        online_r2=None if r2 is None else float(r2),
+        last_cap=None if last_cap is None else float(last_cap),
+        caps_sent=int(entry["caps_sent"]),
+    )
+
+
 def capture_state(system: "AnorSystem", now: float) -> dict:
     """Snapshot everything the head node must not lose."""
     mgr = system.manager
-    jobs_state = {
-        job_id: _job_entry(rec) for job_id, rec in sorted(mgr.jobs.items())
-    }
-    # Jobs restored from a previous crash that have not re-HELLOed yet are
-    # still liabilities the budgeter reserves power for; a second crash must
-    # not forget them.
-    for job_id, rec in mgr.recovered_items():
-        jobs_state.setdefault(job_id, _job_entry(rec))
     return {
         "now": float(now),
         "pending_index": len(system.schedule.requests) - len(system._pending),
@@ -101,7 +120,13 @@ def capture_state(system: "AnorSystem", now: float) -> dict:
         "requeued": list(system.requeued),
         "manager": {
             "correction": mgr._correction,
-            "jobs": jobs_state,
+            # Jobs restored from a previous crash that have not re-HELLOed
+            # yet are still liabilities the budgeter reserves power for; a
+            # second crash must not forget them.
+            "jobs": {
+                job_id: job_entry(rec)
+                for job_id, rec in {**mgr._recovered, **mgr.jobs}.items()
+            },
             "counters": {name: getattr(mgr, name) for name in _COUNTERS},
         },
         "target_hold": mgr.target_source.state_dict(),
@@ -112,49 +137,21 @@ def capture_state(system: "AnorSystem", now: float) -> dict:
     }
 
 
-def recovered_jobs_from_state(
-    jobs_state: dict, *, p_node_min: float
-) -> dict[str, RecoveredJob]:
-    """Rebuild :class:`RecoveredJob` records from a checkpointed manager state."""
-    out: dict[str, RecoveredJob] = {}
-    for job_id, entry in jobs_state.items():
-        believed_p_max = float(entry["believed_p_max"])
-        online = entry.get("online")
-        model = None
-        if online is not None:
-            a, b, c = (float(v) for v in online)
-            model = QuadraticPowerModel(
-                a=a, b=b, c=c, p_min=float(p_node_min), p_max=believed_p_max
-            )
-        r2 = entry.get("online_r2")
-        last_cap = entry.get("last_cap")
-        out[job_id] = RecoveredJob(
-            job_id=job_id,
-            claimed_type=str(entry["claimed_type"]),
-            nodes=int(entry["nodes"]),
-            believed_p_max=believed_p_max,
-            online_model=model,
-            online_r2=None if r2 is None else float(r2),
-            last_cap=None if last_cap is None else float(last_cap),
-            caps_sent=int(entry.get("caps_sent", 0)),
-        )
-    return out
-
-
-def unheard_jobs(system: "AnorSystem", heard: dict) -> dict[str, RecoveredJob]:
-    """Recovery entries for the jobs the head launched but holds no record
-    of in ``heard``: their HELLO was still in flight at the crash, or their
-    record had been evicted.  Nothing was learned about them,
-    so each is reserved at its believed ceiling, and, like any restored job,
-    orphaned when the reconnect window closes on its silence — a job that
-    died in the outage before it ever spoke is requeued instead of lost."""
+def unheard_jobs(system: "AnorSystem", heard: dict) -> dict[str, JobRecord]:
+    """Records for the jobs the head launched but holds no record of in
+    ``heard``: their HELLO was still in flight at the crash, or their record
+    had been evicted.  Nothing was learned about them, so each is reserved at
+    its believed ceiling, and, like any restored job, orphaned when the
+    reconnect window closes on its silence — a job that died in the outage
+    before it ever spoke is requeued instead of lost."""
     mgr, out = system.manager, {}
     for job_id, q in system._launched.items():
         if job_id not in heard:
             claimed = q.claimed_type or q.request.type_name
             believed = system.classifier.model_for(claimed, job_name=job_id)
-            out[job_id] = RecoveredJob(
-                job_id, claimed, q.job_type.nodes, min(believed.p_max, mgr.p_node_max)
+            out[job_id] = JobRecord(
+                job_id, claimed, q.job_type.nodes, link=None, believed_model=believed,
+                believed_p_max=min(believed.p_max, mgr.p_node_max),
             )
     return out
 
@@ -180,7 +177,10 @@ def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
     for name in _COUNTERS:
         setattr(mgr, name, int(saved["counters"][name]))
     mgr.target_source.restore_state(state["target_hold"])
-    recovered = recovered_jobs_from_state(saved["jobs"], p_node_min=mgr.p_node_min)
+    recovered = {
+        job_id: job_record(job_id, entry, system.classifier, mgr.p_node_min)
+        for job_id, entry in saved["jobs"].items()
+    }
     recovered.update(unheard_jobs(system, recovered))
     mgr.begin_recovery(now, recovered)
     system._manager_gate.restore(*state["gates"]["manager"])
@@ -217,9 +217,9 @@ def apply_journal(state: dict, records: Iterable[JournalRecord]) -> dict:
     tolerant of records about jobs the baseline no longer tracks — exactly
     the overlaps a checkpoint-then-crash interleaving can produce.
     """
-    jobs = state["manager"]["jobs"]
     queue: list[dict] = state["queue"]
-    running: dict[str, dict] = state["running"]
+    jobs, running = state["manager"]["jobs"], state["running"]
+    tables = {"jobs": jobs, "running": running}
     for rec in records:
         d = rec.data
         state["now"] = max(state["now"], rec.time)
@@ -242,32 +242,18 @@ def apply_journal(state: dict, records: Iterable[JournalRecord]) -> dict:
                 running[job_id] = dict(d["spec"])
                 state["attempts"].setdefault(job_id, int(d.get("attempt", 1)))
             elif kind == "hello":
-                entry = jobs.get(d["job_id"])
-                if entry is None:
-                    jobs[d["job_id"]] = {
-                        "claimed_type": d["claimed_type"],
-                        "nodes": int(d["nodes"]),
-                        "believed_p_max": float(d["believed_p_max"]),
-                        "online": None,
-                        "online_r2": None,
-                        "last_cap": None,
-                        "caps_sent": 0,
-                    }
-                else:
-                    # Reconnect: identity fields refresh, learned state stays.
-                    entry["claimed_type"] = d["claimed_type"]
-                    entry["nodes"] = int(d["nodes"])
-                    entry["believed_p_max"] = float(d["believed_p_max"])
+                job_id = d["job_id"]
+                identity = {
+                    "claimed_type": d["claimed_type"],
+                    "nodes": int(d["nodes"]),
+                    "believed_p_max": float(d["believed_p_max"]),
+                }
+                # A new job's record has learned nothing yet; a reconnect
+                # refreshes the identity and keeps what was learned.
+                fresh = JobRecord(job_id, link=None, believed_model=None, **identity)
+                jobs.setdefault(job_id, job_entry(fresh)).update(identity)
         elif rec.type == "job-evict":
-            kind = d.get("kind")
-            # goodbye/timeout come from the manager and clear its record;
-            # complete/killed come from the scheduler side and clear the
-            # running-view (the manager's record goes separately, via a
-            # goodbye or a later heartbeat timeout); orphan clears both.
-            if kind in ("goodbye", "timeout", "orphan"):
-                jobs.pop(d["job_id"], None)
-            if kind in ("complete", "killed", "orphan"):
-                running.pop(d["job_id"], None)
+            tables[JOB_EVICT[d["kind"]]].pop(d["job_id"], None)
         elif rec.type == "model-accept":
             entry = jobs.get(d["job_id"])
             if entry is not None:

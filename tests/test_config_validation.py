@@ -327,8 +327,8 @@ class TestConfigValidation:
 
 
 def source_lines() -> dict[str, int]:
-    """Line counts the ROADMAP quotes: all of ``src/``, five modules, and
-    ``hwsim/``."""
+    """Line counts the ROADMAP quotes: all of ``src/``, five modules,
+    ``hwsim/`` and ``durable/``."""
     repro = ROOT / "src" / "repro"
 
     def lines(paths) -> int:
@@ -340,7 +340,8 @@ def source_lines() -> dict[str, int]:
         "experiments/scorecard.py", "invariants.py",
     ):
         sizes[module.split("/")[-1]] = lines([repro / module])
-    sizes["hwsim/"] = lines((repro / "hwsim").rglob("*.py"))
+    for package in ("hwsim", "durable"):
+        sizes[f"{package}/"] = lines((repro / package).rglob("*.py"))
     return sizes
 
 

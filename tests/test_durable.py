@@ -332,6 +332,38 @@ class TestApplyJournal:
         # The manager's record goes separately, via the goodbye.
         assert "a" in state["manager"]["jobs"]
 
+    @pytest.mark.parametrize("kind", ["killed", "shed", "lost"])
+    def test_dropped_job_leaves_the_running_view(self, kind):
+        """A shed kill, like a node-crash kill, ends the job for good: a
+        replay that kept it running would have a restarted head declare it
+        an orphan and requeue a job the ladder killed."""
+        spec = {"job_id": "a", "type_name": "cg", "nodes": 4,
+                "claimed_type": "cg", "submit_time": 0.0}
+        state = apply_journal(empty_state(), [
+            self._rec(1, "job-admit", 0.0, {"kind": "queue", "spec": spec}),
+            self._rec(2, "job-admit", 1.0, {"kind": "launch", "spec": spec,
+                                            "attempt": 1}),
+            self._rec(3, "job-evict", 9.0, {"kind": kind, "job_id": "a"}),
+        ])
+        assert state["running"] == {} and state["queue"] == []
+
+    def test_manager_orphan_keeps_a_running_job(self):
+        """The manager's ``orphan`` clears its own record only: a job whose
+        endpoint died in the outage is still running, and a second restart
+        must still count it as launched."""
+        spec = {"job_id": "a", "type_name": "bt", "nodes": 4,
+                "claimed_type": "bt", "submit_time": 0.0}
+        hello = {"kind": "hello", "job_id": "a", "claimed_type": "bt",
+                 "nodes": 4, "believed_p_max": 250.0}
+        state = apply_journal(empty_state(), [
+            self._rec(1, "job-admit", 1.0, {"kind": "launch", "spec": spec,
+                                            "attempt": 1}),
+            self._rec(2, "job-admit", 1.0, hello),
+            self._rec(3, "job-evict", 40.0, {"kind": "orphan", "job_id": "a"}),
+        ])
+        assert state["manager"]["jobs"] == {}
+        assert list(state["running"]) == ["a"]
+
     def test_cap_decision_updates_caps_and_hold(self):
         hello = {"kind": "hello", "job_id": "a", "claimed_type": "bt",
                  "nodes": 4, "believed_p_max": 250.0}

@@ -22,7 +22,7 @@ from repro.core.messages import GoodbyeMessage, HelloMessage, StatusMessage
 from repro.core.targets import ConstantTarget
 from repro.core.transport import TcpLink
 from repro.durable.journal import Journal
-from repro.durable.state import _job_entry, apply_journal, empty_state
+from repro.durable.state import apply_journal, empty_state, job_entry
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
 
@@ -74,7 +74,7 @@ def fit_fields(index):
 
 
 def live_jobs_state(manager):
-    return {job_id: _job_entry(rec) for job_id, rec in sorted(manager.jobs.items())}
+    return {job_id: job_entry(rec) for job_id, rec in sorted(manager.jobs.items())}
 
 
 @settings(max_examples=150, deadline=None)

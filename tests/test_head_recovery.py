@@ -1,13 +1,21 @@
 """End-to-end head-node crash recovery tests (checkpoint/journal + warm restart)."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.framework import AnorConfig, AnorSystem
 from repro.core.targets import ConstantTarget
-from repro.durable.state import capture_state
+from repro.durable.state import JOB_EVICT, apply_journal, capture_state, empty_state
 from repro.durable.store import DurableStore
+from repro.experiments.fig9 import build_demand_response_system
+from repro.experiments.resilience import _SHED_CLASS_MAP, _SHED_INCIDENTS
 from repro.faults.events import (
+    DemandResponseEmergency,
     EndpointCrash,
     HeadNodeCrash,
     HeadNodeRestart,
@@ -341,6 +349,77 @@ class TestCrashRecoveryEndToEnd:
         t = float(restart_lines[0].split("t=")[1].split(":")[0])
         assert t >= 135.0
 
+    def test_a_job_the_shed_ladder_killed_stays_dead_across_a_head_crash(
+        self, tmp_path
+    ):
+        """The shed drill's workload with a head crash four seconds after the
+        blackstart rung kills its preemptible jobs, and no checkpoint in
+        between (gates fire at 1 + 45k): the restarted head replays the
+        kills from the journal tail.  A replay that kept them in the running
+        view would have the recovery window declare each one an orphan that
+        "died during the head-node outage" and requeue it."""
+        config = AnorConfig(
+            num_nodes=16, seed=11, shed_enabled=True,
+            shed_classes=dict(_SHED_CLASS_MAP),
+            checkpoint_dir=str(tmp_path / "store"), checkpoint_period=45.0,
+        )
+        system = build_demand_response_system(
+            duration=900.0, utilization=0.9, num_nodes=16, seed=11,
+            target_source=ConstantTarget(16 * 180.0), config=config,
+            fault_schedule=FaultSchedule(
+                [*_SHED_INCIDENTS, HeadNodeCrash(time=665.0, down_for=20.0)]
+            ),
+        )
+        # Past the restart (685 s) and its recovery window (25 s).
+        result = system.run(720.0)
+        killed = {
+            line.split()[2] for line in result.warnings if "killed by power shed" in line
+        }
+        assert len(killed) == 7 and result.head_crashes == 1
+        assert not any("died during the head-node outage" in line
+                       for line in result.recovery_log)
+        assert not killed & (set(system._launched) | set(system.cluster.running))
+        assert not killed & {q.request.job_id for q in system._queue}
+
+    def test_an_orphan_still_running_stays_launched_across_a_second_crash(
+        self, tmp_path
+    ):
+        """An orphan whose endpoint died in the outage is still running:
+        the manager forgets its record, the head keeps it launched.  A second
+        crash before the next checkpoint replays that: the job still counts
+        as launched, so the watchdog finds its spec when it re-attaches the
+        endpoint, and a node crash requeues the job instead of dropping it."""
+        system = build_system(
+            checkpoint_dir=str(tmp_path / "store"), checkpoint_period=60.0
+        )
+        for _ in range(100):
+            system.step()
+        system.crash_head_node()
+        for _ in range(10):
+            system.step()
+        system.restart_head_node()  # t=110; the window closes at t=135
+        victim = sorted(system.cluster.running)[0]
+        system.crash_endpoint(victim)  # its watchdog is due at t=140
+        for _ in range(28):
+            system.step()
+        assert any(f"job {victim} silent past the recovery window" in line
+                   for line in system.recovery_log)
+        assert victim in system._launched
+        # The checkpoint at t=121 predates the orphan: the second restart
+        # replays it from the journal tail.
+        system.crash_head_node()  # t=138
+        for _ in range(5):
+            system.step()
+        system.restart_head_node()
+        assert victim in system._launched
+        for _ in range(5):
+            system.step()
+        assert victim in system.endpoints  # the watchdog re-attached it
+        system.crash_node(system.cluster.running[victim].nodes[0].node_id)
+        assert any(f"job {victim} killed and requeued" in w for w in system.warnings)
+        result = system.run(until_idle=True, max_time=6000.0)
+        assert [t.job_id for t in result.completed].count(victim) == 1
+
 
 class TestRestartCancelledIncidents:
     def test_cancelled_when_job_no_longer_running(self):
@@ -446,3 +525,121 @@ class TestLiveStateRoundTrip:
             system.step()
         assert system.durable is None
         assert list(tmp_path.iterdir()) == []
+
+
+class TestJournalFoldMatchesLiveHead:
+    """A restarted head is what ``apply_journal`` makes of the last
+    checkpoint and the journal tail, so the fold must track the live head.
+    At every checkpoint of a run with the shed ladder, node crashes, an
+    endpoint crash and two head crashes, the previous checkpoint plus the
+    journal since must equal what the head is about to write."""
+
+    SCHEDULER = ("pending_index", "queue", "running", "attempts", "requeued")
+
+    def test_previous_checkpoint_plus_tail_equals_the_next(
+        self, tmp_path, monkeypatch
+    ):
+        checked = []
+        save = DurableStore.save_checkpoint
+
+        def checking_save(store, payload):
+            previous, tail = store.load()
+            folded = apply_journal(
+                previous["state"] if previous is not None else empty_state(),
+                tail.records,
+            )
+            live = payload["state"]
+            for key in self.SCHEDULER:
+                assert folded[key] == live[key], (live["now"], key)
+            assert folded["manager"]["jobs"] == live["manager"]["jobs"], live["now"]
+            checked.append(live["now"])
+            save(store, payload)
+
+        monkeypatch.setattr(DurableStore, "save_checkpoint", checking_save)
+        faults = FaultSchedule([
+            NodeCrash(time=70.0, node_id=1, down_for=60.0),
+            # Blackstart: a preemptible job killed, a checkpointable one
+            # preempted; the head crashes before the next checkpoint.
+            DemandResponseEmergency(time=100.0, magnitude=0.55, duration=60.0),
+            HeadNodeCrash(time=110.0, down_for=10.0),
+            # Silent through the recovery window, still running: an orphan
+            # the head keeps launched, then a second crash replays that.
+            EndpointCrash(time=120.0),
+            HeadNodeCrash(time=150.0, down_for=10.0),
+            NodeCrash(time=175.0, node_id=5, down_for=60.0),
+        ])
+        system = build_system(
+            checkpoint_dir=str(tmp_path / "store"), fault_schedule=faults,
+            n_jobs=10, checkpoint_period=45.0, shed_enabled=True,
+            shed_classes=dict(_SHED_CLASS_MAP),
+        )
+        result = system.run(until_idle=True, max_time=3000.0)
+        assert result.head_crashes == 2 and result.unstarted_jobs == 0
+        assert any("killed by power shed" in w for w in result.warnings)
+        assert any("still running" in line for line in result.recovery_log)
+        assert len(checked) >= 15
+
+
+class TestHeadStateInventory:
+    """Every piece of head state is either in the checkpoint or rebuilt
+    fresh by a restart, and every ``job-evict`` kind has a replay meaning."""
+
+    #: ``ClusterPowerManager`` state a checkpoint carries.
+    PERSISTED = {"jobs", "_recovered", "_correction", "evictions",
+                 "rejected_statuses", "rejected_models", "meter_faults"}
+    #: What a restarted head builds fresh.
+    RESET = {"tracking", "events", "last_round", "cap_rewrites", "enforcement",
+             "admission_held", "recovery_merges", "hello_merges",
+             "_recovery_deadline", "_links", "_last_journalled_target"}
+
+    def test_every_manager_state_field_is_persisted_or_reset(self):
+        state = {f.name for f in dataclasses.fields(ClusterPowerManager) if not f.init}
+        assert not self.PERSISTED & self.RESET
+        assert state == self.PERSISTED | self.RESET
+
+    def test_the_persisted_fields_are_what_capture_state_writes(self):
+        system = build_system()
+        for _ in range(60):
+            system.step()
+        mgr, now = system.manager, system.cluster.clock.now
+        probe = next(iter(mgr.jobs.values()))
+        base = capture_state(system, now)
+
+        def changed(value):
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, (int, float)):
+                return value + 1
+            if isinstance(value, dict):
+                return {**value, "probe": probe}
+            if isinstance(value, list):
+                return [*value, None]
+            return 1.0
+
+        for name in sorted(self.PERSISTED | self.RESET):
+            held = getattr(mgr, name)
+            setattr(mgr, name, changed(held))
+            try:
+                written = capture_state(system, now) != base
+            finally:
+                setattr(mgr, name, held)
+            assert written == (name in self.PERSISTED), name
+
+    def test_every_journalled_evict_kind_is_in_the_fold_table(self):
+        kinds = set()
+        for path in sorted((Path(__file__).parent.parent / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                evict = (
+                    name == "_journal" and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == "job-evict"
+                )
+                if evict or name == "_requeue_or_drop":
+                    kinds |= {
+                        kw.value.value for kw in node.keywords
+                        if kw.arg == "kind" and isinstance(kw.value, ast.Constant)
+                    }
+        assert kinds == set(JOB_EVICT)
