@@ -14,17 +14,9 @@ from typing import Deque, Iterable
 
 import numpy as np
 
-__all__ = ["QueuedJob", "WorkQueue", "QueueSet"]
+from repro.workloads.trace import JobRequest
 
-
-@dataclass(frozen=True)
-class QueuedJob:
-    """A pending job inside a work queue."""
-
-    job_id: str
-    type_name: str
-    nodes: int
-    submit_time: float
+__all__ = ["WorkQueue", "QueueSet"]
 
 
 @dataclass
@@ -33,14 +25,14 @@ class WorkQueue:
 
     type_name: str
     weight: float = 1.0
-    pending: Deque[QueuedJob] = field(default_factory=deque)
+    pending: Deque[JobRequest] = field(default_factory=deque)
     running_nodes: int = 0  # nodes currently held by this queue's jobs
 
     def __post_init__(self) -> None:
         if self.weight < 0:
             raise ValueError(f"{self.type_name}: weight must be ≥ 0, got {self.weight}")
 
-    def push(self, job: QueuedJob) -> None:
+    def push(self, job: JobRequest) -> None:
         if job.type_name != self.type_name:
             raise ValueError(
                 f"job {job.job_id} of type {job.type_name!r} "
@@ -48,10 +40,10 @@ class WorkQueue:
             )
         self.pending.append(job)
 
-    def peek(self) -> QueuedJob | None:
+    def peek(self) -> JobRequest | None:
         return self.pending[0] if self.pending else None
 
-    def pop(self) -> QueuedJob:
+    def pop(self) -> JobRequest:
         return self.pending.popleft()
 
     def __len__(self) -> int:
@@ -72,7 +64,7 @@ class QueueSet:
     def __iter__(self):
         return iter(self.queues.values())
 
-    def submit(self, job: QueuedJob) -> None:
+    def submit(self, job: JobRequest) -> None:
         try:
             self.queues[job.type_name].push(job)
         except KeyError:

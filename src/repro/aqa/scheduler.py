@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.aqa.queues import QueuedJob, QueueSet, WorkQueue
+from repro.aqa.queues import QueueSet, WorkQueue
+from repro.workloads.trace import JobRequest
 
 __all__ = ["SchedulingDecision", "WeightedScheduler"]
 
@@ -22,7 +23,7 @@ __all__ = ["SchedulingDecision", "WeightedScheduler"]
 class SchedulingDecision:
     """Jobs the scheduler chose to start this round, in start order."""
 
-    to_start: list[QueuedJob]
+    to_start: list[JobRequest]
     idle_nodes_after: int
 
 
@@ -53,7 +54,7 @@ class WeightedScheduler:
             by_weight = sorted(queues, key=lambda q: (-q.weight, q.type_name))
             self._plan = [(q, shares[q.type_name]) for q in by_weight]
             self._plan_key = key
-        to_start: list[QueuedJob] = []
+        to_start: list[JobRequest] = []
         free = idle_nodes
         # Round-robin across queues ordered by descending weight so heavier
         # queues get first pick, until no queue can start anything.

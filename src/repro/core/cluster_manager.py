@@ -72,15 +72,6 @@ RECOVERY_TIMEOUT = 30.0
 
 
 @dataclass
-class TrackingSample:
-    """One power-tracking observation: what we wanted vs. what we measured."""
-
-    time: float
-    target: float
-    measured: float
-
-
-@dataclass
 class ClusterPowerManager:
     """Head-node manager: budget computation and message plumbing.
 
@@ -99,9 +90,10 @@ class ClusterPowerManager:
         Cluster size; each node not held by a job is assumed to draw
         ``IDLE_NODE_POWER`` (facility knowledge).
     meter:
-        Callable returning the current facility-measured cluster power; used
-        only for tracking-accuracy accounting, never for budgeting (the
-        budget is feed-forward from the target, as in AQA).
+        Callable returning the current facility-measured cluster power: each
+        round's ``measured``, which round observers read and the integral
+        trim corrects against (the budget is feed-forward from the target,
+        as in AQA).
     use_feedback:
         Accept online models from job-tier status messages (the paper's
         feedback-enabled configurations), when their R² is at least
@@ -153,7 +145,6 @@ class ClusterPowerManager:
 
     # State, not configuration: what the manager has learned and counted.
     jobs: dict[str, JobRecord] = field(default_factory=dict, init=False)
-    tracking: list[TrackingSample] = field(default_factory=list, init=False)
     events: list[str] = field(default_factory=list, init=False)
     last_round: BudgetRound | None = field(default=None, init=False)
     evictions: int = field(default=0, init=False)
@@ -641,9 +632,6 @@ class ClusterPowerManager:
         rnd.measured = measured
         target = rnd.target
         if math.isfinite(measured):
-            self.tracking.append(
-                TrackingSample(time=rnd.time, target=target, measured=measured)
-            )
             if self.correction_gain > 0:
                 limit = CORRECTION_LIMIT_FRACTION * target
                 self._correction = float(

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -51,14 +51,16 @@ from repro.modeling.quadratic import QuadraticPowerModel
 from repro.plan.envelope import SafetyEnvelope
 from repro.plan.forecast import FORECASTER_KINDS, make_forecaster
 from repro.plan.planner import RecedingHorizonPlanner
-from repro.sched.fcfs import FcfsScheduler, PendingJob
+from repro.sched.fcfs import FcfsScheduler
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.telemetry.prometheus import MetricsHTTPServer
 from repro.util.calendar import EventCalendar
 from repro.util.clock import PeriodicGate
 from repro.util.rng import ensure_rng
 from repro.workloads.nas import NAS_TYPES, JobType, P_NODE_MAX, P_NODE_MIN
 from repro.workloads.trace import JobRequest, Schedule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.prometheus import MetricsHTTPServer
 
 __all__ = ["AnorConfig", "AnorResult", "AnorSystem", "precharacterized_models"]
 
@@ -289,20 +291,6 @@ class AnorResult:
         return out
 
 
-@dataclass
-class _QueuedJob:
-    request: JobRequest
-    job_type: JobType
-    claimed_type: str = ""  # what the submission metadata claims; "" = truthful
-    #: What the scheduler sees, built once: nothing in it ever moves.
-    pending: PendingJob = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.pending = PendingJob(
-            self.request.job_id, self.job_type.nodes, self.request.submit_time
-        )
-
-
 class AnorSystem:
     """A runnable two-tier ANOR deployment over the emulated cluster."""
 
@@ -343,6 +331,9 @@ class AnorSystem:
         )
         self.metrics_server: MetricsHTTPServer | None = None
         if self.telemetry.enabled and cfg.prometheus_port is not None:
+            # Imported here: http.server loads only for runs that serve.
+            from repro.telemetry.prometheus import MetricsHTTPServer
+
             self.metrics_server = MetricsHTTPServer(
                 self.telemetry.registry, cfg.prometheus_port
             )
@@ -370,8 +361,8 @@ class AnorSystem:
         )
         self.manager: ClusterPowerManager | None = self._build_manager()
         self.endpoints: dict[str, JobTierEndpoint] = {}
-        self._queue: list[_QueuedJob] = []
-        self._queue_order: list[PendingJob] | None = None  # see _select
+        # FCFS order, kept at insert (``_enqueue``).
+        self._queue: list[JobRequest] = []
         self._released_seen = 0  # the part of that log whose endpoints are closed
         #: Tick at which the scheduler saw the queue and cluster as they still
         #: are and started nothing (None once either moved).
@@ -393,7 +384,7 @@ class AnorSystem:
         # (what a requeue rebuilds it from): the head's own view, which a
         # checkpoint must carry, distinct from the emulator's ground truth.
         # A job leaves it on completion, requeue or drop, or as an orphan.
-        self._launched: dict[str, _QueuedJob] = {}
+        self._launched: dict[str, JobRequest] = {}
         # Fault-tolerance state: per-job attempt counts, endpoint restarts
         # pending, and run-level incident and recovery records.
         self._attempts: dict[str, int] = {}
@@ -589,8 +580,9 @@ class AnorSystem:
             counter.set_total(n)
 
     def _journal(self, rtype: str, now: float, **data) -> None:
-        if self.durable is not None:
-            self.durable.journal.append(rtype, now, data)
+        # The manager's journal is the store's; its ``_journal`` counts.
+        if self.manager is not None:
+            self.manager._journal(rtype, now, **data)
 
     def _report(
         self,
@@ -612,27 +604,6 @@ class AnorSystem:
             emit = self.telemetry.incident if incident else self.telemetry.event
             emit(category, now, **attrs)
 
-    @staticmethod
-    def _spec_dict(q: _QueuedJob) -> dict:
-        """JSON-serialisable submission spec (enough to rebuild the job)."""
-        return {
-            "job_id": q.request.job_id,
-            "type_name": q.request.type_name,
-            "nodes": q.job_type.nodes,
-            "claimed_type": q.claimed_type,
-            "submit_time": q.request.submit_time,
-        }
-
-    def _spec_from_dict(self, spec: dict) -> _QueuedJob:
-        jt = self.job_types[spec["type_name"]].with_nodes(int(spec["nodes"]))
-        req = JobRequest(
-            submit_time=float(spec["submit_time"]),
-            job_id=str(spec["job_id"]),
-            type_name=str(spec["type_name"]),
-            nodes=int(spec["nodes"]),
-        )
-        return _QueuedJob(request=req, job_type=jt, claimed_type=spec.get("claimed_type", ""))
-
     # ----------------------------------------------------------- job intake
 
     def submit_now(
@@ -641,7 +612,7 @@ class AnorSystem:
         type_name: str,
         *,
         nodes: int | None = None,
-        claimed_type: str | None = None,
+        claimed_type: str = "",
     ) -> None:
         """Submit a job immediately (used by the static-budget experiments).
 
@@ -649,23 +620,17 @@ class AnorSystem:
         cluster tier the job is — the per-job misclassification of Figs. 7–8
         ("bt.D.x=is.D.x").  The job still *executes* as ``type_name``.
         """
-        jt = self.job_types[type_name]
-        if nodes is not None:
-            jt = jt.with_nodes(nodes)
-        self._check_width(job_id, jt.nodes)
+        width = self.job_types[type_name].nodes  # an unknown type fails here
         req = JobRequest(
             submit_time=self.cluster.clock.now,
             job_id=job_id,
             type_name=type_name,
-            nodes=jt.nodes,
+            nodes=width if nodes is None else nodes,
+            claimed_type=claimed_type,
         )
-        queued = _QueuedJob(
-            request=req, job_type=jt, claimed_type=claimed_type or type_name
-        )
-        self._enqueue(queued)
-        self._journal(
-            "job-admit", self.cluster.clock.now, kind="manual", spec=self._spec_dict(queued)
-        )
+        self._check_width(job_id, req.nodes)
+        self._enqueue(req)
+        self._journal("job-admit", self.cluster.clock.now, kind="manual", spec=vars(req))
 
     def _check_width(self, job_id: str, nodes: int) -> None:
         """Refuse a job wider than the cluster: under FCFS it would head the
@@ -678,15 +643,18 @@ class AnorSystem:
     def _intake(self, now: float) -> None:
         while self._pending and self._pending[0].submit_time <= now:
             req = self._pending.pop(0)
-            jt = self.job_types[req.type_name].with_nodes(req.nodes)
-            queued = _QueuedJob(request=req, job_type=jt, claimed_type=req.type_name)
-            self._enqueue(queued)
-            self._journal("job-admit", now, kind="queue", spec=self._spec_dict(queued))
+            self._enqueue(req)
+            self._journal("job-admit", now, kind="queue", spec=vars(req))
 
-    def _enqueue(self, queued: _QueuedJob) -> None:
-        """Queue a job (first submission or requeue)."""
-        self._queue.append(queued)
-        self._queue_order = self._declined_at = None
+    def _enqueue(self, req: JobRequest) -> None:
+        """Queue a job (first submission or requeue) in FCFS order.
+
+        A requeued job keeps its original submit time, so it goes back to
+        the head of the line (it already waited once); among equal submit
+        times the earlier arrival stays first.
+        """
+        insort(self._queue, req, key=operator.attrgetter("submit_time"))
+        self._declined_at = None
 
     def _start_ready(self, now: float) -> None:
         """Start the queued jobs FCFS would start."""
@@ -696,41 +664,28 @@ class AnorSystem:
         if not chosen:
             self._declined_at = now
             return
-        by_id = {q.request.job_id: q for q in self._queue}
-        for selection in chosen:
-            self._launch(by_id[selection.job_id])
-        started = {s.job_id for s in chosen}
-        self._queue = [q for q in self._queue if q.request.job_id not in started]
-        self._queue_order = None
+        for req in chosen:
+            self._launch(req)
+        del self._queue[: len(chosen)]
 
-    def _select(self) -> list[PendingJob]:
+    def _select(self) -> list[JobRequest]:
         """What the scheduler would start on the current queue and cluster."""
-        if self._queue_order is None:
-            # Requeued jobs keep their original submit time, so a stable sort
-            # puts them back at the head of the line (they already waited
-            # once).  The order stands until the queue next changes.
-            self._queue_order = sorted(
-                (q.pending for q in self._queue), key=lambda p: p.submit_time
-            )
-        return self._scheduler.select(self._queue_order, self.cluster.idle_count())
+        return self._scheduler.select(self._queue, self.cluster.idle_count())
 
-    def _launch(self, head: _QueuedJob) -> None:
-        job = self.cluster.start_job(
-            head.request.job_id,
-            head.job_type,
-            submit_time=head.request.submit_time,
-        )
-        self._launched[head.request.job_id] = head
-        attempt = self._attempts.setdefault(head.request.job_id, 1)
+    def _launch(self, req: JobRequest) -> None:
+        job_type = self.job_types[req.type_name].with_nodes(req.nodes)
+        job = self.cluster.start_job(req.job_id, job_type, submit_time=req.submit_time)
+        self._launched[req.job_id] = req
+        attempt = self._attempts.setdefault(req.job_id, 1)
         self._journal(
             "job-admit", self.cluster.clock.now, kind="launch",
-            spec=self._spec_dict(head), attempt=attempt,
+            spec=vars(req), attempt=attempt,
         )
-        self._attach_endpoint(job, head.claimed_type or head.job_type.name)
+        self._attach_endpoint(job, req.claimed_type)
         if self.config.output_dir is not None:
-            self._tracers[head.request.job_id] = JobTracer(
-                Path(self.config.output_dir) / f"{head.request.job_id}.trace.csv",
-                job_id=head.request.job_id,
+            self._tracers[req.job_id] = JobTracer(
+                Path(self.config.output_dir) / f"{req.job_id}.trace.csv",
+                job_id=req.job_id,
             )
 
     def _make_link(self) -> TcpLink:
@@ -855,7 +810,7 @@ class AnorSystem:
         self,
         job_id: str,
         now: float,
-        spec: _QueuedJob | None,
+        spec: JobRequest | None,
         log: list[str],
         requeued: str,
         dropped: str,
@@ -882,7 +837,7 @@ class AnorSystem:
                 "job-admit",
                 now,
                 kind="requeue",
-                spec=self._spec_dict(spec),
+                spec=vars(spec),
                 attempt=attempt,
             )
         else:
@@ -1030,7 +985,7 @@ class AnorSystem:
             if known is not None and known.online_model is not None:
                 warm_model, warm_r2 = known.online_model, known.online_r2
             self._attach_endpoint(
-                job, spec.claimed_type or spec.job_type.name,
+                job, spec.claimed_type,
                 warm_model=warm_model, warm_r2=warm_r2,
             )
             self._report(

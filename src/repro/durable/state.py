@@ -26,11 +26,14 @@ last checkpoint cadence.  What a ``job-evict`` record removes is
 
 from __future__ import annotations
 
+import operator
+from bisect import insort
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.round import JobRecord
 from repro.durable.journal import JournalRecord
 from repro.modeling.quadratic import QuadraticPowerModel
+from repro.workloads.trace import JobRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import AnorSystem
@@ -112,10 +115,8 @@ def capture_state(system: "AnorSystem", now: float) -> dict:
     return {
         "now": float(now),
         "pending_index": len(system.schedule.requests) - len(system._pending),
-        "queue": [system._spec_dict(q) for q in system._queue],
-        "running": {
-            jid: system._spec_dict(q) for jid, q in sorted(system._launched.items())
-        },
+        "queue": [dict(vars(req)) for req in system._queue],
+        "running": {jid: dict(vars(req)) for jid, req in sorted(system._launched.items())},
         "attempts": dict(system._attempts),
         "requeued": list(system.requeued),
         "manager": {
@@ -145,12 +146,11 @@ def unheard_jobs(system: "AnorSystem", heard: dict) -> dict[str, JobRecord]:
     reconnect window closes on its silence — a job that died in the outage
     before it ever spoke is requeued instead of lost."""
     mgr, out = system.manager, {}
-    for job_id, q in system._launched.items():
+    for job_id, req in system._launched.items():
         if job_id not in heard:
-            claimed = q.claimed_type or q.request.type_name
-            believed = system.classifier.model_for(claimed, job_name=job_id)
+            believed = system.classifier.model_for(req.claimed_type, job_name=job_id)
             out[job_id] = JobRecord(
-                job_id, claimed, q.job_type.nodes, link=None, believed_model=believed,
+                job_id, req.claimed_type, req.nodes, link=None, believed_model=believed,
                 believed_p_max=min(believed.p_max, mgr.p_node_max),
             )
     return out
@@ -165,13 +165,13 @@ def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
     system._pending = ordered[int(state["pending_index"]):]
     # The launched jobs come back as submitted.
     system._launched = {
-        job_id: system._spec_from_dict(spec) for job_id, spec in state["running"].items()
+        job_id: JobRequest(**spec) for job_id, spec in state["running"].items()
     }
     system._attempts = {jid: int(n) for jid, n in state["attempts"].items()}
     system.requeued = list(state["requeued"])
     system._queue = []
     for spec in state["queue"]:
-        system._enqueue(system._spec_from_dict(spec))
+        system._enqueue(JobRequest(**spec))
     mgr, saved = system.manager, state["manager"]
     mgr._correction = float(saved["correction"])
     for name in _COUNTERS:
@@ -226,7 +226,7 @@ def apply_journal(state: dict, records: Iterable[JournalRecord]) -> dict:
         if rec.type == "job-admit":
             kind = d.get("kind")
             if kind in ("queue", "manual", "requeue"):
-                queue.append(dict(d["spec"]))
+                insort(queue, dict(d["spec"]), key=operator.itemgetter("submit_time"))
                 if kind == "queue":
                     state["pending_index"] += 1
                 elif kind == "requeue":

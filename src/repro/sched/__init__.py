@@ -7,6 +7,6 @@ free up.  The AQA queue-weight scheduler used by the tabular simulator lives
 in :mod:`repro.aqa.scheduler`.
 """
 
-from repro.sched.fcfs import FcfsScheduler, PendingJob
+from repro.sched.fcfs import FcfsScheduler
 
-__all__ = ["FcfsScheduler", "PendingJob"]
+__all__ = ["FcfsScheduler"]

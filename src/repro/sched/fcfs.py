@@ -2,23 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["FcfsScheduler", "PendingJob"]
+from repro.workloads.trace import JobRequest
 
-
-@dataclass(frozen=True)
-class PendingJob:
-    """A queued job as the scheduler sees it."""
-
-    job_id: str
-    nodes: int
-    submit_time: float
-
-    def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ValueError(f"{self.job_id}: nodes must be ≥ 1")
+__all__ = ["FcfsScheduler"]
 
 
 class FcfsScheduler:
@@ -31,11 +19,11 @@ class FcfsScheduler:
     nodes free up (DESIGN.md §7, stride safety 4–5).
     """
 
-    def select(self, pending: Sequence[PendingJob], idle_nodes: int) -> list[PendingJob]:
+    def select(self, pending: Sequence[JobRequest], idle_nodes: int) -> list[JobRequest]:
         """The prefix of ``pending`` (FCFS-ordered) that fits ``idle_nodes``."""
         if idle_nodes < 0:
             raise ValueError(f"idle_nodes must be ≥ 0, got {idle_nodes}")
-        to_start: list[PendingJob] = []
+        to_start: list[JobRequest] = []
         free = idle_nodes
         for job in pending:
             if job.nodes > free:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.aqa.queues import QueuedJob, QueueSet, WorkQueue
+from repro.aqa.queues import QueueSet, WorkQueue
 from repro.aqa.scheduler import WeightedScheduler
 from repro.tabsim.tables import JobTable, NodeTable, SimJobType
 from repro.tabsim.variation import draw_node_multipliers
@@ -446,14 +446,7 @@ class TabularClusterSimulator:
             self._queued_index[req.job_id] = job_index
             self._queued_count += 1
             self._sched_dirty = True
-            self.scheduler.queues.submit(
-                QueuedJob(
-                    job_id=req.job_id,
-                    type_name=req.type_name,
-                    nodes=req.nodes,
-                    submit_time=req.submit_time,
-                )
-            )
+            self.scheduler.queues.submit(req)
         self._next_submit = (
             pending[self._pending_pos].submit_time
             if self._pending_pos < len(pending)

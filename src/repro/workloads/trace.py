@@ -18,18 +18,29 @@ __all__ = ["JobRequest", "Schedule", "save_schedule", "load_schedule"]
 
 @dataclass(frozen=True)
 class JobRequest:
-    """A single job submission: when, what, and how many nodes."""
+    """A single job submission: when, what, and how many nodes.
+
+    The one record of a submitted job on both platforms: the emulated
+    cluster's queue, launched set and checkpoint hold it as submitted (a
+    checkpoint or journal spec is its fields), and tabsim's work queues hold
+    it too.  ``claimed_type`` is what the submission metadata tells the
+    cluster tier the job is (Figs. 7–8 misclassify it); empty means the
+    truth, ``type_name``.
+    """
 
     submit_time: float
     job_id: str
     type_name: str
     nodes: int
+    claimed_type: str = ""
 
     def __post_init__(self) -> None:
         if self.submit_time < 0:
             raise ValueError(f"submit_time must be ≥ 0, got {self.submit_time}")
         if self.nodes < 1:
             raise ValueError(f"nodes must be ≥ 1, got {self.nodes}")
+        if not self.claimed_type:
+            object.__setattr__(self, "claimed_type", self.type_name)
 
 
 @dataclass

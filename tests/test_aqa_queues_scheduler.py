@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.aqa.queues import QueuedJob, QueueSet, WorkQueue
+from repro.aqa.queues import QueueSet, WorkQueue
 from repro.aqa.scheduler import WeightedScheduler
+from repro.workloads.trace import JobRequest
 
 
 def qj(job_id, type_name, nodes=1, submit=0.0):
-    return QueuedJob(job_id=job_id, type_name=type_name, nodes=nodes, submit_time=submit)
+    return JobRequest(submit_time=submit, job_id=job_id, type_name=type_name, nodes=nodes)
 
 
 class TestWorkQueue:

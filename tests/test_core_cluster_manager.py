@@ -284,12 +284,13 @@ class TestRepeatedModelIsHeartbeat:
 
 class TestTrackingAndCorrection:
     def test_tracking_samples_recorded(self):
-        manager = make_manager(meter=lambda: 800.0)
+        seen = []
+        manager = make_manager(meter=lambda: 800.0, monitors=[seen.append])
         manager.step(0.0)
         manager.step(1.0)
-        assert len(manager.tracking) == 2
-        assert manager.tracking[0].target == 840.0
-        assert manager.tracking[0].measured == 800.0
+        assert len(seen) == 2
+        assert seen[0].target == 840.0
+        assert seen[0].measured == 800.0
 
     def test_integral_correction_raises_budget_when_under(self):
         manager = make_manager(meter=lambda: 700.0, correction_gain=0.5)

@@ -239,11 +239,14 @@ class TestModelValidation:
 class TestMeterFaults:
     def test_nan_meter_skips_sample_and_holds_correction(self):
         readings = iter([800.0, math.nan, math.nan, 800.0])
-        manager = make_manager(meter=lambda: next(readings), correction_gain=0.5)
+        seen = []
+        manager = make_manager(
+            meter=lambda: next(readings), correction_gain=0.5, monitors=[seen.append]
+        )
         for t in range(4):
             manager.step(float(t))
         assert manager.meter_faults == 2
-        assert len(manager.tracking) == 2
+        assert sum(math.isfinite(rnd.measured) for rnd in seen) == 2
 
     def test_raising_meter_is_a_fault_not_a_crash(self):
         def broken():

@@ -27,13 +27,14 @@ from repro.faults import (
 from repro.modeling.classifier import JobClassifier
 
 
-def make_system(schedule=None, *, num_nodes=4, seed=0, target=840.0, **cfg):
+def make_system(schedule=None, *, num_nodes=4, seed=0, target=840.0, monitors=(), **cfg):
     return AnorSystem(
         budgeter=EvenSlowdownBudgeter(),
         target_source=ConstantTarget(target),
         classifier=JobClassifier(precharacterized_models()),
         config=AnorConfig(num_nodes=num_nodes, seed=seed, **cfg),
         fault_schedule=schedule,
+        monitors=monitors,
     )
 
 
@@ -137,13 +138,14 @@ class TestSchedule:
 class TestInjectorMeterAndTarget:
     def test_meter_outage_recorded_and_recovers(self):
         sched = FaultSchedule([MeterOutage(time=10.0, duration=20.0)])
-        system = make_system(sched)
+        seen = []
+        system = make_system(sched, monitors=[seen.append])
         system.submit_now("bt-0", "bt")
         for _ in range(60):
             system.step()
         assert system.manager.meter_faults > 0
         # Samples resume after the outage window closes.
-        assert any(s.time > 35.0 for s in system.manager.tracking)
+        assert any(rnd.time > 35.0 and math.isfinite(rnd.measured) for rnd in seen)
         log = system.faults.render()
         assert "meter-outage start" in log and "meter-outage end" in log
 

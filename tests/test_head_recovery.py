@@ -379,7 +379,7 @@ class TestCrashRecoveryEndToEnd:
         assert not any("died during the head-node outage" in line
                        for line in result.recovery_log)
         assert not killed & (set(system._launched) | set(system.cluster.running))
-        assert not killed & {q.request.job_id for q in system._queue}
+        assert not killed & {req.job_id for req in system._queue}
 
     def test_an_orphan_still_running_stays_launched_across_a_second_crash(
         self, tmp_path
@@ -519,6 +519,20 @@ class TestLiveStateRoundTrip:
         for key in snap:
             assert restored[key] == snap[key], key
 
+    def test_the_journal_counter_counts_every_record(self, tmp_path):
+        """Scheduler and manager records alike: the counter reads what the
+        store holds, the records its checkpoint covers plus the tail."""
+        system = build_system(
+            checkpoint_dir=str(tmp_path / "store"), checkpoint_period=1000.0,
+            telemetry_enabled=True,
+        )
+        for _ in range(120):
+            system.step()
+        payload, replay = system.durable.load()
+        stored = payload["journal_seq"] + len(replay.records)
+        assert {rec.type for rec in replay.records} >= {"job-admit", "cap-decision"}
+        assert system.telemetry.registry.get_value("anor_journal_records_total") == stored
+
     def test_checkpointing_off_means_no_store_touched(self, tmp_path):
         system = build_system(checkpoint_dir=None)
         for _ in range(50):
@@ -588,7 +602,7 @@ class TestHeadStateInventory:
     PERSISTED = {"jobs", "_recovered", "_correction", "evictions",
                  "rejected_statuses", "rejected_models", "meter_faults"}
     #: What a restarted head builds fresh.
-    RESET = {"tracking", "events", "last_round", "cap_rewrites", "enforcement",
+    RESET = {"events", "last_round", "cap_rewrites", "enforcement",
              "admission_held", "recovery_merges", "hello_merges",
              "_recovery_deadline", "_links", "_last_journalled_target"}
 

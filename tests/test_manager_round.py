@@ -417,7 +417,7 @@ class TestOneEmissionSite:
         victim = sorted(cluster.running)[0]
         while victim in cluster.running:  # crashed until it is out of attempts
             crash_node_of(victim)
-            while any(q.request.job_id == victim for q in system._queue):
+            while any(req.job_id == victim for req in system._queue):
                 steps(1)
         cluster.kill_job(sorted(cluster.running)[0])  # gone, with no totals to report
         steps(1)

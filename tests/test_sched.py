@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.framework import AnorConfig, AnorSystem
-from repro.sched.fcfs import FcfsScheduler, PendingJob
+from repro.sched.fcfs import FcfsScheduler
 from repro.workloads.trace import JobRequest, Schedule
 
 
 def pj(job_id, nodes, submit=0.0):
-    return PendingJob(job_id=job_id, nodes=nodes, submit_time=submit)
+    return JobRequest(submit_time=submit, job_id=job_id, type_name="bt", nodes=nodes)
 
 
 class TestValidation:
@@ -66,3 +66,30 @@ class TestFcfs:
         scheduler = FcfsScheduler()
         if scheduler.select(queue, idle) == []:
             assert scheduler.select(queue + tail, idle) == []
+
+
+class TestQueueOrder:
+    def test_a_requeue_rejoins_the_head_and_equal_times_keep_arrival_order(self):
+        """The queue is kept in FCFS order as jobs join it: a job requeued
+        after a node crash keeps its submit time and goes back to the head of
+        the line, and among equal submit times the earlier arrival stays
+        first — a stable sort of the order jobs joined in."""
+        schedule = Schedule([
+            JobRequest(0.0, "a", "bt", 2),
+            JobRequest(5.0, "b", "is", 2),
+            JobRequest(5.0, "c", "cg", 2),
+        ])
+        system = AnorSystem(config=AnorConfig(num_nodes=2), schedule=schedule)
+        while system.cluster.clock.now < 10.0:
+            system.step()
+        system.submit_now("d", "ep", nodes=2)
+        assert system.crash_node(0) == "a"  # requeued with its submit time, 0 s
+        system.submit_now("e", "is", nodes=2)
+        by_id = {req.job_id: req for req in system._queue}
+        joined = [by_id[job_id] for job_id in "bcdae"]
+        assert system._queue == sorted(joined, key=lambda req: req.submit_time)
+        assert [req.job_id for req in system._queue] == list("abcde")
+        system.cluster.restore_node(0)
+        result = system.run(until_idle=True, max_time=5000.0)
+        # Each job takes the whole cluster, so jobs finish in launch order.
+        assert [t.job_id for t in result.completed] == list("abcde")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aqa.queues import QueuedJob, QueueSet, WorkQueue
+from repro.aqa.queues import QueueSet, WorkQueue
 from repro.aqa.regulation import BoundedRandomWalkSignal, TabulatedSignal
 from repro.aqa.scheduler import WeightedScheduler
 from repro.experiments.fig11 import DEFAULT_AVERAGE_POWER, DEFAULT_RESERVE
@@ -516,7 +516,7 @@ class TestWindows:
         )
         for i, (_, _, pending) in enumerate(queues):
             for k, (nodes, submit) in enumerate(pending):
-                qs.submit(QueuedJob(f"q{i}-{k}", f"q{i}", nodes, float(submit)))
+                qs.submit(JobRequest(float(submit), f"q{i}-{k}", f"q{i}", nodes))
         scheduler = WeightedScheduler(qs, work_conserving=work_conserving)
         first = scheduler.schedule(idle)
         again = scheduler.schedule(first.idle_nodes_after)

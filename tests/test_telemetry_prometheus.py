@@ -1,5 +1,8 @@
 """Prometheus text-exposition conformance and the stdlib scrape endpoint."""
 
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
@@ -98,3 +101,14 @@ class TestHTTPServer:
             assert err.value.code == 404
         finally:
             server.shutdown()
+
+
+class TestImportCost:
+    def test_the_framework_loads_no_http_server(self):
+        """``http.server`` loads only when a run serves ``/metrics``."""
+        probe = "import sys, repro.core.framework; print('http.server' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "False"
