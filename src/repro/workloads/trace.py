@@ -79,20 +79,27 @@ _FIELDS = ["submit_time", "job_id", "type_name", "nodes"]
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
-    """Write a schedule as CSV with a header row."""
+    """Write a schedule as CSV with a header row.
+
+    ``claimed_type`` is the last column, so a file written before it
+    existed (six columns) still loads, each job claiming its true type.
+    """
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_FIELDS + ["duration", "start_time"])
+        writer.writerow(_FIELDS + ["duration", "start_time", "claimed_type"])
         for i, req in enumerate(schedule.requests):
             extras = (
                 [repr(schedule.duration), repr(schedule.start_time)] if i == 0 else ["", ""]
             )
             writer.writerow(
-                [repr(req.submit_time), req.job_id, req.type_name, req.nodes] + extras
+                [repr(req.submit_time), req.job_id, req.type_name, req.nodes]
+                + extras + [req.claimed_type]
             )
         if not schedule.requests:
-            writer.writerow(["", "", "", "", repr(schedule.duration), repr(schedule.start_time)])
+            writer.writerow(
+                ["", "", "", "", repr(schedule.duration), repr(schedule.start_time), ""]
+            )
 
 
 def load_schedule(path: str | Path) -> Schedule:
@@ -118,6 +125,7 @@ def load_schedule(path: str | Path) -> Schedule:
                     job_id=row[1],
                     type_name=row[2],
                     nodes=int(row[3]),
+                    claimed_type=row[6] if len(row) > 6 else "",
                 )
             )
     return Schedule(requests=requests, duration=duration, start_time=start_time)

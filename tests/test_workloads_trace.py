@@ -85,6 +85,23 @@ class TestFileRoundTrip:
         save_schedule(sched, path)
         assert load_schedule(path).requests[0].submit_time == t
 
+    def test_claimed_type_roundtrip(self, tmp_path):
+        sched = Schedule(
+            requests=[JobRequest(0.0, "a", "bt", 2, claimed_type="is")], duration=60.0
+        )
+        path = tmp_path / "claimed.csv"
+        save_schedule(sched, path)
+        assert load_schedule(path).requests == sched.requests
+
+    def test_six_column_file_claims_the_truth(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text(
+            "submit_time,job_id,type_name,nodes,duration,start_time\n"
+            "0.0,a,bt,2,60.0,0.0\n"
+        )
+        assert load_schedule(path).requests == [JobRequest(0.0, "a", "bt", 2)]
+        assert load_schedule(path).requests[0].claimed_type == "bt"
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope,nope\n1,2\n")
