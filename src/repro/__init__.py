@@ -24,34 +24,24 @@ See ``examples/`` for runnable scenarios and ``repro.experiments`` for the
 paper-figure harnesses.
 """
 
-from repro.budget import EvenPowerBudgeter, EvenSlowdownBudgeter, UniformCapBudgeter
-from repro.core import (
-    AnorConfig,
-    AnorSystem,
-    ConstantTarget,
-    RegulationTarget,
-    SteppedTarget,
-)
-from repro.modeling import JobClassifier, OnlineModeler, QuadraticPowerModel
-from repro.workloads import NAS_TYPES, JobType, PoissonScheduleGenerator, Schedule
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "AnorConfig",
-    "AnorSystem",
-    "ConstantTarget",
-    "RegulationTarget",
-    "SteppedTarget",
-    "EvenPowerBudgeter",
-    "EvenSlowdownBudgeter",
-    "UniformCapBudgeter",
-    "JobClassifier",
-    "OnlineModeler",
-    "QuadraticPowerModel",
-    "NAS_TYPES",
-    "JobType",
-    "PoissonScheduleGenerator",
-    "Schedule",
-]
+_exports, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core.framework": ("AnorConfig", "AnorSystem"),
+        "core.targets": ("ConstantTarget", "RegulationTarget", "SteppedTarget"),
+        "budget.even_power": ("EvenPowerBudgeter",),
+        "budget.even_slowdown": ("EvenSlowdownBudgeter",),
+        "budget.uniform": ("UniformCapBudgeter",),
+        "modeling.classifier": ("JobClassifier",),
+        "modeling.online": ("OnlineModeler",),
+        "modeling.quadratic": ("QuadraticPowerModel",),
+        "workloads.nas": ("NAS_TYPES", "JobType"),
+        "workloads.generator": ("PoissonScheduleGenerator",),
+        "workloads.trace": ("Schedule",),
+    },
+)
+__all__ = ["__version__", *_exports]

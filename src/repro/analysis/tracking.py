@@ -37,7 +37,8 @@ def tracking_error_series(
     power over the signal period (the paper's CPU power comes from energy
     counters, §5.4), so scoring the instantaneous 1 s meter would penalise
     sub-period churn the grid never sees; pass the target-update period
-    (4 samples at 1 Hz for Fig. 9) to evaluate like-for-like.
+    (4 samples at 1 Hz for Fig. 9) to evaluate like-for-like.  Near either
+    end of the trace the window is cut short, not zero-padded.
     """
     trace = np.asarray(trace, dtype=float)
     if trace.ndim != 2 or trace.shape[1] != 3:
@@ -48,8 +49,12 @@ def tracking_error_series(
         raise ValueError(f"smooth_samples must be ≥ 1, got {smooth_samples}")
     measured = trace[:, 2]
     if smooth_samples > 1 and measured.size >= smooth_samples:
-        kernel = np.ones(smooth_samples) / smooth_samples
-        measured = np.convolve(measured, kernel, mode="same")
+        # Each sample averages the samples of its window that lie inside the
+        # trace: ``mode="same"`` pads with zeros, which would drag the first
+        # and last few averages down.  The interior divides by the full width.
+        kernel = np.ones(smooth_samples)
+        inside = np.convolve(np.ones(measured.size), kernel, mode="same")
+        measured = np.convolve(measured, kernel, mode="same") / inside
     mask = np.ones(trace.shape[0], dtype=bool)
     if t_start is not None:
         mask &= trace[:, 0] >= t_start

@@ -13,37 +13,20 @@ on AQA.  This package implements the pieces ANOR uses:
   including random sampling of properties for unknown job types (§4.4.2).
 """
 
-from repro.aqa.qos import QoSConstraint, generate_queue_trace, qos_degradation
-from repro.aqa.regulation import (
-    BoundedRandomWalkSignal,
-    RegulationSignal,
-    SinusoidSignal,
-    TabulatedSignal,
-)
-from repro.aqa.queues import QueueSet, WorkQueue
-from repro.aqa.scheduler import WeightedScheduler
-from repro.aqa.bidder import Bid, BidEvaluation, DemandResponseBidder
-from repro.aqa.session import DemandResponseSession, HourMetrics, HourRecord
-from repro.aqa.training import TrainingResult, train_queue_weights, sample_unknown_type
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QoSConstraint",
-    "generate_queue_trace",
-    "qos_degradation",
-    "BoundedRandomWalkSignal",
-    "RegulationSignal",
-    "SinusoidSignal",
-    "TabulatedSignal",
-    "QueueSet",
-    "WorkQueue",
-    "WeightedScheduler",
-    "Bid",
-    "BidEvaluation",
-    "DemandResponseBidder",
-    "DemandResponseSession",
-    "HourMetrics",
-    "HourRecord",
-    "TrainingResult",
-    "train_queue_weights",
-    "sample_unknown_type",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "qos": ("QoSConstraint", "generate_queue_trace", "qos_degradation"),
+        "regulation": (
+            "BoundedRandomWalkSignal", "RegulationSignal", "SinusoidSignal",
+            "TabulatedSignal",
+        ),
+        "queues": ("QueueSet", "WorkQueue"),
+        "scheduler": ("WeightedScheduler",),
+        "bidder": ("Bid", "BidEvaluation", "DemandResponseBidder"),
+        "session": ("DemandResponseSession", "HourMetrics", "HourRecord"),
+        "training": ("TrainingResult", "train_queue_weights", "sample_unknown_type"),
+    },
+)

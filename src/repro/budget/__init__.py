@@ -11,16 +11,14 @@ jobs.  The paper evaluates:
   "uniform power distribution" of Fig. 10).
 """
 
-from repro.budget.base import BudgetAllocation, JobBudgetRequest, PowerBudgeter
-from repro.budget.even_power import EvenPowerBudgeter
-from repro.budget.even_slowdown import EvenSlowdownBudgeter
-from repro.budget.uniform import UniformCapBudgeter
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BudgetAllocation",
-    "JobBudgetRequest",
-    "PowerBudgeter",
-    "EvenPowerBudgeter",
-    "EvenSlowdownBudgeter",
-    "UniformCapBudgeter",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("BudgetAllocation", "JobBudgetRequest", "PowerBudgeter"),
+        "even_power": ("EvenPowerBudgeter",),
+        "even_slowdown": ("EvenSlowdownBudgeter",),
+        "uniform": ("UniformCapBudgeter",),
+    },
+)

@@ -380,6 +380,17 @@ def _run_trace_summary(path: str) -> tuple[str, int]:
     return "\n".join(lines), (1 if errors else 0)
 
 
+class _Drills:
+    """The ``--drill`` choices, read from ``resilience.SCENARIOS`` only when a
+    drill name is checked or ``anor resilience --help`` prints them, so that
+    building the parser imports no experiment (DESIGN.md §7, *Startup*)."""
+
+    def __iter__(self):
+        from repro.experiments.resilience import SCENARIOS
+
+        return iter(SCENARIOS)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="anor",
@@ -402,15 +413,14 @@ def main(argv: list[str] | None = None) -> int:
                 "--csv", default=None, help="also write the plotted series as CSV"
             )
         if name == "resilience":
-            from repro.experiments.resilience import SCENARIOS
-
             drill_parser = p
             p.add_argument(
                 "--drill",
-                choices=list(SCENARIOS),
+                choices=_Drills(),
+                metavar="DRILL",
                 default="faults",
-                help="which drill to run and score (default: faults, the "
-                "fig9 workload under the standard fault load)",
+                help="which drill to run and score: %(choices)s (default: "
+                "faults, the fig9 workload under the standard fault load)",
             )
             p.add_argument(
                 "--checkpoint-dir",
@@ -486,6 +496,8 @@ def main(argv: list[str] | None = None) -> int:
             args.quick, args.seed, args.out, jobs=args.jobs, seeds=all_seeds
         )
     elif args.experiment == "resilience":
+        from repro.experiments.resilience import SCENARIOS
+
         given = {
             k: v
             for k in ("checkpoint_dir", "checkpoint_period", "seconds")

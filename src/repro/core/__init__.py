@@ -12,40 +12,21 @@
   and both tiers into a runnable system (the Figs. 6–10 harness).
 """
 
-from repro.core.messages import BudgetMessage, GoodbyeMessage, HelloMessage, StatusMessage
-from repro.core.transport import LatencyChannel, TcpLink
-from repro.core.targets import (
-    CarbonAwareTarget,
-    ConstantTarget,
-    PowerTargetSource,
-    RegulationTarget,
-    SteppedTarget,
-    TariffAwareTarget,
-    load_target_file,
-    save_target_file,
-)
-from repro.core.job_endpoint import JobTierEndpoint
-from repro.core.cluster_manager import ClusterPowerManager, JobRecord
-from repro.core.framework import AnorSystem, AnorConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BudgetMessage",
-    "GoodbyeMessage",
-    "HelloMessage",
-    "StatusMessage",
-    "LatencyChannel",
-    "TcpLink",
-    "CarbonAwareTarget",
-    "ConstantTarget",
-    "PowerTargetSource",
-    "RegulationTarget",
-    "SteppedTarget",
-    "TariffAwareTarget",
-    "load_target_file",
-    "save_target_file",
-    "JobTierEndpoint",
-    "ClusterPowerManager",
-    "JobRecord",
-    "AnorSystem",
-    "AnorConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "messages": ("BudgetMessage", "GoodbyeMessage", "HelloMessage", "StatusMessage"),
+        "transport": ("LatencyChannel", "TcpLink"),
+        "targets": (
+            "CarbonAwareTarget", "ConstantTarget", "PowerTargetSource",
+            "RegulationTarget", "SteppedTarget", "TariffAwareTarget",
+            "load_target_file", "save_target_file",
+        ),
+        "job_endpoint": ("JobTierEndpoint",),
+        "round": ("JobRecord",),
+        "cluster_manager": ("ClusterPowerManager",),
+        "framework": ("AnorSystem", "AnorConfig"),
+    },
+)

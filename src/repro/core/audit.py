@@ -158,20 +158,51 @@ class TrustTransition:
     reason: str
 
 
+class _Window:
+    """One audited series, newest last: sample times beside the values, so
+    ``max`` and ``sum`` over the values run in C."""
+
+    __slots__ = ("times", "values")
+
+    def __init__(self) -> None:
+        self.times: deque = deque()
+        self.values: deque = deque()
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def append(self, t: float, value) -> None:
+        self.times.append(t)
+        self.values.append(value)
+
+    def clear(self) -> None:
+        self.times.clear()
+        self.values.clear()
+
+    def trim(self, horizon: float) -> None:
+        """Drop samples older than the window, keeping one at or before
+        ``horizon`` so the differenced span always covers it once warm."""
+        times, values = self.times, self.values
+        while len(times) >= 2 and times[1] <= horizon:
+            times.popleft()
+            values.popleft()
+
+
 @dataclass
 class _JobAudit:
     """Per-job windows and state-machine bookkeeping."""
 
     state: str = TRUSTED
     node_key: tuple[int, ...] = ()
-    # (time, cumulative joules) samples, newest last.
-    energy: deque = field(default_factory=deque)
-    # (time, dispatched cap W/node) in force during the elapsed interval.
-    caps: deque = field(default_factory=deque)
-    # (time, self-reported measured_power W) from status messages.
-    reported: deque = field(default_factory=deque)
-    # (status timestamp, epoch_count, applied cap) — deduped by timestamp.
-    progress: deque = field(default_factory=deque)
+    # Cumulative joules over the job's nodes.
+    energy: _Window = field(default_factory=_Window)
+    # Dispatched cap (W/node) in force during the elapsed interval.
+    caps: _Window = field(default_factory=_Window)
+    # Self-reported measured_power (W) from status messages.
+    reported: _Window = field(default_factory=_Window)
+    # Epoch count and applied cap at each status timestamp, deduped by it.
+    epochs: _Window = field(default_factory=_Window)
+    applied: _Window = field(default_factory=_Window)
     violation_streak: int = 0
     clean_streak: int = 0
     last_metered: float | None = None  # windowed W over all job nodes
@@ -188,7 +219,8 @@ class _JobAudit:
         self.energy.clear()
         self.caps.clear()
         self.reported.clear()
-        self.progress.clear()
+        self.epochs.clear()
+        self.applied.clear()
         self.last_metered = None
 
 
@@ -304,7 +336,7 @@ class CapComplianceAuditor:
                 audit.reset_windows()
                 audit.node_key = node_key
             self._ingest(audit, record, now, energy)
-            span = audit.energy[-1][0] - audit.energy[0][0]
+            span = audit.energy.times[-1] - audit.energy.times[0]
             if span < AUDIT_WINDOW:
                 continue  # warmup: tolerate setup phases and cold windows
             violations = self._evaluate(audit, record, now, len(node_key))
@@ -319,33 +351,24 @@ class CapComplianceAuditor:
         self, audit: _JobAudit, record: "JobRecord", now: float, energy: float
     ) -> None:
         """Append this round's samples and trim everything to the window."""
-        audit.energy.append((now, float(energy)))
+        audit.energy.append(now, float(energy))
         if record.last_cap is not None:
             # last_cap is the cap dispatched *last* round — i.e. the cap in
             # force during the interval that just elapsed.
-            audit.caps.append((now, float(record.last_cap)))
+            audit.caps.append(now, float(record.last_cap))
         status = record.last_status
         if status is not None:
-            audit.reported.append((now, float(status.measured_power)))
-            if (
-                not audit.progress
-                or status.timestamp > audit.progress[-1][0]
-            ):
-                audit.progress.append(
-                    (status.timestamp, status.epoch_count, status.applied_cap)
-                )
+            audit.reported.append(now, float(status.measured_power))
+            if not audit.epochs or status.timestamp > audit.epochs.times[-1]:
+                audit.epochs.append(status.timestamp, status.epoch_count)
+                audit.applied.append(status.timestamp, status.applied_cap)
                 self._accumulate_regime(
                     audit, status.timestamp, status.epoch_count,
                     status.applied_cap,
                 )
         horizon = now - AUDIT_WINDOW
-        # Keep one sample at-or-before the horizon so the differenced span
-        # always covers ≥ window once warm.
-        for series in (audit.energy, audit.caps, audit.reported):
-            while len(series) >= 2 and series[1][0] <= horizon:
-                series.popleft()
-        while len(audit.progress) >= 2 and audit.progress[1][0] <= horizon:
-            audit.progress.popleft()
+        for window in (audit.energy, audit.caps, audit.reported, audit.epochs, audit.applied):
+            window.trim(horizon)
 
     @staticmethod
     def _accumulate_regime(
@@ -399,15 +422,15 @@ class CapComplianceAuditor:
         self, audit: _JobAudit, record: "JobRecord", now: float, nodes: int
     ) -> list[str]:
         """Run all applicable checks; return the violated check names."""
-        t0, e0 = audit.energy[0]
-        t1, e1 = audit.energy[-1]
-        metered = (e1 - e0) / (t1 - t0)  # W over all the job's nodes
+        energy = audit.energy
+        t0, t1 = energy.times[0], energy.times[-1]
+        metered = (energy.values[-1] - energy.values[0]) / (t1 - t0)  # W, all nodes
         audit.last_metered = metered
         per_node = metered / max(nodes, 1)
         violations: list[str] = []
 
         if audit.caps:
-            ref_cap = max(cap for _, cap in audit.caps)
+            ref_cap = max(audit.caps.values)
             if audit.state in _DISTRUSTED:
                 # Probe-compliance: while distrusted, the dispatched caps
                 # are the ratcheting probe; no absolute guardband, so a
@@ -420,19 +443,18 @@ class CapComplianceAuditor:
         # Meter cross-check: only while demonstrably active — relative
         # comparisons at idle/setup/teardown draw are meaningless.
         if audit.reported and per_node >= self.p_node_min * 0.9:
-            mean_rep = sum(p for _, p in audit.reported) / len(audit.reported)
+            mean_rep = sum(audit.reported.values) / len(audit.reported)
             if abs(mean_rep - metered) > MISMATCH_TOLERANCE * metered:
                 violations.append("meter-mismatch")
 
         model = record.online_model
-        if model is not None and len(audit.progress) >= 2:
-            ts0, ep0, _ = audit.progress[0]
-            ts1, ep1, _ = audit.progress[-1]
-            d_epochs = ep1 - ep0
+        if model is not None and len(audit.epochs) >= 2:
+            epochs = audit.epochs
+            ts0, ts1 = epochs.times[0], epochs.times[-1]
+            d_epochs = epochs.values[-1] - epochs.values[0]
             if d_epochs >= MIN_REPLAY_EPOCHS and ts1 > ts0:
                 observed = (ts1 - ts0) / d_epochs
-                mean_cap = sum(c for _, _, c in audit.progress) / len(
-                    audit.progress)
+                mean_cap = sum(audit.applied.values) / len(audit.applied)
                 predicted = float(model.time_per_epoch(mean_cap))
                 if (
                     predicted > 0

@@ -28,22 +28,24 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.budget.base import JobBudgetRequest, PowerBudgeter
-from repro.core.audit import CapComplianceAuditor
 from repro.core.messages import BudgetMessage, GoodbyeMessage, HelloMessage, StatusMessage
 from repro.core.round import BudgetRound, JobRecord
 from repro.core.targets import HoldLastGoodTarget, PowerTargetSource
 from repro.core.transport import TcpLink
-from repro.durable.journal import Journal
-from repro.facility.breaker import PowerBreaker
-from repro.facility.shed import ShedController
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
-from repro.plan.planner import RecedingHorizonPlanner
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.workloads.nas import IDLE_NODE_POWER
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.audit import CapComplianceAuditor
+    from repro.durable.journal import Journal
+    from repro.facility.breaker import PowerBreaker
+    from repro.facility.shed import ShedController
+    from repro.plan.planner import RecedingHorizonPlanner
 
 __all__ = ["JobRecord", "BudgetRound", "ClusterPowerManager"]
 

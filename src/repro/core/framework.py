@@ -17,6 +17,7 @@ re-budgets — the same multi-rate asynchrony §7.2 discusses.
 
 from __future__ import annotations
 
+import importlib
 import math
 import operator
 from bisect import bisect_left, insort
@@ -28,29 +29,17 @@ import numpy as np
 
 from repro.budget.base import PowerBudgeter
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
-from repro.core.audit import CapComplianceAuditor
+from repro.core.choices import FORECASTER_KINDS, SHED_CLASSES
 from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.job_endpoint import JobTierEndpoint
-from repro.core.reliable import ReliableLink
 from repro.core.round import BudgetRound
 from repro.core.targets import ConstantTarget, PowerTargetSource
 from repro.core.transport import LinkLedger, TcpLink
-from repro.durable.recovery import crash_head, reconcile_orphan, restart_head
-from repro.durable.state import capture_state
-from repro.durable.store import DurableStore
-from repro.facility.breaker import PowerBreaker
-from repro.facility.shed import SHED_CLASSES, ShedController, ShedLadder
-from repro.faults.injector import FaultInjector
-from repro.faults.schedule import FaultSchedule
 from repro.geopm.report import ApplicationTotals, render_report
-from repro.geopm.tracer import JobTracer
 from repro.hwsim.cluster import EmulatedCluster
 from repro.hwsim.job import RunningJob
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
-from repro.plan.envelope import SafetyEnvelope
-from repro.plan.forecast import FORECASTER_KINDS, make_forecaster
-from repro.plan.planner import RecedingHorizonPlanner
 from repro.sched.fcfs import FcfsScheduler
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util.calendar import EventCalendar
@@ -60,6 +49,11 @@ from repro.workloads.nas import NAS_TYPES, JobType, P_NODE_MAX, P_NODE_MIN
 from repro.workloads.trace import JobRequest, Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.reliable import ReliableLink
+    from repro.durable.store import DurableStore
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule
+    from repro.geopm.tracer import JobTracer
     from repro.telemetry.prometheus import MetricsHTTPServer
 
 __all__ = ["AnorConfig", "AnorResult", "AnorSystem", "precharacterized_models"]
@@ -356,9 +350,11 @@ class AnorSystem:
         )
         # The durable store exists before the manager: a manager's round is
         # built once, around the journal it is constructed with.
-        self.durable: DurableStore | None = (
-            DurableStore(cfg.checkpoint_dir) if cfg.checkpoint_dir is not None else None
-        )
+        self.durable: DurableStore | None = None
+        if cfg.checkpoint_dir is not None:
+            from repro.durable.store import DurableStore
+
+            self.durable = DurableStore(cfg.checkpoint_dir)
         self.manager: ClusterPowerManager | None = self._build_manager()
         self.endpoints: dict[str, JobTierEndpoint] = {}
         # FCFS order, kept at insert (``_enqueue``).
@@ -399,8 +395,21 @@ class AnorSystem:
         self.faults: FaultInjector | None = None
         self._fault_tick = []
         if fault_schedule is not None:
+            from repro.faults.injector import FaultInjector
+
             self.faults = FaultInjector(self, fault_schedule)
             self._fault_tick.append((self._inject_faults, lambda: (self.faults.next_due,)))
+        # What a feature's stages import at first use loads here, with the
+        # feature, so run() itself imports nothing (DESIGN.md §7, *Startup*):
+        # the link wrapper every launch dials, the per-job GEOPM trace, and
+        # the head-node lifecycle that checkpoints, faults and restarts drive.
+        for module, wanted in (
+            ("repro.core.reliable", cfg.reliable_messaging),
+            ("repro.geopm.tracer", cfg.output_dir is not None),
+            ("repro.durable.recovery", self.durable is not None or self.faults is not None),
+        ):
+            if wanted:
+                importlib.import_module(module)
         self._build_tick()
 
     def _build_tick(self) -> None:
@@ -454,6 +463,8 @@ class AnorSystem:
         if cfg.breaker_margin is not None:
             # A fresh breaker per manager build: breaker state is head-local
             # and does not survive a head-node crash (it re-arms closed).
+            from repro.facility.breaker import PowerBreaker
+
             breaker = PowerBreaker(
                 margin=cfg.breaker_margin, telemetry=self.telemetry
             )
@@ -462,6 +473,8 @@ class AnorSystem:
             # Fresh auditor per manager build: trust state is deliberately
             # head-local (not checkpointed) — a restarted head re-earns its
             # verdicts from new evidence rather than trusting a stale one.
+            from repro.core.audit import CapComplianceAuditor
+
             auditor = CapComplianceAuditor(
                 job_meter=self._job_meter,
                 p_node_min=P_NODE_MIN,
@@ -474,6 +487,10 @@ class AnorSystem:
             # state, like breaker and auditor verdicts — a restarted head
             # starts from shadow (or active when plan_shadow_rounds is 0)
             # and re-earns promotion from new forecast scores.
+            from repro.plan.envelope import SafetyEnvelope
+            from repro.plan.forecast import make_forecaster
+            from repro.plan.planner import RecedingHorizonPlanner
+
             planner = RecedingHorizonPlanner(
                 budgeter=self.budgeter,
                 forecaster=make_forecaster(cfg.plan_forecaster, self.target_source),
@@ -491,6 +508,8 @@ class AnorSystem:
             # hysteresis streaks, the ramped recovery ceiling) is head-local
             # and does not survive a head-node crash — a restarted head
             # re-grades the feed from new observations.
+            from repro.facility.shed import ShedController, ShedLadder
+
             shed = ShedController(
                 ladder=ShedLadder(),
                 classes=dict(cfg.shed_classes or {}),
@@ -683,6 +702,8 @@ class AnorSystem:
         )
         self._attach_endpoint(job, req.claimed_type)
         if self.config.output_dir is not None:
+            from repro.geopm.tracer import JobTracer
+
             self._tracers[req.job_id] = JobTracer(
                 Path(self.config.output_dir) / f"{req.job_id}.trace.csv",
                 job_id=req.job_id,
@@ -712,6 +733,8 @@ class AnorSystem:
         if not self.config.reliable_messaging:
             self.manager.register_link(raw)
             return raw
+        from repro.core.reliable import ReliableLink
+
         self._link_serial += 1
         manager_side = ReliableLink(
             raw, "cluster", seed=self._rng,
@@ -857,6 +880,8 @@ class AnorSystem:
         actions, self.manager.enforcement = self.manager.enforcement, []
         for action, job_id in actions:
             if action == "orphan":
+                from repro.durable.recovery import reconcile_orphan
+
                 reconcile_orphan(self, job_id, now)
             else:
                 self._shed_job(job_id, action, now)
@@ -912,6 +937,8 @@ class AnorSystem:
         """
         if self.manager is None:
             return False
+        from repro.durable.recovery import crash_head
+
         crash_head(self, self.cluster.clock.now if now is None else now)
         return True
 
@@ -928,6 +955,8 @@ class AnorSystem:
         """
         if self.manager is not None:
             return False
+        from repro.durable.recovery import restart_head
+
         restart_head(self, self.cluster.clock.now if now is None else now)
         return True
 
@@ -1025,6 +1054,8 @@ class AnorSystem:
 
     def _checkpoint(self, now: float) -> None:
         if self._checkpoint_gate.due(now):
+            from repro.durable.state import capture_state
+
             self.durable.save_checkpoint({"state": capture_state(self, now)})
             if self.telemetry.enabled:
                 self._mx_checkpoints.inc()

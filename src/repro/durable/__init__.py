@@ -23,34 +23,20 @@ failure.  This package makes that state survive the process:
   incident), and reconciliation of the orphans a recovery window closes on.
 """
 
-from repro.durable.checkpoint import (
-    SCHEMA_VERSION,
-    CheckpointError,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.durable.journal import Journal, JournalRecord, JournalReplay
-from repro.durable.state import (
-    JOB_EVICT,
-    apply_journal,
-    capture_state,
-    empty_state,
-    restore_state,
-)
-from repro.durable.store import DurableStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "CheckpointError",
-    "read_checkpoint",
-    "write_checkpoint",
-    "Journal",
-    "JournalRecord",
-    "JournalReplay",
-    "DurableStore",
-    "JOB_EVICT",
-    "apply_journal",
-    "capture_state",
-    "empty_state",
-    "restore_state",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "checkpoint": (
+            "SCHEMA_VERSION", "CheckpointError", "read_checkpoint",
+            "write_checkpoint",
+        ),
+        "journal": ("Journal", "JournalRecord", "JournalReplay"),
+        "state": (
+            "JOB_EVICT", "apply_journal", "capture_state", "empty_state",
+            "restore_state",
+        ),
+        "store": ("DurableStore",),
+    },
+)

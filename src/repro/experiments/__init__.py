@@ -7,4 +7,8 @@ match the paper's parameters; benchmarks pass scaled-down knobs (fewer
 trials, shorter schedules) to keep runtimes reasonable.
 """
 
+from repro._lazy import lazy_exports
+
+# Each exported name is a submodule, imported on first attribute access.
+_, __getattr__, __dir__ = lazy_exports(__name__, {})
 __all__ = ["fig3", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11", "resilience"]

@@ -10,7 +10,7 @@ ceiling); jobs arrive from 6 long-running types at 95 % node utilization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -20,10 +20,12 @@ from repro.budget.base import PowerBudgeter
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
 from repro.core.framework import AnorConfig, AnorResult, AnorSystem, precharacterized_models
 from repro.core.targets import PowerTargetSource, RegulationTarget
-from repro.faults.schedule import FaultSchedule
 from repro.modeling.classifier import JobClassifier, Misclassification
 from repro.workloads.generator import PoissonScheduleGenerator
 from repro.workloads.nas import NAS_TYPES, long_running_mix
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.schedule import FaultSchedule
 
 __all__ = ["Fig9Result", "run_fig9", "build_demand_response_system", "format_table"]
 

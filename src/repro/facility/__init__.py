@@ -12,34 +12,19 @@ described to the facility by an aggregate power-performance model, so the
 facility can run either an even-power or an even-slowdown split.
 """
 
-from repro.facility.breaker import PowerBreaker
-from repro.facility.coordinator import (
-    ClusterMember,
-    FacilityCoordinator,
-    MutableTarget,
-    aggregate_cluster_model,
-)
-from repro.facility.shed import (
-    SEVERITY_LEVELS,
-    SEVERITY_VALUES,
-    SHED_ACTIONS,
-    SHED_CLASSES,
-    SHED_PLANS,
-    ShedController,
-    ShedLadder,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterMember",
-    "FacilityCoordinator",
-    "MutableTarget",
-    "PowerBreaker",
-    "ShedController",
-    "ShedLadder",
-    "SEVERITY_LEVELS",
-    "SEVERITY_VALUES",
-    "SHED_ACTIONS",
-    "SHED_CLASSES",
-    "SHED_PLANS",
-    "aggregate_cluster_model",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "breaker": ("PowerBreaker",),
+        "coordinator": (
+            "ClusterMember", "FacilityCoordinator", "MutableTarget",
+            "aggregate_cluster_model",
+        ),
+        "shed": (
+            "ShedController", "ShedLadder", "SEVERITY_LEVELS",
+            "SEVERITY_VALUES", "SHED_ACTIONS", "SHED_CLASSES", "SHED_PLANS",
+        ),
+    },
+)

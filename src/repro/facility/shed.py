@@ -46,6 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from repro.core.choices import SHED_CLASSES
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -68,9 +69,6 @@ SEVERITY_LEVELS = ("normal", "brownout-1", "brownout-2", "blackstart")
 
 #: Gauge encoding for ``anor_shed_severity`` (Prometheus wants a number).
 SEVERITY_VALUES = {name: i for i, name in enumerate(SEVERITY_LEVELS)}
-
-#: Shed classes a job may declare, most expendable first.
-SHED_CLASSES = ("preemptible", "checkpointable", "protected")
 
 #: Escalation chain of per-job actions, mildest first.
 SHED_ACTIONS = ("none", "cap-to-floor", "preempt", "kill")

@@ -15,48 +15,19 @@ event stream.
   bit-identical event log for a given (seed, schedule) pair.
 """
 
-from repro.faults.events import (
-    ByzantineModel,
-    CorruptStatus,
-    DemandResponseEmergency,
-    EndpointCrash,
-    FaultEvent,
-    FeederLoss,
-    HeadNodeCrash,
-    HeadNodeRestart,
-    LinkDegradation,
-    MeterDrift,
-    MeterOutage,
-    NetworkPartition,
-    NodeCrash,
-    PartitionEnd,
-    PartitionStart,
-    StuckActuator,
-    TargetOutage,
-    ThermalDerate,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.schedule import FaultSchedule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultEvent",
-    "NodeCrash",
-    "EndpointCrash",
-    "HeadNodeCrash",
-    "HeadNodeRestart",
-    "LinkDegradation",
-    "NetworkPartition",
-    "PartitionStart",
-    "PartitionEnd",
-    "MeterOutage",
-    "TargetOutage",
-    "CorruptStatus",
-    "ByzantineModel",
-    "StuckActuator",
-    "MeterDrift",
-    "FeederLoss",
-    "ThermalDerate",
-    "DemandResponseEmergency",
-    "FaultSchedule",
-    "FaultInjector",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "events": (
+            "FaultEvent", "NodeCrash", "EndpointCrash", "HeadNodeCrash",
+            "HeadNodeRestart", "LinkDegradation", "NetworkPartition",
+            "PartitionStart", "PartitionEnd", "MeterOutage", "TargetOutage",
+            "CorruptStatus", "ByzantineModel", "StuckActuator", "MeterDrift",
+            "FeederLoss", "ThermalDerate", "DemandResponseEmergency",
+        ),
+        "injector": ("FaultInjector",),
+        "schedule": ("FaultSchedule",),
+    },
+)

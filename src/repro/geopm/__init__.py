@@ -9,27 +9,17 @@ package provides those four pieces against the emulated hardware in
 :mod:`repro.hwsim`, whose node-indexed columns hold the agents' state.
 """
 
-from repro.geopm.msr import MSR_PKG_ENERGY_STATUS, MSR_PKG_POWER_LIMIT, MsrBank
-from repro.geopm.signals import PlatformIO, SignalNames, ControlNames
-from repro.geopm.profiler import EpochProfiler
-from repro.geopm.comm_tree import AgentTree
-from repro.geopm.agent import AgentPolicy, AgentSample, JobAgentGroup
-from repro.geopm.endpoint import Endpoint
-from repro.geopm.report import ApplicationTotals, render_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MSR_PKG_ENERGY_STATUS",
-    "MSR_PKG_POWER_LIMIT",
-    "MsrBank",
-    "PlatformIO",
-    "SignalNames",
-    "ControlNames",
-    "EpochProfiler",
-    "AgentTree",
-    "AgentPolicy",
-    "AgentSample",
-    "JobAgentGroup",
-    "Endpoint",
-    "ApplicationTotals",
-    "render_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "msr": ("MSR_PKG_ENERGY_STATUS", "MSR_PKG_POWER_LIMIT", "MsrBank"),
+        "signals": ("PlatformIO", "SignalNames", "ControlNames"),
+        "profiler": ("EpochProfiler",),
+        "comm_tree": ("AgentTree",),
+        "agent": ("AgentPolicy", "AgentSample", "JobAgentGroup"),
+        "endpoint": ("Endpoint",),
+        "report": ("ApplicationTotals", "render_report"),
+    },
+)

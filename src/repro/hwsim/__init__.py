@@ -10,9 +10,14 @@ power-performance curve, per-node performance-variation multipliers, and the
 low-power setup/teardown phases §7.2 identifies as a real-world confounder.
 """
 
-from repro.hwsim.node import Node
-from repro.hwsim.job import JobPhase, RunningJob
-from repro.hwsim.cluster import EmulatedCluster
-from repro.hwsim.platform_power import ClusterPowerModel, NodePowerModel
+from repro._lazy import lazy_exports
 
-__all__ = ["Node", "JobPhase", "RunningJob", "EmulatedCluster", "ClusterPowerModel", "NodePowerModel"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "node": ("Node",),
+        "job": ("JobPhase", "RunningJob"),
+        "cluster": ("EmulatedCluster",),
+        "platform_power": ("ClusterPowerModel", "NodePowerModel"),
+    },
+)

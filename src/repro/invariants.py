@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.analysis.tracking import tracking_error_series
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
-from repro.facility import shed as facility_shed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import AnorConfig, AnorResult, AnorSystem
@@ -171,7 +170,12 @@ class RoundMonitor:
         self.violations: list[tuple[str, float, str]] = []
         self.max_ramp_step = 0.0
         shed = config is not None and config.shed_enabled
-        self._ramp_watts = facility_shed.RAMP_WATTS_PER_ROUND if shed else None
+        self._ramp_watts = None
+        if shed:
+            # Loaded with the ladder it checks (DESIGN.md §7, *Startup*).
+            from repro.facility import shed as facility_shed
+
+            self._ramp_watts = facility_shed.RAMP_WATTS_PER_ROUND
         self._protected = frozenset(
             claimed
             for claimed, cls in ((config.shed_classes or {}).items() if shed else ())

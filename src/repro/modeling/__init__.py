@@ -6,28 +6,17 @@ new epochs have been observed.  Jobs with no model yet use a *default model*
 chosen by policy (§6.1.2 evaluates the least- and most-sensitive choices).
 """
 
-from repro.modeling.quadratic import FitResult, QuadraticPowerModel
-from repro.modeling.online import EpochHistory, EpochSample, OnlineModeler
-from repro.modeling.default_models import (
-    DefaultModelPolicy,
-    LeastSensitivePolicy,
-    MostSensitivePolicy,
-    NamedTypePolicy,
-    RandomKnownTypePolicy,
-)
-from repro.modeling.classifier import JobClassifier, Misclassification
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FitResult",
-    "QuadraticPowerModel",
-    "EpochHistory",
-    "EpochSample",
-    "OnlineModeler",
-    "DefaultModelPolicy",
-    "LeastSensitivePolicy",
-    "MostSensitivePolicy",
-    "NamedTypePolicy",
-    "RandomKnownTypePolicy",
-    "JobClassifier",
-    "Misclassification",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "quadratic": ("FitResult", "QuadraticPowerModel"),
+        "online": ("EpochHistory", "EpochSample", "OnlineModeler"),
+        "default_models": (
+            "DefaultModelPolicy", "LeastSensitivePolicy", "MostSensitivePolicy",
+            "NamedTypePolicy", "RandomKnownTypePolicy",
+        ),
+        "classifier": ("JobClassifier", "Misclassification"),
+    },
+)

@@ -21,40 +21,17 @@ Everything is opt-in via ``AnorConfig.plan_*``; with the knobs off the
 control plane is bit-identical to the reactive seed behaviour.
 """
 
-from repro.plan.envelope import (
-    PLAN_ACTIVE,
-    PLAN_FALLBACK,
-    PLAN_SHADOW,
-    SafetyEnvelope,
-)
-from repro.plan.forecast import (
-    AR1Forecaster,
-    ForecastErrorWindow,
-    ForecastPoint,
-    InvertedRampForecaster,
-    PersistenceForecaster,
-    RampForecaster,
-    ScheduleForecaster,
-    TargetForecaster,
-    make_forecaster,
-)
-from repro.plan.planner import Plan, PlannedRound, RecedingHorizonPlanner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AR1Forecaster",
-    "ForecastErrorWindow",
-    "ForecastPoint",
-    "InvertedRampForecaster",
-    "PersistenceForecaster",
-    "Plan",
-    "PlannedRound",
-    "PLAN_ACTIVE",
-    "PLAN_FALLBACK",
-    "PLAN_SHADOW",
-    "RampForecaster",
-    "RecedingHorizonPlanner",
-    "SafetyEnvelope",
-    "ScheduleForecaster",
-    "TargetForecaster",
-    "make_forecaster",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "envelope": ("PLAN_ACTIVE", "PLAN_FALLBACK", "PLAN_SHADOW", "SafetyEnvelope"),
+        "forecast": (
+            "AR1Forecaster", "ForecastErrorWindow", "ForecastPoint",
+            "InvertedRampForecaster", "PersistenceForecaster", "RampForecaster",
+            "ScheduleForecaster", "TargetForecaster", "make_forecaster",
+        ),
+        "planner": ("Plan", "PlannedRound", "RecedingHorizonPlanner"),
+    },
+)

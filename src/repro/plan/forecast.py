@@ -36,6 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.core.choices import FORECASTER_KINDS
 from repro.core.targets import HoldLastGoodTarget, PowerTargetSource, RegulationTarget
 
 __all__ = [
@@ -49,8 +50,6 @@ __all__ = [
     "ScheduleForecaster",
     "make_forecaster",
 ]
-
-FORECASTER_KINDS = ("auto", "schedule", "persistence", "ramp", "ar1", "adversarial")
 
 #: Lookahead (s) over which a statistical forecast's confidence decays by e.
 CONFIDENCE_TAU = 60.0

@@ -7,6 +7,11 @@ free up.  The AQA queue-weight scheduler used by the tabular simulator lives
 in :mod:`repro.aqa.scheduler`.
 """
 
-from repro.sched.fcfs import FcfsScheduler
+from repro._lazy import lazy_exports
 
-__all__ = ["FcfsScheduler"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "fcfs": ("FcfsScheduler",),
+    },
+)

@@ -12,18 +12,13 @@ to simulate a simple linear power-performance relationship"), unlike the
 quadratic models of the job tier.
 """
 
-from repro.tabsim.tables import JobState, JobTable, NodeTable, SimJobType
-from repro.tabsim.simulator import SimConfig, SimResult, TabularClusterSimulator
-from repro.tabsim.variation import variation_sigma_for_band, draw_node_multipliers
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JobState",
-    "JobTable",
-    "NodeTable",
-    "SimJobType",
-    "SimConfig",
-    "SimResult",
-    "TabularClusterSimulator",
-    "variation_sigma_for_band",
-    "draw_node_multipliers",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "tables": ("JobState", "JobTable", "NodeTable", "SimJobType"),
+        "simulator": ("SimConfig", "SimResult", "TabularClusterSimulator"),
+        "variation": ("variation_sigma_for_band", "draw_node_multipliers"),
+    },
+)

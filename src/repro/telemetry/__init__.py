@@ -21,34 +21,29 @@ pins).
 
 from __future__ import annotations
 
-from repro.telemetry.events import INCIDENT, NULL_BUS, EventBus
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.sinks import JsonlTraceSink, RingBufferSink
+from repro._lazy import lazy_exports
+from repro.telemetry.events import NULL_BUS, EventBus
+from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
 
 #: Records the in-memory ring keeps (the oldest are evicted first); the
 #: JSONL trace, when set, keeps every record.
 RING_SIZE = 4096
 
+_exports, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "events": ("INCIDENT",),
+        "metrics": ("Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS"),
+        "sinks": ("RingBufferSink", "JsonlTraceSink"),
+    },
+)
 __all__ = [
     "Telemetry",
     "NULL_TELEMETRY",
     "EventBus",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "RingBufferSink",
-    "JsonlTraceSink",
-    "DEFAULT_BUCKETS",
-    "INCIDENT",
     "summarize_incidents",
+    *_exports,
 ]
 
 
@@ -68,6 +63,9 @@ class Telemetry:
             self.ring = None
             self.trace_sink = None
             return
+        # Only an enabled handle has sinks to fill.
+        from repro.telemetry.sinks import JsonlTraceSink, RingBufferSink
+
         self.registry = MetricsRegistry()
         self.bus = EventBus()
         self.ring = RingBufferSink(RING_SIZE)

@@ -5,26 +5,14 @@ Every stochastic component in this package draws randomness from an explicit
 so that independent subsystems get independent, reproducible streams.
 """
 
-from repro.util.rng import derive_rng, ensure_rng, spawn_rng
-from repro.util.clock import SimClock
-from repro.util.maths import (
-    bisect_scalar,
-    clamp,
-    monotone_decreasing,
-    weighted_percentile,
-)
-from repro.util.stats import RunningStats, confidence_interval_95, percentile
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "derive_rng",
-    "ensure_rng",
-    "spawn_rng",
-    "SimClock",
-    "bisect_scalar",
-    "clamp",
-    "monotone_decreasing",
-    "weighted_percentile",
-    "RunningStats",
-    "confidence_interval_95",
-    "percentile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "rng": ("derive_rng", "ensure_rng", "spawn_rng"),
+        "clock": ("SimClock",),
+        "maths": ("bisect_scalar", "clamp", "monotone_decreasing", "weighted_percentile"),
+        "stats": ("RunningStats", "confidence_interval_95", "percentile"),
+    },
+)

@@ -8,28 +8,16 @@ IS least), and so the characterization fit R² scores land near the paper's
 reported values (most ≥ 0.97; IS 0.92, MG 0.94, SP 0.84).
 """
 
-from repro.workloads.nas import (
-    NAS_TYPES,
-    JobType,
-    default_mix,
-    get_job_type,
-    long_running_mix,
-    misclassification_trio,
-)
-from repro.workloads.generator import PoissonScheduleGenerator, arrival_rates_for_utilization
-from repro.workloads.trace import JobRequest, Schedule, load_schedule, save_schedule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NAS_TYPES",
-    "JobType",
-    "default_mix",
-    "get_job_type",
-    "long_running_mix",
-    "misclassification_trio",
-    "PoissonScheduleGenerator",
-    "arrival_rates_for_utilization",
-    "JobRequest",
-    "Schedule",
-    "load_schedule",
-    "save_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "nas": (
+            "NAS_TYPES", "JobType", "default_mix", "get_job_type",
+            "long_running_mix", "misclassification_trio",
+        ),
+        "generator": ("PoissonScheduleGenerator", "arrival_rates_for_utilization"),
+        "trace": ("JobRequest", "Schedule", "load_schedule", "save_schedule"),
+    },
+)

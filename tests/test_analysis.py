@@ -43,6 +43,24 @@ class TestTrackingErrorSeries:
         smooth = tracking_error_series(tr, 100.0, smooth_samples=4)
         assert smooth.mean() < raw.mean()
 
+    def test_exact_tracking_scores_zero_at_the_edges(self):
+        # A zero-padded moving average would read the first and last samples
+        # low: 0.81 at the last sample of this trace with a 4-sample window.
+        tr = trace([1000.0] * 20, [1000.0] * 20)
+        for width in (2, 3, 4, 5):
+            err = tracking_error_series(tr, 100.0, smooth_samples=width)
+            assert err.tolist() == [0.0] * 20
+
+    def test_smoothing_keeps_the_interior_average(self):
+        rng = np.random.default_rng(3)
+        measured = 1000.0 + 50.0 * rng.standard_normal(40)
+        tr = trace([1000.0] * 40, measured.tolist())
+        err = tracking_error_series(tr, 100.0, smooth_samples=4)
+        # Interior sample i averages samples i-2 .. i+1, as mode="same" centres
+        # an even window.
+        window = np.convolve(measured, np.ones(4) / 4, mode="valid")
+        assert err[2:-1].tolist() == (np.abs(window - 1000.0) / 100.0).tolist()
+
     def test_validates_shape(self):
         with pytest.raises(ValueError, match=r"\(n, 3\)"):
             tracking_error_series(np.zeros((5, 2)), 10.0)
