@@ -1,8 +1,9 @@
 """The cluster-tier power manager (paper §4, §4.4).
 
-A single process on the head node: it reads the time-varying cluster power
-target, listens to each job's endpoint over its TCP link, chooses per-job
-power caps with a pluggable budgeter, and sends each job its new cap.  Job
+A single process on the head node: each period it is handed the facility's
+two readings (the cluster power target and the metered cluster power),
+listens to each job's endpoint over its TCP link, chooses per-job power caps
+with a pluggable budgeter, and sends each job its new cap.  Job
 power-performance models come from three places, in priority order:
 
 1. the job tier's online fit, when feedback is enabled and a fit arrived
@@ -19,7 +20,8 @@ dead-job timeout is evicted and its link garbage-collected (so a dropped
 goodbye cannot leak a ghost :class:`JobRecord`), inbound model coefficients
 are strictly validated (one NaN must not poison the budgeter's bisection),
 and meter/target faults degrade gracefully (skip the sample / hold the last
-good target with bounded decay).
+good target with bounded decay).  The readings are the round's inputs
+(``step(now, feed, measured)``): the manager reads no facility object itself.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.budget.base import JobBudgetRequest, PowerBudgeter
 from repro.core.messages import BudgetMessage, GoodbyeMessage, HelloMessage, StatusMessage
 from repro.core.round import BudgetRound, JobRecord
-from repro.core.targets import HoldLastGoodTarget, PowerTargetSource
+from repro.core.targets import HoldLastGoodTarget
 from repro.core.transport import TcpLink
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
@@ -81,21 +83,11 @@ class ClusterPowerManager:
     ----------
     budgeter:
         Power-cap allocation policy.
-    target_source:
-        Time-varying cluster power target (W).  Wrapped in a
-        :class:`~repro.core.targets.HoldLastGoodTarget` on construction so a
-        raising or NaN-emitting source degrades to hold-last-with-decay
-        instead of crashing the control loop.
     classifier:
         Supplies the believed model for each job's claimed type.
     total_nodes:
         Cluster size; each node not held by a job is assumed to draw
         ``IDLE_NODE_POWER`` (facility knowledge).
-    meter:
-        Callable returning the current facility-measured cluster power: each
-        round's ``measured``, which round observers read and the integral
-        trim corrects against (the budget is feed-forward from the target,
-        as in AQA).
     use_feedback:
         Accept online models from job-tier status messages (the paper's
         feedback-enabled configurations), when their R² is at least
@@ -104,10 +96,8 @@ class ClusterPowerManager:
     """
 
     budgeter: PowerBudgeter
-    target_source: PowerTargetSource
     classifier: JobClassifier
     total_nodes: int
-    meter: Callable[[], float] | None = None
     use_feedback: bool = True
     p_node_min: float = 140.0
     p_node_max: float = 280.0
@@ -146,6 +136,10 @@ class ClusterPowerManager:
     monitors: Sequence[Callable[[BudgetRound], None]] = ()
 
     # State, not configuration: what the manager has learned and counted.
+    # The hold-last-good filter every round's feed reading passes through:
+    # a raising or NaN-emitting feed degrades to hold-last-with-decay
+    # instead of crashing the control loop.
+    target_hold: HoldLastGoodTarget = field(init=False)
     jobs: dict[str, JobRecord] = field(default_factory=dict, init=False)
     events: list[str] = field(default_factory=list, init=False)
     last_round: BudgetRound | None = field(default=None, init=False)
@@ -174,11 +168,7 @@ class ClusterPowerManager:
     _last_journalled_target: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.target_source, HoldLastGoodTarget):
-            self.target_source = HoldLastGoodTarget(
-                self.target_source,
-                floor=self.total_nodes * self.p_node_min,
-            )
+        self.target_hold = HoldLastGoodTarget(floor=self.total_nodes * self.p_node_min)
         self._round_span = 0
         # The message handlers' counters: no-ops from a disabled registry.
         reg = self.telemetry.registry
@@ -199,7 +189,6 @@ class ClusterPowerManager:
             self._init_round_metrics()
         # The round (DESIGN.md §4h): every stage takes the BudgetRound; a
         # feature that is off contributes no entry.
-        metered = self.meter is not None
         journalled = self.journal is not None
         self._stages = [stage for stage in (
             tel and self._open_round,
@@ -211,8 +200,8 @@ class ClusterPowerManager:
             tel and self._trace_target,
             journalled and self._journal_target,
             self.planner is not None and self.planner.observe_stage,
-            metered and self._read_meter,
-            metered and self.breaker is not None and self.breaker.observe_stage,
+            self._read_meter,
+            self.breaker is not None and self.breaker.observe_stage,
             self._budget,
             self._publish,
             tel and self._close_round,
@@ -595,9 +584,11 @@ class ClusterPowerManager:
             return False
         return self.planner.take_due_instants(now)
 
-    def step(self, now: float) -> dict[str, float]:
+    def step(self, now: float, feed: float, measured: float) -> dict[str, float]:
         """One manager period: drain messages, budget, send caps.
 
+        ``feed`` is the facility's target reading and ``measured`` the
+        metered cluster power (W), each NaN when it could not be read.
         Returns the per-job node caps chosen this round (empty when no jobs
         are connected).
         """
@@ -606,6 +597,8 @@ class ClusterPowerManager:
             jobs=self.jobs,
             report=self._report,
             p_min=self.p_node_min,
+            feed=feed,
+            measured=measured,
         )
         for stage in self._stages:
             stage(rnd)
@@ -614,7 +607,7 @@ class ClusterPowerManager:
     # ------------------------------------------------- stages of every round
 
     def _read_target(self, rnd: BudgetRound) -> None:
-        rnd.target = self.target_source.target(rnd.time)
+        rnd.target = self.target_hold.read(rnd.time, rnd.feed)
 
     def _journal_target(self, rnd: BudgetRound) -> None:
         if rnd.target != self._last_journalled_target:
@@ -622,17 +615,12 @@ class ClusterPowerManager:
                 "target-change",
                 rnd.time,
                 target=rnd.target,
-                hold=self.target_source.state_dict(),
+                hold=self.target_hold.state_dict(),
             )
             self._last_journalled_target = rnd.target
 
     def _read_meter(self, rnd: BudgetRound) -> None:
-        try:
-            measured = float(self.meter())
-        except Exception:
-            measured = math.nan
-        rnd.measured = measured
-        target = rnd.target
+        measured, target = rnd.measured, rnd.target
         if math.isfinite(measured):
             if self.correction_gain > 0:
                 limit = CORRECTION_LIMIT_FRACTION * target
@@ -767,7 +755,7 @@ class ClusterPowerManager:
             caps=rnd.caps,
             correction=self._correction,
             target=rnd.target,
-            hold=self.target_source.state_dict(),
+            hold=self.target_hold.state_dict(),
         )
 
     # --------------------------------------------------- telemetry stages

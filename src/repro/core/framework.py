@@ -245,6 +245,23 @@ class LinkConditions:
 
 
 @dataclass
+class FeedConditions:
+    """What the facility's two readings are doing now.
+
+    ``AnorSystem.feed_conditions`` starts healthy; the fault injector
+    rewrites it for as long as a facility window is open: a
+    ``TargetOutage`` takes the target feed down (it reads NaN), feeder
+    losses, thermal derates and demand-response emergencies scale it, and a
+    ``MeterOutage`` darkens the meter (NaN).  The system reads both through
+    it before every manager round (:meth:`AnorSystem._manager_round`).
+    """
+
+    target_down: bool = False
+    target_scale: float = 1.0
+    meter_dark: bool = False
+
+
+@dataclass
 class AnorResult:
     """Outputs of one end-to-end run."""
 
@@ -335,6 +352,7 @@ class AnorSystem:
         # works: they must survive links being replaced or garbage-collected.
         self._link_ledger = LinkLedger()
         self.link_conditions = LinkConditions()
+        self.feed_conditions = FeedConditions()
         # Every ReliableLink wrapper ever created (partition-event ledger)
         # and per-job backoff state for re-dialling closed links.
         self._reliable_links: list[ReliableLink] = []
@@ -518,10 +536,8 @@ class AnorSystem:
             )
         return ClusterPowerManager(
             budgeter=self.budgeter,
-            target_source=self.target_source,
             classifier=self.classifier,
             total_nodes=self.config.num_nodes,
-            meter=lambda: self.cluster.measured_power,
             use_feedback=self.config.feedback_enabled,
             p_node_min=P_NODE_MIN,
             p_node_max=P_NODE_MAX,
@@ -1045,8 +1061,21 @@ class AnorSystem:
             self._manager_gate.restore(now, 1)
             manager_due = True
         if manager_due:
-            self.manager.step(now)
+            feed = self.feed_conditions
+            self.manager.step(
+                now,
+                math.nan if feed.target_down else self.read_target(now) * feed.target_scale,
+                math.nan if feed.meter_dark else self.cluster.measured_power,
+            )
             self._enforce(now)
+
+    def read_target(self, now: float) -> float:
+        """The target source at ``now`` (W); NaN when the source raises,
+        which the manager's hold-last-good filter rides out."""
+        try:
+            return float(self.target_source.target(now))
+        except Exception:
+            return math.nan
 
     def _manager_wakes(self) -> tuple:
         instant = self.manager.next_plan_instant()
@@ -1121,7 +1150,7 @@ class AnorSystem:
         else:
             times, totals = [now], [self.cluster.advance(cfg.tick)]
         for t, measured in zip(times, totals):
-            self._trace.append((t, self.target_source.target(t), measured))
+            self._trace.append((t, self.read_target(t), measured))
         if self.telemetry.enabled:
             # A gauge holds its latest sample only — the window's final tick,
             # the one completions land on — and no message moves on a

@@ -73,10 +73,14 @@ class BudgetRound:
     report: Callable[..., None]
     p_min: float  # lowest per-node cap the platform enforces
     span: int = 0  # control-round span id (0: telemetry off)
-    # Budgeting target: the feed as read, then the shed ladder's ramped
-    # ceiling when it is lower.
+    # The round's inputs, as the system read them: the facility's target
+    # feed and meter sample (W; NaN: no reading this round).  No stage
+    # writes either.
+    feed: float = math.nan
+    measured: float = math.nan
+    # Budgeting target: the feed through the manager's hold-last-good
+    # filter, then the shed ladder's ramped ceiling when it is lower.
     target: float = 0.0
-    measured: float = math.nan  # facility meter sample (NaN: none this round)
     correction: float = 0.0
     # False when no job is connected or recovering: nothing is budgeted and
     # the round is not published.

@@ -182,37 +182,33 @@ class TariffAwareTarget(PowerTargetSource):
         return self.p_max
 
 
-class HoldLastGoodTarget(PowerTargetSource):
-    """Fault-tolerant wrapper: hold the last good target with bounded decay.
+class HoldLastGoodTarget:
+    """Fault-tolerant filter on the target feed: hold the last good target
+    with bounded decay.
 
     The facility's target feed is an external dependency — a regulation
     signal file, a carbon-intensity API — and it can stall, raise, or emit
-    NaN/inf rows.  The cluster manager must keep budgeting regardless, so
-    this wrapper:
+    NaN/inf rows.  The cluster manager must keep budgeting regardless, so it
+    passes each round's feed reading (NaN when the source raised) through
+    :meth:`read`, which:
 
     * passes finite positive values straight through (recording them);
-    * on a bad read (non-finite, non-positive, or a raised exception), holds
-      the last good value for ``HOLD_GRACE`` seconds;
+    * on a bad reading (non-finite or non-positive), holds the last good
+      value for ``HOLD_GRACE`` seconds;
     * past the grace window, decays the held value exponentially (at
       ``HOLD_DECAY_RATE`` per second) toward
       ``floor`` (the lowest enforceable cluster power) — a conservative
       ramp-down, since a long-silent feed may mean the facility wants load
       shed and the safe direction is downward;
-    * before any good read has arrived, serves ``floor``.
+    * before any good reading has arrived, serves ``floor``.
 
     ``degraded_reads`` counts how many reads were served from the fallback
     path, for observability.
     """
 
-    def __init__(
-        self,
-        inner: PowerTargetSource,
-        *,
-        floor: float,
-    ) -> None:
+    def __init__(self, *, floor: float) -> None:
         if floor <= 0:
             raise ValueError(f"floor must be positive, got {floor}")
-        self.inner = inner
         self.floor = float(floor)
         self.degraded_reads = 0
         self._last_good: float | None = None
@@ -238,11 +234,8 @@ class HoldLastGoodTarget(PowerTargetSource):
         self._last_good_time = float(state.get("last_good_time", 0.0))
         self.degraded_reads = int(state.get("degraded_reads", 0))
 
-    def target(self, now: float) -> float:
-        try:
-            value = float(self.inner.target(now))
-        except Exception:
-            value = math.nan
+    def read(self, now: float, value: float) -> float:
+        """The target to budget at ``now``, given the feed's ``value``."""
         if math.isfinite(value) and value > 0:
             self._last_good = value
             self._last_good_time = now

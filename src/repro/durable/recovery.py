@@ -82,8 +82,6 @@ def restart_head(system: "AnorSystem", now: float) -> None:
     reconnect every surviving endpoint."""
     state = _load_state(system, now)
     system.manager = system._build_manager()
-    if system.faults is not None:
-        system.faults.reattach()
     if state is not None:
         restore_state(system, state, now)
         recovered = len(system.manager._recovered)

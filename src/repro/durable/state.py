@@ -130,7 +130,7 @@ def capture_state(system: "AnorSystem", now: float) -> dict:
             },
             "counters": {name: getattr(mgr, name) for name in _COUNTERS},
         },
-        "target_hold": mgr.target_source.state_dict(),
+        "target_hold": mgr.target_hold.state_dict(),
         "gates": {
             "manager": list(system._manager_gate.phase),
             "checkpoint": list(system._checkpoint_gate.phase),
@@ -176,7 +176,7 @@ def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
     mgr._correction = float(saved["correction"])
     for name in _COUNTERS:
         setattr(mgr, name, int(saved["counters"][name]))
-    mgr.target_source.restore_state(state["target_hold"])
+    mgr.target_hold.restore_state(state["target_hold"])
     recovered = {
         job_id: job_record(job_id, entry, system.classifier, mgr.p_node_min)
         for job_id, entry in saved["jobs"].items()

@@ -44,8 +44,8 @@ EVENT_LOG_LIMIT = 256
 class MutableTarget(PowerTargetSource):
     """A power-target source the facility tier can rewrite at runtime.
 
-    Handed to a member cluster's :class:`~repro.core.cluster_manager.
-    ClusterPowerManager` in place of a file-backed target: the facility
+    Handed to a member cluster's :class:`~repro.core.framework.AnorSystem`
+    as its target source, in place of a file-backed target: the facility
     coordinator calls :meth:`set` whenever it re-splits the facility budget.
     """
 

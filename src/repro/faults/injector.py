@@ -19,8 +19,8 @@ import math
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.framework import FeedConditions
 from repro.core.messages import StatusMessage
-from repro.core.targets import HoldLastGoodTarget, PowerTargetSource
 from repro.faults.events import (
     ByzantineModel,
     CorruptStatus,
@@ -69,26 +69,6 @@ _WINDOWS = {
 }
 
 
-class _SwitchableTarget(PowerTargetSource):
-    """Passes through to ``inner`` unless switched into outage (NaN).
-
-    ``scale`` models facility incidents (feeder loss, thermal derate,
-    demand-response steps) that *reduce* the feed rather than blind it:
-    the target stays finite, just smaller, so downstream hold-last-good
-    logic passes it through and the control plane must actually shed.
-    """
-
-    def __init__(self, inner: PowerTargetSource) -> None:
-        self.inner = inner
-        self.down = False
-        self.scale = 1.0
-
-    def target(self, now: float) -> float:
-        if self.down:
-            return math.nan
-        return self.inner.target(now) * self.scale
-
-
 class FaultInjector:
     """Applies scheduled faults to a running :class:`AnorSystem`."""
 
@@ -103,11 +83,10 @@ class FaultInjector:
         self._seq = 0
         # Every open window, in the order they opened: key -> (scope, event),
         # scope the one link a job-scoped window holds (None: cluster-wide).
-        # The meter, the target feed, ``system.link_conditions`` and every
+        # ``system.feed_conditions``, ``system.link_conditions`` and every
         # live link are functions of this table alone (``_sync``), so windows
         # that overlap compose and the last one to close leaves nothing behind.
         self._open: dict[int, tuple[object, FaultEvent]] = {}
-        self._meter_dark = False
         self._healthy_net = replace(system.link_conditions)
         # Jobs currently carrying a rogue-endpoint fault (byzantine model,
         # stuck actuator, meter drift): auto-targeted rogue events skip
@@ -117,40 +96,8 @@ class FaultInjector:
         # job-targeted fault each job took, for drills and invariants that
         # ask "was this job ever a victim?" without parsing ``log``.
         self.victims: dict[str, tuple[str, float, float | None]] = {}
-        self._install_meter_hook()
-        self._target_switch = self._install_target_hook()
 
     # ------------------------------------------------------------ plumbing
-
-    def _install_meter_hook(self) -> None:
-        inner = self.system.manager.meter
-        if inner is None:
-            return
-
-        def metered() -> float:
-            return math.nan if self._meter_dark else float(inner())
-
-        self.system.manager.meter = metered
-
-    def _install_target_hook(self) -> _SwitchableTarget:
-        hold = self.system.manager.target_source
-        if not isinstance(hold, HoldLastGoodTarget):  # pragma: no cover - guard
-            raise TypeError("manager target source must be a HoldLastGoodTarget")
-        switch = _SwitchableTarget(hold.inner)
-        hold.inner = switch
-        return switch
-
-    def reattach(self) -> None:
-        """Re-hook a freshly built manager (head-node restart path).
-
-        The meter and target hooks wrap objects owned by the manager, so a
-        new manager needs new hooks; the open windows live in the injector
-        and carry across — an outage window spanning the head-node restart
-        keeps the restarted head degraded until the window closes.
-        """
-        self._install_meter_hook()
-        self._target_switch = self._install_target_hook()
-        self._sync()
 
     def _record(self, now: float, line: str) -> None:
         self.log.append(f"t={now:10.1f} {line}")
@@ -225,21 +172,27 @@ class FaultInjector:
                 net.partitioned = True
         return net
 
+    def _feed_state(self) -> FeedConditions:
+        """What the open windows make of the facility's readings: dark or
+        down while any outage is open, concurrent facility incidents
+        multiplying (two 30 % losses leave 49 % of the feed)."""
+        feed = FeedConditions()
+        for _, event in self._open.values():
+            if isinstance(event, MeterOutage):
+                feed.meter_dark = True
+            elif isinstance(event, TargetOutage):
+                feed.target_down = True
+            elif isinstance(event, _FEED_INCIDENTS):
+                feed.target_scale *= 1.0 - event.magnitude
+        return feed
+
     def _sync(self, released: object = None) -> None:
         """Re-derive everything a window can touch from the open windows:
-        dark while any outage is open, concurrent facility incidents
-        multiplying (two 30 % losses leave 49 % of the feed), what a link
-        dialled now is born with, and every live link — plus the link a
-        job-scoped window just ``released``, live or not (a link replaced
-        mid-window still draws from the shared RNG while it is lossy)."""
-        events = [event for _, event in self._open.values()]
-        self._meter_dark = any(isinstance(e, MeterOutage) for e in events)
-        self._target_switch.down = any(isinstance(e, TargetOutage) for e in events)
-        scale = 1.0
-        for event in events:
-            if isinstance(event, _FEED_INCIDENTS):
-                scale *= 1.0 - event.magnitude
-        self._target_switch.scale = scale
+        the facility's readings, what a link dialled now is born with, and
+        every live link — plus the link a job-scoped window just
+        ``released``, live or not (a link replaced mid-window still draws
+        from the shared RNG while it is lossy)."""
+        self.system.feed_conditions = self._feed_state()
         self.system.link_conditions = self._link_state()
         links = [endpoint.link for endpoint in self.system.endpoints.values()]
         if released is not None:

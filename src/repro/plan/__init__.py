@@ -7,7 +7,7 @@ error.  This package adds a lookahead layer:
 
 * :mod:`repro.plan.forecast` — ``TargetForecaster`` implementations that
   turn past target samples (or exact file-backed breakpoints) into a
-  horizon of ``(t, ŷ, confidence)`` points with online error tracking.
+  horizon of ``(t, ŷ)`` points with online error tracking.
 * :mod:`repro.plan.planner` — ``RecedingHorizonPlanner`` pre-solves the
   budgeter over the next H control rounds, yielding per-job cap
   trajectories with cap-churn hysteresis, and exposes upcoming plan

@@ -1,4 +1,4 @@
-"""Target forecasters: past target samples → a horizon of (t, ŷ, confidence).
+"""Target forecasters: past target samples → a horizon of (t, ŷ) points.
 
 A forecaster sees exactly what the cluster manager sees — the target value
 read at each control round — and extrapolates it over the planning horizon.
@@ -28,7 +28,6 @@ Not to be confused with :mod:`repro.modeling.forecasting`, which predicts
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.choices import FORECASTER_KINDS
-from repro.core.targets import HoldLastGoodTarget, PowerTargetSource, RegulationTarget
+from repro.core.targets import PowerTargetSource, RegulationTarget
 
 __all__ = [
     "ForecastPoint",
@@ -51,8 +50,6 @@ __all__ = [
     "make_forecaster",
 ]
 
-#: Lookahead (s) over which a statistical forecast's confidence decays by e.
-CONFIDENCE_TAU = 60.0
 #: Samples the ramp forecaster fits its slope through: eight manager rounds.
 RAMP_FIT_POINTS = 8
 #: Scored forecasts each forecaster's MAE and bias are taken over: the
@@ -62,17 +59,10 @@ ERROR_WINDOW = 16
 
 @dataclass(frozen=True)
 class ForecastPoint:
-    """One horizon point: predicted target ``value`` (W) at ``time``.
-
-    ``confidence`` ∈ (0, 1] decays with lookahead distance; the planner
-    currently records it for observability (the envelope's min-bound makes
-    the plan safe regardless), but a future multi-cluster layer can weight
-    pre-positioning decisions by it.
-    """
+    """One horizon point: predicted target ``value`` (W) at ``time``."""
 
     time: float
     value: float
-    confidence: float
 
 
 class ForecastErrorWindow:
@@ -108,7 +98,7 @@ class TargetForecaster(ABC):
     """Common interface: observe target samples, emit a forecast horizon.
 
     Subclasses implement :meth:`predict`; the base class handles sample
-    bookkeeping, confidence decay, and the online error window.  The
+    bookkeeping and the online error window.  The
     *caller* (the planner) decides which issued predictions to score via
     :meth:`record_error` — the forecaster itself has no notion of the
     control-round cadence.
@@ -137,16 +127,9 @@ class TargetForecaster(ABC):
     def predict(self, now: float, t: float) -> float:
         """Predicted target (W) at future time ``t`` given samples up to ``now``."""
 
-    def confidence(self, now: float, t: float) -> float:
-        """Confidence in a prediction ``t − now`` seconds ahead, in (0, 1]."""
-        return math.exp(-max(t - now, 0.0) / CONFIDENCE_TAU)
-
     def forecast(self, now: float, times: Iterable[float]) -> list[ForecastPoint]:
-        """Emit the horizon of ``(t, ŷ, confidence)`` points."""
-        return [
-            ForecastPoint(float(t), self.predict(now, float(t)), self.confidence(now, float(t)))
-            for t in times
-        ]
+        """Emit the horizon of ``(t, ŷ)`` points."""
+        return [ForecastPoint(float(t), self.predict(now, float(t))) for t in times]
 
     def breakpoints(self, now: float, horizon: float) -> tuple[float, ...]:
         """Future instants where the target is *known* to change; empty for
@@ -292,10 +275,6 @@ class AR1Forecaster(TargetForecaster):
         k = max(t - now, 0.0) / self.step
         return self.mean_power + (self.rho**k) * (y - self.mean_power)
 
-    def confidence(self, now: float, t: float) -> float:
-        k = max(t - now, 0.0) / self.step
-        return max(self.rho**k, 1e-6)
-
 
 class ScheduleForecaster(TargetForecaster):
     """Exact lookahead over a source that publishes future breakpoints.
@@ -303,8 +282,8 @@ class ScheduleForecaster(TargetForecaster):
     File-backed targets (``SteppedTarget`` from :func:`load_target_file`)
     already *know* their future: ``window(t, horizon)`` returns the upcoming
     (time, watts) breakpoints.  Forecasting what is already written down
-    would be silly, so this forecaster replays the schedule exactly
-    (confidence 1.0) and surfaces the breakpoints as plan instants.
+    would be silly, so this forecaster replays the schedule exactly and
+    surfaces the breakpoints as plan instants.
     """
 
     name = "schedule"
@@ -321,22 +300,8 @@ class ScheduleForecaster(TargetForecaster):
     def predict(self, now: float, t: float) -> float:
         return float(self.source.target(t))
 
-    def confidence(self, now: float, t: float) -> float:
-        return 1.0
-
     def breakpoints(self, now: float, horizon: float) -> tuple[float, ...]:
         return tuple(time for time, _ in self.source.window(now, horizon))
-
-
-def unwrap_target_source(source: PowerTargetSource) -> PowerTargetSource:
-    """Peel fault-tolerance wrappers off a target source.
-
-    The manager reads targets through :class:`HoldLastGoodTarget`; the
-    forecaster wants the raw schedule/signal underneath.
-    """
-    while isinstance(source, HoldLastGoodTarget):
-        source = source.inner
-    return source
 
 
 def make_forecaster(
@@ -350,21 +315,22 @@ def make_forecaster(
     ``"auto"`` picks the best available: exact schedule lookahead when the
     source publishes breakpoints, AR(1) for regulation targets, persistence
     otherwise.  ``"adversarial"`` is the drill's inverted-ramp probe.
+    ``source`` is the system's raw target source, never a fault-scaled or
+    held reading: the forecaster wants the schedule or signal itself.
     """
     if kind not in FORECASTER_KINDS:
         raise ValueError(
             f"unknown forecaster kind {kind!r}; expected one of {FORECASTER_KINDS}"
         )
-    raw = unwrap_target_source(source)
     if kind == "auto":
-        if hasattr(raw, "window"):
+        if hasattr(source, "window"):
             kind = "schedule"
-        elif isinstance(raw, RegulationTarget):
+        elif isinstance(source, RegulationTarget):
             kind = "ar1"
         else:
             kind = "persistence"
     if kind == "schedule":
-        return ScheduleForecaster(raw)
+        return ScheduleForecaster(source)
     if kind == "persistence":
         return PersistenceForecaster()
     if kind == "ramp":
@@ -372,8 +338,8 @@ def make_forecaster(
     if kind == "adversarial":
         return InvertedRampForecaster()
     # kind == "ar1"
-    if not isinstance(raw, RegulationTarget):
+    if not isinstance(source, RegulationTarget):
         raise ValueError(
-            f"ar1 forecaster needs a RegulationTarget source, got {type(raw).__name__}"
+            f"ar1 forecaster needs a RegulationTarget source, got {type(source).__name__}"
         )
-    return AR1Forecaster.fit_regulation(raw, fit_duration=fit_duration)
+    return AR1Forecaster.fit_regulation(source, fit_duration=fit_duration)

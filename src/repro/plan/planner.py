@@ -63,7 +63,6 @@ class PlannedRound:
 
     time: float  # instant this round is planned for
     forecast: float  # ŷ(time) from the forecaster (W)
-    confidence: float  # forecaster confidence at this lookahead
     effective_target: float  # min(forecast, last-observed) — envelope bound
     budget: float  # pool the budgeter was solved against (W)
     caps: Mapping[str, float] | None  # job_id -> per-node cap (W); None = lazy
@@ -124,13 +123,10 @@ class RecedingHorizonPlanner:
         self._instants: list[float] = []
         # counters for drills/telemetry
         self.plans_built = 0
-        self.plan_reuses = 0
         self.lazy_solves = 0
         self.warm_hits = 0
         self.fresh_solves = 0
         self.hysteresis_holds = 0
-        #: (time, predicted, actual) — plan-vs-actual deviation record
-        self.deviations: list[tuple[float, float, float]] = []
         self._pending: list[tuple[float, float]] = []
         # Model interning for cheap signatures: value-equal models share a
         # small int token (the job tier refits models online, so a job's
@@ -176,7 +172,6 @@ class RecedingHorizonPlanner:
         if due:
             _, predicted = due[-1]
             self.forecaster.record_error(target - predicted)
-            self.deviations.append((now, predicted, target))
             self._pending = [p for p in self._pending if p[0] > now + self._eps]
         return self.envelope.update(now, self.forecaster.mae, self.forecaster.errors.count)
 
@@ -189,14 +184,10 @@ class RecedingHorizonPlanner:
         token = self._model_tokens.get(id(model))
         if token is not None:
             return token
-        try:
-            token = self._model_index.get(model)
-            if token is None:
-                token = len(self._model_refs)
-                self._model_index[model] = token
-        except TypeError:
-            # unhashable model: identity is the only equality available
+        token = self._model_index.get(model)
+        if token is None:
             token = len(self._model_refs)
+            self._model_index[model] = token
         self._model_tokens[id(model)] = token
         self._model_refs.append(model)
         return token
@@ -240,7 +231,6 @@ class RecedingHorizonPlanner:
         """
         sig = self._signature(requests)
         if self._plan_reusable(now, sig):
-            self.plan_reuses += 1
             return self.plan
         horizon = HORIZON_ROUNDS * self.period
         times = [now + k * self.period for k in range(HORIZON_ROUNDS + 1)]
@@ -261,7 +251,6 @@ class RecedingHorizonPlanner:
                 PlannedRound(
                     time=point.time,
                     forecast=point.value,
-                    confidence=point.confidence,
                     effective_target=effective,
                     budget=budget,
                     caps=None,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -29,9 +29,11 @@ from repro.aqa.queues import QueueSet, WorkQueue
 from repro.aqa.scheduler import WeightedScheduler
 from repro.tabsim.tables import JobTable, NodeTable, SimJobType
 from repro.tabsim.variation import draw_node_multipliers
-from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util.rng import ensure_rng
 from repro.workloads.trace import Schedule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry import Telemetry
 
 __all__ = ["SimConfig", "SimResult", "TabularClusterSimulator"]
 
@@ -251,7 +253,7 @@ class TabularClusterSimulator:
         config: SimConfig | None = None,
         *,
         queue_weights: dict[str, float] | None = None,
-        telemetry: Telemetry = NULL_TELEMETRY,
+        telemetry: Telemetry | None = None,
     ) -> None:
         if not job_types:
             raise ValueError("need at least one job type")
@@ -318,8 +320,9 @@ class TabularClusterSimulator:
         #: Windows advanced so far; the trace has one row per *step*.
         self.windows = 0
         # Observability (DESIGN.md §8): gauges on the tabular tier's state.
+        # None (the sweep's default) loads no telemetry module at all.
         self.telemetry = telemetry
-        if telemetry.enabled:
+        if telemetry is not None and telemetry.enabled:
             reg = telemetry.registry
             self._mx_ticks = reg.counter(
                 "tabsim_ticks_total", "simulated seconds stepped"
@@ -655,7 +658,7 @@ class TabularClusterSimulator:
 
         self._trace.extend(steps)
         self.windows += 1
-        if self.telemetry.enabled:
+        if self.telemetry is not None and self.telemetry.enabled:
             self._mx_ticks.inc(len(steps))
             self._mx_power.set(measured)
             self._mx_target.set(target)

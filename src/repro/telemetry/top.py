@@ -26,7 +26,7 @@ def snapshot_system(system) -> dict:
     """Read one display frame's worth of state from a live AnorSystem."""
     now = system.cluster.clock.now
     manager = system.manager
-    target = system.target_source.target(now)
+    target = system.read_target(now)
     jobs = []
     if manager is not None:
         for record in sorted(manager.jobs.values(), key=lambda r: r.job_id):

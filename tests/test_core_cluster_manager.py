@@ -8,7 +8,6 @@ from repro.budget.even_slowdown import EvenSlowdownBudgeter
 from repro.core.cluster_manager import (
     CORRECTION_LIMIT_FRACTION,
     MIN_FEEDBACK_R2,
-    ClusterPowerManager,
 )
 from repro.core.messages import BudgetMessage, GoodbyeMessage, HelloMessage, StatusMessage
 from repro.core.targets import ConstantTarget
@@ -17,6 +16,7 @@ from repro.durable.journal import Journal
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.telemetry import Telemetry
+from tests.fed_manager import FedManager
 
 
 def models():
@@ -25,7 +25,7 @@ def models():
 
 
 def make_manager(*, target=840.0, total_nodes=4, **kwargs):
-    return ClusterPowerManager(
+    return FedManager(
         budgeter=EvenSlowdownBudgeter(),
         target_source=ConstantTarget(target),
         classifier=JobClassifier(models()),

@@ -199,7 +199,7 @@ class TestControlPeriods:
     def test_default_periods_fire_every_tick(self):
         system = make_system(nodes=1)
         calls = []
-        system.manager.step = lambda now: calls.append(now)
+        system.manager.step = lambda now, feed, measured: calls.append(now)
         for _ in range(50):
             system.step()
         assert calls == [float(t) for t in range(1, 51)]
@@ -215,7 +215,7 @@ class TestControlPeriods:
             config=AnorConfig(num_nodes=1, tick=1.0, manager_period=2.5),
         )
         calls = []
-        system.manager.step = lambda now: calls.append(now)
+        system.manager.step = lambda now, feed, measured: calls.append(now)
         for _ in range(2000):
             system.step()
         assert len(calls) == 800  # 2000 s horizon / 2.5 s period, exactly

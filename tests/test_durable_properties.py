@@ -17,7 +17,6 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
-from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.messages import GoodbyeMessage, HelloMessage, StatusMessage
 from repro.core.targets import ConstantTarget
 from repro.core.transport import TcpLink
@@ -25,6 +24,7 @@ from repro.durable.journal import Journal
 from repro.durable.state import apply_journal, empty_state, job_entry
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
+from tests.fed_manager import FedManager
 
 JOBS = ("a", "b", "c")
 NODES = 2
@@ -83,7 +83,7 @@ def test_checkpoint_plus_journal_tail_equals_live_job_table(
     tmp_path_factory, ops, checkpoint_at
 ):
     journal = Journal(tmp_path_factory.mktemp("store") / "journal.jsonl")
-    manager = ClusterPowerManager(
+    manager = FedManager(
         budgeter=EvenSlowdownBudgeter(),
         target_source=ConstantTarget(len(JOBS) * NODES * 200.0),
         classifier=JobClassifier(dict(CLAIMS)),

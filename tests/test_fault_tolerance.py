@@ -18,7 +18,6 @@ from repro.budget.even_slowdown import EvenSlowdownBudgeter
 from repro.core.cluster_manager import (
     DEAD_JOB_TIMEOUT,
     STALE_STATUS_TIMEOUT,
-    ClusterPowerManager,
 )
 from repro.core.framework import AnorConfig, AnorSystem, precharacterized_models
 from repro.core.job_endpoint import JobTierEndpoint
@@ -32,6 +31,7 @@ from repro.invariants import RoundMonitor
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.workloads.nas import NAS_TYPES
+from tests.fed_manager import FedManager
 
 
 def lossy_network(drop: float, duration: float) -> FaultSchedule:
@@ -91,7 +91,7 @@ class TestLossyLinks:
 
 
 def make_manager(*, target=840.0, total_nodes=4, **kwargs):
-    return ClusterPowerManager(
+    return FedManager(
         budgeter=EvenSlowdownBudgeter(),
         target_source=ConstantTarget(target),
         classifier=JobClassifier(precharacterized_models()),
@@ -249,39 +249,61 @@ class TestMeterFaults:
         assert sum(math.isfinite(rnd.measured) for rnd in seen) == 2
 
     def test_raising_meter_is_a_fault_not_a_crash(self):
-        def broken():
-            raise OSError("ipmi timeout")
-
-        manager = make_manager(meter=broken)
-        manager.step(0.0)  # must not raise
+        """A meter that could not be read reaches the round as NaN."""
+        manager = make_manager()
+        manager.step(0.0, 840.0, math.nan)  # must not raise
         assert manager.meter_faults == 1
 
 
 class TestHoldLastGoodTarget:
     def test_manager_wraps_target_source(self):
+        """Every round's feed passes through the manager's own hold filter,
+        whose floor is the cluster's lowest enforceable power."""
         manager = make_manager()
-        assert isinstance(manager.target_source, HoldLastGoodTarget)
+        assert isinstance(manager.target_hold, HoldLastGoodTarget)
+        assert manager.target_hold.floor == 4 * manager.p_node_min
+        manager.step(0.0, math.nan, math.nan)
+        assert manager.target_hold.degraded_reads == 1
 
     def test_holds_then_decays_to_floor(self):
-        class Dying:
-            def target(self, now):
-                return 1000.0 if now < 10.0 else math.nan
-
-        hold = HoldLastGoodTarget(Dying(), floor=300.0)
-        assert hold.target(5.0) == 1000.0
-        assert hold.target(HOLD_GRACE) == 1000.0  # within grace: hold flat
-        decayed = hold.target(HOLD_GRACE + 100.0)
+        hold = HoldLastGoodTarget(floor=300.0)
+        assert hold.read(5.0, 1000.0) == 1000.0
+        assert hold.read(HOLD_GRACE, math.nan) == 1000.0  # within grace: hold flat
+        decayed = hold.read(HOLD_GRACE + 100.0, math.nan)
         assert 300.0 < decayed < 1000.0  # past grace: decaying
-        assert hold.target(10_000.0) == 300.0  # eventually the floor
+        assert hold.read(10_000.0, math.nan) == 300.0  # eventually the floor
         assert hold.degraded_reads == 3
 
     def test_serves_floor_before_first_good_read(self):
-        class NeverUp:
-            def target(self, now):
-                raise ConnectionError("facility feed down")
+        hold = HoldLastGoodTarget(floor=250.0)
+        assert hold.read(0.0, math.nan) == 250.0
 
-        hold = HoldLastGoodTarget(NeverUp(), floor=250.0)
-        assert hold.target(0.0) == 250.0
+    def test_a_raising_target_source_is_held_not_fatal(self):
+        """The system reads a source that raises as NaN, in the power trace
+        and in the round, and the head holds its last good target."""
+
+        class Flaky(ConstantTarget):
+            def target(self, now):
+                if 30.0 <= now < 40.0:
+                    raise ConnectionError("facility feed down")
+                return self.watts
+
+        rounds = []
+        system = AnorSystem(
+            target_source=Flaky(840.0),
+            config=AnorConfig(num_nodes=4, seed=0),
+            monitors=[lambda rnd: rounds.append(rnd.time)],
+        )
+        system.submit_now("j1", "bt", nodes=2)
+        result = system.run(60.0)
+        times, target = result.power_trace[:, 0], result.power_trace[:, 1]
+        down = (times >= 30.0) & (times < 40.0)
+        assert down.any() and times[-1] >= 60.0
+        assert np.isnan(target[down]).all()
+        assert not np.isnan(target[~down]).any()
+        in_window = [t for t in rounds if 30.0 <= t < 40.0]
+        assert in_window
+        assert system.manager.target_hold.degraded_reads == len(in_window)
 
 
 class TestBudgetSumProperty:

@@ -155,7 +155,7 @@ class TestInjectorMeterAndTarget:
         system.submit_now("bt-0", "bt")
         for _ in range(60):
             system.step()
-        hold = system.manager.target_source
+        hold = system.manager.target_hold
         assert hold.degraded_reads > 0
         # Caps kept flowing throughout: the held target budgets normally.
         assert system.endpoints["bt-0"].current_cap > 0
@@ -329,13 +329,8 @@ class TestInjectorLink:
     @pytest.mark.parametrize(
         "fault, dark",
         [
-            (MeterOutage, lambda s: math.isnan(s.manager.meter())),
-            (
-                TargetOutage,
-                lambda s: math.isnan(
-                    s.manager.target_source.inner.target(s.cluster.clock.now)
-                ),
-            ),
+            (MeterOutage, lambda s: s.feed_conditions.meter_dark),
+            (TargetOutage, lambda s: s.feed_conditions.target_down),
             (
                 NetworkPartition,
                 lambda s: s.link_conditions.partitioned

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.framework import AnorConfig, AnorSystem
-from repro.core.targets import ConstantTarget
+from repro.core.targets import ConstantTarget, HoldLastGoodTarget
 from repro.durable.state import JOB_EVICT, apply_journal, capture_state, empty_state
 from repro.durable.store import DurableStore
 from repro.experiments.fig9 import build_demand_response_system
@@ -600,7 +600,8 @@ class TestHeadStateInventory:
 
     #: ``ClusterPowerManager`` state a checkpoint carries.
     PERSISTED = {"jobs", "_recovered", "_correction", "evictions",
-                 "rejected_statuses", "rejected_models", "meter_faults"}
+                 "rejected_statuses", "rejected_models", "meter_faults",
+                 "target_hold"}
     #: What a restarted head builds fresh.
     RESET = {"events", "last_round", "cap_rewrites", "enforcement",
              "admission_held", "recovery_merges", "hello_merges",
@@ -620,6 +621,10 @@ class TestHeadStateInventory:
         base = capture_state(system, now)
 
         def changed(value):
+            if isinstance(value, HoldLastGoodTarget):
+                hold = HoldLastGoodTarget(floor=value.floor)
+                hold.restore_state({**value.state_dict(), "degraded_reads": -1})
+                return hold
             if isinstance(value, bool):
                 return not value
             if isinstance(value, (int, float)):

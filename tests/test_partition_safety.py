@@ -9,6 +9,8 @@ may leave measured power over the enforceable limit for at most
 ``lease_ttl + lease_ramp`` (plus scheduling slack) seconds.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -473,13 +475,11 @@ class TestDegradedRejoin:
     def test_hello_with_model_warm_merges(self):
         from repro.budget import EvenSlowdownBudgeter
         from repro.core.cluster_manager import ClusterPowerManager
-        from repro.core.targets import ConstantTarget
         from repro.modeling.classifier import JobClassifier
         from repro.core.framework import precharacterized_models
 
         manager = ClusterPowerManager(
             budgeter=EvenSlowdownBudgeter(),
-            target_source=ConstantTarget(840.0),
             classifier=JobClassifier(precharacterized_models()),
             total_nodes=4,
         )
@@ -494,7 +494,7 @@ class TestDegradedRejoin:
             ),
             0.0,
         )
-        manager.step(0.0)
+        manager.step(0.0, 840.0, math.nan)
         assert manager.hello_merges == 1
         assert manager.jobs["j1"].online_model is not None
         assert any("warm-merged" in e for e in manager.events)
@@ -502,20 +502,18 @@ class TestDegradedRejoin:
     def test_plain_hello_does_not_merge(self):
         from repro.budget import EvenSlowdownBudgeter
         from repro.core.cluster_manager import ClusterPowerManager
-        from repro.core.targets import ConstantTarget
         from repro.modeling.classifier import JobClassifier
         from repro.core.framework import precharacterized_models
 
         manager = ClusterPowerManager(
             budgeter=EvenSlowdownBudgeter(),
-            target_source=ConstantTarget(840.0),
             classifier=JobClassifier(precharacterized_models()),
             total_nodes=4,
         )
         link = TcpLink(latency=0.0)
         manager.register_link(link)
         link.send_up(HelloMessage("j1", "bt", 2, 0.0), 0.0)
-        manager.step(0.0)
+        manager.step(0.0, 840.0, math.nan)
         assert manager.hello_merges == 0
 
 

@@ -1,19 +1,15 @@
 """Tests for the target forecasters behind the predictive planner."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.aqa.regulation import BoundedRandomWalkSignal, SinusoidSignal
 from repro.core.targets import (
     ConstantTarget,
-    HoldLastGoodTarget,
     RegulationTarget,
     SteppedTarget,
 )
 from repro.plan.forecast import (
-    CONFIDENCE_TAU,
     RAMP_FIT_POINTS,
     AR1Forecaster,
     ForecastErrorWindow,
@@ -22,7 +18,6 @@ from repro.plan.forecast import (
     RampForecaster,
     ScheduleForecaster,
     make_forecaster,
-    unwrap_target_source,
 )
 
 
@@ -69,20 +64,12 @@ class TestPersistence:
         with pytest.raises(ValueError, match="no observations"):
             PersistenceForecaster().predict(0.0, 4.0)
 
-    def test_confidence_decays_with_lookahead(self):
-        f = PersistenceForecaster()
-        tau = CONFIDENCE_TAU
-        assert f.confidence(0.0, 0.0) == pytest.approx(1.0)
-        assert f.confidence(0.0, tau) == pytest.approx(math.exp(-1.0))
-        assert f.confidence(0.0, 2 * tau) < f.confidence(0.0, tau)
-
     def test_forecast_emits_points(self):
         f = PersistenceForecaster()
         f.observe(0.0, 2000.0)
         pts = f.forecast(0.0, [4.0, 8.0])
         assert [p.time for p in pts] == [4.0, 8.0]
         assert all(p.value == 2000.0 for p in pts)
-        assert pts[0].confidence > pts[1].confidence
 
 
 class TestRamp:
@@ -119,11 +106,6 @@ class TestAR1:
         # far lookahead converges to the mean
         assert f.predict(0.0, 4000.0) == pytest.approx(3000.0, abs=1e-6)
 
-    def test_confidence_is_rho_power(self):
-        f = AR1Forecaster(mean_power=3000.0, rho=0.5, step=4.0)
-        assert f.confidence(0.0, 4.0) == pytest.approx(0.5)
-        assert f.confidence(0.0, 8.0) == pytest.approx(0.25)
-
     def test_fit_recovers_signal_statistics(self):
         signal = BoundedRandomWalkSignal(3600.0, step=4.0, rho=0.9, seed=5)
         target = RegulationTarget(3400.0, 1050.0, signal, update_period=4.0)
@@ -149,7 +131,6 @@ class TestSchedule:
         f = ScheduleForecaster(stepped)
         f.observe(5.0, 1000.0)
         assert f.predict(5.0, 15.0) == 2000.0
-        assert f.confidence(5.0, 1e6) == 1.0
 
     def test_breakpoints_from_window(self):
         stepped = SteppedTarget([0.0, 10.0, 20.0, 30.0], [1.0, 2.0, 3.0, 4.0])
@@ -175,14 +156,6 @@ class TestMakeForecaster:
         assert isinstance(
             make_forecaster("auto", ConstantTarget(840.0)), PersistenceForecaster
         )
-
-    def test_unwraps_hold_last_good(self):
-        stepped = SteppedTarget([0.0], [1000.0])
-        wrapped = HoldLastGoodTarget(stepped, floor=500.0)
-        f = make_forecaster("auto", wrapped)
-        assert isinstance(f, ScheduleForecaster)
-        assert f.source is stepped
-        assert unwrap_target_source(wrapped) is stepped
 
     def test_adversarial_kind(self):
         f = make_forecaster("adversarial", ConstantTarget(840.0))

@@ -263,7 +263,7 @@ class TestPlannerDispatch:
         p.observe(4.0, 2900.0)  # plan predicted 3000 at t=4
         assert p.forecaster.errors.count == 1
         assert p.forecaster.mae == pytest.approx(100.0)
-        assert p.deviations == [(4.0, 3000.0, 2900.0)]
+        assert p.forecaster.bias == pytest.approx(-100.0)  # actual below plan
 
 
 class TestSystemIntegration:

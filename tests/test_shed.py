@@ -271,6 +271,7 @@ class TestFacilityIncidents:
     def test_overlapping_incidents_compose_multiplicatively(self):
         """Two open feed windows scale the manager's target by the product
         of their magnitudes; each restores independently."""
+        seen = {}
         system = AnorSystem(
             config=AnorConfig(num_nodes=4),
             fault_schedule=FaultSchedule(
@@ -279,13 +280,11 @@ class TestFacilityIncidents:
                     ThermalDerate(time=10.0, magnitude=0.2, duration=10.0),
                 ]
             ),
+            monitors=[lambda rnd: seen.__setitem__(rnd.time, rnd.feed)],
         )
         nominal = system.target_source.target(0.0)
-        seen = {}
         for _ in range(50):
             system.step()
-            now = system.cluster.clock.now
-            seen[now] = system.manager.target_source.target(now)
         assert seen[3.0] == pytest.approx(nominal)
         assert seen[8.0] == pytest.approx(nominal * 0.7)
         assert seen[15.0] == pytest.approx(nominal * 0.7 * 0.8)
