@@ -67,6 +67,9 @@ MAX_REQUEUES = 3
 RECONNECT_BACKOFF = 10.0
 #: Seconds the node-local watchdog waits before restarting a crashed endpoint.
 ENDPOINT_RESTART_DELAY = 30.0
+#: The job tier's model before its first fit: 1.3× slower at the node's
+#: lowest cap than at its highest.  One value for every endpoint: it is frozen.
+DEFAULT_JOB_MODEL = QuadraticPowerModel.from_anchors(1.0, 1.3, P_NODE_MIN, P_NODE_MAX)
 
 
 def precharacterized_models(
@@ -782,9 +785,7 @@ class AnorSystem:
             link=self._dial(),
             p_min=P_NODE_MIN,
             p_max=P_NODE_MAX,
-            default_model=QuadraticPowerModel.from_anchors(
-                1.0, 1.3, P_NODE_MIN, P_NODE_MAX
-            ),
+            default_model=DEFAULT_JOB_MODEL,
             feedback_enabled=cfg.feedback_enabled,
             retrain_threshold=cfg.retrain_threshold,
             warm_model=warm_model,

@@ -12,6 +12,7 @@ shared feed than one running insensitive jobs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -23,6 +24,7 @@ from repro.budget.even_slowdown import EvenSlowdownBudgeter
 from repro.core.targets import PowerTargetSource
 from repro.facility.breaker import PowerBreaker
 from repro.facility.shed import ShedLadder
+from repro.invariants import PLAN_SLACK
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -168,6 +170,7 @@ class FacilityCoordinator:
     history_dropped: int = 0
     events_dropped: int = 0
     _high_water: float = field(default=0.0, init=False)
+    _feed_lost: bool = field(default=False, init=False)  # the last round read no feed
 
     def __post_init__(self) -> None:
         reg = self.telemetry.registry
@@ -201,14 +204,29 @@ class FacilityCoordinator:
             member.p_max = p_max
 
     def step(self, now: float) -> dict[str, float]:
-        """One facility control period: split and push cluster budgets."""
+        """One facility control period: split and push cluster budgets.
+
+        A feed that raises or reads NaN holds the split each member was
+        last pushed (one event per outage); a meter that does skips the
+        breaker's observation this round.
+        """
         if not self.members:
             return {}
-        total = self.facility_target.target(now)
-        floor_total = sum(m.p_min for m in self.members.values())
+        total = _guarded(self.facility_target.target, now)
         tel = self.telemetry
+        if math.isnan(total):
+            if not self._feed_lost:
+                self._feed_lost = True
+                self._record_event(f"t={now:.1f} facility feed unreadable: holding the last split")
+                if tel.enabled:
+                    tel.incident("facility-feed-lost", now)
+            return {name: m.target.target(now) for name, m in self.members.items()}
+        self._feed_lost = False
+        floor_total = sum(m.p_min for m in self.members.values())
+        measured = math.nan
         if self.breaker is not None and self.meter is not None:
-            measured = float(self.meter())
+            measured = _guarded(self.meter)
+        if not math.isnan(measured):
             prev = self.breaker.state
             state = self.breaker.observe(measured, total, now=now)
             if state != prev:
@@ -270,7 +288,7 @@ class FacilityCoordinator:
                 feed: float) -> dict[str, float]:
         """Log the round, flag over-assignment against the physical feed."""
         assigned = sum(caps.values())
-        if assigned > feed + 1e-9:
+        if assigned > feed + PLAN_SLACK:  # the solve's own slop is no shortfall
             # Σ p_min above the feed: nothing enforceable can close the gap,
             # so name the shortfall instead of over-assigning silently.
             shortfall = assigned - feed
@@ -297,3 +315,11 @@ class FacilityCoordinator:
     @property
     def total_assigned(self) -> float:
         return sum(m.last_assigned for m in self.members.values())
+
+
+def _guarded(read: Callable[..., float], *args: float) -> float:
+    """``read(*args)`` as a float; NaN when it raises."""
+    try:
+        return float(read(*args))
+    except Exception:
+        return math.nan

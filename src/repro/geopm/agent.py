@@ -13,6 +13,7 @@ per-agent loop that pass replaced, as the test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -138,6 +139,16 @@ class AgentSample:
 #: no timestamp.
 SAMPLE_START = (0.0, 0.0, 0.0, _NAN, 0.0, 0.0)
 
+_SAMPLE_COLUMN = np.array(SAMPLE_START)[:, None]
+
+
+@cache
+def _tree_links(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`AgentTree.links` of a job's tree over ``size`` agents, which
+    only the size decides (read, never written)."""
+    return AgentTree(size, fanout=FANOUT).links()
+
+
 # Rows of the group's float cells, one column per node.
 _POLICY = slice(0, 5)  # the policy the agent enforces (AgentPolicy.cells)
 _INBOX = slice(5, 10)  # a policy for the agent's next step; a root's is its endpoint's slot
@@ -231,26 +242,31 @@ class JobAgentGroup:
 
     # ---------------------------------------------------------- membership
 
-    def start(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def start(
+        self, rows: np.ndarray, at: slice | np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Give a job on nodes ``rows`` (rank order) an agent per node: its
         tree, no policy, an empty inbox and a zero sample.  The meter stays
-        the node's.  Returns the root's ``(inbox, sample)`` cells, its
-        endpoint's."""
+        the node's.  ``at`` indexes the rows (a slice where they run in
+        order; default: ``rows``).  Returns the root's ``(inbox, sample)``
+        cells, its endpoint's."""
         rows = np.asarray(rows)
         if not rows.size:
             raise ValueError("a job needs at least one node")
-        above, position = AgentTree(rows.size, fanout=FANOUT).links()
-        self.parent[rows[0]] = _ROOT
-        self.parent[rows[1:]] = rows[above]
-        self.slot[rows[1:]] = position
-        self.cells[_SAMPLE, rows] = np.array(SAMPLE_START)[:, None]
-        self._layout = None
         root = int(rows[0])
+        self.parent[root] = _ROOT
+        if rows.size > 1:
+            above, position = _tree_links(rows.size)
+            self.parent[rows[1:]] = rows[above]
+            self.slot[rows[1:]] = position
+        self.cells[_SAMPLE, rows if at is None else at] = _SAMPLE_COLUMN
+        self._layout = None
         return self.cells[_INBOX, root], self.cells[_SAMPLE, root]
 
-    def release(self, rows: np.ndarray) -> None:
-        """The job on ``rows`` left: its agents step no more, and its
-        policies and a policy still in its root's inbox are dropped."""
+    def release(self, rows: np.ndarray | slice) -> None:
+        """The job on ``rows`` (an index of them) left: its agents step no
+        more, and its policies and a policy still in its root's inbox are
+        dropped."""
         self.parent[rows] = _NONE
         self.cells[:10, rows] = _NAN
         self._layout = None

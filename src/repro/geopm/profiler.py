@@ -14,6 +14,9 @@ one :class:`EpochLog`, which a profiler reads when asked.
 
 from __future__ import annotations
 
+from typing import Callable
+from weakref import WeakMethod
+
 import numpy as np
 
 __all__ = ["EpochBatch", "EpochLog", "EpochProfiler"]
@@ -26,7 +29,10 @@ class EpochLog:
     epoch; a profiler's entries, in log order, are its epoch times.  A
     closed key's entries are dropped once they are half the log, or when
     the arrays are full, and the arrays are then sized to twice what stays:
-    the log holds about twice the stamps of its open keys.
+    the log holds about twice the stamps of its open keys.  Until then a
+    closed key's stamps are read here as an open key's are; as they are
+    dropped, each closed key's are handed, in one pass over the log, to the
+    ``keep`` its :meth:`close` named.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -36,6 +42,7 @@ class EpochLog:
         self._opened = 0
         self._open: set[int] = set()
         self._closed = 0  # entries of closed keys still held
+        self._keepers: dict[int, WeakMethod] = {}  # of those keys, who takes their stamps
 
     def open(self, key: int | None = None) -> int:
         """Open ``key``, one not opened before (default: one past the
@@ -62,21 +69,23 @@ class EpochLog:
         n = self._size
         return self._times[:n][self._keys[:n] == key]
 
-    def close(self, key: int) -> tuple[EpochLog, int]:
-        """Close ``key``; returns a log of its own holding its stamps, and
-        their key there."""
-        stamps = self.times(key)
-        own = EpochLog(max(len(stamps), 1))
-        mine = own.open()
-        own.append(np.full(len(stamps), mine), stamps)
+    def close(self, key: int, count: int, keep: Callable[[np.ndarray], None]) -> None:
+        """Close ``key``, which holds ``count`` stamps: they stay readable
+        through :meth:`times` until the log drops them, and are handed to
+        ``keep`` then.  ``keep``, a bound method, is held weakly: once its
+        object is gone, no one is left to read the stamps."""
         self._open.discard(key)
-        self._closed += len(stamps)
+        if not count:
+            return
+        self._keepers[key] = WeakMethod(keep)
+        self._closed += count
         if 2 * self._closed > self._size:
             self._compact(0)
-        return own, mine
 
     def _compact(self, more: int) -> None:
         """Drop closed keys' entries; room for ``more`` after what stays."""
+        if self._keepers:
+            self._hand_over()
         n = self._size
         alive = np.zeros(self._opened, dtype=bool)
         alive[list(self._open)] = True
@@ -86,6 +95,28 @@ class EpochLog:
         keys, times = np.empty(capacity, dtype=np.int32), np.empty(capacity)
         keys[:size], times[:size] = self._keys[:n][keep], self._times[:n][keep]
         self._keys, self._times, self._size, self._closed = keys, times, size, 0
+
+    def _hand_over(self) -> None:
+        """Give each closed key whose keeper is still held its stamps, in log
+        order, before they are dropped: one stable sort of those keys'
+        entries by the keys' places among the keepers, whose few values
+        sort in linear time."""
+        held = [(key, keep) for key, ref in self._keepers.items() if (keep := ref()) is not None]
+        self._keepers.clear()
+        if not held:
+            return
+        n, last = self._size, len(held)
+        place = np.full(self._opened, last, dtype=np.min_scalar_type(last))
+        place[[key for key, _ in held]] = np.arange(last)
+        places = place[self._keys[:n]]
+        theirs = (places < last).nonzero()[0]  # their entries, in log order
+        places = places[theirs]
+        times = self._times[theirs[np.argsort(places, kind="stable")]]
+        ends = np.bincount(places, minlength=last).cumsum().tolist()
+        lo = 0
+        for (_, keep), hi in zip(held, ends):
+            keep(times[lo:hi])
+            lo = hi
 
 
 class EpochProfiler:
@@ -119,15 +150,20 @@ class EpochProfiler:
         self._counts[self._rows] = 0
         self._barrier[0] = 0  # min over the ranks' counts, kept as they are raised
         self._key = self._log.open(key)  # the completion time of each epoch is logged under it
+        self._stamps: np.ndarray | None = None  # the times, once the log has handed them over
 
     def detach(self) -> None:
-        """Copy the cells and the epoch times out of the shared columns and
-        log (the job left the cluster; its rows may be re-let while its
-        counts are still read)."""
+        """Copy the counts out of the shared columns and close the key (the
+        job left the cluster; its rows may be re-let while its counts and
+        times are still read).  A detached profiler is only read."""
         self._counts = self._counts[self._rows]
         self._rows = np.arange(self.num_ranks)
         self._barrier = self._barrier.copy()
-        self._log, self._key = self._log.close(self._key)
+        self._log.close(self._key, self.epoch_count, self._keep)
+
+    def _keep(self, stamps: np.ndarray) -> None:
+        """Hold the stamps the shared log drops (``EpochLog.close``)."""
+        self._stamps = stamps
 
     def prof_epoch(self, rank: int, *, timestamp: float = 0.0) -> int:
         """Rank ``rank`` finished one more main-loop iteration.
@@ -174,14 +210,17 @@ class EpochProfiler:
     def rank_counts(self) -> tuple[int, ...]:
         return tuple(self._counts[self._rows].tolist())
 
+    def _times(self) -> np.ndarray:
+        return self._log.times(self._key) if self._stamps is None else self._stamps
+
     @property
     def epoch_times(self) -> tuple[float, ...]:
         """Timestamps at which each global epoch completed."""
-        return tuple(self._log.times(self._key).tolist())
+        return tuple(self._times().tolist())
 
     def seconds_per_epoch(self, last_n: int | None = None) -> float:
         """Mean seconds between recent epoch completions (≥ 2 epochs needed)."""
-        times = self._log.times(self._key).tolist()
+        times = self._times().tolist()
         if last_n is not None:
             times = times[-last_n:]
         if len(times) < 2:

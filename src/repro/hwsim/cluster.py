@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from repro.geopm.report import ApplicationTotals
 from repro.hwsim.job import CLASS_SHIFT, FREE, RANK_BITS, SETUP, TEARDOWN, RunningJob
 from repro.hwsim.node import PACKAGE_MIN_POWER, PACKAGE_TDP, Node
 from repro.util.clock import SimClock
-from repro.util.rng import NormalTape, TapeStream, ensure_rng, spawn_rng
+from repro.util.rng import NormalTape, TapeStream, ensure_rng, spawn_one, spawn_rng
 from repro.workloads.nas import IDLE_NODE_POWER, JobType
 from repro.workloads.phased import PhasedJobType
 
@@ -29,6 +30,17 @@ __all__ = ["EmulatedCluster"]
 _CLASS_FLOORS = np.array([SETUP, TEARDOWN, FREE], dtype=np.int64) << CLASS_SHIFT
 _RANK_MASK = (1 << RANK_BITS) - 1
 _ORDER_MASK = (1 << CLASS_SHIFT) - 1  # a seat less its class: start number, rank
+_FREE_FLOOR = FREE << CLASS_SHIFT  # a seat from here on is a node with no job
+
+
+@cache
+def _job_ints(width: int) -> np.ndarray:
+    """A job's start block of ``_ints`` less what is its own (the start
+    number and class above each seat's rank, its stream's row): what only
+    its width decides (read, never written)."""
+    rank = np.arange(width)
+    zero = np.zeros(width, dtype=np.int64)
+    return np.array([rank, zero, zero + width, zero + 2 * width, rank, 2 * rank + 1, zero, zero])
 
 
 @dataclass(slots=True)
@@ -53,7 +65,7 @@ class _Layout:
     computing: EpochBatch  # the compute jobs' profilers
     active: EpochBatch  # the compute and the setup jobs' profilers
     rows: np.ndarray
-    consts: np.ndarray  # (9, active ranks) of the cluster's ``_rank``
+    consts: np.ndarray  # (9, active ranks): rows 2–10 of the cluster's ``_floats``
     idle: np.ndarray  # idle watts per column
     roots: np.ndarray  # each of ``jobs``' first row: its ledger entry
     computes: np.ndarray  # (1, columns): a compute rank
@@ -109,36 +121,40 @@ class EmulatedCluster:
         self._limit = np.zeros((num_nodes, pk), dtype=np.int64)  # raw PKG_POWER_LIMIT
         self._power = np.zeros(num_nodes)  # realised draw of the latest tick (W)
         self._down = np.zeros(num_nodes, dtype=bool)  # crashed
-        # Each node's place among the kernel's columns, a sort key (see
-        # ``repro.hwsim.job``): the class is written by the job there as it
-        # changes phase; a node with no job is FREE, in node order.
-        self._free_seat = (FREE << CLASS_SHIFT) + np.arange(num_nodes)
-        self._seat = self._free_seat.copy()
-        # How each node's column draws from the tape: its stream's row; the
-        # draws that stream takes on a quiet and on a compute tick (its job's
-        # width, twice that); where the node's RAPL draw sits among them on
-        # each (its rank, twice that plus one).  A node with no job draws
-        # from its own stream.  Read when the layout is built.
-        self._free_draws = np.repeat([[0], [1], [2], [0], [1]], num_nodes, axis=1)
-        self._free_draws[0] = np.arange(num_nodes)
-        self._draws = self._free_draws.copy()
+        # The node-indexed columns a job's start writes, in two tables, so a
+        # start is one block written into each at the job's rows.  Integer
+        # rows: 0, the node's place among the kernel's columns, a sort key
+        # (see ``repro.hwsim.job``) whose class the job there writes as it
+        # changes phase; 1–5, how the node's column draws from the tape: its
+        # stream's row, the draws that stream takes on a quiet and on a
+        # compute tick (the job's width, twice that), and where the node's
+        # RAPL draw sits among them on each (its rank, twice that plus one);
+        # 6, the rank's whole epochs done; 7, at a job's first row, its
+        # job-global epoch count.  A node with no job (rows 0–5 of ``_free``)
+        # is FREE, in node order, and draws from its own stream.
+        self._ints = np.zeros((8, num_nodes), dtype=np.int64)
+        self._seat, self._draws = self._ints[0], self._ints[1:6]
+        self._counts, self._barrier = self._ints[6], self._ints[7]
+        self._free = np.repeat([[FREE << CLASS_SHIFT], [0], [1], [2], [0], [1]], num_nodes, axis=1)
+        self._free[:2] += np.arange(num_nodes)
+        self._ints[:6] = self._free
         self._started = 0  # jobs ever started
         self._tenant: list[RunningJob | None] = [None] * num_nodes  # at its first row
         # First rows of the running jobs whose model moves with their
         # progress (a power wave, phases): each holds every window to a tick.
         self._varying: set[int] = set()
-        # Rank constants, one row each: truth curve a, b, c; p_min; p_demand;
-        # jitter σ; run multiplier; epochs; node perf multiplier; the node's
-        # idle watts; the job's setup and teardown seconds.  Read when the
-        # layout is built.
-        self._rank = np.zeros((12, num_nodes))
-        self.idle_watts = self._rank[9]
+        # Float rows, one per rank: 0–10, its job's constants (the setup and
+        # teardown seconds, truth curve a, b, c, p_min, p_demand, jitter σ,
+        # run multiplier and epochs) and its node's perf multiplier; 11, its
+        # fractional epochs done (``progress``); 12–14, at a job's first
+        # row, its ledger (``phase_elapsed``, ``_compute_energy``,
+        # ``_compute_seconds``); 15, the node's idle watts.  Rows 0–14 are
+        # the job's start block.
+        self._floats = np.zeros((16, num_nodes))
+        self.progress = self._floats[11]
+        self._ledger = self._floats[12:15]
+        self.idle_watts = self._floats[15]
         self.idle_watts[:] = IDLE_NODE_POWER
-        self.progress = np.zeros(num_nodes)  # fractional epochs done per rank
-        self._counts = np.zeros(num_nodes, dtype=np.int64)  # whole epochs done per rank
-        self._barrier = np.zeros(num_nodes, dtype=np.int64)  # job-global epoch count
-        # Per job: phase_elapsed, _compute_energy, _compute_seconds.
-        self._ledger = np.zeros((3, num_nodes))
         # Every job's epoch times, room for 16 a node before the log first
         # grows: a window never pays for a growth in a fresh cluster's first
         # few ticks.
@@ -181,7 +197,8 @@ class EmulatedCluster:
     # ------------------------------------------------------------ node pool
 
     def _idle(self) -> np.ndarray:
-        return (self._seat >> CLASS_SHIFT == FREE) & ~self._down
+        # Of booleans, ``a > b`` is ``a and not b``: free and not crashed.
+        return np.greater(self._seat >= _FREE_FLOOR, self._down)
 
     def idle_nodes(self) -> list[Node]:
         """Schedulable nodes in ascending ``node_id`` (the allocation order)."""
@@ -214,77 +231,123 @@ class EmulatedCluster:
         submit_time: float | None = None,
         nodes: list[Node] | None = None,
     ) -> RunningJob:
-        """Place a job on idle nodes (or explicit ``nodes``) and start it."""
+        """Place a job on the first idle nodes (or on ``nodes``, exactly
+        ``job_type.nodes`` of them, each once) and start it.
+
+        Starting is column writes — the job's ranks' constants, draw
+        columns, seats and agent tree, at its rows — plus one tape row, let
+        to a generator of its own, and the views over them
+        (:class:`RunningJob`).  Nothing is written before the arguments have
+        been checked.
+        """
         if job_id in self.running:
             raise ValueError(f"job id {job_id!r} already running")
+        width = job_type.nodes
+        if width > 1 << RANK_BITS:
+            raise ValueError(f"job {job_id}: needs 1 to {1 << RANK_BITS} nodes, got {width}")
         if nodes is None:
-            pool = self.idle_nodes()
-            if len(pool) < job_type.nodes:
+            free = self._idle().nonzero()[0]
+            if free.size < width:
                 raise RuntimeError(
-                    f"not enough idle nodes for {job_id}: "
-                    f"need {job_type.nodes}, have {len(pool)}"
+                    f"not enough idle nodes for {job_id}: need {width}, have {free.size}"
                 )
-            nodes = pool[: job_type.nodes]
-        busy = [n.node_id for n in nodes if not n.is_idle]
-        if busy:
-            raise RuntimeError(f"nodes already allocated: {busy}")
+            rows = free[:width]
+            ids = rows.tolist()
+            nodes = [self.nodes[i] for i in ids]
+            root = ids[0]
+            # Rows in a run are written through a slice, a basic index numpy
+            # writes several times faster than an index array.
+            at = slice(root, root + width) if ids[-1] - root == width - 1 else rows
+        else:
+            rows = at = np.array([n.node_id for n in nodes])
+            if len(nodes) != width:
+                raise ValueError(
+                    f"job {job_id}: {job_type.name} runs on {width} nodes, got {len(nodes)}"
+                )
+            if np.unique(rows).size != rows.size:
+                raise ValueError(f"job {job_id}: a node is listed twice in {rows.tolist()}")
+            busy = [n.node_id for n in nodes if not n.is_idle]
+            if busy:
+                raise RuntimeError(f"nodes already allocated: {busy}")
+            root = int(rows[0])
+        stream = spawn_one(self._job_rng)
+        # Run-level performance coefficient: one draw per execution, giving
+        # the run-to-run variance visible in Fig. 3's error bars.  It is the
+        # stream's first draw, taken before the stream has a row: the row
+        # fills from the second on, at the first window that reads it.
+        run_multiplier = 1.0
+        if self.run_noise:
+            run_multiplier = float(np.exp(0.0 + job_type.noise * stream.standard_normal()))
+        row = len(self.nodes) + root  # the job's stream on the tape
+        self._tape.let(row, stream)
+        rng = TapeStream(self._tape, row)
+        self._started += 1
+        # The start blocks: seats in the setup class, draws from the job's
+        # row, no epochs; the job's constants, no progress, a zero ledger.
+        # Per-node constants are read now, not at construction: a caller may
+        # have tuned ``perf_multiplier`` in between.
+        truth = job_type.truth
+        self._ints[:, at] = _job_ints(width) + np.array(
+            (self._started << RANK_BITS | SETUP << CLASS_SHIFT, row, 0, 0, 0, 0, 0, 0)
+        )[:, None]
+        self._floats[:15, at] = np.array((
+            job_type.setup_time, job_type.teardown_time, truth.a, truth.b, truth.c,
+            job_type.p_min, job_type.p_demand, job_type.noise, run_multiplier, job_type.epochs,
+            nodes[0].perf_multiplier, 0.0, 0.0, 0.0, 0.0,
+        ))[:, None]
+        if width > 1:  # each rank's own node's
+            self._floats[10, at] = [node.perf_multiplier for node in nodes]
+        for node in nodes:
+            node.job_id = job_id
         now = self.clock.now
-        row = len(self.nodes) + nodes[0].node_id  # the job's stream on the tape
-        self._tape.let(row, spawn_rng(self._job_rng, 1)[0])
         job = RunningJob(
             job_id,
             job_type,
             nodes,
+            rows,
+            at,
             submit_time=now if submit_time is None else submit_time,
             start_time=now,
-            rng=TapeStream(self._tape, row),
+            rng=rng,
             cells=(
                 self.progress, self._counts, self._barrier, self._ledger, self._seat,
-                self._stamps, self.agents.start([n.node_id for n in nodes]),
+                self._stamps, self.agents.start(rows, at),
             ),
-            serial=self._started + 1,
-            run_noise=self.run_noise,
+            serial=self._started,
+            run_multiplier=run_multiplier,
+            energy=self._energy_of(at),
         )
-        for node in nodes:
-            node.job_id = job_id
-        # Per-node constants are read now, not at construction: a caller may
-        # have tuned ``perf_multiplier`` in between.
-        truth = job_type.truth
-        self._rank[:8, job.rows] = [
-            [truth.a], [truth.b], [truth.c], [job_type.p_min], [job_type.p_demand],
-            [job_type.noise], [job._run_multiplier], [job_type.epochs],
-        ]
-        self._rank[8, job.rows] = [node.perf_multiplier for node in nodes]
-        self._rank[10:, job.rows] = [[job_type.setup_time], [job_type.teardown_time]]
-        width, rank = len(nodes), np.arange(len(nodes))
-        self._draws[:3, job.rows] = [[row], [width], [2 * width]]
-        self._draws[3:, job.rows] = [rank, 2 * rank + 1]
-        self._started += 1
-        self._tenant[job.root] = job
+        self._tenant[root] = job
         if job_type.power_wave or isinstance(job_type, PhasedJobType):
-            self._varying.add(job.root)
+            self._varying.add(root)
         self.running[job_id] = job
         return job
+
+    def _energy_of(self, at: slice | np.ndarray) -> float:
+        """The energy of the nodes at ``at``, summed as ``Node.total_energy``
+        of each, in turn."""
+        return sum(map(sum, self._energy[at].tolist()))
 
     def _release(self, job: RunningJob) -> None:
         """Take ``job`` off the cluster and free its nodes."""
         del self.running[job.job_id]
         self.released.append(job.job_id)
+        at = job.at
         for node in job.nodes:
             node.job_id = None
-            node.pio.detach_profiler()
-        self._seat[job.rows] = self._free_seat[job.rows]
-        self._draws[:, job.rows] = self._free_draws[:, job.rows]
+        job.nodes[0].pio.detach_profiler()
+        self._ints[:6, at] = self._free[:, at]
         self._tenant[job.root] = None
         self._varying.discard(job.root)
-        self.agents.release(job.rows)
-        job.detach()  # its rows may be re-let while its ledger and stream are still read
+        self.agents.release(at)
+        # Its rows may be re-let while its ledger and stream are still read.
+        job.detach(self._energy_of(at))
 
     def _retire_done(self, jobs) -> None:
         """Release every finished job among ``jobs`` and book its totals, in
         start order, as per-tick stepping books them."""
         done = [j for j in jobs if j.is_done]
-        done.sort(key=lambda job: job._order[0])  # the start number, above the rank
+        done.sort(key=lambda job: job._order)  # the start number, above the rank
         for job in done:
             self._release(job)
             self.completed.append(job.totals())
@@ -347,10 +410,10 @@ class EmulatedCluster:
     def rank_model(consts: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, ...]:
         """Tick invariants of statically-profiled compute ranks under ``cap``.
 
-        ``consts`` is those ranks' columns of ``_rank``.  Returns ``(demand,
-        rate base, jitter σ, perf, epochs)``: ``cap`` clamped into ``[p_min,
-        p_demand]`` is both the draw demand and the truth curve's argument;
-        ``rate base`` is τ(demand)·run multiplier.
+        ``consts`` is those ranks' columns of ``_floats``, rows 2–10.  Returns
+        ``(demand, rate base, jitter σ, perf, epochs)``: ``cap`` clamped into
+        ``[p_min, p_demand]`` is both the draw demand and the truth curve's
+        argument; ``rate base`` is τ(demand)·run multiplier.
         """
         a, b, c, p_min, p_demand, sigma, run_mult, epochs, perf = consts
         demand = np.minimum(np.maximum(cap, p_min), p_demand)
@@ -408,8 +471,8 @@ class EmulatedCluster:
         jobs = [tenant[r] for r in roots.tolist()]
         columns = (self._counts, self._barrier)
         serials = (seat[starts] & _ORDER_MASK) >> RANK_BITS  # epoch log keys
-        table = self._rank[:, rows]
-        timers = table[10:, firsts]  # each job's setup and teardown seconds
+        table = self._floats[:, rows]
+        timers = table[:2, firsts]  # each job's setup and teardown seconds
         draws = self._draws[:, rows]
         stream_cols = np.flatnonzero(draws[3] == 0)  # each job's rank 0, each idle node
         wider = []
@@ -428,11 +491,11 @@ class EmulatedCluster:
             computing=EpochBatch(*columns, rows[:nc], starts[:ncj], self._stamps, serials[:ncj]),
             active=EpochBatch(*columns, rows[:ns], starts, self._stamps, serials),
             rows=rows,
-            consts=table[:9, :ns],
-            idle=table[9],
+            consts=table[2:11, :ns],
+            idle=table[15],
             roots=roots,
             computes=np.arange(nf)[None] < nc,
-            job_epochs=table[7, starts],
+            job_epochs=table[9, starts],
             teardown=timers[1, :ncj],
             expiry=np.concatenate((timers[0, ncj:nsj], timers[1, nsj:])),
             wider=wider,

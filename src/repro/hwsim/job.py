@@ -69,20 +69,25 @@ class _LedgerCell:
 class RunningJob:
     """One executing job: physics state plus its GEOPM plumbing.
 
-    ``rng`` is the job's noise stream, a row of the cluster's tape: the run
-    multiplier, then per tick a jitter and a RAPL draw per rank computing, or
-    a RAPL draw per rank otherwise.  ``cells`` is the cluster's node-indexed
-    ``(progress, counts, barrier, ledger, seat)`` columns, its epoch log (the
-    job's times are logged under ``serial``), and the job's endpoint cells
-    (its root agent's, ``JobAgentGroup.start``).  Rank ``i`` runs
-    on node ``i`` of ``nodes`` and owns that row of ``progress`` (fractional
-    epochs), ``counts`` (whole ones, the profiler's) and ``seat`` (the
-    node's place among the kernel's columns: the job's start number
-    ``serial`` and the rank, under a class written whenever :attr:`phase`
-    is); what is per job — the barrier count and the three ledger rows
-    ``phase_elapsed``, ``_compute_energy``, ``_compute_seconds`` — sits at
-    the job's first row.  The cluster's window kernel reads and writes
-    those cells.
+    A view of the cluster's columns, which :meth:`EmulatedCluster.start_job`
+    writes before it binds one: seats in the setup class, and zero progress,
+    counts, barrier and ledger.  ``rng`` is the job's noise stream, a row of
+    the cluster's tape: the run multiplier (its first draw, given as
+    ``run_multiplier``), then per tick a jitter and a RAPL draw per rank
+    computing, or a RAPL draw per rank otherwise.  ``cells`` is the
+    cluster's node-indexed ``(progress, counts, barrier, ledger, seat)``
+    columns, its epoch log (the job's times are logged under ``serial``),
+    and the job's endpoint cells (its root agent's,
+    ``JobAgentGroup.start``).  Rank ``i`` runs on node ``rows[i]``, the
+    ``i``-th of ``nodes`` (``at`` indexes the rows: a slice where they run
+    in order), and owns that row of ``progress`` (fractional epochs),
+    ``counts`` (whole ones, the profiler's) and ``seat`` (the node's place
+    among the kernel's columns: the job's start number ``serial`` and the
+    rank, under a class written whenever :attr:`phase` is); what is per job
+    — the barrier count and the three ledger rows ``phase_elapsed``,
+    ``_compute_energy``, ``_compute_seconds`` — sits at the job's first
+    row.  The cluster's window kernel reads and writes those cells.
+    ``energy`` is the nodes' energy at the start.
     """
 
     phase_elapsed = _LedgerCell(0)
@@ -94,62 +99,61 @@ class RunningJob:
         job_id: str,
         job_type: JobType,
         nodes: list[Node],
+        rows: np.ndarray,
+        at: slice | np.ndarray,
         *,
         submit_time: float,
         start_time: float,
         rng: TapeStream,
         cells: tuple[np.ndarray, ...],
         serial: int,
-        run_noise: bool = True,
+        run_multiplier: float,
+        energy: float,
     ) -> None:
-        if not 0 < len(nodes) <= 1 << RANK_BITS:
-            raise ValueError(f"job {job_id}: needs 1 to {1 << RANK_BITS} nodes, got {len(nodes)}")
         self.job_id = job_id
         self.job_type = job_type
         self.nodes = nodes
         self.submit_time = float(submit_time)
         self.start_time = float(start_time)
         self.rng = rng
-        self.rows = np.array([n.node_id for n in nodes])
-        self.root = root = int(self.rows[0])  # where the job's own cells sit
+        self.rows = rows
+        self.at = at
+        self.root = root = int(rows[0])  # where the job's own cells sit
         self._progress, counts, barrier, ledger, self._seat, stamps, mailbox = cells
-        self._order = (serial << RANK_BITS) + np.arange(len(nodes))  # seats, less the class
-        self.phase = JobPhase.SETUP
-        self._progress[self.rows] = 0.0
+        self._order = serial << RANK_BITS  # a seat less the class and the rank
+        self._ranks = np.arange(rows.size)
+        self._phase = JobPhase.SETUP  # the class of the seats the cluster wrote
         self._ledger = ledger[:, root]
-        self._ledger[:] = 0.0
         self.profiler = EpochProfiler(
-            len(nodes), cells=(counts, self.rows, barrier[root : root + 1], stamps), key=serial
+            rows.size, cells=(counts, rows, barrier[root : root + 1], stamps), key=serial
         )
         self.endpoint = Endpoint(job_id=job_id, cells=mailbox)
         # Only the root node's PlatformIO can serve EPOCH_COUNT (§4.3: the
         # root agent reports the job-global epoch count to the endpoint).
         nodes[0].pio.attach_profiler(self.profiler)
-        # Run-level performance coefficient: one draw per execution, giving
-        # the run-to-run variance visible in Fig. 3's error bars.
-        self._run_multiplier = (
-            float(np.exp(rng.normal(0.0, job_type.noise))) if run_noise else 1.0
-        )
+        self._run_multiplier = run_multiplier
         self._compute_started: float | None = None
         self._compute_finished: float | None = None
         self.end_time: float | None = None
-        self._energy_at_start = sum(n.total_energy for n in nodes)
+        self._energy_at_start = energy
         self._energy_at_release: float | None = None
 
-    def detach(self) -> None:
-        """Copy the job's cells, its stream and its epoch times out of the
-        cluster's columns, tape and log.
+    def detach(self, energy: float) -> None:
+        """Copy the job's cells and its stream out of the cluster's columns
+        and tape, and close its key in the epoch log; ``energy`` is its
+        nodes' energy now.
 
         A job that left the cluster is still read (``totals()`` right after
         release, a test's observables later) while its rows and nodes may
-        already belong to the next job.
+        already belong to the next job.  Its epoch times stay in the log,
+        which hands them over when it drops them (``EpochLog.close``).
         """
         self._ledger = self._ledger.copy()
         self.rng.detach()
         self._seat = None
         self.profiler.detach()
         self.endpoint.detach()
-        self._energy_at_release = sum(n.total_energy for n in self.nodes)
+        self._energy_at_release = energy
 
     @property
     def phase(self) -> JobPhase:
@@ -159,7 +163,7 @@ class RunningJob:
     def phase(self, phase: JobPhase) -> None:
         self._phase = phase
         if self._seat is not None:
-            self._seat[self.rows] = self._order | (_CLASS[phase] << CLASS_SHIFT)
+            self._seat[self.at] = self._ranks + (self._order | _CLASS[phase] << CLASS_SHIFT)
 
     @property
     def _rank_progress(self) -> np.ndarray:

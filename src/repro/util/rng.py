@@ -44,6 +44,12 @@ def spawn_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
+def spawn_one(rng: np.random.Generator) -> np.random.Generator:
+    """``spawn_rng(rng, 1)[0]``: the same draw from ``rng`` and the same
+    child, without the one-element seed array and list."""
+    return np.random.default_rng(int(rng.integers(0, 2**63 - 1, dtype=np.int64)))
+
+
 def derive_rng(rng: np.random.Generator, *tags: object) -> np.random.Generator:
     """Derive a child generator keyed by hashable ``tags``.
 

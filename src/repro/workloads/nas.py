@@ -171,8 +171,9 @@ class JobType:
         return replace(self, nodes=self.nodes * factor)
 
     def with_nodes(self, nodes: int) -> "JobType":
-        """Same job type pinned to an explicit node count (Fig. 5 mixes)."""
-        return replace(self, nodes=nodes)
+        """Same job type pinned to an explicit node count (Fig. 5 mixes):
+        the type itself at its own count."""
+        return self if nodes == self.nodes else replace(self, nodes=nodes)
 
 
 def _catalog() -> dict[str, JobType]:

@@ -13,6 +13,7 @@ from repro.facility.coordinator import (
     aggregate_cluster_model,
 )
 from repro.facility.shed import CLEAR_ROUNDS, ESCALATE_ROUNDS, ShedLadder
+from repro.invariants import PLAN_SLACK
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.telemetry import Telemetry
 from repro.workloads.nas import NAS_TYPES
@@ -362,3 +363,74 @@ class TestCoordinatorBoundedLogs:
         assert fac.history_dropped == rounds - 8
         assert len(fac.events) == 4
         assert fac.events_dropped > 0
+
+
+class _FailingFeed(ConstantTarget):
+    """A constant feed that raises from ``t = fail_from`` on (a NaN reading
+    with ``nan=True``)."""
+
+    def __init__(self, watts, fail_from, *, nan=False):
+        super().__init__(watts)
+        self.fail_from, self.nan = fail_from, nan
+
+    def target(self, now):
+        if now >= self.fail_from:
+            if self.nan:
+                return float("nan")
+            raise ConnectionError("feed down")
+        return super().target(now)
+
+
+class TestCoordinatorFeedGuard:
+    """The facility's inputs are read through a guard, as the cluster head
+    reads its own: an unreadable feed or meter does not crash the round."""
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_unreadable_feed_holds_the_last_split(self, nan):
+        tel = Telemetry()
+        fac = FacilityCoordinator(
+            facility_target=_FailingFeed(2500.0, 10.0, nan=nan), telemetry=tel
+        )
+        fac.add_member(make_member("a", "bt", "sp"))
+        fac.add_member(make_member("b", "ep", "lu"))
+        split = fac.step(0.0)
+        assert fac.step(10.0) == split
+        assert fac.step(20.0) == split
+        assert {n: m.target.target(20.0) for n, m in fac.members.items()} == split
+        lost = [line for line in fac.events if "feed unreadable" in line]
+        assert len(lost) == 1 and lost[0].startswith("t=10.0")
+        assert tel.incident_counts.get("facility-feed-lost") == 1
+        assert len(fac.history) == 1  # a held round splits nothing
+
+    def test_meter_that_raises_skips_the_breaker_round(self):
+        # Metered far over the feed: read, this meter would trip the breaker.
+        fac, meter = breaker_facility(feed=500.0, meter_watts=5000.0)
+
+        def dark():
+            raise OSError("meter dark")
+
+        fac.meter = dark
+        unmetered, _ = breaker_facility(feed=500.0, meter_watts=5000.0)
+        unmetered.breaker = None
+        caps = Rounds(fac)(TRIP_ROUNDS + 1)
+        assert fac.breaker.state == "closed" and not fac.breaker.tripped
+        assert caps == Rounds(unmetered)(TRIP_ROUNDS + 1)
+        fac.meter = meter  # the meter back: the breaker observes again
+        Rounds(fac)(TRIP_ROUNDS + 1)
+        assert fac.breaker.tripped
+
+    def test_even_split_of_the_feed_is_no_shortfall(self):
+        # Two identical 16-node clusters share 8 kW: the even-slowdown solve
+        # assigns each its half give or take its rounding, which is no
+        # shortfall.
+        fac = FacilityCoordinator(facility_target=ConstantTarget(8000.0))
+        model = QuadraticPowerModel.from_anchors(1.0, 1.3, 3000.0, 5000.0)
+        for name in ("a", "b"):
+            fac.add_member(ClusterMember(
+                name=name, target=MutableTarget(4000.0), p_min=3000.0, p_max=5000.0,
+                model=model,
+            ))
+        for now in (0.0, 10.0):
+            caps = fac.step(now)
+        assert 8000.0 < sum(caps.values()) < 8000.0 + PLAN_SLACK
+        assert not [line for line in fac.events if "shortfall" in line]

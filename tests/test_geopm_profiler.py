@@ -241,17 +241,37 @@ class TestEpochLog:
             key = keys[t % 3]
             log.append(np.array([key]), np.array([float(t)]))
             expect[key].append(float(t))
-        own, mine = log.close(keys[1])  # a third of the log: kept for now
-        assert own.times(mine).tolist() == expect[keys[1]]
-        assert log._size == 40
-        own, mine = log.close(keys[0])  # two thirds closed: dropped
-        assert own.times(mine).tolist() == expect[keys[0]]
+        handed = {}
+
+        class Keeper:
+            def __init__(self, key):
+                self.key = key
+
+            def keep(self, stamps):
+                handed[self.key] = stamps.tolist()
+
+        keepers = {key: Keeper(key) for key in keys}
+        for key in (keys[1], keys[0]):
+            log.close(key, len(expect[key]), keepers[key].keep)
+            if key == keys[1]:  # a third of the log: kept for now, and read there
+                assert log.times(keys[1]).tolist() == expect[keys[1]]
+                assert log._size == 40 and not handed
+        # Two thirds closed: dropped, and each key's stamps handed over.
+        assert handed == {keys[0]: expect[keys[0]], keys[1]: expect[keys[1]]}
         assert log._size == len(expect[keys[2]])
         assert log.times(keys[2]).tolist() == expect[keys[2]]
         fresh = log.open()
         log.append(np.full(500, fresh), np.arange(500.0))  # grows past capacity
         assert log.times(fresh).tolist() == list(np.arange(500.0))
         assert log.times(keys[2]).tolist() == expect[keys[2]]
+        # A keeper no one holds any more when the log drops its key's
+        # stamps is handed nothing.
+        gone = log.open()
+        log.append(np.full(3, gone), np.arange(3.0))
+        log.close(gone, 3, Keeper(gone).keep)  # a sliver of the log: kept
+        log.close(fresh, 500, Keeper(fresh).keep)  # most of it: both dropped
+        assert gone not in handed and handed[fresh] == list(np.arange(500.0))
+        assert log._size == len(expect[keys[2]])
 
     def test_detached_profiler_keeps_its_epoch_times(self):
         log = EpochLog()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.geopm.agent import AgentPolicy
 from repro.geopm.msr import MSR_PKG_ENERGY_STATUS
 from repro.geopm.signals import ControlNames
 from repro.hwsim.cluster import EmulatedCluster
@@ -46,6 +47,36 @@ class TestAllocation:
         cluster.start_job("a", NAS_TYPES["is"], nodes=[cluster.nodes[0]])
         with pytest.raises(RuntimeError, match="already allocated"):
             cluster.start_job("b", NAS_TYPES["is"], nodes=[cluster.nodes[0]])
+
+    @staticmethod
+    def _after_refusal(bad_nodes) -> tuple[list, list]:
+        """A refused start, then a good one and three ticks, against the
+        good one alone: the refused call moved nothing, no stream either."""
+        runs = []
+        for refuse in (True, False):
+            cluster = EmulatedCluster(4, seed=1)
+            if refuse:
+                n0, n1 = cluster.nodes[:2]
+                with pytest.raises(ValueError, match="job j: "):
+                    cluster.start_job("j", NAS_TYPES["bt"], nodes=bad_nodes(n0, n1))
+                assert not cluster.running and cluster.idle_count() == 4
+                assert all(n.job_id is None for n in cluster.nodes)
+            job = cluster.start_job("k", NAS_TYPES["bt"])
+            for _ in range(3):
+                cluster.clock.advance(1.0)
+                cluster.advance(1.0)
+            runs.append((cluster.power_history().tolist(), job.rng.peek(), job.rows.tolist()))
+        return runs
+
+    def test_a_node_listed_twice_is_refused(self):
+        refused, fresh = self._after_refusal(lambda n0, n1: [n0, n0])
+        assert refused == fresh
+
+    def test_a_node_list_of_another_width_is_refused(self):
+        refused, fresh = self._after_refusal(lambda n0, n1: [n0])
+        assert refused == fresh
+        wide = self._after_refusal(lambda n0, n1: [n0, n1, n0])
+        assert wide[0] == wide[1]
 
     def test_nodes_released_after_completion(self):
         cluster = EmulatedCluster(1, seed=0)
@@ -479,6 +510,51 @@ class TestReleasedJobKeepsItsLedger:
             assert b.phase.name == "COMPUTE" and b.profiler.epoch_count > 0
             assert self._ledger(a) == before
         pair.assert_equal()
+
+
+    @pytest.mark.parametrize("exit_by", ["done", "kill_job"])
+    def test_two_later_jobs_take_its_rows(self, exit_by):
+        # A job beside it logs epochs throughout, so the epoch log holds the
+        # released job's times for a while, then drops them as it fills.
+        cluster = EmulatedCluster(3, seed=11)
+
+        def tick():
+            cluster.clock.advance(1.0)
+            cluster.advance(1.0)
+            cluster.agents.step(cluster.clock.now)
+
+        cluster.start_job(
+            "x", short_type("lu", nodes=1, epochs=900, tau=0.3), nodes=[cluster.nodes[2]]
+        )
+        a = cluster.start_job("a", short_type("ft", nodes=2, epochs=5, tau=1.0))
+        a.endpoint.write_policy(AgentPolicy(power_cap_node=230.0))
+        if exit_by == "done":
+            while "a" in cluster.running:
+                tick()
+        else:
+            for _ in range(6):  # into compute: every cell has moved
+                tick()
+            a.endpoint.write_policy(AgentPolicy(power_cap_node=210.0))  # still pending
+            cluster.kill_job("a")
+
+        def kept(job) -> dict:
+            return {
+                **self._ledger(job),
+                "sample": job.endpoint.read_sample(),
+                "pending": job.endpoint.has_pending_policy,
+            }
+
+        at_release = kept(a)
+        assert at_release["sample"] is not None and len(at_release["epoch_times"]) > 0
+        for later, epochs in (("b", 6), ("c", 40)):
+            job = cluster.start_job(later, short_type("mg", nodes=2, epochs=epochs, tau=0.5))
+            assert job.rows.tolist() == a.rows.tolist() == [0, 1]
+            job.endpoint.write_policy(AgentPolicy(power_cap_node=180.0))
+            while later in cluster.running and job.profiler.epoch_count < 10:
+                tick()
+            assert kept(a) == at_release
+        assert [t.job_id for t in cluster.completed] == ["a", "b"][exit_by == "kill_job" :]
+        assert kept(a) == at_release
 
 
 def python_calls(action, event: str = "call") -> int:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util.rng import TAPE_WIDTH, NormalTape, TapeStream, derive_rng, ensure_rng, spawn_rng
+from repro.util.rng import (
+    TAPE_WIDTH, NormalTape, TapeStream, derive_rng, ensure_rng, spawn_one, spawn_rng,
+)
 
 
 class TestEnsureRng:
@@ -142,3 +144,11 @@ class TestNormalTape:
                 let(op[1])
         for handle, stream_seed, drawn in streams:
             assert handle.peek() == _after(stream_seed, drawn).standard_normal()
+
+
+def test_spawn_one_is_spawn_rngs_first_child():
+    parents = ensure_rng(9), ensure_rng(9)
+    for _ in range(3):  # the parents stay in step, draw after draw
+        one, (first,) = spawn_one(parents[0]), spawn_rng(parents[1], 1)
+        assert one.standard_normal(8).tolist() == first.standard_normal(8).tolist()
+    assert parents[0].random() == parents[1].random()
