@@ -378,6 +378,10 @@ class AnorSystem:
             self.durable = DurableStore(cfg.checkpoint_dir)
         self.manager: ClusterPowerManager | None = self._build_manager()
         self.endpoints: dict[str, JobTierEndpoint] = {}
+        #: Attach serial of each endpoint in ``endpoints``: its place in the
+        #: dict's insertion order, read when jobs leave together.
+        self._attach_serial: dict[str, int] = {}
+        self._attaches = 0
         # FCFS order, kept at insert (``_enqueue``).
         self._queue: list[JobRequest] = []
         self._released_seen = 0  # the part of that log whose endpoints are closed
@@ -777,6 +781,9 @@ class AnorSystem:
     ) -> None:
         """Connect a (possibly fresh) job-tier endpoint for a running job."""
         cfg = self.config
+        if job.job_id not in self.endpoints:
+            self._attaches += 1
+            self._attach_serial[job.job_id] = self._attaches
         self.endpoints[job.job_id] = JobTierEndpoint(
             job_id=job.job_id,
             claimed_type=claimed_type,
@@ -1172,13 +1179,14 @@ class AnorSystem:
         fresh, self._released_seen = released[self._released_seen :], len(released)
         running = self.cluster.running
         done_ids = [jid for jid in fresh if jid in self.endpoints and jid not in running]
+        serial = self._attach_serial
         if len(done_ids) > 1:  # closed in the order the endpoints were attached
-            order = {jid: k for k, jid in enumerate(self.endpoints)}
-            done_ids = sorted(set(done_ids), key=order.__getitem__)
+            done_ids = sorted(set(done_ids), key=serial.__getitem__)
         for jid in done_ids:
             self.endpoints[jid].close(now)
             # Flush the goodbye promptly so budgets stop counting this job.
             self.endpoints.pop(jid)
+            del serial[jid]
             # Head-side bookkeeping; with the head down, post-restart
             # reconciliation discovers the completion instead.
             if self.manager is not None and self._launched.pop(jid, None) is not None:

@@ -4,13 +4,15 @@ The paper's cluster tier is one head-node process owning the job queue, the
 budgeter's accounting, and every job's fitted T(P) model — a single point of
 failure.  This package makes that state survive the process:
 
-* :mod:`repro.durable.checkpoint` — atomic, versioned, checksummed snapshot
-  files (write-temp + fsync + rename; refuse anything untrustworthy).
+* :mod:`repro.durable.checkpoint` — versioned, checksummed snapshot files
+  written in place (``pwrite`` + fsync; refuse anything untrustworthy).
 * :mod:`repro.durable.journal` — a write-ahead JSON-lines journal of
   state-changing events between checkpoints, each record checksummed and
-  sequence-numbered; replay tolerates a torn tail.
-* :mod:`repro.durable.store` — :class:`DurableStore`, the checkpoint+journal
-  pair with the crash-consistency protocol between them.
+  sequence-numbered, reset in place by each checkpoint; replay tolerates a
+  torn tail.
+* :mod:`repro.durable.store` — :class:`DurableStore`, two alternating
+  checkpoint slots and the journal, with the crash-consistency protocol
+  between them.  No step frees a disk block.
 * :mod:`repro.durable.state` — the checkpoint schema, in one place: what
   gets captured, how it is restored, a job record's entry and its inverse,
   and how a journal tail folds into a baseline snapshot (``JOB_EVICT`` is
@@ -30,7 +32,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "checkpoint": (
             "SCHEMA_VERSION", "CheckpointError", "read_checkpoint",
-            "write_checkpoint",
+            "read_slot", "write_checkpoint",
         ),
         "journal": ("Journal", "JournalRecord", "JournalReplay"),
         "state": (

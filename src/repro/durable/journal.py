@@ -12,10 +12,17 @@ On-disk format is JSON lines, each individually checksummed::
 
 ``seq`` increases monotonically for the life of the store and never resets:
 a checkpoint embeds the last journalled ``seq`` it covers, and replay skips
-records at or below that watermark.  That makes the checkpoint/journal pair
-crash-consistent without needing atomicity across two files — a crash after
-the checkpoint rename but before any further appends simply leaves a fully
-covered journal prefix.
+records at or below that watermark.
+
+A checkpoint then *resets* the journal in place, freeing no disk block: it
+writes ``{"base":<watermark>}`` as the first line and fsyncs, and only then
+overwrites the records behind it with ``\n`` bytes, which replay skips as
+empty lines.  Appends go on from just past that line.  The base line sits
+in the file's first sector, so a crash leaves either the old first line,
+with every covered record still whole, or the new one: either way a
+reopened journal numbers on past the watermark.  A record below its base is
+out of order, so a half-landed reset reads as a dropped tail, never as
+records.
 
 Replay is tolerant of exactly the damage a crash can cause: a truncated or
 corrupt record ends the replay there (the tail is untrusted), reported via
@@ -30,7 +37,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.durable.checkpoint import fsync_dir
+from repro.durable.checkpoint import fsync_dir, pwrite_all
 
 __all__ = ["JournalRecord", "JournalReplay", "Journal"]
 
@@ -55,6 +62,17 @@ def _encode_line(rec: dict) -> bytes:
     return b'{"crc":%d,"rec":%s}\n' % (zlib.crc32(body), body)
 
 
+def _base_of(line: bytes) -> int | None:
+    """The watermark a ``{"base":n}`` first line records, else None."""
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        return None
+    if isinstance(obj, dict) and list(obj) == ["base"] and type(obj["base"]) is int:
+        return obj["base"]
+    return None
+
+
 @dataclass(frozen=True)
 class JournalRecord:
     """One journalled state change."""
@@ -74,97 +92,112 @@ class JournalReplay:
 
 
 class Journal:
-    """Append-only, checksummed, crash-tolerant event log."""
+    """Append-only, checksummed, crash-tolerant event log, reset in place."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        replay = self.replay(min_seq=0)
-        self.seq = replay.records[-1].seq if replay.records else 0
-        # What the file holds: trusted records, then maybe a damaged tail.
-        self._on_disk, self._torn = len(replay.records), replay.dropped_tail > 0
-        self._fh = None
+        replay, self.base, self._pos, self._tail = self._read(0)
+        self.seq = replay.records[-1].seq if replay.records else self.base
+        self._records = len(replay.records)  # trusted records since the reset
+        self._fd: int | None = None
+
+    def _open(self) -> int:
+        """Open the file for writing (creating it durably), and clear a
+        damaged tail past the trusted records: a record written over it
+        could otherwise leave a stale, well-formed line behind it."""
+        created = not self.path.exists()
+        self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        if created:
+            fsync_dir(self.path.parent)
+        if self._tail > self._pos:
+            pwrite_all(self._fd, b"\n" * (self._tail - self._pos), self._pos)
+            self._tail = self._pos
+        return self._fd
 
     def append(self, rtype: str, time: float, data: dict) -> int:
-        """Durably append one record; returns its sequence number."""
+        """Append one record; returns its sequence number.
+
+        The record is in the file when this returns, so it survives a crash
+        of the process at once; it survives a power cut once the next
+        checkpoint has fsynced the journal (:meth:`sync`).
+        """
         if rtype not in RECORD_TYPES:
             raise ValueError(f"unknown journal record type {rtype!r}")
         self.seq += 1
         line = _encode_line(
             {"seq": self.seq, "t": float(time), "type": rtype, "data": data}
         )
-        if self._fh is None:
-            self._fh = open(self.path, "ab")
-        self._fh.write(line)
-        self._fh.flush()
-        self._on_disk += 1
+        pwrite_all(self._fd if self._fd is not None else self._open(), line, self._pos)
+        self._pos += len(line)
+        self._records += 1
         return self.seq
 
     def sync(self) -> None:
-        """fsync the journal (called alongside checkpoint writes)."""
-        if self._fh is not None:
-            os.fsync(self._fh.fileno())
+        """fsync the journal's records (called before each checkpoint write),
+        those an earlier process appended included."""
+        if self._records:
+            os.fsync(self._fd if self._fd is not None else self._open())
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
-    def rotate(self, min_seq: int) -> int:
-        """Atomically drop records a checkpoint already covers (seq ≤ min_seq).
+    def reset(self) -> int:
+        """Drop every record, at the watermark ``seq`` (a checkpoint covers
+        them all), in place.  Returns the number of trusted records dropped.
 
-        Rewrites the journal with only the surviving tail using the same
-        crash-safe discipline as the checkpoint itself: write-temp + fsync +
-        atomic rename + parent-directory fsync.  A crash before the rename
-        leaves the old journal (its covered prefix is harmless — replay skips
-        it via the watermark); a crash after leaves the compacted one.
-        Sequence numbers never reset.  Returns the number of records dropped.
-        A rotation covering every record (the one each checkpoint asks for)
-        writes the empty replacement without reading the old file.
+        The ``{"base":seq}`` line goes in at offset 0 and is fsynced before
+        the records behind it become ``\n`` bytes; appends then go on from
+        just past it.  Sequence numbers never reset.
         """
-        survivors: list[JournalRecord] = []
-        if min_seq < self.seq:
-            full = self.replay(min_seq=0)
-            survivors = [r for r in full.records if r.seq > min_seq]
-            self._on_disk, self._torn = len(full.records), full.dropped_tail > 0
-        dropped = self._on_disk - len(survivors)
-        if dropped == 0 and not self._torn:
+        dropped = self._records
+        if not dropped and self._tail <= self._pos:
             return 0
-        self.close()
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            for rec in survivors:
-                body = {"seq": rec.seq, "t": rec.time, "type": rec.type,
-                        "data": rec.data}
-                fh.write(_encode_line(body))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        fsync_dir(self.path.parent)
-        self._on_disk, self._torn = len(survivors), False
+        fd = self._fd if self._fd is not None else self._open()
+        line = b'{"base":%d}\n' % self.seq
+        pwrite_all(fd, line, 0)
+        os.fsync(fd)
+        if self._pos > len(line):
+            pwrite_all(fd, b"\n" * (self._pos - len(line)), len(line))
+        self.base, self._records = self.seq, 0
+        self._pos = self._tail = len(line)
         return dropped
 
     def replay(self, *, min_seq: int = 0) -> JournalReplay:
         """Read back every trustworthy record with ``seq > min_seq``.
 
-        Stops at the first unparseable, checksum-failing, or out-of-order
-        line: everything after it is untrusted (the file is append-only, so
-        damage means a torn final write or external corruption).
+        Stops at the first unparseable, checksum-failing, unterminated or
+        out-of-order line (a record at or below the base counts as out of
+        order): everything after it is untrusted (records are written in
+        order, so damage means a torn final write or external corruption).
         """
+        return self._read(min_seq)[0]
+
+    def _read(self, min_seq: int) -> tuple[JournalReplay, int, int, int]:
+        """``(replay, base, pos, tail)``: the trusted records end at byte
+        ``pos``, and every byte from ``tail`` on is a line end."""
         records: list[JournalRecord] = []
-        dropped = 0
         if not self.path.exists():
-            return JournalReplay(records=records, dropped_tail=0)
-        with open(self.path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-        last_seq = 0
-        for i, line in enumerate(lines):
+            return JournalReplay(records=records, dropped_tail=0), 0, 0, 0
+        raw = self.path.read_bytes()
+        lines = raw.split(b"\n")
+        base = _base_of(lines[0]) if len(lines) > 1 else None
+        start = 0 if base is None else len(lines[0]) + 1
+        last_seq = base = base or 0
+        dropped, pos, offset = 0, start, start
+        last = len(lines) - 1  # the text after the final line end, if any
+        for i in range(1 if start else 0, len(lines)):
+            line = lines[i]
+            offset += len(line) + 1
             if not line:
                 continue
             try:
                 wrapper = json.loads(line)
                 rec = wrapper["rec"]
                 ok = (
-                    wrapper["crc"] == zlib.crc32(_canonical(rec))
+                    i < last
+                    and wrapper["crc"] == zlib.crc32(_canonical(rec))
                     and rec["type"] in RECORD_TYPES
                     and int(rec["seq"]) > last_seq
                 )
@@ -173,7 +206,7 @@ class Journal:
             if not ok:
                 dropped = sum(1 for rest in lines[i:] if rest)
                 break
-            last_seq = int(rec["seq"])
+            last_seq, pos = int(rec["seq"]), offset
             if last_seq > min_seq:
                 records.append(
                     JournalRecord(
@@ -183,4 +216,5 @@ class Journal:
                         data=dict(rec["data"]),
                     )
                 )
-        return JournalReplay(records=records, dropped_tail=dropped)
+        tail = max(pos, len(raw.rstrip(b"\n")))
+        return JournalReplay(records=records, dropped_tail=dropped), base, pos, tail

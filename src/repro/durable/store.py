@@ -1,74 +1,113 @@
-"""The durable store: one directory holding a checkpoint and its journal.
+"""The durable store: one directory holding two checkpoint slots and a journal.
 
 Crash-consistency protocol (see DESIGN.md §4d):
 
 1. state-changing events append to ``journal.jsonl`` as they happen;
 2. every checkpoint cadence, the journal is fsynced, then the full state is
-   written to ``checkpoint.json`` via write-temp + fsync + atomic rename,
-   embedding the last journal ``seq`` the snapshot covers;
-3. recovery loads the checkpoint (refusing unknown schema versions and
-   failed checksums — :class:`CheckpointError` means *cold start*, never
-   guesswork) and replays only journal records past the embedded watermark.
+   written in place into the slot that does not hold the newest checkpoint,
+   with the next generation number and the last journal ``seq`` the snapshot
+   covers, and fsynced; the journal is then reset in place at that watermark;
+3. recovery takes the valid slot with the highest generation and replays
+   only journal records past its watermark.
 
-A crash at any instant therefore loses at most the events of the tick in
-progress; a crash between the checkpoint rename and subsequent appends is
-harmless because the watermark makes replay skip already-covered records.
+No step frees a disk block: both slots and the journal are written in place.
+A crash while a slot is written tears only that slot, and the other one
+still holds the previous complete checkpoint, whose records the journal
+still holds too, since its reset waits for the new slot's fsync.  A slot is
+used only if its watermark lies between the journal's base (what its last
+reset dropped) and its last record: below the base, records it needs are
+gone.  Otherwise :class:`CheckpointError` means *cold start*, never
+guesswork.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.durable.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+from repro.durable.checkpoint import CheckpointError, read_slot, write_checkpoint
 from repro.durable.journal import Journal, JournalReplay
 
 __all__ = ["DurableStore"]
 
 
 class DurableStore:
-    """Checkpoint + write-ahead journal under one directory."""
+    """Two alternating checkpoint slots + write-ahead journal under one
+    directory."""
 
-    CHECKPOINT_NAME = "checkpoint.json"
+    SLOT_NAMES = ("checkpoint.0.json", "checkpoint.1.json")
     JOURNAL_NAME = "journal.jsonl"
 
     def __init__(self, directory: str | Path) -> None:
         self.dir = Path(directory)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.checkpoint_path = self.dir / self.CHECKPOINT_NAME
+        self.slot_paths = tuple(self.dir / name for name in self.SLOT_NAMES)
         self.journal = Journal(self.dir / self.JOURNAL_NAME)
         self.checkpoints_written = 0
+        #: The slot holding the newest valid checkpoint (None: none does) and
+        #: its generation; the next checkpoint goes into the other slot.
+        self.newest_slot: Path | None = None
+        self.generation = 0
+        slots, _ = self._read_slots()
+        if slots:
+            self.generation, self.newest_slot, _ = max(slots, key=lambda s: s[0])
+
+    def _read_slots(self) -> tuple[list[tuple[int, Path, dict]], list[str]]:
+        """``(generation, slot, payload)`` of each valid slot, and why each
+        slot that exists but is not valid was refused."""
+        slots, refused = [], []
+        for path in self.slot_paths:
+            if path.exists():
+                try:
+                    generation, payload = read_slot(path)
+                except CheckpointError as exc:
+                    refused.append(str(exc))
+                else:
+                    slots.append((generation, path, payload))
+        return slots, refused
 
     def save_checkpoint(self, payload: dict) -> None:
         """Durably persist ``payload``, watermarked at the current journal seq.
 
-        After the checkpoint lands, the journal prefix it covers is dead
-        weight — rotate it out so the journal stays proportional to one
+        After the checkpoint lands, the journal records it covers are dead
+        weight — reset the journal so it stays proportional to one
         checkpoint period, not the cluster's lifetime.
         """
         payload = dict(payload)
         payload["journal_seq"] = self.journal.seq
         self.journal.sync()
-        write_checkpoint(self.checkpoint_path, payload)
+        slot = next(p for p in self.slot_paths if p != self.newest_slot)
+        write_checkpoint(slot, payload, generation=self.generation + 1)
+        self.generation += 1
+        self.newest_slot = slot
         self.checkpoints_written += 1
-        self.journal.rotate(self.journal.seq)
+        self.journal.reset()
 
     def load(self) -> tuple[dict | None, JournalReplay]:
         """Read back ``(checkpoint payload or None, journal tail past it)``.
 
-        Raises :class:`CheckpointError` when a checkpoint exists but cannot
-        be trusted — the caller must fall back to a cold start (the journal
-        tail cannot be safely interpreted without knowing what the lost
-        snapshot covered).
+        Raises :class:`CheckpointError` when the checkpoint recovery would
+        need cannot be trusted — no slot is valid though one exists, or the
+        newest valid one's watermark lies outside what the journal holds —
+        and the caller must fall back to a cold start (the journal tail
+        cannot be safely interpreted without knowing what the lost snapshot
+        covered).
         """
-        payload = None
-        if self.checkpoint_path.exists():
-            payload = read_checkpoint(self.checkpoint_path)
-        min_seq = int(payload.get("journal_seq", 0)) if payload is not None else 0
-        # A journal reopened after a checkpoint rotated it empty has lost its
-        # place: numbering on from 0 would put every new record at or under
-        # the watermark, where the next replay skips it.
-        self.journal.seq = max(self.journal.seq, min_seq)
-        return payload, self.journal.replay(min_seq=min_seq)
+        slots, refused = self._read_slots()
+        if refused and not slots:
+            raise CheckpointError("; ".join(refused))
+        payload = max(slots, key=lambda s: s[0])[2] if slots else None
+        watermark = int(payload.get("journal_seq", 0)) if payload is not None else 0
+        journal = self.journal
+        if not journal.base <= watermark <= journal.seq:
+            raise CheckpointError(
+                "; ".join(
+                    refused
+                    + [f"checkpoint covers journal seq {watermark}; the journal "
+                       f"was reset at seq {journal.base} and ends at seq "
+                       f"{journal.seq}"]
+                )
+            )
+        return payload, journal.replay(min_seq=watermark)
 
     def close(self) -> None:
         self.journal.close()

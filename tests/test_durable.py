@@ -1,6 +1,7 @@
 """Tests for the crash-consistent checkpoint/journal store (repro.durable)."""
 
 import json
+import os
 import zlib
 
 import pytest
@@ -10,11 +11,19 @@ from repro.durable.checkpoint import (
     SCHEMA_VERSION,
     CheckpointError,
     read_checkpoint,
+    read_slot,
     write_checkpoint,
 )
-from repro.durable.journal import RECORD_TYPES, Journal
+from repro.durable.journal import RECORD_TYPES, Journal, JournalReplay
 from repro.durable.state import apply_journal, empty_state
 from repro.durable.store import DurableStore
+
+
+def tear(path):
+    """Damage a checkpoint's payload in place, as a torn write would."""
+    with open(path, "r+b") as fh:
+        fh.seek(len(fh.readline()) + 10)
+        fh.write(b"\0" * 25)
 
 
 class TestCheckpoint:
@@ -30,6 +39,19 @@ class TestCheckpoint:
         write_checkpoint(path, {"a": 2})
         assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
         assert read_checkpoint(path) == {"a": 2}
+
+    def test_shorter_checkpoint_after_a_longer_one_reads_back_exactly(self, tmp_path):
+        """In place: the longer one's bytes stay past the shorter one's line
+        end, and the reader stops at that line end."""
+        path = tmp_path / "ck.json"
+        long = {"a": list(range(200)), "b": "x" * 300}
+        write_checkpoint(path, long, generation=1)
+        size = path.stat().st_size
+        write_checkpoint(path, {"a": [1]}, generation=2)
+        assert path.stat().st_size == size  # nothing freed, stale bytes kept
+        assert read_slot(path) == (2, {"a": [1]})
+        write_checkpoint(path, long, generation=3)
+        assert read_slot(path) == (3, long)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="unreadable"):
@@ -206,10 +228,171 @@ class TestDurableStore:
         store = DurableStore(tmp_path)
         store.save_checkpoint({"state": empty_state()})
         store.close()
-        ck = tmp_path / DurableStore.CHECKPOINT_NAME
-        ck.write_text(ck.read_text()[:-30])
-        with pytest.raises(CheckpointError):
+        ck = DurableStore(tmp_path).newest_slot
+        tear(ck)
+        with pytest.raises(CheckpointError, match="checksum"):
             DurableStore(tmp_path).load()
+
+
+class TestStoreCrashConsistency:
+    """Two slots alternate, and the journal's base says which of them a
+    recovery may still use."""
+
+    @staticmethod
+    def _store_with_two_checkpoints(path):
+        store = DurableStore(path)
+        store.journal.append("job-admit", 1.0, {"kind": "queue", "spec": {}})
+        store.save_checkpoint({"state": "older"})  # watermark 1
+        store.journal.append("target-change", 2.0, {})
+        store.save_checkpoint({"state": "newer"})  # watermark 2, journal reset at 2
+        return store
+
+    def test_slots_alternate_and_the_highest_generation_loads(self, tmp_path):
+        store = self._store_with_two_checkpoints(tmp_path)
+        store.journal.append("target-change", 3.0, {})
+        store.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint.0.json", "checkpoint.1.json", "journal.jsonl"]
+        assert [read_slot(p)[0] for p in DurableStore(tmp_path).slot_paths] == [1, 2]
+        reopened = DurableStore(tmp_path)
+        assert (reopened.newest_slot.name, reopened.generation) == ("checkpoint.1.json", 2)
+        payload, replay = reopened.load()
+        assert payload["state"] == "newer"
+        assert [r.seq for r in replay.records] == [3]
+        # The next checkpoint overwrites the older slot, never the newest.
+        reopened.save_checkpoint({"state": "third"})
+        assert read_slot(tmp_path / "checkpoint.0.json")[0] == 3
+        assert read_slot(tmp_path / "checkpoint.1.json")[1]["state"] == "newer"
+
+    def test_a_slot_torn_before_its_reset_falls_back_to_the_older_one(self, tmp_path):
+        store = self._store_with_two_checkpoints(tmp_path)
+        store.journal.append("target-change", 3.0, {})
+        real = store.journal.reset
+        store.journal.reset = lambda: pytest.fail("reset before the slot landed")
+        with pytest.MonkeyPatch.context() as mp:
+            def torn_write(path, payload, *, generation):
+                write_checkpoint(path, payload, generation=generation)
+                tear(path)
+                raise KeyboardInterrupt  # the head dies mid-write
+
+            mp.setattr("repro.durable.store.write_checkpoint", torn_write)
+            with pytest.raises(KeyboardInterrupt):
+                store.save_checkpoint({"state": "torn"})
+        store.journal.reset = real
+        store.close()
+        restarted = DurableStore(tmp_path)
+        payload, replay = restarted.load()
+        assert payload["state"] == "newer"  # generation 2, its slot intact
+        assert [r.seq for r in replay.records] == [3]
+        # The torn slot is the one the next checkpoint overwrites.
+        restarted.save_checkpoint({"state": "fourth"})
+        assert DurableStore(tmp_path).load()[0]["state"] == "fourth"
+
+    def test_a_slot_torn_after_its_reset_is_refused_not_fallen_back_on(self, tmp_path):
+        store = self._store_with_two_checkpoints(tmp_path)
+        store.close()
+        tear(tmp_path / "checkpoint.1.json")
+        # The older slot's watermark (1) lies below the journal's base (2):
+        # record 2 is gone, so a fallback would silently skip it.
+        with pytest.raises(CheckpointError, match=r"checkpoint\.1\.json.*seq 1;"):
+            DurableStore(tmp_path).load()
+
+    def test_a_journal_behind_its_checkpoint_is_refused(self, tmp_path):
+        store = self._store_with_two_checkpoints(tmp_path)
+        store.close()
+        (tmp_path / "journal.jsonl").write_bytes(b"")
+        with pytest.raises(CheckpointError, match="ends at seq 0"):
+            DurableStore(tmp_path).load()
+
+    def test_a_reset_then_a_torn_append_numbers_on_past_the_base(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        j = Journal(path)
+        for t in range(1, 6):
+            j.append("target-change", float(t), {"watts": float(t)})
+        j.reset()
+        # The next append dies mid-write: a line with no end.
+        with open(path, "r+b") as fh:
+            fh.seek(len(fh.readline()))
+            fh.write(b'{"crc":1,"rec":{"seq":6')
+        j.close()
+        reopened = Journal(path)
+        replay = reopened.replay()
+        assert (replay.records, replay.dropped_tail) == ([], 1)
+        assert (reopened.base, reopened.seq) == (5, 5)
+        assert reopened.append("target-change", 6.0, {}) == 6
+        replay = Journal(path).replay()
+        assert ([r.seq for r in replay.records], replay.dropped_tail) == ([6], 0)
+
+    def test_a_stale_record_past_a_damaged_tail_is_never_replayed(self, tmp_path):
+        """A record written over a damaged tail must not leave a well-formed
+        older line behind it, where replay would take it for the next."""
+        path = tmp_path / "j.jsonl"
+        j = Journal(path)
+        for t in range(1, 4):
+            j.append("target-change", float(t), {"pad": "x" * 40})
+        j.close()
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b'"seq":2', b'"seq":7')  # crc fails
+        path.write_bytes(b"\n".join(lines))
+        reopened = Journal(path)
+        assert reopened.seq == 1
+        reopened.append("target-change", 2.0, {})  # shorter than the old line 2
+        replay = Journal(path).replay()
+        assert ([r.seq for r in replay.records], replay.dropped_tail) == ([1, 2], 0)
+
+
+class TestStoreFreesNoBlocks:
+    """The store writes in place: no call that frees a disk block, no file
+    replaced or shrunk, no file beside the two slots and the journal."""
+
+    FREEING = ("replace", "rename", "unlink", "remove", "truncate", "ftruncate")
+
+    def test_checkpoints_resets_reopen_and_restart_free_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        for name in self.FREEING:
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"os.{_name} called")
+            monkeypatch.setattr(os, name, refuse)
+        names = ["checkpoint.0.json", "checkpoint.1.json", "journal.jsonl"]
+        seen: dict[str, tuple[int, int]] = {}
+
+        def check():
+            assert sorted(p.name for p in tmp_path.iterdir()) == names
+            for name in names:
+                st = (tmp_path / name).stat()
+                ino, size = seen.setdefault(name, (st.st_ino, st.st_size))
+                assert st.st_ino == ino, name
+                assert st.st_size >= size, name
+                seen[name] = (ino, st.st_size)
+
+        store = DurableStore(tmp_path)
+        for k in range(60):
+            for t in range(5 + k % 7):
+                store.journal.append("target-change", float(t), {"k": k})
+            # Payloads shrink from one checkpoint to the next.
+            store.save_checkpoint({"state": {"pad": "x" * (3000 - 40 * k)}})
+            if k >= 1:
+                check()
+            if k == 20:  # reopen
+                store.close()
+                store = DurableStore(tmp_path)
+            if k == 40:  # a restart: a torn append, then load and go on
+                store.journal.append("target-change", 1.0, {})
+                store.close()
+                with open(tmp_path / "journal.jsonl", "ab") as fh:
+                    fh.write(b'{"crc":0,"rec":')
+                check()
+                store = DurableStore(tmp_path)
+                payload, replay = store.load()
+                assert payload["state"]["pad"] == "x" * (3000 - 40 * 40)
+                assert [r.seq for r in replay.records] == [store.journal.seq]
+                assert replay.dropped_tail == 1
+        payload, replay = DurableStore(tmp_path).load()
+        assert payload["state"]["pad"] == "x" * (3000 - 40 * 59)
+        assert replay.records == [] and replay.dropped_tail == 0
+        assert store.checkpoints_written == 19
+        store.close()
 
 
 # Strategies for the lossless round-trip property test: randomized journal
@@ -383,28 +566,36 @@ class TestApplyJournal:
 
 
 class TestJournalRotation:
+    """A checkpoint resets the journal in place: a ``{"base":seq}`` first
+    line, and line ends over every record behind it."""
+
     def test_rotate_drops_covered_records(self, tmp_path):
         j = Journal(tmp_path / "j.jsonl")
         for t in range(1, 6):
             j.append("target-change", float(t), {"watts": 100.0 * t})
-        dropped = j.rotate(3)
-        assert dropped == 3
-        replay = Journal(tmp_path / "j.jsonl").replay()
-        assert [r.seq for r in replay.records] == [4, 5]
+        assert j.reset() == 5
+        j.append("target-change", 6.0, {"watts": 600.0})
+        reopened = Journal(tmp_path / "j.jsonl")
+        assert (reopened.base, reopened.seq) == (5, 6)
+        replay = reopened.replay()
+        assert [r.seq for r in replay.records] == [6]
         assert replay.dropped_tail == 0
 
     def test_rotate_noop_when_nothing_covered(self, tmp_path):
         j = Journal(tmp_path / "j.jsonl")
+        assert j.reset() == 0
+        assert not (tmp_path / "j.jsonl").exists()  # nothing written, nothing made
         j.append("target-change", 1.0, {"watts": 100.0})
+        assert j.reset() == 1
         before = (tmp_path / "j.jsonl").read_bytes()
-        assert j.rotate(0) == 0
+        assert j.reset() == 0
         assert (tmp_path / "j.jsonl").read_bytes() == before
 
     def test_seq_never_resets_after_rotation(self, tmp_path):
         j = Journal(tmp_path / "j.jsonl")
         for t in range(1, 4):
             j.append("target-change", float(t), {"watts": 1.0})
-        j.rotate(3)  # journal now empty on disk
+        j.reset()  # no record left on disk
         assert j.append("target-change", 4.0, {"watts": 2.0}) == 4
         replay = Journal(tmp_path / "j.jsonl").replay()
         assert [r.seq for r in replay.records] == [4]
@@ -418,39 +609,44 @@ class TestJournalRotation:
         with open(path, "ab") as fh:
             fh.write(b'{"crc": 0, "rec":')  # torn final write
         j2 = Journal(path)
-        j2.rotate(1)
+        assert j2.reset() == 3
+        j2.append("target-change", 4.0, {"watts": 1.0})
         replay = Journal(path).replay()
-        assert [r.seq for r in replay.records] == [2, 3]
+        assert [r.seq for r in replay.records] == [4]
         assert replay.dropped_tail == 0  # the torn line is gone from disk
 
     def test_rotated_journal_survives_reopen_and_append(self, tmp_path):
         j = Journal(tmp_path / "j.jsonl")
         for t in range(1, 6):
             j.append("target-change", float(t), {"watts": float(t)})
-        j.rotate(2)
+        j.reset()
         j.append("target-change", 6.0, {"watts": 6.0})
         j.close()
+        reopened = Journal(tmp_path / "j.jsonl")
+        reopened.append("target-change", 7.0, {"watts": 7.0})
+        reopened.close()
         replay = Journal(tmp_path / "j.jsonl").replay()
-        assert [r.seq for r in replay.records] == [3, 4, 5, 6]
+        assert [r.seq for r in replay.records] == [6, 7]
 
     def test_full_rotation_does_not_read_the_journal(self, tmp_path, monkeypatch):
         """What every checkpoint asks for — drop everything — is answered
-        from the running count: exact, atomic, and without a replay."""
+        from the running count: exact, in place, and without a replay."""
         path = tmp_path / "j.jsonl"
         j = Journal(path)
         for t in range(1, 8):
             j.append("target-change", float(t), {"watts": float(t)})
         monkeypatch.setattr(
-            Journal, "replay", lambda *a, **k: pytest.fail("rotate re-read the file")
+            Journal, "replay", lambda *a, **k: pytest.fail("reset re-read the file")
         )
-        assert j.rotate(j.seq) == 7
-        assert path.read_bytes() == b""
-        assert [p.name for p in tmp_path.iterdir()] == ["j.jsonl"]  # no temp left
-        assert j.rotate(j.seq) == 0  # nothing on disk: nothing dropped
+        assert j.reset() == 7
+        assert j.reset() == 0  # nothing on disk: nothing dropped
         j.append("target-change", 8.0, {"watts": 8.0})
         j.append("target-change", 9.0, {"watts": 9.0})
-        assert j.rotate(j.seq + 5) == 2
+        assert j.reset() == 2
         monkeypatch.undo()
+        # No trusted record, no temp file.
+        assert Journal(path).replay() == JournalReplay(records=[], dropped_tail=0)
+        assert [p.name for p in tmp_path.iterdir()] == ["j.jsonl"]
         assert j.append("target-change", 10.0, {}) == 10
         assert [r.seq for r in Journal(path).replay().records] == [10]
 
@@ -459,13 +655,14 @@ class TestJournalRotation:
         j = Journal(path)
         for t in range(1, 6):
             j.append("target-change", float(t), {})
-        assert j.rotate(2) == 2  # partial: the replay path, 3 survive
+        assert j.reset() == 5
         j.append("target-change", 6.0, {})
         j.close()
         reopened = Journal(path)
         reopened.append("target-change", 7.0, {})
-        assert reopened.rotate(reopened.seq) == 5
+        assert reopened.reset() == 2
         assert Journal(path).replay().records == []
+        assert Journal(path).seq == 7
 
     def test_full_rotation_clears_a_torn_tail_and_counts_trusted_records(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -477,10 +674,12 @@ class TestJournalRotation:
             fh.write(b'{"crc": 0, "rec":')  # torn final write
         damaged = Journal(path)
         # Only the three trusted records count as dropped; the torn line goes.
-        assert damaged.rotate(damaged.seq) == 3
-        assert path.read_bytes() == b""
+        assert damaged.reset() == 3
+        # No trusted record, no temp file.
+        assert Journal(path).replay() == JournalReplay(records=[], dropped_tail=0)
+        assert [p.name for p in tmp_path.iterdir()] == ["j.jsonl"]
         damaged.append("target-change", 4.0, {})
-        assert damaged.rotate(damaged.seq) == 1
+        assert damaged.reset() == 1
 
     def test_store_checkpoint_rotates_journal(self, tmp_path):
         store = DurableStore(tmp_path)

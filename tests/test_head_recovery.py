@@ -10,6 +10,7 @@ import pytest
 from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.framework import AnorConfig, AnorSystem
 from repro.core.targets import ConstantTarget, HoldLastGoodTarget
+from repro.durable.checkpoint import write_checkpoint
 from repro.durable.state import JOB_EVICT, apply_journal, capture_state, empty_state
 from repro.durable.store import DurableStore
 from repro.experiments.fig9 import build_demand_response_system
@@ -302,9 +303,12 @@ class TestCrashRecoveryEndToEnd:
         for _ in range(60):
             system.step()
         system.crash_head_node()
-        ck = store_dir / DurableStore.CHECKPOINT_NAME
-        assert ck.exists()
-        ck.write_bytes(ck.read_bytes()[:-25])  # truncate: checksum/length fail
+        ck = DurableStore(store_dir).newest_slot
+        assert ck is not None and ck.exists()
+        with ck.open("r+b") as slot:  # tear its payload: the crc fails
+            slot.seek(len(slot.readline()) + 10)
+            slot.write(b"\0" * 25)
+        # The older slot's watermark lies below the journal's base.
         for _ in range(5):
             system.step()
         system.restart_head_node()
@@ -518,6 +522,40 @@ class TestLiveStateRoundTrip:
         assert restored.keys() == snap.keys()
         for key in snap:
             assert restored[key] == snap[key], key
+
+    def test_a_slot_torn_before_its_reset_restarts_warm_from_the_older_one(
+        self, tmp_path, monkeypatch
+    ):
+        """The head dies writing a checkpoint: the slot it was writing is
+        torn, the journal was not reset yet, so the other slot and the
+        journal since it rebuild the head as it was at the crash.  The gates'
+        fire counts, which no record journals, come from the older slot, as
+        after any restart: grid instants since collapse into one firing."""
+        system = build_system(checkpoint_dir=str(tmp_path / "store"))
+        for _ in range(70):  # checkpoints at t = 1, 21, 41 and 61
+            system.step()
+        now = system.cluster.clock.now
+        snap = capture_state(system, now)
+
+        def torn_write(path, payload, *, generation):
+            write_checkpoint(path, payload, generation=generation)
+            with open(path, "r+b") as slot:
+                slot.seek(len(slot.readline()) + 10)
+                slot.write(b"\0" * 25)
+            raise KeyboardInterrupt  # the head dies mid-write
+
+        monkeypatch.setattr("repro.durable.store.write_checkpoint", torn_write)
+        with pytest.raises(KeyboardInterrupt):
+            system.durable.save_checkpoint({"state": snap})
+        monkeypatch.undo()
+        assert system.crash_head_node() and system.restart_head_node()
+        assert any("restarted warm" in line for line in system.recovery_log)
+        restored = capture_state(system, now)
+        assert restored.keys() == snap.keys()
+        for key in snap.keys() - {"gates"}:
+            assert restored[key] == snap[key], key
+        assert restored["gates"] == {"manager": [1.0, 61], "checkpoint": [1.0, 4]}
+        assert snap["gates"] == {"manager": [1.0, 70], "checkpoint": [1.0, 4]}
 
     def test_the_journal_counter_counts_every_record(self, tmp_path):
         """Scheduler and manager records alike: the counter reads what the

@@ -422,8 +422,10 @@ class TestOneEmissionSite:
         cluster.kill_job(sorted(cluster.running)[0])  # gone, with no totals to report
         steps(1)
         system.crash_head_node()
-        checkpoint = store / "store" / "checkpoint.json"
-        checkpoint.write_bytes(checkpoint.read_bytes()[:-25])
+        checkpoint = DurableStore(store / "store").newest_slot
+        with checkpoint.open("r+b") as slot:  # tear its payload: the crc fails
+            slot.seek(len(slot.readline()) + 10)
+            slot.write(b"\0" * 25)
         system.restart_head_node()
         system.run(until_idle=True, max_time=6000.0)
         lines, records = framework_streams(system, bus)
