@@ -274,8 +274,8 @@ class CapComplianceAuditor:
         that this round's verdicts shape this round's budget."""
         for text in self.audit_round(rnd.time, rnd.jobs):
             rnd.report(rnd.time, text)
-        # After ``audit_round`` the auditor's table holds exactly the jobs
-        # of the manager's, so one pass over it finds everyone distrusted.
+        # After ``audit_round`` the auditor's table holds exactly the linked
+        # jobs of the manager's, so one pass over it finds everyone distrusted.
         distrusted = {
             job_id: audit.state == QUARANTINED
             for job_id, audit in self._jobs.items()
@@ -311,15 +311,17 @@ class CapComplianceAuditor:
     def audit_round(self, now: float, jobs: dict[str, "JobRecord"]) -> list[str]:
         """Ingest this round's evidence and advance every state machine.
 
-        Takes the manager's connected-job table; returns one transition
-        description per edge taken, for the manager's event log.
+        Takes the manager's job table, less its linkless (recovering) records;
+        returns one transition description per edge taken, for the event log.
         """
         lines: list[str] = []
         for job_id in list(self._jobs):
-            if job_id not in jobs:
+            if job_id not in jobs or jobs[job_id].link is None:
                 self._forget(job_id)
         for job_id in sorted(jobs):
             record = jobs[job_id]
+            if record.link is None:
+                continue
             audit = self._jobs.get(job_id)
             if audit is None:
                 audit = self._jobs[job_id] = _JobAudit()

@@ -155,13 +155,12 @@ class ClusterPowerManager:
     # or ``preempt`` / ``kill`` (shed ladder); and whether launches are held.
     enforcement: list[tuple[str, str]] = field(default_factory=list, init=False)
     admission_held: bool = field(default=False, init=False)
-    # Recovery mode: reconnects that merged checkpointed state back in, the
-    # jobs still awaiting their re-HELLO, and the reconnect deadline.
+    # Recovery mode: reconnects that merged checkpointed state back in, and
+    # the reconnect deadline (a job awaiting its re-HELLO is a linkless record).
     recovery_merges: int = field(default=0, init=False)
     # Re-HELLOs whose degraded-history model was validated and adopted
     # (partition recovery path — distinct from checkpoint recovery_merges).
     hello_merges: int = field(default=0, init=False)
-    _recovered: dict[str, JobRecord] = field(default_factory=dict, init=False)
     _recovery_deadline: float | None = field(default=None, init=False)
     _links: list[TcpLink] = field(default_factory=list, init=False)
     _correction: float = field(default=0.0, init=False)
@@ -296,14 +295,20 @@ class ClusterPowerManager:
 
     def _on_hello(self, msg: HelloMessage, link: TcpLink, now: float) -> None:
         believed = self.classifier.model_for(msg.claimed_type, job_name=msg.job_id)
-        stale = self.jobs.get(msg.job_id)
-        if stale is not None and stale.link is not link:
+        # Known before — restored from the checkpoint a restarted head loaded
+        # (no link yet), else over the link this one replaces: merge its model
+        # and budget accounting so the cluster tier resumes warm instead of
+        # relearning the curve.  An endpoint restart must not cost it either:
+        # the job itself never stopped running.
+        known = self.jobs.get(msg.job_id)
+        restored = known is not None and known.link is None
+        if known is not None and not restored and known.link is not link:
             # The job reconnected over a fresh link (endpoint restart or
             # requeue after a node crash); drop the dead one immediately
             # rather than waiting for the dead-job timeout.
-            if stale.link in self._links:
-                self._links.remove(stale.link)
-            stale.link.close("replaced")
+            if known.link in self._links:
+                self._links.remove(known.link)
+            known.link.close("replaced")
             self._report(now, f"{msg.job_id}: reconnected, replaced stale link")
         # The believed power ceiling is where the believed model flattens out;
         # the platform cannot cap below p_node_min regardless.
@@ -316,26 +321,23 @@ class ClusterPowerManager:
             believed_p_max=min(believed.p_max, self.p_node_max),
             last_heard=now,
         )
-        recovered = self._recovered.pop(msg.job_id, None)
-        # Known before — from the checkpoint a restarted head loaded, else
-        # from the link this one replaces: merge its model and budget
-        # accounting so the cluster tier resumes warm instead of relearning
-        # the curve.  An endpoint restart must not cost it either: the job
-        # itself never stopped running.
-        known = recovered if recovered is not None else stale
         if known is not None:
             record.online_model = known.online_model
             record.online_r2 = known.online_r2
             record.last_cap = known.last_cap
             record.caps_sent = known.caps_sent
-        if recovered is not None:
+        if restored:
+            # Re-inserted below, behind the records still awaiting theirs.
+            del self.jobs[msg.job_id]
             self.recovery_merges += 1
             self._report(
                 now,
                 f"{msg.job_id}: reconciled after head-node restart "
-                f"(model {'restored' if recovered.online_model is not None else 'none'})",
+                f"(model {'restored' if known.online_model is not None else 'none'})",
             )
-            if not self._recovered and self._recovery_deadline is not None:
+            if self._recovery_deadline is not None and all(
+                r.link is not None for r in self.jobs.values()
+            ):
                 self._report(now, "recovery complete: all jobs reconciled")
                 self._recovery_deadline = None
         model = None
@@ -367,8 +369,8 @@ class ClusterPowerManager:
             job_id=msg.job_id,
             claimed_type=msg.claimed_type,
             nodes=msg.nodes,
-            reconnect=stale is not None,
-            recovered=recovered is not None,
+            reconnect=known is not None and not restored,
+            recovered=restored,
         )
         self._journal(
             "job-admit",
@@ -385,8 +387,8 @@ class ClusterPowerManager:
 
     def _on_status(self, msg: StatusMessage, now: float) -> None:
         record = self.jobs.get(msg.job_id)
-        if record is None:
-            return  # status raced past the goodbye; ignore
+        if record is None or record.link is None:
+            return  # status raced past the goodbye or the HELLO; ignore
         # Any arrival proves the endpoint process is alive, even if the
         # payload is garbage — heartbeat first, validation second.
         record.last_heard = now
@@ -481,7 +483,9 @@ class ClusterPowerManager:
         return model
 
     def _on_goodbye(self, msg: GoodbyeMessage, link: TcpLink, now: float) -> None:
-        if self.jobs.pop(msg.job_id, None) is not None:
+        record = self.jobs.get(msg.job_id)
+        if record is not None and record.link is not None:
+            del self.jobs[msg.job_id]
             self._event("job-goodbye", now, job_id=msg.job_id)
             self._journal("job-evict", now, job_id=msg.job_id, kind="goodbye")
         if link in self._links:
@@ -499,7 +503,7 @@ class ClusterPowerManager:
         dead = [
             job_id
             for job_id, record in self.jobs.items()
-            if now - record.last_heard > DEAD_JOB_TIMEOUT
+            if record.link is not None and now - record.last_heard > DEAD_JOB_TIMEOUT
         ]
         for job_id in dead:
             record = self.jobs.pop(job_id)
@@ -523,14 +527,15 @@ class ClusterPowerManager:
     def begin_recovery(self, now: float, recovered: dict[str, JobRecord]) -> None:
         """Enter bounded recovery mode after a head-node restart.
 
-        Every restored job stays a conservative liability — its last sent cap
-        (× nodes) reserved, no budget granted — until it re-HELLOs over a
-        fresh link or the reconnect window closes, whichever comes first.
-        Jobs still silent at the deadline are declared orphans: they died
-        during the outage (or their endpoint did; the node-local watchdog
-        brings those back later as ordinary new connections).
+        Each restored job joins ``jobs`` as the linkless record it is, in
+        ``recovered``'s order, and stays a conservative liability — its last
+        sent cap (× nodes) reserved, no budget granted — until it re-HELLOs
+        over a fresh link or the reconnect window closes, whichever comes
+        first.  Jobs still silent at the deadline are declared orphans: they
+        died during the outage (or their endpoint did; the node-local
+        watchdog brings those back later as ordinary new connections).
         """
-        self._recovered = dict(recovered)
+        self.jobs.update(recovered)
         self._recovery_deadline = now + RECOVERY_TIMEOUT
         self._report(
             now,
@@ -542,16 +547,13 @@ class ClusterPowerManager:
     def in_recovery(self) -> bool:
         return self._recovery_deadline is not None
 
-    def recovered_job(self, job_id: str) -> JobRecord | None:
-        return self._recovered.get(job_id)
-
     def _reconcile_recovery(self, rnd: BudgetRound) -> None:
         """Close the reconnect window when due.  The last stage to move the
-        job tables, so it also says whether anything is left to budget."""
+        job table, so it also says whether anything is left to budget."""
         now = rnd.time
         if self._recovery_deadline is not None and now >= self._recovery_deadline:
-            for job_id in sorted(self._recovered):
-                self._recovered.pop(job_id)
+            for job_id in sorted(j for j, r in self.jobs.items() if r.link is None):
+                del self.jobs[job_id]
                 rnd.actions.append(("orphan", job_id))
                 self._report(
                     now,
@@ -563,7 +565,7 @@ class ClusterPowerManager:
                 self._journal("job-evict", now, job_id=job_id, kind="orphan")
             self._recovery_deadline = None
             self._report(now, "recovery window closed")
-        rnd.occupied = bool(self.jobs or self._recovered)
+        rnd.occupied = bool(self.jobs)
 
     # -------------------------------------------------------------- control
 
@@ -658,30 +660,31 @@ class ClusterPowerManager:
     # ------------------------------------------------- stages of a budgeting
 
     def _triage(self, rnd: BudgetRound) -> None:
-        """Occupancy, then each connected job's budgeting class."""
+        """Occupancy, then each job's budgeting class."""
         now = rnd.time
-        # Restored-but-unreconciled jobs are presumed alive, their nodes busy:
-        # planned draw stays under target while the cluster re-discovers itself.
-        rnd.recovering = [self._recovered[j] for j in sorted(self._recovered)]
-        busy_nodes = sum(r.nodes for r in self.jobs.values()) + sum(
-            r.nodes for r in rnd.recovering
-        )
+        busy_nodes = sum(r.nodes for r in self.jobs.values())
         idle_nodes = max(0, self.total_nodes - busy_nodes)
         rnd.idle_power = idle_nodes * IDLE_NODE_POWER
         rnd.correction = self._correction
         rnd.available = max(rnd.target - rnd.idle_power + self._correction, 1.0)
         # Triage (§7.2 plus fault hardening):
+        # * recovering — restored, no re-HELLO yet: presumed alive, its nodes
+        #   busy and its last cap reserved, so planned draw stays under target
+        #   while the cluster re-discovers itself;
         # * stale — silent beyond the staleness timeout: its online fit and
         #   last status can no longer be trusted, so reserve what it may
         #   still be drawing (its last cap) and send the floor cap;
         # * dormant — heard recently but drawing idle-level power
         #   (setup/teardown): budget it at what it actually consumes;
         # * active — budget normally.
-        rnd.stale, rnd.dormant, rnd.active = stale, dormant, active = [], [], []
+        rnd.recovering, rnd.stale, rnd.dormant, rnd.active = (
+            recovering, stale, dormant, active) = [], [], [], []
         for record in sorted(self.jobs.values(), key=lambda r: r.job_id):
             status = record.last_status
             threshold = record.nodes * IDLE_NODE_POWER * 1.5
-            if now - record.last_heard > STALE_STATUS_TIMEOUT:
+            if record.link is None:
+                recovering.append(record)
+            elif now - record.last_heard > STALE_STATUS_TIMEOUT:
                 stale.append(record)
             elif status is None or status.measured_power < threshold:
                 dormant.append(record)
@@ -732,6 +735,8 @@ class ClusterPowerManager:
     def _dispatch(self, rnd: BudgetRound) -> None:
         now = rnd.time
         for record in self.jobs.values():
+            if record.link is None:
+                continue
             cap = rnd.caps[record.job_id]
             if cap != record.last_cap:
                 rnd.rewrites += 1

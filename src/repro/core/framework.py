@@ -188,34 +188,16 @@ class AnorConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.retrain_threshold < 1:
             raise ValueError(f"retrain_threshold must be ≥ 1, got {self.retrain_threshold}")
-        positive = {
-            "num_nodes": self.num_nodes,
-            "tick": self.tick,
-            "agent_period": self.agent_period,
-            "endpoint_period": self.endpoint_period,
-            "manager_period": self.manager_period,
-            "checkpoint_period": self.checkpoint_period,
-            "plan_error_bound_watts": self.plan_error_bound_watts,
-        }
-        for name, value in positive.items():
-            if value <= 0:
+        for name in ("num_nodes", "tick", "agent_period", "endpoint_period",
+                     "manager_period", "checkpoint_period", "plan_error_bound_watts"):
+            if (value := getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        non_negative = {
-            "lease_ramp_seconds": self.lease_ramp_seconds,
-            "plan_hysteresis_watts": self.plan_hysteresis_watts,
-            "plan_shadow_rounds": self.plan_shadow_rounds,
-        }
-        for name, value in non_negative.items():
-            if value < 0:
+        for name in ("lease_ramp_seconds", "plan_hysteresis_watts", "plan_shadow_rounds"):
+            if (value := getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be ≥ 0, got {value}")
         # Optional knobs: None disables, anything else must be meaningful.
-        optional_positive = {
-            "lease_ttl": self.lease_ttl,
-            "breaker_margin": self.breaker_margin,
-            "shed_nominal_watts": self.shed_nominal_watts,
-        }
-        for name, value in optional_positive.items():
-            if value is not None and value <= 0:
+        for name in ("lease_ttl", "breaker_margin", "shed_nominal_watts"):
+            if (value := getattr(self, name)) is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.plan_forecaster not in FORECASTER_KINDS:
             raise ValueError(
@@ -282,26 +264,22 @@ class AnorResult:
     # PartitionEnd records, in detection order; empty without reliable links).
     partition_events: list = field(default_factory=list)
 
-    def slowdowns_by_type(
-        self, reference: dict[str, float]
-    ) -> dict[str, list[float]]:
+    def slowdowns_by_type(self, reference: dict[str, float]) -> dict[str, list[float]]:
         """Per-type fractional runtime slowdowns vs. ``reference`` seconds."""
-        out: dict[str, list[float]] = {}
-        for t in self.completed:
-            ref = reference.get(t.job_type)
-            if ref is None:
-                continue
-            out.setdefault(t.job_type, []).append(t.runtime / ref - 1.0)
-        return out
+        return self._by_type(reference, lambda t, ref: t.runtime / ref - 1.0)
 
     def qos_by_type(self, t_min: dict[str, float]) -> dict[str, list[float]]:
         """Per-type QoS degradation Q = (T_sojourn − T_min)/T_min (§5.2)."""
+        return self._by_type(t_min, lambda t, ref: (t.sojourn - ref) / ref)
+
+    def _by_type(self, reference: dict[str, float], value) -> dict[str, list[float]]:
+        """``value(totals, reference)`` of each completed job whose type
+        ``reference`` lists, grouped by type."""
         out: dict[str, list[float]] = {}
         for t in self.completed:
-            ref = t_min.get(t.job_type)
-            if ref is None:
-                continue
-            out.setdefault(t.job_type, []).append((t.sojourn - ref) / ref)
+            ref = reference.get(t.job_type)
+            if ref is not None:
+                out.setdefault(t.job_type, []).append(value(t, ref))
         return out
 
 
@@ -482,12 +460,16 @@ class AnorSystem:
         ) if entry]
 
     def _build_manager(self) -> ClusterPowerManager:
-        """Construct a cluster-tier manager (initial boot and head restarts)."""
+        """Construct a cluster-tier manager (initial boot and head restarts).
+
+        Each stage owner is built fresh: breaker state, trust verdicts,
+        forecast trust and shed severity are head-local, not checkpointed,
+        so a restarted head re-earns them from new evidence (a crash that
+        drops one engaged says so, ``durable.recovery.crash_head``).
+        """
         cfg = self.config
         breaker = None
         if cfg.breaker_margin is not None:
-            # A fresh breaker per manager build: breaker state is head-local
-            # and does not survive a head-node crash (it re-arms closed).
             from repro.facility.breaker import PowerBreaker
 
             breaker = PowerBreaker(
@@ -495,9 +477,6 @@ class AnorSystem:
             )
         auditor = None
         if cfg.audit_enabled:
-            # Fresh auditor per manager build: trust state is deliberately
-            # head-local (not checkpointed) — a restarted head re-earns its
-            # verdicts from new evidence rather than trusting a stale one.
             from repro.core.audit import CapComplianceAuditor
 
             auditor = CapComplianceAuditor(
@@ -508,10 +487,6 @@ class AnorSystem:
             )
         planner = None
         if cfg.plan_enabled:
-            # Fresh planner per manager build: forecast trust is head-local
-            # state, like breaker and auditor verdicts — a restarted head
-            # starts from shadow (or active when plan_shadow_rounds is 0)
-            # and re-earns promotion from new forecast scores.
             from repro.plan.envelope import SafetyEnvelope
             from repro.plan.forecast import make_forecaster
             from repro.plan.planner import RecedingHorizonPlanner
@@ -529,10 +504,6 @@ class AnorSystem:
             )
         shed = None
         if cfg.shed_enabled:
-            # Fresh controller per manager build: shed state (severity,
-            # hysteresis streaks, the ramped recovery ceiling) is head-local
-            # and does not survive a head-node crash — a restarted head
-            # re-grades the feed from new observations.
             from repro.facility.shed import ShedController, ShedLadder
 
             shed = ShedController(
@@ -702,17 +673,13 @@ class AnorSystem:
         """Start the queued jobs FCFS would start."""
         if not self._queue or self.manager.admission_held:
             return
-        chosen = self._select()
+        chosen = self._scheduler.select(self._queue, self.cluster.idle_count())
         if not chosen:
             self._declined_at = now
             return
         for req in chosen:
             self._launch(req)
         del self._queue[: len(chosen)]
-
-    def _select(self) -> list[JobRequest]:
-        """What the scheduler would start on the current queue and cluster."""
-        return self._scheduler.select(self._queue, self.cluster.idle_count())
 
     def _launch(self, req: JobRequest) -> None:
         job_type = self.job_types[req.type_name].with_nodes(req.nodes)
@@ -1031,10 +998,10 @@ class AnorSystem:
                 continue
             spec = self._launched[job_id]  # on record since its launch
             # Warm restart: hand back the last model the cluster tier
-            # validated for this job (live record or checkpoint-recovered),
+            # validated for this job (linked, or restored from the checkpoint),
             # so the fresh endpoint does not re-fit from zero.
             warm_model = warm_r2 = None
-            known = self.manager.jobs.get(job_id) or self.manager.recovered_job(job_id)
+            known = self.manager.jobs.get(job_id)
             if known is not None and known.online_model is not None:
                 warm_model, warm_r2 = known.online_model, known.online_r2
             self._attach_endpoint(
@@ -1259,7 +1226,7 @@ class AnorSystem:
             return False
         if self._declined_at == now:
             return False
-        return bool(self._select())
+        return bool(self._scheduler.select(self._queue, self.cluster.idle_count()))
 
     def _arrivals_wait(self) -> bool:
         """Will the scheduler start none of the arrivals a window may cover
@@ -1345,23 +1312,16 @@ class AnorSystem:
         start = self.cluster.clock.now
         limits = (start, duration, until_idle, max_time)
         while True:
-            now = self.cluster.clock.now
-            elapsed = now - start
-            if duration is not None and elapsed >= duration:
-                if not until_idle:
-                    break
-                if not self.has_work:
-                    break
-            if duration is None and not self.has_work:
-                break
+            elapsed = self.cluster.clock.now - start
             if elapsed >= max_time:
                 break
+            # Past the duration (or none given): go on only to drain.
+            if (duration is None or elapsed >= duration) and not (
+                until_idle and self.has_work
+            ):
+                break
             self._advance(limits)
-        trace = (
-            np.asarray(self._trace)
-            if self._trace
-            else np.empty((0, 3))
-        )
+        trace = np.asarray(self._trace) if self._trace else np.empty((0, 3))
         # Durable sinks must not hold back records a consumer reads right
         # after run() returns; the system stays usable (run can be resumed).
         self.telemetry.flush()

@@ -67,7 +67,7 @@ class BudgetRound:
     """
 
     time: float
-    jobs: dict[str, JobRecord]  # the manager's connected-job table
+    jobs: dict[str, JobRecord]  # the manager's job table; linkless: recovering
     #: ``report(now, text, category=None, **attrs)``: the one emission site
     #: for a transition — its ``events`` line and its bus incident together.
     report: Callable[..., None]
@@ -85,8 +85,8 @@ class BudgetRound:
     # False when no job is connected or recovering: nothing is budgeted and
     # the round is not published.
     occupied: bool = False
-    # Triage classes, each in job-id order.  ``recovering``: restored from a
-    # checkpoint, no re-HELLO yet (last cap stays reserved); ``quarantined``:
+    # Triage classes, each in job-id order.  ``recovering``: linkless, restored
+    # from a checkpoint, no re-HELLO yet (last cap stays reserved); ``quarantined``:
     # held by the cap-compliance auditor at their metered envelope
     # (DESIGN.md §4f).  Both are counted inside ``reserved``.
     recovering: Sequence[JobRecord] = ()

@@ -37,7 +37,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.durable.checkpoint import fsync_dir, pwrite_all
+from repro.durable.checkpoint import _canonical, fsync_dir, pwrite_all
 
 __all__ = ["JournalRecord", "JournalReplay", "Journal"]
 
@@ -49,10 +49,6 @@ RECORD_TYPES = (
     "cap-decision",   # one budgeting round's caps + correction + target
     "target-change",  # observed cluster power target changed value
 )
-
-
-def _canonical(obj: dict) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def _encode_line(rec: dict) -> bytes:

@@ -9,7 +9,7 @@ checkpoint's schema stays in :mod:`repro.durable.state`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.durable.checkpoint import CheckpointError
 from repro.durable.state import (
@@ -21,6 +21,7 @@ from repro.durable.state import (
 from repro.durable.store import DurableStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.cluster_manager import ClusterPowerManager
     from repro.core.framework import AnorSystem
 
 __all__ = ["crash_head", "reconcile_orphan", "restart_head"]
@@ -29,6 +30,11 @@ __all__ = ["crash_head", "reconcile_orphan", "restart_head"]
 def crash_head(system: "AnorSystem", now: float) -> None:
     """The cluster-tier process dies; what the compute nodes hold survives."""
     system.head_crashes += 1
+    for owner, held in _engaged(system.manager):
+        system._report(
+            "head-state-reset", now, system.recovery_log,
+            f"head-local {owner} state dropped ({held})", owner=owner,
+        )
     # Every connection to the dead head is gone: close them so that
     # endpoints shouting into the void show up as counted drops, not
     # silently vanished mail.  (The loss RNG draw precedes the closed
@@ -41,6 +47,23 @@ def crash_head(system: "AnorSystem", now: float) -> None:
         system.durable = None
     system._build_tick()
     system._report("head-crash", now, system.recovery_log, "head node crashed")
+
+
+def _engaged(mgr: "ClusterPowerManager") -> Iterator[tuple[str, str]]:
+    """``(owner, what it held)`` for each round-stage owner whose state is
+    engaged: no checkpoint carries it, so a restarted head starts it over."""
+    shed, auditor, breaker, planner = mgr.shed, mgr.auditor, mgr.breaker, mgr.planner
+    if shed is not None and (shed.active or shed.ladder.ramping):
+        yield "shed", f"ladder {shed.severity}, ceiling {shed.ladder.ceiling:.0f}W"
+    held = [] if auditor is None else [
+        job_id for job_id in sorted(mgr.jobs) if auditor.state(job_id) != "trusted"
+    ]
+    if held:
+        yield "audit", f"{len(held)} job(s) not trusted: {', '.join(held)}"
+    if breaker is not None and breaker.state != "closed":
+        yield "breaker", f"breaker {breaker.state}"
+    if planner is not None and planner.state == "fallback":
+        yield "planner", "envelope in fallback"
 
 
 def _load_state(system: "AnorSystem", now: float) -> dict | None:
@@ -62,6 +85,11 @@ def _load_state(system: "AnorSystem", now: float) -> dict | None:
         )
         system.warnings.append(system.recovery_log[-1])
         return None
+    for reason in system.durable.refused:
+        system._report(
+            "checkpoint-slot-refused", now, system.recovery_log,
+            f"checkpoint slot refused ({reason}); the other slot loaded", reason=reason,
+        )
     state = apply_journal(
         payload["state"] if payload is not None else empty_state(), replay.records
     )
@@ -84,7 +112,7 @@ def restart_head(system: "AnorSystem", now: float) -> None:
     system.manager = system._build_manager()
     if state is not None:
         restore_state(system, state, now)
-        recovered = len(system.manager._recovered)
+        recovered = len(system.manager.jobs)  # each one linkless
         system._report(
             "head-restart",
             now,

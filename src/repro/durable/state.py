@@ -121,13 +121,10 @@ def capture_state(system: "AnorSystem", now: float) -> dict:
         "requeued": list(system.requeued),
         "manager": {
             "correction": mgr._correction,
-            # Jobs restored from a previous crash that have not re-HELLOed
-            # yet are still liabilities the budgeter reserves power for; a
-            # second crash must not forget them.
-            "jobs": {
-                job_id: job_entry(rec)
-                for job_id, rec in {**mgr._recovered, **mgr.jobs}.items()
-            },
+            # A linkless record (restored, no re-HELLO yet) is still a
+            # liability the budgeter reserves power for; a second crash must
+            # not forget it.
+            "jobs": {job_id: job_entry(rec) for job_id, rec in mgr.jobs.items()},
             "counters": {name: getattr(mgr, name) for name in _COUNTERS},
         },
         "target_hold": mgr.target_hold.state_dict(),
@@ -160,7 +157,8 @@ def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
     """:func:`capture_state`'s inverse, onto a system whose manager was just
     rebuilt: the scheduler side and gate phases come back as they were, the
     manager's trim, counters and target hold too, and its per-job records
-    enter recovery mode until each job re-HELLOs."""
+    join its job table, linkless, in recovery mode until each job
+    re-HELLOs."""
     ordered = sorted(system.schedule.requests, key=lambda r: (r.submit_time, r.job_id))
     system._pending = ordered[int(state["pending_index"]):]
     # The launched jobs come back as submitted.

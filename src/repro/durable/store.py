@@ -47,7 +47,9 @@ class DurableStore:
         #: its generation; the next checkpoint goes into the other slot.
         self.newest_slot: Path | None = None
         self.generation = 0
-        slots, _ = self._read_slots()
+        #: Why each slot that exists but is not valid was refused, at the
+        #: last read (a restart that loads the other slot says why).
+        slots, self.refused = self._read_slots()
         if slots:
             self.generation, self.newest_slot, _ = max(slots, key=lambda s: s[0])
 
@@ -92,16 +94,16 @@ class DurableStore:
         cannot be safely interpreted without knowing what the lost snapshot
         covered).
         """
-        slots, refused = self._read_slots()
-        if refused and not slots:
-            raise CheckpointError("; ".join(refused))
+        slots, self.refused = self._read_slots()
+        if self.refused and not slots:
+            raise CheckpointError("; ".join(self.refused))
         payload = max(slots, key=lambda s: s[0])[2] if slots else None
         watermark = int(payload.get("journal_seq", 0)) if payload is not None else 0
         journal = self.journal
         if not journal.base <= watermark <= journal.seq:
             raise CheckpointError(
                 "; ".join(
-                    refused
+                    self.refused
                     + [f"checkpoint covers journal seq {watermark}; the journal "
                        f"was reset at seq {journal.base} and ends at seq "
                        f"{journal.seq}"]

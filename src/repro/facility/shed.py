@@ -131,6 +131,8 @@ class ShedLadder:
     _worse_streak: int = field(default=0, init=False)
     _better_streak: int = field(default=0, init=False)
     _ceiling: float | None = field(default=None, init=False)
+    #: The ceiling still lies below the supply: the recovery ramp is on.
+    ramping: bool = field(default=False, init=False)
 
     @property
     def gauge_value(self) -> int:
@@ -189,6 +191,7 @@ class ShedLadder:
             self._ceiling = supply
         else:
             self._ceiling = min(supply, self._ceiling + RAMP_WATTS_PER_ROUND)
+        self.ramping = self._ceiling < supply
 
     def _transition(self, new_severity: str, now: float, deficit: float) -> None:
         if (self.transitions.maxlen is not None

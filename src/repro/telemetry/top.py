@@ -47,7 +47,8 @@ def snapshot_system(system) -> dict:
                     "cap": cap,
                     "power": status.measured_power if status is not None else None,
                     "slowdown": slowdown,
-                    "model": "online" if record.online_model is not None else "believed",
+                    "model": "recovering" if record.link is None  # no re-HELLO yet
+                    else "online" if record.online_model is not None else "believed",
                     "silent_for": now - record.last_heard,
                 }
             )

@@ -65,6 +65,7 @@ def make_auditor(meter):
 def make_record(job_id="j0", nodes=2, last_cap=150.0, **extra):
     return SimpleNamespace(
         job_id=job_id,
+        link=object(),  # connected: the auditor skips a linkless record
         nodes=nodes,
         last_cap=last_cap,
         last_status=None,

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,13 @@ from repro.core.cluster_manager import ClusterPowerManager
 from repro.core.framework import AnorConfig, AnorSystem
 from repro.core.targets import ConstantTarget, HoldLastGoodTarget
 from repro.durable.checkpoint import write_checkpoint
-from repro.durable.state import JOB_EVICT, apply_journal, capture_state, empty_state
+from repro.durable.state import (
+    JOB_EVICT,
+    apply_journal,
+    capture_state,
+    empty_state,
+    job_entry,
+)
 from repro.durable.store import DurableStore
 from repro.experiments.fig9 import build_demand_response_system
 from repro.experiments.resilience import _SHED_CLASS_MAP, _SHED_INCIDENTS
@@ -25,6 +32,7 @@ from repro.faults.events import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.invariants import RoundMonitor
+from repro.telemetry.top import snapshot_system
 from repro.workloads.trace import JobRequest, Schedule
 
 TYPES = ["bt", "cg", "ft", "lu", "mg", "sp"]
@@ -112,8 +120,8 @@ class TestCrashRecoveryEndToEnd:
         # exact pre-crash coefficients out of the checkpoint+journal.
         assert system.manager.in_recovery
         for jid, coeffs in pre.items():
-            recovered = system.manager.recovered_job(jid)
-            assert recovered is not None and recovered.online_model is not None
+            recovered = system.manager.jobs[jid]
+            assert recovered.link is None and recovered.online_model is not None
             m = recovered.online_model
             assert (m.a, m.b, m.c) == pytest.approx(coeffs)
         # Re-HELLOs then merge that state warm (models keep refitting live
@@ -122,6 +130,21 @@ class TestCrashRecoveryEndToEnd:
             system.step()
         assert system.manager.recovery_merges > 0
         assert any("model restored" in e for e in system.manager.events)
+
+    def test_top_shows_a_restored_job_as_recovering(self, tmp_path):
+        system = build_system(
+            checkpoint_dir=str(tmp_path / "store"), telemetry_enabled=True
+        )
+        for _ in range(100):
+            system.step()
+        system.crash_head_node()
+        system.restart_head_node()
+        jobs = snapshot_system(system)["jobs"]
+        assert jobs and {job["model"] for job in jobs} == {"recovering"}
+        for _ in range(10):  # every endpoint re-HELLOs
+            system.step()
+        jobs = snapshot_system(system)["jobs"]
+        assert jobs and "recovering" not in {job["model"] for job in jobs}
 
     def test_recovery_is_exact_after_long_runs_of_repeated_statuses(self, tmp_path):
         """A fit is journalled once, then repeated for tens of statuses that
@@ -162,7 +185,8 @@ class TestCrashRecoveryEndToEnd:
         system.restart_head_node()
         assert system.manager.in_recovery
         for jid in held:
-            m = system.manager.recovered_job(jid)
+            m = system.manager.jobs[jid]
+            assert m.link is None
             assert (m.online_model.a, m.online_model.b, m.online_model.c,
                     m.online_r2, m.last_cap) == pre[jid]
 
@@ -249,7 +273,8 @@ class TestCrashRecoveryEndToEnd:
         for _ in range(10):
             system.step()
         system.restart_head_node()
-        assert system.manager.recovered_job("j00").last_cap is None
+        restored = system.manager.jobs["j00"]
+        assert restored.link is None and restored.last_cap is None
         result = system.run(until_idle=True, max_time=6000.0)
         assert "j00" in result.orphaned and "j00" in result.requeued
         assert sorted(t.job_id for t in result.completed) == [
@@ -273,7 +298,7 @@ class TestCrashRecoveryEndToEnd:
         system.restart_head_node()
         for _ in range(5):
             system.step()
-        assert system.manager.recovered_job(victim) is not None
+        assert system.manager.jobs[victim].link is None
         system.crash_node(system.cluster.running[victim].nodes[0].node_id)
         result = system.run(until_idle=True, max_time=6000.0)
         assert victim in result.orphaned
@@ -530,8 +555,11 @@ class TestLiveStateRoundTrip:
         torn, the journal was not reset yet, so the other slot and the
         journal since it rebuild the head as it was at the crash.  The gates'
         fire counts, which no record journals, come from the older slot, as
-        after any restart: grid instants since collapse into one firing."""
-        system = build_system(checkpoint_dir=str(tmp_path / "store"))
+        after any restart: grid instants since collapse into one firing.  The
+        refused slot is one incident and one line."""
+        system = build_system(
+            checkpoint_dir=str(tmp_path / "store"), telemetry_enabled=True
+        )
         for _ in range(70):  # checkpoints at t = 1, 21, 41 and 61
             system.step()
         now = system.cluster.clock.now
@@ -550,12 +578,59 @@ class TestLiveStateRoundTrip:
         monkeypatch.undo()
         assert system.crash_head_node() and system.restart_head_node()
         assert any("restarted warm" in line for line in system.recovery_log)
+        refused = [line for line in system.recovery_log if "slot refused" in line]
+        assert len(refused) == 1 and "checksum mismatch" in refused[0]
+        assert system.telemetry.incident_counts["checkpoint-slot-refused"] == 1
         restored = capture_state(system, now)
         assert restored.keys() == snap.keys()
         for key in snap.keys() - {"gates"}:
             assert restored[key] == snap[key], key
         assert restored["gates"] == {"manager": [1.0, 61], "checkpoint": [1.0, 4]}
         assert snap["gates"] == {"manager": [1.0, 70], "checkpoint": [1.0, 4]}
+
+    def test_restored_jobs_are_linkless_records_of_the_one_table(self, tmp_path):
+        """A warm restart puts every restored job into ``manager.jobs``, with
+        no link, in the order the checkpoint and its journal tail hold them.
+        A re-HELLO moves its job behind the ones still awaiting theirs, so a
+        checkpoint lists the restored jobs first, then the reconnected ones in
+        the order they reconnected, byte for byte."""
+        store_dir = tmp_path / "store"
+        system = build_system(checkpoint_dir=str(store_dir))
+        for _ in range(100):
+            system.step()
+        system.crash_head_node()
+        silent = sorted(system.cluster.running)[0]
+        system.crash_endpoint(silent)  # nobody left to re-HELLO for it
+        for _ in range(10):
+            system.step()
+        store = DurableStore(store_dir)
+        payload, tail = store.load()
+        store.close()
+        held = list(apply_journal(payload["state"], tail.records)["manager"]["jobs"])
+        assert silent in held and len(held) >= 3
+        system.restart_head_node()
+        manager = system.manager
+        assert list(manager.jobs) == held
+        assert all(record.link is None for record in manager.jobs.values())
+        hellos: list[str] = []
+        on_hello = manager._on_hello
+
+        def recording_hello(msg, link, now):
+            hellos.append(msg.job_id)
+            on_hello(msg, link, now)
+
+        manager._on_hello = recording_hello
+        for _ in range(5):
+            system.step()
+        assert manager.recovery_merges >= 2 and manager.jobs[silent].link is None
+        waiting = [job_id for job_id in held if job_id not in hellos]
+        expected = {
+            job_id: job_entry(manager.jobs[job_id])
+            for job_id in [*waiting, *dict.fromkeys(hellos)]
+            if job_id in manager.jobs
+        }
+        captured = capture_state(system, system.cluster.clock.now)
+        assert json.dumps(captured["manager"]["jobs"]) == json.dumps(expected)
 
     def test_the_journal_counter_counts_every_record(self, tmp_path):
         """Scheduler and manager records alike: the counter reads what the
@@ -637,7 +712,7 @@ class TestHeadStateInventory:
     fresh by a restart, and every ``job-evict`` kind has a replay meaning."""
 
     #: ``ClusterPowerManager`` state a checkpoint carries.
-    PERSISTED = {"jobs", "_recovered", "_correction", "evictions",
+    PERSISTED = {"jobs", "_correction", "evictions",
                  "rejected_statuses", "rejected_models", "meter_faults",
                  "target_hold"}
     #: What a restarted head builds fresh.

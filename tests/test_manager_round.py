@@ -28,7 +28,7 @@ from repro.experiments.fig9 import (
     DEFAULT_RESERVE,
     build_demand_response_system,
 )
-from repro.faults.events import FeederLoss, HeadNodeCrash, ThermalDerate
+from repro.faults.events import FeederLoss, HeadNodeCrash, StuckActuator, ThermalDerate
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.geopm.agent import JobAgentGroup
@@ -319,6 +319,8 @@ FRAMEWORK_LINES = {
     r"head node restarted cold": "head-restart-cold",
     r"journal tail dropped": "journal-tail-dropped",
     r"checkpoint rejected": "checkpoint-rejected",
+    r"checkpoint slot refused": "checkpoint-slot-refused",
+    r"head-local \S+ state dropped": "head-state-reset",
 }
 
 
@@ -430,10 +432,60 @@ class TestOneEmissionSite:
         system.run(until_idle=True, max_time=6000.0)
         lines, records = framework_streams(system, bus)
         assert lines == records
-        assert set(lines) == set(FRAMEWORK_LINES.values()) - {"link-redial"}
+        # No stage owner runs here, and no slot is torn mid-write: those two
+        # categories have their own tests (TestCrashReportsDroppedHeadState,
+        # and the torn-slot restart in tests/test_head_recovery.py).
+        assert set(lines) == set(FRAMEWORK_LINES.values()) - {
+            "link-redial", "checkpoint-slot-refused", "head-state-reset"
+        }
 
 
-def small_system(tmp_path=None, n_jobs=6, **cfg) -> AnorSystem:
+class TestCrashReportsDroppedHeadState:
+    """A crash drops what the round-stage owners hold and no checkpoint
+    carries: each engaged owner leaves one ``head-state-reset`` incident
+    and its line."""
+
+    #: owner -> (config, faults, target W, engaged at the crash)
+    CASES = {
+        # The feed comes back at t=90; the ladder is normal again at t=99,
+        # its ceiling still ramping 100 W a round toward the feed.
+        "shed": (
+            dict(shed_enabled=True),
+            [FeederLoss(time=60.0, magnitude=0.45, duration=30.0)],
+            16 * 170.0,
+            lambda m: m.shed.severity == "normal" and m.shed.ladder.ramping,
+        ),
+        "audit": (
+            dict(audit_enabled=True),
+            [StuckActuator(time=60.0)],
+            16 * 170.0,
+            lambda m: "quarantined" in {m.auditor.state(j) for j in m.jobs},
+        ),
+        # A target below what busy nodes draw at the floor cap.
+        "breaker": (dict(breaker_margin=0.2), [], 16 * 100.0, lambda m: m.breaker.tripped),
+    }
+
+    @pytest.mark.parametrize("owner", sorted(CASES))
+    def test_a_crash_reports_the_engaged_owner_once(self, owner):
+        cfg, faults, target, engaged = self.CASES[owner]
+        system = small_system(faults=faults, target=target, **cfg)
+        bus = count_bus_records(system)
+        for _ in range(300):
+            system.step()
+            if engaged(system.manager):
+                break
+        assert engaged(system.manager)
+        system.crash_head_node()
+        lines, records = framework_streams(system, bus)
+        assert lines == records
+        assert records["head-state-reset"] == 1
+        dropped = [line for line in system.recovery_log if "state dropped" in line]
+        assert len(dropped) == 1 and f"head-local {owner} state" in dropped[0]
+
+
+def small_system(
+    tmp_path=None, n_jobs=6, faults=None, target=16 * 170.0, **cfg
+) -> AnorSystem:
     types = ["bt", "cg", "ft", "lu", "mg", "sp"]
     schedule = Schedule([
         JobRequest(submit_time=float(i), job_id=f"j{i:02d}",
@@ -445,9 +497,10 @@ def small_system(tmp_path=None, n_jobs=6, **cfg) -> AnorSystem:
     # A ring big enough that no record of the run is evicted.
     with mock.patch.object(telemetry, "RING_SIZE", 1 << 20):
         return AnorSystem(
-            target_source=ConstantTarget(16 * 170.0),
+            target_source=ConstantTarget(target),
             schedule=schedule,
             config=AnorConfig(seed=3, telemetry_enabled=True, **cfg),
+            fault_schedule=None if faults is None else FaultSchedule(faults),
         )
 
 
