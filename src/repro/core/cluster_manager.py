@@ -128,14 +128,16 @@ class ClusterPowerManager:
     # Graceful-degradation ladder for a sagging power feed (DESIGN.md §10).
     shed: ShedController | None = None
 
-    # Observability (DESIGN.md §8).  With the shared NULL instance the round
-    # has no telemetry stage and the handlers' counters are no-op instruments.
+    # Observability (DESIGN.md §8).  Enabled, the round's span, events and
+    # instruments are one stage owner's (``round_telemetry``); with the shared
+    # NULL instance there is none and the handlers' counters are no-ops.
     telemetry: Telemetry = field(default=NULL_TELEMETRY)
     # Round observers (:mod:`repro.invariants`): each is called with the
     # finished BudgetRound, after everything else; none, no stage.
     monitors: Sequence[Callable[[BudgetRound], None]] = ()
 
-    # State, not configuration: what the manager has learned and counted.
+    # State, not configuration: what the manager has learned.  What it
+    # decides is counted once, in the registry (``anor_*_total``).
     # The hold-last-good filter every round's feed reading passes through:
     # a raising or NaN-emitting feed degrades to hold-last-with-decay
     # instead of crashing the control loop.
@@ -143,13 +145,6 @@ class ClusterPowerManager:
     jobs: dict[str, JobRecord] = field(default_factory=dict, init=False)
     events: list[str] = field(default_factory=list, init=False)
     last_round: BudgetRound | None = field(default=None, init=False)
-    evictions: int = field(default=0, init=False)
-    rejected_statuses: int = field(default=0, init=False)
-    rejected_models: int = field(default=0, init=False)
-    meter_faults: int = field(default=0, init=False)
-    # Dispatches that changed a job's cap: the churn the planner's hysteresis
-    # is meant to reduce, counted in reactive runs too for like-for-like drills.
-    cap_rewrites: int = field(default=0, init=False)
     # What rounds hand back for AnorSystem to enforce (it drains the list):
     # ``(action, job_id)`` with ``orphan`` (silent past the recovery deadline)
     # or ``preempt`` / ``kill`` (shed ladder); and whether launches are held.
@@ -168,7 +163,6 @@ class ClusterPowerManager:
 
     def __post_init__(self) -> None:
         self.target_hold = HoldLastGoodTarget(floor=self.total_nodes * self.p_node_min)
-        self._round_span = 0
         # The message handlers' counters: no-ops from a disabled registry.
         reg = self.telemetry.registry
         self._mx_models_accepted = reg.counter(
@@ -183,80 +177,49 @@ class ClusterPowerManager:
             "anor_meter_faults_total", "facility meter samples discarded")
         self._mx_journal_records = reg.counter(
             "anor_journal_records_total", "write-ahead journal records appended")
-        tel = self.telemetry.enabled
-        if tel:
-            self._init_round_metrics()
+        tel = None
+        if self.telemetry.enabled:
+            from repro.telemetry.round import RoundTelemetry
+
+            tel = RoundTelemetry(self.telemetry, self.budgeter.name)
+        self.round_telemetry = tel
         # The round (DESIGN.md §4h): every stage takes the BudgetRound; a
         # feature that is off contributes no entry.
         journalled = self.journal is not None
         self._stages = [stage for stage in (
-            tel and self._open_round,
+            tel and tel.open_round,
             self._drain_messages,
             self._evict_dead,
             self._reconcile_recovery,
             self._read_target,
             self.shed is not None and self.shed.observe_stage,
-            tel and self._trace_target,
+            tel and tel.trace_target,
             journalled and self._journal_target,
             self.planner is not None and self.planner.observe_stage,
             self._read_meter,
             self.breaker is not None and self.breaker.observe_stage,
             self._budget,
             self._publish,
-            tel and self._close_round,
+            tel and tel.close_round,
             bool(self.monitors) and self._observe,
         ) if stage]
         # Run by ``_budget`` when a job is connected or recovering.
         self._budget_stages = [stage for stage in (
             self._triage,
-            tel and self._open_budget,
+            tel and tel.open_budget,
             self.auditor is not None and self.auditor.audit_stage,
             self._reserve,
             self.auditor is not None and self.auditor.reserve_stage,
             self.planner is not None and self.planner.dispatch_stage,
             self._solve,
             self.planner is not None and self.planner.rebuild_stage,
-            tel and self._close_budget,
+            tel and tel.close_budget,
             self.breaker is not None and self.breaker.clamp_stage,
             self.shed is not None and self.shed.apply_stage,
             self._dispatch,
-            tel and self._trace_caps,
+            tel and tel.trace_caps,
             journalled and self._journal_caps,
         ) if stage]
-
-    def _init_round_metrics(self) -> None:
-        """Handles the telemetry stages publish to (enabled runs only)."""
-        reg = self.telemetry.registry
-        # Label-addressed children (anor_job_cap_watts{job=...}) are cached
-        # per job: the registry resolves (name, labels) with validation and a
-        # sorted label key on every call, otherwise paid per job per round.
-        self._mx_job_cap: dict[str, object] = {}
-        self._mx_rounds = reg.counter(
-            "anor_budget_rounds_total", "budgeting rounds executed")
-        self._mx_caps_sent = reg.counter(
-            "anor_caps_sent_total", "per-job cap messages dispatched")
-        self._mx_target = reg.gauge(
-            "anor_cluster_target_watts", "current cluster power target")
-        self._mx_measured = reg.gauge(
-            "anor_cluster_power_watts", "facility-metered cluster power")
-        self._mx_correction = reg.gauge(
-            "anor_power_correction_watts", "integral trim on the budget")
-        self._mx_planned = reg.gauge(
-            "anor_planned_draw_watts", "idle + reserved + allocated plan")
-        self._mx_jobs = {
-            state: reg.gauge(
-                "anor_jobs", "connected jobs by budgeting state", state=state)
-            for state in ("active", "dormant", "stale", "recovering",
-                          "quarantined")
-        }
-        self._mx_tracking = reg.histogram(
-            "anor_tracking_error_ratio",
-            "|measured - target| / target per manager period",
-        )
-        self._mx_cap_rewrites = reg.counter(
-            "anor_cap_rewrites_total",
-            "cap dispatches that changed a job's previous cap",
-        )
 
     # ------------------------------------------------------------- plumbing
 
@@ -283,7 +246,8 @@ class ClusterPowerManager:
         self._links.append(link)
 
     def _drain_messages(self, rnd: BudgetRound) -> None:
-        now = rnd.time
+        # The handlers' events parent themselves to the round's span.
+        now, self._round_span = rnd.time, rnd.span
         for link in list(self._links):
             for msg in link.recv_up(now):
                 if isinstance(msg, HelloMessage):
@@ -360,7 +324,6 @@ class ClusterPowerManager:
                     degraded_seconds=msg.degraded_seconds,
                 )
             else:
-                self.rejected_models += 1
                 self._mx_models_rejected.inc()
         self.jobs[msg.job_id] = record
         self._event(
@@ -398,7 +361,6 @@ class ClusterPowerManager:
             and math.isfinite(msg.applied_cap)
             and msg.applied_cap > 0.0
         ):
-            self.rejected_statuses += 1
             self._mx_statuses_rejected.inc()
             self._report(
                 now,
@@ -426,7 +388,6 @@ class ClusterPowerManager:
             if msg.model_r2 is None or not (msg.model_r2 < MIN_FEEDBACK_R2):
                 model = self._validated_model(msg, record)
                 if model is None:
-                    self.rejected_models += 1
                     self._mx_models_rejected.inc()
                     self._event(
                         "model-reject",
@@ -510,7 +471,6 @@ class ClusterPowerManager:
             if record.link in self._links:
                 self._links.remove(record.link)
             record.link.close("evicted")
-            self.evictions += 1
             self._mx_evictions.inc()
             silent_for = now - record.last_heard
             self._report(
@@ -636,10 +596,10 @@ class ClusterPowerManager:
         else:
             # Meter outage: no sample, and the integral term holds its
             # last value rather than winding up against garbage.
-            self.meter_faults += 1
             self._mx_meter_faults.inc()
             if self.telemetry.enabled:
                 self.telemetry.incident("meter-fault", rnd.time)
+        rnd.correction = self._correction
 
     def _budget(self, rnd: BudgetRound) -> None:
         if rnd.occupied:
@@ -665,8 +625,7 @@ class ClusterPowerManager:
         busy_nodes = sum(r.nodes for r in self.jobs.values())
         idle_nodes = max(0, self.total_nodes - busy_nodes)
         rnd.idle_power = idle_nodes * IDLE_NODE_POWER
-        rnd.correction = self._correction
-        rnd.available = max(rnd.target - rnd.idle_power + self._correction, 1.0)
+        rnd.available = max(rnd.target - rnd.idle_power + rnd.correction, 1.0)
         # Triage (§7.2 plus fault hardening):
         # * recovering — restored, no re-HELLO yet: presumed alive, its nodes
         #   busy and its last cap reserved, so planned draw stays under target
@@ -751,98 +710,13 @@ class ClusterPowerManager:
             )
             record.caps_sent += 1
             record.last_cap = cap
-        self.cap_rewrites += rnd.rewrites
 
     def _journal_caps(self, rnd: BudgetRound) -> None:
         self._journal(
             "cap-decision",
             rnd.time,
             caps=rnd.caps,
-            correction=self._correction,
+            correction=rnd.correction,
             target=rnd.target,
             hold=self.target_hold.state_dict(),
         )
-
-    # --------------------------------------------------- telemetry stages
-    #
-    # Present only with telemetry on.  Span tree per DESIGN.md §8: control-
-    # round wraps the period and message-handler events parent themselves to
-    # it.  Bus records keep their place; instruments are order-free and
-    # published once, as the round closes.
-
-    def _open_round(self, rnd: BudgetRound) -> None:
-        rnd.span = self._round_span = self.telemetry.bus.begin_span(
-            "control-round", rnd.time
-        )
-
-    def _trace_target(self, rnd: BudgetRound) -> None:
-        self.telemetry.bus.event(
-            "target-read", rnd.time, parent=rnd.span, target=rnd.target
-        )
-
-    def _open_budget(self, rnd: BudgetRound) -> None:
-        self._budget_span = self.telemetry.bus.begin_span(
-            "budget-round",
-            rnd.time,
-            parent=rnd.span,
-            policy=self.budgeter.name,
-            target=rnd.target,
-            available=rnd.available,
-        )
-
-    def _close_budget(self, rnd: BudgetRound) -> None:
-        # Policy metadata rides along: even-slowdown publishes its common
-        # slowdown s, fair-share its γ — whatever the budgeter reports.
-        meta = rnd.allocation.meta if rnd.allocation is not None else {}
-        self.telemetry.bus.end_span(
-            self._budget_span,
-            rnd.time,
-            allocated=rnd.allocated,
-            reserved=rnd.reserved,
-            idle_power=rnd.idle_power,
-            correction=rnd.correction,
-            floor=rnd.floor,
-            stale=len(rnd.stale),
-            dormant=len(rnd.dormant),
-            active=len(rnd.active),
-            recovering=len(rnd.recovering),
-            quarantined=len(rnd.quarantined),
-            **meta,
-        )
-
-    def _trace_caps(self, rnd: BudgetRound) -> None:
-        self.telemetry.bus.event(
-            "cap-dispatch", rnd.time, parent=rnd.span, caps=dict(rnd.caps)
-        )
-
-    def _close_round(self, rnd: BudgetRound) -> None:
-        """Publish the round's instruments (zeros when nothing was budgeted:
-        no gauge outlives the jobs it counted) and close the span."""
-        self._mx_rounds.inc()
-        self._mx_target.set(rnd.target)
-        if math.isfinite(rnd.measured):
-            self._mx_measured.set(rnd.measured)
-            if rnd.target > 0:
-                self._mx_tracking.observe(
-                    abs(rnd.measured - rnd.target) / rnd.target
-                )
-        self._mx_correction.set(self._correction)
-        self._mx_planned.set(rnd.planned)
-        for state, gauge in self._mx_jobs.items():
-            gauge.set(len(getattr(rnd, state)))
-        self._mx_caps_sent.inc(len(rnd.caps))
-        self._mx_cap_rewrites.inc(rnd.rewrites)
-        cache = self._mx_job_cap
-        for job_id in [j for j in cache if j not in self.jobs]:
-            del cache[job_id]
-        for job_id, cap in rnd.caps.items():
-            gauge = cache.get(job_id)
-            if gauge is None:
-                gauge = cache[job_id] = self.telemetry.registry.gauge(
-                    "anor_job_cap_watts",
-                    "most recent per-node cap sent to each job",
-                    job=job_id,
-                )
-            gauge.set(cap)
-        self.telemetry.bus.end_span(rnd.span, rnd.time, jobs=len(rnd.caps))
-        self._round_span = 0

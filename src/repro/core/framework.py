@@ -540,8 +540,7 @@ class AnorSystem:
         job = self.cluster.running.get(job_id)
         if job is None:
             return None
-        energy = sum(node.total_energy for node in job.nodes)
-        return float(energy), tuple(node.node_id for node in job.nodes)
+        return self.cluster._energy_of(job.at), tuple(job.rows.tolist())
 
     def _init_metrics(self) -> None:
         """System-level metric handles (enabled runs only)."""

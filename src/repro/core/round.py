@@ -5,9 +5,10 @@ the features that take part in its round (DESIGN.md §4h).
 threads it through an ordered list of stages.  A stage is any callable taking
 the round; it reads what earlier stages wrote and writes what later ones
 read.  The manager's own stages live in :mod:`repro.core.cluster_manager`; an
-optional feature (shed ladder, planner, breaker, auditor) owns its stages in
-its own module and appears in the list only when the manager was built with
-it.  Nothing here imports a stage owner, so every owner can import this.
+optional feature (shed ladder, planner, breaker, auditor, telemetry) owns its
+stages in its own module and appears in the list only when the manager was
+built with it.  Nothing here imports a stage owner, so every owner can import
+this.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class BudgetRound:
     # Budgeting target: the feed through the manager's hold-last-good
     # filter, then the shed ladder's ramped ceiling when it is lower.
     target: float = 0.0
-    correction: float = 0.0
+    correction: float = 0.0  # the integral trim, as the meter stage left it
     # False when no job is connected or recovering: nothing is budgeted and
     # the round is not published.
     occupied: bool = False

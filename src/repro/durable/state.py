@@ -50,9 +50,6 @@ __all__ = [
     "unheard_jobs",
 ]
 
-#: Manager incident counters a checkpoint carries, by attribute name.
-_COUNTERS = ("evictions", "rejected_statuses", "rejected_models", "meter_faults")
-
 #: The ``job-evict`` vocabulary: each kind, and the table its replay removes
 #: the job from — the manager's record (``jobs``) or the head's running view
 #: (``running``).  A kind of one side leaves the other side's entry alone:
@@ -110,7 +107,9 @@ def job_record(
 
 
 def capture_state(system: "AnorSystem", now: float) -> dict:
-    """Snapshot everything the head node must not lose."""
+    """Snapshot everything the head node must not lose.  The manager's part
+    is what :func:`apply_journal` folds, its trim and job table: decisions are
+    counted in the registry, which outlives every manager (DESIGN.md §8)."""
     mgr = system.manager
     return {
         "now": float(now),
@@ -125,7 +124,6 @@ def capture_state(system: "AnorSystem", now: float) -> dict:
             # liability the budgeter reserves power for; a second crash must
             # not forget it.
             "jobs": {job_id: job_entry(rec) for job_id, rec in mgr.jobs.items()},
-            "counters": {name: getattr(mgr, name) for name in _COUNTERS},
         },
         "target_hold": mgr.target_hold.state_dict(),
         "gates": {
@@ -156,9 +154,9 @@ def unheard_jobs(system: "AnorSystem", heard: dict) -> dict[str, JobRecord]:
 def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
     """:func:`capture_state`'s inverse, onto a system whose manager was just
     rebuilt: the scheduler side and gate phases come back as they were, the
-    manager's trim, counters and target hold too, and its per-job records
-    join its job table, linkless, in recovery mode until each job
-    re-HELLOs."""
+    manager's trim and target hold too, and its per-job records join its job
+    table, linkless, in recovery mode until each job re-HELLOs.  A key this
+    does not read (a ``counters`` object an older head wrote) is ignored."""
     ordered = sorted(system.schedule.requests, key=lambda r: (r.submit_time, r.job_id))
     system._pending = ordered[int(state["pending_index"]):]
     # The launched jobs come back as submitted.
@@ -172,8 +170,6 @@ def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
         system._enqueue(JobRequest(**spec))
     mgr, saved = system.manager, state["manager"]
     mgr._correction = float(saved["correction"])
-    for name in _COUNTERS:
-        setattr(mgr, name, int(saved["counters"][name]))
     mgr.target_hold.restore_state(state["target_hold"])
     recovered = {
         job_id: job_record(job_id, entry, system.classifier, mgr.p_node_min)
@@ -198,11 +194,7 @@ def empty_state() -> dict:
         "running": {},
         "attempts": {},
         "requeued": [],
-        "manager": {
-            "correction": 0.0,
-            "jobs": {},
-            "counters": dict.fromkeys(_COUNTERS, 0),
-        },
+        "manager": {"correction": 0.0, "jobs": {}},
         "target_hold": {"last_good": None, "last_good_time": 0.0, "degraded_reads": 0},
         "gates": {"manager": [None, 0], "checkpoint": [None, 0]},
     }

@@ -905,6 +905,11 @@ def _forecast_target(p: dict) -> SteppedTarget:
         return load_target_file(path)
 
 
+def _rewrites(arm: ArmRun) -> int:
+    """Dispatches that changed a job's cap, as the arm's registry counted them."""
+    return int(arm.system.telemetry.registry.get_value("anor_cap_rewrites_total"))
+
+
 def _forecast_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
     reactive, predictive, adversarial = (
         arms["reactive"], arms["predictive"], arms["adversarial"]
@@ -921,9 +926,9 @@ def _forecast_metrics(arms: dict[str, ArmRun], p: dict) -> dict:
         "adversarial_error90": _error90(adversarial.result, p),
         # Predictive / reactive 90th-pct tracking error; < 1 is a win.
         "tracking_ratio": err / base if base > 0 else math.inf,
-        "reactive_rewrites": reactive.system.manager.cap_rewrites,
-        "predictive_rewrites": predictive.system.manager.cap_rewrites,
-        "adversarial_rewrites": adversarial.system.manager.cap_rewrites,
+        "reactive_rewrites": _rewrites(reactive),
+        "predictive_rewrites": _rewrites(predictive),
+        "adversarial_rewrites": _rewrites(adversarial),
         # Rounds where the plan out-spent the budget ceiling.
         "predictive_violations": len(rounds_over_ceiling(predictive.rounds)),
         "adversarial_violations": len(rounds_over_ceiling(adversarial.rounds)),

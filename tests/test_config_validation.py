@@ -328,7 +328,7 @@ class TestConfigValidation:
 
 def source_lines() -> dict[str, int]:
     """Line counts the ROADMAP quotes: all of ``src/``, five modules,
-    ``hwsim/`` and ``durable/``."""
+    ``hwsim/``, ``durable/`` and ``telemetry/``."""
     repro = ROOT / "src" / "repro"
 
     def lines(paths) -> int:
@@ -340,7 +340,7 @@ def source_lines() -> dict[str, int]:
         "experiments/scorecard.py", "invariants.py",
     ):
         sizes[module.split("/")[-1]] = lines([repro / module])
-    for package in ("hwsim", "durable"):
+    for package in ("hwsim", "durable", "telemetry"):
         sizes[f"{package}/"] = lines((repro / package).rglob("*.py"))
     return sizes
 

@@ -218,7 +218,7 @@ class TestRepeatedModelIsHeartbeat:
         assert telemetry.registry.get_value("anor_models_accepted_total") == 4
 
     def test_bad_coefficients_are_validated_every_time(self, tmp_path):
-        manager, journal, _ = self.make(tmp_path)
+        manager, journal, telemetry = self.make(tmp_path)
         link = connect_job(manager, "a", "is", 2)
         send_status(link, "a", t=0.0, **FIT)
         manager.step(0.0)
@@ -234,7 +234,8 @@ class TestRepeatedModelIsHeartbeat:
         ):
             send_status(link, "a", t=float(t), **bad)
             manager.step(float(t))
-        assert manager.rejected_models == 4  # a repeated bad fit is re-rejected
+        # A repeated bad fit is re-rejected.
+        assert telemetry.registry.get_value("anor_models_rejected_total") == 4
         assert manager.jobs["a"].online_model is good
         assert len(model_accepts(journal)) == 1
 
@@ -309,7 +310,8 @@ class TestTrackingAndCorrection:
 
 
 class TestJobCapGaugeCache:
-    """The per-job cap gauge is a cached child instrument (hot path)."""
+    """The per-job cap gauge is a cached child instrument (hot path), held by
+    the round's telemetry owner."""
 
     def _enabled_manager(self):
         from repro.telemetry import Telemetry
@@ -331,7 +333,7 @@ class TestJobCapGaugeCache:
             assert exported == pytest.approx(manager.jobs[job_id].last_cap)
             # The cached handle IS the registry's instrument, so later
             # rounds update the same exported child without re-resolving.
-            assert manager._mx_job_cap[job_id] is reg.gauge(
+            assert manager.round_telemetry._mx_job_cap[job_id] is reg.gauge(
                 "anor_job_cap_watts", job=job_id
             )
 
@@ -341,10 +343,10 @@ class TestJobCapGaugeCache:
         manager.step(0.0)
         send_status(link, "a", t=1.0)
         manager.step(1.0)
-        handle = manager._mx_job_cap["a"]
+        handle = manager.round_telemetry._mx_job_cap["a"]
         send_status(link, "a", t=2.0)
         manager.step(2.0)
-        assert manager._mx_job_cap["a"] is handle
+        assert manager.round_telemetry._mx_job_cap["a"] is handle
         reg = manager.telemetry.registry
         assert reg.get_value("anor_job_cap_watts", job="a") == pytest.approx(
             manager.jobs["a"].last_cap
@@ -356,19 +358,21 @@ class TestJobCapGaugeCache:
         manager.step(0.0)
         send_status(link, "a", t=1.0)
         manager.step(1.0)
-        assert "a" in manager._mx_job_cap
+        assert "a" in manager.round_telemetry._mx_job_cap
         link.send_up(GoodbyeMessage("a", 2.0), 2.0)
         manager.step(2.0)
-        assert "a" not in manager._mx_job_cap
+        assert "a" not in manager.round_telemetry._mx_job_cap
 
     def test_disabled_manager_never_builds_instruments(self):
-        # Allocation-free when disabled: the metric handles (including the
-        # per-job gauge cache) must never exist on the default null path.
+        # Allocation-free when disabled: no telemetry owner is built, so the
+        # round's metric handles (the per-job gauge cache included) never
+        # exist, and neither stage list holds one of its stages.
         manager = make_manager()
         link = connect_job(manager, "a", "bt", 2)
         manager.step(0.0)
         send_status(link, "a", t=1.0)
         manager.step(1.0)
         assert not manager.telemetry.enabled
-        assert not hasattr(manager, "_mx_job_cap")
-        assert not hasattr(manager, "_mx_caps_sent")
+        assert manager.round_telemetry is None
+        assert all(stage.__self__ is manager
+                   for stage in manager._stages + manager._budget_stages)

@@ -30,6 +30,7 @@ from repro.geopm.endpoint import Endpoint
 from repro.invariants import RoundMonitor
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
+from repro.telemetry import Telemetry
 from repro.workloads.nas import NAS_TYPES
 from tests.fed_manager import FedManager
 
@@ -98,6 +99,11 @@ def make_manager(*, target=840.0, total_nodes=4, **kwargs):
         total_nodes=total_nodes,
         **kwargs,
     )
+
+
+def counted(manager, metric):
+    """A decision count: the registry's, so the manager needs telemetry on."""
+    return manager.telemetry.registry.get_value(metric)
 
 
 def connect_job(manager, job_id, claimed, nodes, *, now=0.0):
@@ -181,7 +187,7 @@ class TestHeartbeatStaleness:
         """The ghost-record leak: a goodbye that never arrives used to leave
         a JobRecord (and its link) behind forever.  The dead-job timeout
         closes it."""
-        manager = make_manager()
+        manager = make_manager(telemetry=Telemetry())
         link = connect_job(manager, "a", "bt", 2)
         send_status(link, "a", t=0.0, power=400.0)
         manager.step(0.0)
@@ -193,7 +199,7 @@ class TestHeartbeatStaleness:
         assert "a" in manager.jobs  # silent but not yet presumed dead
         manager.step(DEAD_JOB_TIMEOUT + 5.0)
         assert manager.jobs == {}
-        assert manager.evictions == 1
+        assert counted(manager, "anor_jobs_evicted_total") == 1
         assert link not in manager._links  # link garbage-collected too
 
     def test_timeout_validation(self):
@@ -216,19 +222,19 @@ class TestModelValidation:
         ],
     )
     def test_bad_model_rejected(self, coeffs):
-        manager = make_manager(use_feedback=True)
+        manager = make_manager(use_feedback=True, telemetry=Telemetry())
         link = connect_job(manager, "a", "is", 2)
         send_status(link, "a", t=0.0, power=400.0, **coeffs)
         manager.step(0.0)
         assert manager.jobs["a"].online_model is None
-        assert manager.rejected_models == 1
+        assert counted(manager, "anor_models_rejected_total") == 1
 
     def test_nonfinite_power_rejected_without_eviction(self):
-        manager = make_manager()
+        manager = make_manager(telemetry=Telemetry())
         link = connect_job(manager, "a", "bt", 2)
         send_status(link, "a", t=0.0, power=math.nan)
         manager.step(0.0)
-        assert manager.rejected_statuses == 1
+        assert counted(manager, "anor_statuses_rejected_total") == 1
         assert manager.jobs["a"].last_status is None
         # The arrival still counted as a heartbeat.
         assert manager.jobs["a"].last_heard == 0.0
@@ -241,18 +247,19 @@ class TestMeterFaults:
         readings = iter([800.0, math.nan, math.nan, 800.0])
         seen = []
         manager = make_manager(
-            meter=lambda: next(readings), correction_gain=0.5, monitors=[seen.append]
+            meter=lambda: next(readings), correction_gain=0.5, monitors=[seen.append],
+            telemetry=Telemetry(),
         )
         for t in range(4):
             manager.step(float(t))
-        assert manager.meter_faults == 2
+        assert counted(manager, "anor_meter_faults_total") == 2
         assert sum(math.isfinite(rnd.measured) for rnd in seen) == 2
 
     def test_raising_meter_is_a_fault_not_a_crash(self):
         """A meter that could not be read reaches the round as NaN."""
-        manager = make_manager()
+        manager = make_manager(telemetry=Telemetry())
         manager.step(0.0, 840.0, math.nan)  # must not raise
-        assert manager.meter_faults == 1
+        assert counted(manager, "anor_meter_faults_total") == 1
 
 
 class TestHoldLastGoodTarget:

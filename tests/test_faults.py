@@ -38,6 +38,11 @@ def make_system(schedule=None, *, num_nodes=4, seed=0, target=840.0, monitors=()
     )
 
 
+def counted(system, metric):
+    """A decision count: the registry's, so the system needs telemetry on."""
+    return system.telemetry.registry.get_value(metric)
+
+
 def step_to(system, at):
     while system.cluster.clock.now < at:
         system.step()
@@ -139,11 +144,11 @@ class TestInjectorMeterAndTarget:
     def test_meter_outage_recorded_and_recovers(self):
         sched = FaultSchedule([MeterOutage(time=10.0, duration=20.0)])
         seen = []
-        system = make_system(sched, monitors=[seen.append])
+        system = make_system(sched, monitors=[seen.append], telemetry_enabled=True)
         system.submit_now("bt-0", "bt")
         for _ in range(60):
             system.step()
-        assert system.manager.meter_faults > 0
+        assert counted(system, "anor_meter_faults_total") > 0
         # Samples resume after the outage window closes.
         assert any(rnd.time > 35.0 and math.isfinite(rnd.measured) for rnd in seen)
         log = system.faults.render()
@@ -165,12 +170,12 @@ class TestInjectorCorruptStatus:
     @pytest.mark.parametrize("kind", ["nan", "inf", "nonphysical"])
     def test_poisoned_model_never_reaches_budgeter(self, kind):
         sched = FaultSchedule([CorruptStatus(time=5.0, job_id="bt-0", kind=kind)])
-        system = make_system(sched)
+        system = make_system(sched, telemetry_enabled=True)
         system.submit_now("bt-0", "bt")
         for _ in range(10):
             system.step()
         manager = system.manager
-        assert manager.rejected_models >= 1
+        assert counted(system, "anor_models_rejected_total") >= 1
         record = manager.jobs["bt-0"]
         model = record.active_model
         assert model.is_monotone_decreasing()
@@ -178,11 +183,11 @@ class TestInjectorCorruptStatus:
 
     def test_nan_power_status_rejected_but_counts_as_heartbeat(self):
         sched = FaultSchedule([CorruptStatus(time=5.0, job_id="bt-0", kind="nan-power")])
-        system = make_system(sched)
+        system = make_system(sched, telemetry_enabled=True)
         system.submit_now("bt-0", "bt")
         for _ in range(10):
             system.step()
-        assert system.manager.rejected_statuses >= 1
+        assert counted(system, "anor_statuses_rejected_total") >= 1
         assert "bt-0" in system.manager.jobs  # not evicted: arrival = alive
 
 
@@ -374,14 +379,14 @@ class TestInjectorCrashes:
     def test_endpoint_crash_restarts_and_manager_recovers(self, monkeypatch):
         monkeypatch.setattr("repro.core.framework.ENDPOINT_RESTART_DELAY", 10.0)
         sched = FaultSchedule([EndpointCrash(time=30.0, job_id="bt-0")])
-        system = make_system(sched, num_nodes=2)
+        system = make_system(sched, num_nodes=2, telemetry_enabled=True)
         system.submit_now("bt-0", "bt")
         result = system.run(until_idle=True, max_time=7200.0)
         assert [t.job_id for t in result.completed] == ["bt-0"]
         assert any("restarted" in w for w in result.warnings)
         # The fresh hello replaced the dead link before the dead-job timeout.
         assert any("reconnected" in e for e in system.manager.events)
-        assert system.manager.evictions == 0
+        assert counted(system, "anor_jobs_evicted_total") == 0
 
     def test_endpoint_crash_without_watchdog_leads_to_eviction(self, monkeypatch):
         """A watchdog slower than the dead-job timeout has not restarted the
@@ -390,12 +395,12 @@ class TestInjectorCrashes:
             "repro.core.framework.ENDPOINT_RESTART_DELAY", DEAD_JOB_TIMEOUT + 20.0
         )
         sched = FaultSchedule([EndpointCrash(time=30.0, job_id="bt-0")])
-        system = make_system(sched, num_nodes=2)
+        system = make_system(sched, num_nodes=2, telemetry_enabled=True)
         system.submit_now("bt-0", "bt")
         for _ in range(int(30.0 + DEAD_JOB_TIMEOUT) + 10):
             system.step()
         assert "bt-0" not in system.manager.jobs
-        assert system.manager.evictions == 1
+        assert counted(system, "anor_jobs_evicted_total") == 1
 
 
 class TestDeterminism:

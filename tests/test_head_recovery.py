@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.cluster_manager import ClusterPowerManager
+from repro.core.cluster_manager import DEAD_JOB_TIMEOUT, ClusterPowerManager
 from repro.core.framework import AnorConfig, AnorSystem
 from repro.core.targets import ConstantTarget, HoldLastGoodTarget
 from repro.durable.checkpoint import write_checkpoint
@@ -23,6 +23,7 @@ from repro.durable.store import DurableStore
 from repro.experiments.fig9 import build_demand_response_system
 from repro.experiments.resilience import _SHED_CLASS_MAP, _SHED_INCIDENTS
 from repro.faults.events import (
+    CorruptStatus,
     DemandResponseEmergency,
     EndpointCrash,
     HeadNodeCrash,
@@ -679,6 +680,7 @@ class TestJournalFoldMatchesLiveHead:
             for key in self.SCHEDULER:
                 assert folded[key] == live[key], (live["now"], key)
             assert folded["manager"]["jobs"] == live["manager"]["jobs"], live["now"]
+            assert folded["target_hold"] == live["target_hold"], live["now"]
             checked.append(live["now"])
             save(store, payload)
 
@@ -712,11 +714,9 @@ class TestHeadStateInventory:
     fresh by a restart, and every ``job-evict`` kind has a replay meaning."""
 
     #: ``ClusterPowerManager`` state a checkpoint carries.
-    PERSISTED = {"jobs", "_correction", "evictions",
-                 "rejected_statuses", "rejected_models", "meter_faults",
-                 "target_hold"}
+    PERSISTED = {"jobs", "_correction", "target_hold"}
     #: What a restarted head builds fresh.
-    RESET = {"events", "last_round", "cap_rewrites", "enforcement",
+    RESET = {"events", "last_round", "enforcement",
              "admission_held", "recovery_merges", "hello_merges",
              "_recovery_deadline", "_links", "_last_journalled_target"}
 
@@ -756,6 +756,57 @@ class TestHeadStateInventory:
             finally:
                 setattr(mgr, name, held)
             assert written == (name in self.PERSISTED), name
+
+    def test_the_manager_section_is_what_the_journal_folds(self, tmp_path):
+        """A checkpoint's manager section holds exactly the keys the journal
+        fold writes: a key no record carries would come back as of the last
+        checkpoint, while the live head had moved on."""
+        store_dir = tmp_path / "store"
+        system = build_system(checkpoint_dir=str(store_dir), checkpoint_period=1000.0)
+        for _ in range(60):
+            system.step()
+        live = capture_state(system, system.cluster.clock.now)["manager"]
+        assert set(live) == {"correction", "jobs"} == set(empty_state()["manager"])
+        store = DurableStore(store_dir)
+        payload, tail = store.load()
+        store.close()
+        base = payload["state"]
+        base["manager"] = {"jobs": base["manager"]["jobs"]}
+        assert apply_journal(base, tail.records)["manager"] == live
+
+    def test_decision_counts_match_the_incidents_across_a_warm_restart(
+        self, tmp_path, monkeypatch
+    ):
+        """Each decision is counted once, in the registry, which outlives
+        every manager: after a warm restart each count still equals its
+        incident stream."""
+        monkeypatch.setattr(
+            "repro.core.framework.ENDPOINT_RESTART_DELAY", DEAD_JOB_TIMEOUT + 20.0
+        )
+        faults = FaultSchedule([
+            CorruptStatus(time=20.0, job_id="j01", kind="nan-power"),
+            MeterOutage(time=30.0, duration=10.0),
+            EndpointCrash(time=40.0, job_id="j02"),  # evicted at ~100 s
+            HeadNodeCrash(time=120.0, down_for=10.0),
+            CorruptStatus(time=160.0, job_id="j01", kind="nan-power"),
+            MeterOutage(time=170.0, duration=5.0),
+            EndpointCrash(time=175.0, job_id="j03"),
+        ])
+        system = build_system(
+            checkpoint_dir=str(tmp_path / "store"), fault_schedule=faults,
+            telemetry_enabled=True,
+        )
+        result = system.run(300.0)
+        assert result.head_crashes == 1
+        assert "restarted warm" in result.recovery_log[-1]
+        counts, reg = system.telemetry.incident_counts, system.telemetry.registry
+        for metric, category in (
+            ("anor_jobs_evicted_total", "job-evicted"),
+            ("anor_statuses_rejected_total", "status-rejected"),
+            ("anor_meter_faults_total", "meter-fault"),
+        ):
+            assert counts[category] >= 2, category
+            assert reg.get_value(metric) == counts[category], metric
 
     def test_every_journalled_evict_kind_is_in_the_fold_table(self):
         kinds = set()

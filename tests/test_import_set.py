@@ -24,13 +24,15 @@ OFF_BY_DEFAULT = (
     "repro.faults", "repro.durable", "repro.plan", "repro.facility",
     "repro.core.audit", "repro.core.reliable", "repro.tabsim",
     "repro.aqa.bidder", "repro.aqa.session", "repro.aqa.training",
+    "repro.telemetry.round",
 )
 
 #: One module of each subsystem the hardened config switches on.
 FEATURES = (
     "repro.core.audit", "repro.core.reliable", "repro.durable.recovery",
     "repro.facility.breaker", "repro.facility.shed", "repro.faults.injector",
-    "repro.geopm.tracer", "repro.plan.planner", "repro.telemetry.sinks",
+    "repro.geopm.tracer", "repro.plan.planner", "repro.telemetry.round",
+    "repro.telemetry.sinks",
 )
 
 

@@ -60,8 +60,8 @@ FEATURES = {
 
 JOURNAL_STAGES = {"manager._journal_target", "manager._journal_caps"}
 TELEMETRY_STAGES = {
-    "manager._open_round", "manager._trace_target", "manager._open_budget",
-    "manager._close_budget", "manager._trace_caps", "manager._close_round",
+    "telemetry.open_round", "telemetry.trace_target", "telemetry.open_budget",
+    "telemetry.close_budget", "telemetry.trace_caps", "telemetry.close_round",
 }
 
 
@@ -120,7 +120,7 @@ def stage_names(manager: ClusterPowerManager) -> list[str]:
     owners = {
         id(manager): "manager", id(manager.shed): "shed",
         id(manager.planner): "planner", id(manager.breaker): "breaker",
-        id(manager.auditor): "auditor",
+        id(manager.auditor): "auditor", id(manager.round_telemetry): "telemetry",
     }
     names = []
     for stage in manager._stages:

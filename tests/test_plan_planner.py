@@ -302,7 +302,7 @@ class TestSystemIntegration:
         assert reg.get_value("anor_plan_state") == 1.0  # active
         assert reg.get_value("anor_forecast_error_watts") is not None
         assert reg.get_value("anor_plan_fallbacks_total") == 0.0
-        assert reg.get_value("anor_cap_rewrites_total") == system.manager.cap_rewrites
+        assert reg.get_value("anor_cap_rewrites_total") > 0
 
     def test_planner_builds_plans_and_fires_instants(self):
         system = self._system()
