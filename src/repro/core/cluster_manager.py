@@ -44,7 +44,7 @@ from repro.workloads.nas import IDLE_NODE_POWER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.audit import CapComplianceAuditor
-    from repro.durable.journal import Journal
+    from repro.durable.store import DurableStore
     from repro.facility.breaker import PowerBreaker
     from repro.facility.shed import ShedController
     from repro.plan.planner import RecedingHorizonPlanner
@@ -121,8 +121,9 @@ class ClusterPowerManager:
     breaker: PowerBreaker | None = None
     # Cap-compliance auditor, the job tier's trust boundary (DESIGN.md §4f).
     auditor: CapComplianceAuditor | None = None
-    # Write-ahead journal for head-node crash recovery (DESIGN.md §4d).
-    journal: Journal | None = None
+    # Head-node crash recovery (DESIGN.md §4d): the store every record is
+    # journalled into and folded into the head's durable state.
+    journal: DurableStore | None = None
     # Receding-horizon planner: forecast, pre-solve, warm start (DESIGN.md §9).
     planner: RecedingHorizonPlanner | None = None
     # Graceful-degradation ladder for a sagging power feed (DESIGN.md §10).
@@ -159,7 +160,6 @@ class ClusterPowerManager:
     _recovery_deadline: float | None = field(default=None, init=False)
     _links: list[TcpLink] = field(default_factory=list, init=False)
     _correction: float = field(default=0.0, init=False)
-    _last_journalled_target: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         self.target_hold = HoldLastGoodTarget(floor=self.total_nodes * self.p_node_min)
@@ -185,7 +185,6 @@ class ClusterPowerManager:
         self.round_telemetry = tel
         # The round (DESIGN.md §4h): every stage takes the BudgetRound; a
         # feature that is off contributes no entry.
-        journalled = self.journal is not None
         self._stages = [stage for stage in (
             tel and tel.open_round,
             self._drain_messages,
@@ -194,11 +193,11 @@ class ClusterPowerManager:
             self._read_target,
             self.shed is not None and self.shed.observe_stage,
             tel and tel.trace_target,
-            journalled and self._journal_target,
             self.planner is not None and self.planner.observe_stage,
             self._read_meter,
             self.breaker is not None and self.breaker.observe_stage,
             self._budget,
+            self.journal is not None and self._journal_caps,
             self._publish,
             tel and tel.close_round,
             bool(self.monitors) and self._observe,
@@ -218,7 +217,6 @@ class ClusterPowerManager:
             self.shed is not None and self.shed.apply_stage,
             self._dispatch,
             tel and tel.trace_caps,
-            journalled and self._journal_caps,
         ) if stage]
 
     # ------------------------------------------------------------- plumbing
@@ -571,16 +569,6 @@ class ClusterPowerManager:
     def _read_target(self, rnd: BudgetRound) -> None:
         rnd.target = self.target_hold.read(rnd.time, rnd.feed)
 
-    def _journal_target(self, rnd: BudgetRound) -> None:
-        if rnd.target != self._last_journalled_target:
-            self._journal(
-                "target-change",
-                rnd.time,
-                target=rnd.target,
-                hold=self.target_hold.state_dict(),
-            )
-            self._last_journalled_target = rnd.target
-
     def _read_meter(self, rnd: BudgetRound) -> None:
         measured, target = rnd.measured, rnd.target
         if math.isfinite(measured):
@@ -605,6 +593,19 @@ class ClusterPowerManager:
         if rnd.occupied:
             for stage in self._budget_stages:
                 stage(rnd)
+
+    def _journal_caps(self, rnd: BudgetRound) -> None:
+        """Every round moves the trim and the target hold, and a budgeted
+        one the caps: one record carries them all (no caps when no job was
+        budgeted)."""
+        self._journal(
+            "cap-decision",
+            rnd.time,
+            caps=rnd.caps,
+            correction=rnd.correction,
+            target=rnd.target,
+            hold=self.target_hold.state_dict(),
+        )
 
     def _publish(self, rnd: BudgetRound) -> None:
         """What outlives the round: its accounting, unless no job was there
@@ -710,13 +711,3 @@ class ClusterPowerManager:
             )
             record.caps_sent += 1
             record.last_cap = cap
-
-    def _journal_caps(self, rnd: BudgetRound) -> None:
-        self._journal(
-            "cap-decision",
-            rnd.time,
-            caps=rnd.caps,
-            correction=rnd.correction,
-            target=rnd.target,
-            hold=self.target_hold.state_dict(),
-        )

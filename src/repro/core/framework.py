@@ -348,7 +348,7 @@ class AnorSystem:
             run_noise=self.config.run_noise,
         )
         # The durable store exists before the manager: a manager's round is
-        # built once, around the journal it is constructed with.
+        # built once, around the store it journals to.
         self.durable: DurableStore | None = None
         if cfg.checkpoint_dir is not None:
             from repro.durable.store import DurableStore
@@ -522,7 +522,7 @@ class AnorSystem:
             lease_ttl=cfg.lease_ttl,
             breaker=breaker,
             auditor=auditor,
-            journal=self.durable.journal if self.durable is not None else None,
+            journal=self.durable,
             planner=planner,
             shed=shed,
             telemetry=self.telemetry,
@@ -592,7 +592,7 @@ class AnorSystem:
             counter.set_total(n)
 
     def _journal(self, rtype: str, now: float, **data) -> None:
-        # The manager's journal is the store's; its ``_journal`` counts.
+        # The manager journals into the store; its ``_journal`` counts.
         if self.manager is not None:
             self.manager._journal(rtype, now, **data)
 
@@ -1057,9 +1057,15 @@ class AnorSystem:
 
     def _checkpoint(self, now: float) -> None:
         if self._checkpoint_gate.due(now):
-            from repro.durable.state import capture_state
-
-            self.durable.save_checkpoint({"state": capture_state(self, now)})
+            # What the journal folded, stamped with the time and gate phases.
+            self.durable.save_checkpoint({"state": {
+                **self.durable.state,
+                "now": float(now),
+                "gates": {
+                    "manager": list(self._manager_gate.phase),
+                    "checkpoint": list(self._checkpoint_gate.phase),
+                },
+            }})
             if self.telemetry.enabled:
                 self._mx_checkpoints.inc()
                 self.telemetry.event("checkpoint", now)

@@ -12,16 +12,18 @@ failure.  This package makes that state survive the process:
   torn tail.
 * :mod:`repro.durable.store` — :class:`DurableStore`, two alternating
   checkpoint slots and the journal, with the crash-consistency protocol
-  between them.  No step frees a disk block.
-* :mod:`repro.durable.state` — the checkpoint schema, in one place: what
-  gets captured, how it is restored, a job record's entry and its inverse,
-  and how a journal tail folds into a baseline snapshot (``JOB_EVICT`` is
-  what each ``job-evict`` kind removes).  Restored records, with no link
-  yet, put a restarted
-  :class:`~repro.core.cluster_manager.ClusterPowerManager` in its bounded
-  recovery mode (conservative reservations until each job re-HELLOs).
+  between them, and the head's durable state: every record appended through
+  the store is folded into it, and a checkpoint writes that fold.  No step
+  frees a disk block.
+* :mod:`repro.durable.state` — the checkpoint schema, in one place: how one
+  journal record folds into the state (``JOB_EVICT`` is what each
+  ``job-evict`` kind removes), how the state is restored, and a job record's
+  entry and its inverse.  Restored records, with no link yet, put a
+  restarted :class:`~repro.core.cluster_manager.ClusterPowerManager` in its
+  bounded recovery mode (conservative reservations until each job
+  re-HELLOs).
 * :mod:`repro.durable.recovery` — the head-node lifecycle over a system:
-  crash, supervised restart (load → replay → restore, or cold start with an
+  crash, supervised restart (load → fold → restore, or cold start with an
   incident), and reconciliation of the orphans a recovery window closes on.
 """
 
@@ -36,7 +38,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "journal": ("Journal", "JournalRecord", "JournalReplay"),
         "state": (
-            "JOB_EVICT", "apply_journal", "capture_state", "empty_state",
+            "JOB_EVICT", "apply_journal", "empty_state", "fold_record",
             "restore_state",
         ),
         "store": ("DurableStore",),

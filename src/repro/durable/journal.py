@@ -1,9 +1,9 @@
 """Write-ahead journal of cluster-tier state changes between checkpoints.
 
-The checkpoint captures a consistent snapshot every cadence period; the
-journal records every state-changing event in between — job admissions and
-evictions, accepted online models, each round's cap decision, target-feed
-changes — so recovery replays ``checkpoint + journal tail`` and loses at most
+The journal records every state-changing event — job admissions and
+evictions, accepted online models, each round's cap decision (its caps, trim
+and target hold) — and a checkpoint writes what they fold to every cadence
+period, so recovery replays ``checkpoint + journal tail`` and loses at most
 the events of the tick the head node died in.
 
 On-disk format is JSON lines, each individually checksummed::
@@ -46,8 +46,7 @@ RECORD_TYPES = (
     "job-admit",      # queue intake, launch, requeue, or hello
     "job-evict",      # a job leaves a table: its kinds are state.JOB_EVICT
     "model-accept",   # manager validated an online model for a job
-    "cap-decision",   # one budgeting round's caps + correction + target
-    "target-change",  # observed cluster power target changed value
+    "cap-decision",   # one round's caps (none unbudgeted) + correction + target hold
 )
 
 

@@ -1,10 +1,9 @@
 """Head-node lifecycle: crash, supervised restart, orphan reconciliation.
 
-The functions take the :class:`~repro.core.framework.AnorSystem` they act on,
-as :func:`~repro.durable.state.capture_state` does;
+The functions take the :class:`~repro.core.framework.AnorSystem` they act on;
 ``AnorSystem.crash_head_node`` / ``restart_head_node`` are the public entry
-points and decide *whether* (the head is up, or down), these do it.  The
-checkpoint's schema stays in :mod:`repro.durable.state`.
+points and decide *whether* (the head is up, or down), these do it.  A
+restart restores the store's journal fold (:mod:`repro.durable.state`).
 """
 
 from __future__ import annotations
@@ -12,12 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.durable.checkpoint import CheckpointError
-from repro.durable.state import (
-    apply_journal,
-    empty_state,
-    restore_state,
-    unheard_jobs,
-)
+from repro.durable.state import empty_state, job_entry, restore_state, unheard_jobs
 from repro.durable.store import DurableStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,14 +61,14 @@ def _engaged(mgr: "ClusterPowerManager") -> Iterator[tuple[str, str]]:
 
 
 def _load_state(system: "AnorSystem", now: float) -> dict | None:
-    """Checkpoint (or the empty baseline) with the journal tail folded in;
-    None — a cold start — without a store or when the checkpoint cannot be
-    trusted."""
+    """The reopened store's fold: its checkpoint (or the empty baseline) with
+    the journal tail folded in; None — a cold start — without a store or when
+    the checkpoint cannot be trusted."""
     if system.config.checkpoint_dir is None:
         return None
-    system.durable = DurableStore(system.config.checkpoint_dir)
+    store = system.durable = DurableStore(system.config.checkpoint_dir)
     try:
-        payload, replay = system.durable.load()
+        replay = store.recover()
     except CheckpointError as exc:
         system._report(
             "checkpoint-rejected",
@@ -85,14 +79,11 @@ def _load_state(system: "AnorSystem", now: float) -> dict | None:
         )
         system.warnings.append(system.recovery_log[-1])
         return None
-    for reason in system.durable.refused:
+    for reason in store.refused:
         system._report(
             "checkpoint-slot-refused", now, system.recovery_log,
             f"checkpoint slot refused ({reason}); the other slot loaded", reason=reason,
         )
-    state = apply_journal(
-        payload["state"] if payload is not None else empty_state(), replay.records
-    )
     if replay.dropped_tail:
         system._report(
             "journal-tail-dropped",
@@ -102,17 +93,19 @@ def _load_state(system: "AnorSystem", now: float) -> dict | None:
             f"({replay.dropped_tail} corrupt/truncated record(s))",
             records=replay.dropped_tail,
         )
-    return state
+    return store.state
 
 
 def restart_head(system: "AnorSystem", now: float) -> None:
     """Bring the head back: load, rebuild the manager, restore or cold-start,
-    reconnect every surviving endpoint."""
+    seed the store's fold with what the head holds, reconnect every surviving
+    endpoint."""
     state = _load_state(system, now)
-    system.manager = system._build_manager()
+    system.manager = mgr = system._build_manager()
+    store = system.durable
     if state is not None:
         restore_state(system, state, now)
-        recovered = len(system.manager.jobs)  # each one linkless
+        recovered = len(mgr.jobs)  # each one linkless
         system._report(
             "head-restart",
             now,
@@ -132,13 +125,27 @@ def restart_head(system: "AnorSystem", now: float) -> None:
         # which died in the outage is found missing, and the gate, reset
         # in place, re-anchors the control grid at the restart instant.
         system._manager_gate.restore(None, 0)
-        system.manager.begin_recovery(now, unheard_jobs(system, {}))
+        mgr.begin_recovery(now, unheard_jobs(system, {}))
+        if store is not None:
+            # Over a refused store, the fold starts from the stand-ins: the
+            # next checkpoint must not forget them.
+            store.state = {
+                **empty_state(),
+                "pending_index": len(system.schedule.requests) - len(system._pending),
+                "queue": [dict(vars(req)) for req in system._queue],
+                "running": {jid: dict(vars(req)) for jid, req in system._launched.items()},
+                "attempts": dict(system._attempts),
+                "requeued": list(system.requeued),
+            }
         system._report(
             "head-restart-cold",
             now,
             system.recovery_log,
             "head node restarted cold (no usable checkpoint)",
         )
+    if store is not None:  # the unheard jobs' records: no journal record wrote them
+        jobs = store.state["manager"]["jobs"]
+        jobs.update((j, job_entry(r)) for j, r in mgr.jobs.items() if j not in jobs)
     # Every surviving endpoint reconnects over a fresh link and re-HELLOs
     # on its next control period (deterministic order).
     for job_id in sorted(system.endpoints):

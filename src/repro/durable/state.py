@@ -1,18 +1,18 @@
-"""The checkpoint schema: capture, restore, journal replay, empty baseline.
+"""The checkpoint schema: the journal fold, its restore, the empty baseline.
 
-The checkpoint payload is a plain JSON dict covering exactly the state the
+The head's durable state is a plain JSON dict covering exactly the state the
 paper's head-node process owns (§4.1, §4.4): the scheduler queue and
 running-set, per-job budget accounting (last sent caps, send counts), each
 job's validated online model coefficients and classifier label (claimed
-type), the target-feed hold-last-good state, and the manager/checkpoint
-:class:`~repro.util.clock.PeriodicGate` phases.  Compute-node-side state
-(running physics, endpoint modelers, node-local watchdogs) is deliberately
-absent — it survives a head-node crash in the real deployment and in the
-emulation alike.
+type), the trim and the target-feed hold-last-good state.  The journal is
+its one description: :func:`fold_record` applies a record to it.
+Compute-node-side state (running physics, endpoint modelers, node-local
+watchdogs) is deliberately absent — it survives a head-node crash in the real
+deployment and in the emulation alike.
 
 A job's entry is one manager :class:`~repro.core.round.JobRecord`, written by
 :func:`job_entry` and read back by :func:`job_record`.  :func:`restore_state`
-is :func:`capture_state`'s inverse: each restored record, with no link yet,
+puts a state back onto a system: each restored record, with no link yet,
 drives conservative budgeting until its job re-HELLOs (reserve
 ``nodes × last_cap`` — the job may still be drawing it); once it reconnects,
 the validated online model and budget accounting merge into the fresh record
@@ -42,8 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "JOB_EVICT",
     "apply_journal",
-    "capture_state",
     "empty_state",
+    "fold_record",
     "job_entry",
     "job_record",
     "restore_state",
@@ -106,33 +106,6 @@ def job_record(
     )
 
 
-def capture_state(system: "AnorSystem", now: float) -> dict:
-    """Snapshot everything the head node must not lose.  The manager's part
-    is what :func:`apply_journal` folds, its trim and job table: decisions are
-    counted in the registry, which outlives every manager (DESIGN.md §8)."""
-    mgr = system.manager
-    return {
-        "now": float(now),
-        "pending_index": len(system.schedule.requests) - len(system._pending),
-        "queue": [dict(vars(req)) for req in system._queue],
-        "running": {jid: dict(vars(req)) for jid, req in sorted(system._launched.items())},
-        "attempts": dict(system._attempts),
-        "requeued": list(system.requeued),
-        "manager": {
-            "correction": mgr._correction,
-            # A linkless record (restored, no re-HELLO yet) is still a
-            # liability the budgeter reserves power for; a second crash must
-            # not forget it.
-            "jobs": {job_id: job_entry(rec) for job_id, rec in mgr.jobs.items()},
-        },
-        "target_hold": mgr.target_hold.state_dict(),
-        "gates": {
-            "manager": list(system._manager_gate.phase),
-            "checkpoint": list(system._checkpoint_gate.phase),
-        },
-    }
-
-
 def unheard_jobs(system: "AnorSystem", heard: dict) -> dict[str, JobRecord]:
     """Records for the jobs the head launched but holds no record of in
     ``heard``: their HELLO was still in flight at the crash, or their record
@@ -152,11 +125,11 @@ def unheard_jobs(system: "AnorSystem", heard: dict) -> dict[str, JobRecord]:
 
 
 def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
-    """:func:`capture_state`'s inverse, onto a system whose manager was just
-    rebuilt: the scheduler side and gate phases come back as they were, the
-    manager's trim and target hold too, and its per-job records join its job
-    table, linkless, in recovery mode until each job re-HELLOs.  A key this
-    does not read (a ``counters`` object an older head wrote) is ignored."""
+    """Put ``state`` back onto a system whose manager was just rebuilt: the
+    scheduler side and gate phases come back as they were, the manager's trim
+    and target hold too, and its per-job records join its job table,
+    linkless, in recovery mode until each job re-HELLOs.  A key this does
+    not read (a ``counters`` object an older head wrote) is ignored."""
     ordered = sorted(system.schedule.requests, key=lambda r: (r.submit_time, r.job_id))
     system._pending = ordered[int(state["pending_index"]):]
     # The launched jobs come back as submitted.
@@ -201,64 +174,63 @@ def empty_state() -> dict:
 
 
 def apply_journal(state: dict, records: Iterable[JournalRecord]) -> dict:
-    """Fold journalled state changes into ``state`` (mutates and returns it).
-
-    Application is idempotent with respect to re-delivered evictions and
-    tolerant of records about jobs the baseline no longer tracks — exactly
-    the overlaps a checkpoint-then-crash interleaving can produce.
-    """
-    queue: list[dict] = state["queue"]
-    jobs, running = state["manager"]["jobs"], state["running"]
-    tables = {"jobs": jobs, "running": running}
+    """Fold journalled state changes into ``state`` (mutates and returns it)."""
     for rec in records:
-        d = rec.data
-        state["now"] = max(state["now"], rec.time)
-        if rec.type == "job-admit":
-            kind = d.get("kind")
-            if kind in ("queue", "manual", "requeue"):
-                insort(queue, dict(d["spec"]), key=operator.itemgetter("submit_time"))
-                if kind == "queue":
-                    state["pending_index"] += 1
-                elif kind == "requeue":
-                    # The job was running when its node died; it is queued
-                    # again, not running.
-                    job_id = d["spec"]["job_id"]
-                    running.pop(job_id, None)
-                    state["attempts"][job_id] = int(d.get("attempt", 1))
-                    state["requeued"].append(job_id)
-            elif kind == "launch":
-                job_id = d["spec"]["job_id"]
-                queue[:] = [s for s in queue if s["job_id"] != job_id]
-                running[job_id] = dict(d["spec"])
-                state["attempts"].setdefault(job_id, int(d.get("attempt", 1)))
-            elif kind == "hello":
-                job_id = d["job_id"]
-                identity = {
-                    "claimed_type": d["claimed_type"],
-                    "nodes": int(d["nodes"]),
-                    "believed_p_max": float(d["believed_p_max"]),
-                }
-                # A new job's record has learned nothing yet; a reconnect
-                # refreshes the identity and keeps what was learned.
-                fresh = JobRecord(job_id, link=None, believed_model=None, **identity)
-                jobs.setdefault(job_id, job_entry(fresh)).update(identity)
-        elif rec.type == "job-evict":
-            tables[JOB_EVICT[d["kind"]]].pop(d["job_id"], None)
-        elif rec.type == "model-accept":
-            entry = jobs.get(d["job_id"])
-            if entry is not None:
-                entry["online"] = [float(d["a"]), float(d["b"]), float(d["c"])]
-                entry["online_r2"] = d.get("r2")
-        elif rec.type == "cap-decision":
-            for job_id, cap in d.get("caps", {}).items():
-                entry = jobs.get(job_id)
-                if entry is not None:
-                    entry["last_cap"] = float(cap)
-                    entry["caps_sent"] = int(entry.get("caps_sent", 0)) + 1
-            state["manager"]["correction"] = float(d.get("correction", 0.0))
-            if "hold" in d:
-                state["target_hold"] = dict(d["hold"])
-        elif rec.type == "target-change":
-            if "hold" in d:
-                state["target_hold"] = dict(d["hold"])
+        fold_record(state, rec.type, rec.data)
     return state
+
+
+def fold_record(state: dict, rtype: str, d: dict) -> None:
+    """Fold one journalled state change (``d`` is its data, copied where
+    kept) into ``state``.  Idempotent with respect to re-delivered evictions
+    and tolerant of records about jobs ``state`` no longer tracks — exactly
+    the overlaps a checkpoint-then-crash interleaving can produce.  The
+    record's time is not state: a checkpoint stamps ``now``."""
+    manager = state["manager"]
+    jobs = manager["jobs"]
+    if rtype == "cap-decision":
+        for job_id, cap in d.get("caps", {}).items():
+            entry = jobs.get(job_id)
+            if entry is not None:
+                entry["last_cap"] = float(cap)
+                entry["caps_sent"] = int(entry.get("caps_sent", 0)) + 1
+        manager["correction"] = float(d.get("correction", 0.0))
+        if "hold" in d:
+            state["target_hold"] = dict(d["hold"])
+    elif rtype == "job-admit":
+        kind, queue, running = d.get("kind"), state["queue"], state["running"]
+        if kind in ("queue", "manual", "requeue"):
+            insort(queue, dict(d["spec"]), key=operator.itemgetter("submit_time"))
+            if kind == "queue":
+                state["pending_index"] += 1
+            elif kind == "requeue":
+                # The job was running when its node died; it is queued
+                # again, not running.
+                job_id = d["spec"]["job_id"]
+                running.pop(job_id, None)
+                state["attempts"][job_id] = int(d.get("attempt", 1))
+                state["requeued"].append(job_id)
+        elif kind == "launch":
+            job_id = d["spec"]["job_id"]
+            queue[:] = [s for s in queue if s["job_id"] != job_id]
+            running[job_id] = dict(d["spec"])
+            state["attempts"].setdefault(job_id, int(d.get("attempt", 1)))
+        elif kind == "hello":
+            job_id = d["job_id"]
+            identity = {
+                "claimed_type": d["claimed_type"],
+                "nodes": int(d["nodes"]),
+                "believed_p_max": float(d["believed_p_max"]),
+            }
+            # A new job's record has learned nothing yet; a reconnect
+            # refreshes the identity and keeps what was learned.
+            fresh = JobRecord(job_id, link=None, believed_model=None, **identity)
+            jobs.setdefault(job_id, job_entry(fresh)).update(identity)
+    elif rtype == "job-evict":
+        table = jobs if JOB_EVICT[d["kind"]] == "jobs" else state["running"]
+        table.pop(d["job_id"], None)
+    elif rtype == "model-accept":
+        entry = jobs.get(d["job_id"])
+        if entry is not None:
+            entry["online"] = [float(d["a"]), float(d["b"]), float(d["c"])]
+            entry["online_r2"] = d.get("r2")

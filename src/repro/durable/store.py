@@ -1,5 +1,9 @@
 """The durable store: one directory holding two checkpoint slots and a journal.
 
+The store also keeps the head's durable state: :meth:`DurableStore.append`
+journals each record and folds it into :attr:`DurableStore.state`, which is
+what a checkpoint writes.
+
 Crash-consistency protocol (see DESIGN.md §4d):
 
 1. state-changing events append to ``journal.jsonl`` as they happen;
@@ -26,6 +30,7 @@ from pathlib import Path
 
 from repro.durable.checkpoint import CheckpointError, read_slot, write_checkpoint
 from repro.durable.journal import Journal, JournalReplay
+from repro.durable.state import apply_journal, empty_state, fold_record
 
 __all__ = ["DurableStore"]
 
@@ -42,6 +47,9 @@ class DurableStore:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.slot_paths = tuple(self.dir / name for name in self.SLOT_NAMES)
         self.journal = Journal(self.dir / self.JOURNAL_NAME)
+        #: The journal's fold: empty on a fresh head, the newest checkpoint
+        #: plus its tail after :meth:`recover`.
+        self.state = empty_state()
         self.checkpoints_written = 0
         #: The slot holding the newest valid checkpoint (None: none does) and
         #: its generation; the next checkpoint goes into the other slot.
@@ -66,6 +74,13 @@ class DurableStore:
                 else:
                     slots.append((generation, path, payload))
         return slots, refused
+
+    def append(self, rtype: str, time: float, data: dict) -> int:
+        """Journal one record and fold it into :attr:`state`; returns its
+        sequence number."""
+        seq = self.journal.append(rtype, time, data)
+        fold_record(self.state, rtype, data)
+        return seq
 
     def save_checkpoint(self, payload: dict) -> None:
         """Durably persist ``payload``, watermarked at the current journal seq.
@@ -110,6 +125,14 @@ class DurableStore:
                 )
             )
         return payload, journal.replay(min_seq=watermark)
+
+    def recover(self) -> JournalReplay:
+        """:meth:`load`, then fold the tail into the checkpoint's state (or
+        the empty one) as :attr:`state`; returns the tail."""
+        payload, replay = self.load()
+        base = payload["state"] if payload is not None else empty_state()
+        self.state = apply_journal(base, replay.records)
+        return replay
 
     def close(self) -> None:
         self.journal.close()

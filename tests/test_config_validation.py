@@ -328,7 +328,8 @@ class TestConfigValidation:
 
 def source_lines() -> dict[str, int]:
     """Line counts the ROADMAP quotes: all of ``src/``, five modules,
-    ``hwsim/``, ``durable/`` and ``telemetry/``."""
+    ``hwsim/``, ``durable/`` and ``telemetry/``, and all of ``tests/`` (code
+    moved from ``src/`` into a test is not a reduction)."""
     repro = ROOT / "src" / "repro"
 
     def lines(paths) -> int:
@@ -342,6 +343,7 @@ def source_lines() -> dict[str, int]:
         sizes[module.split("/")[-1]] = lines([repro / module])
     for package in ("hwsim", "durable", "telemetry"):
         sizes[f"{package}/"] = lines((repro / package).rglob("*.py"))
+    sizes["tests/"] = lines((ROOT / "tests").rglob("*.py"))
     return sizes
 
 

@@ -277,7 +277,7 @@ class TestRepeatedModelIsHeartbeat:
         assert manager.hello_merges == 1
         kinds = [
             (r.type, r.data.get("kind")) for r in journal.replay().records
-            if r.type != "cap-decision" and r.type != "target-change"
+            if r.type != "cap-decision"
         ]
         assert kinds == [("job-admit", "hello"), ("model-accept", None)]
         assert telemetry.registry.get_value("anor_models_accepted_total") == 1

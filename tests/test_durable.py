@@ -110,19 +110,19 @@ class TestJournal:
 
     def test_seq_resumes_across_reopen(self, tmp_path):
         j = Journal(tmp_path / "j.jsonl")
-        j.append("target-change", 1.0, {})
+        j.append("cap-decision", 1.0, {})
         j.close()
         j2 = Journal(tmp_path / "j.jsonl")
         assert j2.seq == 1
-        j2.append("target-change", 2.0, {})
+        j2.append("cap-decision", 2.0, {})
         j2.close()
         assert [r.seq for r in j2.replay().records] == [1, 2]
 
     def test_torn_tail_dropped(self, tmp_path):
         path = tmp_path / "j.jsonl"
         j = Journal(path)
-        j.append("target-change", 1.0, {"hold": {}})
-        j.append("target-change", 2.0, {"hold": {}})
+        j.append("cap-decision", 1.0, {"hold": {}})
+        j.append("cap-decision", 2.0, {"hold": {}})
         j.close()
         text = path.read_text()
         path.write_text(text[: len(text) - 15])  # tear the last record
@@ -134,7 +134,7 @@ class TestJournal:
         path = tmp_path / "j.jsonl"
         j = Journal(path)
         for t in (1.0, 2.0, 3.0):
-            j.append("target-change", t, {})
+            j.append("cap-decision", t, {})
         j.close()
         lines = path.read_text().splitlines()
         lines[1] = lines[1].replace('"seq":2', '"seq":9')  # breaks the crc
@@ -161,7 +161,7 @@ class TestJournal:
                                    "c": 7.0, "r2": None}),
             ("job-admit", 9.0, {"kind": "hello", "nodes": 4, "z": [1, 2.5, "x"],
                                 "a": {"b": {"c": True}}}),
-            ("target-change", 1e22, {}),
+            ("cap-decision", 1e22, {}),
         ]
         expected = b""
         for seq, (rtype, t, data) in enumerate(payloads, start=1):
@@ -178,7 +178,7 @@ class TestJournal:
     def test_watermark_skips_covered_records(self, tmp_path):
         j = Journal(tmp_path / "j.jsonl")
         for t in (1.0, 2.0, 3.0):
-            j.append("target-change", t, {})
+            j.append("cap-decision", t, {})
         replay = j.replay(min_seq=2)
         assert [r.seq for r in replay.records] == [3]
         j.close()
@@ -218,7 +218,7 @@ class TestDurableStore:
 
     def test_no_checkpoint_replays_everything(self, tmp_path):
         store = DurableStore(tmp_path)
-        store.journal.append("target-change", 1.0, {})
+        store.journal.append("cap-decision", 1.0, {})
         store.close()
         payload, replay = DurableStore(tmp_path).load()
         assert payload is None
@@ -243,13 +243,13 @@ class TestStoreCrashConsistency:
         store = DurableStore(path)
         store.journal.append("job-admit", 1.0, {"kind": "queue", "spec": {}})
         store.save_checkpoint({"state": "older"})  # watermark 1
-        store.journal.append("target-change", 2.0, {})
+        store.journal.append("cap-decision", 2.0, {})
         store.save_checkpoint({"state": "newer"})  # watermark 2, journal reset at 2
         return store
 
     def test_slots_alternate_and_the_highest_generation_loads(self, tmp_path):
         store = self._store_with_two_checkpoints(tmp_path)
-        store.journal.append("target-change", 3.0, {})
+        store.journal.append("cap-decision", 3.0, {})
         store.close()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "checkpoint.0.json", "checkpoint.1.json", "journal.jsonl"]
@@ -266,7 +266,7 @@ class TestStoreCrashConsistency:
 
     def test_a_slot_torn_before_its_reset_falls_back_to_the_older_one(self, tmp_path):
         store = self._store_with_two_checkpoints(tmp_path)
-        store.journal.append("target-change", 3.0, {})
+        store.journal.append("cap-decision", 3.0, {})
         real = store.journal.reset
         store.journal.reset = lambda: pytest.fail("reset before the slot landed")
         with pytest.MonkeyPatch.context() as mp:
@@ -308,7 +308,7 @@ class TestStoreCrashConsistency:
         path = tmp_path / "j.jsonl"
         j = Journal(path)
         for t in range(1, 6):
-            j.append("target-change", float(t), {"watts": float(t)})
+            j.append("cap-decision", float(t), {"watts": float(t)})
         j.reset()
         # The next append dies mid-write: a line with no end.
         with open(path, "r+b") as fh:
@@ -319,7 +319,7 @@ class TestStoreCrashConsistency:
         replay = reopened.replay()
         assert (replay.records, replay.dropped_tail) == ([], 1)
         assert (reopened.base, reopened.seq) == (5, 5)
-        assert reopened.append("target-change", 6.0, {}) == 6
+        assert reopened.append("cap-decision", 6.0, {}) == 6
         replay = Journal(path).replay()
         assert ([r.seq for r in replay.records], replay.dropped_tail) == ([6], 0)
 
@@ -329,14 +329,14 @@ class TestStoreCrashConsistency:
         path = tmp_path / "j.jsonl"
         j = Journal(path)
         for t in range(1, 4):
-            j.append("target-change", float(t), {"pad": "x" * 40})
+            j.append("cap-decision", float(t), {"pad": "x" * 40})
         j.close()
         lines = path.read_bytes().split(b"\n")
         lines[1] = lines[1].replace(b'"seq":2', b'"seq":7')  # crc fails
         path.write_bytes(b"\n".join(lines))
         reopened = Journal(path)
         assert reopened.seq == 1
-        reopened.append("target-change", 2.0, {})  # shorter than the old line 2
+        reopened.append("cap-decision", 2.0, {})  # shorter than the old line 2
         replay = Journal(path).replay()
         assert ([r.seq for r in replay.records], replay.dropped_tail) == ([1, 2], 0)
 
@@ -369,7 +369,7 @@ class TestStoreFreesNoBlocks:
         store = DurableStore(tmp_path)
         for k in range(60):
             for t in range(5 + k % 7):
-                store.journal.append("target-change", float(t), {"k": k})
+                store.journal.append("cap-decision", float(t), {"k": k})
             # Payloads shrink from one checkpoint to the next.
             store.save_checkpoint({"state": {"pad": "x" * (3000 - 40 * k)}})
             if k >= 1:
@@ -378,7 +378,7 @@ class TestStoreFreesNoBlocks:
                 store.close()
                 store = DurableStore(tmp_path)
             if k == 40:  # a restart: a torn append, then load and go on
-                store.journal.append("target-change", 1.0, {})
+                store.journal.append("cap-decision", 1.0, {})
                 store.close()
                 with open(tmp_path / "journal.jsonl", "ab") as fh:
                     fh.write(b'{"crc":0,"rec":')
@@ -572,9 +572,9 @@ class TestJournalRotation:
     def test_rotate_drops_covered_records(self, tmp_path):
         j = Journal(tmp_path / "j.jsonl")
         for t in range(1, 6):
-            j.append("target-change", float(t), {"watts": 100.0 * t})
+            j.append("cap-decision", float(t), {"watts": 100.0 * t})
         assert j.reset() == 5
-        j.append("target-change", 6.0, {"watts": 600.0})
+        j.append("cap-decision", 6.0, {"watts": 600.0})
         reopened = Journal(tmp_path / "j.jsonl")
         assert (reopened.base, reopened.seq) == (5, 6)
         replay = reopened.replay()
@@ -585,7 +585,7 @@ class TestJournalRotation:
         j = Journal(tmp_path / "j.jsonl")
         assert j.reset() == 0
         assert not (tmp_path / "j.jsonl").exists()  # nothing written, nothing made
-        j.append("target-change", 1.0, {"watts": 100.0})
+        j.append("cap-decision", 1.0, {"watts": 100.0})
         assert j.reset() == 1
         before = (tmp_path / "j.jsonl").read_bytes()
         assert j.reset() == 0
@@ -594,9 +594,9 @@ class TestJournalRotation:
     def test_seq_never_resets_after_rotation(self, tmp_path):
         j = Journal(tmp_path / "j.jsonl")
         for t in range(1, 4):
-            j.append("target-change", float(t), {"watts": 1.0})
+            j.append("cap-decision", float(t), {"watts": 1.0})
         j.reset()  # no record left on disk
-        assert j.append("target-change", 4.0, {"watts": 2.0}) == 4
+        assert j.append("cap-decision", 4.0, {"watts": 2.0}) == 4
         replay = Journal(tmp_path / "j.jsonl").replay()
         assert [r.seq for r in replay.records] == [4]
 
@@ -604,13 +604,13 @@ class TestJournalRotation:
         path = tmp_path / "j.jsonl"
         j = Journal(path)
         for t in range(1, 4):
-            j.append("target-change", float(t), {"watts": 1.0})
+            j.append("cap-decision", float(t), {"watts": 1.0})
         j.close()
         with open(path, "ab") as fh:
             fh.write(b'{"crc": 0, "rec":')  # torn final write
         j2 = Journal(path)
         assert j2.reset() == 3
-        j2.append("target-change", 4.0, {"watts": 1.0})
+        j2.append("cap-decision", 4.0, {"watts": 1.0})
         replay = Journal(path).replay()
         assert [r.seq for r in replay.records] == [4]
         assert replay.dropped_tail == 0  # the torn line is gone from disk
@@ -618,12 +618,12 @@ class TestJournalRotation:
     def test_rotated_journal_survives_reopen_and_append(self, tmp_path):
         j = Journal(tmp_path / "j.jsonl")
         for t in range(1, 6):
-            j.append("target-change", float(t), {"watts": float(t)})
+            j.append("cap-decision", float(t), {"watts": float(t)})
         j.reset()
-        j.append("target-change", 6.0, {"watts": 6.0})
+        j.append("cap-decision", 6.0, {"watts": 6.0})
         j.close()
         reopened = Journal(tmp_path / "j.jsonl")
-        reopened.append("target-change", 7.0, {"watts": 7.0})
+        reopened.append("cap-decision", 7.0, {"watts": 7.0})
         reopened.close()
         replay = Journal(tmp_path / "j.jsonl").replay()
         assert [r.seq for r in replay.records] == [6, 7]
@@ -634,32 +634,32 @@ class TestJournalRotation:
         path = tmp_path / "j.jsonl"
         j = Journal(path)
         for t in range(1, 8):
-            j.append("target-change", float(t), {"watts": float(t)})
+            j.append("cap-decision", float(t), {"watts": float(t)})
         monkeypatch.setattr(
             Journal, "replay", lambda *a, **k: pytest.fail("reset re-read the file")
         )
         assert j.reset() == 7
         assert j.reset() == 0  # nothing on disk: nothing dropped
-        j.append("target-change", 8.0, {"watts": 8.0})
-        j.append("target-change", 9.0, {"watts": 9.0})
+        j.append("cap-decision", 8.0, {"watts": 8.0})
+        j.append("cap-decision", 9.0, {"watts": 9.0})
         assert j.reset() == 2
         monkeypatch.undo()
         # No trusted record, no temp file.
         assert Journal(path).replay() == JournalReplay(records=[], dropped_tail=0)
         assert [p.name for p in tmp_path.iterdir()] == ["j.jsonl"]
-        assert j.append("target-change", 10.0, {}) == 10
+        assert j.append("cap-decision", 10.0, {}) == 10
         assert [r.seq for r in Journal(path).replay().records] == [10]
 
     def test_full_rotation_counts_exactly_after_reopen_and_partial(self, tmp_path):
         path = tmp_path / "j.jsonl"
         j = Journal(path)
         for t in range(1, 6):
-            j.append("target-change", float(t), {})
+            j.append("cap-decision", float(t), {})
         assert j.reset() == 5
-        j.append("target-change", 6.0, {})
+        j.append("cap-decision", 6.0, {})
         j.close()
         reopened = Journal(path)
-        reopened.append("target-change", 7.0, {})
+        reopened.append("cap-decision", 7.0, {})
         assert reopened.reset() == 2
         assert Journal(path).replay().records == []
         assert Journal(path).seq == 7
@@ -668,7 +668,7 @@ class TestJournalRotation:
         path = tmp_path / "j.jsonl"
         j = Journal(path)
         for t in range(1, 4):
-            j.append("target-change", float(t), {})
+            j.append("cap-decision", float(t), {})
         j.close()
         with open(path, "ab") as fh:
             fh.write(b'{"crc": 0, "rec":')  # torn final write
@@ -678,18 +678,18 @@ class TestJournalRotation:
         # No trusted record, no temp file.
         assert Journal(path).replay() == JournalReplay(records=[], dropped_tail=0)
         assert [p.name for p in tmp_path.iterdir()] == ["j.jsonl"]
-        damaged.append("target-change", 4.0, {})
+        damaged.append("cap-decision", 4.0, {})
         assert damaged.reset() == 1
 
     def test_store_checkpoint_rotates_journal(self, tmp_path):
         store = DurableStore(tmp_path)
         for t in range(1, 20):
-            store.journal.append("target-change", float(t), {"watts": float(t)})
+            store.journal.append("cap-decision", float(t), {"watts": float(t)})
         store.save_checkpoint(empty_state())
         # Everything the checkpoint covers is physically gone from disk.
         replay = Journal(store.journal.path).replay()
         assert replay.records == []
-        store.journal.append("target-change", 21.0, {"watts": 1.0})
+        store.journal.append("cap-decision", 21.0, {"watts": 1.0})
         assert Journal(store.journal.path).replay().records[0].seq == 20
 
 

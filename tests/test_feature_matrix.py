@@ -55,6 +55,7 @@ from repro.plan import planner  # noqa: E402
 from repro.workloads.generator import PoissonScheduleGenerator  # noqa: E402
 from repro.workloads.nas import long_running_mix  # noqa: E402
 from tests.goldenlib import run_windowed_and_stepped  # noqa: E402
+from tests.livehead import FoldMonitor  # noqa: E402
 
 DURATION = 1200.0
 NODES = 16
@@ -99,7 +100,8 @@ FEATURE_RATES = {
 
 def build_pair(features, seed, scripted, tmp):
     """``build`` for ``run_windowed_and_stepped`` plus what each built system
-    was observed with, in build order: ``(monitor, stream, bus records)``."""
+    was observed with, in build order: ``(monitor, stream, bus records,
+    fold monitor or None)``."""
     rates = dict(BASE_RATES)
     for feature in sorted(features):
         rates.update(FEATURE_RATES.get(feature, {}))
@@ -122,22 +124,29 @@ def build_pair(features, seed, scripted, tmp):
             fields["checkpoint_dir"] = tempfile.mkdtemp(dir=tmp)
         config = AnorConfig(**fields)
         monitor, stream, seen = RoundMonitor(config), [], []
+        monitors = [
+            monitor,
+            lambda rnd: rnd.occupied and stream.append(
+                (rnd.time, rnd.ceiling, rnd.planned, dict(rnd.caps))),
+        ]
+        fold = None
+        if "durable" in features:
+            # The store's journal fold must equal the live head each round.
+            fold = FoldMonitor()
+            monitors.append(fold)
         system = AnorSystem(
             target_source=ConstantTarget(TARGET),
             classifier=JobClassifier(precharacterized_models(TYPES)),
             schedule=arrivals, job_types=TYPES, config=config,
-            fault_schedule=schedule,
-            monitors=[
-                monitor,
-                lambda rnd: rnd.occupied and stream.append(
-                    (rnd.time, rnd.ceiling, rnd.planned, dict(rnd.caps))),
-            ],
+            fault_schedule=schedule, monitors=monitors,
         )
+        if fold is not None:
+            fold.system = system
         # Every bus record as (category or name, time, attrs): what the
         # witnesses and the no-lost-job check read instead of log text.
         system.telemetry.bus.add_sink(SimpleNamespace(emit=lambda r: seen.append(
             (r["attrs"].get("category", r["name"]), r["t"], r["attrs"]))))
-        observed.append((monitor, stream, seen))
+        observed.append((monitor, stream, seen, fold))
         return system
 
     return build, observed
@@ -155,7 +164,7 @@ def check(features, seed, scripted=(), witness=None):
             build, DURATION, until_idle=True, max_time=DURATION + 3000.0
         )
         windowed.run(SETTLE)
-    (monitor, stream, seen), (stepped_monitor, stepped_stream, _) = observed
+    (monitor, stream, seen, _), (stepped_monitor, stepped_stream, _, _) = observed
     dropped = {attrs["job_id"] for what, _, attrs in seen if what == "job-drop"}
     # The two engines agree, down to every round the manager made.
     assert stream[: len(stepped_stream)] == stepped_stream
@@ -169,6 +178,8 @@ def check(features, seed, scripted=(), witness=None):
     # the settle's included.
     assert len(stepped_stream) >= 5
     assert not monitor.violations, monitor.violations[:5]
+    for *_, fold in observed:
+        assert fold is None or not fold.mismatches, fold.mismatches[:5]
     assert not double_admitted(a)
     assert a.unstarted_jobs == 0
     submitted = SimpleNamespace(completed=windowed.schedule.requests)

@@ -12,13 +12,7 @@ from repro.core.cluster_manager import DEAD_JOB_TIMEOUT, ClusterPowerManager
 from repro.core.framework import AnorConfig, AnorSystem
 from repro.core.targets import ConstantTarget, HoldLastGoodTarget
 from repro.durable.checkpoint import write_checkpoint
-from repro.durable.state import (
-    JOB_EVICT,
-    apply_journal,
-    capture_state,
-    empty_state,
-    job_entry,
-)
+from repro.durable.state import JOB_EVICT, apply_journal, empty_state, job_entry
 from repro.durable.store import DurableStore
 from repro.experiments.fig9 import build_demand_response_system
 from repro.experiments.resilience import _SHED_CLASS_MAP, _SHED_INCIDENTS
@@ -32,9 +26,10 @@ from repro.faults.events import (
     NodeCrash,
 )
 from repro.faults.schedule import FaultSchedule
-from repro.invariants import RoundMonitor
+from repro.invariants import RoundMonitor, double_admitted
 from repro.telemetry.top import snapshot_system
 from repro.workloads.trace import JobRequest, Schedule
+from tests.livehead import FoldMonitor, live_state, phases, unstamped
 
 TYPES = ["bt", "cg", "ft", "lu", "mg", "sp"]
 
@@ -324,9 +319,17 @@ class TestCrashRecoveryEndToEnd:
         assert running_before <= done
 
     def test_corrupt_checkpoint_cold_starts_with_incident(self, tmp_path):
+        """A cold start over a refused store keeps what it held: the queue,
+        the running set and the requeues it re-read stand in for the lost
+        checkpoint, so the checkpoint after it writes them, and a second
+        crash restores them."""
         store_dir = tmp_path / "store"
         system = build_system(checkpoint_dir=str(store_dir))
-        for _ in range(60):
+        for _ in range(50):
+            system.step()
+        victim = sorted(system.cluster.running)[0]
+        system.crash_node(system.cluster.running[victim].nodes[0].node_id)
+        for _ in range(10):
             system.step()
         system.crash_head_node()
         ck = DurableStore(store_dir).newest_slot
@@ -340,8 +343,52 @@ class TestCrashRecoveryEndToEnd:
         system.restart_head_node()
         assert any("checkpoint rejected" in line for line in system.recovery_log)
         assert any("cold start" in line for line in system.recovery_log)
+        held = live_state(system)
+        assert held["queue"] and held["running"] and held["requeued"] == [victim]
+        assert unstamped(system.durable.state) == held
+        system.step()  # the checkpoint after the cold start lands
+        assert system.durable.checkpoints_written == 1
+        assert system.crash_head_node() and system.restart_head_node()
+        assert "restarted warm" in system.recovery_log[-1]
+        restored = live_state(system)
+        for key in ("pending_index", "queue", "running", "attempts", "requeued"):
+            assert restored[key] == held[key], key
         result = system.run(until_idle=True, max_time=6000.0)
         assert result.unstarted_jobs == 0
+        assert result.requeued == [victim] and not double_admitted(result)
+
+    def test_a_checkpoint_inside_the_recovery_window_keeps_the_unheard_jobs(
+        self, tmp_path
+    ):
+        """The head dies with a launched job's HELLO in flight, so the
+        restarted head holds a linkless record no journal record wrote.  A
+        checkpoint inside the recovery window writes it, and the next restart
+        reserves the same records as the first."""
+        system = build_system(checkpoint_dir=str(tmp_path / "store"), n_jobs=8)
+        for _ in range(100):
+            system.step()
+        while not set(system._launched) - set(system.manager.jobs):
+            system.step()
+        (in_flight,) = set(system._launched) - set(system.manager.jobs)
+        system.crash_head_node()
+        system.crash_endpoint(in_flight)  # nobody left to re-HELLO for it
+        for _ in range(5):
+            system.step()
+        system.restart_head_node()
+        first = {job_id: job_entry(r) for job_id, r in system.manager.jobs.items()}
+        assert first[in_flight]["last_cap"] is None
+        written = system.durable.checkpoints_written
+        while system.durable.checkpoints_written == written:
+            system.step()
+        assert system.manager.in_recovery
+        assert system.manager.jobs[in_flight].link is None
+        payload, _ = system.durable.load()
+        assert payload["state"]["manager"]["jobs"][in_flight] == first[in_flight]
+        assert system.crash_head_node() and system.restart_head_node()
+        second = system.manager.jobs
+        assert list(second) == list(first)
+        assert all(record.link is None for record in second.values())
+        assert job_entry(second[in_flight]) == first[in_flight]
 
     def test_crash_on_checkpoint_cadence_boundary(self, tmp_path):
         # Gates anchor at the first tick (t=1), so with period 20 the
@@ -517,12 +564,12 @@ class TestLiveStateRoundTrip:
         system = build_system(checkpoint_dir=str(store_dir))
         for _ in range(90):
             system.step()
-        now = system.cluster.clock.now
-        snap = capture_state(system, now)
-        system.durable.save_checkpoint({"state": snap})
+        snap = live_state(system)
+        assert unstamped(system.durable.state) == snap
+        system.durable.save_checkpoint({"state": system.durable.state})
         system.durable.close()
         payload, replay = DurableStore(store_dir).load()
-        assert payload["state"] == snap
+        assert unstamped(payload["state"]) == snap
         # The embedded watermark covers the whole journal: nothing replays.
         assert replay.records == []
 
@@ -538,16 +585,20 @@ class TestLiveStateRoundTrip:
         system.crash_node(system.cluster.running[victim].nodes[0].node_id)
         for _ in range(3):
             system.step()
-        now = system.cluster.clock.now
-        snap = capture_state(system, now)
+        now, gates = system.cluster.clock.now, phases(system)
+        snap = live_state(system)
         assert snap["queue"] and snap["running"] and snap["requeued"] == [victim]
         assert victim in snap["manager"]["jobs"] and victim not in snap["running"]
-        system.durable.save_checkpoint({"state": snap})
+        assert unstamped(system.durable.state) == snap
+        system.durable.save_checkpoint(
+            {"state": {**system.durable.state, "now": now, "gates": gates}}
+        )
         assert system.crash_head_node() and system.restart_head_node()
-        restored = capture_state(system, now)
+        restored = live_state(system)
         assert restored.keys() == snap.keys()
         for key in snap:
             assert restored[key] == snap[key], key
+        assert phases(system) == gates
 
     def test_a_slot_torn_before_its_reset_restarts_warm_from_the_older_one(
         self, tmp_path, monkeypatch
@@ -563,8 +614,7 @@ class TestLiveStateRoundTrip:
         )
         for _ in range(70):  # checkpoints at t = 1, 21, 41 and 61
             system.step()
-        now = system.cluster.clock.now
-        snap = capture_state(system, now)
+        snap, gates = live_state(system), phases(system)
 
         def torn_write(path, payload, *, generation):
             write_checkpoint(path, payload, generation=generation)
@@ -575,19 +625,19 @@ class TestLiveStateRoundTrip:
 
         monkeypatch.setattr("repro.durable.store.write_checkpoint", torn_write)
         with pytest.raises(KeyboardInterrupt):
-            system.durable.save_checkpoint({"state": snap})
+            system.durable.save_checkpoint({"state": system.durable.state})
         monkeypatch.undo()
         assert system.crash_head_node() and system.restart_head_node()
         assert any("restarted warm" in line for line in system.recovery_log)
         refused = [line for line in system.recovery_log if "slot refused" in line]
         assert len(refused) == 1 and "checksum mismatch" in refused[0]
         assert system.telemetry.incident_counts["checkpoint-slot-refused"] == 1
-        restored = capture_state(system, now)
+        restored = live_state(system)
         assert restored.keys() == snap.keys()
-        for key in snap.keys() - {"gates"}:
+        for key in snap:
             assert restored[key] == snap[key], key
-        assert restored["gates"] == {"manager": [1.0, 61], "checkpoint": [1.0, 4]}
-        assert snap["gates"] == {"manager": [1.0, 70], "checkpoint": [1.0, 4]}
+        assert phases(system) == {"manager": [1.0, 61], "checkpoint": [1.0, 4]}
+        assert gates == {"manager": [1.0, 70], "checkpoint": [1.0, 4]}
 
     def test_restored_jobs_are_linkless_records_of_the_one_table(self, tmp_path):
         """A warm restart puts every restored job into ``manager.jobs``, with
@@ -630,7 +680,7 @@ class TestLiveStateRoundTrip:
             for job_id in [*waiting, *dict.fromkeys(hellos)]
             if job_id in manager.jobs
         }
-        captured = capture_state(system, system.cluster.clock.now)
+        captured = live_state(system)
         assert json.dumps(captured["manager"]["jobs"]) == json.dumps(expected)
 
     def test_the_journal_counter_counts_every_record(self, tmp_path):
@@ -656,13 +706,12 @@ class TestLiveStateRoundTrip:
 
 
 class TestJournalFoldMatchesLiveHead:
-    """A restarted head is what ``apply_journal`` makes of the last
-    checkpoint and the journal tail, so the fold must track the live head.
-    At every checkpoint of a run with the shed ladder, node crashes, an
-    endpoint crash and two head crashes, the previous checkpoint plus the
-    journal since must equal what the head is about to write."""
-
-    SCHEDULER = ("pending_index", "queue", "running", "attempts", "requeued")
+    """A restarted head is what the store's journal fold held, so the fold
+    must track the live head.  At the end of every round of a run with the
+    shed ladder, node crashes, an endpoint crash and two head crashes, the
+    fold equals the live head, trim and target hold included; and at every
+    checkpoint, the previous checkpoint plus the journal since folds to what
+    the head is about to write."""
 
     def test_previous_checkpoint_plus_tail_equals_the_next(
         self, tmp_path, monkeypatch
@@ -677,10 +726,7 @@ class TestJournalFoldMatchesLiveHead:
                 tail.records,
             )
             live = payload["state"]
-            for key in self.SCHEDULER:
-                assert folded[key] == live[key], (live["now"], key)
-            assert folded["manager"]["jobs"] == live["manager"]["jobs"], live["now"]
-            assert folded["target_hold"] == live["target_hold"], live["now"]
+            assert unstamped(folded) == unstamped(live), live["now"]
             checked.append(live["now"])
             save(store, payload)
 
@@ -697,16 +743,18 @@ class TestJournalFoldMatchesLiveHead:
             HeadNodeCrash(time=150.0, down_for=10.0),
             NodeCrash(time=175.0, node_id=5, down_for=60.0),
         ])
-        system = build_system(
+        fold = FoldMonitor()
+        system = fold.system = build_system(
             checkpoint_dir=str(tmp_path / "store"), fault_schedule=faults,
             n_jobs=10, checkpoint_period=45.0, shed_enabled=True,
-            shed_classes=dict(_SHED_CLASS_MAP),
+            shed_classes=dict(_SHED_CLASS_MAP), monitors=[fold],
         )
         result = system.run(until_idle=True, max_time=3000.0)
         assert result.head_crashes == 2 and result.unstarted_jobs == 0
         assert any("killed by power shed" in w for w in result.warnings)
         assert any("still running" in line for line in result.recovery_log)
         assert len(checked) >= 15
+        assert fold.rounds >= 800 and not fold.mismatches, fold.mismatches[:5]
 
 
 class TestHeadStateInventory:
@@ -718,7 +766,7 @@ class TestHeadStateInventory:
     #: What a restarted head builds fresh.
     RESET = {"events", "last_round", "enforcement",
              "admission_held", "recovery_merges", "hello_merges",
-             "_recovery_deadline", "_links", "_last_journalled_target"}
+             "_recovery_deadline", "_links"}
 
     def test_every_manager_state_field_is_persisted_or_reset(self):
         state = {f.name for f in dataclasses.fields(ClusterPowerManager) if not f.init}
@@ -729,9 +777,9 @@ class TestHeadStateInventory:
         system = build_system()
         for _ in range(60):
             system.step()
-        mgr, now = system.manager, system.cluster.clock.now
+        mgr = system.manager
         probe = next(iter(mgr.jobs.values()))
-        base = capture_state(system, now)
+        base = live_state(system)
 
         def changed(value):
             if isinstance(value, HoldLastGoodTarget):
@@ -752,7 +800,7 @@ class TestHeadStateInventory:
             held = getattr(mgr, name)
             setattr(mgr, name, changed(held))
             try:
-                written = capture_state(system, now) != base
+                written = live_state(system) != base
             finally:
                 setattr(mgr, name, held)
             assert written == (name in self.PERSISTED), name
@@ -765,7 +813,7 @@ class TestHeadStateInventory:
         system = build_system(checkpoint_dir=str(store_dir), checkpoint_period=1000.0)
         for _ in range(60):
             system.step()
-        live = capture_state(system, system.cluster.clock.now)["manager"]
+        live = live_state(system)["manager"]
         assert set(live) == {"correction", "jobs"} == set(empty_state()["manager"])
         store = DurableStore(store_dir)
         payload, tail = store.load()

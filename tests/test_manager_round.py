@@ -58,7 +58,7 @@ FEATURES = {
     "monitors": dict(monitors=()),
 }
 
-JOURNAL_STAGES = {"manager._journal_target", "manager._journal_caps"}
+JOURNAL_STAGES = {"manager._journal_caps"}
 TELEMETRY_STAGES = {
     "telemetry.open_round", "telemetry.trace_target", "telemetry.open_budget",
     "telemetry.close_budget", "telemetry.trace_caps", "telemetry.close_round",
