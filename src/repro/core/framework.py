@@ -169,8 +169,8 @@ class AnorConfig:
     def __post_init__(self) -> None:
         """Range-check every knob, naming the offending field.
 
-        Mirrors ``FaultSchedule.random``'s validation style: bad values
-        fail at construction with the field name, not deep inside a run.
+        Like the fault events' own checks: bad values fail at construction
+        with the field name, not deep inside a run.
         """
         for f in fields(self):
             value = getattr(self, f.name)

@@ -54,10 +54,16 @@ from repro.experiments.scorecard import Claim, Scorecard, evaluate
 from repro.facility.shed import RAMP_WATTS_PER_ROUND
 from repro.faults.events import (
     ByzantineModel,
+    CorruptStatus,
     DemandResponseEmergency,
+    EndpointCrash,
     FeederLoss,
     HeadNodeCrash,
+    LinkDegradation,
+    MeterDrift,
+    MeterOutage,
     NetworkPartition,
+    NodeCrash,
     PartitionEnd,
     PartitionStart,
     StuckActuator,
@@ -761,6 +767,20 @@ _SOAK_MAX_EPISODES = 1000
 #: records.
 
 
+#: The soak's fault mix: each template's rate (events per simulated second),
+#: every fault finite, so each episode heals before it drains.
+SOAK_FAULTS = {
+    NodeCrash(time=0.0, down_for=120.0): 1 / 600.0,
+    EndpointCrash(time=0.0): 1 / 600.0,
+    LinkDegradation(time=0.0, duration=60.0, drop_probability=0.2): 1 / 600.0,
+    MeterOutage(time=0.0, duration=60.0): 1 / 600.0,
+    CorruptStatus(time=0.0): 1 / 600.0,
+    ByzantineModel(time=0.0, duration=120.0): 1 / 300.0,
+    StuckActuator(time=0.0, duration=120.0): 1 / 300.0,
+    MeterDrift(time=0.0, factor_rate=0.004, duration=120.0): 1 / 300.0,
+}
+
+
 def _soak_arms(p: dict) -> Iterable[tuple[str, Arm]]:
     """Fresh seeded episodes until ``seconds`` of wall clock are spent
     (always at least one)."""
@@ -773,25 +793,12 @@ def _soak_arms(p: dict) -> Iterable[tuple[str, Arm]]:
         if i and time.monotonic() - start_wall >= p["seconds"]:
             break
         seed = p["seed"] + i
-
-        def cocktail(p: dict, seed: int = seed) -> FaultSchedule:
-            return FaultSchedule.random(
-                p["duration"],
-                seed=seed,
-                num_nodes=_NODES,
-                node_crash_rate=1.0 / 600.0,
-                endpoint_crash_rate=1.0 / 600.0,
-                link_burst_rate=1.0 / 600.0,
-                meter_outage_rate=1.0 / 600.0,
-                corrupt_status_rate=1.0 / 600.0,
-                byzantine_rate=1.0 / 300.0,
-                stuck_actuator_rate=1.0 / 300.0,
-                meter_drift_rate=1.0 / 300.0,
-                node_down_time=120.0,
-                rogue_duration=120.0,
-            )
-
-        yield f"seed={seed}", Arm(config={"seed": seed}, faults=cocktail)
+        yield f"seed={seed}", Arm(
+            config={"seed": seed},
+            faults=lambda p, seed=seed: FaultSchedule.random(
+                p["duration"], seed=seed, num_nodes=_NODES, rates=SOAK_FAULTS
+            ),
+        )
 
 
 def _soak_violations(run: ArmRun, p: dict) -> list[str]:

@@ -6,10 +6,12 @@ processes, lossy/slow links, facility-meter outages, target-feed outages,
 and corrupt status messages — as a scripted, seeded, perfectly replayable
 event stream.
 
-* :mod:`repro.faults.events` — the fault-event vocabulary (pure data).
+* :mod:`repro.faults.events` — the fault-event vocabulary (pure data; each
+  event checks its own fields).
 * :mod:`repro.faults.schedule` — :class:`FaultSchedule`: an ordered event
   list, built by hand, from the standard acceptance load, or drawn from a
-  seeded stochastic process (Poisson arrivals per fault class).
+  seeded stochastic process: a fault mix maps event templates to rates, and
+  each template's Poisson arrivals are copies of it.
 * :mod:`repro.faults.injector` — :class:`FaultInjector`: drives a schedule
   against a running :class:`~repro.core.framework.AnorSystem`, keeping a
   bit-identical event log for a given (seed, schedule) pair.

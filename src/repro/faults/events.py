@@ -49,6 +49,15 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if not math.isfinite(self.time) or self.time < 0:
             raise ValueError(f"event time must be finite and ≥ 0, got {self.time}")
+        # The window and magnitude fields several classes share, checked once
+        # here: ``not value > 0`` also rejects NaN, whose window never closes.
+        for name in ("duration", "down_for"):
+            value = getattr(self, name, None)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        magnitude = getattr(self, "magnitude", None)
+        if magnitude is not None and not 0.0 < magnitude < 1.0:
+            raise ValueError(f"magnitude must be in (0, 1), got {magnitude}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +74,6 @@ class NodeCrash(FaultEvent):
         super().__post_init__()
         if self.node_id < 0:
             raise ValueError(f"node_id must be ≥ 0, got {self.node_id}")
-        if self.down_for <= 0:
-            raise ValueError(f"down_for must be positive, got {self.down_for}")
 
 
 @dataclass(frozen=True)
@@ -80,11 +87,6 @@ class HeadNodeCrash(FaultEvent):
     """
 
     down_for: float = 60.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.down_for <= 0:
-            raise ValueError(f"down_for must be positive, got {self.down_for}")
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,11 @@ class LinkDegradation(FaultEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ValueError(
                 f"drop_probability must be in [0, 1), got {self.drop_probability}"
             )
-        if self.extra_latency < 0:
+        if not self.extra_latency >= 0:
             raise ValueError(f"extra_latency must be ≥ 0, got {self.extra_latency}")
 
 
@@ -144,11 +144,6 @@ class NetworkPartition(FaultEvent):
 
     duration: float = 60.0
     job_id: str | None = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -178,22 +173,12 @@ class MeterOutage(FaultEvent):
 
     duration: float = 60.0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-
 
 @dataclass(frozen=True)
 class TargetOutage(FaultEvent):
     """The cluster power-target feed returns NaN for ``duration`` seconds."""
 
     duration: float = 60.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -242,8 +227,6 @@ class ByzantineModel(FaultEvent):
             raise ValueError(
                 f"mode must be one of {BYZANTINE_MODES}, got {self.mode!r}"
             )
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -262,11 +245,6 @@ class StuckActuator(FaultEvent):
     release: bool = True
     duration: float = math.inf
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-
 
 @dataclass(frozen=True)
 class FeederLoss(FaultEvent):
@@ -279,14 +257,6 @@ class FeederLoss(FaultEvent):
 
     magnitude: float = 0.3
     duration: float = 120.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 < self.magnitude < 1.0:
-            raise ValueError(
-                f"magnitude must be in (0, 1), got {self.magnitude}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -302,14 +272,6 @@ class ThermalDerate(FaultEvent):
     magnitude: float = 0.15
     duration: float = 300.0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 < self.magnitude < 1.0:
-            raise ValueError(
-                f"magnitude must be in (0, 1), got {self.magnitude}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-
 
 @dataclass(frozen=True)
 class DemandResponseEmergency(FaultEvent):
@@ -322,14 +284,6 @@ class DemandResponseEmergency(FaultEvent):
 
     magnitude: float = 0.4
     duration: float = 180.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 < self.magnitude < 1.0:
-            raise ValueError(
-                f"magnitude must be in (0, 1), got {self.magnitude}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -358,5 +312,3 @@ class MeterDrift(FaultEvent):
         if not math.isfinite(self.offset_rate):
             raise ValueError(
                 f"offset_rate must be finite, got {self.offset_rate}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")

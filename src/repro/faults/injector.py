@@ -252,33 +252,10 @@ class FaultInjector:
     # -------------------------------------------------------------- events
 
     def _fire(self, event: FaultEvent, now: float) -> None:
-        if isinstance(event, NodeCrash):
-            self._fire_node_crash(event, now)
-        elif isinstance(event, HeadNodeCrash):
-            self._fire_head_crash(event, now)
-        elif isinstance(event, HeadNodeRestart):
-            self._fire_head_restart(now)
-        elif isinstance(event, EndpointCrash):
-            self._fire_endpoint_crash(event, now)
-        elif type(event) in _WINDOWS:
-            self._fire_window(event, now)
-        elif isinstance(event, (PartitionStart, PartitionEnd)):
-            # Observational records emitted by the reliable-messaging layer;
-            # scheduling one is a category error, not a silent no-op.
-            raise TypeError(
-                f"{type(event).__name__} is an observed record, not a schedulable "
-                "fault; inject NetworkPartition instead"
-            )
-        elif isinstance(event, CorruptStatus):
-            self._fire_corrupt_status(event, now)
-        elif isinstance(event, ByzantineModel):
-            self._fire_byzantine_model(event, now)
-        elif isinstance(event, StuckActuator):
-            self._fire_stuck_actuator(event, now)
-        elif isinstance(event, MeterDrift):
-            self._fire_meter_drift(event, now)
-        else:  # pragma: no cover - exhaustive over the vocabulary
+        handler = self._HANDLERS.get(type(event))
+        if handler is None:  # pragma: no cover - exhaustive over the vocabulary
             raise TypeError(f"unknown fault event {event!r}")
+        handler(self, event, now)
 
     def _fire_node_crash(self, event: NodeCrash, now: float) -> None:
         cluster = self.system.cluster
@@ -314,13 +291,13 @@ class FaultInjector:
                 lambda: self.system.restart_head_node(),
             )
 
-    def _fire_head_restart(self, now: float) -> None:
+    def _fire_head_restart(self, event: HeadNodeRestart, now: float) -> None:
         if not self.system.restart_head_node(now):
             self._record(now, "head-restart skipped (head already up)")
             return
         self._record(now, "head-restart")
 
-    def _pick_job(self, job_id: str | None, now: float) -> str | None:
+    def _pick_job(self, job_id: str | None) -> str | None:
         if job_id is not None:
             return job_id
         live = sorted(self.system.endpoints)
@@ -350,7 +327,7 @@ class FaultInjector:
         return max(candidates)[1]
 
     def _fire_endpoint_crash(self, event: EndpointCrash, now: float) -> None:
-        job_id = self._pick_job(event.job_id, now)
+        job_id = self._pick_job(event.job_id)
         if job_id is None or job_id not in self.system.endpoints:
             self._record(now, "endpoint-crash skipped (no live endpoint)")
             return
@@ -359,7 +336,7 @@ class FaultInjector:
         self._record_victim(now, "endpoint-crash", job_id)
 
     def _fire_corrupt_status(self, event: CorruptStatus, now: float) -> None:
-        job_id = self._pick_job(event.job_id, now)
+        job_id = self._pick_job(event.job_id)
         endpoint = self.system.endpoints.get(job_id) if job_id is not None else None
         if endpoint is None:
             self._record(now, "corrupt-status skipped (no live endpoint)")
@@ -391,6 +368,34 @@ class FaultInjector:
 
     # ----------------------------------------------- rogue-endpoint faults
 
+    def _fire_rogue(
+        self, event: FaultEvent, now: float, label: str, detail: str,
+        corrupt: Callable[[str, object], Callable[[], None] | None],
+    ) -> None:
+        """The steps every rogue-endpoint fault shares.
+
+        Pick a fresh victim; ``corrupt(job_id, endpoint)`` installs the fault
+        and returns what undoes it (None: skip the job, before touching it).
+        Then mark the job rogue, log ``detail`` and the victim, and defer the
+        heal, which unmarks the job and runs the undo.
+        """
+        job_id = self._pick_fresh_job(event.job_id)
+        endpoint = self.system.endpoints.get(job_id) if job_id is not None else None
+        undo = corrupt(job_id, endpoint) if endpoint is not None else None
+        if undo is None:
+            self._record(now, f"{label} skipped (no fresh endpoint)")
+            return
+        self._rogued.add(job_id)
+        self._record(now, f"{label} job={job_id} {detail}")
+        self._record_victim(now, label, job_id, event.duration)
+        if math.isfinite(event.duration):
+
+            def heal() -> None:
+                self._rogued.discard(job_id)
+                undo()
+
+            self._defer(now + event.duration, f"{label} end job={job_id}", heal)
+
     def _fire_byzantine_model(self, event: ByzantineModel, now: float) -> None:
         """Decouple a job's shipped model coefficients from its true curve.
 
@@ -401,46 +406,38 @@ class FaultInjector:
         :class:`JobTierEndpoint` and clears the shadow — the watchdog heals
         the lie, like any process-local corruption.
         """
-        job_id = self._pick_fresh_job(event.job_id)
-        endpoint = self.system.endpoints.get(job_id) if job_id is not None else None
-        job = self.system.cluster.running.get(job_id) if job_id is not None else None
-        if endpoint is None or job is None:
-            self._record(now, "byzantine-model skipped (no fresh endpoint)")
-            return
-        truth = job.job_type.truth
-        if event.mode == "flat":
-            # Claims power-insensitivity *and* a faster-than-possible pace:
-            # the budgeter starves it to the floor, where its true (much
-            # slower) progress contradicts the shipped curve.
-            fake = QuadraticPowerModel.from_anchors(
-                truth.t_min * 0.5, 1.01, endpoint._p_min, endpoint._p_max
-            )
-        else:  # "steep": claims extreme sensitivity, grabbing budget.
-            fake = QuadraticPowerModel.from_anchors(
-                truth.t_min, 4.0, endpoint._p_min, endpoint._p_max
-            )
-        fields = {
-            "model_a": fake.a,
-            "model_b": fake.b,
-            "model_c": fake.c,
-            "model_r2": 0.97,
-        }
-        endpoint._model_fields = lambda: dict(fields)
-        self._rogued.add(job_id)
-        self._record(now, f"byzantine-model job={job_id} mode={event.mode}")
-        self._record_victim(now, "byzantine-model", job_id, event.duration)
-        if math.isfinite(event.duration):
-            captured = endpoint
 
-            def heal() -> None:
-                self._rogued.discard(job_id)
-                live = self.system.endpoints.get(job_id)
-                if live is captured:
-                    live.__dict__.pop("_model_fields", None)
+        def corrupt(job_id, endpoint):
+            job = self.system.cluster.running.get(job_id)
+            if job is None:
+                return None
+            truth = job.job_type.truth
+            if event.mode == "flat":
+                # Claims power-insensitivity *and* a faster-than-possible
+                # pace: the budgeter starves it to the floor, where its true
+                # (much slower) progress contradicts the shipped curve.
+                fake = QuadraticPowerModel.from_anchors(
+                    truth.t_min * 0.5, 1.01, endpoint._p_min, endpoint._p_max
+                )
+            else:  # "steep": claims extreme sensitivity, grabbing budget.
+                fake = QuadraticPowerModel.from_anchors(
+                    truth.t_min, 4.0, endpoint._p_min, endpoint._p_max
+                )
+            fields = {
+                "model_a": fake.a,
+                "model_b": fake.b,
+                "model_c": fake.c,
+                "model_r2": 0.97,
+            }
+            endpoint._model_fields = lambda: dict(fields)
 
-            self._defer(
-                now + event.duration, f"byzantine-model end job={job_id}", heal
-            )
+            def undo() -> None:
+                if self.system.endpoints.get(job_id) is endpoint:
+                    endpoint.__dict__.pop("_model_fields", None)
+
+            return undo
+
+        self._fire_rogue(event, now, "byzantine-model", f"mode={event.mode}", corrupt)
 
     def _fire_stuck_actuator(self, event: StuckActuator, now: float) -> None:
         """Make a job's platform cap writes silently no-op.
@@ -451,30 +448,19 @@ class FaultInjector:
         process talks to it.  It dies with the job (requeue onto new nodes
         is new hardware).
         """
-        job_id = self._pick_fresh_job(event.job_id)
-        endpoint = self.system.endpoints.get(job_id) if job_id is not None else None
-        if endpoint is None:
-            self._record(now, "stuck-actuator skipped (no fresh endpoint)")
-            return
-        geopm = endpoint.geopm
-        if event.release:
-            # Fail open first: the register wedges at the hardware maximum,
-            # so the job draws its full demand regardless of future caps.
-            geopm.write_policy(
-                AgentPolicy(power_cap_node=endpoint._p_max, issued_at=now)
-            )
-        geopm.write_policy = lambda policy: None
-        self._rogued.add(job_id)
-        self._record(
-            now,
-            f"stuck-actuator job={job_id} release={event.release} "
-            f"duration={event.duration:.1f}",
-        )
-        self._record_victim(now, "stuck-actuator", job_id, event.duration)
-        if math.isfinite(event.duration):
 
-            def heal() -> None:
-                self._rogued.discard(job_id)
+        def corrupt(job_id, endpoint):
+            geopm = endpoint.geopm
+            if event.release:
+                # Fail open first: the register wedges at the hardware
+                # maximum, so the job draws its full demand regardless of
+                # future caps.
+                geopm.write_policy(
+                    AgentPolicy(power_cap_node=endpoint._p_max, issued_at=now)
+                )
+            geopm.write_policy = lambda policy: None
+
+            def undo() -> None:
                 geopm.__dict__.pop("write_policy", None)
                 live = self.system.endpoints.get(job_id)
                 if live is not None and live.geopm is geopm:
@@ -487,9 +473,12 @@ class FaultInjector:
                         )
                     )
 
-            self._defer(
-                now + event.duration, f"stuck-actuator end job={job_id}", heal
-            )
+            return undo
+
+        self._fire_rogue(
+            event, now, "stuck-actuator",
+            f"release={event.release} duration={event.duration:.1f}", corrupt,
+        )
 
     def _fire_meter_drift(self, event: MeterDrift, now: float) -> None:
         """Bias the power samples a job's endpoint reads from its agents.
@@ -499,39 +488,50 @@ class FaultInjector:
         the contrast the audit layer keys on.  Like the stuck actuator,
         the proxy lives on the platform-side GEOPM endpoint object.
         """
-        job_id = self._pick_fresh_job(event.job_id)
-        endpoint = self.system.endpoints.get(job_id) if job_id is not None else None
-        if endpoint is None:
-            self._record(now, "meter-drift skipped (no fresh endpoint)")
-            return
-        geopm = endpoint.geopm
-        real_read = geopm.read_sample
-        t0 = now
 
-        def biased_read():
-            sample = real_read()
-            if sample is None:
-                return None
-            dt = max(sample.timestamp - t0, 0.0)
-            factor = max(0.0, 1.0 + event.factor_rate * dt)
-            return replace(
-                sample, power=sample.power * factor + event.offset_rate * dt
-            )
+        def corrupt(job_id, endpoint):
+            geopm = endpoint.geopm
+            real_read = geopm.read_sample
 
-        geopm.read_sample = biased_read
-        self._rogued.add(job_id)
-        self._record(
-            now,
-            f"meter-drift job={job_id} factor_rate={event.factor_rate:+.4f} "
+            def biased_read():
+                sample = real_read()
+                if sample is None:
+                    return None
+                dt = max(sample.timestamp - now, 0.0)
+                factor = max(0.0, 1.0 + event.factor_rate * dt)
+                return replace(
+                    sample, power=sample.power * factor + event.offset_rate * dt
+                )
+
+            geopm.read_sample = biased_read
+            return lambda: geopm.__dict__.pop("read_sample", None)
+
+        self._fire_rogue(
+            event, now, "meter-drift",
+            f"factor_rate={event.factor_rate:+.4f} "
             f"offset_rate={event.offset_rate:+.3f} duration={event.duration:.1f}",
+            corrupt,
         )
-        self._record_victim(now, "meter-drift", job_id, event.duration)
-        if math.isfinite(event.duration):
 
-            def heal() -> None:
-                self._rogued.discard(job_id)
-                geopm.__dict__.pop("read_sample", None)
+    def _refuse_observed(self, event: PartitionStart | PartitionEnd, now: float) -> None:
+        # Observational records emitted by the reliable-messaging layer;
+        # scheduling one is a category error, not a silent no-op.
+        raise TypeError(
+            f"{type(event).__name__} is an observed record, not a schedulable "
+            "fault; inject NetworkPartition instead"
+        )
 
-            self._defer(
-                now + event.duration, f"meter-drift end job={job_id}", heal
-            )
+    #: Fault type -> the method that fires it.
+    _HANDLERS = {
+        NodeCrash: _fire_node_crash,
+        HeadNodeCrash: _fire_head_crash,
+        HeadNodeRestart: _fire_head_restart,
+        EndpointCrash: _fire_endpoint_crash,
+        CorruptStatus: _fire_corrupt_status,
+        ByzantineModel: _fire_byzantine_model,
+        StuckActuator: _fire_stuck_actuator,
+        MeterDrift: _fire_meter_drift,
+        PartitionStart: _refuse_observed,
+        PartitionEnd: _refuse_observed,
+        **dict.fromkeys(_WINDOWS, _fire_window),
+    }

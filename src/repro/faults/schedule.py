@@ -8,14 +8,16 @@ ways to build one:
 * :meth:`FaultSchedule.standard_load` — the acceptance load (1 node crash,
   1 endpoint crash, 5 % link drop, one 60 s meter outage, one corrupt
   status) scaled to a run's duration;
-* :meth:`FaultSchedule.random` — Poisson arrivals per fault class from a
-  seed, so robustness properties can be swept over many fault mixes.
+* :meth:`FaultSchedule.random` — Poisson arrivals from a seed, one stream
+  per event template of a mix (a mapping from template to rate), so
+  robustness properties can be swept over many fault mixes.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
-from typing import Iterable, Iterator
+import math
+from dataclasses import fields, replace
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.faults.events import (
     BYZANTINE_MODES,
@@ -38,6 +40,49 @@ from repro.faults.events import (
 from repro.util.rng import Seedlike, ensure_rng
 
 __all__ = ["FaultSchedule"]
+
+#: The standard load's link loss, meter outage (s) and node downtime (a
+#: fraction of the run).
+STANDARD_DROP = 0.05
+STANDARD_METER_OUTAGE = 60.0
+STANDARD_NODE_DOWN = 0.25
+
+
+def _nothing(rng, template, num_nodes) -> dict:
+    return {}
+
+
+def _pick(rng, choices: tuple) -> str:
+    return choices[int(rng.integers(0, len(choices)))]
+
+
+#: The classes :meth:`FaultSchedule.random` draws, in draw order, and the
+#: fields each arrival draws: ``(rng, template, num_nodes) -> fields``.
+_DRAWN: dict[type, Callable[..., dict]] = {
+    NodeCrash: lambda rng, t, n: {"node_id": int(rng.integers(0, n))},
+    EndpointCrash: _nothing,
+    HeadNodeCrash: _nothing,
+    LinkDegradation: _nothing,
+    MeterOutage: _nothing,
+    TargetOutage: _nothing,
+    CorruptStatus: lambda rng, t, n: {"kind": _pick(rng, CORRUPTION_KINDS)},
+    ByzantineModel: lambda rng, t, n: {"mode": _pick(rng, BYZANTINE_MODES)},
+    StuckActuator: _nothing,
+    MeterDrift: lambda rng, t, n: {
+        "factor_rate": (1.0 if rng.random() < 0.5 else -1.0) * abs(t.factor_rate)
+    },
+    FeederLoss: _nothing,
+    ThermalDerate: _nothing,
+    DemandResponseEmergency: _nothing,
+}
+
+
+def _check_run(duration: float, num_nodes: int) -> None:
+    # An infinite duration never ends a positive rate's arrival loop.
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and positive, got {duration}")
+    if num_nodes < 1:
+        raise ValueError(f"num_nodes must be ≥ 1, got {num_nodes}")
 
 
 def _sort_key(event: FaultEvent) -> tuple:
@@ -75,39 +120,28 @@ class FaultSchedule:
     # ------------------------------------------------------------- builders
 
     @classmethod
-    def standard_load(
-        cls,
-        duration: float,
-        *,
-        num_nodes: int = 16,
-        drop_probability: float = 0.05,
-        meter_outage: float = 60.0,
-        node_down_fraction: float = 0.25,
-    ) -> "FaultSchedule":
+    def standard_load(cls, duration: float, *, num_nodes: int = 16) -> "FaultSchedule":
         """The acceptance-criteria fault load for a run of ``duration`` s.
 
-        One node crash at 25 % of the run (down for ``node_down_fraction``
-        of the run), one endpoint crash at 40 %, ``drop_probability`` link
-        loss across the whole run, one corrupt status at 50 %, and one
-        ``meter_outage``-second meter outage at 60 %.
+        One node crash at 25 % of the run (down for ``STANDARD_NODE_DOWN``
+        of the run), one endpoint crash at 40 %, ``STANDARD_DROP`` link loss
+        across the whole run, one corrupt status at 50 %, and one
+        ``STANDARD_METER_OUTAGE``-second meter outage at 60 %.
         """
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be ≥ 1, got {num_nodes}")
+        _check_run(duration, num_nodes)
         return cls(
             [
                 LinkDegradation(
-                    time=0.0, duration=duration, drop_probability=drop_probability
+                    time=0.0, duration=duration, drop_probability=STANDARD_DROP
                 ),
                 NodeCrash(
                     time=0.25 * duration,
                     node_id=num_nodes // 2,
-                    down_for=max(node_down_fraction * duration, 1.0),
+                    down_for=max(STANDARD_NODE_DOWN * duration, 1.0),
                 ),
                 EndpointCrash(time=0.40 * duration),
                 CorruptStatus(time=0.50 * duration, kind="nan"),
-                MeterOutage(time=0.60 * duration, duration=meter_outage),
+                MeterOutage(time=0.60 * duration, duration=STANDARD_METER_OUTAGE),
             ]
         )
 
@@ -118,169 +152,48 @@ class FaultSchedule:
         *,
         seed: Seedlike,
         num_nodes: int = 16,
-        node_crash_rate: float = 0.0,
-        endpoint_crash_rate: float = 0.0,
-        head_crash_rate: float = 0.0,
-        link_burst_rate: float = 0.0,
-        meter_outage_rate: float = 0.0,
-        target_outage_rate: float = 0.0,
-        corrupt_status_rate: float = 0.0,
-        byzantine_rate: float = 0.0,
-        stuck_actuator_rate: float = 0.0,
-        meter_drift_rate: float = 0.0,
-        feeder_loss_rate: float = 0.0,
-        thermal_derate_rate: float = 0.0,
-        demand_response_rate: float = 0.0,
-        node_down_time: float = 300.0,
-        head_down_time: float = 60.0,
-        burst_duration: float = 60.0,
-        burst_drop: float = 0.2,
-        outage_duration: float = 60.0,
-        rogue_duration: float = 120.0,
-        drift_ramp: float = 0.004,
-        feeder_loss_magnitude: float = 0.3,
-        feeder_loss_duration: float = 120.0,
-        thermal_derate_magnitude: float = 0.15,
-        thermal_derate_duration: float = 300.0,
-        demand_response_step: float = 0.4,
-        demand_response_duration: float = 180.0,
+        rates: Mapping[FaultEvent, float],
     ) -> "FaultSchedule":
-        """Draw a schedule from Poisson arrivals per fault class.
+        """Draw a schedule from Poisson arrivals per event template.
 
-        Rates are events per second of simulated time (e.g. ``1/600`` is one
-        expected event per ten minutes).  The draw happens here, once — the
-        resulting schedule is fully scripted, so replaying it is exact.
+        ``rates`` maps a template event to its rate in events per second of
+        simulated time (e.g. ``1/600`` is one expected event per ten
+        minutes).  Each arrival is the template at the arrival time, with
+        the fields :data:`_DRAWN` lists for its class drawn too; every other
+        field is the template's.  Templates draw class by class in
+        :data:`_DRAWN`'s order, whatever the mapping's order, and a zero
+        rate draws nothing from the RNG, so adding a class to a mix leaves
+        the other classes' draws where they were.  The draw happens here,
+        once — the resulting schedule is fully scripted, so replaying it is
+        exact.
         """
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be ≥ 1, got {num_nodes}")
-        # A negative rate silently yields an empty arrival stream and a
-        # negative duration builds events the injector chokes on much later —
-        # reject both here, naming the offending field.
-        rates = {
-            "node_crash_rate": node_crash_rate,
-            "endpoint_crash_rate": endpoint_crash_rate,
-            "head_crash_rate": head_crash_rate,
-            "link_burst_rate": link_burst_rate,
-            "meter_outage_rate": meter_outage_rate,
-            "target_outage_rate": target_outage_rate,
-            "corrupt_status_rate": corrupt_status_rate,
-            "byzantine_rate": byzantine_rate,
-            "stuck_actuator_rate": stuck_actuator_rate,
-            "meter_drift_rate": meter_drift_rate,
-            "feeder_loss_rate": feeder_loss_rate,
-            "thermal_derate_rate": thermal_derate_rate,
-            "demand_response_rate": demand_response_rate,
-        }
-        for name, rate in rates.items():
-            if rate < 0:
-                raise ValueError(f"{name} must be ≥ 0, got {rate}")
-        durations = {
-            "node_down_time": node_down_time,
-            "head_down_time": head_down_time,
-            "burst_duration": burst_duration,
-            "outage_duration": outage_duration,
-            "rogue_duration": rogue_duration,
-            "feeder_loss_duration": feeder_loss_duration,
-            "thermal_derate_duration": thermal_derate_duration,
-            "demand_response_duration": demand_response_duration,
-        }
-        for name, value in durations.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if not 0.0 <= burst_drop <= 1.0:
-            raise ValueError(f"burst_drop must be in [0, 1], got {burst_drop}")
-        if drift_ramp < 0:
-            raise ValueError(f"drift_ramp must be ≥ 0, got {drift_ramp}")
-        magnitudes = {
-            "feeder_loss_magnitude": feeder_loss_magnitude,
-            "thermal_derate_magnitude": thermal_derate_magnitude,
-            "demand_response_step": demand_response_step,
-        }
-        for name, value in magnitudes.items():
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {value}")
+        _check_run(duration, num_nodes)
+        order = list(_DRAWN)
+        for template, rate in rates.items():
+            if type(template) not in _DRAWN:
+                raise TypeError(f"not a template random draws: {template!r}")
+            # A NaN rate would consume a draw and shift every later class; an
+            # infinite one makes every gap 0.0 and the arrival loop endless.
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(
+                    f"{type(template).__name__} rate must be finite and ≥ 0, "
+                    f"got {rate}"
+                )
         rng = ensure_rng(seed)
         events: list[FaultEvent] = []
-
-        def arrivals(rate: float) -> list[float]:
+        for template, rate in sorted(
+            rates.items(), key=lambda item: order.index(type(item[0]))
+        ):
+            if rate == 0.0:
+                continue
             times = []
-            if rate <= 0:
-                return times
             t = float(rng.exponential(1.0 / rate))
             while t < duration:
                 times.append(t)
                 t += float(rng.exponential(1.0 / rate))
-            return times
-
-        for t in arrivals(node_crash_rate):
-            events.append(
-                NodeCrash(
-                    time=t,
-                    node_id=int(rng.integers(0, num_nodes)),
-                    down_for=node_down_time,
-                )
-            )
-        for t in arrivals(endpoint_crash_rate):
-            events.append(EndpointCrash(time=t))
-        for t in arrivals(head_crash_rate):
-            events.append(HeadNodeCrash(time=t, down_for=head_down_time))
-        for t in arrivals(link_burst_rate):
-            events.append(
-                LinkDegradation(
-                    time=t, duration=burst_duration, drop_probability=burst_drop
-                )
-            )
-        for t in arrivals(meter_outage_rate):
-            events.append(MeterOutage(time=t, duration=outage_duration))
-        for t in arrivals(target_outage_rate):
-            events.append(TargetOutage(time=t, duration=outage_duration))
-        for t in arrivals(corrupt_status_rate):
-            kind = CORRUPTION_KINDS[int(rng.integers(0, len(CORRUPTION_KINDS)))]
-            events.append(CorruptStatus(time=t, kind=kind))
-        for t in arrivals(byzantine_rate):
-            mode = BYZANTINE_MODES[int(rng.integers(0, len(BYZANTINE_MODES)))]
-            events.append(
-                ByzantineModel(time=t, mode=mode, duration=rogue_duration)
-            )
-        for t in arrivals(stuck_actuator_rate):
-            events.append(StuckActuator(time=t, duration=rogue_duration))
-        for t in arrivals(meter_drift_rate):
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            events.append(
-                MeterDrift(
-                    time=t,
-                    factor_rate=sign * drift_ramp,
-                    duration=rogue_duration,
-                )
-            )
-        # Facility incidents last: a zero rate draws nothing from the RNG,
-        # so schedules built before these knobs existed stay bit-identical.
-        for t in arrivals(feeder_loss_rate):
-            events.append(
-                FeederLoss(
-                    time=t,
-                    magnitude=feeder_loss_magnitude,
-                    duration=feeder_loss_duration,
-                )
-            )
-        for t in arrivals(thermal_derate_rate):
-            events.append(
-                ThermalDerate(
-                    time=t,
-                    magnitude=thermal_derate_magnitude,
-                    duration=thermal_derate_duration,
-                )
-            )
-        for t in arrivals(demand_response_rate):
-            events.append(
-                DemandResponseEmergency(
-                    time=t,
-                    magnitude=demand_response_step,
-                    duration=demand_response_duration,
-                )
-            )
+            draw = _DRAWN[type(template)]
+            for t in times:
+                events.append(replace(template, time=t, **draw(rng, template, num_nodes)))
         return cls(events)
 
     # -------------------------------------------------------------- queries

@@ -413,34 +413,34 @@ class TestRogueFaultVocabulary:
             MeterDrift(time=10.0, offset_rate=math.inf)
 
     def test_random_schedule_rogue_knobs_validated(self):
-        for knob in ("byzantine_rate", "stuck_actuator_rate",
-                     "meter_drift_rate"):
-            with pytest.raises(ValueError, match=knob):
-                FaultSchedule.random(100.0, seed=0, **{knob: -0.1})
-        with pytest.raises(ValueError, match="rogue_duration"):
-            FaultSchedule.random(
-                100.0, seed=0, byzantine_rate=0.1, rogue_duration=0.0)
-        with pytest.raises(ValueError, match="drift_ramp"):
-            FaultSchedule.random(
-                100.0, seed=0, meter_drift_rate=0.1, drift_ramp=-1.0)
+        """A rogue template's rate is checked by ``random``, its window by
+        the template itself, and its drift ramp is drawn with either sign."""
+        for event in (ByzantineModel, StuckActuator, MeterDrift):
+            with pytest.raises(ValueError, match=f"{event.__name__} rate"):
+                FaultSchedule.random(
+                    100.0, seed=0, rates={event(time=0.0): -0.1})
+        with pytest.raises(ValueError, match="duration"):
+            ByzantineModel(time=0.0, duration=0.0)
+        drifts = FaultSchedule.random(
+            2000.0, seed=0,
+            rates={MeterDrift(time=0.0, factor_rate=-0.004, duration=90.0): 0.1},
+        )
+        assert {e.factor_rate for e in drifts} == {0.004, -0.004}
 
     def test_random_schedule_draws_rogue_events(self):
-        sched = FaultSchedule.random(
-            2000.0, seed=5, byzantine_rate=1 / 200.0,
-            stuck_actuator_rate=1 / 200.0, meter_drift_rate=1 / 200.0,
-            rogue_duration=90.0,
-        )
+        rates = {
+            ByzantineModel(time=0.0, duration=90.0): 1 / 200.0,
+            StuckActuator(time=0.0, duration=90.0): 1 / 200.0,
+            MeterDrift(time=0.0, factor_rate=0.004, duration=90.0): 1 / 200.0,
+        }
+        sched = FaultSchedule.random(2000.0, seed=5, rates=rates)
         byz = sched.events_of(ByzantineModel)
         stuck = sched.events_of(StuckActuator)
         drift = sched.events_of(MeterDrift)
         assert byz and stuck and drift
         assert all(e.duration == 90.0 for e in byz + stuck + drift)
         # The same seed must redraw the same schedule (replayability).
-        again = FaultSchedule.random(
-            2000.0, seed=5, byzantine_rate=1 / 200.0,
-            stuck_actuator_rate=1 / 200.0, meter_drift_rate=1 / 200.0,
-            rogue_duration=90.0,
-        )
+        again = FaultSchedule.random(2000.0, seed=5, rates=rates)
         assert again == sched
 
 

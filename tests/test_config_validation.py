@@ -14,12 +14,17 @@ ladder's and the planner's are checked where those classes are tested:
 The README, DESIGN and EXPERIMENTS snippets that build an ``AnorConfig`` may
 only spell fields that exist (``test_docs_spell_only_real_fields``).
 
-Run as a script, this file prints the two knob counts and the source sizes
-the ROADMAP north star quotes, for a CI summary.
+The fault-schedule builders take no shape knobs either: a fault mix is a
+mapping from event templates to rates (``test_fault_builders_take_no_shapes``).
+
+Run as a script, this file prints the two knob counts, the fault builders'
+keyword options and the source sizes the ROADMAP north star quotes, for a CI
+summary.
 """
 
 import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -28,6 +33,7 @@ import pytest
 from repro import telemetry
 from repro.core import cluster_manager, framework, reliable
 from repro.core.framework import AnorConfig
+from repro.faults.schedule import FaultSchedule
 from repro.workloads.nas import IDLE_NODE_POWER, P_NODE_MIN
 
 FIELDS = {f.name for f in dataclasses.fields(AnorConfig)}
@@ -227,6 +233,15 @@ def constructor_knobs() -> tuple[int, list[str]]:
     return len(defaulted), [f"{n}.{p}" for n, p in defaulted if p not in passed[n]]
 
 
+def fault_builder_options() -> dict[str, list[str]]:
+    """The keyword options of each :class:`FaultSchedule` builder."""
+    return {
+        name: [p.name for p in inspect.signature(getattr(FaultSchedule, name))
+               .parameters.values() if p.kind is p.KEYWORD_ONLY]
+        for name in ("random", "standard_load")
+    }
+
+
 class TestConfigValidation:
     def test_defaults_are_valid(self):
         AnorConfig()  # must not raise
@@ -316,6 +331,13 @@ class TestConfigValidation:
         bad = [f"{where}: {k}" for where, keys in calls for k in keys if k not in FIELDS]
         assert not bad, f"documented AnorConfig keywords that are not fields: {bad}"
 
+    def test_fault_builders_take_no_shapes(self):
+        """A fault's shape is its template's fields, not a builder keyword."""
+        assert fault_builder_options() == {
+            "random": ["seed", "num_nodes", "rates"],
+            "standard_load": ["num_nodes"],
+        }
+
     def test_optional_none_disables_without_error(self):
         AnorConfig(lease_ttl=None, breaker_margin=None, shed_nominal_watts=None)
 
@@ -350,4 +372,7 @@ def source_lines() -> dict[str, int]:
 if __name__ == "__main__":
     print(f"AnorConfig fields: {len(FIELDS)}; defaulted constructor parameters "
           f"of the classes AnorSystem builds: {constructor_knobs()[0]}")
+    print("FaultSchedule keyword options: " + "; ".join(
+        f"{name} {len(options)} ({', '.join(options)})"
+        for name, options in fault_builder_options().items()))
     print("Lines: " + ", ".join(f"{name} {n}" for name, n in source_lines().items()))

@@ -15,14 +15,21 @@ from repro.core.framework import (
 )
 from repro.core.targets import ConstantTarget
 from repro.faults import (
+    ByzantineModel,
     CorruptStatus,
+    DemandResponseEmergency,
     EndpointCrash,
     FaultSchedule,
+    FeederLoss,
+    HeadNodeCrash,
     LinkDegradation,
+    MeterDrift,
     MeterOutage,
     NetworkPartition,
     NodeCrash,
+    StuckActuator,
     TargetOutage,
+    ThermalDerate,
 )
 from repro.modeling.classifier import JobClassifier
 
@@ -77,6 +84,10 @@ class TestEvents:
         with pytest.raises(ValueError):
             LinkDegradation(time=0.0, drop_probability=1.0)
 
+    def test_nan_extra_latency_rejected(self):
+        with pytest.raises(ValueError, match="extra_latency"):
+            LinkDegradation(time=0.0, extra_latency=math.nan)
+
     def test_bad_corruption_kind_rejected(self):
         with pytest.raises(ValueError):
             CorruptStatus(time=0.0, kind="gamma-ray")
@@ -84,6 +95,26 @@ class TestEvents:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ValueError):
             MeterOutage(time=0.0, duration=0.0)
+
+    @pytest.mark.parametrize("event, field", [
+        (NodeCrash, "down_for"),
+        (HeadNodeCrash, "down_for"),
+        (LinkDegradation, "duration"),
+        (NetworkPartition, "duration"),
+        (MeterOutage, "duration"),
+        (TargetOutage, "duration"),
+        (ByzantineModel, "duration"),
+        (StuckActuator, "duration"),
+        (MeterDrift, "duration"),
+        (FeederLoss, "duration"),
+        (ThermalDerate, "duration"),
+        (DemandResponseEmergency, "duration"),
+    ])
+    def test_nan_window_rejected(self, event, field):
+        """A NaN window never closes, so the injector would never turn
+        quiescent."""
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            event(time=0.0, **{field: math.nan})
 
     def test_events_are_frozen(self):
         event = NodeCrash(time=5.0, node_id=1)
@@ -123,11 +154,13 @@ class TestSchedule:
     def test_random_is_deterministic_per_seed(self):
         kwargs = dict(
             num_nodes=8,
-            node_crash_rate=1 / 300.0,
-            endpoint_crash_rate=1 / 300.0,
-            link_burst_rate=1 / 200.0,
-            meter_outage_rate=1 / 500.0,
-            corrupt_status_rate=1 / 250.0,
+            rates={
+                NodeCrash(time=0.0): 1 / 300.0,
+                EndpointCrash(time=0.0): 1 / 300.0,
+                LinkDegradation(time=0.0, drop_probability=0.2): 1 / 200.0,
+                MeterOutage(time=0.0): 1 / 500.0,
+                CorruptStatus(time=0.0): 1 / 250.0,
+            },
         )
         a = FaultSchedule.random(3600.0, seed=7, **kwargs)
         b = FaultSchedule.random(3600.0, seed=7, **kwargs)
@@ -409,11 +442,13 @@ class TestDeterminism:
             240.0,
             seed=99,
             num_nodes=4,
-            node_crash_rate=1 / 120.0,
-            endpoint_crash_rate=1 / 120.0,
-            link_burst_rate=1 / 100.0,
-            meter_outage_rate=1 / 150.0,
-            corrupt_status_rate=1 / 100.0,
+            rates={
+                NodeCrash(time=0.0): 1 / 120.0,
+                EndpointCrash(time=0.0): 1 / 120.0,
+                LinkDegradation(time=0.0, drop_probability=0.2): 1 / 100.0,
+                MeterOutage(time=0.0): 1 / 150.0,
+                CorruptStatus(time=0.0): 1 / 100.0,
+            },
         )
         system = make_system(sched, seed=seed)
         system.submit_now("bt-0", "bt")

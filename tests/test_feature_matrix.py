@@ -33,12 +33,16 @@ from repro.core import cluster_manager, framework  # noqa: E402
 from repro.core.framework import AnorConfig, AnorSystem, precharacterized_models  # noqa: E402
 from repro.core.targets import ConstantTarget  # noqa: E402
 from repro.faults.events import (  # noqa: E402
+    CorruptStatus,
     DemandResponseEmergency,
+    EndpointCrash,
     FeederLoss,
     HeadNodeCrash,
     LinkDegradation,
     MeterDrift,
+    MeterOutage,
     NetworkPartition,
+    NodeCrash,
     PartitionStart,
     StuckActuator,
 )
@@ -84,17 +88,18 @@ FEATURES = {
 }
 
 #: What ``FaultSchedule.random`` draws for every example ...
-BASE_RATES = dict(
-    node_crash_rate=1 / 400.0, endpoint_crash_rate=1 / 300.0,
-    link_burst_rate=1 / 300.0, meter_outage_rate=1 / 400.0,
-    corrupt_status_rate=1 / 300.0, stuck_actuator_rate=1 / 400.0,
-    node_down_time=120.0, burst_duration=90.0, outage_duration=90.0,
-    rogue_duration=180.0,
-)
+BASE_RATES = {
+    NodeCrash(time=0.0, down_for=120.0): 1 / 400.0,
+    EndpointCrash(time=0.0): 1 / 300.0,
+    LinkDegradation(time=0.0, duration=90.0, drop_probability=0.2): 1 / 300.0,
+    MeterOutage(time=0.0, duration=90.0): 1 / 400.0,
+    CorruptStatus(time=0.0): 1 / 300.0,
+    StuckActuator(time=0.0, duration=180.0): 1 / 400.0,
+}
 #: ... and what a feature adds to it: the faults it exists to survive.
 FEATURE_RATES = {
-    "durable": dict(head_crash_rate=1 / 400.0, head_down_time=70.0),
-    "shed": dict(feeder_loss_rate=1 / 400.0, feeder_loss_duration=150.0),
+    "durable": {HeadNodeCrash(time=0.0, down_for=70.0): 1 / 400.0},
+    "shed": {FeederLoss(time=0.0, duration=150.0): 1 / 400.0},
 }
 
 
@@ -106,7 +111,7 @@ def build_pair(features, seed, scripted, tmp):
     for feature in sorted(features):
         rates.update(FEATURE_RATES.get(feature, {}))
     schedule = FaultSchedule.random(
-        DURATION, seed=seed * 31 + 7, num_nodes=NODES, **rates
+        DURATION, seed=seed * 31 + 7, num_nodes=NODES, rates=rates
     ).extended(scripted)
     arrivals = PoissonScheduleGenerator(
         list(TYPES.values()), utilization=0.9, total_nodes=NODES, seed=seed

@@ -22,7 +22,14 @@ from repro.core.reliable import Ack, Envelope, ReliableLink
 from repro.core.targets import SteppedTarget
 from repro.core.transport import TcpLink
 from repro.facility.breaker import CONFIRM_ROUNDS, RESET_ROUNDS, TRIP_ROUNDS, PowerBreaker
-from repro.faults.events import NetworkPartition, PartitionEnd, PartitionStart
+from repro.faults.events import (
+    LinkDegradation,
+    MeterOutage,
+    NetworkPartition,
+    NodeCrash,
+    PartitionEnd,
+    PartitionStart,
+)
 from repro.faults.schedule import FaultSchedule
 from repro.geopm.agent import AgentPolicy, AgentSample
 from repro.geopm.endpoint import Endpoint
@@ -524,24 +531,24 @@ class TestDegradedRejoin:
 
 class TestScheduleValidation:
     def test_negative_rate_names_the_field(self):
-        with pytest.raises(ValueError, match="node_crash_rate"):
-            FaultSchedule.random(3600.0, seed=0, node_crash_rate=-1.0)
-        with pytest.raises(ValueError, match="meter_outage_rate"):
-            FaultSchedule.random(3600.0, seed=0, meter_outage_rate=-0.5)
+        with pytest.raises(ValueError, match="NodeCrash rate"):
+            FaultSchedule.random(
+                3600.0, seed=0, rates={NodeCrash(time=0.0): -1.0})
+        with pytest.raises(ValueError, match="MeterOutage rate"):
+            FaultSchedule.random(
+                3600.0, seed=0, rates={MeterOutage(time=0.0): -0.5})
 
     def test_nonpositive_duration_names_the_field(self):
-        with pytest.raises(ValueError, match="burst_duration"):
-            FaultSchedule.random(
-                3600.0, seed=0, link_burst_rate=0.01, burst_duration=0.0
-            )
+        with pytest.raises(ValueError, match="duration"):
+            LinkDegradation(time=0.0, duration=0.0)
 
     def test_burst_drop_bounds(self):
-        with pytest.raises(ValueError, match="burst_drop"):
-            FaultSchedule.random(3600.0, seed=0, burst_drop=1.5)
+        with pytest.raises(ValueError, match="drop_probability"):
+            LinkDegradation(time=0.0, drop_probability=1.5)
 
     def test_bad_node_count(self):
         with pytest.raises(ValueError, match="num_nodes"):
-            FaultSchedule.random(3600.0, seed=0, num_nodes=0)
+            FaultSchedule.random(3600.0, seed=0, num_nodes=0, rates={})
 
     def test_partition_event_validation(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,13 @@ from repro.core import framework  # noqa: E402
 from repro.core.framework import AnorConfig  # noqa: E402
 from repro.core.targets import SteppedTarget  # noqa: E402
 from repro.experiments.fig9 import build_demand_response_system  # noqa: E402
+from repro.faults.events import (  # noqa: E402
+    CorruptStatus,
+    EndpointCrash,
+    LinkDegradation,
+    MeterOutage,
+    NodeCrash,
+)
 from repro.faults.schedule import FaultSchedule  # noqa: E402
 from repro.invariants import RoundMonitor  # noqa: E402
 from repro.plan import planner  # noqa: E402
@@ -114,7 +121,7 @@ def _run_both(*, seed, faults, plan, spell_out_knobs=True):
         )
     schedule = None
     if faults is not None:
-        schedule = FaultSchedule.random(DURATION, seed=seed * 31 + 7, **faults)
+        schedule = FaultSchedule.random(DURATION, seed=seed * 31 + 7, rates=faults)
 
     def build():
         return build_demand_response_system(
@@ -134,9 +141,12 @@ def _run_both(*, seed, faults, plan, spell_out_knobs=True):
 FAULTS = st.sampled_from(
     [
         None,
-        dict(node_crash_rate=1 / 90.0, node_down_time=40.0),
-        dict(endpoint_crash_rate=1 / 90.0, link_burst_rate=1 / 120.0),
-        dict(meter_outage_rate=1 / 90.0, corrupt_status_rate=1 / 60.0),
+        {NodeCrash(time=0.0, down_for=40.0): 1 / 90.0},
+        {
+            EndpointCrash(time=0.0): 1 / 90.0,
+            LinkDegradation(time=0.0, drop_probability=0.2): 1 / 120.0,
+        },
+        {MeterOutage(time=0.0): 1 / 90.0, CorruptStatus(time=0.0): 1 / 60.0},
     ]
 )
 

@@ -21,6 +21,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from repro.core import framework  # noqa: E402
 from repro.core.framework import AnorConfig  # noqa: E402
 from repro.experiments.fig9 import build_demand_response_system  # noqa: E402
+from repro.faults.events import (  # noqa: E402
+    CorruptStatus,
+    EndpointCrash,
+    HeadNodeCrash,
+    LinkDegradation,
+    MeterOutage,
+    NodeCrash,
+)
 from repro.faults.schedule import FaultSchedule  # noqa: E402
 from repro.telemetry.metrics import Histogram  # noqa: E402
 from tests.goldenlib import run_windowed_and_stepped  # noqa: E402
@@ -43,20 +51,21 @@ PERIODS = st.sampled_from(
 FAULTS = st.sampled_from(
     [
         None,
-        dict(node_crash_rate=1 / 90.0, node_down_time=40.0),
-        dict(endpoint_crash_rate=1 / 90.0, link_burst_rate=1 / 120.0),
-        dict(meter_outage_rate=1 / 90.0, corrupt_status_rate=1 / 60.0),
-        dict(head_crash_rate=1 / 150.0, head_down_time=25.0),
-        dict(
-            node_crash_rate=1 / 120.0,
-            endpoint_crash_rate=1 / 120.0,
-            head_crash_rate=1 / 180.0,
-            link_burst_rate=1 / 150.0,
-            meter_outage_rate=1 / 150.0,
-            corrupt_status_rate=1 / 90.0,
-            node_down_time=30.0,
-            head_down_time=20.0,
-        ),
+        {NodeCrash(time=0.0, down_for=40.0): 1 / 90.0},
+        {
+            EndpointCrash(time=0.0): 1 / 90.0,
+            LinkDegradation(time=0.0, drop_probability=0.2): 1 / 120.0,
+        },
+        {MeterOutage(time=0.0): 1 / 90.0, CorruptStatus(time=0.0): 1 / 60.0},
+        {HeadNodeCrash(time=0.0, down_for=25.0): 1 / 150.0},
+        {
+            NodeCrash(time=0.0, down_for=30.0): 1 / 120.0,
+            EndpointCrash(time=0.0): 1 / 120.0,
+            HeadNodeCrash(time=0.0, down_for=20.0): 1 / 180.0,
+            LinkDegradation(time=0.0, drop_probability=0.2): 1 / 150.0,
+            MeterOutage(time=0.0): 1 / 150.0,
+            CorruptStatus(time=0.0): 1 / 90.0,
+        },
     ]
 )
 
@@ -74,7 +83,7 @@ def _build(*, seed, periods, faults, lease, reliable, telemetry):
     )
     schedule = None
     if faults is not None:
-        schedule = FaultSchedule.random(DURATION, seed=seed * 31 + 7, **faults)
+        schedule = FaultSchedule.random(DURATION, seed=seed * 31 + 7, rates=faults)
     return build_demand_response_system(
         duration=DURATION, seed=seed, config=config, fault_schedule=schedule
     )

@@ -16,6 +16,7 @@ from repro.facility.shed import (
     ShedLadder,
 )
 from repro.faults.events import (
+    ByzantineModel,
     DemandResponseEmergency,
     FeederLoss,
     ThermalDerate,
@@ -244,16 +245,19 @@ class TestFacilityIncidents:
             DemandResponseEmergency(time=0.0, duration=0.0)
 
     def test_zero_rates_keep_schedules_bit_identical(self):
-        """Appending the new rate knobs at 0.0 must not perturb the RNG
-        stream of schedules built before they existed."""
-        old = FaultSchedule.random(600.0, seed=42, byzantine_rate=1 / 200.0)
+        """Adding the facility templates at rate 0.0 must not perturb the
+        RNG stream of a mix without them."""
+        byzantine = {ByzantineModel(time=0.0): 1 / 200.0}
+        old = FaultSchedule.random(600.0, seed=42, rates=byzantine)
         new = FaultSchedule.random(
             600.0,
             seed=42,
-            byzantine_rate=1 / 200.0,
-            feeder_loss_rate=0.0,
-            thermal_derate_rate=0.0,
-            demand_response_rate=0.0,
+            rates={
+                **byzantine,
+                FeederLoss(time=0.0): 0.0,
+                ThermalDerate(time=0.0): 0.0,
+                DemandResponseEmergency(time=0.0): 0.0,
+            },
         )
         assert list(old) == list(new)
 
@@ -261,9 +265,11 @@ class TestFacilityIncidents:
         schedule = FaultSchedule.random(
             3600.0,
             seed=5,
-            feeder_loss_rate=1 / 600.0,
-            thermal_derate_rate=1 / 600.0,
-            demand_response_rate=1 / 600.0,
+            rates={
+                FeederLoss(time=0.0): 1 / 600.0,
+                ThermalDerate(time=0.0): 1 / 600.0,
+                DemandResponseEmergency(time=0.0): 1 / 600.0,
+            },
         )
         kinds = {type(e) for e in schedule}
         assert kinds & {FeederLoss, ThermalDerate, DemandResponseEmergency}
