@@ -5,36 +5,43 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.modeling.quadratic import QuadraticPowerModel
+from repro.util import record
 
 __all__ = ["JobBudgetRequest", "BudgetAllocation", "PowerBudgeter"]
 
 
-@dataclass(frozen=True)
-class JobBudgetRequest:
-    """Everything the cluster tier knows about one job when budgeting.
-
-    ``model`` is whatever the cluster tier currently *believes* — a
-    precharacterized model, a default for unknown types, or the job tier's
-    latest online fit.  ``p_min``/``p_max`` bound the per-node power the job
-    can usefully consume (the job's achievable power-demand range, §4.4.3).
-    """
-
+class _RequestFields(NamedTuple):
     job_id: str
     nodes: int
     model: QuadraticPowerModel
     p_min: float
     p_max: float
 
-    def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ValueError(f"{self.job_id}: nodes must be ≥ 1")
-        if not self.p_min < self.p_max:
-            raise ValueError(
-                f"{self.job_id}: need p_min < p_max, got [{self.p_min}, {self.p_max}]"
-            )
+
+@record
+class JobBudgetRequest(_RequestFields):
+    """Everything the cluster tier knows about one job when budgeting.
+
+    ``model`` is whatever the cluster tier currently *believes* — a
+    precharacterized model, a default for unknown types, or the job tier's
+    latest online fit.  ``p_min``/``p_max`` bound the per-node power the job
+    can usefully consume (the job's achievable power-demand range, §4.4.3).
+
+    A named tuple built once per job per round (DESIGN.md §7, *Control-plane
+    records*); ``__new__`` validates the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, job_id, nodes, model, p_min, p_max):
+        if nodes < 1:
+            raise ValueError(f"{job_id}: nodes must be ≥ 1")
+        if not p_min < p_max:
+            raise ValueError(f"{job_id}: need p_min < p_max, got [{p_min}, {p_max}]")
+        return tuple.__new__(cls, (job_id, nodes, model, p_min, p_max))
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ head re-earns evidence rather than trusting a stale verdict).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.telemetry import NULL_TELEMETRY
@@ -290,8 +290,10 @@ class CapComplianceAuditor:
         rnd.quarantined = [rnd.jobs[j] for j in sorted(held)]
         for group in (rnd.stale, rnd.dormant, rnd.active):
             group[:] = [r for r in group if r.job_id not in held]
+        # ``_replace`` skips the request's validating ``__new__``; the model
+        # is not a field it checks.
         rnd.requests = [
-            replace(q, model=rnd.jobs[q.job_id].believed_model)
+            q._replace(model=rnd.jobs[q.job_id].believed_model)
             if q.job_id in distrusted else q
             for q in rnd.requests
             if q.job_id not in held

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.budget.base import JobBudgetRequest, PowerBudgeter
@@ -573,14 +571,13 @@ class ClusterPowerManager:
         measured, target = rnd.measured, rnd.target
         if math.isfinite(measured):
             if self.correction_gain > 0:
+                # No NaN reaches the clamp: the meter is finite here, and the
+                # target is finite and positive (the hold-last-good filter,
+                # lowered at most to the shed ladder's ceiling of earlier
+                # targets), so the limit is too.
                 limit = CORRECTION_LIMIT_FRACTION * target
-                self._correction = float(
-                    np.clip(
-                        self._correction + self.correction_gain * (target - measured),
-                        -limit,
-                        limit,
-                    )
-                )
+                trim = self._correction + self.correction_gain * (target - measured)
+                self._correction = min(max(trim, -limit), limit)
         else:
             # Meter outage: no sample, and the integral term holds its
             # last value rather than winding up against garbage.

@@ -1251,7 +1251,26 @@ class AnorSystem:
         source declines each returned instant (an arrival only if the
         scheduler would start it), the scheduler has nothing to start, and
         :meth:`run` (``limits``) would not have stopped before it.
+
+        The first screen reads the endpoint and agent gates alone, which are
+        in the tick whatever the head is doing.  The calendar's horizon is a
+        minimum over a superset of them, so where theirs leaves no free tick,
+        :meth:`_calendar_ticks` returns none either (DESIGN.md §7,
+        *The gate pre-screen*); at 1 s periods every tick ends here, with no
+        calendar built.
         """
+        edge = min(
+            self._endpoint_gate.next_due - self._endpoint_gate.eps,
+            self._agent_gate.next_due - self._agent_gate.eps,
+        )
+        if (edge - now) / self.config.tick < 1:
+            return ()
+        return self._calendar_ticks(now, limits)
+
+    def _calendar_ticks(
+        self, now: float, limits: tuple[float, float | None, bool, float]
+    ) -> np.ndarray | tuple:
+        """:meth:`_free_ticks` from every stage's wakes."""
         start, duration, until_idle, max_time = limits
         tick = self.config.tick
         cal = self._build_calendar(skip=self._intake)

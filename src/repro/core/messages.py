@@ -9,17 +9,24 @@ power-model coefficients), and :class:`GoodbyeMessage` on completion.
 Every message is timestamped at send time; §7.2 describes how timestamps are
 what lets tiers running control loops at different rates map samples to the
 caps that produced them.
+
+Each message is an immutable named tuple (DESIGN.md §7, *Control-plane
+records*): every job sends a status and is sent a budget each round, and a
+tuple is built at a fraction of a frozen dataclass's cost.  A message that
+validates its fields does so in ``__new__``, which ``_replace`` skips.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from repro.util import record
 
 __all__ = ["HelloMessage", "StatusMessage", "BudgetMessage", "GoodbyeMessage"]
 
 
-@dataclass(frozen=True)
-class HelloMessage:
+@record
+class HelloMessage(NamedTuple):
     """A job's endpoint announces itself to the cluster-tier manager.
 
     A *re*-HELLO after degraded-mode autonomy carries the endpoint's own
@@ -44,8 +51,8 @@ class HelloMessage:
         return self.model_a is not None
 
 
-@dataclass(frozen=True)
-class StatusMessage:
+@record
+class StatusMessage(NamedTuple):
     """Periodic job-tier status: measured power, progress, optional model."""
 
     job_id: str
@@ -65,10 +72,7 @@ class StatusMessage:
         return self.model_a is not None
 
 
-@dataclass(frozen=True)
-class BudgetMessage:
-    """Cluster tier informs a job of its new per-node power cap."""
-
+class _BudgetFields(NamedTuple):
     job_id: str
     power_cap_node: float
     timestamp: float
@@ -78,19 +82,23 @@ class BudgetMessage:
     # unleased cap — hold-last-value semantics, as before this field existed.
     lease_ttl: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.power_cap_node <= 0:
-            raise ValueError(
-                f"{self.job_id}: power cap must be positive, got {self.power_cap_node}"
-            )
-        if self.lease_ttl is not None and self.lease_ttl <= 0:
-            raise ValueError(
-                f"{self.job_id}: lease_ttl must be positive, got {self.lease_ttl}"
-            )
+
+@record
+class BudgetMessage(_BudgetFields):
+    """Cluster tier informs a job of its new per-node power cap."""
+
+    __slots__ = ()
+
+    def __new__(cls, job_id, power_cap_node, timestamp, lease_ttl=None):
+        if power_cap_node <= 0:
+            raise ValueError(f"{job_id}: power cap must be positive, got {power_cap_node}")
+        if lease_ttl is not None and lease_ttl <= 0:
+            raise ValueError(f"{job_id}: lease_ttl must be positive, got {lease_ttl}")
+        return tuple.__new__(cls, (job_id, power_cap_node, timestamp, lease_ttl))
 
 
-@dataclass(frozen=True)
-class GoodbyeMessage:
+@record
+class GoodbyeMessage(NamedTuple):
     """A job's endpoint disconnects after the job completes."""
 
     job_id: str

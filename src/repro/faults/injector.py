@@ -499,8 +499,9 @@ class FaultInjector:
                     return None
                 dt = max(sample.timestamp - now, 0.0)
                 factor = max(0.0, 1.0 + event.factor_rate * dt)
-                return replace(
-                    sample, power=sample.power * factor + event.offset_rate * dt
+                # ``_replace`` skips ``__new__``; a sample validates nothing.
+                return sample._replace(
+                    power=sample.power * factor + event.offset_rate * dt
                 )
 
             geopm.read_sample = biased_read

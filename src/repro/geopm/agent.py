@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.geopm.comm_tree import AgentTree
 from repro.geopm.msr import POWER_UNIT_WATTS
 from repro.geopm.signals import METER_START, read_meters
+from repro.util import record
 
 __all__ = ["AgentPolicy", "AgentSample", "JobAgentGroup", "FANOUT"]
 
@@ -30,8 +31,16 @@ FANOUT = 8
 _NAN = float("nan")
 
 
-@dataclass(frozen=True)
-class AgentPolicy:
+class _PolicyFields(NamedTuple):
+    power_cap_node: float
+    issued_at: float = 0.0
+    lease_ttl: float | None = None
+    safe_floor: float | None = None
+    ramp_seconds: float = 30.0
+
+
+@record
+class AgentPolicy(_PolicyFields):
     """Control message flowing down the tree: the per-node CPU power cap.
 
     With a ``lease_ttl`` the policy is a *lease*: past
@@ -39,21 +48,25 @@ class AgentPolicy:
     decays the cap toward ``safe_floor`` over ``ramp_seconds`` (a dead-man
     switch for the case where the job endpoint itself dies).  ``None``
     (default) keeps the pre-lease hold-last-value behaviour.
+
+    A named tuple, like the messages it travels beside (DESIGN.md §7,
+    *Control-plane records*); ``__new__`` validates the fields.
     """
 
-    power_cap_node: float
-    issued_at: float = 0.0
-    lease_ttl: float | None = None
-    safe_floor: float | None = None
-    ramp_seconds: float = 30.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.power_cap_node <= 0:
-            raise ValueError(f"power cap must be positive, got {self.power_cap_node}")
-        if self.lease_ttl is not None and self.lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be positive, got {self.lease_ttl}")
-        if self.ramp_seconds < 0:
-            raise ValueError(f"ramp_seconds must be ≥ 0, got {self.ramp_seconds}")
+    def __new__(
+        cls, power_cap_node, issued_at=0.0, lease_ttl=None, safe_floor=None, ramp_seconds=30.0
+    ):
+        if power_cap_node <= 0:
+            raise ValueError(f"power cap must be positive, got {power_cap_node}")
+        if lease_ttl is not None and lease_ttl <= 0:
+            raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
+        if ramp_seconds < 0:
+            raise ValueError(f"ramp_seconds must be ≥ 0, got {ramp_seconds}")
+        return tuple.__new__(
+            cls, (power_cap_node, issued_at, lease_ttl, safe_floor, ramp_seconds)
+        )
 
     def effective_cap(self, now: float) -> float:
         """Cap to enforce at time ``now``, honouring lease expiry.
@@ -89,8 +102,8 @@ class AgentPolicy:
         )
 
 
-@dataclass(frozen=True)
-class AgentSample:
+@record
+class AgentSample(NamedTuple):
     """Status message flowing up the tree.
 
     ``power`` and ``energy`` aggregate over the reporting subtree;
@@ -116,22 +129,11 @@ class AgentSample:
     @classmethod
     def from_cells(cls, cells: np.ndarray) -> AgentSample | None:
         """The sample six cells hold; None where the timestamp is NaN (none
-        published yet).
-
-        Every job endpoint reads one each period, so the fields go straight
-        into the new sample's ``__dict__``: the frozen ``__init__`` would
-        set each through ``object.__setattr__``, at more than the read
-        itself costs.  There is no ``__post_init__`` to skip.
-        """
+        published yet)."""
         power, energy, nodes, timestamp, epochs, applied = cells.tolist()
         if timestamp != timestamp:
             return None
-        sample = object.__new__(cls)
-        sample.__dict__.update(
-            timestamp=timestamp, power=power, energy=energy,
-            epoch_count=int(epochs), nodes=int(nodes), applied_cap=applied,
-        )
-        return sample
+        return cls(timestamp, power, energy, int(epochs), int(nodes), applied)
 
 
 #: A node's sample cells before its agent first steps: zero subtree sums (a

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.budget.base import JobBudgetRequest
 from repro.core import audit
 from repro.core.audit import (
     AUDIT_WINDOW,
@@ -31,6 +32,7 @@ from repro.core.audit import (
 )
 from repro.faults.events import ByzantineModel, MeterDrift, StuckActuator
 from repro.faults.schedule import FaultSchedule
+from repro.modeling.quadratic import QuadraticPowerModel
 from tests.goldenlib import run_windowed_and_stepped
 
 P_MIN, P_MAX = 140.0, 280.0
@@ -288,6 +290,29 @@ class TestStateMachine:
         meter.offline = False
         drive(auditor, meter, record, WINDOW - 1, start=now)
         assert auditor.violations_total == 0
+
+
+class TestAuditStage:
+    def test_a_rehabilitating_request_changes_only_its_model(self):
+        """``audit_stage`` swaps a distrusted job's shipped model for the
+        believed one with ``_replace``: every other field is kept, and the
+        request is still a ``JobBudgetRequest``."""
+        believed = QuadraticPowerModel.from_anchors(1.0, 1.5, P_MIN, P_MAX)
+        shipped = QuadraticPowerModel.from_anchors(1.0, 1.1, P_MIN, P_MAX)
+        jobs = {j: make_record(j, believed_model=believed) for j in ("j0", "j1")}
+        auditor = make_auditor(FakeMeter())
+        auditor.force_state("j0", REHABILITATING)
+        requests = [JobBudgetRequest(j, 2, shipped, P_MIN + 5, P_MAX - 5) for j in jobs]
+        rnd = SimpleNamespace(
+            time=1.0, jobs=jobs, report=lambda *a, **k: None,
+            stale=[], dormant=[], active=[], requests=requests,
+        )
+        auditor.audit_stage(rnd)
+        assert auditor.state("j0") == REHABILITATING
+        swapped, kept = rnd.requests
+        assert type(swapped) is JobBudgetRequest
+        assert swapped == JobBudgetRequest("j0", 2, believed, P_MIN + 5, P_MAX - 5)
+        assert kept is requests[1]
 
 
 class TestMeterCrossCheck:

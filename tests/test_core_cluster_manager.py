@@ -1,8 +1,11 @@
 """Tests for the cluster-tier power manager."""
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
 from repro.core.cluster_manager import (
@@ -10,7 +13,7 @@ from repro.core.cluster_manager import (
     MIN_FEEDBACK_R2,
 )
 from repro.core.messages import BudgetMessage, GoodbyeMessage, HelloMessage, StatusMessage
-from repro.core.targets import ConstantTarget
+from repro.core.targets import ConstantTarget, HoldLastGoodTarget
 from repro.core.transport import TcpLink
 from repro.durable.journal import Journal
 from repro.modeling.classifier import JobClassifier
@@ -307,6 +310,63 @@ class TestTrackingAndCorrection:
         for i in range(20):
             manager.step(float(i))
         assert manager._correction <= CORRECTION_LIMIT_FRACTION * 840.0 + 1e-9
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 840.0])
+)
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal bit for bit where it matters: value, the sign of a zero, NaN."""
+    if a != a or b != b:
+        return a != a and b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestTrimClamp:
+    """The meter stage clamps the integral trim with ``min``/``max``, where
+    it used ``float(np.clip(...))``; the two agree on every float it sees."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        trim=st.one_of(FINITE, st.sampled_from(["-limit", "+limit"])),
+        target=FINITE,
+        measured=st.one_of(FINITE, st.just("target")),
+        gain=st.one_of(st.floats(min_value=5e-324, max_value=1e300), st.just(1.0)),
+    )
+    @example(trim="+limit", target=840.0, measured="target", gain=0.15)
+    @example(trim="-limit", target=840.0, measured="target", gain=0.15)
+    @example(trim=-0.0, target=-0.0, measured=0.0, gain=1.0)  # the trim is -0.0
+    @example(trim=5.0, target=-0.0, measured="target", gain=1.0)  # bounds ±0.0
+    def test_equals_np_clip(self, trim, target, measured, gain):
+        limit = CORRECTION_LIMIT_FRACTION * target
+        trim = {"-limit": -limit, "+limit": limit}.get(trim, trim)
+        measured = target if measured == "target" else measured
+        manager = make_manager(correction_gain=gain)
+        manager._correction = trim
+        rnd = SimpleNamespace(time=0.0, measured=measured, target=target)
+        manager._read_meter(rnd)
+        want = float(np.clip(trim + gain * (target - measured), -limit, limit))
+        assert _same_float(manager._correction, want)
+        assert _same_float(rnd.correction, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        readings=st.lists(
+            st.tuples(st.floats(0.0, 1e5), st.floats(allow_nan=True, allow_infinity=True)),
+            max_size=20,
+        )
+    )
+    def test_the_target_reaching_the_clamp_is_finite(self, readings):
+        """No NaN reaches the clamp: the target is the hold-last-good
+        filter's, finite and positive whatever the feed reads."""
+        hold = HoldLastGoodTarget(floor=560.0)
+        now = 0.0
+        for dt, value in readings:
+            now += dt
+            target = hold.read(now, value)
+            assert math.isfinite(target) and target > 0
 
 
 class TestJobCapGaugeCache:

@@ -11,7 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core import framework
 from repro.core.framework import AnorConfig, AnorSystem
 from repro.durable.journal import Journal
 from repro.experiments.fig9 import build_demand_response_system
@@ -232,3 +234,79 @@ class TestFrameworkEquivalence:
             t for rtype, t, data in records[0] if rtype == "job-admit" and data["kind"] == "queue"
         }
         assert queued - set(bodies), "no arrival was admitted inside a window"
+
+
+PERIODS = st.sampled_from([1.0, 4.0, 30.0, 60.0])
+
+
+class TestGatePreScreen:
+    """``_free_ticks`` first reads the endpoint and agent gates alone and
+    builds no calendar where they leave no free tick (DESIGN.md §7, *The
+    gate pre-screen*); ``_calendar_ticks`` is the screen without it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        periods=st.tuples(PERIODS, PERIODS, PERIODS),
+        steps=st.integers(1, 70),
+        phases=st.lists(
+            st.one_of(
+                st.none(),
+                st.tuples(
+                    st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0)),
+                    st.integers(0, 3),
+                ),
+            ),
+            min_size=3, max_size=3,
+        ),
+        instants=st.lists(st.floats(-5.0, 200.0), max_size=3),
+        limits=st.tuples(
+            st.floats(0.0, 70.0), st.one_of(st.none(), st.floats(0.0, 300.0)),
+            st.booleans(), st.floats(1.0, 400.0),
+        ),
+    )
+    # Gates two ticks out: one free tick, the screen's edge case.
+    @example((1.0, 1.0, 1.0), 1, [(0.0, 2)] * 3, [], (0.0, None, False, 400.0))
+    @example((4.0, 4.0, 30.0), 9, [(0.5, 1)] * 3, [50.0], (0.0, 300.0, True, 400.0))
+    def test_property_same_instants_with_and_without_it(
+        self, periods, steps, phases, instants, limits
+    ):
+        # Agents no slower than endpoints: the other way round, an endpoint
+        # reads a sample older than the cap it last stamped, and the
+        # modeler refuses it (a run fault of its own, not the screen's).
+        agent, endpoint, manager = min(periods[:2]), max(periods[:2]), periods[2]
+        config = AnorConfig(
+            seed=2, agent_period=agent, endpoint_period=endpoint, manager_period=manager
+        )
+        system = build_demand_response_system(duration=300.0, seed=2, config=config)
+        for _ in range(steps):
+            system.step()
+        now = system.cluster.clock.now
+        gates = (system._agent_gate, system._endpoint_gate, system._manager_gate)
+        for gate, phase in zip(gates, phases):
+            if phase is None:
+                gate.restore(None, 0)  # fires on its next poll
+            else:
+                # Anchored up to a period back, 0–3 firings past the anchor.
+                back, fires = phase
+                gate.restore(now - back * gate.period, fires)
+        system._endpoint_restarts += [(now + t, "j-none") for t in instants]
+        full = system._calendar_ticks(now, limits)
+        assert list(system._free_ticks(now, limits)) == list(full)
+
+    def test_a_one_second_run_builds_no_calendar(self, monkeypatch):
+        built = []
+
+        class Counted(EventCalendar):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(framework, "EventCalendar", Counted)
+        system = build_demand_response_system(duration=120.0, seed=1)
+        assert system.config.agent_period == system.config.endpoint_period == 1.0
+        system.run(120.0)
+        assert system.cluster.clock.now == 120.0 and not built
+        # The counter counts: at 30 s periods the same run builds calendars.
+        config = AnorConfig(seed=1, agent_period=30.0, endpoint_period=30.0, manager_period=30.0)
+        build_demand_response_system(duration=120.0, seed=1, config=config).run(120.0)
+        assert built

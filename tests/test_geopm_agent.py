@@ -3,7 +3,6 @@ agent columns (``EmulatedCluster.agents``), held to the per-agent loop it
 replaced (``tests/geopm_reference.py``)."""
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -268,8 +267,8 @@ class Mirror:
             sample = self.cluster.running[job_id].endpoint.read_sample()
             assert (sample is None) == (mailbox.sample is None)
             if sample is not None:
-                assert astuple(sample) == astuple(mailbox.sample)
-                assert list(map(type, astuple(sample))) == list(map(type, astuple(mailbox.sample)))
+                assert tuple(sample) == tuple(mailbox.sample)
+                assert list(map(type, sample)) == list(map(type, mailbox.sample))
         for node, ours in zip(self.cluster.nodes, self.banks):
             assert [b.read(MSR_PKG_POWER_LIMIT) for b in node.banks] == [
                 b.read(MSR_PKG_POWER_LIMIT) for b in ours

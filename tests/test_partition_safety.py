@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import AnorConfig, AnorSystem
 from repro.core.job_endpoint import JobTierEndpoint
@@ -36,6 +37,7 @@ from repro.geopm.endpoint import Endpoint
 from repro.invariants import longest_over_limit
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.workloads.nas import P_NODE_MIN
+from tests.reliable_reference import ReferenceLink
 
 
 def make_endpoint(**kwargs):
@@ -381,6 +383,87 @@ class TestReliableLink:
         a = ReliableLink(link, "cluster", seed=9)
         b = ReliableLink(TcpLink(latency=0.0), "cluster", seed=9)
         assert [a._backoff(i) for i in range(5)] == [b._backoff(i) for i in range(5)]
+
+
+#: What a scenario step does, sends weighted so the window wraps.
+LINK_OPS = (
+    ["send_down"] * 4 + ["send_up"] * 3 + ["recv_up"] * 3 + ["recv_down"] * 3
+    + ["latency_down", "latency_up", "cut_down", "cut_up"]
+)
+
+
+def _drive(cls, seed: int, loss: float, ops) -> dict:
+    """Run one scenario on a link pair of ``cls``; everything it observed."""
+    link = TcpLink(latency=0.05, drop_probability=loss, seed=seed)
+    cluster = cls(link, "cluster", seed=seed + 1, name="L")
+    job = cls(link, "job", seed=seed + 2, name="L")
+    seen, now = [], 0.0
+    for i, (op, dt, value) in enumerate(ops):
+        now += dt
+        if op == "send_down":
+            seen.append(cluster.send_down(("cap", i), now))
+        elif op == "send_up":
+            seen.append(job.send_up(("status", i), now))
+        elif op == "recv_up":
+            seen.append(cluster.recv_up(now))
+        elif op == "recv_down":
+            seen.append(job.recv_down(now))
+        elif op.startswith("latency_"):
+            getattr(link, op[8:]).latency = value
+        else:  # a partition starts or ends on one direction
+            channel = getattr(link, op[4:])
+            channel.partitioned = not channel.partitioned
+    sides = {
+        name: (
+            side.retransmits, side.superseded, side.duplicates, side.acked,
+            side.partitioned_since, side.faults, side._rng.bit_generator.state,
+        )
+        for name, side in (("cluster", cluster), ("job", job))
+    }
+    channels = {
+        name: (ch.sent, ch.dropped, ch.delivered, ch.drop_reasons, ch._rng.bit_generator.state)
+        for name, ch in (("down", link.down), ("up", link.up))
+    }
+    return {"seen": seen, "sides": sides, "channels": channels}
+
+
+class TestReliableLinkEqualsReference:
+    """The link's receive skips the retransmit walk before the earliest
+    retry is due and the partition scan on a pump that sent nothing;
+    ``tests/reliable_reference.py`` is the link before that."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        loss=st.sampled_from([0.0, 0.1, 0.4]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(LINK_OPS),
+                st.sampled_from([0.0, 0.5, 1.0, 3.0, 7.0]),
+                st.sampled_from([0.0, 0.05, 1.5, 6.0]),
+            ),
+            max_size=150,
+        ),
+    )
+    def test_property_same_frames_draws_and_counts(self, seed, loss, ops):
+        ours = _drive(ReliableLink, seed, loss, ops)
+        assert ours == _drive(ReferenceLink, seed, loss, ops)
+
+    def test_the_scenarios_reach_every_path(self):
+        """One fixed scenario shows the property's ops wrap the window,
+        retransmit, and declare and heal a partition."""
+        ops = (
+            [("cut_down", 0.0, 0.0)]
+            + [("send_down", 1.0, 0.0)] * (reliable.WINDOW + 2)
+            + [("recv_up", 7.0, 0.0)] * 6
+            + [("cut_down", 0.0, 0.0), ("recv_up", 40.0, 0.0)]
+            + [("recv_down", 1.0, 0.0), ("recv_up", 1.0, 0.0)]
+        )
+        ours = _drive(ReliableLink, 5, 0.0, ops)
+        assert ours == _drive(ReferenceLink, 5, 0.0, ops)
+        retransmits, superseded, _, acked, _, faults, _ = ours["sides"]["cluster"]
+        assert retransmits and superseded and acked
+        assert [type(f) for f in faults] == [PartitionStart, PartitionEnd]
 
 
 # --------------------------------------------------------------------------
