@@ -10,4 +10,4 @@ loads neither the shed ladder nor the forecasters (DESIGN.md §7, *Startup*).
 SHED_CLASSES = ("preemptible", "checkpointable", "protected")
 
 #: Forecasters :func:`repro.plan.forecast.make_forecaster` builds.
-FORECASTER_KINDS = ("auto", "schedule", "persistence", "ramp", "ar1", "adversarial")
+FORECASTER_KINDS = ("auto", "schedule", "persistence", "ar1", "adversarial")

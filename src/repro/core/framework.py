@@ -147,7 +147,7 @@ class AnorConfig:
     # ``plan_shadow_rounds`` is the promotion threshold of the
     # shadow → active → fallback state machine (0 starts active).
     plan_enabled: bool = False
-    plan_forecaster: str = "auto"  # auto|schedule|persistence|ramp|ar1|adversarial
+    plan_forecaster: str = "auto"  # auto|schedule|persistence|ar1|adversarial
     plan_hysteresis_watts: float = 8.0
     plan_error_bound_watts: float = 200.0
     plan_shadow_rounds: int = 4

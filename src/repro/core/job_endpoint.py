@@ -16,6 +16,7 @@ trustworthy fit exists, when feedback is enabled.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 from repro.core.messages import BudgetMessage, GoodbyeMessage, HelloMessage, StatusMessage
@@ -80,7 +81,11 @@ class JobTierEndpoint:
         self._hello_sent = False
         self._goodbye_sent = False
         self.current_cap = p_max
-        self.statuses_sent = 0
+        # The last sample's timestamp the modeler was fed: slower agents
+        # leave one sample up for several periods (see ``step``).
+        self._fed = -math.inf
+        # A byzantine fault's fake fit fields, shared instead of the fit's.
+        self.forged: dict | None = None
         self._p_min = float(p_min)
         self._p_max = float(p_max)
         # Excitation for online system identification: while the modeler has
@@ -160,11 +165,16 @@ class JobTierEndpoint:
         status: StatusMessage | None = None
         sample = self.geopm.read_sample()
         if sample is not None:
-            # Feed the modeler with the cap the agents report *enforcing*,
-            # which may lag the requested cap by tree propagation.
-            self.modeler.observe(
-                sample.timestamp, sample.epoch_count, sample.applied_cap
-            )
+            if sample.timestamp > self._fed:
+                # Feed the modeler with the cap the agents report *enforcing*
+                # (it may lag the requested cap by tree propagation), once: a
+                # sample seen before is older than any cap stamped since.
+                self._fed = sample.timestamp
+                self.modeler.observe(
+                    sample.timestamp, sample.epoch_count, sample.applied_cap
+                )
+            # A status every period, new sample or not, or the head marks
+            # the job stale.
             status = StatusMessage(
                 job_id=self.job_id,
                 timestamp=sample.timestamp,
@@ -174,7 +184,6 @@ class JobTierEndpoint:
                 **self._model_fields(),
             )
             self.link.send_up(status, now)
-            self.statuses_sent += 1
             if self.telemetry.enabled:
                 self._mx_statuses.inc()
 
@@ -203,47 +212,26 @@ class JobTierEndpoint:
             # (excitation with nobody listening only costs job performance);
             # the modeler keeps observing so the eventual re-HELLO carries a
             # current fit.
-            applied_cap = self._degraded_cap(now)
-            if applied_cap != self._degraded_applied:
-                self.geopm.write_policy(
-                    AgentPolicy(
-                        power_cap_node=applied_cap,
-                        issued_at=now,
-                        lease_ttl=self._lease_ttl,
-                        safe_floor=self._p_min,
-                        ramp_seconds=self.lease_ramp_seconds,
-                    )
-                )
-                self.modeler.set_cap(now, applied_cap)
-                self._degraded_applied = applied_cap
-                if self.telemetry.enabled:
-                    self._mx_policies.inc()
-            return status
-
-        applied_cap = self._cap_to_apply()
-        cap_changed = budget is not None or applied_cap != self.current_cap
-        if self._lease_ttl is not None:
+            cap = self._degraded_cap(now)
+            changed = write = cap != self._degraded_applied
+            self._degraded_applied = cap
+        else:
+            cap = self._cap_to_apply()
+            changed = budget is not None or cap != self.current_cap
             # Leased and in contact: rewrite the policy every period so the
             # agents' own dead-man switch stays armed-but-quiet — it fires
             # only if this endpoint process dies and stops refreshing.
+            write = changed or self._lease_ttl is not None
+        if write:
             self.geopm.write_policy(
-                AgentPolicy(
-                    power_cap_node=applied_cap,
-                    issued_at=now,
-                    lease_ttl=self._lease_ttl,
-                    safe_floor=self._p_min,
-                    ramp_seconds=self.lease_ramp_seconds,
+                AgentPolicy(cap, now)
+                if self._lease_ttl is None
+                else AgentPolicy(
+                    cap, now, self._lease_ttl, self._p_min, self.lease_ramp_seconds
                 )
             )
-            if cap_changed:
-                self.modeler.set_cap(now, applied_cap)
-                if self.telemetry.enabled:
-                    self._mx_policies.inc()
-        elif cap_changed:
-            self.geopm.write_policy(
-                AgentPolicy(power_cap_node=applied_cap, issued_at=now)
-            )
-            self.modeler.set_cap(now, applied_cap)
+        if changed:
+            self.modeler.set_cap(now, cap)
             if self.telemetry.enabled:
                 self._mx_policies.inc()
         return status
@@ -266,7 +254,10 @@ class JobTierEndpoint:
 
     def _model_fields(self) -> dict:
         """Model coefficients for the status message, when shareable: a pure
-        function of the modeler's history and fit, memoised on its revision."""
+        function of the modeler's history and fit, memoised on its revision
+        (a forgery's, while one is set)."""
+        if self.forged is not None:
+            return dict(self.forged)
         revision = self.modeler.revision
         if self._fields_memo[0] != revision:
             self._fields_memo = (revision, self._evaluate_model_fields())

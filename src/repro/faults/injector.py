@@ -374,10 +374,10 @@ class FaultInjector:
     ) -> None:
         """The steps every rogue-endpoint fault shares.
 
-        Pick a fresh victim; ``corrupt(job_id, endpoint)`` installs the fault
-        and returns what undoes it (None: skip the job, before touching it).
-        Then mark the job rogue, log ``detail`` and the victim, and defer the
-        heal, which unmarks the job and runs the undo.
+        Pick a fresh victim; ``corrupt(job_id, endpoint)`` sets the fault's
+        state and returns what clears it (None: skip the job, before touching
+        it).  Then mark the job rogue, log ``detail`` and the victim, and
+        defer the heal, which unmarks the job and runs the undo.
         """
         job_id = self._pick_fresh_job(event.job_id)
         endpoint = self.system.endpoints.get(job_id) if job_id is not None else None
@@ -399,12 +399,12 @@ class FaultInjector:
     def _fire_byzantine_model(self, event: ByzantineModel, now: float) -> None:
         """Decouple a job's shipped model coefficients from its true curve.
 
-        The endpoint's ``_model_fields`` hook is shadowed with a fixed fake
-        fit that passes every syntactic check the manager applies (finite,
-        monotone decreasing, positive t_min, high R²) but describes a
-        different machine.  An endpoint-process restart builds a fresh
-        :class:`JobTierEndpoint` and clears the shadow — the watchdog heals
-        the lie, like any process-local corruption.
+        The endpoint's ``forged`` fields, a fixed fake fit that passes every
+        syntactic check the manager applies (finite, monotone decreasing,
+        positive t_min, high R²) but describes a different machine, replace
+        its own fit's.  An endpoint-process restart builds a fresh
+        :class:`JobTierEndpoint` without them — the watchdog heals the lie,
+        like any process-local corruption.
         """
 
         def corrupt(job_id, endpoint):
@@ -423,26 +423,20 @@ class FaultInjector:
                 fake = QuadraticPowerModel.from_anchors(
                     truth.t_min, 4.0, endpoint._p_min, endpoint._p_max
                 )
-            fields = {
+            endpoint.forged = {
                 "model_a": fake.a,
                 "model_b": fake.b,
                 "model_c": fake.c,
                 "model_r2": 0.97,
             }
-            endpoint._model_fields = lambda: dict(fields)
-
-            def undo() -> None:
-                if self.system.endpoints.get(job_id) is endpoint:
-                    endpoint.__dict__.pop("_model_fields", None)
-
-            return undo
+            return lambda: setattr(endpoint, "forged", None)
 
         self._fire_rogue(event, now, "byzantine-model", f"mode={event.mode}", corrupt)
 
     def _fire_stuck_actuator(self, event: StuckActuator, now: float) -> None:
         """Make a job's platform cap writes silently no-op.
 
-        The proxy sits on the job's GEOPM endpoint object (owned by the
+        ``stuck`` is set on the job's GEOPM endpoint object (owned by the
         running job, i.e. the *platform* side), so it survives endpoint
         process restarts — a wedged RAPL register does not care which
         process talks to it.  It dies with the job (requeue onto new nodes
@@ -458,10 +452,10 @@ class FaultInjector:
                 geopm.write_policy(
                     AgentPolicy(power_cap_node=endpoint._p_max, issued_at=now)
                 )
-            geopm.write_policy = lambda policy: None
+            geopm.stuck = True
 
             def undo() -> None:
-                geopm.__dict__.pop("write_policy", None)
+                geopm.stuck = False
                 live = self.system.endpoints.get(job_id)
                 if live is not None and live.geopm is geopm:
                     # Re-assert the most recently dispatched cap: the healed
@@ -485,27 +479,14 @@ class FaultInjector:
 
         Affects only the job's *self-reported* telemetry (status messages
         upward); the facility's out-of-band node metering is untouched —
-        the contrast the audit layer keys on.  Like the stuck actuator,
-        the proxy lives on the platform-side GEOPM endpoint object.
+        the contrast the audit layer keys on.  Like ``stuck``, ``drift``
+        lives on the platform-side GEOPM endpoint object.
         """
 
         def corrupt(job_id, endpoint):
             geopm = endpoint.geopm
-            real_read = geopm.read_sample
-
-            def biased_read():
-                sample = real_read()
-                if sample is None:
-                    return None
-                dt = max(sample.timestamp - now, 0.0)
-                factor = max(0.0, 1.0 + event.factor_rate * dt)
-                # ``_replace`` skips ``__new__``; a sample validates nothing.
-                return sample._replace(
-                    power=sample.power * factor + event.offset_rate * dt
-                )
-
-            geopm.read_sample = biased_read
-            return lambda: geopm.__dict__.pop("read_sample", None)
+            geopm.drift = (now, event.factor_rate, event.offset_rate)
+            return lambda: setattr(geopm, "drift", None)
 
         self._fire_rogue(
             event, now, "meter-drift",

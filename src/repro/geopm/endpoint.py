@@ -25,8 +25,10 @@ class Endpoint:
     (:meth:`AgentPolicy.cells`) and six sample cells
     (:meth:`AgentSample.cells`), views of the cluster's agent columns; a
     standalone endpoint allocates its own.  :meth:`write_policy` and
-    :meth:`read_sample` are the modeler's side and the seams a fault proxies
-    on the instance.
+    :meth:`read_sample` are the modeler's side.  The running job owns this
+    object, so the platform faults held here outlive an endpoint restart:
+    while ``stuck``, a policy write is lost; ``drift``, ``(onset,
+    factor_rate, offset_rate)``, biases the power a sample reports.
     """
 
     def __init__(
@@ -38,6 +40,8 @@ class Endpoint:
             np.array(SAMPLE_START),
         )
         self.policies_written = 0
+        self.stuck = False
+        self.drift: tuple[float, float, float] | None = None
 
     def detach(self) -> None:
         """Copy the cells out of the shared columns (the job left the
@@ -48,12 +52,21 @@ class Endpoint:
 
     def write_policy(self, policy: AgentPolicy) -> None:
         """Set a new objective; overwrites any not-yet-consumed policy."""
+        if self.stuck:
+            return
         self._policy[:] = policy.cells()
         self.policies_written += 1
 
     def read_sample(self) -> AgentSample | None:
         """Latest summarized agent state (None until the first publish)."""
-        return AgentSample.from_cells(self._sample)
+        sample = AgentSample.from_cells(self._sample)
+        if self.drift is None or sample is None:
+            return sample
+        onset, factor_rate, offset_rate = self.drift
+        dt = max(sample.timestamp - onset, 0.0)
+        factor = max(0.0, 1.0 + factor_rate * dt)
+        # ``_replace`` skips ``__new__``; a sample validates nothing.
+        return sample._replace(power=sample.power * factor + offset_rate * dt)
 
     # ----------------------------------------------------- agent-facing side
 

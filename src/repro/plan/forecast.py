@@ -2,13 +2,10 @@
 
 A forecaster sees exactly what the cluster manager sees — the target value
 read at each control round — and extrapolates it over the planning horizon.
-Four families cover the target sources the framework ships:
+Three families cover the target sources the framework ships:
 
 * :class:`PersistenceForecaster` — ŷ(t) = last observation.  The baseline
   every other forecaster must beat; exact for constant targets.
-* :class:`RampForecaster` — fits the slope of the most recent samples by
-  least squares and extrapolates linearly.  Matches stepped ramps and slow
-  tariff/carbon transitions.
 * :class:`AR1Forecaster` — mean-reverting AR(1) extrapolation for
   ``aqa.regulation`` signals: ŷ(t) = μ + ρ^k · (y − μ).  Fit offline from a
   regulation signal's vectorised :meth:`~repro.aqa.regulation.RegulationSignal.series`.
@@ -21,6 +18,8 @@ window) via :class:`ForecastErrorWindow`; the safety envelope reads that
 window to decide when predictions can be trusted.
 :class:`InvertedRampForecaster` deliberately extrapolates the wrong way —
 the adversarial probe the forecast drill uses to prove the envelope holds.
+Its base, :class:`RampForecaster`, fits the slope of the most recent samples
+by least squares and extrapolates it linearly.
 
 Not to be confused with :mod:`repro.modeling.forecasting`, which predicts
 *job types* from submission metadata; the two modules share only the word.
@@ -333,8 +332,6 @@ def make_forecaster(
         return ScheduleForecaster(source)
     if kind == "persistence":
         return PersistenceForecaster()
-    if kind == "ramp":
-        return RampForecaster()
     if kind == "adversarial":
         return InvertedRampForecaster()
     # kind == "ar1"

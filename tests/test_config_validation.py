@@ -17,9 +17,9 @@ only spell fields that exist (``test_docs_spell_only_real_fields``).
 The fault-schedule builders take no shape knobs either: a fault mix is a
 mapping from event templates to rates (``test_fault_builders_take_no_shapes``).
 
-Run as a script, this file prints the two knob counts, the fault builders'
-keyword options and the source sizes the ROADMAP north star quotes, for a CI
-summary.
+Run as a script, this file prints the two knob counts, the closed choice
+sets a field picks from with their sizes, the fault builders' keyword options
+and the source sizes the ROADMAP north star quotes, for a CI summary.
 """
 
 import ast
@@ -32,6 +32,7 @@ import pytest
 
 from repro import telemetry
 from repro.core import cluster_manager, framework, reliable
+from repro.core.choices import FORECASTER_KINDS, SHED_CLASSES
 from repro.core.framework import AnorConfig
 from repro.faults.schedule import FaultSchedule
 from repro.workloads.nas import IDLE_NODE_POWER, P_NODE_MIN
@@ -372,6 +373,10 @@ def source_lines() -> dict[str, int]:
 if __name__ == "__main__":
     print(f"AnorConfig fields: {len(FIELDS)}; defaulted constructor parameters "
           f"of the classes AnorSystem builds: {constructor_knobs()[0]}")
+    print("Closed choice sets: " + "; ".join(
+        f"{name} {len(kinds)} ({', '.join(kinds)})"
+        for name, kinds in (("plan_forecaster kinds", FORECASTER_KINDS),
+                            ("shed classes", SHED_CLASSES))))
     print("FaultSchedule keyword options: " + "; ".join(
         f"{name} {len(options)} ({', '.join(options)})"
         for name, options in fault_builder_options().items()))

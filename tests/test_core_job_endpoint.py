@@ -1,15 +1,21 @@
 """Tests for the job-tier endpoint (modeler process, paper §4.2/Fig. 2)."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.framework import AnorConfig
 from repro.core.job_endpoint import EXPLORE_AMPLITUDE, JobTierEndpoint
 from repro.core.messages import BudgetMessage, GoodbyeMessage, HelloMessage, StatusMessage
 from repro.core.transport import TcpLink
+from repro.experiments.fig9 import build_demand_response_system
 from repro.geopm.agent import AgentSample
 from repro.geopm.endpoint import Endpoint
 from repro.modeling.online import MIN_SAMPLE_EPOCHS
 from repro.modeling.quadratic import QuadraticPowerModel
+from repro.telemetry import Telemetry
 
 
 def make_endpoint(**kwargs) -> tuple[JobTierEndpoint, Endpoint, TcpLink]:
@@ -99,6 +105,113 @@ class TestBudgetApplication:
             if policy is not None:
                 caps.add(policy.power_cap_node)
         assert caps == {200.0}
+
+
+class TestPolicyWrite:
+    """One write serves every cap.  Each case checks the five policy cells
+    written (NaN where unset), whether the modeler's cap moved, and the
+    policies counter."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        def build(**kwargs):
+            endpoint, geopm, link = make_endpoint(
+                feedback_enabled=False, telemetry=Telemetry(), **kwargs
+            )
+            caps = []  # every modeler.set_cap(t, cap)
+            set_cap = endpoint.modeler.set_cap
+
+            def recording(t, cap):
+                caps.append((t, cap))
+                set_cap(t, cap)
+
+            monkeypatch.setattr(endpoint.modeler, "set_cap", recording)
+            return endpoint, geopm, link, caps
+
+        return build
+
+    @staticmethod
+    def policies(endpoint):
+        return endpoint.telemetry.registry.get_value("anor_policies_written_total")
+
+    def test_unleased_writes_a_budget_and_nothing_else(self, counted):
+        endpoint, geopm, link, caps = counted()
+        link.send_down(BudgetMessage("j", 200.0, 0.0), 0.0)
+        endpoint.step(0.0)
+        np.testing.assert_array_equal(geopm._policy, [200.0, 0.0, math.nan, math.nan, 30.0])
+        assert caps == [(0.0, 200.0)] and self.policies(endpoint) == 1
+        geopm.take_policy()
+        endpoint.step(1.0)
+        assert not geopm.has_pending_policy
+        assert caps == [(0.0, 200.0)] and self.policies(endpoint) == 1
+        # A budget is a change even when it repeats the cap.
+        link.send_down(BudgetMessage("j", 200.0, 2.0), 2.0)
+        endpoint.step(2.0)
+        np.testing.assert_array_equal(geopm._policy, [200.0, 2.0, math.nan, math.nan, 30.0])
+        assert caps[-1] == (2.0, 200.0) and self.policies(endpoint) == 2
+
+    def test_leased_in_contact_rewrites_every_period(self, counted):
+        endpoint, geopm, link, caps = counted(lease_ttl=10.0, lease_ramp_seconds=20.0)
+        link.send_down(BudgetMessage("j", 200.0, 0.0, lease_ttl=10.0), 0.0)
+        endpoint.step(0.0)
+        np.testing.assert_array_equal(geopm._policy, [200.0, 0.0, 10.0, 140.0, 20.0])
+        assert caps == [(0.0, 200.0)] and self.policies(endpoint) == 1
+        endpoint.step(1.0)
+        np.testing.assert_array_equal(geopm._policy, [200.0, 1.0, 10.0, 140.0, 20.0])
+        assert caps == [(0.0, 200.0)] and self.policies(endpoint) == 1
+
+    def test_degraded_writes_each_move_of_the_decay(self, counted):
+        endpoint, geopm, link, caps = counted(lease_ttl=5.0, lease_ramp_seconds=10.0)
+        link.send_down(BudgetMessage("j", 200.0, 0.0, lease_ttl=5.0), 0.0)
+        endpoint.step(0.0)
+        endpoint.step(6.0)  # past the lease: the decay starts at the last budget
+        assert endpoint.degraded
+        np.testing.assert_array_equal(geopm._policy, [200.0, 6.0, 5.0, 140.0, 10.0])
+        assert caps[-1] == (6.0, 200.0) and self.policies(endpoint) == 2
+        endpoint.step(11.0)  # half the ramp
+        np.testing.assert_array_equal(geopm._policy, [170.0, 11.0, 5.0, 140.0, 10.0])
+        assert caps[-1] == (11.0, 170.0) and self.policies(endpoint) == 3
+        endpoint.step(16.0)  # settled at p_min
+        np.testing.assert_array_equal(geopm._policy, [140.0, 16.0, 5.0, 140.0, 10.0])
+        assert caps[-1] == (16.0, 140.0) and self.policies(endpoint) == 4
+        geopm.take_policy()
+        endpoint.step(17.0)
+        assert not geopm.has_pending_policy
+        assert len(caps) == 4 and self.policies(endpoint) == 4
+
+
+class TestSlowerAgents:
+    """Agents slower than the endpoint leave one sample up for several
+    endpoint periods, with caps stamped after it."""
+
+    def test_a_sample_is_fed_once_and_reported_every_period(self, monkeypatch):
+        endpoint, geopm, link = make_endpoint(feedback_enabled=False)
+        fed = []  # every modeler.observe(t, epochs, cap)
+        observe = endpoint.modeler.observe
+
+        def recording(*args):
+            fed.append(args)
+            return observe(*args)
+
+        monkeypatch.setattr(endpoint.modeler, "observe", recording)
+        publish(geopm, t=0.0, epochs=0)
+        endpoint.step(0.0)
+        publish(geopm, t=1.0, epochs=1, cap=280.0)
+        endpoint.step(1.0)
+        link.send_down(BudgetMessage("j", 200.0, 2.0), 2.0)
+        endpoint.step(2.0)  # stamps 200 W at t=2, after the t=1 sample
+        endpoint.step(3.0)
+        assert fed == [(0.0, 0, 280.0), (1.0, 1, 280.0)]
+        statuses = [m for m in link.recv_up(3.0) if isinstance(m, StatusMessage)]
+        assert [m.timestamp for m in statuses] == [0.0, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("agent_period", [4.0, 60.0])
+    def test_a_run_with_slower_agents_finishes(self, agent_period):
+        config = AnorConfig(agent_period=agent_period, endpoint_period=1.0)
+        system = build_demand_response_system(duration=300.0, seed=2, config=config)
+        result = system.run(300.0)
+        assert system.cluster.clock.now == 300.0
+        assert result.completed
 
 
 class TestStatusReporting:

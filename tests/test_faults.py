@@ -1,7 +1,9 @@
 """Tests for the fault-injection subsystem (events, schedules, injector)."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from repro.core.framework import (
     precharacterized_models,
 )
 from repro.core.targets import ConstantTarget
+from repro.geopm.agent import AgentPolicy, AgentSample
+from repro.geopm.endpoint import Endpoint
 from repro.faults import (
     ByzantineModel,
     CorruptStatus,
@@ -462,3 +466,158 @@ class TestDeterminism:
         assert sys_a.faults.log_lines() == sys_b.faults.log_lines()
         assert res_a.power_trace.tobytes() == res_b.power_trace.tobytes()
         assert res_a.warnings == res_b.warnings
+
+
+def wedged(geopm) -> bool:
+    """A probe write is lost: the actuator is stuck."""
+    before = geopm.policies_written
+    geopm.write_policy(AgentPolicy(power_cap_node=150.0))
+    return geopm.policies_written == before
+
+
+def drifting(geopm) -> bool:
+    """The power the endpoint reads is not the power its agents published."""
+    return geopm.read_sample().power != AgentSample.from_cells(geopm._sample).power
+
+
+def forging(endpoint) -> bool:
+    """The endpoint shares fields its own fit did not produce."""
+    return endpoint._model_fields() != endpoint._evaluate_model_fields()
+
+
+class TestRogueFaultLifetimes:
+    """Where each rogue fault lives decides what outlives it: the stuck
+    actuator and the meter drift are the platform's (the running job's
+    GEOPM endpoint), the byzantine model is the endpoint process's."""
+
+    def test_stuck_and_drift_survive_an_endpoint_restart(self, monkeypatch):
+        monkeypatch.setattr("repro.core.framework.ENDPOINT_RESTART_DELAY", 10.0)
+        sched = FaultSchedule([
+            StuckActuator(time=20.0, job_id="bt-0"),
+            MeterDrift(time=20.0, job_id="bt-0", factor_rate=0.01),
+            EndpointCrash(time=30.0, job_id="bt-0"),
+        ])
+        system = make_system(sched, num_nodes=4)
+        system.submit_now("bt-0", "bt")
+        step_to(system, 25.0)
+        crashed = system.endpoints["bt-0"]
+        step_to(system, 45.0)
+        restarted = system.endpoints["bt-0"]
+        assert restarted is not crashed and restarted.geopm is crashed.geopm
+        assert drifting(restarted.geopm)
+        assert wedged(restarted.geopm)
+
+    def test_stuck_and_drift_stay_with_the_nodes_a_requeue_leaves(self):
+        sched = FaultSchedule([
+            StuckActuator(time=20.0, job_id="bt-0"),
+            MeterDrift(time=20.0, job_id="bt-0", factor_rate=0.01),
+            NodeCrash(time=40.0, node_id=0, down_for=1000.0),
+        ])
+        system = make_system(sched, num_nodes=4)
+        system.submit_now("bt-0", "bt")
+        step_to(system, 30.0)
+        old = system.endpoints["bt-0"].geopm
+        step_to(system, 60.0)
+        assert system.requeued == ["bt-0"]
+        new = system.endpoints["bt-0"].geopm
+        assert new is not old
+        assert drifting(old) and not drifting(new)
+        assert wedged(old) and not wedged(new)
+
+    def test_byzantine_forgery_dies_with_the_process_not_the_mark(self, monkeypatch):
+        """A restart clears the lie, but until the heal the job is still a
+        victim and auto-targeted rogue faults still pass it over."""
+        monkeypatch.setattr("repro.core.framework.ENDPOINT_RESTART_DELAY", 10.0)
+        sched = FaultSchedule([
+            ByzantineModel(time=20.0, job_id="bt-0", duration=60.0),
+            EndpointCrash(time=30.0, job_id="bt-0"),
+            ByzantineModel(time=50.0),
+            ByzantineModel(time=90.0, duration=10.0),
+        ])
+        system = make_system(sched, num_nodes=4)
+        system.submit_now("bt-0", "bt")
+        step_to(system, 25.0)
+        assert forging(system.endpoints["bt-0"])
+        step_to(system, 45.0)
+        assert not forging(system.endpoints["bt-0"])
+        step_to(system, 95.0)
+        assert system.faults.victims["bt-0"] == ("byzantine-model", 20.0, 80.0)
+        log = system.faults.render()
+        assert "t=      50.0 byzantine-model skipped (no fresh endpoint)" in log
+        assert "t=      90.0 byzantine-model job=bt-0 mode=flat" in log
+        assert forging(system.endpoints["bt-0"])
+
+
+class TestRogueFaultHeals:
+    def test_stuck_heal_reasserts_the_current_cap(self, monkeypatch):
+        writes = []  # (job, policy) of every write that reached the cells
+        write_policy = Endpoint.write_policy
+
+        def recording(self, policy):
+            before = self.policies_written
+            write_policy(self, policy)
+            if self.policies_written > before:
+                writes.append((self.job_id, policy))
+
+        monkeypatch.setattr(Endpoint, "write_policy", recording)
+        sched = FaultSchedule([StuckActuator(time=20.0, job_id="bt-0", duration=30.0)])
+        system = make_system(sched, num_nodes=4)
+        system.submit_now("bt-0", "bt")
+        step_to(system, 49.0)
+        cap = system.endpoints["bt-0"].current_cap
+        assert not [p for job, p in writes if job == "bt-0" and p.issued_at > 20.0]
+        step_to(system, 50.0)
+        healed = [p for job, p in writes if job == "bt-0" and p.issued_at > 20.0]
+        assert healed[0] == AgentPolicy(power_cap_node=cap, issued_at=50.0)
+        assert not wedged(system.endpoints["bt-0"].geopm)
+
+    def test_drift_heal_reads_the_published_power(self):
+        sched = FaultSchedule([
+            MeterDrift(time=20.0, job_id="bt-0", factor_rate=0.01, duration=30.0)
+        ])
+        system = make_system(sched, num_nodes=4)
+        system.submit_now("bt-0", "bt")
+        step_to(system, 40.0)
+        assert drifting(system.endpoints["bt-0"].geopm)
+        step_to(system, 60.0)
+        assert not drifting(system.endpoints["bt-0"].geopm)
+
+    def test_byzantine_heal_restores_the_fits_own_fields(self):
+        sched = FaultSchedule([ByzantineModel(time=20.0, job_id="bt-0", duration=30.0)])
+        system = make_system(sched, num_nodes=4)
+        system.submit_now("bt-0", "bt")
+        step_to(system, 40.0)
+        assert system.endpoints["bt-0"]._model_fields()["model_r2"] == 0.97
+        step_to(system, 60.0)
+        assert not forging(system.endpoints["bt-0"])
+
+
+def test_faults_patch_no_code_onto_objects():
+    """A fault is state the faulted object reads, never a function put on
+    an instance: nothing under ``faults/`` assigns a lambda or a function to
+    an attribute (``setattr`` included) or touches ``__dict__``."""
+    found = []
+    for path in sorted((Path(__file__).parent.parent / "src/repro/faults").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+
+        def code(value):
+            return isinstance(value, ast.Lambda) or (
+                isinstance(value, ast.Name) and value.id in functions
+            )
+
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                found.append(f"{where} __dict__")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and code(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Attribute) for t in targets):
+                    found.append(f"{where} code assigned to an attribute")
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", "") == "setattr"
+                  and len(node.args) == 3 and code(node.args[2])):
+                found.append(f"{where} code set as an attribute")
+    assert not found, found

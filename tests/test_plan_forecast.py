@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.aqa.regulation import BoundedRandomWalkSignal, SinusoidSignal
+from repro.core.framework import AnorConfig
 from repro.core.targets import (
     ConstantTarget,
     RegulationTarget,
@@ -166,8 +167,11 @@ class TestMakeForecaster:
             make_forecaster("ar1", ConstantTarget(840.0))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown forecaster"):
-            make_forecaster("oracle", ConstantTarget(840.0))
+        for kind in ("oracle", "ramp"):
+            with pytest.raises(ValueError, match="unknown forecaster"):
+                make_forecaster(kind, ConstantTarget(840.0))
+            with pytest.raises(ValueError, match="plan_forecaster"):
+                AnorConfig(plan_forecaster=kind)
 
 
 class TestErrorTracking:
