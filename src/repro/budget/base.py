@@ -30,8 +30,8 @@ class JobBudgetRequest(_RequestFields):
     latest online fit.  ``p_min``/``p_max`` bound the per-node power the job
     can usefully consume (the job's achievable power-demand range, §4.4.3).
 
-    A named tuple built once per job per round (DESIGN.md §7, *Control-plane
-    records*); ``__new__`` validates the fields.
+    A named tuple (DESIGN.md §7, *Control-plane records*), rebuilt by triage
+    only when what it holds moves; ``__new__`` validates the fields.
     """
 
     __slots__ = ()

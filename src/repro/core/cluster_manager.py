@@ -647,16 +647,16 @@ class ClusterPowerManager:
                 dormant.append(record)
             else:
                 active.append(record)
-        rnd.requests = [
-            JobBudgetRequest(
-                job_id=r.job_id,
-                nodes=r.nodes,
-                model=r.active_model,
-                p_min=self.p_node_min,
-                p_max=r.believed_p_max,
-            )
-            for r in active
-        ]
+        # Each active job's request, rebuilt only when what it holds moved:
+        # the budgeter keeps its solve while the same objects come back.
+        rnd.requests = requests = []
+        p_min = self.p_node_min
+        for r in active:
+            q, model = r.request, r.active_model
+            if (q is None or q.model is not model or q.p_max != r.believed_p_max
+                    or q.nodes != r.nodes or q.p_min != p_min):
+                q = r.request = JobBudgetRequest(r.job_id, r.nodes, model, p_min, r.believed_p_max)
+            requests.append(q)
 
     def _reserve(self, rnd: BudgetRound) -> None:
         reserved = 0.0

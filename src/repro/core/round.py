@@ -47,6 +47,10 @@ class JobRecord:
     # assume anything lower until it hears from the job again.
     last_heard: float = 0.0
     last_cap: float | None = None
+    # Derived, never persisted: the request triage last budgeted it with,
+    # reused while its model object, ``believed_p_max``, width and the
+    # platform floor hold.
+    request: JobBudgetRequest | None = field(default=None, repr=False, compare=False)
 
     @property
     def active_model(self) -> QuadraticPowerModel:

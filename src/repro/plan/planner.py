@@ -128,15 +128,6 @@ class RecedingHorizonPlanner:
         self.fresh_solves = 0
         self.hysteresis_holds = 0
         self._pending: list[tuple[float, float]] = []
-        # Model interning for cheap signatures: value-equal models share a
-        # small int token (the job tier refits models online, so a job's
-        # model is often a fresh-but-equal object each round).  The id()
-        # fast path makes the common stable-object case a dict hit; the
-        # strong reference in _model_refs pins each object so its id() can
-        # never be reused by a different model while this planner is alive.
-        self._model_tokens: dict[int, int] = {}
-        self._model_index: dict[object, int] = {}
-        self._model_refs: list[object] = []
         self.telemetry = telemetry
         reg = telemetry.registry
         self._mx_state = reg.gauge(
@@ -176,32 +167,6 @@ class RecedingHorizonPlanner:
         return self.envelope.update(now, self.forecaster.mae, self.forecaster.errors.count)
 
     # -- plan construction ------------------------------------------------
-    def _model_token(self, model: object) -> int:
-        # id() is safe as a cache key only because _model_refs keeps the
-        # model alive: a bare id() in the signature would let the allocator
-        # hand a freed model's address to a different one, making unequal
-        # signatures compare equal in a run-to-run-varying pattern.
-        token = self._model_tokens.get(id(model))
-        if token is not None:
-            return token
-        token = self._model_index.get(model)
-        if token is None:
-            token = len(self._model_refs)
-            self._model_index[model] = token
-        self._model_tokens[id(model)] = token
-        self._model_refs.append(model)
-        return token
-
-    def _signature(self, requests: Sequence[JobBudgetRequest]) -> tuple:
-        # Interned int tokens instead of the models themselves: signatures
-        # are built and compared every control round, and value-comparing
-        # each model (a Python-level dataclass __eq__ per job) costs a
-        # measurable slice of the whole control loop at realistic job counts.
-        return tuple(
-            (j.job_id, j.nodes, self._model_token(j.model), j.p_min, j.p_max)
-            for j in requests
-        )
-
     def rebuild(
         self,
         now: float,
@@ -229,7 +194,10 @@ class RecedingHorizonPlanner:
         dispatch warm-hits the round.  Job churn or an envelope trip forces
         a full rebuild.
         """
-        sig = self._signature(requests)
+        # The job-set signature is the requests themselves: a request
+        # compares by value, its model too, and triage hands back the same
+        # objects while nothing moved, so most comparisons are identity hits.
+        sig = tuple(requests)
         if self._plan_reusable(now, sig):
             return self.plan
         horizon = HORIZON_ROUNDS * self.period
@@ -323,7 +291,7 @@ class RecedingHorizonPlanner:
         """
         if not self.active:
             return None
-        sig = self._signature(requests)
+        sig = tuple(requests)
         rnd = None
         if self.plan is not None:
             rnd = self.plan.round_at(now, max_age=self.period, eps=self._eps)

@@ -286,6 +286,83 @@ class TestRepeatedModelIsHeartbeat:
         assert telemetry.registry.get_value("anor_models_accepted_total") == 1
 
 
+class TestTriageKeepsRequests:
+    """Triage hands the budgeter the request a record was last budgeted with
+    until what it holds moves: the online fit (a new model object), the
+    believed ceiling, the width or the platform floor.  The request is
+    derived state: a fresh record, as any reconnect makes, starts without."""
+
+    @staticmethod
+    def drive(manager, link, fits, edits=None):
+        """One round per fit; ``edits[t]`` runs before round ``t``.  Each
+        round's budgeted request and the record's kept one."""
+        seen = []
+        for t, fit in enumerate(fits):
+            send_status(link, "a", t=float(t), **fit)
+            if edits and t in edits:
+                edits[t](manager, manager.jobs["a"])
+            manager.step(float(t))
+            rnd = manager.last_round
+            seen.append((rnd.requests[0], rnd.jobs["a"].request))
+        return seen
+
+    def test_a_request_is_kept_until_the_fit_moves(self):
+        manager = make_manager(use_feedback=True)
+        link = connect_job(manager, "a", "is", 2)
+        refit = {**FIT, "model_c": 6.0}
+        seen = self.drive(manager, link, [FIT, FIT, FIT, refit, refit])
+        budgeted = [q for q, _ in seen]
+        assert all(q is kept for q, kept in seen)
+        assert budgeted[0] is budgeted[1] is budgeted[2]
+        assert budgeted[3] is not budgeted[2] and budgeted[3] is budgeted[4]
+        record = manager.jobs["a"]
+        assert budgeted[2].model.c == 5.0 and budgeted[3].model is record.online_model
+
+    def test_the_ceiling_the_width_and_the_floor_each_rebuild_it(self):
+        manager = make_manager(total_nodes=8)
+        link = connect_job(manager, "a", "bt", 2)
+        edits = {
+            2: lambda m, r: setattr(r, "believed_p_max", 230.0),
+            4: lambda m, r: setattr(r, "nodes", 3),
+            6: lambda m, r: setattr(m, "p_node_min", 150.0),
+        }
+        seen = self.drive(manager, link, [{}] * 8, edits)
+        budgeted = [q for q, _ in seen]
+        for t in (1, 3, 5, 7):
+            assert budgeted[t] is budgeted[t - 1]
+        for t in (2, 4, 6):
+            assert budgeted[t] is not budgeted[t - 1]
+        assert budgeted[2].p_max == 230.0 and budgeted[4].nodes == 3
+        assert budgeted[6].p_min == 150.0
+        assert budgeted[7].model is manager.jobs["a"].believed_model
+
+    def test_a_reconnected_record_starts_without_one(self):
+        manager = make_manager()
+        link = connect_job(manager, "a", "bt", 2)
+        (before, _), = self.drive(manager, link, [{}])
+        link = connect_job(manager, "a", "bt", 2, now=1.0)
+        send_status(link, "a", t=1.0)
+        manager.step(1.0)
+        after = manager.last_round.requests[0]
+        assert after == before and after is not before
+
+    def test_an_auditor_replaced_request_is_never_the_kept_one(self):
+        from repro.core.audit import REHABILITATING, CapComplianceAuditor
+
+        auditor = CapComplianceAuditor(
+            job_meter=lambda job_id: None, p_node_min=140.0, p_node_max=280.0)
+        manager = make_manager(use_feedback=True, auditor=auditor)
+        link = connect_job(manager, "a", "is", 2)
+        auditor.force_state("a", REHABILITATING)
+        seen = self.drive(manager, link, [FIT] * 4)
+        assert auditor.state("a") == REHABILITATING
+        record = manager.jobs["a"]
+        assert record.request.model is record.online_model
+        for budgeted, kept in seen:
+            assert kept is record.request
+            assert budgeted.model is record.believed_model and budgeted is not kept
+
+
 class TestTrackingAndCorrection:
     def test_tracking_samples_recorded(self):
         seen = []

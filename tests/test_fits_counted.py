@@ -3,7 +3,11 @@
 Wall time says nothing in a shared sandbox; what a seeded run counts repeats
 exactly.  ``OnlineModeler.fits_due`` / ``fits_computed`` say how many fits a
 run skipped, ``sys.setprofile`` how often a solve re-derives a model constant,
-``EvenSlowdownBudgeter.evaluations`` how many totals a run's solves evaluate.
+``EvenSlowdownBudgeter.evaluations`` how many totals a run's solves evaluate
+and ``reused_solves`` how many of them kept the last solve's ``_Solve``.
+
+Run as a script, this file prints those counts for the quick ``dr16_tick``
+run, for a CI summary.
 """
 
 import sys
@@ -18,8 +22,9 @@ from repro.experiments.fig9 import build_demand_response_system
 from repro.modeling.quadratic import FitResult, QuadraticPowerModel
 
 
-def run_counting_endpoints(monkeypatch, duration, **periods):
-    """One 16-node demand-response run; every endpoint it ever built."""
+def run_counting_endpoints(monkeypatch, duration, *, seed=3, **periods):
+    """One 16-node demand-response run: the system, and every endpoint it
+    ever built."""
     endpoints = []
     init = JobTierEndpoint.__init__
 
@@ -28,19 +33,30 @@ def run_counting_endpoints(monkeypatch, duration, **periods):
         endpoints.append(self)
 
     monkeypatch.setattr(JobTierEndpoint, "__init__", recording_init)
-    config = AnorConfig(num_nodes=16, seed=3, **periods)
+    config = AnorConfig(num_nodes=16, seed=seed, **periods)
     system = build_demand_response_system(
-        duration=duration, num_nodes=16, seed=3, config=config
+        duration=duration, num_nodes=16, seed=seed, config=config
     )
     system.run(duration)
     monkeypatch.undo()
-    return endpoints
+    return system, endpoints
+
+
+def quick_tick_run():
+    """The quick ``dr16_tick`` run: 16 nodes, 1 s periods, 225 s, seed 7000."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return run_counting_endpoints(monkeypatch, 225.0, seed=7000)
+
+
+@pytest.fixture(scope="module")
+def tick_run():
+    return quick_tick_run()[0]
 
 
 class TestFitsCounted:
     def test_slow_periods_leave_most_due_fits_uncomputed(self, monkeypatch):
         def sums():
-            endpoints = run_counting_endpoints(
+            _, endpoints = run_counting_endpoints(
                 monkeypatch, 1200.0,
                 agent_period=30.0, endpoint_period=30.0, manager_period=60.0,
             )
@@ -70,7 +86,7 @@ class TestFitsCounted:
             return status
 
         monkeypatch.setattr(JobTierEndpoint, "step", checking_step)
-        endpoints = run_counting_endpoints(
+        _, endpoints = run_counting_endpoints(
             monkeypatch, 400.0, agent_period=1.0, endpoint_period=1.0, manager_period=1.0
         )
         assert shared and all(shared)
@@ -111,20 +127,33 @@ class TestSolveCounted:
         assert "clamp" not in calls
         assert alloc.total_power(jobs) == pytest.approx(budget, abs=1e-3)
 
-    def test_a_tick_run_solves_in_few_evaluations_and_all_certified(self):
+    def test_a_tick_run_solves_in_few_evaluations_and_all_certified(self, tick_run):
         """The quick ``dr16_tick`` run (16 nodes, 1 s periods, 225 s, seed
         7000): bisection evaluated the total 17.7 times a solve; locate and
-        replay may take at most 9 on average, and every request it sees —
-        NAS truths, ``is`` standing in for ``bt``, the job tier's fits — is
-        certified.  A model family that silently loses its certificate falls
-        back to every bisection mid and fails here instead of costing time."""
-        seed, duration = 7000, 225.0
-        system = build_demand_response_system(
-            duration=duration, num_nodes=16, seed=seed,
-            config=AnorConfig(num_nodes=16, seed=seed),
-        )
-        system.run(duration)
-        budgeter = system.budgeter
+        replay from a kept solve take 2.4 on average (3.6 when every solve
+        evaluated both bracket ends), and may take at most one more.  Every
+        request it sees — NAS truths, ``is`` standing in for ``bt``, the job
+        tier's fits — is certified.  A model family that silently loses its
+        certificate falls back to every bisection mid and fails here instead
+        of costing time."""
+        budgeter = tick_run.budgeter
         assert budgeter.solves > 150
         assert budgeter.uncertified_solves == 0
-        assert budgeter.evaluations <= 9 * budgeter.solves
+        assert budgeter.evaluations <= 3.4 * budgeter.solves
+
+    def test_a_tick_run_reuses_most_solves(self, tick_run):
+        """Between arrivals, departures and accepted fits a round budgets the
+        same request objects as the round before, so most solves keep the
+        last ``_Solve`` (86 % on this run)."""
+        budgeter = tick_run.budgeter
+        assert budgeter.reused_solves >= 0.6 * budgeter.solves
+
+
+if __name__ == "__main__":
+    system, endpoints = quick_tick_run()
+    b = system.budgeter
+    print(f"Quick dr16_tick run (seed 7000, 225 s): {b.solves} solves; "
+          f"{b.evaluations / b.solves:.2f} evaluations per solve; "
+          f"{b.reused_solves / b.solves:.1%} reused their _Solve "
+          f"({b.reused_solves}); fits due {sum(e.modeler.fits_due for e in endpoints)}, "
+          f"computed {sum(e.modeler.fits_computed for e in endpoints)}")

@@ -757,6 +757,26 @@ class TestJournalFoldMatchesLiveHead:
         assert fold.rounds >= 800 and not fold.mismatches, fold.mismatches[:5]
 
 
+class TestKeptRequestsAreNotState:
+    def test_a_warm_restart_starts_every_record_without_a_request(self, tmp_path):
+        """The request triage keeps on a record is derived: no checkpoint
+        entry carries it, and a restarted head's records start without."""
+        system = build_system(checkpoint_dir=str(tmp_path / "store"))
+        for _ in range(100):
+            system.step()
+        records = system.manager.jobs.values()
+        assert any(r.request is not None for r in records)
+        for record in records:
+            bare = dataclasses.replace(record, request=None)
+            assert json.dumps(job_entry(record)) == json.dumps(job_entry(bare))
+        system.crash_head_node()
+        for _ in range(10):
+            system.step()
+        system.restart_head_node()
+        assert system.manager.jobs
+        assert all(r.request is None for r in system.manager.jobs.values())
+
+
 class TestHeadStateInventory:
     """Every piece of head state is either in the checkpoint or rebuilt
     fresh by a restart, and every ``job-evict`` kind has a replay meaning."""

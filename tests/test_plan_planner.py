@@ -1,7 +1,10 @@
 """Tests for the safety envelope and the receding-horizon planner."""
 
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.budget.base import JobBudgetRequest
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
@@ -332,3 +335,104 @@ class TestSystemIntegration:
         assert system.manager.planner is None
         assert system.manager.next_plan_instant() is None
         assert system.manager.plan_instant_due(1.0) is False
+
+
+class TokenSignature:
+    """The plan signature as it was built before it became the request
+    tuple (``RecedingHorizonPlanner.rebuild`` / ``dispatch``): each model interned to a small int, value-equal models sharing
+    one, every model object pinned so its ``id()`` is never reused.  The
+    test-side reference the tuple's ``==`` is held to."""
+
+    def __init__(self) -> None:
+        self._model_tokens: dict[int, int] = {}
+        self._model_index: dict[object, int] = {}
+        self._model_refs: list[object] = []
+
+    def _model_token(self, model: object) -> int:
+        token = self._model_tokens.get(id(model))
+        if token is not None:
+            return token
+        token = self._model_index.get(model)
+        if token is None:
+            token = len(self._model_refs)
+            self._model_index[model] = token
+        self._model_tokens[id(model)] = token
+        self._model_refs.append(model)
+        return token
+
+    def __call__(self, requests) -> tuple:
+        return tuple(
+            (j.job_id, j.nodes, self._model_token(j.model), j.p_min, j.p_max)
+            for j in requests
+        )
+
+
+def signature_models():
+    """Fresh objects each call: value-equal pairs (``-0.0`` equals ``0.0``),
+    and models one coefficient or one ceiling apart."""
+    return [
+        QuadraticPowerModel(0.0, -0.01, 5.0, 140.0, 280.0),
+        QuadraticPowerModel(-0.0, -0.01, 5.0, 140.0, 280.0),
+        QuadraticPowerModel(0.0, -0.01, 5.0 + 1e-12, 140.0, 280.0),
+        QuadraticPowerModel(0.0, -0.01, 5.0, 140.0, 272.0),
+        QuadraticPowerModel.from_anchors(2.0, 1.5, 140.0, 280.0),
+        QuadraticPowerModel.from_anchors(2.0, 1.5, 140.0, 280.0),
+    ]
+
+
+#: One job of a round: id, width, model, p_max, and whether its request
+#: is the last built for this spec (the same object) or a new one.
+job_draws = st.tuples(
+    st.sampled_from("abc"), st.integers(1, 2), st.integers(0, 5),
+    st.sampled_from([240.0, 280.0]), st.booleans(),
+)
+
+
+class TestSignature:
+    @given(
+        st.lists(st.lists(job_draws, max_size=4), min_size=2, max_size=12),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_request_tuple_compares_as_the_token_signature(self, rounds, refit):
+        """Over rounds of requests whose models are the same objects,
+        value-equal new objects or different ones, two rounds' tuple
+        signatures are ``==`` exactly when their token signatures are."""
+        models, old, built = signature_models(), TokenSignature(), {}
+        new_sigs, old_sigs = [], []
+        for k, jobs in enumerate(rounds):
+            if k == len(rounds) // 2:  # a refit: new objects from here on
+                models[refit] = signature_models()[refit]
+            requests = []
+            for job_id, nodes, m, p_max, same in jobs:
+                spec = (job_id, nodes, id(models[m]), p_max)
+                if not same or spec not in built:
+                    built[spec] = JobBudgetRequest(job_id, nodes, models[m], 140.0, p_max)
+                requests.append(built[spec])
+            new_sigs.append(tuple(requests))
+            old_sigs.append(old(requests))
+        for i in range(len(rounds)):
+            for j in range(i + 1):
+                assert (new_sigs[i] == new_sigs[j]) is (old_sigs[i] == old_sigs[j])
+
+    def test_a_superseded_fit_is_not_held_once_no_plan_round_holds_it(self):
+        """5 000 rounds of a job whose fit churns every round: every round
+        rebuilds the plan, so its rounds hold only this round's fit, and a
+        superseded fit is unreachable at once (the token signature pinned
+        every model it ever saw)."""
+        p = make_planner()
+        steady = request("b", 1, 1.2)
+        alive: list[weakref.ref] = []
+        for k in range(5000):
+            now = 4.0 * k
+            model = QuadraticPowerModel.from_anchors(2.0, 1.3 + k * 1e-5, 140.0, 280.0)
+            jobs = [JobBudgetRequest("a", 2, model, 140.0, 280.0), steady]
+            p.observe(now, 3000.0)
+            p.dispatch(now, jobs, 600.0, {"a": None, "b": None})
+            p.rebuild(now, jobs, observed_target=3000.0, idle_power=100.0,
+                      reserved=0.0, correction=0.0)
+            alive.append(weakref.ref(model))
+            del model, jobs
+            alive = [ref for ref in alive if ref() is not None]
+            assert len(alive) == 1, k
+        assert p.plans_built == 5000
