@@ -10,7 +10,8 @@ cocktails through the audited manager and requires every online invariant
 monitor to stay silent.
 """
 
-from repro.experiments.resilience import format_drill, run_drill, score
+from repro.experiments.resilience import format_drill, run_drill
+from repro.experiments.scorecard import score
 
 
 def test_byzantine_drill_scorecard(benchmark, report):
@@ -19,7 +20,7 @@ def test_byzantine_drill_scorecard(benchmark, report):
         rounds=1,
         iterations=1,
     )
-    card = score("byzantine", result)
+    card = score("byzantine", result.metrics)
     m = result.metrics
     assert card.all_passed, card.render()
 
@@ -39,11 +40,11 @@ def test_byzantine_drill_scorecard(benchmark, report):
 
 def test_chaos_soak_invariants_hold(benchmark, report):
     result = benchmark.pedantic(
-        lambda: run_drill("soak", seconds=45.0, seed=7),
+        lambda: run_drill("soak", episodes=180, seed=7),
         rounds=1,
         iterations=1,
     )
-    card = score("soak", result)
+    card = score("soak", result.metrics)
     m = result.metrics
     assert m["total_faults"] > 0
     assert card.all_passed, card.render()

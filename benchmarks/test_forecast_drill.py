@@ -11,7 +11,8 @@ failing is a hard test failure (and a nonzero
 ``anor resilience --drill forecast`` exit).
 """
 
-from repro.experiments.resilience import format_drill, run_drill, score
+from repro.experiments.resilience import format_drill, run_drill
+from repro.experiments.scorecard import score
 
 
 def test_forecast_drill_scorecard(benchmark, report):
@@ -20,7 +21,7 @@ def test_forecast_drill_scorecard(benchmark, report):
         rounds=1,
         iterations=1,
     )
-    card = score("forecast", result)
+    card = score("forecast", result.metrics)
     m = result.metrics
     assert card.all_passed, card.render()
 

@@ -9,7 +9,8 @@ ceiling, live jobs reconciled warm, and the power trace re-converging
 within the documented bound.
 """
 
-from repro.experiments.resilience import format_drill, run_drill, score
+from repro.experiments.resilience import format_drill, run_drill
+from repro.experiments.scorecard import score
 
 
 def test_headnode_crash_recovery(benchmark, report):
@@ -20,7 +21,7 @@ def test_headnode_crash_recovery(benchmark, report):
         rounds=1,
         iterations=1,
     )
-    card = score("headnode", result)
+    card = score("headnode", result.metrics)
     m = result.metrics
     assert card.all_passed, card.render()
 

@@ -8,7 +8,8 @@ crash-requeued job must finish, and the 90th-percentile tracking error must
 stay within 1.5x of the fault-free run of the identical workload.
 """
 
-from repro.experiments.resilience import format_drill, run_drill, score
+from repro.experiments.resilience import format_drill, run_drill
+from repro.experiments.scorecard import score
 
 
 def test_resilience_standard_fault_load(benchmark, report):
@@ -17,7 +18,7 @@ def test_resilience_standard_fault_load(benchmark, report):
         rounds=1,
         iterations=1,
     )
-    card = score("faults", result)
+    card = score("faults", result.metrics)
     m = result.metrics
     assert m["requeued"], "standard load's node crash should kill a job"
     assert card.all_passed, card.render()

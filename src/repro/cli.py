@@ -97,10 +97,10 @@ def _fig11(quick: bool, seed: int, csv_path: str | None = None) -> str:
 def _drill(name: str, quick: bool, seed: int | None, **params) -> tuple[str, bool]:
     """Run one resilience drill; returns its report and whether every claim
     held.  ``seed=None`` keeps the drill's own calibrated default seed."""
-    from repro.experiments import resilience
+    from repro.experiments import resilience, scorecard
 
     result = resilience.run_drill(name, quick=quick, seed=seed, **params)
-    card = resilience.score(name, result)
+    card = scorecard.score(name, result.metrics)
     return f"{resilience.format_drill(result)}\n\n{card.render()}", card.all_passed
 
 
@@ -348,31 +348,17 @@ def _run_trace_summary(path: str) -> tuple[str, int]:
 
     from repro.telemetry.schema import summarize_trace, validate_trace
 
-    records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            records.append(json.loads(line))
+        records = [json.loads(line) for line in fh]
     errors = validate_trace(records)
     summary = summarize_trace(records)
     lines = [
         f"records   : {summary['records']}",
         f"time range: t={summary['t_min']} .. t={summary['t_max']}",
-        "spans     : "
-        + (
-            ", ".join(f"{k}×{v}" for k, v in sorted(summary["spans"].items()))
-            or "(none)"
-        ),
-        "events    : "
-        + (
-            ", ".join(f"{k}×{v}" for k, v in sorted(summary["events"].items()))
-            or "(none)"
-        ),
-        "incidents : "
-        + (
-            ", ".join(f"{k}×{v}" for k, v in sorted(summary["incidents"].items()))
-            or "(none)"
-        ),
     ]
+    for key in ("spans", "events", "incidents"):
+        counts = ", ".join(f"{k}×{v}" for k, v in sorted(summary[key].items()))
+        lines.append(f"{key:<10}: {counts or '(none)'}")
     if errors:
         lines.append(f"INVALID: {len(errors)} schema error(s), first: {errors[0]}")
     else:
@@ -436,10 +422,10 @@ def main(argv: list[str] | None = None) -> int:
                 "checkpoints (default 30)",
             )
             p.add_argument(
-                "--seconds",
-                type=float,
+                "--episodes",
+                type=int,
                 default=None,
-                help="soak drill: wall-clock budget (default 60)",
+                help="soak drill: number of seeded episodes (default 240)",
             )
         if name == "all":
             p.add_argument("--seed", type=int, default=0)
@@ -500,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
 
         given = {
             k: v
-            for k in ("checkpoint_dir", "checkpoint_period", "seconds")
+            for k in ("checkpoint_dir", "checkpoint_period", "episodes")
             if (v := getattr(args, k)) is not None
         }
         stray = [k for k in given if k not in SCENARIOS[args.drill].params]

@@ -570,7 +570,9 @@ class ClusterPowerManager:
     def _read_meter(self, rnd: BudgetRound) -> None:
         measured, target = rnd.measured, rnd.target
         if math.isfinite(measured):
-            if self.correction_gain > 0:
+            # Only a round that budgets a job moves the draw the trim corrects:
+            # integrating an empty one winds the trim up against idle power.
+            if self.correction_gain > 0 and rnd.occupied:
                 # No NaN reaches the clamp: the meter is finite here, and the
                 # target is finite and positive (the hold-last-good filter,
                 # lowered at most to the shed ladder's ceiling of earlier

@@ -8,29 +8,29 @@ faults they take or the layer being switched on, and comparing them.
 
 A drill is a :class:`Scenario` value: a workload, a target, common
 :class:`~repro.core.framework.AnorConfig` overrides, named arms, default and
-``--quick`` parameters, a ``metrics(arms, params) -> dict`` function and
-claims as predicates over that dict.  :func:`run_drill` builds every arm and
-drains it with ``AnorSystem.run``, :func:`format_drill` prints any result's
-parameters and metrics and :func:`score` checks its claims.  Every
+``--quick`` parameters and a ``metrics(arms, params) -> dict`` function;
+its claims are its rows of ``scorecard.CLAIMS``, predicates over that dict.
+:func:`run_drill` builds every arm and drains it with ``AnorSystem.run``,
+:func:`format_drill` prints any result's parameters and metrics and
+``scorecard.score(name, res.metrics)`` checks its claims.  Every
 measurement a metric takes of a run (tracking error, re-convergence,
 overshoot, lost jobs, the round monitor every arm carries) is
 :mod:`repro.invariants`'; a drill only picks the runs and the bounds.
 
-Adding a drill means adding one ``Scenario`` to :data:`SCENARIOS`: the CLI
-(``anor resilience --drill NAME``) and the golden test in
-``tests/test_drills.py`` take their names from it, and CI's ``drills`` job
-is a matrix over the same names.
+Adding a drill means adding one ``Scenario`` to :data:`SCENARIOS` and its
+rows to ``CLAIMS``: the CLI (``anor resilience --drill NAME``) and the golden
+test in ``tests/test_drills.py`` take their names from it, and CI's
+``drills`` job is a matrix over the same names.
 """
 
 from __future__ import annotations
 
 import math
 import tempfile
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from repro.experiments.fig9 import (
     DEFAULT_RESERVE,
     build_demand_response_system,
 )
-from repro.experiments.scorecard import Claim, Scorecard, evaluate
 from repro.facility.shed import RAMP_WATTS_PER_ROUND
 from repro.faults.events import (
     ByzantineModel,
@@ -97,7 +96,6 @@ __all__ = [
     "SCENARIOS",
     "run_drill",
     "format_drill",
-    "score",
 ]
 
 
@@ -146,10 +144,9 @@ class Scenario:
     doc: str
     workload: str  # key of _UTILIZATION
     params: Mapping  # defaults, including ``seed`` and ``duration``
-    quick: Mapping  # overrides applied by ``--quick``
-    arms: Mapping[str, Arm] | Callable[[dict], Iterable[tuple[str, Arm]]]
+    arms: Mapping[str, Arm] | Callable[[dict], Mapping[str, Arm]]
     metrics: Callable[[dict[str, ArmRun], dict], dict]
-    claims: tuple[tuple[str, Callable[[dict], bool]], ...]
+    quick: Mapping = field(default_factory=dict)  # overrides applied by ``--quick``
     config: Callable[[dict], dict] = lambda p: {}
     # None: the Fig. 9 regulation target the system builder makes itself.
     target: Callable[[dict], PowerTargetSource | None] = lambda p: None
@@ -160,8 +157,8 @@ class Scenario:
     # pass before it is evicted, so ghosts can only be counted afterwards.
     settle: bool = False
     # Applied to each arm as soon as it drains; ``metrics`` then sees what it
-    # returned instead of the ``ArmRun``.  For a scenario with an open-ended
-    # number of arms, so that their live systems are not all kept.
+    # returned instead of the ``ArmRun``.  For a scenario with many arms, so
+    # that their live systems are not all kept.
     reduce: Callable[[ArmRun, dict], object] | None = None
 
 
@@ -204,6 +201,8 @@ def run_drill(
     p = {**scenario.params, **(scenario.quick if quick else {}), **params}
     if seed is not None:
         p["seed"] = seed
+    # Built first, so that a scenario checks its parameters before any run.
+    arms = scenario.arms(p) if callable(scenario.arms) else scenario.arms
     target = scenario.target(p)
     common = {
         "num_nodes": _NODES,
@@ -213,10 +212,9 @@ def run_drill(
         "telemetry_enabled": True,
         **scenario.config(p),
     }
-    arms = scenario.arms(p) if callable(scenario.arms) else scenario.arms.items()
     runs: dict = {}
     with ExitStack() as stack:
-        for arm_name, arm in arms:
+        for arm_name, arm in arms.items():
             cfg = {**common, **arm.config}
             if "checkpoint_dir" in cfg:
                 # A durable scenario: every arm checkpoints (so the cost of
@@ -284,12 +282,6 @@ def _text(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(map(_text, value)) + "]"
     return str(value)
-
-
-def score(name: str, res: DrillRun) -> Scorecard:
-    """Evaluate scenario ``name``'s claims over a result's metrics."""
-    claims = [Claim(name, text, check) for text, check in SCENARIOS[name].claims]
-    return evaluate(claims, res.metrics)
 
 
 def _ids(result: AnorResult) -> set[str]:
@@ -383,18 +375,6 @@ _FAULTS = Scenario(
     },
     settle=True,
     metrics=_faults_metrics,
-    claims=(
-        ("faulted run drains every submitted job",
-         lambda m: m["unstarted_faulted"] == 0),
-        ("jobs requeued by the node crash all finish",
-         lambda m: m["requeued_completed"]),
-        ("no ghost job records survive the drain",
-         lambda m: m["ghost_jobs"] == 0),
-        ("every fault fired and every fault window closed",
-         lambda m: m["injector_quiescent"]),
-        ("tracking error stays within 1.5x of healthy (90th pct)",
-         lambda m: m["degradation_ratio"] <= 1.5),
-    ),
 )
 
 
@@ -464,21 +444,6 @@ _HEADNODE = Scenario(
         ),
     },
     metrics=_headnode_metrics,
-    claims=(
-        ("planned draw never exceeds the budget ceiling, during or after "
-         "recovery",
-         lambda m: m["rounds_over_ceiling"] == 0),
-        ("no job the golden run completed is lost to the outage",
-         lambda m: not m["lost_jobs"]),
-        ("no job is admitted twice across the restart",
-         lambda m: not m["double_admitted"]),
-        ("surviving jobs reconcile warm (re-HELLO merges checkpointed state)",
-         lambda m: m["recovery_merges"] > 0),
-        ("the power trace re-converges to the golden run within 120 s of "
-         "restart",
-         lambda m: m["convergence_time"] is not None
-         and m["convergence_time"] <= 120.0),
-    ),
 )
 
 
@@ -580,21 +545,6 @@ _PARTITION = Scenario(
         ),
     },
     metrics=_partition_metrics,
-    claims=(
-        ("over-limit power is bounded by lease_ttl + ramp (+ slack) — the "
-         "dead-man switch fired",
-         lambda m: m["overshoot_seconds"] <= m["overshoot_bound"]),
-        ("endpoints entered degraded autonomy during the partition",
-         lambda m: m["degraded_endpoints"] > 0),
-        ("the reliable layer declared the partition and its heal",
-         lambda m: m["partitions_detected"] > 0 and m["partitions_healed"] > 0),
-        ("no job the golden run completed is lost to the partition",
-         lambda m: not m["lost_jobs"]),
-        ("every fault fired and every fault window closed",
-         lambda m: m["injector_quiescent"]),
-        ("tracking re-converges to the golden run after the heal",
-         lambda m: m["convergence_time"] is not None),
-    ),
 )
 
 
@@ -605,7 +555,6 @@ _PARTITION = Scenario(
 _ROGUE_KINDS = ("stuck-actuator", "byzantine-model", "meter-drift")
 
 _BYZ_SETTLE = 45.0  # s after the last quarantine before power must be back
-_BYZ_DETECTION_BOUND = 60.0  # s from fault fire to quarantine
 _BYZ_REHAB_BOUND = 150.0  # s from actuator heal to trusted again
 
 
@@ -721,33 +670,6 @@ _BYZANTINE = Scenario(
         "attacked_off": Arm(faults=_byzantine_attack),
     },
     metrics=_byzantine_metrics,
-    claims=(
-        ("a fault-free run with auditing on never quarantines anyone (zero "
-         "false positives)",
-         lambda m: m["false_quarantines_clean"] == 0),
-        ("every rogue endpoint is quarantined",
-         lambda m: not m["missed_victims"] and len(m["victims"]) >= 3),
-        ("detection latency stays under the bound for every victim",
-         lambda m: all(
-             lat <= _BYZ_DETECTION_BOUND
-             for lat in m["detection_latencies"].values()
-         )),
-        ("no honest job is quarantined during the attack",
-         lambda m: not m["collateral_quarantines"]),
-        ("with auditing on, facility power settles back under target after "
-         "the last quarantine",
-         lambda m: m["on_settled_mean"] <= 0.01 * m["target_power"]),
-        ("with auditing off, the attack sustains facility overshoot (the "
-         "contrast the auditor removes)",
-         lambda m: m["off_detect_mean"] >= 0.03 * m["target_power"]),
-        ("auditing cuts over-target energy by ≥ 1.5x",
-         lambda m: m["off_total_energy"] >= 1.5 * m["on_total_energy"]),
-        ("the healed actuator's job re-earns trust within the rehabilitation "
-         "bound",
-         lambda m: m["rehabilitated"]),
-        ("victims whose faults never heal stay quarantined",
-         lambda m: m["unhealed_still_quarantined"]),
-    ),
 )
 
 
@@ -756,16 +678,6 @@ _BYZANTINE = Scenario(
 #: Bound on :func:`~repro.invariants.calm_overshoot`, as a fraction of
 #: target: fault-free runs stay under ~3 % of target on its 60 s mean.
 _SOAK_SUSTAINED_EXCESS = 0.05
-_SOAK_MAX_EPISODES = 1000
-
-#: Beyond the three rogue-endpoint faults, a job may legitimately end up
-#: quarantined during a soak after an endpoint crash (the endpoint goes
-#: silent, its stale self-report diverges from metered truth, and
-#: quarantining it at metered power is the designed response, not collateral
-#: damage) or a corrupt status (which can ship a fabricated model) — that is,
-#: after any job-targeted fault, which is what ``FaultInjector.victims``
-#: records.
-
 
 #: The soak's fault mix: each template's rate (events per simulated second),
 #: every fault finite, so each episode heals before it drains.
@@ -781,24 +693,20 @@ SOAK_FAULTS = {
 }
 
 
-def _soak_arms(p: dict) -> Iterable[tuple[str, Arm]]:
-    """Fresh seeded episodes until ``seconds`` of wall clock are spent
-    (always at least one)."""
-    if p["seconds"] <= 0:
-        raise ValueError(f"seconds must be positive, got {p['seconds']}")
-    if p["duration"] <= 0:
-        raise ValueError(f"duration must be positive, got {p['duration']}")
-    start_wall = time.monotonic()
-    for i in range(_SOAK_MAX_EPISODES):
-        if i and time.monotonic() - start_wall >= p["seconds"]:
-            break
-        seed = p["seed"] + i
-        yield f"seed={seed}", Arm(
+def _soak_arms(p: dict) -> dict[str, Arm]:
+    """One episode per seed ``seed``, ``seed + 1`` ... for ``episodes``."""
+    episodes = p["episodes"]
+    if isinstance(episodes, bool) or not isinstance(episodes, int) or episodes < 1:
+        raise ValueError(f"episodes must be a positive integer, got {episodes!r}")
+    return {
+        f"seed={seed}": Arm(
             config={"seed": seed},
             faults=lambda p, seed=seed: FaultSchedule.random(
                 p["duration"], seed=seed, num_nodes=_NODES, rates=SOAK_FAULTS
             ),
         )
+        for seed in range(p["seed"], p["seed"] + episodes)
+    }
 
 
 def _soak_violations(run: ArmRun, p: dict) -> list[str]:
@@ -816,6 +724,8 @@ def _soak_violations(run: ArmRun, p: dict) -> list[str]:
     ghosts = ghost_records(system)
     if ghosts:
         violations.append(f"seed={seed} drain: {ghosts} ghost records")
+    # An endpoint crash or a corrupt status may rightly get its job quarantined
+    # too: collateral is a quarantine of a job no fault targeted.
     collateral = collateral_quarantines(system)
     if collateral:
         violations.append(f"seed={seed} collateral quarantine: {collateral}")
@@ -850,10 +760,10 @@ def _soak_metrics(arms: dict[str, dict], p: dict) -> dict:
 
 
 _SOAK = Scenario(
-    doc="""A wall-clock-budgeted randomized fault soak of the trust boundary.
+    doc="""A randomized fault soak of the trust boundary, ``episodes`` long.
 
     Each episode (one arm per seed, ``seed``, ``seed + 1`` ... for
-    ``seconds`` of wall clock, ``duration`` simulated seconds each) drives a
+    ``episodes`` seeds, ``duration`` simulated seconds each) drives a
     fresh seeded system under a :meth:`~repro.faults.FaultSchedule.random`
     mix (rogue endpoints, node and endpoint crashes, corrupt statuses, meter
     outages — all finite duration) with auditing on, and checks online
@@ -871,25 +781,15 @@ _SOAK = Scenario(
     params={
         "seed": 7,
         "duration": 600.0,
-        "seconds": 60.0,
+        "episodes": 240,
         "target_power": _NODES * 180.0,
     },
-    quick={},
     target=lambda p: ConstantTarget(p["target_power"]),
     config=lambda p: {"audit_enabled": True},
     arms=_soak_arms,
     settle=True,
     reduce=_soak_episode,
     metrics=_soak_metrics,
-    claims=(
-        ("at least one randomized episode ran to drain",
-         lambda m: len(m["episodes"]) >= 1),
-        ("the fault mix actually exercised the trust boundary",
-         lambda m: m["quarantines"] > 0),
-        ("no online invariant was violated in any episode (budget "
-         "conservation, bounded overshoot, drain, no collateral quarantine)",
-         lambda m: bool(m["episodes"]) and not m["violations"]),
-    ),
 )
 
 
@@ -1005,30 +905,6 @@ _FORECAST = Scenario(
         ),
     },
     metrics=_forecast_metrics,
-    claims=(
-        ("predictive planning strictly improves tracking (90th pct error "
-         "ratio < 1)",
-         lambda m: m["tracking_ratio"] < 1.0),
-        ("hysteresis + plan warm starts reduce cap rewrites vs the reactive "
-         "seed",
-         lambda m: m["predictive_rewrites"] < m["reactive_rewrites"]),
-        ("predictive planned draw never exceeds the budget ceiling",
-         lambda m: m["predictive_violations"] == 0),
-        ("even a deliberately wrong forecast never pushes planned draw over "
-         "the ceiling (envelope clamp)",
-         lambda m: m["adversarial_violations"] == 0),
-        ("the adversarial forecaster trips fallback within the configured "
-         "error window",
-         lambda m: m["adversarial_fallbacks"] > 0
-         and m["fallback_latency"] is not None
-         and m["fallback_latency"] <= m["fallback_latency_bound"]),
-        ("the exact schedule forecaster never trips fallback",
-         lambda m: m["predictive_fallbacks"] == 0),
-        ("all three arms drain the same workload",
-         lambda m: m["reactive_completed"] == m["predictive_completed"]
-         == m["adversarial_completed"]
-         and m["reactive_unstarted"] == 0),
-    ),
 )
 
 
@@ -1151,7 +1027,6 @@ _SHED = Scenario(
         "duration": 900.0,
         "target_power": _NODES * 180.0,
     },
-    quick={},
     target=lambda p: ConstantTarget(p["target_power"]),
     config=lambda p: {
         "shed_enabled": True,
@@ -1162,35 +1037,6 @@ _SHED = Scenario(
         "incident": Arm(faults=lambda p: FaultSchedule(list(_SHED_INCIDENTS))),
     },
     metrics=_shed_metrics,
-    claims=(
-        ("every rung of the ladder fired: preempts, kills, and ramped "
-         "restores all occurred under the staggered incidents",
-         lambda m: m["preempts"] > 0 and m["kills"] > 0 and m["restores"] > 0),
-        ("protected jobs are never preempted or killed",
-         lambda m: not m["protected_shed"]),
-        ("shed ordering is respected: kills hit only the preemptible class, "
-         "preempts never reach the protected class",
-         lambda m: not m["kill_order_violations"]
-         and not m["preempt_order_violations"]),
-        ("no job is shed twice within one incident episode",
-         lambda m: not m["double_shed"]),
-        ("the recovery ceiling ramps back at no more than the configured "
-         "watts per round",
-         lambda m: m["max_ramp_step"] <= m["ramp_bound"]),
-        ("severity does not flap: at most one escalation per scheduled "
-         "incident (plus slack), and the run ends at normal",
-         lambda m: m["escalations"] <= m["flap_bound"]
-         and m["recovered_to_normal"]),
-        ("every preempted job completes after recovery (or is legitimately "
-         "killed by a deeper rung)",
-         lambda m: not m["preempted_unaccounted"]),
-        ("every protected job runs to completion",
-         lambda m: not m["protected_incomplete"]),
-        ("the golden arm (same knobs, no incidents) never sheds",
-         lambda m: m["golden_clean"]),
-        ("every fault window closed (injector quiescent)",
-         lambda m: m["injector_quiescent"]),
-    ),
 )
 
 

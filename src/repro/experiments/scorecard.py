@@ -1,4 +1,4 @@
-"""Reproduction scorecard: the paper's claims, stated once.
+"""Reproduction scorecard: the paper's claims and the drills', stated once.
 
 Each figure's qualitative claims ("who wins, by roughly what factor, where
 crossovers fall") are named :class:`Claim` predicates over the figure's
@@ -8,12 +8,16 @@ table.  Every figure bench under ``benchmarks/`` asserts its card and
 nothing else, so a row here is the only statement of what reproducing that
 figure means.  The bounds hold at the benches' parameters; the smaller
 ``--quick`` runs of the ``anor`` CLI are not held to them.
+
+Each resilience drill's rows are keyed by its name and read its metrics
+dict; they hold at the drill's calibrated default seed, full length and
+``--quick``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from repro.analysis.tracking import TrackingConstraint
 from repro.aqa.qos import QoSConstraint, wait_exec_ratio_percentile
 from repro.experiments.fig5 import worst_excess_slowdown
 
-__all__ = ["CLAIMS", "Claim", "ClaimOutcome", "Scorecard", "evaluate", "score"]
+__all__ = ["CLAIMS", "Claim", "ClaimOutcome", "Scorecard", "score"]
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,6 @@ class Scorecard:
             suffix = f"  [{o.error}]" if o.error else ""
             rows.append(f"  [{mark}] {o.claim.figure}: {o.claim.statement}{suffix}")
         return "\n".join(rows)
-
-
-def evaluate(claims: Sequence[Claim], result: object) -> Scorecard:
-    return Scorecard([c.evaluate(result) for c in claims])
 
 
 # --------------------------------------------------------------------- fig 3
@@ -290,7 +290,150 @@ QOS_CLAIMS = (
 )
 
 
-#: Every figure's rows, by the ``anor`` command that regenerates it.
+# ------------------------------------------------------------------ drills
+# Each row reads the metrics dict of one ``resilience.run_drill`` result.
+
+FAULTS_CLAIMS = (
+    Claim("faults", "faulted run drains every submitted job",
+          lambda m: m["unstarted_faulted"] == 0),
+    Claim("faults", "jobs requeued by the node crash all finish",
+          lambda m: m["requeued_completed"]),
+    Claim("faults", "no ghost job records survive the drain",
+          lambda m: m["ghost_jobs"] == 0),
+    Claim("faults", "every fault fired and every fault window closed",
+          lambda m: m["injector_quiescent"]),
+    Claim("faults", "tracking error stays within 1.5x of healthy (90th pct)",
+          lambda m: m["degradation_ratio"] <= 1.5),
+)
+
+HEADNODE_CLAIMS = (
+    Claim("headnode", "planned draw never exceeds the budget ceiling, during "
+          "or after recovery",
+          lambda m: m["rounds_over_ceiling"] == 0),
+    Claim("headnode", "no job the golden run completed is lost to the outage",
+          lambda m: not m["lost_jobs"]),
+    Claim("headnode", "no job is admitted twice across the restart",
+          lambda m: not m["double_admitted"]),
+    Claim("headnode", "surviving jobs reconcile warm (re-HELLO merges "
+          "checkpointed state)",
+          lambda m: m["recovery_merges"] > 0),
+    Claim("headnode", "the power trace re-converges to the golden run within "
+          "120 s of restart",
+          lambda m: m["convergence_time"] is not None
+          and m["convergence_time"] <= 120.0),
+)
+
+PARTITION_CLAIMS = (
+    Claim("partition", "over-limit power is bounded by lease_ttl + ramp "
+          "(+ slack) — the dead-man switch fired",
+          lambda m: m["overshoot_seconds"] <= m["overshoot_bound"]),
+    Claim("partition", "endpoints entered degraded autonomy during the partition",
+          lambda m: m["degraded_endpoints"] > 0),
+    Claim("partition", "the reliable layer declared the partition and its heal",
+          lambda m: m["partitions_detected"] > 0 and m["partitions_healed"] > 0),
+    Claim("partition", "no job the golden run completed is lost to the partition",
+          lambda m: not m["lost_jobs"]),
+    Claim("partition", "every fault fired and every fault window closed",
+          lambda m: m["injector_quiescent"]),
+    Claim("partition", "tracking re-converges to the golden run after the heal",
+          lambda m: m["convergence_time"] is not None),
+)
+
+_BYZ_DETECTION_BOUND = 60.0  # s from fault fire to quarantine
+
+BYZANTINE_CLAIMS = (
+    Claim("byzantine", "a fault-free run with auditing on never quarantines "
+          "anyone (zero false positives)",
+          lambda m: m["false_quarantines_clean"] == 0),
+    Claim("byzantine", "every rogue endpoint is quarantined",
+          lambda m: not m["missed_victims"] and len(m["victims"]) >= 3),
+    Claim("byzantine", "detection latency stays under the bound for every victim",
+          lambda m: all(lat <= _BYZ_DETECTION_BOUND
+                        for lat in m["detection_latencies"].values())),
+    Claim("byzantine", "no honest job is quarantined during the attack",
+          lambda m: not m["collateral_quarantines"]),
+    Claim("byzantine", "with auditing on, facility power settles back under "
+          "target after the last quarantine",
+          lambda m: m["on_settled_mean"] <= 0.01 * m["target_power"]),
+    Claim("byzantine", "with auditing off, the attack sustains facility "
+          "overshoot (the contrast the auditor removes)",
+          lambda m: m["off_detect_mean"] >= 0.03 * m["target_power"]),
+    Claim("byzantine", "auditing cuts over-target energy by ≥ 1.5x",
+          lambda m: m["off_total_energy"] >= 1.5 * m["on_total_energy"]),
+    Claim("byzantine", "the healed actuator's job re-earns trust within the "
+          "rehabilitation bound",
+          lambda m: m["rehabilitated"]),
+    Claim("byzantine", "victims whose faults never heal stay quarantined",
+          lambda m: m["unhealed_still_quarantined"]),
+)
+
+SOAK_CLAIMS = (
+    Claim("soak", "at least one randomized episode ran to drain",
+          lambda m: len(m["episodes"]) >= 1),
+    Claim("soak", "the fault mix actually exercised the trust boundary",
+          lambda m: m["quarantines"] > 0),
+    Claim("soak", "no online invariant was violated in any episode (budget "
+          "conservation, bounded overshoot, drain, no collateral quarantine)",
+          lambda m: bool(m["episodes"]) and not m["violations"]),
+)
+
+FORECAST_CLAIMS = (
+    Claim("forecast", "predictive planning strictly improves tracking (90th "
+          "pct error ratio < 1)",
+          lambda m: m["tracking_ratio"] < 1.0),
+    Claim("forecast", "hysteresis + plan warm starts reduce cap rewrites vs "
+          "the reactive seed",
+          lambda m: m["predictive_rewrites"] < m["reactive_rewrites"]),
+    Claim("forecast", "predictive planned draw never exceeds the budget ceiling",
+          lambda m: m["predictive_violations"] == 0),
+    Claim("forecast", "even a deliberately wrong forecast never pushes planned "
+          "draw over the ceiling (envelope clamp)",
+          lambda m: m["adversarial_violations"] == 0),
+    Claim("forecast", "the adversarial forecaster trips fallback within the "
+          "configured error window",
+          lambda m: m["adversarial_fallbacks"] > 0
+          and m["fallback_latency"] is not None
+          and m["fallback_latency"] <= m["fallback_latency_bound"]),
+    Claim("forecast", "the exact schedule forecaster never trips fallback",
+          lambda m: m["predictive_fallbacks"] == 0),
+    Claim("forecast", "all three arms drain the same workload",
+          lambda m: m["reactive_completed"] == m["predictive_completed"]
+          == m["adversarial_completed"] and m["reactive_unstarted"] == 0),
+)
+
+SHED_CLAIMS = (
+    Claim("shed", "every rung of the ladder fired: preempts, kills, and "
+          "ramped restores all occurred under the staggered incidents",
+          lambda m: m["preempts"] > 0 and m["kills"] > 0 and m["restores"] > 0),
+    Claim("shed", "protected jobs are never preempted or killed",
+          lambda m: not m["protected_shed"]),
+    Claim("shed", "shed ordering is respected: kills hit only the preemptible "
+          "class, preempts never reach the protected class",
+          lambda m: not m["kill_order_violations"]
+          and not m["preempt_order_violations"]),
+    Claim("shed", "no job is shed twice within one incident episode",
+          lambda m: not m["double_shed"]),
+    Claim("shed", "the recovery ceiling ramps back at no more than the "
+          "configured watts per round",
+          lambda m: m["max_ramp_step"] <= m["ramp_bound"]),
+    Claim("shed", "severity does not flap: at most one escalation per "
+          "scheduled incident (plus slack), and the run ends at normal",
+          lambda m: m["escalations"] <= m["flap_bound"]
+          and m["recovered_to_normal"]),
+    Claim("shed", "every preempted job completes after recovery (or is "
+          "legitimately killed by a deeper rung)",
+          lambda m: not m["preempted_unaccounted"]),
+    Claim("shed", "every protected job runs to completion",
+          lambda m: not m["protected_incomplete"]),
+    Claim("shed", "the golden arm (same knobs, no incidents) never sheds",
+          lambda m: m["golden_clean"]),
+    Claim("shed", "every fault window closed (injector quiescent)",
+          lambda m: m["injector_quiescent"]),
+)
+
+
+#: Every figure's rows, by the ``anor`` command that regenerates it, and
+#: every drill's, by its ``anor resilience --drill`` name.
 CLAIMS: dict[str, tuple[Claim, ...]] = {
     "fig3": FIG3_CLAIMS,
     "fig4": FIG4_CLAIMS,
@@ -302,9 +445,17 @@ CLAIMS: dict[str, tuple[Claim, ...]] = {
     "fig10": FIG10_CLAIMS,
     "fig11": FIG11_CLAIMS,
     "qos": QOS_CLAIMS,
+    "faults": FAULTS_CLAIMS,
+    "headnode": HEADNODE_CLAIMS,
+    "partition": PARTITION_CLAIMS,
+    "byzantine": BYZANTINE_CLAIMS,
+    "soak": SOAK_CLAIMS,
+    "forecast": FORECAST_CLAIMS,
+    "shed": SHED_CLAIMS,
 }
 
 
-def score(figure: str, result) -> Scorecard:
-    """Evaluate ``figure``'s rows of :data:`CLAIMS` over its result."""
-    return evaluate(CLAIMS[figure], result)
+def score(name: str, result) -> Scorecard:
+    """Evaluate ``name``'s rows of :data:`CLAIMS` over its result: a figure's
+    experiment result, or a drill's metrics dict."""
+    return Scorecard([claim.evaluate(result) for claim in CLAIMS[name]])

@@ -86,15 +86,15 @@ class TestResilienceDrills:
         seen = _stub_drill(monkeypatch, ok=True)
         for argv in (
             ["--drill", "partition", "--checkpoint-dir", "ckpt"],
-            ["--drill", "faults", "--seconds", "5"],
-            ["--seconds", "5"],
+            ["--drill", "faults", "--episodes", "5"],
+            ["--episodes", "5"],
         ):
             with pytest.raises(SystemExit) as exit_:
                 main(["resilience", "--quick", *argv])
             assert exit_.value.code == 2
             assert "not an option of --drill" in capsys.readouterr().err
         assert seen == []
-        assert main(["resilience", "--drill", "soak", "--seconds", "5"]) == 0
+        assert main(["resilience", "--drill", "soak", "--episodes", "5"]) == 0
         assert seen == ["soak"]
 
     def test_a_seed_sweep_runs_the_named_drill_and_fails_on_any_seed(

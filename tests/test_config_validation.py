@@ -17,9 +17,11 @@ only spell fields that exist (``test_docs_spell_only_real_fields``).
 The fault-schedule builders take no shape knobs either: a fault mix is a
 mapping from event templates to rates (``test_fault_builders_take_no_shapes``).
 
-Run as a script, this file prints the two knob counts, the closed choice
-sets a field picks from with their sizes, the fault builders' keyword options
-and the source sizes the ROADMAP north star quotes, for a CI summary.
+Run as a script, this file prints the two knob counts, the fields no run
+sets (a run is ``src/`` or ``benchmarks/``, as for the constructor count),
+the closed choice sets a field picks from with their sizes, the fault
+builders' keyword options and the source sizes the ROADMAP north star
+quotes, for a CI summary.
 """
 
 import ast
@@ -124,6 +126,20 @@ def _config_keys_passed(tree: ast.Module):
             continue
         if FIELDS.issuperset(keys):
             yield from keys
+
+
+def fields_set_under(tops) -> set[str]:
+    """:class:`AnorConfig` fields passed somewhere under the directories
+    ``tops`` — this file and ``AnorConfig``'s own range-check tables aside."""
+    passed = set()
+    for top in tops:
+        for path in (ROOT / top).rglob("*.py"):
+            if path == Path(__file__):
+                continue
+            tree = ast.parse(path.read_text())
+            tree.body = [n for n in tree.body if getattr(n, "name", "") != "AnorConfig"]
+            passed.update(_config_keys_passed(tree))
+    return passed
 
 
 def _name(node) -> str | None:
@@ -301,18 +317,7 @@ class TestConfigValidation:
         matrix has to cover for nobody: every field must be passed somewhere
         in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/`` — this file
         and ``AnorConfig``'s own range-check tables aside."""
-        root = Path(__file__).parent.parent
-        passed = set()
-        for top in ("src", "benchmarks", "examples", "tests"):
-            for path in (root / top).rglob("*.py"):
-                if path == Path(__file__):
-                    continue
-                tree = ast.parse(path.read_text())
-                tree.body = [
-                    n for n in tree.body if getattr(n, "name", "") != "AnorConfig"
-                ]
-                passed.update(_config_keys_passed(tree))
-        unset = FIELDS - passed
+        unset = FIELDS - fields_set_under(("src", "benchmarks", "examples", "tests"))
         assert not unset, f"AnorConfig fields no run sets — delete them: {sorted(unset)}"
 
     def test_every_constructor_parameter_is_set_by_some_run(self):
@@ -373,6 +378,8 @@ def source_lines() -> dict[str, int]:
 if __name__ == "__main__":
     print(f"AnorConfig fields: {len(FIELDS)}; defaulted constructor parameters "
           f"of the classes AnorSystem builds: {constructor_knobs()[0]}")
+    print("AnorConfig fields no run (src/, benchmarks/) sets: "
+          + ", ".join(sorted(FIELDS - fields_set_under(("src", "benchmarks")))))
     print("Closed choice sets: " + "; ".join(
         f"{name} {len(kinds)} ({', '.join(kinds)})"
         for name, kinds in (("plan_forecaster kinds", FORECASTER_KINDS),

@@ -384,9 +384,21 @@ class TestTrackingAndCorrection:
 
     def test_correction_clamped(self):
         manager = make_manager(meter=lambda: 0.0, correction_gain=1.0)
+        connect_job(manager, "a", "bt", 2)
         for i in range(20):
             manager.step(float(i))
-        assert manager._correction <= CORRECTION_LIMIT_FRACTION * 840.0 + 1e-9
+        assert manager._correction == pytest.approx(CORRECTION_LIMIT_FRACTION * 840.0)
+
+    def test_empty_rounds_leave_the_trim_alone(self):
+        """A round that budgets no job integrates nothing, however far the
+        meter reads from the target; the first occupied round does."""
+        manager = make_manager(meter=lambda: 700.0, correction_gain=0.5)
+        for i in range(5):
+            manager.step(float(i))
+            assert manager._correction == 0.0
+        connect_job(manager, "a", "bt", 2, now=5.0)
+        manager.step(5.0)
+        assert manager._correction == 0.5 * (840.0 - 700.0)
 
 
 FINITE = st.one_of(
@@ -422,7 +434,7 @@ class TestTrimClamp:
         measured = target if measured == "target" else measured
         manager = make_manager(correction_gain=gain)
         manager._correction = trim
-        rnd = SimpleNamespace(time=0.0, measured=measured, target=target)
+        rnd = SimpleNamespace(time=0.0, measured=measured, target=target, occupied=True)
         manager._read_meter(rnd)
         want = float(np.clip(trim + gain * (target - measured), -limit, limit))
         assert _same_float(manager._correction, want)

@@ -21,19 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.resilience import (
-    SCENARIOS,
-    DrillRun,
-    format_drill,
-    run_drill,
-    score,
-)
+from repro.experiments.resilience import SCENARIOS, DrillRun, format_drill, run_drill
+from repro.experiments.scorecard import score
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "drills"
 
-#: The soak is wall-clock budgeted; a vanishing budget pins it to exactly
-#: one episode, which is deterministic.
-OVERRIDES = {"soak": {"seconds": 1e-9}}
+#: The golden soak is one episode long.
+OVERRIDES = {"soak": {"episodes": 1}}
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +44,7 @@ def drills():
 
 
 def record(res: DrillRun) -> dict:
-    card = score(res.name, res)
+    card = score(res.name, res.metrics)
     return {
         "metrics": res.metrics,
         "scorecard": [
@@ -90,7 +84,7 @@ def test_drill_matches_golden(name, drills):
 
 def test_every_quick_drill_passes_its_scorecard(drills):
     for name in SCENARIOS:
-        card = score(name, drills(name))
+        card = score(name, drills(name).metrics)
         assert card.all_passed, card.render()
 
 
@@ -116,12 +110,35 @@ def test_drill_scorecard_detects_breakage(drills):
         ),
     )
     metrics = SCENARIOS["headnode"].metrics(broken, res.params)
-    card = score("headnode", replace(res, arms=broken, metrics=metrics))
+    card = score("headnode", metrics)
     failed = {o.claim.statement for o in card.outcomes if not o.passed}
     assert any("lost to the outage" in s for s in failed), card.render()
     assert any("re-converges" in s for s in failed), card.render()
     # Claims about the untouched parts of the run still hold.
     assert any(o.passed for o in card.outcomes)
+
+
+def test_a_soak_is_fixed_by_its_seed_and_episode_count():
+    """The same seed and count give the same report, and a longer soak only
+    appends episodes."""
+    two = run_drill("soak", seed=3, episodes=2).metrics
+    assert json.dumps(two) == json.dumps(run_drill("soak", seed=3, episodes=2).metrics)
+    three = run_drill("soak", seed=3, episodes=3).metrics
+    assert three["episodes"][:2] == two["episodes"]
+    assert [ep["seed"] for ep in three["episodes"]] == [3, 4, 5]
+
+
+@pytest.mark.parametrize("episodes", [0, 1.5])
+def test_a_bad_episode_count_is_rejected_before_any_run(episodes, monkeypatch):
+    from repro.experiments import resilience
+
+    built = []
+    monkeypatch.setattr(
+        resilience, "build_demand_response_system", lambda **kw: built.append(kw)
+    )
+    with pytest.raises(ValueError, match="episodes must be a positive integer"):
+        run_drill("soak", episodes=episodes)
+    assert not built
 
 
 def test_unknown_parameter_rejected():

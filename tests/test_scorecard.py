@@ -9,6 +9,7 @@ from repro.cli import _COMMANDS
 from repro.core.framework import AnorResult
 from repro.experiments import fig4, fig5
 from repro.experiments.fig9 import Fig9Result
+from repro.experiments.resilience import SCENARIOS
 from repro.experiments.scorecard import CLAIMS, Claim, Scorecard, score
 
 BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
@@ -119,6 +120,13 @@ def test_every_figure_command_has_claims():
     assert {name for name in _COMMANDS if name.startswith("fig")} <= set(CLAIMS)
 
 
+def test_claims_are_the_figures_qos_and_the_drills():
+    """One table holds every claim: a key per figure command, ``qos`` and
+    one per drill, and nothing else."""
+    figures = {name for name in _COMMANDS if name.startswith("fig")}
+    assert set(CLAIMS) == figures | {"qos"} | set(SCENARIOS)
+
+
 def test_figure_benches_assert_only_their_scorecard():
     """A figure bench states no claim of its own: its one ``assert`` is on
     a ``scorecard.score(...)`` card, and every :data:`CLAIMS` entry is
@@ -153,4 +161,14 @@ def test_figure_benches_assert_only_their_scorecard():
                 and test.value.id in cards
             ), where
             scored.add(cards[test.value.id])
+    # Every drill's rows are scored by tests/test_drills.py, whose golden
+    # test runs once per SCENARIOS name and records ``score(name, metrics)``.
+    drills = ast.parse((Path(__file__).parent / "test_drills.py").read_text())
+    assert any(
+        isinstance(node, ast.ImportFrom)
+        and node.module == "repro.experiments.scorecard"
+        and "score" in {alias.name for alias in node.names}
+        for node in drills.body
+    )
+    scored |= set(SCENARIOS)
     assert scored == set(CLAIMS)
