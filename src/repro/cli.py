@@ -2,9 +2,9 @@
 
 Each subcommand regenerates one of the paper's figures and prints the
 paper-vs-measured comparison table.  Scaled-down runs (for quick checks) are
-available through ``--quick``.  ``--jobs N`` fans independent runs over N
-worker processes (see :mod:`repro.runner`); ``--seeds`` sweeps a figure over
-several seeds, one run per seed.
+available through ``--quick``.  ``--seeds`` sweeps a figure over several
+seeds, one run per seed; ``--jobs N`` fans those runs (or ``all``'s figures)
+over N worker processes (see :mod:`repro.runner`).
 """
 
 from __future__ import annotations
@@ -385,21 +385,21 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     _add_observability_commands(sub)
+    parsers = {}
     for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = parsers[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--quick", action="store_true", help="scaled-down run")
         p.add_argument(
             "--jobs",
             type=int,
             default=1,
-            help="worker processes for independent runs (default: serial)",
+            help="worker processes for all's figures or --seeds' runs (default: serial)",
         )
         if name in _EXPORTABLE:
             p.add_argument(
                 "--csv", default=None, help="also write the plotted series as CSV"
             )
         if name == "resilience":
-            drill_parser = p
             p.add_argument(
                 "--drill",
                 choices=_Drills(),
@@ -474,6 +474,8 @@ def main(argv: list[str] | None = None) -> int:
         table, code = _run_trace_summary(args.path)
         print(table)
         return code
+    if args.experiment != "all" and args.jobs > 1 and not args.seeds:
+        parsers[args.experiment].error(f"--jobs {args.jobs} needs --seeds")
     start = time.perf_counter()
     exit_code = 0
     if args.experiment == "all":
@@ -492,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         stray = [k for k in given if k not in SCENARIOS[args.drill].params]
         if stray:
             flags = ", ".join("--" + k.replace("_", "-") for k in stray)
-            drill_parser.error(f"{flags}: not an option of --drill {args.drill}")
+            parsers["resilience"].error(f"{flags}: not an option of --drill {args.drill}")
         if args.seeds:
             table, ok = _run_seed_sweep(
                 f"resilience --drill {args.drill}", _sweep_drill, _seed_list(parser, args.seeds),

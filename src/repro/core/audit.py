@@ -75,6 +75,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.telemetry import NULL_TELEMETRY
+from repro.workloads.nas import P_NODE_MAX, P_NODE_MIN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.round import BudgetRound, JobRecord
@@ -235,13 +236,9 @@ class CapComplianceAuditor:
         self,
         *,
         job_meter: JobMeter,
-        p_node_min: float,
-        p_node_max: float,
         telemetry=NULL_TELEMETRY,
     ) -> None:
         self.job_meter = job_meter
-        self.p_node_min = float(p_node_min)
-        self.p_node_max = float(p_node_max)
         self.telemetry = telemetry
         self._jobs: dict[str, _JobAudit] = {}
         self.transitions: list[TrustTransition] = []
@@ -446,7 +443,7 @@ class CapComplianceAuditor:
 
         # Meter cross-check: only while demonstrably active — relative
         # comparisons at idle/setup/teardown draw are meaningless.
-        if audit.reported and per_node >= self.p_node_min * 0.9:
+        if audit.reported and per_node >= P_NODE_MIN * 0.9:
             mean_rep = sum(audit.reported.values) / len(audit.reported)
             if abs(mean_rep - metered) > MISMATCH_TOLERANCE * metered:
                 violations.append("meter-mismatch")
@@ -561,7 +558,7 @@ class CapComplianceAuditor:
         reserved = metered + GUARDBAND * nodes
         per_node = metered / nodes
         probe = per_node * (1.0 - PROBE_MARGIN)
-        cap = min(max(probe, self.p_node_min), self.p_node_max)
+        cap = min(max(probe, P_NODE_MIN), P_NODE_MAX)
         return reserved, cap
 
     # -------------------------------------------------------------- plumbing

@@ -38,7 +38,7 @@ from repro.core.transport import TcpLink
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.workloads.nas import IDLE_NODE_POWER
+from repro.workloads.nas import IDLE_NODE_POWER, P_NODE_MAX, P_NODE_MIN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.audit import CapComplianceAuditor
@@ -85,7 +85,9 @@ class ClusterPowerManager:
         Supplies the believed model for each job's claimed type.
     total_nodes:
         Cluster size; each node not held by a job is assumed to draw
-        ``IDLE_NODE_POWER`` (facility knowledge).
+        ``IDLE_NODE_POWER`` (facility knowledge), and each node's cap lies in
+        ``P_NODE_MIN``–``P_NODE_MAX`` (the platform's, from
+        :mod:`repro.workloads.nas`).
     use_feedback:
         Accept online models from job-tier status messages (the paper's
         feedback-enabled configurations), when their R² is at least
@@ -97,8 +99,6 @@ class ClusterPowerManager:
     classifier: JobClassifier
     total_nodes: int
     use_feedback: bool = True
-    p_node_min: float = 140.0
-    p_node_max: float = 280.0
     # Integral trim on the budget: the manager compares the facility meter
     # against the target and slowly corrects systematic bias (jobs in
     # low-power setup/teardown phases, caps the workload cannot fill, RAPL
@@ -160,7 +160,7 @@ class ClusterPowerManager:
     _correction: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        self.target_hold = HoldLastGoodTarget(floor=self.total_nodes * self.p_node_min)
+        self.target_hold = HoldLastGoodTarget(floor=self.total_nodes * P_NODE_MIN)
         # The message handlers' counters: no-ops from a disabled registry.
         reg = self.telemetry.registry
         self._mx_models_accepted = reg.counter(
@@ -271,14 +271,14 @@ class ClusterPowerManager:
             known.link.close("replaced")
             self._report(now, f"{msg.job_id}: reconnected, replaced stale link")
         # The believed power ceiling is where the believed model flattens out;
-        # the platform cannot cap below p_node_min regardless.
+        # the platform cannot cap above P_NODE_MAX regardless.
         record = JobRecord(
             job_id=msg.job_id,
             claimed_type=msg.claimed_type,
             nodes=msg.nodes,
             link=link,
             believed_model=believed,
-            believed_p_max=min(believed.p_max, self.p_node_max),
+            believed_p_max=min(believed.p_max, P_NODE_MAX),
             last_heard=now,
         )
         if known is not None:
@@ -432,7 +432,7 @@ class ClusterPowerManager:
             a=float(msg.model_a),
             b=float(msg.model_b),
             c=float(msg.model_c),
-            p_min=self.p_node_min,
+            p_min=P_NODE_MIN,
             p_max=record.believed_p_max,
         )
         if not model.is_monotone_decreasing() or model.t_min <= 0:
@@ -554,7 +554,6 @@ class ClusterPowerManager:
             time=now,
             jobs=self.jobs,
             report=self._report,
-            p_min=self.p_node_min,
             feed=feed,
             measured=measured,
         )
@@ -652,12 +651,12 @@ class ClusterPowerManager:
         # Each active job's request, rebuilt only when what it holds moved:
         # the budgeter keeps its solve while the same objects come back.
         rnd.requests = requests = []
-        p_min = self.p_node_min
         for r in active:
             q, model = r.request, r.active_model
             if (q is None or q.model is not model or q.p_max != r.believed_p_max
-                    or q.nodes != r.nodes or q.p_min != p_min):
-                q = r.request = JobBudgetRequest(r.job_id, r.nodes, model, p_min, r.believed_p_max)
+                    or q.nodes != r.nodes):
+                q = r.request = JobBudgetRequest(
+                    r.job_id, r.nodes, model, P_NODE_MIN, r.believed_p_max)
             requests.append(q)
 
     def _reserve(self, rnd: BudgetRound) -> None:
@@ -669,7 +668,7 @@ class ClusterPowerManager:
             )
             reserved += record.nodes * assumed_cap
         for record in rnd.stale:
-            rnd.caps[record.job_id] = self.p_node_min
+            rnd.caps[record.job_id] = P_NODE_MIN
         for record in rnd.dormant:
             drawn = (
                 record.last_status.measured_power
@@ -677,7 +676,7 @@ class ClusterPowerManager:
                 else record.nodes * IDLE_NODE_POWER
             )
             reserved += drawn
-            rnd.caps[record.job_id] = self.p_node_min
+            rnd.caps[record.job_id] = P_NODE_MIN
         rnd.reserved = reserved
 
     def _solve(self, rnd: BudgetRound) -> None:

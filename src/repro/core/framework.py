@@ -113,7 +113,8 @@ class AnorConfig:
     # Observability (DESIGN.md §8).  Off by default: the disabled path is a
     # shared null object, so golden traces and the perf harness see zero
     # change.  ``trace_path`` streams the event bus to a JSONL file;
-    # ``prometheus_port`` serves /metrics on 127.0.0.1 (0 = ephemeral).
+    # ``prometheus_port`` serves /metrics on 127.0.0.1 (0 = ephemeral); each
+    # needs ``telemetry_enabled``.
     telemetry_enabled: bool = False
     trace_path: str | None = None
     prometheus_port: int | None = None
@@ -204,6 +205,10 @@ class AnorConfig:
                 f"plan_forecaster must be one of {FORECASTER_KINDS}, got "
                 f"{self.plan_forecaster!r}"
             )
+        # With telemetry off there is nothing to write or serve.
+        for name in ("trace_path", "prometheus_port"):
+            if getattr(self, name) is not None and not self.telemetry_enabled:
+                raise ValueError(f"{name} needs telemetry_enabled=True")
         for claimed, cls in (self.shed_classes or {}).items():
             if cls not in SHED_CLASSES:
                 raise ValueError(
@@ -322,7 +327,7 @@ class AnorSystem:
             Telemetry(trace_path=cfg.trace_path) if cfg.telemetry_enabled else NULL_TELEMETRY
         )
         self.metrics_server: MetricsHTTPServer | None = None
-        if self.telemetry.enabled and cfg.prometheus_port is not None:
+        if cfg.prometheus_port is not None:  # telemetry is on (``__post_init__``)
             # Imported here: http.server loads only for runs that serve.
             from repro.telemetry.prometheus import MetricsHTTPServer
 
@@ -479,12 +484,7 @@ class AnorSystem:
         if cfg.audit_enabled:
             from repro.core.audit import CapComplianceAuditor
 
-            auditor = CapComplianceAuditor(
-                job_meter=self._job_meter,
-                p_node_min=P_NODE_MIN,
-                p_node_max=P_NODE_MAX,
-                telemetry=self.telemetry,
-            )
+            auditor = CapComplianceAuditor(job_meter=self._job_meter, telemetry=self.telemetry)
         planner = None
         if cfg.plan_enabled:
             from repro.plan.envelope import SafetyEnvelope
@@ -517,8 +517,6 @@ class AnorSystem:
             classifier=self.classifier,
             total_nodes=self.config.num_nodes,
             use_feedback=self.config.feedback_enabled,
-            p_node_min=P_NODE_MIN,
-            p_node_max=P_NODE_MAX,
             lease_ttl=cfg.lease_ttl,
             breaker=breaker,
             auditor=auditor,
@@ -756,8 +754,6 @@ class AnorSystem:
             nodes=job.job_type.nodes,
             geopm_endpoint=job.endpoint,
             link=self._dial(),
-            p_min=P_NODE_MIN,
-            p_max=P_NODE_MAX,
             default_model=DEFAULT_JOB_MODEL,
             feedback_enabled=cfg.feedback_enabled,
             retrain_threshold=cfg.retrain_threshold,

@@ -26,6 +26,7 @@ from repro.geopm.endpoint import Endpoint
 from repro.modeling.online import OnlineModeler
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.workloads.nas import P_NODE_MAX, P_NODE_MIN
 
 __all__ = ["JobTierEndpoint"]
 
@@ -56,8 +57,6 @@ class JobTierEndpoint:
         geopm_endpoint: Endpoint,
         link: TcpLink,
         *,
-        p_min: float,
-        p_max: float,
         default_model: QuadraticPowerModel,
         feedback_enabled: bool = True,
         retrain_threshold: int = 10,
@@ -74,20 +73,18 @@ class JobTierEndpoint:
         self.link = link
         self.feedback_enabled = bool(feedback_enabled)
         self.modeler = OnlineModeler(
-            p_min, p_max, default_model, retrain_threshold=retrain_threshold
+            P_NODE_MIN, P_NODE_MAX, default_model, retrain_threshold=retrain_threshold
         )
         # (modeler revision, fields) of the last shareability verdict.
         self._fields_memo: tuple[int, dict] = (-1, {})
         self._hello_sent = False
         self._goodbye_sent = False
-        self.current_cap = p_max
+        self.current_cap = P_NODE_MAX
         # The last sample's timestamp the modeler was fed: slower agents
         # leave one sample up for several periods (see ``step``).
         self._fed = -math.inf
         # A byzantine fault's fake fit fields, shared instead of the fit's.
         self.forged: dict | None = None
-        self._p_min = float(p_min)
-        self._p_max = float(p_max)
         # Excitation for online system identification: while the modeler has
         # not yet observed meaningfully different caps, the endpoint dithers
         # the applied cap by EXPLORE_AMPLITUDE around the budget.  The paper's
@@ -112,12 +109,12 @@ class JobTierEndpoint:
         # until then the endpoint keeps the pre-lease hold-last-value
         # behaviour bit-for-bit.  Expiry anchors to *receipt* time, so the
         # over-target bound is relative to last contact with the head.  The
-        # decay's floor is the job's p_min.
+        # decay's floor is the platform's ``P_NODE_MIN``.
         self.lease_ramp_seconds = float(lease_ramp_seconds)
         # Armed from birth when the deployment runs leases: an endpoint that
         # has *never* heard from the head (admitted mid-partition, say) is the
         # same fail-safe case as one whose head went silent — it must not sit
-        # at p_max indefinitely.  The expiry clock starts on the first step.
+        # at ``P_NODE_MAX`` indefinitely.  The expiry clock starts on the first step.
         self._lease_ttl: float | None = (
             None if lease_ttl is None else float(lease_ttl)
         )
@@ -208,7 +205,7 @@ class JobTierEndpoint:
 
         if self._degraded_since is not None:
             # Degraded autonomy: the head is silent past its lease.  Decay
-            # toward p_min over the bounded ramp and suppress dither
+            # toward ``P_NODE_MIN`` over the bounded ramp and suppress dither
             # (excitation with nobody listening only costs job performance);
             # the modeler keeps observing so the eventual re-HELLO carries a
             # current fit.
@@ -227,7 +224,7 @@ class JobTierEndpoint:
                 AgentPolicy(cap, now)
                 if self._lease_ttl is None
                 else AgentPolicy(
-                    cap, now, self._lease_ttl, self._p_min, self.lease_ramp_seconds
+                    cap, now, self._lease_ttl, P_NODE_MIN, self.lease_ramp_seconds
                 )
             )
         if changed:
@@ -250,7 +247,7 @@ class JobTierEndpoint:
         if self._explore_step % EXPLORE_HOLD_STEPS == 0:
             self._explore_sign = -self._explore_sign
         dithered = self.current_cap * (1.0 + self._explore_sign * EXPLORE_AMPLITUDE)
-        return float(min(max(dithered, self._p_min), self._p_max))
+        return float(min(max(dithered, P_NODE_MIN), P_NODE_MAX))
 
     def _model_fields(self) -> dict:
         """Model coefficients for the status message, when shareable: a pure
@@ -342,12 +339,12 @@ class JobTierEndpoint:
         self._degraded_applied = None
 
     def _degraded_cap(self, now: float) -> float:
-        """Linear decay from the last budget toward ``p_min``.
+        """Linear decay from the last budget toward ``P_NODE_MIN``.
 
-        Never raises the cap: a last budget below ``p_min`` is held (the
+        Never raises the cap: a last budget below ``P_NODE_MIN`` is held (the
         dead-man switch exists to shed power, not grant it).
         """
-        floor = min(self._p_min, self._decay_from)
+        floor = min(P_NODE_MIN, self._decay_from)
         elapsed = now - self._degraded_since
         ramp = self.lease_ramp_seconds
         if ramp <= 0 or elapsed >= ramp:

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.workloads.nas import P_NODE_MIN
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.budget.base import BudgetAllocation, JobBudgetRequest
     from repro.core.messages import StatusMessage
@@ -48,8 +50,8 @@ class JobRecord:
     last_heard: float = 0.0
     last_cap: float | None = None
     # Derived, never persisted: the request triage last budgeted it with,
-    # reused while its model object, ``believed_p_max``, width and the
-    # platform floor hold.
+    # reused while its model object, ``believed_p_max`` and width hold (its
+    # floor is the platform's ``P_NODE_MIN``, which no run moves).
     request: JobBudgetRequest | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -76,7 +78,6 @@ class BudgetRound:
     #: ``report(now, text, category=None, **attrs)``: the one emission site
     #: for a transition — its ``events`` line and its bus incident together.
     report: Callable[..., None]
-    p_min: float  # lowest per-node cap the platform enforces
     span: int = 0  # control-round span id (0: telemetry off)
     # The round's inputs, as the system read them: the facility's target
     # feed and meter sample (W; NaN: no reading this round).  No stage
@@ -123,7 +124,7 @@ class BudgetRound:
         return (
             self.idle_power
             + self.reserved
-            + sum(r.nodes for r in self.active) * self.p_min
+            + sum(r.nodes for r in self.active) * P_NODE_MIN
         )
 
     @property

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.core.round import JobRecord
 from repro.durable.journal import JournalRecord
 from repro.modeling.quadratic import QuadraticPowerModel
+from repro.workloads.nas import P_NODE_MAX, P_NODE_MIN
 from repro.workloads.trace import JobRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,9 +84,7 @@ def job_entry(record: JobRecord) -> dict:
     }
 
 
-def job_record(
-    job_id: str, entry: dict, classifier: "JobClassifier", p_node_min: float
-) -> JobRecord:
+def job_record(job_id: str, entry: dict, classifier: "JobClassifier") -> JobRecord:
     """:func:`job_entry`'s inverse: the record of a job the head knows but
     has no link to, believed as ``classifier`` believes its claimed type."""
     claimed, believed_p_max = str(entry["claimed_type"]), float(entry["believed_p_max"])
@@ -98,7 +97,7 @@ def job_record(
         believed_model=classifier.model_for(claimed, job_name=job_id),
         believed_p_max=believed_p_max,
         online_model=None if online is None else QuadraticPowerModel(
-            *(float(v) for v in online), p_min=float(p_node_min), p_max=believed_p_max
+            *(float(v) for v in online), p_min=P_NODE_MIN, p_max=believed_p_max
         ),
         online_r2=None if r2 is None else float(r2),
         last_cap=None if last_cap is None else float(last_cap),
@@ -113,13 +112,13 @@ def unheard_jobs(system: "AnorSystem", heard: dict) -> dict[str, JobRecord]:
     its believed ceiling, and, like any restored job, orphaned when the
     reconnect window closes on its silence — a job that died in the outage
     before it ever spoke is requeued instead of lost."""
-    mgr, out = system.manager, {}
+    out = {}
     for job_id, req in system._launched.items():
         if job_id not in heard:
             believed = system.classifier.model_for(req.claimed_type, job_name=job_id)
             out[job_id] = JobRecord(
                 job_id, req.claimed_type, req.nodes, link=None, believed_model=believed,
-                believed_p_max=min(believed.p_max, mgr.p_node_max),
+                believed_p_max=min(believed.p_max, P_NODE_MAX),
             )
     return out
 
@@ -145,7 +144,7 @@ def restore_state(system: "AnorSystem", state: dict, now: float) -> None:
     mgr._correction = float(saved["correction"])
     mgr.target_hold.restore_state(state["target_hold"])
     recovered = {
-        job_id: job_record(job_id, entry, system.classifier, mgr.p_node_min)
+        job_id: job_record(job_id, entry, system.classifier)
         for job_id, entry in saved["jobs"].items()
     }
     recovered.update(unheard_jobs(system, recovered))

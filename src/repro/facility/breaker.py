@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.workloads.nas import P_NODE_MIN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.round import BudgetRound
@@ -160,7 +161,7 @@ class PowerBreaker:
         # platform floor.  Never raises a cap, so the round's planned-draw
         # ceiling remains an upper bound.
         if self.tripped:
-            caps, floor = rnd.caps, rnd.p_min
+            caps = rnd.caps
             for job_id, cap in caps.items():
-                if cap > floor:
-                    caps[job_id] = floor
+                if cap > P_NODE_MIN:
+                    caps[job_id] = P_NODE_MIN

@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.core.choices import SHED_CLASSES
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.workloads.nas import P_NODE_MIN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.round import BudgetRound
@@ -361,8 +362,8 @@ class ShedController:
             action = plan[self.class_of(rnd.jobs[job_id].claimed_type)]
             if action == "none":
                 continue
-            if caps[job_id] > rnd.p_min:
-                caps[job_id] = rnd.p_min
+            if caps[job_id] > P_NODE_MIN:
+                caps[job_id] = P_NODE_MIN
                 if action == "cap-to-floor":
                     self._mx_actions[action].inc()
             if action != "cap-to-floor" and self.request_shed(job_id, action, now):

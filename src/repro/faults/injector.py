@@ -44,6 +44,7 @@ from repro.faults.events import (
 from repro.faults.schedule import FaultSchedule
 from repro.geopm.agent import AgentPolicy
 from repro.modeling.quadratic import QuadraticPowerModel
+from repro.workloads.nas import P_NODE_MAX, P_NODE_MIN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import AnorSystem, LinkConditions
@@ -417,11 +418,11 @@ class FaultInjector:
                 # pace: the budgeter starves it to the floor, where its true
                 # (much slower) progress contradicts the shipped curve.
                 fake = QuadraticPowerModel.from_anchors(
-                    truth.t_min * 0.5, 1.01, endpoint._p_min, endpoint._p_max
+                    truth.t_min * 0.5, 1.01, P_NODE_MIN, P_NODE_MAX
                 )
             else:  # "steep": claims extreme sensitivity, grabbing budget.
                 fake = QuadraticPowerModel.from_anchors(
-                    truth.t_min, 4.0, endpoint._p_min, endpoint._p_max
+                    truth.t_min, 4.0, P_NODE_MIN, P_NODE_MAX
                 )
             endpoint.forged = {
                 "model_a": fake.a,
@@ -450,7 +451,7 @@ class FaultInjector:
                 # maximum, so the job draws its full demand regardless of
                 # future caps.
                 geopm.write_policy(
-                    AgentPolicy(power_cap_node=endpoint._p_max, issued_at=now)
+                    AgentPolicy(power_cap_node=P_NODE_MAX, issued_at=now)
                 )
             geopm.stuck = True
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.workloads.nas import PACKAGE_MIN_POWER, PACKAGE_TDP
+
 __all__ = [
     "MSR_PKG_POWER_LIMIT",
     "MSR_PKG_ENERGY_STATUS",
@@ -57,8 +59,8 @@ class MsrBank:
     def __init__(
         self,
         *,
-        tdp_watts: float = 140.0,
-        min_power_watts: float = 70.0,
+        tdp_watts: float = PACKAGE_TDP,
+        min_power_watts: float = PACKAGE_MIN_POWER,
         energy: np.ndarray | None = None,
         limit: np.ndarray | None = None,
     ):

@@ -18,10 +18,11 @@ from repro.geopm.msr import POWER_UNIT_WATTS
 from repro.geopm.profiler import EpochBatch, EpochLog
 from repro.geopm.report import ApplicationTotals
 from repro.hwsim.job import CLASS_SHIFT, FREE, RANK_BITS, SETUP, TEARDOWN, RunningJob
-from repro.hwsim.node import PACKAGE_MIN_POWER, PACKAGE_TDP, Node
+from repro.hwsim.node import Node
 from repro.util.clock import SimClock
 from repro.util.rng import NormalTape, TapeStream, ensure_rng, spawn_one, spawn_rng
-from repro.workloads.nas import IDLE_NODE_POWER, JobType
+from repro.workloads.nas import (
+    IDLE_NODE_POWER, NODE_PACKAGES, PACKAGE_MIN_POWER, PACKAGE_TDP, JobType)
 from repro.workloads.phased import PhasedJobType
 
 __all__ = ["EmulatedCluster"]
@@ -111,8 +112,6 @@ class EmulatedCluster:
     ``PlatformIO`` and each job's ``Endpoint`` are views of its cells.
     """
 
-    PACKAGES = 2  # the testbed's dual-package nodes (§5.5)
-
     def __init__(
         self,
         num_nodes: int = 16,
@@ -131,7 +130,7 @@ class EmulatedCluster:
         self._tape = NormalTape(2 * num_nodes)
         self._job_rng = rng
         self.run_noise = bool(run_noise)
-        pk = self.PACKAGES
+        pk = NODE_PACKAGES
         self._energy = np.zeros((num_nodes, pk))  # unwrapped joules per package
         self._limit = np.zeros((num_nodes, pk), dtype=np.int64)  # raw PKG_POWER_LIMIT
         self._power = np.zeros(num_nodes)  # realised draw of the latest tick (W)
@@ -706,7 +705,7 @@ class EmulatedCluster:
         # A node's draw, for all columns: RAPL noise, cap ceiling, idle
         # floor, energy split evenly over the packages.
         power = np.minimum(cap, np.maximum(pull * (1.0 + ze * 0.01), idle))
-        joules = power * dt / self.PACKAGES
+        joules = power * dt / NODE_PACKAGES
         self._energy[rows] = _after(self._energy[rows], joules[:, :, None])
         # Cluster power per tick: ordered fold in node order; failed nodes
         # hold 0 W.

@@ -12,14 +12,9 @@ import numpy as np
 
 from repro.geopm.msr import MsrBank
 from repro.geopm.signals import PlatformIO
-from repro.workloads.nas import IDLE_NODE_POWER
+from repro.workloads.nas import IDLE_NODE_POWER, NODE_PACKAGES, PACKAGE_MIN_POWER, PACKAGE_TDP
 
 __all__ = ["Node"]
-
-#: RAPL actuation range of one CPU package (W): the testbed's 70 W floor and
-#: 140 W TDP (§5.5), so a dual-package node spans ``P_NODE_MIN``–``P_NODE_MAX``.
-PACKAGE_MIN_POWER = 70.0
-PACKAGE_TDP = 140.0
 
 
 class Node:
@@ -30,7 +25,7 @@ class Node:
     node_id:
         Stable identifier within the cluster.
     packages:
-        CPU package count (the testbed has 2), each actuated over
+        CPU package count (the testbed's ``NODE_PACKAGES``), each actuated over
         ``PACKAGE_MIN_POWER``–``PACKAGE_TDP``.  With no job computing on it
         (also during job setup/teardown, §7.2) the node draws
         ``IDLE_NODE_POWER``.
@@ -52,7 +47,7 @@ class Node:
         node_id: int,
         *,
         clock_fn,
-        packages: int = 2,
+        packages: int = NODE_PACKAGES,
         perf_multiplier: float = 1.0,
         cells: tuple | None = None,
     ) -> None:

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.analysis.tracking import tracking_error_series
 from repro.budget.even_slowdown import EvenSlowdownBudgeter
+from repro.workloads.nas import P_NODE_MIN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import AnorConfig, AnorResult, AnorSystem
@@ -53,6 +54,7 @@ __all__ = [
     "rounds_over_ceiling",
     "single_slowdown",
     "tracking_error_p90",
+    "trim_held_when_empty",
 ]
 
 #: Float slack on planned ≤ ceiling and Σ caps·nodes ≤ pool.  0.1 W on a
@@ -95,7 +97,7 @@ def caps_within_pool(rnd: "BudgetRound") -> str | None:
     ``PLAN_SLACK`` (paper §4.4.3: the caps share the budget)."""
     nodes = sum(r.nodes for r in rnd.active)
     total = sum(rnd.caps[r.job_id] * r.nodes for r in rnd.active)
-    if _over(total, max(rnd.pool, nodes * rnd.p_min)):
+    if _over(total, max(rnd.pool, nodes * P_NODE_MIN)):
         return f"caps total {total:.1f}W > pool {rnd.pool:.1f}W"
     return None
 
@@ -103,7 +105,7 @@ def caps_within_pool(rnd: "BudgetRound") -> str | None:
 def caps_in_range(rnd: "BudgetRound") -> str | None:
     """Every dispatched cap ≥ p_min and an active job's ≤ its request's p_max,
     exactly (paper §4.4.3: caps within the platform's range)."""
-    low = [j for j, cap in rnd.caps.items() if cap < rnd.p_min]
+    low = [j for j, cap in rnd.caps.items() if cap < P_NODE_MIN]
     high = [q.job_id for q in rnd.requests if rnd.caps[q.job_id] > q.p_max]
     if low or high:
         return f"caps below p_min {sorted(low)}, above p_max {sorted(high)}"
@@ -147,6 +149,15 @@ def ramp_bounded(
     return None
 
 
+def trim_held_when_empty(rnd: "BudgetRound", previous_correction: float) -> str | None:
+    """A round that budgets no job leaves the integral trim where the same
+    manager's previous round left it, exactly: it cannot move idle draw, only
+    wind up against it (DESIGN §4h, ``_read_meter``)."""
+    if not rnd.occupied and rnd.correction != previous_correction:
+        return f"trim moved {previous_correction!r} -> {rnd.correction!r}W on a round with no job"
+    return None
+
+
 #: What holds of every round that budgeted a job, whatever the config.
 _EVERY_BUDGETED_ROUND = (
     planned_within_ceiling, caps_within_pool, caps_in_range, single_slowdown
@@ -161,8 +172,9 @@ class RoundMonitor:
     job; ``violations`` one ``(invariant, time, what)`` per breach.  The two
     ladder invariants are armed by a ``config`` with ``shed_enabled``;
     ``max_ramp_step`` is then the largest rise of the target between
-    consecutive rounds of one manager (a restarted head builds a new job
-    table and a new ladder, and with them a new baseline).
+    consecutive rounds of one manager, which the trim invariant compares too
+    (a restarted head builds a new job table, trim and ladder, and with them
+    a new baseline).
     """
 
     def __init__(self, config: "AnorConfig | None" = None) -> None:
@@ -181,17 +193,20 @@ class RoundMonitor:
             for claimed, cls in ((config.shed_classes or {}).items() if shed else ())
             if cls == "protected"
         )
-        self._previous: tuple[object, float] = (None, 0.0)  # (job table, target)
+        self._previous = (None, 0.0, 0.0)  # (job table, target, correction)
 
     def __call__(self, rnd: "BudgetRound") -> None:
         found = {}
+        jobs, target, correction = self._previous
+        same_manager = jobs is rnd.jobs
+        self._previous = (rnd.jobs, rnd.target, rnd.correction)
+        if same_manager:
+            found[trim_held_when_empty] = trim_held_when_empty(rnd, correction)
         if self._ramp_watts is not None:
             found[protected_never_shed] = protected_never_shed(rnd, self._protected)
-            jobs, target = self._previous
-            if jobs is rnd.jobs:
+            if same_manager:
                 self.max_ramp_step = max(self.max_ramp_step, rnd.target - target)
                 found[ramp_bounded] = ramp_bounded(rnd, target, self._ramp_watts)
-            self._previous = (rnd.jobs, rnd.target)
         if rnd.occupied:
             self.rows.append((rnd.time, rnd.ceiling, rnd.planned))
             found.update((check, check(rnd)) for check in _EVERY_BUDGETED_ROUND)

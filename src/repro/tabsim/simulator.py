@@ -30,6 +30,7 @@ from repro.aqa.scheduler import WeightedScheduler
 from repro.tabsim.tables import JobTable, NodeTable, SimJobType
 from repro.tabsim.variation import draw_node_multipliers
 from repro.util.rng import ensure_rng
+from repro.workloads.nas import IDLE_NODE_POWER, P_NODE_MAX, P_NODE_MIN
 from repro.workloads.trace import Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -140,13 +141,12 @@ class SimConfig:
 
     "Input cluster properties include average idle power per node, total
     node count, average node utilization, and demand response parameters"
-    (``average_power``, ``reserve``, and the regulation ``signal``).
+    (``average_power``, ``reserve``, and the regulation ``signal``).  Each
+    node's idle draw and cap range are the testbed's, which
+    :mod:`repro.workloads.nas` states for the emulator too.
     """
 
     num_nodes: int = 1000
-    idle_power: float = 60.0
-    p_node_min: float = 140.0
-    p_node_max: float = 280.0
     average_power: float = 180_000.0
     reserve: float = 25_000.0
     dt: float = 1.0
@@ -169,14 +169,10 @@ class SimConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.num_nodes < 1:
             raise ValueError(f"num_nodes must be ≥ 1, got {self.num_nodes}")
-        for name in ("dt", "p_node_min", "average_power"):
+        for name in ("dt", "average_power"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.p_node_max <= self.p_node_min:
-            raise ValueError(
-                f"p_node_max {self.p_node_max} must exceed p_node_min {self.p_node_min}"
-            )
-        for name in ("idle_power", "reserve", "qos_risk_fraction"):
+        for name in ("reserve", "qos_risk_fraction"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be ≥ 0, got {getattr(self, name)}")
         if self.reserve >= self.average_power:
@@ -269,12 +265,7 @@ class TabularClusterSimulator:
             schedule.requests, key=lambda r: (r.submit_time, r.job_id)
         )
         rng = ensure_rng(cfg.seed)
-        self.nodes = NodeTable(
-            cfg.num_nodes,
-            idle_power=cfg.idle_power,
-            p_min=cfg.p_node_min,
-            p_max=cfg.p_node_max,
-        )
+        self.nodes = NodeTable(cfg.num_nodes)
         self.nodes.perf_mult = draw_node_multipliers(
             cfg.num_nodes, cfg.variation_band, seed=rng
         )
@@ -416,7 +407,7 @@ class TabularClusterSimulator:
             step = (st.perf / exec_time) * dt
             busy_power = np.minimum(cap_raw, st.p_hi)
         power = nodes.power
-        power.fill(nodes.idle_power)
+        power.fill(IDLE_NODE_POWER)
         power[st.busy_idx] = busy_power
         measured = float(power.sum())
         # Per-node caps move without a version bump, so only the uniform
@@ -504,10 +495,7 @@ class TabularClusterSimulator:
         AQA's scheduler holds the job back instead (§6.4)."""
         busy_after = self.nodes.busy_count + new_nodes
         idle_after = self.nodes.num_nodes - busy_after
-        floor_power = (
-            busy_after * self.nodes.p_min + idle_after * self.nodes.idle_power
-        )
-        return floor_power > target
+        return busy_after * P_NODE_MIN + idle_after * IDLE_NODE_POWER > target
 
     # --------------------------------------------------------- stage 4: caps
 
@@ -532,7 +520,7 @@ class TabularClusterSimulator:
         if busy_idx.size == 0:
             return
         idle_count = nodes.num_nodes - busy_idx.size
-        available = target - idle_count * nodes.idle_power
+        available = target - idle_count * IDLE_NODE_POWER
         if self.config.qos_aware_capping:
             exempt = self._at_risk_mask(st)
             if np.any(exempt):
@@ -542,14 +530,12 @@ class TabularClusterSimulator:
                 # no longer one shared scalar).
                 self._uniform_cap = None
                 available -= float(st.p_hi[exempt].sum())
-                nodes.cap[busy_idx[exempt]] = nodes.p_max
+                nodes.cap[busy_idx[exempt]] = P_NODE_MAX
                 capped_idx = busy_idx[~exempt]
                 if capped_idx.size == 0:
                     return
-                per_node = _waterfill_cap(
-                    available, st.p_hi[~exempt], nodes.p_min, nodes.p_max
-                )
-                nodes.cap[capped_idx] = np.minimum(per_node, nodes.p_max)
+                per_node = _waterfill_cap(available, st.p_hi[~exempt], P_NODE_MIN, P_NODE_MAX)
+                nodes.cap[capped_idx] = np.minimum(per_node, P_NODE_MAX)
                 return
         # Uniform cap across active nodes (§4.4.2), waterfilled against each
         # node's precharacterized maximum draw: nodes whose job cannot use
@@ -564,10 +550,10 @@ class TabularClusterSimulator:
             st.demand_denom,
             st.demand_lower_eps,
             st.demand_upper_eps,
-            nodes.p_min,
-            nodes.p_max,
+            P_NODE_MIN,
+            P_NODE_MAX,
         )
-        c = min(per_node, nodes.p_max)
+        c = min(per_node, P_NODE_MAX)
         if c == self._uniform_cap and self._uniform_cap_version == nodes.version:
             return  # caps already hold exactly this value (clamped stretches)
         nodes.cap[busy_idx] = c

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.nas import JobType
+from repro.workloads.nas import IDLE_NODE_POWER, P_NODE_MAX, JobType
 
 __all__ = ["SimJobType", "NodeTable", "JobTable", "JobState"]
 
@@ -88,19 +88,16 @@ _QUEUED, _RUNNING, _DONE = (int(s) for s in JobState)
 
 
 class NodeTable:
-    """Vectorised per-node state: assignment, cap, power, variation."""
+    """Vectorised per-node state: assignment, cap, power, variation; every
+    node has the testbed's envelope (:mod:`repro.workloads.nas`)."""
 
-    def __init__(self, num_nodes: int, *, idle_power: float = 60.0,
-                 p_min: float = 140.0, p_max: float = 280.0) -> None:
+    def __init__(self, num_nodes: int) -> None:
         if num_nodes < 1:
             raise ValueError(f"need ≥ 1 node, got {num_nodes}")
         self.num_nodes = int(num_nodes)
-        self.idle_power = float(idle_power)
-        self.p_min = float(p_min)
-        self.p_max = float(p_max)
         self.job_idx = np.full(num_nodes, -1, dtype=np.int64)  # -1 = idle
-        self.cap = np.full(num_nodes, p_max, dtype=float)
-        self.power = np.full(num_nodes, idle_power, dtype=float)
+        self.cap = np.full(num_nodes, P_NODE_MAX, dtype=float)
+        self.power = np.full(num_nodes, IDLE_NODE_POWER, dtype=float)
         self.perf_mult = np.ones(num_nodes, dtype=float)
         self.progress = np.zeros(num_nodes, dtype=float)  # current job's
         #: Bumped on every assignment change; the simulator caches its
@@ -130,7 +127,7 @@ class NodeTable:
             raise RuntimeError("assigning a job to non-idle nodes")
         self.job_idx[node_indices] = job_index
         self.progress[node_indices] = 0.0
-        self.cap[node_indices] = self.p_max
+        self.cap[node_indices] = P_NODE_MAX
         self.slowest[node_indices[np.argmin(self.perf_mult[node_indices])]] = True
         self.version += 1
         self.busy_count += len(node_indices)
@@ -140,8 +137,8 @@ class NodeTable:
         self.busy_count -= int(mask.sum())
         self.job_idx[mask] = -1
         self.progress[mask] = 0.0
-        self.cap[mask] = self.p_max
-        self.power[mask] = self.idle_power
+        self.cap[mask] = P_NODE_MAX
+        self.power[mask] = IDLE_NODE_POWER
         self.slowest[mask] = False
         self.version += 1
 

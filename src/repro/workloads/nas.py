@@ -8,7 +8,7 @@ online epoch feedback, exactly as the paper's cluster does.
 Calibration notes
 -----------------
 * Per-node cap range is 140–280 W: the test platform has two packages with a
-  70 W floor and 140 W TDP each (§5.5, §6.1.1).
+  70 W floor and 140 W TDP each (§5.5, §6.1.1), stated here alone.
 * ``sensitivity`` is the relative execution time at the minimum cap
   (Fig. 3's y-axis at 140 W).  EP is most sensitive, IS least, matching the
   roles those types play in the misclassification studies (§6.1.2).
@@ -30,6 +30,7 @@ import numpy as np
 from repro.modeling.quadratic import QuadraticPowerModel
 
 __all__ = [
+    "PACKAGE_MIN_POWER", "PACKAGE_TDP", "NODE_PACKAGES",
     "P_NODE_MIN",
     "P_NODE_MAX",
     "IDLE_NODE_POWER",
@@ -41,10 +42,10 @@ __all__ = [
     "misclassification_trio",
 ]
 
-#: Minimum enforceable per-node CPU power cap (2 packages × 70 W floor).
-P_NODE_MIN = 140.0
-#: Maximum per-node CPU power cap (2 packages × 140 W TDP).
-P_NODE_MAX = 280.0
+#: RAPL actuation range of one CPU package (W), and packages per node (§5.5).
+PACKAGE_MIN_POWER, PACKAGE_TDP, NODE_PACKAGES = 70.0, 140.0, 2
+#: A node's enforceable CPU power cap range (W).
+P_NODE_MIN, P_NODE_MAX = NODE_PACKAGES * PACKAGE_MIN_POWER, NODE_PACKAGES * PACKAGE_TDP
 #: CPU power drawn by an idle node (also during job setup/teardown, §7.2):
 #: what the emulated plant draws and what the cluster manager reserves per
 #: idle node.

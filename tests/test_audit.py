@@ -61,7 +61,7 @@ class FakeMeter:
 
 
 def make_auditor(meter):
-    return CapComplianceAuditor(job_meter=meter, p_node_min=P_MIN, p_node_max=P_MAX)
+    return CapComplianceAuditor(job_meter=meter)
 
 
 def make_record(job_id="j0", nodes=2, last_cap=150.0, **extra):
@@ -330,7 +330,7 @@ class TestMeterCrossCheck:
     def test_no_meter_check_at_idle_draw(self):
         """Relative comparison at setup/teardown draw is meaningless."""
         meter, record = FakeMeter(), make_record(last_cap=160.0)
-        meter.power = 80.0  # idle-ish: below p_node_min per node
+        meter.power = 80.0  # idle-ish: below P_NODE_MIN per node
         auditor = make_auditor(meter)
         drive(
             auditor, meter, record, WINDOW + 5,

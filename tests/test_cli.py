@@ -29,6 +29,25 @@ class TestParser:
         out = capsys.readouterr().out
         assert "fig4" in out
 
+    def test_jobs_without_seeds_is_a_usage_error(self, monkeypatch, capsys):
+        """One run has nothing to fan out: ``--jobs`` above 1 needs ``--seeds``
+        on every command but ``all``, and the run never starts."""
+        from repro import cli
+
+        ran = []
+        monkeypatch.setattr(cli, "_drill", lambda *a, **k: ran.append(a) or ("", True))
+        monkeypatch.setattr(cli, "_COMMANDS", {
+            **_COMMANDS, "fig9": (lambda *a: ran.append(a) or "", "")})
+        for argv in (["fig9", "--jobs", "4"], ["resilience", "--drill", "shed", "--jobs", "2"]):
+            with pytest.raises(SystemExit) as exit_:
+                main([*argv, "--quick"])
+            assert exit_.value.code == 2
+            assert "--jobs" in (err := capsys.readouterr().err) and "--seeds" in err
+        assert ran == []
+        assert main(["fig9", "--quick", "--jobs", "1"]) == 0
+        assert main(["resilience", "--drill", "shed", "--quick", "--jobs", "1"]) == 0
+        assert len(ran) == 2
+
 
 class TestExecution:
     def test_fig4_quick_runs(self, capsys):

@@ -16,10 +16,13 @@ only spell fields that exist (``test_docs_spell_only_real_fields``).
 
 The fault-schedule builders take no shape knobs either: a fault mix is a
 mapping from event templates to rates (``test_fault_builders_take_no_shapes``).
+Nor does any layer take the node's power envelope, which
+``repro.workloads.nas`` states once (``TestNodeEnvelope``).
 
 Run as a script, this file prints the two knob counts, the fields no run
 sets (a run is ``src/`` or ``benchmarks/``, as for the constructor count),
-the closed choice sets a field picks from with their sizes, the fault
+the tabular simulator's config fields and parameters no run sets, the
+closed choice sets a field picks from with their sizes, the fault
 builders' keyword options and the source sizes the ROADMAP north star
 quotes, for a CI summary.
 """
@@ -37,6 +40,7 @@ from repro.core import cluster_manager, framework, reliable
 from repro.core.choices import FORECASTER_KINDS, SHED_CLASSES
 from repro.core.framework import AnorConfig
 from repro.faults.schedule import FaultSchedule
+from repro.workloads import nas
 from repro.workloads.nas import IDLE_NODE_POWER, P_NODE_MIN
 
 FIELDS = {f.name for f in dataclasses.fields(AnorConfig)}
@@ -62,6 +66,8 @@ GATED = {
     "hwsim/cluster.py": ("EmulatedCluster",),
     "hwsim/node.py": ("Node",),
 }
+#: The tabular simulator's inputs, reported (not gated) the same way.
+TABSIM = {"tabsim/simulator.py": ("SimConfig", "TabularClusterSimulator")}
 
 #: Row -> (the constant that replaced a deleted constructor parameter, the
 #: range that parameter's check enforced).
@@ -195,9 +201,9 @@ def _attribute_stores(node, typed=None):
         yield from _attribute_stores(child, typed)
 
 
-def constructor_knobs() -> tuple[int, list[str]]:
-    """(defaulted ``__init__`` parameters of the gated classes, those of them
-    no run sets).  A run is ``src/`` or ``benchmarks/``; ``tests/`` and
+def constructor_knobs(gated_modules=GATED) -> tuple[int, list[str]]:
+    """(defaulted ``__init__`` parameters of the classes ``gated_modules``
+    names, those of them no run sets).  A run is ``src/`` or ``benchmarks/``; ``tests/`` and
     ``examples/`` do not count.  A parameter is set when a call of the class
     passes it by keyword or position (a call of a subclass that inherits the
     ``__init__`` counts), a subclass forwards it through ``super().__init__``,
@@ -208,7 +214,7 @@ def constructor_knobs() -> tuple[int, list[str]]:
              for p in sorted((ROOT / top).rglob("*.py"))]
     classes = {c.name: c for t in trees for c in ast.walk(t) if isinstance(c, ast.ClassDef)}
     gated = {}
-    for module, names in GATED.items():
+    for module, names in gated_modules.items():
         tree = ast.parse((ROOT / "src" / "repro" / module).read_text())
         for c in ast.walk(tree):
             if isinstance(c, ast.ClassDef) and c.name in names:
@@ -295,6 +301,9 @@ class TestConfigValidation:
             ("retrain_threshold", 2.5),
             ("plan_shadow_rounds", 1.5),
             ("prometheus_port", 9109.0),
+            # Outputs of a telemetry that is off: nothing would be written.
+            ("trace_path", "trace.jsonl"),
+            ("prometheus_port", 9109),
         ],
     )
     def test_bad_value_names_the_field(self, field, value):
@@ -344,6 +353,9 @@ class TestConfigValidation:
             "standard_load": ["num_nodes"],
         }
 
+    def test_telemetry_outputs_construct_with_telemetry_on(self):
+        AnorConfig(telemetry_enabled=True, trace_path="trace.jsonl", prometheus_port=0)
+
     def test_optional_none_disables_without_error(self):
         AnorConfig(lease_ttl=None, breaker_margin=None, shed_nominal_watts=None)
 
@@ -352,6 +364,76 @@ class TestConfigValidation:
 
     def test_timeout_ordering_inversion_rejected(self):
         assert cluster_manager.DEAD_JOB_TIMEOUT >= cluster_manager.STALE_STATUS_TIMEOUT
+
+
+#: The node's power envelope, written once in ``repro.workloads.nas``.
+ENVELOPE_WATTS = {nas.IDLE_NODE_POWER, nas.PACKAGE_MIN_POWER, nas.PACKAGE_TDP,
+                  nas.P_NODE_MIN, nas.P_NODE_MAX}
+#: Where the envelope is read: each module (or one class of it) imports the
+#: constants and spells none of their values.
+ENVELOPE_READERS = {
+    "core/cluster_manager.py": "ClusterPowerManager",  # its module has a 60 s timeout
+    "core/round.py": None, "core/audit.py": None, "core/job_endpoint.py": None,
+    "durable/state.py": None, "facility/shed.py": None, "facility/breaker.py": None,
+    "hwsim/node.py": None, "hwsim/cluster.py": None, "geopm/msr.py": None,
+    "tabsim/simulator.py": None, "tabsim/tables.py": None,
+}
+
+
+def envelope_parameters() -> list[str]:
+    """Parameters under ``src/repro`` that take the node envelope again: an
+    ``__init__`` or dataclass parameter named ``p_node_min``, ``p_node_max``
+    or ``idle_power``, another function's ``p_node_min`` / ``p_node_max``,
+    ``JobTierEndpoint``'s, ``CapComplianceAuditor``'s and tabsim
+    ``NodeTable``'s ``p_min`` / ``p_max``, and ``BudgetRound.p_min``.  ``BudgetRound.idle_power`` is the
+    round's idle reservation, idle nodes × ``IDLE_NODE_POWER``, an output of
+    triage and not the per-node constant."""
+    taken = {"p_node_min", "p_node_max", "idle_power"}
+    by_class = {name: taken | {"p_min", "p_max"}
+                for name in ("JobTierEndpoint", "CapComplianceAuditor", "NodeTable")}
+    by_class["BudgetRound"] = taken - {"idle_power"} | {"p_min"}
+    found = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name != "__init__":
+                a = node.args
+                found += [f"{node.name}({p.arg})" for p in a.posonlyargs + a.args + a.kwonlyargs
+                          if p.arg in ("p_node_min", "p_node_max")]
+            if isinstance(node, ast.ClassDef) and (sig := _signature(node)):
+                found += [f"{node.name}.{p}" for p in sig[0]
+                          if p in by_class.get(node.name, taken)]
+    return found
+
+
+def envelope_literals() -> list[str]:
+    """Numeric literals equal to an envelope value in ``ENVELOPE_READERS``."""
+    found = []
+    for module, cls in ENVELOPE_READERS.items():
+        tree = ast.parse((ROOT / "src" / "repro" / module).read_text())
+        if cls is not None:
+            tree = next(c for c in ast.walk(tree)
+                        if isinstance(c, ast.ClassDef) and c.name == cls)
+        found += [f"{module}:{n.lineno} {n.value!r}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and type(n.value) in (int, float)
+                  and n.value in ENVELOPE_WATTS]
+    return found
+
+
+class TestNodeEnvelope:
+    """Two packages of 70–140 W and a 60 W idle draw are one decision, made
+    in ``repro.workloads.nas`` (paper §5.5): no layer takes it as a
+    parameter or restates it as a number."""
+
+    def test_no_class_or_function_takes_the_envelope(self):
+        assert not envelope_parameters(), envelope_parameters()
+
+    def test_no_reader_spells_its_values(self):
+        assert not envelope_literals(), envelope_literals()
+
+    def test_the_node_pair_is_the_package_pair_times_the_count(self):
+        assert nas.P_NODE_MIN == nas.NODE_PACKAGES * nas.PACKAGE_MIN_POWER == 140.0
+        assert nas.P_NODE_MAX == nas.NODE_PACKAGES * nas.PACKAGE_TDP == 280.0
+        assert nas.IDLE_NODE_POWER == 60.0
 
 
 def source_lines() -> dict[str, int]:
@@ -380,6 +462,8 @@ if __name__ == "__main__":
           f"of the classes AnorSystem builds: {constructor_knobs()[0]}")
     print("AnorConfig fields no run (src/, benchmarks/) sets: "
           + ", ".join(sorted(FIELDS - fields_set_under(("src", "benchmarks")))))
+    print("SimConfig fields and TabularClusterSimulator parameters no run sets: "
+          + ", ".join(constructor_knobs(TABSIM)[1]))
     print("Closed choice sets: " + "; ".join(
         f"{name} {len(kinds)} ({', '.join(kinds)})"
         for name, kinds in (("plan_forecaster kinds", FORECASTER_KINDS),

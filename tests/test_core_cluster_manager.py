@@ -19,6 +19,7 @@ from repro.durable.journal import Journal
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.telemetry import Telemetry
+from repro.workloads.nas import P_NODE_MIN
 from tests.fed_manager import FedManager
 
 
@@ -120,7 +121,7 @@ class TestBudgeting:
         send_status(active, "a", t=0.0, power=400.0)
         send_status(dormant, "d", t=0.0, power=120.0)  # idle-level draw
         caps = manager.step(0.0)
-        assert caps["d"] == manager.p_node_min
+        assert caps["d"] == P_NODE_MIN
         # The active job inherits the slack: (840 - 120) / 2 nodes = 360 W,
         # clamped to its believed ceiling.
         assert caps["a"] == pytest.approx(272.0, abs=1.0)
@@ -324,16 +325,16 @@ class TestTriageKeepsRequests:
         edits = {
             2: lambda m, r: setattr(r, "believed_p_max", 230.0),
             4: lambda m, r: setattr(r, "nodes", 3),
-            6: lambda m, r: setattr(m, "p_node_min", 150.0),
         }
         seen = self.drive(manager, link, [{}] * 8, edits)
         budgeted = [q for q, _ in seen]
-        for t in (1, 3, 5, 7):
+        for t in (1, 3, 5, 6, 7):
             assert budgeted[t] is budgeted[t - 1]
-        for t in (2, 4, 6):
+        for t in (2, 4):
             assert budgeted[t] is not budgeted[t - 1]
         assert budgeted[2].p_max == 230.0 and budgeted[4].nodes == 3
-        assert budgeted[6].p_min == 150.0
+        # The floor is the platform's: no run can move it, so no edit does.
+        assert {q.p_min for q in budgeted} == {P_NODE_MIN}
         assert budgeted[7].model is manager.jobs["a"].believed_model
 
     def test_a_reconnected_record_starts_without_one(self):
@@ -349,8 +350,7 @@ class TestTriageKeepsRequests:
     def test_an_auditor_replaced_request_is_never_the_kept_one(self):
         from repro.core.audit import REHABILITATING, CapComplianceAuditor
 
-        auditor = CapComplianceAuditor(
-            job_meter=lambda job_id: None, p_node_min=140.0, p_node_max=280.0)
+        auditor = CapComplianceAuditor(job_meter=lambda job_id: None)
         manager = make_manager(use_feedback=True, auditor=auditor)
         link = connect_job(manager, "a", "is", 2)
         auditor.force_state("a", REHABILITATING)

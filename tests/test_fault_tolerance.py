@@ -31,7 +31,7 @@ from repro.invariants import RoundMonitor
 from repro.modeling.classifier import JobClassifier
 from repro.modeling.quadratic import QuadraticPowerModel
 from repro.telemetry import Telemetry
-from repro.workloads.nas import NAS_TYPES
+from repro.workloads.nas import NAS_TYPES, P_NODE_MIN
 from tests.fed_manager import FedManager
 
 
@@ -139,7 +139,6 @@ class TestManagerRobustness:
         link = TcpLink(latency=0.0)
         endpoint = JobTierEndpoint(
             "j", "bt", 2, geopm, link,
-            p_min=140.0, p_max=280.0,
             default_model=QuadraticPowerModel.from_anchors(2.0, 1.3, 140.0, 280.0),
         )
         for i in range(10):
@@ -156,11 +155,11 @@ class TestHeartbeatStaleness:
         send_status(talker, "a", t=0.0, power=400.0)
         send_status(quiet, "b", t=0.0, power=400.0)
         caps0 = manager.step(0.0)
-        assert caps0["b"] > manager.p_node_min  # budgeted normally at first
+        assert caps0["b"] > P_NODE_MIN  # budgeted normally at first
         silent_for = STALE_STATUS_TIMEOUT + 5.0
         send_status(talker, "a", t=silent_for, power=400.0)
         caps = manager.step(silent_for)
-        assert caps["b"] == manager.p_node_min
+        assert caps["b"] == P_NODE_MIN
         rnd = manager.last_round
         assert rnd.stale_jobs == 1
         # Reserved = the stale job's last sent cap x nodes: it may still be
@@ -175,12 +174,12 @@ class TestHeartbeatStaleness:
         manager.step(0.0)
         send_status(talker, "a", t=20.0, power=400.0)
         caps = manager.step(20.0)
-        assert caps["b"] == manager.p_node_min
+        assert caps["b"] == P_NODE_MIN
         # The job speaks again: budgeted normally on the very next round.
         send_status(talker, "a", t=21.0, power=400.0)
         send_status(silent, "b", t=21.0, power=400.0)
         caps = manager.step(21.0)
-        assert caps["b"] > manager.p_node_min
+        assert caps["b"] > P_NODE_MIN
         assert manager.last_round.stale_jobs == 0
 
     def test_dropped_goodbye_evicts_after_timeout(self):
@@ -268,7 +267,7 @@ class TestHoldLastGoodTarget:
         whose floor is the cluster's lowest enforceable power."""
         manager = make_manager()
         assert isinstance(manager.target_hold, HoldLastGoodTarget)
-        assert manager.target_hold.floor == 4 * manager.p_node_min
+        assert manager.target_hold.floor == 4 * P_NODE_MIN
         manager.step(0.0, math.nan, math.nan)
         assert manager.target_hold.degraded_reads == 1
 

@@ -14,8 +14,7 @@ from repro.geopm.endpoint import Endpoint
 from repro.geopm.msr import MSR_PKG_POWER_LIMIT, MsrBank
 from repro.geopm.signals import SignalNames
 from repro.hwsim.cluster import EmulatedCluster
-from repro.hwsim.node import PACKAGE_MIN_POWER, PACKAGE_TDP
-from repro.workloads.nas import JobType
+from repro.workloads.nas import PACKAGE_MIN_POWER, PACKAGE_TDP, JobType
 from tests.geopm_reference import AgentGroup, Mailbox, PlatformIO
 
 LONG = JobType(

@@ -27,8 +27,7 @@ P_MIN, P_MAX = 140.0, 280.0
 
 
 def round_(**fields) -> BudgetRound:
-    base = dict(time=10.0, jobs={}, report=lambda *a, **k: None, p_min=P_MIN,
-                occupied=True)
+    base = dict(time=10.0, jobs={}, report=lambda *a, **k: None, occupied=True)
     return BudgetRound(**{**base, **fields})
 
 
@@ -134,6 +133,13 @@ MUTATIONS = {
     "ramp_bounded": (
         lambda: inv.ramp_bounded(round_(target=1101.5), 1000.0, 100.0),
         lambda: inv.ramp_bounded(round_(target=1100.5), 1000.0, 100.0),
+    ),
+    "trim_held_when_empty": (
+        lambda: inv.trim_held_when_empty(
+            round_(occupied=False, correction=np.nextafter(5.0, 6.0)), 5.0),
+        # A round that budgets a job is the one the trim may move on.
+        lambda: inv.trim_held_when_empty(round_(occupied=False, correction=5.0), 5.0)
+        or inv.trim_held_when_empty(round_(correction=9.0), 5.0),
     ),
     "lost_jobs": (
         lambda: inv.lost_jobs(result("a", "b"), result("a")),
@@ -287,6 +293,17 @@ class TestTheSeam:
         monkeypatch.setattr(EvenSlowdownBudgeter, "allocate", generous)
         caught = {name for name, _, _ in run(inv.RoundMonitor()).violations}
         assert {"single_slowdown", "caps_within_pool", "planned_within_ceiling"} <= caught
+
+    def test_the_trim_is_held_between_rounds_of_one_manager(self):
+        monitor, jobs = inv.RoundMonitor(), {}
+        monitor(round_(jobs=jobs, correction=3.0))  # budgeted: the trim moved
+        monitor(round_(jobs=jobs, correction=3.0, occupied=False))
+        monitor(round_(jobs=jobs, correction=4.0, occupied=False))
+        assert [(name, what) for name, _, what in monitor.violations] == [
+            ("trim_held_when_empty", "trim moved 3.0 -> 4.0W on a round with no job")]
+        # A restarted head starts from its restored trim: a new baseline.
+        monitor(round_(jobs={}, correction=7.0, occupied=False))
+        assert len(monitor.violations) == 1 and len(monitor.rows) == 1
 
     def test_ladder_invariants_are_armed_by_a_shed_config(self):
         cfg = AnorConfig(shed_enabled=True, shed_classes={"ft": "protected"})

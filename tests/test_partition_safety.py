@@ -44,8 +44,6 @@ def make_endpoint(**kwargs):
     geopm = Endpoint(job_id="j")
     link = TcpLink(latency=0.0)
     defaults = dict(
-        p_min=140.0,
-        p_max=280.0,
         default_model=QuadraticPowerModel.from_anchors(2.0, 1.3, 140.0, 280.0),
         feedback_enabled=False,
     )

@@ -80,7 +80,6 @@ class TestDitherProperties:
         link = TcpLink(latency=0.0)
         endpoint = JobTierEndpoint(
             "j", "bt", 2, geopm, link,
-            p_min=140.0, p_max=280.0,
             default_model=QuadraticPowerModel.from_anchors(2.0, 1.3, 140.0, 280.0),
             feedback_enabled=True,
         )
@@ -103,7 +102,6 @@ class TestDitherProperties:
         link = TcpLink(latency=0.0)
         endpoint = JobTierEndpoint(
             "j", "bt", 2, geopm, link,
-            p_min=140.0, p_max=280.0,
             default_model=QuadraticPowerModel.from_anchors(2.0, 1.3, 140.0, 280.0),
         )
         link.send_down(BudgetMessage("j", 142.0, 0.0), 0.0)  # near the floor

@@ -296,9 +296,6 @@ class TestSimConfigValidation:
             ("dt", -1.0),
             ("dt", float("nan")),
             ("num_nodes", 0),
-            ("p_node_min", 0.0),
-            ("p_node_max", 140.0),
-            ("idle_power", -1.0),
             ("average_power", 0.0),
             ("reserve", -1.0),
             ("reserve", 180_000.0),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tabsim.tables import JobState, JobTable, NodeTable, SimJobType
-from repro.workloads.nas import NAS_TYPES
+from repro.workloads.nas import IDLE_NODE_POWER, NAS_TYPES, P_NODE_MAX
 
 
 class TestSimJobType:
@@ -70,9 +70,11 @@ class TestNodeTable:
         table.assign(np.array([0]), 0)
         table.progress[0] = 0.5
         table.cap[0] = 150.0
+        table.power[0] = 150.0
         table.release(0)
         assert table.progress[0] == 0.0
-        assert table.cap[0] == table.p_max
+        assert table.cap[0] == P_NODE_MAX
+        assert table.power[0] == IDLE_NODE_POWER
 
     def test_assign_marks_the_jobs_slowest_node(self):
         table = NodeTable(5)
