@@ -1,6 +1,7 @@
 """Benchmark-harness helpers.
 
-Each benchmark regenerates one paper figure (scaled where noted), records
+Each figure benchmark regenerates one paper figure at the bench scale its
+row of ``repro.experiments.figures.FIGURES`` states, records
 the headline numbers in ``benchmark.extra_info`` (visible in pytest-benchmark
 JSON output), and prints the paper-vs-measured table.  Run with::
 

@@ -9,19 +9,17 @@ at the 90th percentile (paper: ≤24 % worst case).  The claims checked are
 ``scorecard.CLAIMS["fig10"]``.
 """
 
-from repro.experiments import fig10
+from repro.experiments import figures
 from repro.experiments.scorecard import score
 
 
 def test_fig10_policy_matrix(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig10.run_fig10(duration=1800.0, trials=1, seed=0, warmup=300.0),
-        rounds=1,
-        iterations=1,
+        lambda: figures.run("fig10", "bench"), rounds=1, iterations=1
     )
     card = score("fig10", result)
     report(
-        fig10.format_table(result) + "\n\n" + card.render(),
+        figures.format_table("fig10", result) + "\n\n" + card.render(),
         worst_uniform=round(result.slowest_type("Uniform")[1], 4),
         worst_characterized=round(result.slowest_type("Characterized")[1], 4),
         bt_misclassified=round(result.mean_slowdown("Misclassified")["bt"], 4),

@@ -6,25 +6,18 @@ IS 0.92, MG 0.94, SP 0.84).  The claims checked are
 ``scorecard.CLAIMS["fig3"]``.
 """
 
-from repro.experiments import fig3
+from repro.experiments import figures
 from repro.experiments.scorecard import score
 
 
 def test_fig3_characterization(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig3.characterize_job_types(
-            caps=[140.0, 160.0, 180.0, 200.0, 220.0, 240.0, 260.0, 280.0],
-            runs_per_cap=5,  # paper uses 10; 5 keeps the bench quick
-            seed=0,
-            tick=0.5,
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: figures.run("fig3", "bench"), rounds=1, iterations=1
     )
     card = score("fig3", result)
     rel140 = {n: result.relative_times(n)[0][0] for n in result.runtimes}
     report(
-        fig3.format_table(result) + "\n\n" + card.render(),
+        figures.format_table("fig3", result) + "\n\n" + card.render(),
         ep_rel_140=round(rel140["ep"], 3),
         is_rel_140=round(rel140["is"], 3),
         sp_r2=round(result.r2["sp"], 3),

@@ -9,7 +9,7 @@ checked are ``scorecard.CLAIMS["fig6"]``.
 
 import numpy as np
 
-from repro.experiments import fig6
+from repro.experiments import figures
 from repro.experiments.scorecard import score
 
 
@@ -19,11 +19,11 @@ def mean(result, policy, job):
 
 def test_fig6_pair_policies(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig6.run_fig6(trials=3, seed=0, tick=1.0), rounds=1, iterations=1
+        lambda: figures.run("fig6", "bench"), rounds=1, iterations=1
     )
     card = score("fig6", result)
     report(
-        fig6.format_table(result) + "\n\n" + card.render(),
+        figures.format_table("fig6", result) + "\n\n" + card.render(),
         agnostic_bt=round(mean(result, "Performance Agnostic", "bt"), 4),
         aware_bt=round(mean(result, "Performance Aware", "bt"), 4),
         under_estimate_bt=round(mean(result, "Under-estimate bt", "bt=is"), 4),

@@ -8,7 +8,7 @@ checked are ``scorecard.CLAIMS["fig7"]``.
 
 import numpy as np
 
-from repro.experiments import fig6
+from repro.experiments import figures
 from repro.experiments.scorecard import score
 
 
@@ -18,11 +18,11 @@ def mean(result, policy, job):
 
 def test_fig7_same_type_misclassification(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig6.run_fig7(trials=3, seed=1, tick=1.0), rounds=1, iterations=1
+        lambda: figures.run("fig7", "bench"), rounds=1, iterations=1
     )
     card = score("fig7", result)
     report(
-        fig6.format_table(result) + "\n\n" + card.render(),
+        figures.format_table("fig7", result) + "\n\n" + card.render(),
         agnostic=round(mean(result, "Performance Agnostic", "bt"), 4),
         aware=round(mean(result, "Performance Aware", "bt"), 4),
         misclassified=round(mean(result, "Under-estimate bt", "bt=is"), 4),

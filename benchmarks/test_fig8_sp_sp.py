@@ -8,7 +8,7 @@ feedback then reduces.  The claims checked are ``scorecard.CLAIMS["fig8"]``.
 
 import numpy as np
 
-from repro.experiments import fig6
+from repro.experiments import figures
 from repro.experiments.scorecard import score
 
 
@@ -18,11 +18,11 @@ def mean(result, policy, job):
 
 def test_fig8_overestimate_insensitive_pair(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig6.run_fig8(trials=6, seed=2, tick=1.0), rounds=1, iterations=1
+        lambda: figures.run("fig8", "bench"), rounds=1, iterations=1
     )
     card = score("fig8", result)
     report(
-        fig6.format_table(result) + "\n\n" + card.render(),
+        figures.format_table("fig8", result) + "\n\n" + card.render(),
         agnostic=round(mean(result, "Performance Agnostic", "sp"), 4),
         aware=round(mean(result, "Performance Aware", "sp"), 4),
         cojob_under_misclassification=round(mean(result, "Over-estimate sp", "sp"), 4),

@@ -8,19 +8,17 @@ here).  The claims checked are ``scorecard.CLAIMS["fig9"]``.
 
 import numpy as np
 
-from repro.experiments import fig9
+from repro.experiments import figures
 from repro.experiments.scorecard import score
 
 
 def test_fig9_demand_response_hour(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig9.run_fig9(duration=2400.0, seed=0, warmup=300.0),
-        rounds=1,
-        iterations=1,
+        lambda: figures.run("fig9", "bench"), rounds=1, iterations=1
     )
     card = score("fig9", result)
     report(
-        fig9.format_table(result) + "\n\n" + card.render(),
+        figures.format_table("fig9", result) + "\n\n" + card.render(),
         err90=round(result.error_at_90th(), 4),
         frac_within_30pct=round(float(np.mean(result.errors() <= 0.30)), 4),
         jobs_completed=len(result.result.completed),

@@ -10,8 +10,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "tracking_error_series",
         ),
         "export": (
-            "export_fig4", "export_fig5", "export_fig11", "export_power_trace",
-            "export_series_by_key",
+            "export_fig4", "export_fig5", "export_fig9", "export_fig11",
+            "export_power_trace", "export_series_by_key",
         ),
         "slowdown": ("JobScenario", "estimate_scenario_slowdowns", "sweep_budgets"),
     },

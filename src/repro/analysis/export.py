@@ -18,6 +18,7 @@ __all__ = [
     "export_series_by_key",
     "export_fig4",
     "export_fig5",
+    "export_fig9",
     "export_fig11",
 ]
 
@@ -81,6 +82,11 @@ def export_fig5(result, directory: str | Path) -> list[Path]:
         export_series_by_key(result.budgets[case_key], series, path, x_name="budget_w")
         written.append(path)
     return written
+
+
+def export_fig9(result, path: str | Path) -> None:
+    """Fig. 9: target and measured cluster power over the hour."""
+    export_power_trace(result.result.power_trace, path)
 
 
 def export_fig11(result, path: str | Path) -> None:

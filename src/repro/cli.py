@@ -1,6 +1,7 @@
 """Command-line entry points: ``anor <experiment> [options]``.
 
-Each subcommand regenerates one of the paper's figures and prints the
+Each figure subcommand regenerates one of the paper's figures, run as its
+row of :data:`repro.experiments.figures.FIGURES` says, and prints the
 paper-vs-measured comparison table.  Scaled-down runs (for quick checks) are
 available through ``--quick``.  ``--seeds`` sweeps a figure over several
 seeds, one run per seed; ``--jobs N`` fans those runs (or ``all``'s figures)
@@ -12,86 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import Callable
 
-
-def _fig3(quick: bool, seed: int) -> str:
-    from repro.experiments import fig3
-
-    result = fig3.run_fig3(
-        runs_per_cap=3 if quick else 10,
-        tick=0.5 if quick else 0.25,
-        seed=seed,
-    )
-    return fig3.format_table(result)
-
-
-def _fig4(quick: bool, seed: int, csv_path: str | None = None) -> str:
-    from repro.experiments import fig4
-
-    result = fig4.run_fig4(n_budgets=15 if quick else 40)
-    if csv_path:
-        from repro.analysis.export import export_fig4
-
-        export_fig4(result, csv_path)
-    return fig4.format_table(result)
-
-
-def _fig5(quick: bool, seed: int) -> str:
-    from repro.experiments import fig5
-
-    return fig5.format_table(fig5.run_fig5(n_budgets=12 if quick else 30))
-
-
-def _fig6(quick: bool, seed: int) -> str:
-    from repro.experiments import fig6
-
-    return fig6.format_table(fig6.run_fig6(trials=1 if quick else 3, seed=seed))
-
-
-def _fig7(quick: bool, seed: int) -> str:
-    from repro.experiments import fig6
-
-    return fig6.format_table(fig6.run_fig7(trials=1 if quick else 3, seed=seed))
-
-
-def _fig8(quick: bool, seed: int) -> str:
-    from repro.experiments import fig6
-
-    return fig6.format_table(fig6.run_fig8(trials=2 if quick else 6, seed=seed))
-
-
-def _fig9(quick: bool, seed: int, csv_path: str | None = None) -> str:
-    from repro.experiments import fig9
-
-    result = fig9.run_fig9(duration=900.0 if quick else 3600.0, seed=seed)
-    if csv_path:
-        from repro.analysis.export import export_power_trace
-
-        export_power_trace(result.result.power_trace, csv_path)
-    return fig9.format_table(result)
-
-
-def _fig10(quick: bool, seed: int) -> str:
-    from repro.experiments import fig10
-
-    result = fig10.run_fig10(duration=1200.0 if quick else 3600.0, seed=seed)
-    return fig10.format_table(result)
-
-
-def _fig11(quick: bool, seed: int, csv_path: str | None = None) -> str:
-    from repro.experiments import fig11
-
-    result = fig11.run_fig11(
-        trials=2 if quick else 10,
-        duration=1800.0 if quick else 3600.0,
-        seed=seed,
-    )
-    if csv_path:
-        from repro.analysis.export import export_fig11
-
-        export_fig11(result, csv_path)
-    return fig11.format_table(result)
+from repro.experiments import figures
 
 
 def _drill(name: str, quick: bool, seed: int | None, **params) -> tuple[str, bool]:
@@ -108,52 +33,31 @@ def _sweep_drill(name: str, quick: bool, seed: int, **params) -> tuple[str, bool
     """:func:`_drill` for one seed of a sweep: a named checkpoint directory
     gets a ``seed-N`` subdirectory per seed, so no seed restarts from
     another's checkpoint and journal."""
-    from pathlib import Path
-
     if params.get("checkpoint_dir") is not None:
         params["checkpoint_dir"] = str(Path(params["checkpoint_dir"]) / f"seed-{seed}")
     return _drill(name, quick, seed, **params)
 
 
-def _resilience(quick: bool, seed: int) -> str:
+def _resilience(quick: bool, seed: int | None) -> str:
     return _drill("faults", quick, seed)[0]
-
-
-def _all_tasks(quick: bool, seed: int, out_dir: str | None) -> list:
-    """One :class:`~repro.runner.ExperimentTask` per figure, in name order."""
-    from pathlib import Path
-
-    from repro.runner import ExperimentTask
-
-    out = Path(out_dir) if out_dir else None
-    tasks = []
-    for name, (runner, _) in sorted(_COMMANDS.items()):
-        if name == "all":
-            continue
-        kwargs: dict = {"quick": quick, "seed": seed}
-        if name in _EXPORTABLE:
-            kwargs["csv_path"] = str(out / f"{name}.csv") if out is not None else None
-        tasks.append(ExperimentTask(key=name, fn=runner, kwargs=kwargs))
-    return tasks
 
 
 def _run_all(
     quick: bool,
-    seed: int,
+    seed: int | None,
     out_dir: str | None,
     jobs: int = 1,
     seeds: list[int] | None = None,
 ) -> str:
-    """Run every figure, optionally archiving tables + CSVs to a directory.
+    """Run every figure and ``resilience``, optionally archiving tables +
+    CSVs to a directory.
 
     With ``jobs > 1`` the figures run concurrently; outcomes merge back in
     figure-name order, so the archived tables are identical to a serial run.
     ``seeds`` sweeps the whole figure set once per seed; all batches share
     one worker pool, so workers start once for the entire sweep.
     """
-    from pathlib import Path
-
-    from repro.runner import WorkerPool, run_tasks
+    from repro.runner import ExperimentTask, WorkerPool, run_tasks
 
     out = Path(out_dir) if out_dir else None
     if out is not None:
@@ -167,7 +71,12 @@ def _run_all(
             if out is not None and len(sweep) > 1:
                 sub = out / f"seed-{s}"
                 sub.mkdir(parents=True, exist_ok=True)
-            tasks = _all_tasks(quick, s, str(sub) if sub is not None else None)
+            tasks = [ExperimentTask("resilience", _resilience, {"quick": quick, "seed": s})]
+            for name, figure in figures.FIGURES.items():
+                csv = str(sub / f"{name}.csv") if sub is not None and figure.csv else None
+                kwargs = {"name": name, "quick": quick, "seed": s, "csv_path": csv}
+                tasks.append(ExperimentTask(name, figures.report, kwargs))
+            tasks.sort(key=lambda task: task.key)
             prefix = f"[seed={s}] " if len(sweep) > 1 else ""
             for outcome in run_tasks(tasks, pool=pool):
                 lines.append(f"=== {prefix}{outcome.key} ({outcome.elapsed:.1f}s) ===")
@@ -218,28 +127,18 @@ def _seed_list(parser: argparse.ArgumentParser, text: str) -> list[int]:
     return seeds
 
 
-_EXPORTABLE = {"fig4", "fig9", "fig11"}
-
+#: The commands beside the figures of ``figures.FIGURES``.
 _COMMANDS = {
-    "fig3": (_fig3, "power-performance characterization curves + fit R²"),
-    "fig4": (_fig4, "budgeter comparison across shared budgets"),
-    "fig5": (_fig5, "misclassification cost (under/over × small/large)"),
-    "fig6": (_fig6, "BT+SP pair under a static 840 W budget"),
-    "fig7": (_fig7, "BT+BT pair, one misclassified as IS"),
-    "fig8": (_fig8, "SP+SP pair, one misclassified as EP"),
-    "fig9": (_fig9, "1-hour time-varying power target tracking"),
-    "fig10": (_fig10, "per-type slowdown under the 1-hour schedule"),
-    "fig11": (_fig11, "QoS degradation vs performance variation (tabsim)"),
-    "resilience": (_resilience, "fig9 workload under the standard fault load"),
-    "all": (None, "run every figure; --out archives tables and CSVs"),
+    "resilience": "fig9 workload under the standard fault load",
+    "all": "run every figure; --out archives tables and CSVs",
 }
 
 
 def _add_observability_commands(sub) -> None:
     """``anor top`` and ``anor trace`` — consumers of repro.telemetry.
 
-    Deliberately NOT in ``_COMMANDS``: they are views over a run, not
-    figures, so ``anor all`` must not iterate them.
+    Deliberately NOT experiments: they are views over a run, not figures,
+    so ``anor all`` must not iterate them.
     """
     top = sub.add_parser(
         "top", help="live terminal view of the fig9 system (telemetry on)"
@@ -259,11 +158,11 @@ def _add_observability_commands(sub) -> None:
         help="run one figure under cProfile and print the hottest functions",
     )
     prof.add_argument(
-        "figure", choices=[n for n in _COMMANDS if n != "all"],
+        "figure", choices=[*figures.FIGURES, "resilience"],
         help="which figure to profile",
     )
     prof.add_argument("--quick", action="store_true")
-    prof.add_argument("--seed", type=int, default=0)
+    prof.add_argument("--seed", type=int, default=None)
     prof.add_argument(
         "--top", type=int, default=25, help="functions to show (default 25)"
     )
@@ -293,7 +192,7 @@ def _add_observability_commands(sub) -> None:
 
 
 def _run_profile(
-    name: str, quick: bool, seed: int, top: int, sort: str, out: str | None
+    name: str, quick: bool, seed: int | None, top: int, sort: str, out: str | None
 ) -> str:
     """Profile one figure run and render the top-N hot functions.
 
@@ -305,12 +204,14 @@ def _run_profile(
     import io
     import pstats
 
-    runner, _ = _COMMANDS[name]
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
     try:
-        runner(quick, seed)
+        if name == "resilience":
+            _resilience(quick, seed)
+        else:
+            figures.report(name, quick, seed)
     finally:
         profiler.disable()
     elapsed = time.perf_counter() - start
@@ -322,8 +223,6 @@ def _run_profile(
         f"wall {elapsed:.2f}s, sorted by {sort}\n{buf.getvalue()}"
     )
     if out is not None:
-        from pathlib import Path
-
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(report)
@@ -386,7 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="experiment", required=True)
     _add_observability_commands(sub)
     parsers = {}
-    for name, (_, help_text) in _COMMANDS.items():
+    commands = {**{name: f.help for name, f in figures.FIGURES.items()}, **_COMMANDS}
+    for name, help_text in commands.items():
         p = parsers[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--quick", action="store_true", help="scaled-down run")
         p.add_argument(
@@ -395,7 +295,16 @@ def main(argv: list[str] | None = None) -> int:
             default=1,
             help="worker processes for all's figures or --seeds' runs (default: serial)",
         )
-        if name in _EXPORTABLE:
+        p.add_argument(
+            "--seed", type=int, default=None, help="default: each figure's (drill's) own"
+        )
+        p.add_argument(
+            "--seeds",
+            default=None,
+            help="comma-separated seed list: run once per seed, fanned over --jobs "
+            "workers (all: the whole figure set per seed, on one worker pool)",
+        )
+        if name in figures.FIGURES and figures.FIGURES[name].csv:
             p.add_argument(
                 "--csv", default=None, help="also write the plotted series as CSV"
             )
@@ -428,27 +337,8 @@ def main(argv: list[str] | None = None) -> int:
                 help="soak drill: number of seeded episodes (default 240)",
             )
         if name == "all":
-            p.add_argument("--seed", type=int, default=0)
             p.add_argument(
                 "--out", default=None, help="directory to archive tables and CSVs"
-            )
-            p.add_argument(
-                "--seeds",
-                default=None,
-                help="comma-separated seed list: run the whole figure set "
-                "once per seed, sharing one worker pool across the sweep",
-            )
-        else:
-            # Each drill has its own calibrated default seed; None lets
-            # the dispatcher tell "no --seed given" from an explicit 0.
-            p.add_argument(
-                "--seed", type=int, default=None if name == "resilience" else 0
-            )
-            p.add_argument(
-                "--seeds",
-                default=None,
-                help="comma-separated seed list: run the figure (or drill, with "
-                "its options) once per seed, fanned over --jobs workers",
             )
     args = parser.parse_args(argv)
     if args.experiment == "top":
@@ -476,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     if args.experiment != "all" and args.jobs > 1 and not args.seeds:
         parsers[args.experiment].error(f"--jobs {args.jobs} needs --seeds")
+    csv_path = getattr(args, "csv", None)
+    if csv_path is not None and args.seeds:
+        parsers[args.experiment].error("--csv writes one run's series; drop it or --seeds")
     start = time.perf_counter()
     exit_code = 0
     if args.experiment == "all":
@@ -505,18 +398,13 @@ def main(argv: list[str] | None = None) -> int:
         # A drill is a claim check, not just a report: a failed scorecard
         # claim, on any seed of a sweep, must fail the invoking script/CI job.
         exit_code = 0 if ok else 1
-    elif getattr(args, "seeds", None):
-        runner, _ = _COMMANDS[args.experiment]
+    elif args.seeds:
         table, _ = _run_seed_sweep(
-            args.experiment, runner, _seed_list(parser, args.seeds), args.jobs,
-            quick=args.quick,
+            args.experiment, figures.report, _seed_list(parser, args.seeds), args.jobs,
+            name=args.experiment, quick=args.quick,
         )
-    elif args.experiment in _EXPORTABLE:
-        runner, _ = _COMMANDS[args.experiment]
-        table = runner(args.quick, args.seed, args.csv)
     else:
-        runner, _ = _COMMANDS[args.experiment]
-        table = runner(args.quick, args.seed)
+        table = figures.report(args.experiment, args.quick, args.seed, csv_path)
     print(table)
     print(f"\n[{args.experiment} completed in {time.perf_counter() - start:.1f}s]")
     return exit_code

@@ -805,9 +805,10 @@ class AnorSystem:
         return killed
 
     def _detach_endpoint(self, job_id: str) -> None:
-        """Forget the endpoint, pending restart and tracer of a job that was
-        just killed."""
+        """Forget the endpoint, attach serial, pending restart and tracer of
+        a job that was just killed."""
         self.endpoints.pop(job_id, None)
+        self._attach_serial.pop(job_id, None)
         self._endpoint_restarts = [
             r for r in self._endpoint_restarts if r[1] != job_id
         ]
@@ -905,6 +906,7 @@ class AnorSystem:
             now = self.cluster.clock.now
         if self.endpoints.pop(job_id, None) is None:
             return False
+        del self._attach_serial[job_id]
         self._report(
             "endpoint-crash", now, self.warnings,
             f"endpoint for job {job_id} crashed", job_id=job_id,

@@ -28,7 +28,6 @@ __all__ = [
     "CharacterizationResult",
     "measure_run",
     "characterize_job_types",
-    "run_fig3",
     "format_table",
     "PAPER_R2",
 ]
@@ -90,7 +89,8 @@ def characterize_job_types(
     seed: int = 0,
     tick: float = 0.25,
 ) -> CharacterizationResult:
-    """Profile each type over a cap sweep and fit its quadratic model."""
+    """Profile each type over a cap sweep and fit its quadratic model: Fig.
+    3's run, whose defaults are the paper's 10 runs per cap."""
     types = dict(job_types) if job_types is not None else dict(NAS_TYPES)
     cap_arr = np.asarray(
         caps if caps is not None else np.arange(P_NODE_MIN, P_NODE_MAX + 1e-9, 20.0),
@@ -116,19 +116,6 @@ def characterize_job_types(
         models[name] = fit.model
         r2[name] = fit.r2
     return CharacterizationResult(caps=cap_arr, runtimes=runtimes, models=models, r2=r2)
-
-
-def run_fig3(
-    *,
-    runs_per_cap: int = 10,
-    caps: Sequence[float] | None = None,
-    seed: int = 0,
-    tick: float = 0.25,
-) -> CharacterizationResult:
-    """Regenerate Fig. 3's series at the paper's default 10 runs per cap."""
-    return characterize_job_types(
-        runs_per_cap=runs_per_cap, caps=caps, seed=seed, tick=tick
-    )
 
 
 def format_table(result: CharacterizationResult) -> str:

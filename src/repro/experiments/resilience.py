@@ -784,6 +784,7 @@ _SOAK = Scenario(
         "episodes": 240,
         "target_power": _NODES * 180.0,
     },
+    quick={"episodes": 4},
     target=lambda p: ConstantTarget(p["target_power"]),
     config=lambda p: {"audit_enabled": True},
     arms=_soak_arms,

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _COMMANDS, main
+from repro.experiments import figures
+from repro.experiments.figures import FIGURES, Figure
 
 
 class TestParser:
@@ -17,11 +19,8 @@ class TestParser:
             main(["fig99"])
 
     def test_all_figures_registered(self):
-        expected = {f"fig{i}" for i in (3, 4, 5, 6, 7, 8, 9, 10, 11)} | {
-            "resilience",
-            "all",
-        }
-        assert set(_COMMANDS) == expected
+        assert set(FIGURES) == {f"fig{i}" for i in (3, 4, 5, 6, 7, 8, 9, 10, 11)}
+        assert set(_COMMANDS) == {"resilience", "all"}
 
     def test_help_lists_commands(self, capsys):
         with pytest.raises(SystemExit):
@@ -36,8 +35,7 @@ class TestParser:
 
         ran = []
         monkeypatch.setattr(cli, "_drill", lambda *a, **k: ran.append(a) or ("", True))
-        monkeypatch.setattr(cli, "_COMMANDS", {
-            **_COMMANDS, "fig9": (lambda *a: ran.append(a) or "", "")})
+        monkeypatch.setattr(figures, "report", lambda *a: ran.append(a) or "")
         for argv in (["fig9", "--jobs", "4"], ["resilience", "--drill", "shed", "--jobs", "2"]):
             with pytest.raises(SystemExit) as exit_:
                 main([*argv, "--quick"])
@@ -47,6 +45,43 @@ class TestParser:
         assert main(["fig9", "--quick", "--jobs", "1"]) == 0
         assert main(["resilience", "--drill", "shed", "--quick", "--jobs", "1"]) == 0
         assert len(ran) == 2
+
+    def test_csv_with_seeds_is_a_usage_error(self, monkeypatch, capsys, tmp_path):
+        """A sweep makes one series per seed and ``--csv`` names one file: the
+        pair is refused before anything runs, not run without the file."""
+        ran = []
+        monkeypatch.setattr(figures, "report", lambda *a, **k: ran.append(a) or "")
+        csv = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exit_:
+            main(["fig4", "--quick", "--seeds", "0,1", "--csv", str(csv)])
+        assert exit_.value.code == 2
+        assert "--csv" in (err := capsys.readouterr().err) and "--seeds" in err
+        assert ran == [] and not csv.exists()
+
+    def test_a_figure_runs_at_its_own_seed_unless_given_one(self, monkeypatch, capsys):
+        """No ``--seed`` leaves the run function's default seed, as the
+        figure's bench and claims use it; a seedless figure ignores one."""
+        monkeypatch.setitem(FIGURES, "fig7", Figure("", f"{__name__}:_seeded"))
+        monkeypatch.setitem(FIGURES, "fig4", Figure("", f"{__name__}:_seedless"))
+        for argv, printed in (
+            (["fig7"], "seed=1"), (["fig7", "--seed", "0"], "seed=0"),
+            (["fig4", "--seed", "3"], "no seed"),
+        ):
+            assert main(argv) == 0
+            assert capsys.readouterr().out.startswith(printed)
+
+
+def _seeded(*, seed: int = 1) -> str:
+    return f"seed={seed}"
+
+
+def _seedless() -> str:
+    return "no seed"
+
+
+# The fake figures' table formatter, found beside their run functions as a
+# figure module's is.
+format_table = str
 
 
 class TestExecution:
@@ -148,18 +183,29 @@ class TestResilienceDrills:
                 main(argv)
 
 
-def _fake_fig(quick: bool, seed: int) -> str:
+def _fake_run(*, seed: int = 0, scale: str = "paper") -> str:
     # Module-level so the pool can pickle it by qualified name.
-    return f"fake(quick={quick}, seed={seed}, value={seed * 11})"
+    return f"fake(scale={scale}, seed={seed}, value={seed * 11})"
+
+
+def _fake_resilience(quick: bool, seed: int | None) -> str:
+    return f"fake drill(quick={quick}, seed={seed})"
+
+
+def _fake_table(monkeypatch) -> None:
+    """``anor all`` over one fake figure row and a fake drill."""
+    from repro import cli
+
+    row = Figure("fake", f"{__name__}:_fake_run", quick={"scale": "quick"})
+    monkeypatch.setattr(figures, "FIGURES", {"figx": row})
+    monkeypatch.setattr(cli, "_resilience", _fake_resilience)
 
 
 class TestRunAllSeedSweep:
     def test_sweep_matches_serial_and_labels_seeds(self, monkeypatch):
         from repro import cli
 
-        monkeypatch.setattr(
-            cli, "_COMMANDS", {"figx": (_fake_fig, "fake"), "all": (None, "")}
-        )
+        _fake_table(monkeypatch)
         serial = cli._run_all(True, 0, None, jobs=1, seeds=[0, 1, 2])
         parallel = cli._run_all(True, 0, None, jobs=2, seeds=[0, 1, 2])
 
@@ -170,16 +216,15 @@ class TestRunAllSeedSweep:
 
         assert tables(serial) == tables(parallel)
         assert "[seed=2] figx" in parallel
-        assert "fake(quick=True, seed=2, value=22)" in parallel
+        assert "fake(scale=quick, seed=2, value=22)" in parallel
 
     def test_single_seed_output_unchanged(self, monkeypatch):
         from repro import cli
 
-        monkeypatch.setattr(
-            cli, "_COMMANDS", {"figx": (_fake_fig, "fake"), "all": (None, "")}
-        )
+        _fake_table(monkeypatch)
         out = cli._run_all(True, 5, None, jobs=1)
         assert "=== figx" in out and "[seed=" not in out
+        assert "fake(scale=quick, seed=5, value=55)" in out
 
 
 class TestProfileCommand:

@@ -165,6 +165,21 @@ class TestScheduledRuns:
         system.run(until_idle=True, max_time=6000.0)
         assert system._launched == {}
 
+    def test_attach_serials_are_the_attached_endpoints(self):
+        """A job killed by a node crash, and a job whose endpoint crashed,
+        keep no attach serial: only a job in ``endpoints`` has one."""
+        system = make_system()
+        for kind in ("mg", "cg", "is"):
+            system.submit_now(f"{kind}-0", kind, nodes=1)
+        system.run(20.0)
+        running = system.cluster.running
+        system.crash_node(running["mg-0"].nodes[0].node_id)
+        assert set(system._attach_serial) == set(system.endpoints)
+        system.crash_endpoint("cg-0")
+        assert set(system._attach_serial) == set(system.endpoints) == {"is-0"}
+        system.run(until_idle=True, max_time=3000.0)
+        assert system._attach_serial == {} and system.endpoints == {}
+
     def test_run_requires_duration_or_until_idle(self):
         system = make_system()
         with pytest.raises(ValueError, match="duration"):

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cli import _COMMANDS
 from repro.core.framework import AnorResult
 from repro.experiments import fig4, fig5
 from repro.experiments.fig9 import Fig9Result
+from repro.experiments.figures import FIGURES
 from repro.experiments.resilience import SCENARIOS
 from repro.experiments.scorecard import CLAIMS, Claim, Scorecard, score
 
@@ -117,14 +117,13 @@ def _score_calls(fn: ast.FunctionDef) -> dict[str, str]:
 
 def test_every_figure_command_has_claims():
     """``anor figN`` regenerates a figure, so the figure has claims rows."""
-    assert {name for name in _COMMANDS if name.startswith("fig")} <= set(CLAIMS)
+    assert set(FIGURES) <= set(CLAIMS)
 
 
 def test_claims_are_the_figures_qos_and_the_drills():
-    """One table holds every claim: a key per figure command, ``qos`` and
-    one per drill, and nothing else."""
-    figures = {name for name in _COMMANDS if name.startswith("fig")}
-    assert set(CLAIMS) == figures | {"qos"} | set(SCENARIOS)
+    """One table holds every claim: a key per row of ``FIGURES``, ``qos``
+    and one per drill, and nothing else."""
+    assert set(CLAIMS) == set(FIGURES) | {"qos"} | set(SCENARIOS)
 
 
 def test_figure_benches_assert_only_their_scorecard():
@@ -172,3 +171,39 @@ def test_figure_benches_assert_only_their_scorecard():
     )
     scored |= set(SCENARIOS)
     assert scored == set(CLAIMS)
+
+
+def test_figure_benches_run_their_row_at_bench_scale():
+    """A figure bench states no scale of its own: it makes one
+    ``figures.run("<figure>", "bench")`` call, with no other argument, for
+    the figure it scores, and calls no figure's run function itself, so the
+    bench scale is written once, in its row of :data:`FIGURES`."""
+    entry_points = {row.run.split(":")[1] for row in FIGURES.values()}
+    benched = set()
+    for path in sorted(BENCHMARKS.glob("test_fig*.py")):
+        tree = ast.parse(path.read_text())
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        called = {
+            getattr(call.func, "attr", getattr(call.func, "id", None)) for call in calls
+        }
+        assert not called & entry_points, path.name
+        runs = [
+            call for call in calls
+            if isinstance(call.func, ast.Attribute)
+            and call.func.attr == "run"
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "figures"
+        ]
+        assert len(runs) == 1, path.name
+        (run,) = runs
+        assert not run.keywords, path.name
+        args = [arg.value for arg in run.args if isinstance(arg, ast.Constant)]
+        assert len(args) == len(run.args) == 2 and args[1] == "bench", path.name
+        scored = {
+            figure
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for figure in _score_calls(fn).values()
+        }
+        assert scored == {args[0]}, path.name
+        benched.add(args[0])
+    assert benched == set(FIGURES)
